@@ -53,35 +53,44 @@ func (c Class) String() string {
 	return "unknown"
 }
 
-// Entry is a cached metadata record.
+// Entry is a cached metadata record. The fields are ordered so it stays
+// in the 48-byte size class: thousands live in every MDS cache.
 type Entry struct {
-	Ino   *namespace.Inode
-	Class Class
-
-	// pins counts cached children; an entry with pins > 0 must not be
-	// evicted (leaf-only expiry).
-	pins int
+	Ino *namespace.Inode
 	// parent is the entry this one pinned at insert time. It is kept
 	// explicitly (rather than re-deriving from Ino.Parent()) because
 	// renames and unlinks move inodes while they are cached; the pin
 	// must be released on exactly the entry it was taken on.
 	parent *Entry
-	hot    bool
+	prev   *Entry
+	next   *Entry
+	// stamp orders the entries of one segment: pushFront draws it from
+	// the segment's counter, so it strictly decreases head to tail.
+	stamp uint64
+	// pins counts cached children; an entry with pins > 0 must not be
+	// evicted (leaf-only expiry).
+	pins  int32
+	Class Class
+	hot   bool
 	// detached entries (Lazy Hybrid) do not participate in the
 	// hierarchical pinning protocol: LH's dual-entry ACLs remove the
 	// need to keep ancestors cached.
 	detached bool
-	prev     *Entry
-	next     *Entry
 }
 
 // Pinned reports whether the entry is protected from eviction.
 func (e *Entry) Pinned() bool { return e.pins > 0 }
 
 // list is an intrusive doubly-linked LRU list; head = MRU, tail = LRU.
+//
+// cursor is where the victim scan resumes. Invariant: every entry
+// strictly tail-ward of cursor is pinned (nil: every entry is), so a
+// scan from cursor meets the same first unpinned entry as one from tail.
 type list struct {
 	head, tail *Entry
+	cursor     *Entry
 	n          int
+	stamp      uint64
 }
 
 func (l *list) pushFront(e *Entry) {
@@ -94,9 +103,17 @@ func (l *list) pushFront(e *Entry) {
 		l.tail = e
 	}
 	l.n++
+	l.stamp++
+	e.stamp = l.stamp
+	if l.cursor == nil {
+		l.cursor = e
+	}
 }
 
 func (l *list) remove(e *Entry) {
+	if l.cursor == e {
+		l.cursor = e.prev
+	}
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
@@ -134,10 +151,19 @@ type Cache struct {
 
 	// classCount tracks entries per class for O(1) prefix accounting.
 	classCount [3]int
+	// pinned counts entries with pins > 0 (PrefixFraction's numerator).
+	pinned int
+
+	// free chains recycled entries through next. An explicit list, not a
+	// sync.Pool: reuse must not depend on GC timing.
+	free *Entry
+	// scratch is unwind's victim buffer, kept to avoid regrowing it.
+	scratch []*Entry
 
 	// OnEvict, if set, is called after an entry has been removed by
 	// eviction (not by Remove); the MDS uses it to notify authorities
-	// that a replica was discarded (§4.2).
+	// that a replica was discarded (§4.2). It may read the entry but
+	// must not retain it: the entry is recycled when OnEvict returns.
 	OnEvict func(*Entry)
 
 	Stats Stats
@@ -206,13 +232,7 @@ func (c *Cache) PrefixFraction() float64 {
 	if c.n == 0 {
 		return 0
 	}
-	pinned := 0
-	c.forEach(func(e *Entry) {
-		if e.pins > 0 {
-			pinned++
-		}
-	})
-	return float64(pinned) / float64(c.n)
+	return float64(c.pinned) / float64(c.n)
 }
 
 // Contains reports presence without touching LRU state or stats.
@@ -239,13 +259,17 @@ func (c *Cache) Get(id namespace.InodeID) (*Entry, bool) {
 	return e, true
 }
 
-func (c *Cache) touch(e *Entry) {
+// segment returns the LRU segment e is (to be) linked on.
+func (c *Cache) segment(e *Entry) *list {
 	if e.hot {
-		c.hot.remove(e)
-	} else {
-		c.warm.remove(e)
-		e.hot = true
+		return &c.hot
 	}
+	return &c.warm
+}
+
+func (c *Cache) touch(e *Entry) {
+	c.segment(e).remove(e)
+	e.hot = true
 	c.hot.pushFront(e)
 }
 
@@ -276,23 +300,33 @@ func (c *Cache) Insert(ino *namespace.Inode, cl Class, warm bool) (*Entry, error
 			return nil, fmt.Errorf("cache: inserting %s without cached parent", ino)
 		}
 	}
-	e := &Entry{Ino: ino, Class: cl, hot: !warm, parent: pe}
+	return c.add(ino, cl, warm, pe, false), nil
+}
+
+// add links a new entry for ino, pinning pe, and evicts down to
+// capacity. It reuses a recycled Entry when one is free.
+func (c *Cache) add(ino *namespace.Inode, cl Class, warm bool, pe *Entry, detached bool) *Entry {
+	e := c.free
+	if e != nil {
+		c.free, e.next = e.next, nil
+	} else {
+		e = new(Entry)
+	}
+	e.Ino, e.Class, e.hot, e.parent, e.detached = ino, cl, !warm, pe, detached
 	c.store(ino.ID, e)
 	c.classCount[cl]++
 	if pe != nil {
-		pe.pins++
+		if pe.pins++; pe.pins == 1 {
+			c.pinned++
+		}
 	}
-	if warm {
-		c.warm.pushFront(e)
-	} else {
-		c.hot.pushFront(e)
-	}
+	c.segment(e).pushFront(e)
 	c.Stats.Inserts++
 	// The new entry is protected from its own insertion's eviction pass:
 	// a path insert brings in ancestors one at a time, and a chain link
 	// must survive until its child pins it.
 	c.evictToCapacity(e)
-	return e, nil
+	return e
 }
 
 // InsertDetached caches ino without requiring (or pinning) its parent.
@@ -305,24 +339,28 @@ func (c *Cache) InsertDetached(ino *namespace.Inode, cl Class, warm bool) *Entry
 		}
 		return e
 	}
-	e := &Entry{Ino: ino, Class: cl, hot: !warm, detached: true}
-	c.store(ino.ID, e)
-	c.classCount[cl]++
-	if warm {
-		c.warm.pushFront(e)
-	} else {
-		c.hot.pushFront(e)
-	}
-	c.Stats.Inserts++
-	c.evictToCapacity(e)
-	return e
+	return c.add(ino, cl, warm, nil, true)
 }
 
 // InsertPath caches ino along with any missing ancestors (as Prefix
 // entries), maintaining the tree invariant.
 func (c *Cache) InsertPath(ino *namespace.Inode, cl Class, warm bool) (*Entry, error) {
-	for _, anc := range ino.Ancestors() {
-		if !c.Contains(anc.ID) {
+	// The parent chain, nearest first, in a stack buffer: append moves
+	// it to the heap only for a path deeper than the buffer.
+	var buf [32]*namespace.Inode
+	chain, missing := buf[:0], false
+	for anc := ino.Parent(); anc != nil; anc = anc.Parent() {
+		chain = append(chain, anc)
+		missing = missing || !c.Contains(anc.ID)
+	}
+	if !missing {
+		return c.Insert(ino, cl, warm)
+	}
+	// Root down, re-checking at each step: an insert may evict an
+	// ancestor further down the chain (a cached directory renamed under
+	// an uncached one is an unpinned leaf until its new parent arrives).
+	for i := len(chain) - 1; i >= 0; i-- {
+		if anc := chain[i]; !c.Contains(anc.ID) {
 			// Ancestors are always demand-relevant: hot.
 			if _, err := c.Insert(anc, Prefix, false); err != nil {
 				return nil, err
@@ -337,9 +375,9 @@ func (c *Cache) InsertPath(ino *namespace.Inode, cl Class, warm bool) (*Entry, e
 // exceed capacity (the next insert retries).
 func (c *Cache) evictToCapacity(protect *Entry) {
 	for c.n > c.capacity {
-		e := c.victim(&c.warm, protect)
+		e := c.warm.victim(protect)
 		if e == nil {
-			e = c.victim(&c.hot, protect)
+			e = c.hot.victim(protect)
 		}
 		if e == nil {
 			c.Stats.PinBlockedEvicts++
@@ -349,27 +387,42 @@ func (c *Cache) evictToCapacity(protect *Entry) {
 	}
 }
 
-// victim scans from the LRU tail for the first unpinned entry.
-func (c *Cache) victim(l *list, protect *Entry) *Entry {
-	for e := l.tail; e != nil; e = e.prev {
-		if e.pins == 0 && e != protect {
-			return e
-		}
+// victim returns the unpinned entry nearest the LRU tail, other than
+// protect, moving the cursor head-ward over the pinned entries it
+// passes so the next scan does not walk them again.
+func (l *list) victim(protect *Entry) *Entry {
+	e := skipPinned(l.cursor)
+	l.cursor = e
+	if e != nil && e == protect {
+		// protect is evictable next time: look past it, cursor unmoved.
+		e = skipPinned(e.prev)
 	}
-	return nil
+	return e
 }
 
-func (c *Cache) drop(e *Entry, evicted bool) {
-	if e.hot {
-		c.hot.remove(e)
-	} else {
-		c.warm.remove(e)
+// skipPinned returns the first unpinned entry from e head-ward, or nil.
+func skipPinned(e *Entry) *Entry {
+	for e != nil && e.pins > 0 {
+		e = e.prev
 	}
+	return e
+}
+
+// drop unlinks e and recycles it. e is dead afterwards: OnEvict is the
+// last reader.
+func (c *Cache) drop(e *Entry, evicted bool) {
+	c.segment(e).remove(e)
 	c.erase(e.Ino.ID)
 	c.classCount[e.Class]--
-	if e.parent != nil {
-		e.parent.pins--
-		e.parent = nil
+	if p := e.parent; p != nil {
+		if p.pins--; p.pins == 0 {
+			c.pinned--
+			// p is evictable again: its segment's cursor must not
+			// stay head-ward of it.
+			if l := c.segment(p); l.cursor == nil || p.stamp < l.cursor.stamp {
+				l.cursor = p
+			}
+		}
 	}
 	if evicted {
 		c.Stats.Evicts++
@@ -377,6 +430,8 @@ func (c *Cache) drop(e *Entry, evicted bool) {
 			c.OnEvict(e)
 		}
 	}
+	*e = Entry{next: c.free}
+	c.free = e
 }
 
 // Remove explicitly discards an entry (e.g. after migrating a subtree
@@ -393,38 +448,54 @@ func (c *Cache) Remove(id namespace.InodeID) error {
 	return nil
 }
 
-// RemoveSubtree discards every cached entry at or below root, children
-// before parents so pins unwind. Returns the number removed.
-func (c *Cache) RemoveSubtree(root *namespace.Inode) int {
-	var victims []*Entry
-	c.forEach(func(e *Entry) {
-		if e.Ino == root || root.IsAncestorOf(e.Ino) {
-			victims = append(victims, e)
-		}
-	})
-	// Deepest first so parents are unpinned before their turn.
-	for removed := 0; removed < len(victims); {
-		progress := false
-		for _, e := range victims {
-			if c.lookup(e.Ino.ID) == nil {
-				continue
-			}
+// under reports whether e caches root or something below it.
+func under(root *namespace.Inode, e *Entry) bool {
+	return e.Ino == root || root.IsAncestorOf(e.Ino)
+}
+
+// unwind drops the entries collected in c.scratch, children before
+// parents so pins release, and returns how many went; an entry pinned
+// from outside the set stays. A dropped entry leaves the buffer in the
+// same pass, so a recycled entry is never read.
+func (c *Cache) unwind() int {
+	rest := c.scratch
+	for progress := true; progress; {
+		keep := rest[:0]
+		for _, e := range rest {
 			if e.pins == 0 {
 				c.drop(e, false)
-				removed++
-				progress = true
+			} else {
+				keep = append(keep, e)
 			}
 		}
-		if !progress {
-			break // remaining entries pinned from outside the subtree
-		}
+		progress = len(keep) < len(rest)
+		rest = keep
 	}
+	removed := len(c.scratch) - len(rest)
+	clear(c.scratch)
+	c.scratch = c.scratch[:0]
+	return removed
+}
+
+// RemoveSubtree discards every cached entry at or below root. Returns
+// the number removed.
+func (c *Cache) RemoveSubtree(root *namespace.Inode) int {
+	c.forEach(func(e *Entry) {
+		if under(root, e) {
+			c.scratch = append(c.scratch, e)
+		}
+	})
+	return c.unwind()
+}
+
+// CountUnder returns the number of entries at or below root.
+func (c *Cache) CountUnder(root *namespace.Inode) int {
 	n := 0
-	for _, e := range victims {
-		if c.lookup(e.Ino.ID) == nil {
+	c.forEach(func(e *Entry) {
+		if under(root, e) {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -434,31 +505,13 @@ func (c *Cache) RemoveSubtree(root *namespace.Inode) int {
 // shed per-inode bookkeeping naming this node). Returns the number of
 // entries discarded.
 func (c *Cache) Clear(fn func(*Entry)) int {
-	var victims []*Entry
-	c.forEach(func(e *Entry) { victims = append(victims, e) })
-	if fn != nil {
-		for _, e := range victims {
+	c.forEach(func(e *Entry) {
+		if fn != nil {
 			fn(e)
 		}
-	}
-	// Children before parents so pins unwind; every entry goes, so the
-	// fixpoint always completes.
-	removed := 0
-	for removed < len(victims) {
-		progress := false
-		for _, e := range victims {
-			if c.lookup(e.Ino.ID) == nil || e.pins > 0 {
-				continue
-			}
-			c.drop(e, false)
-			removed++
-			progress = true
-		}
-		if !progress {
-			break
-		}
-	}
-	return removed
+		c.scratch = append(c.scratch, e)
+	})
+	return c.unwind()
 }
 
 // ForEach visits every entry in LRU-segment order (hot then warm, MRU
@@ -470,7 +523,7 @@ func (c *Cache) ForEach(fn func(*Entry)) { c.forEach(fn) }
 func (c *Cache) EntriesUnder(root *namespace.Inode) []*Entry {
 	var out []*Entry
 	c.forEach(func(e *Entry) {
-		if e.Ino == root || root.IsAncestorOf(e.Ino) {
+		if under(root, e) {
 			out = append(out, e)
 		}
 	})
@@ -491,12 +544,15 @@ func (c *Cache) HitRate() float64 {
 	return float64(c.Stats.Hits) / float64(total)
 }
 
-// CheckInvariants validates pin counts, segment membership, and the
-// cached-subset-is-a-tree property. For tests.
+// CheckInvariants validates pin counts, segment membership, the
+// cached-subset-is-a-tree property, each segment's stamps and cursor,
+// and that no live entry is on the free list. For tests.
 func (c *Cache) CheckInvariants() error {
-	pins := make(map[*Entry]int)
+	pins := make(map[*Entry]int32)
+	live := make(map[*Entry]bool)
 	var err error
 	c.forEach(func(e *Entry) {
+		live[e] = true
 		if err != nil {
 			return
 		}
@@ -525,18 +581,33 @@ func (c *Cache) CheckInvariants() error {
 	if err != nil {
 		return err
 	}
-	count := 0
-	for e := c.hot.head; e != nil; e = e.next {
-		if !e.hot {
-			return fmt.Errorf("cache: warm entry in hot list")
-		}
-		count++
+	if c.pinned != len(pins) {
+		return fmt.Errorf("cache: pinned counter %d, want %d", c.pinned, len(pins))
 	}
-	for e := c.warm.head; e != nil; e = e.next {
-		if e.hot {
-			return fmt.Errorf("cache: hot entry in warm list")
+	for f := c.free; f != nil; f = f.next {
+		if live[f] {
+			return fmt.Errorf("cache: live entry %s on the free list", f.Ino)
 		}
-		count++
+	}
+	count := 0
+	for _, l := range [...]*list{&c.hot, &c.warm} {
+		stamp, beyond := l.stamp+1, l.cursor == nil
+		for e := l.head; e != nil; e = e.next {
+			if e.hot != (l == &c.hot) {
+				return fmt.Errorf("cache: %s linked on the wrong segment", e.Ino)
+			}
+			if e.stamp >= stamp {
+				return fmt.Errorf("cache: %s stamp %d not below its head-ward neighbour's %d", e.Ino, e.stamp, stamp)
+			}
+			if beyond && e.pins == 0 {
+				return fmt.Errorf("cache: unpinned %s tail-ward of the scan cursor", e.Ino)
+			}
+			stamp, beyond = e.stamp, beyond || e == l.cursor
+			count++
+		}
+		if !beyond {
+			return fmt.Errorf("cache: scan cursor not on its segment")
+		}
 	}
 	if count != c.n {
 		return fmt.Errorf("cache: list count %d != table count %d", count, c.n)

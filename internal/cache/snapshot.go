@@ -11,38 +11,23 @@ import (
 // on it, so both segments are serialized MRU-first and relinked
 // verbatim on restore. Pin counts are not serialized — they are
 // recomputed from the parent links, which also re-validates the
-// cached-subset-is-a-tree invariant.
+// cached-subset-is-a-tree invariant. Neither are stamps and cursors:
+// any cursor that keeps its invariant yields the same victims, so
+// restore renumbers each segment and parks its cursor at the tail.
 
 // DropDestroyed removes every unpinned entry whose inode has been
-// destroyed (unlinked), children before parents, returning the count
-// removed. Replicas of an unlinked inode can outlive it on non-author
-// nodes until eviction; a checkpoint garbage-collects them first, in
-// both the checkpointing run and the baseline, so the two stay in
-// lockstep and every serialized entry resolves against the restored
-// namespace.
+// destroyed (unlinked), returning the count removed. Replicas of an
+// unlinked inode can outlive it on non-author nodes until eviction; a
+// checkpoint garbage-collects them first, in both the checkpointing run
+// and the baseline, so the two stay in lockstep and every serialized
+// entry resolves against the restored namespace.
 func (c *Cache) DropDestroyed(dead func(namespace.InodeID) bool) int {
-	var victims []*Entry
 	c.forEach(func(e *Entry) {
 		if dead(e.Ino.ID) {
-			victims = append(victims, e)
+			c.scratch = append(c.scratch, e)
 		}
 	})
-	removed := 0
-	for removed < len(victims) {
-		progress := false
-		for _, e := range victims {
-			if c.lookup(e.Ino.ID) == nil || e.pins > 0 {
-				continue
-			}
-			c.drop(e, false)
-			removed++
-			progress = true
-		}
-		if !progress {
-			break // pinned by live children; should not happen for files
-		}
-	}
-	return removed
+	return c.unwind()
 }
 
 // SnapshotTo serializes the cache.
@@ -99,7 +84,7 @@ func (c *Cache) RestoreFrom(r *snap.Reader, resolve func(namespace.InodeID) (*na
 			if !ok {
 				return fmt.Errorf("cache: snapshot entry %d unresolvable", id)
 			}
-			e := &Entry{Ino: ino, Class: cl, hot: li == 0, detached: detached}
+			e := &Entry{Ino: ino, Class: cl, hot: li == 0, detached: detached, stamp: uint64(n - i)}
 			c.store(id, e)
 			c.classCount[cl]++
 			all = append(all, pending{e, parent})
@@ -112,8 +97,8 @@ func (c *Cache) RestoreFrom(r *snap.Reader, resolve func(namespace.InodeID) (*na
 			}
 			prev = e
 		}
-		l.tail = prev
-		l.n = n
+		l.tail, l.cursor = prev, prev
+		l.n, l.stamp = n, uint64(n)
 	}
 	for _, p := range all {
 		if p.parent == 0 {
@@ -124,7 +109,9 @@ func (c *Cache) RestoreFrom(r *snap.Reader, resolve func(namespace.InodeID) (*na
 			return fmt.Errorf("cache: snapshot entry %d pins uncached parent %d", p.e.Ino.ID, p.parent)
 		}
 		p.e.parent = pe
-		pe.pins++
+		if pe.pins++; pe.pins == 1 {
+			c.pinned++
+		}
 	}
 	return nil
 }

@@ -17,7 +17,7 @@ import (
 // A run is cut into segments by checkpoint instants T_1 < T_2 < ... At
 // each T_k the cluster executes the quiesce protocol — pause arrivals,
 // stop the perpetual tickers, drain in-flight work, verify quiescence,
-// garbage-collect cached replicas of tombstoned inodes — and then
+// garbage-collect cached replicas of destroyed inodes — and then
 // either serializes itself (CheckpointTo) or simply resumes. Crucially
 // the protocol runs IDENTICALLY whether or not a snapshot is written:
 // an uninterrupted run with checkpoint cadence and a run restored from
@@ -149,7 +149,7 @@ func (c *Cluster) Now() sim.Time { return c.Eng.Now() }
 // Quiesce executes the checkpoint protocol at the current instant:
 // pause arrivals and stop the tickers, drain QuiesceDrain of virtual
 // time so in-flight chains retire, verify that nothing is left in
-// flight anywhere, then garbage-collect cached replicas of tombstoned
+// flight anywhere, then garbage-collect cached replicas of destroyed
 // inodes on every node (the deterministic checkpoint GC — it runs
 // whether or not a snapshot is written, keeping checkpointing and
 // restored runs in lockstep). On success the cluster is serializable;
@@ -180,7 +180,14 @@ func (c *Cluster) Quiesce() error {
 	if n := c.Fab.PendingMail(); n != 0 {
 		return fmt.Errorf("cluster: quiesce with %d queued cross-shard deliveries", n)
 	}
-	dead := c.Snap.Tree.Tombstoned
+	// Dead means "no longer resolves": a tombstoned base inode, or one
+	// the run created and later unlinked. Restore resolves every
+	// serialized entry by ID, so nothing else may reach a checkpoint.
+	tree := c.Snap.Tree
+	dead := func(id namespace.InodeID) bool {
+		_, ok := tree.ByID(id)
+		return !ok
+	}
 	for _, n := range c.Nodes {
 		n.Cache().DropDestroyed(dead)
 	}

@@ -7,14 +7,17 @@
 // for safe updates and advanced file system features like snapshots."
 //
 // The implementation is a copy-on-write B+tree keyed by entry name.
-// Every mutation copies the nodes along its path and returns how many
+// Every mutation rewrites the nodes along its path and returns how many
 // nodes were (re)written — the incremental update cost the storage
 // layer accounts. Snapshot is O(1): it shares every node with the live
-// tree, and subsequent mutations copy away from it.
+// tree, and subsequent mutations copy away from it. A node no snapshot
+// shares is rewritten in place: the cost model counts it as written
+// all the same, but the simulator allocates nothing for it.
 package dirstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dynmds/internal/namespace"
@@ -29,10 +32,19 @@ type Record struct {
 	Size int64
 }
 
+// cowToken is a copy-on-write context: a pointer identity (never a
+// counter, so trees on different shards share nothing) naming the one
+// tree that may write a node in place. It must not be zero-sized:
+// distinct allocations need distinct addresses.
+type cowToken struct{ _ byte }
+
 // node is a B+tree node. Leaves hold records; internal nodes hold
-// separator keys and children. Nodes are immutable once shared (COW):
-// mutation always goes through copies.
+// separator keys and children. A node is written in place only by the
+// tree whose token it carries; any other tree copies it first (COW). An
+// owned node's ancestors are owned too, so nothing below a shared node
+// is ever written in place.
 type node struct {
+	cow  *cowToken
 	leaf bool
 	// keys: for leaves, keys[i] == recs[i].Name; for internal nodes,
 	// keys[i] is the smallest key reachable under children[i+1].
@@ -41,8 +53,12 @@ type node struct {
 	children []*node
 }
 
-func (n *node) clone() *node {
-	c := &node{leaf: n.leaf}
+// writable returns n itself if t owns it, else a copy t owns.
+func (t *Tree) writable(n *node) *node {
+	if n.cow == t.cow {
+		return n
+	}
+	c := &node{cow: t.cow, leaf: n.leaf}
 	c.keys = append([]string(nil), n.keys...)
 	if n.leaf {
 		c.recs = append([]Record(nil), n.recs...)
@@ -57,6 +73,7 @@ type Tree struct {
 	root  *node
 	order int // max records per leaf / max children per internal node
 	size  int
+	cow   *cowToken
 }
 
 // MinOrder is the smallest supported branching factor.
@@ -67,7 +84,8 @@ func New(order int) *Tree {
 	if order < MinOrder {
 		order = MinOrder
 	}
-	return &Tree{root: &node{leaf: true}, order: order}
+	cow := new(cowToken)
+	return &Tree{root: &node{cow: cow, leaf: true}, order: order, cow: cow}
 }
 
 // Len returns the number of entries.
@@ -87,9 +105,11 @@ func (t *Tree) Height() int {
 
 // Snapshot returns an O(1) copy-on-write snapshot: it shares all nodes
 // with t; later mutations of either tree copy nodes rather than
-// modifying shared state.
+// modifying shared state. Both trees take fresh tokens, so every node
+// reachable now is owned by neither.
 func (t *Tree) Snapshot() *Tree {
-	return &Tree{root: t.root, order: t.order, size: t.size}
+	t.cow = new(cowToken)
+	return &Tree{root: t.root, order: t.order, size: t.size, cow: new(cowToken)}
 }
 
 // Get looks up an entry by name.
@@ -126,7 +146,7 @@ func (t *Tree) Insert(rec Record) (nodesWritten int, err error) {
 	root, sib, sep, written, added := t.insert(t.root, rec)
 	if sib != nil {
 		// Root split: new root with two children.
-		root = &node{leaf: false, keys: []string{sep}, children: []*node{root, sib}}
+		root = &node{cow: t.cow, keys: []string{sep}, children: []*node{root, sib}}
 		written++
 	}
 	t.root = root
@@ -140,7 +160,7 @@ func (t *Tree) Insert(rec Record) (nodesWritten int, err error) {
 // sibling with its separator key, nodes written, and whether the entry
 // count grew.
 func (t *Tree) insert(n *node, rec Record) (out, sib *node, sep string, written int, added bool) {
-	out = n.clone()
+	out = t.writable(n)
 	written = 1
 	if n.leaf {
 		i := sort.SearchStrings(out.keys, rec.Name)
@@ -148,16 +168,13 @@ func (t *Tree) insert(n *node, rec Record) (out, sib *node, sep string, written 
 			out.recs[i] = rec // replace in place (same key)
 			return out, nil, "", written, false
 		}
-		out.keys = append(out.keys, "")
-		copy(out.keys[i+1:], out.keys[i:])
-		out.keys[i] = rec.Name
-		out.recs = append(out.recs, Record{})
-		copy(out.recs[i+1:], out.recs[i:])
-		out.recs[i] = rec
+		out.keys = slices.Insert(out.keys, i, rec.Name)
+		out.recs = slices.Insert(out.recs, i, rec)
 		added = true
 		if len(out.keys) > t.order {
 			mid := len(out.keys) / 2
 			right := &node{
+				cow:  t.cow,
 				leaf: true,
 				keys: append([]string(nil), out.keys[mid:]...),
 				recs: append([]Record(nil), out.recs[mid:]...),
@@ -174,17 +191,13 @@ func (t *Tree) insert(n *node, rec Record) (out, sib *node, sep string, written 
 	added = cadded
 	out.children[ci] = child
 	if csib != nil {
-		out.keys = append(out.keys, "")
-		copy(out.keys[ci+1:], out.keys[ci:])
-		out.keys[ci] = csep
-		out.children = append(out.children, nil)
-		copy(out.children[ci+2:], out.children[ci+1:])
-		out.children[ci+1] = csib
+		out.keys = slices.Insert(out.keys, ci, csep)
+		out.children = slices.Insert(out.children, ci+1, csib)
 		if len(out.children) > t.order {
 			mid := len(out.keys) / 2
 			sep = out.keys[mid]
 			right := &node{
-				leaf:     false,
+				cow:      t.cow,
 				keys:     append([]string(nil), out.keys[mid+1:]...),
 				children: append([]*node(nil), out.children[mid+1:]...),
 			}
@@ -221,9 +234,17 @@ func (t *Tree) del(n *node, name string) (out *node, written int, ok bool) {
 		if i >= len(n.keys) || n.keys[i] != name {
 			return n, 0, false
 		}
-		out = n.clone()
-		out.keys = append(out.keys[:i], out.keys[i+1:]...)
-		out.recs = append(out.recs[:i], out.recs[i+1:]...)
+		out = t.writable(n)
+		out.keys = slices.Delete(out.keys, i, i+1)
+		out.recs = slices.Delete(out.recs, i, i+1)
+		// A leaf rewritten in place keeps its slices for life, so one
+		// that has lost more than half its entries gives the slack back
+		// (a copy used to, on every write). The margin keeps a small
+		// directory that alternates delete and create from reallocating.
+		if cap(out.keys) > 2*len(out.keys)+4 {
+			out.keys = slices.Clone(out.keys)
+			out.recs = slices.Clone(out.recs)
+		}
 		return out, 1, true
 	}
 	ci := childIndex(n, name)
@@ -231,7 +252,7 @@ func (t *Tree) del(n *node, name string) (out *node, written int, ok bool) {
 	if !ok {
 		return n, 0, false
 	}
-	out = n.clone()
+	out = t.writable(n)
 	out.children[ci] = child
 	written = cw + 1
 	// Fix underflow in the updated child.
@@ -248,22 +269,22 @@ func (t *Tree) underflow(n *node) bool {
 	return len(n.children) < t.minKeys()
 }
 
-// rebalance fixes an underflowing child ci of parent p (already a
-// private copy) by borrowing from or merging with a sibling. Returns
-// extra nodes written.
+// rebalance fixes an underflowing child ci of parent p (both already
+// owned by t) by borrowing from or merging with a sibling. Returns extra
+// nodes written: the child counts again, as a second write of its block.
 func (t *Tree) rebalance(p *node, ci int) int {
 	child := p.children[ci]
 	// Try borrowing from the left sibling.
 	if ci > 0 {
 		left := p.children[ci-1]
 		if t.canLend(left) {
-			l, c := left.clone(), child.clone()
+			l := t.writable(left)
 			if child.leaf {
 				k := l.keys[len(l.keys)-1]
 				r := l.recs[len(l.recs)-1]
 				l.keys, l.recs = l.keys[:len(l.keys)-1], l.recs[:len(l.recs)-1]
-				c.keys = append([]string{k}, c.keys...)
-				c.recs = append([]Record{r}, c.recs...)
+				child.keys = slices.Insert(child.keys, 0, k)
+				child.recs = slices.Insert(child.recs, 0, r)
 				p.keys[ci-1] = k
 			} else {
 				// Rotate through the parent separator.
@@ -271,11 +292,11 @@ func (t *Tree) rebalance(p *node, ci int) int {
 				movedKey := l.keys[len(l.keys)-1]
 				l.children = l.children[:len(l.children)-1]
 				l.keys = l.keys[:len(l.keys)-1]
-				c.children = append([]*node{moved}, c.children...)
-				c.keys = append([]string{p.keys[ci-1]}, c.keys...)
+				child.children = slices.Insert(child.children, 0, moved)
+				child.keys = slices.Insert(child.keys, 0, p.keys[ci-1])
 				p.keys[ci-1] = movedKey
 			}
-			p.children[ci-1], p.children[ci] = l, c
+			p.children[ci-1] = l
 			return 2
 		}
 	}
@@ -283,24 +304,24 @@ func (t *Tree) rebalance(p *node, ci int) int {
 	if ci < len(p.children)-1 {
 		right := p.children[ci+1]
 		if t.canLend(right) {
-			r, c := right.clone(), child.clone()
+			r := t.writable(right)
 			if child.leaf {
 				k := r.keys[0]
 				rec := r.recs[0]
-				r.keys, r.recs = r.keys[1:], r.recs[1:]
-				c.keys = append(c.keys, k)
-				c.recs = append(c.recs, rec)
+				r.keys, r.recs = slices.Delete(r.keys, 0, 1), slices.Delete(r.recs, 0, 1)
+				child.keys = append(child.keys, k)
+				child.recs = append(child.recs, rec)
 				p.keys[ci] = r.keys[0]
 			} else {
 				moved := r.children[0]
 				movedKey := r.keys[0]
-				r.children = r.children[1:]
-				r.keys = r.keys[1:]
-				c.children = append(c.children, moved)
-				c.keys = append(c.keys, p.keys[ci])
+				r.children = slices.Delete(r.children, 0, 1)
+				r.keys = slices.Delete(r.keys, 0, 1)
+				child.children = append(child.children, moved)
+				child.keys = append(child.keys, p.keys[ci])
 				p.keys[ci] = movedKey
 			}
-			p.children[ci], p.children[ci+1] = c, r
+			p.children[ci+1] = r
 			return 2
 		}
 	}
@@ -309,7 +330,7 @@ func (t *Tree) rebalance(p *node, ci int) int {
 	if li < 0 {
 		li = ci // merge child with its right sibling instead
 	}
-	l, r := p.children[li].clone(), p.children[li+1]
+	l, r := t.writable(p.children[li]), p.children[li+1]
 	if l.leaf {
 		l.keys = append(l.keys, r.keys...)
 		l.recs = append(l.recs, r.recs...)
@@ -318,9 +339,9 @@ func (t *Tree) rebalance(p *node, ci int) int {
 		l.keys = append(l.keys, r.keys...)
 		l.children = append(l.children, r.children...)
 	}
-	p.keys = append(p.keys[:li], p.keys[li+1:]...)
+	p.keys = slices.Delete(p.keys, li, li+1)
 	p.children[li] = l
-	p.children = append(p.children[:li+1], p.children[li+2:]...)
+	p.children = slices.Delete(p.children, li+1, li+2)
 	return 1
 }
 

@@ -49,9 +49,10 @@ func DecodeTree(r *snap.Reader) (*Tree, error) {
 	if order < MinOrder {
 		return nil, fmt.Errorf("dirstore: snapshot order %d below minimum", order)
 	}
+	cow := new(cowToken)
 	var dec func() *node
 	dec = func() *node {
-		n := &node{leaf: r.Bool()}
+		n := &node{cow: cow, leaf: r.Bool()}
 		if n.leaf {
 			k := r.Int()
 			n.keys = make([]string, k)
@@ -77,7 +78,7 @@ func DecodeTree(r *snap.Reader) (*Tree, error) {
 		}
 		return n
 	}
-	t := &Tree{root: dec(), order: order, size: size}
+	t := &Tree{root: dec(), order: order, size: size, cow: cow}
 	if err := t.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("dirstore: snapshot failed invariants: %w", err)
 	}

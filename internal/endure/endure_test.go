@@ -8,6 +8,8 @@ import (
 
 	"dynmds/internal/client"
 	"dynmds/internal/cluster"
+	"dynmds/internal/fsgen"
+	"dynmds/internal/mds"
 	"dynmds/internal/sim"
 	"dynmds/internal/snap"
 )
@@ -274,6 +276,70 @@ func TestReproLine(t *testing.T) {
 	} {
 		if !strings.Contains(line, want) {
 			t.Errorf("repro line missing %q: %s", want, line)
+		}
+	}
+}
+
+// agingOptions is the benchmark's aging-churn workload (its namespace,
+// 20k clients at ~300 ops/s, 27 % writes) on a shorter horizon, at a
+// given cluster size and cache size.
+func agingOptions(seed int64, numMDS, cacheRecords, shards int) Options {
+	cfg := cluster.Default()
+	cfg.Seed = seed
+	cfg.NumMDS = numMDS
+	cfg.Shards = shards
+	cfg.FS = fsgen.Config{
+		Seed: 1, Users: 60, DirsPerUser: 20, MaxDepth: 6,
+		FilesPerDirMedian: 6, FilesPerDirSigma: 1.2, FilesPerDirMax: 500,
+		SystemDirs: 50, SystemFilesPerDir: 20, Projects: 10, FilesPerProject: 100,
+	}
+	cfg.MDS = mds.DefaultConfig(cacheRecords)
+	cfg.Duration = sim.FromSeconds(600)
+	cfg.Warmup = cfg.Duration / 10
+	cfg.OpenLoop = &client.PopulationConfig{Clients: 20000, Rate: 0.015}
+	return Options{Cluster: cfg, Every: sim.FromSeconds(120)}
+}
+
+// TestRestoreResolvesRunCreatedUnlinks is the regression test for
+// "cache: snapshot entry N unresolvable". With more cache than the churn
+// fills (4000 records a node, or 8 nodes), a node that created a file
+// and then lost authority over it keeps its copy after the new authority
+// unlinks the file; the checkpoint GC must drop every entry whose ID no
+// longer resolves — run-created inodes as well as tombstoned base ones —
+// or restore cannot rebuild that cache. Before the fix the checkpoint at
+// t=480s failed to restore on seeds 1, 2, 3, 5 (cache 4000) and 4, 5
+// (8 MDS). Five seeds run on the serial engine; the sharded engine costs
+// seven times as much on this horizon, so K=4 runs one seed of each
+// shape that used to fail (TestRestoreBitIdentity covers K=4 restore in
+// general).
+func TestRestoreResolvesRunCreatedUnlinks(t *testing.T) {
+	cases := []struct {
+		name                  string
+		numMDS, cache, shards int
+		seeds                 []int64
+	}{
+		{"cache4000", 4, 4000, 0, []int64{1, 2, 3, 4, 5}},
+		{"mds8", 8, 2000, 0, []int64{1, 2, 3, 4, 5}},
+		{"cache4000-K4", 4, 4000, 4, []int64{2}},
+		{"mds8-K4", 8, 2000, 4, []int64{5}},
+	}
+	for _, tc := range cases {
+		for _, seed := range tc.seeds {
+			saved := agingOptions(seed, tc.numMDS, tc.cache, tc.shards)
+			saved.Dir = t.TempDir()
+			ref, err := Run(saved)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", tc.name, seed, err)
+			}
+			ck := len(ref.Rows) - 2 // the last checkpoint a run can resume from
+			restored, err := Restore(agingOptions(seed, tc.numMDS, tc.cache, tc.shards), snapshotPath(saved.Dir, ck))
+			if err != nil {
+				t.Fatalf("%s seed %d: restore from ck-%03d: %v", tc.name, seed, ck, err)
+			}
+			if restored.Digest != ref.Digest {
+				t.Errorf("%s seed %d: restored from ck-%03d diverged:\n  plain    %s\n  restored %s",
+					tc.name, seed, ck, ref.Digest, restored.Digest)
+			}
 		}
 	}
 }

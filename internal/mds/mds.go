@@ -1673,7 +1673,7 @@ func (m *MDS) ImportSubtree(root *namespace.Inode, entries []core.Migrated) {
 // EvictSubtree implements core.Node: the exporter discards state for a
 // migrated-away subtree.
 func (m *MDS) EvictSubtree(root *namespace.Inode) {
-	n := len(m.cache.EntriesUnder(root))
+	n := m.cache.CountUnder(root)
 	m.Stats.Exported += uint64(n)
 	cost := m.svc(sim.Time(n+1) * m.cfg.ImportPerRecord)
 	m.cpu.Submit(cost, func() {

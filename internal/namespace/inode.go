@@ -143,20 +143,6 @@ func (n *Inode) Depth() int {
 	return d
 }
 
-// Ancestors returns the chain root..parent (excluding n itself), ordered
-// from the root downward. For the root it returns nil.
-func (n *Inode) Ancestors() []*Inode {
-	var up []*Inode
-	for c := n.parent; c != nil; c = c.parent {
-		up = append(up, c)
-	}
-	// reverse to root-first
-	for i, j := 0, len(up)-1; i < j; i, j = i+1, j-1 {
-		up[i], up[j] = up[j], up[i]
-	}
-	return up
-}
-
 // IsAncestorOf reports whether n is a proper ancestor of other.
 func (n *Inode) IsAncestorOf(other *Inode) bool {
 	for c := other.parent; c != nil; c = c.parent {

@@ -52,9 +52,8 @@ func TestTreeBasics(t *testing.T) {
 	if tr.NumDirs != 3 || tr.NumFiles != 1 {
 		t.Errorf("counts: dirs=%d files=%d", tr.NumDirs, tr.NumFiles)
 	}
-	anc := f.Ancestors()
-	if len(anc) != 3 || anc[0] != tr.Root || anc[2] != u1 {
-		t.Errorf("Ancestors = %v", anc)
+	if f.Parent() != u1 || home.Parent() != tr.Root || tr.Root.Parent() != nil {
+		t.Error("Parent chain wrong")
 	}
 	if !home.IsAncestorOf(f) || f.IsAncestorOf(home) || home.IsAncestorOf(home) {
 		t.Error("IsAncestorOf wrong")

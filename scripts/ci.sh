@@ -11,6 +11,14 @@ go build ./...
 # headroom past go test's 10m default so a busy host doesn't flake.
 go test -race -timeout 30m ./...
 
+# Allocation pins once more without the race detector: its runtime skews
+# testing.AllocsPerRun and malloc counts, so a pin that has to skip or
+# loosen under -race would otherwise never be enforced.
+go test -count=1 -run 'Alloc|ZeroAlloc|AllocBudget' ./internal/cache ./internal/dirstore ./internal/cluster ./internal/mds
+# One iteration of the cache benchmarks the ledger's kernels mirror, so
+# they cannot rot.
+go test -run '^$' -bench 'InsertPathEvict|GetHit' -benchtime 1x ./internal/cache
+
 # Figure smoke run: exercises the sweep runner, the snapshot cache, and
 # the copy-on-write overlay path end to end at reduced scale, under
 # both fabric latency models.
