@@ -1,14 +1,10 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
+	"io"
 	"time"
 
-	"dynmds/internal/client"
 	"dynmds/internal/cluster"
 	"dynmds/internal/endure"
 	"dynmds/internal/sim"
@@ -28,13 +24,13 @@ type endureFlags struct {
 // a plain aging run, a restore continuation, or a rolling chaos soak.
 // Flag/snapshot disagreements exit 2 before any event runs; simfsck or
 // gate violations exit 1.
-func runEndure(cfg cluster.Config, f endureFlags) int {
+func runEndure(c cli, cfg cluster.Config, f endureFlags) int {
 	opt := endure.Options{
 		Cluster:   cfg,
 		Every:     sim.FromSeconds(f.every),
 		Dir:       f.dir,
 		CompactAt: f.compactAt,
-		OnRow:     printEndureRow,
+		OnRow:     func(r endure.Row) { printEndureRow(c.stdout, r) },
 	}
 	// Fail-fast validation: option errors, and — for -restore — snapshot
 	// version, config-hash, and shard-count mismatches are all usage
@@ -47,289 +43,73 @@ func runEndure(cfg cluster.Config, f endureFlags) int {
 		err = check.Normalize()
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mdsim:", err)
-		flag.Usage()
-		return 2
+		return c.usage("%v", err)
 	}
 
+	w := c.stdout
 	start := time.Now()
 	if f.soakCycles > 0 {
-		return runSoak(opt, f, start)
+		return runSoak(c, opt, f, start)
 	}
 	var res *endure.Result
 	if f.restore != "" {
-		fmt.Printf("restoring from %s\n", f.restore)
+		fmt.Fprintf(w, "restoring from %s\n", f.restore)
 		res, err = endure.Restore(opt, f.restore)
 	} else {
 		res, err = endure.Run(opt)
 	}
 	if err != nil {
 		if fe, ok := endure.IsFsck(err); ok {
-			fmt.Printf("simfsck: FAIL at checkpoint %d\n%v\n", fe.Checkpoint, fe.Err)
+			fmt.Fprintf(w, "simfsck: FAIL at checkpoint %d\n%v\n", fe.Checkpoint, fe.Err)
 			return 1
 		}
-		fmt.Fprintln(os.Stderr, "mdsim:", err)
-		return 1
+		return c.fail(err)
 	}
-	fmt.Print(res.CurveTable())
-	fmt.Printf("degradation drift: %.4f (1 - last/peak ops/s)\n", res.Drift())
-	fmt.Printf("digest: %s\n", res.Digest)
-	fmt.Printf("wall time: %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprint(w, res.CurveTable())
+	fmt.Fprintf(w, "degradation drift: %.4f (1 - last/peak ops/s)\n", res.Drift())
+	fmt.Fprintf(w, "digest: %s\n", res.Digest)
+	fmt.Fprintf(w, "wall time: %v\n", time.Since(start).Round(time.Millisecond))
 	return 0
 }
 
 // runSoak executes the rolling chaos soak and renders its report.
-func runSoak(opt endure.Options, f endureFlags, start time.Time) int {
+func runSoak(c cli, opt endure.Options, f endureFlags, start time.Time) int {
+	w := c.stdout
 	rep, err := endure.Soak(endure.SoakOptions{
 		Base:   opt,
 		Seed:   f.seed,
 		Cycles: f.soakCycles,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mdsim:", err)
-		return 1
+		return c.fail(err)
 	}
-	fmt.Printf("soak schedule: %s\n", rep.Schedule)
+	fmt.Fprintf(w, "soak schedule: %s\n", rep.Schedule)
 	if rep.Failure != nil {
 		fail := rep.Failure
-		fmt.Printf("soak: FAIL (checkpoint %d)\n%s\n", fail.Checkpoint, fail.Err)
+		fmt.Fprintf(w, "soak: FAIL (checkpoint %d)\n%s\n", fail.Checkpoint, fail.Err)
 		if fail.Shrunk != "" {
-			fmt.Printf("shrunk schedule (%d evals): %s\n", fail.Evals, fail.Shrunk)
+			fmt.Fprintf(w, "shrunk schedule (%d evals): %s\n", fail.Evals, fail.Shrunk)
 		}
 		if fail.RestartFrom != "" {
-			fmt.Printf("shrink restarted from checkpoint: %s\n", fail.RestartFrom)
+			fmt.Fprintf(w, "shrink restarted from checkpoint: %s\n", fail.RestartFrom)
 		}
-		fmt.Printf("repro: %s\n", fail.Repro)
+		fmt.Fprintf(w, "repro: %s\n", fail.Repro)
 		return 1
 	}
-	fmt.Print(rep.Result.CurveTable())
-	fmt.Printf("soak: clean — %d checkpoints simfsck-verified, drift %.4f\n",
+	fmt.Fprint(w, rep.Result.CurveTable())
+	fmt.Fprintf(w, "soak: clean — %d checkpoints simfsck-verified, drift %.4f\n",
 		len(rep.Result.Rows), rep.Drift)
-	fmt.Printf("wall time: %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(w, "wall time: %v\n", time.Since(start).Round(time.Millisecond))
 	return 0
 }
 
 // printEndureRow is the per-checkpoint progress line.
-func printEndureRow(r endure.Row) {
+func printEndureRow(w io.Writer, r endure.Row) {
 	line := fmt.Sprintf("ck %2d t=%6.1fs: %8.0f ops/s, %6d tombstones (%.4f), lazy-miss %.4f, live %7d, compacted=%v",
 		r.Index, r.At.Seconds(), r.OpsPerSec, r.Tombstones, r.TombstoneDensity,
 		r.LazyMissRate, r.LiveInodes, r.Compacted)
 	if r.Path != "" {
 		line += " -> " + r.Path
 	}
-	fmt.Println(line)
-}
-
-// bench10Report is the -bench10-json schema: the overlay-degradation
-// curve with the tombstone-compaction fix off and on, a restore
-// bit-identity check at serial and sharded engine configurations, and
-// a rolling chaos soak — the endurance plane's whole acceptance
-// surface in one artifact for CI gating.
-type bench10Report struct {
-	Quick    bool    `json:"quick"`
-	Clients  int     `json:"clients"`
-	NumMDS   int     `json:"num_mds"`
-	DurS     float64 `json:"dur_s"`
-	EveryS   float64 `json:"checkpoint_every_s"`
-	OpBudget float64 `json:"op_budget"`
-
-	SoakDurS   float64 `json:"soak_dur_s"`
-	SoakEveryS float64 `json:"soak_checkpoint_every_s"`
-	SoakCycles int     `json:"soak_cycles"`
-
-	Unfixed      []endure.Row `json:"unfixed_curve"`
-	Fixed        []endure.Row `json:"fixed_curve"`
-	UnfixedDrift float64      `json:"unfixed_drift"`
-	FixedDrift   float64      `json:"fixed_drift"`
-
-	// RestoreDeterministic is true when, for every shard count tried, a
-	// run saved at the first checkpoint and restored reproduces the
-	// uninterrupted run's digest bit-for-bit.
-	RestoreDeterministic bool   `json:"restore_deterministic"`
-	RestoreShards        []int  `json:"restore_shards"`
-	RestoreDetail        string `json:"restore_detail,omitempty"`
-
-	Soak    *endure.SoakReport `json:"soak"`
-	SoakOK  bool               `json:"soak_ok"`
-	WallNs  int64              `json:"wall_ns"`
-	PeakRSS int64              `json:"peak_rss_kb"`
-}
-
-// endureBaseConfig builds the canonical endurance-run configuration:
-// a 4-node cluster under an open-loop churn mix whose aggregate arrival
-// rate stays under service capacity (the open loop does not
-// back-pressure).
-func endureBaseConfig(seed int64, clients int, durS float64) cluster.Config {
-	cfg := cluster.Default()
-	cfg.Seed = seed
-	cfg.NumMDS = 4
-	cfg.FS.Users = 60
-	cfg.Duration = sim.FromSeconds(durS)
-	cfg.Warmup = sim.FromSeconds(1)
-	// ~600 ops/s aggregate: enough churn to age the overlay, low enough
-	// that every checkpoint quiesce drains even while 100k cold-cache
-	// clients are still faulting records in.
-	rate := 600 / float64(clients)
-	if rate > 50 {
-		rate = 50
-	}
-	cfg.OpenLoop = &client.PopulationConfig{Clients: clients, Rate: rate}
-	return cfg
-}
-
-// runBench10 produces BENCH_10.json: degradation curves with the
-// compaction fix disabled and enabled, restore determinism across
-// shard counts, and a rolling soak with a drift gate.
-func runBench10(path string, seed int64, quick bool, shards int) error {
-	start := time.Now()
-	clients, durS, everyS := 100_000, 15.0, 3.0
-	cycles := 12
-	if quick {
-		clients, durS, everyS = 20_000, 10.0, 2.5
-		cycles = 4
-	}
-	rep := bench10Report{
-		Quick:   quick,
-		Clients: clients,
-		NumMDS:  4,
-		DurS:    durS,
-		EveryS:  everyS,
-	}
-
-	base := func() endure.Options {
-		return endure.Options{
-			Cluster: endureBaseConfig(seed, clients, durS),
-			Every:   sim.FromSeconds(everyS),
-		}
-	}
-
-	// Degradation curve, fix off: the tombstone map grows unboundedly.
-	unfixed := base()
-	unfixed.CompactAt = -1
-	res, err := endure.Run(unfixed)
-	if err != nil {
-		return fmt.Errorf("bench10 unfixed curve: %w", err)
-	}
-	rep.Unfixed, rep.UnfixedDrift = res.Rows, res.Drift()
-	fmt.Printf("unfixed curve (no compaction): drift %.4f\n%s", rep.UnfixedDrift, res.CurveTable())
-
-	// Fix on: compaction at a threshold the run actually crosses.
-	fixed := base()
-	fixed.CompactAt = 500
-	res, err = endure.Run(fixed)
-	if err != nil {
-		return fmt.Errorf("bench10 fixed curve: %w", err)
-	}
-	rep.Fixed, rep.FixedDrift = res.Rows, res.Drift()
-	fmt.Printf("fixed curve (compact at %d tombstones): drift %.4f\n%s", fixed.CompactAt, rep.FixedDrift, res.CurveTable())
-
-	// Restore bit-identity, serial and sharded.
-	rep.RestoreDeterministic = true
-	shardSet := []int{0, 4}
-	if shards > 1 && shards != 4 {
-		shardSet = append(shardSet, shards)
-	}
-	rep.RestoreShards = shardSet
-	for _, k := range shardSet {
-		detail, ok, err := bench10Restore(base, k)
-		if err != nil {
-			return fmt.Errorf("bench10 restore K=%d: %w", k, err)
-		}
-		if !ok {
-			rep.RestoreDeterministic = false
-			rep.RestoreDetail = detail
-		}
-		fmt.Printf("restore determinism K=%d: %v\n", k, ok)
-	}
-
-	// Rolling chaos soak: simfsck at every checkpoint, drift gate. Full
-	// mode runs the endurance regime proper — two virtual days of low-
-	// rate churn (~50 ops/s aggregate) with a crash/recover cycle every
-	// few hours and a checkpoint every four; quick mode compresses the
-	// horizon to seconds.
-	soakOpt := base()
-	if !quick {
-		soakCfg := endureBaseConfig(seed, 20_000, 172_800) // two virtual days
-		soakCfg.OpenLoop.Rate = 0.0025                     // ~50 ops/s aggregate
-		soakOpt = endure.Options{Cluster: soakCfg, Every: sim.FromSeconds(14_400)}
-	}
-	rep.SoakDurS = soakOpt.Cluster.Duration.Seconds()
-	rep.SoakEveryS = soakOpt.Every.Seconds()
-	rep.SoakCycles = cycles
-	rep.Soak, err = endure.Soak(endure.SoakOptions{
-		Base:     soakOpt,
-		Seed:     seed,
-		Cycles:   cycles,
-		MaxDrift: 0.5,
-	})
-	if err != nil {
-		return fmt.Errorf("bench10 soak: %w", err)
-	}
-	rep.SoakOK = rep.Soak.Failure == nil
-	if rep.SoakOK {
-		fmt.Printf("soak: clean over %d cycles, drift %.4f\n", cycles, rep.Soak.Drift)
-	} else {
-		fmt.Printf("soak: FAIL — %s\nrepro: %s\n", rep.Soak.Failure.Err, rep.Soak.Failure.Repro)
-	}
-
-	rep.WallNs = time.Since(start).Nanoseconds()
-	rep.PeakRSS = peakRSSKB()
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: drift unfixed %.4f vs fixed %.4f, restore ok %v, soak ok %v\n",
-		path, rep.UnfixedDrift, rep.FixedDrift, rep.RestoreDeterministic, rep.SoakOK)
-	if !rep.RestoreDeterministic {
-		return fmt.Errorf("restore determinism failed: %s", rep.RestoreDetail)
-	}
-	if !rep.SoakOK {
-		return fmt.Errorf("soak failed: %s", rep.Soak.Failure.Err)
-	}
-	return nil
-}
-
-// bench10Restore runs the uninterrupted reference at shard count k,
-// then a checkpointing run, then restores from the first snapshot and
-// compares final digests.
-func bench10Restore(base func() endure.Options, k int) (string, bool, error) {
-	ref := base()
-	ref.Cluster.Shards = k
-	refRes, err := endure.Run(ref)
-	if err != nil {
-		return "", false, err
-	}
-
-	dir, err := os.MkdirTemp("", "endure-bench10-*")
-	if err != nil {
-		return "", false, err
-	}
-	defer os.RemoveAll(dir)
-
-	saved := base()
-	saved.Cluster.Shards = k
-	saved.Dir = dir
-	savedRes, err := endure.Run(saved)
-	if err != nil {
-		return "", false, err
-	}
-	if savedRes.Digest != refRes.Digest {
-		return fmt.Sprintf("K=%d: checkpointing run diverged from plain run:\n  plain %s\n  saved %s",
-			k, refRes.Digest, savedRes.Digest), false, nil
-	}
-
-	restored := base()
-	restored.Cluster.Shards = k
-	restRes, err := endure.Restore(restored, filepath.Join(dir, "ck-000.snap"))
-	if err != nil {
-		return "", false, err
-	}
-	if restRes.Digest != refRes.Digest {
-		return fmt.Sprintf("K=%d: restored run diverged:\n  plain    %s\n  restored %s",
-			k, refRes.Digest, restRes.Digest), false, nil
-	}
-	return "", true, nil
+	fmt.Fprintln(w, line)
 }

@@ -1,25 +1,29 @@
 // Command mdsim runs the metadata-cluster simulation experiments that
-// regenerate the paper's figures, or a single custom configuration.
+// regenerate the paper's figures, a scenario plan, a chaos budget, an
+// endurance run, or a single custom configuration. Performance is
+// measured by the repository benchmark (go run ./bench), not here.
 //
 // Usage:
 //
 //	mdsim -fig 2            # regenerate Figure 2 (full scale)
 //	mdsim -fig all -quick   # all figures, reduced scale
 //	mdsim -strategy DynamicSubtree -mds 8 -clients 40 -dur 20
-//	mdsim -bench-json BENCH_2.json   # hot-path + sweep benchmark, JSON report
+//	mdsim -plan hotspot-duel -quick
 //	mdsim -fig 2 -cpuprofile cpu.pprof -memprofile mem.pprof
+//
+// Exit status: 0 on success, 1 when a run fails (simfsck violation,
+// I/O error), 2 on a usage error — always before any event runs.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
+	"slices"
 	"time"
 
 	"dynmds/internal/chaos"
@@ -33,127 +37,151 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	var (
-		fig      = flag.String("fig", "", "experiment: 2..7, 'sci', 'failover', 'avail', 'clients', or 'all'")
-		quick    = flag.Bool("quick", false, "reduced-scale experiments")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		strategy = flag.String("strategy", cluster.StratDynamic, "strategy for a custom run")
-		nmds     = flag.Int("mds", 4, "cluster size for a custom run")
-		clients  = flag.Int("clients", 40, "clients per MDS for a custom run")
-		users    = flag.Int("users", 100, "file-system users for a custom run")
-		cacheCap = flag.Int("cache", 2000, "MDS cache capacity (records)")
-		dur      = flag.Float64("dur", 20, "duration in simulated seconds")
-		warm     = flag.Float64("warmup", 5, "warmup in simulated seconds")
-	)
-	list := flag.Bool("list", false, "list available experiments")
-	planArg := flag.String("plan", "", "run a scenario plan: a library plan name, 'all', or a plan DSL file path")
-	planList := flag.Bool("list-plans", false, "list the scenario plan library")
-	planJSON := flag.String("plan-json", "", "with -plan: write per-run and per-act metrics as JSON to this file")
-	benchJSON := flag.String("bench-json", "", "run the hot-path and sweep benchmarks and write a JSON report to this file")
-	share := flag.Bool("share-snapshots", true, "share one frozen namespace snapshot across sweep runs (off = legacy per-run generation)")
-	netModel := flag.String("net-model", simnet.ModelFixed, "fabric latency model: fixed or queued")
-	faults := flag.String("faults", "", "fault schedule for a custom run, e.g. 'crash@3s-6s:mds1,drop@0.02:all' (see internal/fault)")
-	chaosRuns := flag.Int("chaos-runs", 0, "run a seeded chaos fuzz budget: this many generated schedules, each against every strategy, each run checked by simfsck")
-	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the chaos budget (same seed = bit-identical schedules and results)")
-	chaosIntensity := flag.Float64("chaos-intensity", 1, "chaos generator intensity (scales fault counts and magnitudes)")
-	linkBW := flag.Float64("link-bw", 0, "queued-model link bandwidth in bytes per simulated second (0 = default)")
-	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "per-run shard count for the conservative parallel engine (0 = serial); workers x shards is capped at GOMAXPROCS")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	openLoop := flag.Int("open-loop", 0, "run the open-loop flyweight traffic plane with this many total clients (0 = closed loop)")
-	openRate := flag.Float64("open-rate", 10, "open loop: per-client mean arrival rate, ops/sec")
-	openTenants := flag.Int("open-tenants", 0, "open loop: tenant count (0 = clients/1024, min 16)")
-	tenantSkew := flag.Float64("tenant-skew", 1.0, "open loop: Zipf exponent for tenant sizes")
-	fileSkew := flag.Float64("file-skew", 1.0, "open loop: Zipf exponent for working-set popularity")
-	diurnal := flag.Float64("diurnal", 0, "open loop: diurnal rate-modulation amplitude (0..1)")
-	burstProb := flag.Float64("burst-prob", 0, "open loop: per-tenant-epoch burst probability")
-	bench7 := flag.String("bench7-json", "", "run the open-loop client-count/skew sweep and write a JSON report to this file")
-	leases := flag.Bool("leases", false, "open loop: grant coherent client read leases (requires -open-loop)")
-	replicaFanout := flag.Bool("replica-fanout", false, "push hot-directory replicas to peers ahead of demand")
-	bench9 := flag.String("bench9-json", "", "run the hotspot mechanism duel (dumb/leases/fanout/both across client counts) and write a JSON report to this file")
-	endureRun := flag.Bool("endure", false, "run the endurance plane: churn the namespace over the full duration with periodic quiesce/checkpoint cycles (requires -open-loop)")
-	ckEvery := flag.Float64("checkpoint-every", 0, "endurance checkpoint cadence in simulated seconds (required with -endure; must exceed the quiesce drain)")
-	ckDir := flag.String("checkpoint-dir", "", "endurance: write checkpoint snapshots into this directory")
-	restorePath := flag.String("restore", "", "endurance: resume from this checkpoint snapshot instead of starting at t=0")
-	compactAt := flag.Int("compact-at", 0, "endurance: tombstone count that triggers overlay compaction (0 = default, negative = never compact)")
-	soakCycles := flag.Int("soak-cycles", 0, "run the rolling chaos soak: this many crash/recover cycles over the run, simfsck at every checkpoint (implies -endure gates)")
-	bench10 := flag.String("bench10-json", "", "run the endurance benchmark (degradation curve with and without compaction, restore determinism, rolling soak) and write a JSON report to this file")
-	flag.Parse()
+// cli is one invocation's output streams and flag set; its methods
+// render the two failure classes.
+type cli struct {
+	stdout, stderr io.Writer
+	flags          *flag.FlagSet
+}
 
-	// Validate the knobs that select named models up front, so a typo
-	// fails with a usage error before any simulation work starts.
-	if *netModel != simnet.ModelFixed && *netModel != simnet.ModelQueued {
-		fmt.Fprintf(os.Stderr, "mdsim: unknown -net-model %q (use %q or %q)\n",
-			*netModel, simnet.ModelFixed, simnet.ModelQueued)
-		flag.Usage()
+// usage reports a usage error: the message, the flag summary, exit 2.
+func (c cli) usage(format string, a ...interface{}) int {
+	fmt.Fprintf(c.stderr, "mdsim: "+format+"\n", a...)
+	c.flags.Usage()
+	return 2
+}
+
+// fail reports a run-time failure: exit 1.
+func (c cli) fail(err error) int {
+	fmt.Fprintln(c.stderr, "mdsim:", err)
+	return 1
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mdsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		fig      = fs.String("fig", "", "experiment: 2..7, 'sci', 'failover', 'avail', 'clients', or 'all'")
+		quick    = fs.Bool("quick", false, "reduced-scale experiments")
+		seed     = fs.Int64("seed", 1, "simulation seed")
+		strategy = fs.String("strategy", cluster.StratDynamic, "strategy for a custom run")
+		nmds     = fs.Int("mds", 4, "cluster size for a custom run")
+		clients  = fs.Int("clients", 40, "clients per MDS for a custom run")
+		users    = fs.Int("users", 100, "file-system users for a custom run")
+		cacheCap = fs.Int("cache", 2000, "MDS cache capacity (records)")
+		dur      = fs.Float64("dur", 20, "duration in simulated seconds")
+		warm     = fs.Float64("warmup", 5, "warmup in simulated seconds (custom runs: must be less than -dur)")
+	)
+	list := fs.Bool("list", false, "list available experiments")
+	planArg := fs.String("plan", "", "run a scenario plan: a library plan name, 'all', or a plan DSL file path")
+	planList := fs.Bool("list-plans", false, "list the scenario plan library")
+	netModel := fs.String("net-model", simnet.ModelFixed, "fabric latency model: fixed or queued")
+	faults := fs.String("faults", "", "fault schedule for a custom run, e.g. 'crash@3s-6s:mds1,drop@0.02:all' (see internal/fault)")
+	chaosRuns := fs.Int("chaos-runs", 0, "run a seeded chaos fuzz budget: this many generated schedules, each against every strategy, each run checked by simfsck")
+	chaosSeed := fs.Int64("chaos-seed", 1, "seed for the chaos budget (same seed = bit-identical schedules and results)")
+	chaosIntensity := fs.Float64("chaos-intensity", 1, "chaos generator intensity (scales fault counts and magnitudes)")
+	linkBW := fs.Float64("link-bw", 0, "queued-model link bandwidth in bytes per simulated second (0 = default; needs -net-model queued)")
+	workers := fs.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
+	shards := fs.Int("shards", 0, "per-run shard count for the conservative parallel engine (0 = serial); workers x shards is capped at GOMAXPROCS")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	openLoop := fs.Int("open-loop", 0, "run the open-loop flyweight traffic plane with this many total clients (0 = closed loop)")
+	openRate := fs.Float64("open-rate", 10, "open loop: per-client mean arrival rate, ops/sec")
+	openTenants := fs.Int("open-tenants", 0, "open loop: tenant count (0 = clients/1024, min 16)")
+	tenantSkew := fs.Float64("tenant-skew", 1.0, "open loop: Zipf exponent for tenant sizes")
+	fileSkew := fs.Float64("file-skew", 1.0, "open loop: Zipf exponent for working-set popularity")
+	diurnal := fs.Float64("diurnal", 0, "open loop: diurnal rate-modulation amplitude (0..1)")
+	burstProb := fs.Float64("burst-prob", 0, "open loop: per-tenant-epoch burst probability")
+	leases := fs.Bool("leases", false, "open loop: grant coherent client read leases (requires -open-loop)")
+	replicaFanout := fs.Bool("replica-fanout", false, "push hot-directory replicas to peers ahead of demand")
+	endureRun := fs.Bool("endure", false, "run the endurance plane: churn the namespace over the full duration with periodic quiesce/checkpoint cycles (requires -open-loop)")
+	ckEvery := fs.Float64("checkpoint-every", 0, "endurance checkpoint cadence in simulated seconds (required with -endure; must exceed the quiesce drain)")
+	ckDir := fs.String("checkpoint-dir", "", "endurance: write checkpoint snapshots into this directory")
+	restorePath := fs.String("restore", "", "endurance: resume from this checkpoint snapshot instead of starting at t=0")
+	compactAt := fs.Int("compact-at", 0, "endurance: tombstone count that triggers overlay compaction (0 = default, negative = never compact)")
+	soakCycles := fs.Int("soak-cycles", 0, "run the rolling chaos soak: this many crash/recover cycles over the run, simfsck at every checkpoint (implies -endure gates)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 2
+	}
+	c := cli{stdout: stdout, stderr: stderr, flags: fs}
+	usage, fail := c.usage, c.fail
+
+	// Validate every knob up front, so a typo or an inconsistent
+	// combination is a usage error before any simulation work starts.
+	if *netModel != simnet.ModelFixed && *netModel != simnet.ModelQueued {
+		return usage("unknown -net-model %q (use %q or %q)", *netModel, simnet.ModelFixed, simnet.ModelQueued)
+	}
+	if *linkBW != 0 && *netModel != simnet.ModelQueued {
+		return usage("-link-bw needs -net-model %s (the %s model has no link bandwidth)", simnet.ModelQueued, *netModel)
 	}
 	if *faults != "" {
 		if _, err := fault.ParseSchedule(*faults); err != nil {
-			fmt.Fprintf(os.Stderr, "mdsim: bad -faults schedule: %v\n", err)
-			flag.Usage()
-			return 2
+			return usage("bad -faults schedule: %v", err)
 		}
 	}
 	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "mdsim: -shards must be >= 0, got %d\n", *shards)
-		flag.Usage()
-		return 2
+		return usage("-shards must be >= 0, got %d", *shards)
 	}
 	if *shards > runtime.GOMAXPROCS(0) {
-		fmt.Fprintf(os.Stderr, "mdsim: warning: -shards %d exceeds %d cores; expect no speedup\n",
+		fmt.Fprintf(stderr, "mdsim: warning: -shards %d exceeds %d cores; expect no speedup\n",
 			*shards, runtime.GOMAXPROCS(0))
 	}
+	if !slices.Contains(cluster.Strategies, *strategy) {
+		return usage("unknown -strategy %q (use one of %v)", *strategy, cluster.Strategies)
+	}
+	if *nmds < 1 {
+		return usage("-mds must be >= 1, got %d", *nmds)
+	}
+	var figs []harness.Experiment
+	if *fig != "" {
+		var err error
+		if figs, err = resolveFigures(*fig); err != nil {
+			return usage("%v", err)
+		}
+	}
+	// -dur/-warmup shape only the custom run (figures, plans and the
+	// chaos budget carry their own horizons).
+	custom := *fig == "" && *planArg == "" && *chaosRuns <= 0 && !*list && !*planList
+	if custom && (*warm < 0 || *warm >= *dur) {
+		return usage("-warmup %g does not fit -dur %g: nothing would be measured past the warm-up", *warm, *dur)
+	}
 	if *leases && *openLoop <= 0 {
-		fmt.Fprintln(os.Stderr, "mdsim: -leases requires -open-loop (the lease slab lives in the flyweight population)")
-		flag.Usage()
-		return 2
+		return usage("-leases requires -open-loop (the lease slab lives in the flyweight population)")
 	}
 	if *soakCycles > 0 {
 		*endureRun = true // the soak is an endurance run with a generated schedule
 	}
 	if *endureRun {
 		if *openLoop <= 0 {
-			fmt.Fprintln(os.Stderr, "mdsim: -endure requires -open-loop (the endurance plane ages the flyweight population's namespace)")
-			flag.Usage()
-			return 2
+			return usage("-endure requires -open-loop (the endurance plane ages the flyweight population's namespace)")
 		}
 		if *ckEvery <= cluster.QuiesceDrain.Seconds() {
-			fmt.Fprintf(os.Stderr, "mdsim: -checkpoint-every must exceed the %gs quiesce drain, got %g\n",
-				cluster.QuiesceDrain.Seconds(), *ckEvery)
-			flag.Usage()
-			return 2
+			return usage("-checkpoint-every must exceed the %gs quiesce drain, got %g", cluster.QuiesceDrain.Seconds(), *ckEvery)
 		}
 		if *soakCycles > 0 && (*restorePath != "" || *faults != "") {
-			fmt.Fprintln(os.Stderr, "mdsim: -soak-cycles generates its own fault schedule; drop -restore/-faults")
-			flag.Usage()
-			return 2
+			return usage("-soak-cycles generates its own fault schedule; drop -restore/-faults")
 		}
 	} else if *ckEvery != 0 || *ckDir != "" || *restorePath != "" || *compactAt != 0 {
-		fmt.Fprintln(os.Stderr, "mdsim: -checkpoint-every/-checkpoint-dir/-restore/-compact-at need -endure")
-		flag.Usage()
-		return 2
+		return usage("-checkpoint-every/-checkpoint-dir/-restore/-compact-at need -endure")
 	}
 
-	harness.SetSnapshotSharing(*share)
 	harness.SetSweepWorkers(*workers)
 	harness.SetShards(*shards)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mdsim:", err)
-			return 1
+			return fail(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "mdsim:", err)
-			return 1
+			return fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -161,69 +189,37 @@ func run() int {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "mdsim:", err)
+				fail(err)
 				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "mdsim:", err)
+				fail(err)
 			}
 		}()
 	}
 
 	if *list {
 		for _, e := range append(harness.All(), harness.Extras()...) {
-			fmt.Printf("%-10s %s\n           %s\n", e.ID, e.Title, e.Description)
+			fmt.Fprintf(stdout, "%-10s %s\n           %s\n", e.ID, e.Title, e.Description)
 		}
 		return 0
 	}
 
 	if *planList {
-		listPlans()
+		listPlans(stdout)
 		return 0
 	}
 
+	opt := harness.Options{Quick: *quick, Seed: *seed, NetModel: *netModel}
 	if *planArg != "" {
-		opt := harness.Options{Quick: *quick, Seed: *seed, NetModel: *netModel}
-		if err := runPlans(*planArg, *planJSON, opt); err != nil {
+		if err := runPlans(stdout, *planArg, opt); err != nil {
 			// Plan failures are configuration errors caught before (or
 			// while constructing) any simulation — usage errors, like a
 			// bad -faults schedule.
-			fmt.Fprintln(os.Stderr, "mdsim:", err)
+			fmt.Fprintln(stderr, "mdsim:", err)
 			return 2
-		}
-		return 0
-	}
-
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, *seed, *quick, *share, *netModel, *shards); err != nil {
-			fmt.Fprintln(os.Stderr, "mdsim:", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *bench7 != "" {
-		if err := runBench7(*bench7, *seed, *quick, *shards); err != nil {
-			fmt.Fprintln(os.Stderr, "mdsim:", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *bench9 != "" {
-		if err := runBench9(*bench9, *seed, *quick, *shards); err != nil {
-			fmt.Fprintln(os.Stderr, "mdsim:", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *bench10 != "" {
-		if err := runBench10(*bench10, *seed, *quick, *shards); err != nil {
-			fmt.Fprintln(os.Stderr, "mdsim:", err)
-			return 1
 		}
 		return 0
 	}
@@ -237,20 +233,18 @@ func run() int {
 			Shards:    *shards,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mdsim:", err)
-			return 1
+			return fail(err)
 		}
-		fmt.Print(rep)
+		fmt.Fprint(stdout, rep)
 		if rep.Failed > 0 {
 			return 1
 		}
 		return 0
 	}
 
-	if *fig != "" {
-		if err := runFigures(*fig, harness.Options{Quick: *quick, Seed: *seed, NetModel: *netModel}); err != nil {
-			fmt.Fprintln(os.Stderr, "mdsim:", err)
-			return 1
+	if figs != nil {
+		if err := runFigures(stdout, figs, opt); err != nil {
+			return fail(err)
 		}
 		return 0
 	}
@@ -286,7 +280,7 @@ func run() int {
 	cfg.Lease.Fanout = *replicaFanout
 
 	if *endureRun {
-		return runEndure(cfg, endureFlags{
+		return runEndure(c, cfg, endureFlags{
 			every:      *ckEvery,
 			dir:        *ckDir,
 			restore:    *restorePath,
@@ -304,305 +298,44 @@ func run() int {
 	heapBase := heapBytes(*openLoop > 0)
 	cl, err := cluster.New(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mdsim:", err)
-		return 1
+		return fail(err)
 	}
 	base := chaos.Capture(cl)
 	res := cl.Run()
-	fmt.Println(res)
+	fmt.Fprintln(stdout, res)
 	if res.OpenLoop {
 		heapPerClient := float64(heapBytes(true)-heapBase) / float64(res.Clients)
-		fmt.Printf("open loop: %d clients, issued %d, completed %d\n",
+		fmt.Fprintf(stdout, "open loop: %d clients, issued %d, completed %d\n",
 			res.Clients, res.Issued, res.Completed)
-		fmt.Printf("latency: p50 %.3fms p99 %.3fms p999 %.3fms mean %.3fms\n",
+		fmt.Fprintf(stdout, "latency: p50 %.3fms p99 %.3fms p999 %.3fms mean %.3fms\n",
 			res.LatencyP50*1000, res.LatencyP99*1000, res.LatencyP999*1000, res.MeanLatency*1000)
-		fmt.Printf("memory: plane %.1f B/client structural, %.1f B/client heap delta (fs+cluster+plane)\n",
+		fmt.Fprintf(stdout, "memory: plane %.1f B/client structural, %.1f B/client heap delta (fs+cluster+plane)\n",
 			float64(res.PopFootprint)/float64(res.Clients), heapPerClient)
 		if *leases || *replicaFanout {
-			fmt.Printf("leases: %d grants, %d local hits, recalls %d sent / %d delivered / %d acked, %d fanouts, slab+registry %d B\n",
+			fmt.Fprintf(stdout, "leases: %d grants, %d local hits, recalls %d sent / %d delivered / %d acked, %d fanouts, slab+registry %d B\n",
 				res.LeaseGrants, res.LeaseHits, res.LeaseRecalls,
 				res.LeaseRecalled, res.LeaseAcks, res.ReplicaFanouts, res.LeaseFootprint)
 		}
 		runtime.KeepAlive(cl)
 	}
-	fmt.Printf("fabric (%s model): %d messages, %d bytes, max link queue %d\n",
+	fmt.Fprintf(stdout, "fabric (%s model): %d messages, %d bytes, max link queue %d\n",
 		res.Net.Model, res.Net.Messages, res.Net.Bytes, res.Net.MaxQueueDepth)
-	fmt.Print(res.Net.Table())
-	fmt.Print(res.FaultSummary())
+	fmt.Fprint(stdout, res.Net.Table())
+	fmt.Fprint(stdout, res.FaultSummary())
 	rc := 0
 	if cfg.Faults != "" {
 		cl.Drain()
 		if err := chaos.Fsck(cl, base); err != nil {
-			fmt.Printf("simfsck: FAIL\n%v\n", err)
+			fmt.Fprintf(stdout, "simfsck: FAIL\n%v\n", err)
 			rc = 1
 		} else {
-			fmt.Println("simfsck: clean")
+			fmt.Fprintln(stdout, "simfsck: clean")
 		}
 	}
-	fmt.Printf("wall time: %v (setup %v, run %v)\n",
+	fmt.Fprintf(stdout, "wall time: %v (setup %v, run %v)\n",
 		time.Since(start).Round(time.Millisecond),
 		res.SetupWall.Round(time.Millisecond), res.RunWall.Round(time.Millisecond))
 	return rc
-}
-
-// benchReport is the schema of the -bench-json output: the headline
-// numbers for the simulator's hot path on the Figure 2 DynamicSubtree
-// configuration (the same one bench_test.go's BenchmarkFig2_DynamicSubtree
-// runs), plus whole-sweep reports for the Figure 2 and Figure 4 sweeps
-// with the setup-vs-run wall split and snapshot-cache activity, so perf
-// regressions are catchable from a single command.
-type benchReport struct {
-	Config       string  `json:"config"`
-	Runs         int     `json:"runs"`
-	NsPerOp      int64   `json:"ns_per_op"`      // wall ns per simulation run
-	AllocsPerOp  uint64  `json:"allocs_per_op"`  // heap allocations per run
-	Events       uint64  `json:"events_per_run"` // engine events dispatched per run
-	NsPerEvent   float64 `json:"ns_per_event"`   // wall ns per dispatched event
-	AllocsPerEv  float64 `json:"allocs_per_event"`
-	SimOpsPerSec float64 `json:"simops_per_sec_per_mds"`
-	HitRate      float64 `json:"hitrate"`
-
-	// Sharded-engine measurement of the same config (-shards K): zero
-	// values mean no sharded measurement was requested. Cores records
-	// GOMAXPROCS so a sub-linear (or absent) speedup on a small machine
-	// is interpretable; Speedup is serial wall over sharded wall.
-	Shards          int     `json:"shards"`
-	Cores           int     `json:"cores"`
-	ShardedNsPerOp  int64   `json:"sharded_ns_per_op,omitempty"`
-	ShardedWindows  uint64  `json:"sharded_windows,omitempty"`
-	ShardedSpeedup  float64 `json:"sharded_speedup,omitempty"`
-	ShardedHitRate  float64 `json:"sharded_hitrate,omitempty"`
-	ShardedOpsDrift float64 `json:"sharded_ops_drift,omitempty"` // |sharded-serial|/serial measured ops
-
-	ShareSnapshots bool          `json:"share_snapshots"`
-	Quick          bool          `json:"quick"`
-	NetModel       string        `json:"net_model"`
-	Net            netReport     `json:"net"` // fabric counters from the measured config
-	Sweeps         []sweepReport `json:"sweeps"`
-	// Availability holds the fault-injection experiment's per-strategy
-	// crash/recovery metrics (one of eight nodes down for a window,
-	// measured against a fault-free control run).
-	Availability []harness.AvailMetrics `json:"availability"`
-	// Chaos summarises the fixed-seed fuzz budget (schedules × all five
-	// strategies, every run checked by simfsck, failures shrunk to
-	// minimal repros). A clean budget has failed == 0.
-	Chaos     *harness.ChaosReport `json:"chaos"`
-	PeakRSSKB int64                `json:"peak_rss_kb"` // process high-water mark (VmHWM)
-}
-
-// netReport summarizes the message fabric's per-class accounting for the
-// measured configuration's final run.
-type netReport struct {
-	Messages      uint64           `json:"messages"`
-	Bytes         uint64           `json:"bytes"`
-	MaxQueueDepth int              `json:"max_queue_depth"`
-	PerClass      []netClassReport `json:"per_class"`
-}
-
-type netClassReport struct {
-	Class     string `json:"class"`
-	Sent      uint64 `json:"sent"`
-	Delivered uint64 `json:"delivered"`
-	Bytes     uint64 `json:"bytes"`
-}
-
-// sweepReport aggregates one whole-figure sweep.
-type sweepReport struct {
-	Figure             string `json:"figure"`
-	Runs               int    `json:"runs"`
-	WallNs             int64  `json:"wall_ns"`       // whole figure, wall clock
-	SetupWallNs        int64  `json:"setup_wall_ns"` // sum of per-run setup (generation/thaw + assembly)
-	RunWallNs          int64  `json:"run_wall_ns"`   // sum of per-run event-loop execution
-	SnapshotsGenerated int64  `json:"snapshots_generated"`
-	SnapshotsShared    int64  `json:"snapshots_shared"`
-}
-
-// runBenchJSON runs the Figure 2 dynamic-subtree configuration once as
-// warmup and three times measured, then the full Figure 2 and Figure 4
-// sweeps, and writes wall time, allocation, event-throughput, and
-// setup-vs-run aggregates as JSON.
-func runBenchJSON(path string, seed int64, quick, share bool, netModel string, shards int) error {
-	cfg := cluster.Default()
-	cfg.Seed = seed
-	cfg.Strategy = cluster.StratDynamic
-	cfg.NumMDS = 8
-	cfg.ClientsPerMDS = 40
-	cfg.FS.Users = 200
-	cfg.MDS.CacheCapacity = 2500
-	cfg.MDS.Storage.LogCapacity = 2500
-	cfg.NetModel = netModel
-	cfg.Duration = 10 * sim.Second
-	cfg.Warmup = 4 * sim.Second
-
-	run := func() (time.Duration, uint64, uint64, *cluster.Result, *cluster.Cluster, error) {
-		cl, err := cluster.New(cfg)
-		if err != nil {
-			return 0, 0, 0, nil, nil, err
-		}
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		res := cl.Run()
-		wall := time.Since(start)
-		runtime.ReadMemStats(&after)
-		return wall, after.Mallocs - before.Mallocs, cl.ExecutedEvents(), res, cl, nil
-	}
-
-	if _, _, _, _, _, err := run(); err != nil { // warmup
-		return err
-	}
-	const runs = 3
-	var (
-		wallSum  time.Duration
-		allocSum uint64
-		eventSum uint64
-		lastRes  *cluster.Result
-	)
-	for i := 0; i < runs; i++ {
-		wall, allocs, events, res, _, err := run()
-		if err != nil {
-			return err
-		}
-		wallSum += wall
-		allocSum += allocs
-		eventSum += events
-		lastRes = res
-		fmt.Printf("run %d: %v, %d allocs, %d events\n", i+1, wall.Round(time.Millisecond), allocs, events)
-	}
-
-	// Sharded measurement of the same config, when requested: serial
-	// wall over sharded wall is the headline speedup.
-	var shardedWall time.Duration
-	var shardedRes *cluster.Result
-	var shardedWindows uint64
-	if shards > 1 {
-		cfg.Shards = shards
-		if _, _, _, _, _, err := run(); err != nil { // warmup
-			return err
-		}
-		for i := 0; i < runs; i++ {
-			wall, _, events, res, cl, err := run()
-			if err != nil {
-				return err
-			}
-			shardedWall += wall
-			shardedRes = res
-			shardedWindows = cl.Windows()
-			fmt.Printf("sharded run %d (K=%d): %v, %d events, %d windows\n",
-				i+1, shards, wall.Round(time.Millisecond), events, cl.Windows())
-		}
-		cfg.Shards = 0
-	}
-
-	rep := benchReport{
-		Config:         "fig2-dynamic-8mds",
-		Runs:           runs,
-		NsPerOp:        wallSum.Nanoseconds() / runs,
-		AllocsPerOp:    allocSum / runs,
-		Events:         eventSum / runs,
-		NsPerEvent:     float64(wallSum.Nanoseconds()) / float64(eventSum),
-		AllocsPerEv:    float64(allocSum) / float64(eventSum),
-		SimOpsPerSec:   lastRes.AvgThroughput,
-		HitRate:        lastRes.HitRate,
-		Shards:         shards,
-		Cores:          runtime.GOMAXPROCS(0),
-		ShareSnapshots: share,
-		Quick:          quick,
-		NetModel:       lastRes.Net.Model,
-		Net: netReport{
-			Messages:      lastRes.Net.Messages,
-			Bytes:         lastRes.Net.Bytes,
-			MaxQueueDepth: lastRes.Net.MaxQueueDepth,
-		},
-	}
-	if shardedRes != nil {
-		rep.ShardedNsPerOp = shardedWall.Nanoseconds() / runs
-		rep.ShardedWindows = shardedWindows
-		rep.ShardedSpeedup = float64(wallSum) / float64(shardedWall)
-		rep.ShardedHitRate = shardedRes.HitRate
-		serialOps := float64(lastRes.MeasuredOps)
-		if serialOps > 0 {
-			rep.ShardedOpsDrift = (float64(shardedRes.MeasuredOps) - serialOps) / serialOps
-		}
-		fmt.Printf("sharded K=%d on %d cores: %.2fx vs serial (ops drift %+.2f%%)\n",
-			shards, rep.Cores, rep.ShardedSpeedup, rep.ShardedOpsDrift*100)
-	}
-	for c := 0; c < simnet.NumClasses; c++ {
-		cs := lastRes.Net.PerClass[c]
-		if cs.Sent == 0 {
-			continue
-		}
-		rep.Net.PerClass = append(rep.Net.PerClass, netClassReport{
-			Class:     simnet.Class(c).String(),
-			Sent:      cs.Sent,
-			Delivered: cs.Delivered,
-			Bytes:     cs.Bytes,
-		})
-	}
-
-	// Whole-sweep benchmarks: Figure 2 (one fs per cluster size, five
-	// strategies each) and Figure 4 (one fs, strategies × cache sizes).
-	for _, id := range []string{"fig2", "fig4"} {
-		e, ok := harness.ByID(id)
-		if !ok {
-			return fmt.Errorf("unknown figure %s", id)
-		}
-		harness.ResetSnapshotCache()
-		harness.ResetSweepAccounting()
-		start := time.Now()
-		if err := e.Run(io.Discard, harness.Options{Quick: quick, Seed: seed, NetModel: netModel}); err != nil {
-			return err
-		}
-		wall := time.Since(start)
-		setup, runW, nruns := harness.SweepAccounting()
-		gen, shared := harness.SnapshotCacheStats()
-		rep.Sweeps = append(rep.Sweeps, sweepReport{
-			Figure:             id,
-			Runs:               nruns,
-			WallNs:             wall.Nanoseconds(),
-			SetupWallNs:        setup.Nanoseconds(),
-			RunWallNs:          runW.Nanoseconds(),
-			SnapshotsGenerated: gen,
-			SnapshotsShared:    shared,
-		})
-		fmt.Printf("%s sweep: %v wall (%v setup, %v run) over %d runs, %d generated / %d shared\n",
-			id, wall.Round(time.Millisecond), setup.Round(time.Millisecond),
-			runW.Round(time.Millisecond), nruns, gen, shared)
-	}
-	// Availability experiment: crash/recovery metrics per strategy.
-	avail, err := harness.AvailabilityReport(harness.Options{Quick: quick, Seed: seed, NetModel: netModel})
-	if err != nil {
-		return err
-	}
-	rep.Availability = avail
-	for _, m := range avail {
-		fmt.Printf("avail %s: dip %.3f of control, detect %.2fs, recover %.1fs, %d retries\n",
-			m.Strategy, m.DipFrac, m.DetectSeconds, m.RecoverySeconds, m.Retries)
-	}
-	// Chaos fuzz budget: 50 seeded schedules across all five strategies,
-	// every run simfsck-checked. A violation fails the whole bench.
-	chaosRep, err := harness.Chaos(harness.ChaosOptions{Seed: seed, Schedules: 50, NetModel: netModel})
-	if err != nil {
-		return err
-	}
-	rep.Chaos = chaosRep
-	fmt.Print(chaosRep)
-	if chaosRep.Failed > 0 {
-		return fmt.Errorf("chaos budget failed %d of %d runs", chaosRep.Failed, chaosRep.Runs)
-	}
-	rep.PeakRSSKB = peakRSSKB()
-
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: %d ns/op, %d allocs/op, %.1f ns/event, %.3f allocs/event, peak RSS %d kB\n",
-		path, rep.NsPerOp, rep.AllocsPerOp, rep.NsPerEvent, rep.AllocsPerEv, rep.PeakRSSKB)
-	return nil
 }
 
 // heapBytes returns live heap bytes after a forced GC (0 when not
@@ -617,338 +350,30 @@ func heapBytes(want bool) int64 {
 	return int64(m.HeapAlloc)
 }
 
-// bench7Row is one open-loop measurement: a population size (or tenant
-// skew) against wall time, event throughput, latency quantiles, and the
-// two memory views (structural plane bytes and whole-process heap
-// delta, both per client).
-type bench7Row struct {
-	Clients      int     `json:"clients"`
-	TenantSkew   float64 `json:"tenant_skew"`
-	FileSkew     float64 `json:"file_skew"`
-	RatePerCli   float64 `json:"rate_ops_per_client"`
-	Shards       int     `json:"shards"`
-	Issued       uint64  `json:"issued"`
-	Completed    uint64  `json:"completed"`
-	P50Us        int64   `json:"p50_us"`
-	P99Us        int64   `json:"p99_us"`
-	P999Us       int64   `json:"p999_us"`
-	WallNs       int64   `json:"wall_ns"`
-	SetupWallNs  int64   `json:"setup_wall_ns"`
-	Events       uint64  `json:"events"`
-	NsPerEvent   float64 `json:"ns_per_event"`
-	PlaneBPerCli float64 `json:"plane_bytes_per_client"`
-	HeapBPerCli  float64 `json:"heap_bytes_per_client"`
-}
-
-type bench7Report struct {
-	Quick     bool        `json:"quick"`
-	Cores     int         `json:"cores"`
-	OpBudget  float64     `json:"op_budget"` // arrivals per run, ~rate·clients·duration
-	Rows      []bench7Row `json:"rows"`
-	PeakRSSKB int64       `json:"peak_rss_kb"`
-}
-
-// runBench7 sweeps the open-loop traffic plane across population sizes
-// (10k to 10M full scale) and tenant skews, holding the total arrival
-// budget roughly constant so every row costs comparable wall time and
-// the per-client memory slope is the signal.
-func runBench7(path string, seed int64, quick bool, shards int) error {
-	// The arrival budget stays well under the 8-node cluster's service
-	// capacity (roughly 8k ops/s with this mix): the open loop does not
-	// back-pressure, so an over-capacity budget measures queue backlog,
-	// not the traffic plane.
-	counts := []int{10_000, 100_000, 1_000_000, 10_000_000}
-	budget := 30e3
-	durS := 5.0
-	if quick {
-		counts = []int{10_000, 100_000, 1_000_000}
-		budget = 20e3
-		durS = 3.0
-	}
-	skews := []float64{0, 0.6, 1.2}
-
-	rep := bench7Report{Quick: quick, Cores: runtime.GOMAXPROCS(0), OpBudget: budget}
-	measure := func(clients int, tskew, fskew float64) error {
-		cfg := cluster.Default()
-		cfg.Seed = seed
-		cfg.NumMDS = 8
-		cfg.FS.Users = 40 // small fs: the heap delta is dominated by the plane
-		cfg.Duration = sim.FromSeconds(durS)
-		cfg.Warmup = sim.FromSeconds(1)
-		cfg.Shards = shards
-		rate := budget / (float64(clients) * durS)
-		if rate > 50 {
-			rate = 50
-		}
-		cfg.OpenLoop = &client.PopulationConfig{
-			Clients: clients,
-			Rate:    rate,
-			Tenant:  workload.TenantConfig{TenantSkew: tskew, FileSkew: fskew},
-		}
-		heapBase := heapBytes(true)
-		setupStart := time.Now()
-		cl, err := cluster.New(cfg)
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		res := cl.Run()
-		wall := time.Since(start)
-		heapNow := heapBytes(true)
-		events := cl.ExecutedEvents()
-		row := bench7Row{
-			Clients:      clients,
-			TenantSkew:   tskew,
-			FileSkew:     fskew,
-			RatePerCli:   rate,
-			Shards:       cl.NumShards(),
-			Issued:       res.Issued,
-			Completed:    res.Completed,
-			P50Us:        int64(res.LatencyP50 * 1e6),
-			P99Us:        int64(res.LatencyP99 * 1e6),
-			P999Us:       int64(res.LatencyP999 * 1e6),
-			WallNs:       wall.Nanoseconds(),
-			SetupWallNs:  time.Since(setupStart).Nanoseconds() - wall.Nanoseconds(),
-			Events:       events,
-			NsPerEvent:   float64(wall.Nanoseconds()) / float64(events),
-			PlaneBPerCli: float64(res.PopFootprint) / float64(clients),
-			HeapBPerCli:  float64(heapNow-heapBase) / float64(clients),
-		}
-		runtime.KeepAlive(cl)
-		rep.Rows = append(rep.Rows, row)
-		fmt.Printf("clients=%-9d skew=%.1f: %v wall, %d issued, p50 %dµs p99 %dµs p999 %dµs, %.1f B/client plane, %.1f B/client heap\n",
-			clients, tskew, wall.Round(time.Millisecond), row.Issued,
-			row.P50Us, row.P99Us, row.P999Us, row.PlaneBPerCli, row.HeapBPerCli)
-		return nil
-	}
-
-	for _, n := range counts {
-		if err := measure(n, 1.0, 1.0); err != nil {
-			return err
-		}
-	}
-	for _, s := range skews {
-		if err := measure(100_000, s, 1.0); err != nil {
-			return err
-		}
-	}
-	rep.PeakRSSKB = peakRSSKB()
-
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: %d rows, peak RSS %d kB\n", path, len(rep.Rows), rep.PeakRSSKB)
-	return nil
-}
-
-// bench9Row is one hotspot-duel cell: a coherence mechanism at a
-// population size, against the ops served at the flash-crowd hotspot
-// (split local lease hits vs remote round trips) and the two per-client
-// memory views. The lease slab is part of plane_bytes_per_client.
-type bench9Row struct {
-	Mechanism      string  `json:"mechanism"`
-	Clients        int     `json:"clients"`
-	RatePerCli     float64 `json:"rate_ops_per_client"`
-	Issued         uint64  `json:"issued"`
-	Completed      uint64  `json:"completed"`
-	HotspotOps     uint64  `json:"hotspot_ops"` // local + remote
-	HotspotLocal   uint64  `json:"hotspot_local"`
-	HotspotRemote  uint64  `json:"hotspot_remote"`
-	LeaseGrants    uint64  `json:"lease_grants"`
-	LeaseHits      uint64  `json:"lease_hits"`
-	LeaseRecalls   uint64  `json:"lease_recalls"`
-	ReplicaFanouts uint64  `json:"replica_fanouts"`
-	P50Us          int64   `json:"p50_us"`
-	P99Us          int64   `json:"p99_us"`
-	WallNs         int64   `json:"wall_ns"`
-	PlaneBPerCli   float64 `json:"plane_bytes_per_client"`
-	HeapBPerCli    float64 `json:"heap_bytes_per_client"`
-}
-
-type bench9Report struct {
-	Quick     bool        `json:"quick"`
-	Cores     int         `json:"cores"`
-	Strategy  string      `json:"strategy"`
-	OpBudget  float64     `json:"op_budget"` // base arrival rate, ops/sec aggregate
-	Rows      []bench9Row `json:"rows"`
-	PeakRSSKB int64       `json:"peak_rss_kb"`
-}
-
-// bench9Mechanisms maps the duel's mechanism names onto lease-plane
-// configs (the same mapping the plan engine's mechanism axis uses).
-var bench9Mechanisms = []struct {
-	name           string
-	leases, fanout bool
-}{
-	{"dumb", false, false},
-	{"leases", true, false},
-	{"fanout", false, true},
-	{"both", true, true},
-}
-
-// runBench9 runs the hotspot duel: a flash crowd aims most of an
-// over-capacity arrival stream at one directory of a StaticSubtree
-// cluster (no traffic control — the paper's motivating pathology), and
-// each coherence mechanism races the same storm across population
-// sizes. The aggregate budget is fixed, so small populations re-access
-// the hotspot often (lease territory) and the million-client row is
-// pure fan-in (replica fan-out territory).
-func runBench9(path string, seed int64, quick bool, shards int) error {
-	counts := []int{10_000, 100_000, 1_000_000}
-	budget := 10e3
-	durS := 10.0
-	if quick {
-		counts = []int{10_000, 100_000}
-		budget = 6e3
-		durS = 5.0
-	}
-
-	rep := bench9Report{
-		Quick:    quick,
-		Cores:    runtime.GOMAXPROCS(0),
-		Strategy: cluster.StratStatic,
-		OpBudget: budget,
-	}
-	measure := func(mech string, useLeases, useFanout bool, clients int) error {
-		cfg := cluster.Default()
-		cfg.Seed = seed
-		cfg.Strategy = cluster.StratStatic
-		cfg.NumMDS = 8
-		cfg.FS.Users = 40
-		cfg.Shards = shards
-		cfg.Duration = sim.FromSeconds(durS)
-		cfg.Warmup = sim.FromSeconds(1)
-		rate := budget / (float64(clients) * 1)
-		if rate > 50 {
-			rate = 50
-		}
-		cfg.OpenLoop = &client.PopulationConfig{
-			Clients: clients,
-			Rate:    rate,
-			Tenant:  workload.TenantConfig{TenantSkew: 1, FileSkew: 1},
-		}
-		cfg.Lease.Enabled = useLeases
-		cfg.Lease.Fanout = useFanout
-		if useLeases {
-			// Crowd-scale lifetime: long enough that a client re-reading
-			// the hot directory mid-crowd still holds its lease.
-			cfg.Lease.Duration = 4 * sim.Second
-		}
-		// The crowd: double the arrival rate and aim 80% of it at one
-		// home directory, read-only (a mutation at the hotspot would
-		// recall every lease — recall costs are measured by the cluster
-		// tests, the duel measures the serving ceiling).
-		cfg.Acts = []cluster.ActConfig{{
-			Name: "crowd", From: sim.FromSeconds(1), To: cfg.Duration,
-			RateMul: 2, MixStat: 90, MixReaddir: 10,
-			FileSkew: -1, Hotspot: "/home/u0000", HotFrac: 0.8,
-		}}
-
-		heapBase := heapBytes(true)
-		cl, err := cluster.New(cfg)
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		res := cl.Run()
-		wall := time.Since(start)
-		heapNow := heapBytes(true)
-		row := bench9Row{
-			Mechanism:      mech,
-			Clients:        clients,
-			RatePerCli:     rate,
-			Issued:         res.Issued,
-			Completed:      res.Completed,
-			HotspotOps:     res.HotspotLocal + res.HotspotRemote,
-			HotspotLocal:   res.HotspotLocal,
-			HotspotRemote:  res.HotspotRemote,
-			LeaseGrants:    res.LeaseGrants,
-			LeaseHits:      res.LeaseHits,
-			LeaseRecalls:   res.LeaseRecalls,
-			ReplicaFanouts: res.ReplicaFanouts,
-			P50Us:          int64(res.LatencyP50 * 1e6),
-			P99Us:          int64(res.LatencyP99 * 1e6),
-			WallNs:         wall.Nanoseconds(),
-			PlaneBPerCli:   float64(res.PopFootprint) / float64(clients),
-			HeapBPerCli:    float64(heapNow-heapBase) / float64(clients),
-		}
-		runtime.KeepAlive(cl)
-		rep.Rows = append(rep.Rows, row)
-		fmt.Printf("%-7s clients=%-9d: hotspot %d (%d local + %d remote), %d grants, %d fanouts, %.1f B/client plane, %v wall\n",
-			mech, clients, row.HotspotOps, row.HotspotLocal, row.HotspotRemote,
-			row.LeaseGrants, row.ReplicaFanouts, row.PlaneBPerCli, wall.Round(time.Millisecond))
-		return nil
-	}
-
-	for _, n := range counts {
-		for _, m := range bench9Mechanisms {
-			if err := measure(m.name, m.leases, m.fanout, n); err != nil {
-				return err
-			}
-		}
-	}
-	rep.PeakRSSKB = peakRSSKB()
-
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: %d rows, peak RSS %d kB\n", path, len(rep.Rows), rep.PeakRSSKB)
-	return nil
-}
-
-// peakRSSKB reads the process's peak resident set size (VmHWM) from
-// /proc/self/status, in kilobytes. Returns 0 where unavailable.
-func peakRSSKB() int64 {
-	data, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return 0
-	}
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		if !bytes.HasPrefix(line, []byte("VmHWM:")) {
-			continue
-		}
-		fields := bytes.Fields(line[len("VmHWM:"):])
-		if len(fields) < 1 {
-			return 0
-		}
-		kb, err := strconv.ParseInt(string(fields[0]), 10, 64)
-		if err != nil {
-			return 0
-		}
-		return kb
-	}
-	return 0
-}
-
-func runFigures(which string, opt harness.Options) error {
-	var exps []harness.Experiment
+// resolveFigures maps the -fig argument to experiments: "all", a bare
+// figure number, or an experiment ID.
+func resolveFigures(which string) ([]harness.Experiment, error) {
 	if which == "all" {
-		exps = append(harness.All(), harness.Extras()...)
-	} else {
-		e, ok := harness.ByID("fig" + which)
-		if !ok {
-			e, ok = harness.ByID(which)
-		}
-		if !ok {
-			return fmt.Errorf("unknown figure %q (use 2..7 or 'all')", which)
-		}
-		exps = []harness.Experiment{e}
+		return append(harness.All(), harness.Extras()...), nil
 	}
+	e, ok := harness.ByID("fig" + which)
+	if !ok {
+		e, ok = harness.ByID(which)
+	}
+	if !ok {
+		return nil, fmt.Errorf("unknown -fig %q (use 2..7, an experiment ID from -list, or 'all')", which)
+	}
+	return []harness.Experiment{e}, nil
+}
+
+func runFigures(w io.Writer, exps []harness.Experiment, opt harness.Options) error {
 	for _, e := range exps {
 		start := time.Now()
-		fmt.Printf("== %s ==\n%s\n\n", e.Title, e.Description)
-		if err := e.Run(os.Stdout, opt); err != nil {
+		fmt.Fprintf(w, "== %s ==\n%s\n\n", e.Title, e.Description)
+		if err := e.Run(w, opt); err != nil {
 			return err
 		}
-		fmt.Printf("(wall time %v)\n\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(w, "(wall time %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }

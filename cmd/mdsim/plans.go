@@ -1,8 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"dynmds/internal/harness"
@@ -32,59 +32,14 @@ func resolvePlans(arg string) ([]*plan.Plan, error) {
 	return []*plan.Plan{p}, nil
 }
 
-// planJSONReport is the -plan-json schema: one entry per plan, one row
-// per compiled cell, with nested per-act metrics rows.
-type planJSONReport struct {
-	Quick     bool           `json:"quick"`
-	Seed      int64          `json:"seed"`
-	NetModel  string         `json:"net_model"`
-	Plans     []planJSONPlan `json:"plans"`
-	PeakRSSKB int64          `json:"peak_rss_kb"`
-}
-
-type planJSONPlan struct {
-	Plan     string        `json:"plan"`
-	Describe string        `json:"describe"`
-	Optimize []string      `json:"optimize,omitempty"`
-	Runs     []planJSONRun `json:"runs"`
-}
-
-type planJSONRun struct {
-	Label       string            `json:"label"`
-	Cell        map[string]string `json:"cell,omitempty"`
-	Issued      uint64            `json:"issued"`
-	Completed   uint64            `json:"completed"`
-	OpsPerSec   float64           `json:"ops_per_sec"`
-	P50Ms       float64           `json:"p50_ms"`
-	P99Ms       float64           `json:"p99_ms"`
-	P999Ms      float64           `json:"p999_ms"`
-	LoadSpread  float64           `json:"load_spread"`
-	HitRate     float64           `json:"hit_rate"`
-	ForwardFrac float64           `json:"forward_frac"`
-	Acts        []planJSONAct     `json:"acts,omitempty"`
-}
-
-type planJSONAct struct {
-	Act        string  `json:"act"`
-	FromS      float64 `json:"from_s"`
-	ToS        float64 `json:"to_s"`
-	Issued     uint64  `json:"issued"`
-	Completed  uint64  `json:"completed"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
-	P50Ms      float64 `json:"p50_ms"`
-	P99Ms      float64 `json:"p99_ms"`
-	LoadSpread float64 `json:"load_spread"`
-}
-
-// runPlans validates, runs and reports the selected plans. Stdout is
-// fully deterministic (golden-stable); wall-clock and memory accounting
-// go to the JSON report only.
-func runPlans(arg, jsonPath string, opt harness.Options) error {
+// runPlans validates, runs and reports the selected plans. The report
+// is fully deterministic (golden-stable): no wall-clock or memory
+// figures.
+func runPlans(w io.Writer, arg string, opt harness.Options) error {
 	plans, err := resolvePlans(arg)
 	if err != nil {
 		return err
 	}
-	rep := planJSONReport{Quick: opt.Quick, Seed: opt.Seed, NetModel: opt.NetModel}
 	// Compile everything up front so every config error (including a bad
 	// matrix) surfaces before any plan starts running.
 	for _, p := range plans {
@@ -98,67 +53,23 @@ func runPlans(arg, jsonPath string, opt harness.Options) error {
 			return err
 		}
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
-		if err := harness.WritePlanReport(os.Stdout, p, runs); err != nil {
+		if err := harness.WritePlanReport(w, p, runs); err != nil {
 			return err
 		}
-		jp := planJSONPlan{Plan: p.Name, Describe: p.Describe, Optimize: p.Optimize}
-		for _, r := range runs {
-			jr := planJSONRun{
-				Label:       r.Label,
-				Cell:        r.Cell,
-				Issued:      r.Res.Issued,
-				Completed:   r.Res.Completed,
-				P50Ms:       r.Res.LatencyP50 * 1000,
-				P99Ms:       r.Res.LatencyP99 * 1000,
-				P999Ms:      r.Res.LatencyP999 * 1000,
-				LoadSpread:  harness.LoadSpreadOf(r.Res.PerMDSOps),
-				HitRate:     r.Res.HitRate,
-				ForwardFrac: r.Res.ForwardFrac,
-			}
-			if sec := r.Cfg.Duration.Seconds(); sec > 0 {
-				jr.OpsPerSec = float64(r.Res.Completed) / sec
-			}
-			for _, a := range r.Res.Acts {
-				jr.Acts = append(jr.Acts, planJSONAct{
-					Act:        a.Name,
-					FromS:      a.From.Seconds(),
-					ToS:        a.To.Seconds(),
-					Issued:     a.Issued,
-					Completed:  a.Completed,
-					OpsPerSec:  a.OpsPerSec,
-					P50Ms:      a.P50 * 1000,
-					P99Ms:      a.P99 * 1000,
-					LoadSpread: a.LoadSpread,
-				})
-			}
-			jp.Runs = append(jp.Runs, jr)
-		}
-		rep.Plans = append(rep.Plans, jp)
-	}
-	if jsonPath != "" {
-		rep.PeakRSSKB = peakRSSKB()
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(out, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "mdsim: wrote %s (%d plans)\n", jsonPath, len(rep.Plans))
 	}
 	return nil
 }
 
 // listPlans prints the library, one plan per line.
-func listPlans() {
+func listPlans(w io.Writer) {
 	for _, p := range library.All() {
 		cells := 1
 		for _, ax := range p.Matrix {
 			cells *= len(ax.Values)
 		}
-		fmt.Printf("%-24s %d run(s), %d act(s)\n                         %s\n",
+		fmt.Fprintf(w, "%-24s %d run(s), %d act(s)\n                         %s\n",
 			p.Name, cells, len(p.Acts), p.Describe)
 	}
 }

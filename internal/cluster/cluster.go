@@ -285,15 +285,10 @@ type Cluster struct {
 	lanesMerged  bool
 
 	// setupWall is the wall-clock cost of New (generation or thaw plus
-	// cluster assembly). The harness may add shared-snapshot generation
-	// time for the run that paid it.
+	// cluster assembly).
 	setupWall time.Duration
 	runWall   time.Duration
 }
-
-// AddSetupWall charges additional setup time (e.g. shared snapshot
-// generation) to this run's accounting.
-func (c *Cluster) AddSetupWall(d time.Duration) { c.setupWall += d }
 
 // New builds a cluster from the configuration.
 func New(cfg Config) (*Cluster, error) {
@@ -890,9 +885,6 @@ func (c *Cluster) ExecutedEvents() uint64 {
 	}
 	return c.Eng.Executed
 }
-
-// NumShards returns the effective shard count (0 when serial).
-func (c *Cluster) NumShards() int { return c.numShards }
 
 // Windows returns the number of lookahead windows executed (0 serial).
 func (c *Cluster) Windows() uint64 {

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"testing"
 
+	"dynmds/internal/client"
 	"dynmds/internal/lease"
 	"dynmds/internal/net"
 	"dynmds/internal/sim"
+	"dynmds/internal/workload"
 )
 
 // leaseConfig is the open-loop config with the lease plane and fan-out
@@ -178,5 +180,43 @@ func TestLeaseOffInert(t *testing.T) {
 	if res.HotspotLocal != 0 || res.HotspotRemote == 0 {
 		t.Fatalf("hotspot split wrong without leases: %d local, %d remote",
 			res.HotspotLocal, res.HotspotRemote)
+	}
+}
+
+// TestLeasePlaneFootprint is the lease memory gate: the traffic plane's
+// structural footprint per client stays at or under 64 B with the lease
+// slab off and 96 B with it on (the slab is two 12 B slots per client),
+// so no per-client boxed lease state can sneak in. The per-client slope
+// does not depend on the population size; 100k clients keeps the fixed
+// tenant tables negligible.
+func TestLeasePlaneFootprint(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		leases, fanout bool
+		limit          float64
+	}{
+		{"dumb", false, false, 64},
+		{"leases", true, false, 96},
+		{"fanout", false, true, 64},
+		{"both", true, true, 96},
+	} {
+		cfg := openLoopConfig(StratStatic)
+		cfg.Duration = 2 * sim.Second
+		cfg.Warmup = sim.Second
+		cfg.OpenLoop = &client.PopulationConfig{
+			Clients: 100_000,
+			Rate:    0.01,
+			Tenant:  workload.TenantConfig{TenantSkew: 1, FileSkew: 1},
+		}
+		cfg.Lease.Enabled = tc.leases
+		cfg.Lease.Fanout = tc.fanout
+		cl, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := cl.Run()
+		if bpc := float64(res.PopFootprint) / float64(res.Clients); bpc > tc.limit {
+			t.Errorf("%s: plane %.1f B/client exceeds the %.0f B gate", tc.name, bpc, tc.limit)
+		}
 	}
 }

@@ -130,33 +130,33 @@ func Instants(every, duration sim.Time) []sim.Time {
 // checkpoint before simfsck runs (the checker's own tree walk would
 // otherwise pollute the read-through counters).
 type Row struct {
-	Index int      `json:"index"`
-	At    sim.Time `json:"at"`
+	Index int
+	At    sim.Time
 	// OpsPerSec is completed client ops per virtual second over the
 	// segment ending at this checkpoint.
-	OpsPerSec float64 `json:"ops_per_sec"`
+	OpsPerSec float64
 	// Tombstones and TombstoneDensity measure overlay aging: destroyed
 	// base inodes, absolute and as a fraction of the pristine namespace.
-	Tombstones       int     `json:"tombstones"`
-	TombstoneDensity float64 `json:"tombstone_density"`
+	Tombstones       int
+	TombstoneDensity float64
 	// LazyMissRate is name-index read-through misses per read-through
 	// lookup over the segment (the aged overlay's lookup tax).
-	LazyMissRate float64 `json:"lazy_miss_rate"`
+	LazyMissRate float64
 	// LiveInodes is the namespace size at the checkpoint.
-	LiveInodes int `json:"live_inodes"`
+	LiveInodes int
 	// Compacted reports whether the tombstone bitset fix is installed.
-	Compacted bool `json:"compacted"`
+	Compacted bool
 	// Path is the snapshot file, empty when writing is disabled.
-	Path string `json:"path,omitempty"`
+	Path string
 }
 
 // Result is a finished endurance run.
 type Result struct {
-	Rows    []Row           `json:"rows"`
-	Cluster *cluster.Result `json:"-"`
+	Rows    []Row
+	Cluster *cluster.Result
 	// Digest fingerprints the run outcome; restored runs must reproduce
 	// the uninterrupted run's digest exactly.
-	Digest string `json:"digest"`
+	Digest string
 }
 
 // FsckError reports a simfsck violation at a checkpoint; the index

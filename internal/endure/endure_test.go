@@ -238,12 +238,45 @@ func futureVersionSnapshot() []byte {
 	return w.Bytes()
 }
 
+// quickOptions is the endurance plane's quick acceptance config: 20k
+// clients at ~600 ops/s aggregate on a 4-node cluster, four checkpoints
+// over 10 s — enough churn to age the overlay, low enough that every
+// quiesce drains while cold-cache clients are still faulting records in.
+func quickOptions() Options {
+	cfg := cluster.Default()
+	cfg.Seed = 1
+	cfg.NumMDS = 4
+	cfg.FS.Users = 60
+	cfg.Duration = sim.FromSeconds(10)
+	cfg.Warmup = sim.FromSeconds(1)
+	cfg.OpenLoop = &client.PopulationConfig{Clients: 20000, Rate: 0.03}
+	return Options{Cluster: cfg, Every: sim.FromSeconds(2.5)}
+}
+
+// TestAgedDriftGate: as the namespace ages under churn, ops/sec at the
+// last checkpoint stays within 5% of the curve's peak. Compaction is
+// representational (TestCompactTombstonesDigestInvariant), so the bound
+// holds with the threshold crossed or not.
+func TestAgedDriftGate(t *testing.T) {
+	opt := quickOptions()
+	opt.CompactAt = 500
+	res, err := Run(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := res.Drift(); d > 0.05 {
+		t.Errorf("aged ops/s drift %.4f exceeds the 5%% gate\n%s", d, res.CurveTable())
+	}
+}
+
 // TestSoakDeterminism: the rolling soak derives its schedule and
 // outcome purely from (config, seed) — two invocations agree exactly,
-// and the schedule carries the requested crash/recover cycles.
+// and the schedule carries the requested crash/recover cycles. The soak
+// also carries the drift gate: across the rolling crash cycles, ops/sec
+// at the last checkpoint may not fall more than 15% below the peak.
 func TestSoakDeterminism(t *testing.T) {
 	run := func() *SoakReport {
-		rep, err := Soak(SoakOptions{Base: testOptions(0, ""), Seed: 7, Cycles: 3})
+		rep, err := Soak(SoakOptions{Base: quickOptions(), Seed: 1, Cycles: 4, MaxDrift: 0.15})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,8 +286,8 @@ func TestSoakDeterminism(t *testing.T) {
 	if a.Schedule == "" || a.Schedule != b.Schedule {
 		t.Fatalf("soak schedules differ:\n  %s\n  %s", a.Schedule, b.Schedule)
 	}
-	if got := strings.Count(a.Schedule, "crash@"); got != 3 {
-		t.Errorf("schedule has %d crash cycles, want 3: %s", got, a.Schedule)
+	if got := strings.Count(a.Schedule, "crash@"); got != 4 {
+		t.Errorf("schedule has %d crash cycles, want 4: %s", got, a.Schedule)
 	}
 	if a.Failure != nil {
 		t.Fatalf("soak failed: %+v", a.Failure)

@@ -33,14 +33,14 @@ type SoakOptions struct {
 // SoakReport is the outcome of a rolling chaos soak.
 type SoakReport struct {
 	// Schedule is the generated rolling fault schedule.
-	Schedule string `json:"schedule"`
+	Schedule string
 	// Result is the finished run (nil when a checkpoint failed simfsck).
-	Result *Result `json:"result,omitempty"`
+	Result *Result
 	// Drift is the throughput degradation over the curve, when Result
 	// is present.
-	Drift float64 `json:"drift"`
+	Drift float64
 	// Failure describes the first gate violation, nil on success.
-	Failure *SoakFailure `json:"failure,omitempty"`
+	Failure *SoakFailure
 }
 
 // SoakFailure captures a failed soak gate with everything needed to
@@ -48,19 +48,19 @@ type SoakReport struct {
 type SoakFailure struct {
 	// Checkpoint is the index of the checkpoint that failed (−1 for a
 	// run-level failure such as excessive drift).
-	Checkpoint int `json:"checkpoint"`
+	Checkpoint int
 	// Err is the violation.
-	Err string `json:"err"`
+	Err string
 	// Shrunk is the minimized schedule that still reproduces the
 	// failure (empty when shrinking was not applicable).
-	Shrunk string `json:"shrunk,omitempty"`
+	Shrunk string
 	// Evals is the number of shrink predicate evaluations spent.
-	Evals int `json:"evals"`
+	Evals int
 	// RestartFrom is the snapshot file the shrink predicate restarted
 	// candidate runs from (empty when shrinking ran from scratch).
-	RestartFrom string `json:"restart_from,omitempty"`
+	RestartFrom string
 	// Repro is a one-line reproduction command.
-	Repro string `json:"repro"`
+	Repro string
 }
 
 // Soak runs the endurance plane under a generated rolling-upgrade fault

@@ -10,36 +10,36 @@ import (
 	"dynmds/internal/sim"
 )
 
-// AvailMetrics summarises one strategy's availability through a
+// availMetrics summarises one strategy's availability through a
 // scheduled crash/recovery cycle. Because cluster throughput is not
 // stationary (caches keep churning as the touched namespace grows),
 // every ratio is computed bucket-by-bucket against a fault-free control
 // run of the same seed and configuration, not against a fixed pre-crash
 // average.
-type AvailMetrics struct {
-	Strategy string `json:"strategy"`
+type availMetrics struct {
+	Strategy string
 	// Baseline is the control run's mean completed-op rate (ops/s,
 	// whole cluster) between warmup and the crash instant.
-	Baseline float64 `json:"baseline_ops_per_sec"`
+	Baseline float64
 	// Dip is the faulty run's lowest per-second completion rate during
 	// the outage; DipFrac is the lowest faulty/control ratio over the
 	// same buckets (1.0 = unaffected, 0 = total outage).
-	Dip     float64 `json:"dip_ops_per_sec"`
-	DipFrac float64 `json:"dip_frac"`
+	Dip     float64
+	DipFrac float64
 	// DetectSeconds is crash → suspicion-confirmed down; -1 if the
 	// cluster never confirmed the failure.
-	DetectSeconds float64 `json:"detect_seconds"`
+	DetectSeconds float64
 	// RecoverySeconds is the time from the node's recovery until the
 	// faulty run's completion rate regained 90% of the control run's
 	// rate in the same bucket; -1 if it never did within the run.
-	RecoverySeconds float64 `json:"recovery_seconds"`
-	Retries         uint64  `json:"retries"`
-	TimedOut        uint64  `json:"timed_out"`
-	Suspicions      uint64  `json:"suspicions"`
-	DeadLetters     uint64  `json:"dead_letters"`
+	RecoverySeconds float64
+	Retries         uint64
+	TimedOut        uint64
+	Suspicions      uint64
+	DeadLetters     uint64
 	// Warmed is the number of cache records preloaded from the bounded
 	// log at recovery.
-	Warmed int `json:"warmed_records"`
+	Warmed int
 }
 
 // availSpec describes the shared crash scenario.
@@ -79,13 +79,11 @@ func availScenario(opt Options, strategy string) availSpec {
 	return s
 }
 
-// AvailabilityReport runs the crash/recovery scenario for every
+// availabilityReport runs the crash/recovery scenario for every
 // strategy — one of eight nodes killed mid-run and recovered later —
 // next to a fault-free control of the same configuration, and reduces
 // each pair's per-second completion series to availability metrics.
-// Exposed separately from the experiment so the benchmark emitter can
-// reuse the numbers.
-func AvailabilityReport(opt Options) ([]AvailMetrics, error) {
+func availabilityReport(opt Options) ([]availMetrics, error) {
 	p := &plan.Plan{
 		Name: "avail",
 		Matrix: []plan.Axis{
@@ -103,7 +101,7 @@ func AvailabilityReport(opt Options) ([]AvailMetrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]AvailMetrics, len(cluster.Strategies))
+	out := make([]availMetrics, len(cluster.Strategies))
 	for i, s := range cluster.Strategies {
 		out[i] = reduceAvail(runs[2*i].Res, runs[2*i+1].Res, availScenario(opt, s))
 	}
@@ -112,8 +110,8 @@ func AvailabilityReport(opt Options) ([]AvailMetrics, error) {
 
 // reduceAvail computes the availability metrics from a faulty run and
 // its fault-free control.
-func reduceAvail(r, control *cluster.Result, sp availSpec) AvailMetrics {
-	m := AvailMetrics{
+func reduceAvail(r, control *cluster.Result, sp availSpec) availMetrics {
+	m := availMetrics{
 		Strategy:        r.Strategy,
 		Retries:         r.Retries,
 		TimedOut:        r.TimedOut,
@@ -176,7 +174,7 @@ func reduceAvail(r, control *cluster.Result, sp availSpec) AvailMetrics {
 // AvailExt prints the availability experiment: per-strategy throughput
 // dip and recovery behaviour when one of eight nodes crashes mid-run.
 func AvailExt(w io.Writer, opt Options) error {
-	ms, err := AvailabilityReport(opt)
+	ms, err := availabilityReport(opt)
 	if err != nil {
 		return err
 	}

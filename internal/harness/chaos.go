@@ -70,30 +70,30 @@ func (o *ChaosOptions) defaults() {
 // ChaosFailure records one (schedule, strategy) cell that failed
 // simfsck, plus the shrunk minimal repro when the shrinker ran.
 type ChaosFailure struct {
-	Schedule int    `json:"schedule"`
-	Strategy string `json:"strategy"`
-	Faults   string `json:"faults"`
-	Error    string `json:"error"`
+	Schedule int
+	Strategy string
+	Faults   string
+	Error    string
 
-	OrigRules   int    `json:"orig_rules"`
-	Shrunk      string `json:"shrunk_faults,omitempty"`
-	ShrunkRules int    `json:"shrunk_rules"`
-	ShrinkEvals int    `json:"shrink_evals"`
-	Replay      string `json:"replay,omitempty"`
+	OrigRules   int
+	Shrunk      string
+	ShrunkRules int
+	ShrinkEvals int
+	Replay      string
 	shrunk      bool
 }
 
 // ChaosReport summarises a fuzz budget.
 type ChaosReport struct {
-	Seed       int64          `json:"seed"`
-	Schedules  int            `json:"schedules"`
-	Strategies []string       `json:"strategies"`
-	Intensity  float64        `json:"intensity"`
-	Runs       int            `json:"runs"`
-	Passed     int            `json:"passed"`
-	Failed     int            `json:"failed"`
-	RulesTotal int            `json:"rules_total"`
-	Failures   []ChaosFailure `json:"failures,omitempty"`
+	Seed       int64
+	Schedules  int
+	Strategies []string
+	Intensity  float64
+	Runs       int
+	Passed     int
+	Failed     int
+	RulesTotal int
+	Failures   []ChaosFailure
 }
 
 // String renders the human-readable summary mdsim prints.
@@ -161,10 +161,10 @@ func replayCommand(cfg cluster.Config) string {
 // namespace snapshot with every other cell of the budget: all cells use
 // the same FS config and seed.
 func chaosCell(cfg cluster.Config) (violation, setup error) {
-	if SnapshotSharing() && cfg.Snapshot == nil {
+	if cfg.Snapshot == nil {
 		key := cfg.FS
 		key.Seed = cfg.Seed
-		snap, _, err := sharedSnapshot(key)
+		snap, err := sharedSnapshot(key)
 		if err != nil {
 			return nil, err
 		}

@@ -132,9 +132,9 @@ func Fig4(w io.Writer, opt Options) error {
 	if opt.Quick {
 		fractions = []float64{0.05, 0.2, 0.6}
 	}
-	// Estimate total metadata size from one generation. With snapshot
-	// sharing on this primes the cache, so the sweep below reuses the
-	// same frozen base instead of regenerating per run.
+	// Estimate total metadata size from one generation. This primes the
+	// snapshot cache, so the sweep below reuses the same frozen base
+	// instead of regenerating per run.
 	base := scaledConfig(opt, cluster.StratStatic, n)
 	totalInodes, err := namespaceSize(base)
 	if err != nil {

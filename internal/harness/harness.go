@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dynmds/internal/cluster"
 )
@@ -24,11 +23,11 @@ type RunSpec struct {
 	Cfg   cluster.Config
 }
 
-// RunOne builds and runs a single configuration. Unless snapshot
-// sharing is disabled (SetSnapshotSharing), the namespace comes from
-// the process-wide snapshot cache: the first run for a given fs config
-// generates and freezes it (charged to that run's SetupWall), and every
-// other run thaws a private copy-on-write overlay over the shared base.
+// RunOne builds and runs a single configuration. Unless the spec brings
+// its own snapshot, the namespace comes from the process-wide snapshot
+// cache: the first run for a given fs config generates and freezes it,
+// and every other run thaws a private copy-on-write overlay over the
+// shared base.
 func RunOne(spec RunSpec) (*cluster.Result, error) {
 	cfg := spec.Cfg
 	// Apply the process-wide shard request to runs that can use it: the
@@ -37,58 +36,20 @@ func RunOne(spec RunSpec) (*cluster.Result, error) {
 	if k := Shards(); k > 1 && cfg.Shards == 0 && cfg.OSDs == 0 {
 		cfg.Shards = k
 	}
-	var genWall time.Duration
-	if SnapshotSharing() && cfg.Snapshot == nil {
+	if cfg.Snapshot == nil {
 		key := cfg.FS
 		key.Seed = cfg.Seed // replicate cluster.New's seeding
-		snap, wall, err := sharedSnapshot(key)
+		snap, err := sharedSnapshot(key)
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s: %w", spec.Label, err)
 		}
 		cfg.Snapshot = snap
-		genWall = wall
 	}
 	cl, err := cluster.New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", spec.Label, err)
 	}
-	if genWall > 0 {
-		cl.AddSetupWall(genWall)
-	}
-	res := cl.Run()
-	account.mu.Lock()
-	account.setup += res.SetupWall
-	account.run += res.RunWall
-	account.runs++
-	account.mu.Unlock()
-	return res, nil
-}
-
-// account aggregates the setup-vs-run wall split across every RunOne in
-// the process, so sweep drivers (mdsim -bench-json) can report where a
-// figure's real time went without threading accounting through each
-// figure function.
-var account struct {
-	mu    sync.Mutex
-	setup time.Duration
-	run   time.Duration
-	runs  int
-}
-
-// ResetSweepAccounting zeroes the aggregate setup/run wall counters.
-func ResetSweepAccounting() {
-	account.mu.Lock()
-	account.setup, account.run, account.runs = 0, 0, 0
-	account.mu.Unlock()
-}
-
-// SweepAccounting returns total setup wall (generation or thaw plus
-// cluster assembly), total run wall (event-loop execution), and the
-// number of runs since the last reset.
-func SweepAccounting() (setup, run time.Duration, runs int) {
-	account.mu.Lock()
-	defer account.mu.Unlock()
-	return account.setup, account.run, account.runs
+	return cl.Run(), nil
 }
 
 // sweepWorkers overrides the sweep pool size when positive; zero falls

@@ -126,7 +126,7 @@ func planMetric(r *PlanRun, m string) string {
 	case "p999":
 		return fmt.Sprintf("%.2fms", res.LatencyP999*1000)
 	case "load-spread":
-		return fmt.Sprintf("%.2f", LoadSpreadOf(res.PerMDSOps))
+		return fmt.Sprintf("%.2f", loadSpreadOf(res.PerMDSOps))
 	case "hit":
 		return fmt.Sprintf("%.3f", res.HitRate)
 	case "fwd":
@@ -139,8 +139,8 @@ func planMetric(r *PlanRun, m string) string {
 	return "?"
 }
 
-// LoadSpreadOf reduces per-MDS throughput to max/mean (1.0 = even).
-func LoadSpreadOf(perMDS []float64) float64 {
+// loadSpreadOf reduces per-MDS throughput to max/mean (1.0 = even).
+func loadSpreadOf(perMDS []float64) float64 {
 	if len(perMDS) == 0 {
 		return 0
 	}
@@ -156,23 +156,6 @@ func LoadSpreadOf(perMDS []float64) float64 {
 		return 0
 	}
 	return max / mean
-}
-
-// PlanExperiment wraps a plan as a harness Experiment with the default
-// report, so library scenarios list alongside the figures.
-func PlanExperiment(p *plan.Plan) Experiment {
-	return Experiment{
-		ID:          p.Name,
-		Title:       "Plan: " + p.Name,
-		Description: p.Describe,
-		Run: func(w io.Writer, opt Options) error {
-			runs, err := RunPlan(p, opt)
-			if err != nil {
-				return err
-			}
-			return WritePlanReport(w, p, runs)
-		},
-	}
 }
 
 // trimCellLabel strips the plan-name prefix from a run label, leaving

@@ -3,7 +3,6 @@ package harness
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dynmds/internal/cluster"
 	"dynmds/internal/fsgen"
@@ -45,63 +44,26 @@ var snapCache struct {
 	m   map[fsgen.Config]*snapEntry
 	seq int64
 
-	disabled atomic.Bool
-	// generated counts cache misses (actual generations); shared counts
-	// runs that reused an already-frozen base.
+	// generated counts cache misses (actual generations).
 	generated atomic.Int64
-	shared    atomic.Int64
-}
-
-// SetSnapshotSharing toggles the shared-snapshot path. When off, every
-// run generates and privately owns its namespace (the legacy behavior);
-// used by the equivalence tests and the before/after benchmarks.
-func SetSnapshotSharing(on bool) { snapCache.disabled.Store(!on) }
-
-// SnapshotSharing reports whether the shared-snapshot path is active.
-func SnapshotSharing() bool { return !snapCache.disabled.Load() }
-
-// SnapshotCacheStats returns how many snapshots were generated (cache
-// misses) and how many runs reused a shared one (hits) since the last
-// reset.
-func SnapshotCacheStats() (generated, shared int64) {
-	return snapCache.generated.Load(), snapCache.shared.Load()
-}
-
-// ResetSnapshotCache drops all cached snapshots and zeroes the stats.
-func ResetSnapshotCache() {
-	snapCache.mu.Lock()
-	snapCache.m = nil
-	snapCache.mu.Unlock()
-	snapCache.generated.Store(0)
-	snapCache.shared.Store(0)
 }
 
 // namespaceSize returns the inode count the given cluster config's
-// namespace will have, going through the snapshot cache when sharing is
-// on (so a probe primes the cache for the runs that follow) and through
-// a plain generation otherwise.
+// namespace will have. The probe goes through the snapshot cache, so it
+// primes the cache for the runs that follow.
 func namespaceSize(cfg cluster.Config) (int, error) {
 	key := cfg.FS
 	key.Seed = cfg.Seed
-	if SnapshotSharing() {
-		snap, _, err := sharedSnapshot(key)
-		if err != nil {
-			return 0, err
-		}
-		return snap.Base.NumInodes(), nil
-	}
-	snap, err := fsgen.Generate(key)
+	snap, err := sharedSnapshot(key)
 	if err != nil {
 		return 0, err
 	}
-	return snap.Tree.Len(), nil
+	return snap.Base.NumInodes(), nil
 }
 
 // sharedSnapshot returns the frozen snapshot for key, generating it if
-// this is the first request. genWall is non-zero only for the caller
-// that actually paid for generation, so the cost is charged to exactly
-// one run's setup accounting.
-func sharedSnapshot(key fsgen.Config) (fs *fsgen.FrozenSnapshot, genWall time.Duration, err error) {
+// this is the first request.
+func sharedSnapshot(key fsgen.Config) (*fsgen.FrozenSnapshot, error) {
 	snapCache.mu.Lock()
 	if snapCache.m == nil {
 		snapCache.m = make(map[fsgen.Config]*snapEntry)
@@ -126,16 +88,8 @@ func sharedSnapshot(key fsgen.Config) (fs *fsgen.FrozenSnapshot, genWall time.Du
 	snapCache.mu.Unlock()
 
 	e.once.Do(func() {
-		start := time.Now()
 		e.fs, e.err = fsgen.GenerateFrozen(key)
-		genWall = time.Since(start)
 		snapCache.generated.Add(1)
 	})
-	if e.err != nil {
-		return nil, 0, e.err
-	}
-	if genWall == 0 {
-		snapCache.shared.Add(1)
-	}
-	return e.fs, genWall, nil
+	return e.fs, e.err
 }

@@ -9,18 +9,29 @@ import (
 	"dynmds/internal/sim"
 )
 
-// withSharing runs fn with snapshot sharing forced to on, starting from
-// a clean cache, and restores the previous mode afterwards.
-func withSharing(t *testing.T, on bool, fn func()) {
+// resetSnapshotCache drops all cached snapshots and zeroes the
+// generation count, now and again when the test ends.
+func resetSnapshotCache(t *testing.T) {
 	t.Helper()
-	prev := SnapshotSharing()
-	SetSnapshotSharing(on)
-	ResetSnapshotCache()
-	defer func() {
-		SetSnapshotSharing(prev)
-		ResetSnapshotCache()
-	}()
-	fn()
+	reset := func() {
+		snapCache.mu.Lock()
+		snapCache.m = nil
+		snapCache.mu.Unlock()
+		snapCache.generated.Store(0)
+	}
+	reset()
+	t.Cleanup(reset)
+}
+
+// legacyRun is the per-run-generation path the shared-snapshot path
+// must match: cluster.New generates and privately owns the namespace.
+func legacyRun(t *testing.T, cfg cluster.Config) *cluster.Result {
+	t.Helper()
+	cl, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl.Run()
 }
 
 // TestSharedSnapshotEquivalence is the acceptance gate for the
@@ -30,23 +41,14 @@ func withSharing(t *testing.T, on bool, fn func()) {
 // of it. The workloads mutate the namespace (create-heavy general mix),
 // so this exercises the copy-on-write overlay, not just reads.
 func TestSharedSnapshotEquivalence(t *testing.T) {
+	resetSnapshotCache(t)
 	for _, s := range cluster.Strategies {
 		cfg := tinyCfg(s)
-		var legacy, shared *cluster.Result
-		withSharing(t, false, func() {
-			r, err := RunOne(RunSpec{Label: "legacy/" + s, Cfg: cfg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			legacy = r
-		})
-		withSharing(t, true, func() {
-			r, err := RunOne(RunSpec{Label: "shared/" + s, Cfg: cfg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			shared = r
-		})
+		legacy := legacyRun(t, cfg)
+		shared, err := RunOne(RunSpec{Label: "shared/" + s, Cfg: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if legacy.SharedSnapshot || !shared.SharedSnapshot {
 			t.Fatalf("%s: SharedSnapshot flags wrong: legacy=%v shared=%v",
 				s, legacy.SharedSnapshot, shared.SharedSnapshot)
@@ -60,28 +62,28 @@ func TestSharedSnapshotEquivalence(t *testing.T) {
 
 // TestSharedSnapshotCacheReuse verifies the sweep generates each
 // distinct fs exactly once: five strategies over the same config is one
-// generation plus four reuses, and a second sweep is pure reuse.
+// generation with every run on the shared base, and a second sweep is
+// pure reuse.
 func TestSharedSnapshotCacheReuse(t *testing.T) {
-	withSharing(t, true, func() {
-		var specs []RunSpec
-		for _, s := range cluster.Strategies {
-			specs = append(specs, RunSpec{Label: s, Cfg: tinyCfg(s)})
-		}
-		if _, err := Sweep(specs); err != nil {
+	resetSnapshotCache(t)
+	var specs []RunSpec
+	for _, s := range cluster.Strategies {
+		specs = append(specs, RunSpec{Label: s, Cfg: tinyCfg(s)})
+	}
+	for sweep := 1; sweep <= 2; sweep++ {
+		results, err := Sweep(specs)
+		if err != nil {
 			t.Fatal(err)
 		}
-		gen, shared := SnapshotCacheStats()
-		if gen != 1 || shared != int64(len(specs)-1) {
-			t.Fatalf("after sweep 1: generated=%d shared=%d, want 1/%d", gen, shared, len(specs)-1)
+		for i, r := range results {
+			if !r.SharedSnapshot {
+				t.Fatalf("sweep %d run %d did not use the shared base", sweep, i)
+			}
 		}
-		if _, err := Sweep(specs); err != nil {
-			t.Fatal(err)
+		if gen := snapCache.generated.Load(); gen != 1 {
+			t.Fatalf("after sweep %d: generated=%d, want 1", sweep, gen)
 		}
-		gen, shared = SnapshotCacheStats()
-		if gen != 1 || shared != int64(2*len(specs)-1) {
-			t.Fatalf("after sweep 2: generated=%d shared=%d, want 1/%d", gen, shared, 2*len(specs)-1)
-		}
-	})
+	}
 }
 
 // TestConcurrentOverlayRuns mutates one shared frozen base from many
@@ -89,46 +91,39 @@ func TestSharedSnapshotCacheReuse(t *testing.T) {
 // write to shared state, and the results must still match a serial
 // legacy run exactly.
 func TestConcurrentOverlayRuns(t *testing.T) {
+	resetSnapshotCache(t)
 	cfg := tinyCfg(cluster.StratDynamic)
 	cfg.Duration = 3 * sim.Second
+	want := legacyRun(t, cfg)
 
-	var want *cluster.Result
-	withSharing(t, false, func() {
-		r, err := RunOne(RunSpec{Label: "legacy", Cfg: cfg})
-		if err != nil {
-			t.Fatal(err)
+	// All goroutines race on a cold cache: one generates, the rest
+	// block on the entry's once and then share the frozen base.
+	const runs = 4
+	results := make([]*cluster.Result, runs)
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	for i := 0; i < runs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = RunOne(RunSpec{Label: "conc", Cfg: cfg})
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < runs; i++ {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
 		}
-		want = r
-	})
-
-	withSharing(t, true, func() {
-		// All goroutines race on a cold cache: one generates, the rest
-		// block on the entry's once and then share the frozen base.
-		const runs = 4
-		results := make([]*cluster.Result, runs)
-		errs := make([]error, runs)
-		var wg sync.WaitGroup
-		for i := 0; i < runs; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				results[i], errs[i] = RunOne(RunSpec{Label: "conc", Cfg: cfg})
-			}(i)
+		got := stripWall(results[i])
+		if !got.SharedSnapshot {
+			t.Fatalf("concurrent run %d did not use the shared base", i)
 		}
-		wg.Wait()
-		for i := 0; i < runs; i++ {
-			if errs[i] != nil {
-				t.Fatal(errs[i])
-			}
-			got := stripWall(results[i])
-			got.SharedSnapshot = false
-			if !reflect.DeepEqual(stripWall(want), got) {
-				t.Fatalf("concurrent run %d diverged:\nlegacy: %+v\nshared: %+v", i, want, results[i])
-			}
+		got.SharedSnapshot = false
+		if !reflect.DeepEqual(stripWall(want), got) {
+			t.Fatalf("concurrent run %d diverged:\nlegacy: %+v\nshared: %+v", i, want, results[i])
 		}
-		gen, shared := SnapshotCacheStats()
-		if gen != 1 || shared != runs-1 {
-			t.Fatalf("generated=%d shared=%d, want 1/%d", gen, shared, runs-1)
-		}
-	})
+	}
+	if gen := snapCache.generated.Load(); gen != 1 {
+		t.Fatalf("generated=%d, want 1", gen)
+	}
 }
