@@ -178,6 +178,15 @@ func New(capacity int) *Cache {
 	return &Cache{capacity: capacity}
 }
 
+// NewSized is New for a namespace whose highest inode ID so far is
+// known: the presence table starts at the size storing the next ID would
+// grow it to, so it is not regrown while the cache warms up.
+func NewSized(capacity int, maxID namespace.InodeID) *Cache {
+	c := New(capacity)
+	c.byID = make([]*Entry, 2*int(maxID)+1)
+	return c
+}
+
 // lookup returns the entry for id, or nil.
 func (c *Cache) lookup(id namespace.InodeID) *Entry {
 	if uint64(id) < uint64(len(c.byID)) {

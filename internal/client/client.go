@@ -118,7 +118,7 @@ func New(id int, eng *sim.Engine, cfg Config, rng *sim.RNG, net Network, strat p
 		net:   net,
 		strat: strat,
 		gen:   gen,
-		hints: NewHintTable(1, cfg.KnownCap),
+		hints: NewHintTable(1, cfg.KnownCap, 1),
 	}
 }
 
@@ -263,8 +263,9 @@ func (c *Client) direct(req *msg.Request) int {
 		}
 		return c.strat.Authority(req.Target)
 	}
+	reg := c.hints.slots(c.hintID)
 	for n := req.Target; n != nil; n = n.Parent() {
-		if auth, repl, ok := c.hints.Get(c.hintID, n.ID); ok {
+		if auth, repl, ok := c.hints.get(reg, n.ID); ok {
 			if repl {
 				return c.rng.Pick(c.net.NumMDS())
 			}
@@ -291,8 +292,11 @@ func (c *Client) OnReply(rep *msg.Reply) {
 	if c.OnComplete != nil {
 		c.OnComplete(c.eng.Now())
 	}
-	for _, h := range rep.Hints {
-		c.hints.Put(c.hintID, h)
+	if len(rep.Hints) > 0 {
+		reg := c.hints.claim(c.hintID)
+		for _, h := range rep.Hints {
+			c.hints.put(reg, h)
+		}
 	}
 	c.gen.Observe(rep)
 	if c.attempts == 0 {

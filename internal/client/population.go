@@ -154,8 +154,9 @@ type Population struct {
 
 // popShard is one shard's slice of the population: clients are striped
 // round-robin (global id g lives on shard g%K at local index g/K), and
-// each shard owns a timer wheel, RNG/tenant slabs, request pool, and
-// metric lanes touched only from its own engine.
+// each shard owns a timer wheel, RNG slab, request pool, and metric
+// lanes touched only from its own engine. A client's tenant is not
+// stored: it is derived from the global id (Tenants.ClientTenant).
 type popShard struct {
 	pop   *Population
 	eng   *sim.Engine
@@ -163,8 +164,7 @@ type popShard struct {
 	k     int // stripe count
 	wheel *sim.Wheel
 
-	rng    []uint64 // per-local-client splitmix64 state
-	tenant []uint32 // per-local-client tenant id
+	rng []uint64 // per-local-client splitmix64 state
 
 	pool    []*msg.Request // free list; grows to max outstanding, then steady
 	seq     uint64         // shard-monotonic request ids
@@ -249,7 +249,7 @@ func NewPopulation(cfg PopulationConfig, engines []*sim.Engine, netw Network, st
 		net:     netw,
 		strat:   strat,
 		tenants: tenants,
-		hints:   NewHintTable(cfg.Clients, cfg.Ways),
+		hints:   NewHintTable(cfg.Clients, cfg.Ways, k),
 		baseCum: cumMix(cfg.MixStat, cfg.MixReaddir, cfg.MixChmod, cfg.MixCreate, cfg.MixRename, cfg.MixUnlink),
 	}
 	p.shards = make([]*popShard, k)
@@ -261,7 +261,6 @@ func NewPopulation(cfg PopulationConfig, engines []*sim.Engine, netw Network, st
 			shard:   s,
 			k:       k,
 			rng:     make([]uint64, n),
-			tenant:  make([]uint32, n),
 			rateMul: 1,
 			cum:     p.baseCum,
 			lat:     metrics.NewLatHist(),
@@ -269,7 +268,6 @@ func NewPopulation(cfg PopulationConfig, engines []*sim.Engine, netw Network, st
 		for li := 0; li < n; li++ {
 			g := li*k + s
 			ps.rng[li] = mix64(uint64(seed) ^ mix64(uint64(g)+0x9E3779B97F4A7C15))
-			ps.tenant[li] = uint32(tenants.ClientTenant(g))
 		}
 		ps.wheel = sim.NewWheel(engines[s], cfg.Tick, n, ps.arrive)
 		ps.churnOn = cfg.MixUnlink > 0
@@ -300,10 +298,19 @@ func uniform(u uint64) float64 { return float64(u>>11) / (1 << 53) }
 // de-synchronises by construction.
 func (p *Population) Start() {
 	for _, s := range p.shards {
-		s.wheel.Start()
-		for li := int32(0); li < int32(len(s.rng)); li++ {
-			s.rearm(li)
-		}
+		s.armAll()
+	}
+}
+
+// armAll starts the shard's wheel and arms every local client (Start,
+// and Resume after a checkpoint). Global ids ascend with the local
+// index, so the tenant is a cursor, not a search per client.
+func (s *popShard) armAll() {
+	s.wheel.Start()
+	tn := 0
+	for li := range s.rng {
+		tn = s.pop.tenants.TenantFrom(tn, li*s.k+s.shard)
+		s.rearm(int32(li), tn)
 	}
 }
 
@@ -325,10 +332,11 @@ func (p *Population) SeedBaseVictims(victims []*namespace.Inode) {
 // Hints exposes the shared location-hint table.
 func (p *Population) Hints() *HintTable { return p.hints }
 
-// rate returns the client's momentary arrival rate λ(t) in ops/sec.
-func (s *popShard) rate(li int32, now sim.Time) float64 {
+// rate returns the momentary arrival rate λ(t) in ops/sec of a client
+// of the given tenant; only diurnal and burst modulation depend on it.
+func (s *popShard) rate(tenant int, now sim.Time) float64 {
 	cfg := &s.pop.cfg
-	tn := uint64(s.tenant[li])
+	tn := uint64(tenant)
 	r := cfg.Rate
 	if cfg.DiurnalAmp > 0 {
 		phase := uniform(mix64(tn + 0x5851F42D4C957F2D))
@@ -349,13 +357,14 @@ func (s *popShard) rate(li int32, now sim.Time) float64 {
 }
 
 // rearm schedules the client's next arrival: an exponential inter-
-// arrival at the rate frozen at draw time, through the wheel.
-func (s *popShard) rearm(li int32) {
+// arrival at the rate frozen at draw time, through the wheel. tn is the
+// client's tenant, which every caller already holds.
+func (s *popShard) rearm(li int32, tn int) {
 	u := uniform(s.next(li))
 	if u <= 0 {
 		u = 1e-18
 	}
-	d := sim.FromSeconds(-math.Log(u) / (s.rate(li, s.eng.Now()) * s.rateMul))
+	d := sim.FromSeconds(-math.Log(u) / (s.rate(tn, s.eng.Now()) * s.rateMul))
 	if d > sim.Hour {
 		d = sim.Hour
 	}
@@ -386,7 +395,7 @@ func (s *popShard) arrive(li int32) {
 	}
 	p := s.pop
 	g := int(li)*s.k + s.shard
-	tn := int(s.tenant[li])
+	tn := p.tenants.ClientTenant(g)
 
 	req := s.getRequest()
 	s.seq++
@@ -472,7 +481,7 @@ func (s *popShard) arrive(li int32) {
 			}
 			s.welford.Add(0)
 			s.pool = append(s.pool, req)
-			s.rearm(li)
+			s.rearm(li, tn)
 			return
 		}
 	}
@@ -486,7 +495,7 @@ func (s *popShard) arrive(li int32) {
 		s.eng.AfterCall(s.retryTimeout, popRetryFire, s, r)
 	}
 	p.net.Send(mds, req)
-	s.rearm(li)
+	s.rearm(li, tn)
 }
 
 // churnPop takes the oldest unlink-eligible inode, or nil. Reserved
@@ -590,8 +599,12 @@ func (p *Population) direct(g int, req *msg.Request, u uint64) int {
 		}
 		return p.strat.Authority(req.Target)
 	}
+	reg := p.hints.slots(g)
+	if reg == nil {
+		return int(u % uint64(p.net.NumMDS())) // never answered: knows nothing
+	}
 	for n := req.Target; n != nil; n = n.Parent() {
-		if auth, repl, ok := p.hints.Get(g, n.ID); ok {
+		if auth, repl, ok := p.hints.get(reg, n.ID); ok {
 			if repl {
 				return int(u % uint64(p.net.NumMDS()))
 			}
@@ -624,8 +637,11 @@ func (p *Population) OnReply(rep *msg.Reply) {
 		s.curLat.Observe(lat)
 	}
 	s.welford.Add(lat.Seconds())
-	for _, h := range rep.Hints {
-		p.hints.Put(rep.Client, h)
+	if len(rep.Hints) > 0 {
+		reg := p.hints.claim(rep.Client)
+		for _, h := range rep.Hints {
+			p.hints.put(reg, h)
+		}
 	}
 	if req := rep.Req; req != nil {
 		if req.Target == s.hot {
@@ -776,14 +792,17 @@ func (p *Population) WheelStats() (ticks, fired uint64) {
 	return
 }
 
-// FootprintBytes returns the structural per-population memory: RNG and
-// tenant slabs, wheel intrusive lists, the shared hint table, and the
-// tenant model. Request pools and engine state are excluded (they scale
-// with outstanding requests, not with the population size).
+// FootprintBytes returns the structural per-population memory: RNG
+// slabs (8 B/client), wheel intrusive lists (8 B/client), the shared
+// hint table (a 4 B/client region index plus the chunks allocated so
+// far, so it grows as clients are first answered), the tenant model,
+// and the lease slab when attached. Request pools and engine state are
+// excluded (they scale with outstanding requests, not with the
+// population size).
 func (p *Population) FootprintBytes() int64 {
 	var b int64
 	for _, s := range p.shards {
-		b += int64(len(s.rng))*8 + int64(len(s.tenant))*4
+		b += int64(len(s.rng)) * 8
 		b += s.wheel.FootprintBytes()
 	}
 	b += p.hints.FootprintBytes() + p.tenants.FootprintBytes()

@@ -32,10 +32,7 @@ func (p *Population) Resume() {
 	for _, s := range p.shards {
 		s.stopped = false
 		s.wheel.Reset()
-		s.wheel.Start()
-		for li := int32(0); li < int32(len(s.rng)); li++ {
-			s.rearm(li)
-		}
+		s.armAll()
 	}
 }
 
@@ -90,21 +87,7 @@ func (p *Population) SnapshotTo(w *snap.Writer) {
 			w.U64(uint64(v.ID))
 		}
 	}
-	// Shared hint table, sparse.
-	nz := 0
-	for _, v := range p.hints.slots {
-		if v != 0 {
-			nz++
-		}
-	}
-	w.Int(len(p.hints.slots))
-	w.Int(nz)
-	for i, v := range p.hints.slots {
-		if v != 0 {
-			w.Int(i)
-			w.U64(v)
-		}
-	}
+	p.hints.snapshotTo(w)
 }
 
 // RestoreFrom applies a snapshot onto a freshly built population with
@@ -164,14 +147,43 @@ func (p *Population) RestoreFrom(r *snap.Reader, resolve func(namespace.InodeID)
 		}
 		s.stopped = true
 	}
-	total := r.Int()
-	if total != len(p.hints.slots) {
-		return fmt.Errorf("client: snapshot hint table has %d slots, built table has %d", total, len(p.hints.slots))
+	return p.hints.restoreFrom(r)
+}
+
+// snapshotTo writes the table sparsely, in the dense layout's terms: the
+// slot count clients·ways, then a (client·ways+j, slot) pair for every
+// occupied slot in ascending order. Region numbers are not written.
+func (t *HintTable) snapshotTo(w *snap.Writer) {
+	nz := 0
+	for c := range t.region {
+		nz += t.Len(c)
 	}
-	nz := r.Int()
-	for i := 0; i < nz; i++ {
-		idx := r.Int()
-		p.hints.slots[idx] = r.U64()
+	w.Int(len(t.region) * int(t.ways))
+	w.Int(nz)
+	for c := range t.region {
+		for j, v := range t.slots(c) {
+			if v != 0 {
+				w.Int(c*int(t.ways) + j)
+				w.U64(v)
+			}
+		}
+	}
+}
+
+// restoreFrom fills a freshly built table of the same shape. Regions
+// are handed out in client order, whatever order the checkpointed run
+// met its clients in.
+func (t *HintTable) restoreFrom(r *snap.Reader) error {
+	total := len(t.region) * int(t.ways)
+	if n := r.Int(); n != total {
+		return fmt.Errorf("client: snapshot hint table has %d slots, built table has %d", n, total)
+	}
+	for nz := r.Int(); nz > 0; nz-- {
+		idx, v := r.Int(), r.U64()
+		if idx < 0 || idx >= total {
+			return fmt.Errorf("client: snapshot hint slot %d outside the table's %d", idx, total)
+		}
+		t.claim(idx / int(t.ways))[idx%int(t.ways)] = v
 	}
 	return nil
 }

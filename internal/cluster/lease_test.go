@@ -6,6 +6,7 @@ import (
 
 	"dynmds/internal/client"
 	"dynmds/internal/lease"
+	"dynmds/internal/msg"
 	"dynmds/internal/net"
 	"dynmds/internal/sim"
 	"dynmds/internal/workload"
@@ -183,28 +184,32 @@ func TestLeaseOffInert(t *testing.T) {
 	}
 }
 
-// TestLeasePlaneFootprint is the lease memory gate: the traffic plane's
-// structural footprint per client stays at or under 64 B with the lease
-// slab off and 96 B with it on (the slab is two 12 B slots per client),
-// so no per-client boxed lease state can sneak in. The per-client slope
-// does not depend on the population size; 100k clients keeps the fixed
-// tenant tables negligible.
+// TestLeasePlaneFootprint is the memory gate of the traffic plane: its
+// structural footprint per client, with the lease slab off and on (the
+// slab is two 12 B slots per client), as the run leaves it — about 2 %
+// of the clients have been answered, the rest own no hint slots — and
+// again once every client has been handed its hint region, the most the
+// plane can reach. Limits are the measured value plus ~15 %, so no
+// per-client boxed state can sneak in. The per-client slope does not
+// depend on the population size; 100k clients keeps the fixed tenant
+// tables negligible.
 func TestLeasePlaneFootprint(t *testing.T) {
+	const clients = 100_000
 	for _, tc := range []struct {
 		name           string
 		leases, fanout bool
-		limit          float64
+		limit, spoken  float64 // measured 23.9 / 39.2 B lease-off, 47.9 / 63.2 B lease-on
 	}{
-		{"dumb", false, false, 64},
-		{"leases", true, false, 96},
-		{"fanout", false, true, 64},
-		{"both", true, true, 96},
+		{"dumb", false, false, 28, 45},
+		{"leases", true, false, 55, 73},
+		{"fanout", false, true, 28, 45},
+		{"both", true, true, 55, 73},
 	} {
 		cfg := openLoopConfig(StratStatic)
 		cfg.Duration = 2 * sim.Second
 		cfg.Warmup = sim.Second
 		cfg.OpenLoop = &client.PopulationConfig{
-			Clients: 100_000,
+			Clients: clients,
 			Rate:    0.01,
 			Tenant:  workload.TenantConfig{TenantSkew: 1, FileSkew: 1},
 		}
@@ -215,8 +220,16 @@ func TestLeasePlaneFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := cl.Run()
-		if bpc := float64(res.PopFootprint) / float64(res.Clients); bpc > tc.limit {
+		bpc := float64(res.PopFootprint) / clients
+		if bpc > tc.limit {
 			t.Errorf("%s: plane %.1f B/client exceeds the %.0f B gate", tc.name, bpc, tc.limit)
+		}
+		for c := 0; c < clients; c++ {
+			cl.Pop.Hints().Put(c, msg.Hint{Ino: 1})
+		}
+		all := float64(cl.Pop.FootprintBytes()) / clients
+		if all > tc.spoken {
+			t.Errorf("%s: plane %.1f B/client with every client answered exceeds the %.0f B gate", tc.name, all, tc.spoken)
 		}
 	}
 }

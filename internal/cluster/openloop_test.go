@@ -66,9 +66,14 @@ func TestOpenLoopRuns(t *testing.T) {
 			if res.MeanLatency <= 0 {
 				t.Fatal("mean latency not recorded")
 			}
-			// The flyweight memory gate: structural bytes per client.
-			if bpc := float64(res.PopFootprint) / float64(res.Clients); bpc > 64 {
-				t.Fatalf("footprint = %.1f bytes/client, gate 64", bpc)
+			// The flyweight memory gate: structural bytes per client,
+			// measured 42.8 plus ~15 %. A population this small fits its
+			// whole hint table in the first chunk (36 B/client with the
+			// RNG, wheel link and region index) and the rest is the
+			// fixed wheel and tenant tables spread over 2000 clients;
+			// TestLeasePlaneFootprint gates the per-client slope.
+			if bpc := float64(res.PopFootprint) / float64(res.Clients); bpc > 49 {
+				t.Fatalf("footprint = %.1f bytes/client, gate 49", bpc)
 			}
 			if err := cl.Tree().CheckInvariants(); err != nil {
 				t.Fatal(err)

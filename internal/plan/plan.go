@@ -221,6 +221,9 @@ func (p *Plan) Validate() error {
 		if t.Mix != nil && t.Mix.sum() <= 0 {
 			return fmt.Errorf("plan %s: traffic mix has no weight", p.Name)
 		}
+		if t.Ways < 0 || t.Ways > 1<<20 {
+			return fmt.Errorf("plan %s: traffic ways %d outside [0, 1<<20]", p.Name, t.Ways)
+		}
 	}
 	seen := map[string]bool{}
 	for _, ax := range p.Matrix {

@@ -141,6 +141,7 @@ func TestValidateRejects(t *testing.T) {
 		{"bad net", func(p *plan.Plan) { p.Cluster.Net = "warp" }, "unknown net model"},
 		{"no clients", func(p *plan.Plan) { p.Traffic.Clients = 0 }, "client count"},
 		{"zero rate", func(p *plan.Plan) { p.Traffic.Rate = 0 }, "rate must be > 0"},
+		{"too many ways", func(p *plan.Plan) { p.Traffic.Ways = 1<<20 + 1 }, "traffic ways"},
 		{"unknown axis", func(p *plan.Plan) {
 			p.Matrix = []plan.Axis{{Key: "color", Values: []string{"red"}}}
 		}, "unknown matrix key"},

@@ -65,12 +65,14 @@ type Tenants struct {
 	fileOff []int32
 	dirOff  []int32
 
-	// Vose alias tables over each tenant's working set, same offsets as
-	// the slabs: O(1) Zipf-popularity draws with two uniform words.
-	fProb  []float64
-	fAlias []int32
-	dProb  []float64
-	dAlias []int32
+	// Vose alias tables: O(1) Zipf-popularity draws with two uniform
+	// words. A table is a pure function of (set size, skew), so there is
+	// one per distinct working-set size, shared by files and directories:
+	// the table for sets of n entries starts at prob[tabOff[n]] (-1: no
+	// tenant has a set that size).
+	prob   []float64
+	alias  []int32
+	tabOff []int32
 }
 
 // NewTenants builds the tenant model for a client population over the
@@ -93,11 +95,29 @@ func NewTenants(cfg TenantConfig, clients int, homes []*namespace.Inode, seed in
 // NumTenants returns the tenant count after defaulting.
 func (t *Tenants) NumTenants() int { return len(t.clientOff) - 1 }
 
-// ClientTenant maps a client id to its tenant (contiguous ranges).
+// ClientTenant maps a client id to its tenant (contiguous ranges): a
+// binary search over the prefix sums, on every open-loop arrival, hence
+// without sort.Search's closure.
 func (t *Tenants) ClientTenant(client int) int {
-	return sort.Search(t.NumTenants(), func(i int) bool {
-		return int(t.clientOff[i+1]) > client
-	})
+	lo, hi := 0, t.NumTenants()
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int(t.clientOff[mid+1]) > client {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// TenantFrom is ClientTenant for a caller walking clients in ascending
+// order: it advances tn, the tenant of an earlier client, to client's.
+func (t *Tenants) TenantFrom(tn, client int) int {
+	for int(t.clientOff[tn+1]) <= client {
+		tn++
+	}
+	return tn
 }
 
 // TenantClients returns tenant i's client count (tests, figures).
@@ -114,9 +134,8 @@ func (t *Tenants) WorkingSetSize(i int) int {
 // int32), for the population's memory accounting.
 func (t *Tenants) FootprintBytes() int64 {
 	ptrs := len(t.files) + len(t.dirs)
-	f64 := len(t.fProb) + len(t.dProb)
-	i32 := len(t.fAlias) + len(t.dAlias) + len(t.fileOff) + len(t.dirOff) + len(t.clientOff)
-	return int64(ptrs+f64)*8 + int64(i32)*4
+	i32 := len(t.alias) + len(t.tabOff) + len(t.fileOff) + len(t.dirOff) + len(t.clientOff)
+	return int64(ptrs+len(t.prob))*8 + int64(i32)*4
 }
 
 // ForEachTarget visits every inode the alias tables can return (files
@@ -145,25 +164,37 @@ func (t *Tenants) SetFileSkew(skew float64) {
 		return
 	}
 	t.cfg.FileSkew = skew
-	for i := 0; i+1 < len(t.fileOff); i++ {
-		buildAlias(t.fProb[t.fileOff[i]:t.fileOff[i+1]], t.fAlias[t.fileOff[i]:t.fileOff[i+1]], skew)
-	}
-	for i := 0; i+1 < len(t.dirOff); i++ {
-		buildAlias(t.dProb[t.dirOff[i]:t.dirOff[i+1]], t.dAlias[t.dirOff[i]:t.dirOff[i+1]], skew)
+	t.buildAliasTables()
+}
+
+// buildAliasTables fills the table of every set size in use for the
+// current skew.
+func (t *Tenants) buildAliasTables() {
+	for n, off := range t.tabOff {
+		if off >= 0 {
+			buildAlias(t.prob[off:int(off)+n], t.alias[off:int(off)+n], t.cfg.FileSkew)
+		}
 	}
 }
 
 // File draws a target from tenant i's working set by Zipf popularity:
 // u1 selects the candidate column, u2 resolves the alias coin flip.
 func (t *Tenants) File(i int, u1, u2 uint64) *namespace.Inode {
-	lo, hi := int(t.fileOff[i]), int(t.fileOff[i+1])
-	return t.files[lo+aliasPick(t.fProb[lo:hi], t.fAlias[lo:hi], u1, u2)]
+	set := t.files[t.fileOff[i]:t.fileOff[i+1]]
+	return set[t.pick(len(set), u1, u2)]
 }
 
 // Dir draws a directory from tenant i's working set.
 func (t *Tenants) Dir(i int, u1, u2 uint64) *namespace.Inode {
-	lo, hi := int(t.dirOff[i]), int(t.dirOff[i+1])
-	return t.dirs[lo+aliasPick(t.dProb[lo:hi], t.dAlias[lo:hi], u1, u2)]
+	set := t.dirs[t.dirOff[i]:t.dirOff[i+1]]
+	return set[t.pick(len(set), u1, u2)]
+}
+
+// pick draws an index into a working set of n entries from the shared
+// table for that size.
+func (t *Tenants) pick(n int, u1, u2 uint64) int {
+	a := int(t.tabOff[n])
+	return aliasPick(t.prob[a:a+n], t.alias[a:a+n], u1, u2)
 }
 
 // aliasPick is the Vose draw: column u1 mod n, accept with probability
@@ -226,28 +257,56 @@ func zipfWeight(rank int, skew float64) float64 {
 // stream, then builds the alias tables for Zipf popularity.
 func (t *Tenants) buildWorkingSets(homes []*namespace.Inode, seed int64) {
 	n := t.NumTenants()
+	// Each home's subtree is collected once, however many tenants share
+	// it: home h's files are poolF[offF[h]:offF[h+1]] (ditto dirs).
+	nh := min(n, len(homes))
+	var poolF, poolD []*namespace.Inode
+	offF, offD := make([]int, nh+1), make([]int, nh+1)
+	for h := 0; h < nh; h++ {
+		poolF, poolD = collectSubtree(homes[h], poolF, poolD)
+		if len(poolF) == offF[h] {
+			poolF = append(poolF, homes[h])
+		}
+		if len(poolD) == offD[h] {
+			poolD = append(poolD, homes[h])
+		}
+		offF[h+1], offD[h+1] = len(poolF), len(poolD)
+	}
 	t.fileOff = make([]int32, n+1)
 	t.dirOff = make([]int32, n+1)
-	var scratchF, scratchD []*namespace.Inode
+	t.tabOff = make([]int32, t.cfg.WorkingSet+1)
+	for size := range t.tabOff {
+		t.tabOff[size] = -1
+	}
+	total := 0
+	for i := 0; i < n; i++ {
+		h := i % nh
+		nf := min(t.cfg.WorkingSet, offF[h+1]-offF[h])
+		nd := min(max(1, t.cfg.WorkingSet/8), offD[h+1]-offD[h])
+		t.fileOff[i+1] = t.fileOff[i] + int32(nf)
+		t.dirOff[i+1] = t.dirOff[i] + int32(nd)
+		for _, size := range [2]int{nf, nd} {
+			if t.tabOff[size] < 0 {
+				t.tabOff[size] = int32(total)
+				total += size
+			}
+		}
+	}
+	t.prob, t.alias = make([]float64, total), make([]int32, total)
+	t.buildAliasTables()
+
+	t.files = make([]*namespace.Inode, t.fileOff[n])
+	t.dirs = make([]*namespace.Inode, t.dirOff[n])
+	var scratch []*namespace.Inode
 	for i := 0; i < n; i++ {
 		rng := sim.NewStream(seed, "tenant-"+strconv.Itoa(i))
-		home := homes[i%len(homes)]
-		scratchF, scratchD = collectSubtree(home, scratchF[:0], scratchD[:0])
-		if len(scratchF) == 0 {
-			scratchF = append(scratchF, home)
-		}
-		if len(scratchD) == 0 {
-			scratchD = append(scratchD, home)
-		}
-		fset := sampleK(scratchF, t.cfg.WorkingSet, rng)
-		dset := sampleK(scratchD, max(1, t.cfg.WorkingSet/8), rng)
-		t.files = append(t.files, fset...)
-		t.dirs = append(t.dirs, dset...)
-		t.fileOff[i+1] = int32(len(t.files))
-		t.dirOff[i+1] = int32(len(t.dirs))
+		h := i % nh
+		// sampleK shuffles its pool, so it gets a copy of the pristine list.
+		scratch = append(scratch[:0], poolF[offF[h]:offF[h+1]]...)
+		sampleK(scratch, t.files[t.fileOff[i]:t.fileOff[i+1]], rng)
+		scratch = append(scratch[:0], poolD[offD[h]:offD[h+1]]...)
+		sampleK(scratch, t.dirs[t.dirOff[i]:t.dirOff[i+1]], rng)
 	}
-	t.fProb, t.fAlias = buildAliasRuns(t.fileOff, t.cfg.FileSkew)
-	t.dProb, t.dAlias = buildAliasRuns(t.dirOff, t.cfg.FileSkew)
 }
 
 // collectSubtree gathers the files and directories beneath root
@@ -263,32 +322,15 @@ func collectSubtree(root *namespace.Inode, files, dirs []*namespace.Inode) ([]*n
 	return files, dirs
 }
 
-// sampleK picks min(k, len(pool)) distinct nodes by partial
-// Fisher–Yates, copying out so the scratch pool can be reused. The
-// output order is the popularity ranking (index 0 = hottest).
-func sampleK(pool []*namespace.Inode, k int, rng *sim.RNG) []*namespace.Inode {
-	if k > len(pool) {
-		k = len(pool)
-	}
-	out := make([]*namespace.Inode, k)
-	for i := 0; i < k; i++ {
+// sampleK fills out with len(out) <= len(pool) distinct nodes by partial
+// Fisher–Yates, shuffling pool in place. The output order is the
+// popularity ranking (index 0 = hottest).
+func sampleK(pool, out []*namespace.Inode, rng *sim.RNG) {
+	for i := range out {
 		j := i + rng.Pick(len(pool)-i)
 		pool[i], pool[j] = pool[j], pool[i]
 		out[i] = pool[i]
 	}
-	return out
-}
-
-// buildAliasRuns fills Vose alias tables for every [off[i], off[i+1])
-// run with weights rank^-skew within the run.
-func buildAliasRuns(off []int32, skew float64) ([]float64, []int32) {
-	total := int(off[len(off)-1])
-	prob := make([]float64, total)
-	alias := make([]int32, total)
-	for i := 0; i+1 < len(off); i++ {
-		buildAlias(prob[off[i]:off[i+1]], alias[off[i]:off[i+1]], skew)
-	}
-	return prob, alias
 }
 
 // buildAlias constructs one Vose alias table in place for Zipf weights

@@ -1,9 +1,13 @@
 package workload
 
 import (
+	"slices"
+	"sort"
+	"strconv"
 	"testing"
 
 	"dynmds/internal/namespace"
+	"dynmds/internal/sim"
 )
 
 // tenantTree builds a small namespace with h home directories, each
@@ -200,4 +204,122 @@ func TestTenantsDrawAllocFree(t *testing.T) {
 		t.Fatalf("draw allocates: %v allocs/op", allocs)
 	}
 	_ = sink
+}
+
+// unevenHomes builds h home directories of different sizes (home i holds
+// 3i+1 files and i subdirectories), so tenants' working sets differ in
+// size and several tenants share each alias table.
+func unevenHomes(t *testing.T, h int) []*namespace.Inode {
+	t.Helper()
+	tr := namespace.NewTree()
+	homes := make([]*namespace.Inode, h)
+	for i := range homes {
+		u, err := tr.Mkdir(tr.Root, "u"+strconv.Itoa(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		homes[i] = u
+		for j := 0; j < 3*i+1; j++ {
+			dir := u
+			if j < i {
+				if dir, err = tr.Mkdir(u, "d"+strconv.Itoa(j)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := tr.Create(dir, "f"+strconv.Itoa(j)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return homes
+}
+
+// TestSharedAliasTablesMatchPerTenant rebuilds what the per-tenant
+// construction produced — a fresh subtree walk, sample and Vose table
+// for every tenant, files and directories apart — and checks that the
+// shared pools and per-size tables give the same working sets and the
+// same draws, before and after a skew change.
+func TestSharedAliasTablesMatchPerTenant(t *testing.T) {
+	homes := unevenHomes(t, 7)
+	const tenants, seed = 40, 9
+	cfg := TenantConfig{Tenants: tenants, TenantSkew: 1, FileSkew: 0.8, WorkingSet: 16}
+	tn := NewTenants(cfg, 5000, homes, seed)
+	// Seven home sizes, so at most 7 file and 7 directory set sizes.
+	if want := 14 * cfg.WorkingSet; len(tn.prob) > want {
+		t.Fatalf("alias tables hold %d entries for %d tenants, want <= %d: sizes are not shared", len(tn.prob), tenants, want)
+	}
+
+	type ref struct {
+		files, dirs    []*namespace.Inode
+		fProb, dProb   []float64
+		fAlias, dAlias []int32
+	}
+	refs := make([]ref, tenants)
+	sample := func(pool []*namespace.Inode, k int, rng *sim.RNG) []*namespace.Inode {
+		out := make([]*namespace.Inode, min(k, len(pool)))
+		sampleK(pool, out, rng)
+		return out
+	}
+	for i := range refs {
+		rng := sim.NewStream(seed, "tenant-"+strconv.Itoa(i))
+		poolF, poolD := collectSubtree(homes[i%len(homes)], nil, nil)
+		r := &refs[i]
+		r.files = sample(poolF, cfg.WorkingSet, rng)
+		r.dirs = sample(poolD, cfg.WorkingSet/8, rng)
+		if got := tn.files[tn.fileOff[i]:tn.fileOff[i+1]]; !slices.Equal(got, r.files) {
+			t.Fatalf("tenant %d: file working set differs from a per-tenant walk and sample", i)
+		}
+		if got := tn.dirs[tn.dirOff[i]:tn.dirOff[i+1]]; !slices.Equal(got, r.dirs) {
+			t.Fatalf("tenant %d: directory working set differs from a per-tenant walk and sample", i)
+		}
+		r.fProb, r.fAlias = make([]float64, len(r.files)), make([]int32, len(r.files))
+		r.dProb, r.dAlias = make([]float64, len(r.dirs)), make([]int32, len(r.dirs))
+	}
+	check := func(skew float64) {
+		for i := range refs {
+			r := &refs[i]
+			buildAlias(r.fProb, r.fAlias, skew)
+			buildAlias(r.dProb, r.dAlias, skew)
+		}
+		rng := sim.NewStream(seed, "draws")
+		for n := 0; n < 10_000; n++ {
+			i, u1, u2 := rng.Pick(tenants), rng.Uint64(), rng.Uint64()
+			r := &refs[i]
+			if want := r.files[aliasPick(r.fProb, r.fAlias, u1, u2)]; tn.File(i, u1, u2) != want {
+				t.Fatalf("skew %v: File(%d,%d,%d) differs from the per-tenant table", skew, i, u1, u2)
+			}
+			if want := r.dirs[aliasPick(r.dProb, r.dAlias, u1, u2)]; tn.Dir(i, u1, u2) != want {
+				t.Fatalf("skew %v: Dir(%d,%d,%d) differs from the per-tenant table", skew, i, u1, u2)
+			}
+		}
+	}
+	check(cfg.FileSkew)
+	tn.SetFileSkew(1.7)
+	check(1.7)
+}
+
+// TestClientTenantMatchesSortSearch checks the hand-rolled binary search
+// and the ascending cursor against sort.Search at both edges of every
+// tenant's client range.
+func TestClientTenantMatchesSortSearch(t *testing.T) {
+	_, homes := tenantTree(t, 4)
+	const clients = 5000
+	tn := NewTenants(TenantConfig{Tenants: 37, TenantSkew: 1.2, WorkingSet: 4}, clients, homes, 3)
+	want := func(c int) int {
+		return sort.Search(tn.NumTenants(), func(i int) bool { return int(tn.clientOff[i+1]) > c })
+	}
+	cursor := 0
+	for i := 0; i < tn.NumTenants(); i++ {
+		for _, c := range []int{int(tn.clientOff[i]), int(tn.clientOff[i+1]) - 1} {
+			if got := tn.ClientTenant(c); got != want(c) || got != i {
+				t.Fatalf("ClientTenant(%d) = %d, sort.Search %d, range owner %d", c, got, want(c), i)
+			}
+			if cursor = tn.TenantFrom(cursor, c); cursor != i {
+				t.Fatalf("TenantFrom(.., %d) = %d, want %d", c, cursor, i)
+			}
+		}
+	}
+	if got := tn.ClientTenant(clients); got != want(clients) {
+		t.Fatalf("ClientTenant past the last client = %d, sort.Search %d", got, want(clients))
+	}
 }

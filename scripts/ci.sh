@@ -16,6 +16,11 @@ tree_state() {
 }
 TREE_BEFORE=$(tree_state)
 
+# Scratch space for the steps that write files; nothing goes into the
+# checkout.
+TMP=$(mktemp -d)
+trap 'rm -rf "$TMP"' EXIT
+
 go vet ./...
 go build ./...
 # -race on the small CI box is ~6x slower than native; give packages
@@ -60,15 +65,29 @@ go run -race ./cmd/mdsim -chaos-runs 10 -chaos-seed 1 -shards 2
 # library at quick scale.
 go run -race ./cmd/mdsim -plan simfs-campaign -quick
 go run ./cmd/mdsim -list-plans >/dev/null
-go run ./cmd/mdsim -plan all -quick >/dev/null
+
+# Golden comparison: every experiment and every library plan at quick
+# scale must print what testdata/ holds (scripts/regen-golden.sh), bar
+# the "(wall time ...)" lines. Seed and network model are fixed, so a
+# difference is a behaviour change: explain it and regenerate.
+go run ./cmd/mdsim -fig all -quick | grep -v '^(wall time ' >"$TMP/figures_quick.txt"
+go run ./cmd/mdsim -plan all -quick | grep -v '^(wall time ' >"$TMP/plans_quick.txt"
+for g in figures_quick.txt plans_quick.txt; do
+    if ! grep -v '^(wall time ' "testdata/$g" | diff - "$TMP/$g"; then
+        echo "ci: mdsim output differs from testdata/$g (golden '<', this run '>')" >&2
+        exit 1
+    fi
+done
+echo "ci: goldens match"
 
 # Open-loop traffic-plane smoke under the race detector: one million
 # flyweight clients through the hierarchical timer wheels at K=4, with
 # diurnal and burst modulation on. The arrival rate keeps the total
 # budget (~30k ops) under cluster service capacity. The flyweight memory
-# gate (<= 64 B/client) is TestOpenLoopRuns' structural assertion plus
-# the benchmark's live_heap_mb on open-wide (108 MiB / 2M clients is
-# ~57 B/client, bound 8%).
+# gate is TestLeasePlaneFootprint's structural assertion (28 B/client
+# as a run leaves it, 45 B with every client answered) plus the
+# benchmark's live_heap_mb on open-wide (76 MiB / 2M clients is
+# ~40 B/client, namespace and caches included; bound 8%).
 go run -race ./cmd/mdsim -open-loop 1000000 -open-rate 0.01 -mds 8 -users 40 \
     -dur 3 -warmup 1 -diurnal 0.3 -burst-prob 0.05 -shards 4
 
@@ -79,8 +98,8 @@ go run -race ./cmd/mdsim -plan hotspot-duel -quick
 
 # Endurance smoke under the race detector: a short aging run with two
 # checkpoints, each quiesced, simfsck-checked, and snapshotted.
-ENDTMP=$(mktemp -d)
-trap 'rm -rf "$ENDTMP"' EXIT
+ENDTMP="$TMP/endure"
+mkdir "$ENDTMP"
 go run -race ./cmd/mdsim -open-loop 20000 -open-rate 0.05 -mds 4 -clients 40 \
     -dur 5 -warmup 1 -endure -checkpoint-every 2.5 -checkpoint-dir "$ENDTMP"
 
