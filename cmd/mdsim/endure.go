@@ -10,35 +10,28 @@ import (
 	"dynmds/internal/sim"
 )
 
-// endureFlags carries the endurance-plane CLI knobs into runEndure.
-type endureFlags struct {
-	every      float64
-	dir        string
-	restore    string
-	compactAt  int
-	soakCycles int
-	seed       int64
-}
-
-// runEndure executes the endurance plane on a custom-run config:
-// a plain aging run, a restore continuation, or a rolling chaos soak.
+// runEndure executes the endurance plane on the default plan's run: a
+// plain aging run, a restore continuation, or a rolling chaos soak.
 // Flag/snapshot disagreements exit 2 before any event runs; simfsck or
 // gate violations exit 1.
-func runEndure(c cli, cfg cluster.Config, f endureFlags) int {
+func runEndure(c *invocation, cfg cluster.Config) int {
 	opt := endure.Options{
 		Cluster:   cfg,
-		Every:     sim.FromSeconds(f.every),
-		Dir:       f.dir,
-		CompactAt: f.compactAt,
+		Every:     sim.FromSeconds(c.every),
+		Dir:       c.dir,
+		CompactAt: c.compactAt,
 		OnRow:     func(r endure.Row) { printEndureRow(c.stdout, r) },
 	}
 	// Fail-fast validation: option errors, and — for -restore — snapshot
 	// version, config-hash, and shard-count mismatches are all usage
 	// errors, caught before the simulation starts.
 	var err error
-	if f.restore != "" {
-		err = endure.ValidateSnapshot(opt, f.restore)
-	} else {
+	switch {
+	case c.soakCycles > 0 && (c.restore != "" || cfg.Faults != ""):
+		err = fmt.Errorf("-soak-cycles generates its own fault schedule; drop -restore and -set faults")
+	case c.restore != "":
+		err = endure.ValidateSnapshot(opt, c.restore)
+	default:
 		check := opt
 		err = check.Normalize()
 	}
@@ -48,13 +41,13 @@ func runEndure(c cli, cfg cluster.Config, f endureFlags) int {
 
 	w := c.stdout
 	start := time.Now()
-	if f.soakCycles > 0 {
-		return runSoak(c, opt, f, start)
+	if c.soakCycles > 0 {
+		return runSoak(c, opt, start)
 	}
 	var res *endure.Result
-	if f.restore != "" {
-		fmt.Fprintf(w, "restoring from %s\n", f.restore)
-		res, err = endure.Restore(opt, f.restore)
+	if c.restore != "" {
+		fmt.Fprintf(w, "restoring from %s\n", c.restore)
+		res, err = endure.Restore(opt, c.restore)
 	} else {
 		res, err = endure.Run(opt)
 	}
@@ -73,12 +66,12 @@ func runEndure(c cli, cfg cluster.Config, f endureFlags) int {
 }
 
 // runSoak executes the rolling chaos soak and renders its report.
-func runSoak(c cli, opt endure.Options, f endureFlags, start time.Time) int {
+func runSoak(c *invocation, opt endure.Options, start time.Time) int {
 	w := c.stdout
 	rep, err := endure.Soak(endure.SoakOptions{
 		Base:   opt,
-		Seed:   f.seed,
-		Cycles: f.soakCycles,
+		Seed:   c.opt.Seed,
+		Cycles: c.soakCycles,
 	})
 	if err != nil {
 		return c.fail(err)

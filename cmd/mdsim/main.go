@@ -1,15 +1,20 @@
-// Command mdsim runs the metadata-cluster simulation experiments that
-// regenerate the paper's figures, a scenario plan, a chaos budget, an
-// endurance run, or a single custom configuration. Performance is
-// measured by the repository benchmark (go run ./bench), not here.
+// Command mdsim runs one plan: a figure of the paper, an extension, a
+// scenario from the plan library, a plan file, or — with no -plan — the
+// built-in default plan, one run of the stock cluster reported in full.
+// -set key=value overrides a key of the plan key table (internal/plan)
+// on every run the plan compiles to. The chaos budget and the endurance
+// plane ride on the same description. Performance is measured by the
+// repository benchmark (go run ./bench), not here.
 //
 // Usage:
 //
-//	mdsim -fig 2            # regenerate Figure 2 (full scale)
-//	mdsim -fig all -quick   # all figures, reduced scale
-//	mdsim -strategy DynamicSubtree -mds 8 -clients 40 -dur 20
-//	mdsim -plan hotspot-duel -quick
-//	mdsim -fig 2 -cpuprofile cpu.pprof -memprofile mem.pprof
+//	mdsim                                       # the default plan
+//	mdsim -set strategy=FileHash -set mds=8     # ... reshaped
+//	mdsim -plan fig2                            # regenerate Figure 2 (full scale)
+//	mdsim -plan figures -quick                  # every figure and extension, reduced scale
+//	mdsim -plan hotspot-duel -quick -set net=queued
+//	mdsim -plan my.plan -cpuprofile cpu.pprof -memprofile mem.pprof
+//	mdsim -list                                 # what -plan accepts
 //
 // Exit status: 0 on success, 1 when a run fails (simfsck violation,
 // I/O error), 2 on a usage error — always before any event runs.
@@ -23,282 +28,207 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"time"
 
 	"dynmds/internal/chaos"
-	"dynmds/internal/client"
 	"dynmds/internal/cluster"
-	"dynmds/internal/fault"
 	"dynmds/internal/harness"
-	simnet "dynmds/internal/net"
-	"dynmds/internal/sim"
-	"dynmds/internal/workload"
+	"dynmds/internal/plan"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// cli is one invocation's output streams and flag set; its methods
-// render the two failure classes.
-type cli struct {
+// invocation is one parsed command line: the output streams, the flag
+// set, and the flag values.
+type invocation struct {
 	stdout, stderr io.Writer
 	flags          *flag.FlagSet
+
+	plan           string
+	opt            harness.Options // -quick, -seed, -set
+	list           bool
+	workers        int
+	cpuprofile     string
+	memprofile     string
+	chaosRuns      int
+	chaosIntensity float64
+	every          float64
+	dir, restore   string
+	compactAt      int
+	soakCycles     int
 }
 
 // usage reports a usage error: the message, the flag summary, exit 2.
-func (c cli) usage(format string, a ...interface{}) int {
+func (c *invocation) usage(format string, a ...interface{}) int {
 	fmt.Fprintf(c.stderr, "mdsim: "+format+"\n", a...)
 	c.flags.Usage()
 	return 2
 }
 
 // fail reports a run-time failure: exit 1.
-func (c cli) fail(err error) int {
+func (c *invocation) fail(err error) int {
 	fmt.Fprintln(c.stderr, "mdsim:", err)
 	return 1
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+// settings is the repeatable -set flag; each value is vetted against the
+// plan key table as it is read.
+type settings []plan.Setting
+
+func (s *settings) String() string { return fmt.Sprint(*s) }
+
+func (s *settings) Set(v string) error {
+	st, err := plan.ParseSetting(v)
+	if err == nil {
+		*s = append(*s, st)
+	}
+	return err
+}
+
+// parseArgs reads the command line. A nil invocation means the flag
+// package has already reported: code is 0 for -h, 2 for a bad flag.
+func parseArgs(args []string, stdout, stderr io.Writer) (c *invocation, code int) {
 	fs := flag.NewFlagSet("mdsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		fig      = fs.String("fig", "", "experiment: 2..7, 'sci', 'failover', 'avail', 'clients', or 'all'")
-		quick    = fs.Bool("quick", false, "reduced-scale experiments")
-		seed     = fs.Int64("seed", 1, "simulation seed")
-		strategy = fs.String("strategy", cluster.StratDynamic, "strategy for a custom run")
-		nmds     = fs.Int("mds", 4, "cluster size for a custom run")
-		clients  = fs.Int("clients", 40, "clients per MDS for a custom run")
-		users    = fs.Int("users", 100, "file-system users for a custom run")
-		cacheCap = fs.Int("cache", 2000, "MDS cache capacity (records)")
-		dur      = fs.Float64("dur", 20, "duration in simulated seconds")
-		warm     = fs.Float64("warmup", 5, "warmup in simulated seconds (custom runs: must be less than -dur)")
-	)
-	list := fs.Bool("list", false, "list available experiments")
-	planArg := fs.String("plan", "", "run a scenario plan: a library plan name, 'all', or a plan DSL file path")
-	planList := fs.Bool("list-plans", false, "list the scenario plan library")
-	netModel := fs.String("net-model", simnet.ModelFixed, "fabric latency model: fixed or queued")
-	faults := fs.String("faults", "", "fault schedule for a custom run, e.g. 'crash@3s-6s:mds1,drop@0.02:all' (see internal/fault)")
-	chaosRuns := fs.Int("chaos-runs", 0, "run a seeded chaos fuzz budget: this many generated schedules, each against every strategy, each run checked by simfsck")
-	chaosSeed := fs.Int64("chaos-seed", 1, "seed for the chaos budget (same seed = bit-identical schedules and results)")
-	chaosIntensity := fs.Float64("chaos-intensity", 1, "chaos generator intensity (scales fault counts and magnitudes)")
-	linkBW := fs.Float64("link-bw", 0, "queued-model link bandwidth in bytes per simulated second (0 = default; needs -net-model queued)")
-	workers := fs.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 0, "per-run shard count for the conservative parallel engine (0 = serial); workers x shards is capped at GOMAXPROCS")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
-	openLoop := fs.Int("open-loop", 0, "run the open-loop flyweight traffic plane with this many total clients (0 = closed loop)")
-	openRate := fs.Float64("open-rate", 10, "open loop: per-client mean arrival rate, ops/sec")
-	openTenants := fs.Int("open-tenants", 0, "open loop: tenant count (0 = clients/1024, min 16)")
-	tenantSkew := fs.Float64("tenant-skew", 1.0, "open loop: Zipf exponent for tenant sizes")
-	fileSkew := fs.Float64("file-skew", 1.0, "open loop: Zipf exponent for working-set popularity")
-	diurnal := fs.Float64("diurnal", 0, "open loop: diurnal rate-modulation amplitude (0..1)")
-	burstProb := fs.Float64("burst-prob", 0, "open loop: per-tenant-epoch burst probability")
-	leases := fs.Bool("leases", false, "open loop: grant coherent client read leases (requires -open-loop)")
-	replicaFanout := fs.Bool("replica-fanout", false, "push hot-directory replicas to peers ahead of demand")
-	endureRun := fs.Bool("endure", false, "run the endurance plane: churn the namespace over the full duration with periodic quiesce/checkpoint cycles (requires -open-loop)")
-	ckEvery := fs.Float64("checkpoint-every", 0, "endurance checkpoint cadence in simulated seconds (required with -endure; must exceed the quiesce drain)")
-	ckDir := fs.String("checkpoint-dir", "", "endurance: write checkpoint snapshots into this directory")
-	restorePath := fs.String("restore", "", "endurance: resume from this checkpoint snapshot instead of starting at t=0")
-	compactAt := fs.Int("compact-at", 0, "endurance: tombstone count that triggers overlay compaction (0 = default, negative = never compact)")
-	soakCycles := fs.Int("soak-cycles", 0, "run the rolling chaos soak: this many crash/recover cycles over the run, simfsck at every checkpoint (implies -endure gates)")
+	c = &invocation{stdout: stdout, stderr: stderr, flags: fs}
+	fs.StringVar(&c.plan, "plan", "", "what to run: an experiment or library plan from -list, a plan DSL file, or the group 'figures' or 'library' (default: the built-in 'default' plan)")
+	fs.Var((*settings)(&c.opt.Set), "set", "override `key=value` on every run of the plan, after its matrix; repeatable (keys: README.md, or any bad key's error)")
+	fs.BoolVar(&c.list, "list", false, "list what -plan accepts")
+	fs.BoolVar(&c.opt.Quick, "quick", false, "reduced-scale experiments and plans")
+	fs.Int64Var(&c.opt.Seed, "seed", 1, "simulation seed; also seeds the chaos budget and the soak schedule")
+	fs.IntVar(&c.workers, "workers", 0, "sweep worker pool size (0 = GOMAXPROCS; shrunk so workers x shards fits the cores)")
+	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&c.memprofile, "memprofile", "", "write a heap profile to this file on exit")
+	fs.IntVar(&c.chaosRuns, "chaos-runs", 0, "run a seeded chaos fuzz budget instead of a plan: this many generated fault schedules, each against every strategy, each run checked by simfsck")
+	fs.Float64Var(&c.chaosIntensity, "chaos-intensity", 1, "chaos generator intensity (scales fault counts and magnitudes)")
+	fs.Float64Var(&c.every, "checkpoint-every", 0, "run the default plan, made open loop with -set rate=R, on the endurance plane: churn the namespace over the full duration, quiescing and checkpointing at this cadence in simulated seconds (must exceed the quiesce drain)")
+	fs.StringVar(&c.dir, "checkpoint-dir", "", "endurance: write checkpoint snapshots into this directory")
+	fs.StringVar(&c.restore, "restore", "", "endurance: resume from this checkpoint snapshot instead of starting at t=0")
+	fs.IntVar(&c.compactAt, "compact-at", 0, "endurance: tombstone count that triggers overlay compaction (0 = default, negative = never compact)")
+	fs.IntVar(&c.soakCycles, "soak-cycles", 0, "endurance: the rolling chaos soak — this many crash/recover cycles over the run, simfsck at every checkpoint")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
-			return 0
+			return nil, 0
 		}
-		return 2
+		return nil, 2
 	}
-	c := cli{stdout: stdout, stderr: stderr, flags: fs}
-	usage, fail := c.usage, c.fail
+	if fs.NArg() > 0 {
+		return nil, c.usage("unexpected argument %q", fs.Arg(0))
+	}
+	return c, 0
+}
 
-	// Validate every knob up front, so a typo or an inconsistent
-	// combination is a usage error before any simulation work starts.
-	if *netModel != simnet.ModelFixed && *netModel != simnet.ModelQueued {
-		return usage("unknown -net-model %q (use %q or %q)", *netModel, simnet.ModelFixed, simnet.ModelQueued)
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	c, code := parseArgs(args, stdout, stderr)
+	if c == nil {
+		return code
 	}
-	if *linkBW != 0 && *netModel != simnet.ModelQueued {
-		return usage("-link-bw needs -net-model %s (the %s model has no link bandwidth)", simnet.ModelQueued, *netModel)
+	// Settle every question the command line can answer — what to run,
+	// and whether each override lands on it — before any simulation work
+	// starts; job is what is left to do.
+	endurance := c.every != 0 || c.soakCycles > 0
+	if !endurance && (c.dir != "" || c.restore != "" || c.compactAt != 0) {
+		return c.usage("-checkpoint-dir/-restore/-compact-at need -checkpoint-every")
 	}
-	if *faults != "" {
-		if _, err := fault.ParseSchedule(*faults); err != nil {
-			return usage("bad -faults schedule: %v", err)
+	var job func() int
+	switch {
+	case c.list:
+		job = func() int { list(stdout); return 0 }
+	case c.chaosRuns > 0:
+		opt := harness.ChaosOptions{Seed: c.opt.Seed, Schedules: c.chaosRuns, Intensity: c.chaosIntensity, Set: c.opt.Set}
+		if c.plan != "" || endurance {
+			return c.usage("-chaos-runs generates its own runs; drop -plan and the endurance flags")
 		}
-	}
-	if *shards < 0 {
-		return usage("-shards must be >= 0, got %d", *shards)
-	}
-	if *shards > runtime.GOMAXPROCS(0) {
-		fmt.Fprintf(stderr, "mdsim: warning: -shards %d exceeds %d cores; expect no speedup\n",
-			*shards, runtime.GOMAXPROCS(0))
-	}
-	if !slices.Contains(cluster.Strategies, *strategy) {
-		return usage("unknown -strategy %q (use one of %v)", *strategy, cluster.Strategies)
-	}
-	if *nmds < 1 {
-		return usage("-mds must be >= 1, got %d", *nmds)
-	}
-	var figs []harness.Experiment
-	if *fig != "" {
-		var err error
-		if figs, err = resolveFigures(*fig); err != nil {
-			return usage("%v", err)
+		if _, err := harness.ChaosConfig(opt, cluster.Strategies[0], ""); err != nil {
+			return c.usage("%v", err)
 		}
-	}
-	// -dur/-warmup shape only the custom run (figures, plans and the
-	// chaos budget carry their own horizons).
-	custom := *fig == "" && *planArg == "" && *chaosRuns <= 0 && !*list && !*planList
-	if custom && (*warm < 0 || *warm >= *dur) {
-		return usage("-warmup %g does not fit -dur %g: nothing would be measured past the warm-up", *warm, *dur)
-	}
-	if *leases && *openLoop <= 0 {
-		return usage("-leases requires -open-loop (the lease slab lives in the flyweight population)")
-	}
-	if *soakCycles > 0 {
-		*endureRun = true // the soak is an endurance run with a generated schedule
-	}
-	if *endureRun {
-		if *openLoop <= 0 {
-			return usage("-endure requires -open-loop (the endurance plane ages the flyweight population's namespace)")
-		}
-		if *ckEvery <= cluster.QuiesceDrain.Seconds() {
-			return usage("-checkpoint-every must exceed the %gs quiesce drain, got %g", cluster.QuiesceDrain.Seconds(), *ckEvery)
-		}
-		if *soakCycles > 0 && (*restorePath != "" || *faults != "") {
-			return usage("-soak-cycles generates its own fault schedule; drop -restore/-faults")
-		}
-	} else if *ckEvery != 0 || *ckDir != "" || *restorePath != "" || *compactAt != 0 {
-		return usage("-checkpoint-every/-checkpoint-dir/-restore/-compact-at need -endure")
-	}
-
-	harness.SetSweepWorkers(*workers)
-	harness.SetShards(*shards)
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+		job = func() int { return runChaos(c, opt) }
+	case endurance || c.plan == "" || c.plan == "default":
+		cfg, err := c.oneRun()
 		if err != nil {
-			return fail(err)
+			return c.usage("%v", err)
+		}
+		job = func() int { return runSingle(c, cfg) }
+		if endurance {
+			job = func() int { return runEndure(c, cfg) }
+		}
+	default:
+		targets, err := resolve(c.plan)
+		for i := 0; err == nil && i < len(targets); i++ {
+			err = targets[i].Check(c.opt)
+		}
+		if err != nil {
+			return c.usage("%v", err)
+		}
+		job = func() int { return runTargets(c, targets) }
+	}
+
+	harness.SetSweepWorkers(c.workers)
+	if c.cpuprofile != "" {
+		f, err := os.Create(c.cpuprofile)
+		if err != nil {
+			return c.fail(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memprofile != "" {
+	if c.memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fail(err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fail(err)
+			if err := writeHeapProfile(c.memprofile); err != nil {
+				code = max(code, c.fail(err))
 			}
 		}()
 	}
+	return job()
+}
 
-	if *list {
-		for _, e := range append(harness.All(), harness.Extras()...) {
-			fmt.Fprintf(stdout, "%-10s %s\n           %s\n", e.ID, e.Title, e.Description)
-		}
-		return 0
+// runChaos runs the fuzz budget and prints its report.
+func runChaos(c *invocation, opt harness.ChaosOptions) int {
+	rep, err := harness.Chaos(opt)
+	if err != nil {
+		return c.fail(err)
 	}
-
-	if *planList {
-		listPlans(stdout)
-		return 0
+	fmt.Fprint(c.stdout, rep)
+	if rep.Failed > 0 {
+		return 1
 	}
+	return 0
+}
 
-	opt := harness.Options{Quick: *quick, Seed: *seed, NetModel: *netModel}
-	if *planArg != "" {
-		if err := runPlans(stdout, *planArg, opt); err != nil {
-			// Plan failures are configuration errors caught before (or
-			// while constructing) any simulation — usage errors, like a
-			// bad -faults schedule.
-			fmt.Fprintln(stderr, "mdsim:", err)
-			return 2
-		}
-		return 0
+// oneRun compiles the default plan — one cell — for the two modes that
+// drive a single cluster by hand: its full report and the endurance
+// plane.
+func (c *invocation) oneRun() (cluster.Config, error) {
+	if c.plan != "" && c.plan != "default" {
+		return cluster.Config{}, fmt.Errorf("the endurance plane runs the default plan; shape it with -set, not -plan %s", c.plan)
 	}
-
-	if *chaosRuns > 0 {
-		rep, err := harness.Chaos(harness.ChaosOptions{
-			Seed:      *chaosSeed,
-			Schedules: *chaosRuns,
-			Intensity: *chaosIntensity,
-			NetModel:  *netModel,
-			Shards:    *shards,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Fprint(stdout, rep)
-		if rep.Failed > 0 {
-			return 1
-		}
-		return 0
+	cells, err := plan.Default().Compile(c.opt)
+	if err != nil {
+		return cluster.Config{}, err
 	}
-
-	if figs != nil {
-		if err := runFigures(stdout, figs, opt); err != nil {
-			return fail(err)
-		}
-		return 0
+	if k := cells[0].Cfg.Shards; k > runtime.GOMAXPROCS(0) {
+		fmt.Fprintf(c.stderr, "mdsim: warning: shards=%d exceeds %d cores; expect no speedup\n", k, runtime.GOMAXPROCS(0))
 	}
+	return cells[0].Cfg, nil
+}
 
-	cfg := cluster.Default()
-	cfg.Seed = *seed
-	cfg.Strategy = *strategy
-	cfg.NumMDS = *nmds
-	cfg.ClientsPerMDS = *clients
-	cfg.FS.Users = *users
-	cfg.MDS.CacheCapacity = *cacheCap
-	cfg.MDS.Storage.LogCapacity = *cacheCap
-	cfg.NetModel = *netModel
-	cfg.LinkBandwidth = *linkBW
-	cfg.Faults = *faults
-	cfg.Shards = *shards
-	cfg.Duration = sim.FromSeconds(*dur)
-	cfg.Warmup = sim.FromSeconds(*warm)
-	if *openLoop > 0 {
-		cfg.OpenLoop = &client.PopulationConfig{
-			Clients: *openLoop,
-			Rate:    *openRate,
-			Tenant: workload.TenantConfig{
-				Tenants:    *openTenants,
-				TenantSkew: *tenantSkew,
-				FileSkew:   *fileSkew,
-			},
-			DiurnalAmp: *diurnal,
-			BurstProb:  *burstProb,
-		}
-	}
-	cfg.Lease.Enabled = *leases
-	cfg.Lease.Fanout = *replicaFanout
-
-	if *endureRun {
-		return runEndure(c, cfg, endureFlags{
-			every:      *ckEvery,
-			dir:        *ckDir,
-			restore:    *restorePath,
-			compactAt:  *compactAt,
-			soakCycles: *soakCycles,
-			seed:       *seed,
-		})
-	}
-
-	// Custom runs build the cluster directly (not via harness.RunOne):
-	// a -faults run is drained and checked by simfsck afterwards, which
-	// needs the live cluster, and a single run gains nothing from the
-	// shared snapshot cache.
+// runSingle is the default plan's report: one cluster built directly
+// (not via harness.RunOne — a faulted run is drained and checked by
+// simfsck afterwards, which needs the live cluster, and a single run
+// gains nothing from the shared snapshot cache), printed with its
+// fabric table, fault summary and simfsck verdict.
+func runSingle(c *invocation, cfg cluster.Config) int {
+	stdout := c.stdout
 	start := time.Now()
-	heapBase := heapBytes(*openLoop > 0)
+	heapBase := heapBytes(cfg.OpenLoop != nil)
 	cl, err := cluster.New(cfg)
 	if err != nil {
-		return fail(err)
+		return c.fail(err)
 	}
 	base := chaos.Capture(cl)
 	res := cl.Run()
@@ -311,7 +241,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			res.LatencyP50*1000, res.LatencyP99*1000, res.LatencyP999*1000, res.MeanLatency*1000)
 		fmt.Fprintf(stdout, "memory: plane %.1f B/client structural, %.1f B/client heap delta (fs+cluster+plane)\n",
 			float64(res.PopFootprint)/float64(res.Clients), heapPerClient)
-		if *leases || *replicaFanout {
+		if cfg.Lease.Enabled || cfg.Lease.Fanout {
 			fmt.Fprintf(stdout, "leases: %d grants, %d local hits, recalls %d sent / %d delivered / %d acked, %d fanouts, slab+registry %d B\n",
 				res.LeaseGrants, res.LeaseHits, res.LeaseRecalls,
 				res.LeaseRecalled, res.LeaseAcks, res.ReplicaFanouts, res.LeaseFootprint)
@@ -339,7 +269,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // heapBytes returns live heap bytes after a forced GC (0 when not
-// wanted, so closed-loop custom runs skip the GC pauses entirely).
+// wanted, so closed-loop runs skip the GC pauses entirely).
 func heapBytes(want bool) int64 {
 	if !want {
 		return 0
@@ -350,30 +280,15 @@ func heapBytes(want bool) int64 {
 	return int64(m.HeapAlloc)
 }
 
-// resolveFigures maps the -fig argument to experiments: "all", a bare
-// figure number, or an experiment ID.
-func resolveFigures(which string) ([]harness.Experiment, error) {
-	if which == "all" {
-		return append(harness.All(), harness.Extras()...), nil
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	e, ok := harness.ByID("fig" + which)
-	if !ok {
-		e, ok = harness.ByID(which)
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
 	}
-	if !ok {
-		return nil, fmt.Errorf("unknown -fig %q (use 2..7, an experiment ID from -list, or 'all')", which)
-	}
-	return []harness.Experiment{e}, nil
-}
-
-func runFigures(w io.Writer, exps []harness.Experiment, opt harness.Options) error {
-	for _, e := range exps {
-		start := time.Now()
-		fmt.Fprintf(w, "== %s ==\n%s\n\n", e.Title, e.Description)
-		if err := e.Run(w, opt); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "(wall time %v)\n\n", time.Since(start).Round(time.Millisecond))
-	}
-	return nil
+	return f.Close()
 }

@@ -2,15 +2,27 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"dynmds/internal/client"
+	"dynmds/internal/cluster"
+	"dynmds/internal/endure"
+	"dynmds/internal/harness"
+	"dynmds/internal/plan"
+	"dynmds/internal/sim"
 )
 
 // badPlans are plan DSL files that parse or compile to an error: an
-// unknown act kind, overlapping phase acts, a zero rate multiplier, and
-// a hotspot target that is not in the namespace.
+// unknown act kind, overlapping phase acts, a zero rate multiplier, a
+// hotspot target that is not in the namespace, and a negative shard
+// count.
 var badPlans = map[string]string{
 	"bad-kind": `plan bad-kind
 traffic clients=100 rate=1
@@ -34,6 +46,10 @@ traffic clients=100 rate=1
 duration 10s
 act hotspot a @1s-2s target=/no/such/path frac=0.5
 `,
+	"bad-shards": `plan bad-shards
+cluster shards=-3
+duration 10s
+`,
 }
 
 // TestUsageErrors: every bad knob or inconsistent combination is a usage
@@ -52,24 +68,37 @@ func TestUsageErrors(t *testing.T) {
 		name string
 		args []string
 	}{
-		{"unknown net model", []string{"-net-model", "bogus", "-fig", "2", "-quick"}},
-		{"unknown fault kind", []string{"-faults", "explode@1s:mds0"}},
-		{"negative shards", []string{"-shards", "-3"}},
-		{"leases without open loop", []string{"-leases"}},
-		{"checkpoint cadence without endure", []string{"-checkpoint-every", "2"}},
-		{"endure with zero cadence", []string{"-open-loop", "1000", "-endure", "-checkpoint-every", "0"}},
-		{"endure without open loop", []string{"-endure", "-checkpoint-every", "2"}},
+		{"unknown net model", []string{"-set", "net=bogus", "-plan", "fig2", "-quick"}},
+		{"unknown fault kind", []string{"-set", "faults=explode@1s:mds0"}},
+		{"negative shards", []string{"-set", "shards=-3"}},
+		{"leases without open loop", []string{"-set", "mechanism=leases"}},
+		{"checkpoint flags without a cadence", []string{"-set", "rate=10", "-checkpoint-dir", dir}},
+		{"endure with zero cadence", []string{"-set", "rate=10", "-set", "clients=1000", "-soak-cycles", "2", "-checkpoint-every", "0"}},
+		{"endure without open loop", []string{"-checkpoint-every", "2.5"}},
 		{"plan: unknown act kind", []string{"-plan", planFile("bad-kind"), "-quick"}},
 		{"plan: overlapping phases", []string{"-plan", planFile("bad-overlap"), "-quick"}},
 		{"plan: zero rate", []string{"-plan", planFile("bad-rate"), "-quick"}},
 		{"plan: hotspot not in namespace", []string{"-plan", planFile("bad-hotspot"), "-quick"}},
 		{"unknown plan name", []string{"-plan", "no-such-plan"}},
-		{"warmup equals duration", []string{"-dur", "5", "-warmup", "5"}},
-		{"default warmup past duration", []string{"-open-loop", "1000", "-dur", "3"}},
-		{"link bandwidth on the fixed model", []string{"-link-bw", "1e6"}},
-		{"unknown strategy", []string{"-strategy", "Bogus"}},
-		{"unknown figure", []string{"-fig", "99", "-quick"}},
-		{"empty cluster", []string{"-mds", "0"}},
+		{"warmup equals duration", []string{"-set", "duration=5s", "-set", "warmup=5s"}},
+		{"default warmup past duration", []string{"-set", "rate=10", "-set", "clients=1000", "-set", "duration=3s"}},
+		{"link bandwidth on the fixed model", []string{"-set", "link-bw=1e6"}},
+		{"unknown strategy", []string{"-set", "strategy=Bogus"}},
+		{"unknown figure", []string{"-plan", "fig99", "-quick"}},
+		{"empty cluster", []string{"-set", "mds=0"}},
+
+		{"plan: negative shards", []string{"-plan", planFile("bad-shards")}},
+		{"unknown -set key", []string{"-set", "colour=red"}},
+		{"-set without a value", []string{"-set", "mds"}},
+		{"-set on a key the matrix sweeps", []string{"-plan", "fig2", "-quick", "-set", "mds=4"}},
+		{"-set on a bespoke experiment", []string{"-plan", "failover", "-quick", "-set", "net=queued"}},
+		{"-set on a bespoke member of a group", []string{"-plan", "figures", "-quick", "-set", "net=queued"}},
+		{"-set of an open-loop key on a closed loop", []string{"-set", "tenants=8"}},
+		{"-set on a key the chaos budget sweeps", []string{"-chaos-runs", "1", "-set", "strategy=FileHash"}},
+		{"chaos budget with a plan", []string{"-chaos-runs", "1", "-plan", "fig2"}},
+		{"endurance on a matrix plan", []string{"-plan", "namespace-aging", "-checkpoint-every", "5"}},
+		{"soak with its own faults", []string{"-set", "rate=10", "-set", "faults=drop@0.1:all", "-soak-cycles", "2", "-checkpoint-every", "5"}},
+		{"stray argument", []string{"fig2"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -87,28 +116,30 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// TestFlagSurface: the legacy report flags stay removed — go run ./bench
-// is the only measurement path.
+// TestFlagSurface pins the flag set: a plan plus -set describes a run,
+// so a config-mirroring flag coming back — or a new flag arriving
+// unreviewed — fails here.
 func TestFlagSurface(t *testing.T) {
-	for _, name := range []string{
-		"bench-json", "bench7-json", "bench9-json", "bench10-json", "plan-json", "share-snapshots",
-	} {
-		var stdout, stderr bytes.Buffer
-		code := run([]string{"-" + name + "=x"}, &stdout, &stderr)
-		if code != 2 || !strings.Contains(stderr.String(), "flag provided but not defined") {
-			t.Errorf("-%s is defined again (exit %d):\n%s", name, code, stderr.String())
-		}
+	c, _ := parseArgs(nil, io.Discard, io.Discard)
+	var got []string
+	c.flags.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	want := []string{
+		"chaos-intensity", "chaos-runs", "checkpoint-dir", "checkpoint-every", "compact-at",
+		"cpuprofile", "list", "memprofile", "plan", "quick", "restore", "seed", "set",
+		"soak-cycles", "workers",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("flag set changed:\n got %v\nwant %v", got, want)
 	}
 }
 
 // TestValidInvocations: the up-front validation rejects nothing valid —
-// the listings and a small custom run on the queued model exit 0.
+// the listing and a small default-plan run on the queued model exit 0.
 func TestValidInvocations(t *testing.T) {
 	for _, args := range [][]string{
 		{"-list"},
-		{"-list-plans"},
-		{"-strategy", "FileHash", "-mds", "2", "-clients", "5", "-users", "10", "-dur", "2", "-warmup", "1",
-			"-net-model", "queued", "-link-bw", "1e8"},
+		{"-set", "strategy=FileHash", "-set", "mds=2", "-set", "clients=10", "-set", "users=10",
+			"-set", "duration=2s", "-set", "warmup=1s", "-set", "net=queued", "-set", "link-bw=1e8"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 0 {
@@ -118,4 +149,105 @@ func TestValidInvocations(t *testing.T) {
 			t.Errorf("%v: no output", args)
 		}
 	}
+}
+
+// TestMemprofileFailureExits1: a heap profile that cannot be written is
+// a failed run, not a silent success.
+func TestMemprofileFailureExits1(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	path := filepath.Join(t.TempDir(), "no-such-dir", "mem.pprof")
+	if code := run([]string{"-list", "-memprofile", path}, &stdout, &stderr); code != 1 {
+		t.Errorf("exit status %d, want 1", code)
+	}
+	if !strings.Contains(stderr.String(), "no-such-dir") {
+		t.Errorf("the error does not name the path: %q", stderr.String())
+	}
+}
+
+// shellFields splits a repro line the way a shell would, for the one
+// quoting form plan.CommandLine uses: single quotes, no escapes inside.
+func shellFields(line string) []string {
+	var out []string
+	var word strings.Builder
+	inWord, quoted := false, false
+	for _, r := range line {
+		switch {
+		case r == '\'':
+			quoted, inWord = !quoted, true
+		case r == ' ' && !quoted:
+			if inWord {
+				out = append(out, word.String())
+				word.Reset()
+			}
+			inWord = false
+		default:
+			word.WriteRune(r)
+			inWord = true
+		}
+	}
+	if inWord {
+		out = append(out, word.String())
+	}
+	return out
+}
+
+// TestReproLinesRoundTrip: the repro lines the chaos budget and the soak
+// print are fed back through mdsim's own argument parser and compiled;
+// the configuration that comes out must be the one that failed
+// (snapshot pointer aside — it is filled in at run time).
+func TestReproLinesRoundTrip(t *testing.T) {
+	replay := func(line string) (*invocation, cluster.Config) {
+		t.Helper()
+		args := shellFields(line)
+		if args[0] != "mdsim" {
+			t.Fatalf("not an mdsim line: %s", line)
+		}
+		var stderr bytes.Buffer
+		c, _ := parseArgs(args[1:], io.Discard, &stderr)
+		if c == nil {
+			t.Fatalf("mdsim rejects its own repro line %q:\n%s", line, stderr.String())
+		}
+		cfg, err := c.oneRun()
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		return c, cfg
+	}
+
+	t.Run("chaos cell at K=2 on the queued model", func(t *testing.T) {
+		opt := harness.ChaosOptions{Seed: 7, NumMDS: 3, Duration: 4 * sim.Second,
+			Set: []plan.Setting{{Key: "shards", Value: "2"}, {Key: "net", Value: "queued"}}}
+		failed, err := harness.ChaosConfig(opt, cluster.StratLazyHybrid, "crash@2s:mds1,partition@1s-3s:{0|1.2}")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, got := replay(plan.CommandLine(failed)); !reflect.DeepEqual(got, failed) {
+			t.Errorf("replayed config differs\nline: %s\n got: %+v\nwant: %+v", plan.CommandLine(failed), got, failed)
+		}
+	})
+
+	t.Run("soak failure with a restore path", func(t *testing.T) {
+		failed := cluster.Default()
+		failed.Seed = 42
+		failed.NumMDS = 6
+		failed.ClientsPerMDS = 40
+		failed.FS.Users = 100
+		failed.NetModel = "fixed"
+		failed.Shards = 4
+		failed.Duration = sim.FromSeconds(8)
+		failed.Warmup = sim.FromSeconds(1)
+		failed.OpenLoop = &client.PopulationConfig{Clients: 20000, Rate: 0.02}
+		failed.OpenLoop.Tenant.FileSkew = 0.8
+		opt := endure.Options{Cluster: failed, Every: sim.FromSeconds(2.5)}
+		const shrunk, snap = "crash@3s-4s:mds1", "/tmp/soak dir/ck-001.snap"
+		line := endure.ReproLine(&opt, shrunk, snap)
+		c, got := replay(line)
+		failed.Faults = shrunk
+		if !reflect.DeepEqual(got, failed) {
+			t.Errorf("replayed config differs\nline: %s\n got: %+v\nwant: %+v", line, got, failed)
+		}
+		if c.every != 2.5 || c.restore != snap {
+			t.Errorf("endurance flags lost: -checkpoint-every %g -restore %q in: %s", c.every, c.restore, line)
+		}
+	})
 }

@@ -18,7 +18,7 @@ import (
 func main() {
 	p, ok := library.ByName("multitenant-mix")
 	if !ok {
-		log.Fatal("library plan multitenant-mix not found (see mdsim -list-plans)")
+		log.Fatal("library plan multitenant-mix not found (see mdsim -list)")
 	}
 	runs, err := harness.RunPlan(p, harness.Options{Quick: true})
 	if err != nil {

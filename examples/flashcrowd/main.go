@@ -19,7 +19,7 @@ import (
 func main() {
 	p, ok := library.ByName("midas-create-hotspot")
 	if !ok {
-		log.Fatal("library plan midas-create-hotspot not found (see mdsim -list-plans)")
+		log.Fatal("library plan midas-create-hotspot not found (see mdsim -list)")
 	}
 	runs, err := harness.RunPlan(p, harness.Options{Quick: true})
 	if err != nil {

@@ -19,7 +19,7 @@ import (
 func main() {
 	p, ok := library.ByName("rename-storm")
 	if !ok {
-		log.Fatal("library plan rename-storm not found (see mdsim -list-plans)")
+		log.Fatal("library plan rename-storm not found (see mdsim -list)")
 	}
 	runs, err := harness.RunPlan(p, harness.Options{Quick: true})
 	if err != nil {

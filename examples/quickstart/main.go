@@ -18,7 +18,7 @@ import (
 func main() {
 	p, ok := library.ByName("simfs-campaign")
 	if !ok {
-		log.Fatal("library plan simfs-campaign not found (see mdsim -list-plans)")
+		log.Fatal("library plan simfs-campaign not found (see mdsim -list)")
 	}
 	fmt.Println("# the plan, in its canonical DSL form:")
 	fmt.Println(p)

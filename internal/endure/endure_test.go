@@ -297,22 +297,6 @@ func TestSoakDeterminism(t *testing.T) {
 	}
 }
 
-// TestReproLine: shrink repro lines must be replayable as-is — they
-// carry the open-loop population, the schedule, and the checkpoint
-// snapshot the shrink restarted from.
-func TestReproLine(t *testing.T) {
-	opt := testOptions(0, "")
-	line := reproLine(&opt, "crash@3s-4s:mds1", "/tmp/soak/ck-001.snap")
-	for _, want := range []string{
-		"-open-loop 20000", "-open-rate 0.02", "-endure", "-checkpoint-every 2.5",
-		`-faults "crash@3s-4s:mds1"`, `-restore "/tmp/soak/ck-001.snap"`,
-	} {
-		if !strings.Contains(line, want) {
-			t.Errorf("repro line missing %q: %s", want, line)
-		}
-	}
-}
-
 // agingOptions is the benchmark's aging-churn workload (its namespace,
 // 20k clients at ~300 ops/s, 27 % writes) on a shorter horizon, at a
 // given cluster size and cache size.

@@ -6,6 +6,7 @@ import (
 	"dynmds/internal/chaos"
 	"dynmds/internal/fault"
 	"dynmds/internal/harness"
+	"dynmds/internal/plan"
 	"dynmds/internal/sim"
 )
 
@@ -96,7 +97,7 @@ func Soak(opt SoakOptions) (*SoakReport, error) {
 			Checkpoint: -1,
 			Err: fmt.Sprintf("throughput drift %.3f exceeds the %.3f gate (curve peak→last)",
 				rep.Drift, opt.MaxDrift),
-			Repro: reproLine(&opt.Base, rep.Schedule, ""),
+			Repro: ReproLine(&opt.Base, rep.Schedule, ""),
 		}
 		rep.Result = nil
 	}
@@ -130,7 +131,7 @@ func shrinkFailure(opt SoakOptions, sched *fault.Schedule, fe *FsckError) *SoakF
 	}
 	shrunk, evals := harness.ShrinkSchedule(sched, fails, opt.ShrinkBudget)
 	f.Shrunk, f.Evals = shrunk.String(), evals
-	f.Repro = reproLine(&opt.Base, f.Shrunk, f.RestartFrom)
+	f.Repro = ReproLine(&opt.Base, f.Shrunk, f.RestartFrom)
 	return f
 }
 
@@ -143,26 +144,17 @@ func priorSnapshot(o *Options, failed int) string {
 	return snapshotPath(o.Dir, failed-1)
 }
 
-// reproLine renders a one-line reproduction command in the mdsim CLI
-// vocabulary, including the checkpoint snapshot the shrink restarted
-// from so the failure replays from mid-run, not from scratch.
-func reproLine(o *Options, faults, restartFrom string) string {
+// ReproLine renders the one-line mdsim command that reproduces a soak
+// failure: the run's configuration spelled against the default plan
+// (plan.CommandLine) with the given fault schedule, the checkpoint
+// cadence, and the snapshot the shrink restarted from, so the failure
+// replays from mid-run, not from scratch.
+func ReproLine(o *Options, faults, restartFrom string) string {
 	cfg := o.Cluster
-	line := fmt.Sprintf("mdsim -strategy %s -mds %d -clients %d -seed %d -dur %g -warmup %g",
-		cfg.Strategy, cfg.NumMDS, cfg.ClientsPerMDS, cfg.Seed,
-		cfg.Duration.Seconds(), cfg.Warmup.Seconds())
-	if cfg.OpenLoop != nil {
-		line += fmt.Sprintf(" -open-loop %d -open-rate %g", cfg.OpenLoop.Clients, cfg.OpenLoop.Rate)
-	}
-	line += fmt.Sprintf(" -endure -checkpoint-every %g", o.Every.Seconds())
-	if cfg.Shards > 1 {
-		line += fmt.Sprintf(" -shards %d", cfg.Shards)
-	}
-	if faults != "" {
-		line += fmt.Sprintf(" -faults %q", faults)
-	}
+	cfg.Faults = faults
+	more := []string{"-checkpoint-every", fmt.Sprint(o.Every.Seconds())}
 	if restartFrom != "" {
-		line += fmt.Sprintf(" -restore %q", restartFrom)
+		more = append(more, "-restore", restartFrom)
 	}
-	return line
+	return plan.CommandLine(cfg, more...)
 }

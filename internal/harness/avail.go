@@ -59,7 +59,6 @@ const inertSchedule = "drop@0:all"
 func availScenario(opt Options, strategy string) availSpec {
 	cfg := cluster.Default()
 	cfg.Seed = opt.Seed
-	cfg.NetModel = opt.NetModel
 	cfg.Strategy = strategy
 	cfg.NumMDS = 8
 	cfg.ClientsPerMDS = 25
@@ -79,33 +78,46 @@ func availScenario(opt Options, strategy string) availSpec {
 	return s
 }
 
-// availabilityReport runs the crash/recovery scenario for every
-// strategy — one of eight nodes killed mid-run and recovered later —
-// next to a fault-free control of the same configuration, and reduces
-// each pair's per-second completion series to availability metrics.
-func availabilityReport(opt Options) ([]availMetrics, error) {
+// availExt is the availability experiment: the crash/recovery
+// scenario for every strategy — one of eight nodes killed mid-run and
+// recovered later — next to a fault-free control of the same
+// configuration; each pair's per-second completion series reduces to
+// the throughput dip and the detection and recovery times it prints.
+func availExt(opt Options) (*plan.Plan, Renderer, error) {
 	p := &plan.Plan{
 		Name: "avail",
 		Matrix: []plan.Axis{
 			{Key: "strategy", Values: cluster.Strategies},
 			{Key: "run", Values: []string{"fault", "control"}},
 		},
-		Tweak: func(cfg *cluster.Config, cell plan.Cell, _ plan.Options) {
+		Tweak: func(cfg *cluster.Config, cell plan.Cell) {
 			*cfg = availScenario(opt, cell["strategy"]).cfg
 			if cell["run"] == "control" {
 				cfg.Faults = inertSchedule
 			}
 		},
 	}
-	runs, err := RunPlan(p, opt)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]availMetrics, len(cluster.Strategies))
-	for i, s := range cluster.Strategies {
-		out[i] = reduceAvail(runs[2*i].Res, runs[2*i+1].Res, availScenario(opt, s))
-	}
-	return out, nil
+	return p, func(w io.Writer, runs []PlanRun) error {
+		fmt.Fprintln(w, "Extension: availability under an injected crash "+
+			"(1 of 8 nodes down for a window, then log-warmed recovery; "+
+			"dip and recovery measured against a fault-free control run)")
+		tb := metrics.NewTable("strategy", "base ops/s", "dip ops/s", "dip frac",
+			"detect(s)", "recover(s)", "retries", "timed_out", "warmed")
+		for i, s := range cluster.Strategies {
+			m := reduceAvail(runs[2*i].Res, runs[2*i+1].Res, availScenario(opt, s))
+			tb.AddRow(m.Strategy,
+				int(m.Baseline),
+				int(m.Dip),
+				fmt.Sprintf("%.3f", m.DipFrac),
+				fmt.Sprintf("%.2f", m.DetectSeconds),
+				fmt.Sprintf("%.1f", m.RecoverySeconds),
+				int(m.Retries),
+				int(m.TimedOut),
+				m.Warmed)
+		}
+		_, err := io.WriteString(w, tb.String())
+		return err
+	}, nil
 }
 
 // reduceAvail computes the availability metrics from a faulty run and
@@ -169,31 +181,4 @@ func reduceAvail(r, control *cluster.Result, sp availSpec) availMetrics {
 		}
 	}
 	return m
-}
-
-// AvailExt prints the availability experiment: per-strategy throughput
-// dip and recovery behaviour when one of eight nodes crashes mid-run.
-func AvailExt(w io.Writer, opt Options) error {
-	ms, err := availabilityReport(opt)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "Extension: availability under an injected crash "+
-		"(1 of 8 nodes down for a window, then log-warmed recovery; "+
-		"dip and recovery measured against a fault-free control run)")
-	tb := metrics.NewTable("strategy", "base ops/s", "dip ops/s", "dip frac",
-		"detect(s)", "recover(s)", "retries", "timed_out", "warmed")
-	for _, m := range ms {
-		tb.AddRow(m.Strategy,
-			int(m.Baseline),
-			int(m.Dip),
-			fmt.Sprintf("%.3f", m.DipFrac),
-			fmt.Sprintf("%.2f", m.DetectSeconds),
-			fmt.Sprintf("%.1f", m.RecoverySeconds),
-			int(m.Retries),
-			int(m.TimedOut),
-			m.Warmed)
-	}
-	_, err = io.WriteString(w, tb.String())
-	return err
 }

@@ -4,11 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"dynmds/internal/chaos"
 	"dynmds/internal/cluster"
 	"dynmds/internal/fault"
+	"dynmds/internal/plan"
 	"dynmds/internal/sim"
 )
 
@@ -23,7 +23,6 @@ type ChaosOptions struct {
 	Intensity float64 // generator intensity; 0 means 1
 
 	Strategies []string // nil means cluster.Strategies
-	NetModel   string   // "" means the fixed model
 
 	// NumMDS and Duration shape the generated schedules and the runs
 	// they are injected into; 0 means 4 nodes / 5 simulated seconds.
@@ -37,10 +36,11 @@ type ChaosOptions struct {
 	ShrinkBudget int
 	MaxShrinks   int
 
-	// Shards > 1 runs every cell on the sharded executor (fault
-	// schedules force its single-goroutine windowed mode, so verdicts
-	// stay deterministic); 0 or 1 uses the serial engine.
-	Shards int
+	// Set overrides keys on every cell (mdsim -set): net=queued, or
+	// shards=2 for the sharded executor (fault schedules force its
+	// single-goroutine windowed mode, so verdicts stay deterministic).
+	// The budget sweeps strategy and faults itself.
+	Set []plan.Setting
 }
 
 func (o *ChaosOptions) defaults() {
@@ -118,10 +118,11 @@ func (r *ChaosReport) String() string {
 	return b.String()
 }
 
-// chaosConfig builds the run configuration for one cell. It deviates
-// from cluster.Default only in fields mdsim exposes as flags, so every
-// failure replays exactly from the CLI line ChaosReport emits.
-func chaosConfig(opt ChaosOptions, strategy, faults string) cluster.Config {
+// ChaosConfig builds the run configuration for one cell. It deviates
+// from the default plan only on keys of the plan key table, so every
+// failure replays exactly from the plan.CommandLine the report prints.
+func ChaosConfig(opt ChaosOptions, strategy, faults string) (cluster.Config, error) {
+	opt.defaults()
 	cfg := cluster.Default()
 	cfg.Strategy = strategy
 	cfg.Seed = opt.Seed
@@ -132,45 +133,20 @@ func chaosConfig(opt ChaosOptions, strategy, faults string) cluster.Config {
 	cfg.MDS.Storage.LogCapacity = 500
 	cfg.Duration = opt.Duration
 	cfg.Warmup = sim.Second
-	cfg.NetModel = opt.NetModel
 	cfg.Faults = faults
-	cfg.Shards = opt.Shards
-	return cfg
-}
-
-// replayCommand renders the CLI line that reproduces one cell.
-func replayCommand(cfg cluster.Config) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "mdsim -strategy %s -mds %d -clients %d -users %d -cache %d -dur %g -warmup %g -seed %d",
-		cfg.Strategy, cfg.NumMDS, cfg.ClientsPerMDS, cfg.FS.Users,
-		cfg.MDS.CacheCapacity, cfg.Duration.Seconds(), cfg.Warmup.Seconds(), cfg.Seed)
-	if cfg.NetModel != "" {
-		fmt.Fprintf(&b, " -net-model %s", cfg.NetModel)
+	for _, s := range opt.Set {
+		if s.Key == "strategy" || s.Key == "faults" {
+			return cfg, fmt.Errorf("chaos: -set %s overrides a key the budget sweeps", s)
+		}
 	}
-	if cfg.Shards > 1 {
-		fmt.Fprintf(&b, " -shards %d", cfg.Shards)
-	}
-	if cfg.Faults != "" {
-		fmt.Fprintf(&b, " -faults '%s'", cfg.Faults)
-	}
-	return b.String()
+	return cfg, plan.Apply(&cfg, opt.Set)
 }
 
 // chaosCell runs one configuration to completion, drains it, and
-// returns the simfsck verdict (nil = clean). Shares the process-wide
-// namespace snapshot with every other cell of the budget: all cells use
-// the same FS config and seed.
+// returns the simfsck verdict (nil = clean). All cells of a budget use
+// the same FS config and seed, so they share one namespace snapshot.
 func chaosCell(cfg cluster.Config) (violation, setup error) {
-	if cfg.Snapshot == nil {
-		key := cfg.FS
-		key.Seed = cfg.Seed
-		snap, err := sharedSnapshot(key)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Snapshot = snap
-	}
-	cl, err := cluster.New(cfg)
+	cl, err := build(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -200,27 +176,22 @@ func Chaos(opt ChaosOptions) (*ChaosReport, error) {
 		rules += scheds[i].NumRules()
 	}
 
-	// The grid runs in parallel like Sweep; each cell is an independent
-	// single-threaded simulation, so parallelism cannot change verdicts.
-	type cell struct{ violation, err error }
+	// One cell per (schedule, strategy), schedule-major, on the sweep
+	// pool.
 	nStrat := len(opt.Strategies)
-	cells := make([]cell, opt.Schedules*nStrat)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, SweepWorkers())
+	specs := make([]RunSpec, 0, opt.Schedules*nStrat)
 	for i := 0; i < opt.Schedules; i++ {
-		for j, strat := range opt.Strategies {
-			idx := i*nStrat + j
-			cfg := chaosConfig(opt, strat, texts[i])
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(idx int, cfg cluster.Config) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				cells[idx].violation, cells[idx].err = chaosCell(cfg)
-			}(idx, cfg)
+		for _, strat := range opt.Strategies {
+			cfg, err := ChaosConfig(opt, strat, texts[i])
+			if err != nil {
+				return nil, err
+			}
+			specs = append(specs, RunSpec{Cfg: cfg})
 		}
 	}
-	wg.Wait()
+	type cell struct{ violation, err error }
+	cells := make([]cell, len(specs))
+	forEachRun(specs, func(i int) { cells[i].violation, cells[i].err = chaosCell(specs[i].Cfg) })
 
 	var setupErrs []error
 	rep := &ChaosReport{
@@ -262,7 +233,11 @@ func Chaos(opt ChaosOptions) (*ChaosReport, error) {
 		}
 		f := &rep.Failures[fi]
 		fails := func(s *fault.Schedule) bool {
-			violation, err := chaosCell(chaosConfig(opt, f.Strategy, s.String()))
+			cfg, err := ChaosConfig(opt, f.Strategy, s.String())
+			if err != nil {
+				return false
+			}
+			violation, err := chaosCell(cfg)
 			return err == nil && violation != nil
 		}
 		minS, evals := ShrinkSchedule(scheds[f.Schedule], fails, opt.ShrinkBudget)
@@ -270,7 +245,9 @@ func Chaos(opt ChaosOptions) (*ChaosReport, error) {
 		f.Shrunk = minS.String()
 		f.ShrunkRules = minS.NumRules()
 		f.ShrinkEvals = evals
-		f.Replay = replayCommand(chaosConfig(opt, f.Strategy, f.Shrunk))
+		if cfg, err := ChaosConfig(opt, f.Strategy, f.Shrunk); err == nil {
+			f.Replay = plan.CommandLine(cfg)
+		}
 	}
 	return rep, nil
 }

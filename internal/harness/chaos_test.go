@@ -2,11 +2,11 @@ package harness
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"dynmds/internal/cluster"
 	"dynmds/internal/fault"
+	"dynmds/internal/plan"
 	"dynmds/internal/sim"
 )
 
@@ -151,7 +151,10 @@ func TestShrinkScheduleWindows(t *testing.T) {
 func TestShrinkScheduleRealRun(t *testing.T) {
 	opt := chaosTestOptions()
 	fails := func(s *fault.Schedule) bool {
-		cfg := chaosConfig(opt, cluster.StratDynamic, s.String())
+		cfg, err := ChaosConfig(opt, cluster.StratDynamic, s.String())
+		if err != nil {
+			t.Fatal(err)
+		}
 		cl, err := cluster.New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -175,18 +178,21 @@ func TestShrinkScheduleRealRun(t *testing.T) {
 	}
 }
 
-// TestChaosReplayLine: the replay command names every knob the chaos
-// config deviates from the defaults on, so the CLI reproduces the run.
-func TestChaosReplayLine(t *testing.T) {
+// TestChaosSetOverrides: -set lands on every cell of the budget, and a
+// -set on a key the budget sweeps itself is refused rather than
+// flattening the sweep. (That the replay line rebuilds the cell is
+// cmd/mdsim's TestReproLinesRoundTrip.)
+func TestChaosSetOverrides(t *testing.T) {
 	opt := chaosTestOptions()
-	cfg := chaosConfig(opt, cluster.StratDynamic, "crash@2s:mds1")
-	line := replayCommand(cfg)
-	for _, want := range []string{
-		"-strategy DynamicSubtree", "-mds 3", "-clients 10", "-users 30",
-		"-cache 500", "-dur 4", "-warmup 1", "-seed 7", "-faults 'crash@2s:mds1'",
-	} {
-		if !strings.Contains(line, want) {
-			t.Errorf("replay line missing %q: %s", want, line)
+	opt.Set = []plan.Setting{{Key: "shards", Value: "2"}, {Key: "net", Value: "queued"}}
+	cfg, err := ChaosConfig(opt, cluster.StratDynamic, "crash@2s:mds1")
+	if err != nil || cfg.Shards != 2 || cfg.NetModel != "queued" {
+		t.Fatalf("overrides not applied: %v %+v", err, cfg)
+	}
+	for _, s := range []plan.Setting{{Key: "strategy", Value: cluster.StratStatic}, {Key: "faults", Value: "drop@0.1:all"}, {Key: "link-bw", Value: "1e6"}} {
+		opt.Set = []plan.Setting{s}
+		if _, err := ChaosConfig(opt, cluster.StratDynamic, ""); err == nil {
+			t.Errorf("-set %s accepted", s)
 		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 func clientsConfig(opt Options, strategy string, clients int, rate float64) cluster.Config {
 	cfg := cluster.Default()
 	cfg.Seed = opt.Seed
-	cfg.NetModel = opt.NetModel
 	cfg.Strategy = strategy
 	cfg.NumMDS = 8
 	cfg.FS.Users = 40
@@ -35,11 +34,11 @@ func clientsConfig(opt Options, strategy string, clients int, rate float64) clus
 	return cfg
 }
 
-// ClientsExt sweeps the open-loop flyweight population across client
+// clientsExt sweeps the open-loop flyweight population across client
 // counts for the subtree strategies: per-client state stays flat (the
 // bytes/client column) while arrival volume is held constant, so the
 // axis isolates population-size cost from load.
-func ClientsExt(w io.Writer, opt Options) error {
+func clientsExt(opt Options) (*plan.Plan, Renderer, error) {
 	counts := []int{100_000, 1_000_000}
 	budget := 40e3 // arrivals per run, under cluster service capacity
 	if opt.Quick {
@@ -52,16 +51,16 @@ func ClientsExt(w io.Writer, opt Options) error {
 			{Key: "strategy", Values: []string{cluster.StratDynamic, cluster.StratStatic, cluster.StratFileHash}},
 			{Key: "clients", Values: intStrings(counts)},
 		},
-		Tweak: func(cfg *cluster.Config, cell plan.Cell, _ plan.Options) {
+		Tweak: func(cfg *cluster.Config, cell plan.Cell) {
 			n := atoi(cell["clients"])
 			rate := budget / (float64(n) * clientsConfig(opt, cell["strategy"], n, 1).Duration.Seconds())
 			*cfg = clientsConfig(opt, cell["strategy"], n, rate)
 		},
 	}
-	runs, err := RunPlan(p, opt)
-	if err != nil {
-		return err
-	}
+	return p, renderClients, nil
+}
+
+func renderClients(w io.Writer, runs []PlanRun) error {
 	fmt.Fprintln(w, "Extension: open-loop traffic plane, client-count sweep (constant arrival budget)")
 	tb := metrics.NewTable("strategy", "clients", "issued", "completed", "p50(ms)", "p99(ms)", "p999(ms)", "fwd", "B/client")
 	for _, run := range runs {
@@ -73,6 +72,6 @@ func ClientsExt(w io.Writer, opt Options) error {
 			fmt.Sprintf("%.3f", r.ForwardFrac),
 			fmt.Sprintf("%.1f", float64(r.PopFootprint)/float64(r.Clients)))
 	}
-	_, err = io.WriteString(w, tb.String())
+	_, err := io.WriteString(w, tb.String())
 	return err
 }

@@ -23,7 +23,7 @@ func Extras() []Experiment {
 			Description: "Per-strategy throughput under LLNL-style burst phases: " +
 				"all clients of a job open the same file (N-to-1) or create in " +
 				"the same directory (N-to-N).",
-			Run: SciExt,
+			Build: sciExt,
 		},
 		{
 			ID:    "failover",
@@ -31,7 +31,7 @@ func Extras() []Experiment {
 			Description: "Cluster throughput over time as one node fails (its " +
 				"subtrees are reassigned over shared storage) and later recovers " +
 				"with a log-warmed cache.",
-			Run: FailoverExt,
+			Build: failoverExt,
 		},
 		{
 			ID:    "clients",
@@ -39,7 +39,7 @@ func Extras() []Experiment {
 			Description: "Flyweight traffic plane scaled across population sizes " +
 				"at a constant arrival budget: latency quantiles and structural " +
 				"bytes per client as the population grows.",
-			Run: ClientsExt,
+			Build: clientsExt,
 		},
 		{
 			ID:    "avail",
@@ -47,7 +47,7 @@ func Extras() []Experiment {
 			Description: "Per-strategy throughput dip, failure-detection and " +
 				"recovery time when one of eight nodes crashes mid-run on a " +
 				"deterministic fault schedule.",
-			Run: AvailExt,
+			Build: availExt,
 		},
 	}
 }
@@ -56,7 +56,6 @@ func Extras() []Experiment {
 func sciConfig(opt Options, strategy string) cluster.Config {
 	cfg := cluster.Default()
 	cfg.Seed = opt.Seed
-	cfg.NetModel = opt.NetModel
 	cfg.Strategy = strategy
 	cfg.NumMDS = 6
 	cfg.ClientsPerMDS = 40
@@ -75,11 +74,11 @@ func sciConfig(opt Options, strategy string) cluster.Config {
 	return cfg
 }
 
-// SciExt compares strategies under the scientific workload; the shared
+// sciExt compares strategies under the scientific workload; the shared
 // hot files and directories stress traffic control and (for the
 // dynamic strategy with directory hashing enabled) oversized-directory
 // distribution.
-func SciExt(w io.Writer, opt Options) error {
+func sciExt(opt Options) (*plan.Plan, Renderer, error) {
 	// Every strategy, plus dynamic again with directory hashing of huge
 	// shared dirs.
 	variants := append(append([]string(nil), cluster.Strategies...),
@@ -89,7 +88,7 @@ func SciExt(w io.Writer, opt Options) error {
 		Matrix: []plan.Axis{
 			{Key: "variant", Values: variants},
 		},
-		Tweak: func(cfg *cluster.Config, cell plan.Cell, _ plan.Options) {
+		Tweak: func(cfg *cluster.Config, cell plan.Cell) {
 			v := cell["variant"]
 			strategy, hashed := strings.CutSuffix(v, "+dirhash")
 			*cfg = sciConfig(opt, strategy)
@@ -98,28 +97,34 @@ func SciExt(w io.Writer, opt Options) error {
 			}
 		},
 	}
-	runs, err := RunPlan(p, opt)
-	if err != nil {
+	return p, func(w io.Writer, runs []PlanRun) error {
+		fmt.Fprintln(w, "Extension: scientific workload (synchronised N-to-1 / N-to-N bursts)")
+		tb := metrics.NewTable("strategy", "ops/s/mds", "hit", "fwd", "replications", "writes_absorbed")
+		for _, r := range runs {
+			tb.AddRow(r.Cell["variant"], r.Res.AvgThroughput,
+				fmt.Sprintf("%.3f", r.Res.HitRate),
+				fmt.Sprintf("%.4f", r.Res.ForwardFrac),
+				int(r.Res.Replications),
+				int(r.Res.WritesAbsorbed))
+		}
+		_, err := io.WriteString(w, tb.String())
 		return err
-	}
-	fmt.Fprintln(w, "Extension: scientific workload (synchronised N-to-1 / N-to-N bursts)")
-	tb := metrics.NewTable("strategy", "ops/s/mds", "hit", "fwd", "replications", "writes_absorbed")
-	for _, r := range runs {
-		tb.AddRow(r.Cell["variant"], r.Res.AvgThroughput,
-			fmt.Sprintf("%.3f", r.Res.HitRate),
-			fmt.Sprintf("%.4f", r.Res.ForwardFrac),
-			int(r.Res.Replications),
-			int(r.Res.WritesAbsorbed))
-	}
-	_, err = io.WriteString(w, tb.String())
-	return err
+	}, nil
 }
 
-// FailoverExt runs the failure/recovery timeline.
-func FailoverExt(w io.Writer, opt Options) error {
+// failoverExt is the failure/recovery timeline, the one experiment that
+// is not a plan: it fails and recovers a node by hand on the live
+// cluster and reads the clients' retry counters afterwards.
+func failoverExt(opt Options) (*plan.Plan, Renderer, error) {
+	if len(opt.Set) > 0 {
+		return nil, nil, fmt.Errorf("failover is a bespoke experiment, not a plan: it takes no -set")
+	}
+	return nil, func(w io.Writer, _ []PlanRun) error { return runFailover(w, opt) }, nil
+}
+
+func runFailover(w io.Writer, opt Options) error {
 	cfg := cluster.Default()
 	cfg.Seed = opt.Seed
-	cfg.NetModel = opt.NetModel
 	cfg.Strategy = cluster.StratDynamic
 	cfg.NumMDS = 6
 	cfg.ClientsPerMDS = 30

@@ -15,8 +15,8 @@ import (
 // matrix mirrors the old hand-rolled spec loops (first axis outermost,
 // so runs come back in the same order) and whose Tweak overwrites the
 // compiled config with the figure's bespoke one — which keeps the
-// goldens bit-identical to the pre-plan harness. Only the table
-// rendering stays per-figure.
+// goldens bit-identical to the pre-plan harness — and returns it with
+// the renderer that prints the figure's table from the runs.
 
 // scaledConfig builds the Figure 2/3 scaling configuration: MDS memory
 // is fixed while file system size and client base scale with the
@@ -24,7 +24,6 @@ import (
 func scaledConfig(opt Options, strategy string, n int) cluster.Config {
 	cfg := cluster.Default()
 	cfg.Seed = opt.Seed
-	cfg.NetModel = opt.NetModel
 	cfg.Strategy = strategy
 	cfg.NumMDS = n
 	cfg.ClientsPerMDS = 60
@@ -72,22 +71,21 @@ func scalingPlan(name string, opt Options, sizes []int) *plan.Plan {
 			{Key: "mds", Values: intStrings(sizes)},
 			{Key: "strategy", Values: cluster.Strategies},
 		},
-		Tweak: func(cfg *cluster.Config, cell plan.Cell, _ plan.Options) {
+		Tweak: func(cfg *cluster.Config, cell plan.Cell) {
 			*cfg = scaledConfig(opt, cell["strategy"], atoi(cell["mds"]))
 		},
 	}
 }
 
-// writeStrategyGrid renders the rows × strategies table the scaling
-// figures share: one cell per run, runs in matrix (row-major) order.
-func writeStrategyGrid(w io.Writer, rowHeader string, rowLabels []interface{}, runs []PlanRun, val func(*cluster.Result) interface{}) error {
-	tb := metrics.NewTable(append([]string{rowHeader}, cluster.Strategies...)...)
-	i := 0
-	for _, rl := range rowLabels {
-		row := []interface{}{rl}
-		for range cluster.Strategies {
-			row = append(row, val(runs[i].Res))
-			i++
+// writeStrategyGrid renders the table the scaling figures share: one
+// row per value of the plan's outer axis, one column per strategy (the
+// inner axis), runs in matrix (row-major) order.
+func writeStrategyGrid(w io.Writer, rowAxis string, runs []PlanRun, val func(*cluster.Result) interface{}) error {
+	tb := metrics.NewTable(append([]string{rowAxis}, cluster.Strategies...)...)
+	for n := len(cluster.Strategies); len(runs) >= n; runs = runs[n:] {
+		row := []interface{}{runs[0].Cell[rowAxis]}
+		for _, r := range runs[:n] {
+			row = append(row, val(r.Res))
 		}
 		tb.AddRow(row...)
 	}
@@ -95,38 +93,32 @@ func writeStrategyGrid(w io.Writer, rowHeader string, rowLabels []interface{}, r
 	return err
 }
 
-// Fig2 regenerates Figure 2: average per-MDS throughput vs cluster size
+// fig2 regenerates Figure 2: average per-MDS throughput vs cluster size
 // for all five strategies under the general-purpose workload.
-func Fig2(w io.Writer, opt Options) error {
-	sizes := sizesFor(opt, 50)
-	runs, err := RunPlan(scalingPlan("fig2", opt, sizes), opt)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "Figure 2: average MDS throughput (ops/sec) vs cluster size")
-	return writeStrategyGrid(w, "mds", intCells(sizes), runs,
-		func(r *cluster.Result) interface{} { return r.AvgThroughput })
+func fig2(opt Options) (*plan.Plan, Renderer, error) {
+	return scalingPlan("fig2", opt, sizesFor(opt, 50)), func(w io.Writer, runs []PlanRun) error {
+		fmt.Fprintln(w, "Figure 2: average MDS throughput (ops/sec) vs cluster size")
+		return writeStrategyGrid(w, "mds", runs,
+			func(r *cluster.Result) interface{} { return r.AvgThroughput })
+	}, nil
 }
 
-// Fig3 regenerates Figure 3: percentage of cache consumed by prefix
+// fig3 regenerates Figure 3: percentage of cache consumed by prefix
 // inodes vs cluster size (the paper plots four strategies; Lazy Hybrid
 // caches no prefixes by construction and is omitted there, but we print
 // it for completeness).
-func Fig3(w io.Writer, opt Options) error {
-	sizes := sizesFor(opt, 30)
-	runs, err := RunPlan(scalingPlan("fig3", opt, sizes), opt)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "Figure 3: cache consumed by prefix inodes (%) vs cluster size")
-	return writeStrategyGrid(w, "mds", intCells(sizes), runs,
-		func(r *cluster.Result) interface{} { return 100 * r.PrefixFrac })
+func fig3(opt Options) (*plan.Plan, Renderer, error) {
+	return scalingPlan("fig3", opt, sizesFor(opt, 30)), func(w io.Writer, runs []PlanRun) error {
+		fmt.Fprintln(w, "Figure 3: cache consumed by prefix inodes (%) vs cluster size")
+		return writeStrategyGrid(w, "mds", runs,
+			func(r *cluster.Result) interface{} { return 100 * r.PrefixFrac })
+	}, nil
 }
 
-// Fig4 regenerates Figure 4: cache hit rate as a function of cache size
+// fig4 regenerates Figure 4: cache hit rate as a function of cache size
 // expressed as a fraction of total metadata size, at a fixed cluster
 // size.
-func Fig4(w io.Writer, opt Options) error {
+func fig4(opt Options) (*plan.Plan, Renderer, error) {
 	const n = 8
 	fractions := []float64{0.025, 0.05, 0.1, 0.2, 0.3, 0.45, 0.6}
 	if opt.Quick {
@@ -138,7 +130,7 @@ func Fig4(w io.Writer, opt Options) error {
 	base := scaledConfig(opt, cluster.StratStatic, n)
 	totalInodes, err := namespaceSize(base)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 
 	fracs := make([]string, len(fractions))
@@ -148,11 +140,11 @@ func Fig4(w io.Writer, opt Options) error {
 	p := &plan.Plan{
 		Name: "fig4",
 		Matrix: []plan.Axis{
-			{Key: "frac", Values: fracs},
+			{Key: "cache_frac", Values: fracs},
 			{Key: "strategy", Values: cluster.Strategies},
 		},
-		Tweak: func(cfg *cluster.Config, cell plan.Cell, _ plan.Options) {
-			f, _ := strconv.ParseFloat(cell["frac"], 64)
+		Tweak: func(cfg *cluster.Config, cell plan.Cell) {
+			f, _ := strconv.ParseFloat(cell["cache_frac"], 64)
 			*cfg = scaledConfig(opt, cell["strategy"], n)
 			perMDS := int(f * float64(totalInodes) / float64(n))
 			if perMDS < 64 {
@@ -162,24 +154,17 @@ func Fig4(w io.Writer, opt Options) error {
 			cfg.MDS.Storage.LogCapacity = perMDS
 		},
 	}
-	runs, err := RunPlan(p, opt)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Figure 4: cache hit rate vs cache size fraction (cluster of %d, fs=%d inodes)\n", n, totalInodes)
-	rows := make([]interface{}, len(fracs))
-	for i, f := range fracs {
-		rows[i] = f
-	}
-	return writeStrategyGrid(w, "cache_frac", rows, runs,
-		func(r *cluster.Result) interface{} { return fmt.Sprintf("%.3f", r.HitRate) })
+	return p, func(w io.Writer, runs []PlanRun) error {
+		fmt.Fprintf(w, "Figure 4: cache hit rate vs cache size fraction (cluster of %d, fs=%d inodes)\n", n, totalInodes)
+		return writeStrategyGrid(w, "cache_frac", runs,
+			func(r *cluster.Result) interface{} { return fmt.Sprintf("%.3f", r.HitRate) })
+	}, nil
 }
 
 // shiftConfig builds the Figure 5/6 workload-evolution run.
 func shiftConfig(opt Options, strategy string) cluster.Config {
 	cfg := cluster.Default()
 	cfg.Seed = opt.Seed
-	cfg.NetModel = opt.NetModel
 	cfg.Strategy = strategy
 	cfg.NumMDS = 6
 	cfg.ClientsPerMDS = 30
@@ -218,19 +203,19 @@ func shiftPlan(name string, opt Options) *plan.Plan {
 		Matrix: []plan.Axis{
 			{Key: "strategy", Values: []string{cluster.StratDynamic, cluster.StratStatic}},
 		},
-		Tweak: func(cfg *cluster.Config, cell plan.Cell, _ plan.Options) {
+		Tweak: func(cfg *cluster.Config, cell plan.Cell) {
 			*cfg = shiftConfig(opt, cell["strategy"])
 		},
 	}
 }
 
-// Fig5 regenerates Figure 5: the range (min..max) and average of MDS
+// fig5 regenerates Figure 5: the range (min..max) and average of MDS
 // throughput over time under the shifting workload, dynamic vs static.
-func Fig5(w io.Writer, opt Options) error {
-	runs, err := RunPlan(shiftPlan("fig5", opt), opt)
-	if err != nil {
-		return err
-	}
+func fig5(opt Options) (*plan.Plan, Renderer, error) {
+	return shiftPlan("fig5", opt), renderFig5, nil
+}
+
+func renderFig5(w io.Writer, runs []PlanRun) error {
 	dyn, sta := runs[0].Res, runs[1].Res
 	fmt.Fprintln(w, "Figure 5: MDS throughput (ops/sec) over time under a workload shift")
 	fmt.Fprintf(w, "shift at t=%v; dynamic migrations=%d\n",
@@ -267,13 +252,13 @@ func nodeRange(r *cluster.Result, i int) (min, avg, max float64) {
 	return w.Min(), w.Mean(), w.Max()
 }
 
-// Fig6 regenerates Figure 6: the fraction of client requests forwarded
+// fig6 regenerates Figure 6: the fraction of client requests forwarded
 // over time under the same shift.
-func Fig6(w io.Writer, opt Options) error {
-	runs, err := RunPlan(shiftPlan("fig6", opt), opt)
-	if err != nil {
-		return err
-	}
+func fig6(opt Options) (*plan.Plan, Renderer, error) {
+	return shiftPlan("fig6", opt), renderFig6, nil
+}
+
+func renderFig6(w io.Writer, runs []PlanRun) error {
 	dyn, sta := runs[0].Res, runs[1].Res
 	fmt.Fprintln(w, "Figure 6: fraction of requests forwarded over time under a workload shift")
 	tb := metrics.NewTable("t(s)", "dynamic", "static")
@@ -309,7 +294,6 @@ func fracAt(r *cluster.Result, i int) float64 {
 func flashConfig(opt Options, trafficOn bool) cluster.Config {
 	cfg := cluster.Default()
 	cfg.Seed = opt.Seed
-	cfg.NetModel = opt.NetModel
 	cfg.Strategy = cluster.StratDynamic
 	cfg.NumMDS = 8
 	cfg.ClientsPerMDS = 1250 // 10,000 clients, as in the paper
@@ -332,22 +316,21 @@ func flashConfig(opt Options, trafficOn bool) cluster.Config {
 	return cfg
 }
 
-// Fig7 regenerates Figure 7: cluster-wide replies and forwards per
+// fig7 regenerates Figure 7: cluster-wide replies and forwards per
 // second through the flash crowd, without and with traffic control.
-func Fig7(w io.Writer, opt Options) error {
-	p := &plan.Plan{
+func fig7(opt Options) (*plan.Plan, Renderer, error) {
+	return &plan.Plan{
 		Name: "fig7",
 		Matrix: []plan.Axis{
 			{Key: "tc", Values: []string{"off", "on"}},
 		},
-		Tweak: func(cfg *cluster.Config, cell plan.Cell, _ plan.Options) {
+		Tweak: func(cfg *cluster.Config, cell plan.Cell) {
 			*cfg = flashConfig(opt, cell["tc"] == "on")
 		},
-	}
-	runs, err := RunPlan(p, opt)
-	if err != nil {
-		return err
-	}
+	}, renderFig7, nil
+}
+
+func renderFig7(w io.Writer, runs []PlanRun) error {
 	off, on := runs[0].Res, runs[1].Res
 	fmt.Fprintln(w, "Figure 7: flash crowd at t=8s; requests/sec, traffic control off vs on")
 	tb := metrics.NewTable("t(s)",
@@ -386,15 +369,6 @@ func intStrings(ns []int) []string {
 	out := make([]string, len(ns))
 	for i, n := range ns {
 		out[i] = strconv.Itoa(n)
-	}
-	return out
-}
-
-// intCells renders ints as table row labels.
-func intCells(ns []int) []interface{} {
-	out := make([]interface{}, len(ns))
-	for i, n := range ns {
-		out[i] = n
 	}
 	return out
 }

@@ -2,11 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"dynmds/internal/cluster"
+	"dynmds/internal/plan"
 	"dynmds/internal/sim"
 )
 
@@ -120,7 +122,7 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, e := range all {
-		if e.ID == "" || e.Title == "" || e.Run == nil {
+		if e.ID == "" || e.Title == "" || e.Build == nil {
 			t.Fatalf("incomplete experiment %+v", e)
 		}
 		if seen[e.ID] {
@@ -138,6 +140,37 @@ func TestExperimentRegistry(t *testing.T) {
 		if _, ok := ByID(e.ID); !ok {
 			t.Fatalf("extra %s not findable", e.ID)
 		}
+	}
+}
+
+// TestPoolSizeCountsShards: the sweep pool is sized from the runs being
+// swept — four cells at four shards each on two cores get one worker —
+// wherever the shard count was set: in the plan text or by -set.
+func TestPoolSizeCountsShards(t *testing.T) {
+	const text = "plan pool\ncluster %s\nmatrix strategy=StaticSubtree,DynamicSubtree,DirHash,FileHash\nduration 10s\n"
+	for name, tc := range map[string]struct {
+		cluster string
+		set     []plan.Setting
+		want    int
+	}{
+		"plan text": {"shards=4", nil, 1},
+		"-set":      {"mds=4", []plan.Setting{{Key: "shards", Value: "4"}}, 1},
+		"serial":    {"mds=4", nil, 2},
+	} {
+		p, err := plan.Parse(fmt.Sprintf(text, tc.cluster))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, err := p.Compile(Options{Set: tc.set})
+		if err != nil || len(cells) != 4 {
+			t.Fatalf("%s: %d cells, %v", name, len(cells), err)
+		}
+		if got := poolSize(0, 2, cells); got != tc.want {
+			t.Errorf("%s: pool of %d workers on 2 cores, want %d", name, got, tc.want)
+		}
+	}
+	if got := poolSize(3, 8, nil); got != 3 {
+		t.Errorf("explicit worker count not honoured: %d", got)
 	}
 }
 

@@ -3,53 +3,50 @@ package harness
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"dynmds/internal/cluster"
 	"dynmds/internal/metrics"
 	"dynmds/internal/plan"
 )
 
-// PlanRun is one executed cell of a plan: the compiled config and its
-// result, labelled for reports.
+// PlanRun is one executed cell of a plan: the compiled cell and its
+// result.
 type PlanRun struct {
-	Label string
-	Cell  plan.Cell
-	Cfg   cluster.Config
-	Res   *cluster.Result
-}
-
-// PlanOptions maps harness options onto the plan compiler's.
-func PlanOptions(opt Options) plan.Options {
-	return plan.Options{Quick: opt.Quick, Seed: opt.Seed, NetModel: opt.NetModel}
+	plan.Compiled
+	Res *cluster.Result
 }
 
 // RunPlan compiles a plan and sweeps its cells through the shared
 // worker pool. This is the one executor behind figures, extras, library
-// scenarios and mdsim -plan: a plan in, labelled results out.
+// scenarios and plan files: a plan in, labelled results out.
 func RunPlan(p *plan.Plan, opt Options) ([]PlanRun, error) {
-	cells, err := p.Compile(PlanOptions(opt))
+	cells, err := p.Compile(opt)
 	if err != nil {
 		return nil, err
 	}
-	specs := make([]RunSpec, len(cells))
-	for i, c := range cells {
-		specs[i] = RunSpec{Label: c.Label, Cfg: c.Cfg}
-	}
-	results, err := Sweep(specs)
+	results, err := Sweep(cells)
 	if err != nil {
 		return nil, err
 	}
 	runs := make([]PlanRun, len(cells))
 	for i, c := range cells {
-		runs[i] = PlanRun{Label: c.Label, Cell: c.Cell, Cfg: c.Cfg, Res: results[i]}
+		runs[i] = PlanRun{c, results[i]}
 	}
 	return runs, nil
 }
 
-// planMetrics is the report column order; a plan's optimize list is
-// honoured first, then any remaining columns that apply.
-var planMetricOrder = []string{"ops", "p50", "p99", "p999", "load-spread", "hit", "fwd", "hot"}
+// Scenario wraps a scenario plan — a library plan or a plan file — as an
+// experiment whose figure is the plan report. It carries no Title: the
+// report prints its own heading.
+func Scenario(p *plan.Plan) Experiment {
+	return Experiment{
+		ID:          p.Name,
+		Description: p.Describe,
+		Build: func(Options) (*plan.Plan, Renderer, error) {
+			return p, func(w io.Writer, runs []PlanRun) error { return WritePlanReport(w, p, runs) }, nil
+		},
+	}
+}
 
 // WritePlanReport renders the default deterministic plan report: a
 // summary table across cells (optimize metrics first), then one per-act
@@ -102,7 +99,7 @@ func planColumns(p *plan.Plan) []string {
 	for _, c := range cols {
 		have[c] = true
 	}
-	for _, c := range planMetricOrder {
+	for _, c := range plan.Metrics {
 		if !have[c] {
 			cols = append(cols, c)
 		}
@@ -156,11 +153,4 @@ func loadSpreadOf(perMDS []float64) float64 {
 		return 0
 	}
 	return max / mean
-}
-
-// trimCellLabel strips the plan-name prefix from a run label, leaving
-// the cell part ("name/strategy=X" -> "strategy=X"); figure tables use
-// the bare value.
-func trimCellLabel(label, name string) string {
-	return strings.TrimPrefix(label, name+"/")
 }

@@ -24,9 +24,11 @@ import (
 //	act hotspot storm @6s-14s rate=x4 mix=stat:10,create:90 target=/home/u0000 frac=0.8
 //	optimize ops p99 load-spread
 //
-// String renders the canonical form: fixed directive order, zero-valued
-// keys omitted, shortest-round-trip floats, largest-exact-unit times —
-// so Parse∘String is the identity on canonical text (the same contract
+// The keys on the fs, cluster and traffic lines, and the warmup and
+// duration directives, are the key table's (keys.go); Parse vets each
+// value as it reads it. String renders the canonical form — fixed
+// directive order, keys in table order, values as written — so
+// Parse∘String is the identity on canonical text (the same contract
 // fault.Schedule keeps).
 
 // Parse parses a plan from DSL text. The result is syntactically
@@ -55,24 +57,24 @@ func Parse(src string) (*Plan, error) {
 			p.Describe = rest
 		case "quick":
 			p.Quick, err = parseFloat(rest)
-		case "fs":
-			err = parseFS(p, rest)
-		case "cluster":
-			err = parseCluster(p, rest)
-		case "traffic":
-			err = parseTraffic(p, rest)
+		case "fs", "cluster", "traffic":
+			for _, tok := range strings.Fields(rest) {
+				if err == nil {
+					err = p.bindLine(dir, tok)
+				}
+			}
 		case "matrix":
 			err = parseMatrix(p, rest)
-		case "warmup":
-			p.Warmup, err = parseTime(rest)
-		case "duration":
-			p.Duration, err = parseTime(rest)
 		case "act":
 			err = parseAct(p, rest)
 		case "optimize":
 			p.Optimize = strings.Fields(rest)
 		default:
-			err = fmt.Errorf("unknown directive %q", dir)
+			if k := lookupKey(dir); k == nil || k.line != "" {
+				err = fmt.Errorf("unknown directive %q", dir)
+			} else {
+				err = p.bindLine("", dir+"="+rest)
+			}
 		}
 		if err != nil {
 			return nil, fmt.Errorf("plan line %d: %w", ln+1, err)
@@ -84,73 +86,21 @@ func Parse(src string) (*Plan, error) {
 	return p, nil
 }
 
-func parseFS(p *Plan, rest string) error {
-	return eachKV(rest, func(k, v string) error {
-		var err error
-		switch k {
-		case "users":
-			p.FS.Users, err = parseInt(v)
-		case "projects":
-			p.FS.Projects, err = parseInt(v)
-		default:
-			err = fmt.Errorf("unknown fs key %q", k)
-		}
+// bindLine records one key=value read from a DSL line: the key must be
+// one the key table writes on that line, bound once, with a good value.
+func (p *Plan) bindLine(line, tok string) error {
+	st, err := ParseSetting(tok)
+	if err != nil {
 		return err
-	})
-}
-
-func parseCluster(p *Plan, rest string) error {
-	return eachKV(rest, func(k, v string) error {
-		var err error
-		switch k {
-		case "mds":
-			p.Cluster.MDS, err = parseInt(v)
-		case "strategy":
-			p.Cluster.Strategy = v
-		case "cache":
-			p.Cluster.Cache, err = parseInt(v)
-		case "shards":
-			p.Cluster.Shards, err = parseInt(v)
-		case "net":
-			p.Cluster.Net = v
-		case "faults":
-			p.Cluster.Faults = v
-		case "bucket":
-			p.Cluster.Bucket, err = parseTime(v)
-		default:
-			err = fmt.Errorf("unknown cluster key %q", k)
-		}
-		return err
-	})
-}
-
-func parseTraffic(p *Plan, rest string) error {
-	t := &TrafficSpec{}
-	p.Traffic = t
-	return eachKV(rest, func(k, v string) error {
-		var err error
-		switch k {
-		case "clients":
-			t.Clients, err = parseInt(v)
-		case "rate":
-			t.Rate, err = parseFloat(v)
-		case "tenants":
-			t.Tenants, err = parseInt(v)
-		case "tenant-skew":
-			t.TenantSkew, err = parseFloat(v)
-		case "file-skew":
-			t.FileSkew, err = parseFloat(v)
-		case "working-set":
-			t.WorkingSet, err = parseInt(v)
-		case "ways":
-			t.Ways, err = parseInt(v)
-		case "mix":
-			t.Mix, err = parseMix(v)
-		default:
-			err = fmt.Errorf("unknown traffic key %q", k)
-		}
-		return err
-	})
+	}
+	if lookupKey(st.Key).line != line {
+		return fmt.Errorf("unknown %s key %q", line, st.Key)
+	}
+	if _, dup := p.value(st.Key); dup {
+		return fmt.Errorf("%s bound twice", st.Key)
+	}
+	p.Set = append(p.Set, st)
+	return nil
 }
 
 func parseMatrix(p *Plan, rest string) error {
@@ -254,20 +204,6 @@ func parseMix(v string) (*MixSpec, error) {
 	return m, nil
 }
 
-// eachKV walks whitespace-separated key=value tokens.
-func eachKV(rest string, fn func(k, v string) error) error {
-	for _, tok := range strings.Fields(rest) {
-		k, v, ok := strings.Cut(tok, "=")
-		if !ok || v == "" {
-			return fmt.Errorf("token %q wants key=value", tok)
-		}
-		if err := fn(k, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // String renders the canonical DSL form (Tweak functions are code and
 // are not serialized).
 func (p *Plan) String() string {
@@ -279,42 +215,13 @@ func (p *Plan) String() string {
 	if p.Quick > 0 {
 		fmt.Fprintf(&b, "quick %s\n", fmtFloat(p.Quick))
 	}
-	var kv kvLine
-	kv.add("users", itoa(p.FS.Users))
-	kv.add("projects", itoa(p.FS.Projects))
-	kv.flush(&b, "fs")
-	kv.add("mds", itoa(p.Cluster.MDS))
-	kv.addStr("strategy", p.Cluster.Strategy)
-	kv.add("cache", itoa(p.Cluster.Cache))
-	kv.add("shards", itoa(p.Cluster.Shards))
-	kv.addStr("net", p.Cluster.Net)
-	kv.addStr("faults", p.Cluster.Faults)
-	if p.Cluster.Bucket > 0 {
-		kv.addStr("bucket", fmtTime(p.Cluster.Bucket))
-	}
-	kv.flush(&b, "cluster")
-	if t := p.Traffic; t != nil {
-		kv.add("clients", itoa(t.Clients))
-		kv.addF("rate", t.Rate)
-		kv.add("tenants", itoa(t.Tenants))
-		kv.addF("tenant-skew", t.TenantSkew)
-		kv.addF("file-skew", t.FileSkew)
-		kv.add("working-set", itoa(t.WorkingSet))
-		kv.add("ways", itoa(t.Ways))
-		if t.Mix != nil {
-			kv.addStr("mix", fmtMix(t.Mix))
-		}
-		kv.flush(&b, "traffic")
+	for _, line := range []string{"fs", "cluster", "traffic"} {
+		p.writeLine(&b, line)
 	}
 	for _, ax := range p.Matrix {
 		fmt.Fprintf(&b, "matrix %s=%s\n", ax.Key, strings.Join(ax.Values, ","))
 	}
-	if p.Warmup > 0 {
-		fmt.Fprintf(&b, "warmup %s\n", fmtTime(p.Warmup))
-	}
-	if p.Duration > 0 {
-		fmt.Fprintf(&b, "duration %s\n", fmtTime(p.Duration))
-	}
+	p.writeLine(&b, "")
 	for _, a := range p.Acts {
 		fmt.Fprintf(&b, "act %s %s @%s-%s", a.Kind, a.Name, fmtTime(a.From), fmtTime(a.To))
 		if a.RateMul > 0 {
@@ -355,45 +262,27 @@ func fmtMix(m *MixSpec) string {
 	return strings.Join(parts, ",")
 }
 
-// kvLine accumulates key=value tokens for one section line, dropping
-// zero values so the output is canonical.
-type kvLine struct{ parts []string }
-
-func (l *kvLine) add(k, v string) {
-	if v != "0" {
-		l.parts = append(l.parts, k+"="+v)
+// writeLine prints the plan's settings that the key table writes on
+// the named DSL line, in table order; "" names the keys that are
+// directives of their own.
+func (p *Plan) writeLine(b *strings.Builder, line string) {
+	var parts []string
+	for _, k := range keys {
+		v, bound := p.value(k.name)
+		switch {
+		case !bound || k.line != line:
+		case line == "":
+			fmt.Fprintf(b, "%s %s\n", k.name, v)
+		default:
+			parts = append(parts, k.name+"="+v)
+		}
 	}
-}
-
-func (l *kvLine) addStr(k, v string) {
-	if v != "" {
-		l.parts = append(l.parts, k+"="+v)
+	if len(parts) > 0 {
+		fmt.Fprintf(b, "%s %s\n", line, strings.Join(parts, " "))
 	}
-}
-
-func (l *kvLine) addF(k string, v float64) {
-	if v != 0 {
-		l.parts = append(l.parts, k+"="+fmtFloat(v))
-	}
-}
-
-func (l *kvLine) flush(b *strings.Builder, section string) {
-	if len(l.parts) == 0 {
-		return
-	}
-	fmt.Fprintf(b, "%s %s\n", section, strings.Join(l.parts, " "))
-	l.parts = l.parts[:0]
 }
 
 func itoa(n int) string { return strconv.Itoa(n) }
-
-func parseInt(s string) (int, error) {
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("bad integer %q", s)
-	}
-	return n, nil
-}
 
 func parseFloat(s string) (float64, error) {
 	f, err := strconv.ParseFloat(s, 64)

@@ -154,7 +154,7 @@ optimize hot ops p99 load-spread
 // create/rename/unlink turnover that pushes the COW overlay away from
 // its frozen base (tombstones accumulate, directories fragment), with a
 // stat-heavy settle so the aged namespace is then read back through the
-// overlay it degraded. `mdsim -endure` runs the same shape with
+// overlay it degraded. `mdsim -checkpoint-every` runs the same shape with
 // checkpoints and simfsck; this plan exposes it to the comparison
 // matrix so strategies can be ranked on an aged namespace.
 const agingSrc = `plan namespace-aging

@@ -9,22 +9,23 @@
 // A plan's lifecycle is Parse (or Go literal) → Validate → Compile →
 // harness sweep. Everything that can be rejected before simulation is:
 // unknown act kinds, overlapping act windows, non-positive rates,
-// unknown matrix keys or metrics. The one namespace-dependent check —
-// an act's hotspot path resolving to a real inode — happens in
+// unknown keys or metrics. The one namespace-dependent check — an
+// act's hotspot path resolving to a real inode — happens in
 // cluster.New, still before any event runs.
+//
+// Every knob of a run is one entry of the key table (keys.go). A plan
+// binds keys on its fs/cluster/traffic lines, sweeps them in its
+// matrix, and Options.Set (mdsim -set) overrides them on every compiled
+// cell; nothing else names a knob.
 package plan
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
-	"dynmds/internal/client"
 	"dynmds/internal/cluster"
-	"dynmds/internal/mds"
-	"dynmds/internal/net"
 	"dynmds/internal/sim"
-	"dynmds/internal/workload"
 )
 
 // Act kinds.
@@ -36,19 +37,10 @@ const (
 	ActHotspot = "hotspot"
 )
 
-// Metrics a plan may declare under "optimize" (report emphasis; the
-// executor always records the full set).
-var knownMetrics = map[string]bool{
-	"ops": true, "p50": true, "p99": true, "p999": true,
-	"load-spread": true, "hit": true, "fwd": true, "hot": true,
-}
-
-// Matrix keys the compiler applies itself; anything else needs a Tweak.
-var knownAxes = map[string]bool{
-	"strategy": true, "mds": true, "clients": true, "rate": true,
-	"cache": true, "tenants": true, "tenant-skew": true, "file-skew": true,
-	"shards": true, "mechanism": true,
-}
+// Metrics are the columns of a plan report, in report order. A plan may
+// name some under "optimize" to lead the report with them; the executor
+// always records the full set.
+var Metrics = []string{"ops", "p50", "p99", "p999", "load-spread", "hit", "fwd", "hot"}
 
 // Plan is one declarative scenario.
 type Plan struct {
@@ -61,73 +53,28 @@ type Plan struct {
 	// Options.Quick; 0 means the default 0.5.
 	Quick float64
 
-	FS      FSSpec
-	Cluster ClusterSpec
-	// Traffic, when non-nil, drives the run through the open-loop
-	// traffic plane. Required for plans with acts.
-	Traffic *TrafficSpec
+	// Set binds keys of the key table: the plan's fs, cluster and
+	// traffic lines and its warmup and duration. A traffic rate makes
+	// the run open loop; plans with acts need one.
+	Set []Setting
 
 	// Matrix is the parameter sweep: the cartesian product of the axes,
 	// first axis outermost. Each cell compiles to one run.
 	Matrix []Axis
 
-	Warmup   sim.Time
-	Duration sim.Time
-
 	// Acts is the scenario timeline: ordered, non-overlapping windows
-	// within [0, Duration].
+	// within [0, duration].
 	Acts []Act
 
 	// Optimize names the metrics the plan is about; the report leads
-	// with them. Subset of ops/p50/p99/p999/load-spread/hit/fwd/hot.
+	// with them. A subset of Metrics.
 	Optimize []string
 
 	// Tweak, when non-nil, post-processes each compiled config (Go-only;
 	// not serialized, and String marks the plan as code-backed). The
 	// harness figure plans use it to reproduce their bespoke configs
-	// bit-for-bit; it also unlocks matrix keys the compiler doesn't know.
-	Tweak func(cfg *cluster.Config, cell Cell, opt Options)
-}
-
-// FSSpec sizes the generated namespace; zero fields keep fsgen defaults.
-type FSSpec struct {
-	Users    int
-	Projects int
-}
-
-// ClusterSpec sets cluster-level knobs; zero fields keep cluster
-// defaults.
-type ClusterSpec struct {
-	MDS      int
-	Strategy string
-	// Cache is the per-MDS cache capacity (inode records).
-	Cache int
-	// Shards > 1 selects the conservative parallel executor.
-	Shards int
-	// Net is the fabric latency model: "fixed" or "queued".
-	Net string
-	// Faults is a fault schedule in the internal/fault DSL.
-	Faults string
-	// Bucket is the metrics series bucket.
-	Bucket sim.Time
-}
-
-// TrafficSpec configures the open-loop traffic plane.
-type TrafficSpec struct {
-	// Clients is the population size (scaled under quick).
-	Clients int
-	// Rate is the per-client mean arrival rate in ops/sec.
-	Rate float64
-	// Tenants, TenantSkew, FileSkew, WorkingSet shape the tenant model;
-	// zeros keep workload defaults.
-	Tenants    int
-	TenantSkew float64
-	FileSkew   float64
-	WorkingSet int
-	// Ways is the hint-table associativity.
-	Ways int
-	// Mix is the base op mix; nil keeps the population default.
-	Mix *MixSpec
+	// bit-for-bit; it also unlocks matrix keys the key table lacks.
+	Tweak func(cfg *cluster.Config, cell Cell)
 }
 
 // MixSpec is an op-mix weighting in canonical draw order.
@@ -171,11 +118,16 @@ type Act struct {
 	Frac   float64
 }
 
-// Options parameterises compilation (mirrors harness.Options).
+// Options parameterises compilation.
 type Options struct {
-	Quick    bool
-	Seed     int64
-	NetModel string
+	// Quick compiles the reduced-scale variant.
+	Quick bool
+	// Seed, when non-zero, replaces the default simulation seed.
+	Seed int64
+	// Set overrides keys on every compiled cell, after the matrix axes
+	// and after the Tweak (mdsim -set). Overriding a key the matrix
+	// sweeps is an error: the sweep would collapse.
+	Set []Setting
 }
 
 // Compiled is one runnable cell of a plan.
@@ -186,10 +138,38 @@ type Compiled struct {
 	Cfg   cluster.Config
 }
 
-// Validate checks everything that does not need a namespace. It is
-// called by Compile; callers that only want the verdict (mdsim -plan
-// validation, tests) can call it directly.
+// defaultSrc is the run mdsim makes when it is given no -plan, and the
+// base that repro lines (CommandLine) are spelled against.
+const defaultSrc = `plan default
+describe One run of the stock cluster, reported in full; reshape it with -set.
+quick 1
+fs users=100
+cluster mds=4 strategy=DynamicSubtree cache=2000 net=fixed
+traffic clients=160
+warmup 5s
+duration 20s
+`
+
+// Default returns the built-in default plan.
+func Default() *Plan {
+	p, err := Parse(defaultSrc)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// Validate checks everything that does not need a namespace: it is
+// Compile for callers that only want the verdict (the plan library,
+// tests).
 func (p *Plan) Validate() error {
+	_, err := p.Compile(Options{})
+	return err
+}
+
+// check vets the plan's shape — name, matrix, acts, metrics — before
+// any cell is built; the cells' configs are vetted as they compile.
+func (p *Plan) check() error {
 	if p.Name == "" {
 		return fmt.Errorf("plan has no name")
 	}
@@ -201,29 +181,13 @@ func (p *Plan) Validate() error {
 	if p.Quick < 0 {
 		return fmt.Errorf("plan %s: quick factor %s is negative", p.Name, fmtFloat(p.Quick))
 	}
-	if p.Cluster.Net != "" && p.Cluster.Net != net.ModelFixed && p.Cluster.Net != net.ModelQueued {
-		return fmt.Errorf("plan %s: unknown net model %q (want %s or %s)", p.Name, p.Cluster.Net, net.ModelFixed, net.ModelQueued)
+	base, err := p.baseConfig(Options{}, 1)
+	if err != nil {
+		return err
 	}
-	if p.Duration <= 0 && p.Tweak == nil {
+	_, timed := p.value("duration")
+	if !timed && p.Tweak == nil {
 		return fmt.Errorf("plan %s: no duration", p.Name)
-	}
-	if p.Warmup < 0 || (p.Duration > 0 && p.Warmup >= p.Duration) {
-		return fmt.Errorf("plan %s: warmup %s does not fit the %s duration", p.Name, fmtTime(p.Warmup), fmtTime(p.Duration))
-	}
-	if p.Traffic != nil {
-		t := p.Traffic
-		if t.Clients <= 0 {
-			return fmt.Errorf("plan %s: traffic needs a client count", p.Name)
-		}
-		if t.Rate <= 0 {
-			return fmt.Errorf("plan %s: traffic rate must be > 0", p.Name)
-		}
-		if t.Mix != nil && t.Mix.sum() <= 0 {
-			return fmt.Errorf("plan %s: traffic mix has no weight", p.Name)
-		}
-		if t.Ways < 0 || t.Ways > 1<<20 {
-			return fmt.Errorf("plan %s: traffic ways %d outside [0, 1<<20]", p.Name, t.Ways)
-		}
 	}
 	seen := map[string]bool{}
 	for _, ax := range p.Matrix {
@@ -234,23 +198,23 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("plan %s: matrix axis %q repeated", p.Name, ax.Key)
 		}
 		seen[ax.Key] = true
-		if !knownAxes[ax.Key] {
+		if lookupKey(ax.Key) == nil {
 			if p.Tweak == nil {
-				return fmt.Errorf("plan %s: unknown matrix key %q (known: %s)", p.Name, ax.Key, strings.Join(sortedKeys(knownAxes), " "))
+				return fmt.Errorf("plan %s: unknown matrix key %q (known: %s)", p.Name, ax.Key, keyNames())
 			}
 			continue // the Tweak owns it
 		}
 		for _, v := range ax.Values {
-			if err := checkAxisValue(ax.Key, v); err != nil {
-				return fmt.Errorf("plan %s: matrix %s: %w", p.Name, ax.Key, err)
+			if err := checkValue(ax.Key, v); err != nil {
+				return fmt.Errorf("plan %s: matrix %w", p.Name, err)
 			}
 		}
 	}
 	var prevTo sim.Time
 	prevName := ""
 	for i, a := range p.Acts {
-		if p.Traffic == nil {
-			return fmt.Errorf("plan %s: acts need a traffic section (the open-loop plane)", p.Name)
+		if base.OpenLoop == nil {
+			return fmt.Errorf("plan %s: acts need an open-loop population (a traffic line with a rate)", p.Name)
 		}
 		if a.Kind != ActPhase && a.Kind != ActHotspot {
 			return fmt.Errorf("plan %s: unknown act kind %q (want %s or %s)", p.Name, a.Kind, ActPhase, ActHotspot)
@@ -261,8 +225,8 @@ func (p *Plan) Validate() error {
 		if a.From < 0 || a.To <= a.From {
 			return fmt.Errorf("plan %s: act %q: window %s..%s does not move forward", p.Name, a.Name, fmtTime(a.From), fmtTime(a.To))
 		}
-		if p.Duration > 0 && a.To > p.Duration {
-			return fmt.Errorf("plan %s: act %q ends at %s, past the %s duration", p.Name, a.Name, fmtTime(a.To), fmtTime(p.Duration))
+		if timed && a.To > base.Duration {
+			return fmt.Errorf("plan %s: act %q ends at %s, past the %s duration", p.Name, a.Name, fmtTime(a.To), fmtTime(base.Duration))
 		}
 		if a.From < prevTo {
 			return fmt.Errorf("plan %s: act %q (from %s) overlaps act %q (ends %s)", p.Name, a.Name, fmtTime(a.From), prevName, fmtTime(prevTo))
@@ -292,18 +256,35 @@ func (p *Plan) Validate() error {
 		}
 	}
 	for _, m := range p.Optimize {
-		if !knownMetrics[m] {
-			return fmt.Errorf("plan %s: unknown metric %q (known: %s)", p.Name, m, strings.Join(sortedKeys(knownMetrics), " "))
+		if !slices.Contains(Metrics, m) {
+			return fmt.Errorf("plan %s: unknown metric %q (known: %s)", p.Name, m, strings.Join(Metrics, " "))
 		}
 	}
 	return nil
 }
 
-// Compile validates the plan and expands its matrix into runnable
-// cluster configs, one per cell, in deterministic order.
+// value returns the plan's own binding of a key.
+func (p *Plan) value(key string) (string, bool) {
+	if i := lastIndex(p.Set, key); i >= 0 {
+		return p.Set[i].Value, true
+	}
+	return "", false
+}
+
+// Compile checks the plan and expands its matrix into runnable
+// cluster configs, one per cell, in deterministic order. Each cell is
+// built in four layers, later ones winning: the plan's own settings,
+// the cell's matrix bindings, the Tweak, and opt.Set.
 func (p *Plan) Compile(opt Options) ([]Compiled, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.check(); err != nil {
 		return nil, err
+	}
+	for _, s := range opt.Set {
+		for _, ax := range p.Matrix {
+			if ax.Key == s.Key {
+				return nil, fmt.Errorf("plan %s: -set %s overrides the %q axis the plan's matrix sweeps", p.Name, s, ax.Key)
+			}
+		}
 	}
 	q := 1.0
 	if opt.Quick {
@@ -323,14 +304,17 @@ func (p *Plan) Compile(opt Options) ([]Compiled, error) {
 		for _, ax := range p.Matrix {
 			v := cell[ax.Key]
 			label += "/" + ax.Key + "=" + v
-			if knownAxes[ax.Key] {
-				if err := applyAxis(&cfg, ax.Key, v); err != nil {
-					return nil, fmt.Errorf("plan %s: matrix %s: %w", p.Name, ax.Key, err)
+			if k := lookupKey(ax.Key); k != nil {
+				if err := k.set(&cfg, v); err != nil {
+					return nil, fmt.Errorf("plan %s: matrix %s=%s: %w", p.Name, ax.Key, v, err)
 				}
 			}
 		}
 		if p.Tweak != nil {
-			p.Tweak(&cfg, cell, opt)
+			p.Tweak(&cfg, cell)
+		}
+		if err := Apply(&cfg, opt.Set); err != nil {
+			return nil, fmt.Errorf("plan %s: %w", label, err)
 		}
 		out = append(out, Compiled{Label: label, Cell: cell, Cfg: cfg})
 	}
@@ -338,62 +322,20 @@ func (p *Plan) Compile(opt Options) ([]Compiled, error) {
 }
 
 // baseConfig builds the cell-independent config: cluster defaults, the
-// plan's FS/cluster/traffic sections, and the quick-scaled timeline.
+// plan's own settings, and the quick-scaled timeline and population.
 func (p *Plan) baseConfig(opt Options, q float64) (cluster.Config, error) {
 	cfg := cluster.Default()
+	cfg.Warmup = 0 // a plan without a warmup directive measures from t=0
 	if opt.Seed != 0 {
 		cfg.Seed = opt.Seed
 	}
-	if p.FS.Users > 0 {
-		cfg.FS.Users = p.FS.Users
+	if err := bind(&cfg, p.Set); err != nil {
+		return cfg, fmt.Errorf("plan %s: %w", p.Name, err)
 	}
-	if p.FS.Projects > 0 {
-		cfg.FS.Projects = p.FS.Projects
-	}
-	c := p.Cluster
-	if c.MDS > 0 {
-		cfg.NumMDS = c.MDS
-	}
-	if c.Strategy != "" {
-		cfg.Strategy = c.Strategy
-	}
-	if c.Cache > 0 {
-		cfg.MDS = mds.DefaultConfig(c.Cache)
-	}
-	if c.Shards != 0 {
-		cfg.Shards = c.Shards
-	}
-	if c.Net != "" {
-		cfg.NetModel = c.Net
-	}
-	if opt.NetModel != "" {
-		cfg.NetModel = opt.NetModel
-	}
-	cfg.Faults = c.Faults
-	if c.Bucket > 0 {
-		cfg.SeriesBucket = c.Bucket
-	}
-	if p.Duration > 0 {
-		cfg.Duration = scaleTime(p.Duration, q)
-	}
-	cfg.Warmup = scaleTime(p.Warmup, q)
-	if t := p.Traffic; t != nil {
-		pc := &client.PopulationConfig{
-			Clients: scaleCount(t.Clients, q),
-			Rate:    t.Rate,
-			Ways:    t.Ways,
-			Tenant: workload.TenantConfig{
-				Tenants:    t.Tenants,
-				TenantSkew: t.TenantSkew,
-				FileSkew:   t.FileSkew,
-				WorkingSet: t.WorkingSet,
-			},
-		}
-		if t.Mix != nil {
-			pc.MixStat, pc.MixReaddir, pc.MixChmod = t.Mix.Stat, t.Mix.Readdir, t.Mix.Chmod
-			pc.MixCreate, pc.MixRename, pc.MixUnlink = t.Mix.Create, t.Mix.Rename, t.Mix.Unlink
-		}
-		cfg.OpenLoop = pc
+	cfg.Duration = scaleTime(cfg.Duration, q)
+	cfg.Warmup = scaleTime(cfg.Warmup, q)
+	if cfg.OpenLoop != nil && cfg.OpenLoop.Clients > 0 {
+		cfg.OpenLoop.Clients = scaleCount(cfg.OpenLoop.Clients, q)
 	}
 	for _, a := range p.Acts {
 		ac := cluster.ActConfig{
@@ -435,110 +377,6 @@ func expandMatrix(axes []Axis) []Cell {
 	return cells
 }
 
-// checkAxisValue parses a known axis value without a config, so a bad
-// matrix fails at Validate, not mid-sweep.
-func checkAxisValue(key, v string) error {
-	var scratch cluster.Config
-	scratch.OpenLoop = &client.PopulationConfig{}
-	return applyAxis(&scratch, key, v)
-}
-
-// applyAxis applies one known matrix binding to a config.
-func applyAxis(cfg *cluster.Config, key, v string) error {
-	switch key {
-	case "strategy":
-		for _, s := range cluster.Strategies {
-			if v == s {
-				cfg.Strategy = v
-				return nil
-			}
-		}
-		return fmt.Errorf("unknown strategy %q", v)
-	case "mds":
-		n, err := parseInt(v)
-		if err != nil || n <= 0 {
-			return fmt.Errorf("bad MDS count %q", v)
-		}
-		cfg.NumMDS = n
-	case "clients":
-		n, err := parseInt(v)
-		if err != nil || n <= 0 {
-			return fmt.Errorf("bad client count %q", v)
-		}
-		if cfg.OpenLoop != nil {
-			cfg.OpenLoop.Clients = n
-		} else if cfg.NumMDS > 0 {
-			cfg.ClientsPerMDS = n / cfg.NumMDS
-		}
-	case "rate":
-		f, err := parseFloat(v)
-		if err != nil || f <= 0 {
-			return fmt.Errorf("bad rate %q", v)
-		}
-		if cfg.OpenLoop == nil {
-			return fmt.Errorf("rate axis needs a traffic section")
-		}
-		cfg.OpenLoop.Rate = f
-	case "cache":
-		n, err := parseInt(v)
-		if err != nil || n <= 0 {
-			return fmt.Errorf("bad cache size %q", v)
-		}
-		cfg.MDS = mds.DefaultConfig(n)
-	case "tenants":
-		n, err := parseInt(v)
-		if err != nil || n <= 0 {
-			return fmt.Errorf("bad tenant count %q", v)
-		}
-		if cfg.OpenLoop == nil {
-			return fmt.Errorf("tenants axis needs a traffic section")
-		}
-		cfg.OpenLoop.Tenant.Tenants = n
-	case "tenant-skew":
-		f, err := parseFloat(v)
-		if err != nil || f < 0 {
-			return fmt.Errorf("bad tenant skew %q", v)
-		}
-		if cfg.OpenLoop == nil {
-			return fmt.Errorf("tenant-skew axis needs a traffic section")
-		}
-		cfg.OpenLoop.Tenant.TenantSkew = f
-	case "file-skew":
-		f, err := parseFloat(v)
-		if err != nil || f < 0 {
-			return fmt.Errorf("bad file skew %q", v)
-		}
-		if cfg.OpenLoop == nil {
-			return fmt.Errorf("file-skew axis needs a traffic section")
-		}
-		cfg.OpenLoop.Tenant.FileSkew = f
-	case "shards":
-		n, err := parseInt(v)
-		if err != nil || n < 0 {
-			return fmt.Errorf("bad shard count %q", v)
-		}
-		cfg.Shards = n
-	case "mechanism":
-		// Client-coherence mechanism under test: the lease plane and the
-		// hot-directory replica fan-out, separately and together.
-		cfg.Lease.Enabled, cfg.Lease.Fanout = false, false
-		switch v {
-		case "dumb":
-		case "leases":
-			cfg.Lease.Enabled = true
-		case "fanout":
-			cfg.Lease.Fanout = true
-		case "both":
-			cfg.Lease.Enabled, cfg.Lease.Fanout = true, true
-		default:
-			return fmt.Errorf("unknown mechanism %q (want dumb, leases, fanout or both)", v)
-		}
-	default:
-		return fmt.Errorf("unknown matrix key %q", key)
-	}
-	return nil
-}
-
 // scaleTime scales a virtual time by the quick factor, snapping to the
 // millisecond grid so act boundaries stay aligned with the timer wheel.
 func scaleTime(t sim.Time, q float64) sim.Time {
@@ -562,13 +400,4 @@ func scaleCount(n int, q float64) int {
 		s = 1
 	}
 	return s
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

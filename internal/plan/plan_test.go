@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -63,13 +64,18 @@ func TestRoundTripPreservesFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Quick != 0.25 || q.FS.Users != 40 || q.Cluster.Shards != 2 ||
-		q.Cluster.Bucket != 500*sim.Millisecond || q.Cluster.Faults != "drop@0:all" {
-		t.Fatalf("header fields lost: %+v", q)
+	cells, err := q.Compile(plan.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	tr := q.Traffic
-	if tr == nil || tr.Clients != 4000 || tr.Rate != 1.5 || tr.TenantSkew != 0.8 ||
-		tr.Ways != 4 || tr.Mix == nil || tr.Mix.Create != 10 {
+	cfg := cells[0].Cfg
+	if q.Quick != 0.25 || cfg.FS.Users != 40 || cfg.Shards != 2 ||
+		cfg.SeriesBucket != 500*sim.Millisecond || cfg.Faults != "drop@0:all" {
+		t.Fatalf("header fields lost: %+v", cfg)
+	}
+	tr := cfg.OpenLoop
+	if tr == nil || tr.Clients != 4000 || tr.Rate != 1.5 || tr.Tenant.TenantSkew != 0.8 ||
+		tr.Ways != 4 || tr.MixCreate != 10 {
 		t.Fatalf("traffic fields lost: %+v", tr)
 	}
 	if len(q.Acts) != 2 {
@@ -105,6 +111,13 @@ func TestParseRejects(t *testing.T) {
 		{"unknown mix op", "plan p\nact phase warm @2s-6s mix=open:50\n", "unknown mix op"},
 		{"unknown act option", "plan p\nact phase warm @2s-6s color=red\n", "unknown act option"},
 		{"bad time", "plan p\nduration 10q\n", "bad time"},
+		{"key on the wrong line", "plan p\nfs mds=4\n", "unknown fs key"},
+		{"key bound twice", "plan p\nfs users=4 users=5\n", "bound twice"},
+		{"negative shards", "plan p\ncluster shards=-3\n", "shards"},
+		{"unknown net model", "plan p\ncluster net=warp\n", "unknown net"},
+		{"zero rate", "plan p\ntraffic clients=10 rate=0\n", "bad rate"},
+		{"too many ways", "plan p\ntraffic ways=1048577\n", "ways"},
+		{"burst probability above one", "plan p\ntraffic burst-prob=1.5\n", "burst-prob"},
 		{"bad matrix", "plan p\nmatrix strategy\n", "matrix wants"},
 	}
 	for _, c := range cases {
@@ -122,11 +135,23 @@ func TestParseRejects(t *testing.T) {
 // validBase returns a minimal valid plan for mutation tests.
 func validBase() *plan.Plan {
 	return &plan.Plan{
-		Name:     "base",
-		Duration: 10 * sim.Second,
-		Warmup:   2 * sim.Second,
-		Traffic:  &plan.TrafficSpec{Clients: 100, Rate: 1},
+		Name: "base",
+		Set:  []plan.Setting{{"rate", "1"}, {"clients", "100"}, {"warmup", "2s"}, {"duration", "10s"}},
 	}
+}
+
+// rebind replaces (or, with v == "", drops) one of the plan's settings.
+func rebind(p *plan.Plan, k, v string) {
+	var out []plan.Setting
+	for _, s := range p.Set {
+		if s.Key != k {
+			out = append(out, s)
+		}
+	}
+	if v != "" {
+		out = append(out, plan.Setting{Key: k, Value: v})
+	}
+	p.Set = out
 }
 
 func TestValidateRejects(t *testing.T) {
@@ -136,12 +161,13 @@ func TestValidateRejects(t *testing.T) {
 		want string
 	}{
 		{"bad name", func(p *plan.Plan) { p.Name = "Bad Name" }, "lowercase"},
-		{"no duration", func(p *plan.Plan) { p.Duration = 0 }, "no duration"},
-		{"warmup too long", func(p *plan.Plan) { p.Warmup = p.Duration }, "does not fit"},
-		{"bad net", func(p *plan.Plan) { p.Cluster.Net = "warp" }, "unknown net model"},
-		{"no clients", func(p *plan.Plan) { p.Traffic.Clients = 0 }, "client count"},
-		{"zero rate", func(p *plan.Plan) { p.Traffic.Rate = 0 }, "rate must be > 0"},
-		{"too many ways", func(p *plan.Plan) { p.Traffic.Ways = 1<<20 + 1 }, "traffic ways"},
+		{"no duration", func(p *plan.Plan) { rebind(p, "duration", "") }, "no duration"},
+		{"warmup too long", func(p *plan.Plan) { rebind(p, "warmup", "10s") }, "does not fit"},
+		{"bad net", func(p *plan.Plan) { rebind(p, "net", "warp") }, "unknown net"},
+		{"traffic key on a closed loop", func(p *plan.Plan) { rebind(p, "rate", ""); rebind(p, "tenants", "8") }, "open-loop"},
+		{"link bandwidth on the fixed model", func(p *plan.Plan) { rebind(p, "link-bw", "1e6") }, "link-bw needs net=queued"},
+		{"leases on a closed loop", func(p *plan.Plan) { rebind(p, "rate", ""); rebind(p, "mechanism", "leases") }, "leases need"},
+		{"fault on a node the cluster lacks", func(p *plan.Plan) { rebind(p, "faults", "crash@1s:mds9") }, "faults"},
 		{"unknown axis", func(p *plan.Plan) {
 			p.Matrix = []plan.Axis{{Key: "color", Values: []string{"red"}}}
 		}, "unknown matrix key"},
@@ -161,9 +187,9 @@ func TestValidateRejects(t *testing.T) {
 			p.Acts = []plan.Act{{Kind: "surge", Name: "a", From: sim.Second, To: 2 * sim.Second, Skew: -1}}
 		}, "unknown act kind"},
 		{"acts without traffic", func(p *plan.Plan) {
-			p.Traffic = nil
+			rebind(p, "rate", "")
 			p.Acts = []plan.Act{{Kind: plan.ActPhase, Name: "a", From: sim.Second, To: 2 * sim.Second, Skew: -1}}
-		}, "acts need a traffic section"},
+		}, "acts need an open-loop population"},
 		{"backward window", func(p *plan.Plan) {
 			p.Acts = []plan.Act{{Kind: plan.ActPhase, Name: "a", From: 2 * sim.Second, To: sim.Second, Skew: -1}}
 		}, "does not move forward"},
@@ -261,38 +287,105 @@ func TestCompileQuickScaling(t *testing.T) {
 	if q.Acts[0].From%sim.Millisecond != 0 {
 		t.Fatalf("act boundary off the ms grid: %v", q.Acts[0].From)
 	}
-	// Seed and net model thread through.
-	opts, err := p.Compile(plan.Options{Seed: 99, NetModel: "queued"})
+	// The seed threads through.
+	opts, err := p.Compile(plan.Options{Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts[0].Cfg.Seed != 99 || opts[0].Cfg.NetModel != "queued" {
-		t.Fatalf("options not applied: seed=%d net=%q", opts[0].Cfg.Seed, opts[0].Cfg.NetModel)
+	if opts[0].Cfg.Seed != 99 {
+		t.Fatalf("seed not applied: %d", opts[0].Cfg.Seed)
 	}
 }
 
-// TestLibraryWellFormed pins the library contract: every plan loads,
-// validates, compiles in both modes, and carries a description.
-func TestLibraryWellFormed(t *testing.T) {
-	all := library.All()
-	if len(all) < 5 {
-		t.Fatalf("library has %d plans, want >= 5", len(all))
+// TestSetOverrides: Options.Set has the last word on every cell — after
+// the matrix and after the Tweak, in table order whatever order it was
+// given in — and a -set that cannot take effect is an error, not a
+// no-op.
+func TestSetOverrides(t *testing.T) {
+	p := validBase()
+	p.Matrix = []plan.Axis{{Key: "strategy", Values: []string{cluster.StratDynamic, cluster.StratFileHash}}}
+	p.Tweak = func(cfg *cluster.Config, _ plan.Cell) { cfg.NumMDS, cfg.NetModel = 6, "fixed" }
+	cells, err := p.Compile(plan.Options{Set: []plan.Setting{
+		{"link-bw", "1e8"}, {"net", "queued"}, {"mds", "3"}, {"mds", "2"}, {"clients", "7"},
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range all {
-		if p.Describe == "" {
-			t.Errorf("%s: no description", p.Name)
-		}
-		if _, err := p.Compile(plan.Options{}); err != nil {
-			t.Errorf("%s: full compile: %v", p.Name, err)
-		}
-		if _, err := p.Compile(plan.Options{Quick: true}); err != nil {
-			t.Errorf("%s: quick compile: %v", p.Name, err)
-		}
-		if _, ok := library.ByName(p.Name); !ok {
-			t.Errorf("%s: not findable by name", p.Name)
+	for _, c := range cells {
+		if c.Cfg.NumMDS != 2 || c.Cfg.NetModel != "queued" || c.Cfg.LinkBandwidth != 1e8 || c.Cfg.OpenLoop.Clients != 7 {
+			t.Fatalf("%s: overrides not applied last: %+v", c.Label, c.Cfg)
 		}
 	}
-	if _, ok := library.ByName("no-such-plan"); ok {
-		t.Error("ByName found a plan that does not exist")
+	for name, tc := range map[string]struct {
+		set  plan.Setting
+		want string
+	}{
+		"swept key":         {plan.Setting{Key: "strategy", Value: cluster.StratStatic}, "matrix sweeps"},
+		"unknown key":       {plan.Setting{Key: "colour", Value: "red"}, "unknown key"},
+		"bad value":         {plan.Setting{Key: "mds", Value: "0"}, "mds=0"},
+		"warmup past end":   {plan.Setting{Key: "duration", Value: "1s"}, "does not fit"},
+		"link-bw, no queue": {plan.Setting{Key: "link-bw", Value: "1e6"}, "needs net=queued"},
+	} {
+		if _, err := p.Compile(plan.Options{Set: []plan.Setting{tc.set}}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want mention of %q", name, err, tc.want)
+		}
+	}
+	// A closed-loop plan takes the closed-loop keys, turns open loop when
+	// given a rate, and rejects open-loop keys until then.
+	closed := &plan.Plan{Name: "closed", Set: []plan.Setting{{"mds", "4"}, {"duration", "10s"}}}
+	cells, err = closed.Compile(plan.Options{Set: []plan.Setting{{"clients", "120"}}})
+	if err != nil || cells[0].Cfg.ClientsPerMDS != 30 || cells[0].Cfg.OpenLoop != nil {
+		t.Fatalf("closed-loop clients: %v %+v", err, cells)
+	}
+	cells, err = closed.Compile(plan.Options{Set: []plan.Setting{{"clients", "1e6"}, {"rate", "0.01"}, {"diurnal", "0.3"}}})
+	if err != nil || cells[0].Cfg.OpenLoop == nil || cells[0].Cfg.OpenLoop.Clients != 1000000 || cells[0].Cfg.OpenLoop.DiurnalAmp != 0.3 {
+		t.Fatalf("rate did not open the loop: %v %+v", err, cells)
+	}
+	if _, err := closed.Compile(plan.Options{Set: []plan.Setting{{"tenants", "8"}}}); err == nil || !strings.Contains(err.Error(), "open-loop") {
+		t.Fatalf("tenants on a closed loop: err = %v", err)
+	}
+}
+
+// TestCommandLineRoundTrip: the repro renderer and the key table are
+// inverses — applying the -set list CommandLine prints to the default
+// plan rebuilds the config, for closed- and open-loop runs.
+func TestCommandLineRoundTrip(t *testing.T) {
+	for _, set := range [][]plan.Setting{
+		nil,
+		{{"mds", "8"}},
+		{{"mds", "3"}, {"clients", "30"}, {"users", "30"}, {"cache", "500"}, {"strategy", cluster.StratFileHash},
+			{"net", "queued"}, {"link-bw", "1e8"}, {"shards", "2"}, {"faults", "partition@1s-2s:{0|1.2},drop@0.02:all"},
+			{"warmup", "1s"}, {"duration", "4500ms"}, {"mechanism", "fanout"}, {"bucket", "20ms"}, {"projects", "3"}},
+		{{"rate", "0.05"}, {"clients", "20000"}, {"tenants", "32"}, {"tenant-skew", "1"}, {"file-skew", "0.8"},
+			{"working-set", "64"}, {"ways", "4"}, {"mix", "stat:55,unlink:15,create:30"}, {"diurnal", "0.3"},
+			{"burst-prob", "0.05"}, {"mechanism", "both"}},
+	} {
+		want, err := plan.Default().Compile(plan.Options{Seed: 7, Set: set})
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := plan.CommandLine(want[0].Cfg)
+		args := strings.Fields(strings.NewReplacer("'", "").Replace(line))
+		if args[0] != "mdsim" || args[1] != "-seed" || args[2] != "7" {
+			t.Fatalf("unexpected head: %s", line)
+		}
+		var back []plan.Setting
+		for i := 3; i < len(args); i += 2 {
+			st, err := plan.ParseSetting(args[i+1])
+			if args[i] != "-set" || err != nil {
+				t.Fatalf("bad argument %q %q (%v) in: %s", args[i], args[i+1], err, line)
+			}
+			back = append(back, st)
+		}
+		if len(back) != len(set) {
+			t.Errorf("line carries %d settings, the run deviates on %d: %s", len(back), len(set), line)
+		}
+		got, err := plan.Default().Compile(plan.Options{Seed: 7, Set: back})
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		if !reflect.DeepEqual(got[0].Cfg, want[0].Cfg) {
+			t.Errorf("replay differs\nline: %s\n got: %+v\nwant: %+v", line, got[0].Cfg, want[0].Cfg)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 gate: vet, build, and run the full test suite under the race
 # detector, then smoke-test the figure, chaos, plan, open-loop and
-# endurance surfaces of mdsim. It measures nothing — performance is
+# endurance surfaces of one built mdsim. It measures nothing — performance is
 # `go run ./bench` (bench/README.md) — and writes nothing into the
 # checkout. Run from the repository root; any failure fails the script.
 set -eu
@@ -35,43 +35,59 @@ go test -count=1 -run 'Alloc|ZeroAlloc|AllocBudget' ./internal/cache ./internal/
 # they cannot rot.
 go test -run '^$' -bench 'InsertPathEvict|GetHit' -benchtime 1x ./internal/cache
 
+# One mdsim, and one built with the race detector, for every invocation
+# below: a built binary starts at once and keeps its exit status (go run
+# turns every failure into 1).
+go build -o "$TMP/mdsim" ./cmd/mdsim
+go build -race -o "$TMP/mdsim-race" ./cmd/mdsim
+MDSIM="$TMP/mdsim"
+RACE="$TMP/mdsim-race"
+
+# A bad override is a usage error, exit status 2, before any event runs.
+rc=0
+"$MDSIM" -set shards=-3 >"$TMP/usage.out" 2>/dev/null || rc=$?
+if [ "$rc" -ne 2 ] || [ -s "$TMP/usage.out" ]; then
+    echo "ci: mdsim -set shards=-3 exited $rc (want 2) or wrote to stdout" >&2
+    exit 1
+fi
+
 # Figure smoke run: exercises the sweep runner, the snapshot cache, and
 # the copy-on-write overlay path end to end at reduced scale, under
 # both fabric latency models.
-go run ./cmd/mdsim -fig 2 -quick
-go run ./cmd/mdsim -fig 2 -quick -net-model queued
+"$MDSIM" -plan fig2 -quick
+"$MDSIM" -plan fig2 -quick -set net=queued
 
 # Availability experiment under the race detector: fault injection,
 # client retries, suspicion-driven failover and log-warmed recovery at
 # reduced scale.
-go run -race ./cmd/mdsim -fig avail -quick
+"$RACE" -plan avail -quick
 
 # Chaos fuzz budget under the race detector: 50 fixed-seed random
 # fault schedules, each against all five strategies, every finished
 # run checked by simfsck. Any invariant violation exits non-zero (and
 # prints a shrunk minimal repro with its replay line).
-go run -race ./cmd/mdsim -chaos-runs 50 -chaos-seed 1
+"$RACE" -chaos-runs 50 -seed 1
 
 # Sharded-engine smoke under the race detector: the conservative
 # parallel executor at K=4 on the Figure 2 quick config, then a
 # 10-schedule chaos batch at K=2 (fault schedules run the windowed
 # executor single-threaded, so this checks the deferred/barrier path
 # against simfsck rather than goroutine interleaving).
-go run -race ./cmd/mdsim -strategy DynamicSubtree -mds 4 -clients 30 -users 100 -dur 10 -warmup 4 -shards 4
-go run -race ./cmd/mdsim -chaos-runs 10 -chaos-seed 1 -shards 2
+"$RACE" -set mds=4 -set clients=120 -set duration=10s -set warmup=4s -set shards=4
+"$RACE" -chaos-runs 10 -seed 1 -set shards=2
 
 # Scenario-plan engine: one library plan end to end under the race
 # detector (acts retarget the live population mid-run), then the whole
 # library at quick scale.
-go run -race ./cmd/mdsim -plan simfs-campaign -quick
-go run ./cmd/mdsim -list-plans >/dev/null
+"$RACE" -plan simfs-campaign -quick
+"$MDSIM" -list >/dev/null
 
 # Golden comparison: every experiment and every library plan at quick
 # scale must print what testdata/ holds (scripts/regen-golden.sh), bar
 # the "(wall time ...)" lines. Seed and network model are fixed, so a
 # difference is a behaviour change: explain it and regenerate.
-go run ./cmd/mdsim -fig all -quick | grep -v '^(wall time ' >"$TMP/figures_quick.txt"
-go run ./cmd/mdsim -plan all -quick | grep -v '^(wall time ' >"$TMP/plans_quick.txt"
+"$MDSIM" -plan figures -quick | grep -v '^(wall time ' >"$TMP/figures_quick.txt"
+"$MDSIM" -plan library -quick | grep -v '^(wall time ' >"$TMP/plans_quick.txt"
 for g in figures_quick.txt plans_quick.txt; do
     if ! grep -v '^(wall time ' "testdata/$g" | diff - "$TMP/$g"; then
         echo "ci: mdsim output differs from testdata/$g (golden '<', this run '>')" >&2
@@ -88,27 +104,25 @@ echo "ci: goldens match"
 # as a run leaves it, 45 B with every client answered) plus the
 # benchmark's live_heap_mb on open-wide (76 MiB / 2M clients is
 # ~40 B/client, namespace and caches included; bound 8%).
-go run -race ./cmd/mdsim -open-loop 1000000 -open-rate 0.01 -mds 8 -users 40 \
-    -dur 3 -warmup 1 -diurnal 0.3 -burst-prob 0.05 -shards 4
+"$RACE" -set rate=0.01 -set clients=1e6 -set tenant-skew=1 -set file-skew=1 -set mds=8 -set users=40 \
+    -set duration=3s -set warmup=1s -set diurnal=0.3 -set burst-prob=0.05 -set shards=4
 
 # Lease-plane smoke under the race detector: the hotspot duel sweeps
 # all four coherence mechanisms (dumb/leases/fanout/both) across both
 # subtree strategies with grant, recall, and fan-out traffic live.
-go run -race ./cmd/mdsim -plan hotspot-duel -quick
+"$RACE" -plan hotspot-duel -quick
 
 # Endurance smoke under the race detector: a short aging run with two
 # checkpoints, each quiesced, simfsck-checked, and snapshotted.
 ENDTMP="$TMP/endure"
 mkdir "$ENDTMP"
-go run -race ./cmd/mdsim -open-loop 20000 -open-rate 0.05 -mds 4 -clients 40 \
-    -dur 5 -warmup 1 -endure -checkpoint-every 2.5 -checkpoint-dir "$ENDTMP"
+AGING="-set rate=0.05 -set clients=20000 -set tenant-skew=1 -set file-skew=1 -set duration=5s -set warmup=1s -checkpoint-every 2.5"
+"$RACE" $AGING -checkpoint-dir "$ENDTMP"
 
 # Restore determinism assert: resuming from the first snapshot must
 # reproduce the uninterrupted run's digest bit for bit.
-FULL=$(go run ./cmd/mdsim -open-loop 20000 -open-rate 0.05 -mds 4 -clients 40 \
-    -dur 5 -warmup 1 -endure -checkpoint-every 2.5 | sed -n 's/^digest: //p')
-REST=$(go run ./cmd/mdsim -open-loop 20000 -open-rate 0.05 -mds 4 -clients 40 \
-    -dur 5 -warmup 1 -endure -checkpoint-every 2.5 -restore "$ENDTMP/ck-000.snap" | sed -n 's/^digest: //p')
+FULL=$("$MDSIM" $AGING | sed -n 's/^digest: //p')
+REST=$("$MDSIM" $AGING -restore "$ENDTMP/ck-000.snap" | sed -n 's/^digest: //p')
 if [ -z "$FULL" ] || [ "$FULL" != "$REST" ]; then
     echo "ci: restored endurance run diverged from the uninterrupted run" >&2
     echo "ci:   full:     $FULL" >&2
@@ -116,6 +130,15 @@ if [ -z "$FULL" ] || [ "$FULL" != "$REST" ]; then
     exit 1
 fi
 echo "ci: endurance restore determinism passed"
+
+# The documents describe the mdsim that exists: none of them may spell a
+# flag that -set replaced. (fsgen and mdtrace keep flags of those names.)
+GONE='fig|list-plans|strategy|mds|clients|users|cache|dur|warmup|net-model|link-bw|faults|shards|open-loop|open-rate|open-tenants|tenant-skew|file-skew|diurnal|burst-prob|leases|replica-fanout|endure|chaos-seed'
+if grep -rnE "(^|[^[:alnum:]-])-($GONE)([^[:alnum:]-]|\$)" \
+    README.md DESIGN.md EXPERIMENTS.md examples .claude/skills/verify/SKILL.md | grep -vE 'fsgen|mdtrace'; then
+    echo "ci: the lines above mention an mdsim flag that no longer exists (use -plan / -set key=value)" >&2
+    exit 1
+fi
 
 # Nothing above may leave files behind in the checkout: temp output goes
 # under mktemp -d, reports go nowhere.

@@ -20,21 +20,21 @@ cd "$(dirname "$0")/.."
 
 go build ./cmd/mdsim
 
-go run ./cmd/mdsim -fig all -quick > testdata/figures_quick.txt
+./mdsim -plan figures -quick > testdata/figures_quick.txt
 echo "wrote testdata/figures_quick.txt"
 
-go run ./cmd/mdsim -plan all -quick > testdata/plans_quick.txt
+./mdsim -plan library -quick > testdata/plans_quick.txt
 echo "wrote testdata/plans_quick.txt"
 
 if [ "${1:-}" = "-full" ]; then
 	: > testdata/figures_full.txt
-	for f in 2 3 4 5 6 7; do
-		go run ./cmd/mdsim -fig "$f" >> testdata/figures_full.txt
+	for f in fig2 fig3 fig4 fig5 fig6 fig7; do
+		./mdsim -plan "$f" >> testdata/figures_full.txt
 	done
 	echo "wrote testdata/figures_full.txt"
-	go run ./cmd/mdsim -fig sci > testdata/extras_full.txt
-	go run ./cmd/mdsim -fig failover >> testdata/extras_full.txt
-	go run ./cmd/mdsim -fig avail >> testdata/extras_full.txt
-	go run ./cmd/mdsim -fig clients >> testdata/extras_full.txt
+	: > testdata/extras_full.txt
+	for x in sci failover avail clients; do
+		./mdsim -plan "$x" >> testdata/extras_full.txt
+	done
 	echo "wrote testdata/extras_full.txt"
 fi
