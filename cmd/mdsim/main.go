@@ -33,6 +33,7 @@ import (
 	"dynmds/internal/chaos"
 	"dynmds/internal/cluster"
 	"dynmds/internal/harness"
+	"dynmds/internal/mds"
 	"dynmds/internal/plan"
 )
 
@@ -221,7 +222,8 @@ func (c *invocation) oneRun() (cluster.Config, error) {
 // (not via harness.RunOne — a faulted run is drained and checked by
 // simfsck afterwards, which needs the live cluster, and a single run
 // gains nothing from the shared snapshot cache), printed with its
-// fabric table, fault summary and simfsck verdict.
+// fabric table, deepest service queues, fault summary and simfsck
+// verdict.
 func runSingle(c *invocation, cfg cluster.Config) int {
 	stdout := c.stdout
 	start := time.Now()
@@ -250,6 +252,7 @@ func runSingle(c *invocation, cfg cluster.Config) int {
 	}
 	fmt.Fprintf(stdout, "fabric (%s model): %d messages, %d bytes, max link queue %d\n",
 		res.Net.Model, res.Net.Messages, res.Net.Bytes, res.Net.MaxQueueDepth)
+	fmt.Fprintln(stdout, serviceQueues(cl.Nodes))
 	fmt.Fprint(stdout, res.Net.Table())
 	fmt.Fprint(stdout, res.FaultSummary())
 	rc := 0
@@ -266,6 +269,23 @@ func runSingle(c *invocation, cfg cluster.Config) int {
 		time.Since(start).Round(time.Millisecond),
 		res.SetupWall.Round(time.Millisecond), res.RunWall.Round(time.Millisecond))
 	return rc
+}
+
+// serviceQueues names, for each kind of service centre, the deepest
+// waiting line of the run and the (lowest-numbered) node it formed on:
+// the saturated resource a latency tail is parked behind.
+func serviceQueues(nodes []*mds.MDS) string {
+	var depth, node [3]int
+	for i, m := range nodes {
+		cpu, readDisk, logDisk := m.MaxQueues()
+		for k, d := range [3]int{cpu, readDisk, logDisk} {
+			if d > depth[k] {
+				depth[k], node[k] = d, i
+			}
+		}
+	}
+	return fmt.Sprintf("service queues: cpu max %d (mds%d), read disk max %d (mds%d), log disk max %d (mds%d)",
+		depth[0], node[0], depth[1], node[1], depth[2], node[2])
 }
 
 // heapBytes returns live heap bytes after a forced GC (0 when not

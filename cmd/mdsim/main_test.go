@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -148,6 +149,27 @@ func TestValidInvocations(t *testing.T) {
 		if stdout.Len() == 0 {
 			t.Errorf("%v: no output", args)
 		}
+	}
+}
+
+// TestServiceQueuesLine: the single-run report names, per kind of
+// service centre, the deepest waiting line and the node it formed on; a
+// closed loop of 40 clients on two nodes makes requests wait for a CPU
+// and misses wait for a read disk.
+func TestServiceQueuesLine(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-set", "mds=2", "-set", "clients=40", "-set", "users=10", "-set", "cache=50",
+		"-set", "duration=2s", "-set", "warmup=1s"}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit status %d\n%s", code, stderr.String())
+	}
+	line := regexp.MustCompile(`(?m)^service queues: cpu max (\d+) \(mds[01]\), read disk max (\d+) \(mds[01]\), log disk max \d+ \(mds[01]\)$`)
+	m := line.FindStringSubmatch(stdout.String())
+	if m == nil {
+		t.Fatalf("no service queues line in:\n%s", stdout.String())
+	}
+	if m[1] == "0" || m[2] == "0" {
+		t.Errorf("nothing ever waited for a CPU or a read disk: %s", m[0])
 	}
 }
 

@@ -561,6 +561,14 @@ func (m *MDS) Load(now sim.Time) float64 {
 // HitRate returns the node's cache hit rate so far.
 func (m *MDS) HitRate() float64 { return m.cache.HitRate() }
 
+// MaxQueues reports the deepest the node's three service-centre waiting
+// lines have been: the resource a latency tail is parked behind. It is
+// a diagnostic (sim.Server.MaxQueue), not state: it restarts on restore.
+func (m *MDS) MaxQueues() (cpu, readDisk, logDisk int) {
+	readDisk, logDisk = m.store.MaxQueues()
+	return m.cpu.MaxQueue, readDisk, logDisk
+}
+
 // Receive accepts a request arriving over the network (from a client or
 // a forwarding peer).
 func (m *MDS) Receive(req *msg.Request) {

@@ -15,11 +15,20 @@ package sim
 // it — never while its completion is still queued in the engine — so
 // Engine.Stop leaving events queued cannot corrupt the pool (see
 // DESIGN.md, "Pooling rules").
+//
+// The waiting line is a ring: enqueue and dequeue are O(1) whatever the
+// backlog, so a node driven past capacity costs the same per job as an
+// idle one. The qlen waiting jobs are queue[(head+i)&(len(queue)-1)]
+// for i in [0, qlen); len(queue) is zero or a power of two, doubles
+// when full and never shrinks. Where the ring starts is layout, not
+// state: a checkpoint only ever sees an idle server (StatsState).
 type Server struct {
 	eng   *Engine
 	width int
 	busy  int
 	queue []*job
+	head  int
+	qlen  int
 	free  []*job
 
 	// Stats
@@ -27,6 +36,12 @@ type Server struct {
 	Submitted  uint64
 	BusyTime   Time // total slot-occupancy time accumulated
 	lastChange Time
+
+	// MaxQueue is the deepest the waiting line has been since this
+	// Server was constructed. It is a diagnostic only — not part of
+	// StatsState, of any snapshot, Result or digest — so it restarts
+	// from zero when a run is restored from a checkpoint.
+	MaxQueue int
 }
 
 // job is one pooled unit of service. fn/a/b use the engine's typed
@@ -47,7 +62,7 @@ func NewServer(eng *Engine, width int) *Server {
 }
 
 // QueueLen reports the number of jobs waiting (not in service).
-func (s *Server) QueueLen() int { return len(s.queue) }
+func (s *Server) QueueLen() int { return s.qlen }
 
 // InService reports the number of jobs currently being served.
 func (s *Server) InService() int { return s.busy }
@@ -70,7 +85,7 @@ func (s *Server) account(now Time) {
 // server must be idle (drained) when snapshotted; in-service or queued
 // jobs are events, not serializable state.
 func (s *Server) StatsState() (completed, submitted uint64, busyTime, lastChange Time) {
-	if s.busy != 0 || len(s.queue) != 0 {
+	if s.busy != 0 || s.qlen != 0 {
 		panic("sim: snapshotting a non-idle server")
 	}
 	return s.Completed, s.Submitted, s.BusyTime, s.lastChange
@@ -106,7 +121,23 @@ func (s *Server) SubmitCall(service Time, fn EventFunc, a, b any) {
 		s.start(j)
 		return
 	}
-	s.queue = append(s.queue, j)
+	if s.qlen == len(s.queue) {
+		s.grow()
+	}
+	s.queue[(s.head+s.qlen)&(len(s.queue)-1)] = j
+	s.qlen++
+	if s.qlen > s.MaxQueue {
+		s.MaxQueue = s.qlen
+	}
+}
+
+// grow doubles the ring, unrolling the waiting jobs from head so the
+// new ring starts at slot 0.
+func (s *Server) grow() {
+	q := make([]*job, max(8, 2*len(s.queue)))
+	n := copy(q, s.queue[s.head:])
+	copy(q[n:], s.queue[:s.head])
+	s.queue, s.head = q, 0
 }
 
 func (s *Server) getJob() *job {
@@ -126,7 +157,10 @@ func (s *Server) start(j *job) {
 
 // jobComplete is the pooled completion dispatcher: it releases the job
 // back to the free list before invoking the callback, so the callback
-// may resubmit without growing the pool.
+// may resubmit without growing the pool. The next waiting job starts
+// before the callback runs too: its completion event must take its seq
+// ahead of anything the callback schedules, or same-instant ties — and
+// with them every digest — come out differently.
 func jobComplete(x, _ any) {
 	j := x.(*job)
 	s := j.s
@@ -136,13 +170,11 @@ func jobComplete(x, _ any) {
 	fn, a, b := j.fn, j.a, j.b
 	j.fn, j.a, j.b = nil, nil, nil
 	s.free = append(s.free, j)
-	if len(s.queue) > 0 {
-		next := s.queue[0]
-		// Shift rather than re-slice forever to avoid leaking the
-		// backing array on long runs.
-		copy(s.queue, s.queue[1:])
-		s.queue[len(s.queue)-1] = nil
-		s.queue = s.queue[:len(s.queue)-1]
+	if s.qlen > 0 {
+		next := s.queue[s.head]
+		s.queue[s.head] = nil
+		s.head = (s.head + 1) & (len(s.queue) - 1)
+		s.qlen--
 		s.start(next)
 	}
 	if fn != nil {

@@ -2,7 +2,7 @@ package sim
 
 // Wheel is a hierarchical timer wheel for timer populations far too
 // large for the event heap: millions of pending client arrivals would
-// otherwise dominate heap sift costs and memory (48 bytes/event). The
+// otherwise dominate heap sift costs and memory (56 bytes/event). The
 // wheel stores one pending timer per id in two flat int32/uint32 arrays
 // (8 bytes/id, no per-timer allocation) threaded into intrusive
 // per-slot FIFO lists, and drives itself with a single recurring engine

@@ -221,6 +221,13 @@ func (s *Store) ReadUtilization(now sim.Time) float64 {
 	return s.readDisk.Utilization(now)
 }
 
+// MaxQueues reports the deepest the read-disk and log-disk waiting
+// lines have been (sim.Server.MaxQueue: a diagnostic that restarts on
+// restore). Both stay zero when a shared OSD pool does the I/O.
+func (s *Store) MaxQueues() (readDisk, logDisk int) {
+	return s.readDisk.MaxQueue, s.logDisk.MaxQueue
+}
+
 // BoundedLog is a fixed-capacity append log of inode IDs. Appending when
 // full expels the oldest entry; the expelled entry triggers a tier write
 // only if no newer append for the same inode remains in the log (a newer

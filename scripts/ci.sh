@@ -30,10 +30,12 @@ go test -race -timeout 30m ./...
 # Allocation pins once more without the race detector: its runtime skews
 # testing.AllocsPerRun and malloc counts, so a pin that has to skip or
 # loosen under -race would otherwise never be enforced.
-go test -count=1 -run 'Alloc|ZeroAlloc|AllocBudget' ./internal/cache ./internal/dirstore ./internal/cluster ./internal/mds
-# One iteration of the cache benchmarks the ledger's kernels mirror, so
+go test -count=1 -run 'Alloc|ZeroAlloc|AllocBudget' ./internal/sim ./internal/cache ./internal/dirstore ./internal/cluster ./internal/mds
+# One iteration of the cache benchmarks the ledger's kernels mirror and
+# of the service-centre backlog benchmark the depth-ratio pin runs, so
 # they cannot rot.
 go test -run '^$' -bench 'InsertPathEvict|GetHit' -benchtime 1x ./internal/cache
+go test -run '^$' -bench 'ServerBacklog' -benchtime 1x ./internal/sim
 
 # One mdsim, and one built with the race detector, for every invocation
 # below: a built binary starts at once and keeps its exit status (go run
