@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"dynmds/internal/client"
 	"dynmds/internal/cluster"
@@ -18,6 +19,7 @@ import (
 	"dynmds/internal/harness"
 	"dynmds/internal/plan"
 	"dynmds/internal/sim"
+	"dynmds/internal/snap/snaptest"
 )
 
 // badPlans are plan DSL files that parse or compile to an error: an
@@ -272,4 +274,63 @@ func TestReproLinesRoundTrip(t *testing.T) {
 			t.Errorf("endurance flags lost: -checkpoint-every %g -restore %q in: %s", c.every, c.restore, line)
 		}
 	})
+}
+
+// TestRestoreOfADamagedSnapshot: a snapshot whose header says another
+// run is a usage error (exit 2, before anything is built); one whose
+// header is right and whose contents are not — trailer recomputed, so
+// the checksum holds — is a failed run: exit 1, one error line that
+// names the file and the field, no Go stack trace, in well under a
+// second. The three damaged files are the ones that made the
+// hand-written decoders panic (twice) and spin (once).
+func TestRestoreOfADamagedSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	aging := []string{"-set", "rate=1", "-set", "clients=200", "-set", "users=8", "-set", "duration=8s",
+		"-set", "warmup=1s", "-set", "faults=drop@0.02:all", "-checkpoint-every", "2.5"}
+	mdsim := func(args ...string) (code int, stdout, stderr string) {
+		var o, e bytes.Buffer
+		code = run(append(slices.Clone(aging), args...), &o, &e)
+		return code, o.String(), e.String()
+	}
+	if code, _, stderr := mdsim("-checkpoint-dir", dir); code != 0 {
+		t.Fatalf("the checkpointing run exited %d:\n%s", code, stderr)
+	}
+	good := filepath.Join(dir, "ck-000.snap")
+	data, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _, stderr := mdsim("-restore", good); code != 0 {
+		t.Fatalf("the undamaged snapshot does not restore (exit %d):\n%s", code, stderr)
+	}
+	if code, stdout, stderr := mdsim("-restore", good, "-seed", "2"); code != 2 || stdout != "" ||
+		!strings.Contains(stderr, "config hash") {
+		t.Errorf("a snapshot of another run: exit %d, stdout %q; want a usage error about the config hash:\n%s", code, stdout, stderr)
+	}
+
+	for _, d := range snaptest.Damaged {
+		t.Run(d.Name, func(t *testing.T) {
+			bad, err := snaptest.Edit(data, d.Section, d.Edit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, d.Name+".snap")
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			code, _, stderr := mdsim("-restore", path)
+			if took := time.Since(start); took > time.Second {
+				t.Errorf("took %v", took)
+			}
+			if code != 1 {
+				t.Errorf("exit status %d, want 1", code)
+			}
+			line := strings.TrimSuffix(stderr, "\n")
+			if !strings.HasPrefix(line, "mdsim: endure: restoring "+path+": ") ||
+				!strings.Contains(line, d.Want) || strings.Contains(line, "\n") {
+				t.Errorf("stderr is not one line naming the file and the field (%q):\n%s", d.Want, stderr)
+			}
+		})
+	}
 }

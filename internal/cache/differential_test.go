@@ -366,19 +366,14 @@ func (w *diffWorld) step() string {
 			return "restore(skipped)"
 		}
 		sw := snap.NewWriter()
-		sw.Begin("cache")
-		w.c.SnapshotTo(sw)
-		sw.End()
+		snap.Encoder(sw).Section("cache", func(sc *snap.Codec) { w.c.Snap(sc, w.tree) })
 		sr, err := snap.NewReader(sw.Bytes())
 		if err != nil {
 			w.t.Fatal(err)
 		}
-		if _, err := sr.Section(); err != nil {
-			w.t.Fatal(err)
-		}
-		fresh := New(w.c.Cap())
-		if err := fresh.RestoreFrom(sr, w.tree.ByID); err != nil {
-			w.t.Fatal(err)
+		fresh, dec := New(w.c.Cap()), snap.Decoder(sr)
+		if dec.Section("cache", func(sc *snap.Codec) { fresh.Snap(sc, w.tree) }); dec.Err() != nil {
+			w.t.Fatal(dec.Err())
 		}
 		w.attach(fresh)
 		return "restore"

@@ -1,8 +1,6 @@
 package cache
 
 import (
-	"fmt"
-
 	"dynmds/internal/namespace"
 	"dynmds/internal/snap"
 )
@@ -30,66 +28,59 @@ func (c *Cache) DropDestroyed(dead func(namespace.InodeID) bool) int {
 	return c.unwind()
 }
 
-// SnapshotTo serializes the cache.
-func (c *Cache) SnapshotTo(w *snap.Writer) {
-	w.Int(c.capacity)
-	w.U64(c.Stats.Hits)
-	w.U64(c.Stats.Misses)
-	w.U64(c.Stats.Inserts)
-	w.U64(c.Stats.Evicts)
-	w.U64(c.Stats.PinBlockedEvicts)
-	for _, l := range [...]*list{&c.hot, &c.warm} {
-		w.Int(l.n)
-		for e := l.head; e != nil; e = e.next {
-			w.U64(uint64(e.Ino.ID))
-			w.U64(uint64(e.Class))
-			w.Bool(e.detached)
-			if e.parent != nil {
-				w.U64(uint64(e.parent.Ino.ID))
-			} else {
-				w.U64(0)
-			}
+// Snap walks the cache; reading, a freshly built, empty cache of the
+// same capacity, whose inode references resolve against tree. The two
+// directions share the per-entry fields and nothing else: writing
+// follows each segment's links, reading relinks the entries in the
+// order it meets them.
+func (c *Cache) Snap(sc *snap.Codec, tree *namespace.Tree) {
+	sc.Same(c.capacity, "cache: capacity")
+	if sc.Reading() && c.n != 0 {
+		sc.Failf("cache: restore into a non-empty cache")
+	}
+	snap.U(sc, &c.Stats.Hits)
+	snap.U(sc, &c.Stats.Misses)
+	snap.U(sc, &c.Stats.Inserts)
+	snap.U(sc, &c.Stats.Evicts)
+	snap.U(sc, &c.Stats.PinBlockedEvicts)
+	fields := func(e *Entry) (parent namespace.InodeID) {
+		tree.SnapRef(sc, &e.Ino, "cache: entry")
+		snap.Index(sc, &e.Class, len(c.classCount), "cache: class")
+		sc.Bool(&e.detached)
+		if e.parent != nil {
+			parent = e.parent.Ino.ID
 		}
+		snap.U(sc, &parent)
+		return parent
 	}
-}
-
-// RestoreFrom applies a snapshot onto a freshly built, empty cache with
-// the same capacity; resolve maps inode IDs to the restored namespace.
-func (c *Cache) RestoreFrom(r *snap.Reader, resolve func(namespace.InodeID) (*namespace.Inode, bool)) error {
-	if cp := r.Int(); cp != c.capacity {
-		return fmt.Errorf("cache: snapshot capacity %d, built %d", cp, c.capacity)
-	}
-	if c.n != 0 {
-		return fmt.Errorf("cache: restore into a non-empty cache")
-	}
-	c.Stats.Hits = r.U64()
-	c.Stats.Misses = r.U64()
-	c.Stats.Inserts = r.U64()
-	c.Stats.Evicts = r.U64()
-	c.Stats.PinBlockedEvicts = r.U64()
 	type pending struct {
 		e      *Entry
 		parent namespace.InodeID
 	}
 	var all []pending
 	for li, l := range [...]*list{&c.hot, &c.warm} {
-		n := r.Int()
+		n := l.n
+		sc.Len(&n)
+		if !sc.Reading() {
+			for e := l.head; e != nil; e = e.next {
+				fields(e)
+			}
+			continue
+		}
 		var prev *Entry
 		for i := 0; i < n; i++ {
-			id := namespace.InodeID(r.U64())
-			cl := Class(r.U64())
-			detached := r.Bool()
-			parent := namespace.InodeID(r.U64())
-			ino, ok := resolve(id)
-			if !ok {
-				return fmt.Errorf("cache: snapshot entry %d unresolvable", id)
+			e := &Entry{hot: li == 0, stamp: uint64(n - i), prev: prev}
+			parent := fields(e)
+			if sc.Err() != nil {
+				return
 			}
-			e := &Entry{Ino: ino, Class: cl, hot: li == 0, detached: detached, stamp: uint64(n - i)}
-			c.store(id, e)
-			c.classCount[cl]++
+			if c.lookup(e.Ino.ID) != nil {
+				sc.Failf("cache: snapshot holds inode %d twice", e.Ino.ID)
+				return
+			}
+			c.store(e.Ino.ID, e)
+			c.classCount[e.Class]++
 			all = append(all, pending{e, parent})
-			// Relink in serialized (MRU-first) order.
-			e.prev = prev
 			if prev != nil {
 				prev.next = e
 			} else {
@@ -106,12 +97,12 @@ func (c *Cache) RestoreFrom(r *snap.Reader, resolve func(namespace.InodeID) (*na
 		}
 		pe := c.lookup(p.parent)
 		if pe == nil {
-			return fmt.Errorf("cache: snapshot entry %d pins uncached parent %d", p.e.Ino.ID, p.parent)
+			sc.Failf("cache: snapshot entry %d pins uncached parent %d", p.e.Ino.ID, p.parent)
+			return
 		}
 		p.e.parent = pe
 		if pe.pins++; pe.pins == 1 {
 			c.pinned++
 		}
 	}
-	return nil
 }

@@ -219,12 +219,19 @@ func (t *denseHints) snapshotTo(w *snap.Writer) {
 	}
 }
 
-// hintSnapshot is one table's checkpoint section as finished bytes.
-func hintSnapshot(write func(*snap.Writer)) []byte {
+// snapshot is the dense reference's checkpoint section as finished bytes.
+func (t *denseHints) snapshot() []byte {
 	w := snap.NewWriter()
 	w.Begin("hints")
-	write(w)
+	t.snapshotTo(w)
 	w.End()
+	return w.Bytes()
+}
+
+// snapshot is the table's checkpoint section as finished bytes.
+func (t *HintTable) snapshot() []byte {
+	w := snap.NewWriter()
+	snap.Encoder(w).Section("hints", t.snap)
 	return w.Bytes()
 }
 
@@ -273,7 +280,7 @@ func TestHintTableDifferential(t *testing.T) {
 				if step != steps/2 && step != steps-1 {
 					continue
 				}
-				got, want := hintSnapshot(tab.snapshotTo), hintSnapshot(ref.snapshotTo)
+				got, want := tab.snapshot(), ref.snapshot()
 				if !bytes.Equal(got, want) {
 					t.Fatalf("ways %d clients %d step %d: snapshot differs from the dense encoder's (%d vs %d bytes)",
 						ways, clients, step, len(got), len(want))
@@ -282,14 +289,12 @@ func TestHintTableDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := r.Section(); err != nil {
-					t.Fatal(err)
-				}
 				tab = NewHintTable(clients, ways, stripes)
-				if err := tab.restoreFrom(r); err != nil {
-					t.Fatal(err)
+				dec := snap.Decoder(r)
+				if dec.Section("hints", tab.snap); dec.Err() != nil {
+					t.Fatal(dec.Err())
 				}
-				if again := hintSnapshot(tab.snapshotTo); !bytes.Equal(again, want) {
+				if again := tab.snapshot(); !bytes.Equal(again, want) {
 					t.Fatalf("ways %d clients %d step %d: restored table re-encodes differently", ways, clients, step)
 				}
 			}

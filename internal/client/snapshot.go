@@ -1,8 +1,6 @@
 package client
 
 import (
-	"fmt"
-
 	"dynmds/internal/namespace"
 	"dynmds/internal/snap"
 )
@@ -36,154 +34,91 @@ func (p *Population) Resume() {
 	}
 }
 
-// SnapshotTo serializes the population. Call only at a quiesce point:
-// paused, drained (no outstanding retries), and outside any act.
-func (p *Population) SnapshotTo(w *snap.Writer) {
-	w.Int(len(p.shards))
-	for _, s := range p.shards {
-		if !s.stopped {
-			panic("client: snapshot of a running population")
+// Snap walks the population: the per-shard slabs and counters, then the
+// shared hint table. Call only at a quiesce point — paused, drained (no
+// outstanding retries), and outside any act — or, reading, on a freshly
+// built population with the same config and shard count, whose inode
+// references resolve against tree.
+func (p *Population) Snap(c *snap.Codec, tree *namespace.Tree) {
+	// queue walks the unconsumed tail of a FIFO of inodes; the restored
+	// queue holds nothing else (whatever a fresh build seeded is gone).
+	queue := func(q *[]*namespace.Inode, head *int, what string) {
+		live := (*q)[*head:]
+		snap.Slice(c, &live)
+		for i := range live {
+			tree.SnapRef(c, &live[i], what)
 		}
-		if len(s.retry) != 0 {
-			panic("client: snapshot with outstanding retries")
-		}
-		if s.curLat != nil {
-			panic("client: snapshot inside an act")
-		}
-		w.Int(len(s.rng))
-		for _, v := range s.rng {
-			w.U64(v)
-		}
-		w.U64(s.seq)
-		w.Int(s.nameSeq)
-		w.U64(s.issued)
-		w.U64(s.completed)
-		w.U64(s.leaseHits)
-		w.U64(s.hotLocal)
-		w.U64(s.hotRemote)
-		w.U64(s.retries)
-		w.U64(s.timedOut)
-		w.U64(s.wheel.Ticks)
-		w.U64(s.wheel.Fired)
-		n, mean, m2, mn, mx := s.welford.State()
-		w.I64(n)
-		w.F64(mean)
-		w.F64(m2)
-		w.F64(mn)
-		w.F64(mx)
-		nb := 0
-		s.lat.State(func(int, uint64) { nb++ })
-		w.Int(nb)
-		s.lat.State(func(idx int, count uint64) {
-			w.Int(idx)
-			w.U64(count)
-		})
-		w.Int(len(s.churn) - s.churnHead)
-		for _, c := range s.churn[s.churnHead:] {
-			w.U64(uint64(c.ID))
-		}
-		w.Int(len(s.baseVictims) - s.baseHead)
-		for _, v := range s.baseVictims[s.baseHead:] {
-			w.U64(uint64(v.ID))
+		if c.Reading() {
+			*q, *head = live, 0
 		}
 	}
-	p.hints.snapshotTo(w)
-}
-
-// RestoreFrom applies a snapshot onto a freshly built population with
-// the same config and shard count; resolve maps inode IDs back to the
-// restored namespace.
-func (p *Population) RestoreFrom(r *snap.Reader, resolve func(namespace.InodeID) (*namespace.Inode, bool)) error {
-	if k := r.Int(); k != len(p.shards) {
-		return fmt.Errorf("client: snapshot has %d population shards, cluster has %d", k, len(p.shards))
-	}
+	c.Same(len(p.shards), "client: population shards")
 	for _, s := range p.shards {
-		if n := r.Int(); n != len(s.rng) {
-			return fmt.Errorf("client: snapshot shard has %d clients, built shard has %d", n, len(s.rng))
-		}
-		for i := range s.rng {
-			s.rng[i] = r.U64()
-		}
-		s.seq = r.U64()
-		s.nameSeq = r.Int()
-		s.issued = r.U64()
-		s.completed = r.U64()
-		s.leaseHits = r.U64()
-		s.hotLocal = r.U64()
-		s.hotRemote = r.U64()
-		s.retries = r.U64()
-		s.timedOut = r.U64()
-		s.wheel.Ticks = r.U64()
-		s.wheel.Fired = r.U64()
-		s.welford.SetState(r.I64(), r.F64(), r.F64(), r.F64(), r.F64())
-		nb := r.Int()
-		for i := 0; i < nb; i++ {
-			idx := r.Int()
-			s.lat.SetBucket(idx, r.U64())
-		}
-		nc := r.Int()
-		s.churn = make([]*namespace.Inode, 0, nc)
-		s.churnHead = 0
-		for i := 0; i < nc; i++ {
-			id := namespace.InodeID(r.U64())
-			n, ok := resolve(id)
-			if !ok {
-				return fmt.Errorf("client: churn-ring inode %d unresolvable", id)
+		if !c.Reading() {
+			if !s.stopped {
+				panic("client: snapshot of a running population")
 			}
-			s.churn = append(s.churn, n)
-		}
-		// The restored pool replaces whatever the fresh build seeded: only
-		// the victims the checkpointing run had not yet consumed remain.
-		nv := r.Int()
-		s.baseVictims = make([]*namespace.Inode, 0, nv)
-		s.baseHead = 0
-		for i := 0; i < nv; i++ {
-			id := namespace.InodeID(r.U64())
-			n, ok := resolve(id)
-			if !ok {
-				return fmt.Errorf("client: base-victim inode %d unresolvable", id)
+			if len(s.retry) != 0 {
+				panic("client: snapshot with outstanding retries")
 			}
-			s.baseVictims = append(s.baseVictims, n)
+			if s.curLat != nil {
+				panic("client: snapshot inside an act")
+			}
 		}
 		s.stopped = true
+		c.Same(len(s.rng), "client: shard clients")
+		for i := range s.rng {
+			snap.U(c, &s.rng[i])
+		}
+		snap.U(c, &s.seq)
+		snap.I(c, &s.nameSeq)
+		snap.U(c, &s.issued)
+		snap.U(c, &s.completed)
+		snap.U(c, &s.leaseHits)
+		snap.U(c, &s.hotLocal)
+		snap.U(c, &s.hotRemote)
+		snap.U(c, &s.retries)
+		snap.U(c, &s.timedOut)
+		snap.U(c, &s.wheel.Ticks)
+		snap.U(c, &s.wheel.Fired)
+		s.welford.Snap(c)
+		s.lat.Snap(c)
+		queue(&s.churn, &s.churnHead, "client: churn ring")
+		queue(&s.baseVictims, &s.baseHead, "client: base victim")
 	}
-	return p.hints.restoreFrom(r)
+	p.hints.snap(c)
 }
 
-// snapshotTo writes the table sparsely, in the dense layout's terms: the
-// slot count clients·ways, then a (client·ways+j, slot) pair for every
-// occupied slot in ascending order. Region numbers are not written.
-func (t *HintTable) snapshotTo(w *snap.Writer) {
-	nz := 0
-	for c := range t.region {
-		nz += t.Len(c)
+// snap walks the table sparsely, in the dense layout's terms: the slot
+// count clients·ways, then a (client·ways+j, slot) pair for every
+// occupied slot in ascending order. Region numbers are not written:
+// reading hands regions out in file — that is, client — order, whatever
+// order the checkpointed run met its clients in. Writing goes region by
+// region, so a silent client costs one load.
+func (t *HintTable) snap(c *snap.Codec) {
+	ways := int(t.ways)
+	total := len(t.region) * ways
+	c.Same(total, "client: hint table slots")
+	occupied := 0
+	for client := range t.region {
+		occupied += t.Len(client)
 	}
-	w.Int(len(t.region) * int(t.ways))
-	w.Int(nz)
-	for c := range t.region {
-		for j, v := range t.slots(c) {
-			if v != 0 {
-				w.Int(c*int(t.ways) + j)
-				w.U64(v)
+	c.Len(&occupied)
+	if c.Reading() {
+		for idx := 0; occupied > 0 && c.Err() == nil; occupied-- {
+			if snap.Index(c, &idx, total, "client: hint slot"); c.Err() == nil {
+				snap.U(c, &t.claim(idx / ways)[idx%ways])
+			}
+		}
+		return
+	}
+	for client := range t.region {
+		region := t.slots(client)
+		for j := range region {
+			if idx := client*ways + j; region[j] != 0 {
+				snap.Index(c, &idx, total, "client: hint slot")
+				snap.U(c, &region[j])
 			}
 		}
 	}
-}
-
-// restoreFrom fills a freshly built table of the same shape. Regions
-// are handed out in client order, whatever order the checkpointed run
-// met its clients in.
-func (t *HintTable) restoreFrom(r *snap.Reader) error {
-	total := len(t.region) * int(t.ways)
-	if n := r.Int(); n != total {
-		return fmt.Errorf("client: snapshot hint table has %d slots, built table has %d", n, total)
-	}
-	for nz := r.Int(); nz > 0; nz-- {
-		idx, v := r.Int(), r.U64()
-		if idx < 0 || idx >= total {
-			return fmt.Errorf("client: snapshot hint slot %d outside the table's %d", idx, total)
-		}
-		t.claim(idx / int(t.ways))[idx%int(t.ways)] = v
-	}
-	return nil
 }

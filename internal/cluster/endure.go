@@ -2,11 +2,10 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
-	"dynmds/internal/metrics"
 	"dynmds/internal/namespace"
+	"dynmds/internal/net"
 	"dynmds/internal/partition"
 	"dynmds/internal/sim"
 	"dynmds/internal/snap"
@@ -210,229 +209,17 @@ func (c *Cluster) Resume() {
 
 // ---- serialization ----
 
-func writeSeries(w *snap.Writer, s *metrics.Series) {
-	sums, counts := s.State()
-	w.Int(len(sums))
-	for i := range sums {
-		w.F64(sums[i])
-		w.I64(counts[i])
-	}
-}
-
-func readSeries(r *snap.Reader, s *metrics.Series) {
-	n := r.Int()
-	sums := make([]float64, n)
-	counts := make([]int64, n)
-	for i := 0; i < n; i++ {
-		sums[i] = r.F64()
-		counts[i] = r.I64()
-	}
-	s.SetState(sums, counts)
-}
-
-func writeHist(w *snap.Writer, h *metrics.Histogram) {
-	counts, total := h.State()
-	w.Int(len(counts))
-	for _, c := range counts {
-		w.U64(c)
-	}
-	w.U64(total)
-}
-
-func readHist(r *snap.Reader, h *metrics.Histogram) error {
-	n := r.Int()
-	counts := make([]uint64, n)
-	for i := range counts {
-		counts[i] = r.U64()
-	}
-	total := r.U64()
-	have, _ := h.State()
-	if n != len(have) {
-		return fmt.Errorf("cluster: snapshot histogram has %d buckets, built %d", n, len(have))
-	}
-	h.SetState(counts, total)
-	return nil
-}
-
-func writeLatHist(w *snap.Writer, h *metrics.LatHist) {
-	nz := 0
-	h.State(func(int, uint64) { nz++ })
-	w.Int(nz)
-	h.State(func(idx int, count uint64) {
-		w.Int(idx)
-		w.U64(count)
-	})
-}
-
-func readLatHist(r *snap.Reader, h *metrics.LatHist) {
-	nz := r.Int()
-	for i := 0; i < nz; i++ {
-		idx := r.Int()
-		h.SetBucket(idx, r.U64())
-	}
-}
-
-func writeFaultEvents(w *snap.Writer, evs []FaultEvent) {
-	w.Int(len(evs))
-	for _, ev := range evs {
-		w.I64(int64(ev.At))
-		w.Int(ev.Node)
-		w.Int(ev.Warmed)
-	}
-}
-
-func readFaultEvents(r *snap.Reader) []FaultEvent {
-	n := r.Int()
-	if n == 0 {
-		return nil
-	}
-	evs := make([]FaultEvent, n)
-	for i := range evs {
-		evs[i] = FaultEvent{At: sim.Time(r.I64()), Node: r.Int(), Warmed: r.Int()}
-	}
-	return evs
-}
-
 // CheckpointTo serializes the full cluster state. Call only after a
-// successful Quiesce; the per-subsystem codecs panic on any trace of
+// successful Quiesce; the per-subsystem walks panic on any trace of
 // in-flight work.
 func (c *Cluster) CheckpointTo(w *snap.Writer) {
 	if c.lanesMerged {
 		panic("cluster: checkpoint after lanes were merged (Collect already ran)")
 	}
-	w.Begin("tree")
-	c.Snap.Tree.SnapshotTo(w)
-	w.End()
-
-	w.Begin("partition")
-	if t := c.subtreeTable(); t != nil {
-		w.Bool(true)
-		t.SnapshotTable(w)
-	} else {
-		w.Bool(false)
+	enc := snap.Encoder(w)
+	if c.snap(enc); enc.Err() != nil {
+		panic("cluster: checkpoint: " + enc.Err().Error())
 	}
-	partition.SnapshotTags(w, c.Snap.Tree)
-	w.End()
-
-	w.Begin("core")
-	if c.Dyn != nil {
-		w.Bool(true)
-		c.Dyn.SnapshotTo(w)
-	} else {
-		w.Bool(false)
-	}
-	if c.Traffic != nil {
-		w.Bool(true)
-		c.Traffic.SnapshotTo(w)
-	} else {
-		w.Bool(false)
-	}
-	if c.Balancer != nil {
-		w.Bool(true)
-		c.Balancer.SnapshotTo(w)
-	} else {
-		w.Bool(false)
-	}
-	w.End()
-
-	w.Begin("nodes")
-	w.Int(len(c.Nodes))
-	for _, n := range c.Nodes {
-		n.SnapshotTo(w)
-	}
-	w.End()
-
-	w.Begin("lease")
-	if c.Lease != nil {
-		w.Bool(true)
-		c.Lease.SnapshotTo(w)
-	} else {
-		w.Bool(false)
-	}
-	w.End()
-
-	w.Begin("fault")
-	if c.plane != nil {
-		w.Bool(true)
-		w.U64(c.plane.Draws())
-		for _, s := range c.strikes {
-			w.Int(s)
-		}
-		for _, d := range c.down {
-			w.Bool(d)
-		}
-		w.U64(c.suspicions)
-		writeFaultEvents(w, c.Failures)
-		writeFaultEvents(w, c.Recoveries)
-		writeFaultEvents(w, c.Downs)
-		writeSeries(w, c.CompletedOps)
-		victims := make([]int, 0, len(c.lostRoots))
-		for v := range c.lostRoots {
-			victims = append(victims, v)
-		}
-		sort.Ints(victims)
-		w.Int(len(victims))
-		for _, v := range victims {
-			roots := c.lostRoots[v]
-			w.Int(v)
-			w.Int(len(roots))
-			// Slice order is preserved verbatim: fail-back re-delegates
-			// in this order on recovery.
-			for _, root := range roots {
-				w.U64(uint64(root.ID))
-			}
-		}
-	} else {
-		w.Bool(false)
-	}
-	w.End()
-
-	w.Begin("fabric")
-	c.Fab.SnapshotTo(w)
-	w.End()
-
-	w.Begin("pop")
-	c.Pop.SnapshotTo(w)
-	w.End()
-
-	w.Begin("series")
-	w.Int(len(c.RepliesPerNode))
-	for _, s := range c.RepliesPerNode {
-		writeSeries(w, s)
-	}
-	writeSeries(w, c.Forwards)
-	writeSeries(w, c.Arrivals)
-	writeHist(w, c.Latencies)
-	writeLatHist(w, c.LatH)
-	if c.numShards > 1 {
-		w.Int(c.numShards)
-		for i := 0; i < c.numShards; i++ {
-			writeSeries(w, c.arrivalLanes[i])
-			writeSeries(w, c.forwardLanes[i])
-			writeHist(w, c.latencyLanes[i])
-			writeLatHist(w, c.latHistLanes[i])
-		}
-	} else {
-		w.Int(-1)
-	}
-	w.U64(c.warmServed)
-	w.U64(c.warmForwards)
-	w.U64(c.warmArrivals)
-	w.U64(c.warmHits)
-	w.U64(c.warmMisses)
-	w.Bool(c.warmTaken)
-	w.End()
-}
-
-func (c *Cluster) expectSection(r *snap.Reader, want string) error {
-	name, err := r.Section()
-	if err != nil {
-		return fmt.Errorf("cluster: reading snapshot section %q: %w", want, err)
-	}
-	if name != want {
-		return fmt.Errorf("cluster: snapshot section %q where %q expected", name, want)
-	}
-	return nil
 }
 
 // RestoreCheckpoint applies a checkpoint onto a freshly built cluster
@@ -440,184 +227,145 @@ func (c *Cluster) expectSection(r *snap.Reader, want string) error {
 // StartEndureRestored and advance to the snapshot time afterwards, then
 // Resume.
 func (c *Cluster) RestoreCheckpoint(r *snap.Reader) error {
-	if err := c.expectSection(r, "tree"); err != nil {
-		return err
-	}
+	dec := snap.Decoder(r)
+	c.snap(dec)
+	return dec.Err()
+}
+
+// snap is the cluster's state, section by section, in file order. Every
+// optional plane is announced with Has, so a snapshot and a restoring
+// run that disagree about the configuration fail on the first byte of
+// the difference.
+func (c *Cluster) snap(sc *snap.Codec) {
 	tree := c.Snap.Tree
-	if err := tree.RestoreFrom(r); err != nil {
-		return err
-	}
+	sc.Section("tree", tree.Snap)
 
-	if err := c.expectSection(r, "partition"); err != nil {
-		return err
-	}
-	table := c.subtreeTable()
-	if r.Bool() {
-		if table == nil {
-			return fmt.Errorf("cluster: snapshot has a subtree table, strategy %q does not", c.Cfg.Strategy)
+	sc.Section("partition", func(sc *snap.Codec) {
+		table := c.subtreeTable()
+		if sc.Has(table != nil, "cluster: subtree table") {
+			table.Snap(sc, tree)
 		}
-		if err := table.RestoreTable(r, tree); err != nil {
-			return err
-		}
-	} else if table != nil {
-		return fmt.Errorf("cluster: snapshot has no subtree table, strategy %q needs one", c.Cfg.Strategy)
-	}
-	if c.numShards > 1 {
-		// Inodes created after the pristine snapshot have no tag blocks
-		// yet; materialize them before windows run concurrently, exactly
-		// as New does for the pristine tree.
-		tree.Walk(func(n *namespace.Inode) bool {
-			_ = partition.TagsOf(n)
-			return true
-		})
-	}
-	if err := partition.RestoreTags(r, tree, c.Cfg.MDS.PopHalfLife, c.Cfg.MDS.PopHalfLife); err != nil {
-		return err
-	}
-	if table != nil && c.numShards > 1 {
-		// Memos came from the snapshot verbatim (they are behavioral
-		// state — see partition's codec); only resync the barrier's
-		// epoch watermark so it does not re-Memoize over them.
-		c.tableEpoch = table.Epoch()
-	}
-
-	if err := c.expectSection(r, "core"); err != nil {
-		return err
-	}
-	if r.Bool() {
-		if c.Dyn == nil {
-			return fmt.Errorf("cluster: snapshot has dynamic-strategy state, cluster does not")
-		}
-		c.Dyn.RestoreFrom(r)
-	}
-	if r.Bool() {
-		if c.Traffic == nil {
-			return fmt.Errorf("cluster: snapshot has traffic-control state, cluster does not")
-		}
-		c.Traffic.RestoreFrom(r)
-	}
-	if r.Bool() {
-		if c.Balancer == nil {
-			return fmt.Errorf("cluster: snapshot has balancer state, cluster does not")
-		}
-		if err := c.Balancer.RestoreFrom(r, tree); err != nil {
-			return err
-		}
-	}
-
-	if err := c.expectSection(r, "nodes"); err != nil {
-		return err
-	}
-	if n := r.Int(); n != len(c.Nodes) {
-		return fmt.Errorf("cluster: snapshot has %d nodes, cluster has %d", n, len(c.Nodes))
-	}
-	resolve := func(id namespace.InodeID) (*namespace.Inode, bool) { return tree.ByID(id) }
-	for _, n := range c.Nodes {
-		if err := n.RestoreFrom(r, resolve); err != nil {
-			return err
-		}
-	}
-
-	if err := c.expectSection(r, "lease"); err != nil {
-		return err
-	}
-	if r.Bool() {
-		if c.Lease == nil {
-			return fmt.Errorf("cluster: snapshot has lease state, cluster does not")
-		}
-		if err := c.Lease.RestoreFrom(r); err != nil {
-			return err
-		}
-	}
-
-	if err := c.expectSection(r, "fault"); err != nil {
-		return err
-	}
-	if r.Bool() {
-		if c.plane == nil {
-			return fmt.Errorf("cluster: snapshot has fault state, cluster has no fault schedule")
-		}
-		c.plane.ReplayDraws(r.U64())
-		for i := range c.strikes {
-			c.strikes[i] = r.Int()
-		}
-		for i := range c.down {
-			c.down[i] = r.Bool()
-		}
-		c.suspicions = r.U64()
-		c.Failures = readFaultEvents(r)
-		c.Recoveries = readFaultEvents(r)
-		c.Downs = readFaultEvents(r)
-		readSeries(r, c.CompletedOps)
-		nv := r.Int()
-		for i := 0; i < nv; i++ {
-			v := r.Int()
-			nr := r.Int()
-			roots := make([]*namespace.Inode, nr)
-			for j := range roots {
-				id := namespace.InodeID(r.U64())
-				root, ok := tree.ByID(id)
-				if !ok {
-					return fmt.Errorf("cluster: snapshot lost-root %d unresolvable", id)
-				}
-				roots[j] = root
+		partition.SnapTags(sc, tree, len(c.Nodes), c.Cfg.MDS.PopHalfLife, c.Cfg.MDS.PopHalfLife)
+		if sc.Reading() && c.numShards > 1 {
+			// Inodes created after the pristine snapshot have no tag blocks
+			// yet; materialize them before windows run concurrently, exactly
+			// as New does for the pristine tree.
+			tree.Walk(func(n *namespace.Inode) bool {
+				_ = partition.TagsOf(n)
+				return true
+			})
+			// Memos came from the snapshot verbatim (they are behavioral
+			// state — see partition's codec); only resync the barrier's
+			// epoch watermark so it does not re-Memoize over them.
+			if table != nil {
+				c.tableEpoch = table.Epoch()
 			}
-			c.lostRoots[v] = roots
 		}
-	} else if c.plane != nil {
-		return fmt.Errorf("cluster: snapshot has no fault state, cluster has a fault schedule")
+	})
+
+	sc.Section("core", func(sc *snap.Codec) {
+		if sc.Has(c.Dyn != nil, "cluster: dynamic-strategy state") {
+			c.Dyn.Snap(sc)
+		}
+		if sc.Has(c.Traffic != nil, "cluster: traffic-control state") {
+			c.Traffic.Snap(sc)
+		}
+		if sc.Has(c.Balancer != nil, "cluster: balancer state") {
+			c.Balancer.Snap(sc, tree)
+		}
+	})
+
+	sc.Section("nodes", func(sc *snap.Codec) {
+		sc.Same(len(c.Nodes), "cluster: nodes")
+		for _, n := range c.Nodes {
+			n.Snap(sc)
+		}
+	})
+
+	sc.Section("lease", func(sc *snap.Codec) {
+		if sc.Has(c.Lease != nil, "cluster: lease state") {
+			c.Lease.Snap(sc)
+		}
+	})
+
+	sc.Section("fault", c.snapFaults)
+	sc.Section("fabric", c.Fab.Snap)
+	if sc.Reading() && c.plane != nil && sc.Err() == nil {
+		// The draw count was read with the fault section; the counters
+		// that bound it have only now arrived.
+		var sent uint64
+		for class := 0; class < net.NumClasses; class++ {
+			sent += c.Fab.Class(net.Class(class)).Sent
+		}
+		if err := c.plane.Replay(sent); err != nil {
+			sc.Failf("cluster: %w", err)
+		}
 	}
 
-	if err := c.expectSection(r, "fabric"); err != nil {
-		return err
-	}
-	if err := c.Fab.RestoreFrom(r); err != nil {
-		return err
-	}
+	sc.Section("pop", func(sc *snap.Codec) { c.Pop.Snap(sc, tree) })
 
-	if err := c.expectSection(r, "pop"); err != nil {
-		return err
-	}
-	if err := c.Pop.RestoreFrom(r, resolve); err != nil {
-		return err
-	}
+	sc.Section("series", func(sc *snap.Codec) {
+		sc.Same(len(c.RepliesPerNode), "cluster: reply series")
+		for _, s := range c.RepliesPerNode {
+			s.Snap(sc)
+		}
+		c.Forwards.Snap(sc)
+		c.Arrivals.Snap(sc)
+		c.Latencies.Snap(sc)
+		c.LatH.Snap(sc)
+		lanes := -1
+		if c.numShards > 1 {
+			lanes = c.numShards
+		}
+		sc.Same(lanes, "cluster: metric lanes")
+		for i := 0; i < lanes; i++ {
+			c.arrivalLanes[i].Snap(sc)
+			c.forwardLanes[i].Snap(sc)
+			c.latencyLanes[i].Snap(sc)
+			c.latHistLanes[i].Snap(sc)
+		}
+		snap.U(sc, &c.warmServed)
+		snap.U(sc, &c.warmForwards)
+		snap.U(sc, &c.warmArrivals)
+		snap.U(sc, &c.warmHits)
+		snap.U(sc, &c.warmMisses)
+		sc.Bool(&c.warmTaken)
+	})
+}
 
-	if err := c.expectSection(r, "series"); err != nil {
-		return err
+// snapFaults walks the fault plane's and the failure detector's state.
+func (c *Cluster) snapFaults(sc *snap.Codec) {
+	if !sc.Has(c.plane != nil, "cluster: fault state") {
+		return
 	}
-	if n := r.Int(); n != len(c.RepliesPerNode) {
-		return fmt.Errorf("cluster: snapshot has %d reply series, cluster has %d", n, len(c.RepliesPerNode))
+	c.plane.Snap(sc)
+	for i := range c.strikes {
+		snap.I(sc, &c.strikes[i])
 	}
-	for _, s := range c.RepliesPerNode {
-		readSeries(r, s)
+	for i := range c.down {
+		sc.Bool(&c.down[i])
 	}
-	readSeries(r, c.Forwards)
-	readSeries(r, c.Arrivals)
-	if err := readHist(r, c.Latencies); err != nil {
-		return err
-	}
-	readLatHist(r, c.LatH)
-	k := r.Int()
-	if k >= 0 {
-		if k != c.numShards {
-			return fmt.Errorf("cluster: snapshot has %d metric lanes, cluster has %d shards", k, c.numShards)
+	snap.U(sc, &c.suspicions)
+	for _, evs := range [...]*[]FaultEvent{&c.Failures, &c.Recoveries, &c.Downs} {
+		snap.Slice(sc, evs)
+		for i := range *evs {
+			ev := &(*evs)[i]
+			snap.I(sc, &ev.At)
+			snap.I(sc, &ev.Node)
+			snap.I(sc, &ev.Warmed)
 		}
-		for i := 0; i < k; i++ {
-			readSeries(r, c.arrivalLanes[i])
-			readSeries(r, c.forwardLanes[i])
-			if err := readHist(r, c.latencyLanes[i]); err != nil {
-				return err
-			}
-			readLatHist(r, c.latHistLanes[i])
-		}
-	} else if c.numShards > 1 {
-		return fmt.Errorf("cluster: snapshot is serial, cluster runs %d shards", c.numShards)
 	}
-	c.warmServed = r.U64()
-	c.warmForwards = r.U64()
-	c.warmArrivals = r.U64()
-	c.warmHits = r.U64()
-	c.warmMisses = r.U64()
-	c.warmTaken = r.Bool()
-	return nil
+	c.CompletedOps.Snap(sc)
+	if c.lostRoots == nil {
+		c.lostRoots = make(map[int][]*namespace.Inode)
+	}
+	snap.Map(sc, c.lostRoots, func(victim *int, roots *[]*namespace.Inode) {
+		snap.Index(sc, victim, len(c.Nodes), "cluster: lost-roots victim")
+		// Slice order is preserved verbatim: fail-back re-delegates in
+		// this order on recovery.
+		snap.Slice(sc, roots)
+		for i := range *roots {
+			c.Snap.Tree.SnapRef(sc, &(*roots)[i], "cluster: lost root")
+		}
+	})
 }

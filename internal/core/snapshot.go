@@ -1,11 +1,10 @@
 package core
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 
 	"dynmds/internal/namespace"
-	"dynmds/internal/sim"
 	"dynmds/internal/snap"
 )
 
@@ -15,89 +14,53 @@ import (
 // protocol stops it before a checkpoint and restarts it identically in
 // both the checkpointing run and a restored one.
 
-// SnapshotTo serializes the balancer's mutable state.
-func (b *Balancer) SnapshotTo(w *snap.Writer) {
-	w.U64(b.Rounds)
-	w.U64(b.HeartbeatMsgs)
+// Snap walks the balancer's mutable state; reading, a freshly built
+// balancer whose inode references resolve against tree.
+func (b *Balancer) Snap(c *snap.Codec, tree *namespace.Tree) {
+	snap.U(c, &b.Rounds)
+	snap.U(c, &b.HeartbeatMsgs)
 	type imp struct {
 		root *namespace.Inode
 		src  int
 	}
-	imps := make([]imp, 0, len(b.imports))
-	for root, src := range b.imports {
-		imps = append(imps, imp{root, src})
-	}
-	sort.Slice(imps, func(i, j int) bool { return imps[i].root.ID < imps[j].root.ID })
-	w.Int(len(imps))
-	for _, im := range imps {
-		w.U64(uint64(im.root.ID))
-		w.Int(im.src)
-	}
-	w.Int(len(b.Migrations))
-	for _, m := range b.Migrations {
-		w.I64(int64(m.At))
-		w.U64(uint64(m.Root.ID))
-		w.Int(m.From)
-		w.Int(m.To)
-		w.Int(m.Entries)
-		w.Bool(m.Redelegation)
-	}
-}
-
-// RestoreFrom applies a snapshot onto a freshly built balancer.
-func (b *Balancer) RestoreFrom(r *snap.Reader, tree *namespace.Tree) error {
-	b.Rounds = r.U64()
-	b.HeartbeatMsgs = r.U64()
-	ni := r.Int()
-	for i := 0; i < ni; i++ {
-		id := namespace.InodeID(r.U64())
-		src := r.Int()
-		root, ok := tree.ByID(id)
-		if !ok {
-			return fmt.Errorf("core: snapshot import root %d unresolvable", id)
+	var imps []imp
+	if !c.Reading() {
+		imps = make([]imp, 0, len(b.imports))
+		for root, src := range b.imports {
+			imps = append(imps, imp{root, src})
 		}
-		b.imports[root] = src
+		slices.SortFunc(imps, func(x, y imp) int { return cmp.Compare(x.root.ID, y.root.ID) })
 	}
-	nm := r.Int()
-	b.Migrations = make([]Migration, nm)
+	snap.Slice(c, &imps)
+	for i := range imps {
+		tree.SnapRef(c, &imps[i].root, "core: import root")
+		snap.Index(c, &imps[i].src, len(b.nodes), "core: import source")
+		if c.Reading() && c.Err() == nil {
+			b.imports[imps[i].root] = imps[i].src
+		}
+	}
+	snap.Slice(c, &b.Migrations)
 	for i := range b.Migrations {
-		at := sim.Time(r.I64())
-		id := namespace.InodeID(r.U64())
-		root, ok := tree.ByID(id)
-		if !ok {
-			return fmt.Errorf("core: snapshot migration root %d unresolvable", id)
-		}
-		b.Migrations[i] = Migration{
-			At: at, Root: root,
-			From: r.Int(), To: r.Int(), Entries: r.Int(),
-			Redelegation: r.Bool(),
-		}
+		m := &b.Migrations[i]
+		snap.I(c, &m.At)
+		tree.SnapRef(c, &m.Root, "core: migration root")
+		snap.I(c, &m.From)
+		snap.I(c, &m.To)
+		snap.I(c, &m.Entries)
+		c.Bool(&m.Redelegation)
 	}
-	return nil
 }
 
-// SnapshotTo serializes the policy's transition counters; thresholds
-// come from config.
-func (tc *TrafficControl) SnapshotTo(w *snap.Writer) {
-	w.U64(tc.Replications)
-	w.U64(tc.Consolidations)
-	w.U64(tc.Preemptive)
+// Snap walks the policy's transition counters; thresholds come from
+// config.
+func (tc *TrafficControl) Snap(c *snap.Codec) {
+	snap.U(c, &tc.Replications)
+	snap.U(c, &tc.Consolidations)
+	snap.U(c, &tc.Preemptive)
 }
 
-// RestoreFrom applies serialized transition counters.
-func (tc *TrafficControl) RestoreFrom(r *snap.Reader) {
-	tc.Replications = r.U64()
-	tc.Consolidations = r.U64()
-	tc.Preemptive = r.U64()
-}
-
-// SnapshotTo serializes the strategy's mutable state (the table is
-// serialized separately; HashedDir flags travel with the inode tags).
-func (d *DynamicSubtree) SnapshotTo(w *snap.Writer) {
-	w.Int(d.DirsHashed)
-}
-
-// RestoreFrom applies the strategy's serialized state.
-func (d *DynamicSubtree) RestoreFrom(r *snap.Reader) {
-	d.DirsHashed = r.Int()
+// Snap walks the strategy's mutable state (the table is serialized
+// separately; HashedDir flags travel with the inode tags).
+func (d *DynamicSubtree) Snap(c *snap.Codec) {
+	snap.I(c, &d.DirsHashed)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dynmds/internal/namespace"
@@ -14,9 +15,7 @@ import (
 // encoded is a tree's exact serialized form: structure, keys, records.
 func encoded(t *Tree) []byte {
 	w := snap.NewWriter()
-	w.Begin("tree")
-	t.SnapshotTo(w)
-	w.End()
+	snap.Encoder(w).Section("tree", t.Snap)
 	return w.Bytes()
 }
 
@@ -215,4 +214,94 @@ func TestShrunkLeafGivesBackSlack(t *testing.T) {
 	if n := tr.root; !n.leaf || len(n.keys) != 4 || cap(n.keys) > 2*len(n.keys)+4 || cap(n.recs) > 2*len(n.recs)+4 {
 		t.Fatalf("leaf of %d entries holds capacity for %d keys and %d records", len(n.keys), cap(n.keys), cap(n.recs))
 	}
+}
+
+// decoded restores a tree from encoded's bytes.
+func decoded(data []byte) (*Tree, error) {
+	r, err := snap.NewReader(data)
+	if err != nil {
+		return nil, err
+	}
+	t, dec := New(MinOrder), snap.Decoder(r)
+	dec.Section("tree", t.Snap)
+	return t, dec.Err()
+}
+
+// TestSnapRestoresShapeAndBoundsWhatItBuilds: a restored tree has the
+// node structure of the one written, so it re-encodes to the same bytes
+// and charges the same update costs. A restore builds what the file
+// says, so the file may not say more than its own size allows: a
+// negative or oversized count, more records than the declared size, and
+// nesting deeper than a tree of that size can have are errors before
+// anything is built for them.
+func TestSnapRestoresShapeAndBoundsWhatItBuilds(t *testing.T) {
+	tr := New(8)
+	churn(t, tr, rand.New(rand.NewSource(3)), 4000)
+	want := encoded(tr)
+	back, err := decoded(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Len() != tr.Len() || back.Height() != tr.Height() || !bytes.Equal(encoded(back), want) {
+		t.Fatalf("restored tree differs: %d entries height %d, want %d height %d",
+			back.Len(), back.Height(), tr.Len(), tr.Height())
+	}
+	if w1, w2 := mustInsert(t, tr, "zz-new"), mustInsert(t, back, "zz-new"); w1 != w2 {
+		t.Errorf("the same insert rewrites %d nodes in the original and %d in the restored tree", w1, w2)
+	}
+
+	leaf := func(w *snap.Writer, names ...string) {
+		w.Bool(true)
+		w.Int(len(names))
+		for _, name := range names {
+			w.String(name)
+			w.U64(1)
+			w.U64(0)
+			w.U64(0)
+			w.I64(0)
+		}
+	}
+	cases := []struct {
+		name, want string
+		body       func(w *snap.Writer)
+	}{
+		{"order below the minimum", "order 2 below minimum", func(w *snap.Writer) { w.Int(2); w.Int(0); leaf(w) }},
+		{"negative size", "count -1", func(w *snap.Writer) { w.Int(8); w.Int(-1); leaf(w) }},
+		{"negative record count", "count -3", func(w *snap.Writer) { w.Int(8); w.Int(1); w.Bool(true); w.Int(-3) }},
+		{"record count past the section", "count 1000000", func(w *snap.Writer) { w.Int(8); w.Int(1); w.Bool(true); w.Int(1000000) }},
+		{"more records than the size", "more than its 2 records", func(w *snap.Writer) {
+			w.Int(8)
+			w.Int(2)
+			leaf(w, "a", "b", "c")
+			w.String("padding so that the declared size, not the section, is the bound that refuses")
+		}},
+		{"deeper than the size allows", "deeper than its 4 records allow", func(w *snap.Writer) {
+			w.Int(8)
+			w.Int(4)
+			for depth := 0; depth < 64; depth++ { // a chain of one-child internal nodes
+				w.Bool(false)
+				w.Int(0)
+			}
+			leaf(w, "a", "b", "c", "d")
+		}},
+		{"fewer records than the size", "size 3 != counted 1", func(w *snap.Writer) { w.Int(8); w.Int(3); leaf(w, "a"); w.U64(0); w.U64(0) }},
+	}
+	for _, tc := range cases {
+		w := snap.NewWriter()
+		w.Begin("tree")
+		tc.body(w)
+		w.End()
+		if _, err := decoded(w.Bytes()); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+func mustInsert(t *testing.T, tr *Tree, name string) int {
+	t.Helper()
+	w, err := tr.Insert(Record{Name: name, Ino: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }

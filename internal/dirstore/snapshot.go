@@ -1,9 +1,8 @@
 package dirstore
 
 import (
-	"fmt"
+	"math/bits"
 
-	"dynmds/internal/namespace"
 	"dynmds/internal/snap"
 )
 
@@ -13,74 +12,69 @@ import (
 // historical insertion order. A restored object must charge the same
 // costs the original would have.
 
-// SnapshotTo serializes the tree structure.
-func (t *Tree) SnapshotTo(w *snap.Writer) {
-	w.Int(t.order)
-	w.Int(t.size)
-	var enc func(n *node)
-	enc = func(n *node) {
-		w.Bool(n.leaf)
+// Snap walks the tree structure; reading, t is a tree fresh from New.
+// A restored tree is built from the file, so the file bounds what is
+// built: the record total may not pass the declared size, and the
+// recursion may not go deeper than a tree of that size can be — every
+// node but the root has two children or two records at least (order >=
+// MinOrder), so size records make at most bits.Len(size) levels.
+func (t *Tree) Snap(c *snap.Codec) {
+	snap.I(c, &t.order)
+	c.Len(&t.size)
+	if t.order < MinOrder {
+		c.Failf("dirstore: snapshot order %d below minimum", t.order)
+	}
+	records := 0
+	var walk func(n *node, levels int)
+	walk = func(n *node, levels int) {
+		if c.Err() != nil {
+			return
+		}
+		c.Bool(&n.leaf)
 		if n.leaf {
-			w.Int(len(n.recs))
-			for _, rec := range n.recs {
-				w.String(rec.Name)
-				w.U64(uint64(rec.Ino))
-				w.U64(uint64(rec.Kind))
-				w.U64(uint64(rec.Mode))
-				w.I64(rec.Size)
+			snap.Slice(c, &n.recs)
+			if records += len(n.recs); records > t.size {
+				c.Failf("dirstore: snapshot holds more than its %d records", t.size)
+				return
+			}
+			for i := range n.recs {
+				rec := &n.recs[i]
+				c.String(&rec.Name)
+				snap.U(c, &rec.Ino)
+				snap.U(c, &rec.Kind)
+				snap.U(c, &rec.Mode)
+				snap.I(c, &rec.Size)
+			}
+			if c.Reading() {
+				n.keys = make([]string, len(n.recs))
+				for i := range n.recs {
+					n.keys[i] = n.recs[i].Name
+				}
 			}
 			return
 		}
-		w.Int(len(n.keys))
-		for _, k := range n.keys {
-			w.String(k)
+		snap.Slice(c, &n.keys)
+		for i := range n.keys {
+			c.String(&n.keys[i])
 		}
-		for _, c := range n.children {
-			enc(c)
-		}
-	}
-	enc(t.root)
-}
-
-// DecodeTree reads a tree serialized by SnapshotTo.
-func DecodeTree(r *snap.Reader) (*Tree, error) {
-	order := r.Int()
-	size := r.Int()
-	if order < MinOrder {
-		return nil, fmt.Errorf("dirstore: snapshot order %d below minimum", order)
-	}
-	cow := new(cowToken)
-	var dec func() *node
-	dec = func() *node {
-		n := &node{cow: cow, leaf: r.Bool()}
-		if n.leaf {
-			k := r.Int()
-			n.keys = make([]string, k)
-			n.recs = make([]Record, k)
-			for i := 0; i < k; i++ {
-				n.recs[i].Name = r.String()
-				n.recs[i].Ino = namespace.InodeID(r.U64())
-				n.recs[i].Kind = namespace.Kind(r.U64())
-				n.recs[i].Mode = namespace.Mode(r.U64())
-				n.recs[i].Size = r.I64()
-				n.keys[i] = n.recs[i].Name
+		if c.Reading() && c.Err() == nil {
+			if levels <= 1 {
+				c.Failf("dirstore: snapshot tree deeper than its %d records allow", t.size)
+				return
 			}
-			return n
+			n.children = make([]*node, len(n.keys)+1)
+			for i := range n.children {
+				n.children[i] = &node{cow: t.cow}
+			}
 		}
-		k := r.Int()
-		n.keys = make([]string, k)
-		for i := 0; i < k; i++ {
-			n.keys[i] = r.String()
+		for _, child := range n.children {
+			walk(child, levels-1)
 		}
-		n.children = make([]*node, k+1)
-		for i := range n.children {
-			n.children[i] = dec()
-		}
-		return n
 	}
-	t := &Tree{root: dec(), order: order, size: size, cow: cow}
-	if err := t.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("dirstore: snapshot failed invariants: %w", err)
+	walk(t.root, max(1, bits.Len(uint(t.size))))
+	if c.Reading() && c.Err() == nil {
+		if err := t.CheckInvariants(); err != nil {
+			c.Failf("dirstore: snapshot failed invariants: %w", err)
+		}
 	}
-	return t, nil
 }

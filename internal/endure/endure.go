@@ -354,44 +354,57 @@ func (st *runState) writeSnapshot(k int) (string, error) {
 // cross-checked against the file header); the run continues through the
 // remaining checkpoints to Duration, producing rows for them only.
 func Restore(opt Options, path string) (*Result, error) {
-	if err := opt.Normalize(); err != nil {
-		return nil, err
-	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("endure: %w", err)
 	}
+	st, hdr, err := load(&opt, data)
+	if err != nil {
+		return nil, fmt.Errorf("endure: restoring %s: %w", path, err)
+	}
+	st.c.RunTo(hdr.ResumeAt)
+	st.c.Resume()
+	return st.runFrom(hdr.Checkpoint + 1)
+}
+
+// load builds the cluster opt describes and applies the snapshot in data
+// to it: the state of the checkpointing run at the snapshot's instant,
+// armed for the rest of the schedule, its clock still at zero.
+func load(opt *Options, data []byte) (*runState, *header, error) {
+	if err := opt.Normalize(); err != nil {
+		return nil, nil, err
+	}
 	hdr, r, err := decodeHeader(data)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := hdr.check(&opt.Cluster); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := hdr.position(opt.Every, opt.Cluster.Duration); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := ensureFrozen(&opt.Cluster); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	c, err := cluster.New(opt.Cluster)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := c.EndureCheck(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	base := chaos.Capture(c)
 	base.PriorMaxID = hdr.MaxID
 	// Density rows divide by the pristine tree size; measure it before
 	// the restore ages the tree, as newRunState does in a fresh run.
-	pristineInodes := c.Tree().Len()
+	st := newRunState(opt, c, base)
 	// Future-only schedule entries first: their event sequence numbers
 	// must precede everything the resume posts, matching the
 	// uninterrupted run's t=0 scheduling.
 	c.StartEndureRestored(hdr.ResumeAt)
 	if err := c.RestoreCheckpoint(r); err != nil {
-		return nil, fmt.Errorf("endure: restoring %s: %w", path, err)
+		return nil, nil, err
 	}
 	// Match the checkpointing run's representation so the restored
 	// segments pay the same (post-fix) lookup costs.
@@ -399,14 +412,10 @@ func Restore(opt Options, path string) (*Result, error) {
 		c.Tree().TombstoneCount() >= opt.CompactAt {
 		c.Tree().CompactTombstones()
 	}
-	st := newRunState(&opt, c, base)
-	st.baseInodes = pristineInodes
 	st.prevAt = hdr.At()
 	st.prevCompleted = c.Pop.Completed()
 	st.prevLookups, st.prevMisses = c.Tree().LazyStats()
-	c.RunTo(hdr.ResumeAt)
-	c.Resume()
-	return st.runFrom(hdr.Checkpoint + 1)
+	return st, hdr, nil
 }
 
 // CurveTable renders the degradation curve as an aligned table.

@@ -1,11 +1,13 @@
 package endure
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"dynmds/internal/chaos"
 	"dynmds/internal/client"
 	"dynmds/internal/cluster"
 	"dynmds/internal/fsgen"
@@ -31,28 +33,87 @@ func testOptions(shards int, faults string) Options {
 	return Options{Cluster: cfg, Every: sim.FromSeconds(2.5)}
 }
 
+// leaseEverything turns the lease plane on and lowers its popularity
+// floors to nothing, so that at this test's few hundred ops/s the
+// registry, the client slab and the replica sets have content to carry.
+func leaseEverything(cfg *cluster.Config) {
+	cfg.Lease.Enabled, cfg.Lease.Fanout = true, true
+	cfg.Lease.GrantPopularity, cfg.Lease.FanoutPopularity = 1e-9, 1e-9
+}
+
+// quiescedAtFirstCheckpoint runs opt's cluster to its first checkpoint
+// instant, quiesces and checks it there, as Run does, and stops.
+func quiescedAtFirstCheckpoint(t *testing.T, opt *Options) *cluster.Cluster {
+	t.Helper()
+	if err := opt.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ensureFrozen(&opt.Cluster); err != nil {
+		t.Fatal(err)
+	}
+	c, err := cluster.New(opt.Cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := chaos.Capture(c)
+	c.StartEndure()
+	c.RunTo(Instants(opt.Every, opt.Cluster.Duration)[0])
+	if err := c.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	// simfsck reads the tree through its name indexes, which builds them:
+	// a checkpoint written after it carries more materialized directories
+	// than one written before.
+	if err := chaos.Fsck(c, base); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestRestoreBitIdentity is the endurance plane's core determinism
 // claim: a run saved at a checkpoint and restored finishes with a
 // digest bit-identical to the uninterrupted run — at the serial and
-// sharded engine configurations, and under an active fault schedule.
+// sharded engine configurations, under an active fault schedule, from a
+// checkpoint taken while a node is down, on every strategy family, with
+// links that carry busy horizons, and with the lease plane on. The same
+// walk writes and reads a checkpoint, so two more things hold of every
+// case: writing does not change what it walks (two checkpoints written
+// back to back are the same bytes, and the bytes of the run's file), and
+// reading loses nothing (a restored cluster writes the file it was
+// restored from).
 func TestRestoreBitIdentity(t *testing.T) {
 	cases := []struct {
-		name   string
-		shards int
-		faults string
+		name string
+		mod  func(*cluster.Config)
 	}{
-		{"serial", 0, ""},
-		{"sharded-K4", 4, ""},
-		{"serial-faults", 0, "crash@3s-4s:mds1,crash@5s-5.6s:mds3"},
+		{"serial", func(*cluster.Config) {}},
+		{"sharded-K4", func(cfg *cluster.Config) { cfg.Shards = 4 }},
+		{"serial-faults", func(cfg *cluster.Config) { cfg.Faults = "crash@3s-4s:mds1,crash@5s-5.6s:mds3" }},
+		{"outage", func(cfg *cluster.Config) { cfg.Faults = "crash@1s-7s:mds1,drop@0.02:all" }},
+		{"static-leases-fanout", func(cfg *cluster.Config) {
+			cfg.Strategy = cluster.StratStatic
+			leaseEverything(cfg)
+		}},
+		{"dirhash", func(cfg *cluster.Config) { cfg.Strategy = cluster.StratDirHash }},
+		{"queued-net", func(cfg *cluster.Config) { cfg.NetModel = "queued" }},
+		{"leases-K2", func(cfg *cluster.Config) {
+			cfg.Shards = 2
+			leaseEverything(cfg)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref, err := Run(testOptions(tc.shards, tc.faults))
+			options := func() Options {
+				opt := testOptions(0, "")
+				tc.mod(&opt.Cluster)
+				return opt
+			}
+			ref, err := Run(options())
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			saved := testOptions(tc.shards, tc.faults)
+			saved := options()
 			saved.Dir = t.TempDir()
 			savedRes, err := Run(saved)
 			if err != nil {
@@ -63,9 +124,35 @@ func TestRestoreBitIdentity(t *testing.T) {
 					ref.Digest, savedRes.Digest)
 			}
 
+			live := options()
+			c := quiescedAtFirstCheckpoint(t, &live)
+			first := encodeSnapshot(c, &live.Cluster, 0, c.Now())
+			second := encodeSnapshot(c, &live.Cluster, 0, c.Now())
+			if !bytes.Equal(first, second) {
+				t.Errorf("two checkpoints written back to back differ (%d and %d bytes): writing changed what it walked",
+					len(first), len(second))
+			}
+
 			for ck := 0; ck < len(savedRes.Rows)-1; ck++ {
-				restored, err := Restore(testOptions(tc.shards, tc.faults),
-					snapshotPath(saved.Dir, ck))
+				file, err := os.ReadFile(snapshotPath(saved.Dir, ck))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ck == 0 && !bytes.Equal(first, file) {
+					t.Errorf("a checkpoint written by hand at the first instant differs from the run's ck-000 (%d and %d bytes)",
+						len(first), len(file))
+				}
+				fresh := options()
+				st, hdr, err := load(&fresh, file)
+				if err != nil {
+					t.Fatalf("load ck-%03d: %v", ck, err)
+				}
+				if again := encodeSnapshot(st.c, &fresh.Cluster, hdr.Checkpoint, hdr.ResumeAt); !bytes.Equal(again, file) {
+					t.Errorf("a cluster restored from ck-%03d writes a different checkpoint (%d bytes, the file has %d)",
+						ck, len(again), len(file))
+				}
+
+				restored, err := Restore(options(), snapshotPath(saved.Dir, ck))
 				if err != nil {
 					t.Fatalf("restore from ck-%03d: %v", ck, err)
 				}

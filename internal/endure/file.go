@@ -79,20 +79,36 @@ func effectiveShards(cfg *cluster.Config) int {
 	return k
 }
 
+// snap walks the header. A version this build does not read stops the
+// walk before any field the other version may lay out differently.
+func (h *header) snap(c *snap.Codec) {
+	snap.I(c, &h.Version)
+	if h.Version != SnapshotVersion {
+		c.Failf("snapshot version %d, this build reads version %d", h.Version, SnapshotVersion)
+	}
+	snap.U(c, &h.ConfigHash)
+	snap.I(c, &h.Shards)
+	snap.I(c, &h.Checkpoint)
+	snap.I(c, &h.ResumeAt)
+	snap.U(c, &h.MaxID)
+	c.String(&h.Faults)
+}
+
 // encodeSnapshot serializes the quiesced cluster plus the endure header
 // into one snapshot byte stream. resumeAt is the post-drain instant the
 // restored run will continue from.
 func encodeSnapshot(c *cluster.Cluster, cfg *cluster.Config, checkpoint int, resumeAt sim.Time) []byte {
+	h := header{
+		Version:    SnapshotVersion,
+		ConfigHash: configHash(cfg),
+		Shards:     effectiveShards(cfg),
+		Checkpoint: checkpoint,
+		ResumeAt:   resumeAt,
+		MaxID:      c.Tree().MaxID(),
+		Faults:     cfg.Faults,
+	}
 	w := snap.NewWriter()
-	w.Begin("endure")
-	w.Int(SnapshotVersion)
-	w.U64(configHash(cfg))
-	w.Int(effectiveShards(cfg))
-	w.Int(checkpoint)
-	w.I64(int64(resumeAt))
-	w.U64(uint64(c.Tree().MaxID()))
-	w.String(cfg.Faults)
-	w.End()
+	snap.Encoder(w).Section("endure", h.snap)
 	c.CheckpointTo(w)
 	return w.Bytes()
 }
@@ -104,26 +120,11 @@ func decodeHeader(data []byte) (*header, *snap.Reader, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("endure: %w", err)
 	}
-	name, err := r.Section()
-	if err != nil {
-		return nil, nil, fmt.Errorf("endure: %w", err)
+	h := new(header)
+	dec := snap.Decoder(r)
+	if dec.Section("endure", h.snap); dec.Err() != nil {
+		return nil, nil, fmt.Errorf("endure: not a snapshot this build restores: %w", dec.Err())
 	}
-	if name != "endure" {
-		return nil, nil, fmt.Errorf("endure: not an endurance snapshot (leading section %q)", name)
-	}
-	h := &header{Version: r.Int()}
-	if h.Version != SnapshotVersion {
-		// Stop before decoding fields the other version may lay out
-		// differently.
-		return nil, nil, fmt.Errorf("endure: snapshot version %d, this build reads version %d",
-			h.Version, SnapshotVersion)
-	}
-	h.ConfigHash = r.U64()
-	h.Shards = r.Int()
-	h.Checkpoint = r.Int()
-	h.ResumeAt = sim.Time(r.I64())
-	h.MaxID = namespace.InodeID(r.U64())
-	h.Faults = r.String()
 	return h, r, nil
 }
 

@@ -35,6 +35,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -200,40 +201,27 @@ func (s *Schedule) String() string {
 	}
 	var parts []string
 	for _, e := range s.Crashes {
-		parts = append(parts, fmt.Sprintf("crash@%s:mds%d", fmtTime(e.At), e.Node))
+		parts = append(parts, fmt.Sprintf("crash@%s:mds%d", sim.FormatTime(e.At), e.Node))
 	}
 	for _, e := range s.Recovers {
-		parts = append(parts, fmt.Sprintf("recover@%s:mds%d", fmtTime(e.At), e.Node))
+		parts = append(parts, fmt.Sprintf("recover@%s:mds%d", sim.FormatTime(e.At), e.Node))
 	}
 	for _, d := range s.Drops {
 		parts = append(parts, fmt.Sprintf("drop@%s:%s", fmtFloat(d.P), d.Sel))
 	}
 	for _, l := range s.Lags {
 		parts = append(parts, fmt.Sprintf("lag@%s-%s:%s+%s",
-			fmtTime(l.From), fmtTime(l.To), l.Sel, fmtTime(l.Extra)))
+			sim.FormatTime(l.From), sim.FormatTime(l.To), l.Sel, sim.FormatTime(l.Extra)))
 	}
 	for _, w := range s.Slows {
 		parts = append(parts, fmt.Sprintf("slow@%s-%s:mds%dx%s",
-			fmtTime(w.From), fmtTime(w.To), w.Node, fmtFloat(w.Factor)))
+			sim.FormatTime(w.From), sim.FormatTime(w.To), w.Node, fmtFloat(w.Factor)))
 	}
 	for _, p := range s.Partitions {
 		parts = append(parts, fmt.Sprintf("partition@%s-%s:{%s|%s}",
-			fmtTime(p.From), fmtTime(p.To), fmtGroup(p.A), fmtGroup(p.B)))
+			sim.FormatTime(p.From), sim.FormatTime(p.To), fmtGroup(p.A), fmtGroup(p.B)))
 	}
 	return strings.Join(parts, ",")
-}
-
-// fmtTime renders a virtual time in the largest s/ms/us unit that is
-// exact, mirroring parseTime.
-func fmtTime(t sim.Time) string {
-	switch {
-	case t%sim.Second == 0:
-		return strconv.FormatInt(int64(t/sim.Second), 10) + "s"
-	case t%sim.Millisecond == 0:
-		return strconv.FormatInt(int64(t/sim.Millisecond), 10) + "ms"
-	default:
-		return strconv.FormatInt(int64(t), 10) + "us"
-	}
 }
 
 // fmtFloat renders the shortest decimal that parses back to exactly v.
@@ -290,7 +278,7 @@ func (s *Schedule) parseEvent(ev string) error {
 			s.Recovers = append(s.Recovers, NodeEvent{At: t, Node: node})
 			return nil
 		}
-		at, err := parseTime(spec)
+		at, err := sim.ParseTime(spec)
 		if err != nil {
 			return err
 		}
@@ -301,7 +289,7 @@ func (s *Schedule) parseEvent(ev string) error {
 		if err != nil {
 			return err
 		}
-		at, err := parseTime(spec)
+		at, err := sim.ParseTime(spec)
 		if err != nil {
 			return err
 		}
@@ -309,7 +297,7 @@ func (s *Schedule) parseEvent(ev string) error {
 		return nil
 	case "drop":
 		p, err := strconv.ParseFloat(spec, 64)
-		if err != nil || p < 0 || p > 1 {
+		if err != nil || !(p >= 0 && p <= 1) {
 			return fmt.Errorf("drop probability %q not in [0, 1]", spec)
 		}
 		sel, err := parseSel(target)
@@ -335,7 +323,7 @@ func (s *Schedule) parseEvent(ev string) error {
 		if err != nil {
 			return err
 		}
-		extra, err := parseTime(extraStr)
+		extra, err := sim.ParseTime(extraStr)
 		if err != nil {
 			return err
 		}
@@ -362,7 +350,7 @@ func (s *Schedule) parseEvent(ev string) error {
 			return err
 		}
 		fac, err := strconv.ParseFloat(facStr, 64)
-		if err != nil || fac < 1 {
+		if err != nil || !(fac >= 1) || math.IsInf(fac, 1) {
 			return fmt.Errorf("slow factor %q must be >= 1", facStr)
 		}
 		s.Slows = append(s.Slows, SlowWindow{From: f, To: t, Node: node, Factor: fac})
@@ -486,11 +474,11 @@ func cutWindow(spec string) (from, to string, isWin bool) {
 }
 
 func parseWindow(fromStr, toStr string) (from, to sim.Time, err error) {
-	from, err = parseTime(fromStr)
+	from, err = sim.ParseTime(fromStr)
 	if err != nil {
 		return 0, 0, err
 	}
-	to, err = parseTime(toStr)
+	to, err = sim.ParseTime(toStr)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -498,25 +486,6 @@ func parseWindow(fromStr, toStr string) (from, to sim.Time, err error) {
 		return 0, 0, fmt.Errorf("window %s-%s is not ordered", fromStr, toStr)
 	}
 	return from, to, nil
-}
-
-// parseTime parses "30s", "500ms", "250us", or a bare number (seconds).
-func parseTime(s string) (sim.Time, error) {
-	unit := sim.Second
-	num := s
-	switch {
-	case strings.HasSuffix(s, "us"):
-		unit, num = sim.Microsecond, s[:len(s)-2]
-	case strings.HasSuffix(s, "ms"):
-		unit, num = sim.Millisecond, s[:len(s)-2]
-	case strings.HasSuffix(s, "s"):
-		unit, num = sim.Second, s[:len(s)-1]
-	}
-	v, err := strconv.ParseFloat(num, 64)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("bad time %q", s)
-	}
-	return sim.Time(v * float64(unit)), nil
 }
 
 func parseNode(s string) (int, error) {
@@ -559,6 +528,11 @@ func parseSel(s string) (LinkSel, error) {
 	}
 }
 
+// maxNodeIndex bounds a range in a partition group, which parseGroup
+// expands index by index before Validate has a cluster size to hold it
+// to.
+const maxNodeIndex = 1 << 16
+
 // parseGroup parses a partition side: items joined by '.', each a single
 // index or an inclusive range lo-hi.
 func parseGroup(s string) ([]int, error) {
@@ -575,7 +549,7 @@ func parseGroup(s string) ([]int, error) {
 		}
 		l, err1 := strconv.Atoi(lo)
 		h, err2 := strconv.Atoi(hi)
-		if err1 != nil || err2 != nil || l < 0 || h < l {
+		if err1 != nil || err2 != nil || l < 0 || h < l || h >= maxNodeIndex {
 			return nil, fmt.Errorf("bad partition group range %q", item)
 		}
 		for n := l; n <= h; n++ {

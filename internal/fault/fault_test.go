@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dynmds/internal/sim"
+	"dynmds/internal/snap"
 )
 
 func TestParseScheduleFull(t *testing.T) {
@@ -95,26 +96,32 @@ func TestParseScheduleTimes(t *testing.T) {
 
 func TestParseScheduleErrors(t *testing.T) {
 	bad := []string{
-		"crash30s:mds3",           // no @
-		"crash@30s",               // no :
-		"boom@30s:mds3",           // unknown kind
-		"crash@30s:node3",         // bad node
-		"crash@45s-30s:mds3",      // unordered window
-		"drop@1.5:all",            // p out of range
-		"drop@-0.1:all",           // p out of range
-		"drop@0.1:link2-2",        // self link
-		"drop@0.1:bogus",          // bad selector
-		"lag@10s:all+1ms",         // lag without window
-		"lag@10s-20s:all",         // lag without duration
-		"lag@10s-20s:all+0s",      // non-positive lag
-		"slow@10s-20s:mds1",       // slow without factor
-		"slow@10s-20s:mds1x0.5",   // factor < 1
-		"partition@10s-20s:0-3|4", // missing braces
-		"partition@10s-20s:{0-3}", // one group
-		"partition@1s-2s:{0-2|2}", // overlapping groups
-		"partition@1s-2s:{|0}",    // empty group
-		"crash@xyz:mds1",          // bad time
-		"partition@1s-2s:{0|b}",   // bad group item
+		"crash30s:mds3",                            // no @
+		"crash@30s",                                // no :
+		"boom@30s:mds3",                            // unknown kind
+		"crash@30s:node3",                          // bad node
+		"crash@45s-30s:mds3",                       // unordered window
+		"drop@1.5:all",                             // p out of range
+		"drop@-0.1:all",                            // p out of range
+		"drop@0.1:link2-2",                         // self link
+		"drop@0.1:bogus",                           // bad selector
+		"lag@10s:all+1ms",                          // lag without window
+		"lag@10s-20s:all",                          // lag without duration
+		"lag@10s-20s:all+0s",                       // non-positive lag
+		"slow@10s-20s:mds1",                        // slow without factor
+		"slow@10s-20s:mds1x0.5",                    // factor < 1
+		"partition@10s-20s:0-3|4",                  // missing braces
+		"partition@10s-20s:{0-3}",                  // one group
+		"partition@1s-2s:{0-2|2}",                  // overlapping groups
+		"partition@1s-2s:{|0}",                     // empty group
+		"crash@xyz:mds1",                           // bad time
+		"partition@1s-2s:{0|b}",                    // bad group item
+		"crash@1e20:mds0",                          // time past the clock
+		"lag@NaNs-1s:all+1ms",                      // not a time
+		"drop@NaN:all",                             // not a probability
+		"slow@1s-2s:mds0xNaN",                      // not a factor
+		"slow@1s-2s:mds0xInf",                      // not a factor
+		"partition@1s-2s:{0-999999999|1000000000}", // a range no cluster has
 	}
 	for _, src := range bad {
 		if _, err := ParseSchedule(src); err == nil {
@@ -358,5 +365,55 @@ func TestScheduleSourceRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(s.Drops[0].Sel.String(), "link") {
 		t.Errorf("sel string = %q", s.Drops[0].Sel.String())
+	}
+}
+
+// TestReplay: a plane restored from a checkpoint continues the fault
+// stream where the checkpointed one stood, and a draw count that the
+// snapshot's own sent messages cannot account for — it is a loop bound
+// read from a file — is refused at once instead of being looped over.
+func TestReplay(t *testing.T) {
+	s, err := ParseSchedule("drop@0.3:all,drop@0:client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sent = 100
+	a := NewPlane(1, s, 4)
+	for i := 0; i < sent; i++ {
+		a.Transit(0, 1, 0)
+	}
+	restored := func(draws uint64) *Plane {
+		t.Helper()
+		w := snap.NewWriter()
+		w.Begin("fault")
+		w.U64(draws)
+		w.End()
+		r, err := snap.NewReader(w.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, dec := NewPlane(1, s, 4), snap.Decoder(r)
+		if dec.Section("fault", p.Snap); dec.Err() != nil {
+			t.Fatal(dec.Err())
+		}
+		return p
+	}
+	b := restored(a.draws)
+	if err := b.Replay(sent); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		da, _ := a.Transit(0, 1, 0)
+		db, _ := b.Transit(0, 1, 0)
+		if da != db {
+			t.Fatalf("send %d after the restore: dropped %v on the original, %v on the restored plane", i, da, db)
+		}
+	}
+	// One rule of the two draws, so sent messages allow sent draws.
+	if err := restored(sent + 1).Replay(sent); err == nil || !strings.Contains(err.Error(), "fault draws") {
+		t.Errorf("a draw more than the sent messages allow: %v", err)
+	}
+	if err := restored(1 << 62).Replay(sent); err == nil {
+		t.Error("2^62 draws accepted")
 	}
 }

@@ -1,6 +1,11 @@
 package fault
 
-import "dynmds/internal/sim"
+import (
+	"fmt"
+
+	"dynmds/internal/sim"
+	"dynmds/internal/snap"
+)
 
 // sideNone/A/B label partition membership in the precomputed tables.
 const (
@@ -81,17 +86,28 @@ func (p *Plane) Transit(from, to int, now sim.Time) (bool, sim.Time) {
 	return false, extra
 }
 
-// Draws returns the number of consumed fault-stream draws (checkpoints).
-func (p *Plane) Draws() uint64 { return p.draws }
+// Snap walks the stream position, the count of draws. Reading only
+// records it: Replay moves the stream there.
+func (p *Plane) Snap(c *snap.Codec) { snap.U(c, &p.draws) }
 
-// ReplayDraws fast-forwards a freshly built plane's RNG stream to the
-// serialized draw count, restoring stream position exactly.
-func (p *Plane) ReplayDraws(n uint64) {
-	if p.draws != 0 {
-		panic("fault: ReplayDraws on a used plane")
+// Replay fast-forwards a freshly restored plane's RNG stream to the
+// draw count its snapshot carried. Every draw is one sent message
+// meeting one positive-probability drop rule, so a count above sent
+// times the rules came from no run — and it is a loop bound, so it is
+// refused rather than believed.
+func (p *Plane) Replay(sent uint64) error {
+	rules := uint64(0)
+	for i := range p.s.Drops {
+		if p.s.Drops[i].P > 0 {
+			rules++
+		}
 	}
-	for i := uint64(0); i < n; i++ {
+	if p.draws > sent*rules {
+		return fmt.Errorf("fault: snapshot has %d fault draws, its %d sent messages under %d drop rules allow %d",
+			p.draws, sent, rules, sent*rules)
+	}
+	for i := uint64(0); i < p.draws; i++ {
 		p.rng.Float64()
 	}
-	p.draws = n
+	return nil
 }

@@ -1,83 +1,35 @@
 package lease
 
-import (
-	"fmt"
-
-	"dynmds/internal/snap"
-)
+import "dynmds/internal/snap"
 
 // Checkpoint codec. The registry and slab are sized deterministically
 // by the cluster from config and the pristine namespace, so only the
 // sparse nonzero content is serialized; sizes are cross-checked on
 // restore so a snapshot from a different config fails loudly.
 
-// SnapshotTo serializes the plane's mutable state.
-func (p *Plane) SnapshotTo(w *snap.Writer) {
-	w.U64(p.Recalled)
-	w.Int(len(p.Reg.gen))
-	nz := 0
-	for i := range p.Reg.gen {
-		if p.Reg.gen[i] != 0 || p.Reg.grants[i] != 0 {
-			nz++
-		}
+// Snap walks the plane's mutable state; reading, a freshly built plane
+// with the same config and namespace.
+func (p *Plane) Snap(c *snap.Codec) {
+	snap.U(c, &p.Recalled)
+	reg := p.Reg
+	c.Same(len(reg.gen), "lease: registry size")
+	snap.Sparse(c, len(reg.gen), "lease: registry slot",
+		func(i int) bool { return reg.gen[i] != 0 || reg.grants[i] != 0 },
+		func(i int) {
+			snap.U(c, &reg.gen[i])
+			snap.U(c, &reg.grants[i])
+		})
+	slab := -1
+	if p.Tab != nil {
+		slab = len(p.Tab.key)
 	}
-	w.Int(nz)
-	for i := range p.Reg.gen {
-		if p.Reg.gen[i] != 0 || p.Reg.grants[i] != 0 {
-			w.Int(i)
-			w.U64(uint64(p.Reg.gen[i]))
-			w.U64(uint64(p.Reg.grants[i]))
-		}
+	c.Same(slab, "lease: client slab size")
+	if tab := p.Tab; tab != nil {
+		snap.Sparse(c, slab, "lease: client slab slot",
+			func(i int) bool { return tab.key[i] != 0 },
+			func(i int) {
+				snap.U(c, &tab.key[i])
+				snap.U(c, &tab.meta[i])
+			})
 	}
-	if p.Tab == nil {
-		w.Int(-1)
-		return
-	}
-	w.Int(len(p.Tab.key))
-	nz = 0
-	for i := range p.Tab.key {
-		if p.Tab.key[i] != 0 {
-			nz++
-		}
-	}
-	w.Int(nz)
-	for i, k := range p.Tab.key {
-		if k != 0 {
-			w.Int(i)
-			w.U64(uint64(k))
-			w.U64(p.Tab.meta[i])
-		}
-	}
-}
-
-// RestoreFrom applies a snapshot onto a freshly built plane with the
-// same config and namespace.
-func (p *Plane) RestoreFrom(r *snap.Reader) error {
-	p.Recalled = r.U64()
-	if n := r.Int(); n != len(p.Reg.gen) {
-		return fmt.Errorf("lease: snapshot registry size %d, built %d", n, len(p.Reg.gen))
-	}
-	nz := r.Int()
-	for i := 0; i < nz; i++ {
-		idx := r.Int()
-		p.Reg.gen[idx] = uint32(r.U64())
-		p.Reg.grants[idx] = uint32(r.U64())
-	}
-	tn := r.Int()
-	if tn < 0 {
-		if p.Tab != nil {
-			return fmt.Errorf("lease: snapshot has no client slab, built plane does")
-		}
-		return nil
-	}
-	if p.Tab == nil || tn != len(p.Tab.key) {
-		return fmt.Errorf("lease: snapshot slab size %d does not match built plane", tn)
-	}
-	nz = r.Int()
-	for i := 0; i < nz; i++ {
-		idx := r.Int()
-		p.Tab.key[idx] = uint32(r.U64())
-		p.Tab.meta[idx] = r.U64()
-	}
-	return nil
 }

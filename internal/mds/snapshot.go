@@ -2,10 +2,8 @@ package mds
 
 import (
 	"fmt"
-	"sort"
 
 	"dynmds/internal/namespace"
-	"dynmds/internal/sim"
 	"dynmds/internal/snap"
 )
 
@@ -17,8 +15,7 @@ import (
 // the endurance workload issues no opens, so the quiesce check treats a
 // non-empty orphan table as a hard error.
 
-// statFields enumerates every Stats counter in a fixed serialization
-// order; writer and reader share it so the codec cannot skew.
+// statFields enumerates every Stats counter in serialization order.
 func (s *Stats) statFields() []*uint64 {
 	return []*uint64{
 		&s.Received, &s.ClientArrivals, &s.Served, &s.ReplicaServes,
@@ -52,95 +49,30 @@ func (m *MDS) CheckQuiesced() error {
 	return nil
 }
 
-// SnapshotTo serializes the node.
-func (m *MDS) SnapshotTo(w *snap.Writer) {
+// Snap walks the node; reading, a freshly built node with the same
+// config, whose inode references resolve against the restored
+// namespace.
+func (m *MDS) Snap(c *snap.Codec) {
 	if err := m.CheckQuiesced(); err != nil {
 		panic("mds: snapshot before quiesce: " + err.Error())
 	}
-	w.Bool(m.failed)
-	w.F64(m.slow)
-	w.U64(m.fwdSeq)
-	for _, dc := range [...]interface {
-		State() (float64, sim.Time)
-	}{m.opsRate, m.missRate} {
-		v, last := dc.State()
-		w.F64(v)
-		w.I64(int64(last))
-	}
-	completed, submitted, busy, last := m.cpu.StatsState()
-	w.U64(completed)
-	w.U64(submitted)
-	w.I64(int64(busy))
-	w.I64(int64(last))
+	c.Bool(&m.failed)
+	c.F64(&m.slow)
+	snap.U(c, &m.fwdSeq)
+	m.opsRate.Snap(c)
+	m.missRate.Snap(c)
+	m.cpu.Snap(c)
 	for _, f := range m.Stats.statFields() {
-		w.U64(*f)
+		snap.U(c, f)
 	}
-	openIDs := make([]namespace.InodeID, 0, len(m.opens))
-	for id := range m.opens {
-		openIDs = append(openIDs, id)
-	}
-	sort.Slice(openIDs, func(i, j int) bool { return openIDs[i] < openIDs[j] })
-	w.Int(len(openIDs))
-	for _, id := range openIDs {
-		w.U64(uint64(id))
-		w.Int(m.opens[id])
-	}
-	sizeIDs := make([]namespace.InodeID, 0, len(m.sizePending))
-	for id := range m.sizePending {
-		sizeIDs = append(sizeIDs, id)
-	}
-	sort.Slice(sizeIDs, func(i, j int) bool { return sizeIDs[i] < sizeIDs[j] })
-	w.Int(len(sizeIDs))
-	for _, id := range sizeIDs {
-		w.U64(uint64(id))
-		w.I64(m.sizePending[id])
-	}
-	m.cache.SnapshotTo(w)
-	m.store.SnapshotTo(w)
-}
-
-// RestoreFrom applies a snapshot onto a freshly built node with the
-// same config; resolve maps inode IDs to the restored namespace.
-func (m *MDS) RestoreFrom(r *snap.Reader, resolve func(namespace.InodeID) (*namespace.Inode, bool)) error {
-	m.failed = r.Bool()
-	m.slow = r.F64()
-	m.fwdSeq = r.U64()
-	for _, dc := range [...]interface {
-		SetState(float64, sim.Time)
-	}{m.opsRate, m.missRate} {
-		v := r.F64()
-		last := sim.Time(r.I64())
-		dc.SetState(v, last)
-	}
-	completed := r.U64()
-	submitted := r.U64()
-	busy := sim.Time(r.I64())
-	last := sim.Time(r.I64())
-	m.cpu.SetStatsState(completed, submitted, busy, last)
-	for _, f := range m.Stats.statFields() {
-		*f = r.U64()
-	}
-	no := r.Int()
-	for i := 0; i < no; i++ {
-		id := namespace.InodeID(r.U64())
-		m.opens[id] = r.Int()
-	}
-	ns := r.Int()
-	for i := 0; i < ns; i++ {
-		id := namespace.InodeID(r.U64())
-		m.sizePending[id] = r.I64()
-	}
-	if err := m.cache.RestoreFrom(r, resolve); err != nil {
-		return fmt.Errorf("mds %d: %w", m.id, err)
-	}
-	if err := m.store.RestoreFrom(r); err != nil {
-		return fmt.Errorf("mds %d: %w", m.id, err)
-	}
-	// The slow factor also scales the store's service times; reapply it
-	// so the pair stays consistent (the store serialized its own factor,
-	// but a failed node's recovery path resets both through SetSlow).
-	if m.slow > 1 {
-		m.store.SetSlow(m.slow)
-	}
-	return nil
+	snap.Map(c, m.opens, func(id *namespace.InodeID, n *int) {
+		snap.U(c, id)
+		snap.I(c, n)
+	})
+	snap.Map(c, m.sizePending, func(id *namespace.InodeID, size *int64) {
+		snap.U(c, id)
+		snap.I(c, size)
+	})
+	m.cache.Snap(c, m.cluster.Tree())
+	m.store.Snap(c)
 }

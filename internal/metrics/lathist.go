@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"dynmds/internal/sim"
+	"dynmds/internal/snap"
 )
 
 // latHist sub-bucket geometry: 16 linear sub-buckets per power-of-two
@@ -94,7 +95,19 @@ func (h *LatHist) Merge(src *LatHist) {
 // Reset zeroes the histogram.
 func (h *LatHist) Reset() { *h = LatHist{} }
 
-// State visits the non-empty buckets for checkpoints.
+// Snap walks the non-empty buckets for checkpoints; the restoring
+// histogram starts empty.
+func (h *LatHist) Snap(c *snap.Codec) {
+	snap.Sparse(c, len(h.buckets), "metrics: latency bucket",
+		func(i int) bool { return h.buckets[i] != 0 },
+		func(i int) {
+			count := h.buckets[i]
+			snap.U(c, &count)
+			h.SetBucket(i, count)
+		})
+}
+
+// State visits the non-empty buckets in ascending order.
 func (h *LatHist) State(fn func(idx int, count uint64)) {
 	for i, c := range h.buckets {
 		if c != 0 {
@@ -103,8 +116,7 @@ func (h *LatHist) State(fn func(idx int, count uint64)) {
 	}
 }
 
-// SetBucket restores one bucket captured by State. The caller is
-// responsible for starting from an empty histogram.
+// SetBucket sets one bucket's count, keeping N in step.
 func (h *LatHist) SetBucket(idx int, count uint64) {
 	h.n += count - h.buckets[idx]
 	h.buckets[idx] = count

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"dynmds/internal/sim"
+	"dynmds/internal/snap"
 )
 
 // DecayCounter is an access counter whose value halves every HalfLife of
@@ -70,12 +71,10 @@ func (c *DecayCounter) Reset(now sim.Time) {
 	c.last = now
 }
 
-// State exposes the raw (value, last-decay-time) pair for checkpoints.
-func (c *DecayCounter) State() (float64, sim.Time) { return c.value, c.last }
-
-// SetState restores a pair captured by State.
-func (c *DecayCounter) SetState(value float64, last sim.Time) {
-	c.value, c.last = value, last
+// Snap walks the raw (value, last-decay-time) pair for checkpoints.
+func (c *DecayCounter) Snap(sc *snap.Codec) {
+	sc.F64(&c.value)
+	snap.I(sc, &c.last)
 }
 
 // Series accumulates observations into fixed-width time buckets, for the
@@ -160,14 +159,16 @@ func (s *Series) Merge(src *Series) {
 	}
 }
 
-// State exposes the raw buckets for checkpoints; the returned slices
-// alias the series and must not be mutated.
-func (s *Series) State() ([]float64, []int64) { return s.sums, s.counts }
-
-// SetState restores buckets captured by State (copied in).
-func (s *Series) SetState(sums []float64, counts []int64) {
-	s.sums = append(s.sums[:0], sums...)
-	s.counts = append(s.counts[:0], counts...)
+// Snap walks the raw buckets for checkpoints.
+func (s *Series) Snap(c *snap.Codec) {
+	snap.Slice(c, &s.sums)
+	if c.Reading() {
+		s.counts = make([]int64, len(s.sums))
+	}
+	for i := range s.sums {
+		c.F64(&s.sums[i])
+		snap.I(c, &s.counts[i])
+	}
 }
 
 // Welford accumulates mean/variance/min/max online.
@@ -228,14 +229,13 @@ func (w *Welford) Merge(src *Welford) {
 	w.n = n
 }
 
-// State exposes the accumulator fields for checkpoints.
-func (w *Welford) State() (n int64, mean, m2, min, max float64) {
-	return w.n, w.mean, w.m2, w.min, w.max
-}
-
-// SetState restores fields captured by State.
-func (w *Welford) SetState(n int64, mean, m2, min, max float64) {
-	w.n, w.mean, w.m2, w.min, w.max = n, mean, m2, min, max
+// Snap walks the accumulator fields for checkpoints.
+func (w *Welford) Snap(c *snap.Codec) {
+	snap.I(c, &w.n)
+	c.F64(&w.mean)
+	c.F64(&w.m2)
+	c.F64(&w.min)
+	c.F64(&w.max)
 }
 
 // Stddev returns the sample standard deviation.

@@ -3,6 +3,8 @@ package metrics
 import (
 	"fmt"
 	"strings"
+
+	"dynmds/internal/snap"
 )
 
 // sparkRunes are eight block heights for inline plots.
@@ -112,18 +114,14 @@ func (h *Histogram) Merge(src *Histogram) {
 	h.total += src.total
 }
 
-// State exposes the raw bucket counts and total for checkpoints; the
-// returned slice aliases the histogram and must not be mutated.
-func (h *Histogram) State() ([]uint64, uint64) { return h.counts, h.total }
-
-// SetState restores counts captured by State (copied in). The
+// Snap walks the bucket counts and total for checkpoints; the restoring
 // histogram must have been built with the same shape.
-func (h *Histogram) SetState(counts []uint64, total uint64) {
-	if len(counts) != len(h.counts) {
-		panic("metrics: histogram state shape mismatch")
+func (h *Histogram) Snap(c *snap.Codec) {
+	c.Same(len(h.counts), "metrics: histogram buckets")
+	for i := range h.counts {
+		snap.U(c, &h.counts[i])
 	}
-	copy(h.counts, counts)
-	h.total = total
+	snap.U(c, &h.total)
 }
 
 // Quantile returns an upper bound for quantile q in [0,1] (the bound of

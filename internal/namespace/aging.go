@@ -100,9 +100,3 @@ func (t *Tree) noteLazyLookup(miss bool) {
 func (t *Tree) LazyStats() (lookups, misses uint64) {
 	return atomic.LoadUint64(&t.lazyLookups), atomic.LoadUint64(&t.lazyMisses)
 }
-
-// SetLazyStats restores counters captured by LazyStats (checkpoints).
-func (t *Tree) SetLazyStats(lookups, misses uint64) {
-	atomic.StoreUint64(&t.lazyLookups, lookups)
-	atomic.StoreUint64(&t.lazyMisses, misses)
-}

@@ -119,19 +119,14 @@ func TestOverlaySnapshotRoundTrip(t *testing.T) {
 		}
 
 		w := snap.NewWriter()
-		w.Begin("tree")
-		ov.SnapshotTo(w)
-		w.End()
+		snap.Encoder(w).Section("tree", ov.Snap)
 		r, err := snap.NewReader(w.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.Section(); err != nil {
-			t.Fatal(err)
-		}
-		got := NewOverlay(f)
-		if err := got.RestoreFrom(r); err != nil {
-			t.Fatalf("compact=%v: %v", compact, err)
+		got, dec := NewOverlay(f), snap.Decoder(r)
+		if dec.Section("tree", got.Snap); dec.Err() != nil {
+			t.Fatalf("compact=%v: %v", compact, dec.Err())
 		}
 
 		requireSameShape(t, ov, got)

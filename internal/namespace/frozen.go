@@ -55,7 +55,7 @@ func (f *Frozen) node(id InodeID) *fnode { return &f.nodes[id-1] }
 
 // contains reports whether id names a snapshot inode.
 func (f *Frozen) contains(id InodeID) bool {
-	return id >= rootID && int(id) <= len(f.nodes)
+	return id >= rootID && id <= InodeID(len(f.nodes))
 }
 
 // children returns the CSR child-ID slice for a directory.

@@ -1,8 +1,8 @@
 package namespace
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 
 	"dynmds/internal/snap"
 )
@@ -18,240 +18,245 @@ import (
 // serialized tree, including the lazy/expanded split the read-through
 // instrumentation depends on.
 
-// SnapshotTo writes the overlay delta. The tree must be an overlay and
-// must hold no anchored inodes (the endurance plane runs no Link ops).
-func (t *Tree) SnapshotTo(w *snap.Writer) {
-	if t.base == nil {
-		panic("namespace: snapshot of a non-overlay tree")
+// SnapRef carries a reference to a live inode as its ID: written from
+// *p, read and resolved against the restored tree. what names the
+// referrer in the error.
+func (t *Tree) SnapRef(c *snap.Codec, p **Inode, what string) {
+	var id InodeID
+	if !c.Reading() {
+		id = (*p).ID
 	}
-	if t.Anchors != nil && t.Anchors.Len() != 0 {
+	snap.U(c, &id)
+	if !c.Reading() || c.Err() != nil {
+		return
+	}
+	n, ok := t.ByID(id)
+	if !ok {
+		c.Failf("%s: inode %d unresolvable", what, id)
+		return
+	}
+	*p = n
+}
+
+// snapFields walks the fields a delta carries for one inode, created or
+// drifted, up to its parent, which travels as an ID (0: none) and is
+// resolved by the caller once every inode it can name exists.
+func (n *Inode) snapFields(c *snap.Codec) (parent InodeID) {
+	snap.U(c, &n.Mode)
+	snap.I(c, &n.Size)
+	snap.I(c, &n.NLink)
+	snap.I(c, &n.SubtreeInodes)
+	c.String(&n.name)
+	if n.parent != nil {
+		parent = n.parent.ID
+	}
+	snap.U(c, &parent)
+	return parent
+}
+
+// setParent resolves a parent read by snapFields.
+func (t *Tree) setParent(c *snap.Codec, n *Inode, parent InodeID) {
+	n.parent = nil
+	if parent == 0 || c.Err() != nil {
+		return
+	}
+	if n.parent, _ = t.ByID(parent); n.parent == nil {
+		c.Failf("namespace: inode %d parent %d unresolvable", n.ID, parent)
+	}
+}
+
+// drifted reports whether a live base inode differs from its frozen record.
+func (t *Tree) drifted(id InodeID) bool {
+	n, fn := t.node(id), t.base.node(id)
+	var parent InodeID
+	if n.parent != nil {
+		parent = n.parent.ID
+	}
+	return n.name != fn.name || n.Size != fn.size || n.Mode != fn.mode ||
+		n.NLink != int(fn.nlink) || n.SubtreeInodes != int(fn.sub) || parent != fn.parent
+}
+
+// Snap walks the overlay delta. The tree must be an overlay holding no
+// anchored inodes (the endurance plane runs no Link ops); reading, a
+// pristine overlay of the same frozen base. Gathering what to write and
+// building what was read are different work, so each part of the delta
+// says which it is doing.
+func (t *Tree) Snap(c *snap.Codec) {
+	reading := c.Reading()
+	switch {
+	case t.base == nil:
+		panic("namespace: snapshot of a non-overlay tree")
+	case reading && (len(t.byID) != 0 || t.gone != nil || t.dead != nil):
+		c.Failf("namespace: restore onto a non-pristine overlay")
+	case !reading && t.Anchors != nil && t.Anchors.Len() != 0:
 		panic("namespace: snapshot with anchored inodes is not supported")
 	}
-	lk, lm := t.LazyStats()
 
-	w.U64(uint64(t.nextID))
-	w.Int(t.NumFiles)
-	w.Int(t.NumDirs)
-	w.U64(t.BaseDeletes)
-	w.U64(t.Resurrected)
-	w.U64(lk)
-	w.U64(lm)
-	w.Bool(t.dead != nil)
+	snap.U(c, &t.nextID)
+	if t.nextID < InodeID(len(t.base.nodes)) {
+		c.Failf("namespace: snapshot MaxID %d below base size %d", t.nextID, len(t.base.nodes))
+	}
+	snap.I(c, &t.NumFiles)
+	snap.I(c, &t.NumDirs)
+	snap.U(c, &t.BaseDeletes)
+	snap.U(c, &t.Resurrected)
+	snap.U(c, &t.lazyLookups)
+	snap.U(c, &t.lazyMisses)
+	compacted := t.dead != nil
+	c.Bool(&compacted)
 
 	// Tombstones, ascending, delta-coded.
-	w.Int(t.TombstoneCount())
-	prev := InodeID(0)
-	t.ForEachTombstone(func(id InodeID) {
-		w.U64(uint64(id - prev))
-		prev = id
-	})
-
-	// Run-created inodes, ascending ID.
-	created := make([]*Inode, 0, len(t.byID))
-	for _, n := range t.byID {
-		created = append(created, n)
+	tombs := t.TombstoneCount()
+	c.Len(&tombs)
+	if !reading {
+		prev := InodeID(0)
+		t.ForEachTombstone(func(id InodeID) {
+			delta := id - prev
+			snap.U(c, &delta)
+			prev = id
+		})
+	} else {
+		if compacted {
+			t.dead = make([]uint64, len(t.base.nodes)/64+1)
+		} else if tombs > 0 {
+			t.gone = make(map[InodeID]struct{}, tombs)
+		}
+		for id := InodeID(0); tombs > 0 && c.Err() == nil; tombs-- {
+			var delta InodeID
+			snap.U(c, &delta)
+			if id += delta; !t.base.contains(id) {
+				c.Failf("namespace: tombstone %d outside base", id)
+			} else if compacted {
+				t.dead[id>>6] |= 1 << (id & 63)
+			} else {
+				t.gone[id] = struct{}{}
+			}
+		}
 	}
-	sort.Slice(created, func(i, j int) bool { return created[i].ID < created[j].ID })
-	w.Int(len(created))
-	for _, n := range created {
-		w.U64(uint64(n.ID))
-		w.U64(uint64(n.Kind))
-		w.U64(uint64(n.Mode))
-		w.I64(n.Size)
-		w.Int(n.NLink)
-		w.Int(n.SubtreeInodes)
-		w.String(n.name)
-		w.U64(uint64(parentID(n)))
-	}
 
-	// Dirty base inodes: fields differ from the frozen record. Skip
-	// tombstoned slots — their stale fields are unreachable.
-	var dirty []InodeID
-	for i := range t.slab {
-		id := InodeID(i + 1)
-		if t.Tombstoned(id) {
+	// Run-created inodes, ascending ID; parents are resolved after all
+	// of them are registered.
+	var created []*Inode
+	if !reading {
+		created = make([]*Inode, 0, len(t.byID))
+		for _, n := range t.byID {
+			created = append(created, n)
+		}
+		slices.SortFunc(created, func(a, b *Inode) int { return cmp.Compare(a.ID, b.ID) })
+	}
+	snap.Slice(c, &created)
+	var parents []InodeID
+	if reading {
+		parents = make([]InodeID, len(created))
+	}
+	for i := range created {
+		if c.Err() != nil {
+			return
+		}
+		if reading {
+			created[i] = &Inode{tree: t}
+		}
+		n := created[i]
+		snap.U(c, &n.ID)
+		snap.U(c, &n.Kind)
+		parent := n.snapFields(c)
+		if !reading || c.Err() != nil {
 			continue
 		}
-		n, fn := &t.slab[i], &t.base.nodes[i]
-		if n.name != fn.name || n.Size != fn.size || n.Mode != fn.mode ||
-			n.NLink != int(fn.nlink) || n.SubtreeInodes != int(fn.sub) ||
-			parentID(n) != fn.parent {
-			dirty = append(dirty, id)
+		if t.base.contains(n.ID) || n.ID > t.nextID {
+			c.Failf("namespace: created inode %d out of range", n.ID)
+			return
+		}
+		t.byID[n.ID] = n
+		parents[i] = parent
+	}
+	for i, parent := range parents {
+		t.setParent(c, created[i], parent)
+	}
+
+	// Drifted base inodes: fields differ from the frozen record. Skip
+	// tombstoned slots — their stale fields are unreachable.
+	var dirty []InodeID
+	if !reading {
+		for i := range t.slab {
+			if id := InodeID(i + 1); !t.Tombstoned(id) && t.drifted(id) {
+				dirty = append(dirty, id)
+			}
 		}
 	}
-	w.Int(len(dirty))
-	for _, id := range dirty {
-		n := t.node(id)
-		w.U64(uint64(id))
-		w.U64(uint64(n.Mode))
-		w.I64(n.Size)
-		w.Int(n.NLink)
-		w.Int(n.SubtreeInodes)
-		w.String(n.name)
-		w.U64(uint64(parentID(n)))
+	snap.Slice(c, &dirty)
+	for i := range dirty {
+		snap.U(c, &dirty[i])
+		if !t.base.contains(dirty[i]) {
+			c.Failf("namespace: dirty inode %d outside base", dirty[i])
+			return
+		}
+		n := t.node(dirty[i])
+		if parent := n.snapFields(c); reading {
+			t.setParent(c, n, parent)
+		}
 	}
 
 	// Materialized directories with their ordered child IDs: base slab
-	// order first, then created dirs ascending.
+	// order first, then created dirs ascending. Reading installs the
+	// children and rebuilds the private name index; the directory leaves
+	// the lazy read-through set exactly as it did in the serialized run.
 	var mat []*Inode
-	for i := range t.slab {
-		if t.slab[i].childIndex != nil && !t.Tombstoned(InodeID(i+1)) {
-			mat = append(mat, &t.slab[i])
-		}
-	}
-	for _, n := range created {
-		if n.childIndex != nil {
-			mat = append(mat, n)
-		}
-	}
-	w.Int(len(mat))
-	for _, d := range mat {
-		w.U64(uint64(d.ID))
-		w.Int(len(d.children))
-		for _, c := range d.children {
-			w.U64(uint64(c.ID))
-		}
-	}
-}
-
-func parentID(n *Inode) InodeID {
-	if n.parent == nil {
-		return 0
-	}
-	return n.parent.ID
-}
-
-// RestoreFrom applies a delta written by SnapshotTo onto t, which must
-// be a pristine overlay of the same frozen base.
-func (t *Tree) RestoreFrom(r *snap.Reader) error {
-	if t.base == nil {
-		return fmt.Errorf("namespace: restore onto a non-overlay tree")
-	}
-	if len(t.byID) != 0 || t.gone != nil || t.dead != nil {
-		return fmt.Errorf("namespace: restore onto a non-pristine overlay")
-	}
-
-	nextID := InodeID(r.U64())
-	if nextID < InodeID(len(t.base.nodes)) {
-		return fmt.Errorf("namespace: snapshot MaxID %d below base size %d", nextID, len(t.base.nodes))
-	}
-	t.nextID = nextID
-	t.NumFiles = r.Int()
-	t.NumDirs = r.Int()
-	t.BaseDeletes = r.U64()
-	t.Resurrected = r.U64()
-	t.SetLazyStats(r.U64(), r.U64())
-	compacted := r.Bool()
-
-	nTomb := r.Int()
-	if compacted {
-		t.dead = make([]uint64, len(t.base.nodes)/64+1)
-	} else if nTomb > 0 {
-		t.gone = make(map[InodeID]struct{}, nTomb)
-	}
-	id := InodeID(0)
-	for i := 0; i < nTomb; i++ {
-		id += InodeID(r.U64())
-		if !t.base.contains(id) {
-			return fmt.Errorf("namespace: tombstone %d outside base", id)
-		}
-		if compacted {
-			t.dead[id>>6] |= 1 << (id & 63)
-		} else {
-			t.gone[id] = struct{}{}
-		}
-	}
-
-	// Created inodes; parents resolved after all IDs are registered.
-	nCreated := r.Int()
-	parents := make([]InodeID, nCreated)
-	createdOrder := make([]*Inode, nCreated)
-	for i := 0; i < nCreated; i++ {
-		n := &Inode{tree: t}
-		n.ID = InodeID(r.U64())
-		n.Kind = Kind(r.U64())
-		n.Mode = Mode(r.U64())
-		n.Size = r.I64()
-		n.NLink = r.Int()
-		n.SubtreeInodes = r.Int()
-		n.name = r.String()
-		parents[i] = InodeID(r.U64())
-		if t.base.contains(n.ID) || n.ID > t.nextID {
-			return fmt.Errorf("namespace: created inode %d out of range", n.ID)
-		}
-		t.byID[n.ID] = n
-		createdOrder[i] = n
-	}
-	for i, n := range createdOrder {
-		if parents[i] != 0 {
-			p, ok := t.resolve(parents[i])
-			if !ok {
-				return fmt.Errorf("namespace: created inode %d parent %d unresolvable", n.ID, parents[i])
+	if !reading {
+		for i := range t.slab {
+			if t.slab[i].childIndex != nil && !t.Tombstoned(InodeID(i+1)) {
+				mat = append(mat, &t.slab[i])
 			}
-			n.parent = p
+		}
+		for _, n := range created {
+			if n.childIndex != nil {
+				mat = append(mat, n)
+			}
 		}
 	}
-
-	// Dirty base inodes.
-	nDirty := r.Int()
-	for i := 0; i < nDirty; i++ {
-		did := InodeID(r.U64())
-		if !t.base.contains(did) {
-			return fmt.Errorf("namespace: dirty inode %d outside base", did)
+	snap.Slice(c, &mat)
+	for i := range mat {
+		t.SnapRef(c, &mat[i], "namespace: materialized dir")
+		if c.Err() != nil {
+			return
 		}
-		n := t.node(did)
-		n.Mode = Mode(r.U64())
-		n.Size = r.I64()
-		n.NLink = r.Int()
-		n.SubtreeInodes = r.Int()
-		n.name = r.String()
-		pid := InodeID(r.U64())
-		if pid == 0 {
-			n.parent = nil
-		} else {
-			p, ok := t.resolve(pid)
-			if !ok {
-				return fmt.Errorf("namespace: dirty inode %d parent %d unresolvable", did, pid)
+		d := mat[i]
+		snap.Slice(c, &d.children)
+		for j := range d.children {
+			t.SnapRef(c, &d.children[j], "namespace: child")
+		}
+		if !reading {
+			continue
+		}
+		if c.Err() != nil {
+			return
+		}
+		d.childIndex = make(map[string]int, len(d.children))
+		for j, child := range d.children {
+			if _, dup := d.childIndex[child.name]; dup {
+				c.Failf("namespace: dir %d lists %q twice", d.ID, child.name)
 			}
-			n.parent = p
+			d.childIndex[child.name] = j
 		}
-	}
-
-	// Materialized directories: install ordered children and rebuild the
-	// private name index; the directory leaves the lazy read-through set
-	// exactly as it did in the serialized run.
-	nMat := r.Int()
-	for i := 0; i < nMat; i++ {
-		did := InodeID(r.U64())
-		d, ok := t.resolve(did)
-		if !ok {
-			return fmt.Errorf("namespace: materialized dir %d unresolvable", did)
-		}
-		nc := r.Int()
-		kids := make([]*Inode, nc)
-		idx := make(map[string]int, nc)
-		for j := 0; j < nc; j++ {
-			cid := InodeID(r.U64())
-			c, ok := t.resolve(cid)
-			if !ok {
-				return fmt.Errorf("namespace: child %d of dir %d unresolvable", cid, did)
-			}
-			kids[j] = c
-			idx[c.name] = j
-			c.parent = d
-		}
-		d.children = kids
-		d.childIndex = idx
 		d.lazyIdx = false
 	}
-	return nil
-}
-
-// resolve returns the live inode for id, whether base or run-created.
-func (t *Tree) resolve(id InodeID) (*Inode, bool) {
-	if t.base.contains(id) {
-		return t.node(id), true
+	if !reading {
+		return
 	}
-	n, ok := t.byID[id]
-	return n, ok
+	// The child lists now come from the file. One that names an ancestor
+	// would make every later walk of the tree endless, one that repeats
+	// a child (refused above) exponential. An inode has one parent and
+	// the root none, so checking that before descending ends this walk
+	// whatever the file says.
+	if t.Root.parent != nil {
+		c.Failf("namespace: the root has a parent")
+	}
+	t.Walk(func(n *Inode) bool {
+		for _, child := range n.children {
+			if child.parent != n {
+				c.Failf("namespace: inode %d listed under %d is not its child", child.ID, n.ID)
+			}
+		}
+		return c.Err() == nil
+	})
 }

@@ -3,7 +3,6 @@ package net
 import (
 	"fmt"
 
-	"dynmds/internal/sim"
 	"dynmds/internal/snap"
 )
 
@@ -13,40 +12,28 @@ import (
 // (pool occupancy is unobservable); mailbox seq is serialized because
 // it never resets and orders equal-time cross-shard deliveries.
 
-func writeLink(w *snap.Writer, l *Link) {
-	w.U64(l.Stats.Messages)
-	w.U64(l.Stats.Bytes)
-	w.Int(l.Stats.MaxDepth)
-	w.I64(int64(l.BusyUntil))
+func (l *Link) snap(c *snap.Codec) {
+	if l.depth != 0 {
+		panic("net: snapshot with nonzero link depth")
+	}
+	snap.U(c, &l.Stats.Messages)
+	snap.U(c, &l.Stats.Bytes)
+	snap.I(c, &l.Stats.MaxDepth)
+	snap.I(c, &l.BusyUntil)
 }
 
-func readLink(r *snap.Reader, l *Link) {
-	l.Stats.Messages = r.U64()
-	l.Stats.Bytes = r.U64()
-	l.Stats.MaxDepth = r.Int()
-	l.BusyUntil = sim.Time(r.I64())
-}
-
-func writeClassLane(w *snap.Writer, lane *[NumClasses]ClassStats) {
-	for c := range lane {
-		w.U64(lane[c].Sent)
-		w.U64(lane[c].Delivered)
-		w.U64(lane[c].Dropped)
-		w.U64(lane[c].Bytes)
+func snapLane(c *snap.Codec, lane *[NumClasses]ClassStats) {
+	for i := range lane {
+		snap.U(c, &lane[i].Sent)
+		snap.U(c, &lane[i].Delivered)
+		snap.U(c, &lane[i].Dropped)
+		snap.U(c, &lane[i].Bytes)
 	}
 }
 
-func readClassLane(r *snap.Reader, lane *[NumClasses]ClassStats) {
-	for c := range lane {
-		lane[c].Sent = r.U64()
-		lane[c].Delivered = r.U64()
-		lane[c].Dropped = r.U64()
-		lane[c].Bytes = r.U64()
-	}
-}
-
-// SnapshotTo serializes the fabric. Panics unless fully drained.
-func (f *Fabric) SnapshotTo(w *snap.Writer) {
+// Snap walks the fabric; reading, a freshly built fabric with the same
+// endpoint count and sharding. Panics unless fully drained.
+func (f *Fabric) Snap(c *snap.Codec) {
 	if n := f.InFlight(); n != 0 {
 		panic(fmt.Sprintf("net: snapshot with %d messages in flight", n))
 	}
@@ -56,61 +43,23 @@ func (f *Fabric) SnapshotTo(w *snap.Writer) {
 	if n := f.PendingMail(); n != 0 {
 		panic(fmt.Sprintf("net: snapshot with %d queued cross-shard deliveries", n))
 	}
-	w.Int(len(f.links))
+	c.Same(len(f.links), "net: links")
 	for i := range f.links {
-		if f.links[i].depth != 0 {
-			panic("net: snapshot with nonzero link depth")
-		}
-		writeLink(w, &f.links[i])
+		f.links[i].snap(c)
 	}
-	writeClassLane(w, &f.class)
-	if f.sh == nil {
-		w.Int(-1)
-		return
+	snapLane(c, &f.class)
+	k := -1
+	if f.sh != nil {
+		k = f.sh.k
 	}
-	w.Int(f.sh.k)
-	for i := 0; i < f.sh.k; i++ {
-		writeClassLane(w, &f.sh.class[i])
-		for j := range f.sh.edgeRows[i] {
-			if f.sh.edgeRows[i][j].depth != 0 {
-				panic("net: snapshot with nonzero edge-lane depth")
-			}
-			writeLink(w, &f.sh.edgeRows[i][j])
-		}
-		for j := range f.sh.mail[i] {
-			w.U64(f.sh.mail[i][j].seq)
-		}
-	}
-}
-
-// RestoreFrom applies a snapshot onto a freshly built fabric with the
-// same endpoint count and sharding.
-func (f *Fabric) RestoreFrom(r *snap.Reader) error {
-	if n := r.Int(); n != len(f.links) {
-		return fmt.Errorf("net: snapshot has %d links, built fabric has %d", n, len(f.links))
-	}
-	for i := range f.links {
-		readLink(r, &f.links[i])
-	}
-	readClassLane(r, &f.class)
-	k := r.Int()
-	if k < 0 {
-		if f.sh != nil {
-			return fmt.Errorf("net: snapshot is unsharded, built fabric is sharded")
-		}
-		return nil
-	}
-	if f.sh == nil || k != f.sh.k {
-		return fmt.Errorf("net: snapshot has %d fabric shards, built fabric does not match", k)
-	}
+	c.Same(k, "net: fabric shards")
 	for i := 0; i < k; i++ {
-		readClassLane(r, &f.sh.class[i])
+		snapLane(c, &f.sh.class[i])
 		for j := range f.sh.edgeRows[i] {
-			readLink(r, &f.sh.edgeRows[i][j])
+			f.sh.edgeRows[i][j].snap(c)
 		}
 		for j := range f.sh.mail[i] {
-			f.sh.mail[i][j].seq = r.U64()
+			snap.U(c, &f.sh.mail[i][j].seq)
 		}
 	}
-	return nil
 }

@@ -1,8 +1,6 @@
 package partition
 
 import (
-	"fmt"
-
 	"dynmds/internal/metrics"
 	"dynmds/internal/namespace"
 	"dynmds/internal/sim"
@@ -18,44 +16,38 @@ import (
 // resolve the *current* ancestor chain and steer forwards differently
 // than the uninterrupted run.
 
-// SnapshotTable serializes the table's assignments and epoch.
-func (t *SubtreeTable) SnapshotTable(w *snap.Writer) {
-	w.Int(t.n)
-	w.U64(t.epoch)
-	w.Int(len(t.assign))
-	for mds := 0; mds < t.n; mds++ {
-		for _, root := range t.RootsOf(mds) {
-			w.U64(uint64(root.ID))
-			w.Int(mds)
+// Snap walks the table's epoch and assignments, node by node in root
+// order. Reading replaces the assignments: the built table may already
+// carry an initial partition (construction reapplies it); it is
+// discarded — the snapshot is authoritative.
+func (t *SubtreeTable) Snap(c *snap.Codec, tree *namespace.Tree) {
+	c.Same(t.n, "partition: table nodes")
+	snap.U(c, &t.epoch)
+	n := len(t.assign)
+	c.Len(&n)
+	delegation := func(root *namespace.Inode, mds int) {
+		tree.SnapRef(c, &root, "partition: delegation")
+		snap.Index(c, &mds, t.n, "partition: delegation")
+		if c.Reading() && c.Err() == nil {
+			t.assign[root] = mds
+			t.byMDS[mds][root] = true
 		}
 	}
-}
-
-// RestoreTable replaces the table's assignments with the snapshot's.
-// The built table may already carry an initial partition (construction
-// reapplies it); it is discarded — the snapshot is authoritative.
-func (t *SubtreeTable) RestoreTable(r *snap.Reader, tree *namespace.Tree) error {
-	if n := r.Int(); n != t.n {
-		return fmt.Errorf("partition: snapshot table for %d nodes, built for %d", n, t.n)
+	if !c.Reading() {
+		for mds := 0; mds < t.n; mds++ {
+			for _, root := range t.RootsOf(mds) {
+				delegation(root, mds)
+			}
+		}
+		return
 	}
-	epoch := r.U64()
 	t.assign = make(map[*namespace.Inode]int)
 	for i := range t.byMDS {
 		t.byMDS[i] = make(map[*namespace.Inode]bool)
 	}
-	na := r.Int()
-	for i := 0; i < na; i++ {
-		id := namespace.InodeID(r.U64())
-		mds := r.Int()
-		root, ok := tree.ByID(id)
-		if !ok {
-			return fmt.Errorf("partition: snapshot delegates unresolvable inode %d", id)
-		}
-		t.assign[root] = mds
-		t.byMDS[mds][root] = true
+	for ; n > 0 && c.Err() == nil; n-- {
+		delegation(nil, 0)
 	}
-	t.epoch = epoch
-	return nil
 }
 
 // tagsLive reports whether a tag block carries any restorable state.
@@ -66,93 +58,69 @@ func tagsLive(tg *Tags) bool {
 		tg.AuthEpoch != 0 || tg.Auth != 0
 }
 
-// SnapshotTags serializes every live tag block, in deterministic tree
-// walk order. Destroyed inodes are unreachable and therefore excluded —
-// their tags can no longer influence the run.
-func SnapshotTags(w *snap.Writer, tree *namespace.Tree) {
+// snapCounter walks a decay counter that exists only once touched;
+// reading creates it with the half-life the run's config would.
+func snapCounter(c *snap.Codec, p **metrics.DecayCounter, halfLife sim.Time) {
+	has := *p != nil
+	c.Bool(&has)
+	if !has {
+		return
+	}
+	if *p == nil {
+		*p = metrics.NewDecayCounter(halfLife)
+	}
+	(*p).Snap(c)
+}
+
+// SnapTags walks every live tag block, in deterministic tree walk
+// order; reading applies them onto the restored tree of a cluster of
+// the given number of nodes. Destroyed inodes are unreachable and
+// therefore excluded — their tags can no longer influence the run.
+func SnapTags(c *snap.Codec, tree *namespace.Tree, nodes int, popHalfLife, fwdHalfLife sim.Time) {
+	// One pass before the blocks: counts them to write; to read, clears
+	// any memo written between construction and restore (e.g. a sharded
+	// setup's wholesale Memoize pass) so post-restore memo state is
+	// exactly the serialized state, nothing more.
 	count := 0
 	tree.Walk(func(n *namespace.Inode) bool {
-		if tg, ok := n.Aux.(*Tags); ok && tagsLive(tg) {
+		tg, ok := n.Aux.(*Tags)
+		switch {
+		case !ok:
+		case c.Reading():
+			tg.AuthEpoch, tg.Auth = 0, 0
+		case tagsLive(tg):
 			count++
 		}
 		return true
 	})
-	w.Int(count)
-	tree.Walk(func(n *namespace.Inode) bool {
-		tg, ok := n.Aux.(*Tags)
-		if !ok || !tagsLive(tg) {
-			return true
-		}
-		w.U64(uint64(n.ID))
-		if tg.Pop != nil {
-			w.Bool(true)
-			v, last := tg.Pop.State()
-			w.F64(v)
-			w.I64(int64(last))
-		} else {
-			w.Bool(false)
-		}
-		if tg.FwdPop != nil {
-			w.Bool(true)
-			v, last := tg.FwdPop.State()
-			w.F64(v)
-			w.I64(int64(last))
-		} else {
-			w.Bool(false)
-		}
-		w.Bool(tg.ReplicatedAll)
-		w.U64(tg.LHDirEpoch)
-		w.U64(tg.LHApplied)
-		w.Bool(tg.HashedDir)
-		w.U64(tg.ReplicaSet)
-		w.U64(tg.UnflushedWriters)
-		w.U64(tg.AuthEpoch)
-		w.Int(tg.Auth)
-		return true
-	})
-}
-
-// RestoreTags applies serialized tag blocks onto the restored tree.
-// popHalfLife and fwdHalfLife recreate the decay counters with the same
-// half-lives the run's config would.
-func RestoreTags(r *snap.Reader, tree *namespace.Tree, popHalfLife, fwdHalfLife sim.Time) error {
-	// Clear any memo written between construction and restore (e.g. a
-	// sharded setup's wholesale Memoize pass) so post-restore memo state
-	// is exactly the serialized state, nothing more.
-	tree.Walk(func(n *namespace.Inode) bool {
-		if tg, ok := n.Aux.(*Tags); ok {
-			tg.AuthEpoch, tg.Auth = 0, 0
-		}
-		return true
-	})
-	n := r.Int()
-	for i := 0; i < n; i++ {
-		id := namespace.InodeID(r.U64())
-		ino, ok := tree.ByID(id)
-		if !ok {
-			return fmt.Errorf("partition: snapshot tags name unresolvable inode %d", id)
+	c.Len(&count)
+	block := func(ino *namespace.Inode) {
+		tree.SnapRef(c, &ino, "partition: tags")
+		if c.Err() != nil {
+			return
 		}
 		tg := TagsOf(ino)
-		if r.Bool() {
-			tg.Pop = metrics.NewDecayCounter(popHalfLife)
-			v := r.F64()
-			last := sim.Time(r.I64())
-			tg.Pop.SetState(v, last)
-		}
-		if r.Bool() {
-			tg.FwdPop = metrics.NewDecayCounter(fwdHalfLife)
-			v := r.F64()
-			last := sim.Time(r.I64())
-			tg.FwdPop.SetState(v, last)
-		}
-		tg.ReplicatedAll = r.Bool()
-		tg.LHDirEpoch = r.U64()
-		tg.LHApplied = r.U64()
-		tg.HashedDir = r.Bool()
-		tg.ReplicaSet = r.U64()
-		tg.UnflushedWriters = r.U64()
-		tg.AuthEpoch = r.U64()
-		tg.Auth = r.Int()
+		snapCounter(c, &tg.Pop, popHalfLife)
+		snapCounter(c, &tg.FwdPop, fwdHalfLife)
+		c.Bool(&tg.ReplicatedAll)
+		snap.U(c, &tg.LHDirEpoch)
+		snap.U(c, &tg.LHApplied)
+		c.Bool(&tg.HashedDir)
+		snap.U(c, &tg.ReplicaSet)
+		snap.U(c, &tg.UnflushedWriters)
+		snap.U(c, &tg.AuthEpoch)
+		snap.Index(c, &tg.Auth, nodes, "partition: authority memo")
 	}
-	return nil
+	if c.Reading() {
+		for ; count > 0 && c.Err() == nil; count-- {
+			block(nil)
+		}
+		return
+	}
+	tree.Walk(func(n *namespace.Inode) bool {
+		if tg, ok := n.Aux.(*Tags); ok && tagsLive(tg) {
+			block(n)
+		}
+		return true
+	})
 }

@@ -128,10 +128,10 @@ func parseAct(p *Plan, rest string) error {
 		return fmt.Errorf("act window %q wants @from-to", fields[2])
 	}
 	var err error
-	if a.From, err = parseTime(fromStr); err != nil {
+	if a.From, err = sim.ParseTime(fromStr); err != nil {
 		return err
 	}
-	if a.To, err = parseTime(toStr); err != nil {
+	if a.To, err = sim.ParseTime(toStr); err != nil {
 		return err
 	}
 	for _, tok := range fields[3:] {
@@ -223,7 +223,7 @@ func (p *Plan) String() string {
 	}
 	p.writeLine(&b, "")
 	for _, a := range p.Acts {
-		fmt.Fprintf(&b, "act %s %s @%s-%s", a.Kind, a.Name, fmtTime(a.From), fmtTime(a.To))
+		fmt.Fprintf(&b, "act %s %s @%s-%s", a.Kind, a.Name, sim.FormatTime(a.From), sim.FormatTime(a.To))
 		if a.RateMul > 0 {
 			fmt.Fprintf(&b, " rate=x%s", fmtFloat(a.RateMul))
 		}
@@ -292,37 +292,5 @@ func parseFloat(s string) (float64, error) {
 	return f, nil
 }
 
-// fmtTime renders a virtual time in the largest s/ms/us unit that is
-// exact; parseTime inverts it (same convention as internal/fault).
-func fmtTime(t sim.Time) string {
-	switch {
-	case t%sim.Second == 0:
-		return strconv.FormatInt(int64(t/sim.Second), 10) + "s"
-	case t%sim.Millisecond == 0:
-		return strconv.FormatInt(int64(t/sim.Millisecond), 10) + "ms"
-	default:
-		return strconv.FormatInt(int64(t), 10) + "us"
-	}
-}
-
 // fmtFloat renders the shortest decimal that parses back to exactly v.
 func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// parseTime parses "30s", "500ms", "250us", or a bare number (seconds).
-func parseTime(s string) (sim.Time, error) {
-	unit := sim.Second
-	num := s
-	switch {
-	case strings.HasSuffix(s, "us"):
-		unit, num = sim.Microsecond, s[:len(s)-2]
-	case strings.HasSuffix(s, "ms"):
-		unit, num = sim.Millisecond, s[:len(s)-2]
-	case strings.HasSuffix(s, "s"):
-		unit, num = sim.Second, s[:len(s)-1]
-	}
-	v, err := strconv.ParseFloat(num, 64)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("bad time %q", s)
-	}
-	return sim.Time(v * float64(unit)), nil
-}

@@ -241,14 +241,14 @@ func numKey[T int | float64](name, line, doc string, lo, hi T, at func(*cluster.
 func timeKey(name, line, doc string, lo sim.Time, at func(*cluster.Config) *sim.Time) key {
 	return key{name, line, doc,
 		func(c *cluster.Config, v string) error {
-			t, err := parseTime(v)
+			t, err := sim.ParseTime(v)
 			if err == nil && t < lo {
-				err = fmt.Errorf("bad time %q (want at least %s)", v, fmtTime(lo))
+				err = fmt.Errorf("bad time %q (want at least %s)", v, sim.FormatTime(lo))
 			}
 			*at(c) = t
 			return err
 		},
-		func(c *cluster.Config) string { return fmtTime(*at(c)) }}
+		func(c *cluster.Config) string { return sim.FormatTime(*at(c)) }}
 }
 
 // enumKey is a cluster-line key that takes one of a fixed set of names.
@@ -331,7 +331,7 @@ func Apply(cfg *cluster.Config, set []Setting) error {
 		return err
 	}
 	if cfg.Warmup >= cfg.Duration {
-		return fmt.Errorf("warmup %s does not fit the %s duration: nothing would be measured", fmtTime(cfg.Warmup), fmtTime(cfg.Duration))
+		return fmt.Errorf("warmup %s does not fit the %s duration: nothing would be measured", sim.FormatTime(cfg.Warmup), sim.FormatTime(cfg.Duration))
 	}
 	if cfg.LinkBandwidth != 0 && cfg.NetModel != net.ModelQueued {
 		return fmt.Errorf("link-bw needs net=%s (the fixed model has no link bandwidth)", net.ModelQueued)

@@ -223,13 +223,13 @@ func (p *Plan) check() error {
 			return fmt.Errorf("plan %s: act %d has no name", p.Name, i)
 		}
 		if a.From < 0 || a.To <= a.From {
-			return fmt.Errorf("plan %s: act %q: window %s..%s does not move forward", p.Name, a.Name, fmtTime(a.From), fmtTime(a.To))
+			return fmt.Errorf("plan %s: act %q: window %s..%s does not move forward", p.Name, a.Name, sim.FormatTime(a.From), sim.FormatTime(a.To))
 		}
 		if timed && a.To > base.Duration {
-			return fmt.Errorf("plan %s: act %q ends at %s, past the %s duration", p.Name, a.Name, fmtTime(a.To), fmtTime(base.Duration))
+			return fmt.Errorf("plan %s: act %q ends at %s, past the %s duration", p.Name, a.Name, sim.FormatTime(a.To), sim.FormatTime(base.Duration))
 		}
 		if a.From < prevTo {
-			return fmt.Errorf("plan %s: act %q (from %s) overlaps act %q (ends %s)", p.Name, a.Name, fmtTime(a.From), prevName, fmtTime(prevTo))
+			return fmt.Errorf("plan %s: act %q (from %s) overlaps act %q (ends %s)", p.Name, a.Name, sim.FormatTime(a.From), prevName, sim.FormatTime(prevTo))
 		}
 		prevTo, prevName = a.To, a.Name
 		if a.RateMul < 0 {

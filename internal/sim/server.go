@@ -1,5 +1,7 @@
 package sim
 
+import "dynmds/internal/snap"
+
 // Server models a FIFO service centre with a fixed number of parallel
 // service slots (width) and a caller-supplied service time per job. It is
 // the building block for modelling contended resources: an MDS CPU
@@ -21,7 +23,7 @@ package sim
 // idle one. The qlen waiting jobs are queue[(head+i)&(len(queue)-1)]
 // for i in [0, qlen); len(queue) is zero or a power of two, doubles
 // when full and never shrinks. Where the ring starts is layout, not
-// state: a checkpoint only ever sees an idle server (StatsState).
+// state: a checkpoint only ever sees an idle server (Snap).
 type Server struct {
 	eng   *Engine
 	width int
@@ -39,7 +41,7 @@ type Server struct {
 
 	// MaxQueue is the deepest the waiting line has been since this
 	// Server was constructed. It is a diagnostic only — not part of
-	// StatsState, of any snapshot, Result or digest — so it restarts
+	// Snap, of any snapshot, Result or digest — so it restarts
 	// from zero when a run is restored from a checkpoint.
 	MaxQueue int
 }
@@ -81,20 +83,17 @@ func (s *Server) account(now Time) {
 	s.lastChange = now
 }
 
-// StatsState exposes the accounting state a checkpoint must carry. The
-// server must be idle (drained) when snapshotted; in-service or queued
-// jobs are events, not serializable state.
-func (s *Server) StatsState() (completed, submitted uint64, busyTime, lastChange Time) {
+// Snap walks the accounting state a checkpoint carries. The server must
+// be idle (drained): in-service or queued jobs are events, not
+// serializable state.
+func (s *Server) Snap(c *snap.Codec) {
 	if s.busy != 0 || s.qlen != 0 {
 		panic("sim: snapshotting a non-idle server")
 	}
-	return s.Completed, s.Submitted, s.BusyTime, s.lastChange
-}
-
-// SetStatsState restores accounting state captured by StatsState.
-func (s *Server) SetStatsState(completed, submitted uint64, busyTime, lastChange Time) {
-	s.Completed, s.Submitted = completed, submitted
-	s.BusyTime, s.lastChange = busyTime, lastChange
+	snap.U(c, &s.Completed)
+	snap.U(c, &s.Submitted)
+	snap.I(c, &s.BusyTime)
+	snap.I(c, &s.lastChange)
 }
 
 // Submit enqueues a job with the given service time. done runs when the

@@ -1,110 +1,73 @@
 package storage
 
 import (
-	"fmt"
-
 	"dynmds/internal/dirstore"
 	"dynmds/internal/namespace"
-	"dynmds/internal/sim"
 	"dynmds/internal/snap"
 )
 
 // Checkpoint codec. Serialized at a quiesce point, when both disks are
-// idle — the sim.Server state calls panic otherwise. The bounded log's
-// live map is not serialized; it is rebuilt from the ring contents.
+// idle — sim.Server's walk panics otherwise. The bounded log's live map
+// is not serialized; it is rebuilt from the ring contents.
 
-// SnapshotTo serializes the store's mutable state.
-func (s *Store) SnapshotTo(w *snap.Writer) {
+// Snap walks the store's mutable state; reading, a freshly built store
+// with the same config.
+func (s *Store) Snap(c *snap.Codec) {
 	if s.cfg.Pool != nil {
 		panic("storage: checkpointing the shared-pool ablation is not supported")
 	}
-	w.U64(s.Stats.InodeReads)
-	w.U64(s.Stats.DirReads)
-	w.U64(s.Stats.RecordsRead)
-	w.U64(s.Stats.LogAppends)
-	w.U64(s.Stats.TierWrites)
-	w.F64(s.slow)
-	for _, d := range [...]*sim.Server{s.readDisk, s.logDisk} {
-		completed, submitted, busy, last := d.StatsState()
-		w.U64(completed)
-		w.U64(submitted)
-		w.I64(int64(busy))
-		w.I64(int64(last))
-	}
-	// Bounded log: capacity cross-checked on restore, then head and the
-	// valid window oldest-first. Ring slots outside the window are never
-	// read before being overwritten, so their content does not matter,
-	// but head does (it fixes where future appends land).
-	w.Int(s.log.capacity)
-	w.Int(s.log.head)
-	w.Int(s.log.n)
-	for i := 0; i < s.log.n; i++ {
-		w.U64(uint64(s.log.ring[(s.log.head+i)%s.log.capacity]))
-	}
-	if s.Dirs == nil {
-		w.Int(-1)
+	snap.U(c, &s.Stats.InodeReads)
+	snap.U(c, &s.Stats.DirReads)
+	snap.U(c, &s.Stats.RecordsRead)
+	snap.U(c, &s.Stats.LogAppends)
+	snap.U(c, &s.Stats.TierWrites)
+	c.F64(&s.slow)
+	s.readDisk.Snap(c)
+	s.logDisk.Snap(c)
+
+	// Bounded log: head and the valid window oldest-first. Ring slots
+	// outside the window are never read before being overwritten, so
+	// their content does not matter, but head does (it fixes where future
+	// appends land).
+	l := s.log
+	c.Same(l.capacity, "storage: log capacity")
+	snap.Index(c, &l.head, l.capacity, "storage: log head")
+	c.Len(&l.n)
+	if l.n > l.capacity {
+		c.Failf("storage: snapshot log window of %d in a ring of %d", l.n, l.capacity)
 		return
 	}
-	w.Int(len(s.Dirs.trees))
-	w.U64(s.Dirs.NodesWritten)
-	w.U64(s.Dirs.Updates)
-	s.Dirs.ForEach(func(dir namespace.InodeID, t *dirstore.Tree) {
-		w.U64(uint64(dir))
-		t.SnapshotTo(w)
-	})
-}
+	for i := 0; i < l.n; i++ {
+		slot := &l.ring[(l.head+i)%l.capacity]
+		snap.U(c, slot)
+		if c.Reading() {
+			l.live[*slot]++
+		}
+	}
 
-// RestoreFrom applies a snapshot onto a freshly built store with the
-// same config.
-func (s *Store) RestoreFrom(r *snap.Reader) error {
-	if s.cfg.Pool != nil {
-		return fmt.Errorf("storage: cannot restore into a shared-pool configuration")
+	n := 0
+	if s.Dirs != nil {
+		n = len(s.Dirs.trees)
 	}
-	s.Stats.InodeReads = r.U64()
-	s.Stats.DirReads = r.U64()
-	s.Stats.RecordsRead = r.U64()
-	s.Stats.LogAppends = r.U64()
-	s.Stats.TierWrites = r.U64()
-	s.slow = r.F64()
-	for _, d := range [...]*sim.Server{s.readDisk, s.logDisk} {
-		completed := r.U64()
-		submitted := r.U64()
-		busy := sim.Time(r.I64())
-		last := sim.Time(r.I64())
-		d.SetStatsState(completed, submitted, busy, last)
+	if !c.OptLen(s.Dirs != nil, &n, "storage: directory objects") {
+		return
 	}
-	if c := r.Int(); c != s.log.capacity {
-		return fmt.Errorf("storage: snapshot log capacity %d, built %d", c, s.log.capacity)
-	}
-	s.log.head = r.Int()
-	s.log.n = r.Int()
-	if s.log.head < 0 || s.log.head >= s.log.capacity || s.log.n < 0 || s.log.n > s.log.capacity {
-		return fmt.Errorf("storage: snapshot log window head=%d n=%d out of range", s.log.head, s.log.n)
-	}
-	for i := 0; i < s.log.n; i++ {
-		id := namespace.InodeID(r.U64())
-		s.log.ring[(s.log.head+i)%s.log.capacity] = id
-		s.log.live[id]++
-	}
-	nd := r.Int()
-	if nd < 0 {
-		if s.Dirs != nil {
-			return fmt.Errorf("storage: snapshot has no directory objects, built store does")
+	snap.U(c, &s.Dirs.NodesWritten)
+	snap.U(c, &s.Dirs.Updates)
+	// Written in ascending directory order; read as the file gives them,
+	// each into a tree built for it (t == nil).
+	object := func(dir namespace.InodeID, t *dirstore.Tree) {
+		snap.U(c, &dir)
+		if t == nil {
+			t = s.Dirs.tree(dir)
 		}
-		return nil
+		t.Snap(c)
 	}
-	if s.Dirs == nil {
-		return fmt.Errorf("storage: snapshot has directory objects, built store does not")
+	if !c.Reading() {
+		s.Dirs.ForEach(object)
+		return
 	}
-	s.Dirs.NodesWritten = r.U64()
-	s.Dirs.Updates = r.U64()
-	for i := 0; i < nd; i++ {
-		dir := namespace.InodeID(r.U64())
-		t, err := dirstore.DecodeTree(r)
-		if err != nil {
-			return fmt.Errorf("storage: dir object %d: %w", dir, err)
-		}
-		s.Dirs.trees[dir] = t
+	for ; n > 0 && c.Err() == nil; n-- {
+		object(0, nil)
 	}
-	return nil
 }

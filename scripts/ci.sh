@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
-# Tier-1 gate: vet, build, and run the full test suite under the race
-# detector, then smoke-test the figure, chaos, plan, open-loop and
-# endurance surfaces of one built mdsim. It measures nothing — performance is
-# `go run ./bench` (bench/README.md) — and writes nothing into the
-# checkout. Run from the repository root; any failure fails the script.
+# Tier-1 gate: vet, build, run the full test suite under the race
+# detector and each fuzz target for a fixed budget, then smoke-test the
+# figure, chaos, plan, open-loop and endurance surfaces of one built
+# mdsim. It measures nothing — performance is `go run ./bench`
+# (bench/README.md) — and writes nothing into the checkout. Run from the
+# repository root; any failure fails the script.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -26,6 +27,18 @@ go build ./...
 # -race on the small CI box is ~6x slower than native; give packages
 # headroom past go test's 10m default so a busy host doesn't flake.
 go test -race -timeout 30m ./...
+
+# Native fuzz targets, a fixed 15 s each: a checkpoint file, a fault
+# schedule and a plan are outside input, and whatever their bytes the
+# code that reads them returns an error or a value that round-trips — no
+# panic, no hang. A finding is written under the package's
+# testdata/fuzz/ and fails the step (and, left behind, the unchanged-tree
+# check below); a clean run writes only to the go build cache. A
+# checkpoint is tens of kilobytes, so the fuzzer's default minute of
+# minimizing each new input would eat that target's budget.
+go test -run '^$' -fuzz '^FuzzRestoreCheckpoint$' -fuzztime 15s -fuzzminimizetime 10x ./internal/endure
+go test -run '^$' -fuzz '^FuzzParseSchedule$' -fuzztime 15s ./internal/fault
+go test -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime 15s ./internal/plan
 
 # Allocation pins once more without the race detector: its runtime skews
 # testing.AllocsPerRun and malloc counts, so a pin that has to skip or
