@@ -284,6 +284,11 @@ type Cluster struct {
 	replyReturns [][]*msg.Reply
 	lanesMerged  bool
 
+	// lastSnapLen is the length of the checkpoint this cluster last
+	// wrote or was restored from: CheckpointTo's buffer-size hint, not
+	// part of any checkpoint.
+	lastSnapLen int
+
 	// setupWall is the wall-clock cost of New (generation or thaw plus
 	// cluster assembly).
 	setupWall time.Duration
@@ -461,7 +466,7 @@ func New(cfg Config) (*Cluster, error) {
 		for i, n := range c.Nodes {
 			nodes[i] = n
 		}
-		c.Balancer = core.NewBalancer(eng, *cfg.Balancer, c.Dyn, nodes)
+		c.Balancer = core.NewBalancer(eng, *cfg.Balancer, cfg.MDS.PopHalfLife, c.Dyn, nodes)
 	}
 
 	// Clients.

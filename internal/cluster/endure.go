@@ -216,10 +216,16 @@ func (c *Cluster) CheckpointTo(w *snap.Writer) {
 	if c.lanesMerged {
 		panic("cluster: checkpoint after lanes were merged (Collect already ran)")
 	}
+	// A run's checkpoints grow slowly: room for the last one's length
+	// and an eighth, plus the writer's trailer, makes this one a single
+	// allocation instead of append's doublings from empty.
+	w.Grow(c.lastSnapLen + c.lastSnapLen/8 + 8)
+	start := w.Len()
 	enc := snap.Encoder(w)
 	if c.snap(enc); enc.Err() != nil {
 		panic("cluster: checkpoint: " + enc.Err().Error())
 	}
+	c.lastSnapLen = w.Len() - start
 }
 
 // RestoreCheckpoint applies a checkpoint onto a freshly built cluster
@@ -229,6 +235,7 @@ func (c *Cluster) CheckpointTo(w *snap.Writer) {
 func (c *Cluster) RestoreCheckpoint(r *snap.Reader) error {
 	dec := snap.Decoder(r)
 	c.snap(dec)
+	c.lastSnapLen = r.Len()
 	return dec.Err()
 }
 
@@ -245,7 +252,7 @@ func (c *Cluster) snap(sc *snap.Codec) {
 		if sc.Has(table != nil, "cluster: subtree table") {
 			table.Snap(sc, tree)
 		}
-		partition.SnapTags(sc, tree, len(c.Nodes), c.Cfg.MDS.PopHalfLife, c.Cfg.MDS.PopHalfLife)
+		partition.SnapTags(sc, tree, len(c.Nodes))
 		if sc.Reading() && c.numShards > 1 {
 			// Inodes created after the pristine snapshot have no tag blocks
 			// yet; materialize them before windows run concurrently, exactly

@@ -106,6 +106,9 @@ type Balancer struct {
 	cfg   BalancerConfig
 	dyn   *DynamicSubtree
 	nodes []Node
+	// popHalfLife is the half-life of the run's per-inode popularity
+	// counters (mds.Config.PopHalfLife), which the surveys read.
+	popHalfLife sim.Time
 
 	// imports[root] = node that delegated the subtree here; busy nodes
 	// first try to re-delegate entire imported trees to keep the
@@ -124,13 +127,14 @@ type Balancer struct {
 
 // NewBalancer wires a balancer over the cluster's nodes. Call Start to
 // begin heartbeats.
-func NewBalancer(eng *sim.Engine, cfg BalancerConfig, dyn *DynamicSubtree, nodes []Node) *Balancer {
+func NewBalancer(eng *sim.Engine, cfg BalancerConfig, popHalfLife sim.Time, dyn *DynamicSubtree, nodes []Node) *Balancer {
 	return &Balancer{
-		eng:     eng,
-		cfg:     cfg,
-		dyn:     dyn,
-		nodes:   nodes,
-		imports: make(map[*namespace.Inode]int),
+		eng:         eng,
+		cfg:         cfg,
+		dyn:         dyn,
+		nodes:       nodes,
+		popHalfLife: popHalfLife,
+		imports:     make(map[*namespace.Inode]int),
 	}
 }
 
@@ -358,7 +362,7 @@ func (b *Balancer) surveyRoots(now sim.Time, node Node, roots []*namespace.Inode
 // weighted applies the optional priority policy to an entry's
 // popularity.
 func (b *Balancer) weighted(now sim.Time, e *cache.Entry) float64 {
-	p := entryPop(now, e)
+	p := entryPop(now, b.popHalfLife, e)
 	if p != 0 && b.cfg.Priority != nil {
 		p *= b.cfg.Priority(e.Ino)
 	}
@@ -420,15 +424,15 @@ func (b *Balancer) pickChildren(now sim.Time, node Node, root *namespace.Inode, 
 // entryPop values only authoritative entries: popularity counters live
 // on the shared inode, so replica and prefix copies of an item served
 // elsewhere must not count as this node's exportable load.
-func entryPop(now sim.Time, e *cache.Entry) float64 {
+func entryPop(now, halfLife sim.Time, e *cache.Entry) float64 {
 	if e.Class != cache.Auth {
 		return 0
 	}
 	tags := partition.TagsOf(e.Ino)
-	if tags.Pop == nil {
+	if !tags.PopTouched {
 		return 0
 	}
-	return tags.Pop.Value(now)
+	return tags.Pop.Value(now, halfLife)
 }
 
 // transfer executes the double-commit authority migration: the subtree

@@ -102,28 +102,28 @@ func TestTrafficControlDecisions(t *testing.T) {
 	_ = tr
 	f := homes[0].Child(0)
 	tc := &TrafficControl{Enabled: true, ReplicateThreshold: 10, UnreplicateThreshold: 2}
-	pop := partition.Popularity(f, sim.Second)
+	pop := partition.Popularity(f)
 
 	now := sim.Time(0)
 	// Below threshold: Keep.
-	pop.Add(now, 5)
-	if d := tc.Decide(now, f); d != Keep {
+	pop.Add(now, sim.Second, 5)
+	if d := tc.Decide(now, sim.Second, f); d != Keep {
 		t.Fatalf("decision = %v, want Keep", d)
 	}
 	// Cross threshold: Replicate once.
-	pop.Add(now, 10)
-	if d := tc.Decide(now, f); d != Replicate {
+	pop.Add(now, sim.Second, 10)
+	if d := tc.Decide(now, sim.Second, f); d != Replicate {
 		t.Fatal("no replicate at threshold")
 	}
 	if !tc.Replicated(f) {
 		t.Fatal("not marked replicated")
 	}
-	if d := tc.Decide(now, f); d != Keep {
+	if d := tc.Decide(now, sim.Second, f); d != Keep {
 		t.Fatal("replicate repeated")
 	}
 	// Decay below unreplicate threshold: Consolidate.
 	later := now + 10*sim.Second
-	if d := tc.Decide(later, f); d != Consolidate {
+	if d := tc.Decide(later, sim.Second, f); d != Consolidate {
 		t.Fatal("no consolidation after decay")
 	}
 	if tc.Replicated(f) {
@@ -138,19 +138,19 @@ func TestTrafficControlDisabledAndNil(t *testing.T) {
 	tr, homes := buildTree(t)
 	_ = tr
 	f := homes[0].Child(0)
-	partition.Popularity(f, sim.Second).Add(0, 1e6)
+	partition.Popularity(f).Add(0, sim.Second, 1e6)
 	var nilTC *TrafficControl
-	if nilTC.Decide(0, f) != Keep || nilTC.Replicated(f) {
+	if nilTC.Decide(0, sim.Second, f) != Keep || nilTC.Replicated(f) {
 		t.Fatal("nil traffic control acted")
 	}
 	tc := &TrafficControl{Enabled: false, ReplicateThreshold: 1}
-	if tc.Decide(0, f) != Keep || tc.Replicated(f) {
+	if tc.Decide(0, sim.Second, f) != Keep || tc.Replicated(f) {
 		t.Fatal("disabled traffic control acted")
 	}
 	// Untouched inode (no Pop counter): Keep.
 	g := homes[0].Child(1)
 	on := DefaultTrafficControl()
-	if on.Decide(0, g) != Keep {
+	if on.Decide(0, sim.Second, g) != Keep {
 		t.Fatal("decision for untouched inode")
 	}
 }
@@ -204,13 +204,13 @@ func TestBalancerMigratesHotSubtree(t *testing.T) {
 			if _, err := fakes[src].c.InsertPath(c, cache.Auth, false); err != nil {
 				t.Fatal(err)
 			}
-			partition.Popularity(c, sim.Second).Add(0, 50)
+			partition.Popularity(c).Add(0, sim.Second, 50)
 		}
 	}
 
 	cfg := DefaultBalancerConfig()
 	cfg.MinMeanLoad = 10
-	b := NewBalancer(eng, cfg, d, nodes)
+	b := NewBalancer(eng, cfg, sim.Second, d, nodes)
 	b.Rebalance(0)
 	eng.Run()
 
@@ -248,7 +248,7 @@ func TestBalancerIdleClusterDoesNothing(t *testing.T) {
 		&fakeNode{id: 0, load: 1, c: cache.New(10)},
 		&fakeNode{id: 1, load: 0, c: cache.New(10)},
 	}
-	b := NewBalancer(eng, DefaultBalancerConfig(), d, nodes)
+	b := NewBalancer(eng, DefaultBalancerConfig(), sim.Second, d, nodes)
 	b.Rebalance(0)
 	eng.Run()
 	if len(b.Migrations) != 0 {
@@ -264,7 +264,7 @@ func TestBalancerBalancedClusterDoesNothing(t *testing.T) {
 		&fakeNode{id: 0, load: 1000, c: cache.New(10)},
 		&fakeNode{id: 1, load: 1000, c: cache.New(10)},
 	}
-	b := NewBalancer(eng, DefaultBalancerConfig(), d, nodes)
+	b := NewBalancer(eng, DefaultBalancerConfig(), sim.Second, d, nodes)
 	b.Rebalance(0)
 	eng.Run()
 	if len(b.Migrations) != 0 {
@@ -285,7 +285,7 @@ func TestBalancerPrefersRedelegatingImports(t *testing.T) {
 	}
 	cfg := DefaultBalancerConfig()
 	cfg.MinMeanLoad = 1
-	b := NewBalancer(eng, cfg, d, nodes)
+	b := NewBalancer(eng, cfg, sim.Second, d, nodes)
 
 	// Import homes[0] into node 1 by hand, then make node 1 busy with
 	// comparable popularity on the imported tree and an owned tree.
@@ -309,7 +309,7 @@ func TestBalancerPrefersRedelegatingImports(t *testing.T) {
 		if _, err := fakes[1].c.InsertPath(c, cache.Auth, false); err != nil {
 			t.Fatal(err)
 		}
-		partition.Popularity(c, sim.Second).Add(0, 30)
+		partition.Popularity(c).Add(0, sim.Second, 30)
 	}
 	fakes[1].load = 1000
 
@@ -336,7 +336,7 @@ func TestBalancerStartStopTicker(t *testing.T) {
 	}
 	cfg := DefaultBalancerConfig()
 	cfg.Interval = sim.Second
-	b := NewBalancer(eng, cfg, d, nodes)
+	b := NewBalancer(eng, cfg, sim.Second, d, nodes)
 	b.Start()
 	eng.RunUntil(3500 * sim.Millisecond)
 	if b.Rounds != 3 {
@@ -379,7 +379,7 @@ func TestBalancerPriorityPolicy(t *testing.T) {
 			if _, err := fakes[src].c.InsertPath(c, cache.Auth, false); err != nil {
 				t.Fatal(err)
 			}
-			partition.Popularity(c, sim.Second).Add(0, 30)
+			partition.Popularity(c).Add(0, sim.Second, 30)
 		}
 	}
 	fakes[src].load = 1000
@@ -392,7 +392,7 @@ func TestBalancerPriorityPolicy(t *testing.T) {
 		}
 		return 1
 	}
-	bal := NewBalancer(eng, cfg, d, nodes)
+	bal := NewBalancer(eng, cfg, sim.Second, d, nodes)
 	bal.Rebalance(0)
 	eng.Run()
 	if len(bal.Migrations) == 0 {

@@ -64,18 +64,19 @@ const (
 	Consolidate
 )
 
-// Decide inspects the inode's (already bumped) popularity counter and
-// returns the policy decision, updating the inode's replication flag.
-// Callers apply the decision (pushing or expiring replicas) themselves.
-func (tc *TrafficControl) Decide(now sim.Time, ino *namespace.Inode) Decision {
+// Decide inspects the inode's (already bumped) popularity counter, whose
+// half-life is the run's mds.Config.PopHalfLife, and returns the policy
+// decision, updating the inode's replication flag. Callers apply the
+// decision (pushing or expiring replicas) themselves.
+func (tc *TrafficControl) Decide(now, halfLife sim.Time, ino *namespace.Inode) Decision {
 	if tc == nil || !tc.Enabled {
 		return Keep
 	}
 	tags := partition.TagsOf(ino)
-	if tags.Pop == nil {
+	if !tags.PopTouched {
 		return Keep
 	}
-	v := tags.Pop.Value(now)
+	v := tags.Pop.Value(now, halfLife)
 	switch {
 	case !tags.ReplicatedAll && v >= tc.ReplicateThreshold:
 		tags.ReplicatedAll = true
@@ -90,21 +91,22 @@ func (tc *TrafficControl) Decide(now sim.Time, ino *namespace.Inode) Decision {
 }
 
 // Peek computes the policy decision without mutating anything: the
-// popularity counter is read with DecayCounter.Peek and the replication
-// flag is left untouched. Sharded windows use Peek so concurrent shards
-// never write shared inode state mid-window; the matching flag flip and
-// statistics land through Commit at the next barrier. When the counter
+// tag block's by-value counter is read with metrics.Decay.Peek and the
+// replication flag is left untouched. Sharded windows use Peek so
+// concurrent shards never write shared inode state mid-window; the
+// matching flag flip and statistics land through Commit at the next
+// barrier. When the counter
 // was bumped at the same instant (the serial path defers nothing, so
 // the Add has already run), Peek returns exactly what Decide would.
-func (tc *TrafficControl) Peek(now sim.Time, ino *namespace.Inode) Decision {
+func (tc *TrafficControl) Peek(now, halfLife sim.Time, ino *namespace.Inode) Decision {
 	if tc == nil || !tc.Enabled {
 		return Keep
 	}
 	tags := partition.TagsOf(ino)
-	if tags.Pop == nil {
+	if !tags.PopTouched {
 		return Keep
 	}
-	v := tags.Pop.Peek(now)
+	v := tags.Pop.Peek(now, halfLife)
 	switch {
 	case !tags.ReplicatedAll && v >= tc.ReplicateThreshold:
 		return Replicate

@@ -276,6 +276,9 @@ type MDS struct {
 	// by value, so coalescing allocates no closures.
 	pending    map[namespace.InodeID][]pendingCall
 	pendingDir map[namespace.InodeID][]pendingCall
+	// dirWaiters recycles pendingDir's waiter lists, emptied, so a
+	// directory load in steady state allocates nothing.
+	dirWaiters [][]pendingCall
 
 	// fetchPool recycles the fetch carriers that thread a record load
 	// through its disk or peer round trip; replyPool recycles reply
@@ -462,18 +465,14 @@ func clearReplicaTag(a, b any) {
 // bumpPop bumps inode b's popularity counter at node a.
 func bumpPop(a, b any) {
 	m := a.(*MDS)
-	partition.Popularity(b.(*namespace.Inode), m.cfg.PopHalfLife).Add(m.eng.Now(), 1)
+	partition.Popularity(b.(*namespace.Inode)).Add(m.eng.Now(), m.cfg.PopHalfLife, 1)
 }
 
-// bumpFwdPop bumps inode b's forwarded-request counter at node a,
-// creating it lazily (a shared-state allocation, hence deferred).
+// bumpFwdPop bumps inode b's forwarded-request counter at node a
+// (deferred because it writes shared inode state).
 func bumpFwdPop(a, b any) {
 	m := a.(*MDS)
-	tags := partition.TagsOf(b.(*namespace.Inode))
-	if tags.FwdPop == nil {
-		tags.FwdPop = metrics.NewDecayCounter(m.cfg.PopHalfLife)
-	}
-	tags.FwdPop.Add(m.eng.Now(), 1)
+	partition.FwdPopularity(b.(*namespace.Inode)).Add(m.eng.Now(), m.cfg.PopHalfLife, 1)
 }
 
 // notePreemptive counts one preemptive replication on the shared policy.
@@ -719,12 +718,13 @@ func (m *MDS) maybePreemptiveReplicate(req *msg.Request) {
 	tags := partition.TagsOf(target)
 	m.eng.Defer(bumpFwdPop, m, target)
 	// In serial execution the Defer above already ran, so the counter
-	// exists and Peek sees the fresh bump exactly as Value did. Sharded,
-	// a counter the barrier has not yet created reads as "not flooded".
-	if tags.FwdPop == nil {
+	// is touched and Peek sees the fresh bump exactly as Value did.
+	// Sharded, a counter the barrier has not yet touched reads as "not
+	// flooded".
+	if !tags.FwdTouched {
 		return
 	}
-	if tags.FwdPop.Peek(m.eng.Now()) < m.tc.PreemptiveThreshold || m.cache.Contains(target.ID) {
+	if tags.FwdPop.Peek(m.eng.Now(), m.cfg.PopHalfLife) < m.tc.PreemptiveThreshold || m.cache.Contains(target.ID) {
 		return
 	}
 	m.eng.Defer(notePreemptive, m, nil)
@@ -1121,13 +1121,21 @@ func mdsCompleteOp(a, b any) { a.(*MDS).completeOp(b.(*msg.Request)) }
 // loadDirContents fetches a directory's own object — its entries plus
 // embedded child inodes — warming every child into the cache (§4.5).
 // Concurrent loads of the same directory coalesce; the initiator is
-// simply the first waiter, so completion order is initiator-first.
+// simply the first waiter, so completion order is initiator-first — and
+// a load that outlives a crash and recovery finds the list Fail reset,
+// not a continuation of its own, so it wakes nobody it should not.
 func (m *MDS) loadDirContents(dir *namespace.Inode, fn sim.EventFunc, a, b any) {
 	if waiters, inFlight := m.pendingDir[dir.ID]; inFlight {
 		m.pendingDir[dir.ID] = append(waiters, pendingCall{fn, a, b})
 		return
 	}
-	m.pendingDir[dir.ID] = []pendingCall{{fn, a, b}}
+	var waiters []pendingCall
+	if n := len(m.dirWaiters); n > 0 {
+		waiters = m.dirWaiters[n-1]
+		m.dirWaiters[n-1] = nil
+		m.dirWaiters = m.dirWaiters[:n-1]
+	}
+	m.pendingDir[dir.ID] = append(waiters, pendingCall{fn, a, b})
 	m.noteMiss()
 	m.store.ReadDirCall(dir.ID, 1+dir.NumChildren(), dirContentsLoaded, m, dir)
 }
@@ -1155,8 +1163,12 @@ func dirContentsLoaded(x, y any) {
 	}
 	waiters := m.pendingDir[dir.ID]
 	delete(m.pendingDir, dir.ID)
-	for _, w := range waiters {
+	for i, w := range waiters {
+		waiters[i] = pendingCall{}
 		w.fn(w.a, w.b)
+	}
+	if waiters != nil {
+		m.dirWaiters = append(m.dirWaiters, waiters[:0])
 	}
 }
 
@@ -1280,7 +1292,7 @@ func (m *MDS) finishReply(req *msg.Request) {
 	// barrier. Serially the deferred bump above has already run, so
 	// Peek+Commit here is exactly the old Decide.
 	if m.tc != nil {
-		switch m.tc.Peek(m.eng.Now(), target) {
+		switch m.tc.Peek(m.eng.Now(), m.cfg.PopHalfLife, target) {
 		case core.Replicate:
 			m.pushReplicas(target)
 			m.eng.Defer(tcCommitReplicate, m, target)
@@ -1319,10 +1331,10 @@ func (m *MDS) maybeFanOut(target *namespace.Inode) {
 		return
 	}
 	tags := partition.TagsOf(target)
-	if tags.Pop == nil {
+	if !tags.PopTouched {
 		return
 	}
-	pop := tags.Pop.Peek(m.eng.Now())
+	pop := tags.Pop.Peek(m.eng.Now(), m.cfg.PopHalfLife)
 	cfg := &m.lease.Cfg
 	if !tags.ReplicatedAll {
 		if pop < cfg.FanoutPopularity {
@@ -1537,8 +1549,8 @@ func (m *MDS) reply(req *msg.Request) {
 	// stale instead of resurrecting the lease.
 	rep.Leased, rep.LeaseGen = false, 0
 	if m.lease != nil && m.lease.Cfg.Enabled && !req.Op.IsUpdate() && m.lease.Reg.Leasable(req.Target.ID) {
-		if tags := partition.TagsOf(req.Target); tags.Pop != nil &&
-			tags.Pop.Peek(now) >= m.lease.Cfg.GrantPopularity {
+		if tags := partition.TagsOf(req.Target); tags.PopTouched &&
+			tags.Pop.Peek(now, m.cfg.PopHalfLife) >= m.lease.Cfg.GrantPopularity {
 			rep.Leased, rep.LeaseGen = true, m.lease.Reg.Gen(req.Target.ID)
 			m.eng.Defer(leaseNoteGrant, m.lease, req.Target)
 			m.Stats.LeaseGrants++

@@ -485,3 +485,41 @@ func TestFetchCoalescing(t *testing.T) {
 		t.Fatalf("reads = %d, want <= 4 (coalesced)", reads)
 	}
 }
+
+// TestDirLoadAllocFree pins the directory-load path: in steady state a
+// load allocates nothing, whether it runs alone or two later requests
+// coalesce onto it, and the initiator's continuation runs first.
+func TestDirLoadAllocFree(t *testing.T) {
+	eng := sim.NewEngine()
+	cl, tree, _ := buildCluster(t, eng, 1, func(tr *namespace.Tree) partition.Strategy {
+		return partition.NewStaticSubtree(1, tr, 2)
+	}, false)
+	m := cl.nodes[0]
+	dirs := []*namespace.Inode{lookup(t, tree, "/home/u0"), lookup(t, tree, "/home/u1")}
+	var order []int
+	note := func(_, b any) { order = append(order, *b.(*int)) }
+	ids := []int{0, 1, 2}
+	for _, waiters := range []int{1, 3} {
+		load := func() {
+			order = order[:0]
+			// Two directories in flight at once, so two lists are out.
+			for _, d := range dirs {
+				for w := 0; w < waiters; w++ {
+					m.loadDirContents(d, note, nil, &ids[w])
+				}
+			}
+			eng.Run()
+		}
+		load()
+		if allocs := testing.AllocsPerRun(50, load); allocs != 0 {
+			t.Errorf("%d waiter(s) per load: %v allocations per pair of loads, want 0", waiters, allocs)
+		}
+		want := append(ids[:waiters:waiters], ids[:waiters]...)
+		if fmt.Sprint(order) != fmt.Sprint(want) {
+			t.Errorf("%d waiter(s) per load: completion order %v, want %v", waiters, order, want)
+		}
+		if len(m.pendingDir) != 0 {
+			t.Fatalf("%d directory loads still pending", len(m.pendingDir))
+		}
+	}
+}

@@ -15,12 +15,61 @@ import (
 	"dynmds/internal/snap"
 )
 
-// DecayCounter is an access counter whose value halves every HalfLife of
-// virtual time. Decay is applied lazily on access.
+// Decay is the state of an access counter whose value halves every
+// half-life of virtual time: the (value, last-decay-time) pair and
+// nothing else. The half-life is the caller's — a run has one for all
+// of its popularity counters — so a struct that embeds a Decay by value
+// pays 16 pointer-free bytes for it. Decay is applied lazily on access.
+type Decay struct {
+	value float64
+	last  sim.Time
+}
+
+func (d *Decay) decayTo(now, halfLife sim.Time) {
+	if now <= d.last {
+		return
+	}
+	dt := float64(now - d.last)
+	d.value *= math.Exp2(-dt / float64(halfLife))
+	d.last = now
+}
+
+// Add decays to now and then adds x.
+func (d *Decay) Add(now, halfLife sim.Time, x float64) {
+	d.decayTo(now, halfLife)
+	d.value += x
+}
+
+// Value returns the decayed value at now.
+func (d *Decay) Value(now, halfLife sim.Time) float64 {
+	d.decayTo(now, halfLife)
+	return d.value
+}
+
+// Peek returns the decayed value at now without updating the counter's
+// state: the read-only form used while the counter may be shared across
+// concurrent readers (sharded execution reads popularity during windows
+// and defers the writes to barriers). Peek(t) == Value(t) always; only
+// the stored (value, last) pair differs afterwards.
+func (d *Decay) Peek(now, halfLife sim.Time) float64 {
+	if now <= d.last {
+		return d.value
+	}
+	dt := float64(now - d.last)
+	return d.value * math.Exp2(-dt/float64(halfLife))
+}
+
+// Snap walks the raw (value, last-decay-time) pair for checkpoints.
+func (d *Decay) Snap(sc *snap.Codec) {
+	sc.F64(&d.value)
+	snap.I(sc, &d.last)
+}
+
+// DecayCounter is a Decay that carries its own half-life, for the
+// counters that stand alone (a node's op and miss rates).
 type DecayCounter struct {
 	HalfLife sim.Time
-	value    float64
-	last     sim.Time
+	d        Decay
 }
 
 // NewDecayCounter returns a counter with the given half-life.
@@ -31,51 +80,17 @@ func NewDecayCounter(halfLife sim.Time) *DecayCounter {
 	return &DecayCounter{HalfLife: halfLife}
 }
 
-func (c *DecayCounter) decayTo(now sim.Time) {
-	if now <= c.last {
-		return
-	}
-	dt := float64(now - c.last)
-	c.value *= math.Exp2(-dt / float64(c.HalfLife))
-	c.last = now
-}
-
 // Add decays to now and then adds x.
-func (c *DecayCounter) Add(now sim.Time, x float64) {
-	c.decayTo(now)
-	c.value += x
-}
+func (c *DecayCounter) Add(now sim.Time, x float64) { c.d.Add(now, c.HalfLife, x) }
 
 // Value returns the decayed value at now.
-func (c *DecayCounter) Value(now sim.Time) float64 {
-	c.decayTo(now)
-	return c.value
-}
-
-// Peek returns the decayed value at now without updating the counter's
-// state: the read-only form used while the counter may be shared across
-// concurrent readers (sharded execution reads popularity during windows
-// and defers the writes to barriers). Peek(t) == Value(t) always; only
-// the stored (value, last) pair differs afterwards.
-func (c *DecayCounter) Peek(now sim.Time) float64 {
-	if now <= c.last {
-		return c.value
-	}
-	dt := float64(now - c.last)
-	return c.value * math.Exp2(-dt/float64(c.HalfLife))
-}
+func (c *DecayCounter) Value(now sim.Time) float64 { return c.d.Value(now, c.HalfLife) }
 
 // Reset zeroes the counter.
-func (c *DecayCounter) Reset(now sim.Time) {
-	c.value = 0
-	c.last = now
-}
+func (c *DecayCounter) Reset(now sim.Time) { c.d = Decay{last: now} }
 
 // Snap walks the raw (value, last-decay-time) pair for checkpoints.
-func (c *DecayCounter) Snap(sc *snap.Codec) {
-	sc.F64(&c.value)
-	snap.I(sc, &c.last)
-}
+func (c *DecayCounter) Snap(sc *snap.Codec) { c.d.Snap(sc) }
 
 // Series accumulates observations into fixed-width time buckets, for the
 // "metric over time" figures (5, 6, 7).

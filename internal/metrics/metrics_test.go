@@ -65,6 +65,79 @@ func TestDecayComposition(t *testing.T) {
 	}
 }
 
+// oldDecayCounter is the pointer-and-half-life counter Decay replaced,
+// kept verbatim as the oracle of TestDecayMatchesOldCounter.
+type oldDecayCounter struct {
+	HalfLife sim.Time
+	value    float64
+	last     sim.Time
+}
+
+func (c *oldDecayCounter) decayTo(now sim.Time) {
+	if now <= c.last {
+		return
+	}
+	dt := float64(now - c.last)
+	c.value *= math.Exp2(-dt / float64(c.HalfLife))
+	c.last = now
+}
+
+func (c *oldDecayCounter) Add(now sim.Time, x float64) {
+	c.decayTo(now)
+	c.value += x
+}
+
+func (c *oldDecayCounter) Value(now sim.Time) float64 {
+	c.decayTo(now)
+	return c.value
+}
+
+func (c *oldDecayCounter) Peek(now sim.Time) float64 {
+	if now <= c.last {
+		return c.value
+	}
+	dt := float64(now - c.last)
+	return c.value * math.Exp2(-dt/float64(c.HalfLife))
+}
+
+// TestDecayMatchesOldCounter drives a Decay and the counter it replaced
+// with the same random sequence of adds, stored reads and peeks at
+// times that mostly advance and sometimes step back, and compares every
+// result and the stored pair bit for bit: digests and checkpoints
+// depend on the arithmetic, not just on its value to a tolerance.
+func TestDecayMatchesOldCounter(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		r := sim.NewRNG(seed)
+		halfLife := sim.Time(1+r.Pick(5000)) * sim.Millisecond
+		old := &oldDecayCounter{HalfLife: halfLife}
+		var d Decay
+		now := sim.Time(0)
+		for i := 0; i < 5000; i++ {
+			if r.Pick(10) == 0 {
+				now -= sim.Time(r.Pick(1000)) * sim.Microsecond
+			} else {
+				now += sim.Time(r.Float64() * 3 * float64(halfLife))
+			}
+			var got, want float64
+			switch r.Pick(3) {
+			case 0:
+				x := float64(r.Pick(4)) * r.Float64()
+				old.Add(now, x)
+				d.Add(now, halfLife, x)
+			case 1:
+				got, want = d.Value(now, halfLife), old.Value(now)
+			case 2:
+				got, want = d.Peek(now, halfLife), old.Peek(now)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) ||
+				math.Float64bits(d.value) != math.Float64bits(old.value) || d.last != old.last {
+				t.Fatalf("seed %d step %d at %v: Decay (%v; %v @%v) != old counter (%v; %v @%v)",
+					seed, i, now, got, d.value, d.last, want, old.value, old.last)
+			}
+		}
+	}
+}
+
 func TestSeries(t *testing.T) {
 	s := NewSeries(sim.Second)
 	s.Observe(0, 1)

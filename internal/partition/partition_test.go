@@ -2,8 +2,10 @@ package partition
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"dynmds/internal/fsgen"
 	"dynmds/internal/namespace"
@@ -288,12 +290,15 @@ func TestTagsAndPopularity(t *testing.T) {
 	if TagsOf(f) != TagsOf(f) {
 		t.Fatal("TagsOf not stable")
 	}
-	p := Popularity(f, sim.Second)
-	p.Add(0, 5)
-	if Popularity(f, sim.Second) != p {
+	if TagsOf(f).PopTouched {
+		t.Fatal("counter touched before its first bump")
+	}
+	p := Popularity(f)
+	p.Add(0, sim.Second, 5)
+	if Popularity(f) != p || !TagsOf(f).PopTouched {
 		t.Fatal("Popularity not stable")
 	}
-	if got := p.Value(sim.Second); got < 2.4 || got > 2.6 {
+	if got := p.Value(sim.Second, sim.Second); got < 2.4 || got > 2.6 {
 		t.Fatalf("decayed popularity = %v", got)
 	}
 }
@@ -414,5 +419,87 @@ func TestSubtreeTableCheckConsistency(t *testing.T) {
 	delete(tab.assign, local) // mirror entry with no assignment
 	if err := tab.CheckConsistency(); err == nil {
 		t.Fatal("orphaned mirror entry not caught")
+	}
+}
+
+// TestTagsBlockLayout pins the tag block's shape: no larger than the
+// 80-byte size class and pointer-free at every depth, so the one object
+// a touched inode costs is never scanned by the collector.
+func TestTagsBlockLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Tags{}); size > 80 {
+		t.Fatalf("Tags is %d bytes, want <= 80", size)
+	}
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		default:
+			t.Errorf("%s is a %s: the tag block must hold no pointer", path, ty.Kind())
+		}
+	}
+	walk("Tags", reflect.TypeOf(Tags{}))
+}
+
+// TestTagsAllocs pins what the popularity path allocates: the first
+// touch of an inode is the tag block and nothing else, and no later
+// bump, read or authority-memo write allocates at all.
+func TestTagsAllocs(t *testing.T) {
+	tr, usr, local := smallTree(t)
+	const runs = 100
+	files := make([]*namespace.Inode, 0, runs+1) // AllocsPerRun adds a warm-up call
+	for i := 0; i <= runs; i++ {
+		f, err := tr.Create(local, fmt.Sprintf("f%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	tab := NewSubtreeTable(4)
+	if err := tab.Delegate(usr, 1); err != nil {
+		t.Fatal(err)
+	}
+	tab.Authority(local) // the files' ancestors are tagged from here on
+
+	now, next := sim.Time(0), 0
+	touches := []struct {
+		name  string
+		touch func(f *namespace.Inode)
+	}{
+		{"Pop bump", func(f *namespace.Inode) { Popularity(f).Add(now, sim.Second, 1) }},
+		{"FwdPop bump", func(f *namespace.Inode) { FwdPopularity(f).Add(now, sim.Second, 1) }},
+		{"Pop peek", func(f *namespace.Inode) { _ = TagsOf(f).Pop.Peek(now, sim.Second) }},
+		{"authority memo", func(f *namespace.Inode) {
+			if tab.Authority(f) != 1 {
+				t.Fatal("authority moved")
+			}
+		}},
+	}
+	first := touches[0]
+	if got := testing.AllocsPerRun(runs, func() { first.touch(files[next]); next++ }); got != 1 {
+		t.Fatalf("first touch of an inode allocated %v times, want exactly 1", got)
+	}
+	for _, tc := range touches {
+		got := testing.AllocsPerRun(runs, func() {
+			now += 100 * sim.Millisecond
+			// A moved epoch makes every memo stale, so Authority rewrites
+			// the chain's memos instead of reading them.
+			if err := tab.Delegate(usr, 1); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range files {
+				tc.touch(f)
+			}
+		})
+		if got != 0 {
+			t.Errorf("%s on a touched inode allocated %v times per pass, want 0", tc.name, got)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package partition
 import (
 	"dynmds/internal/metrics"
 	"dynmds/internal/namespace"
-	"dynmds/internal/sim"
 	"dynmds/internal/snap"
 )
 
@@ -52,31 +51,24 @@ func (t *SubtreeTable) Snap(c *snap.Codec, tree *namespace.Tree) {
 
 // tagsLive reports whether a tag block carries any restorable state.
 func tagsLive(tg *Tags) bool {
-	return tg.Pop != nil || tg.FwdPop != nil || tg.ReplicatedAll ||
+	return tg.PopTouched || tg.FwdTouched || tg.ReplicatedAll ||
 		tg.LHDirEpoch != 0 || tg.LHApplied != 0 || tg.HashedDir ||
 		tg.ReplicaSet != 0 || tg.UnflushedWriters != 0 ||
 		tg.AuthEpoch != 0 || tg.Auth != 0
 }
 
-// snapCounter walks a decay counter that exists only once touched;
-// reading creates it with the half-life the run's config would.
-func snapCounter(c *snap.Codec, p **metrics.DecayCounter, halfLife sim.Time) {
-	has := *p != nil
-	c.Bool(&has)
-	if !has {
-		return
+// snapCounter walks a decay counter that exists only once touched.
+func snapCounter(c *snap.Codec, touched *bool, d *metrics.Decay) {
+	if c.Bool(touched); *touched {
+		d.Snap(c)
 	}
-	if *p == nil {
-		*p = metrics.NewDecayCounter(halfLife)
-	}
-	(*p).Snap(c)
 }
 
 // SnapTags walks every live tag block, in deterministic tree walk
 // order; reading applies them onto the restored tree of a cluster of
 // the given number of nodes. Destroyed inodes are unreachable and
 // therefore excluded — their tags can no longer influence the run.
-func SnapTags(c *snap.Codec, tree *namespace.Tree, nodes int, popHalfLife, fwdHalfLife sim.Time) {
+func SnapTags(c *snap.Codec, tree *namespace.Tree, nodes int) {
 	// One pass before the blocks: counts them to write; to read, clears
 	// any memo written between construction and restore (e.g. a sharded
 	// setup's wholesale Memoize pass) so post-restore memo state is
@@ -100,8 +92,8 @@ func SnapTags(c *snap.Codec, tree *namespace.Tree, nodes int, popHalfLife, fwdHa
 			return
 		}
 		tg := TagsOf(ino)
-		snapCounter(c, &tg.Pop, popHalfLife)
-		snapCounter(c, &tg.FwdPop, fwdHalfLife)
+		snapCounter(c, &tg.PopTouched, &tg.Pop)
+		snapCounter(c, &tg.FwdTouched, &tg.FwdPop)
 		c.Bool(&tg.ReplicatedAll)
 		snap.U(c, &tg.LHDirEpoch)
 		snap.U(c, &tg.LHApplied)

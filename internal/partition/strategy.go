@@ -9,7 +9,6 @@ package partition
 import (
 	"dynmds/internal/metrics"
 	"dynmds/internal/namespace"
-	"dynmds/internal/sim"
 )
 
 // Strategy decides which MDS is authoritative for each metadata item and
@@ -40,23 +39,27 @@ type Strategy interface {
 
 // Tags is the per-inode scratch state higher layers hang off
 // namespace.Inode.Aux: authority memoization, the decayed popularity
-// counter used for traffic control, replication state, and Lazy Hybrid
+// counters used for traffic control, replication state, and Lazy Hybrid
 // staleness epochs. One simulation owns a tree exclusively, so no
 // locking is needed.
+//
+// The block holds no pointer and fits the 80-byte size class (the
+// counters by value, the memo and the flags sharing the last word): a
+// touched inode costs one allocation the collector never scans, and no
+// later bump, read or memo write allocates (TestTagsBlockLayout,
+// TestTagsAllocs).
 type Tags struct {
-	// Authority memoization, valid while AuthEpoch matches the
-	// partition table's epoch.
+	// Authority memoization: Auth (below, beside the flags) is valid
+	// while AuthEpoch matches the partition table's epoch.
 	AuthEpoch uint64
-	Auth      int
 
-	// Pop is the decayed access counter (§4.4); nil until first touch.
-	Pop *metrics.DecayCounter
+	// Pop is the decayed access counter (§4.4), meaningful once
+	// PopTouched; its half-life is the run's mds.Config.PopHalfLife.
+	Pop metrics.Decay
 	// FwdPop counts forwards of requests for this item (summed across
 	// non-authoritative nodes); drives preemptive replication (§5.4).
-	FwdPop *metrics.DecayCounter
-	// ReplicatedAll marks metadata replicated across the cluster by
-	// traffic control.
-	ReplicatedAll bool
+	// Meaningful once FwdTouched, same half-life.
+	FwdPop metrics.Decay
 
 	// Lazy Hybrid epochs: for directories, the global update epoch at
 	// which the directory's permissions/path last changed; for files,
@@ -64,10 +67,6 @@ type Tags struct {
 	// dual-entry ACL.
 	LHDirEpoch uint64
 	LHApplied  uint64
-
-	// HashedDir marks a directory whose entries are dynamically hashed
-	// across the cluster (§4.3).
-	HashedDir bool
 
 	// ReplicaSet is a bitmask of MDS nodes holding replicas of this
 	// record (replicated prefixes or traffic-control copies). The
@@ -81,6 +80,20 @@ type Tags struct {
 	// authority (§4.2). A stat at the authority triggers a callback to
 	// these nodes for the latest values.
 	UnflushedWriters uint64
+
+	// Auth is the memoized authority; see AuthEpoch.
+	Auth int32
+
+	// PopTouched and FwdTouched record that the counter has been bumped
+	// at least once. Policy reads skip an untouched counter, and a
+	// checkpoint writes them as the counter's presence byte.
+	PopTouched, FwdTouched bool
+	// ReplicatedAll marks metadata replicated across the cluster by
+	// traffic control.
+	ReplicatedAll bool
+	// HashedDir marks a directory whose entries are dynamically hashed
+	// across the cluster (§4.3).
+	HashedDir bool
 }
 
 // SetReplica marks node id as holding a replica.
@@ -112,12 +125,17 @@ func TagsOf(n *namespace.Inode) *Tags {
 	return t
 }
 
-// Popularity returns the inode's decayed access counter, creating it
-// with the given half-life on first use.
-func Popularity(n *namespace.Inode, halfLife sim.Time) *metrics.DecayCounter {
+// Popularity returns the inode's decayed access counter to bump,
+// marking it touched.
+func Popularity(n *namespace.Inode) *metrics.Decay {
 	t := TagsOf(n)
-	if t.Pop == nil {
-		t.Pop = metrics.NewDecayCounter(halfLife)
-	}
-	return t.Pop
+	t.PopTouched = true
+	return &t.Pop
+}
+
+// FwdPopularity is Popularity for the forwarded-request counter.
+func FwdPopularity(n *namespace.Inode) *metrics.Decay {
+	t := TagsOf(n)
+	t.FwdTouched = true
+	return &t.FwdPop
 }

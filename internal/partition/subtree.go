@@ -90,7 +90,7 @@ func (t *SubtreeTable) Authority(ino *namespace.Inode) int {
 	// Fast path: memoized for the current epoch.
 	tags := TagsOf(ino)
 	if tags.AuthEpoch == t.epoch {
-		return tags.Auth
+		return int(tags.Auth)
 	}
 	if t.frozen {
 		// Pure read-only resolution: walk upward, shortcut through any
@@ -99,7 +99,7 @@ func (t *SubtreeTable) Authority(ino *namespace.Inode) int {
 		for c := ino; c != nil; c = c.Parent() {
 			ct := TagsOf(c)
 			if ct.AuthEpoch == t.epoch {
-				return ct.Auth
+				return int(ct.Auth)
 			}
 			if a, ok := t.assign[c]; ok {
 				return a
@@ -115,13 +115,13 @@ func (t *SubtreeTable) Authority(ino *namespace.Inode) int {
 	for c := ino; c != nil; c = c.Parent() {
 		ct := TagsOf(c)
 		if ct.AuthEpoch == t.epoch {
-			auth = ct.Auth
+			auth = int(ct.Auth)
 			break
 		}
 		if a, ok := t.assign[c]; ok {
 			auth = a
 			ct.AuthEpoch = t.epoch
-			ct.Auth = a
+			ct.Auth = int32(a)
 			break
 		}
 		if depth < len(chain) {
@@ -132,7 +132,7 @@ func (t *SubtreeTable) Authority(ino *namespace.Inode) int {
 	for i := 0; i < depth; i++ {
 		ct := TagsOf(chain[i])
 		ct.AuthEpoch = t.epoch
-		ct.Auth = auth
+		ct.Auth = int32(auth)
 	}
 	return auth
 }
@@ -157,7 +157,7 @@ func (t *SubtreeTable) memoize(n *namespace.Inode, inherited int) {
 	}
 	tags := TagsOf(n)
 	tags.AuthEpoch = t.epoch
-	tags.Auth = auth
+	tags.Auth = int32(auth)
 	for i := 0; i < n.NumChildren(); i++ {
 		t.memoize(n.Child(i), auth)
 	}

@@ -37,6 +37,18 @@ type Writer struct {
 // NewWriter returns an empty snapshot writer.
 func NewWriter() *Writer { return &Writer{} }
 
+// Len returns the number of bytes written so far.
+func (w *Writer) Len() int { return len(w.buf) }
+
+// Grow makes room for n more bytes, so a caller that knows roughly what
+// it is about to write pays one allocation in place of append's
+// doublings. Count the 8 bytes of Bytes' trailer in.
+func (w *Writer) Grow(n int) {
+	if cap(w.buf)-len(w.buf) < n {
+		w.buf = append(make([]byte, 0, len(w.buf)+n), w.buf...)
+	}
+}
+
 // Begin opens a named section. Sections cannot nest.
 func (w *Writer) Begin(name string) {
 	if w.secName != "" {
@@ -120,6 +132,10 @@ func NewReader(b []byte) (*Reader, error) {
 	}
 	return &Reader{buf: body}, nil
 }
+
+// Len returns the length of the snapshot the reader was made over,
+// trailer included.
+func (r *Reader) Len() int { return len(r.buf) + 8 }
 
 // section opens the next section and returns its name, "" at the end of
 // the stream. It skips any unread remainder of the previous section

@@ -364,3 +364,32 @@ func TestSparseAndMap(t *testing.T) {
 		t.Errorf("decoded %+v, want %+v", out, in)
 	}
 }
+
+// TestWriterGrowAllocFree pins what Grow is for: a writer given room for
+// its sections and the trailer never grows again — Bytes returns the
+// very buffer Grow made — and Reader.Len is the snapshot's length.
+func TestWriterGrowAllocFree(t *testing.T) {
+	w := NewWriter()
+	w.U64(7) // Grow keeps what is already written
+	w.Grow(2048 + 8)
+	room := cap(w.buf)
+	w.Begin("body")
+	for w.Len() < 2040 {
+		w.U64(uint64(w.Len()))
+	}
+	w.End()
+	data := w.Bytes()
+	if cap(data) != room || &data[0] != &w.buf[0] {
+		t.Fatalf("the writer outgrew the %d bytes Grow gave it (now %d)", room, cap(data))
+	}
+	if len(data) != w.Len()+8 || data[0] != 7 {
+		t.Fatalf("snapshot of %d bytes from a writer of %d, first byte %d", len(data), w.Len(), data[0])
+	}
+	r, err := NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() != len(data) {
+		t.Fatalf("Reader.Len = %d over %d bytes", r.Len(), len(data))
+	}
+}

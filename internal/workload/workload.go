@@ -253,14 +253,9 @@ func (g *General) wander(r *sim.RNG) {
 		return
 	}
 	// One random-walk step: descend into a child dir or ascend.
-	var dirs []*namespace.Inode
-	for _, c := range g.cur.Children() {
-		if c.IsDir() {
-			dirs = append(dirs, c)
-		}
-	}
+	dirs := countDirs(g.cur)
 	up := g.cur != g.region.Home && g.cur.Parent() != nil
-	n := len(dirs)
+	n := dirs
 	if up {
 		n++
 	}
@@ -268,11 +263,37 @@ func (g *General) wander(r *sim.RNG) {
 		return
 	}
 	i := r.Pick(n)
-	if i == len(dirs) {
+	if i == dirs {
 		g.cur = g.cur.Parent()
 	} else {
-		g.cur = dirs[i]
+		g.cur = kthDir(g.cur, i)
 	}
+}
+
+// countDirs returns how many of dir's children are directories, and
+// kthDir the k'th of them in child order: a uniform pick among the
+// sub-directories is Pick(countDirs) then kthDir, two passes over the
+// children in place of a list of them built per step.
+func countDirs(dir *namespace.Inode) int {
+	n := 0
+	for _, c := range dir.Children() {
+		if c.IsDir() {
+			n++
+		}
+	}
+	return n
+}
+
+func kthDir(dir *namespace.Inode, k int) *namespace.Inode {
+	for _, c := range dir.Children() {
+		if c.IsDir() {
+			if k == 0 {
+				return c
+			}
+			k--
+		}
+	}
+	panic("workload: kthDir past the last sub-directory")
 }
 
 func inRegion(n, home *namespace.Inode) bool {
@@ -287,16 +308,11 @@ func inRegion(n, home *namespace.Inode) bool {
 func descend(root *namespace.Inode, r *sim.RNG, maxSteps int) *namespace.Inode {
 	cur := root
 	for s := 0; s < maxSteps; s++ {
-		var dirs []*namespace.Inode
-		for _, c := range cur.Children() {
-			if c.IsDir() {
-				dirs = append(dirs, c)
-			}
-		}
-		if len(dirs) == 0 || r.Float64() < 0.4 {
+		dirs := countDirs(cur)
+		if dirs == 0 || r.Float64() < 0.4 {
 			break
 		}
-		cur = dirs[r.Pick(len(dirs))]
+		cur = kthDir(cur, r.Pick(dirs))
 	}
 	return cur
 }

@@ -43,7 +43,8 @@ go test -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime 15s ./internal/plan
 # Allocation pins once more without the race detector: its runtime skews
 # testing.AllocsPerRun and malloc counts, so a pin that has to skip or
 # loosen under -race would otherwise never be enforced.
-go test -count=1 -run 'Alloc|ZeroAlloc|AllocBudget' ./internal/sim ./internal/cache ./internal/dirstore ./internal/cluster ./internal/mds
+go test -count=1 -run 'Alloc|ZeroAlloc|AllocBudget' ./internal/sim ./internal/cache ./internal/dirstore ./internal/cluster ./internal/mds \
+    ./internal/partition ./internal/workload ./internal/snap ./internal/client ./internal/metrics
 # One iteration of the cache benchmarks the ledger's kernels mirror and
 # of the service-centre backlog benchmark the depth-ratio pin runs, so
 # they cannot rot.
