@@ -94,8 +94,8 @@ func TestUsageErrors(t *testing.T) {
 		{"unknown -set key", []string{"-set", "colour=red"}},
 		{"-set without a value", []string{"-set", "mds"}},
 		{"-set on a key the matrix sweeps", []string{"-plan", "fig2", "-quick", "-set", "mds=4"}},
-		{"-set on a bespoke experiment", []string{"-plan", "failover", "-quick", "-set", "net=queued"}},
-		{"-set on a bespoke member of a group", []string{"-plan", "figures", "-quick", "-set", "net=queued"}},
+		{"fewer closed-loop clients than nodes", []string{"-set", "clients=3", "-set", "mds=8"}},
+		{"shards on the plan with the shared OSD pool", []string{"-plan", "ablations", "-quick", "-set", "shards=2"}},
 		{"-set of an open-loop key on a closed loop", []string{"-set", "tenants=8"}},
 		{"-set on a key the chaos budget sweeps", []string{"-chaos-runs", "1", "-set", "strategy=FileHash"}},
 		{"chaos budget with a plan", []string{"-chaos-runs", "1", "-plan", "fig2"}},
@@ -137,20 +137,26 @@ func TestFlagSurface(t *testing.T) {
 }
 
 // TestValidInvocations: the up-front validation rejects nothing valid —
-// the listing and a small default-plan run on the queued model exit 0.
+// the listing, a small default-plan run on the queued model, and -set on
+// an experiment and on the group of all of them (every experiment is a
+// plan; the group is cut to two simulated seconds a run) exit 0.
 func TestValidInvocations(t *testing.T) {
-	for _, args := range [][]string{
-		{"-list"},
-		{"-set", "strategy=FileHash", "-set", "mds=2", "-set", "clients=10", "-set", "users=10",
+	for name, args := range map[string][]string{
+		"the listing": {"-list"},
+		"the default plan reshaped": {"-set", "strategy=FileHash", "-set", "mds=2", "-set", "clients=10", "-set", "users=10",
 			"-set", "duration=2s", "-set", "warmup=1s", "-set", "net=queued", "-set", "link-bw=1e8"},
+		"-set on the failover experiment": {"-plan", "failover", "-quick", "-set", "net=queued"},
+		"-set on every member of a group": {"-plan", "figures", "-quick", "-set", "net=queued", "-set", "duration=2s", "-set", "warmup=1s"},
 	} {
-		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 0 {
-			t.Errorf("%v: exit status %d\n%s", args, code, stderr.String())
-		}
-		if stdout.Len() == 0 {
-			t.Errorf("%v: no output", args)
-		}
+		t.Run(name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != 0 {
+				t.Errorf("exit status %d\n%s", code, stderr.String())
+			}
+			if stdout.Len() == 0 {
+				t.Error("no output")
+			}
+		})
 	}
 }
 

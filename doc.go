@@ -6,16 +6,17 @@
 // The public surface is organised as:
 //
 //   - internal/cluster — assemble and run complete simulations
-//   - internal/harness — the experiments regenerating every paper figure
+//   - internal/harness — every paper figure, extension and ablation as a
+//     plan
 //   - internal/core — dynamic subtree partitioning, load balancing,
 //     traffic control (the paper's contribution)
 //   - internal/partition — the comparison strategies (static subtree,
 //     file/directory hashing, Lazy Hybrid)
 //   - internal/{sim,namespace,fsgen,cache,storage,mds,client,workload,
-//     metrics,msg,trace} — the substrates
+//     metrics,msg} — the substrates
 //
-// Entry points: cmd/mdsim (experiments), cmd/fsgen (synthetic
-// namespaces), cmd/mdtrace (trace record/replay), and the runnable
-// examples under examples/. The benchmarks in bench_test.go regenerate
-// each figure's headline number via `go test -bench`.
+// One entry point: cmd/mdsim runs a plan — a figure, an extension, the
+// paper's design choices ablated, a library scenario or a plan file
+// (mdsim -list). The repository benchmark, go run ./bench, measures the
+// simulator itself.
 package dynmds

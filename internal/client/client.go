@@ -127,10 +127,6 @@ func New(id int, eng *sim.Engine, cfg Config, rng *sim.RNG, net Network, strat p
 // Start.
 func (c *Client) ShareHints(t *HintTable) { c.hints, c.hintID = t, c.id }
 
-// SetGenerator replaces the client's workload generator. Call before
-// Start (trace replay swaps generators in after cluster construction).
-func (c *Client) SetGenerator(gen workload.Generator) { c.gen = gen }
-
 // Start begins the closed loop, staggered by the given phase to avoid a
 // synchronized thundering herd at t=0.
 func (c *Client) Start(phase sim.Time) {

@@ -350,21 +350,3 @@ func TestOnCompleteHook(t *testing.T) {
 	}
 	eng.Run()
 }
-
-func TestSetGenerator(t *testing.T) {
-	tr, f := testTree(t)
-	g, err := tr.Create(f.Parent(), "other")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sim.NewEngine()
-	net := &fakeNet{n: 2}
-	c := New(0, eng, Config{}, sim.NewRNG(1), net, partition.FileHash{N: 2},
-		fixedGen{workload.Op{Op: msg.Stat, Target: f}})
-	c.SetGenerator(fixedGen{workload.Op{Op: msg.Stat, Target: g}})
-	c.Start(0)
-	eng.Run()
-	if net.sends[0].req.Target != g {
-		t.Fatal("generator swap ignored")
-	}
-}

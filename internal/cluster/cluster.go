@@ -123,24 +123,18 @@ type Config struct {
 	OSDReplicas int
 	// MakeStrategy, when non-nil, overrides Strategy with a
 	// caller-built partitioning strategy constructed over the run's
-	// own tree (used by ablation benches).
+	// own tree (the embedded-inode ablation and tests).
 	MakeStrategy func(n int, tree *namespace.Tree) partition.Strategy
-
-	// WrapGenerator, when non-nil, wraps each client's workload
-	// generator (trace recording, instrumentation). When ReplaceGenerator
-	// is non-nil it overrides the generator entirely (trace replay).
-	WrapGenerator    func(clientID int, g workload.Generator) workload.Generator
-	ReplaceGenerator func(clientID int) workload.Generator
 
 	// OpenLoop, when non-nil, replaces the closed-loop per-object client
 	// population with the open-loop flyweight traffic plane: dense
 	// per-client records, tenants with Zipf-distributed sizes, Poisson
 	// arrivals (with diurnal/burst modulation) scheduled through a
 	// hierarchical timer wheel per shard. OpenLoop.Clients defaults to
-	// NumMDS·ClientsPerMDS. Incompatible with generator replacement/
-	// wrapping and non-general workload kinds (the open loop has no
-	// scenario hooks). A fault schedule composes: it arms the population's
-	// boxed retry-escalation cache, so drops and crashes are survivable.
+	// NumMDS·ClientsPerMDS. Incompatible with non-general workload kinds
+	// (the open loop has no scenario hooks). A fault schedule composes:
+	// it arms the population's boxed retry-escalation cache, so drops and
+	// crashes are survivable.
 	OpenLoop *client.PopulationConfig
 
 	// Lease configures the hotspot-mitigation plane (internal/lease):
@@ -362,13 +356,8 @@ func New(cfg Config) (*Cluster, error) {
 		LatH:      metrics.NewLatHist(),
 		numShards: shards,
 	}
-	if cfg.OpenLoop != nil {
-		if cfg.ReplaceGenerator != nil || cfg.WrapGenerator != nil {
-			return nil, fmt.Errorf("cluster: open-loop traffic plane is incompatible with generator replacement/wrapping")
-		}
-		if k := cfg.Workload.Kind; k != "" && k != WorkGeneral {
-			return nil, fmt.Errorf("cluster: open-loop traffic plane supports only the general workload, not %q", k)
-		}
+	if k := cfg.Workload.Kind; cfg.OpenLoop != nil && k != "" && k != WorkGeneral {
+		return nil, fmt.Errorf("cluster: open-loop traffic plane supports only the general workload, not %q", k)
 	}
 	if shards > 1 {
 		c.shardEngines = make([]*sim.Engine, shards)
@@ -411,13 +400,10 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	// Strategy.
-	switch {
-	case cfg.MakeStrategy != nil:
+	if cfg.MakeStrategy != nil {
 		c.Strategy = cfg.MakeStrategy(cfg.NumMDS, snap.Tree)
-	default:
-		if err := c.buildStrategy(cfg, snap); err != nil {
-			return nil, err
-		}
+	} else if err := c.buildStrategy(cfg, snap); err != nil {
+		return nil, err
 	}
 
 	// Shared OSD pool, when configured.
@@ -669,12 +655,6 @@ func (c *Cluster) buildClients() error {
 			job := c.Snap.Projects[i%len(c.Snap.Projects)]
 			gen = workload.NewScientific(g, job, w.PhaseLength, w.BurstFraction)
 		}
-		if cfg.ReplaceGenerator != nil {
-			gen = cfg.ReplaceGenerator(i)
-		}
-		if cfg.WrapGenerator != nil {
-			gen = cfg.WrapGenerator(i, gen)
-		}
 		rng := sim.NewStream(cfg.Seed, fmt.Sprintf("client-%d", i))
 		cliEng := c.Eng
 		if c.numShards > 1 {
@@ -914,6 +894,7 @@ type Result struct {
 	ForwardFrac   float64
 	MeanLatency   float64 // seconds
 	Migrations    int
+	Delegations   int // subtree delegations in the dynamic partition at the end
 	Replications  uint64
 	LHDebt        int
 	CacheLen      int
@@ -1113,6 +1094,9 @@ func (c *Cluster) Collect() *Result {
 	}
 	if c.Balancer != nil {
 		r.Migrations = len(c.Balancer.Migrations)
+	}
+	if c.Dyn != nil {
+		r.Delegations = c.Dyn.Table.NumDelegations()
 	}
 	if c.Traffic != nil {
 		r.Replications = c.Traffic.Replications

@@ -6,41 +6,23 @@ import (
 	"dynmds/internal/namespace"
 )
 
-// FailNode takes node i down and — for the dynamic strategy — reassigns
-// its delegated subtrees to the surviving nodes, modelling the
-// shared-storage failover of §2.1.2: because metadata lives on a shared
-// store rather than directly-attached disks, any node can assume a
-// failed node's workload. The new authorities start cold and re-read
-// metadata on demand.
-//
-// Static and hashed strategies have no reassignment mechanism (the
-// paper notes static partitions require manual redistribution), so with
-// them FailNode only marks the node down; clients depend on retry
-// timeouts.
-//
-// Under fault injection the same reassignment runs automatically when
-// the suspicion protocol confirms a peer down; FailNode remains the
-// manual/operator entry point used by the failover experiment.
-func (c *Cluster) FailNode(i int) error {
-	if i < 0 || i >= len(c.Nodes) {
-		return fmt.Errorf("cluster: node %d out of range", i)
-	}
-	c.Nodes[i].Fail()
-	c.Failures = append(c.Failures, FaultEvent{At: c.Eng.Now(), Node: i})
-	if c.Dyn == nil {
-		return nil
-	}
-	return c.reassignRoots(i)
-}
-
-// reassignRoots re-delegates every subtree rooted at the victim to the
-// surviving nodes, greedily placing each root on the currently
+// reassignRoots is the shared-storage takeover of §2.1.2, run when the
+// suspicion protocol confirms a crashed node down (markDown): because
+// metadata lives on a shared store rather than directly-attached disks,
+// any node can assume a failed node's workload. Every subtree rooted at
+// the victim is re-delegated to the surviving nodes, which start cold
+// and re-read metadata on demand; each root goes to the currently
 // least-loaded survivor by the decayed load metric (§5.1: a "weighted
 // combination of node throughput and cache misses"). The victim's last
 // observed load is split evenly across its roots as the estimated cost
 // of each assignment, so a large failed workload spreads over several
 // survivors instead of piling onto whichever node was idlest at the
 // instant of failure.
+//
+// Only the dynamic strategy has this mechanism (the paper notes static
+// partitions require manual redistribution): under the others a
+// confirmed-down node is only routed around, and clients depend on
+// retry timeouts.
 func (c *Cluster) reassignRoots(victim int) error {
 	roots := c.Dyn.Table.RootsOf(victim)
 	if len(roots) == 0 {
@@ -97,10 +79,9 @@ func pickLeastLoaded(alive []int, load []float64) int {
 // hysteresis to refill an idle node can take indefinitely (no survivor
 // is individually "busy" after a clean 1/n redistribution). Suspicion
 // state against the node is cleared so peers resume sending to it.
-// Returns the number of records warmed.
-func (c *Cluster) RecoverNode(i int) (int, error) {
+func (c *Cluster) RecoverNode(i int) error {
 	if i < 0 || i >= len(c.Nodes) {
-		return 0, fmt.Errorf("cluster: node %d out of range", i)
+		return fmt.Errorf("cluster: node %d out of range", i)
 	}
 	warmed := c.Nodes[i].Recover()
 	if c.down != nil {
@@ -110,11 +91,11 @@ func (c *Cluster) RecoverNode(i int) (int, error) {
 	if c.Dyn != nil {
 		for _, root := range c.lostRoots[i] {
 			if err := c.Dyn.Table.Delegate(root, i); err != nil {
-				return warmed, err
+				return err
 			}
 		}
 		delete(c.lostRoots, i)
 	}
 	c.Recoveries = append(c.Recoveries, FaultEvent{At: c.Eng.Now(), Node: i, Warmed: warmed})
-	return warmed, nil
+	return nil
 }

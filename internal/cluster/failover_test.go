@@ -6,67 +6,60 @@ import (
 	"dynmds/internal/sim"
 )
 
+// TestFailoverDynamic: a small dynamic cluster loses one node to a
+// scheduled crash. From the instant the suspicion protocol confirms it
+// down until its recovery the victim owns no delegated root, clients
+// retry through the outage rather than stalling, and the node rejoins
+// with a log-warmed cache.
 func TestFailoverDynamic(t *testing.T) {
+	const victim = 1
 	cfg := smallConfig(StratDynamic)
 	cfg.Client.RetryTimeout = 200 * sim.Millisecond
 	cfg.Duration = 12 * sim.Second
 	cfg.Warmup = 2 * sim.Second
+	cfg.Faults = "crash@4s-8s:mds1"
 	cl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const victim = 1
-	cl.Eng.At(4*sim.Second, func() {
-		if err := cl.FailNode(victim); err != nil {
-			t.Errorf("FailNode: %v", err)
-		}
-	})
-	var warmed int
-	cl.Eng.At(8*sim.Second, func() {
-		var err error
-		warmed, err = cl.RecoverNode(victim)
-		if err != nil {
-			t.Errorf("RecoverNode: %v", err)
-		}
-	})
+	sampledDown := 0
+	for at := 4 * sim.Second; at < 8*sim.Second; at += 100 * sim.Millisecond {
+		cl.Eng.At(at, func() {
+			if !cl.NodeDown(victim) {
+				return
+			}
+			sampledDown++
+			if n := len(cl.Dyn.Table.RootsOf(victim)); n != 0 {
+				t.Errorf("t=%v: confirmed-down victim still owns %d roots", cl.Eng.Now(), n)
+			}
+		})
+	}
 	res := cl.Run()
 
-	// The victim's subtrees were reassigned: survivors served its load.
-	if len(cl.Dyn.Table.RootsOf(victim)) != 0 {
-		// The balancer may migrate some back post-recovery; what must
-		// not happen is the victim retaining everything through the
-		// outage. Check that survivors now own former roots.
+	if sampledDown == 0 {
+		t.Fatalf("the crash was never confirmed: downs=%v", res.Downs)
 	}
 	if res.MeasuredOps == 0 {
 		t.Fatal("no ops measured")
 	}
-	// Clients retried through the outage rather than stalling forever:
-	// every client should have completed ops after the failure window.
-	var retries uint64
+	if res.Retries == 0 {
+		t.Fatal("no client retries despite a node outage")
+	}
 	stuck := 0
 	for _, c := range cl.Clients {
-		retries += c.Stats.Retries
 		if c.Stats.Completed == 0 {
 			stuck++
 		}
 	}
-	if retries == 0 {
-		t.Fatal("no client retries despite a node outage")
-	}
 	if stuck > 0 {
 		t.Fatalf("%d clients never completed an op", stuck)
 	}
-	if warmed == 0 {
-		t.Fatal("recovery warmed nothing from the log")
+	if len(res.Recoveries) != 1 || res.Recoveries[0].Warmed == 0 {
+		t.Fatalf("recovery warmed nothing from the log: %v", res.Recoveries)
 	}
 	// Outstanding at end is at most one op per client (closed loop).
-	var issued, completed uint64
-	for _, c := range cl.Clients {
-		issued += c.Stats.Issued
-		completed += c.Stats.Completed
-	}
-	if issued-completed > uint64(len(cl.Clients)) {
-		t.Fatalf("leaked requests: issued=%d completed=%d", issued, completed)
+	if out := res.Issued - res.Completed - res.TimedOut; out > uint64(len(cl.Clients)) {
+		t.Fatalf("leaked requests: issued=%d completed=%d timed out=%d", res.Issued, res.Completed, res.TimedOut)
 	}
 }
 
@@ -84,13 +77,18 @@ func TestPickLeastLoaded(t *testing.T) {
 	}
 }
 
-// TestFailNodeSpreadsRoots checks the least-loaded reassignment spreads
-// a victim's subtrees over all survivors instead of dumping them on
-// one: on an idle cluster every assignment costs one estimated unit, so
-// the greedy placement degenerates to an even split.
-func TestFailNodeSpreadsRoots(t *testing.T) {
+// inertFaults turns fault mode on (suspicion state, down verdicts)
+// without perturbing anything: its only rule never fires.
+const inertFaults = "drop@0:all"
+
+// TestMarkDownSpreadsRoots checks the least-loaded reassignment spreads
+// a confirmed-down victim's subtrees over all survivors instead of
+// dumping them on one: on an idle cluster every assignment costs one
+// estimated unit, so the greedy placement degenerates to an even split.
+func TestMarkDownSpreadsRoots(t *testing.T) {
 	cfg := smallConfig(StratDynamic)
 	cfg.NumMDS = 4
+	cfg.Faults = inertFaults
 	cl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -104,9 +102,7 @@ func TestFailNodeSpreadsRoots(t *testing.T) {
 	for j := 0; j < cfg.NumMDS; j++ {
 		before[j] = len(cl.Dyn.Table.RootsOf(j))
 	}
-	if err := cl.FailNode(victim); err != nil {
-		t.Fatal(err)
-	}
+	cl.markDown(victim)
 	if n := len(cl.Dyn.Table.RootsOf(victim)); n != 0 {
 		t.Fatalf("victim retains %d roots", n)
 	}
@@ -140,7 +136,7 @@ func TestFailNodeSpreadsRoots(t *testing.T) {
 // down verdict is sticky until recovery clears it.
 func TestSuspicionLifecycle(t *testing.T) {
 	cfg := smallConfig(StratDynamic)
-	cfg.Faults = "drop@0:all" // enable fault mode without perturbing anything
+	cfg.Faults = inertFaults
 	cl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +168,7 @@ func TestSuspicionLifecycle(t *testing.T) {
 	if !cl.NodeDown(peer) {
 		t.Fatal("exoneration resurrected a down node")
 	}
-	if _, err := cl.RecoverNode(peer); err != nil {
+	if err := cl.RecoverNode(peer); err != nil {
 		t.Fatal(err)
 	}
 	if cl.NodeDown(peer) {
@@ -188,37 +184,52 @@ func TestFailoverErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.FailNode(99); err == nil {
-		t.Fatal("out-of-range fail accepted")
-	}
-	if _, err := cl.RecoverNode(-1); err == nil {
-		t.Fatal("out-of-range recover accepted")
+	for _, i := range []int{-1, 99} {
+		if err := cl.RecoverNode(i); err == nil {
+			t.Fatalf("out-of-range recover of node %d accepted", i)
+		}
 	}
 }
 
+// TestFailoverStaticMarksDownOnly: a static partition has nothing to
+// reassign; a confirmed-down node is recorded and routed around.
 func TestFailoverStaticMarksDownOnly(t *testing.T) {
-	cl, err := New(smallConfig(StratStatic))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.FailNode(0); err != nil {
-		t.Fatal(err)
-	}
-	if !cl.Nodes[0].Failed() {
-		t.Fatal("node not failed")
-	}
-}
-
-func TestFailNodeAllDead(t *testing.T) {
-	cfg := smallConfig(StratDynamic)
-	cfg.NumMDS = 1
-	cfg.ClientsPerMDS = 2
+	cfg := smallConfig(StratStatic)
+	cfg.Faults = inertFaults
 	cl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.FailNode(0); err == nil {
-		t.Fatal("failing the last node should error")
+	cl.markDown(0)
+	if !cl.NodeDown(0) || len(cl.Downs) != 1 {
+		t.Fatalf("down verdict not recorded: down=%v events=%v", cl.NodeDown(0), cl.Downs)
+	}
+	if len(cl.lostRoots) != 0 {
+		t.Fatalf("a static partition reassigned roots: %v", cl.lostRoots)
+	}
+}
+
+// TestMarkDownAllDead: with no survivor there is nowhere to reassign
+// to; the victim keeps its roots and the verdict still stands.
+func TestMarkDownAllDead(t *testing.T) {
+	cfg := smallConfig(StratDynamic)
+	cfg.NumMDS = 1
+	cfg.ClientsPerMDS = 2
+	cfg.Faults = inertFaults
+	cl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := len(cl.Dyn.Table.RootsOf(0))
+	if err := cl.reassignRoots(0); err == nil {
+		t.Fatal("reassigning the last node's roots should error")
+	}
+	cl.markDown(0)
+	if !cl.NodeDown(0) {
+		t.Fatal("down verdict lost")
+	}
+	if n := len(cl.Dyn.Table.RootsOf(0)); n != roots {
+		t.Fatalf("roots went from %d to %d with no survivor to take them", roots, n)
 	}
 }
 

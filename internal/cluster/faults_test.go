@@ -169,8 +169,8 @@ func TestInertPlaneMatchesNoPlane(t *testing.T) {
 // TestCrashAutoFailoverDynamic is the headline scenario: a scheduled
 // mid-run crash of one node under the dynamic strategy is detected by
 // the suspicion protocol, which re-delegates the dead node's subtrees
-// to the least-loaded survivors — no manual FailNode call — and the
-// node rejoins warm at recovery.
+// to the least-loaded survivors, and the node rejoins warm at
+// recovery.
 func TestCrashAutoFailoverDynamic(t *testing.T) {
 	const victim = 1
 	cfg := fig2QuickConfig(StratDynamic)

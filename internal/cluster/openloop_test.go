@@ -127,9 +127,4 @@ func TestOpenLoopValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Fatal("open loop + shift workload accepted")
 	}
-	bad = openLoopConfig(StratDynamic)
-	bad.WrapGenerator = func(id int, g workload.Generator) workload.Generator { return g }
-	if _, err := New(bad); err == nil {
-		t.Fatal("open loop + generator wrapping accepted")
-	}
 }

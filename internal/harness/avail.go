@@ -35,8 +35,6 @@ type availMetrics struct {
 	RecoverySeconds float64
 	Retries         uint64
 	TimedOut        uint64
-	Suspicions      uint64
-	DeadLetters     uint64
 	// Warmed is the number of cache records preloaded from the bounded
 	// log at recovery.
 	Warmed int
@@ -127,21 +125,14 @@ func reduceAvail(r, control *cluster.Result, sp availSpec) availMetrics {
 		Strategy:        r.Strategy,
 		Retries:         r.Retries,
 		TimedOut:        r.TimedOut,
-		Suspicions:      r.Suspicions,
-		DeadLetters:     r.DeadLetters,
 		DetectSeconds:   -1,
 		RecoverySeconds: -1,
 	}
-	for _, ev := range r.Downs {
-		if ev.Node == sp.victim {
-			m.DetectSeconds = (ev.At - sp.crashAt).Seconds()
-			break
-		}
+	if ev, ok := eventOn(r.Downs, sp.victim); ok {
+		m.DetectSeconds = (ev.At - sp.crashAt).Seconds()
 	}
-	for _, ev := range r.Recoveries {
-		if ev.Node == sp.victim {
-			m.Warmed = ev.Warmed
-		}
+	if ev, ok := eventOn(r.Recoveries, sp.victim); ok {
+		m.Warmed = ev.Warmed
 	}
 	s, cs := r.CompletedOps, control.CompletedOps
 	if s == nil || cs == nil {

@@ -13,8 +13,9 @@ import (
 
 // Extras returns experiments beyond the paper's figures: the
 // scientific-computing workload the paper describes but does not plot,
-// and a failover timeline exercising the shared-storage takeover and
-// log-driven cache warming of §2.1.2/§4.6.
+// a failover timeline exercising the shared-storage takeover and
+// log-driven cache warming of §2.1.2/§4.6, the open-loop and
+// availability sweeps, and the paper's design choices ablated.
 func Extras() []Experiment {
 	return []Experiment{
 		{
@@ -49,6 +50,15 @@ func Extras() []Experiment {
 				"deterministic fault schedule.",
 			Build: availExt,
 		},
+		{
+			ID:    "ablations",
+			Title: "Extension: the paper's design choices, ablated",
+			Description: "Embedded inodes, prefetch position, redelegate-first, " +
+				"directory hashing, the replication threshold, preemptive " +
+				"replication and the shared OSD pool, each run at the paper's " +
+				"setting and with the choice taken away.",
+			Build: ablationsExt,
+		},
 	}
 }
 
@@ -74,6 +84,10 @@ func sciConfig(opt Options, strategy string) cluster.Config {
 	return cfg
 }
 
+// sciHashDirThreshold is the directory size past which the "+dirhash"
+// variant (and the dir-hashing ablation) spreads a directory's entries.
+const sciHashDirThreshold = 256
+
 // sciExt compares strategies under the scientific workload; the shared
 // hot files and directories stress traffic control and (for the
 // dynamic strategy with directory hashing enabled) oversized-directory
@@ -93,7 +107,7 @@ func sciExt(opt Options) (*plan.Plan, Renderer, error) {
 			strategy, hashed := strings.CutSuffix(v, "+dirhash")
 			*cfg = sciConfig(opt, strategy)
 			if hashed {
-				cfg.HashDirThreshold = 256
+				cfg.HashDirThreshold = sciHashDirThreshold
 			}
 		},
 	}
@@ -112,17 +126,9 @@ func sciExt(opt Options) (*plan.Plan, Renderer, error) {
 	}, nil
 }
 
-// failoverExt is the failure/recovery timeline, the one experiment that
-// is not a plan: it fails and recovers a node by hand on the live
-// cluster and reads the clients' retry counters afterwards.
-func failoverExt(opt Options) (*plan.Plan, Renderer, error) {
-	if len(opt.Set) > 0 {
-		return nil, nil, fmt.Errorf("failover is a bespoke experiment, not a plan: it takes no -set")
-	}
-	return nil, func(w io.Writer, _ []PlanRun) error { return runFailover(w, opt) }, nil
-}
-
-func runFailover(w io.Writer, opt Options) error {
+// failoverConfig builds the failure/recovery timeline's run: node 0
+// crashes on the fault schedule and recovers ten seconds later.
+func failoverConfig(opt Options) cluster.Config {
 	cfg := cluster.Default()
 	cfg.Seed = opt.Seed
 	cfg.Strategy = cluster.StratDynamic
@@ -134,41 +140,64 @@ func runFailover(w io.Writer, opt Options) error {
 	cfg.Client.RetryTimeout = 200 * sim.Millisecond
 	cfg.Duration = 30 * sim.Second
 	cfg.Warmup = 5 * sim.Second
-	failAt, recoverAt := 10*sim.Second, 20*sim.Second
+	cfg.Faults = "crash@10s-20s:mds0"
 	if opt.Quick {
 		cfg.Duration = 18 * sim.Second
-		failAt, recoverAt = 6*sim.Second, 12*sim.Second
+		cfg.Faults = "crash@6s-12s:mds0"
 	}
-	cl, err := cluster.New(cfg)
-	if err != nil {
-		return err
-	}
-	const victim = 0
-	var warmed int
-	cl.Eng.At(failAt, func() { _ = cl.FailNode(victim) })
-	cl.Eng.At(recoverAt, func() { warmed, _ = cl.RecoverNode(victim) })
-	res := cl.Run()
+	return cfg
+}
 
-	fmt.Fprintf(w, "Extension: node %d fails at t=%v, recovers at t=%v (cache warmed with %d log records)\n",
-		victim, failAt, recoverAt, warmed)
-	tb := metrics.NewTable("t(s)", "cluster ops/s", "victim ops/s")
-	var retries uint64
-	for _, c := range cl.Clients {
-		retries += c.Stats.Retries
+// failoverExt is the failure/recovery timeline: cluster and victim
+// throughput per second as a scheduled crash is detected by suspicion,
+// the victim's subtrees are reassigned, and the node rejoins with a
+// log-warmed cache.
+func failoverExt(opt Options) (*plan.Plan, Renderer, error) {
+	p := &plan.Plan{
+		Name:  "failover",
+		Tweak: func(cfg *cluster.Config, _ plan.Cell) { *cfg = failoverConfig(opt) },
 	}
-	buckets := res.RepliesPerNode[0].Len()
-	for i := 0; i < buckets; i++ {
-		var total float64
-		for _, s := range res.RepliesPerNode {
-			total += s.Sum(i)
+	return p, renderFailover, nil
+}
+
+// eventOn finds the first fault event on a node.
+func eventOn(events []cluster.FaultEvent, node int) (cluster.FaultEvent, bool) {
+	for _, ev := range events {
+		if ev.Node == node {
+			return ev, true
 		}
+	}
+	return cluster.FaultEvent{}, false
+}
+
+// renderFailover reads the fault timeline back from the result, so the
+// figure stays true under a -set faults= of the reader's own.
+func renderFailover(w io.Writer, runs []PlanRun) error {
+	res := runs[0].Res
+	victim := 0
+	if len(res.Failures) > 0 {
+		victim = res.Failures[0].Node
+	}
+	fmt.Fprintf(w, "Extension: node %d", victim)
+	if ev, ok := eventOn(res.Failures, victim); ok {
+		fmt.Fprintf(w, " fails at t=%v", ev.At)
+	}
+	if ev, ok := eventOn(res.Downs, victim); ok {
+		fmt.Fprintf(w, ", is confirmed down at t=%v", ev.At)
+	}
+	if ev, ok := eventOn(res.Recoveries, victim); ok {
+		fmt.Fprintf(w, ", recovers at t=%v (cache warmed with %d log records)", ev.At, ev.Warmed)
+	}
+	fmt.Fprintln(w)
+	tb := metrics.NewTable("t(s)", "cluster ops/s", "victim ops/s")
+	for i := 0; i < res.RepliesPerNode[victim].Len(); i++ {
 		tb.AddRow(int(res.Bucket.Seconds()*float64(i)),
-			int(total/res.Bucket.Seconds()),
+			int(totalReplies(res, i)/res.Bucket.Seconds()),
 			int(res.RepliesPerNode[victim].Sum(i)/res.Bucket.Seconds()))
 	}
 	if _, err := io.WriteString(w, tb.String()); err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(w, "total client retries during the outage: %d\n", retries)
+	_, err := fmt.Fprintf(w, "total client retries during the outage: %d (%d requests timed out)\n", res.Retries, res.TimedOut)
 	return err
 }

@@ -132,10 +132,7 @@ type Experiment struct {
 	ID          string
 	Title       string
 	Description string
-	// Build returns the experiment's plan and its renderer. The one
-	// experiment that drives a live cluster by hand returns no plan:
-	// its renderer is the whole experiment, and with no cells for
-	// Options.Set to land on it refuses any.
+	// Build returns the experiment's plan and its renderer.
 	Build func(opt Options) (*plan.Plan, Renderer, error)
 }
 
@@ -146,7 +143,7 @@ type Renderer func(w io.Writer, runs []PlanRun) error
 // under opt: the plan compiles and every override lands.
 func (e Experiment) Check(opt Options) error {
 	p, _, err := e.Build(opt)
-	if err == nil && p != nil {
+	if err == nil {
 		_, err = p.Compile(opt)
 	}
 	return err
@@ -155,10 +152,10 @@ func (e Experiment) Check(opt Options) error {
 // Run executes the experiment and prints its figure.
 func (e Experiment) Run(w io.Writer, opt Options) error {
 	p, render, err := e.Build(opt)
-	var runs []PlanRun
-	if err == nil && p != nil {
-		runs, err = RunPlan(p, opt)
+	if err != nil {
+		return err
 	}
+	runs, err := RunPlan(p, opt)
 	if err != nil {
 		return err
 	}

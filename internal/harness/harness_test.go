@@ -121,7 +121,7 @@ func TestExperimentRegistry(t *testing.T) {
 		t.Fatalf("experiments = %d, want 6", len(all))
 	}
 	seen := map[string]bool{}
-	for _, e := range all {
+	for _, e := range append(all, Extras()...) {
 		if e.ID == "" || e.Title == "" || e.Build == nil {
 			t.Fatalf("incomplete experiment %+v", e)
 		}
@@ -132,13 +132,72 @@ func TestExperimentRegistry(t *testing.T) {
 		if _, ok := ByID(e.ID); !ok {
 			t.Fatalf("ByID(%s) missed", e.ID)
 		}
+		// Every experiment is a plan, so -set lands on every one.
+		for _, quick := range []bool{true, false} {
+			opt := Options{Seed: 1, Quick: quick}
+			if p, render, err := e.Build(opt); err != nil || p == nil || render == nil {
+				t.Fatalf("%s: Build returned plan %v, renderer set %v, err %v", e.ID, p, render != nil, err)
+			}
+			opt.Set = []plan.Setting{{Key: "net", Value: "queued"}}
+			if err := e.Check(opt); err != nil {
+				t.Errorf("%s refuses -set net=queued: %v", e.ID, err)
+			}
+		}
 	}
 	if _, ok := ByID("fig99"); ok {
 		t.Fatal("ByID invented an experiment")
 	}
-	for _, e := range Extras() {
-		if _, ok := ByID(e.ID); !ok {
-			t.Fatalf("extra %s not findable", e.ID)
+}
+
+// TestAblationClaims holds every row of the ablations table to the
+// verdict recorded beside it, at -quick over seeds 1-3: a claim recorded
+// as holding must hold on every seed, and one recorded as deviating must
+// fail on at least one — when it stops failing the record is stale and
+// the claim is promoted, not left as a standing excuse.
+func TestAblationClaims(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const seeds = 3
+	type row struct{ choice, metric string }
+	held := map[row]int{}
+	for seed := int64(1); seed <= seeds; seed++ {
+		opt := Options{Quick: true, Seed: seed}
+		p, render, err := ablationsExt(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs, err := RunPlan(p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var table bytes.Buffer
+		if err := render(&table, runs); err != nil {
+			t.Fatal(err)
+		}
+		claims := 0
+		for i, a := range ablations {
+			for _, c := range a.claims {
+				claims++
+				pv, av := c.value(&runs[2*i]), c.value(&runs[2*i+1])
+				switch ok := c.holds(pv, av); {
+				case ok:
+					held[row{a.choice, c.metric}]++
+				case c.deviates == "":
+					t.Errorf("seed %d: %s (§%s), %s: paper %g vs ablated %g does not hold; "+
+						"record the deviation and its reason, do not loosen the claim", seed, a.choice, a.section, c.metric, pv, av)
+				}
+			}
+		}
+		if rows := strings.Count(table.String(), "\n") - 2; rows != claims { // less the title and the header
+			t.Errorf("seed %d: %d claims, %d rows in the table:\n%s", seed, claims, rows, table.String())
+		}
+	}
+	for _, a := range ablations {
+		for _, c := range a.claims {
+			if c.deviates != "" && held[row{a.choice, c.metric}] == seeds {
+				t.Errorf("%s, %s is recorded as deviating (%s) but holds on seeds 1-%d", a.choice, c.metric, c.deviates, seeds)
+			}
 		}
 	}
 }
@@ -182,6 +241,9 @@ func TestExtrasQuickSmoke(t *testing.T) {
 	for _, e := range Extras() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
+			if e.ID == "ablations" {
+				t.Skip("run and rendered by TestAblationClaims")
+			}
 			var buf bytes.Buffer
 			if err := e.Run(&buf, opt); err != nil {
 				t.Fatal(err)
@@ -194,8 +256,7 @@ func TestExtrasQuickSmoke(t *testing.T) {
 }
 
 // The figure runners are exercised end-to-end at the smallest scale to
-// catch wiring regressions; shape assertions live in EXPERIMENTS.md and
-// the benchmarks.
+// catch wiring regressions; shape assertions live in EXPERIMENTS.md.
 func TestFiguresQuickSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

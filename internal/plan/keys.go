@@ -111,12 +111,15 @@ var keys = []key{
 			}
 			return fmtFloat(c.OpenLoop.Rate)
 		}},
-	{"clients", "traffic", "client population: open-loop clients when the traffic has a rate, else closed-loop clients spread evenly over the MDS nodes",
+	{"clients", "traffic", "client population: open-loop clients when the traffic has a rate, else closed-loop clients spread evenly over the MDS nodes (rounded down to a multiple of mds; at least mds)",
 		func(c *cluster.Config, v string) error {
 			n, err := parseNum(v, 1, inf)
 			if c.OpenLoop != nil {
 				c.OpenLoop.Clients = n
 			} else if c.NumMDS > 0 {
+				if err == nil && n < c.NumMDS {
+					return fmt.Errorf("a closed-loop population of %d cannot put a client on each of %d MDS nodes", n, c.NumMDS)
+				}
 				c.ClientsPerMDS = n / c.NumMDS
 			}
 			return err
@@ -338,6 +341,9 @@ func Apply(cfg *cluster.Config, set []Setting) error {
 	}
 	if cfg.Lease.Enabled && cfg.OpenLoop == nil {
 		return fmt.Errorf("mechanism: client leases need an open-loop population (a traffic rate)")
+	}
+	if cfg.OSDs > 0 && min(cfg.Shards, cfg.NumMDS) > 1 {
+		return fmt.Errorf("shards: sharded execution cannot drive a shared OSD pool (this run has %d devices)", cfg.OSDs)
 	}
 	sched, err := fault.ParseSchedule(cfg.Faults)
 	if err == nil {

@@ -337,6 +337,15 @@ func TestSetOverrides(t *testing.T) {
 	if err != nil || cells[0].Cfg.ClientsPerMDS != 30 || cells[0].Cfg.OpenLoop != nil {
 		t.Fatalf("closed-loop clients: %v %+v", err, cells)
 	}
+	// 10 clients on 4 nodes run as 8; 3 cannot run at all.
+	cells, err = closed.Compile(plan.Options{Set: []plan.Setting{{"clients", "10"}}})
+	if err != nil || cells[0].Cfg.ClientsPerMDS != 2 {
+		t.Fatalf("closed-loop clients are not rounded down to a multiple of mds: %v %+v", err, cells)
+	}
+	if _, err := closed.Compile(plan.Options{Set: []plan.Setting{{"clients", "3"}}}); err == nil ||
+		!strings.Contains(err.Error(), "population of 3") || !strings.Contains(err.Error(), "4 MDS") {
+		t.Fatalf("3 closed-loop clients on 4 nodes: err = %v, want both numbers named", err)
+	}
 	cells, err = closed.Compile(plan.Options{Set: []plan.Setting{{"clients", "1e6"}, {"rate", "0.01"}, {"diurnal", "0.3"}}})
 	if err != nil || cells[0].Cfg.OpenLoop == nil || cells[0].Cfg.OpenLoop.Clients != 1000000 || cells[0].Cfg.OpenLoop.DiurnalAmp != 0.3 {
 		t.Fatalf("rate did not open the loop: %v %+v", err, cells)

@@ -24,6 +24,30 @@ trap 'rm -rf "$TMP"' EXIT
 
 go vet ./...
 go build ./...
+
+# Reachability: every internal package is compiled into mdsim or the
+# benchmark (snaptest is the codec's test support), so code that nothing
+# runs cannot come back.
+go list -deps ./cmd/mdsim ./bench >"$TMP/reached"
+for pkg in $(go list ./internal/... | grep -v '/internal/snap/snaptest$'); do
+    if ! grep -qxF "$pkg" "$TMP/reached"; then
+        echo "ci: $pkg is reached by neither cmd/mdsim nor bench: wire it into a plan or delete it" >&2
+        exit 1
+    fi
+done
+
+# Byte budgets for the documents, to be lowered and never raised: a PR
+# that adds a section deletes one (history belongs in CHANGES.md).
+budget() {
+    size=$(wc -c <"$1")
+    if [ "$size" -gt "$2" ]; then
+        echo "ci: $1 is $size bytes, over its budget of $2" >&2
+        exit 1
+    fi
+}
+budget README.md $((24 * 1024))
+budget DESIGN.md $((67 * 1024))
+
 # -race on the small CI box is ~6x slower than native; give packages
 # headroom past go test's 10m default so a busy host doesn't flake.
 go test -race -timeout 30m ./...
@@ -148,10 +172,10 @@ fi
 echo "ci: endurance restore determinism passed"
 
 # The documents describe the mdsim that exists: none of them may spell a
-# flag that -set replaced. (fsgen and mdtrace keep flags of those names.)
+# flag that -set replaced.
 GONE='fig|list-plans|strategy|mds|clients|users|cache|dur|warmup|net-model|link-bw|faults|shards|open-loop|open-rate|open-tenants|tenant-skew|file-skew|diurnal|burst-prob|leases|replica-fanout|endure|chaos-seed'
 if grep -rnE "(^|[^[:alnum:]-])-($GONE)([^[:alnum:]-]|\$)" \
-    README.md DESIGN.md EXPERIMENTS.md examples .claude/skills/verify/SKILL.md | grep -vE 'fsgen|mdtrace'; then
+    README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; then
     echo "ci: the lines above mention an mdsim flag that no longer exists (use -plan / -set key=value)" >&2
     exit 1
 fi

@@ -8,8 +8,8 @@
 # testdata/plans_quick.txt    the plan library at reduced scale (no wall
 #                             lines: plan reports are fully deterministic)
 # testdata/figures_full.txt   Figures 2-7 at paper scale
-# testdata/extras_full.txt    the sci, failover, avail, and clients
-#                             extensions at paper scale
+# testdata/extras_full.txt    the sci, failover, avail, clients and
+#                             ablations extensions at paper scale
 #
 # All runs use seed 1 and the default fixed network model; with those
 # held, output is bit-identical across machines, so a diff against the
@@ -33,7 +33,7 @@ if [ "${1:-}" = "-full" ]; then
 	done
 	echo "wrote testdata/figures_full.txt"
 	: > testdata/extras_full.txt
-	for x in sci failover avail clients; do
+	for x in sci failover avail clients ablations; do
 		./mdsim -plan "$x" >> testdata/extras_full.txt
 	done
 	echo "wrote testdata/extras_full.txt"
