@@ -222,8 +222,8 @@ func (c *invocation) oneRun() (cluster.Config, error) {
 // (not via harness.RunOne — a faulted run is drained and checked by
 // simfsck afterwards, which needs the live cluster, and a single run
 // gains nothing from the shared snapshot cache), printed with its
-// fabric table, deepest service queues, fault summary and simfsck
-// verdict.
+// response-time line, fabric table, deepest service queues, fault
+// summary and simfsck verdict.
 func runSingle(c *invocation, cfg cluster.Config) int {
 	stdout := c.stdout
 	start := time.Now()
@@ -235,12 +235,12 @@ func runSingle(c *invocation, cfg cluster.Config) int {
 	base := chaos.Capture(cl)
 	res := cl.Run()
 	fmt.Fprintln(stdout, res)
+	fmt.Fprintf(stdout, "latency: p50 %.3fms p99 %.3fms p999 %.3fms mean %.3fms over %d replies\n",
+		res.LatencyP50*1000, res.LatencyP99*1000, res.LatencyP999*1000, res.MeanLatency*1000, cl.LatH.N())
 	if res.OpenLoop {
 		heapPerClient := float64(heapBytes(true)-heapBase) / float64(res.Clients)
 		fmt.Fprintf(stdout, "open loop: %d clients, issued %d, completed %d\n",
 			res.Clients, res.Issued, res.Completed)
-		fmt.Fprintf(stdout, "latency: p50 %.3fms p99 %.3fms p999 %.3fms mean %.3fms\n",
-			res.LatencyP50*1000, res.LatencyP99*1000, res.LatencyP999*1000, res.MeanLatency*1000)
 		fmt.Fprintf(stdout, "memory: plane %.1f B/client structural, %.1f B/client heap delta (fs+cluster+plane)\n",
 			float64(res.PopFootprint)/float64(res.Clients), heapPerClient)
 		if cfg.Lease.Enabled || cfg.Lease.Fanout {

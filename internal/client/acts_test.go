@@ -3,7 +3,6 @@ package client
 import (
 	"testing"
 
-	"dynmds/internal/metrics"
 	"dynmds/internal/msg"
 	"dynmds/internal/namespace"
 	"dynmds/internal/partition"
@@ -176,9 +175,7 @@ func TestActDeterminism(t *testing.T) {
 		})
 		pop.Start()
 		eng.RunUntil(5 * sim.Second)
-		h := metrics.NewLatHist()
-		pop.Latency(h)
-		return pop.Issued(), pop.Completed(), h.Quantile(0.99), eng.Executed
+		return pop.Issued(), pop.Completed(), pop.ActStats()[1].Lat.Quantile(0.99), eng.Executed
 	}
 	i1, c1, q1, e1 := run(42)
 	i2, c2, q2, e2 := run(42)
@@ -198,7 +195,7 @@ func TestActDeterminism(t *testing.T) {
 // happens at begin/end, outside the pinned window.)
 func TestActSteadyStateAllocFree(t *testing.T) {
 	cfg := PopulationConfig{
-		Clients: 1000, Rate: 200, Tick: sim.Millisecond,
+		Clients: 1000, Rate: 200,
 		Tenant: workload.TenantConfig{Tenants: 4, FileSkew: 1, WorkingSet: 16},
 		// Create-free: creates inherently allocate the new name/inode.
 		MixStat: 80, MixReaddir: 10, MixChmod: 10,

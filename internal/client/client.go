@@ -13,11 +13,12 @@
 //     scheduled through a hierarchical timer wheel, tenants with
 //     Zipf-distributed sizes (see population.go).
 //
-// Both planes share the HintTable location cache (hints.go).
+// Both planes keep location knowledge in a HintTable (hints.go): one
+// population-wide table for the open loop, a private single-client table
+// per closed-loop Client.
 package client
 
 import (
-	"dynmds/internal/metrics"
 	"dynmds/internal/msg"
 	"dynmds/internal/partition"
 	"dynmds/internal/sim"
@@ -64,7 +65,6 @@ type Stats struct {
 	// sends (or cut off by Stop while still unanswered). Every issued
 	// request ends up either Completed or TimedOut once the run drains.
 	TimedOut uint64
-	Latency  metrics.Welford
 }
 
 // Client is one simulated client.
@@ -77,11 +77,9 @@ type Client struct {
 	strat partition.Strategy
 	gen   workload.Generator
 
-	// hints is the location-knowledge cache; by default a private
-	// single-client table, replaced by the cluster's population-wide
-	// slab via ShareHints. hintID is this client's region index.
-	hints  *HintTable
-	hintID int
+	// hints is the location-knowledge cache, a private single-client
+	// table.
+	hints *HintTable
 
 	nextID   uint64
 	stopped  bool
@@ -96,11 +94,6 @@ type Client struct {
 	// allocates is a request that was actually retransmitted — a stale
 	// in-flight copy may reference the struct, so it is not recycled.
 	reqPool *msg.Request
-
-	// OnComplete, when set, observes each accepted completion (duplicate
-	// replies excluded). The cluster uses it for the per-second
-	// completed-op availability series.
-	OnComplete func(now sim.Time)
 
 	Stats Stats
 }
@@ -121,11 +114,6 @@ func New(id int, eng *sim.Engine, cfg Config, rng *sim.RNG, net Network, strat p
 		hints: NewHintTable(1, cfg.KnownCap, 1),
 	}
 }
-
-// ShareHints points the client at a population-wide hint table (its
-// region indexed by client id) instead of its private one. Call before
-// Start.
-func (c *Client) ShareHints(t *HintTable) { c.hints, c.hintID = t, c.id }
 
 // Start begins the closed loop, staggered by the given phase to avoid a
 // synchronized thundering herd at t=0.
@@ -236,7 +224,7 @@ func (c *Client) armRetry(req *msg.Request) {
 		c.attempts++
 		c.Stats.Retries++
 		if req.Target != nil {
-			c.hints.Del(c.hintID, req.Target.ID)
+			c.hints.Del(0, req.Target.ID)
 		}
 		to := c.rng.Pick(c.net.NumMDS())
 		if n := c.net.NumMDS(); n > 1 && to == c.lastMDS {
@@ -259,7 +247,7 @@ func (c *Client) direct(req *msg.Request) int {
 		}
 		return c.strat.Authority(req.Target)
 	}
-	reg := c.hints.slots(c.hintID)
+	reg := c.hints.slots(0)
 	for n := req.Target; n != nil; n = n.Parent() {
 		if auth, repl, ok := c.hints.get(reg, n.ID); ok {
 			if repl {
@@ -272,29 +260,25 @@ func (c *Client) direct(req *msg.Request) int {
 }
 
 // OnReply completes the in-flight operation: absorb distribution hints,
-// record latency, think, and issue the next request. Replies are
-// matched by (client, id, gen) values — never pointer identity — so
-// duplicates (a retried request answered twice, or a late answer to an
-// abandoned request) are dropped even after the request struct itself
-// has been recycled.
-func (c *Client) OnReply(rep *msg.Reply) {
+// think, and issue the next request. Replies are matched by (client, id,
+// gen) values — never pointer identity — so duplicates (a retried
+// request answered twice, or a late answer to an abandoned request) are
+// dropped even after the request struct itself has been recycled. It
+// reports whether the reply was accepted: the caller records a
+// completion's response time only then.
+func (c *Client) OnReply(rep *msg.Reply) bool {
 	req := c.inflight
 	if req == nil || rep.Client != c.id || rep.ID != req.ID || rep.Gen != req.Gen {
-		return
+		return false
 	}
 	c.inflight = nil
 	c.Stats.Completed++
-	c.Stats.Latency.Add(rep.Latency().Seconds())
-	if c.OnComplete != nil {
-		c.OnComplete(c.eng.Now())
-	}
 	if len(rep.Hints) > 0 {
-		reg := c.hints.claim(c.hintID)
+		reg := c.hints.claim(0)
 		for _, h := range rep.Hints {
 			c.hints.put(reg, h)
 		}
 	}
-	c.gen.Observe(rep)
 	if c.attempts == 0 {
 		// Exactly one copy of this request was ever sent and its one
 		// delivery chain just completed, so no stale reference can
@@ -303,10 +287,10 @@ func (c *Client) OnReply(rep *msg.Reply) {
 		// traversing the fabric and are left to the garbage collector.
 		c.reqPool = req
 	}
-	if c.stopped {
-		return
+	if !c.stopped {
+		c.eng.AfterCall(c.rng.Exp(c.cfg.ThinkMean), clientIssue, c, nil)
 	}
-	c.eng.AfterCall(c.rng.Exp(c.cfg.ThinkMean), clientIssue, c, nil)
+	return true
 }
 
 // Inflight reports whether the client still holds an unanswered
@@ -314,4 +298,4 @@ func (c *Client) OnReply(rep *msg.Reply) {
 func (c *Client) Inflight() bool { return c.inflight != nil }
 
 // KnownLocations reports the current size of the location cache.
-func (c *Client) KnownLocations() int { return c.hints.Len(c.hintID) }
+func (c *Client) KnownLocations() int { return c.hints.Len(0) }

@@ -31,7 +31,6 @@ func (f *fakeNet) NumMDS() int { return f.n }
 type fixedGen struct{ op workload.Op }
 
 func (g fixedGen) Next(now sim.Time, r *sim.RNG) (workload.Op, bool) { return g.op, true }
-func (g fixedGen) Observe(rep *msg.Reply)                            {}
 
 // replyTo builds a reply the way the MDS does: identity and issue time
 // copied by value from the request.
@@ -146,9 +145,6 @@ func TestClosedLoopAndLatency(t *testing.T) {
 	}
 	if c.Stats.Issued < 2 {
 		t.Fatal("no follow-up request after reply")
-	}
-	if c.Stats.Latency.Mean() <= 0 {
-		t.Fatal("latency not recorded")
 	}
 	c.Stop()
 	issued := c.Stats.Issued
@@ -331,22 +327,23 @@ func TestStoppedClientAccountsTimeout(t *testing.T) {
 	}
 }
 
-func TestOnCompleteHook(t *testing.T) {
+// TestOnReplyAcceptsOnce: the return value is what the cluster records a
+// completion on, so a duplicate of an answered request must not count.
+func TestOnReplyAcceptsOnce(t *testing.T) {
 	tr, f := testTree(t)
 	_ = tr
 	eng := sim.NewEngine()
 	net := &fakeNet{n: 2}
 	c := New(0, eng, Config{ThinkMean: sim.Millisecond}, sim.NewRNG(19), net,
 		partition.FileHash{N: 2}, fixedGen{workload.Op{Op: msg.Stat, Target: f}})
-	var calls int
-	c.OnComplete = func(now sim.Time) { calls++ }
 	c.Start(0)
 	eng.RunUntil(sim.Millisecond)
 	req := net.sends[0].req
-	c.OnReply(replyTo(req, eng.Now()))
-	c.OnReply(replyTo(req, eng.Now()))
-	if calls != 1 {
-		t.Fatalf("OnComplete calls = %d (duplicate must not count)", calls)
+	if !c.OnReply(replyTo(req, eng.Now())) {
+		t.Fatal("the first reply to the in-flight request was refused")
+	}
+	if c.OnReply(replyTo(req, eng.Now())) {
+		t.Fatal("a duplicate reply was accepted (a duplicate must not count)")
 	}
 	eng.Run()
 }

@@ -76,7 +76,7 @@ func leaseFixture(t *testing.T, cfg PopulationConfig, seed int64, delay sim.Time
 // the pinned window, so the whole cycle is covered, not just the hit.
 func TestPopulationLeasedHitAllocFree(t *testing.T) {
 	cfg := PopulationConfig{
-		Clients: 1000, Rate: 200, Tick: sim.Millisecond,
+		Clients: 1000, Rate: 200,
 		Tenant: workload.TenantConfig{Tenants: 4, FileSkew: 1, WorkingSet: 16},
 		// Read-only mix: updates never consult the lease slab.
 		MixStat: 90, MixReaddir: 10,

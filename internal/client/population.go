@@ -22,23 +22,17 @@ type PopulationConfig struct {
 	// Ways is the per-client way count in the shared hint table
 	// (default 2: 16 bytes of location knowledge per client).
 	Ways int
-	// Tick is the timer-wheel granularity (default 1 ms). All arrival
-	// timestamps quantise to the wheel grid.
-	Tick sim.Time
 	// Tenant shapes the tenant split and working sets.
 	Tenant workload.TenantConfig
 
 	// DiurnalAmp modulates the base rate sinusoidally per tenant:
-	// λ(t) = Rate·(1 + DiurnalAmp·sin(2π(t/DiurnalPeriod + φ_tenant))).
-	// Zero disables; DiurnalPeriod defaults to 60 s.
-	DiurnalAmp    float64
-	DiurnalPeriod sim.Time
+	// λ(t) = Rate·(1 + DiurnalAmp·sin(2π(t/diurnalPeriod + φ_tenant))).
+	// Zero disables.
+	DiurnalAmp float64
 	// BurstProb is the chance per (tenant, epoch) of a burst that
-	// multiplies the tenant's rate by BurstFactor (default 4) for one
-	// BurstEpoch (default 10 s). Deterministic in (tenant, epoch).
-	BurstProb   float64
-	BurstFactor float64
-	BurstEpoch  sim.Time
+	// multiplies the tenant's rate by burstFactor for one burstEpoch.
+	// Deterministic in (tenant, epoch).
+	BurstProb float64
 
 	// Op mix weights; an all-zero mix defaults to Stat 80, Readdir 10,
 	// Chmod 8, Create 2, Rename 0, Unlink 0. (No Open/Close: the
@@ -61,24 +55,22 @@ type PopulationConfig struct {
 	ChurnBase int
 }
 
+// The traffic plane's fixed shape: the timer-wheel granularity every
+// arrival timestamp quantises to, the diurnal period, and a burst's
+// multiplier and length.
+const (
+	wheelTick     = sim.Millisecond
+	diurnalPeriod = 60 * sim.Second
+	burstFactor   = 4
+	burstEpoch    = 10 * sim.Second
+)
+
 func (c PopulationConfig) withDefaults() PopulationConfig {
 	if c.Rate <= 0 {
 		c.Rate = 10
 	}
 	if c.Ways <= 0 {
 		c.Ways = 2
-	}
-	if c.Tick <= 0 {
-		c.Tick = sim.Millisecond
-	}
-	if c.DiurnalPeriod <= 0 {
-		c.DiurnalPeriod = 60 * sim.Second
-	}
-	if c.BurstEpoch <= 0 {
-		c.BurstEpoch = 10 * sim.Second
-	}
-	if c.BurstFactor <= 0 {
-		c.BurstFactor = 4
 	}
 	if c.MixStat+c.MixReaddir+c.MixChmod+c.MixCreate+c.MixRename+c.MixUnlink <= 0 {
 		c.MixStat, c.MixReaddir, c.MixChmod, c.MixCreate = 80, 10, 8, 2
@@ -184,8 +176,6 @@ type popShard struct {
 
 	issued    uint64
 	completed uint64
-	lat       *metrics.LatHist
-	welford   metrics.Welford
 
 	// Lease-plane lanes: local serves, plus ops landing on the active
 	// act's hotspot target (served locally vs remotely).
@@ -263,13 +253,12 @@ func NewPopulation(cfg PopulationConfig, engines []*sim.Engine, netw Network, st
 			rng:     make([]uint64, n),
 			rateMul: 1,
 			cum:     p.baseCum,
-			lat:     metrics.NewLatHist(),
 		}
 		for li := 0; li < n; li++ {
 			g := li*k + s
 			ps.rng[li] = mix64(uint64(seed) ^ mix64(uint64(g)+0x9E3779B97F4A7C15))
 		}
-		ps.wheel = sim.NewWheel(engines[s], cfg.Tick, n, ps.arrive)
+		ps.wheel = sim.NewWheel(engines[s], wheelTick, n, ps.arrive)
 		ps.churnOn = cfg.MixUnlink > 0
 		p.shards[s] = ps
 	}
@@ -340,14 +329,14 @@ func (s *popShard) rate(tenant int, now sim.Time) float64 {
 	r := cfg.Rate
 	if cfg.DiurnalAmp > 0 {
 		phase := uniform(mix64(tn + 0x5851F42D4C957F2D))
-		x := now.Seconds()/cfg.DiurnalPeriod.Seconds() + phase
+		x := now.Seconds()/diurnalPeriod.Seconds() + phase
 		r *= 1 + cfg.DiurnalAmp*math.Sin(2*math.Pi*x)
 	}
 	if cfg.BurstProb > 0 {
-		epoch := uint64(now / cfg.BurstEpoch)
+		epoch := uint64(now / burstEpoch)
 		h := mix64(tn*0x9E3779B97F4A7C15 ^ (epoch+1)*0xD1B54A32D192ED03)
 		if uniform(h) < cfg.BurstProb {
-			r *= cfg.BurstFactor
+			r *= burstFactor
 		}
 	}
 	if r < 1e-6 {
@@ -475,11 +464,9 @@ func (s *popShard) arrive(li int32) {
 			if req.Target == s.hot {
 				s.hotLocal++
 			}
-			s.lat.Observe(0)
 			if s.curLat != nil {
 				s.curLat.Observe(0)
 			}
-			s.welford.Add(0)
 			s.pool = append(s.pool, req)
 			s.rearm(li, tn)
 			return
@@ -614,11 +601,12 @@ func (p *Population) direct(g int, req *msg.Request, u uint64) int {
 	return int(u % uint64(p.net.NumMDS()))
 }
 
-// OnReply completes one arrival: record latency, absorb hints and a
-// lease grant if one rides the reply, recycle the request. Runs on the
-// client's shard. Allocation-free (pool growth amortises to zero once
-// the outstanding high-water mark is reached).
-func (p *Population) OnReply(rep *msg.Reply) {
+// OnReply completes one arrival: absorb hints and a lease grant if one
+// rides the reply, recycle the request. Runs on the client's shard.
+// Allocation-free (pool growth amortises to zero once the outstanding
+// high-water mark is reached). It reports whether the reply was
+// accepted: the caller records a completion's response time only then.
+func (p *Population) OnReply(rep *msg.Reply) bool {
 	s := p.shards[rep.Client%len(p.shards)]
 	if s.retry != nil {
 		r, ok := s.retry[rep.ID]
@@ -626,17 +614,14 @@ func (p *Population) OnReply(rep *msg.Reply) {
 			// A duplicate reply to a retransmitted (or already retired)
 			// request: the first copy completed it and recycled the
 			// struct, so this one must not touch the pool or counters.
-			return
+			return false
 		}
 		delete(s.retry, rep.ID)
 	}
 	s.completed++
-	lat := rep.Latency()
-	s.lat.Observe(lat)
 	if s.curLat != nil {
-		s.curLat.Observe(lat)
+		s.curLat.Observe(rep.Latency())
 	}
-	s.welford.Add(lat.Seconds())
 	if len(rep.Hints) > 0 {
 		reg := p.hints.claim(rep.Client)
 		for _, h := range rep.Hints {
@@ -666,6 +651,7 @@ func (p *Population) OnReply(rep *msg.Reply) {
 		}
 		s.pool = append(s.pool, req)
 	}
+	return true
 }
 
 // AttachLeasePlane hands the population the coherent client-cache plane.
@@ -765,31 +751,6 @@ func (p *Population) RetryOutstanding() int {
 		n += len(s.retry)
 	}
 	return n
-}
-
-// Latency merges the per-shard latency histograms into dst.
-func (p *Population) Latency(dst *metrics.LatHist) {
-	for _, s := range p.shards {
-		dst.Merge(s.lat)
-	}
-}
-
-// MeanLatency returns the mean response time in seconds.
-func (p *Population) MeanLatency() float64 {
-	var w metrics.Welford
-	for _, s := range p.shards {
-		w.Merge(&s.welford)
-	}
-	return w.Mean()
-}
-
-// WheelStats sums ticks and fired timers across shards (diagnostics).
-func (p *Population) WheelStats() (ticks, fired uint64) {
-	for _, s := range p.shards {
-		ticks += s.wheel.Ticks
-		fired += s.wheel.Fired
-	}
-	return
 }
 
 // FootprintBytes returns the structural per-population memory: RNG

@@ -36,7 +36,8 @@ func popTree(t *testing.T, h int) (*namespace.Tree, []*namespace.Inode) {
 }
 
 // echoNet answers every request synchronously after a fixed virtual
-// latency, reusing one reply struct (the population never retains it).
+// latency, reusing one reply struct (the population never retains it),
+// and records an accepted reply's response time as the cluster does.
 type echoNet struct {
 	eng   *sim.Engine
 	pop   *Population
@@ -44,6 +45,7 @@ type echoNet struct {
 	delay sim.Time
 	sends uint64
 	rep   msg.Reply
+	lat   metrics.LatHist
 }
 
 func (e *echoNet) NumMDS() int { return e.n }
@@ -64,7 +66,9 @@ func (e *echoNet) answer(req *msg.Request) {
 		Req: req, Client: req.Client, ID: req.ID, Gen: req.Gen,
 		Issued: req.Issued, Completed: e.eng.Now(),
 	}
-	e.pop.OnReply(&e.rep)
+	if e.pop.OnReply(&e.rep) {
+		e.lat.Observe(e.rep.Latency())
+	}
 }
 
 func popFixture(t *testing.T, cfg PopulationConfig, seed int64, delay sim.Time) (*sim.Engine, *Population, *echoNet) {
@@ -80,7 +84,7 @@ func popFixture(t *testing.T, cfg PopulationConfig, seed int64, delay sim.Time) 
 
 func TestPopulationOpenLoopRate(t *testing.T) {
 	cfg := PopulationConfig{
-		Clients: 500, Rate: 100, Tick: sim.Millisecond,
+		Clients: 500, Rate: 100,
 		Tenant:  workload.TenantConfig{Tenants: 4, WorkingSet: 8},
 		MixStat: 1,
 	}
@@ -99,16 +103,15 @@ func TestPopulationOpenLoopRate(t *testing.T) {
 	if d := net.sends - pop.Completed(); d > 1000 {
 		t.Fatalf("completed %d lags sends %d by %d", pop.Completed(), net.sends, d)
 	}
-	h := metrics.NewLatHist()
-	pop.Latency(h)
+	h := &net.lat
 	if h.N() != pop.Completed() {
 		t.Fatalf("latency hist N = %d, completed %d", h.N(), pop.Completed())
 	}
 	if q := h.Quantile(0.5); q < 200*sim.Microsecond {
 		t.Fatalf("p50 = %v, want >= the 200µs echo delay", q)
 	}
-	if pop.MeanLatency() <= 0 {
-		t.Fatal("mean latency not recorded")
+	if m := h.Mean(); m != (200 * sim.Microsecond).Seconds() {
+		t.Fatalf("mean latency = %v s, want the 200µs echo delay exactly", m)
 	}
 }
 
@@ -116,15 +119,13 @@ func TestPopulationDeterminism(t *testing.T) {
 	cfg := PopulationConfig{
 		Clients: 200, Rate: 50,
 		Tenant:     workload.TenantConfig{Tenants: 8, TenantSkew: 1, FileSkew: 1, WorkingSet: 8},
-		DiurnalAmp: 0.5, BurstProb: 0.2, BurstFactor: 3,
+		DiurnalAmp: 0.5, BurstProb: 0.2,
 	}
 	run := func(seed int64) (uint64, uint64, sim.Time, uint64) {
-		eng, pop, _ := popFixture(t, cfg, seed, 300*sim.Microsecond)
+		eng, pop, net := popFixture(t, cfg, seed, 300*sim.Microsecond)
 		pop.Start()
 		eng.RunUntil(5 * sim.Second)
-		h := metrics.NewLatHist()
-		pop.Latency(h)
-		return pop.Issued(), pop.Completed(), h.Quantile(0.99), eng.Executed
+		return pop.Issued(), pop.Completed(), net.lat.Quantile(0.99), eng.Executed
 	}
 	i1, c1, q1, e1 := run(42)
 	i2, c2, q2, e2 := run(42)
@@ -152,7 +153,7 @@ func TestPopulationModulationChangesTraffic(t *testing.T) {
 	}
 	plain := run(base)
 	burst := base
-	burst.BurstProb, burst.BurstFactor, burst.BurstEpoch = 0.5, 4, sim.Second
+	burst.BurstProb = 0.5
 	if b := run(burst); b <= plain*11/10 {
 		t.Fatalf("burst modulation did not raise traffic: %d vs %d", b, plain)
 	}
@@ -187,7 +188,7 @@ func TestPopulationHintsSteerDirection(t *testing.T) {
 
 func TestPopulationArrivalAllocFree(t *testing.T) {
 	cfg := PopulationConfig{
-		Clients: 1000, Rate: 200, Tick: sim.Millisecond,
+		Clients: 1000, Rate: 200,
 		Tenant: workload.TenantConfig{Tenants: 4, FileSkew: 1, WorkingSet: 16},
 		// Create-free mix: creates inherently allocate the new name/inode.
 		MixStat: 80, MixReaddir: 10, MixChmod: 10,

@@ -81,8 +81,6 @@ func (p *Population) Snap(c *snap.Codec, tree *namespace.Tree) {
 		snap.U(c, &s.timedOut)
 		snap.U(c, &s.wheel.Ticks)
 		snap.U(c, &s.wheel.Fired)
-		s.welford.Snap(c)
-		s.lat.Snap(c)
 		queue(&s.churn, &s.churnHead, "client: churn ring")
 		queue(&s.baseVictims, &s.baseHead, "client: base victim")
 	}

@@ -218,11 +218,11 @@ type Cluster struct {
 	Forwards       *metrics.Series
 	Arrivals       *metrics.Series
 
-	// Latencies histograms client response times (doubling buckets
-	// from 0.5 ms up; overflow above ~2 s).
-	Latencies *metrics.Histogram
-	// LatH is the log2-bucket latency histogram behind p50/p99/p999
-	// (16 sub-buckets per octave, microsecond domain).
+	// LatH holds the response time of every reply a client accepted —
+	// a duplicate, or a late answer to a retired request, is not a
+	// completion — and is behind p50/p99/p999 and the mean (16
+	// sub-buckets per octave, microsecond domain). Deliver is its one
+	// writer.
 	LatH *metrics.LatHist
 
 	// Pool is the shared OSD pool, when configured.
@@ -233,7 +233,7 @@ type Cluster struct {
 	plane   *fault.Plane
 	strikes []int  // missed-timeout strikes per node
 	down    []bool // nodes confirmed down by suspicion
-	// CompletedOps buckets accepted client completions per SeriesBucket —
+	// CompletedOps buckets the same accepted replies per SeriesBucket —
 	// the availability series (non-nil only in fault mode).
 	CompletedOps *metrics.Series
 	// Failures, Recoveries and Downs log injected crashes, recoveries
@@ -265,18 +265,16 @@ type Cluster struct {
 	table      *partition.SubtreeTable
 	tableEpoch uint64
 	// Per-shard metric lanes: each is written by exactly one shard
-	// during windows and merged into the public aggregates (in shard
-	// order, guarded by lanesMerged) when results are collected.
-	// Arrival/latency lanes are indexed by the client's shard, forward
-	// lanes by the forwarding node's shard. replyReturns parks replies
-	// consumed on a client shard until the barrier hands them back to
-	// the serving node's pool.
+	// during windows and summed into the public aggregates (in shard
+	// order) when results are collected. Arrival/latency lanes are
+	// indexed by the client's shard, forward lanes by the forwarding
+	// node's shard. replyReturns parks replies consumed on a client
+	// shard until the barrier hands them back to the serving node's
+	// pool.
 	arrivalLanes []*metrics.Series
-	latencyLanes []*metrics.Histogram
 	latHistLanes []*metrics.LatHist
 	forwardLanes []*metrics.Series
 	replyReturns [][]*msg.Reply
-	lanesMerged  bool
 
 	// lastSnapLen is the length of the checkpoint this cluster last
 	// wrote or was restored from: CheckpointTo's buffer-size hint, not
@@ -352,7 +350,6 @@ func New(cfg Config) (*Cluster, error) {
 		Fab:       net.NewFabric(eng, cfg.NumMDS, model),
 		Forwards:  metrics.NewSeries(cfg.SeriesBucket),
 		Arrivals:  metrics.NewSeries(cfg.SeriesBucket),
-		Latencies: metrics.NewHistogram(0.0005, 12), // 0.5 ms .. ~2 s
 		LatH:      metrics.NewLatHist(),
 		numShards: shards,
 	}
@@ -362,13 +359,11 @@ func New(cfg Config) (*Cluster, error) {
 	if shards > 1 {
 		c.shardEngines = make([]*sim.Engine, shards)
 		c.arrivalLanes = make([]*metrics.Series, shards)
-		c.latencyLanes = make([]*metrics.Histogram, shards)
 		c.latHistLanes = make([]*metrics.LatHist, shards)
 		c.forwardLanes = make([]*metrics.Series, shards)
 		for i := range c.shardEngines {
 			c.shardEngines[i] = sim.NewEngine()
 			c.arrivalLanes[i] = metrics.NewSeries(cfg.SeriesBucket)
-			c.latencyLanes[i] = metrics.NewHistogram(0.0005, 12)
 			c.latHistLanes[i] = metrics.NewLatHist()
 			c.forwardLanes[i] = metrics.NewSeries(cfg.SeriesBucket)
 		}
@@ -660,11 +655,7 @@ func (c *Cluster) buildClients() error {
 		if c.numShards > 1 {
 			cliEng = c.shardEngines[i%c.numShards]
 		}
-		cl := client.New(i, cliEng, cfg.Client, rng, c, c.Strategy, gen)
-		if c.CompletedOps != nil {
-			cl.OnComplete = c.observeComplete
-		}
-		c.Clients = append(c.Clients, cl)
+		c.Clients = append(c.Clients, client.New(i, cliEng, cfg.Client, rng, c, c.Strategy, gen))
 	}
 	return nil
 }
@@ -737,30 +728,35 @@ func (c *Cluster) Tree() *namespace.Tree { return c.Snap.Tree }
 // node and the client edge.
 func (c *Cluster) Fabric() *net.Fabric { return c.Fab }
 
-// Deliver implements mds.Cluster: route the reply to its client. When
-// sharded this runs on the client's shard; the consumed reply is parked
-// in that shard's return buffer until the barrier recycles it into the
-// serving node's pool (the two may live on different shards).
+// Deliver implements mds.Cluster: route the reply to its client and, if
+// the client accepts it, record the completion — the one place a
+// response time is measured. When sharded this runs on the client's
+// shard and writes that shard's lane; the consumed reply is parked in
+// the shard's return buffer until the barrier recycles it into the
+// serving node's pool (the two may live on different shards). A fault
+// schedule runs the windows on one goroutine, so CompletedOps needs no
+// lane.
 func (c *Cluster) Deliver(rep *msg.Reply) {
+	eng, lat, shard := c.Eng, c.LatH, 0
 	if c.numShards > 1 {
-		shard := rep.Client % c.numShards
-		c.latencyLanes[shard].Observe(rep.Latency().Seconds())
-		c.latHistLanes[shard].Observe(rep.Latency())
-		if c.Pop != nil {
-			c.Pop.OnReply(rep)
-		} else {
-			c.Clients[rep.Client].OnReply(rep)
-		}
-		c.replyReturns[shard] = append(c.replyReturns[shard], rep)
-		return
+		shard = rep.Client % c.numShards
+		eng, lat = c.shardEngines[shard], c.latHistLanes[shard]
 	}
-	c.Latencies.Observe(rep.Latency().Seconds())
-	c.LatH.Observe(rep.Latency())
+	var accepted bool
 	if c.Pop != nil {
-		c.Pop.OnReply(rep)
-		return
+		accepted = c.Pop.OnReply(rep)
+	} else {
+		accepted = c.Clients[rep.Client].OnReply(rep)
 	}
-	c.Clients[rep.Client].OnReply(rep)
+	if accepted {
+		lat.Observe(rep.Latency())
+		if c.CompletedOps != nil {
+			c.CompletedOps.Observe(eng.Now(), 1)
+		}
+	}
+	if c.numShards > 1 {
+		c.replyReturns[shard] = append(c.replyReturns[shard], rep)
+	}
 }
 
 // DeliverConsumesReply tells the MDS that Deliver hands the reply to
@@ -834,31 +830,8 @@ func (c *Cluster) snapshotWarmup() {
 
 // Run executes the simulation and gathers results.
 func (c *Cluster) Run() *Result {
-	runStart := time.Now()
-	if c.Pop != nil {
-		c.Pop.Start()
-	}
-	stagger := sim.Time(0)
-	for _, cl := range c.Clients {
-		cl.Start(stagger)
-		stagger += 17 * sim.Microsecond // de-synchronize the herd
-	}
-	if c.Balancer != nil {
-		c.Balancer.Start()
-	}
-	for _, n := range c.Nodes {
-		n.StartFlusher()
-	}
-	if c.Cfg.Warmup > 0 && c.Cfg.Warmup < c.Cfg.Duration {
-		c.Eng.At(c.Cfg.Warmup, c.snapshotWarmup)
-	}
-	c.scheduleFaults()
-	if c.group != nil {
-		c.group.Run(c.Cfg.Duration)
-	} else {
-		c.Eng.RunUntil(c.Cfg.Duration)
-	}
-	c.runWall = time.Since(runStart)
+	c.StartEndure()
+	c.RunTo(c.Cfg.Duration)
 	return c.Collect()
 }
 
@@ -892,7 +865,7 @@ type Result struct {
 	HitRate       float64
 	PrefixFrac    float64
 	ForwardFrac   float64
-	MeanLatency   float64 // seconds
+	MeanLatency   float64 // seconds; exact (Cluster.LatH's integer sum)
 	Migrations    int
 	Delegations   int // subtree delegations in the dynamic partition at the end
 	Replications  uint64
@@ -902,9 +875,8 @@ type Result struct {
 	WritesAbsorbed uint64
 	SizeCallbacks  uint64
 	// LatencyP50, LatencyP99 and LatencyP999 are client response-time
-	// quantile bounds in seconds (whole run, including warmup). P999
-	// comes from the fine-grained log2-bucket histogram; for open-loop
-	// runs all three do.
+	// quantile bounds in seconds (whole run, including warmup), from the
+	// same histogram as MeanLatency: Cluster.LatH.
 	LatencyP50  float64
 	LatencyP99  float64
 	LatencyP999 float64
@@ -973,22 +945,19 @@ type Result struct {
 
 // Collect assembles the Result (callable after Run).
 func (c *Cluster) Collect() *Result {
-	if c.numShards > 1 && !c.lanesMerged {
-		c.lanesMerged = true
-		for _, s := range c.arrivalLanes {
-			c.Arrivals.Merge(s)
-		}
-		for _, s := range c.forwardLanes {
-			c.Forwards.Merge(s)
-		}
-		for _, h := range c.latencyLanes {
-			c.Latencies.Merge(h)
-		}
-		for _, h := range c.latHistLanes {
-			c.LatH.Merge(h)
+	cfg := c.Cfg
+	if c.numShards > 1 {
+		// A sharded run's aggregates are the sum of its lanes, in shard
+		// order, rebuilt at every collection: a later Collect (after
+		// Drain, say) sees what the lanes have gathered since.
+		c.Arrivals, c.Forwards = metrics.NewSeries(cfg.SeriesBucket), metrics.NewSeries(cfg.SeriesBucket)
+		c.LatH.Reset()
+		for i := 0; i < c.numShards; i++ {
+			c.Arrivals.Merge(c.arrivalLanes[i])
+			c.Forwards.Merge(c.forwardLanes[i])
+			c.LatH.Merge(c.latHistLanes[i])
 		}
 	}
-	cfg := c.Cfg
 	window := cfg.Duration - cfg.Warmup
 	if !c.warmTaken {
 		window = cfg.Duration
@@ -1060,15 +1029,9 @@ func (c *Cluster) Collect() *Result {
 	if arrivals > 0 {
 		r.ForwardFrac = float64(forwards) / float64(arrivals)
 	}
-	var lat metrics.Welford
-	for _, cl := range c.Clients {
-		if cl.Stats.Latency.N() > 0 {
-			lat.Add(cl.Stats.Latency.Mean())
-		}
-	}
-	r.MeanLatency = lat.Mean()
-	r.LatencyP50 = c.Latencies.Quantile(0.5)
-	r.LatencyP99 = c.Latencies.Quantile(0.99)
+	r.MeanLatency = c.LatH.Mean()
+	r.LatencyP50 = c.LatH.Quantile(0.5).Seconds()
+	r.LatencyP99 = c.LatH.Quantile(0.99).Seconds()
 	r.LatencyP999 = c.LatH.Quantile(0.999).Seconds()
 	if c.Pop != nil {
 		r.OpenLoop = true
@@ -1076,9 +1039,6 @@ func (c *Cluster) Collect() *Result {
 		r.Issued = c.Pop.Issued()
 		r.Completed = c.Pop.Completed()
 		r.PopFootprint = c.Pop.FootprintBytes()
-		r.MeanLatency = c.Pop.MeanLatency()
-		r.LatencyP50 = c.LatH.Quantile(0.5).Seconds()
-		r.LatencyP99 = c.LatH.Quantile(0.99).Seconds()
 		r.LeaseHits = c.Pop.LeaseHits()
 		r.HotspotLocal, r.HotspotRemote = c.Pop.HotspotOps()
 		r.PopRetries = c.Pop.Retries()

@@ -64,13 +64,19 @@ func (c *Cluster) subtreeTable() *partition.SubtreeTable {
 	return nil
 }
 
-// StartEndure arms the cluster exactly as Run does — population,
-// balancer, flushers, warmup snapshot, fault schedule — but returns
-// without executing. The endurance runner then advances time in
-// segments with RunTo, quiescing at each checkpoint.
+// StartEndure arms the cluster — population or closed-loop clients,
+// balancer, flushers, warmup snapshot, fault schedule — and returns
+// without executing: Run's first step, and the endurance runner's, which
+// then advances time in segments with RunTo, quiescing at each
+// checkpoint.
 func (c *Cluster) StartEndure() {
 	if c.Pop != nil {
 		c.Pop.Start()
+	}
+	stagger := sim.Time(0)
+	for _, cl := range c.Clients {
+		cl.Start(stagger)
+		stagger += 17 * sim.Microsecond // de-synchronize the herd
 	}
 	if c.Balancer != nil {
 		c.Balancer.Start()
@@ -81,7 +87,7 @@ func (c *Cluster) StartEndure() {
 	if c.Cfg.Warmup > 0 && c.Cfg.Warmup < c.Cfg.Duration {
 		c.Eng.At(c.Cfg.Warmup, c.snapshotWarmup)
 	}
-	c.scheduleFaults()
+	c.scheduleFaults(-1)
 }
 
 // StartEndureRestored arms a freshly built cluster for a restored
@@ -96,37 +102,7 @@ func (c *Cluster) StartEndureRestored(t sim.Time) {
 	if c.Cfg.Warmup > t && c.Cfg.Warmup < c.Cfg.Duration {
 		c.Eng.At(c.Cfg.Warmup, c.snapshotWarmup)
 	}
-	if c.sched == nil {
-		return
-	}
-	for _, ev := range c.sched.Crashes {
-		if ev.At <= t {
-			continue
-		}
-		ev := ev
-		c.Eng.At(ev.At, func() {
-			c.Nodes[ev.Node].Fail()
-			c.Failures = append(c.Failures, FaultEvent{At: ev.At, Node: ev.Node})
-		})
-	}
-	for _, ev := range c.sched.Recovers {
-		if ev.At <= t {
-			continue
-		}
-		ev := ev
-		c.Eng.At(ev.At, func() {
-			c.RecoverNode(ev.Node) //nolint:errcheck // node index validated at parse
-		})
-	}
-	for _, w := range c.sched.Slows {
-		w := w
-		if w.From > t {
-			c.Eng.At(w.From, func() { c.Nodes[w.Node].SetSlow(w.Factor) })
-		}
-		if w.To > t {
-			c.Eng.At(w.To, func() { c.Nodes[w.Node].SetSlow(1) })
-		}
-	}
+	c.scheduleFaults(t)
 }
 
 // RunTo advances the simulation to absolute virtual time t (through the
@@ -213,9 +189,6 @@ func (c *Cluster) Resume() {
 // successful Quiesce; the per-subsystem walks panic on any trace of
 // in-flight work.
 func (c *Cluster) CheckpointTo(w *snap.Writer) {
-	if c.lanesMerged {
-		panic("cluster: checkpoint after lanes were merged (Collect already ran)")
-	}
 	// A run's checkpoints grow slowly: room for the last one's length
 	// and an eighth, plus the writer's trailer, makes this one a single
 	// allocation instead of append's doublings from empty.
@@ -318,7 +291,6 @@ func (c *Cluster) snap(sc *snap.Codec) {
 		}
 		c.Forwards.Snap(sc)
 		c.Arrivals.Snap(sc)
-		c.Latencies.Snap(sc)
 		c.LatH.Snap(sc)
 		lanes := -1
 		if c.numShards > 1 {
@@ -328,7 +300,6 @@ func (c *Cluster) snap(sc *snap.Codec) {
 		for i := 0; i < lanes; i++ {
 			c.arrivalLanes[i].Snap(sc)
 			c.forwardLanes[i].Snap(sc)
-			c.latencyLanes[i].Snap(sc)
 			c.latHistLanes[i].Snap(sc)
 		}
 		snap.U(sc, &c.warmServed)

@@ -56,17 +56,23 @@ type FaultEvent struct {
 	Warmed int
 }
 
-// scheduleFaults posts the parsed schedule's node events onto the
-// engine. Crashes only mark the node dead — detection and subtree
-// reassignment happen through the suspicion protocol, not by fiat —
-// while recoveries go through RecoverNode so the warmed-count and the
-// down/strike state are handled in one place. Drop, lag and partition
-// rules need no events: the fault plane evaluates them per message.
-func (c *Cluster) scheduleFaults() {
+// scheduleFaults posts the parsed schedule's node events that lie after
+// the given instant onto the engine: a fresh run arms from before time
+// zero, a restored one from its checkpoint, whose earlier events the
+// checkpointed run already dispatched. Crashes only mark the node dead —
+// detection and subtree reassignment happen through the suspicion
+// protocol, not by fiat — while recoveries go through RecoverNode so the
+// warmed-count and the down/strike state are handled in one place. Drop,
+// lag and partition rules need no events: the fault plane evaluates them
+// per message.
+func (c *Cluster) scheduleFaults(after sim.Time) {
 	if c.sched == nil {
 		return
 	}
 	for _, ev := range c.sched.Crashes {
+		if ev.At <= after {
+			continue
+		}
 		ev := ev
 		c.Eng.At(ev.At, func() {
 			c.Nodes[ev.Node].Fail()
@@ -74,6 +80,9 @@ func (c *Cluster) scheduleFaults() {
 		})
 	}
 	for _, ev := range c.sched.Recovers {
+		if ev.At <= after {
+			continue
+		}
 		ev := ev
 		c.Eng.At(ev.At, func() {
 			c.RecoverNode(ev.Node) //nolint:errcheck // node index validated at parse
@@ -81,15 +90,13 @@ func (c *Cluster) scheduleFaults() {
 	}
 	for _, w := range c.sched.Slows {
 		w := w
-		c.Eng.At(w.From, func() { c.Nodes[w.Node].SetSlow(w.Factor) })
-		c.Eng.At(w.To, func() { c.Nodes[w.Node].SetSlow(1) })
+		if w.From > after {
+			c.Eng.At(w.From, func() { c.Nodes[w.Node].SetSlow(w.Factor) })
+		}
+		if w.To > after {
+			c.Eng.At(w.To, func() { c.Nodes[w.Node].SetSlow(1) })
+		}
 	}
-}
-
-// observeComplete feeds the per-second availability series (client
-// OnComplete hook; attached only in fault mode).
-func (c *Cluster) observeComplete(now sim.Time) {
-	c.CompletedOps.Observe(now, 1)
 }
 
 // Suspect implements mds.FaultCluster: one missed-timeout strike

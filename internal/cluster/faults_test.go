@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
 
+	"dynmds/internal/metrics"
 	"dynmds/internal/net"
 	"dynmds/internal/sim"
 )
@@ -96,6 +99,66 @@ func TestFaultyMessageConservation(t *testing.T) {
 				t.Errorf("events: failures=%v recoveries=%v", res.Failures, res.Recoveries)
 			}
 		})
+	}
+}
+
+// TestCompletionRecordedOncePerAcceptedReply holds the response-time
+// sample set to the clients' own ledger under drops, retries and a crash
+// window, for both client models, serial and sharded: after the drain
+// the latency histogram holds exactly one sample per completed
+// operation and the availability series sums to the same number — a
+// duplicate reply, or a late answer to a request already retired, is in
+// neither. A sharded run's mean is the same bits whichever order its
+// lanes are summed in.
+func TestCompletionRecordedOncePerAcceptedReply(t *testing.T) {
+	loops := []struct {
+		name string
+		cfg  Config
+	}{
+		{"closed", fig2QuickConfig(StratDynamic)},
+		{"open", openLoopConfig(StratDynamic)},
+	}
+	for _, loop := range loops {
+		for _, shards := range []int{0, 2} {
+			cfg := loop.cfg
+			cfg.Shards = shards
+			cfg.Faults = "drop@0.05:all,crash@2s-4s:mds1"
+			t.Run(fmt.Sprintf("%s/shards=%d", loop.name, shards), func(t *testing.T) {
+				t.Parallel()
+				cl, res := runConfig(t, cfg)
+				if res.Retries == 0 {
+					t.Fatal("the schedule caused no retransmission: no duplicate reply to refuse")
+				}
+				cl.Drain()
+				if err := cl.DrainCheck(); err != nil {
+					t.Fatal(err)
+				}
+				res = cl.Collect()
+				if n := cl.LatH.N(); n != res.Completed {
+					t.Errorf("latency samples %d != completed %d", n, res.Completed)
+				}
+				var series int64
+				for i := 0; i < res.CompletedOps.Len(); i++ {
+					series += res.CompletedOps.Count(i)
+				}
+				if uint64(series) != res.Completed {
+					t.Errorf("availability series sums to %d != completed %d", series, res.Completed)
+				}
+				if res.MeanLatency != cl.LatH.Mean() || res.MeanLatency <= 0 {
+					t.Errorf("mean latency %v, histogram mean %v", res.MeanLatency, cl.LatH.Mean())
+				}
+				if shards > 1 {
+					var fwd, rev metrics.LatHist
+					for i := range cl.latHistLanes {
+						fwd.Merge(cl.latHistLanes[i])
+						rev.Merge(cl.latHistLanes[len(cl.latHistLanes)-1-i])
+					}
+					if a, b := math.Float64bits(fwd.Mean()), math.Float64bits(rev.Mean()); a != b || a != math.Float64bits(res.MeanLatency) {
+						t.Errorf("lane order changes the mean: %x forward, %x reversed, %x collected", a, b, math.Float64bits(res.MeanLatency))
+					}
+				}
+			})
+		}
 	}
 }
 

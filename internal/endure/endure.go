@@ -54,9 +54,6 @@ type Options struct {
 	// bitset. 0 means DefaultCompactAt; negative disables the fix (to
 	// measure the unfixed degradation curve).
 	CompactAt int
-	// Fsck disables the per-checkpoint consistency check when false...
-	// it defaults on via Normalize; set SkipFsck to opt out.
-	SkipFsck bool
 	// OnRow, when set, observes each degradation-curve row as it is
 	// produced (progress reporting).
 	OnRow func(Row)
@@ -277,10 +274,8 @@ func (st *runState) segment(k int) error {
 		tree.CompactTombstones()
 	}
 	st.rows = append(st.rows, st.row(k, at))
-	if !st.opt.SkipFsck {
-		if err := chaos.Fsck(c, st.base); err != nil {
-			return &FsckError{Checkpoint: k, At: at, Err: err}
-		}
+	if err := chaos.Fsck(c, st.base); err != nil {
+		return &FsckError{Checkpoint: k, At: at, Err: err}
 	}
 	// Re-baseline the read-through counters after the checker's walk so
 	// its probes don't pollute the next segment's rate.

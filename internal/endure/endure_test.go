@@ -2,6 +2,7 @@ package endure
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -297,30 +298,33 @@ func TestValidateSnapshot(t *testing.T) {
 	}
 }
 
-// TestSnapshotVersionRejected: a future-format file is refused before
-// any post-version field is decoded.
+// TestSnapshotVersionRejected: a file of another format version — the
+// one before this build's (version 1 carried the latency recorders this
+// format dropped) or one past it — is refused with the version message
+// before any post-version field is decoded.
 func TestSnapshotVersionRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "future.snap")
-	data := futureVersionSnapshot()
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := decodeHeader(data); err == nil ||
-		!strings.Contains(err.Error(), "version") {
-		t.Errorf("future version: %v", err)
-	}
-	if err := ValidateSnapshot(testOptions(0, ""), path); err == nil ||
-		!strings.Contains(err.Error(), "version") {
-		t.Errorf("ValidateSnapshot future version: %v", err)
+	for _, version := range []int{1, SnapshotVersion + 1} {
+		path := filepath.Join(t.TempDir(), "other.snap")
+		data := versionOnlySnapshot(version)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("snapshot version %d, this build reads version %d", version, SnapshotVersion)
+		if _, _, err := decodeHeader(data); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("version %d: decodeHeader: %v, want %q", version, err, want)
+		}
+		if err := ValidateSnapshot(testOptions(0, ""), path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("version %d: ValidateSnapshot: %v, want %q", version, err, want)
+		}
 	}
 }
 
-// futureVersionSnapshot fabricates a checksummed snapshot whose format
-// version is one past this build's.
-func futureVersionSnapshot() []byte {
+// versionOnlySnapshot fabricates a checksummed snapshot that ends after
+// its format version.
+func versionOnlySnapshot(version int) []byte {
 	w := snap.NewWriter()
 	w.Begin("endure")
-	w.Int(SnapshotVersion + 1)
+	w.Int(version)
 	w.End()
 	return w.Bytes()
 }

@@ -77,12 +77,8 @@ type Config struct {
 	// covered by the client's retry timeout.
 	FwdTimeout sim.Time
 
-	// Ablation knobs (see DESIGN.md).
+	// Ablation knob (see DESIGN.md).
 	//
-	// NoPrefetch disables embedded-inode sibling prefetch even on
-	// directory-granular layouts: the whole directory is still read in
-	// one I/O, but siblings are not retained.
-	NoPrefetch bool
 	// PrefetchHot inserts prefetched siblings at the hot MRU end
 	// instead of near the LRU tail, letting speculation displace known
 	// useful entries (the policy §4.5 argues against).
@@ -1040,7 +1036,7 @@ func dirLoaded(x, _ any) {
 	m.insertLoaded(ino, f.cl)
 	// Embedded inodes: the whole directory came along; insert the
 	// siblings near the LRU tail (§4.5).
-	if parent := ino.Parent(); parent != nil && !m.cfg.NoPrefetch {
+	if parent := ino.Parent(); parent != nil {
 		for _, sib := range parent.Children() {
 			if sib == ino || m.cache.Contains(sib.ID) {
 				continue
@@ -1092,7 +1088,16 @@ func lhPropagated(a, b any) {
 	if m.failed {
 		return
 	}
-	m.commit(req.Target, func() { m.finishServe2(req) })
+	m.Stats.Commits++
+	m.store.CommitCall(req.Target.ID, lhCommitted, m, req)
+}
+
+// lhCommitted resumes the op once the refreshed ACL is in the bounded
+// log (§4.6).
+func lhCommitted(a, b any) {
+	if m := a.(*MDS); !m.failed {
+		m.finishServe2(b.(*msg.Request))
+	}
 }
 
 func (m *MDS) finishServe2(req *msg.Request) {
@@ -1364,17 +1369,6 @@ func (m *MDS) maybeFanOut(target *namespace.Inode) {
 
 func (m *MDS) bumpPopularity(ino *namespace.Inode) {
 	m.eng.Defer(bumpPop, m, ino)
-}
-
-// commit appends the update to the bounded log (§4.6).
-func (m *MDS) commit(ino *namespace.Inode, done func()) {
-	m.Stats.Commits++
-	m.store.Commit(ino.ID, func() {
-		if m.failed {
-			return
-		}
-		done()
-	})
 }
 
 // applyUpdate mutates the shared namespace. Failed mutations (duplicate

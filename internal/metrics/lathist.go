@@ -19,10 +19,12 @@ const (
 // LatHist is a bounded log2-bucket latency histogram: microsecond
 // values land in one of 976 fixed counters (16 linear sub-buckets per
 // octave), so p50/p99/p999 for tens of millions of observations cost
-// 8 KB and zero allocations — no per-op samples. Welford remains the
-// tool for mean/stddev; LatHist only answers quantiles.
+// 8 KB and zero allocations — no per-op samples. Beside the buckets it
+// keeps the exact integer sum of what it was shown, so the mean is exact
+// and does not depend on the order observations or lanes arrive in.
 type LatHist struct {
 	n       uint64
+	sum     uint64 // microseconds
 	buckets [latBuckets]uint64
 }
 
@@ -55,10 +57,19 @@ func (h *LatHist) Observe(d sim.Time) {
 	}
 	h.buckets[latIndex(uint64(d))]++
 	h.n++
+	h.sum += uint64(d)
 }
 
 // N returns the observation count.
 func (h *LatHist) N() uint64 { return h.n }
+
+// Mean returns the mean observation in seconds, 0 when empty.
+func (h *LatHist) Mean() float64 {
+	if h.n == 0 {
+		return 0
+	}
+	return float64(h.sum) / float64(h.n) / float64(sim.Second)
+}
 
 // Quantile returns an upper bound for the q-quantile (0 < q <= 1): the
 // top of the bucket holding the ceil(q*N)-th smallest observation.
@@ -87,6 +98,7 @@ func (h *LatHist) Quantile(q float64) sim.Time {
 // Merge folds src into h (sharded runs keep one lane per shard).
 func (h *LatHist) Merge(src *LatHist) {
 	h.n += src.n
+	h.sum += src.sum
 	for i := range h.buckets {
 		h.buckets[i] += src.buckets[i]
 	}
@@ -95,9 +107,10 @@ func (h *LatHist) Merge(src *LatHist) {
 // Reset zeroes the histogram.
 func (h *LatHist) Reset() { *h = LatHist{} }
 
-// Snap walks the non-empty buckets for checkpoints; the restoring
-// histogram starts empty.
+// Snap walks the sum and the non-empty buckets for checkpoints; the
+// restoring histogram starts empty.
 func (h *LatHist) Snap(c *snap.Codec) {
+	snap.U(c, &h.sum)
 	snap.Sparse(c, len(h.buckets), "metrics: latency bucket",
 		func(i int) bool { return h.buckets[i] != 0 },
 		func(i int) {
@@ -116,7 +129,8 @@ func (h *LatHist) State(fn func(idx int, count uint64)) {
 	}
 }
 
-// SetBucket sets one bucket's count, keeping N in step.
+// SetBucket sets one bucket's count, keeping N in step (the sum is not
+// the buckets' to give: a histogram built this way answers quantiles).
 func (h *LatHist) SetBucket(idx int, count uint64) {
 	h.n += count - h.buckets[idx]
 	h.buckets[idx] = count

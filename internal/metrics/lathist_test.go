@@ -63,7 +63,8 @@ func TestLatHistQuantiles(t *testing.T) {
 }
 
 // TestLatHistMerge checks lane merging matches a single histogram fed
-// the union.
+// the union — quantiles, and the mean to the bit in either merge order,
+// which a running floating-point mean would not give.
 func TestLatHistMerge(t *testing.T) {
 	a, b, all := NewLatHist(), NewLatHist(), NewLatHist()
 	for i := 0; i < 500; i++ {
@@ -76,7 +77,13 @@ func TestLatHistMerge(t *testing.T) {
 		b.Observe(v)
 		all.Observe(v)
 	}
+	ba := NewLatHist()
+	ba.Merge(b)
+	ba.Merge(a)
 	a.Merge(b)
+	if m := all.Mean(); m <= 0 || a.Mean() != m || ba.Mean() != m {
+		t.Fatalf("mean: union %v, a+b %v, b+a %v", m, a.Mean(), ba.Mean())
+	}
 	if a.N() != all.N() {
 		t.Fatalf("merged n = %d, want %d", a.N(), all.N())
 	}
@@ -91,15 +98,15 @@ func TestLatHistMerge(t *testing.T) {
 // observation clamping, reset.
 func TestLatHistEmptyAndClamp(t *testing.T) {
 	h := NewLatHist()
-	if h.Quantile(0.5) != 0 {
-		t.Fatal("empty quantile not 0")
+	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
+		t.Fatal("empty quantile or mean not 0")
 	}
 	h.Observe(-5)
 	if h.N() != 1 || h.Quantile(1) != 0 {
 		t.Fatal("negative observation must clamp to bucket 0")
 	}
 	h.Reset()
-	if h.N() != 0 || h.Quantile(0.5) != 0 {
+	if h.N() != 0 || h.Quantile(0.5) != 0 || h.Mean() != 0 {
 		t.Fatal("reset did not clear")
 	}
 }

@@ -221,38 +221,6 @@ func (w *Welford) Mean() float64 { return w.mean }
 func (w *Welford) Min() float64 { return w.min }
 func (w *Welford) Max() float64 { return w.max }
 
-// Merge folds src into w (parallel-variance combination). Sharded runs
-// keep one accumulator per shard and merge at collection time.
-func (w *Welford) Merge(src *Welford) {
-	if src.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *src
-		return
-	}
-	if src.min < w.min {
-		w.min = src.min
-	}
-	if src.max > w.max {
-		w.max = src.max
-	}
-	n := w.n + src.n
-	d := src.mean - w.mean
-	w.m2 += src.m2 + d*d*float64(w.n)*float64(src.n)/float64(n)
-	w.mean += d * float64(src.n) / float64(n)
-	w.n = n
-}
-
-// Snap walks the accumulator fields for checkpoints.
-func (w *Welford) Snap(c *snap.Codec) {
-	snap.I(c, &w.n)
-	c.F64(&w.mean)
-	c.F64(&w.m2)
-	c.F64(&w.min)
-	c.F64(&w.max)
-}
-
 // Stddev returns the sample standard deviation.
 func (w *Welford) Stddev() float64 {
 	if w.n < 2 {

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"strings"
 	"testing"
 
 	"dynmds/internal/sim"
@@ -43,40 +42,4 @@ func TestSeriesSparkline(t *testing.T) {
 	if got := SeriesSparkline(s, -5, 100); len([]rune(got)) != 10 {
 		t.Fatal("range clamping broken")
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(1, 4) // bounds 1,2,4,8 + overflow
-	for _, v := range []float64{0.5, 1.5, 3, 7, 100} {
-		h.Observe(v)
-	}
-	if h.Total() != 5 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if q := h.Quantile(0); q != 1 {
-		t.Fatalf("q0 = %v", q)
-	}
-	if q := h.Quantile(0.5); q != 4 {
-		t.Fatalf("q50 = %v", q)
-	}
-	if q := h.Quantile(0.99); q != 16 { // overflow bucket
-		t.Fatalf("q99 = %v", q)
-	}
-	out := h.String()
-	if !strings.Contains(out, "overflow") || !strings.Contains(out, "#") {
-		t.Fatalf("histogram render:\n%s", out)
-	}
-	var empty Histogram
-	if empty.Quantile(0.5) != 0 {
-		t.Fatal("empty quantile nonzero")
-	}
-}
-
-func TestHistogramPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewHistogram(0, 3)
 }

@@ -50,9 +50,6 @@ func NewPlacement(n int) (*Placement, error) {
 	return p, nil
 }
 
-// NumDevices returns the device count.
-func (p *Placement) NumDevices() int { return len(p.weights) }
-
 // AddDevice grows the cluster by one device of the given weight,
 // returning its index. Existing objects move only onto the new device
 // (minimal movement).

@@ -168,9 +168,6 @@ func (e *Engine) NextEventTime() (t Time, ok bool) {
 // shard engines; serial engines leave it off.
 func (e *Engine) SetDeferring(on bool) { e.deferring = on }
 
-// Deferring reports whether Defer currently buffers instead of calling.
-func (e *Engine) Deferring() bool { return e.deferring }
-
 // Defer runs fn(a, b) immediately in serial execution, or records it for
 // deterministic application at the next shard barrier in sharded
 // execution. Model code routes every mutation of cross-shard shared
@@ -184,9 +181,6 @@ func (e *Engine) Defer(fn EventFunc, a, b any) {
 	e.gopSeq++
 	e.gops = append(e.gops, gop{at: e.now, seq: e.gopSeq, fn: fn, a: a, b: b})
 }
-
-// PendingDeferred reports the number of buffered deferred calls.
-func (e *Engine) PendingDeferred() int { return len(e.gops) }
 
 // less orders events by (at, seq).
 func less(x, y *event) bool {

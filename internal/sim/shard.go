@@ -61,9 +61,6 @@ func NewShardGroup(shards []*Engine, global *Engine, lookahead Time, parallel bo
 // Shards returns the shard engines, indexed by shard.
 func (g *ShardGroup) Shards() []*Engine { return g.shards }
 
-// Global returns the barrier-phase engine.
-func (g *ShardGroup) Global() *Engine { return g.global }
-
 // ExecutedEvents sums events dispatched across the shard and global
 // engines.
 func (g *ShardGroup) ExecutedEvents() uint64 {

@@ -70,9 +70,9 @@ func TestStoreSharedPoolRouting(t *testing.T) {
 	s := New(eng, cfg)
 
 	var readDone, dirDone, commitDone bool
-	s.ReadInode(11, func() { readDone = true })
-	s.ReadDir(12, 5, func() { dirDone = true })
-	s.Commit(13, func() { commitDone = true })
+	s.ReadInodeCall(11, run, func() { readDone = true }, nil)
+	s.ReadDirCall(12, 5, run, func() { dirDone = true }, nil)
+	s.CommitCall(13, run, func() { commitDone = true }, nil)
 	eng.Run()
 	if !readDone || !dirDone || !commitDone {
 		t.Fatalf("callbacks: %v %v %v", readDone, dirDone, commitDone)
@@ -96,7 +96,7 @@ func TestStoreSharedPoolRouting(t *testing.T) {
 func TestReadUtilizationLocalMode(t *testing.T) {
 	eng := sim.NewEngine()
 	s := New(eng, testConfig())
-	s.ReadInode(1, nil)
+	s.ReadInodeCall(1, run, nil, nil)
 	eng.RunUntil(2020) // read takes 1010
 	if u := s.ReadUtilization(eng.Now()); u <= 0.4 || u > 0.6 {
 		t.Fatalf("utilization = %v, want ~0.5", u)

@@ -120,21 +120,10 @@ func (s *Store) scaled(t sim.Time) sim.Time {
 	return sim.Time(float64(t) * s.slow)
 }
 
-// ReadInode fetches a single metadata record (scattered-inode layout)
-// for the given inode. done runs when the I/O completes.
-func (s *Store) ReadInode(id namespace.InodeID, done func()) {
-	s.Stats.InodeReads++
-	s.Stats.RecordsRead++
-	if s.cfg.Pool != nil {
-		s.cfg.Pool.Read(osd.DirObject(id), 1, done)
-		return
-	}
-	s.readDisk.Submit(s.scaled(s.cfg.ReadLatency+s.cfg.ReadPerRecord), done)
-}
-
-// ReadInodeCall is the allocation-free form of ReadInode: the
-// completion runs fn(a, b) with the payload riding in the event. The
-// shared-pool path still closes over the arguments (it is an ablation
+// ReadInodeCall fetches a single metadata record (scattered-inode
+// layout) for the given inode; fn(a, b) runs when the I/O completes,
+// the payload riding in the event so the read allocates nothing. The
+// shared-pool path closes over the arguments (it is an ablation
 // configuration, not the measured hot path).
 func (s *Store) ReadInodeCall(id namespace.InodeID, fn sim.EventFunc, a, b any) {
 	s.Stats.InodeReads++
@@ -146,22 +135,8 @@ func (s *Store) ReadInodeCall(id namespace.InodeID, fn sim.EventFunc, a, b any) 
 	s.readDisk.SubmitCall(s.scaled(s.cfg.ReadLatency+s.cfg.ReadPerRecord), fn, a, b)
 }
 
-// ReadDir fetches directory dir and its embedded inodes in one I/O:
+// ReadDirCall fetches directory dir and its embedded inodes in one I/O:
 // records is the number of entries transferred (directory + children).
-func (s *Store) ReadDir(dir namespace.InodeID, records int, done func()) {
-	if records < 1 {
-		records = 1
-	}
-	s.Stats.DirReads++
-	s.Stats.RecordsRead += uint64(records)
-	if s.cfg.Pool != nil {
-		s.cfg.Pool.Read(osd.DirObject(dir), records, done)
-		return
-	}
-	s.readDisk.Submit(s.scaled(s.cfg.ReadLatency+sim.Time(records)*s.cfg.ReadPerRecord), done)
-}
-
-// ReadDirCall is the allocation-free form of ReadDir.
 func (s *Store) ReadDirCall(dir namespace.InodeID, records int, fn sim.EventFunc, a, b any) {
 	if records < 1 {
 		records = 1
@@ -175,25 +150,12 @@ func (s *Store) ReadDirCall(dir namespace.InodeID, records int, fn sim.EventFunc
 	s.readDisk.SubmitCall(s.scaled(s.cfg.ReadLatency+sim.Time(records)*s.cfg.ReadPerRecord), fn, a, b)
 }
 
-// Commit appends an update for the inode to the bounded log. Records
+// CommitCall appends an update for the inode to the bounded log. Records
 // expelled from the log are counted as tier writes (they are flushed to
 // the long-term store asynchronously; the flush does not delay reads in
 // this model, matching the paper's write-bandwidth-dominated view).
 // With a shared pool the log object itself lives on OSDs, which is what
 // lets a standby replay a failed node's log (§4.6).
-func (s *Store) Commit(id namespace.InodeID, done func()) {
-	s.Stats.LogAppends++
-	if expelled := s.log.Append(id); expelled {
-		s.Stats.TierWrites++
-	}
-	if s.cfg.Pool != nil {
-		s.cfg.Pool.Write(osd.LogObject(s.cfg.PoolOwner), done)
-		return
-	}
-	s.logDisk.Submit(s.scaled(s.cfg.LogAppendLatency), done)
-}
-
-// CommitCall is the allocation-free form of Commit.
 func (s *Store) CommitCall(id namespace.InodeID, fn sim.EventFunc, a, b any) {
 	s.Stats.LogAppends++
 	if expelled := s.log.Append(id); expelled {

@@ -17,11 +17,19 @@ func testConfig() Config {
 	}
 }
 
+// run is the completion the tests hand the store: the payload is the
+// closure to call, or nil when only the accounting is under test.
+func run(done, _ any) {
+	if done != nil {
+		done.(func())()
+	}
+}
+
 func TestReadInodeLatency(t *testing.T) {
 	eng := sim.NewEngine()
 	s := New(eng, testConfig())
 	var doneAt sim.Time
-	s.ReadInode(1, func() { doneAt = eng.Now() })
+	s.ReadInodeCall(1, run, func() { doneAt = eng.Now() }, nil)
 	eng.Run()
 	if doneAt != 1010 {
 		t.Fatalf("read completed at %v, want 1010", doneAt)
@@ -35,7 +43,7 @@ func TestReadDirEmbeddedCost(t *testing.T) {
 	eng := sim.NewEngine()
 	s := New(eng, testConfig())
 	var doneAt sim.Time
-	s.ReadDir(2, 20, func() { doneAt = eng.Now() })
+	s.ReadDirCall(2, 20, run, func() { doneAt = eng.Now() }, nil)
 	eng.Run()
 	// One positioning cost + 20 record transfers: far cheaper than 20
 	// individual reads — that is the embedded-inode advantage.
@@ -46,7 +54,7 @@ func TestReadDirEmbeddedCost(t *testing.T) {
 		t.Fatalf("stats = %+v", s.Stats)
 	}
 	// Degenerate record count clamps to 1.
-	s.ReadDir(2, 0, nil)
+	s.ReadDirCall(2, 0, run, nil, nil)
 	eng.Run()
 	if s.Stats.RecordsRead != 21 {
 		t.Fatalf("records = %d", s.Stats.RecordsRead)
@@ -58,7 +66,7 @@ func TestReadsQueueOnOneDisk(t *testing.T) {
 	s := New(eng, testConfig())
 	var completions []sim.Time
 	for i := 0; i < 3; i++ {
-		s.ReadInode(namespace.InodeID(i+1), func() { completions = append(completions, eng.Now()) })
+		s.ReadInodeCall(namespace.InodeID(i+1), run, func() { completions = append(completions, eng.Now()) }, nil)
 	}
 	if s.QueueDepth() != 3 {
 		t.Fatalf("queue depth = %d", s.QueueDepth())
@@ -76,21 +84,21 @@ func TestCommitAndTierWrites(t *testing.T) {
 	eng := sim.NewEngine()
 	s := New(eng, testConfig()) // log capacity 4
 	for i := 1; i <= 4; i++ {
-		s.Commit(namespace.InodeID(i), nil)
+		s.CommitCall(namespace.InodeID(i), run, nil, nil)
 	}
 	if s.Stats.TierWrites != 0 {
 		t.Fatalf("tier writes before overflow = %d", s.Stats.TierWrites)
 	}
-	s.Commit(namespace.InodeID(5), nil) // expels 1 -> tier write
+	s.CommitCall(namespace.InodeID(5), run, nil, nil) // expels 1 -> tier write
 	if s.Stats.TierWrites != 1 {
 		t.Fatalf("tier writes = %d, want 1", s.Stats.TierWrites)
 	}
 	// Re-committing an inode already in the log means its expelled older
 	// record is superseded: no tier write.
-	s.Commit(namespace.InodeID(5), nil) // expels 2 -> tier write (distinct inode)
-	s.Commit(namespace.InodeID(5), nil) // expels 3 -> tier write
-	s.Commit(namespace.InodeID(5), nil) // expels 4 -> tier write
-	s.Commit(namespace.InodeID(5), nil) // expels oldest 5, newer 5s remain -> no tier write
+	s.CommitCall(namespace.InodeID(5), run, nil, nil) // expels 2 -> tier write (distinct inode)
+	s.CommitCall(namespace.InodeID(5), run, nil, nil) // expels 3 -> tier write
+	s.CommitCall(namespace.InodeID(5), run, nil, nil) // expels 4 -> tier write
+	s.CommitCall(namespace.InodeID(5), run, nil, nil) // expels oldest 5, newer 5s remain -> no tier write
 	if s.Stats.TierWrites != 4 {
 		t.Fatalf("tier writes = %d, want 4", s.Stats.TierWrites)
 	}
@@ -105,7 +113,7 @@ func TestWorkingSet(t *testing.T) {
 	s := New(eng, testConfig())
 	ids := []namespace.InodeID{7, 8, 7, 9}
 	for _, id := range ids {
-		s.Commit(id, nil)
+		s.CommitCall(id, run, nil, nil)
 	}
 	ws := s.WorkingSet()
 	want := []namespace.InodeID{7, 8, 9}
@@ -169,6 +177,6 @@ func TestDefaultConfig(t *testing.T) {
 	}
 	eng := sim.NewEngine()
 	s := New(eng, Config{LogCapacity: 0, ReadLatency: 1})
-	s.ReadInode(1, nil)
+	s.ReadInodeCall(1, run, nil, nil)
 	eng.Run() // must not panic with clamped log capacity
 }

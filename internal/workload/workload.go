@@ -40,9 +40,6 @@ type Generator interface {
 	// Next returns the next operation. ok=false means the generator
 	// has nothing right now (the client retries shortly).
 	Next(now sim.Time, r *sim.RNG) (Op, bool)
-	// Observe lets the generator see completed replies (e.g. to adopt
-	// a directory it asked to create).
-	Observe(rep *msg.Reply)
 }
 
 // Mix holds relative op-type weights for the general workload.
@@ -136,9 +133,6 @@ func (g *General) SetRegion(home *namespace.Inode) {
 	g.region.Home = home
 	g.cur = home
 }
-
-// Observe implements Generator (no reply feedback needed).
-func (g *General) Observe(rep *msg.Reply) {}
 
 // Next implements Generator.
 func (g *General) Next(now sim.Time, r *sim.RNG) (Op, bool) {
