@@ -104,9 +104,10 @@ type Config struct {
 	SuspicionThreshold int
 
 	// Snapshot, when non-nil, is a pre-generated frozen namespace shared
-	// with other runs; New thaws a private copy-on-write overlay over it
-	// instead of generating from FS. FS/Seed still key the workload RNG
-	// streams, so a run produces bit-identical results either way.
+	// with other runs; nil, New generates one from FS and Seed. Either
+	// way the run thaws a private copy-on-write overlay over it, and
+	// FS/Seed still key the workload RNG streams, so the results are
+	// bit-identical.
 	Snapshot *fsgen.FrozenSnapshot
 
 	// Balancer enables dynamic load balancing (DynamicSubtree only).
@@ -312,18 +313,15 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: client leases require the open-loop traffic plane")
 	}
 	setupStart := time.Now()
-	var snap *fsgen.Snapshot
-	if cfg.Snapshot != nil {
-		snap = cfg.Snapshot.Thaw()
-	} else {
+	frozen := cfg.Snapshot
+	if frozen == nil {
 		fs := cfg.FS
 		fs.Seed = cfg.Seed
-		var err error
-		snap, err = fsgen.Generate(fs)
-		if err != nil {
+		if frozen, err = fsgen.GenerateFrozen(fs); err != nil {
 			return nil, err
 		}
 	}
+	snap := frozen.Thaw()
 	eng := sim.NewEngine()
 	model, err := buildNetModel(cfg)
 	if err != nil {
@@ -913,10 +911,6 @@ type Result struct {
 	// Real time, unrelated to simulated time.
 	SetupWall time.Duration
 	RunWall   time.Duration
-	// SharedSnapshot reports whether this run thawed a shared frozen
-	// namespace rather than generating its own.
-	SharedSnapshot bool
-
 	// Net summarises fabric traffic for the whole run: total messages
 	// and bytes, per-class counters, and the deepest per-link queue.
 	Net net.Stats
@@ -974,7 +968,6 @@ func (c *Cluster) Collect() *Result {
 		Bucket:         cfg.SeriesBucket,
 		SetupWall:      c.setupWall,
 		RunWall:        c.runWall,
-		SharedSnapshot: cfg.Snapshot != nil,
 		Net:            c.Fab.Summary(),
 	}
 	if c.sched != nil {

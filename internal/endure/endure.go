@@ -27,7 +27,6 @@ import (
 
 	"dynmds/internal/chaos"
 	"dynmds/internal/cluster"
-	"dynmds/internal/fsgen"
 	"dynmds/internal/metrics"
 	"dynmds/internal/sim"
 )
@@ -196,30 +195,9 @@ type runState struct {
 	prevMisses    uint64
 }
 
-// ensureFrozen generates the frozen namespace when the config does not
-// already share one. The endurance plane requires the overlay-with-base
-// tree form: tombstones — the thing aging measures — only exist against
-// a frozen base layer.
-func ensureFrozen(cfg *cluster.Config) error {
-	if cfg.Snapshot != nil {
-		return nil
-	}
-	fs := cfg.FS
-	fs.Seed = cfg.Seed
-	frozen, err := fsgen.GenerateFrozen(fs)
-	if err != nil {
-		return err
-	}
-	cfg.Snapshot = frozen
-	return nil
-}
-
 // Run executes a fresh endurance run from t=0.
 func Run(opt Options) (*Result, error) {
 	if err := opt.Normalize(); err != nil {
-		return nil, err
-	}
-	if err := ensureFrozen(&opt.Cluster); err != nil {
 		return nil, err
 	}
 	c, err := cluster.New(opt.Cluster)
@@ -377,9 +355,6 @@ func load(opt *Options, data []byte) (*runState, *header, error) {
 		return nil, nil, err
 	}
 	if err := hdr.position(opt.Every, opt.Cluster.Duration); err != nil {
-		return nil, nil, err
-	}
-	if err := ensureFrozen(&opt.Cluster); err != nil {
 		return nil, nil, err
 	}
 	c, err := cluster.New(opt.Cluster)

@@ -49,9 +49,6 @@ func quiescedAtFirstCheckpoint(t *testing.T, opt *Options) *cluster.Cluster {
 	if err := opt.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ensureFrozen(&opt.Cluster); err != nil {
-		t.Fatal(err)
-	}
 	c, err := cluster.New(opt.Cluster)
 	if err != nil {
 		t.Fatal(err)

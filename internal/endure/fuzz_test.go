@@ -60,7 +60,10 @@ func fuzzConfigs(t testing.TB) []cluster.Config {
 		if err := opt.Normalize(); err != nil {
 			t.Fatal(err)
 		}
-		if err := ensureFrozen(&opt.Cluster); err != nil {
+		fs := opt.Cluster.FS
+		fs.Seed = opt.Cluster.Seed
+		var err error
+		if opt.Cluster.Snapshot, err = fsgen.GenerateFrozen(fs); err != nil {
 			t.Fatal(err)
 		}
 		cfgs[shape] = opt.Cluster

@@ -81,11 +81,6 @@ type Snapshot struct {
 	Projects []*namespace.Inode
 	// System is the root of the shared system tree.
 	System *namespace.Inode
-	// Names interns entry names: generated trees repeat a small set
-	// ("f0000" exists under every user), so sharing one string per
-	// distinct name removes the bulk of generation-time allocation.
-	// Workload generators reuse it for the names they synthesise.
-	Names *namespace.Interner
 }
 
 // FrozenSnapshot is an immutable, shareable form of Snapshot: the tree
@@ -99,33 +94,6 @@ type FrozenSnapshot struct {
 	HomeIDs    []namespace.InodeID
 	ProjectIDs []namespace.InodeID
 	SystemID   namespace.InodeID // 0 when the config has no system tree
-	// Names is the interner the generator used; workload generators for
-	// runs sharing this snapshot must NOT share it (Interner is not
-	// goroutine-safe) — Thaw hands each run a fresh one.
-	Names *namespace.Interner
-}
-
-// GenerateFrozen builds a snapshot and freezes it for sharing.
-func GenerateFrozen(cfg Config) (*FrozenSnapshot, error) {
-	snap, err := Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	base, err := snap.Tree.Freeze()
-	if err != nil {
-		return nil, err
-	}
-	fs := &FrozenSnapshot{Base: base, Names: snap.Names}
-	for _, h := range snap.Homes {
-		fs.HomeIDs = append(fs.HomeIDs, h.ID)
-	}
-	for _, p := range snap.Projects {
-		fs.ProjectIDs = append(fs.ProjectIDs, p.ID)
-	}
-	if snap.System != nil {
-		fs.SystemID = snap.System.ID
-	}
-	return fs, nil
 }
 
 // Thaw layers a private copy-on-write overlay over the shared base and
@@ -138,48 +106,51 @@ func (fs *FrozenSnapshot) Thaw() *Snapshot {
 		Tree:     t,
 		Homes:    make([]*namespace.Inode, len(fs.HomeIDs)),
 		Projects: make([]*namespace.Inode, len(fs.ProjectIDs)),
-		// Workload generators mutate the interner, so each run gets its
-		// own rather than sharing the generator's.
-		Names: namespace.NewInterner(),
+	}
+	resolve := func(id namespace.InodeID) *namespace.Inode {
+		n, ok := t.ByID(id)
+		if !ok {
+			panic(fmt.Sprintf("fsgen: frozen snapshot index inode %d missing", id))
+		}
+		return n
 	}
 	for i, id := range fs.HomeIDs {
-		n, ok := t.ByID(id)
-		if !ok {
-			panic("fsgen: frozen snapshot home inode missing")
-		}
-		snap.Homes[i] = n
+		snap.Homes[i] = resolve(id)
 	}
 	for i, id := range fs.ProjectIDs {
-		n, ok := t.ByID(id)
-		if !ok {
-			panic("fsgen: frozen snapshot project inode missing")
-		}
-		snap.Projects[i] = n
+		snap.Projects[i] = resolve(id)
 	}
 	if fs.SystemID != 0 {
-		n, ok := t.ByID(fs.SystemID)
-		if !ok {
-			panic("fsgen: frozen snapshot system inode missing")
-		}
-		snap.System = n
+		snap.System = resolve(fs.SystemID)
 	}
 	return snap
 }
 
 // namer formats the generator's numbered names ("u0042", "lib003.so")
-// into a scratch buffer and interns the result — no fmt, and at most
-// one retained allocation per distinct name.
+// into a scratch buffer — no fmt — and interns the result: generated
+// trees repeat a small set of names ("f0000" exists under every user),
+// so one string per distinct name removes the bulk of generation-time
+// allocation.
 type namer struct {
-	in  *namespace.Interner
-	buf []byte
+	seen map[string]string
+	buf  []byte
 }
+
+func newNamer() *namer { return &namer{seen: make(map[string]string)} }
 
 func (nm *namer) name(prefix string, n, width int, suffix string) string {
 	b := append(nm.buf[:0], prefix...)
 	b = appendPadded(b, n, width)
 	b = append(b, suffix...)
 	nm.buf = b
-	return nm.in.InternBytes(b)
+	// A lookup keyed by a converted []byte does not copy, so only the
+	// first sighting of a name pays for its string.
+	if s, ok := nm.seen[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	nm.seen[s] = s
+	return s
 }
 
 // appendPadded appends n in decimal, zero-padded to width (wider
@@ -202,8 +173,20 @@ func appendPadded(b []byte, n, width int) []byte {
 	return append(b, tmp[i:]...)
 }
 
-// Generate builds a snapshot from the configuration.
+// Generate builds a snapshot from the configuration and thaws a private
+// view of it.
 func Generate(cfg Config) (*Snapshot, error) {
+	fs, err := GenerateFrozen(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return fs.Thaw(), nil
+}
+
+// GenerateFrozen builds a snapshot in its frozen, shareable form. The
+// namespace is written once, through a namespace.Builder; no mutable
+// tree exists until a run thaws one.
+func GenerateFrozen(cfg Config) (*FrozenSnapshot, error) {
 	if cfg.Users < 1 {
 		return nil, fmt.Errorf("fsgen: Users must be >= 1, got %d", cfg.Users)
 	}
@@ -214,98 +197,71 @@ func Generate(cfg Config) (*Snapshot, error) {
 		cfg.FilesPerDirMax = 1
 	}
 	r := sim.NewStream(cfg.Seed, "fsgen")
-	t := namespace.NewTree()
-	nm := &namer{in: namespace.NewInterner()}
-	snap := &Snapshot{Tree: t, Names: nm.in}
+	b := namespace.NewBuilder()
+	nm := newNamer()
+	fs := &FrozenSnapshot{}
 
-	home, err := t.Mkdir(t.Root, "home")
-	if err != nil {
-		return nil, err
-	}
+	home := b.Mkdir(b.Root(), "home")
 	for u := 0; u < cfg.Users; u++ {
-		h, err := t.Mkdir(home, nm.name("u", u, 4, ""))
-		if err != nil {
-			return nil, err
-		}
-		snap.Homes = append(snap.Homes, h)
-		if err := growUserTree(t, r, h, cfg, nm); err != nil {
-			return nil, err
-		}
+		h := b.Mkdir(home, nm.name("u", u, 4, ""))
+		fs.HomeIDs = append(fs.HomeIDs, h)
+		growUserTree(b, r, h, cfg, nm)
 	}
 
 	if cfg.SystemDirs > 0 {
-		sys, err := t.Mkdir(t.Root, "usr")
-		if err != nil {
-			return nil, err
-		}
-		snap.System = sys
-		dirs := []*namespace.Inode{sys}
+		sys := b.Mkdir(b.Root(), "usr")
+		fs.SystemID = sys
+		dirs := []namespace.InodeID{sys}
 		for d := 0; d < cfg.SystemDirs; d++ {
 			parent := dirs[r.Pick(len(dirs))]
-			if parent.Depth() >= cfg.MaxDepth {
+			if b.Depth(parent) >= cfg.MaxDepth {
 				parent = sys
 			}
-			nd, err := t.Mkdir(parent, nm.name("s", d, 3, ""))
-			if err != nil {
-				return nil, err
-			}
-			dirs = append(dirs, nd)
+			dirs = append(dirs, b.Mkdir(parent, nm.name("s", d, 3, "")))
 		}
 		for _, d := range dirs {
 			for f := 0; f < cfg.SystemFilesPerDir; f++ {
-				if _, err := t.Create(d, nm.name("lib", f, 3, ".so")); err != nil {
-					return nil, err
-				}
+				b.Create(d, nm.name("lib", f, 3, ".so"))
 			}
 		}
 	}
 
 	if cfg.Projects > 0 {
-		proj, err := t.Mkdir(t.Root, "proj")
-		if err != nil {
-			return nil, err
-		}
+		proj := b.Mkdir(b.Root(), "proj")
 		for p := 0; p < cfg.Projects; p++ {
-			pd, err := t.Mkdir(proj, nm.name("p", p, 3, ""))
-			if err != nil {
-				return nil, err
-			}
-			snap.Projects = append(snap.Projects, pd)
+			pd := b.Mkdir(proj, nm.name("p", p, 3, ""))
+			fs.ProjectIDs = append(fs.ProjectIDs, pd)
 			for f := 0; f < cfg.FilesPerProject; f++ {
-				if _, err := t.Create(pd, nm.name("data", f, 5, "")); err != nil {
-					return nil, err
-				}
+				b.Create(pd, nm.name("data", f, 5, ""))
 			}
 		}
 	}
-	return snap, nil
+	// A refused Mkdir or Create sticks in the builder and comes out here.
+	var err error
+	if fs.Base, err = b.Freeze(); err != nil {
+		return nil, err
+	}
+	return fs, nil
 }
 
 // growUserTree creates the nested directory structure and files beneath
 // one home directory.
-func growUserTree(t *namespace.Tree, r *sim.RNG, h *namespace.Inode, cfg Config, nm *namer) error {
-	dirs := []*namespace.Inode{h}
-	baseDepth := h.Depth()
+func growUserTree(b *namespace.Builder, r *sim.RNG, h namespace.InodeID, cfg Config, nm *namer) {
+	dirs := []namespace.InodeID{h}
+	baseDepth := b.Depth(h)
 	for d := 0; d < cfg.DirsPerUser; d++ {
 		parent := dirs[r.Pick(len(dirs))]
-		if parent.Depth()-baseDepth >= cfg.MaxDepth {
+		if b.Depth(parent)-baseDepth >= cfg.MaxDepth {
 			parent = h
 		}
-		nd, err := t.Mkdir(parent, nm.name("d", d, 3, ""))
-		if err != nil {
-			return err
-		}
-		dirs = append(dirs, nd)
+		dirs = append(dirs, b.Mkdir(parent, nm.name("d", d, 3, "")))
 	}
 	for _, d := range dirs {
 		nf := r.LogNormalInt(cfg.FilesPerDirMedian, cfg.FilesPerDirSigma, 0, cfg.FilesPerDirMax)
 		for f := 0; f < nf; f++ {
-			if _, err := t.Create(d, nm.name("f", f, 4, "")); err != nil {
-				return err
-			}
+			b.Create(d, nm.name("f", f, 4, ""))
 		}
 	}
-	return nil
 }
 
 // Stats summarises a generated tree.

@@ -1,9 +1,12 @@
 package fsgen
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"dynmds/internal/namespace"
+	"dynmds/internal/sim"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -115,36 +118,185 @@ func TestHomesAreDisjointSubtrees(t *testing.T) {
 	}
 }
 
-func TestGenerateFrozenThawMatchesGenerate(t *testing.T) {
-	cfg := Default()
-	cfg.Users = 10
-	want, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
+// generateTreeOracle and growUserTreeOracle are the generator as it was
+// when it grew a mutable tree — kept verbatim, over a plain NewTree, as
+// the reference the builder-backed generator must reproduce.
+func generateTreeOracle(cfg Config) (*Snapshot, error) {
+	if cfg.Users < 1 {
+		return nil, fmt.Errorf("fsgen: Users must be >= 1, got %d", cfg.Users)
 	}
+	if cfg.MaxDepth < 1 {
+		cfg.MaxDepth = 1
+	}
+	if cfg.FilesPerDirMax < 1 {
+		cfg.FilesPerDirMax = 1
+	}
+	r := sim.NewStream(cfg.Seed, "fsgen")
+	t := namespace.NewTree()
+	nm := newNamer()
+	snap := &Snapshot{Tree: t}
+
+	home, err := t.Mkdir(t.Root, "home")
+	if err != nil {
+		return nil, err
+	}
+	for u := 0; u < cfg.Users; u++ {
+		h, err := t.Mkdir(home, nm.name("u", u, 4, ""))
+		if err != nil {
+			return nil, err
+		}
+		snap.Homes = append(snap.Homes, h)
+		if err := growUserTreeOracle(t, r, h, cfg, nm); err != nil {
+			return nil, err
+		}
+	}
+
+	if cfg.SystemDirs > 0 {
+		sys, err := t.Mkdir(t.Root, "usr")
+		if err != nil {
+			return nil, err
+		}
+		snap.System = sys
+		dirs := []*namespace.Inode{sys}
+		for d := 0; d < cfg.SystemDirs; d++ {
+			parent := dirs[r.Pick(len(dirs))]
+			if parent.Depth() >= cfg.MaxDepth {
+				parent = sys
+			}
+			nd, err := t.Mkdir(parent, nm.name("s", d, 3, ""))
+			if err != nil {
+				return nil, err
+			}
+			dirs = append(dirs, nd)
+		}
+		for _, d := range dirs {
+			for f := 0; f < cfg.SystemFilesPerDir; f++ {
+				if _, err := t.Create(d, nm.name("lib", f, 3, ".so")); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+
+	if cfg.Projects > 0 {
+		proj, err := t.Mkdir(t.Root, "proj")
+		if err != nil {
+			return nil, err
+		}
+		for p := 0; p < cfg.Projects; p++ {
+			pd, err := t.Mkdir(proj, nm.name("p", p, 3, ""))
+			if err != nil {
+				return nil, err
+			}
+			snap.Projects = append(snap.Projects, pd)
+			for f := 0; f < cfg.FilesPerProject; f++ {
+				if _, err := t.Create(pd, nm.name("data", f, 5, "")); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	return snap, nil
+}
+
+func growUserTreeOracle(t *namespace.Tree, r *sim.RNG, h *namespace.Inode, cfg Config, nm *namer) error {
+	dirs := []*namespace.Inode{h}
+	baseDepth := h.Depth()
+	for d := 0; d < cfg.DirsPerUser; d++ {
+		parent := dirs[r.Pick(len(dirs))]
+		if parent.Depth()-baseDepth >= cfg.MaxDepth {
+			parent = h
+		}
+		nd, err := t.Mkdir(parent, nm.name("d", d, 3, ""))
+		if err != nil {
+			return err
+		}
+		dirs = append(dirs, nd)
+	}
+	for _, d := range dirs {
+		nf := r.LogNormalInt(cfg.FilesPerDirMedian, cfg.FilesPerDirSigma, 0, cfg.FilesPerDirMax)
+		for f := 0; f < nf; f++ {
+			if _, err := t.Create(d, nm.name("f", f, 4, "")); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// TestGenerateMatchesTreeOracle: the builder-backed generator makes the
+// same draws in the same order as the tree-growing one, so a thawed
+// snapshot is that tree inode for inode — one home, the default shape,
+// and a shape whose depth bound bites and that has no system or
+// project trees.
+func TestGenerateMatchesTreeOracle(t *testing.T) {
+	one, deflt, shallow := Default(), Default(), Default()
+	one.Users = 1
+	deflt.Users = 40
+	shallow.Users, shallow.DirsPerUser, shallow.MaxDepth = 12, 60, 2
+	shallow.SystemDirs, shallow.Projects = 0, 0
+	ids := func(ns []*namespace.Inode) []namespace.InodeID {
+		out := make([]namespace.InodeID, len(ns))
+		for i, n := range ns {
+			out[i] = n.ID
+		}
+		return out
+	}
+	for _, cfg := range []Config{one, deflt, shallow} {
+		for cfg.Seed = 1; cfg.Seed <= 3; cfg.Seed++ {
+			want, err := generateTreeOracle(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := got.Tree.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if got.Tree.Len() != want.Tree.Len() || got.Tree.NumFiles != want.Tree.NumFiles ||
+				got.Tree.NumDirs != want.Tree.NumDirs || got.Tree.MaxID() != want.Tree.MaxID() {
+				t.Fatalf("users %d seed %d: %v, oracle %v", cfg.Users, cfg.Seed, Describe(got.Tree), Describe(want.Tree))
+			}
+			for id := namespace.InodeID(1); id <= want.Tree.MaxID(); id++ {
+				w, _ := want.Tree.ByID(id)
+				g, ok := got.Tree.ByID(id)
+				if !ok {
+					t.Fatalf("users %d seed %d: inode %d missing", cfg.Users, cfg.Seed, id)
+				}
+				if g.Name() != w.Name() || g.Kind != w.Kind || g.Mode != w.Mode || g.Size != w.Size ||
+					g.NLink != w.NLink || g.SubtreeInodes != w.SubtreeInodes ||
+					(w.Parent() == nil) != (g.Parent() == nil) || (w.Parent() != nil && g.Parent().ID != w.Parent().ID) ||
+					!reflect.DeepEqual(ids(g.Children()), ids(w.Children())) {
+					t.Fatalf("users %d seed %d: inode %v, oracle %v", cfg.Users, cfg.Seed, g, w)
+				}
+			}
+			if !reflect.DeepEqual(ids(got.Homes), ids(want.Homes)) || !reflect.DeepEqual(ids(got.Projects), ids(want.Projects)) ||
+				(got.System == nil) != (want.System == nil) || (want.System != nil && got.System.ID != want.System.ID) {
+				t.Fatalf("users %d seed %d: index lists differ", cfg.Users, cfg.Seed)
+			}
+		}
+	}
+}
+
+// TestGenerateAllocBudget: generation allocates per directory (its name
+// map) and per distinct name, not per inode — the tree-growing
+// generator paid 1.88 mallocs an inode.
+func TestGenerateAllocBudget(t *testing.T) {
+	cfg := Default()
 	fs, err := GenerateFrozen(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := fs.Thaw()
-	if err := got.Tree.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	sa, sb := Describe(want.Tree), Describe(got.Tree)
-	if sa != sb {
-		t.Fatalf("thawed stats differ:\n%v\n%v", sa, sb)
-	}
-	if len(got.Homes) != len(want.Homes) || len(got.Projects) != len(want.Projects) {
-		t.Fatalf("index lists differ: %d/%d homes, %d/%d projects",
-			len(got.Homes), len(want.Homes), len(got.Projects), len(want.Projects))
-	}
-	for i := range want.Homes {
-		if got.Homes[i].ID != want.Homes[i].ID || got.Homes[i].Path() != want.Homes[i].Path() {
-			t.Fatalf("home %d differs: %v vs %v", i, got.Homes[i], want.Homes[i])
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := GenerateFrozen(cfg); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got.System.ID != want.System.ID {
-		t.Fatalf("system dir differs: %v vs %v", got.System, want.System)
+	})
+	if perInode := allocs / float64(fs.Base.NumInodes()); perInode > 0.3 {
+		t.Fatalf("GenerateFrozen: %.0f mallocs for %d inodes, %.2f an inode, budget 0.3",
+			allocs, fs.Base.NumInodes(), perInode)
 	}
 }
 
@@ -161,7 +313,7 @@ func BenchmarkGenerate(b *testing.B) {
 	cfg := fig2LargestFS()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Generate(cfg); err != nil {
+		if _, err := GenerateFrozen(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,8 +16,8 @@ import (
 //
 // The key is the fully resolved fsgen.Config (a comparable value type),
 // with Seed already forced to the run's Seed exactly as cluster.New
-// does, so two runs share a snapshot iff legacy generation would have
-// produced identical trees.
+// does, so two runs share a snapshot iff each would have generated an
+// identical one.
 //
 // Entries are generated under a per-entry sync.Once: concurrent sweep
 // workers that race on a cold key block until the single generation

@@ -12,11 +12,7 @@ import (
 // one base inode in place.
 func agedOverlay(t *testing.T) (*Tree, *Frozen, []InodeID) {
 	t.Helper()
-	base := genTree(t, 11, 12, 4)
-	f, err := base.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, f := genBase(t, 11, 12, 4)
 	ov := NewOverlay(f)
 
 	var files []*Inode

@@ -2,7 +2,7 @@ package namespace
 
 // Frozen is an immutable namespace snapshot: the whole generated tree
 // flattened into dense arrays indexed by InodeID. A Frozen is built once
-// (Tree.Freeze) and then shared — concurrently and without locks — by
+// (Builder.Freeze) and then shared — concurrently and without locks — by
 // any number of simulation runs, each of which layers a private
 // copy-on-write overlay Tree (NewOverlay) on top. The base is never
 // mutated after Freeze returns; all create/remove/rename activity lands
@@ -24,21 +24,20 @@ type Frozen struct {
 	numFiles, numDirs int
 }
 
-// fnode is one flattened inode record.
+// fnode is one flattened inode record. It carries no size or link
+// count: every frozen inode has size 0 and one link.
 type fnode struct {
 	name   string
 	kids   map[string]InodeID // directory name index, nil for files/empty dirs
-	size   int64
 	parent InodeID
 	kidOff int32
 	kidLen int32
 	sub    int32 // SubtreeInodes
-	nlink  int32
 	mode   Mode
 	kind   Kind
 }
 
-// rootID is the ID NewTree assigns the root directory.
+// rootID is the ID NewTree and NewBuilder assign the root directory.
 const rootID InodeID = 1
 
 // NumInodes returns the number of inodes in the snapshot.
@@ -62,65 +61,6 @@ func (f *Frozen) contains(id InodeID) bool {
 func (f *Frozen) children(id InodeID) []InodeID {
 	fn := f.node(id)
 	return f.childIDs[fn.kidOff : fn.kidOff+fn.kidLen]
-}
-
-// Freeze flattens the tree into an immutable snapshot. The tree must be
-// freshly generated: dense IDs (no removals), no hard links, and no
-// anchors — exactly what fsgen produces. The tree itself is left
-// untouched and remains usable; the snapshot shares its name strings.
-func (t *Tree) Freeze() (*Frozen, error) {
-	if t.base != nil {
-		return nil, errString("namespace: cannot freeze an overlay tree")
-	}
-	if t.Anchors != nil && t.Anchors.Len() != 0 {
-		return nil, errString("namespace: cannot freeze a tree with anchored inodes")
-	}
-	n := int(t.nextID)
-	if len(t.byID) != n {
-		return nil, errString("namespace: cannot freeze a tree with removed inodes (IDs not dense)")
-	}
-	if t.Root == nil || t.Root.ID != rootID {
-		return nil, errString("namespace: root is not inode 1")
-	}
-	f := &Frozen{
-		nodes:    make([]fnode, n),
-		numFiles: t.NumFiles,
-		numDirs:  t.NumDirs,
-	}
-	total := 0
-	for id := rootID; int(id) <= n; id++ {
-		total += len(t.byID[id].children)
-	}
-	f.childIDs = make([]InodeID, 0, total)
-	for id := rootID; int(id) <= n; id++ {
-		ino := t.byID[id]
-		if ino == nil {
-			return nil, errString("namespace: cannot freeze a tree with removed inodes (IDs not dense)")
-		}
-		if ino.NLink != 1 {
-			return nil, errString("namespace: cannot freeze a tree with hard links")
-		}
-		fn := f.node(id)
-		fn.name = ino.name
-		fn.size = ino.Size
-		fn.mode = ino.Mode
-		fn.kind = ino.Kind
-		fn.nlink = int32(ino.NLink)
-		fn.sub = int32(ino.SubtreeInodes)
-		if ino.parent != nil {
-			fn.parent = ino.parent.ID
-		}
-		fn.kidOff = int32(len(f.childIDs))
-		fn.kidLen = int32(len(ino.children))
-		if len(ino.children) > 0 {
-			fn.kids = make(map[string]InodeID, len(ino.children))
-		}
-		for _, c := range ino.children {
-			f.childIDs = append(f.childIDs, c.ID)
-			fn.kids[c.name] = c.ID
-		}
-	}
-	return f, nil
 }
 
 // NewOverlay creates a private copy-on-write view of the snapshot. The
@@ -154,8 +94,7 @@ func NewOverlay(f *Frozen) *Tree {
 		n.ID = InodeID(i + 1)
 		n.Kind = fn.kind
 		n.Mode = fn.mode
-		n.Size = fn.size
-		n.NLink = int(fn.nlink)
+		n.NLink = 1
 		n.name = fn.name
 		n.SubtreeInodes = int(fn.sub)
 		n.tree = t
@@ -219,9 +158,3 @@ func (t *Tree) destroyed(id InodeID) {
 	}
 	t.gone[id] = struct{}{}
 }
-
-// errString is a trivially allocation-free error for Freeze's
-// precondition failures.
-type errString string
-
-func (e errString) Error() string { return string(e) }

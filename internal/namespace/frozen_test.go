@@ -4,16 +4,19 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
-// genTree builds a deterministic pseudo-random generated tree the way
-// fsgen does: mkdirs and creates only, so it is freezable.
-func genTree(t *testing.T, seed int64, dirs, filesPerDir int) *Tree {
+// genBase builds a deterministic pseudo-random namespace the way fsgen
+// does — mkdirs and creates only — twice over from the same calls: as a
+// plain tree, the oracle, and through a Builder.
+func genBase(t *testing.T, seed int64, dirs, filesPerDir int) (*Tree, *Frozen) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	tr := NewTree()
+	tr, b := NewTree(), NewBuilder()
 	all := []*Inode{tr.Root}
 	for d := 0; d < dirs; d++ {
 		parent := all[r.Intn(len(all))]
@@ -21,16 +24,27 @@ func genTree(t *testing.T, seed int64, dirs, filesPerDir int) *Tree {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if id := b.Mkdir(parent.ID, nd.name); id != nd.ID || b.Depth(id) != nd.Depth() {
+			t.Fatalf("builder mkdir %s: id %d, depth %d", nd, id, b.Depth(id))
+		}
 		all = append(all, nd)
 	}
 	for i, d := range all {
 		for f := 0; f < filesPerDir; f++ {
-			if _, err := tr.Create(d, fmt.Sprintf("f%d_%d", i, f)); err != nil {
+			nf, err := tr.Create(d, fmt.Sprintf("f%d_%d", i, f))
+			if err != nil {
 				t.Fatal(err)
+			}
+			if id := b.Create(d.ID, nf.name); id != nf.ID {
+				t.Fatalf("builder create %s: id %d", nf, id)
 			}
 		}
 	}
-	return tr
+	f, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr, f
 }
 
 // walkOrder collects every inode in deterministic walk order.
@@ -126,11 +140,7 @@ func mutateBoth(t *testing.T, r *rand.Rand, legacy, overlay *Tree, seq int) {
 // eagerly built tree through an identical mutation sequence and requires
 // identical structure, ordering, and invariants throughout.
 func TestOverlayEquivalence(t *testing.T) {
-	legacy := genTree(t, 7, 40, 4)
-	frozen, err := legacy.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
+	legacy, frozen := genBase(t, 7, 40, 4)
 	overlay := NewOverlay(frozen)
 	requireSameShape(t, legacy, overlay)
 
@@ -161,38 +171,97 @@ func TestOverlayEquivalence(t *testing.T) {
 	}
 }
 
-// TestFreezePreconditions covers the snapshots Freeze must reject.
-func TestFreezePreconditions(t *testing.T) {
-	tr := genTree(t, 1, 5, 2)
-	if _, err := tr.Freeze(); err != nil {
-		t.Fatalf("fresh tree should freeze: %v", err)
+// TestBuilderRefusals: every check Tree.add makes is made by the
+// builder — as a record is added where the record shows it, by Freeze
+// for a name used twice. The first refusal sticks: the call and every
+// later one return 0 and append nothing, and Freeze hands back the
+// error and no snapshot, so nothing half-built gets out.
+func TestBuilderRefusals(t *testing.T) {
+	for _, tc := range []struct {
+		what   string
+		parent InodeID // 0: none; 2 is /d, 3 is /d/f
+		name   string
+		errHas string
+	}{
+		{"empty name", 2, "", `invalid name ""`},
+		{"name with a slash", 2, "a/b", `invalid name "a/b"`},
+		{"parent 0", 0, "x", `parent 0 of "x" does not exist`},
+		{"parent not yet created", 4, "x", `parent 4 of "x" does not exist`},
+		{"file as parent", 3, "x", "/d/f is not a directory"},
+	} {
+		for _, kind := range []Kind{Dir, File} {
+			b := NewBuilder()
+			dir := b.Mkdir(b.Root(), "d")
+			if file := b.Create(dir, "f"); dir != 2 || file != 3 {
+				t.Fatalf("ids %d, %d, want 2, 3", dir, file)
+			}
+			add := b.Mkdir
+			if kind == File {
+				add = b.Create
+			}
+			if id := add(tc.parent, tc.name); id != 0 {
+				t.Fatalf("%s (%s): got id %d, want 0", tc.what, kind, id)
+			}
+			if id := b.Create(dir, "later"); id != 0 || b.n != 3 {
+				t.Fatalf("%s (%s): a call after the refusal got id %d, builder holds %d records", tc.what, kind, id, b.n)
+			}
+			f, err := b.Freeze()
+			if f != nil || err == nil || !strings.Contains(err.Error(), tc.errHas) {
+				t.Fatalf("%s (%s): snapshot %v, err %v, want an error holding %q", tc.what, kind, f, err, tc.errHas)
+			}
+		}
 	}
-	// Overlay trees cannot be re-frozen.
-	f, _ := tr.Freeze()
-	if _, err := NewOverlay(f).Freeze(); err == nil {
-		t.Fatal("overlay froze")
+
+	// A duplicate shows where the name maps are built. The error names
+	// the directory and the entry.
+	b := NewBuilder()
+	dir := b.Mkdir(b.Root(), "d")
+	b.Create(dir, "a")
+	b.Create(dir, "f")
+	b.Create(dir, "b")
+	b.Mkdir(dir, "f")
+	f, err := b.Freeze()
+	if f != nil || err == nil || !strings.Contains(err.Error(), `/d already contains "f"`) {
+		t.Fatalf("duplicate entry: snapshot %v, err %v", f, err)
 	}
-	// Removal breaks ID density.
-	victim := tr.Root.Child(0)
-	for victim.IsDir() {
-		victim = victim.Child(0)
+}
+
+// TestFnodeSize: a frozen record stays in the 48-byte size class.
+func TestFnodeSize(t *testing.T) {
+	if size := unsafe.Sizeof(fnode{}); size != 48 {
+		t.Fatalf("fnode is %d bytes, want 48", size)
 	}
-	if err := tr.Remove(victim); err != nil {
-		t.Fatal(err)
+}
+
+// TestBuilderAllocBudget: the builder allocates per chunk and per
+// directory, never per inode — 4 000 files in 4 directories cost the
+// chunks, the two snapshot arrays and four name maps.
+func TestBuilderAllocBudget(t *testing.T) {
+	names := make([]string, 1000)
+	for i := range names {
+		names[i] = "f" + strconv.Itoa(i)
 	}
-	if _, err := tr.Freeze(); err == nil {
-		t.Fatal("tree with removed inode froze")
+	allocs := testing.AllocsPerRun(5, func() {
+		b := NewBuilder()
+		for d := 0; d < 4; d++ {
+			dir := b.Mkdir(b.Root(), names[d])
+			for _, name := range names {
+				b.Create(dir, name)
+			}
+		}
+		if _, err := b.Freeze(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 64 {
+		t.Fatalf("building and freezing 4 005 inodes took %.0f mallocs, want <= 64", allocs)
 	}
 }
 
 // TestOverlayTombstones verifies a removed base inode cannot be
 // resurrected through ByID, while untouched base inodes stay reachable.
 func TestOverlayTombstones(t *testing.T) {
-	base := genTree(t, 3, 10, 3)
-	f, err := base.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, f := genBase(t, 3, 10, 3)
 	ov := NewOverlay(f)
 	var file *Inode
 	ov.Walk(func(n *Inode) bool {
@@ -223,11 +292,7 @@ func TestOverlayTombstones(t *testing.T) {
 // shared base index until a directory's first structural mutation, and
 // only mutated directories ever build a private childIndex map.
 func TestOverlayLazyNameIndex(t *testing.T) {
-	base := genTree(t, 5, 30, 10)
-	f, err := base.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
+	base, f := genBase(t, 5, 30, 10)
 
 	// Thawing allocates O(1) objects regardless of snapshot size: the
 	// Tree, its small maps/tables, the inode slab, and the child backing
@@ -306,11 +371,7 @@ func TestOverlayLazyNameIndex(t *testing.T) {
 // concurrently, each applying its own mutation storm. Under -race this
 // verifies overlays never write to shared state.
 func TestConcurrentOverlays(t *testing.T) {
-	baseTree := genTree(t, 11, 60, 5)
-	f, err := baseTree.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseTree, f := genBase(t, 11, 60, 5)
 	const workers = 4
 	var wg sync.WaitGroup
 	errs := make([]error, workers)

@@ -119,12 +119,18 @@ func (n *Inode) Children() []*Inode { return n.children }
 
 // Path returns the absolute path of the inode ("/" for the root).
 func (n *Inode) Path() string {
-	if n.parent == nil {
-		return "/"
-	}
 	var parts []string
 	for c := n; c.parent != nil; c = c.parent {
 		parts = append(parts, c.name)
+	}
+	return joinReversed(parts)
+}
+
+// joinReversed makes an absolute path of components listed leaf first
+// ("/" of none).
+func joinReversed(parts []string) string {
+	if len(parts) == 0 {
+		return "/"
 	}
 	var b strings.Builder
 	for i := len(parts) - 1; i >= 0; i-- {

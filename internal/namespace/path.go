@@ -1,14 +1,11 @@
 package namespace
 
-// Path segmentation and name interning.
+// Path segmentation.
 //
 // Resolving a path used to strings.Split every Lookup, allocating a
 // slice plus one substring header per component. SegmentIter walks the
 // same components as substrings of the original path — no allocation at
-// all. The Interner deduplicates component strings at generation time:
-// synthetic trees repeat a small set of names ("f0000" exists in every
-// user's directories), so interning collapses millions of retained name
-// strings to a few thousand.
+// all.
 
 // SegmentIter iterates over the slash-separated components of a path.
 // The zero value is empty; construct with Segments.
@@ -43,40 +40,3 @@ func (it *SegmentIter) Next() (string, bool) {
 	it.pos = i
 	return p[start:i], true
 }
-
-// Interner deduplicates strings. Intended for name generation: a
-// generator builds candidate names in a scratch buffer and interns
-// them, so each distinct name is allocated exactly once no matter how
-// many inodes share it.
-type Interner struct {
-	m map[string]string
-}
-
-// NewInterner returns an empty interner.
-func NewInterner() *Interner {
-	return &Interner{m: make(map[string]string)}
-}
-
-// Intern returns the canonical copy of s.
-func (in *Interner) Intern(s string) string {
-	if c, ok := in.m[s]; ok {
-		return c
-	}
-	in.m[s] = s
-	return s
-}
-
-// InternBytes returns the canonical string for b without allocating on
-// a hit: the map lookup with a string-converted key does not copy, so
-// only the first sighting of a name pays for its string.
-func (in *Interner) InternBytes(b []byte) string {
-	if c, ok := in.m[string(b)]; ok {
-		return c
-	}
-	s := string(b)
-	in.m[s] = s
-	return s
-}
-
-// Len reports the number of distinct interned strings.
-func (in *Interner) Len() int { return len(in.m) }

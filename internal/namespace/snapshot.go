@@ -65,15 +65,16 @@ func (t *Tree) setParent(c *snap.Codec, n *Inode, parent InodeID) {
 	}
 }
 
-// drifted reports whether a live base inode differs from its frozen record.
+// drifted reports whether a live base inode differs from its frozen
+// record, which has size 0 and one link.
 func (t *Tree) drifted(id InodeID) bool {
 	n, fn := t.node(id), t.base.node(id)
 	var parent InodeID
 	if n.parent != nil {
 		parent = n.parent.ID
 	}
-	return n.name != fn.name || n.Size != fn.size || n.Mode != fn.mode ||
-		n.NLink != int(fn.nlink) || n.SubtreeInodes != int(fn.sub) || parent != fn.parent
+	return n.name != fn.name || n.Size != 0 || n.Mode != fn.mode ||
+		n.NLink != 1 || n.SubtreeInodes != int(fn.sub) || parent != fn.parent
 }
 
 // Snap walks the overlay delta. The tree must be an overlay holding no

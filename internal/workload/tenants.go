@@ -298,8 +298,9 @@ func (t *Tenants) buildWorkingSets(homes []*namespace.Inode, seed int64) {
 	t.files = make([]*namespace.Inode, t.fileOff[n])
 	t.dirs = make([]*namespace.Inode, t.dirOff[n])
 	var scratch []*namespace.Inode
+	rng := sim.NewRNG(0)
 	for i := 0; i < n; i++ {
-		rng := sim.NewStream(seed, "tenant-"+strconv.Itoa(i))
+		rng.Restream(seed, "tenant-"+strconv.Itoa(i))
 		h := i % nh
 		// sampleK shuffles its pool, so it gets a copy of the pristine list.
 		scratch = append(scratch[:0], poolF[offF[h]:offF[h+1]]...)
