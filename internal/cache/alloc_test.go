@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"unsafe"
 
@@ -35,13 +36,104 @@ func chainTree(t testing.TB, dirs, depth, perDir int) []*namespace.Inode {
 	return files
 }
 
+// spreadTree builds files files, dealt round-robin over dirs directories
+// under the root, whose IDs lie stride apart: after each one stride-1
+// IDs are spent by creating and unlinking a scratch file, as a long
+// run's creates and unlinks spend them. It returns the files.
+func spreadTree(t testing.TB, dirs, files, stride int) []*namespace.Inode {
+	t.Helper()
+	tr := namespace.NewTree()
+	ds := make([]*namespace.Inode, dirs)
+	for i := range ds {
+		d, err := tr.Mkdir(tr.Root, fmt.Sprintf("d%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds[i] = d
+	}
+	out := make([]*namespace.Inode, files)
+	for i := range out {
+		d := ds[i%dirs]
+		f, err := tr.Create(d, fmt.Sprintf("f%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = f
+		for k := 1; k < stride; k++ {
+			scratch, err := tr.Create(d, "scratch")
+			if err == nil {
+				err = tr.Remove(scratch)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return out
+}
+
+// indexPages counts the pages the cache's index has allocated: those in
+// its directory and those on its spare list.
+func indexPages(c *Cache) int {
+	n := 0
+	for _, p := range c.dir {
+		if p != nil {
+			n++
+		}
+	}
+	for p := c.spare; p != nil; p = p.next {
+		n++
+	}
+	return n
+}
+
+// TestIndexPagesFollowLiveEntries cycles a cache of 64 through 100 000
+// files whose IDs are spread ten apart over a namespace of over a
+// million IDs, in a seeded random order, and holds the index to what the
+// cache holds: never more pages than capacity plus one spare chunk,
+// however high the IDs reach — a page is handed back when its last entry
+// leaves. Pages are never freed, so the count never falls and the last
+// check covers the whole run.
+func TestIndexPagesFollowLiveEntries(t *testing.T) {
+	const capacity = 64
+	files := spreadTree(t, 1024, 100_000, 10)
+	if top := files[len(files)-1].ID; top < 1_000_000 {
+		t.Fatalf("highest ID %d, want a namespace of at least a million IDs", top)
+	}
+	c := New(capacity)
+	check := func(inserts int) {
+		t.Helper()
+		if pages := indexPages(c); pages > capacity+pageChunk {
+			t.Fatalf("after %d inserts the index holds %d pages, want at most %d", inserts, pages, capacity+pageChunk)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, k := range rand.New(rand.NewSource(1)).Perm(len(files)) {
+		if _, err := c.InsertPath(files[k], Auth, i%3 == 0); err != nil {
+			t.Fatal(err)
+		}
+		if i%997 == 0 {
+			check(i + 1)
+		}
+	}
+	check(len(files))
+	if c.Stats.Evicts < uint64(len(files)-capacity) {
+		t.Fatalf("%d evictions over %d files: the cache did not cycle", c.Stats.Evicts, len(files))
+	}
+}
+
 // TestInsertPathEvictAllocFree pins the miss path of a full cache: once
-// the ID table covers the namespace and evictions have stocked the free
-// list, an InsertPath that evicts allocates nothing — neither when the
-// parent is cached (one directory of 4096 files) nor when the whole
-// ancestor chain is missing and goes in first (64 chains of depth 3,
-// 16 files each, through a cache of 48: every new directory finds its
-// chain evicted).
+// the index directory covers the namespace and evictions have stocked
+// the free lists, an InsertPath that evicts allocates nothing — neither
+// when the parent is cached (one directory of 4096 files) nor when the
+// whole ancestor chain is missing and goes in first (64 chains of depth
+// 3, 16 files each, through a cache of 48: every new directory finds its
+// chain evicted), nor when the working set moves on to fresh ID ranges
+// (256 directories of 64 files span 520 index pages, far more than a
+// cache of 48 may keep: each directory's pages are handed back and taken
+// again by the next).
 func TestInsertPathEvictAllocFree(t *testing.T) {
 	cases := []struct {
 		name                string
@@ -51,6 +143,7 @@ func TestInsertPathEvictAllocFree(t *testing.T) {
 	}{
 		{"parent cached", 1, 1, 4096, 512, false},
 		{"ancestors missing", 64, 3, 16, 48, true},
+		{"fresh ID ranges", 256, 1, 64, 48, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -64,7 +157,7 @@ func TestInsertPathEvictAllocFree(t *testing.T) {
 				next++
 			}
 			for range files {
-				insert() // warm-up: one pass grows the table and the free list
+				insert() // warm-up: one pass grows the directory and the free lists
 			}
 			before := c.Stats
 			allocs := testing.AllocsPerRun(2*len(files), insert)
@@ -79,10 +172,36 @@ func TestInsertPathEvictAllocFree(t *testing.T) {
 			if tc.prefixInserts == (inserts == calls) {
 				t.Fatalf("%d inserts over %d calls; ancestors missing = %v", inserts, calls, tc.prefixInserts)
 			}
+			if pages := indexPages(c); pages > tc.capacity+pageChunk {
+				t.Fatalf("the index holds %d pages, want at most %d", pages, tc.capacity+pageChunk)
+			}
 			if err := c.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestIndexGrowthOneAlloc pins store's growth path to one allocation,
+// the grown directory, with no temporary slice of the missing length
+// (under -race too, where the compiler does not extend an append of a
+// make in place). Each call stores one past the directory's end, on a
+// page the spare list holds.
+func TestIndexGrowthOneAlloc(t *testing.T) {
+	c := New(1)
+	c.store(1, &Entry{})
+	c.erase(1)
+	e := &Entry{}
+	allocs := testing.AllocsPerRun(8, func() {
+		id := namespace.InodeID(len(c.dir)) << pageBits
+		c.store(id, e)
+		c.erase(id)
+	})
+	if allocs != 1 {
+		t.Fatalf("growing the index directory allocated %.2f times, want 1", allocs)
+	}
+	if len(c.dir) < 1<<9 {
+		t.Fatalf("the directory holds %d slots: it did not grow on every call", len(c.dir))
 	}
 }
 

@@ -1,10 +1,15 @@
 package cache
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+
+	"dynmds/internal/namespace"
+)
 
 // BenchmarkInsertPathEvict measures the hot path of a full cache:
 // insert with ancestor maintenance plus eviction. One pass over the
-// files first fills the cache, its ID table and its free list, so the
+// files first fills the cache, its index and its free lists, so the
 // timed loop is the steady state: 0 allocs/op.
 func BenchmarkInsertPathEvict(b *testing.B) {
 	files := chainTree(b, 64, 1, 64)
@@ -36,6 +41,29 @@ func BenchmarkGetHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Get(files[i%len(files)].ID)
+	}
+}
+
+// BenchmarkGetHitSpread measures cache hits on 8192 files whose IDs lie
+// 37 apart over a 300k-inode namespace, in a fixed random order: the
+// access pattern of a node caching a sliver of a large namespace, where
+// an index sized by the highest ID spreads the hits over megabytes.
+func BenchmarkGetHitSpread(b *testing.B) {
+	files := spreadTree(b, 64, 8192, 37)
+	c := New(16384)
+	for _, f := range files {
+		if _, err := c.InsertPath(f, Auth, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ids := make([]namespace.InodeID, len(files))
+	for i, k := range rand.New(rand.NewSource(1)).Perm(len(files)) {
+		ids[i] = files[k].ID
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Get(ids[i%len(ids)])
 	}
 }
 

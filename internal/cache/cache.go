@@ -135,19 +135,30 @@ type Stats struct {
 	PinBlockedEvicts uint64
 }
 
+// A page holds the index slots of 1<<pageBits consecutive IDs; live
+// counts the non-nil ones. Spare pages are chained through next (unread
+// while a page is listed) and allocated pageChunk at a time.
+const pageBits, pageSlots, pageChunk = 5, 1 << 5, 64
+
+type page struct {
+	slots [pageSlots]*Entry
+	live  int32
+	next  *page
+}
+
 // Cache is a bounded, segmented-LRU metadata cache.
 type Cache struct {
 	capacity int
-	// byID is a direct-indexed presence table: InodeIDs are allocated
-	// sequentially and never reused, so index = ID. One pointer per ID
-	// ever seen costs a few MB per node at simulation scale and turns
-	// the hottest operation in the whole simulator — "is this record
-	// cached?" on every path component of every request — from a map
-	// probe into an array load.
-	byID []*Entry
-	n    int
-	hot  list
-	warm list
+	// dir is the id→entry index: InodeIDs are dense and never reused, so
+	// "is this record cached?", asked on every path component of every
+	// request, is two array loads. dir[id>>pageBits] is nil unless the
+	// page holds a cached entry, so the index costs what the cache holds
+	// plus 8 bytes per 32 IDs, not the highest ID.
+	dir   []*page
+	spare *page
+	n     int
+	hot   list
+	warm  list
 
 	// classCount tracks entries per class for O(1) prefix accounting.
 	classCount [3]int
@@ -178,38 +189,47 @@ func New(capacity int) *Cache {
 	return &Cache{capacity: capacity}
 }
 
-// NewSized is New for a namespace whose highest inode ID so far is
-// known: the presence table starts at the size storing the next ID would
-// grow it to, so it is not regrown while the cache warms up.
-func NewSized(capacity int, maxID namespace.InodeID) *Cache {
-	c := New(capacity)
-	c.byID = make([]*Entry, 2*int(maxID)+1)
-	return c
-}
-
 // lookup returns the entry for id, or nil.
 func (c *Cache) lookup(id namespace.InodeID) *Entry {
-	if uint64(id) < uint64(len(c.byID)) {
-		return c.byID[id]
+	if i := uint64(id) >> pageBits; i < uint64(len(c.dir)) && c.dir[i] != nil {
+		return c.dir[i].slots[id&(pageSlots-1)]
 	}
 	return nil
 }
 
-// store records the entry for id, growing the table as the ID space
-// grows (IDs are monotonically allocated, so growth is rare and the
-// doubling headroom amortizes it away).
+// store records the entry for id, taking a spare page when id's range
+// has none and growing the directory by doubling as the ID space grows.
 func (c *Cache) store(id namespace.InodeID, e *Entry) {
-	if uint64(id) >= uint64(len(c.byID)) {
-		grown := make([]*Entry, 2*int(id)+1)
-		copy(grown, c.byID)
-		c.byID = grown
+	i := int(id >> pageBits)
+	if i >= len(c.dir) {
+		c.dir = append(make([]*page, 0, 2*i+1), c.dir...)[:2*i+1]
 	}
-	c.byID[id] = e
+	if c.dir[i] == nil {
+		if c.spare == nil {
+			chunk := make([]page, pageChunk)
+			for k := range chunk[:pageChunk-1] {
+				chunk[k].next = &chunk[k+1]
+			}
+			c.spare = &chunk[0]
+		}
+		c.dir[i], c.spare = c.spare, c.spare.next
+	}
+	p := c.dir[i]
+	p.slots[id&(pageSlots-1)] = e
+	p.live++
 	c.n++
 }
 
+// erase clears id's slot and hands its page back to the spare list when
+// that was the page's last entry: every slot is nil then, so the next
+// taker needs no clearing.
 func (c *Cache) erase(id namespace.InodeID) {
-	c.byID[id] = nil
+	i := id >> pageBits
+	p := c.dir[i]
+	p.slots[id&(pageSlots-1)] = nil
+	if p.live--; p.live == 0 {
+		c.dir[i], p.next, c.spare = nil, c.spare, p
+	}
 	c.n--
 }
 
@@ -564,7 +584,8 @@ func (c *Cache) HitRate() float64 {
 
 // CheckInvariants validates pin counts, segment membership, the
 // cached-subset-is-a-tree property, each segment's stamps and cursor,
-// and that no live entry is on the free list. For tests.
+// that no live entry is on the free list, and the index's page
+// accounting. For tests.
 func (c *Cache) CheckInvariants() error {
 	pins := make(map[*Entry]int32)
 	live := make(map[*Entry]bool)
@@ -594,6 +615,8 @@ func (c *Cache) CheckInvariants() error {
 	c.forEach(func(e *Entry) {
 		if err == nil && e.pins != pins[e] {
 			err = fmt.Errorf("cache: %s pin count %d, want %d", e.Ino, e.pins, pins[e])
+		} else if err == nil && c.lookup(e.Ino.ID) != e {
+			err = fmt.Errorf("cache: the index does not find %s", e.Ino)
 		}
 	})
 	if err != nil {
@@ -636,6 +659,30 @@ func (c *Cache) CheckInvariants() error {
 	}
 	if total != c.n {
 		return fmt.Errorf("cache: class counts %v != size %d", c.classCount, c.n)
+	}
+	// The index holds the live entries (lookup found each) and nothing
+	// else: a listed page counts its non-nil slots, at least one, and the
+	// counts sum to Len; a spare page is all-nil, so it is never listed.
+	held := 0
+	for i, p := range c.dir {
+		n := int32(0)
+		for k := 0; p != nil && k < pageSlots; k++ {
+			if p.slots[k] != nil {
+				n++
+			}
+		}
+		if p != nil && (n == 0 || p.live != n) {
+			return fmt.Errorf("cache: index page %d counts %d entries, holds %d", i, p.live, n)
+		}
+		held += int(n)
+	}
+	if held != c.n {
+		return fmt.Errorf("cache: index pages hold %d entries, size %d", held, c.n)
+	}
+	for p := c.spare; p != nil; p = p.next {
+		if p.live != 0 || p.slots != [pageSlots]*Entry{} {
+			return fmt.Errorf("cache: spare page holds %d entries", p.live)
+		}
 	}
 	return nil
 }

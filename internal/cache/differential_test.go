@@ -200,10 +200,15 @@ type diffWorld struct {
 	// evicted is what OnEvict saw, in order.
 	evicted []namespace.InodeID
 	names   int
+	// pageAt is the directory slot each index page was last seen in;
+	// refills counts pages seen again in another slot, i.e. handed back
+	// empty and taken for a different ID range.
+	pageAt  map[*page]int
+	refills int
 }
 
-func newDiffWorld(t *testing.T, seed int64, capacity int) *diffWorld {
-	w := &diffWorld{t: t, rng: rand.New(rand.NewSource(seed)), tree: namespace.NewTree()}
+func newDiffWorld(t *testing.T, seed int64, capacity, files int) *diffWorld {
+	w := &diffWorld{t: t, rng: rand.New(rand.NewSource(seed)), tree: namespace.NewTree(), pageAt: make(map[*page]int)}
 	w.dirs = []*namespace.Inode{w.tree.Root}
 	for i := 0; i < 150; i++ {
 		parent := w.dirs[w.rng.Intn(len(w.dirs))]
@@ -216,7 +221,7 @@ func newDiffWorld(t *testing.T, seed int64, capacity int) *diffWorld {
 		}
 		w.dirs = append(w.dirs, d)
 	}
-	for i := 0; i < 4000; i++ {
+	for i := 0; i < files; i++ {
 		w.create()
 	}
 	w.attach(New(capacity))
@@ -294,7 +299,7 @@ func (w *diffWorld) step() string {
 		return "InsertDetached"
 	case p < 800:
 		// Half the lookups aim at something cached (a hit reorders the
-		// LRU); the rest draw any ID, some past the table's end.
+		// LRU); the rest draw any ID, some past the directory's end.
 		id := namespace.InodeID(rng.Intn(int(w.tree.MaxID()) + 8))
 		if k := rng.Intn(2 * (len(w.ref.hot) + len(w.ref.warm) + 1)); k < len(w.ref.hot) {
 			id = w.ref.hot[k].ino.ID
@@ -404,6 +409,15 @@ func (w *diffWorld) compare(op string, deep bool) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatalf("after %s: %v", op, err)
 	}
+	for i, p := range c.dir {
+		if p == nil {
+			continue
+		}
+		if j, seen := w.pageAt[p]; seen && j != i {
+			w.refills++
+		}
+		w.pageAt[p] = i
+	}
 	order := append(append([]*refEntry(nil), r.hot...), r.warm...)
 	pinned, i := 0, 0
 	var counts [3]int
@@ -436,15 +450,23 @@ func (w *diffWorld) compare(op string, deep bool) {
 	}
 }
 
-// TestDifferentialAgainstTailScan runs 200k seeded random operations
-// against the reference model: the recycled entries, the scan cursor and
-// the stack-buffer InsertPath must be invisible — same victims in the
-// same order, same stats, same LRU order — across capacities from a
-// cache that is almost all pinned prefixes to one that rarely evicts.
+// TestDifferentialAgainstTailScan runs 225k seeded random operations
+// against the reference model: the recycled entries, the scan cursor,
+// the paged index and the stack-buffer InsertPath must be invisible —
+// same victims in the same order, same stats, same LRU order — across
+// capacities from a cache that is almost all pinned prefixes to one that
+// rarely evicts. The last history runs over a tree ten times wider, ~1300
+// index pages against a capacity of 64, so pages empty and refill all
+// the time.
 func TestDifferentialAgainstTailScan(t *testing.T) {
 	const opsPerCapacity = 25_000
-	for i, capacity := range []int{8, 13, 32, 64, 100, 256, 400, 512} {
-		w := newDiffWorld(t, int64(i+1), capacity)
+	cases := []struct{ capacity, files int }{
+		{8, 4000}, {13, 4000}, {32, 4000}, {64, 4000}, {100, 4000}, {256, 4000}, {400, 4000}, {512, 4000},
+		{64, 40_000},
+	}
+	for i, tc := range cases {
+		capacity := tc.capacity
+		w := newDiffWorld(t, int64(i+1), capacity, tc.files)
 		ops := make(map[string]int)
 		for n := 0; n < opsPerCapacity; n++ {
 			op := w.step()
@@ -457,8 +479,8 @@ func TestDifferentialAgainstTailScan(t *testing.T) {
 				t.Fatalf("capacity %d: victim %d is inode %d, reference %d", capacity, i, w.evicted[i], w.ref.evicted[i])
 			}
 		}
-		if len(w.evicted) == 0 || ops["restore"] == 0 || ops["rename"] == 0 {
-			t.Fatalf("capacity %d: history too tame: %d evictions, ops %v", capacity, len(w.evicted), ops)
+		if len(w.evicted) == 0 || ops["restore"] == 0 || ops["rename"] == 0 || w.refills == 0 {
+			t.Fatalf("capacity %d: history too tame: %d evictions, %d page refills, ops %v", capacity, len(w.evicted), w.refills, ops)
 		}
 	}
 }

@@ -9,6 +9,50 @@ import (
 	"dynmds/internal/sim"
 )
 
+// Stats summarises a generated tree.
+type Stats struct {
+	Inodes, Files, Dirs int
+	MaxDepth            int
+	MeanDepth           float64
+	MeanDirSize         float64 // children per directory (non-empty dirs)
+}
+
+// Describe computes summary statistics for a tree.
+func Describe(t *namespace.Tree) Stats {
+	var s Stats
+	var depthSum, dirWithKids, kidSum int
+	t.Walk(func(n *namespace.Inode) bool {
+		s.Inodes++
+		d := n.Depth()
+		depthSum += d
+		if d > s.MaxDepth {
+			s.MaxDepth = d
+		}
+		if n.IsDir() {
+			s.Dirs++
+			if n.NumChildren() > 0 {
+				dirWithKids++
+				kidSum += n.NumChildren()
+			}
+		} else {
+			s.Files++
+		}
+		return true
+	})
+	if s.Inodes > 0 {
+		s.MeanDepth = float64(depthSum) / float64(s.Inodes)
+	}
+	if dirWithKids > 0 {
+		s.MeanDirSize = float64(kidSum) / float64(dirWithKids)
+	}
+	return s
+}
+
+func (s Stats) String() string {
+	return fmt.Sprintf("inodes=%d files=%d dirs=%d maxdepth=%d meandepth=%.2f meandirsize=%.2f",
+		s.Inodes, s.Files, s.Dirs, s.MaxDepth, s.MeanDepth, s.MeanDirSize)
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	cfg := Default()
 	cfg.Users = 10

@@ -344,7 +344,7 @@ func New(id int, eng *sim.Engine, cfg Config, strat partition.Strategy, tc *core
 		cluster:     cl,
 		fab:         cl.Fabric(),
 		cpu:         sim.NewServer(eng, 1),
-		cache:       cache.NewSized(cfg.CacheCapacity, cl.Tree().MaxID()),
+		cache:       cache.New(cfg.CacheCapacity),
 		store:       storage.New(eng, cfg.Storage),
 		tc:          tc,
 		opsRate:     metrics.NewDecayCounter(cfg.RateHalfLife),

@@ -43,12 +43,6 @@ const rootID InodeID = 1
 // NumInodes returns the number of inodes in the snapshot.
 func (f *Frozen) NumInodes() int { return len(f.nodes) }
 
-// NumFiles returns the number of file inodes in the snapshot.
-func (f *Frozen) NumFiles() int { return f.numFiles }
-
-// NumDirs returns the number of directory inodes in the snapshot.
-func (f *Frozen) NumDirs() int { return f.numDirs }
-
 // node returns the record for id. The caller guarantees validity.
 func (f *Frozen) node(id InodeID) *fnode { return &f.nodes[id-1] }
 
