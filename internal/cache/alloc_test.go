@@ -14,7 +14,7 @@ import (
 // files.
 func chainTree(t testing.TB, dirs, depth, perDir int) []*namespace.Inode {
 	t.Helper()
-	tr := namespace.NewTree()
+	tr := emptyTree()
 	var files []*namespace.Inode
 	for d := 0; d < dirs; d++ {
 		dir := tr.Root
@@ -42,7 +42,7 @@ func chainTree(t testing.TB, dirs, depth, perDir int) []*namespace.Inode {
 // run's creates and unlinks spend them. It returns the files.
 func spreadTree(t testing.TB, dirs, files, stride int) []*namespace.Inode {
 	t.Helper()
-	tr := namespace.NewTree()
+	tr := emptyTree()
 	ds := make([]*namespace.Inode, dirs)
 	for i := range ds {
 		d, err := tr.Mkdir(tr.Root, fmt.Sprintf("d%d", i))

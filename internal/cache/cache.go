@@ -78,9 +78,6 @@ type Entry struct {
 	detached bool
 }
 
-// Pinned reports whether the entry is protected from eviction.
-func (e *Entry) Pinned() bool { return e.pins > 0 }
-
 // list is an intrusive doubly-linked LRU list; head = MRU, tail = LRU.
 //
 // cursor is where the victim scan resumes. Invariant: every entry
@@ -243,15 +240,6 @@ func (c *Cache) forEach(fn func(*Entry)) {
 	}
 }
 
-// Cap returns the configured capacity.
-func (c *Cache) Cap() int { return c.capacity }
-
-// Len returns the number of cached entries.
-func (c *Cache) Len() int { return c.n }
-
-// CountClass returns the number of entries with the given class.
-func (c *Cache) CountClass(cl Class) int { return c.classCount[cl] }
-
 // PrefixFraction returns the fraction of cache entries serving as
 // prefix (ancestor) inodes — Figure 3's metric. An entry is a prefix if
 // cached items beneath it require it for path traversal, i.e. it is
@@ -267,12 +255,6 @@ func (c *Cache) PrefixFraction() float64 {
 // Contains reports presence without touching LRU state or stats.
 func (c *Cache) Contains(id namespace.InodeID) bool {
 	return c.lookup(id) != nil
-}
-
-// Peek returns the entry without touching LRU state or stats.
-func (c *Cache) Peek(id namespace.InodeID) (*Entry, bool) {
-	e := c.lookup(id)
-	return e, e != nil
 }
 
 // Get looks up an entry, recording a hit or miss and refreshing its
@@ -572,15 +554,6 @@ func (c *Cache) EntriesUnder(root *namespace.Inode) []*Entry {
 // Callers that probe with Contains (to run their own fetch path) use
 // this to keep hit-rate accounting truthful.
 func (c *Cache) NoteMiss() { c.Stats.Misses++ }
-
-// HitRate returns hits/(hits+misses), or 0 before any lookup.
-func (c *Cache) HitRate() float64 {
-	total := c.Stats.Hits + c.Stats.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Stats.Hits) / float64(total)
-}
 
 // CheckInvariants validates pin counts, segment membership, the
 // cached-subset-is-a-tree property, each segment's stamps and cursor,

@@ -10,9 +10,15 @@ import (
 )
 
 // buildChain makes /d0/d1/.../d(n-1)/f and returns the tree, dirs, file.
+// emptyTree returns a tree holding only the root directory.
+func emptyTree() *namespace.Tree {
+	f, _ := namespace.NewBuilder().Freeze()
+	return namespace.NewOverlay(f)
+}
+
 func buildChain(t *testing.T, n int) (*namespace.Tree, []*namespace.Inode, *namespace.Inode) {
 	t.Helper()
-	tr := namespace.NewTree()
+	tr := emptyTree()
 	parent := tr.Root
 	var dirs []*namespace.Inode
 	for i := 0; i < n; i++ {
@@ -39,8 +45,8 @@ func TestInsertRequiresParent(t *testing.T) {
 	if _, err := c.InsertPath(f, Auth, false); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 4 { // root + d0 + d1 + f
-		t.Fatalf("len = %d, want 4", c.Len())
+	if c.n != 4 { // root + d0 + d1 + f
+		t.Fatalf("len = %d, want 4", c.n)
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -62,8 +68,8 @@ func TestLeafOnlyEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Len() > 4 {
-		t.Fatalf("len = %d exceeds capacity", c.Len())
+	if c.n > 4 {
+		t.Fatalf("len = %d exceeds capacity", c.n)
 	}
 	// Ancestor chain must survive: d1's entry is pinned by cached files.
 	if !c.Contains(dirs[1].ID) || !c.Contains(dirs[0].ID) || !c.Contains(tr.Root.ID) {
@@ -141,9 +147,6 @@ func TestGetStats(t *testing.T) {
 	if c.Stats.Hits != 1 || c.Stats.Misses != 1 {
 		t.Fatalf("stats = %+v", c.Stats)
 	}
-	if c.HitRate() != 0.5 {
-		t.Fatalf("hit rate = %v", c.HitRate())
-	}
 }
 
 func TestClassUpgradeAndPrefixFraction(t *testing.T) {
@@ -152,7 +155,7 @@ func TestClassUpgradeAndPrefixFraction(t *testing.T) {
 	c := New(10)
 	c.InsertPath(f, Auth, false)
 	// root, d0, d1 are Prefix; f is Auth.
-	if got := c.CountClass(Prefix); got != 3 {
+	if got := c.classCount[Prefix]; got != 3 {
 		t.Fatalf("prefix count = %d, want 3", got)
 	}
 	if got := c.PrefixFraction(); got != 0.75 {
@@ -162,14 +165,14 @@ func TestClassUpgradeAndPrefixFraction(t *testing.T) {
 	if _, err := c.Insert(dirs[1], Auth, false); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.CountClass(Prefix); got != 2 {
+	if got := c.classCount[Prefix]; got != 2 {
 		t.Fatalf("prefix count after upgrade = %d, want 2", got)
 	}
 	// Downgrade attempts are ignored.
 	if _, err := c.Insert(dirs[1], Prefix, false); err != nil {
 		t.Fatal(err)
 	}
-	if e, _ := c.Peek(dirs[1].ID); e.Class != Auth {
+	if e := c.lookup(dirs[1].ID); e.Class != Auth {
 		t.Fatalf("class downgraded to %v", e.Class)
 	}
 	if err := c.CheckInvariants(); err != nil {
@@ -236,8 +239,8 @@ func TestPinBlockedOverflow(t *testing.T) {
 	if _, err := c.InsertPath(f, Auth, false); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() <= 2 {
-		t.Fatalf("len = %d, expected overflow beyond capacity", c.Len())
+	if c.n <= 2 {
+		t.Fatalf("len = %d, expected overflow beyond capacity", c.n)
 	}
 	if c.Stats.PinBlockedEvicts == 0 {
 		t.Fatal("no pin-blocked evict recorded")
@@ -258,8 +261,8 @@ func TestEntriesUnder(t *testing.T) {
 		t.Fatalf("entries under d1 = %d, want 2", len(under))
 	}
 	all := c.EntriesUnder(tr.Root)
-	if len(all) != c.Len() {
-		t.Fatalf("entries under root = %d, want %d", len(all), c.Len())
+	if len(all) != c.n {
+		t.Fatalf("entries under root = %d, want %d", len(all), c.n)
 	}
 }
 
@@ -269,7 +272,7 @@ func TestEntriesUnder(t *testing.T) {
 func TestCacheInvariantsUnderRandomTraffic(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		tr := namespace.NewTree()
+		tr := emptyTree()
 		var all []*namespace.Inode
 		parent := tr.Root
 		for i := 0; i < 8; i++ {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestInsertDetached(t *testing.T) {
-	tr := namespace.NewTree()
+	tr := emptyTree()
 	d, _ := tr.Mkdir(tr.Root, "d")
 	f, _ := tr.Create(d, "f")
 	c := New(10)
@@ -30,7 +30,7 @@ func TestInsertDetached(t *testing.T) {
 }
 
 func TestDetachedDoesNotUnpinParent(t *testing.T) {
-	tr := namespace.NewTree()
+	tr := emptyTree()
 	d, _ := tr.Mkdir(tr.Root, "d")
 	f, _ := tr.Create(d, "f")
 	g, _ := tr.Create(d, "g")
@@ -40,15 +40,14 @@ func TestDetachedDoesNotUnpinParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.InsertDetached(f, Auth, false)
-	pe, _ := c.Peek(d.ID)
-	if !pe.Pinned() {
+	if c.lookup(d.ID).pins == 0 {
 		t.Fatal("d should be pinned by g")
 	}
 	// Dropping the detached entry must not unpin d.
 	if err := c.Remove(f.ID); err != nil {
 		t.Fatal(err)
 	}
-	if pe, _ := c.Peek(d.ID); !pe.Pinned() {
+	if c.lookup(d.ID).pins == 0 {
 		t.Fatal("detached removal unpinned parent")
 	}
 	if err := c.CheckInvariants(); err != nil {
@@ -57,7 +56,7 @@ func TestDetachedDoesNotUnpinParent(t *testing.T) {
 }
 
 func TestDetachedEvictsNormally(t *testing.T) {
-	tr := namespace.NewTree()
+	tr := emptyTree()
 	d, _ := tr.Mkdir(tr.Root, "d")
 	c := New(3)
 	var files []*namespace.Inode
@@ -66,8 +65,8 @@ func TestDetachedEvictsNormally(t *testing.T) {
 		files = append(files, f)
 		c.InsertDetached(f, Auth, false)
 	}
-	if c.Len() != 3 {
-		t.Fatalf("len = %d", c.Len())
+	if c.n != 3 {
+		t.Fatalf("len = %d", c.n)
 	}
 	if c.Contains(files[0].ID) || !c.Contains(files[5].ID) {
 		t.Fatal("LRU order wrong for detached entries")

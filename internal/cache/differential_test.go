@@ -208,7 +208,7 @@ type diffWorld struct {
 }
 
 func newDiffWorld(t *testing.T, seed int64, capacity, files int) *diffWorld {
-	w := &diffWorld{t: t, rng: rand.New(rand.NewSource(seed)), tree: namespace.NewTree(), pageAt: make(map[*page]int)}
+	w := &diffWorld{t: t, rng: rand.New(rand.NewSource(seed)), tree: emptyTree(), pageAt: make(map[*page]int)}
 	w.dirs = []*namespace.Inode{w.tree.Root}
 	for i := 0; i < 150; i++ {
 		parent := w.dirs[w.rng.Intn(len(w.dirs))]
@@ -376,7 +376,7 @@ func (w *diffWorld) step() string {
 		if err != nil {
 			w.t.Fatal(err)
 		}
-		fresh, dec := New(w.c.Cap()), snap.Decoder(sr)
+		fresh, dec := New(w.c.capacity), snap.Decoder(sr)
 		if dec.Section("cache", func(sc *snap.Codec) { fresh.Snap(sc, w.tree) }); dec.Err() != nil {
 			w.t.Fatal(dec.Err())
 		}
@@ -392,8 +392,8 @@ func (w *diffWorld) compare(op string, deep bool) {
 	if c.Stats != r.stats {
 		t.Fatalf("after %s: stats %+v, reference %+v", op, c.Stats, r.stats)
 	}
-	if c.Len() != len(r.byID) {
-		t.Fatalf("after %s: len %d, reference %d", op, c.Len(), len(r.byID))
+	if c.n != len(r.byID) {
+		t.Fatalf("after %s: len %d, reference %d", op, c.n, len(r.byID))
 	}
 	if len(w.evicted) != len(r.evicted) {
 		t.Fatalf("after %s: %d victims, reference %d", op, len(w.evicted), len(r.evicted))
@@ -439,8 +439,8 @@ func (w *diffWorld) compare(op string, deep bool) {
 		t.Fatalf("after %s: ForEach visited %d entries, reference holds %d", op, i, len(order))
 	}
 	for cl, n := range counts {
-		if c.CountClass(Class(cl)) != n {
-			t.Fatalf("after %s: %d %v entries, reference %d", op, c.CountClass(Class(cl)), Class(cl), n)
+		if c.classCount[cl] != n {
+			t.Fatalf("after %s: %d %v entries, reference %d", op, c.classCount[cl], Class(cl), n)
 		}
 	}
 	if len(order) > 0 {

@@ -84,27 +84,6 @@ func TestGenerateValid(t *testing.T) {
 	}
 }
 
-// TestGenerateClassMaskStability: disabling one rule class must not
-// reshuffle the rules of the remaining classes — the generator burns
-// its draws either way. This keeps "re-run with only crashes enabled"
-// a meaningful debugging step.
-func TestGenerateClassMaskStability(t *testing.T) {
-	for run := 0; run < 30; run++ {
-		cfg := genConfig(run)
-		full := Generate(cfg)
-		cfg.Classes = ClassCrash
-		only := Generate(cfg)
-		if !reflect.DeepEqual(full.Crashes, only.Crashes) ||
-			!reflect.DeepEqual(full.Recovers, only.Recovers) {
-			t.Fatalf("run %d: masking other classes changed the crash rules\nfull: %s\nmask: %s",
-				run, full, only)
-		}
-		if len(only.Drops)+len(only.Lags)+len(only.Slows)+len(only.Partitions) != 0 {
-			t.Fatalf("run %d: masked classes still generated rules: %s", run, only)
-		}
-	}
-}
-
 // TestGenerateIntensityScales: a higher intensity draws more rules in
 // aggregate.
 func TestGenerateIntensityScales(t *testing.T) {

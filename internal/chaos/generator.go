@@ -18,21 +18,6 @@ import (
 	"dynmds/internal/sim"
 )
 
-// Classes selects which rule classes the generator may draw from.
-type Classes uint8
-
-// Rule-class bits.
-const (
-	ClassCrash Classes = 1 << iota
-	ClassDrop
-	ClassLag
-	ClassSlow
-	ClassPartition
-
-	// ClassAll enables every rule class (the zero GenConfig default).
-	ClassAll = ClassCrash | ClassDrop | ClassLag | ClassSlow | ClassPartition
-)
-
 // GenConfig parameterises schedule generation.
 type GenConfig struct {
 	// Seed and Run key the RNG stream: one seed spans a whole fuzz
@@ -50,8 +35,6 @@ type GenConfig struct {
 	// Intensity scales fault counts, drop probabilities, lag magnitudes
 	// and slow factors. 1.0 is the nominal mix; 0 means 1.0.
 	Intensity float64
-	// Classes masks the rule classes drawn from; zero means ClassAll.
-	Classes Classes
 }
 
 // Generate derives a random, valid fault schedule from the config.
@@ -75,10 +58,6 @@ func Generate(cfg GenConfig) *fault.Schedule {
 	if intensity <= 0 {
 		intensity = 1
 	}
-	classes := cfg.Classes
-	if classes == 0 {
-		classes = ClassAll
-	}
 	rng := sim.NewStream(cfg.Seed, fmt.Sprintf("chaos-gen-%d", cfg.Run))
 	g := &generator{
 		rng: rng,
@@ -88,10 +67,7 @@ func Generate(cfg GenConfig) *fault.Schedule {
 		s:   &fault.Schedule{},
 	}
 
-	// Count budget per class, scaled by intensity. Intn keeps the draw
-	// order fixed regardless of which classes are enabled: every class
-	// consumes its draws even when masked out, so toggling one class
-	// never reshuffles another class's rules.
+	// Count budget per class, scaled by intensity.
 	scaled := func(max int) int {
 		m := int(float64(max)*intensity + 0.5)
 		if m < 1 {
@@ -105,11 +81,11 @@ func Generate(cfg GenConfig) *fault.Schedule {
 	nSlow := scaled(1)
 	nPart := scaled(1)
 
-	g.crashes(nCrash, classes&ClassCrash != 0)
-	g.drops(nDrop, intensity, classes&ClassDrop != 0)
-	g.lags(nLag, intensity, classes&ClassLag != 0)
-	g.slows(nSlow, intensity, classes&ClassSlow != 0)
-	g.partitions(nPart, classes&ClassPartition != 0)
+	g.crashes(nCrash)
+	g.drops(nDrop, intensity)
+	g.lags(nLag, intensity)
+	g.slows(nSlow, intensity)
+	g.partitions(nPart)
 
 	if err := g.s.Validate(cfg.NumMDS); err != nil {
 		panic("chaos: generated an invalid schedule: " + err.Error())
@@ -127,9 +103,6 @@ type RollingConfig struct {
 	Cycles int
 	// Horizon is the run length the cycles are spread over.
 	Horizon sim.Time
-	// Outage is the crash-to-recover gap per cycle; 0 derives one from
-	// the cycle spacing (a third of it, capped at 2s).
-	Outage sim.Time
 }
 
 // GenerateRolling derives a rolling-upgrade shaped fault schedule: the
@@ -137,7 +110,8 @@ type RollingConfig struct {
 // pairs sweep round-robin over nodes 1..n-1 — node 0 is the designated
 // survivor, so failover always has a target — evenly spaced over the
 // middle 80% of the horizon with millisecond jitter, each node back up
-// well before the next one goes down (outages never overlap). The
+// after a third of the cycle spacing (at most 2s), well before the next
+// one goes down (outages never overlap). The
 // result is deterministic in the config and valid for NumMDS.
 func GenerateRolling(cfg RollingConfig) *fault.Schedule {
 	if cfg.NumMDS < 2 {
@@ -155,16 +129,7 @@ func GenerateRolling(cfg RollingConfig) *fault.Schedule {
 	if step < 4*sim.Millisecond {
 		panic("chaos: GenerateRolling horizon too short for the cycle count")
 	}
-	outage := cfg.Outage
-	if outage <= 0 {
-		outage = step / 3
-		if outage > 2*sim.Second {
-			outage = 2 * sim.Second
-		}
-	}
-	if outage >= step {
-		panic("chaos: GenerateRolling outage does not fit the cycle spacing")
-	}
+	outage := min(step/3, 2*sim.Second)
 	rng := sim.NewStream(cfg.Seed, "chaos-rolling")
 	s := &fault.Schedule{}
 	jitterSpan := int((step - outage) / (4 * sim.Millisecond))
@@ -214,13 +179,13 @@ func (g *generator) victim() int { return 1 + g.rng.Intn(g.n-1) }
 // crashes draws up to count crash events against distinct victims; most
 // get a paired recovery, the rest stay down. Node 0 never crashes, so
 // failover always has a target.
-func (g *generator) crashes(count int, enabled bool) {
+func (g *generator) crashes(count int) {
 	used := make(map[int]bool)
 	for i := 0; i < count; i++ {
 		node := g.victim()
 		from, to := g.window()
 		recovers := g.rng.Float64() < 0.75
-		if !enabled || used[node] {
+		if used[node] {
 			continue
 		}
 		used[node] = true
@@ -249,22 +214,19 @@ func (g *generator) sel() fault.LinkSel {
 
 // drops draws whole-run probabilistic drop rules. Probabilities scale
 // with intensity but stay <= 0.3 so traffic degrades rather than stops.
-func (g *generator) drops(count int, intensity float64, enabled bool) {
+func (g *generator) drops(count int, intensity float64) {
 	for i := 0; i < count; i++ {
 		sel := g.sel()
 		p := 0.08 * intensity * g.rng.Float64()
 		if p > 0.3 {
 			p = 0.3
 		}
-		if !enabled {
-			continue
-		}
 		g.s.Drops = append(g.s.Drops, fault.DropRule{Sel: sel, P: p})
 	}
 }
 
 // lags draws windowed latency spikes, <= 50ms extra per message.
-func (g *generator) lags(count int, intensity float64, enabled bool) {
+func (g *generator) lags(count int, intensity float64) {
 	for i := 0; i < count; i++ {
 		sel := g.sel()
 		from, to := g.window()
@@ -275,24 +237,18 @@ func (g *generator) lags(count int, intensity float64, enabled bool) {
 		if extra > 50*sim.Millisecond {
 			extra = 50 * sim.Millisecond
 		}
-		if !enabled {
-			continue
-		}
 		g.s.Lags = append(g.s.Lags, fault.LagRule{Sel: sel, From: from, To: to, Extra: extra})
 	}
 }
 
 // slows draws windowed service-time scaling, factor in [1.5, 8].
-func (g *generator) slows(count int, intensity float64, enabled bool) {
+func (g *generator) slows(count int, intensity float64) {
 	for i := 0; i < count; i++ {
 		node := g.rng.Intn(g.n)
 		from, to := g.window()
 		factor := 1.5 + 2.5*intensity*g.rng.Float64()
 		if factor > 8 {
 			factor = 8
-		}
-		if !enabled {
-			continue
 		}
 		g.s.Slows = append(g.s.Slows, fault.SlowWindow{From: from, To: to, Node: node, Factor: factor})
 	}
@@ -303,15 +259,12 @@ func (g *generator) slows(count int, intensity float64, enabled bool) {
 // the shuffle prefix stay connected to everyone. Needs >= 3 nodes so a
 // split leaves structure worth testing (with 2 it still works but
 // isolates half the cluster).
-func (g *generator) partitions(count int, enabled bool) {
+func (g *generator) partitions(count int) {
 	for i := 0; i < count; i++ {
 		perm := g.rng.Perm(g.n)
 		size := 2 + g.rng.Intn(g.n-1) // nodes involved: 2..n
 		cut := 1 + g.rng.Intn(size-1) // split point: both sides non-empty
 		from, to := g.window()
-		if !enabled {
-			continue
-		}
 		g.s.Partitions = append(g.s.Partitions, fault.Partition{
 			From: from, To: to,
 			A: append([]int(nil), perm[:cut]...),

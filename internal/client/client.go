@@ -42,14 +42,12 @@ type Config struct {
 	// the shared hint table, rounded up to a power of two).
 	KnownCap int
 	// RetryTimeout, when positive, re-sends a request that has not
-	// been answered within the timeout. Retries resteer: the stale
+	// been answered within the timeout, doubling the wait per attempt up
+	// to 8× the timeout. Retries resteer: the stale
 	// location hint for the target is invalidated and the resend avoids
 	// the node tried last, since that node may be down. Needed for
 	// failover and fault-injection scenarios; zero disables retries.
 	RetryTimeout sim.Time
-	// RetryBackoffMax caps the exponential backoff between retries
-	// (timeout doubles per attempt). Zero means 8× RetryTimeout.
-	RetryBackoffMax sim.Time
 	// MaxRetries bounds the resend attempts per request; once exhausted
 	// the request is abandoned and counted as timed out, and the client
 	// moves on to its next operation. Zero means retry forever.
@@ -164,7 +162,6 @@ func (c *Client) issue() {
 	req.Issued = c.eng.Now()
 	req.Via = -1
 	mds := c.direct(req)
-	req.FirstMDS = mds
 	c.Stats.Issued++
 	c.inflight = req
 	c.attempts = 0
@@ -173,22 +170,11 @@ func (c *Client) issue() {
 	c.armRetry(req)
 }
 
-// backoff returns the wait before the next retransmission: the base
-// timeout doubled per attempt already made, capped at RetryBackoffMax.
-func (c *Client) backoff() sim.Time {
-	max := c.cfg.RetryBackoffMax
-	if max <= 0 {
-		max = 8 * c.cfg.RetryTimeout
-	}
-	shift := c.attempts
-	if shift > 16 {
-		shift = 16
-	}
-	d := c.cfg.RetryTimeout << uint(shift)
-	if d > max || d <= 0 {
-		d = max
-	}
-	return d
+// retryBackoff returns the wait before the next retransmission of a
+// request already resent attempts times, for either client model: the
+// timeout doubled per attempt, capped at 8× the timeout.
+func retryBackoff(timeout sim.Time, attempts int) sim.Time {
+	return timeout << uint(min(attempts, 3))
 }
 
 // armRetry schedules a retransmission for an unanswered request with
@@ -202,7 +188,7 @@ func (c *Client) armRetry(req *msg.Request) {
 		return
 	}
 	gen := req.Gen
-	c.eng.After(c.backoff(), func() {
+	c.eng.After(retryBackoff(c.cfg.RetryTimeout, c.attempts), func() {
 		if c.inflight != req || req.Gen != gen {
 			// Answered (and possibly already recycled into a new
 			// incarnation with a bumped Gen) — nothing to retry.
@@ -296,6 +282,3 @@ func (c *Client) OnReply(rep *msg.Reply) bool {
 // Inflight reports whether the client still holds an unanswered
 // request (drain/invariant checks).
 func (c *Client) Inflight() bool { return c.inflight != nil }
-
-// KnownLocations reports the current size of the location cache.
-func (c *Client) KnownLocations() int { return c.hints.Len(0) }

@@ -19,6 +19,12 @@ type fakeNet struct {
 	}
 }
 
+// emptyTree returns a tree holding only the root directory.
+func emptyTree() *namespace.Tree {
+	f, _ := namespace.NewBuilder().Freeze()
+	return namespace.NewOverlay(f)
+}
+
 func (f *fakeNet) Send(i int, req *msg.Request) {
 	f.sends = append(f.sends, struct {
 		mds int
@@ -43,7 +49,7 @@ func replyTo(req *msg.Request, completed sim.Time) *msg.Reply {
 
 func testTree(t *testing.T) (*namespace.Tree, *namespace.Inode) {
 	t.Helper()
-	tr := namespace.NewTree()
+	tr := emptyTree()
 	d, err := tr.Mkdir(tr.Root, "home")
 	if err != nil {
 		t.Fatal(err)
@@ -168,8 +174,8 @@ func TestClientKnownLocationsBound(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.hints.Put(0, msg.Hint{Ino: namespace.InodeID(1000 + i), Authority: 0})
 	}
-	if c.KnownLocations() > 4 {
-		t.Fatalf("known locations = %d, cap 4", c.KnownLocations())
+	if n := c.hints.Len(0); n > 4 {
+		t.Fatalf("known locations = %d, cap 4", n)
 	}
 	eng.Run()
 }
@@ -213,16 +219,15 @@ func TestRetryExponentialBackoff(t *testing.T) {
 	eng := sim.NewEngine()
 	net := &fakeNet{n: 4}
 	c := New(0, eng, Config{
-		ThinkMean:       sim.Millisecond,
-		RetryTimeout:    10 * sim.Millisecond,
-		RetryBackoffMax: 40 * sim.Millisecond,
+		ThinkMean:    sim.Millisecond,
+		RetryTimeout: 10 * sim.Millisecond,
 	}, sim.NewRNG(9), net, partition.FileHash{N: 4},
 		fixedGen{workload.Op{Op: msg.Stat, Target: f}})
 	c.Start(0)
 	// No reply ever arrives. Resends land at 10, 30 (10+20), 70
-	// (+40 capped), 110 (+40 capped), ...
-	eng.RunUntil(120 * sim.Millisecond)
-	wantAt := []sim.Time{0, 10, 30, 70, 110}
+	// (+40), 150 (+80, the 8× cap), 230 (+80 capped), ...
+	eng.RunUntil(240 * sim.Millisecond)
+	wantAt := []sim.Time{0, 10, 30, 70, 150, 230}
 	if len(net.sends) != len(wantAt) {
 		t.Fatalf("sends = %d, want %d", len(net.sends), len(wantAt))
 	}
@@ -231,7 +236,7 @@ func TestRetryExponentialBackoff(t *testing.T) {
 			t.Fatalf("send %d: issued = %v", i, s.req.Issued)
 		}
 	}
-	if c.Stats.Retries != 4 {
+	if c.Stats.Retries != 5 {
 		t.Errorf("retries = %d", c.Stats.Retries)
 	}
 }

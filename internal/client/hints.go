@@ -89,9 +89,6 @@ func (t *HintTable) addChunk(s int) {
 	a.chunks = append(a.chunks, make([]uint64, n*int(t.ways)))
 }
 
-// Ways returns the per-client slot count.
-func (t *HintTable) Ways() int { return int(t.ways) }
-
 // FootprintBytes returns the table's size in bytes: the 4-byte region
 // index for every client plus the chunks allocated so far. It grows as
 // clients are first answered and never shrinks.
@@ -136,13 +133,9 @@ func (t *HintTable) home(key uint32) uint32 {
 	return uint32((uint64(key)*0x9E3779B97F4A7C15)>>40) & (t.ways - 1)
 }
 
-// Get looks up the hint for ino in client's region.
-func (t *HintTable) Get(client int, ino namespace.InodeID) (authority int, replicated, ok bool) {
-	return t.get(t.slots(client), ino)
-}
-
-// get is Get on an already resolved region (nil: no hints at all), so a
-// walk up an ancestor chain resolves the region once.
+// get looks up the hint for ino in an already resolved client region
+// (nil: no hints at all), so a walk up an ancestor chain resolves the
+// region once.
 func (t *HintTable) get(reg []uint64, ino namespace.InodeID) (authority int, replicated, ok bool) {
 	if reg == nil || ino >= maxHintKey {
 		return 0, false, false
@@ -159,13 +152,10 @@ func (t *HintTable) get(reg []uint64, ino namespace.InodeID) (authority int, rep
 	return 0, false, false
 }
 
-// Put records a hint in client's region, handing it one on its first
-// hint: refresh in place on a key match, fill the first empty slot in
-// the probe window, or — window full — overwrite the key's home slot
-// (deterministic eviction).
-func (t *HintTable) Put(client int, h msg.Hint) { t.put(t.claim(client), h) }
-
-// put is Put on an already claimed region, so a reply's hints claim once.
+// put records a hint in an already claimed client region, so a reply's
+// hints claim once: refresh in place on a key match, fill the first
+// empty slot in the probe window, or — window full — overwrite the
+// key's home slot (deterministic eviction).
 func (t *HintTable) put(reg []uint64, h msg.Hint) {
 	if h.Ino >= maxHintKey {
 		panic("client: inode id exceeds hint-table key range")

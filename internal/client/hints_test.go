@@ -11,6 +11,14 @@ import (
 	"dynmds/internal/snap"
 )
 
+// Get looks up the hint for ino in client's region.
+func (t *HintTable) Get(client int, ino namespace.InodeID) (authority int, replicated, ok bool) {
+	return t.get(t.slots(client), ino)
+}
+
+// Put records a hint in client's region, handing it one on its first.
+func (t *HintTable) Put(client int, h msg.Hint) { t.put(t.claim(client), h) }
+
 func TestHintTableRoundTrip(t *testing.T) {
 	tab := NewHintTable(1, 8, 1)
 	tab.Put(0, msg.Hint{Ino: 42, Authority: 3})
@@ -42,8 +50,8 @@ func TestHintTableRefreshInPlace(t *testing.T) {
 
 func TestHintTableBound(t *testing.T) {
 	tab := NewHintTable(1, 4, 1)
-	if tab.Ways() != 4 {
-		t.Fatalf("ways = %d", tab.Ways())
+	if tab.ways != 4 {
+		t.Fatalf("ways = %d", tab.ways)
 	}
 	for i := 0; i < 1000; i++ {
 		tab.Put(0, msg.Hint{Ino: namespace.InodeID(i), Authority: i % 8})
@@ -52,7 +60,7 @@ func TestHintTableBound(t *testing.T) {
 		t.Fatalf("region overflowed: len = %d", tab.Len(0))
 	}
 	// Non-power-of-two ways round up.
-	if w := NewHintTable(1, 5, 1).Ways(); w != 8 {
+	if w := NewHintTable(1, 5, 1).ways; w != 8 {
 		t.Fatalf("ways(5) = %d, want 8", w)
 	}
 }
@@ -78,7 +86,7 @@ func TestHintTableDelClearsExactSlot(t *testing.T) {
 	if auth, _, ok := tab.Get(0, 10); ok && auth != 5 {
 		t.Fatalf("stale value resurrected: authority = %d", auth)
 	}
-	if tab.Len(0) > tab.Ways() {
+	if tab.Len(0) > int(tab.ways) {
 		t.Fatalf("region overflowed after churn: len = %d", tab.Len(0))
 	}
 }
@@ -209,11 +217,11 @@ func (t *denseHints) snapshotTo(w *snap.Writer) {
 			nz++
 		}
 	}
-	w.Int(len(t.slots))
-	w.Int(nz)
+	w.I64(int64(len(t.slots)))
+	w.I64(int64(nz))
 	for i, v := range t.slots {
 		if v != 0 {
-			w.Int(i)
+			w.I64(int64(i))
 			w.U64(v)
 		}
 	}

@@ -120,7 +120,7 @@ func TestLeaseRecallNotResurrectedByStaleHint(t *testing.T) {
 	gen := plane.Reg.Gen(f.ID)
 	plane.Reg.NoteGrant(f.ID)
 	plane.Tab.Install(g, f.ID, gen, sim.Second)
-	pop.Hints().Put(g, msg.Hint{Ino: f.ID, Authority: 2})
+	pop.hints.Put(g, msg.Hint{Ino: f.ID, Authority: 2})
 	if !plane.Tab.Valid(g, f.ID, plane.Reg.Gen(f.ID), 0) {
 		t.Fatal("fresh lease not valid")
 	}

@@ -207,12 +207,11 @@ type popShard struct {
 	// requests keyed by shard-unique id, each a boxed record carrying
 	// the escalation state the flyweight slabs deliberately omit. Nil on
 	// fault-free runs, where the arrival path stays allocation-free.
-	retry           map[uint64]*openRetry
-	retryTimeout    sim.Time
-	retryBackoffMax sim.Time
-	retryMax        int
-	retries         uint64
-	timedOut        uint64
+	retry        map[uint64]*openRetry
+	retryTimeout sim.Time
+	retryMax     int
+	retries      uint64
+	timedOut     uint64
 }
 
 // openRetry is one outstanding open-loop request's retry box.
@@ -317,9 +316,6 @@ func (p *Population) SeedBaseVictims(victims []*namespace.Inode) {
 		s.baseVictims = append(s.baseVictims, v)
 	}
 }
-
-// Hints exposes the shared location-hint table.
-func (p *Population) Hints() *HintTable { return p.hints }
 
 // rate returns the momentary arrival rate λ(t) in ops/sec of a client
 // of the given tenant; only diurnal and burst modulation depend on it.
@@ -474,7 +470,6 @@ func (s *popShard) arrive(li int32) {
 	}
 
 	mds := p.direct(g, req, s.next(li))
-	req.FirstMDS = mds
 	s.issued++
 	if s.retry != nil {
 		r := &openRetry{req: req, li: li}
@@ -541,13 +536,8 @@ func popRetryFire(a, b any) {
 	p := s.pop
 	g := int(r.li)*s.k + s.shard
 	mds := p.direct(g, r.req, s.next(r.li))
-	r.req.FirstMDS = mds
 	p.net.Send(mds, r.req)
-	d := s.retryTimeout << uint(r.attempts)
-	if d > s.retryBackoffMax {
-		d = s.retryBackoffMax
-	}
-	s.eng.AfterCall(d, popRetryFire, s, r)
+	s.eng.AfterCall(retryBackoff(s.retryTimeout, r.attempts), popRetryFire, s, r)
 }
 
 // popName formats p<shard>_<seq> without fmt; the retained string is
@@ -660,21 +650,16 @@ func (p *Population) AttachLeasePlane(l *lease.Plane) { p.lease = l }
 
 // EnableRetries arms the boxed retry-escalation cache on every shard:
 // unanswered requests are retransmitted with capped exponential backoff
-// (base timeout doubling per attempt, capped at backoffMax, 8× the base
-// when zero) and retired as timed out after maxRetries attempts. Only
+// (retryBackoff) and retired as timed out after maxRetries attempts. Only
 // fault schedules need this — it buys crash survival at the cost of one
 // small heap box per outstanding request.
-func (p *Population) EnableRetries(timeout sim.Time, maxRetries int, backoffMax sim.Time) {
+func (p *Population) EnableRetries(timeout sim.Time, maxRetries int) {
 	if timeout <= 0 || maxRetries <= 0 {
 		panic("client: EnableRetries with no timeout or retry budget")
-	}
-	if backoffMax <= 0 {
-		backoffMax = 8 * timeout
 	}
 	for _, s := range p.shards {
 		s.retry = make(map[uint64]*openRetry)
 		s.retryTimeout = timeout
-		s.retryBackoffMax = backoffMax
 		s.retryMax = maxRetries
 	}
 }

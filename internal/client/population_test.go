@@ -14,7 +14,7 @@ import (
 // popTree builds a namespace with h homes, each with files and a subdir.
 func popTree(t *testing.T, h int) (*namespace.Tree, []*namespace.Inode) {
 	t.Helper()
-	tr := namespace.NewTree()
+	tr := emptyTree()
 	root, err := tr.Mkdir(tr.Root, "home")
 	if err != nil {
 		t.Fatal(err)
@@ -172,10 +172,10 @@ func TestPopulationHintsSteerDirection(t *testing.T) {
 	// Subtree strategy: clients are ignorant and follow hints.
 	tr := homes[0].Parent()
 	_ = tr
-	pop := NewPopulation(cfg, []*sim.Engine{eng}, net, partition.NewStaticSubtree(8, namespace.NewTree(), 1), tn, 1)
+	pop := NewPopulation(cfg, []*sim.Engine{eng}, net, partition.NewStaticSubtree(8, emptyTree(), 1), tn, 1)
 	net.pop = pop
 	f := tn.File(0, 0, 0)
-	pop.Hints().Put(3, msg.Hint{Ino: f.ID, Authority: 5})
+	pop.hints.Put(3, msg.Hint{Ino: f.ID, Authority: 5})
 	req := &msg.Request{Op: msg.Stat, Target: f}
 	if got := pop.direct(3, req, 12345); got != 5 {
 		t.Fatalf("direct = %d, want hinted 5", got)

@@ -118,10 +118,9 @@ type Config struct {
 	// HashDirThreshold enables dynamic directory hashing (§4.3).
 	HashDirThreshold int
 	// OSDs, when > 0, backs all MDS storage with one shared object
-	// pool of that many devices (§2.1.3) instead of node-local disks;
-	// OSDReplicas sets the per-object replica count (default 2).
-	OSDs        int
-	OSDReplicas int
+	// pool of that many devices, two replicas per object (§2.1.3),
+	// instead of node-local disks.
+	OSDs int
 	// MakeStrategy, when non-nil, overrides Strategy with a
 	// caller-built partitioning strategy constructed over the run's
 	// own tree (the embedded-inode ablation and tests).
@@ -401,11 +400,7 @@ func New(cfg Config) (*Cluster, error) {
 
 	// Shared OSD pool, when configured.
 	if cfg.OSDs > 0 {
-		pcfg := osd.DefaultConfig(cfg.OSDs)
-		if cfg.OSDReplicas > 0 {
-			pcfg.Replicas = cfg.OSDReplicas
-		}
-		pool, err := osd.NewPool(eng, pcfg)
+		pool, err := osd.NewPool(eng, osd.DefaultConfig(cfg.OSDs))
 		if err != nil {
 			return nil, err
 		}
@@ -478,7 +473,7 @@ func New(cfg Config) (*Cluster, error) {
 	// A fault schedule over the open loop arms the population's boxed
 	// retry cache with the same (defaulted) knobs closed-loop clients use.
 	if c.Pop != nil && !sched.Empty() {
-		c.Pop.EnableRetries(cfg.Client.RetryTimeout, cfg.Client.MaxRetries, cfg.Client.RetryBackoffMax)
+		c.Pop.EnableRetries(cfg.Client.RetryTimeout, cfg.Client.MaxRetries)
 	}
 
 	if c.numShards > 1 {
@@ -867,11 +862,8 @@ type Result struct {
 	Migrations    int
 	Delegations   int // subtree delegations in the dynamic partition at the end
 	Replications  uint64
-	LHDebt        int
-	CacheLen      int
-	// Distributed-write mechanism activity (§4.2).
+	// WritesAbsorbed counts writes a replica absorbed (§4.2).
 	WritesAbsorbed uint64
-	SizeCallbacks  uint64
 	// LatencyP50, LatencyP99 and LatencyP999 are client response-time
 	// quantile bounds in seconds (whole run, including warmup), from the
 	// same histogram as MeanLatency: Cluster.LatH.
@@ -990,9 +982,7 @@ func (c *Cluster) Collect() *Result {
 		hits += n.Cache().Stats.Hits
 		misses += n.Cache().Stats.Misses
 		r.PrefixFrac += n.Cache().PrefixFraction()
-		r.CacheLen += n.Cache().Len()
 		r.WritesAbsorbed += n.Stats.WritesAbsorbed
-		r.SizeCallbacks += n.Stats.SizeCallbacks
 		r.FetchTimeouts += n.Stats.FetchTimeouts
 		r.FwdTimeouts += n.Stats.FwdTimeouts
 		r.DeadLetters += n.Stats.DeadLetters
@@ -1053,9 +1043,6 @@ func (c *Cluster) Collect() *Result {
 	}
 	if c.Traffic != nil {
 		r.Replications = c.Traffic.Replications
-	}
-	if lh, ok := c.Strategy.(*partition.LazyHybrid); ok {
-		r.LHDebt = lh.Debt
 	}
 	// Per-node throughput within the window, from the reply series.
 	for _, s := range c.RepliesPerNode {

@@ -102,17 +102,11 @@ func TestSubtreeClientsLearnPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := cl.Run()
-	// After warmup, clients should have learned their region's location:
-	// forwarding stays well below 100%.
-	if res.ForwardFrac > 0.8 {
+	// After warmup, clients should have learned their region's location.
+	// One that had learned nothing would pick among the 3 nodes at random
+	// and see about 2/3 of its requests forwarded.
+	if res.ForwardFrac > 0.3 {
 		t.Fatalf("forward fraction = %v; clients not learning", res.ForwardFrac)
-	}
-	known := 0
-	for _, c := range cl.Clients {
-		known += c.KnownLocations()
-	}
-	if known == 0 {
-		t.Fatal("clients learned nothing")
 	}
 }
 

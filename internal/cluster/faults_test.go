@@ -137,12 +137,12 @@ func TestCompletionRecordedOncePerAcceptedReply(t *testing.T) {
 				if n := cl.LatH.N(); n != res.Completed {
 					t.Errorf("latency samples %d != completed %d", n, res.Completed)
 				}
-				var series int64
+				var series float64 // each completion observes 1
 				for i := 0; i < res.CompletedOps.Len(); i++ {
-					series += res.CompletedOps.Count(i)
+					series += res.CompletedOps.Sum(i)
 				}
 				if uint64(series) != res.Completed {
-					t.Errorf("availability series sums to %d != completed %d", series, res.Completed)
+					t.Errorf("availability series sums to %v != completed %d", series, res.Completed)
 				}
 				if res.MeanLatency != cl.LatH.Mean() || res.MeanLatency <= 0 {
 					t.Errorf("mean latency %v, histogram mean %v", res.MeanLatency, cl.LatH.Mean())

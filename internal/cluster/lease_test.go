@@ -225,7 +225,7 @@ func TestLeasePlaneFootprint(t *testing.T) {
 			t.Errorf("%s: plane %.1f B/client exceeds the %.0f B gate", tc.name, bpc, tc.limit)
 		}
 		for c := 0; c < clients; c++ {
-			cl.Pop.Hints().Put(c, msg.Hint{Ino: 1})
+			cl.Pop.OnReply(&msg.Reply{Client: c, Hints: []msg.Hint{{Ino: 1}}})
 		}
 		all := float64(cl.Pop.FootprintBytes()) / clients
 		if all > tc.spoken {

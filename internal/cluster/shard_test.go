@@ -9,16 +9,21 @@ import (
 	"dynmds/internal/sim"
 )
 
-// resultDigest captures every headline number of a run bit-exactly
+// resultDigest runs cl and captures every headline number bit-exactly
 // (floats by their IEEE-754 bits, not formatted approximations), so two
 // digests being equal means the runs were observationally identical.
-func resultDigest(r *Result) string {
+func resultDigest(cl *Cluster) string {
+	r := cl.Run()
+	var callbacks uint64
+	for _, n := range cl.Nodes {
+		callbacks += n.Stats.SizeCallbacks
+	}
 	return fmt.Sprintf("ops=%d served=%x hit=%x fwd=%x lat=%x p50=%x p99=%x migr=%d repl=%d net=%+v wr=%d cb=%d",
 		r.MeasuredOps, math.Float64bits(r.AvgThroughput),
 		math.Float64bits(r.HitRate), math.Float64bits(r.ForwardFrac),
 		math.Float64bits(r.MeanLatency), math.Float64bits(r.LatencyP50),
 		math.Float64bits(r.LatencyP99), r.Migrations, r.Replications,
-		r.Net, r.WritesAbsorbed, r.SizeCallbacks)
+		r.Net, r.WritesAbsorbed, callbacks)
 }
 
 func runDigest(t *testing.T, cfg Config) string {
@@ -27,7 +32,7 @@ func runDigest(t *testing.T, cfg Config) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resultDigest(cl.Run())
+	return resultDigest(cl)
 }
 
 // TestShardedK1IsSerial pins the degenerate-shard contract: Shards=1
@@ -168,7 +173,7 @@ func TestShardedFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := resultDigest(cl.Run())
+		d := resultDigest(cl)
 		return cl, d
 	}
 	cl, a := run()

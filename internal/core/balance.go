@@ -11,8 +11,6 @@ import (
 
 // Node is the balancer's view of one MDS. internal/mds implements it.
 type Node interface {
-	// ID is the node's cluster index.
-	ID() int
 	// Load returns the node's current load metric — the paper's
 	// prototype uses "a weighted combination of node throughput and
 	// cache misses" (§5.1).
@@ -53,15 +51,6 @@ type BalancerConfig struct {
 	// (ablation: the paper argues re-delegating whole imported trees
 	// keeps the partition simple).
 	NoRedelegateFirst bool
-
-	// Priority, when non-nil, weights an inode's popularity in the
-	// balancer's surveys. The paper argues a dynamic distribution "can
-	// be predicated on any hierarchical performance metric" — e.g.
-	// prioritising active project data over archival homes (§4.3).
-	// Subtrees with higher weight look hotter, so they are offloaded
-	// to less busy nodes sooner and end up with more dedicated
-	// capacity. Return 1 for neutral weight.
-	Priority func(*namespace.Inode) float64
 }
 
 // DefaultBalancerConfig returns the configuration used by experiments.
@@ -344,7 +333,7 @@ func (b *Balancer) surveyRoots(now sim.Time, node Node, roots []*namespace.Inode
 		idx[r] = i
 	}
 	node.Cache().ForEach(func(e *cache.Entry) {
-		p := b.weighted(now, e)
+		p := entryPop(now, b.popHalfLife, e)
 		if p == 0 {
 			return
 		}
@@ -359,23 +348,13 @@ func (b *Balancer) surveyRoots(now sim.Time, node Node, roots []*namespace.Inode
 	return pops
 }
 
-// weighted applies the optional priority policy to an entry's
-// popularity.
-func (b *Balancer) weighted(now sim.Time, e *cache.Entry) float64 {
-	p := entryPop(now, b.popHalfLife, e)
-	if p != 0 && b.cfg.Priority != nil {
-		p *= b.cfg.Priority(e.Ino)
-	}
-	return p
-}
-
 // pickChildren selects child directories of root whose cached subtree
 // popularities greedily sum to roughly wantPop. Children that already
 // carry their own delegation (they belong to someone else) are skipped.
 func (b *Balancer) pickChildren(now sim.Time, node Node, root *namespace.Inode, wantPop float64) []*namespace.Inode {
 	childPop := make(map[*namespace.Inode]float64)
 	node.Cache().ForEach(func(e *cache.Entry) {
-		p := b.weighted(now, e)
+		p := entryPop(now, b.popHalfLife, e)
 		if p == 0 {
 			return
 		}

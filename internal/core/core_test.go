@@ -12,7 +12,8 @@ import (
 
 func buildTree(t *testing.T) (*namespace.Tree, []*namespace.Inode) {
 	t.Helper()
-	tr := namespace.NewTree()
+	empty, _ := namespace.NewBuilder().Freeze()
+	tr := namespace.NewOverlay(empty)
 	home, err := tr.Mkdir(tr.Root, "home")
 	if err != nil {
 		t.Fatal(err)
@@ -36,9 +37,6 @@ func buildTree(t *testing.T) (*namespace.Tree, []*namespace.Inode) {
 func TestDynamicSubtreeStrategyFlags(t *testing.T) {
 	tr, _ := buildTree(t)
 	d := NewDynamicSubtree(4, tr, 2)
-	if d.Name() != "DynamicSubtree" {
-		t.Fatal("name")
-	}
 	if !d.DirGranular() || !d.NeedsPathTraversal() || d.ClientComputable() {
 		t.Fatal("flags wrong")
 	}
@@ -103,27 +101,32 @@ func TestTrafficControlDecisions(t *testing.T) {
 	f := homes[0].Child(0)
 	tc := &TrafficControl{Enabled: true, ReplicateThreshold: 10, UnreplicateThreshold: 2}
 	pop := partition.Popularity(f)
+	decide := func(now sim.Time) Decision {
+		d := tc.Peek(now, sim.Second, f)
+		tc.Commit(d, f)
+		return d
+	}
 
 	now := sim.Time(0)
 	// Below threshold: Keep.
 	pop.Add(now, sim.Second, 5)
-	if d := tc.Decide(now, sim.Second, f); d != Keep {
+	if d := decide(now); d != Keep {
 		t.Fatalf("decision = %v, want Keep", d)
 	}
 	// Cross threshold: Replicate once.
 	pop.Add(now, sim.Second, 10)
-	if d := tc.Decide(now, sim.Second, f); d != Replicate {
+	if d := decide(now); d != Replicate {
 		t.Fatal("no replicate at threshold")
 	}
 	if !tc.Replicated(f) {
 		t.Fatal("not marked replicated")
 	}
-	if d := tc.Decide(now, sim.Second, f); d != Keep {
+	if d := decide(now); d != Keep {
 		t.Fatal("replicate repeated")
 	}
 	// Decay below unreplicate threshold: Consolidate.
 	later := now + 10*sim.Second
-	if d := tc.Decide(later, sim.Second, f); d != Consolidate {
+	if d := decide(later); d != Consolidate {
 		t.Fatal("no consolidation after decay")
 	}
 	if tc.Replicated(f) {
@@ -140,17 +143,17 @@ func TestTrafficControlDisabledAndNil(t *testing.T) {
 	f := homes[0].Child(0)
 	partition.Popularity(f).Add(0, sim.Second, 1e6)
 	var nilTC *TrafficControl
-	if nilTC.Decide(0, sim.Second, f) != Keep || nilTC.Replicated(f) {
+	if nilTC.Peek(0, sim.Second, f) != Keep || nilTC.Replicated(f) {
 		t.Fatal("nil traffic control acted")
 	}
 	tc := &TrafficControl{Enabled: false, ReplicateThreshold: 1}
-	if tc.Decide(0, sim.Second, f) != Keep || tc.Replicated(f) {
+	if tc.Peek(0, sim.Second, f) != Keep || tc.Replicated(f) {
 		t.Fatal("disabled traffic control acted")
 	}
 	// Untouched inode (no Pop counter): Keep.
 	g := homes[0].Child(1)
 	on := DefaultTrafficControl()
-	if on.Decide(0, sim.Second, g) != Keep {
+	if on.Peek(0, sim.Second, g) != Keep {
 		t.Fatal("decision for untouched inode")
 	}
 }
@@ -163,7 +166,6 @@ type fakeNode struct {
 	imports, evicts int
 }
 
-func (f *fakeNode) ID() int                   { return f.id }
 func (f *fakeNode) Load(now sim.Time) float64 { return f.load }
 func (f *fakeNode) Cache() *cache.Cache       { return f.c }
 func (f *fakeNode) ImportSubtree(root *namespace.Inode, entries []Migrated) {
@@ -346,59 +348,5 @@ func TestBalancerStartStopTicker(t *testing.T) {
 	eng.RunUntil(10 * sim.Second)
 	if b.Rounds != 3 {
 		t.Fatalf("rounds after stop = %d", b.Rounds)
-	}
-}
-
-func TestBalancerPriorityPolicy(t *testing.T) {
-	tr, homes := buildTree(t)
-	const n = 3
-	d := NewDynamicSubtree(n, tr, 2)
-	eng := sim.NewEngine()
-	fakes := make([]*fakeNode, n)
-	nodes := make([]Node, n)
-	for i := range fakes {
-		fakes[i] = &fakeNode{id: i, load: 100, c: cache.New(10000)}
-		nodes[i] = fakes[i]
-	}
-	// Put two equally popular homes on one busy node; give one of them
-	// a 10x priority. The balancer should migrate the prioritised one.
-	src := d.Authority(homes[0])
-	var owned []*namespace.Inode
-	for _, h := range homes {
-		if d.Authority(h) == src {
-			owned = append(owned, h)
-		}
-	}
-	if len(owned) < 2 {
-		t.Skip("hash placed fewer than two homes on one node")
-	}
-	a, b := owned[0], owned[1]
-	for _, h := range []*namespace.Inode{a, b} {
-		for i := 0; i < h.NumChildren(); i++ {
-			c := h.Child(i)
-			if _, err := fakes[src].c.InsertPath(c, cache.Auth, false); err != nil {
-				t.Fatal(err)
-			}
-			partition.Popularity(c).Add(0, sim.Second, 30)
-		}
-	}
-	fakes[src].load = 1000
-
-	cfg := DefaultBalancerConfig()
-	cfg.MinMeanLoad = 1
-	cfg.Priority = func(ino *namespace.Inode) float64 {
-		if ino == b || b.IsAncestorOf(ino) {
-			return 10
-		}
-		return 1
-	}
-	bal := NewBalancer(eng, cfg, sim.Second, d, nodes)
-	bal.Rebalance(0)
-	eng.Run()
-	if len(bal.Migrations) == 0 {
-		t.Fatal("no migration")
-	}
-	if bal.Migrations[0].Root != b {
-		t.Fatalf("migrated %s, want prioritised %s", bal.Migrations[0].Root.Path(), b.Path())
 	}
 }

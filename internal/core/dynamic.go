@@ -43,9 +43,6 @@ func NewDynamicSubtree(n int, tree *namespace.Tree, partitionDepth int) *Dynamic
 	return &DynamicSubtree{Table: t}
 }
 
-// Name implements partition.Strategy.
-func (d *DynamicSubtree) Name() string { return "DynamicSubtree" }
-
 // Authority implements partition.Strategy. Entries of a dynamically
 // hashed directory are spread by (directory inode number, entry name);
 // everything else follows the subtree table.

@@ -64,40 +64,12 @@ const (
 	Consolidate
 )
 
-// Decide inspects the inode's (already bumped) popularity counter, whose
-// half-life is the run's mds.Config.PopHalfLife, and returns the policy
-// decision, updating the inode's replication flag. Callers apply the
-// decision (pushing or expiring replicas) themselves.
-func (tc *TrafficControl) Decide(now, halfLife sim.Time, ino *namespace.Inode) Decision {
-	if tc == nil || !tc.Enabled {
-		return Keep
-	}
-	tags := partition.TagsOf(ino)
-	if !tags.PopTouched {
-		return Keep
-	}
-	v := tags.Pop.Value(now, halfLife)
-	switch {
-	case !tags.ReplicatedAll && v >= tc.ReplicateThreshold:
-		tags.ReplicatedAll = true
-		tc.Replications++
-		return Replicate
-	case tags.ReplicatedAll && v < tc.UnreplicateThreshold:
-		tags.ReplicatedAll = false
-		tc.Consolidations++
-		return Consolidate
-	}
-	return Keep
-}
-
 // Peek computes the policy decision without mutating anything: the
 // tag block's by-value counter is read with metrics.Decay.Peek and the
 // replication flag is left untouched. Sharded windows use Peek so
 // concurrent shards never write shared inode state mid-window; the
 // matching flag flip and statistics land through Commit at the next
-// barrier. When the counter
-// was bumped at the same instant (the serial path defers nothing, so
-// the Add has already run), Peek returns exactly what Decide would.
+// barrier; the serial path calls Commit right after.
 func (tc *TrafficControl) Peek(now, halfLife sim.Time, ino *namespace.Inode) Decision {
 	if tc == nil || !tc.Enabled {
 		return Keep

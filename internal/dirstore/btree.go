@@ -88,30 +88,6 @@ func New(order int) *Tree {
 	return &Tree{root: &node{cow: cow, leaf: true}, order: order, cow: cow}
 }
 
-// Len returns the number of entries.
-func (t *Tree) Len() int { return t.size }
-
-// Order returns the branching factor.
-func (t *Tree) Order() int { return t.order }
-
-// Height returns the tree height (1 for a single leaf).
-func (t *Tree) Height() int {
-	h := 1
-	for n := t.root; !n.leaf; n = n.children[0] {
-		h++
-	}
-	return h
-}
-
-// Snapshot returns an O(1) copy-on-write snapshot: it shares all nodes
-// with t; later mutations of either tree copy nodes rather than
-// modifying shared state. Both trees take fresh tokens, so every node
-// reachable now is owned by neither.
-func (t *Tree) Snapshot() *Tree {
-	t.cow = new(cowToken)
-	return &Tree{root: t.root, order: t.order, size: t.size, cow: new(cowToken)}
-}
-
 // Get looks up an entry by name.
 func (t *Tree) Get(name string) (Record, bool) {
 	n := t.root
@@ -372,23 +348,6 @@ func (t *Tree) rangeNode(n *node, fn func(Record) bool) bool {
 		}
 	}
 	return true
-}
-
-// Nodes counts reachable nodes (the object's on-disk footprint in
-// B-tree blocks).
-func (t *Tree) Nodes() int {
-	var count func(n *node) int
-	count = func(n *node) int {
-		if n.leaf {
-			return 1
-		}
-		total := 1
-		for _, c := range n.children {
-			total += count(c)
-		}
-		return total
-	}
-	return count(t.root)
 }
 
 // CheckInvariants validates key ordering, size, balance, and node

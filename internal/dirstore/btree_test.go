@@ -10,8 +10,43 @@ import (
 	"dynmds/internal/namespace"
 )
 
+// Snapshot returns an O(1) copy-on-write snapshot: it shares all nodes
+// with t; later mutations of either tree copy nodes rather than
+// modifying shared state. Both trees take fresh tokens, so every node
+// reachable now is owned by neither.
+func (t *Tree) Snapshot() *Tree {
+	t.cow = new(cowToken)
+	return &Tree{root: t.root, order: t.order, size: t.size, cow: new(cowToken)}
+}
+
 func rec(name string) Record {
 	return Record{Name: name, Ino: namespace.InodeID(len(name)), Kind: namespace.File}
+}
+
+// Height returns the tree height (1 for a single leaf).
+func (t *Tree) Height() int {
+	h := 1
+	for n := t.root; !n.leaf; n = n.children[0] {
+		h++
+	}
+	return h
+}
+
+// Nodes counts reachable nodes (the object's on-disk footprint in
+// B-tree blocks).
+func (t *Tree) Nodes() int {
+	var count func(n *node) int
+	count = func(n *node) int {
+		if n.leaf {
+			return 1
+		}
+		total := 1
+		for _, c := range n.children {
+			total += count(c)
+		}
+		return total
+	}
+	return count(t.root)
 }
 
 func TestInsertGetDelete(t *testing.T) {
@@ -25,8 +60,8 @@ func TestInsertGetDelete(t *testing.T) {
 		if w < 1 {
 			t.Fatalf("insert wrote %d nodes", w)
 		}
-		if tr.Len() != i+1 {
-			t.Fatalf("len = %d, want %d", tr.Len(), i+1)
+		if tr.size != i+1 {
+			t.Fatalf("len = %d, want %d", tr.size, i+1)
 		}
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatal(err)
@@ -46,8 +81,8 @@ func TestInsertGetDelete(t *testing.T) {
 		if !ok || w < 1 {
 			t.Fatalf("Delete(%q) = %d %v", n, w, ok)
 		}
-		if tr.Len() != len(names)-i-1 {
-			t.Fatalf("len after delete = %d", tr.Len())
+		if tr.size != len(names)-i-1 {
+			t.Fatalf("len after delete = %d", tr.size)
 		}
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("after deleting %q: %v", n, err)
@@ -66,8 +101,8 @@ func TestInsertReplaces(t *testing.T) {
 	if _, err := tr.Insert(Record{Name: "a", Size: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 1 {
-		t.Fatalf("len = %d after replace", tr.Len())
+	if tr.size != 1 {
+		t.Fatalf("len = %d after replace", tr.size)
 	}
 	r, _ := tr.Get("a")
 	if r.Size != 2 {
@@ -147,7 +182,7 @@ func TestSnapshotIsolation(t *testing.T) {
 		}
 	}
 	snap := tr.Snapshot()
-	if snap.Len() != tr.Len() {
+	if snap.size != tr.size {
 		t.Fatal("snapshot size mismatch")
 	}
 	// Mutate the live tree: inserts, replaces, deletes.
@@ -160,8 +195,8 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The snapshot still sees the old state.
-	if snap.Len() != 100 {
-		t.Fatalf("snapshot len changed: %d", snap.Len())
+	if snap.size != 100 {
+		t.Fatalf("snapshot len changed: %d", snap.size)
 	}
 	for i := 0; i < 100; i++ {
 		r, ok := snap.Get(fmt.Sprintf("s%03d", i))
@@ -189,10 +224,10 @@ func TestSnapshotIsolation(t *testing.T) {
 
 func TestOrderClamped(t *testing.T) {
 	tr := New(1)
-	if tr.Order() != MinOrder {
-		t.Fatalf("order = %d", tr.Order())
+	if tr.order != MinOrder {
+		t.Fatalf("order = %d", tr.order)
 	}
-	if tr.Height() != 1 || tr.Nodes() != 1 || tr.Len() != 0 {
+	if tr.Height() != 1 || tr.Nodes() != 1 || tr.size != 0 {
 		t.Fatal("empty tree shape wrong")
 	}
 }
@@ -221,7 +256,7 @@ func TestBTreeMatchesReferenceModel(t *testing.T) {
 				}
 				delete(ref, name)
 			}
-			if tr.Len() != len(ref) {
+			if tr.size != len(ref) {
 				return false
 			}
 		}

@@ -120,8 +120,8 @@ func TestNodesWrittenMatchesAlwaysClone(t *testing.T) {
 				}
 			}
 		}
-		if tr.Len() != oracle.size {
-			t.Fatalf("seed %d: %d entries, always-clone %d", seed, tr.Len(), oracle.size)
+		if tr.size != oracle.size {
+			t.Fatalf("seed %d: %d entries, always-clone %d", seed, tr.size, oracle.size)
 		}
 		if err := sameShape(tr.root, oracle.root); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -242,9 +242,9 @@ func TestSnapRestoresShapeAndBoundsWhatItBuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != tr.Len() || back.Height() != tr.Height() || !bytes.Equal(encoded(back), want) {
+	if back.size != tr.size || back.Height() != tr.Height() || !bytes.Equal(encoded(back), want) {
 		t.Fatalf("restored tree differs: %d entries height %d, want %d height %d",
-			back.Len(), back.Height(), tr.Len(), tr.Height())
+			back.size, back.Height(), tr.size, tr.Height())
 	}
 	if w1, w2 := mustInsert(t, tr, "zz-new"), mustInsert(t, back, "zz-new"); w1 != w2 {
 		t.Errorf("the same insert rewrites %d nodes in the original and %d in the restored tree", w1, w2)
@@ -252,7 +252,7 @@ func TestSnapRestoresShapeAndBoundsWhatItBuilds(t *testing.T) {
 
 	leaf := func(w *snap.Writer, names ...string) {
 		w.Bool(true)
-		w.Int(len(names))
+		w.I64(int64(len(names)))
 		for _, name := range names {
 			w.String(name)
 			w.U64(1)
@@ -265,26 +265,26 @@ func TestSnapRestoresShapeAndBoundsWhatItBuilds(t *testing.T) {
 		name, want string
 		body       func(w *snap.Writer)
 	}{
-		{"order below the minimum", "order 2 below minimum", func(w *snap.Writer) { w.Int(2); w.Int(0); leaf(w) }},
-		{"negative size", "count -1", func(w *snap.Writer) { w.Int(8); w.Int(-1); leaf(w) }},
-		{"negative record count", "count -3", func(w *snap.Writer) { w.Int(8); w.Int(1); w.Bool(true); w.Int(-3) }},
-		{"record count past the section", "count 1000000", func(w *snap.Writer) { w.Int(8); w.Int(1); w.Bool(true); w.Int(1000000) }},
+		{"order below the minimum", "order 2 below minimum", func(w *snap.Writer) { w.I64(2); w.I64(0); leaf(w) }},
+		{"negative size", "count -1", func(w *snap.Writer) { w.I64(8); w.I64(-1); leaf(w) }},
+		{"negative record count", "count -3", func(w *snap.Writer) { w.I64(8); w.I64(1); w.Bool(true); w.I64(-3) }},
+		{"record count past the section", "count 1000000", func(w *snap.Writer) { w.I64(8); w.I64(1); w.Bool(true); w.I64(1000000) }},
 		{"more records than the size", "more than its 2 records", func(w *snap.Writer) {
-			w.Int(8)
-			w.Int(2)
+			w.I64(8)
+			w.I64(2)
 			leaf(w, "a", "b", "c")
 			w.String("padding so that the declared size, not the section, is the bound that refuses")
 		}},
 		{"deeper than the size allows", "deeper than its 4 records allow", func(w *snap.Writer) {
-			w.Int(8)
-			w.Int(4)
+			w.I64(8)
+			w.I64(4)
 			for depth := 0; depth < 64; depth++ { // a chain of one-child internal nodes
 				w.Bool(false)
-				w.Int(0)
+				w.I64(0)
 			}
 			leaf(w, "a", "b", "c", "d")
 		}},
-		{"fewer records than the size", "size 3 != counted 1", func(w *snap.Writer) { w.Int(8); w.Int(3); leaf(w, "a"); w.U64(0); w.U64(0) }},
+		{"fewer records than the size", "size 3 != counted 1", func(w *snap.Writer) { w.I64(8); w.I64(3); leaf(w, "a"); w.U64(0); w.U64(0) }},
 	}
 	for _, tc := range cases {
 		w := snap.NewWriter()

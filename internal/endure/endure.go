@@ -148,8 +148,7 @@ type Row struct {
 
 // Result is a finished endurance run.
 type Result struct {
-	Rows    []Row
-	Cluster *cluster.Result
+	Rows []Row
 	// Digest fingerprints the run outcome; restored runs must reproduce
 	// the uninterrupted run's digest exactly.
 	Digest string
@@ -234,7 +233,7 @@ func (st *runState) runFrom(first int) (*Result, error) {
 		}
 	}
 	res := st.c.Collect()
-	return &Result{Rows: st.rows, Cluster: res, Digest: Digest(res)}, nil
+	return &Result{Rows: st.rows, Digest: Digest(res)}, nil
 }
 
 // segment runs the cluster to checkpoint k and executes the checkpoint

@@ -321,7 +321,7 @@ func TestSnapshotVersionRejected(t *testing.T) {
 func versionOnlySnapshot(version int) []byte {
 	w := snap.NewWriter()
 	w.Begin("endure")
-	w.Int(version)
+	w.I64(int64(version))
 	w.End()
 	return w.Bytes()
 }
@@ -359,12 +359,12 @@ func TestAgedDriftGate(t *testing.T) {
 
 // TestSoakDeterminism: the rolling soak derives its schedule and
 // outcome purely from (config, seed) — two invocations agree exactly,
-// and the schedule carries the requested crash/recover cycles. The soak
-// also carries the drift gate: across the rolling crash cycles, ops/sec
-// at the last checkpoint may not fall more than 15% below the peak.
+// and the schedule carries the requested crash/recover cycles. Across
+// the rolling crash cycles, ops/sec at the last checkpoint may not fall
+// more than 15% below the peak.
 func TestSoakDeterminism(t *testing.T) {
 	run := func() *SoakReport {
-		rep, err := Soak(SoakOptions{Base: quickOptions(), Seed: 1, Cycles: 4, MaxDrift: 0.15})
+		rep, err := Soak(SoakOptions{Base: quickOptions(), Seed: 1, Cycles: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,6 +382,9 @@ func TestSoakDeterminism(t *testing.T) {
 	}
 	if a.Result.Digest != b.Result.Digest {
 		t.Fatalf("soak digests differ:\n  %s\n  %s", a.Result.Digest, b.Result.Digest)
+	}
+	if a.Drift > 0.15 {
+		t.Errorf("throughput drift %.3f exceeds 0.15 (curve peak→last)", a.Drift)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"dynmds/internal/fault"
 	"dynmds/internal/harness"
 	"dynmds/internal/plan"
-	"dynmds/internal/sim"
 )
 
 // SoakOptions configures a rolling chaos soak: an endurance run under a
@@ -21,14 +20,6 @@ type SoakOptions struct {
 	Seed int64
 	// Cycles is the number of crash/recover cycles (0 means 10).
 	Cycles int
-	// Outage is the per-cycle downtime (0 derives it from the spacing).
-	Outage sim.Time
-	// ShrinkBudget caps predicate evaluations during shrinking
-	// (0 means the harness default).
-	ShrinkBudget int
-	// MaxDrift, when positive, fails the soak if throughput over the
-	// curve degrades by more than this fraction (1 − last/peak).
-	MaxDrift float64
 }
 
 // SoakReport is the outcome of a rolling chaos soak.
@@ -47,8 +38,7 @@ type SoakReport struct {
 // SoakFailure captures a failed soak gate with everything needed to
 // reproduce it.
 type SoakFailure struct {
-	// Checkpoint is the index of the checkpoint that failed (−1 for a
-	// run-level failure such as excessive drift).
+	// Checkpoint is the index of the checkpoint that failed.
 	Checkpoint int
 	// Err is the violation.
 	Err string
@@ -77,7 +67,6 @@ func Soak(opt SoakOptions) (*SoakReport, error) {
 		NumMDS:  opt.Base.Cluster.NumMDS,
 		Cycles:  opt.Cycles,
 		Horizon: opt.Base.Cluster.Duration,
-		Outage:  opt.Outage,
 	})
 	opt.Base.Cluster.Faults = sched.String()
 	rep := &SoakReport{Schedule: opt.Base.Cluster.Faults}
@@ -92,15 +81,6 @@ func Soak(opt SoakOptions) (*SoakReport, error) {
 		return rep, nil
 	}
 	rep.Result, rep.Drift = res, res.Drift()
-	if opt.MaxDrift > 0 && rep.Drift > opt.MaxDrift {
-		rep.Failure = &SoakFailure{
-			Checkpoint: -1,
-			Err: fmt.Sprintf("throughput drift %.3f exceeds the %.3f gate (curve peak→last)",
-				rep.Drift, opt.MaxDrift),
-			Repro: ReproLine(&opt.Base, rep.Schedule, ""),
-		}
-		rep.Result = nil
-	}
 	return rep, nil
 }
 
@@ -129,7 +109,7 @@ func shrinkFailure(opt SoakOptions, sched *fault.Schedule, fe *FsckError) *SoakF
 		_, isFsck := IsFsck(err)
 		return isFsck
 	}
-	shrunk, evals := harness.ShrinkSchedule(sched, fails, opt.ShrinkBudget)
+	shrunk, evals := harness.ShrinkSchedule(sched, fails, 0) // the default budget
 	f.Shrunk, f.Evals = shrunk.String(), evals
 	f.Repro = ReproLine(&opt.Base, f.Shrunk, f.RestartFrom)
 	return f

@@ -62,15 +62,6 @@ func Default() Config {
 	}
 }
 
-// Scale returns a copy of c with user/project counts multiplied by f,
-// used by experiments that grow the file system with the cluster.
-func (c Config) Scale(f float64) Config {
-	s := c
-	s.Users = max(1, int(float64(c.Users)*f))
-	s.Projects = max(1, int(float64(c.Projects)*f))
-	return s
-}
-
 // Snapshot is a generated namespace plus the index lists workload
 // generators draw from.
 type Snapshot struct {
@@ -171,16 +162,6 @@ func appendPadded(b []byte, n, width int) []byte {
 		tmp[i] = '0'
 	}
 	return append(b, tmp[i:]...)
-}
-
-// Generate builds a snapshot from the configuration and thaws a private
-// view of it.
-func Generate(cfg Config) (*Snapshot, error) {
-	fs, err := GenerateFrozen(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return fs.Thaw(), nil
 }
 
 // GenerateFrozen builds a snapshot in its frozen, shareable form. The

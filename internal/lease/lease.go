@@ -56,11 +56,9 @@ type Config struct {
 	// decayed counters. Set a tiny positive value to lease on every read.
 	GrantPopularity float64
 
-	// Fanout turns on hot-directory replica fan-out at the MDS.
+	// Fanout turns on hot-directory replica fan-out at the MDS: an
+	// authority pushes a hot directory to every peer.
 	Fanout bool
-	// FanoutPeers caps how many peers an authority pushes a hot
-	// directory to; 0 means all peers.
-	FanoutPeers int
 	// FanoutPopularity is the decayed-popularity floor for fanning a
 	// directory out (default 200).
 	FanoutPopularity float64
@@ -101,9 +99,6 @@ func (c *Config) Normalize() error {
 	}
 	if c.GrantPopularity < 0 {
 		return fmt.Errorf("lease: negative grant popularity %g", c.GrantPopularity)
-	}
-	if c.FanoutPeers < 0 {
-		return fmt.Errorf("lease: negative fan-out peer count %d", c.FanoutPeers)
 	}
 	if c.FanoutPopularity == 0 {
 		c.FanoutPopularity = DefaultFanoutPopularity

@@ -43,7 +43,6 @@ func TestNormalizeRejectsBadKnobs(t *testing.T) {
 		{Enabled: true, Ways: 4096},
 		{Enabled: true, Duration: -sim.Second},
 		{Enabled: true, GrantPopularity: -1},
-		{Fanout: true, FanoutPeers: -2},
 		{Fanout: true, FanoutPopularity: -5},
 	}
 	for i, c := range bad {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dynmds/internal/dirstore"
 	"dynmds/internal/msg"
 	"dynmds/internal/namespace"
 	"dynmds/internal/partition"
@@ -76,7 +77,7 @@ func TestCoherenceEvictNotice(t *testing.T) {
 	// capacity with fresh records; replica holders must notify
 	// authorities as their replicas fall out.
 	dir := lookup(t, tree, "/home/u3")
-	for i := 0; i < 2*cl.nodes[0].Cache().Cap(); i++ {
+	for i := 0; i < 2*cl.nodes[0].cfg.CacheCapacity; i++ {
 		n, err := tree.Create(dir, fmt.Sprintf("spam%d", i))
 		if err != nil {
 			t.Fatal(err)
@@ -176,25 +177,20 @@ func TestDirObjectAccounting(t *testing.T) {
 	if !ok {
 		t.Fatal("no directory object materialised")
 	}
-	if obj.Len() != 2 {
-		t.Fatalf("object has %d entries", obj.Len())
+	if n := entries(obj); n != 2 {
+		t.Fatalf("object has %d entries", n)
 	}
 	if m.Store().Dirs.NodesWritten == 0 {
 		t.Fatal("no write amplification accounted")
 	}
-	// Snapshot, then unlink: the snapshot preserves the old contents.
-	snap := m.Store().Dirs.Snapshot(dir.ID)
 	f := lookup(t, tree, "/home/u2/obj1")
 	m.Receive(&msg.Request{ID: 3, Op: msg.Unlink, Target: f})
 	eng.Run()
-	if obj.Len() != 1 {
-		t.Fatalf("live object has %d entries after unlink", obj.Len())
+	if n := entries(obj); n != 1 {
+		t.Fatalf("live object has %d entries after unlink", n)
 	}
-	if snap.Len() != 2 {
-		t.Fatalf("snapshot lost entries: %d", snap.Len())
-	}
-	if _, ok := snap.Get("obj1"); !ok {
-		t.Fatal("snapshot missing unlinked entry")
+	if _, ok := obj.Get("obj1"); ok {
+		t.Fatal("unlinked entry still in the live object")
 	}
 }
 
@@ -207,7 +203,16 @@ func TestDirObjectSkippedForScatteredLayouts(t *testing.T) {
 	dir := lookup(t, tree, "/home/u2")
 	m.Receive(&msg.Request{ID: 1, Op: msg.Create, Target: dir, NewName: "scattered"})
 	eng.Run()
-	if m.Store().Dirs != nil && m.Store().Dirs.Len() != 0 {
-		t.Fatal("per-inode layout materialised directory objects")
+	if dirs := m.Store().Dirs; dirs != nil {
+		dirs.ForEach(func(namespace.InodeID, *dirstore.Tree) {
+			t.Fatal("per-inode layout materialised directory objects")
+		})
 	}
+}
+
+// entries counts a directory object's records.
+func entries(t *dirstore.Tree) int {
+	n := 0
+	t.Range(func(dirstore.Record) bool { n++; return true })
+	return n
 }

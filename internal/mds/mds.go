@@ -537,9 +537,6 @@ func (m *MDS) StopFlusher() {
 	}
 }
 
-// ID implements core.Node.
-func (m *MDS) ID() int { return m.id }
-
 // Cache implements core.Node.
 func (m *MDS) Cache() *cache.Cache { return m.cache }
 
@@ -552,9 +549,6 @@ func (m *MDS) Store() *storage.Store { return m.store }
 func (m *MDS) Load(now sim.Time) float64 {
 	return m.opsRate.Value(now) + m.cfg.LoadMissWeight*m.missRate.Value(now)
 }
-
-// HitRate returns the node's cache hit rate so far.
-func (m *MDS) HitRate() float64 { return m.cache.HitRate() }
 
 // MaxQueues reports the deepest the node's three service-centre waiting
 // lines have been: the resource a latency tail is parked behind. It is
@@ -1346,9 +1340,6 @@ func (m *MDS) maybeFanOut(target *namespace.Inode) {
 			return
 		}
 		n := m.cluster.NumMDS() - 1
-		if cfg.FanoutPeers > 0 && n > cfg.FanoutPeers {
-			n = cfg.FanoutPeers
-		}
 		if n <= 0 {
 			return
 		}

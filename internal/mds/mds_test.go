@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dynmds/internal/cache"
 	"dynmds/internal/core"
 	"dynmds/internal/msg"
 	"dynmds/internal/namespace"
@@ -19,6 +20,12 @@ type testCluster struct {
 	tree    *namespace.Tree
 	fab     *net.Fabric
 	replies []*msg.Reply
+}
+
+// emptyTree returns a tree holding only the root directory.
+func emptyTree() *namespace.Tree {
+	f, _ := namespace.NewBuilder().Freeze()
+	return namespace.NewOverlay(f)
 }
 
 func (tc *testCluster) Node(i int) *MDS        { return tc.nodes[i] }
@@ -62,7 +69,7 @@ func testMDSConfig() Config {
 // strategy factory.
 func buildCluster(t *testing.T, eng *sim.Engine, n int, makeStrat func(*namespace.Tree) partition.Strategy, trafficOn bool) (*testCluster, *namespace.Tree, partition.Strategy) {
 	t.Helper()
-	tree := namespace.NewTree()
+	tree := emptyTree()
 	home, err := tree.Mkdir(tree.Root, "home")
 	if err != nil {
 		t.Fatal(err)
@@ -398,7 +405,9 @@ func TestFailoverDropsAndRecoverWarmsFromLog(t *testing.T) {
 	if warmed == 0 {
 		t.Fatal("recovery warmed nothing")
 	}
-	if m.Cache().Len() == 0 {
+	cached := 0
+	m.Cache().ForEach(func(*cache.Entry) { cached++ })
+	if cached == 0 {
 		t.Fatal("cache empty after recovery")
 	}
 	m.Receive(&msg.Request{ID: 101, Op: msg.Stat, Target: dir})
@@ -427,7 +436,7 @@ func TestLoadMetricReflectsActivity(t *testing.T) {
 	if m.Load(eng.Now()) <= 0 {
 		t.Fatal("load did not rise with activity")
 	}
-	if m.HitRate() <= 0 {
+	if m.cache.Stats.Hits == 0 {
 		t.Fatal("hit rate zero after repeated stats")
 	}
 }

@@ -162,7 +162,7 @@ func TestWriteForwardedWithoutReplica(t *testing.T) {
 
 func TestPreemptiveReplication(t *testing.T) {
 	eng := sim.NewEngine()
-	tree := namespace.NewTree()
+	tree := emptyTree()
 	home, _ := tree.Mkdir(tree.Root, "home")
 	u, _ := tree.Mkdir(home, "u0")
 	f, _ := tree.Create(u, "hot")

@@ -8,7 +8,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"dynmds/internal/sim"
@@ -86,9 +85,6 @@ func (c *DecayCounter) Add(now sim.Time, x float64) { c.d.Add(now, c.HalfLife, x
 // Value returns the decayed value at now.
 func (c *DecayCounter) Value(now sim.Time) float64 { return c.d.Value(now, c.HalfLife) }
 
-// Reset zeroes the counter.
-func (c *DecayCounter) Reset(now sim.Time) { c.d = Decay{last: now} }
-
 // Snap walks the raw (value, last-decay-time) pair for checkpoints.
 func (c *DecayCounter) Snap(sc *snap.Codec) { c.d.Snap(sc) }
 
@@ -134,22 +130,6 @@ func (s *Series) Sum(i int) float64 {
 	return s.sums[i]
 }
 
-// Count returns the observation count in bucket i.
-func (s *Series) Count(i int) int64 {
-	if i < 0 || i >= len(s.counts) {
-		return 0
-	}
-	return s.counts[i]
-}
-
-// Mean returns Sum(i)/Count(i), or 0 for an empty bucket.
-func (s *Series) Mean(i int) float64 {
-	if c := s.Count(i); c > 0 {
-		return s.Sum(i) / float64(c)
-	}
-	return 0
-}
-
 // Rate returns Sum(i) per second of bucket width.
 func (s *Series) Rate(i int) float64 {
 	return s.Sum(i) / s.Bucket.Seconds()
@@ -189,7 +169,7 @@ func (s *Series) Snap(c *snap.Codec) {
 // Welford accumulates mean/variance/min/max online.
 type Welford struct {
 	n        int64
-	mean, m2 float64
+	mean     float64
 	min, max float64
 }
 
@@ -208,11 +188,7 @@ func (w *Welford) Add(x float64) {
 	w.n++
 	d := x - w.mean
 	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
 }
-
-// N returns the observation count.
-func (w *Welford) N() int64 { return w.n }
 
 // Mean returns the running mean (0 when empty).
 func (w *Welford) Mean() float64 { return w.mean }
@@ -220,14 +196,6 @@ func (w *Welford) Mean() float64 { return w.mean }
 // Min and Max return extrema (0 when empty).
 func (w *Welford) Min() float64 { return w.min }
 func (w *Welford) Max() float64 { return w.max }
-
-// Stddev returns the sample standard deviation.
-func (w *Welford) Stddev() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return math.Sqrt(w.m2 / float64(w.n-1))
-}
 
 // Table renders aligned columns for paper-style console output.
 type Table struct {
@@ -282,14 +250,4 @@ func (t *Table) String() string {
 		writeRow(r)
 	}
 	return b.String()
-}
-
-// SortedKeys returns map keys in sorted order, for deterministic output.
-func SortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

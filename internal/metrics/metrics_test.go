@@ -38,15 +38,6 @@ func TestDecayCounterMonotoneClock(t *testing.T) {
 	}
 }
 
-func TestDecayCounterReset(t *testing.T) {
-	c := NewDecayCounter(sim.Second)
-	c.Add(0, 42)
-	c.Reset(sim.Second)
-	if got := c.Value(2 * sim.Second); got != 0 {
-		t.Fatalf("after reset = %v", got)
-	}
-}
-
 // Property: decay never makes a nonnegative counter negative, and decay
 // over t1+t2 equals decay over t1 then t2.
 func TestDecayComposition(t *testing.T) {
@@ -149,16 +140,13 @@ func TestSeries(t *testing.T) {
 	if s.Sum(0) != 3 || s.Sum(1) != 10 {
 		t.Fatalf("sums = %v %v", s.Sum(0), s.Sum(1))
 	}
-	if s.Count(0) != 2 {
-		t.Fatalf("count = %d", s.Count(0))
-	}
-	if s.Mean(0) != 1.5 {
-		t.Fatalf("mean = %v", s.Mean(0))
+	if s.counts[0] != 2 {
+		t.Fatalf("count = %d", s.counts[0])
 	}
 	if s.Rate(1) != 10 {
 		t.Fatalf("rate = %v", s.Rate(1))
 	}
-	if s.Sum(99) != 0 || s.Mean(99) != 0 || s.Count(-1) != 0 {
+	if s.Sum(99) != 0 || s.Sum(-1) != 0 {
 		t.Fatal("out-of-range access not zero")
 	}
 	if s.BucketStart(3) != 3*sim.Second {
@@ -171,8 +159,8 @@ func TestWelford(t *testing.T) {
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		w.Add(x)
 	}
-	if w.N() != 8 {
-		t.Fatalf("n = %d", w.N())
+	if w.n != 8 {
+		t.Fatalf("n = %d", w.n)
 	}
 	if math.Abs(w.Mean()-5) > 1e-9 {
 		t.Fatalf("mean = %v", w.Mean())
@@ -180,12 +168,8 @@ func TestWelford(t *testing.T) {
 	if w.Min() != 2 || w.Max() != 9 {
 		t.Fatalf("min/max = %v/%v", w.Min(), w.Max())
 	}
-	// Sample stddev of that set is sqrt(32/7).
-	if math.Abs(w.Stddev()-math.Sqrt(32.0/7.0)) > 1e-9 {
-		t.Fatalf("stddev = %v", w.Stddev())
-	}
 	var empty Welford
-	if empty.Stddev() != 0 || empty.Mean() != 0 {
+	if empty.Mean() != 0 {
 		t.Fatal("empty welford not zero")
 	}
 }
@@ -201,13 +185,5 @@ func TestTable(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("table has %d lines", len(lines))
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	m := map[string]float64{"b": 1, "a": 2, "c": 3}
-	k := SortedKeys(m)
-	if k[0] != "a" || k[1] != "b" || k[2] != "c" {
-		t.Fatalf("keys = %v", k)
 	}
 }

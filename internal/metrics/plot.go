@@ -37,21 +37,3 @@ func Sparkline(values []float64) string {
 	}
 	return b.String()
 }
-
-// SeriesSparkline renders bucket sums of a Series over [from, to).
-func SeriesSparkline(s *Series, from, to int) string {
-	if to > s.Len() {
-		to = s.Len()
-	}
-	if from < 0 {
-		from = 0
-	}
-	if from >= to {
-		return ""
-	}
-	vals := make([]float64, 0, to-from)
-	for i := from; i < to; i++ {
-		vals = append(vals, s.Sum(i))
-	}
-	return Sparkline(vals)
-}

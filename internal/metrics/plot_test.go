@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"testing"
-
-	"dynmds/internal/sim"
-)
+import "testing"
 
 func TestSparkline(t *testing.T) {
 	if Sparkline(nil) != "" {
@@ -24,22 +20,5 @@ func TestSparkline(t *testing.T) {
 		if r != '▁' {
 			t.Fatalf("flat series rendered %q", flat)
 		}
-	}
-}
-
-func TestSeriesSparkline(t *testing.T) {
-	s := NewSeries(sim.Second)
-	for i := 0; i < 10; i++ {
-		s.Observe(sim.Time(i)*sim.Second, float64(i))
-	}
-	out := SeriesSparkline(s, 0, 10)
-	if len([]rune(out)) != 10 {
-		t.Fatalf("length = %d", len([]rune(out)))
-	}
-	if SeriesSparkline(s, 8, 3) != "" {
-		t.Fatal("inverted range produced output")
-	}
-	if got := SeriesSparkline(s, -5, 100); len([]rune(got)) != 10 {
-		t.Fatal("range clamping broken")
 	}
 }

@@ -30,11 +30,7 @@ const (
 	// concurrent writers batch their local maxima and periodically
 	// flush them to the authority (§4.2, the GPFS technique).
 	Write
-	numOps
 )
-
-// NumOps is the number of distinct operation types.
-const NumOps = int(numOps)
 
 var opNames = [...]string{"open", "close", "stat", "readdir", "create",
 	"unlink", "mkdir", "chmod", "rename", "write"}
@@ -82,8 +78,6 @@ type Request struct {
 	Issued sim.Time
 	// Hops counts intra-cluster forwards experienced so far.
 	Hops int
-	// FirstMDS is the node the client originally contacted.
-	FirstMDS int
 	// Via is the node that forwarded the request on its last hop, or -1
 	// if it arrived straight from the client. Receivers ack forwards back
 	// to Via when fault injection arms the forward timeout.

@@ -20,8 +20,8 @@ func TestOpStrings(t *testing.T) {
 	if Op(200).String() != "unknown" {
 		t.Error("out-of-range op string")
 	}
-	if NumOps != 10 {
-		t.Errorf("NumOps = %d", NumOps)
+	if len(opNames) != int(Write)+1 {
+		t.Errorf("%d op names for %d ops", len(opNames), int(Write)+1)
 	}
 }
 

@@ -34,7 +34,7 @@ func (t *Tree) TombstoneCount() int {
 // Tombstoned reports whether a base ID has been destroyed in this
 // overlay. IDs outside the base are never tombstoned.
 func (t *Tree) Tombstoned(id InodeID) bool {
-	if t.base == nil || !t.base.contains(id) {
+	if !t.base.contains(id) {
 		return false
 	}
 	if t.dead != nil {
@@ -50,9 +50,9 @@ func (t *Tree) TombstonesCompacted() bool { return t.dead != nil }
 
 // CompactTombstones migrates the tombstone set from the gone map to the
 // dense bitset and drops the map. Idempotent; returns the number of
-// tombstones migrated (0 if already compacted or not an overlay).
+// tombstones migrated (0 if already compacted).
 func (t *Tree) CompactTombstones() int {
-	if t.base == nil || t.dead != nil {
+	if t.dead != nil {
 		return 0
 	}
 	t.dead = make([]uint64, len(t.base.nodes)/64+1)

@@ -1,6 +1,7 @@
 package namespace
 
 import (
+	"bytes"
 	"testing"
 
 	"dynmds/internal/snap"
@@ -151,6 +152,45 @@ func TestOverlaySnapshotRoundTrip(t *testing.T) {
 		}
 		if err := got.CheckInvariants(); err != nil {
 			t.Errorf("restored overlay invariants: %v", err)
+		}
+	}
+}
+
+// TestSnapLinkCountSlot: an inode record keeps its link-count slot and
+// writes 1 there; a restore refuses any other value, since no inode is
+// linked twice.
+func TestSnapLinkCountSlot(t *testing.T) {
+	record := func(links int) []byte {
+		w := snap.NewWriter()
+		snap.Encoder(w).Section("inode", func(c *snap.Codec) {
+			var mode Mode
+			var size int64
+			sub, name, parent := 1, "f", InodeID(0)
+			snap.U(c, &mode)
+			snap.I(c, &size)
+			snap.I(c, &links)
+			snap.I(c, &sub)
+			c.String(&name)
+			snap.U(c, &parent)
+		})
+		return w.Bytes()
+	}
+	w := snap.NewWriter()
+	n := &Inode{name: "f", SubtreeInodes: 1}
+	snap.Encoder(w).Section("inode", func(c *snap.Codec) { n.snapFields(c) })
+	if !bytes.Equal(w.Bytes(), record(1)) {
+		t.Fatal("an inode record does not write its link count as 1")
+	}
+	for _, links := range []int{1, 0, 2} {
+		r, err := snap.NewReader(record(links))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Inode
+		dec := snap.Decoder(r)
+		dec.Section("inode", func(c *snap.Codec) { got.snapFields(c) })
+		if (dec.Err() == nil) != (links == 1) {
+			t.Errorf("link count %d: restore error %v", links, dec.Err())
 		}
 	}
 }

@@ -37,7 +37,7 @@ type fnode struct {
 	kind   Kind
 }
 
-// rootID is the ID NewTree and NewBuilder assign the root directory.
+// rootID is the ID NewBuilder assigns the root directory.
 const rootID InodeID = 1
 
 // NumInodes returns the number of inodes in the snapshot.
@@ -79,7 +79,6 @@ func NewOverlay(f *Frozen) *Tree {
 		NumFiles: f.numFiles,
 		NumDirs:  f.numDirs,
 	}
-	t.Anchors = NewAnchorTable()
 	t.slab = make([]Inode, len(f.nodes))
 	backing := make([]*Inode, len(f.childIDs))
 	for i := range t.slab {
@@ -88,7 +87,6 @@ func NewOverlay(f *Frozen) *Tree {
 		n.ID = InodeID(i + 1)
 		n.Kind = fn.kind
 		n.Mode = fn.mode
-		n.NLink = 1
 		n.name = fn.name
 		n.SubtreeInodes = int(fn.sub)
 		n.tree = t
@@ -117,7 +115,7 @@ func (t *Tree) node(id InodeID) *Inode { return &t.slab[id-1] }
 
 // IsBase reports whether id belongs to the frozen base layer, as
 // opposed to an inode created during the run.
-func (t *Tree) IsBase(id InodeID) bool { return t.base != nil && t.base.contains(id) }
+func (t *Tree) IsBase(id InodeID) bool { return t.base.contains(id) }
 
 // expand builds a directory's private name index from its current child
 // list, switching lookups off the shared base index. Any structural
@@ -139,7 +137,7 @@ func (n *Inode) expand() {
 // destroyed records that a base inode no longer exists in this overlay,
 // so ByID cannot re-materialize it from the base.
 func (t *Tree) destroyed(id InodeID) {
-	if t.base == nil || !t.base.contains(id) {
+	if !t.base.contains(id) {
 		return
 	}
 	t.BaseDeletes++

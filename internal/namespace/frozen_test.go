@@ -12,11 +12,11 @@ import (
 
 // genBase builds a deterministic pseudo-random namespace the way fsgen
 // does — mkdirs and creates only — twice over from the same calls: as a
-// plain tree, the oracle, and through a Builder.
+// tree grown on an empty base, the oracle, and through a Builder.
 func genBase(t *testing.T, seed int64, dirs, filesPerDir int) (*Tree, *Frozen) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	tr, b := NewTree(), NewBuilder()
+	tr, b := emptyTree(), NewBuilder()
 	all := []*Inode{tr.Root}
 	for d := 0; d < dirs; d++ {
 		parent := all[r.Intn(len(all))]
@@ -58,8 +58,8 @@ func walkOrder(tr *Tree) []*Inode {
 }
 
 // requireSameShape asserts two trees are structurally identical:
-// same walk order, IDs, names, kinds, modes, sizes, link and subtree
-// counts, and same child ordering.
+// same walk order, IDs, names, kinds, modes, sizes, subtree counts, and
+// same child ordering.
 func requireSameShape(t *testing.T, want, got *Tree) {
 	t.Helper()
 	a, b := walkOrder(want), walkOrder(got)
@@ -69,7 +69,7 @@ func requireSameShape(t *testing.T, want, got *Tree) {
 	for i := range a {
 		x, y := a[i], b[i]
 		if x.ID != y.ID || x.Kind != y.Kind || x.Mode != y.Mode || x.Size != y.Size ||
-			x.NLink != y.NLink || x.name != y.name || x.SubtreeInodes != y.SubtreeInodes {
+			x.name != y.name || x.SubtreeInodes != y.SubtreeInodes {
 			t.Fatalf("inode %d differs: %+v vs %+v", i, x, y)
 		}
 		if x.NumChildren() != y.NumChildren() {

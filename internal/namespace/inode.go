@@ -1,9 +1,9 @@
 // Package namespace models the file-system hierarchy whose metadata the
 // MDS cluster manages: inodes, directories, paths, and the mutation
 // operations that the metadata workload performs (create, unlink, rename,
-// chmod, mkdir, link). It also implements the paper's auxiliary anchor
-// table (§4.5), the small global table that locates only multiply-linked
-// inodes in a world of directory-embedded inodes.
+// chmod, mkdir). Every inode has exactly one link: nothing in the
+// workload creates a hard link, so the paper's anchor table for them
+// (§4.5) is not modelled.
 //
 // The package is pure data structure: it knows nothing about simulation
 // time, caching, or distribution. One Tree instance is the ground truth
@@ -50,7 +50,6 @@ type Inode struct {
 	Kind   Kind
 	Mode   Mode
 	Size   int64
-	NLink  int // number of directory entries referencing this inode
 	parent *Inode
 	name   string
 

@@ -44,7 +44,11 @@ func (t *Tree) SnapRef(c *snap.Codec, p **Inode, what string) {
 func (n *Inode) snapFields(c *snap.Codec) (parent InodeID) {
 	snap.U(c, &n.Mode)
 	snap.I(c, &n.Size)
-	snap.I(c, &n.NLink)
+	links := 1 // the link count keeps its slot; no inode is linked twice
+	snap.I(c, &links)
+	if links != 1 {
+		c.Failf("namespace: inode %d has %d links, want 1", n.ID, links)
+	}
 	snap.I(c, &n.SubtreeInodes)
 	c.String(&n.name)
 	if n.parent != nil {
@@ -66,7 +70,7 @@ func (t *Tree) setParent(c *snap.Codec, n *Inode, parent InodeID) {
 }
 
 // drifted reports whether a live base inode differs from its frozen
-// record, which has size 0 and one link.
+// record, which has size 0.
 func (t *Tree) drifted(id InodeID) bool {
 	n, fn := t.node(id), t.base.node(id)
 	var parent InodeID
@@ -74,23 +78,17 @@ func (t *Tree) drifted(id InodeID) bool {
 		parent = n.parent.ID
 	}
 	return n.name != fn.name || n.Size != 0 || n.Mode != fn.mode ||
-		n.NLink != 1 || n.SubtreeInodes != int(fn.sub) || parent != fn.parent
+		n.SubtreeInodes != int(fn.sub) || parent != fn.parent
 }
 
-// Snap walks the overlay delta. The tree must be an overlay holding no
-// anchored inodes (the endurance plane runs no Link ops); reading, a
-// pristine overlay of the same frozen base. Gathering what to write and
+// Snap walks the overlay delta; reading, the tree must be a pristine
+// overlay of the same frozen base. Gathering what to write and
 // building what was read are different work, so each part of the delta
 // says which it is doing.
 func (t *Tree) Snap(c *snap.Codec) {
 	reading := c.Reading()
-	switch {
-	case t.base == nil:
-		panic("namespace: snapshot of a non-overlay tree")
-	case reading && (len(t.byID) != 0 || t.gone != nil || t.dead != nil):
+	if reading && (len(t.byID) != 0 || t.gone != nil || t.dead != nil) {
 		c.Failf("namespace: restore onto a non-pristine overlay")
-	case !reading && t.Anchors != nil && t.Anchors.Len() != 0:
-		panic("namespace: snapshot with anchored inodes is not supported")
 	}
 
 	snap.U(c, &t.nextID)

@@ -5,19 +5,20 @@ import (
 	"strings"
 )
 
-// Tree is a complete file-system namespace. It is the single ground
-// truth for a simulation: MDS caches hold references to its inodes, and
-// all metadata mutations flow through its methods so invariants
-// (subtree counters, link counts, the anchor table) stay consistent.
+// Tree is a complete file-system namespace: a private overlay of a
+// frozen snapshot (NewOverlay). It is the single ground truth for a
+// simulation: MDS caches hold references to its inodes, and all metadata
+// mutations flow through its methods so the subtree counters stay
+// consistent.
 type Tree struct {
 	Root   *Inode
 	byID   map[InodeID]*Inode
 	nextID InodeID
 
-	// base is the shared immutable snapshot this tree overlays, nil for
-	// an ordinary tree. slab then holds the run-private copies of every
-	// base inode (indexed by id-1), and byID holds only inodes created
-	// after the thaw (see frozen.go).
+	// base is the shared immutable snapshot this tree overlays. slab
+	// holds the run-private copies of every base inode (indexed by
+	// id-1), and byID holds only inodes created after the thaw (see
+	// frozen.go).
 	base *Frozen
 	slab []Inode
 	// gone tombstones base IDs destroyed in this overlay so ByID cannot
@@ -44,24 +45,9 @@ type Tree struct {
 	lazyLookups uint64
 	lazyMisses  uint64
 
-	// Anchors locates multiply-linked inodes (§4.5). Populated lazily,
-	// only for inodes with NLink > 1 and their ancestor directories.
-	Anchors *AnchorTable
-
 	// Counts maintained across mutations.
 	NumFiles int
 	NumDirs  int
-}
-
-// NewTree creates a tree containing only the root directory.
-func NewTree() *Tree {
-	t := &Tree{byID: make(map[InodeID]*Inode)}
-	t.Anchors = NewAnchorTable()
-	root := &Inode{ID: t.allocID(), Kind: Dir, Mode: 0o755, NLink: 1, SubtreeInodes: 1, tree: t}
-	t.Root = root
-	t.byID[root.ID] = root
-	t.NumDirs = 1
-	return t
 }
 
 func (t *Tree) allocID() InodeID {
@@ -69,10 +55,10 @@ func (t *Tree) allocID() InodeID {
 	return t.nextID
 }
 
-// ByID returns the inode with the given ID, if it exists. On an overlay
-// tree base IDs resolve directly into the slab.
+// ByID returns the inode with the given ID, if it exists. Base IDs
+// resolve directly into the slab.
 func (t *Tree) ByID(id InodeID) (*Inode, bool) {
-	if t.base != nil && t.base.contains(id) {
+	if t.base.contains(id) {
 		if t.dead != nil {
 			if t.dead[id>>6]&(1<<(id&63)) != 0 {
 				return nil, false
@@ -112,7 +98,7 @@ func (t *Tree) add(parent *Inode, name string, kind Kind) (*Inode, error) {
 	if err := validName(name); err != nil {
 		return nil, err
 	}
-	n := &Inode{ID: t.allocID(), Kind: kind, Mode: 0o644, NLink: 1, name: name, tree: t}
+	n := &Inode{ID: t.allocID(), Kind: kind, Mode: 0o644, name: name, tree: t}
 	if kind == Dir {
 		n.Mode = 0o755
 	}
@@ -137,9 +123,7 @@ func validName(name string) error {
 	return nil
 }
 
-// Remove unlinks the inode from its primary parent. A directory must be
-// empty. If the inode has additional hard links it survives under one of
-// them; otherwise it is destroyed.
+// Remove unlinks and destroys the inode. A directory must be empty.
 func (t *Tree) Remove(n *Inode) error {
 	if n == t.Root {
 		return fmt.Errorf("namespace: cannot remove root")
@@ -155,13 +139,6 @@ func (t *Tree) Remove(n *Inode) error {
 		return err
 	}
 	parent.adjustSubtreeCount(-n.SubtreeInodes)
-	n.NLink--
-	if n.NLink > 0 {
-		// Survives under another link; re-anchor there.
-		t.Anchors.Unlink(t, n)
-		return nil
-	}
-	t.Anchors.Drop(t, n)
 	delete(t.byID, n.ID)
 	t.destroyed(n.ID)
 	if n.Kind == Dir {
@@ -212,35 +189,11 @@ func (t *Tree) Rename(n *Inode, dstDir *Inode, newName string) error {
 		return err
 	}
 	dstDir.adjustSubtreeCount(n.SubtreeInodes)
-	t.Anchors.Moved(t, n)
 	return nil
 }
 
 // Chmod updates an inode's permission word.
 func (t *Tree) Chmod(n *Inode, mode Mode) { n.Mode = mode }
-
-// Link creates an additional hard link to n in dir under name. Linking
-// directories is rejected (as in POSIX). Both the inode and its ancestor
-// chain are registered in the anchor table because an embedded inode is
-// otherwise unlocatable from its secondary names (§4.5).
-func (t *Tree) Link(n *Inode, dir *Inode, name string) error {
-	if n.Kind == Dir {
-		return fmt.Errorf("namespace: cannot hard-link directory %s", n.Path())
-	}
-	if err := validName(name); err != nil {
-		return err
-	}
-	if _, exists := dir.LookupChild(name); exists {
-		return fmt.Errorf("namespace: %s already contains %q", dir.Path(), name)
-	}
-	// The inode stays embedded with (and attached to) its primary entry;
-	// anchoring it makes it locatable from the secondary name by ID.
-	// The secondary directory itself needs no anchor: resolution starts
-	// from its dentry's inode number and goes through the table.
-	n.NLink++
-	t.Anchors.Add(t, n)
-	return nil
-}
 
 // Lookup resolves an absolute slash-separated path. Components are
 // iterated in place (see Segments), so resolution does not allocate.
@@ -278,8 +231,8 @@ func (t *Tree) Walk(fn func(*Inode) bool) {
 	rec(t.Root)
 }
 
-// CheckInvariants validates subtree counters, parent/child symmetry, and
-// link counts. Intended for tests; returns the first violation found.
+// CheckInvariants validates subtree counters and parent/child symmetry.
+// Intended for tests; returns the first violation found.
 func (t *Tree) CheckInvariants() error {
 	var err error
 	t.Walk(func(n *Inode) bool {

@@ -7,6 +7,12 @@ import (
 	"testing/quick"
 )
 
+// emptyTree returns a tree holding only the root directory.
+func emptyTree() *Tree {
+	f, _ := NewBuilder().Freeze()
+	return NewOverlay(f)
+}
+
 func mustMkdir(t *testing.T, tr *Tree, parent *Inode, name string) *Inode {
 	t.Helper()
 	n, err := tr.Mkdir(parent, name)
@@ -26,7 +32,7 @@ func mustCreate(t *testing.T, tr *Tree, parent *Inode, name string) *Inode {
 }
 
 func TestTreeBasics(t *testing.T) {
-	tr := NewTree()
+	tr := emptyTree()
 	home := mustMkdir(t, tr, tr.Root, "home")
 	u1 := mustMkdir(t, tr, home, "u1")
 	f := mustCreate(t, tr, u1, "notes.txt")
@@ -64,7 +70,7 @@ func TestTreeBasics(t *testing.T) {
 }
 
 func TestTreeDuplicateAndInvalidNames(t *testing.T) {
-	tr := NewTree()
+	tr := emptyTree()
 	mustMkdir(t, tr, tr.Root, "a")
 	if _, err := tr.Mkdir(tr.Root, "a"); err == nil {
 		t.Error("duplicate mkdir succeeded")
@@ -82,7 +88,7 @@ func TestTreeDuplicateAndInvalidNames(t *testing.T) {
 }
 
 func TestSubtreeCounts(t *testing.T) {
-	tr := NewTree()
+	tr := emptyTree()
 	a := mustMkdir(t, tr, tr.Root, "a")
 	b := mustMkdir(t, tr, a, "b")
 	mustCreate(t, tr, b, "f1")
@@ -99,7 +105,7 @@ func TestSubtreeCounts(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	tr := NewTree()
+	tr := emptyTree()
 	a := mustMkdir(t, tr, tr.Root, "a")
 	f := mustCreate(t, tr, a, "f")
 	if err := tr.Remove(a); err == nil {
@@ -129,7 +135,7 @@ func TestRemove(t *testing.T) {
 }
 
 func TestRename(t *testing.T) {
-	tr := NewTree()
+	tr := emptyTree()
 	a := mustMkdir(t, tr, tr.Root, "a")
 	b := mustMkdir(t, tr, tr.Root, "b")
 	sub := mustMkdir(t, tr, a, "sub")
@@ -165,94 +171,8 @@ func TestRename(t *testing.T) {
 	}
 }
 
-func TestHardLinksAndAnchors(t *testing.T) {
-	tr := NewTree()
-	a := mustMkdir(t, tr, tr.Root, "a")
-	b := mustMkdir(t, tr, tr.Root, "b")
-	f := mustCreate(t, tr, a, "f")
-
-	if err := tr.Link(a, b, "dirlink"); err == nil {
-		t.Error("hard-linked a directory")
-	}
-	if err := tr.Link(f, b, "f2"); err != nil {
-		t.Fatal(err)
-	}
-	if f.NLink != 2 {
-		t.Errorf("NLink = %d, want 2", f.NLink)
-	}
-	if !tr.Anchors.Anchored(f.ID) {
-		t.Error("multiply-linked inode not anchored")
-	}
-	chain, ok := tr.Anchors.Resolve(f.ID)
-	if !ok || len(chain) == 0 || chain[0] != a.ID {
-		t.Errorf("Resolve = %v %v, want chain starting at a", chain, ok)
-	}
-	// Singly-linked inodes stay out of the table.
-	g := mustCreate(t, tr, a, "g")
-	if tr.Anchors.Anchored(g.ID) {
-		t.Error("singly-linked inode anchored")
-	}
-	// Moving the anchored file updates its anchor.
-	if err := tr.Rename(f, b, "fmoved"); err != nil {
-		t.Fatal(err)
-	}
-	chain, _ = tr.Anchors.Resolve(f.ID)
-	if chain[0] != b.ID {
-		t.Errorf("anchor after move = %v, want start %d", chain, b.ID)
-	}
-	// Unlink down to one link drops the anchor.
-	if err := tr.Remove(f); err != nil {
-		t.Fatal(err)
-	}
-	if f.NLink != 1 {
-		t.Errorf("NLink after remove = %d, want 1", f.NLink)
-	}
-	if tr.Anchors.Anchored(f.ID) {
-		t.Error("inode still anchored after dropping to one link")
-	}
-	if tr.Anchors.Len() != 0 {
-		t.Errorf("anchor table len = %d, want 0", tr.Anchors.Len())
-	}
-}
-
-func TestAnchorSharedPrefix(t *testing.T) {
-	tr := NewTree()
-	d := mustMkdir(t, tr, tr.Root, "d")
-	sub1 := mustMkdir(t, tr, d, "s1")
-	sub2 := mustMkdir(t, tr, d, "s2")
-	other := mustMkdir(t, tr, tr.Root, "other")
-	f1 := mustCreate(t, tr, sub1, "f1")
-	f2 := mustCreate(t, tr, sub2, "f2")
-	if err := tr.Link(f1, other, "l1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Link(f2, other, "l2"); err != nil {
-		t.Fatal(err)
-	}
-	// Both chains share /d; dropping one must keep the shared prefix.
-	tr.Anchors.Drop(tr, f1)
-	if !tr.Anchors.Anchored(f2.ID) {
-		t.Fatal("f2 lost anchor")
-	}
-	chain, _ := tr.Anchors.Resolve(f2.ID)
-	// chain should reach up through d.
-	found := false
-	for _, id := range chain {
-		if id == d.ID {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("chain %v does not include shared dir", chain)
-	}
-	tr.Anchors.Drop(tr, f2)
-	if tr.Anchors.Len() != 0 {
-		t.Errorf("anchor table not empty after drops: %d", tr.Anchors.Len())
-	}
-}
-
 func TestWalkPrune(t *testing.T) {
-	tr := NewTree()
+	tr := emptyTree()
 	a := mustMkdir(t, tr, tr.Root, "a")
 	mustCreate(t, tr, a, "f")
 	b := mustMkdir(t, tr, tr.Root, "b")
@@ -272,12 +192,12 @@ func TestWalkPrune(t *testing.T) {
 func TestTreeInvariantsUnderRandomOps(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		tr := NewTree()
+		tr := emptyTree()
 		var dirs []*Inode
 		var files []*Inode
 		dirs = append(dirs, tr.Root)
 		for i := 0; i < 300; i++ {
-			switch r.Intn(6) {
+			switch r.Intn(5) {
 			case 0, 1: // create file
 				p := dirs[r.Intn(len(dirs))]
 				if n, err := tr.Create(p, "f"+strconv.Itoa(i)); err == nil {
@@ -304,14 +224,6 @@ func TestTreeInvariantsUnderRandomOps(t *testing.T) {
 					d := dirs[r.Intn(len(dirs))]
 					if n.Parent() != nil {
 						_ = tr.Rename(n, d, "r"+strconv.Itoa(i))
-					}
-				}
-			case 5: // link
-				if len(files) > 0 {
-					n := files[r.Intn(len(files))]
-					d := dirs[r.Intn(len(dirs))]
-					if n.Parent() != nil {
-						_ = tr.Link(n, d, "l"+strconv.Itoa(i))
 					}
 				}
 			}

@@ -17,8 +17,7 @@ type LinkStats struct {
 // Link is one directed endpoint pair, with its counters and the mutable
 // per-link state latency models use.
 type Link struct {
-	From, To int
-	Stats    LinkStats
+	Stats LinkStats
 	// BusyUntil is the queued model's serialization horizon: the time
 	// the link finishes transmitting everything accepted so far.
 	BusyUntil sim.Time
@@ -74,21 +73,13 @@ type Fabric struct {
 // NewFabric creates a fabric over numMDS node endpoints plus the client
 // edge, pricing transit with the given model.
 func NewFabric(eng *sim.Engine, numMDS int, model LatencyModel) *Fabric {
-	f := &Fabric{eng: eng, model: model, n: numMDS}
 	w := numMDS + 1
-	f.links = make([]Link, w*w)
-	for i := range f.links {
-		f.links[i].From, f.links[i].To = i/w, i%w
-	}
-	return f
+	return &Fabric{eng: eng, model: model, n: numMDS, links: make([]Link, w*w)}
 }
 
 // ClientEdge returns the endpoint index aggregating the client
 // population.
 func (f *Fabric) ClientEdge() int { return f.n }
-
-// Model returns the latency model's name.
-func (f *Fabric) Model() string { return f.model.Name() }
 
 // SetFaultPlane attaches a fault plane consulted on every Send. Pass
 // nil to detach.
@@ -262,25 +253,6 @@ func (f *Fabric) Class(c Class) ClassStats {
 		cs.Bytes += l.Bytes
 	}
 	return cs
-}
-
-// LinkBetween returns the counters of the directed from→to link. On a
-// sharded fabric the client-edge row sums its per-shard lanes (MaxDepth
-// becomes the largest per-lane high-water mark, a lower bound on the
-// true aggregate depth).
-func (f *Fabric) LinkBetween(from, to int) LinkStats {
-	s := f.links[from*(f.n+1)+to].Stats
-	if f.sh != nil && from == f.n {
-		for i := range f.sh.edgeRows {
-			ls := &f.sh.edgeRows[i][to].Stats
-			s.Messages += ls.Messages
-			s.Bytes += ls.Bytes
-			if ls.MaxDepth > s.MaxDepth {
-				s.MaxDepth = ls.MaxDepth
-			}
-		}
-	}
-	return s
 }
 
 // InFlight returns the number of messages sent but neither delivered

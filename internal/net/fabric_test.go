@@ -41,7 +41,7 @@ func TestFabricDeliversWithFixedLatency(t *testing.T) {
 	if got := fab.Class(Forward); got.Sent != 1 || got.Delivered != 1 || got.Bytes != uint64(Bytes(Forward)) {
 		t.Fatalf("class stats = %+v", got)
 	}
-	if ls := fab.LinkBetween(0, 1); ls.Messages != 1 || ls.MaxDepth != 1 {
+	if ls := fab.links[1].Stats; ls.Messages != 1 || ls.MaxDepth != 1 { // link 0→1
 		t.Fatalf("link stats = %+v", ls)
 	}
 	if fab.InFlight() != 0 || fab.LiveEnvelopes() != 0 {
@@ -67,7 +67,7 @@ func TestQueuedSerializes(t *testing.T) {
 	if len(at) != 3 || at[0] != want[0] || at[1] != want[1] || at[2] != want[2] {
 		t.Fatalf("deliveries at %v, want %v", at, want)
 	}
-	if ls := fab.LinkBetween(0, 1); ls.MaxDepth != 2 {
+	if ls := fab.links[1].Stats; ls.MaxDepth != 2 { // link 0→1
 		t.Fatalf("link 0->1 max depth = %d, want 2", ls.MaxDepth)
 	}
 }

@@ -72,9 +72,6 @@ func (f *Fabric) Shard(k int, shardOf []int, engines []*sim.Engine) {
 	}
 	for i := 0; i < k; i++ {
 		sh.edgeRows[i] = make([]Link, f.n+1)
-		for to := range sh.edgeRows[i] {
-			sh.edgeRows[i][to].From, sh.edgeRows[i][to].To = f.n, to
-		}
 		sh.mail[i] = make([]mailbox, k)
 	}
 	f.sh = sh

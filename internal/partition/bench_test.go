@@ -11,10 +11,11 @@ func benchSnapshot(b *testing.B) *fsgen.Snapshot {
 	b.Helper()
 	cfg := fsgen.Default()
 	cfg.Users = 50
-	snap, err := fsgen.Generate(cfg)
+	fz, err := fsgen.GenerateFrozen(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
+	snap := fz.Thaw()
 	return snap
 }
 

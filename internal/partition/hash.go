@@ -53,9 +53,6 @@ type FileHash struct {
 	N int // cluster size
 }
 
-// Name implements Strategy.
-func (f FileHash) Name() string { return "FileHash" }
-
 // Authority implements Strategy.
 func (f FileHash) Authority(ino *namespace.Inode) int {
 	return int(PathHash(ino) % uint64(f.N))
@@ -85,9 +82,6 @@ func (f FileHash) ClientComputable() bool { return true }
 type DirHash struct {
 	N int
 }
-
-// Name implements Strategy.
-func (d DirHash) Name() string { return "DirHash" }
 
 // Authority implements Strategy. A directory groups with its own
 // contents; a file with its containing directory.

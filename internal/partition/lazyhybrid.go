@@ -21,16 +21,10 @@ type LazyHybrid struct {
 	// outstanding; LH's viability depends on updates being applied
 	// faster than they are created.
 	Debt int
-
-	// TotalInvalidated counts records ever affected by updates.
-	TotalInvalidated uint64
 }
 
 // NewLazyHybrid returns the strategy for an n-node cluster.
 func NewLazyHybrid(n int) *LazyHybrid { return &LazyHybrid{N: n} }
-
-// Name implements Strategy.
-func (l *LazyHybrid) Name() string { return "LazyHybrid" }
 
 // Authority implements Strategy: hash of the full path.
 func (l *LazyHybrid) Authority(ino *namespace.Inode) int {
@@ -63,7 +57,6 @@ func (l *LazyHybrid) NoteDirUpdate(dir *namespace.Inode) int {
 	TagsOf(dir).LHDirEpoch = l.updateEpoch
 	affected := dir.SubtreeInodes - 1
 	l.Debt += affected
-	l.TotalInvalidated += uint64(affected)
 	return affected
 }
 

@@ -14,7 +14,8 @@ import (
 
 func smallTree(t *testing.T) (*namespace.Tree, *namespace.Inode, *namespace.Inode) {
 	t.Helper()
-	tr := namespace.NewTree()
+	empty, _ := namespace.NewBuilder().Freeze()
+	tr := namespace.NewOverlay(empty)
 	usr, err := tr.Mkdir(tr.Root, "usr")
 	if err != nil {
 		t.Fatal(err)
@@ -54,13 +55,8 @@ func TestSubtreeTableNestedDelegation(t *testing.T) {
 	if got := tab.Authority(tr.Root); got != 0 {
 		t.Fatalf("authority(/) = %d, want 0", got)
 	}
-	// Undelegating /usr/local reverts it to /usr's node.
-	tab.Undelegate(local)
-	if got := tab.Authority(f); got != 1 {
-		t.Fatalf("authority after undelegate = %d, want 1", got)
-	}
-	if tab.NumDelegations() != 1 {
-		t.Fatalf("delegations = %d, want 1", tab.NumDelegations())
+	if tab.NumDelegations() != 2 {
+		t.Fatalf("delegations = %d, want 2", tab.NumDelegations())
 	}
 }
 
@@ -89,7 +85,6 @@ func TestSubtreeTableErrors(t *testing.T) {
 	if err := tab.Delegate(f, 1); err == nil {
 		t.Fatal("file delegation accepted")
 	}
-	tab.Undelegate(usr) // absent: no-op, no epoch bump
 }
 
 func TestRootsOfSortedAndTracked(t *testing.T) {
@@ -109,10 +104,11 @@ func TestRootsOfSortedAndTracked(t *testing.T) {
 }
 
 func TestInitialPartitionCoversAndBalances(t *testing.T) {
-	snap, err := fsgen.Generate(fsgen.Default())
+	fz, err := fsgen.GenerateFrozen(fsgen.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap := fz.Thaw()
 	const n = 8
 	tab := NewSubtreeTable(n)
 	InitialPartition(tab, snap.Tree, 2)
@@ -165,10 +161,11 @@ func TestFileHashProperties(t *testing.T) {
 }
 
 func TestFileHashUniformity(t *testing.T) {
-	snap, err := fsgen.Generate(fsgen.Default())
+	fz, err := fsgen.GenerateFrozen(fsgen.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap := fz.Thaw()
 	const n = 10
 	fh := FileHash{N: n}
 	counts := make([]int, n)
@@ -262,10 +259,11 @@ func TestAuthorityRangeProperty(t *testing.T) {
 		cfg := fsgen.Default()
 		cfg.Users = 5
 		cfg.Seed = seed
-		snap, err := fsgen.Generate(cfg)
+		fz, err := fsgen.GenerateFrozen(cfg)
 		if err != nil {
 			return false
 		}
+		snap := fz.Thaw()
 		tab := NewSubtreeTable(3)
 		InitialPartition(tab, snap.Tree, 2)
 		ok := true
@@ -311,10 +309,6 @@ func TestStrategyNamesAndAuthorityForName(t *testing.T) {
 	lh := NewLazyHybrid(4)
 	ss := NewStaticSubtree(4, tr, 2)
 
-	if fh.Name() != "FileHash" || dh.Name() != "DirHash" ||
-		lh.Name() != "LazyHybrid" || ss.Name() != "StaticSubtree" {
-		t.Fatal("strategy names wrong")
-	}
 	// AuthorityForName matches Authority once the entry exists.
 	f, err := tr.Create(local, "newfile")
 	if err != nil {

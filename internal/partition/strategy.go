@@ -14,8 +14,6 @@ import (
 // Strategy decides which MDS is authoritative for each metadata item and
 // describes the structural properties that shape MDS behaviour.
 type Strategy interface {
-	// Name identifies the strategy in output tables.
-	Name() string
 	// Authority returns the index of the MDS responsible for serializing
 	// updates to the inode.
 	Authority(ino *namespace.Inode) int

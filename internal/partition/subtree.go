@@ -68,16 +68,6 @@ func (t *SubtreeTable) Delegate(root *namespace.Inode, mds int) error {
 	return nil
 }
 
-// Undelegate removes an explicit assignment so the subtree reverts to
-// its parent's authority.
-func (t *SubtreeTable) Undelegate(root *namespace.Inode) {
-	if old, ok := t.assign[root]; ok {
-		delete(t.byMDS[old], root)
-		delete(t.assign, root)
-		t.epoch++
-	}
-}
-
 // Assigned returns the explicit assignment for root, if any.
 func (t *SubtreeTable) Assigned(root *namespace.Inode) (int, bool) {
 	mds, ok := t.assign[root]
@@ -242,9 +232,6 @@ func NewStaticSubtree(n int, tree *namespace.Tree, partitionDepth int) *StaticSu
 	InitialPartition(t, tree, partitionDepth)
 	return &StaticSubtree{Table: t}
 }
-
-// Name implements Strategy.
-func (s *StaticSubtree) Name() string { return "StaticSubtree" }
 
 // Authority implements Strategy.
 func (s *StaticSubtree) Authority(ino *namespace.Inode) int {

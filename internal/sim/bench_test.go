@@ -78,11 +78,3 @@ func BenchmarkRNGExp(b *testing.B) {
 		_ = r.Exp(Millisecond)
 	}
 }
-
-func BenchmarkZipfDraw(b *testing.B) {
-	r := NewRNG(1)
-	z := r.NewZipf(1.2, 100000)
-	for i := 0; i < b.N; i++ {
-		_ = z.Draw()
-	}
-}

@@ -103,15 +103,6 @@ func (e *Engine) AfterCall(d Time, fn EventFunc, a, b any) {
 	e.AtCall(e.now+d, fn, a, b)
 }
 
-// Pending reports the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.q) }
-
-// Stop makes the current Run/RunUntil call return once the executing
-// event completes. Further events remain queued, untouched: anything
-// they reference (pooled server jobs, client requests) stays reachable
-// and is never recycled while still scheduled.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Run dispatches events in timestamp order until the queue is empty or
 // Stop is called. The clock remains at the last dispatched event.
 func (e *Engine) Run() {

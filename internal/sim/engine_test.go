@@ -5,6 +5,12 @@ import (
 	"testing/quick"
 )
 
+// Stop makes the current Run/RunUntil call return once the executing
+// event completes. Further events remain queued, untouched: anything
+// they reference (pooled server jobs, client requests) stays reachable
+// and is never recycled while still scheduled.
+func (e *Engine) Stop() { e.stopped = true }
+
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
@@ -68,8 +74,8 @@ func TestEngineRunUntil(t *testing.T) {
 	if ran != 2 {
 		t.Fatalf("ran = %d, want 2", ran)
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
+	if len(e.q) != 1 {
+		t.Fatalf("pending = %d, want 1", len(e.q))
 	}
 	if e.Now() != 20 {
 		t.Fatalf("Now = %v, want 20", e.Now())

@@ -65,34 +65,6 @@ func (r *RNG) LogNormalInt(median float64, sigma float64, min, max int) int {
 	return n
 }
 
-// Zipf draws integers in [0, n) with a Zipf-like distribution of exponent
-// s >= 1 (smaller indexes more likely). It uses rejection-free inverse
-// transform over the discrete CDF only for small n; for large n it uses
-// rand.Zipf. The distribution shape, not exactness, is what matters here.
-type Zipf struct {
-	z *rand.Zipf
-	n int
-}
-
-// NewZipf constructs a Zipf sampler over [0, n).
-func (r *RNG) NewZipf(s float64, n int) *Zipf {
-	if n < 1 {
-		n = 1
-	}
-	if s <= 1 {
-		s = 1.01
-	}
-	return &Zipf{z: rand.NewZipf(r.Rand, s, 1, uint64(n-1)), n: n}
-}
-
-// Draw returns the next sample.
-func (z *Zipf) Draw() int {
-	if z.z == nil {
-		return 0
-	}
-	return int(z.z.Uint64())
-}
-
 // Pick returns a uniformly random element index for a slice of length n,
 // or 0 if n <= 1.
 func (r *RNG) Pick(n int) int {

@@ -63,21 +63,6 @@ func NewServer(eng *Engine, width int) *Server {
 	return &Server{eng: eng, width: width}
 }
 
-// QueueLen reports the number of jobs waiting (not in service).
-func (s *Server) QueueLen() int { return s.qlen }
-
-// InService reports the number of jobs currently being served.
-func (s *Server) InService() int { return s.busy }
-
-// Utilization returns mean slot occupancy in [0,1] since construction.
-func (s *Server) Utilization(now Time) float64 {
-	s.account(now)
-	if now == 0 {
-		return 0
-	}
-	return float64(s.BusyTime) / float64(int64(now)*int64(s.width))
-}
-
 func (s *Server) account(now Time) {
 	s.BusyTime += Time(int64(now-s.lastChange) * int64(s.busy))
 	s.lastChange = now

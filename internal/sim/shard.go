@@ -58,9 +58,6 @@ func NewShardGroup(shards []*Engine, global *Engine, lookahead Time, parallel bo
 	}
 }
 
-// Shards returns the shard engines, indexed by shard.
-func (g *ShardGroup) Shards() []*Engine { return g.shards }
-
 // ExecutedEvents sums events dispatched across the shard and global
 // engines.
 func (g *ShardGroup) ExecutedEvents() uint64 {

@@ -104,9 +104,6 @@ func (w *Wheel) Reset() {
 	w.stopped = true
 }
 
-// Now returns the wheel's current tick count.
-func (w *Wheel) Now() uint32 { return w.cur }
-
 // FootprintBytes returns the wheel's memory: 8 bytes per id (intrusive
 // link + deadline) plus the fixed slot head/tail arrays.
 func (w *Wheel) FootprintBytes() int64 {
@@ -208,18 +205,4 @@ func (w *Wheel) cascade(lvl uint, slot uint32) {
 		w.insert(id, w.when[id])
 		id = nx
 	}
-}
-
-// Pending counts armed timers (O(levels × slots × entries); tests and
-// invariant checks only).
-func (w *Wheel) Pending() int {
-	n := 0
-	for l := 0; l < wheelLevels; l++ {
-		for s := 0; s < wheelSlots; s++ {
-			for id := w.head[l][s]; id >= 0; id = w.next[id] {
-				n++
-			}
-		}
-	}
-	return n
 }

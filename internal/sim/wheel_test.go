@@ -12,6 +12,19 @@ type wheelRec struct {
 	times []Time
 }
 
+// Pending counts armed timers (O(levels × slots × entries)).
+func (w *Wheel) Pending() int {
+	n := 0
+	for l := 0; l < wheelLevels; l++ {
+		for s := 0; s < wheelSlots; s++ {
+			for id := w.head[l][s]; id >= 0; id = w.next[id] {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 func (r *wheelRec) fire(id int32) {
 	r.ids = append(r.ids, id)
 	r.times = append(r.times, r.eng.Now())

@@ -77,9 +77,6 @@ func (w *Writer) U64(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
 // I64 appends a signed varint (zigzag).
 func (w *Writer) I64(v int64) { w.buf = binary.AppendVarint(w.buf, v) }
 
-// Int appends an int as a signed varint.
-func (w *Writer) Int(v int) { w.I64(int64(v)) }
-
 // Bool appends a boolean.
 func (w *Writer) Bool(v bool) {
 	if v {
@@ -88,9 +85,6 @@ func (w *Writer) Bool(v bool) {
 		w.U64(0)
 	}
 }
-
-// F64 appends a float64 bit-exactly.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
 // String appends a length-prefixed string.
 func (w *Writer) String(s string) {

@@ -7,6 +7,12 @@ import (
 )
 
 // decoder returns a decoding Codec over what w holds.
+// Int appends an int as a signed varint.
+func (w *Writer) Int(v int) { w.I64(int64(v)) }
+
+// F64 appends a float64 bit-exactly.
+func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
+
 func decoder(t *testing.T, w *Writer) *Codec {
 	t.Helper()
 	r, err := NewReader(w.Bytes())

@@ -38,9 +38,6 @@ func (d *DirObjects) tree(dir namespace.InodeID) *dirstore.Tree {
 	return t
 }
 
-// Len reports how many directory objects have been materialised.
-func (d *DirObjects) Len() int { return len(d.trees) }
-
 // Insert records an entry create (or in-place update) in dir's object.
 func (d *DirObjects) Insert(dir namespace.InodeID, rec dirstore.Record) {
 	w, err := d.tree(dir).Insert(rec)
@@ -59,16 +56,6 @@ func (d *DirObjects) Delete(dir namespace.InodeID, name string) {
 	}
 	d.Updates++
 	d.NodesWritten += uint64(w)
-}
-
-// Snapshot returns an O(1) copy-on-write snapshot of dir's object, or
-// nil if the directory has never been updated here.
-func (d *DirObjects) Snapshot(dir namespace.InodeID) *dirstore.Tree {
-	t, ok := d.trees[dir]
-	if !ok {
-		return nil
-	}
-	return t.Snapshot()
 }
 
 // Object returns the live object for dir, if materialised.

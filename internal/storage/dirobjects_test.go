@@ -10,30 +10,35 @@ import (
 	"dynmds/internal/sim"
 )
 
+// entries counts a directory object's records.
+func entries(t *dirstore.Tree) int {
+	n := 0
+	t.Range(func(dirstore.Record) bool { n++; return true })
+	return n
+}
+
 func TestDirObjectsLifecycle(t *testing.T) {
 	d := NewDirObjects(8)
-	if d.Len() != 0 {
+	if len(d.trees) != 0 {
 		t.Fatal("fresh index not empty")
 	}
 	const dir = namespace.InodeID(7)
 	for i := 0; i < 20; i++ {
 		d.Insert(dir, dirstore.Record{Name: fmt.Sprintf("e%02d", i)})
 	}
-	if d.Len() != 1 {
-		t.Fatalf("objects = %d", d.Len())
+	if len(d.trees) != 1 {
+		t.Fatalf("objects = %d", len(d.trees))
 	}
 	obj, ok := d.Object(dir)
-	if !ok || obj.Len() != 20 {
+	if !ok || entries(obj) != 20 {
 		t.Fatalf("object state: %v %v", ok, obj)
 	}
 	if d.NodesWritten == 0 || d.Updates != 20 {
 		t.Fatalf("accounting: written=%d updates=%d", d.NodesWritten, d.Updates)
 	}
-	// Snapshot isolation through the store-level API.
-	snap := d.Snapshot(dir)
 	d.Delete(dir, "e00")
-	if obj.Len() != 19 || snap.Len() != 20 {
-		t.Fatalf("snapshot broke: live=%d snap=%d", obj.Len(), snap.Len())
+	if entries(obj) != 19 {
+		t.Fatalf("live object holds %d entries after a delete, want 19", entries(obj))
 	}
 	// Deleting a missing entry neither counts nor panics.
 	before := d.Updates
@@ -45,10 +50,6 @@ func TestDirObjectsLifecycle(t *testing.T) {
 	d.Insert(dir, dirstore.Record{})
 	if d.Updates != before {
 		t.Fatal("empty-name insert counted")
-	}
-	// Snapshot of an unknown directory is nil.
-	if d.Snapshot(999) != nil {
-		t.Fatal("snapshot of unknown dir")
 	}
 	if _, ok := d.Object(999); ok {
 		t.Fatal("object of unknown dir")
@@ -84,11 +85,11 @@ func TestStoreSharedPoolRouting(t *testing.T) {
 		t.Fatal("log append did not reach the pool")
 	}
 	// The local disks saw nothing.
-	if s.ReadUtilization(eng.Now()) != 0 {
+	if s.readDisk.Submitted != 0 {
 		t.Fatal("local read disk used in pool mode")
 	}
 	// The bounded log still tracks the working set locally.
-	if !s.log.Contains(13) {
+	if s.log.live[13] == 0 {
 		t.Fatal("log lost the commit record")
 	}
 }
@@ -98,7 +99,7 @@ func TestReadUtilizationLocalMode(t *testing.T) {
 	s := New(eng, testConfig())
 	s.ReadInodeCall(1, run, nil, nil)
 	eng.RunUntil(2020) // read takes 1010
-	if u := s.ReadUtilization(eng.Now()); u <= 0.4 || u > 0.6 {
+	if u := float64(s.readDisk.BusyTime) / float64(eng.Now()); u <= 0.4 || u > 0.6 {
 		t.Fatalf("utilization = %v, want ~0.5", u)
 	}
 }

@@ -173,16 +173,6 @@ func (s *Store) CommitCall(id namespace.InodeID, fn sim.EventFunc, a, b any) {
 // failover (§4.6).
 func (s *Store) WorkingSet() []namespace.InodeID { return s.log.Distinct() }
 
-// QueueDepth reports outstanding read I/Os (queued + in service).
-func (s *Store) QueueDepth() int {
-	return s.readDisk.QueueLen() + s.readDisk.InService()
-}
-
-// ReadUtilization reports mean read-disk occupancy.
-func (s *Store) ReadUtilization(now sim.Time) float64 {
-	return s.readDisk.Utilization(now)
-}
-
 // MaxQueues reports the deepest the read-disk and log-disk waiting
 // lines have been (sim.Server.MaxQueue: a diagnostic that restarts on
 // restore). Both stay zero when a shared OSD pool does the I/O.
@@ -214,12 +204,6 @@ func NewBoundedLog(capacity int) *BoundedLog {
 	}
 }
 
-// Len returns the number of records in the log.
-func (l *BoundedLog) Len() int { return l.n }
-
-// Cap returns the log capacity.
-func (l *BoundedLog) Cap() int { return l.capacity }
-
 // Append adds a record, reporting whether an expelled record required a
 // tier write (no newer record for the same inode remained).
 func (l *BoundedLog) Append(id namespace.InodeID) (tierWrite bool) {
@@ -238,11 +222,6 @@ func (l *BoundedLog) Append(id namespace.InodeID) (tierWrite bool) {
 	l.n++
 	l.live[id]++
 	return tierWrite
-}
-
-// Contains reports whether the inode has a record in the log.
-func (l *BoundedLog) Contains(id namespace.InodeID) bool {
-	return l.live[id] > 0
 }
 
 // Distinct returns the distinct inode IDs in the log, oldest first.

@@ -68,9 +68,6 @@ func TestReadsQueueOnOneDisk(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		s.ReadInodeCall(namespace.InodeID(i+1), run, func() { completions = append(completions, eng.Now()) }, nil)
 	}
-	if s.QueueDepth() != 3 {
-		t.Fatalf("queue depth = %d", s.QueueDepth())
-	}
 	eng.Run()
 	want := []sim.Time{1010, 2020, 3030}
 	for i := range want {
@@ -132,15 +129,15 @@ func TestBoundedLogContains(t *testing.T) {
 	l := NewBoundedLog(2)
 	l.Append(1)
 	l.Append(2)
-	if !l.Contains(1) || !l.Contains(2) {
+	if l.live[1] == 0 || l.live[2] == 0 {
 		t.Fatal("log missing entries")
 	}
 	l.Append(3) // expels 1
-	if l.Contains(1) {
+	if l.live[1] > 0 {
 		t.Fatal("expelled entry still contained")
 	}
-	if l.Len() != 2 || l.Cap() != 2 {
-		t.Fatalf("len/cap = %d/%d", l.Len(), l.Cap())
+	if l.n != 2 || l.capacity != 2 {
+		t.Fatalf("len/cap = %d/%d", l.n, l.capacity)
 	}
 }
 
@@ -152,13 +149,13 @@ func TestBoundedLogProperties(t *testing.T) {
 		for _, a := range appends {
 			l.Append(namespace.InodeID(a % 16))
 		}
-		if l.Len() > l.Cap() {
+		if l.n > l.capacity {
 			return false
 		}
 		d := l.Distinct()
 		seen := map[namespace.InodeID]bool{}
 		for _, id := range d {
-			if seen[id] || !l.Contains(id) {
+			if seen[id] || l.live[id] == 0 {
 				return false
 			}
 			seen[id] = true

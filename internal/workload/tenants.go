@@ -120,16 +120,6 @@ func (t *Tenants) TenantFrom(tn, client int) int {
 	return tn
 }
 
-// TenantClients returns tenant i's client count (tests, figures).
-func (t *Tenants) TenantClients(i int) int {
-	return int(t.clientOff[i+1] - t.clientOff[i])
-}
-
-// WorkingSetSize returns tenant i's file working-set size.
-func (t *Tenants) WorkingSetSize(i int) int {
-	return int(t.fileOff[i+1] - t.fileOff[i])
-}
-
 // FootprintBytes returns the slab bytes (8 per pointer/float, 4 per
 // int32), for the population's memory accounting.
 func (t *Tenants) FootprintBytes() int64 {
@@ -149,9 +139,6 @@ func (t *Tenants) ForEachTarget(fn func(*namespace.Inode)) {
 		fn(n)
 	}
 }
-
-// FileSkew returns the current popularity exponent.
-func (t *Tenants) FileSkew() float64 { return t.cfg.FileSkew }
 
 // SetFileSkew rebuilds the popularity alias tables in place for a new
 // Zipf exponent. The working sets themselves are unchanged — only the

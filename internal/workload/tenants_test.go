@@ -12,9 +12,25 @@ import (
 
 // tenantTree builds a small namespace with h home directories, each
 // holding a few files and one subdirectory.
+// TenantClients returns tenant i's client count.
+// emptyTree returns a tree holding only the root directory.
+func emptyTree() *namespace.Tree {
+	f, _ := namespace.NewBuilder().Freeze()
+	return namespace.NewOverlay(f)
+}
+
+func (t *Tenants) TenantClients(i int) int {
+	return int(t.clientOff[i+1] - t.clientOff[i])
+}
+
+// WorkingSetSize returns tenant i's file working-set size.
+func (t *Tenants) WorkingSetSize(i int) int {
+	return int(t.fileOff[i+1] - t.fileOff[i])
+}
+
 func tenantTree(t *testing.T, h int) (*namespace.Tree, []*namespace.Inode) {
 	t.Helper()
-	tr := namespace.NewTree()
+	tr := emptyTree()
 	homeRoot, err := tr.Mkdir(tr.Root, "home")
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +227,7 @@ func TestTenantsDrawAllocFree(t *testing.T) {
 // size and several tenants share each alias table.
 func unevenHomes(t *testing.T, h int) []*namespace.Inode {
 	t.Helper()
-	tr := namespace.NewTree()
+	tr := emptyTree()
 	homes := make([]*namespace.Inode, h)
 	for i := range homes {
 		u, err := tr.Mkdir(tr.Root, "u"+strconv.Itoa(i))

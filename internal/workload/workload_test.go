@@ -13,10 +13,11 @@ func genSnapshot(t *testing.T) *fsgen.Snapshot {
 	t.Helper()
 	cfg := fsgen.Default()
 	cfg.Users = 10
-	snap, err := fsgen.Generate(cfg)
+	fz, err := fsgen.GenerateFrozen(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap := fz.Thaw()
 	return snap
 }
 

@@ -25,17 +25,6 @@ trap 'rm -rf "$TMP"' EXIT
 go vet ./...
 go build ./...
 
-# Reachability: every internal package is compiled into mdsim or the
-# benchmark (snaptest is the codec's test support), so code that nothing
-# runs cannot come back.
-go list -deps ./cmd/mdsim ./bench >"$TMP/reached"
-for pkg in $(go list ./internal/... | grep -v '/internal/snap/snaptest$'); do
-    if ! grep -qxF "$pkg" "$TMP/reached"; then
-        echo "ci: $pkg is reached by neither cmd/mdsim nor bench: wire it into a plan or delete it" >&2
-        exit 1
-    fi
-done
-
 # Byte budgets for the documents, to be lowered and never raised: a PR
 # that adds a section deletes one (history belongs in CHANGES.md).
 budget() {
@@ -46,10 +35,13 @@ budget() {
     fi
 }
 budget README.md $((24 * 1024))
-budget DESIGN.md $((64 * 1024))
+budget DESIGN.md $((63 * 1024))
 
 # -race on the small CI box is ~6x slower than native; give packages
-# headroom past go test's 10m default so a busy host doesn't flake.
+# headroom past go test's 10m default so a busy host doesn't flake. The
+# root package's TestSurface is the reachability and unused-identifier
+# gate: every internal package is reached by mdsim or the benchmark, and
+# every identifier by non-test code.
 go test -race -timeout 30m ./...
 
 # Native fuzz targets, a fixed 15 s each: a checkpoint file, a fault

@@ -1,0 +1,16 @@
+package main
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+
+	"surfacefix/internal/a"
+)
+
+func main() {
+	var lvl a.Level
+	flag.Var(&lvl, "level", "verbosity")
+	flag.Parse()
+	fmt.Println(a.T{N: 1}, a.Start(a.Config{Size: int(lvl)}), a.Count(&a.Outer{}), a.Sum(), errors.Is(a.Check(-1), a.ErrBase))
+}
