@@ -3,6 +3,7 @@ package fsgen
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"dynmds/internal/namespace"
@@ -304,7 +305,7 @@ func TestGenerateMatchesTreeOracle(t *testing.T) {
 					t.Fatalf("users %d seed %d: inode %d missing", cfg.Users, cfg.Seed, id)
 				}
 				if g.Name() != w.Name() || g.Kind != w.Kind || g.Mode != w.Mode || g.Size != w.Size ||
-					g.SubtreeInodes != w.SubtreeInodes ||
+					g.SubtreeInodes() != w.SubtreeInodes() ||
 					(w.Parent() == nil) != (g.Parent() == nil) || (w.Parent() != nil && g.Parent().ID != w.Parent().ID) ||
 					!reflect.DeepEqual(ids(g.Children()), ids(w.Children())) {
 					t.Fatalf("users %d seed %d: inode %v, oracle %v", cfg.Users, cfg.Seed, g, w)
@@ -318,9 +319,9 @@ func TestGenerateMatchesTreeOracle(t *testing.T) {
 	}
 }
 
-// TestGenerateAllocBudget: generation allocates per directory (its name
-// map) and per distinct name, not per inode — the tree-growing
-// generator paid 1.88 mallocs an inode.
+// TestGenerateAllocBudget: generation allocates per builder chunk and
+// per distinct name, not per inode or per directory — the tree-growing
+// generator paid 1.88 mallocs an inode, the per-directory name maps 0.15.
 func TestGenerateAllocBudget(t *testing.T) {
 	cfg := Default()
 	fs, err := GenerateFrozen(cfg)
@@ -332,10 +333,41 @@ func TestGenerateAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if perInode := allocs / float64(fs.Base.NumInodes()); perInode > 0.3 {
-		t.Fatalf("GenerateFrozen: %.0f mallocs for %d inodes, %.2f an inode, budget 0.3",
+	if perInode := allocs / float64(fs.Base.NumInodes()); perInode > 0.05 {
+		t.Fatalf("GenerateFrozen: %.0f mallocs for %d inodes, %.3f an inode, budget 0.05",
 			allocs, fs.Base.NumInodes(), perInode)
 	}
+}
+
+// TestThawBytesPerInode: what the namespace keeps, per inode, at the
+// benchmark's shape — the shared frozen base, and one run's overlay on
+// top of it. A 72-byte inode, its share of the child-pointer array and
+// of the directory records come to ~85 B; the next field added to Inode
+// has to pay for itself.
+func TestThawBytesPerInode(t *testing.T) {
+	cfg := Default()
+	cfg.Users = 200
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	h0 := heap()
+	fs, err := GenerateFrozen(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1 := heap()
+	snap := fs.Thaw()
+	h2 := heap()
+	n := float64(fs.Base.NumInodes())
+	base, overlay := (float64(h1)-float64(h0))/n, (float64(h2)-float64(h1))/n
+	t.Logf("%d inodes: base %.1f B/inode, overlay %.1f B/inode", fs.Base.NumInodes(), base, overlay)
+	if base > 60 || overlay > 92 {
+		t.Fatalf("%d inodes: base %.1f B/inode (budget 60), overlay %.1f B/inode (budget 92)", fs.Base.NumInodes(), base, overlay)
+	}
+	runtime.KeepAlive(snap)
 }
 
 // fig2LargestFS is the file-system scale of the biggest Figure 2 run

@@ -2,6 +2,7 @@ package namespace
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"dynmds/internal/snap"
@@ -156,41 +157,84 @@ func TestOverlaySnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapParentMustBeDirectory: a delta whose inode names a file as
+// its parent is refused — every later mutation under that parent would
+// find no directory record.
+func TestSnapParentMustBeDirectory(t *testing.T) {
+	ov, f, _ := agedOverlay(t)
+	file := mustCreate(t, ov, ov.Root, "file")
+	orphan := mustCreate(t, ov, ov.Root, "orphan")
+	orphan.parent = file
+	w := snap.NewWriter()
+	snap.Encoder(w).Section("tree", ov.Snap)
+	r, err := snap.NewReader(w.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := snap.Decoder(r)
+	if dec.Section("tree", NewOverlay(f).Snap); dec.Err() == nil || !strings.Contains(dec.Err().Error(), "is not a directory") {
+		t.Fatalf("restore: %v", dec.Err())
+	}
+}
+
+// inodeRecord is an inode's delta record with the given link and
+// subtree counts.
+func inodeRecord(links, sub int) []byte {
+	w := snap.NewWriter()
+	snap.Encoder(w).Section("inode", func(c *snap.Codec) {
+		var mode Mode
+		var size int64
+		name, parent := "f", InodeID(0)
+		snap.U(c, &mode)
+		snap.I(c, &size)
+		snap.I(c, &links)
+		snap.I(c, &sub)
+		c.String(&name)
+		snap.U(c, &parent)
+	})
+	return w.Bytes()
+}
+
+// restoreRecord reads record into a fresh inode of the given kind.
+func restoreRecord(t *testing.T, kind Kind, record []byte) (*Inode, error) {
+	t.Helper()
+	r, err := snap.NewReader(record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := emptyTree().newInode(2, kind, "")
+	dec := snap.Decoder(r)
+	dec.Section("inode", func(c *snap.Codec) { n.snapFields(c) })
+	return n, dec.Err()
+}
+
 // TestSnapLinkCountSlot: an inode record keeps its link-count slot and
 // writes 1 there; a restore refuses any other value, since no inode is
 // linked twice.
 func TestSnapLinkCountSlot(t *testing.T) {
-	record := func(links int) []byte {
-		w := snap.NewWriter()
-		snap.Encoder(w).Section("inode", func(c *snap.Codec) {
-			var mode Mode
-			var size int64
-			sub, name, parent := 1, "f", InodeID(0)
-			snap.U(c, &mode)
-			snap.I(c, &size)
-			snap.I(c, &links)
-			snap.I(c, &sub)
-			c.String(&name)
-			snap.U(c, &parent)
-		})
-		return w.Bytes()
-	}
 	w := snap.NewWriter()
-	n := &Inode{name: "f", SubtreeInodes: 1}
+	n := &Inode{name: "f"}
 	snap.Encoder(w).Section("inode", func(c *snap.Codec) { n.snapFields(c) })
-	if !bytes.Equal(w.Bytes(), record(1)) {
+	if !bytes.Equal(w.Bytes(), inodeRecord(1, 1)) {
 		t.Fatal("an inode record does not write its link count as 1")
 	}
 	for _, links := range []int{1, 0, 2} {
-		r, err := snap.NewReader(record(links))
-		if err != nil {
-			t.Fatal(err)
+		if _, err := restoreRecord(t, File, inodeRecord(links, 1)); (err == nil) != (links == 1) {
+			t.Errorf("link count %d: restore error %v", links, err)
 		}
-		var got Inode
-		dec := snap.Decoder(r)
-		dec.Section("inode", func(c *snap.Codec) { got.snapFields(c) })
-		if (dec.Err() == nil) != (links == 1) {
-			t.Errorf("link count %d: restore error %v", links, dec.Err())
+	}
+}
+
+// TestSnapFileSubtreeSlot: a file has no directory record to hold a
+// subtree count, so its record's slot reads 1 and a restore refuses any
+// other value; a directory takes whatever its record holds.
+func TestSnapFileSubtreeSlot(t *testing.T) {
+	for _, sub := range []int{1, 0, 2} {
+		if _, err := restoreRecord(t, File, inodeRecord(1, sub)); (err == nil) != (sub == 1) {
+			t.Errorf("file with subtree count %d: restore error %v", sub, err)
 		}
+	}
+	if n, err := restoreRecord(t, Dir, inodeRecord(1, 7)); err != nil || n.SubtreeInodes() != 7 {
+		t.Errorf("directory with subtree count 7: restore error %v, count %d", err, n.SubtreeInodes())
 	}
 }

@@ -1,6 +1,11 @@
 package namespace
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"slices"
+	"strings"
+)
 
 // Builder writes a namespace once, in the form runs read: Mkdir and
 // Create append fnode records, Freeze lays them into a Frozen. IDs are
@@ -67,10 +72,13 @@ func (b *Builder) node(id InodeID) *fnode {
 }
 
 // add makes every check Tree.add makes but the one for a name already
-// in the directory, which Freeze makes where the name maps are built.
+// in the directory, which Freeze makes where the name index is sorted.
+// It also refuses the 2³²nd inode: the name index keys are 32 bits.
 func (b *Builder) add(parent InodeID, name string, kind Kind, mode Mode) InodeID {
 	switch err := validName(name); {
 	case b.err != nil:
+	case uint64(b.n) >= math.MaxUint32:
+		b.err = fmt.Errorf("namespace: %q would be inode %d, past the limit of %d", name, uint64(b.n)+1, uint64(math.MaxUint32))
 	case err != nil:
 		b.err = err
 	case !b.has(parent):
@@ -110,9 +118,11 @@ func (b *Builder) path(id InodeID) string {
 
 // Freeze lays the records into an immutable snapshot: one exactly sized
 // node array, CSR child lists in insertion order, subtree counts, and
-// the per-directory name maps. It returns the first refusal, if a call
-// was refused, and refuses a name used twice in one directory. The
-// builder is left as it was; the snapshot shares its name strings.
+// the same lists sorted by name for lookup — a fixed number of
+// allocations whatever the namespace holds. It returns the first
+// refusal, if a call was refused, and refuses a name used twice in one
+// directory. The builder is left as it was; the snapshot shares its name
+// strings.
 func (b *Builder) Freeze() (*Frozen, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -121,6 +131,7 @@ func (b *Builder) Freeze() (*Frozen, error) {
 	f := &Frozen{
 		nodes:    make([]fnode, n),
 		childIDs: make([]InodeID, n-1),
+		byName:   make([]uint32, n-1),
 		numFiles: b.numFiles,
 		numDirs:  b.numDirs,
 	}
@@ -134,7 +145,7 @@ func (b *Builder) Freeze() (*Frozen, error) {
 	for i := 1; i < n; i++ {
 		nodes[nodes[i].parent-1].kidLen++
 	}
-	off := int32(0)
+	off := uint32(0)
 	for i := range nodes {
 		fn := &nodes[i]
 		fn.kidOff, off, fn.kidLen = off, off+fn.kidLen, 0
@@ -142,6 +153,7 @@ func (b *Builder) Freeze() (*Frozen, error) {
 	for i := 1; i < n; i++ {
 		p := &nodes[nodes[i].parent-1]
 		f.childIDs[p.kidOff+p.kidLen] = InodeID(i + 1)
+		f.byName[p.kidOff+p.kidLen] = uint32(i + 1)
 		p.kidLen++
 	}
 	// Children have larger IDs than their parent, so one reverse pass
@@ -153,24 +165,16 @@ func (b *Builder) Freeze() (*Frozen, error) {
 			nodes[fn.parent-1].sub += fn.sub
 		}
 	}
+	// Each directory's segment of byName, sorted by name; a name used
+	// twice ends up beside itself.
+	byName := func(x, y uint32) int { return strings.Compare(nodes[x-1].name, nodes[y-1].name) }
 	for i := range nodes {
 		fn := &nodes[i]
-		if fn.kidLen == 0 {
-			continue
-		}
-		dir := InodeID(i + 1)
-		fn.kids = make(map[string]InodeID, fn.kidLen)
-		for _, cid := range f.children(dir) {
-			fn.kids[nodes[cid-1].name] = cid
-		}
-		if len(fn.kids) == int(fn.kidLen) {
-			continue
-		}
-		// A map entry holds the last child of its name: a child it does
-		// not hold was followed by a namesake.
-		for _, cid := range f.children(dir) {
-			if name := nodes[cid-1].name; fn.kids[name] != cid {
-				return nil, fmt.Errorf("namespace: %s already contains %q", b.path(dir), name)
+		seg := f.byName[fn.kidOff : fn.kidOff+fn.kidLen]
+		slices.SortFunc(seg, byName)
+		for j := 1; j < len(seg); j++ {
+			if name := nodes[seg[j]-1].name; name == nodes[seg[j-1]-1].name {
+				return nil, fmt.Errorf("namespace: %s already contains %q", b.path(InodeID(i+1)), name)
 			}
 		}
 	}

@@ -1,5 +1,10 @@
 package namespace
 
+import (
+	"slices"
+	"strings"
+)
+
 // Frozen is an immutable namespace snapshot: the whole generated tree
 // flattened into dense arrays indexed by InodeID. A Frozen is built once
 // (Builder.Freeze) and then shared — concurrently and without locks — by
@@ -13,13 +18,14 @@ package namespace
 // CSR-style — one shared []InodeID with per-directory offset/length, in
 // the directory's insertion order, so an overlay that expands a
 // directory reproduces exactly the child order a freshly generated tree
-// would have. Each directory record also carries a name → child-ID map,
-// built once at freeze time and shared read-only by every overlay, so
-// lookups in unmutated directories hit Go's fast string-keyed map path
-// and no run ever rebuilds an index for a directory it never mutates.
+// would have. byName holds the same segments, each sorted by name: the
+// name index every overlay searches, read-only, for a directory it has
+// not mutated, so no run builds an index for a directory it never
+// mutates and the base holds no per-directory objects at all.
 type Frozen struct {
 	nodes    []fnode
 	childIDs []InodeID
+	byName   []uint32
 
 	numFiles, numDirs int
 }
@@ -28,11 +34,10 @@ type Frozen struct {
 // count: every frozen inode has size 0 and one link.
 type fnode struct {
 	name   string
-	kids   map[string]InodeID // directory name index, nil for files/empty dirs
 	parent InodeID
-	kidOff int32
-	kidLen int32
-	sub    int32 // SubtreeInodes
+	kidOff uint32
+	kidLen uint32
+	sub    uint32 // subtree inode count
 	mode   Mode
 	kind   Kind
 }
@@ -51,26 +56,35 @@ func (f *Frozen) contains(id InodeID) bool {
 	return id >= rootID && id <= InodeID(len(f.nodes))
 }
 
-// children returns the CSR child-ID slice for a directory.
-func (f *Frozen) children(id InodeID) []InodeID {
-	fn := f.node(id)
-	return f.childIDs[fn.kidOff : fn.kidOff+fn.kidLen]
+// lookup finds directory dir's child named name by binary search of its
+// name-sorted segment.
+func (f *Frozen) lookup(dir InodeID, name string) (InodeID, bool) {
+	fn := f.node(dir)
+	seg := f.byName[fn.kidOff : fn.kidOff+fn.kidLen]
+	i, ok := slices.BinarySearchFunc(seg, name, func(id uint32, name string) int {
+		return strings.Compare(f.nodes[id-1].name, name)
+	})
+	if !ok {
+		return 0, false
+	}
+	return InodeID(seg[i]), true
 }
 
 // NewOverlay creates a private copy-on-write view of the snapshot. The
-// whole overlay materializes up front as one flat slab — a single
-// []Inode indexed by id-1 plus one shared child-pointer backing array —
-// because the simulated workloads touch nearly the entire namespace
-// anyway, and a bulk array-order copy is both far cheaper than piecewise
-// materialization and far cheaper to GC than a generated tree (two large
-// allocations instead of one object and one map per inode). What stays
-// lazy is the per-directory name index: lookups read through to the
-// base's shared per-directory name maps until a directory's first structural
-// mutation (see expand), so an overlay run allocates no per-directory
-// maps for the — typically vast — untouched-by-mutation portion of the
-// tree. All mutation lands in the slab and the overlay's own structures;
-// the base is never written. Many overlays may share one base
-// concurrently; each overlay itself is single-goroutine, like Tree.
+// whole overlay materializes up front as three flat slabs — a []Inode
+// indexed by id-1, a []dirState holding every directory's record, and
+// one shared child-pointer backing array — because the simulated
+// workloads touch nearly the entire namespace anyway, and a bulk
+// array-order copy is both far cheaper than piecewise materialization
+// and far cheaper to GC than a generated tree (three large allocations
+// instead of one object and one map per inode). What stays lazy is the
+// per-directory name index: lookups search the base's name-sorted index
+// until a directory's first structural mutation (see expand), so an
+// overlay run allocates no per-directory maps for the — typically vast —
+// untouched-by-mutation portion of the tree. All mutation lands in the
+// slabs and the overlay's own structures; the base is never written.
+// Many overlays may share one base concurrently; each overlay itself is
+// single-goroutine, like Tree.
 func NewOverlay(f *Frozen) *Tree {
 	t := &Tree{
 		byID:     make(map[InodeID]*Inode),
@@ -80,6 +94,7 @@ func NewOverlay(f *Frozen) *Tree {
 		NumDirs:  f.numDirs,
 	}
 	t.slab = make([]Inode, len(f.nodes))
+	dirs := make([]dirState, f.numDirs)
 	backing := make([]*Inode, len(f.childIDs))
 	for i := range t.slab {
 		fn := &f.nodes[i]
@@ -88,12 +103,17 @@ func NewOverlay(f *Frozen) *Tree {
 		n.Kind = fn.kind
 		n.Mode = fn.mode
 		n.name = fn.name
-		n.SubtreeInodes = int(fn.sub)
-		n.tree = t
 		if fn.parent != 0 {
 			n.parent = &t.slab[fn.parent-1]
 		}
-		if fn.kind == Dir && fn.kidLen > 0 {
+		if fn.kind != Dir {
+			continue
+		}
+		d := &dirs[0]
+		dirs = dirs[1:]
+		d.tree, d.sub = t, int(fn.sub)
+		n.dir = d
+		if fn.kidLen > 0 {
 			// Full-capacity slice of this directory's private segment of
 			// the backing array: in-place swap-on-remove stays inside the
 			// segment, and growth reallocates instead of clobbering the
@@ -102,8 +122,8 @@ func NewOverlay(f *Frozen) *Tree {
 			for j, cid := range f.childIDs[fn.kidOff : fn.kidOff+fn.kidLen] {
 				seg[j] = &t.slab[cid-1]
 			}
-			n.children = seg
-			n.lazyIdx = true
+			d.children = seg
+			d.lazy = true
 		}
 	}
 	t.Root = &t.slab[0]
@@ -124,13 +144,14 @@ func (t *Tree) IsBase(id InodeID) bool { return t.base.contains(id) }
 // including the swap-on-remove child ordering the simulator's
 // determinism depends on.
 func (n *Inode) expand() {
-	if !n.lazyIdx {
+	d := n.dir
+	if d == nil || !d.lazy {
 		return
 	}
-	n.lazyIdx = false
-	n.childIndex = make(map[string]int, len(n.children))
-	for i, c := range n.children {
-		n.childIndex[c.name] = i
+	d.lazy = false
+	d.index = make(map[string]int, len(d.children))
+	for i, c := range d.children {
+		d.index[c.name] = i
 	}
 }
 

@@ -2,7 +2,9 @@ package namespace
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -69,7 +71,7 @@ func requireSameShape(t *testing.T, want, got *Tree) {
 	for i := range a {
 		x, y := a[i], b[i]
 		if x.ID != y.ID || x.Kind != y.Kind || x.Mode != y.Mode || x.Size != y.Size ||
-			x.name != y.name || x.SubtreeInodes != y.SubtreeInodes {
+			x.name != y.name || x.SubtreeInodes() != y.SubtreeInodes() {
 			t.Fatalf("inode %d differs: %+v vs %+v", i, x, y)
 		}
 		if x.NumChildren() != y.NumChildren() {
@@ -212,7 +214,7 @@ func TestBuilderRefusals(t *testing.T) {
 		}
 	}
 
-	// A duplicate shows where the name maps are built. The error names
+	// A duplicate shows where the name index is sorted. The error names
 	// the directory and the entry.
 	b := NewBuilder()
 	dir := b.Mkdir(b.Root(), "d")
@@ -226,35 +228,77 @@ func TestBuilderRefusals(t *testing.T) {
 	}
 }
 
-// TestFnodeSize: a frozen record stays in the 48-byte size class.
+// TestFnodeSize: a frozen record stays in the 40-byte size class.
 func TestFnodeSize(t *testing.T) {
-	if size := unsafe.Sizeof(fnode{}); size != 48 {
-		t.Fatalf("fnode is %d bytes, want 48", size)
+	if size := unsafe.Sizeof(fnode{}); size != 40 {
+		t.Fatalf("fnode is %d bytes, want 40", size)
 	}
 }
 
-// TestBuilderAllocBudget: the builder allocates per chunk and per
-// directory, never per inode — 4 000 files in 4 directories cost the
-// chunks, the two snapshot arrays and four name maps.
+// TestInodeLayout: a file pays only for what a file has; a directory's
+// extra state is one record, and a run-created directory's inode and
+// record together fill one 128-byte size class.
+func TestInodeLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Inode{}); size != 72 {
+		t.Errorf("Inode is %d bytes, want 72", size)
+	}
+	if size := unsafe.Sizeof(dirState{}); size > 56 {
+		t.Errorf("dirState is %d bytes, want <= 56", size)
+	}
+	if size := unsafe.Sizeof(dirInode{}); size > 128 {
+		t.Errorf("dirInode is %d bytes, want <= 128", size)
+	}
+}
+
+// TestBuilderAllocBudget: the builder allocates per chunk, never per
+// inode, and Freeze a fixed number of objects — the snapshot and its
+// three arrays — whatever the directory count: 1 000 directories of 4
+// names cost it what 4 directories of 1 000 names do.
 func TestBuilderAllocBudget(t *testing.T) {
 	names := make([]string, 1000)
 	for i := range names {
 		names[i] = "f" + strconv.Itoa(i)
 	}
-	allocs := testing.AllocsPerRun(5, func() {
+	build := func(dirs, files int) *Builder {
 		b := NewBuilder()
-		for d := 0; d < 4; d++ {
+		for d := 0; d < dirs; d++ {
 			dir := b.Mkdir(b.Root(), names[d])
-			for _, name := range names {
+			for _, name := range names[:files] {
 				b.Create(dir, name)
 			}
 		}
-		if _, err := b.Freeze(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 64 {
-		t.Fatalf("building and freezing 4 005 inodes took %.0f mallocs, want <= 64", allocs)
+		return b
+	}
+	// The first GC cycle starts the runtime's mark workers, allocations a
+	// measurement would otherwise see when it happens to run then.
+	runtime.GC()
+	if allocs := testing.AllocsPerRun(5, func() { build(4, 1000) }); allocs > 12 {
+		t.Errorf("building 4 005 inodes took %.0f mallocs, want <= 12", allocs)
+	}
+	freeze := func(b *Builder) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := b.Freeze(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if wide, deep := freeze(build(1000, 4)), freeze(build(4, 1000)); wide != deep || wide > 4 {
+		t.Errorf("Freeze took %.0f mallocs over 1 000 directories, %.0f over 4; want equal and <= 4", wide, deep)
+	}
+}
+
+// TestBuilderInodeLimit: the name index keys are 32 bits, so the
+// builder refuses the 2³²nd inode, and Freeze reports it. White-box: the
+// count is set, not reached.
+func TestBuilderInodeLimit(t *testing.T) {
+	b := NewBuilder()
+	b.n = math.MaxUint32
+	if id := b.Create(b.Root(), "over"); id != 0 {
+		t.Fatalf("inode 2³² got id %d", id)
+	}
+	f, err := b.Freeze()
+	if f != nil || err == nil || !strings.Contains(err.Error(), `"over" would be inode 4294967296`) {
+		t.Fatalf("inode 2³²: snapshot %v, err %v", f, err)
 	}
 }
 
@@ -290,14 +334,15 @@ func TestOverlayTombstones(t *testing.T) {
 // thawing is a flat bulk copy (constant allocation count, no per-inode or
 // per-directory allocations), directory name lookups read through to the
 // shared base index until a directory's first structural mutation, and
-// only mutated directories ever build a private childIndex map.
+// only mutated directories ever build a private name index map.
 func TestOverlayLazyNameIndex(t *testing.T) {
 	base, f := genBase(t, 5, 30, 10)
 
 	// Thawing allocates O(1) objects regardless of snapshot size: the
-	// Tree, its small maps/tables, the inode slab, and the child backing
-	// array. A per-inode or per-directory allocation would scale with the
-	// ~330-inode snapshot and blow well past this bound.
+	// Tree, its small maps/tables, the inode slab, the directory-record
+	// slab, and the child backing array. A per-inode or per-directory
+	// allocation would scale with the ~330-inode snapshot and blow well
+	// past this bound.
 	if allocs := testing.AllocsPerRun(5, func() { _ = NewOverlay(f) }); allocs > 12 {
 		t.Fatalf("NewOverlay allocates %.0f objects, want O(1) (<= 12)", allocs)
 	}
@@ -309,7 +354,7 @@ func TestOverlayLazyNameIndex(t *testing.T) {
 	countLazy := func() (lazy, indexed int) {
 		ov.Walk(func(n *Inode) bool {
 			if n.IsDir() && n.NumChildren() > 0 {
-				if n.lazyIdx {
+				if n.dir.lazy {
 					lazy++
 				} else {
 					indexed++
@@ -353,7 +398,7 @@ func TestOverlayLazyNameIndex(t *testing.T) {
 	if _, err := ov.Create(dir, "fresh"); err != nil {
 		t.Fatal(err)
 	}
-	if dir.lazyIdx || dir.childIndex == nil {
+	if dir.dir.lazy || dir.dir.index == nil {
 		t.Fatal("mutated directory did not build its private index")
 	}
 	if got, ok := dir.LookupChild("fresh"); !ok || got.Name() != "fresh" {
@@ -364,6 +409,141 @@ func TestOverlayLazyNameIndex(t *testing.T) {
 	}
 	if l, i := countLazy(); i != 1 || l != lazyBefore-1 {
 		t.Fatalf("after one mutation: %d indexed (want 1), %d lazy (want %d)", i, l, lazyBefore-1)
+	}
+}
+
+// TestCheckInvariantsLeavesLazy: checking a fresh overlay expands no
+// directory and counts no read-through lookup — the check reads the base
+// index directly — yet a corrupted lazy child list is still reported.
+func TestCheckInvariantsLeavesLazy(t *testing.T) {
+	_, f := genBase(t, 5, 30, 10)
+	ov := NewOverlay(f)
+	lazy := func() (n int) {
+		ov.Walk(func(in *Inode) bool {
+			if in.IsDir() && in.dir.lazy {
+				n++
+			}
+			return true
+		})
+		return n
+	}
+	before := lazy()
+	if err := ov.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if after := lazy(); after != before || before == 0 {
+		t.Fatalf("lazy directories %d before the check, %d after", before, after)
+	}
+	if l, m := ov.LazyStats(); l != 0 || m != 0 {
+		t.Fatalf("the check counted %d read-through lookups, %d misses", l, m)
+	}
+
+	var dir *Inode
+	ov.Walk(func(n *Inode) bool {
+		if dir == nil && n.IsDir() && n.dir.lazy && n.NumChildren() > 1 {
+			dir = n
+		}
+		return true
+	})
+	kids := dir.Children()
+	for _, tc := range []struct {
+		what    string
+		corrupt func() (undo func())
+		errHas  string
+	}{
+		{"an entry renamed behind the index", func() func() {
+			c := kids[0]
+			old := c.name
+			c.name += "~"
+			return func() { c.name = old }
+		}, "child index broken"},
+		{"an entry that is not a child", func() func() {
+			old := kids[1]
+			kids[1] = ov.Root
+			return func() { kids[1] = old }
+		}, "wrong parent"},
+	} {
+		undo := tc.corrupt()
+		err := ov.CheckInvariants()
+		undo()
+		if err == nil || !strings.Contains(err.Error(), tc.errHas) {
+			t.Errorf("%s: err %v, want one holding %q", tc.what, err, tc.errHas)
+		}
+		if !dir.dir.lazy {
+			t.Fatalf("%s: the check expanded the corrupted directory", tc.what)
+		}
+	}
+	if err := ov.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSortedNameIndex: a lazy directory's LookupChild — a binary search
+// of the base's name-sorted segment — agrees with a scan of Children()
+// for every present name and for absent ones before the first, between
+// neighbours, after the last and in an empty directory, whatever order
+// the builder received the names in. A name given twice is refused.
+func TestSortedNameIndex(t *testing.T) {
+	universe := []string{"Z", "a", "a0", "ab", "b", "lib.so", "é", "日本", "~", "0", "A", "aa", "a\x00", "\xff"}
+	probes := []string{"", "\x00", "Y", "Za", "a00", "a0\x00", "lib", "lib.s", "lib.sox", "z", "e", "\xff\xff", "日", "日本語"}
+	probes = append(probes, universe...)
+	scan := func(d *Inode, name string) (*Inode, bool) {
+		for _, c := range d.Children() {
+			if c.name == name {
+				return c, true
+			}
+		}
+		return nil, false
+	}
+	r := rand.New(rand.NewSource(1))
+	for round := 0; round < 50; round++ {
+		b := NewBuilder()
+		top := b.Mkdir(b.Root(), "d")
+		// Directory k holds a random subset of the universe; some are
+		// empty, one holds everything.
+		var dirs []InodeID
+		for k := 0; k < 6; k++ {
+			dir := b.Mkdir(top, "e"+strconv.Itoa(k))
+			dirs = append(dirs, dir)
+			for _, i := range r.Perm(len(universe)) {
+				if k == 0 || (k > 1 && r.Intn(3) == 0) {
+					b.Create(dir, universe[i])
+				}
+			}
+		}
+		f, err := b.Freeze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ov := NewOverlay(f)
+		for _, id := range dirs {
+			d := ov.node(id)
+			if d.NumChildren() > 0 && !d.dir.lazy {
+				t.Fatalf("round %d: %s is not lazy", round, d)
+			}
+			for _, name := range probes {
+				want, wok := scan(d, name)
+				got, ok := d.LookupChild(name)
+				if ok != wok || got != want {
+					t.Fatalf("round %d: %s LookupChild(%q) = %v, %v; the scan finds %v, %v", round, d, name, got, ok, want, wok)
+				}
+			}
+			if d.NumChildren() > 0 && !d.dir.lazy {
+				t.Fatalf("round %d: lookups expanded %s", round, d)
+			}
+		}
+
+		// The same names with one given twice, in shuffled order.
+		b = NewBuilder()
+		dir := b.Mkdir(b.Mkdir(b.Root(), "d"), "e")
+		dup := universe[r.Intn(len(universe))]
+		names := append(append([]string(nil), universe...), dup)
+		for _, i := range r.Perm(len(names)) {
+			b.Create(dir, names[i])
+		}
+		if f, err := b.Freeze(); f != nil || err == nil || !strings.Contains(err.Error(), fmt.Sprintf("/d/e already contains %q", dup)) {
+			t.Fatalf("round %d: duplicate %q: snapshot %v, err %v", round, dup, f, err)
+		}
 	}
 }
 

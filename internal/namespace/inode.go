@@ -44,37 +44,60 @@ type Mode uint16
 
 // Inode is a file or directory metadata record. Directory inodes carry
 // their children (embedded-inode storage groups a directory's entries and
-// the child inodes together on disk, §4.5).
+// the child inodes together on disk, §4.5) in a separate record, so a
+// file — most of any namespace — pays for none of it.
 type Inode struct {
 	ID     InodeID
-	Kind   Kind
-	Mode   Mode
-	Size   int64
 	parent *Inode
 	name   string
-
-	// Directory state (nil/empty for files). Overlay directories share
-	// one backing array for their initial child slices (see NewOverlay).
-	children   []*Inode
-	childIndex map[string]int
-
-	// tree is the owning tree; it backs base-index lookups for overlay
-	// trees (non-overlay nodes never consult it).
-	tree *Tree
-	// lazyIdx marks an overlay directory whose private name index has
-	// not been built yet. While set, LookupChild reads the frozen
-	// base's shared per-directory name map; the first structural
-	// mutation builds childIndex and clears the flag (see expand).
-	lazyIdx bool
-
-	// SubtreeInodes counts inodes in the subtree rooted here, including
-	// this one (1 for files). Maintained incrementally; used by workload
-	// generation, Lazy Hybrid update fan-out, and balancer weights.
-	SubtreeInodes int
+	Size   int64
 
 	// Aux is scratch space for higher layers (e.g. partition epochs,
 	// popularity counters). The namespace package never touches it.
 	Aux interface{}
+
+	// dir is the directory record, nil exactly when Kind is File.
+	dir  *dirState
+	Mode Mode
+	Kind Kind
+}
+
+// dirState is what a directory has and a file does not. Overlay
+// directories take theirs from one slab and share one backing array
+// for their initial child slices (see NewOverlay); a run-created one
+// shares its inode's allocation (see newInode).
+type dirState struct {
+	children []*Inode
+	// index is the private name index; nil until the directory is first
+	// mutated (see expand) or, for a run-created one, first attached to.
+	index map[string]int
+	// tree is the owning tree, whose frozen base backs lookups while
+	// lazy is set.
+	tree *Tree
+	// sub counts inodes in the subtree rooted here, this one included.
+	sub int
+	// lazy marks an overlay directory whose private name index has not
+	// been built yet. While set, LookupChild searches the frozen base's
+	// name-sorted index; the first structural mutation builds index and
+	// clears the flag (see expand).
+	lazy bool
+}
+
+// dirInode is a run-created directory: inode and directory record in one
+// allocation.
+type dirInode struct {
+	Inode
+	d dirState
+}
+
+// newInode allocates a run-created inode of the given kind.
+func (t *Tree) newInode(id InodeID, kind Kind, name string) *Inode {
+	if kind != Dir {
+		return &Inode{ID: id, Kind: kind, Mode: 0o644, name: name}
+	}
+	x := &dirInode{Inode: Inode{ID: id, Kind: Dir, Mode: 0o755, name: name}, d: dirState{tree: t, sub: 1}}
+	x.dir = &x.d
+	return &x.Inode
 }
 
 // Name returns the inode's entry name in its (primary) parent directory.
@@ -86,35 +109,57 @@ func (n *Inode) Parent() *Inode { return n.parent }
 // IsDir reports whether the inode is a directory.
 func (n *Inode) IsDir() bool { return n.Kind == Dir }
 
+// SubtreeInodes counts inodes in the subtree rooted here, including this
+// one (1 for files). Maintained incrementally; used by workload
+// generation, Lazy Hybrid update fan-out, and balancer weights.
+func (n *Inode) SubtreeInodes() int {
+	if n.dir == nil {
+		return 1
+	}
+	return n.dir.sub
+}
+
 // NumChildren returns the number of directory entries (0 for files).
-func (n *Inode) NumChildren() int { return len(n.children) }
+func (n *Inode) NumChildren() int {
+	if n.dir == nil {
+		return 0
+	}
+	return len(n.dir.children)
+}
 
 // Child returns the i'th child. Children keep a stable order except that
 // removal swaps the last entry into the vacated slot.
-func (n *Inode) Child(i int) *Inode { return n.children[i] }
+func (n *Inode) Child(i int) *Inode { return n.dir.children[i] }
 
 // LookupChild finds a child by name.
 func (n *Inode) LookupChild(name string) (*Inode, bool) {
-	if n.lazyIdx {
-		id, ok := n.tree.base.nodes[n.ID-1].kids[name]
-		n.tree.noteLazyLookup(!ok)
+	d := n.dir
+	if d == nil {
+		return nil, false
+	}
+	if d.lazy {
+		id, ok := d.tree.base.lookup(n.ID, name)
+		d.tree.noteLazyLookup(!ok)
 		if !ok {
 			return nil, false
 		}
-		return n.tree.node(id), true
+		return d.tree.node(id), true
 	}
-	if n.childIndex == nil {
-		return nil, false
-	}
-	i, ok := n.childIndex[name]
+	i, ok := d.index[name]
 	if !ok {
 		return nil, false
 	}
-	return n.children[i], true
+	return d.children[i], true
 }
 
-// Children returns the live child slice. Callers must not mutate it.
-func (n *Inode) Children() []*Inode { return n.children }
+// Children returns the live child slice (nil for files). Callers must
+// not mutate it.
+func (n *Inode) Children() []*Inode {
+	if n.dir == nil {
+		return nil
+	}
+	return n.dir.children
+}
 
 // Path returns the absolute path of the inode ("/" for the root).
 func (n *Inode) Path() string {
@@ -163,43 +208,45 @@ func (n *Inode) String() string {
 }
 
 func (n *Inode) attach(child *Inode) error {
-	if n.Kind != Dir {
+	d := n.dir
+	if d == nil {
 		return fmt.Errorf("namespace: %s is not a directory", n.Path())
 	}
 	n.expand()
-	if n.childIndex == nil {
-		n.childIndex = make(map[string]int)
+	if d.index == nil {
+		d.index = make(map[string]int)
 	}
-	if _, exists := n.childIndex[child.name]; exists {
+	if _, exists := d.index[child.name]; exists {
 		return fmt.Errorf("namespace: %s already contains %q", n.Path(), child.name)
 	}
-	n.childIndex[child.name] = len(n.children)
-	n.children = append(n.children, child)
+	d.index[child.name] = len(d.children)
+	d.children = append(d.children, child)
 	child.parent = n
 	return nil
 }
 
 func (n *Inode) detach(child *Inode) error {
 	n.expand()
-	i, ok := n.childIndex[child.name]
-	if !ok || n.children[i] != child {
+	d := n.dir
+	i, ok := d.index[child.name]
+	if !ok || d.children[i] != child {
 		return fmt.Errorf("namespace: %s does not contain %q", n.Path(), child.name)
 	}
-	last := len(n.children) - 1
+	last := len(d.children) - 1
 	if i != last {
-		n.children[i] = n.children[last]
-		n.childIndex[n.children[i].name] = i
+		d.children[i] = d.children[last]
+		d.index[d.children[i].name] = i
 	}
-	n.children = n.children[:last]
-	delete(n.childIndex, child.name)
+	d.children = d.children[:last]
+	delete(d.index, child.name)
 	child.parent = nil
 	return nil
 }
 
-// adjustSubtreeCount adds delta to the SubtreeInodes of n and every
-// ancestor.
+// adjustSubtreeCount adds delta to the subtree count of directory n and
+// every ancestor.
 func (n *Inode) adjustSubtreeCount(delta int) {
 	for c := n; c != nil; c = c.parent {
-		c.SubtreeInodes += delta
+		c.dir.sub += delta
 	}
 }

@@ -49,7 +49,13 @@ func (n *Inode) snapFields(c *snap.Codec) (parent InodeID) {
 	if links != 1 {
 		c.Failf("namespace: inode %d has %d links, want 1", n.ID, links)
 	}
-	snap.I(c, &n.SubtreeInodes)
+	sub := n.SubtreeInodes()
+	snap.I(c, &sub)
+	if n.dir != nil {
+		n.dir.sub = sub
+	} else if sub != 1 {
+		c.Failf("namespace: file %d has subtree count %d, want 1", n.ID, sub)
+	}
 	c.String(&n.name)
 	if n.parent != nil {
 		parent = n.parent.ID
@@ -58,7 +64,8 @@ func (n *Inode) snapFields(c *snap.Codec) (parent InodeID) {
 	return parent
 }
 
-// setParent resolves a parent read by snapFields.
+// setParent resolves a parent read by snapFields, which must be a
+// directory.
 func (t *Tree) setParent(c *snap.Codec, n *Inode, parent InodeID) {
 	n.parent = nil
 	if parent == 0 || c.Err() != nil {
@@ -66,6 +73,8 @@ func (t *Tree) setParent(c *snap.Codec, n *Inode, parent InodeID) {
 	}
 	if n.parent, _ = t.ByID(parent); n.parent == nil {
 		c.Failf("namespace: inode %d parent %d unresolvable", n.ID, parent)
+	} else if n.parent.dir == nil {
+		c.Failf("namespace: inode %d parent %d is not a directory", n.ID, parent)
 	}
 }
 
@@ -78,8 +87,12 @@ func (t *Tree) drifted(id InodeID) bool {
 		parent = n.parent.ID
 	}
 	return n.name != fn.name || n.Size != 0 || n.Mode != fn.mode ||
-		n.SubtreeInodes != int(fn.sub) || parent != fn.parent
+		n.SubtreeInodes() != int(fn.sub) || parent != fn.parent
 }
+
+// expanded reports whether n is a directory with a private name index,
+// whose child list a delta carries.
+func (n *Inode) expanded() bool { return n.dir != nil && n.dir.index != nil }
 
 // Snap walks the overlay delta; reading, the tree must be a pristine
 // overlay of the same frozen base. Gathering what to write and
@@ -152,12 +165,17 @@ func (t *Tree) Snap(c *snap.Codec) {
 		if c.Err() != nil {
 			return
 		}
+		var id InodeID
+		var kind Kind
+		if !reading {
+			id, kind = created[i].ID, created[i].Kind
+		}
+		snap.U(c, &id)
+		snap.U(c, &kind)
 		if reading {
-			created[i] = &Inode{tree: t}
+			created[i] = t.newInode(id, kind, "")
 		}
 		n := created[i]
-		snap.U(c, &n.ID)
-		snap.U(c, &n.Kind)
 		parent := n.snapFields(c)
 		if !reading || c.Err() != nil {
 			continue
@@ -203,12 +221,12 @@ func (t *Tree) Snap(c *snap.Codec) {
 	var mat []*Inode
 	if !reading {
 		for i := range t.slab {
-			if t.slab[i].childIndex != nil && !t.Tombstoned(InodeID(i+1)) {
+			if t.slab[i].expanded() && !t.Tombstoned(InodeID(i+1)) {
 				mat = append(mat, &t.slab[i])
 			}
 		}
 		for _, n := range created {
-			if n.childIndex != nil {
+			if n.expanded() {
 				mat = append(mat, n)
 			}
 		}
@@ -219,7 +237,11 @@ func (t *Tree) Snap(c *snap.Codec) {
 		if c.Err() != nil {
 			return
 		}
-		d := mat[i]
+		d := mat[i].dir
+		if d == nil {
+			c.Failf("namespace: materialized inode %d is not a directory", mat[i].ID)
+			return
+		}
 		snap.Slice(c, &d.children)
 		for j := range d.children {
 			t.SnapRef(c, &d.children[j], "namespace: child")
@@ -230,14 +252,14 @@ func (t *Tree) Snap(c *snap.Codec) {
 		if c.Err() != nil {
 			return
 		}
-		d.childIndex = make(map[string]int, len(d.children))
+		d.index = make(map[string]int, len(d.children))
 		for j, child := range d.children {
-			if _, dup := d.childIndex[child.name]; dup {
-				c.Failf("namespace: dir %d lists %q twice", d.ID, child.name)
+			if _, dup := d.index[child.name]; dup {
+				c.Failf("namespace: dir %d lists %q twice", mat[i].ID, child.name)
 			}
-			d.childIndex[child.name] = j
+			d.index[child.name] = j
 		}
-		d.lazyIdx = false
+		d.lazy = false
 	}
 	if !reading {
 		return
@@ -251,7 +273,7 @@ func (t *Tree) Snap(c *snap.Codec) {
 		c.Failf("namespace: the root has a parent")
 	}
 	t.Walk(func(n *Inode) bool {
-		for _, child := range n.children {
+		for _, child := range n.Children() {
 			if child.parent != n {
 				c.Failf("namespace: inode %d listed under %d is not its child", child.ID, n.ID)
 			}

@@ -98,14 +98,10 @@ func (t *Tree) add(parent *Inode, name string, kind Kind) (*Inode, error) {
 	if err := validName(name); err != nil {
 		return nil, err
 	}
-	n := &Inode{ID: t.allocID(), Kind: kind, Mode: 0o644, name: name, tree: t}
-	if kind == Dir {
-		n.Mode = 0o755
-	}
+	n := t.newInode(t.allocID(), kind, name)
 	if err := parent.attach(n); err != nil {
 		return nil, err
 	}
-	n.SubtreeInodes = 1
 	parent.adjustSubtreeCount(1)
 	t.byID[n.ID] = n
 	if kind == Dir {
@@ -138,7 +134,7 @@ func (t *Tree) Remove(n *Inode) error {
 	if err := parent.detach(n); err != nil {
 		return err
 	}
-	parent.adjustSubtreeCount(-n.SubtreeInodes)
+	parent.adjustSubtreeCount(-n.SubtreeInodes())
 	delete(t.byID, n.ID)
 	t.destroyed(n.ID)
 	if n.Kind == Dir {
@@ -179,16 +175,17 @@ func (t *Tree) Rename(n *Inode, dstDir *Inode, newName string) error {
 	if err := src.detach(n); err != nil {
 		return err
 	}
-	src.adjustSubtreeCount(-n.SubtreeInodes)
+	sub := n.SubtreeInodes()
+	src.adjustSubtreeCount(-sub)
 	n.name = newName
 	if err := dstDir.attach(n); err != nil {
 		// Re-attach where it was; attach cannot fail here because the
 		// name was just freed.
 		_ = src.attach(n)
-		src.adjustSubtreeCount(n.SubtreeInodes)
+		src.adjustSubtreeCount(sub)
 		return err
 	}
-	dstDir.adjustSubtreeCount(n.SubtreeInodes)
+	dstDir.adjustSubtreeCount(sub)
 	return nil
 }
 
@@ -231,35 +228,35 @@ func (t *Tree) Walk(fn func(*Inode) bool) {
 	rec(t.Root)
 }
 
-// CheckInvariants validates subtree counters and parent/child symmetry.
-// Intended for tests; returns the first violation found.
+// CheckInvariants validates subtree counters, parent/child symmetry and
+// the name indexes. It changes nothing, not even which directories are
+// lazy: a lazy directory's children are checked against the frozen
+// base's index directly, which the read-through counters do not see.
+// Returns the first violation found.
 func (t *Tree) CheckInvariants() error {
 	var err error
 	t.Walk(func(n *Inode) bool {
 		if err != nil {
 			return false
 		}
-		// Invariant checking inspects the private childIndex directly, so
-		// build it first if the directory is still lazy.
-		n.expand()
+		if (n.dir != nil) != (n.Kind == Dir) {
+			err = fmt.Errorf("%s: directory record present = %v", n, n.dir != nil)
+			return false
+		}
 		want := 1
-		for _, c := range n.children {
+		for i, c := range n.Children() {
 			if c.parent != n {
 				err = fmt.Errorf("child %s has wrong parent", c)
 				return false
 			}
-			if idx, ok := n.childIndex[c.name]; !ok || n.children[idx] != c {
+			if !n.indexes(i, c) {
 				err = fmt.Errorf("child index broken for %s", c)
 				return false
 			}
-			want += c.SubtreeInodes
+			want += c.SubtreeInodes()
 		}
-		if n.Kind == Dir && n.SubtreeInodes != want {
-			err = fmt.Errorf("subtree count for %s = %d, want %d", n, n.SubtreeInodes, want)
-			return false
-		}
-		if n.Kind == File && n.SubtreeInodes != 1 {
-			err = fmt.Errorf("file subtree count for %s = %d", n, n.SubtreeInodes)
+		if got := n.SubtreeInodes(); got != want {
+			err = fmt.Errorf("subtree count for %s = %d, want %d", n, got, want)
 			return false
 		}
 		if got, ok := t.ByID(n.ID); !ok || got != n {
@@ -269,4 +266,16 @@ func (t *Tree) CheckInvariants() error {
 		return true
 	})
 	return err
+}
+
+// indexes reports whether directory n's name index resolves c's name to
+// c, its i'th child.
+func (n *Inode) indexes(i int, c *Inode) bool {
+	d := n.dir
+	if d.lazy {
+		id, ok := d.tree.base.lookup(n.ID, c.name)
+		return ok && id == c.ID
+	}
+	j, ok := d.index[c.name]
+	return ok && j == i
 }

@@ -3,6 +3,7 @@ package namespace
 import (
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -93,11 +94,11 @@ func TestSubtreeCounts(t *testing.T) {
 	b := mustMkdir(t, tr, a, "b")
 	mustCreate(t, tr, b, "f1")
 	mustCreate(t, tr, b, "f2")
-	if a.SubtreeInodes != 4 {
-		t.Errorf("a.SubtreeInodes = %d, want 4", a.SubtreeInodes)
+	if a.SubtreeInodes() != 4 {
+		t.Errorf("a.SubtreeInodes() = %d, want 4", a.SubtreeInodes())
 	}
-	if tr.Root.SubtreeInodes != 5 {
-		t.Errorf("root.SubtreeInodes = %d, want 5", tr.Root.SubtreeInodes)
+	if tr.Root.SubtreeInodes() != 5 {
+		t.Errorf("root.SubtreeInodes() = %d, want 5", tr.Root.SubtreeInodes())
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -120,8 +121,8 @@ func TestRemove(t *testing.T) {
 	if _, ok := tr.ByID(f.ID); ok {
 		t.Error("removed file still in byID")
 	}
-	if a.SubtreeInodes != 1 || tr.Root.SubtreeInodes != 2 {
-		t.Errorf("counts after remove: %d %d", a.SubtreeInodes, tr.Root.SubtreeInodes)
+	if a.SubtreeInodes() != 1 || tr.Root.SubtreeInodes() != 2 {
+		t.Errorf("counts after remove: %d %d", a.SubtreeInodes(), tr.Root.SubtreeInodes())
 	}
 	if err := tr.Remove(a); err != nil {
 		t.Fatal(err)
@@ -147,11 +148,11 @@ func TestRename(t *testing.T) {
 	if got := sub.Path(); got != "/b/moved" {
 		t.Errorf("path after rename = %q", got)
 	}
-	if a.SubtreeInodes != 1 {
-		t.Errorf("a count = %d, want 1", a.SubtreeInodes)
+	if a.SubtreeInodes() != 1 {
+		t.Errorf("a count = %d, want 1", a.SubtreeInodes())
 	}
-	if b.SubtreeInodes != 3 {
-		t.Errorf("b count = %d, want 3", b.SubtreeInodes)
+	if b.SubtreeInodes() != 3 {
+		t.Errorf("b count = %d, want 3", b.SubtreeInodes())
 	}
 	// Moving a directory into its own subtree must fail.
 	if err := tr.Rename(b, sub, "oops"); err == nil {
@@ -185,6 +186,49 @@ func TestWalkPrune(t *testing.T) {
 	// root, a (pruned), b, g = 4
 	if seen != 4 {
 		t.Errorf("visited %d, want 4", seen)
+	}
+}
+
+// TestCheckInvariantsKindRecord: an inode has a directory record exactly
+// when it is a directory.
+func TestCheckInvariantsKindRecord(t *testing.T) {
+	tr := emptyTree()
+	d := mustMkdir(t, tr, tr.Root, "d")
+	f := mustCreate(t, tr, tr.Root, "f")
+	for _, n := range []*Inode{d, f} {
+		kind := n.Kind
+		if n.Kind = Dir; kind == Dir {
+			n.Kind = File
+		}
+		err := tr.CheckInvariants()
+		n.Kind = kind
+		if err == nil || !strings.Contains(err.Error(), "directory record") {
+			t.Errorf("%s with its kind flipped: err %v", n, err)
+		}
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMkdirAllocsLikeCreate: a run-created directory is one allocation,
+// inode and directory record together, as a file is.
+func TestMkdirAllocsLikeCreate(t *testing.T) {
+	tr := emptyTree()
+	dir := mustMkdir(t, tr, tr.Root, "d")
+	allocs := func(add func(*Inode, string) (*Inode, error)) float64 {
+		return testing.AllocsPerRun(100, func() {
+			n, err := add(dir, "x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Remove(n); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if create, mkdir := allocs(tr.Create), allocs(tr.Mkdir); mkdir != create || create > 1 {
+		t.Fatalf("Create+Remove takes %.0f mallocs, Mkdir+Remove %.0f; want equal and <= 1", create, mkdir)
 	}
 }
 

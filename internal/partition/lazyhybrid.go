@@ -55,7 +55,7 @@ func (l *LazyHybrid) NoteDirUpdate(dir *namespace.Inode) int {
 	}
 	l.updateEpoch++
 	TagsOf(dir).LHDirEpoch = l.updateEpoch
-	affected := dir.SubtreeInodes - 1
+	affected := dir.SubtreeInodes() - 1
 	l.Debt += affected
 	return affected
 }

@@ -211,8 +211,8 @@ func TestLazyHybridStalenessLifecycle(t *testing.T) {
 		t.Fatal("fresh file reported stale")
 	}
 	affected := lh.NoteDirUpdate(usr)
-	if affected != usr.SubtreeInodes-1 {
-		t.Fatalf("affected = %d, want %d", affected, usr.SubtreeInodes-1)
+	if affected != usr.SubtreeInodes()-1 {
+		t.Fatalf("affected = %d, want %d", affected, usr.SubtreeInodes()-1)
 	}
 	if lh.Debt != affected {
 		t.Fatalf("debt = %d", lh.Debt)
