@@ -287,8 +287,8 @@ func TestReproLinesRoundTrip(t *testing.T) {
 // header is right and whose contents are not — trailer recomputed, so
 // the checksum holds — is a failed run: exit 1, one error line that
 // names the file and the field, no Go stack trace, in well under a
-// second. The three damaged files are the ones that made the
-// hand-written decoders panic (twice) and spin (once).
+// second. The damaged files are snaptest.Damaged, among them the three
+// that made the hand-written decoders panic (twice) and spin (once).
 func TestRestoreOfADamagedSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	aging := []string{"-set", "rate=1", "-set", "clients=200", "-set", "users=8", "-set", "duration=8s",

@@ -56,13 +56,14 @@ type PopulationConfig struct {
 }
 
 // The traffic plane's fixed shape: the timer-wheel granularity every
-// arrival timestamp quantises to, the diurnal period, and a burst's
-// multiplier and length.
+// arrival timestamp quantises to, the longest inter-arrival, the diurnal
+// period, and a burst's multiplier and length.
 const (
-	wheelTick     = sim.Millisecond
-	diurnalPeriod = 60 * sim.Second
-	burstFactor   = 4
-	burstEpoch    = 10 * sim.Second
+	wheelTick       = sim.Millisecond
+	maxInterArrival = sim.Hour
+	diurnalPeriod   = 60 * sim.Second
+	burstFactor     = 4
+	burstEpoch      = 10 * sim.Second
 )
 
 func (c PopulationConfig) withDefaults() PopulationConfig {
@@ -132,6 +133,7 @@ type Population struct {
 	shards  []*popShard
 	baseCum [numMixOps]float64
 	acts    []Act
+	seed    uint64 // roots every client's RNG stream (origin)
 
 	// lease, when attached, is the coherent client-cache plane
 	// (internal/lease): reads of a validly leased record are served
@@ -146,9 +148,9 @@ type Population struct {
 
 // popShard is one shard's slice of the population: clients are striped
 // round-robin (global id g lives on shard g%K at local index g/K), and
-// each shard owns a timer wheel, RNG slab, request pool, and metric
-// lanes touched only from its own engine. A client's tenant is not
-// stored: it is derived from the global id (Tenants.ClientTenant).
+// each shard owns a timer wheel, draw-count slab, request pool, and
+// metric lanes touched only from its own engine. A client's tenant is
+// not stored: it is derived from the global id (Tenants.ClientTenant).
 type popShard struct {
 	pop   *Population
 	eng   *sim.Engine
@@ -156,7 +158,7 @@ type popShard struct {
 	k     int // stripe count
 	wheel *sim.Wheel
 
-	rng []uint64 // per-local-client splitmix64 state
+	draws []uint32 // per-local-client count of RNG draws (see stream)
 
 	pool    []*msg.Request // free list; grows to max outstanding, then steady
 	seq     uint64         // shard-monotonic request ids
@@ -240,6 +242,7 @@ func NewPopulation(cfg PopulationConfig, engines []*sim.Engine, netw Network, st
 		tenants: tenants,
 		hints:   NewHintTable(cfg.Clients, cfg.Ways, k),
 		baseCum: cumMix(cfg.MixStat, cfg.MixReaddir, cfg.MixChmod, cfg.MixCreate, cfg.MixRename, cfg.MixUnlink),
+		seed:    uint64(seed),
 	}
 	p.shards = make([]*popShard, k)
 	for s := 0; s < k; s++ {
@@ -249,13 +252,9 @@ func NewPopulation(cfg PopulationConfig, engines []*sim.Engine, netw Network, st
 			eng:     engines[s],
 			shard:   s,
 			k:       k,
-			rng:     make([]uint64, n),
+			draws:   make([]uint32, n),
 			rateMul: 1,
 			cum:     p.baseCum,
-		}
-		for li := 0; li < n; li++ {
-			g := li*k + s
-			ps.rng[li] = mix64(uint64(seed) ^ mix64(uint64(g)+0x9E3779B97F4A7C15))
 		}
 		ps.wheel = sim.NewWheel(engines[s], wheelTick, n, ps.arrive)
 		ps.churnOn = cfg.MixUnlink > 0
@@ -265,17 +264,57 @@ func NewPopulation(cfg PopulationConfig, engines []*sim.Engine, netw Network, st
 }
 
 // mix64 is the splitmix64 output permutation: the per-client RNG is one
-// uint64 of state advanced by a golden-ratio increment.
+// uint64 of state advanced by the golden-ratio increment gamma.
 func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
 }
 
-// next draws the local client's next uniform word.
+// gamma is splitmix64's increment; gammaInv is its inverse mod 2^64, which
+// turns a state back into a draw count (snapshot reading).
+const (
+	gamma    = 0x9E3779B97F4A7C15
+	gammaInv = 0xF1DE83E19937733D
+)
+
+// origin is the local client's splitmix64 state before its first draw.
+// After n draws the state is origin + n·gamma, so the slab keeps only n.
+func (s *popShard) origin(li int) uint64 {
+	g := li*s.k + s.shard
+	return mix64(s.pop.seed ^ mix64(uint64(g)+gamma))
+}
+
+// stream is a cursor over one client's RNG: derived once per arrival,
+// drawn from, and its count stored back once.
+type stream struct {
+	state uint64
+	n     uint32
+}
+
+func (s *popShard) stream(li int32) stream {
+	n := s.draws[li]
+	return stream{state: s.origin(int(li)) + uint64(n)*gamma, n: n}
+}
+
+// next draws the stream's next uniform word. A count that would wrap —
+// some 5·10^8 arrivals from one client — panics rather than repeat the
+// stream.
+func (r *stream) next() uint64 {
+	if r.n == math.MaxUint32 {
+		panic("client: a client's RNG draw count overflows")
+	}
+	r.n++
+	r.state += gamma
+	return mix64(r.state)
+}
+
+// next draws the local client's next uniform word outside an arrival.
 func (s *popShard) next(li int32) uint64 {
-	s.rng[li] += 0x9E3779B97F4A7C15
-	return mix64(s.rng[li])
+	r := s.stream(li)
+	u := r.next()
+	s.draws[li] = r.n
+	return u
 }
 
 // uniform converts a word to [0,1).
@@ -296,9 +335,10 @@ func (p *Population) Start() {
 func (s *popShard) armAll() {
 	s.wheel.Start()
 	tn := 0
-	for li := range s.rng {
+	for li := range s.draws {
 		tn = s.pop.tenants.TenantFrom(tn, li*s.k+s.shard)
-		s.rearm(int32(li), tn)
+		rng := s.stream(int32(li))
+		s.rearm(int32(li), tn, &rng)
 	}
 }
 
@@ -330,7 +370,7 @@ func (s *popShard) rate(tenant int, now sim.Time) float64 {
 	}
 	if cfg.BurstProb > 0 {
 		epoch := uint64(now / burstEpoch)
-		h := mix64(tn*0x9E3779B97F4A7C15 ^ (epoch+1)*0xD1B54A32D192ED03)
+		h := mix64(tn*gamma ^ (epoch+1)*0xD1B54A32D192ED03)
 		if uniform(h) < cfg.BurstProb {
 			r *= burstFactor
 		}
@@ -342,18 +382,22 @@ func (s *popShard) rate(tenant int, now sim.Time) float64 {
 }
 
 // rearm schedules the client's next arrival: an exponential inter-
-// arrival at the rate frozen at draw time, through the wheel. tn is the
-// client's tenant, which every caller already holds.
-func (s *popShard) rearm(li int32, tn int) {
-	u := uniform(s.next(li))
+// arrival at the rate frozen at draw time, capped at an hour, through
+// the wheel. It takes the last draw of an arrival from rng and stores
+// the count. tn is the client's tenant, which every caller already holds.
+func (s *popShard) rearm(li int32, tn int, rng *stream) {
+	u := uniform(rng.next())
+	s.draws[li] = rng.n
 	if u <= 0 {
 		u = 1e-18
 	}
-	d := sim.FromSeconds(-math.Log(u) / (s.rate(tn, s.eng.Now()) * s.rateMul))
-	if d > sim.Hour {
-		d = sim.Hour
+	// Cap in seconds: a tiny rate multiplier makes the quotient overflow
+	// sim.Time.
+	sec := -math.Log(u) / (s.rate(tn, s.eng.Now()) * s.rateMul)
+	if sec > maxInterArrival.Seconds() {
+		sec = maxInterArrival.Seconds()
 	}
-	s.wheel.Schedule(li, d)
+	s.wheel.Schedule(li, sim.FromSeconds(sec))
 }
 
 // getRequest reuses a drained request or allocates one. Open-loop
@@ -381,6 +425,7 @@ func (s *popShard) arrive(li int32) {
 	p := s.pop
 	g := int(li)*s.k + s.shard
 	tn := p.tenants.ClientTenant(g)
+	rng := s.stream(li)
 
 	req := s.getRequest()
 	s.seq++
@@ -389,20 +434,20 @@ func (s *popShard) arrive(li int32) {
 	req.Issued = s.eng.Now()
 	req.Via = -1
 
-	x := uniform(s.next(li)) * s.cum[numMixOps-1]
+	x := uniform(rng.next()) * s.cum[numMixOps-1]
 	switch {
 	case x < s.cum[0]:
 		req.Op = msg.Stat
-		req.Target = p.tenants.File(tn, s.next(li), s.next(li))
+		req.Target = p.tenants.File(tn, rng.next(), rng.next())
 	case x < s.cum[1]:
 		req.Op = msg.Readdir
-		req.Target = p.tenants.Dir(tn, s.next(li), s.next(li))
+		req.Target = p.tenants.Dir(tn, rng.next(), rng.next())
 	case x < s.cum[2]:
 		req.Op = msg.Chmod
-		req.Target = p.tenants.File(tn, s.next(li), s.next(li))
+		req.Target = p.tenants.File(tn, rng.next(), rng.next())
 	case x < s.cum[3]:
 		req.Op = msg.Create
-		req.Target = p.tenants.Dir(tn, s.next(li), s.next(li))
+		req.Target = p.tenants.Dir(tn, rng.next(), rng.next())
 		s.nameSeq++
 		req.NewName = popName(s.shard, s.nameSeq)
 	case x < s.cum[4]:
@@ -411,15 +456,15 @@ func (s *popShard) arrive(li int32) {
 		// survives the move (failed renames are MDS-side no-ops), so
 		// working-set and alias-table pointers stay valid.
 		req.Op = msg.Rename
-		req.Target = p.tenants.File(tn, s.next(li), s.next(li))
+		req.Target = p.tenants.File(tn, rng.next(), rng.next())
 		dst := tn
 		if t := p.tenants.NumTenants(); t > 1 {
-			dst = int(s.next(li) % uint64(t-1))
+			dst = int(rng.next() % uint64(t-1))
 			if dst >= tn {
 				dst++
 			}
 		}
-		req.DstDir = p.tenants.Dir(dst, s.next(li), s.next(li))
+		req.DstDir = p.tenants.Dir(dst, rng.next(), rng.next())
 		s.nameSeq++
 		req.NewName = popName(s.shard, s.nameSeq)
 	default:
@@ -432,7 +477,7 @@ func (s *popShard) arrive(li int32) {
 			req.Target = victim
 		} else {
 			req.Op = msg.Create
-			req.Target = p.tenants.Dir(tn, s.next(li), s.next(li))
+			req.Target = p.tenants.Dir(tn, rng.next(), rng.next())
 			s.nameSeq++
 			req.NewName = popName(s.shard, s.nameSeq)
 		}
@@ -443,7 +488,7 @@ func (s *popShard) arrive(li int32) {
 	// Unlinks consume the draw but never redirect: the op must land on
 	// the ring victim — retargeting it would remove a working-set entry
 	// the tenant alias tables still point at.
-	if s.hotFrac > 0 && uniform(s.next(li)) < s.hotFrac && req.Op != msg.Unlink {
+	if s.hotFrac > 0 && uniform(rng.next()) < s.hotFrac && req.Op != msg.Unlink {
 		req.Target = s.hot
 	}
 
@@ -464,12 +509,12 @@ func (s *popShard) arrive(li int32) {
 				s.curLat.Observe(0)
 			}
 			s.pool = append(s.pool, req)
-			s.rearm(li, tn)
+			s.rearm(li, tn, &rng)
 			return
 		}
 	}
 
-	mds := p.direct(g, req, s.next(li))
+	mds := p.direct(g, req, rng.next())
 	s.issued++
 	if s.retry != nil {
 		r := &openRetry{req: req, li: li}
@@ -477,7 +522,7 @@ func (s *popShard) arrive(li int32) {
 		s.eng.AfterCall(s.retryTimeout, popRetryFire, s, r)
 	}
 	p.net.Send(mds, req)
-	s.rearm(li, tn)
+	s.rearm(li, tn, &rng)
 }
 
 // churnPop takes the oldest unlink-eligible inode, or nil. Reserved
@@ -738,8 +783,8 @@ func (p *Population) RetryOutstanding() int {
 	return n
 }
 
-// FootprintBytes returns the structural per-population memory: RNG
-// slabs (8 B/client), wheel intrusive lists (8 B/client), the shared
+// FootprintBytes returns the structural per-population memory: draw
+// counts (4 B/client), wheel intrusive lists (6 B/client), the shared
 // hint table (a 4 B/client region index plus the chunks allocated so
 // far, so it grows as clients are first answered), the tenant model,
 // and the lease slab when attached. Request pools and engine state are
@@ -748,7 +793,7 @@ func (p *Population) RetryOutstanding() int {
 func (p *Population) FootprintBytes() int64 {
 	var b int64
 	for _, s := range p.shards {
-		b += int64(len(s.rng)) * 8
+		b += int64(len(s.draws)) * 4
 		b += s.wheel.FootprintBytes()
 	}
 	b += p.hints.FootprintBytes() + p.tenants.FootprintBytes()

@@ -1,6 +1,8 @@
 package client
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"dynmds/internal/metrics"
@@ -210,4 +212,105 @@ func TestPopulationArrivalAllocFree(t *testing.T) {
 	if pop.Issued() == 0 || pop.Completed() == 0 {
 		t.Fatal("no traffic during pin")
 	}
+}
+
+// TestPopulationDrawsAreSplitmix holds the draw-count slab to the
+// stream it replaced: a client's n-th draw, through an arrival's cursor
+// or through next, is the n-th output of a splitmix64 state seeded at
+// the client's origin and stepped by gamma — at one shard and at three.
+func TestPopulationDrawsAreSplitmix(t *testing.T) {
+	if g, inv := uint64(gamma), uint64(gammaInv); g*inv != 1 {
+		t.Fatalf("gamma·gammaInv = %#x, want 1", g*inv)
+	}
+	const seed, clients, draws = 9, 10, 1000
+	_, homes := popTree(t, 2)
+	tn := workload.NewTenants(workload.TenantConfig{Tenants: 2, WorkingSet: 4}, clients, homes, seed)
+	for _, k := range []int{1, 3} {
+		engines := make([]*sim.Engine, k)
+		for i := range engines {
+			engines[i] = sim.NewEngine()
+		}
+		newPop := func() *Population {
+			return NewPopulation(PopulationConfig{Clients: clients}, engines, &echoNet{n: 4}, partition.FileHash{N: 4}, tn, seed)
+		}
+		viaCursor, viaNext := newPop(), newPop()
+		for g := 0; g < clients; g++ {
+			li := int32(g / k)
+			state := mix64(uint64(seed) ^ mix64(uint64(g)+0x9E3779B97F4A7C15))
+			cs, ns := viaCursor.shards[g%k], viaNext.shards[g%k]
+			r := cs.stream(li)
+			for n := 1; n <= draws; n++ {
+				state += 0x9E3779B97F4A7C15
+				want := mix64(state)
+				if got := r.next(); got != want {
+					t.Fatalf("K=%d client %d draw %d: cursor %#x, splitmix64 %#x", k, g, n, got, want)
+				}
+				if got := ns.next(li); got != want {
+					t.Fatalf("K=%d client %d draw %d: next %#x, splitmix64 %#x", k, g, n, got, want)
+				}
+			}
+			if ns.draws[li] != draws {
+				t.Fatalf("K=%d client %d: count %d after %d draws", k, g, ns.draws[li], draws)
+			}
+		}
+	}
+}
+
+// TestPopulationDrawCountWraps: the count's last value is a draw no
+// client may take; the next one panics rather than restart the stream.
+func TestPopulationDrawCountWraps(t *testing.T) {
+	_, pop, _ := popFixture(t, PopulationConfig{Clients: 2, Tenant: workload.TenantConfig{Tenants: 1}}, 3, 0)
+	s := pop.shards[0]
+	s.draws[1] = math.MaxUint32 - 1
+	s.next(1)
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("a draw past 2^32-1 did not panic")
+		}
+	}()
+	s.next(1)
+}
+
+// TestRearmCapUnderWheelHorizon: the longest inter-arrival rearm
+// schedules — a rate multiplier small enough to overflow sim.Time,
+// capped at maxInterArrival — fits the wheel's horizon at wheelTick
+// even from between two ticks, where the deadline rounds up.
+func TestRearmCapUnderWheelHorizon(t *testing.T) {
+	eng, pop, _ := popFixture(t, PopulationConfig{Clients: 1, Tenant: workload.TenantConfig{Tenants: 1}}, 3, 0)
+	s := pop.shards[0]
+	s.wheel.Start()
+	eng.RunUntil(wheelTick / 2)
+	s.rateMul = 1e-300
+	r := s.stream(0)
+	s.rearm(0, 0, &r)
+	if s.draws[0] != 1 {
+		t.Fatalf("rearm stored count %d, want 1", s.draws[0])
+	}
+}
+
+// TestPopulationHeapBytesPerClient measures what a client costs on the
+// heap — draw count, wheel link and deadline, hint-region index — and
+// holds FootprintBytes, which the bench's bytes_per_client row and the
+// clients plan's B/client column report, to that measurement.
+func TestPopulationHeapBytesPerClient(t *testing.T) {
+	const clients = 1_000_000
+	_, homes := popTree(t, 4)
+	tn := workload.NewTenants(workload.TenantConfig{Tenants: 16}, clients, homes, 1)
+	eng := sim.NewEngine()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	pop := NewPopulation(PopulationConfig{Clients: clients}, []*sim.Engine{eng}, &echoNet{n: 4}, partition.FileHash{N: 4}, tn, 1)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	heap := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	reported := float64(pop.FootprintBytes() - tn.FootprintBytes())
+	t.Logf("%.2f heap B/client, FootprintBytes %.2f", heap/clients, reported/clients)
+	if bpc := heap / clients; bpc > 15 {
+		t.Errorf("population holds %.1f heap B/client, gate 15", bpc)
+	}
+	if math.Abs(reported-heap) > 0.05*heap {
+		t.Errorf("FootprintBytes reports %.0f B without the tenants, the heap grew %.0f B", reported, heap)
+	}
+	runtime.KeepAlive(pop)
 }

@@ -1,6 +1,8 @@
 package client
 
 import (
+	"math"
+
 	"dynmds/internal/namespace"
 	"dynmds/internal/snap"
 )
@@ -13,7 +15,8 @@ import (
 // checkpointing run and a restored run execute the same Pause → drain →
 // Resume protocol, and Resume re-arms every client from its own RNG
 // stream — so the post-resume arrival process is a pure function of the
-// serialized RNG slabs, identical in both runs.
+// serialized draw counts, identical in both runs. A count is written as
+// the splitmix64 state it stands for, origin + n·gamma.
 
 // Pause stops arrivals and wheels ahead of a checkpoint. The drain
 // window that follows lets in-flight requests and retry chains retire.
@@ -66,9 +69,9 @@ func (p *Population) Snap(c *snap.Codec, tree *namespace.Tree) {
 			}
 		}
 		s.stopped = true
-		c.Same(len(s.rng), "client: shard clients")
-		for i := range s.rng {
-			snap.U(c, &s.rng[i])
+		c.Same(len(s.draws), "client: shard clients")
+		for li := range s.draws {
+			s.snapDraws(c, li)
 		}
 		snap.U(c, &s.seq)
 		snap.I(c, &s.nameSeq)
@@ -85,6 +88,23 @@ func (p *Population) Snap(c *snap.Codec, tree *namespace.Tree) {
 		queue(&s.baseVictims, &s.baseHead, "client: base victim")
 	}
 	p.hints.snap(c)
+}
+
+// snapDraws carries one client's draw count as its RNG state. Reading,
+// a state off the client's stream — n = (state − origin)·gamma⁻¹ past
+// 32 bits — is refused.
+func (s *popShard) snapDraws(c *snap.Codec, li int) {
+	origin := s.origin(li)
+	state := origin + uint64(s.draws[li])*gamma
+	snap.U(c, &state)
+	if !c.Reading() || c.Err() != nil {
+		return
+	}
+	if n := (state - origin) * gammaInv; n > math.MaxUint32 {
+		c.Failf("client: client %d: RNG state %#x is off its stream", li*s.k+s.shard, state)
+	} else {
+		s.draws[li] = uint32(n)
+	}
 }
 
 // snap walks the table sparsely, in the dense layout's terms: the slot

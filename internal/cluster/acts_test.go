@@ -172,3 +172,28 @@ func TestActResults(t *testing.T) {
 		t.Fatalf("act completions %d exceed run total %d", sum, r.Completed)
 	}
 }
+
+// TestActTinyRateMultiplier: a rate multiplier as small as validation
+// lets through stretches an inter-arrival past what sim.Time holds; the
+// arrival is capped at an hour instead, and the run completes. The hush
+// parks every client that arrives in it (at 20 ops/s each, all of them
+// within its second), so the lull that follows issues nothing.
+func TestActTinyRateMultiplier(t *testing.T) {
+	cfg := openLoopConfig(StratDynamic)
+	cfg.Acts = []ActConfig{
+		{Name: "hush", From: sim.Second, To: 2 * sim.Second, RateMul: 1e-300},
+		{Name: "lull", From: 2 * sim.Second, To: 3 * sim.Second, RateMul: 1e-300},
+	}
+	cl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := cl.Run()
+	cl.Drain()
+	if err := cl.DrainCheck(); err != nil {
+		t.Fatal(err)
+	}
+	if hush, lull := r.Acts[0], r.Acts[1]; hush.Issued == 0 || lull.Issued != 0 {
+		t.Fatalf("hush issued %d, lull %d; want some, then none", hush.Issued, lull.Issued)
+	}
+}

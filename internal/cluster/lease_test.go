@@ -198,12 +198,12 @@ func TestLeasePlaneFootprint(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
 		leases, fanout bool
-		limit, spoken  float64 // measured 23.9 / 39.2 B lease-off, 47.9 / 63.2 B lease-on
+		limit, spoken  float64 // measured 17.9 / 33.2 B lease-off, 41.9 / 57.2 B lease-on
 	}{
-		{"dumb", false, false, 28, 45},
-		{"leases", true, false, 55, 73},
-		{"fanout", false, true, 28, 45},
-		{"both", true, true, 55, 73},
+		{"dumb", false, false, 21, 38},
+		{"leases", true, false, 48, 66},
+		{"fanout", false, true, 21, 38},
+		{"both", true, true, 48, 66},
 	} {
 		cfg := openLoopConfig(StratStatic)
 		cfg.Duration = 2 * sim.Second

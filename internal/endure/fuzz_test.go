@@ -90,9 +90,9 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	return seeds
 }
 
-// TestDamagedCheckpoints: the fuzz seeds restore, and the three files
-// that took the hand-written decoders down — two panics and a loop that
-// did not end — are errors that name the field.
+// TestDamagedCheckpoints: the fuzz seeds restore, and the damaged files
+// — among them the three that took the hand-written decoders down, two
+// panics and a loop that did not end — are errors that name the field.
 func TestDamagedCheckpoints(t *testing.T) {
 	seeds := fuzzSeeds(t)
 	for shape, data := range seeds {

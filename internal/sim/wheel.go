@@ -3,18 +3,18 @@ package sim
 // Wheel is a hierarchical timer wheel for timer populations far too
 // large for the event heap: millions of pending client arrivals would
 // otherwise dominate heap sift costs and memory (56 bytes/event). The
-// wheel stores one pending timer per id in two flat int32/uint32 arrays
-// (8 bytes/id, no per-timer allocation) threaded into intrusive
+// wheel stores one pending timer per id in two flat int32/uint16 arrays
+// (6 bytes/id, no per-timer allocation) threaded into intrusive
 // per-slot FIFO lists, and drives itself with a single recurring engine
 // event: each tick dispatches the due slot in insertion order, so
 // dispatch order is deterministic for a fixed schedule.
 //
-// Four levels of 256 slots cover 2^32 ticks. A timer due within 256
-// ticks sits in level 0 at its exact slot; farther deadlines park in
-// the level whose granularity covers them and cascade down one level
-// each time their slot comes up, landing in level 0 on time. The
-// contract is one pending timer per id: Schedule on an id that is
-// already pending corrupts the lists.
+// Three levels of 256 slots cover 2^24 ticks (4.66 h at a 1 ms tick). A
+// timer due within 256 ticks sits in level 0 at its exact slot; farther
+// deadlines park in the level whose granularity covers them and cascade
+// down one level each time their slot comes up, landing in level 0 on
+// time. The contract is one pending timer per id: Schedule on an id
+// that is already pending corrupts the lists.
 type Wheel struct {
 	eng  *Engine
 	tick Time // duration of one tick
@@ -29,10 +29,13 @@ type Wheel struct {
 	Fired uint64
 
 	// Intrusive per-id links: next[id] chains ids within a slot (-1
-	// ends a list), when[id] is the absolute deadline tick, needed to
-	// re-slot entries on cascade.
+	// ends a list), when[id] is the low 16 bits of the deadline tick,
+	// needed to re-slot entries on cascade. Sixteen bits suffice: a
+	// level-1 or level-2 entry is cascaded at the tick c whose upper
+	// bits equal its deadline's, so the deadline is c plus the low bits'
+	// distance from c's; a level-0 entry never reads its deadline.
 	next []int32
-	when []uint32
+	when []uint16
 
 	head [wheelLevels][wheelSlots]int32
 	tail [wheelLevels][wheelSlots]int32
@@ -42,7 +45,10 @@ const (
 	wheelBits   = 8
 	wheelSlots  = 1 << wheelBits
 	wheelMask   = wheelSlots - 1
-	wheelLevels = 4
+	wheelLevels = 3
+	// wheelHorizon is the farthest deadline, in ticks from now, that
+	// the levels cover.
+	wheelHorizon = 1 << (wheelLevels * wheelBits)
 )
 
 // NewWheel creates a wheel for ids in [0, n) firing fire(id) when each
@@ -57,7 +63,7 @@ func NewWheel(eng *Engine, tick Time, n int, fire func(id int32)) *Wheel {
 	}
 	w := &Wheel{eng: eng, tick: tick, fire: fire}
 	w.next = make([]int32, n)
-	w.when = make([]uint32, n)
+	w.when = make([]uint16, n)
 	for i := range w.next {
 		w.next[i] = -1
 	}
@@ -104,10 +110,10 @@ func (w *Wheel) Reset() {
 	w.stopped = true
 }
 
-// FootprintBytes returns the wheel's memory: 8 bytes per id (intrusive
+// FootprintBytes returns the wheel's memory: 6 bytes per id (intrusive
 // link + deadline) plus the fixed slot head/tail arrays.
 func (w *Wheel) FootprintBytes() int64 {
-	return int64(len(w.next))*8 + wheelLevels*wheelSlots*8
+	return int64(len(w.next))*6 + wheelLevels*wheelSlots*8
 }
 
 // Schedule arms id's timer d after the current engine time, rounded up
@@ -122,7 +128,7 @@ func (w *Wheel) Schedule(id int32, d Time) {
 	if t <= uint64(w.cur) {
 		t = uint64(w.cur) + 1
 	}
-	if t-uint64(w.cur) > 1<<32-1 {
+	if t-uint64(w.cur) >= wheelHorizon {
 		panic("sim: wheel horizon exceeded")
 	}
 	w.insert(id, uint32(t))
@@ -130,7 +136,7 @@ func (w *Wheel) Schedule(id int32, d Time) {
 
 // insert links id into the slot covering deadline tick t.
 func (w *Wheel) insert(id int32, t uint32) {
-	w.when[id] = t
+	w.when[id] = uint16(t)
 	delta := t - w.cur
 	var lvl uint
 	switch {
@@ -138,10 +144,8 @@ func (w *Wheel) insert(id int32, t uint32) {
 		lvl = 0
 	case delta < 1<<(2*wheelBits):
 		lvl = 1
-	case delta < 1<<(3*wheelBits):
-		lvl = 2
 	default:
-		lvl = 3
+		lvl = 2
 	}
 	slot := (t >> (lvl * wheelBits)) & wheelMask
 	w.next[id] = -1
@@ -171,9 +175,6 @@ func (w *Wheel) advance() {
 		w.cascade(1, (c>>wheelBits)&wheelMask)
 		if (c>>wheelBits)&wheelMask == 0 {
 			w.cascade(2, (c>>(2*wheelBits))&wheelMask)
-			if (c>>(2*wheelBits))&wheelMask == 0 {
-				w.cascade(3, (c>>(3*wheelBits))&wheelMask)
-			}
 		}
 	}
 	slot := c & wheelMask
@@ -195,14 +196,16 @@ func (w *Wheel) advance() {
 // cascade drains one slot of a higher level, re-slotting each entry by
 // its deadline; relative order within the slot is preserved, so two
 // timers due the same tick fire in scheduling order regardless of how
-// many cascades they crossed.
+// many cascades they crossed. The deadline lies less than 2^16 ticks
+// past the current tick, so its low 16 bits recover it.
 func (w *Wheel) cascade(lvl uint, slot uint32) {
+	c := w.cur
 	id := w.head[lvl][slot]
 	w.head[lvl][slot] = -1
 	w.tail[lvl][slot] = -1
 	for id >= 0 {
 		nx := w.next[id]
-		w.insert(id, w.when[id])
+		w.insert(id, c+uint32(w.when[id]-uint16(c)))
 		id = nx
 	}
 }

@@ -30,9 +30,9 @@ func (r *wheelRec) fire(id int32) {
 	r.times = append(r.times, r.eng.Now())
 }
 
-// TestWheelFiresOnTime schedules timers across all four levels and
-// checks each fires at its deadline rounded up to a tick boundary,
-// regardless of how many cascades it crossed.
+// TestWheelFiresOnTime schedules timers across all three levels, up to
+// the horizon's last tick, and checks each fires at its deadline rounded
+// up to a tick boundary, regardless of how many cascades it crossed.
 func TestWheelFiresOnTime(t *testing.T) {
 	eng := NewEngine()
 	rec := &wheelRec{eng: eng}
@@ -45,15 +45,14 @@ func TestWheelFiresOnTime(t *testing.T) {
 		256 * Millisecond, // level 1 first slot
 		300 * Millisecond, // level 1
 		65536 * Millisecond,
-		65600 * Millisecond, // level 2
-		1 << 24 * Millisecond,
-		(1<<24 + 7) * Millisecond, // level 3
+		65600 * Millisecond,              // level 2
+		(wheelHorizon - 1) * Millisecond, // the horizon's last tick
 	}
 	w.Start()
 	for i, d := range delays {
 		w.Schedule(int32(i), d)
 	}
-	eng.RunUntil((1<<24 + 16) * Millisecond)
+	eng.RunUntil((wheelHorizon + 16) * Millisecond)
 	w.Stop()
 	eng.Run()
 
@@ -73,6 +72,20 @@ func TestWheelFiresOnTime(t *testing.T) {
 	if w.Pending() != 0 {
 		t.Fatalf("pending = %d after drain", w.Pending())
 	}
+}
+
+// TestWheelHorizon checks that a deadline one tick past what the levels
+// cover is refused, not wrapped onto an earlier slot.
+func TestWheelHorizon(t *testing.T) {
+	eng := NewEngine()
+	w := NewWheel(eng, Millisecond, 1, func(int32) {})
+	w.Start()
+	defer func() {
+		if r := recover(); r != "sim: wheel horizon exceeded" {
+			t.Fatalf("recovered %v, want the horizon panic", r)
+		}
+	}()
+	w.Schedule(0, wheelHorizon*Millisecond)
 }
 
 // TestWheelSubTickRoundsUp checks that deadlines between tick
@@ -248,5 +261,182 @@ func TestWheelAllocFree(t *testing.T) {
 	}
 	if pin.n == 0 {
 		t.Fatal("no timers fired")
+	}
+}
+
+// refWheel is the four-level wheel with full 32-bit deadlines that the
+// three-level, 16-bit wheel replaced, kept as the reference for
+// TestWheelDifferential.
+type refWheel struct {
+	eng   *Engine
+	tick  Time
+	fire  func(id int32)
+	start Time
+	cur   uint32
+	next  []int32
+	when  []uint32
+	head  [4][wheelSlots]int32
+	tail  [4][wheelSlots]int32
+}
+
+func newRefWheel(eng *Engine, tick Time, n int, fire func(id int32)) *refWheel {
+	w := &refWheel{eng: eng, tick: tick, fire: fire, next: make([]int32, n), when: make([]uint32, n)}
+	for i := range w.next {
+		w.next[i] = -1
+	}
+	for l := range w.head {
+		for s := range w.head[l] {
+			w.head[l][s], w.tail[l][s] = -1, -1
+		}
+	}
+	return w
+}
+
+func (w *refWheel) Start() {
+	w.start = w.eng.Now()
+	w.eng.AfterCall(w.tick, refWheelTick, w, nil)
+}
+
+func (w *refWheel) Schedule(id int32, d Time) {
+	target := w.eng.Now() + d - w.start
+	t := uint64(target+w.tick-1) / uint64(w.tick)
+	if t <= uint64(w.cur) {
+		t = uint64(w.cur) + 1
+	}
+	w.insert(id, uint32(t))
+}
+
+func (w *refWheel) insert(id int32, t uint32) {
+	w.when[id] = t
+	delta := t - w.cur
+	var lvl uint
+	switch {
+	case delta < wheelSlots:
+		lvl = 0
+	case delta < 1<<(2*wheelBits):
+		lvl = 1
+	case delta < 1<<(3*wheelBits):
+		lvl = 2
+	default:
+		lvl = 3
+	}
+	slot := (t >> (lvl * wheelBits)) & wheelMask
+	w.next[id] = -1
+	if w.tail[lvl][slot] < 0 {
+		w.head[lvl][slot] = id
+	} else {
+		w.next[w.tail[lvl][slot]] = id
+	}
+	w.tail[lvl][slot] = id
+}
+
+func refWheelTick(a, _ any) { a.(*refWheel).advance() }
+
+func (w *refWheel) advance() {
+	w.cur++
+	c := w.cur
+	if c&wheelMask == 0 {
+		w.cascade(1, (c>>wheelBits)&wheelMask)
+		if (c>>wheelBits)&wheelMask == 0 {
+			w.cascade(2, (c>>(2*wheelBits))&wheelMask)
+			if (c>>(2*wheelBits))&wheelMask == 0 {
+				w.cascade(3, (c>>(3*wheelBits))&wheelMask)
+			}
+		}
+	}
+	slot := c & wheelMask
+	id := w.head[0][slot]
+	w.head[0][slot], w.tail[0][slot] = -1, -1
+	for id >= 0 {
+		nx := w.next[id]
+		w.next[id] = -1
+		w.fire(id)
+		id = nx
+	}
+	w.eng.AfterCall(w.tick, refWheelTick, w, nil)
+}
+
+func (w *refWheel) cascade(lvl uint, slot uint32) {
+	id := w.head[lvl][slot]
+	w.head[lvl][slot], w.tail[lvl][slot] = -1, -1
+	for id >= 0 {
+		nx := w.next[id]
+		w.insert(id, w.when[id])
+		id = nx
+	}
+}
+
+// diffDelay is the n-th delay of id in TestWheelDifferential's history:
+// a pure function of (seed, id, n), so both wheels draw the same delay
+// for the same firing whatever order they fire in. Sub-tick offsets
+// exercise rounding; a quarter of the delays park in level 2 (up to
+// 2^18 ticks), the rest spread over levels 0 and 1 and zero.
+func diffDelay(seed uint64, id int32, n int) Time {
+	z := seed ^ uint64(id)<<32 ^ uint64(n)
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	z ^= z >> 31
+	var ticks uint64
+	switch z & 3 {
+	case 0:
+		ticks = z >> 8 % wheelSlots
+	case 1, 2:
+		ticks = z >> 8 % (1 << (2 * wheelBits))
+	default:
+		ticks = z>>8%(1<<18-1<<16) + 1<<16
+	}
+	return Time(ticks)*Millisecond + Time(z>>40%1000)*Microsecond
+}
+
+// TestWheelDifferential drives the wheel and the reference wheel through
+// the same seeded fire-and-reschedule histories over 2^20 ticks — 16
+// level-2 cascades and as many wraps of the 16-bit deadline — and
+// requires the identical (id, time) firing sequence from both.
+func TestWheelDifferential(t *testing.T) {
+	const ids, ticks = 512, 1 << 20
+	for _, seed := range []uint64{1, 2, 3} {
+		type firing struct {
+			id int32
+			at Time
+		}
+		run := func(sched func(id int32, d Time), start func(), eng *Engine) {
+			start()
+			for id := int32(0); id < ids; id++ {
+				sched(id, diffDelay(seed, id, 0))
+			}
+			eng.RunUntil(ticks * Millisecond)
+		}
+		var got, want []firing
+		gotN, wantN := make([]int, ids), make([]int, ids)
+
+		eng := NewEngine()
+		var w *Wheel
+		w = NewWheel(eng, Millisecond, ids, func(id int32) {
+			got = append(got, firing{id, eng.Now()})
+			gotN[id]++
+			w.Schedule(id, diffDelay(seed, id, gotN[id]))
+		})
+		run(w.Schedule, w.Start, eng)
+
+		refEng := NewEngine()
+		var r *refWheel
+		r = newRefWheel(refEng, Millisecond, ids, func(id int32) {
+			want = append(want, firing{id, refEng.Now()})
+			wantN[id]++
+			r.Schedule(id, diffDelay(seed, id, wantN[id]))
+		})
+		run(r.Schedule, r.Start, refEng)
+
+		if len(want) < 10*ids {
+			t.Fatalf("seed %d: reference fired only %d timers", seed, len(want))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: wheel fired %d timers, reference %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: firing %d is %+v, reference %+v", seed, i, got[i], want[i])
+			}
+		}
 	}
 }

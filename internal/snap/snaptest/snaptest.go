@@ -2,9 +2,10 @@
 // that restores them. The FNV trailer is a checksum anyone can
 // recompute, so the files a restore must survive are ones whose trailer
 // is right and whose contents are not: Stamp recomputes it, Edit
-// rewrites one section under it, and Damaged lists the three files that
-// took the hand-written decoders down (ISSUE 20) — a panic on a negative
-// length, a panic on an index past its table, and a loop bound of 2^62.
+// rewrites one section under it, and Damaged lists files each wrong in
+// one field: the three that took the hand-written decoders down — a
+// panic on a negative length, a panic on an index past its table, and a
+// loop bound of 2^62 — and a client RNG state no count of draws reaches.
 package snaptest
 
 import (
@@ -81,5 +82,11 @@ var Damaged = []struct {
 		func(b []byte) []byte { // has-plane, then the draw count
 			from, to := After(b, 1), After(b, 2)
 			return append(binary.AppendUvarint(b[:from:from], 1<<62), b[to:]...)
+		}},
+	{"rng-state-off-its-stream", "pop", "client: client 0: RNG state",
+		func(b []byte) []byte { // the shard count, the shard's clients, then client 0's state
+			from, to := After(b, 2), After(b, 3)
+			state, _ := binary.Uvarint(b[from:])
+			return append(binary.AppendUvarint(b[:from:from], state+1), b[to:]...)
 		}},
 }
