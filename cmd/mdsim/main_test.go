@@ -245,7 +245,7 @@ func TestReproLinesRoundTrip(t *testing.T) {
 	}
 
 	t.Run("chaos cell at K=2 on the queued model", func(t *testing.T) {
-		opt := harness.ChaosOptions{Seed: 7, NumMDS: 3, Duration: 4 * sim.Second,
+		opt := harness.ChaosOptions{Seed: 7,
 			Set: []plan.Setting{{Key: "shards", Value: "2"}, {Key: "net", Value: "queued"}}}
 		failed, err := harness.ChaosConfig(opt, cluster.StratLazyHybrid, "crash@2s:mds1,partition@1s-3s:{0|1.2}")
 		if err != nil {

@@ -295,12 +295,8 @@ func checkDirstore(cl *cluster.Cluster, base Baseline, fail func(string, ...any)
 	// never reused and a file cannot become a directory, so even a
 	// record left stale by an authority migration must agree on kind.
 	for i, node := range cl.Nodes {
-		dirs := node.Store().Dirs
-		if dirs == nil {
-			continue
-		}
 		bad := 0
-		dirs.ForEach(func(dir namespace.InodeID, t *dirstore.Tree) {
+		node.Store().Dirs.ForEach(func(dir namespace.InodeID, t *dirstore.Tree) {
 			if err := t.CheckInvariants(); err != nil {
 				fail("dirstore mds%d dir %d: %v", i, dir, err)
 				bad++
@@ -322,11 +318,6 @@ func checkDirstore(cl *cluster.Cluster, base Baseline, fail func(string, ...any)
 	// do not erase disk, and renames re-record under the new parent.
 	if !cl.Strategy.DirGranular() {
 		return
-	}
-	for _, node := range cl.Nodes {
-		if node.Store().Dirs == nil {
-			return // directory objects disabled in this configuration
-		}
 	}
 	missing := 0
 	tree.Walk(func(ino *namespace.Inode) bool {

@@ -95,7 +95,6 @@ func TestFsckOpenLoopFaultsWithLeases(t *testing.T) {
 	}
 	cfg.Lease.Enabled = true
 	cfg.Lease.Fanout = true
-	cfg.Lease.GrantPopularity = 0.01
 	cfg.Lease.Duration = sim.Second
 	cfg.Acts = []cluster.ActConfig{
 		{Name: "crowd", From: sim.Second, To: 3 * sim.Second, RateMul: 2,
@@ -111,8 +110,8 @@ func TestFsckOpenLoopFaultsWithLeases(t *testing.T) {
 	base := Capture(cl)
 	res := cl.Run()
 	cl.Drain()
-	if res.LeaseGrants == 0 || res.LeaseHits == 0 {
-		t.Fatalf("lease plane idle: %d grants, %d hits", res.LeaseGrants, res.LeaseHits)
+	if res.LeaseGrants == 0 || res.LeaseHits == 0 || res.ReplicaFanouts == 0 {
+		t.Fatalf("lease plane idle: %d grants, %d hits, %d fan-outs", res.LeaseGrants, res.LeaseHits, res.ReplicaFanouts)
 	}
 	if res.PopRetries == 0 {
 		t.Fatal("2% drops produced no population retries")

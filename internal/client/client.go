@@ -43,23 +43,24 @@ type Config struct {
 	KnownCap int
 	// RetryTimeout, when positive, re-sends a request that has not
 	// been answered within the timeout, doubling the wait per attempt up
-	// to 8× the timeout. Retries resteer: the stale
-	// location hint for the target is invalidated and the resend avoids
-	// the node tried last, since that node may be down. Needed for
+	// to 8× the timeout, at most maxRetries times. Retries resteer: the
+	// stale location hint for the target is invalidated and the resend
+	// avoids the node tried last, since that node may be down. Needed for
 	// failover and fault-injection scenarios; zero disables retries.
 	RetryTimeout sim.Time
-	// MaxRetries bounds the resend attempts per request; once exhausted
-	// the request is abandoned and counted as timed out, and the client
-	// moves on to its next operation. Zero means retry forever.
-	MaxRetries int
 }
+
+// maxRetries bounds the resend attempts per request, in either client
+// model; once exhausted the request is abandoned and counted as timed
+// out, and the client moves on to its next operation.
+const maxRetries = 8
 
 // Stats counts one client's activity.
 type Stats struct {
 	Issued    uint64
 	Completed uint64
 	Retries   uint64
-	// TimedOut counts requests abandoned after MaxRetries unanswered
+	// TimedOut counts requests abandoned after maxRetries unanswered
 	// sends (or cut off by Stop while still unanswered). Every issued
 	// request ends up either Completed or TimedOut once the run drains.
 	TimedOut uint64
@@ -181,7 +182,7 @@ func retryBackoff(timeout sim.Time, attempts int) sim.Time {
 // capped exponential backoff. Each retry resteers: the (possibly stale)
 // location hint for the target is dropped and the resend avoids the
 // node tried last — the original target may have failed, and any node
-// can forward to the current authority. After MaxRetries attempts the
+// can forward to the current authority. After maxRetries attempts the
 // request is abandoned as timed out and the closed loop moves on.
 func (c *Client) armRetry(req *msg.Request) {
 	if c.cfg.RetryTimeout <= 0 {
@@ -201,7 +202,7 @@ func (c *Client) armRetry(req *msg.Request) {
 			c.inflight = nil
 			return
 		}
-		if c.cfg.MaxRetries > 0 && c.attempts >= c.cfg.MaxRetries {
+		if c.attempts >= maxRetries {
 			c.Stats.TimedOut++
 			c.inflight = nil
 			c.eng.AfterCall(c.rng.Exp(c.cfg.ThinkMean), clientIssue, c, nil)

@@ -278,7 +278,6 @@ func TestRetryMaxRetriesTimesOut(t *testing.T) {
 	c := New(0, eng, Config{
 		ThinkMean:    sim.Millisecond,
 		RetryTimeout: 5 * sim.Millisecond,
-		MaxRetries:   2,
 	}, sim.NewRNG(13), net, partition.FileHash{N: 4},
 		fixedGen{workload.Op{Op: msg.Stat, Target: f}})
 	c.Start(0)
@@ -290,8 +289,8 @@ func TestRetryMaxRetriesTimesOut(t *testing.T) {
 	if c.Stats.Issued < 2 {
 		t.Fatalf("issued = %d after first timeout", c.Stats.Issued)
 	}
-	// Max 1 + MaxRetries sends per request.
-	if max := int(c.Stats.Issued) * 3; len(net.sends) > max {
+	// Max 1 + maxRetries sends per request.
+	if max := int(c.Stats.Issued) * (1 + maxRetries); len(net.sends) > max {
 		t.Fatalf("sends = %d > %d", len(net.sends), max)
 	}
 	// Every issued request is accounted: completed, timed out, or the

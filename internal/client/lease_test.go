@@ -54,7 +54,7 @@ func leaseFixture(t *testing.T, cfg PopulationConfig, seed int64, delay sim.Time
 	tr, homes := popTree(t, 4)
 	tn := workload.NewTenants(cfg.Tenant, cfg.Clients, homes, seed)
 	eng := sim.NewEngine()
-	lcfg := lease.Config{Enabled: true, GrantPopularity: 0.01, Duration: 100 * sim.Millisecond}
+	lcfg := lease.Config{Enabled: true, Duration: 100 * sim.Millisecond}
 	if err := lcfg.Normalize(); err != nil {
 		t.Fatal(err)
 	}

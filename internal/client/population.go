@@ -211,7 +211,6 @@ type popShard struct {
 	// fault-free runs, where the arrival path stays allocation-free.
 	retry        map[uint64]*openRetry
 	retryTimeout sim.Time
-	retryMax     int
 	retries      uint64
 	timedOut     uint64
 }
@@ -568,7 +567,7 @@ func popRetryFire(a, b any) {
 	if s.retry[r.req.ID] != r {
 		return // completed (or already retired); timer is stale
 	}
-	if s.stopped || r.attempts >= s.retryMax {
+	if s.stopped || r.attempts >= maxRetries {
 		delete(s.retry, r.req.ID)
 		s.timedOut++
 		s.pool = append(s.pool, r.req)
@@ -698,14 +697,13 @@ func (p *Population) AttachLeasePlane(l *lease.Plane) { p.lease = l }
 // (retryBackoff) and retired as timed out after maxRetries attempts. Only
 // fault schedules need this — it buys crash survival at the cost of one
 // small heap box per outstanding request.
-func (p *Population) EnableRetries(timeout sim.Time, maxRetries int) {
-	if timeout <= 0 || maxRetries <= 0 {
-		panic("client: EnableRetries with no timeout or retry budget")
+func (p *Population) EnableRetries(timeout sim.Time) {
+	if timeout <= 0 {
+		panic("client: EnableRetries with no timeout")
 	}
 	for _, s := range p.shards {
 		s.retry = make(map[uint64]*openRetry)
 		s.retryTimeout = timeout
-		s.retryMax = maxRetries
 	}
 }
 

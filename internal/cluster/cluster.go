@@ -53,18 +53,12 @@ type WorkloadConfig struct {
 	Kind    WorkloadKind
 	General workload.GeneralConfig
 
-	// Shift scenario (Figures 5/6).
-	ShiftTime     sim.Time
-	ShiftFraction float64 // fraction of clients that migrate
-
-	// Flash crowd scenario (Figure 7).
-	FlashTime     sim.Time
-	FlashDuration sim.Time
-
-	// Scientific scenario.
-	PhaseLength   sim.Time
-	BurstFraction float64
+	// ShiftTime is when the shift scenario's clients move (Figures 5/6).
+	ShiftTime sim.Time
 }
+
+// shiftFraction is the fraction of clients the shift scenario migrates.
+const shiftFraction = 0.5
 
 // Config describes one complete simulation run.
 type Config struct {
@@ -80,7 +74,7 @@ type Config struct {
 	Workload WorkloadConfig
 
 	// NetModel selects the message-fabric latency model: net.ModelFixed
-	// (the default; reproduces the constant NetLatency/FwdLatency hops
+	// (the default; reproduces the constant netLatency/fwdLatency hops
 	// exactly) or net.ModelQueued (adds per-link serialization delay
 	// from message size and link bandwidth).
 	NetModel string
@@ -91,17 +85,11 @@ type Config struct {
 	// Faults is a fault-injection schedule in the internal/fault DSL,
 	// e.g. "crash@30s:mds3,drop@0.01:link2-5,partition@60s-90s:{0-3|4-7}".
 	// Empty (or all-whitespace) disables fault injection entirely; runs
-	// are then bit-identical to a build without this field. When the
-	// schedule is non-empty, fault-mode defaults are applied to any
-	// zero-valued resilience knobs (client retry timeout and cap, MDS
-	// fetch/forward timeouts, suspicion threshold) so that crashes and
-	// drops are survivable out of the box.
+	// are then bit-identical to a build without this field. A non-empty
+	// schedule puts the cluster in fault mode (see faults.go): client
+	// retries, MDS fetch and forward timeouts and suspicion, so that
+	// crashes and drops are survivable out of the box.
 	Faults string
-	// SuspicionThreshold is the number of missed-timeout strikes against
-	// a peer before the cluster marks it down; the dynamic strategy then
-	// reassigns the suspect's subtrees to the least-loaded survivors.
-	// Zero means 3 when faults are enabled.
-	SuspicionThreshold int
 
 	// Snapshot, when non-nil, is a pre-generated frozen namespace shared
 	// with other runs; nil, New generates one from FS and Seed. Either
@@ -302,8 +290,8 @@ func New(cfg Config) (*Cluster, error) {
 	if err := sched.Validate(cfg.NumMDS); err != nil {
 		return nil, fmt.Errorf("cluster: bad fault schedule: %w", err)
 	}
-	if !sched.Empty() {
-		applyFaultDefaults(&cfg)
+	if !sched.Empty() && cfg.Client.RetryTimeout <= 0 {
+		cfg.Client.RetryTimeout = defaultRetryTimeout
 	}
 	if err := cfg.Lease.Normalize(); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
@@ -333,9 +321,6 @@ func New(cfg Config) (*Cluster, error) {
 	if shards > 1 {
 		if cfg.OSDs > 0 {
 			return nil, fmt.Errorf("cluster: sharded execution is incompatible with a shared OSD pool")
-		}
-		if model.Lookahead() <= 0 {
-			return nil, fmt.Errorf("cluster: sharded execution needs a positive minimum link latency for lookahead")
 		}
 	} else {
 		shards = 0
@@ -419,6 +404,9 @@ func New(cfg Config) (*Cluster, error) {
 			nodeEng = c.shardEngines[c.shardOf[i]]
 		}
 		node := mds.New(i, nodeEng, nodeCfg, c.Strategy, c.Traffic, c)
+		if c.sched != nil {
+			node.EnableFaults(c)
+		}
 		series := metrics.NewSeries(cfg.SeriesBucket)
 		c.RepliesPerNode = append(c.RepliesPerNode, series)
 		node.OnReply = func(id int, req *msg.Request, now sim.Time) {
@@ -440,7 +428,7 @@ func New(cfg Config) (*Cluster, error) {
 		for i, n := range c.Nodes {
 			nodes[i] = n
 		}
-		c.Balancer = core.NewBalancer(eng, *cfg.Balancer, cfg.MDS.PopHalfLife, c.Dyn, nodes)
+		c.Balancer = core.NewBalancer(eng, *cfg.Balancer, c.Dyn, nodes)
 	}
 
 	// Clients.
@@ -471,9 +459,9 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	// A fault schedule over the open loop arms the population's boxed
-	// retry cache with the same (defaulted) knobs closed-loop clients use.
+	// retry cache with the same (defaulted) timeout closed-loop clients use.
 	if c.Pop != nil && !sched.Empty() {
-		c.Pop.EnableRetries(cfg.Client.RetryTimeout, cfg.Client.MaxRetries)
+		c.Pop.EnableRetries(cfg.Client.RetryTimeout)
 	}
 
 	if c.numShards > 1 {
@@ -530,10 +518,17 @@ func (c *Cluster) barrier(now sim.Time) {
 	}
 }
 
-// buildNetModel constructs the fabric latency model from the config;
-// the base latencies come from the per-node MDS service model.
+// The fabric's one-way hop latencies: client↔MDS, and MDS↔MDS —
+// intra-cluster forwarding "is likely to be cheap" (§5.3.3). Both are
+// positive, so a sharded run always has a lookahead.
+const (
+	netLatency = 200 * sim.Microsecond
+	fwdLatency = 50 * sim.Microsecond
+)
+
+// buildNetModel constructs the fabric latency model from the config.
 func buildNetModel(cfg Config) (net.LatencyModel, error) {
-	base := net.Fixed{Net: cfg.MDS.NetLatency, Fwd: cfg.MDS.FwdLatency}
+	base := net.Fixed{Net: netLatency, Fwd: fwdLatency}
 	switch cfg.NetModel {
 	case "", net.ModelFixed:
 		return base, nil
@@ -635,13 +630,13 @@ func (c *Cluster) buildClients() error {
 		var gen workload.Generator = g
 		switch w.Kind {
 		case WorkShift:
-			migrate := float64(i) < w.ShiftFraction*float64(numClients)
+			migrate := float64(i) < shiftFraction*float64(numClients)
 			gen = workload.NewShift(g, w.ShiftTime, shiftRegion, migrate)
 		case WorkFlashCrowd:
-			gen = workload.NewFlashCrowd(g, w.FlashTime, w.FlashDuration, flashTarget)
+			gen = workload.NewFlashCrowd(g, flashTarget)
 		case WorkScientific:
 			job := c.Snap.Projects[i%len(c.Snap.Projects)]
-			gen = workload.NewScientific(g, job, w.PhaseLength, w.BurstFraction)
+			gen = workload.NewScientific(g, job)
 		}
 		rng := sim.NewStream(cfg.Seed, fmt.Sprintf("client-%d", i))
 		cliEng := c.Eng
@@ -751,11 +746,6 @@ func (c *Cluster) Deliver(rep *msg.Reply) {
 		c.replyReturns[shard] = append(c.replyReturns[shard], rep)
 	}
 }
-
-// DeliverConsumesReply tells the MDS that Deliver hands the reply to
-// the client synchronously and retains no reference, so reply structs
-// (and their hint slices) may be pooled.
-func (c *Cluster) DeliverConsumesReply() bool { return true }
 
 // ClientShard tells the MDS which shard runs a client's event loop
 // (clients are striped round-robin across shards).

@@ -128,12 +128,10 @@ func TestDynamicBalancerMigrates(t *testing.T) {
 	cfg := smallConfig(StratDynamic)
 	cfg.Workload.Kind = WorkShift
 	cfg.Workload.ShiftTime = 2 * sim.Second
-	cfg.Workload.ShiftFraction = 0.5
 	cfg.Duration = 10 * sim.Second
 	cfg.Warmup = 1 * sim.Second
 	bal := *cfg.Balancer
 	bal.Interval = sim.Second
-	bal.MinMeanLoad = 10
 	cfg.Balancer = &bal
 	cl, err := New(cfg)
 	if err != nil {
@@ -148,8 +146,6 @@ func TestDynamicBalancerMigrates(t *testing.T) {
 func TestScientificWorkloadRuns(t *testing.T) {
 	cfg := smallConfig(StratDynamic)
 	cfg.Workload.Kind = WorkScientific
-	cfg.Workload.PhaseLength = 2 * sim.Second
-	cfg.Workload.BurstFraction = 0.5
 	cfg.Duration = 9 * sim.Second
 	cfg.Warmup = 2 * sim.Second
 	cl, err := New(cfg)

@@ -8,43 +8,20 @@ import (
 	"dynmds/internal/sim"
 )
 
-// Fault-mode defaults, applied to zero-valued resilience knobs when a
-// non-empty fault schedule is configured. Without retry and timeout
-// paths an injected crash or message drop would hang clients forever;
-// with them every fault is survivable out of the box.
+// Fault mode: a non-empty fault schedule arms the retry and timeout
+// paths (client retries, MDS fetch and forward timeouts, suspicion);
+// without them an injected crash or message drop would hang clients
+// forever, with them every fault is survivable out of the box.
 const (
+	// defaultRetryTimeout is the client retry timeout fault mode fills
+	// in when the run sets none.
 	defaultRetryTimeout = 150 * sim.Millisecond
-	defaultMaxRetries   = 8
-	// The fetch timeout must dwarf a loaded peer's disk queue (the
-	// response rides behind its read disk), or cold caches trigger
-	// storms of duplicate reads; it is a lost-message backstop, not a
-	// failure detector.
-	defaultFetchTimeout = 400 * sim.Millisecond
-	// The forward ack is sent before CPU/disk service, so its deadline
-	// only needs to cover two network hops plus scheduling noise.
-	defaultFwdTimeout         = 20 * sim.Millisecond
-	defaultSuspicionThreshold = 3
+	// suspicionThreshold is the number of missed-timeout strikes
+	// against a peer before the cluster marks it down; the dynamic
+	// strategy then reassigns the suspect's subtrees to the
+	// least-loaded survivors.
+	suspicionThreshold = 3
 )
-
-// applyFaultDefaults fills zero-valued timeout knobs; explicit settings
-// are never overridden.
-func applyFaultDefaults(cfg *Config) {
-	if cfg.Client.RetryTimeout <= 0 {
-		cfg.Client.RetryTimeout = defaultRetryTimeout
-	}
-	if cfg.Client.MaxRetries <= 0 {
-		cfg.Client.MaxRetries = defaultMaxRetries
-	}
-	if cfg.MDS.FetchTimeout <= 0 {
-		cfg.MDS.FetchTimeout = defaultFetchTimeout
-	}
-	if cfg.MDS.FwdTimeout <= 0 {
-		cfg.MDS.FwdTimeout = defaultFwdTimeout
-	}
-	if cfg.SuspicionThreshold <= 0 {
-		cfg.SuspicionThreshold = defaultSuspicionThreshold
-	}
-}
 
 // FaultEvent records one fault-injection incident on the simulated
 // timeline.
@@ -100,7 +77,7 @@ func (c *Cluster) scheduleFaults(after sim.Time) {
 }
 
 // Suspect implements mds.FaultCluster: one missed-timeout strike
-// against peer. At SuspicionThreshold strikes the peer is marked down:
+// against peer. At suspicionThreshold strikes the peer is marked down:
 // peers stop round-tripping to it (dead-letter forwards, direct disk
 // reads for fetches) and the dynamic strategy reassigns its subtrees to
 // the least-loaded survivors — the automatic failover of §2.1.2,
@@ -114,7 +91,7 @@ func (c *Cluster) Suspect(reporter, peer int) {
 		return
 	}
 	c.strikes[peer]++
-	if c.strikes[peer] >= c.Cfg.SuspicionThreshold {
+	if c.strikes[peer] >= suspicionThreshold {
 		c.markDown(peer)
 	}
 }

@@ -14,8 +14,7 @@ import (
 
 // leaseConfig is the open-loop config with the lease plane and fan-out
 // on, a read crowd against one home (lease territory) followed by a
-// mutation churn (recall territory). GrantPopularity 0.01 leases on
-// essentially every read so the small test run exercises every path.
+// mutation churn (recall territory).
 func leaseConfig(strategy string) Config {
 	cfg := openLoopConfig(strategy)
 	// Keep the run under cluster capacity: the hotspot split counts a
@@ -26,7 +25,6 @@ func leaseConfig(strategy string) Config {
 	cfg.OpenLoop.Rate = 2
 	cfg.Lease.Enabled = true
 	cfg.Lease.Fanout = true
-	cfg.Lease.GrantPopularity = 0.01
 	cfg.Lease.Duration = 2 * sim.Second
 	cfg.Acts = []ActConfig{
 		{Name: "crowd", From: sim.Second, To: 4 * sim.Second, RateMul: 2,

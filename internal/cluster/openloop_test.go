@@ -117,10 +117,10 @@ func TestOpenLoopValidation(t *testing.T) {
 		t.Fatal("leases without open loop accepted")
 	}
 	bad = openLoopConfig(StratDynamic)
-	bad.Lease.Ways = -1
+	bad.Lease.Duration = -sim.Second
 	bad.Lease.Enabled = true
 	if _, err := New(bad); err == nil {
-		t.Fatal("negative lease ways accepted")
+		t.Fatal("negative lease duration accepted")
 	}
 	bad = openLoopConfig(StratDynamic)
 	bad.Workload.Kind = WorkShift

@@ -198,13 +198,6 @@ func TestShardedRejectsUnshardableConfigs(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Error("expected error for sharded run with shared OSD pool")
 	}
-	cfg = fig2QuickConfig(StratDynamic)
-	cfg.Shards = 2
-	cfg.MDS.NetLatency = 0
-	cfg.MDS.FwdLatency = 0
-	if _, err := New(cfg); err == nil {
-		t.Error("expected error for sharded run with zero lookahead")
-	}
 }
 
 // TestShardedEventCount checks ExecutedEvents sums shard and global

@@ -27,26 +27,29 @@ type Node interface {
 	EvictSubtree(root *namespace.Inode)
 }
 
+// The balancer's policy.
+const (
+	// highFactor and lowFactor classify nodes: busy if load >
+	// mean*highFactor, available if load < mean*lowFactor.
+	highFactor = 1.2
+	lowFactor  = 0.9
+	// minMeanLoad disables balancing while the cluster is nearly idle.
+	minMeanLoad = 50
+	// maxMigrationsPerRound bounds churn per heartbeat round.
+	maxMigrationsPerRound = 2
+	// decisionDelay models the heartbeat exchange (§4.3): load values
+	// travel the cluster as messages, so balance decisions act on
+	// values this much older than the decision instant.
+	decisionDelay = sim.Millisecond
+	// minSubtreePop avoids migrating cold subtrees that would not move
+	// any load.
+	minSubtreePop = 1
+)
+
 // BalancerConfig tunes the load balancer.
 type BalancerConfig struct {
 	// Interval between heartbeat/balance rounds.
 	Interval sim.Time
-	// HighFactor and LowFactor classify nodes: busy if load >
-	// mean*HighFactor, available if load < mean*LowFactor.
-	HighFactor float64
-	LowFactor  float64
-	// MinMeanLoad disables balancing while the cluster is nearly idle.
-	MinMeanLoad float64
-	// MaxMigrationsPerRound bounds churn per heartbeat round.
-	MaxMigrationsPerRound int
-	// DecisionDelay models the heartbeat exchange (§4.3): load values
-	// travel the cluster as messages, so balance decisions act on
-	// values this much older than the decision instant. Zero decides
-	// synchronously (tests).
-	DecisionDelay sim.Time
-	// MinSubtreePop avoids migrating cold subtrees that would not move
-	// any load.
-	MinSubtreePop float64
 	// NoRedelegateFirst disables the prefer-imported-trees pass
 	// (ablation: the paper argues re-delegating whole imported trees
 	// keeps the partition simple).
@@ -55,15 +58,7 @@ type BalancerConfig struct {
 
 // DefaultBalancerConfig returns the configuration used by experiments.
 func DefaultBalancerConfig() BalancerConfig {
-	return BalancerConfig{
-		Interval:              5 * sim.Second,
-		HighFactor:            1.2,
-		LowFactor:             0.9,
-		MinMeanLoad:           50,
-		MaxMigrationsPerRound: 2,
-		MinSubtreePop:         1,
-		DecisionDelay:         sim.Millisecond,
-	}
+	return BalancerConfig{Interval: 5 * sim.Second}
 }
 
 // Migrated is a by-value snapshot of one cache entry handed across a
@@ -95,9 +90,6 @@ type Balancer struct {
 	cfg   BalancerConfig
 	dyn   *DynamicSubtree
 	nodes []Node
-	// popHalfLife is the half-life of the run's per-inode popularity
-	// counters (mds.Config.PopHalfLife), which the surveys read.
-	popHalfLife sim.Time
 
 	// imports[root] = node that delegated the subtree here; busy nodes
 	// first try to re-delegate entire imported trees to keep the
@@ -116,14 +108,13 @@ type Balancer struct {
 
 // NewBalancer wires a balancer over the cluster's nodes. Call Start to
 // begin heartbeats.
-func NewBalancer(eng *sim.Engine, cfg BalancerConfig, popHalfLife sim.Time, dyn *DynamicSubtree, nodes []Node) *Balancer {
+func NewBalancer(eng *sim.Engine, cfg BalancerConfig, dyn *DynamicSubtree, nodes []Node) *Balancer {
 	return &Balancer{
-		eng:         eng,
-		cfg:         cfg,
-		dyn:         dyn,
-		nodes:       nodes,
-		popHalfLife: popHalfLife,
-		imports:     make(map[*namespace.Inode]int),
+		eng:     eng,
+		cfg:     cfg,
+		dyn:     dyn,
+		nodes:   nodes,
+		imports: make(map[*namespace.Inode]int),
 	}
 }
 
@@ -175,14 +166,10 @@ func (b *Balancer) Rebalance(now sim.Time) {
 	}
 	mean /= float64(alive)
 	b.HeartbeatMsgs += uint64(alive * (alive - 1))
-	if mean < b.cfg.MinMeanLoad {
+	if mean < minMeanLoad {
 		return
 	}
-	if b.cfg.DecisionDelay > 0 {
-		b.eng.After(b.cfg.DecisionDelay, func() { b.decide(loads, dead, mean) })
-		return
-	}
-	b.decide(loads, dead, mean)
+	b.eng.After(decisionDelay, func() { b.decide(loads, dead, mean) })
 }
 
 // failer is the optional capability a Node implementation exposes when
@@ -205,9 +192,9 @@ func (b *Balancer) decide(loads []float64, dead []bool, mean float64) {
 			continue
 		}
 		switch {
-		case loads[i] > mean*b.cfg.HighFactor:
+		case loads[i] > mean*highFactor:
 			busy = append(busy, i)
-		case loads[i] < mean*b.cfg.LowFactor:
+		case loads[i] < mean*lowFactor:
 			avail = append(avail, i)
 		}
 	}
@@ -220,7 +207,7 @@ func (b *Balancer) decide(loads []float64, dead []bool, mean float64) {
 	migrations := 0
 	ai := 0
 	for _, src := range busy {
-		if migrations >= b.cfg.MaxMigrationsPerRound || ai >= len(avail) {
+		if migrations >= maxMigrationsPerRound || ai >= len(avail) {
 			break
 		}
 		dst := avail[ai]
@@ -253,7 +240,7 @@ func (b *Balancer) migrateOne(now sim.Time, src, dst int, load, excess float64) 
 		wantFrac = 0.5 // never hand off more than half a node's work at once
 	}
 	wantPop := nodePop * wantFrac
-	if wantPop < b.cfg.MinSubtreePop {
+	if wantPop < minSubtreePop {
 		return false
 	}
 
@@ -270,7 +257,7 @@ func (b *Balancer) migrateOne(now sim.Time, src, dst int, load, excess float64) 
 		if _, imported := b.imports[r]; !imported {
 			continue
 		}
-		if pops[i] < b.cfg.MinSubtreePop || pops[i] > 2*wantPop {
+		if pops[i] < minSubtreePop || pops[i] > 2*wantPop {
 			continue
 		}
 		d := abs(pops[i] - wantPop)
@@ -297,7 +284,7 @@ func (b *Balancer) migrateOne(now sim.Time, src, dst int, load, excess float64) 
 			hot = i
 		}
 	}
-	if hot < 0 || pops[hot] < b.cfg.MinSubtreePop {
+	if hot < 0 || pops[hot] < minSubtreePop {
 		return false
 	}
 	root := roots[hot]
@@ -333,7 +320,7 @@ func (b *Balancer) surveyRoots(now sim.Time, node Node, roots []*namespace.Inode
 		idx[r] = i
 	}
 	node.Cache().ForEach(func(e *cache.Entry) {
-		p := entryPop(now, b.popHalfLife, e)
+		p := entryPop(now, e)
 		if p == 0 {
 			return
 		}
@@ -354,7 +341,7 @@ func (b *Balancer) surveyRoots(now sim.Time, node Node, roots []*namespace.Inode
 func (b *Balancer) pickChildren(now sim.Time, node Node, root *namespace.Inode, wantPop float64) []*namespace.Inode {
 	childPop := make(map[*namespace.Inode]float64)
 	node.Cache().ForEach(func(e *cache.Entry) {
-		p := entryPop(now, b.popHalfLife, e)
+		p := entryPop(now, e)
 		if p == 0 {
 			return
 		}
@@ -376,7 +363,7 @@ func (b *Balancer) pickChildren(now sim.Time, node Node, root *namespace.Inode, 
 	// Deterministic order: popularity descending, inode ID tie-break.
 	cands := make([]*namespace.Inode, 0, len(childPop))
 	for c, p := range childPop {
-		if p >= b.cfg.MinSubtreePop {
+		if p >= minSubtreePop {
 			cands = append(cands, c)
 		}
 		_ = p
@@ -403,7 +390,7 @@ func (b *Balancer) pickChildren(now sim.Time, node Node, root *namespace.Inode, 
 // entryPop values only authoritative entries: popularity counters live
 // on the shared inode, so replica and prefix copies of an item served
 // elsewhere must not count as this node's exportable load.
-func entryPop(now, halfLife sim.Time, e *cache.Entry) float64 {
+func entryPop(now sim.Time, e *cache.Entry) float64 {
 	if e.Class != cache.Auth {
 		return 0
 	}
@@ -411,7 +398,7 @@ func entryPop(now, halfLife sim.Time, e *cache.Entry) float64 {
 	if !tags.PopTouched {
 		return 0
 	}
-	return tags.Pop.Value(now, halfLife)
+	return tags.Pop.Value(now, partition.PopHalfLife)
 }
 
 // transfer executes the double-commit authority migration: the subtree

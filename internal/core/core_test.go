@@ -99,22 +99,22 @@ func TestTrafficControlDecisions(t *testing.T) {
 	tr, homes := buildTree(t)
 	_ = tr
 	f := homes[0].Child(0)
-	tc := &TrafficControl{Enabled: true, ReplicateThreshold: 10, UnreplicateThreshold: 2}
+	tc := &TrafficControl{ReplicateThreshold: 10, UnreplicateThreshold: 2}
 	pop := partition.Popularity(f)
 	decide := func(now sim.Time) Decision {
-		d := tc.Peek(now, sim.Second, f)
+		d := tc.Peek(now, f)
 		tc.Commit(d, f)
 		return d
 	}
 
 	now := sim.Time(0)
 	// Below threshold: Keep.
-	pop.Add(now, sim.Second, 5)
+	pop.Add(now, partition.PopHalfLife, 5)
 	if d := decide(now); d != Keep {
 		t.Fatalf("decision = %v, want Keep", d)
 	}
 	// Cross threshold: Replicate once.
-	pop.Add(now, sim.Second, 10)
+	pop.Add(now, partition.PopHalfLife, 10)
 	if d := decide(now); d != Replicate {
 		t.Fatal("no replicate at threshold")
 	}
@@ -141,19 +141,15 @@ func TestTrafficControlDisabledAndNil(t *testing.T) {
 	tr, homes := buildTree(t)
 	_ = tr
 	f := homes[0].Child(0)
-	partition.Popularity(f).Add(0, sim.Second, 1e6)
+	partition.Popularity(f).Add(0, partition.PopHalfLife, 1e6)
 	var nilTC *TrafficControl
-	if nilTC.Peek(0, sim.Second, f) != Keep || nilTC.Replicated(f) {
+	if nilTC.Peek(0, f) != Keep || nilTC.Replicated(f) || nilTC.Commit(Replicate, f) {
 		t.Fatal("nil traffic control acted")
-	}
-	tc := &TrafficControl{Enabled: false, ReplicateThreshold: 1}
-	if tc.Peek(0, sim.Second, f) != Keep || tc.Replicated(f) {
-		t.Fatal("disabled traffic control acted")
 	}
 	// Untouched inode (no Pop counter): Keep.
 	g := homes[0].Child(1)
 	on := DefaultTrafficControl()
-	if on.Peek(0, sim.Second, g) != Keep {
+	if on.Peek(0, g) != Keep {
 		t.Fatal("decision for untouched inode")
 	}
 }
@@ -206,13 +202,11 @@ func TestBalancerMigratesHotSubtree(t *testing.T) {
 			if _, err := fakes[src].c.InsertPath(c, cache.Auth, false); err != nil {
 				t.Fatal(err)
 			}
-			partition.Popularity(c).Add(0, sim.Second, 50)
+			partition.Popularity(c).Add(0, partition.PopHalfLife, 50)
 		}
 	}
 
-	cfg := DefaultBalancerConfig()
-	cfg.MinMeanLoad = 10
-	b := NewBalancer(eng, cfg, sim.Second, d, nodes)
+	b := NewBalancer(eng, DefaultBalancerConfig(), d, nodes)
 	b.Rebalance(0)
 	eng.Run()
 
@@ -250,7 +244,7 @@ func TestBalancerIdleClusterDoesNothing(t *testing.T) {
 		&fakeNode{id: 0, load: 1, c: cache.New(10)},
 		&fakeNode{id: 1, load: 0, c: cache.New(10)},
 	}
-	b := NewBalancer(eng, DefaultBalancerConfig(), sim.Second, d, nodes)
+	b := NewBalancer(eng, DefaultBalancerConfig(), d, nodes)
 	b.Rebalance(0)
 	eng.Run()
 	if len(b.Migrations) != 0 {
@@ -266,7 +260,7 @@ func TestBalancerBalancedClusterDoesNothing(t *testing.T) {
 		&fakeNode{id: 0, load: 1000, c: cache.New(10)},
 		&fakeNode{id: 1, load: 1000, c: cache.New(10)},
 	}
-	b := NewBalancer(eng, DefaultBalancerConfig(), sim.Second, d, nodes)
+	b := NewBalancer(eng, DefaultBalancerConfig(), d, nodes)
 	b.Rebalance(0)
 	eng.Run()
 	if len(b.Migrations) != 0 {
@@ -285,9 +279,7 @@ func TestBalancerPrefersRedelegatingImports(t *testing.T) {
 		fakes[i] = &fakeNode{id: i, load: 100, c: cache.New(10000)}
 		nodes[i] = fakes[i]
 	}
-	cfg := DefaultBalancerConfig()
-	cfg.MinMeanLoad = 1
-	b := NewBalancer(eng, cfg, sim.Second, d, nodes)
+	b := NewBalancer(eng, DefaultBalancerConfig(), d, nodes)
 
 	// Import homes[0] into node 1 by hand, then make node 1 busy with
 	// comparable popularity on the imported tree and an owned tree.
@@ -311,7 +303,7 @@ func TestBalancerPrefersRedelegatingImports(t *testing.T) {
 		if _, err := fakes[1].c.InsertPath(c, cache.Auth, false); err != nil {
 			t.Fatal(err)
 		}
-		partition.Popularity(c).Add(0, sim.Second, 30)
+		partition.Popularity(c).Add(0, partition.PopHalfLife, 30)
 	}
 	fakes[1].load = 1000
 
@@ -338,7 +330,7 @@ func TestBalancerStartStopTicker(t *testing.T) {
 	}
 	cfg := DefaultBalancerConfig()
 	cfg.Interval = sim.Second
-	b := NewBalancer(eng, cfg, sim.Second, d, nodes)
+	b := NewBalancer(eng, cfg, d, nodes)
 	b.Start()
 	eng.RunUntil(3500 * sim.Millisecond)
 	if b.Rounds != 3 {

@@ -16,10 +16,9 @@ import (
 // popularity decays the item is consolidated and replies point at the
 // authority again. Client ignorance is thus managed so that no crowd of
 // clients ever simultaneously believes an unreplicated item is in one
-// place.
+// place. A nil controller is traffic control switched off (Figure 7
+// contrasts off and on).
 type TrafficControl struct {
-	// Enabled gates the whole mechanism (Figure 7 contrasts on/off).
-	Enabled bool
 	// ReplicateThreshold is the decayed access count above which an
 	// item is replicated cluster-wide.
 	ReplicateThreshold float64
@@ -45,7 +44,6 @@ type TrafficControl struct {
 // DefaultTrafficControl returns the policy used by the experiments.
 func DefaultTrafficControl() *TrafficControl {
 	return &TrafficControl{
-		Enabled:              true,
 		ReplicateThreshold:   300,
 		UnreplicateThreshold: 30,
 	}
@@ -70,15 +68,15 @@ const (
 // concurrent shards never write shared inode state mid-window; the
 // matching flag flip and statistics land through Commit at the next
 // barrier; the serial path calls Commit right after.
-func (tc *TrafficControl) Peek(now, halfLife sim.Time, ino *namespace.Inode) Decision {
-	if tc == nil || !tc.Enabled {
+func (tc *TrafficControl) Peek(now sim.Time, ino *namespace.Inode) Decision {
+	if tc == nil {
 		return Keep
 	}
 	tags := partition.TagsOf(ino)
 	if !tags.PopTouched {
 		return Keep
 	}
-	v := tags.Pop.Peek(now, halfLife)
+	v := tags.Pop.Peek(now, partition.PopHalfLife)
 	switch {
 	case !tags.ReplicatedAll && v >= tc.ReplicateThreshold:
 		return Replicate
@@ -93,7 +91,7 @@ func (tc *TrafficControl) Peek(now, halfLife sim.Time, ino *namespace.Inode) Dec
 // duplicate commits for the same inode within one window collapse into
 // one transition. Returns whether the flip happened.
 func (tc *TrafficControl) Commit(d Decision, ino *namespace.Inode) bool {
-	if tc == nil || !tc.Enabled || d == Keep {
+	if tc == nil || d == Keep {
 		return false
 	}
 	tags := partition.TagsOf(ino)
@@ -117,7 +115,7 @@ func (tc *TrafficControl) Commit(d Decision, ino *namespace.Inode) bool {
 // Replicated reports whether replies should advertise the item as
 // available cluster-wide.
 func (tc *TrafficControl) Replicated(ino *namespace.Inode) bool {
-	if tc == nil || !tc.Enabled {
+	if tc == nil {
 		return false
 	}
 	return partition.TagsOf(ino).ReplicatedAll

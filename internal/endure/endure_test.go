@@ -15,6 +15,7 @@ import (
 	"dynmds/internal/mds"
 	"dynmds/internal/sim"
 	"dynmds/internal/snap"
+	"dynmds/internal/workload"
 )
 
 // testOptions is a small endurance configuration: a 4-node cluster
@@ -34,12 +35,16 @@ func testOptions(shards int, faults string) Options {
 	return Options{Cluster: cfg, Every: sim.FromSeconds(2.5)}
 }
 
-// leaseEverything turns the lease plane on and lowers its popularity
-// floors to nothing, so that at this test's few hundred ops/s the
-// registry, the client slab and the replica sets have content to carry.
+// leaseEverything turns the lease plane on and concentrates the traffic
+// — one tenant, a steep popularity skew, 2.5 times the rate — so that
+// the hottest records' decayed popularity crosses the grant and fan-out
+// floors (lease.GrantPopularity, lease.FanoutPopularity) within the
+// first checkpoint interval, and the registry, the client slab and the
+// replica sets have content to carry.
 func leaseEverything(cfg *cluster.Config) {
 	cfg.Lease.Enabled, cfg.Lease.Fanout = true, true
-	cfg.Lease.GrantPopularity, cfg.Lease.FanoutPopularity = 1e-9, 1e-9
+	cfg.OpenLoop.Rate *= 2.5
+	cfg.OpenLoop.Tenant = workload.TenantConfig{Tenants: 1, FileSkew: 2}
 }
 
 // quiescedAtFirstCheckpoint runs opt's cluster to its first checkpoint
@@ -124,6 +129,16 @@ func TestRestoreBitIdentity(t *testing.T) {
 
 			live := options()
 			c := quiescedAtFirstCheckpoint(t, &live)
+			if live.Cluster.Lease.Enabled {
+				var grants, fanouts uint64
+				for _, n := range c.Nodes {
+					grants += n.Stats.LeaseGrants
+					fanouts += n.Stats.ReplicaFanouts
+				}
+				if grants == 0 || fanouts == 0 {
+					t.Fatalf("lease plane idle at the first checkpoint: %d grants, %d fan-outs", grants, fanouts)
+				}
+			}
 			first := encodeSnapshot(c, &live.Cluster, 0, c.Now())
 			second := encodeSnapshot(c, &live.Cluster, 0, c.Now())
 			if !bytes.Equal(first, second) {

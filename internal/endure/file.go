@@ -45,10 +45,10 @@ func configHash(cfg *cluster.Config) uint64 {
 	cp.Shards = 0
 	cp.MDS.Storage.Pool = nil // nil in endure runs; avoid hashing an address
 	h := fnv.New64a()
-	fmt.Fprintf(h, "seed=%d mds=%d cpm=%d strat=%q depth=%d fs=%+v mds=%+v client=%+v work=%+v net=%q bw=%g susp=%d hashdir=%d lease=%+v dur=%d warm=%d bucket=%d",
+	fmt.Fprintf(h, "seed=%d mds=%d cpm=%d strat=%q depth=%d fs=%+v mds=%+v client=%+v work=%+v net=%q bw=%g hashdir=%d lease=%+v dur=%d warm=%d bucket=%d",
 		cp.Seed, cp.NumMDS, cp.ClientsPerMDS, cp.Strategy, cp.PartitionDepth,
 		cp.FS, cp.MDS, cp.Client, cp.Workload, cp.NetModel, cp.LinkBandwidth,
-		cp.SuspicionThreshold, cp.HashDirThreshold, cp.Lease,
+		cp.HashDirThreshold, cp.Lease,
 		cp.Duration, cp.Warmup, cp.SeriesBucket)
 	if cp.OpenLoop != nil {
 		fmt.Fprintf(h, " pop=%+v", *cp.OpenLoop)

@@ -24,24 +24,23 @@ type ChaosOptions struct {
 
 	Strategies []string // nil means cluster.Strategies
 
-	// NumMDS and Duration shape the generated schedules and the runs
-	// they are injected into; 0 means 4 nodes / 5 simulated seconds.
-	NumMDS   int
-	Duration sim.Time
-
-	// ShrinkBudget caps predicate evaluations (= full re-runs) per
-	// shrunk failure; 0 means 120. MaxShrinks caps how many failures
-	// are shrunk at all (the rest keep their original schedule);
-	// 0 means 4.
-	ShrinkBudget int
-	MaxShrinks   int
-
 	// Set overrides keys on every cell (mdsim -set): net=queued, or
 	// shards=2 for the sharded executor (fault schedules force its
 	// single-goroutine windowed mode, so verdicts stay deterministic).
 	// The budget sweeps strategy and faults itself.
 	Set []plan.Setting
 }
+
+// The shape of a chaos budget: the cluster size and run length the
+// schedules are generated for and injected into, the predicate
+// evaluations (= full re-runs) spent shrinking one failure, and how many
+// failures are shrunk at all (the rest keep their original schedule).
+const (
+	chaosNumMDS       = 4
+	chaosDuration     = 5 * sim.Second
+	chaosShrinkBudget = 120
+	chaosMaxShrinks   = 4
+)
 
 func (o *ChaosOptions) defaults() {
 	if o.Schedules <= 0 {
@@ -52,18 +51,6 @@ func (o *ChaosOptions) defaults() {
 	}
 	if len(o.Strategies) == 0 {
 		o.Strategies = cluster.Strategies
-	}
-	if o.NumMDS <= 0 {
-		o.NumMDS = 4
-	}
-	if o.Duration <= 0 {
-		o.Duration = 5 * sim.Second
-	}
-	if o.ShrinkBudget <= 0 {
-		o.ShrinkBudget = 120
-	}
-	if o.MaxShrinks <= 0 {
-		o.MaxShrinks = 4
 	}
 }
 
@@ -125,12 +112,12 @@ func ChaosConfig(opt ChaosOptions, strategy, faults string) (cluster.Config, err
 	cfg := cluster.Default()
 	cfg.Strategy = strategy
 	cfg.Seed = opt.Seed
-	cfg.NumMDS = opt.NumMDS
+	cfg.NumMDS = chaosNumMDS
 	cfg.ClientsPerMDS = 10
 	cfg.FS.Users = 30
 	cfg.MDS.CacheCapacity = 500
 	cfg.MDS.Storage.LogCapacity = 500
-	cfg.Duration = opt.Duration
+	cfg.Duration = chaosDuration
 	cfg.Warmup = sim.Second
 	cfg.Faults = faults
 	for _, s := range opt.Set {
@@ -157,7 +144,7 @@ func chaosCell(cfg cluster.Config) (violation, setup error) {
 
 // Chaos runs the fuzz budget: Schedules generated schedules, each
 // against every strategy, on the sweep worker pool. Every failing cell
-// is recorded; the first MaxShrinks failures are shrunk to minimal
+// is recorded; the first chaosMaxShrinks failures are shrunk to minimal
 // repros. The returned error covers setup problems only — invariant
 // violations land in the report.
 func Chaos(opt ChaosOptions) (*ChaosReport, error) {
@@ -168,7 +155,7 @@ func Chaos(opt ChaosOptions) (*ChaosReport, error) {
 	for i := range scheds {
 		scheds[i] = chaos.Generate(chaos.GenConfig{
 			Seed: opt.Seed, Run: i,
-			NumMDS: opt.NumMDS, Duration: opt.Duration,
+			NumMDS: chaosNumMDS, Duration: chaosDuration,
 			Intensity: opt.Intensity,
 		})
 		texts[i] = scheds[i].String()
@@ -226,7 +213,7 @@ func Chaos(opt ChaosOptions) (*ChaosReport, error) {
 	}
 
 	for fi := range rep.Failures {
-		if fi >= opt.MaxShrinks {
+		if fi >= chaosMaxShrinks {
 			break
 		}
 		f := &rep.Failures[fi]
@@ -238,7 +225,7 @@ func Chaos(opt ChaosOptions) (*ChaosReport, error) {
 			violation, err := chaosCell(cfg)
 			return err == nil && violation != nil
 		}
-		minS, evals := ShrinkSchedule(scheds[f.Schedule], fails, opt.ShrinkBudget)
+		minS, evals := ShrinkSchedule(scheds[f.Schedule], fails, chaosShrinkBudget)
 		f.shrunk = true
 		f.Shrunk = minS.String()
 		f.ShrunkRules = minS.NumRules()

@@ -17,8 +17,6 @@ func chaosTestOptions() ChaosOptions {
 		Strategies: []string{
 			cluster.StratDynamic, cluster.StratFileHash,
 		},
-		NumMDS:   3,
-		Duration: 4 * sim.Second,
 	}
 }
 

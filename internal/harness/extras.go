@@ -73,8 +73,6 @@ func sciConfig(opt Options, strategy string) cluster.Config {
 	cfg.FS.Projects = 12
 	cfg.MDS.CacheCapacity = 2500
 	cfg.Workload.Kind = cluster.WorkScientific
-	cfg.Workload.PhaseLength = 4 * sim.Second
-	cfg.Workload.BurstFraction = 0.5
 	cfg.Duration = 24 * sim.Second
 	cfg.Warmup = 8 * sim.Second
 	if opt.Quick {

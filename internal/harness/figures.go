@@ -9,6 +9,7 @@ import (
 	"dynmds/internal/metrics"
 	"dynmds/internal/plan"
 	"dynmds/internal/sim"
+	"dynmds/internal/workload"
 )
 
 // The figures are plan definitions: each builds a plan.Plan whose
@@ -175,7 +176,6 @@ func shiftConfig(opt Options, strategy string) cluster.Config {
 	// the effect Figure 6 measures.
 	cfg.Client.KnownCap = 512
 	cfg.Workload.Kind = cluster.WorkShift
-	cfg.Workload.ShiftFraction = 0.5
 	cfg.SeriesBucket = sim.Second
 	if opt.Quick {
 		cfg.Workload.ShiftTime = 8 * sim.Second
@@ -301,8 +301,6 @@ func flashConfig(opt Options, trafficOn bool) cluster.Config {
 	cfg.MDS.CacheCapacity = 4000
 	cfg.Client.ThinkMean = 20 * sim.Millisecond
 	cfg.Workload.Kind = cluster.WorkFlashCrowd
-	cfg.Workload.FlashTime = 8 * sim.Second
-	cfg.Workload.FlashDuration = 2 * sim.Second
 	cfg.Duration = 10 * sim.Second
 	cfg.Warmup = 4 * sim.Second
 	cfg.SeriesBucket = 20 * sim.Millisecond
@@ -332,12 +330,13 @@ func fig7(opt Options) (*plan.Plan, Renderer, error) {
 
 func renderFig7(w io.Writer, runs []PlanRun) error {
 	off, on := runs[0].Res, runs[1].Res
-	fmt.Fprintln(w, "Figure 7: flash crowd at t=8s; requests/sec, traffic control off vs on")
+	fmt.Fprintf(w, "Figure 7: flash crowd at t=%s; requests/sec, traffic control off vs on\n", sim.FormatTime(workload.FlashTime))
 	tb := metrics.NewTable("t(s)",
 		"off_replies", "off_forwards",
 		"on_replies", "on_forwards")
-	start := int((7800 * sim.Millisecond) / off.Bucket)
-	end := int((10 * sim.Second) / off.Bucket)
+	// From just before the crowd to the end of the run.
+	start := int((workload.FlashTime - 200*sim.Millisecond) / off.Bucket)
+	end := int(runs[0].Cfg.Duration / off.Bucket)
 	var offR, onR []float64
 	for i := start; i < end; i++ {
 		tb.AddRow(fmt.Sprintf("%.2f", off.Bucket.Seconds()*float64(i)),

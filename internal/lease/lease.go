@@ -38,73 +38,49 @@ import (
 	"dynmds/internal/sim"
 )
 
-// Config selects and tunes the two hotspot-mitigation mechanisms. The
-// zero value disables both, leaving every fabric path bit-identical to
-// a build without the plane.
+// Config selects the two hotspot-mitigation mechanisms. The zero value
+// disables both, leaving every fabric path bit-identical to a build
+// without the plane.
 type Config struct {
 	// Enabled turns on client-side read leases (requires the open-loop
 	// traffic plane, which owns the per-client lease slab).
 	Enabled bool
-	// Ways is the per-client lease-slot count (rounded up to a power of
-	// two, default 2). Each slot costs 12 bytes in the dense slab.
-	Ways int
 	// Duration is the lease lifetime from client receipt (default 500ms).
 	Duration sim.Time
-	// GrantPopularity is the decayed-popularity floor for granting a
-	// lease on a read reply (default 20): leases chase records that are
-	// already warming up, mirroring how traffic control keys off the same
-	// decayed counters. Set a tiny positive value to lease on every read.
-	GrantPopularity float64
 
 	// Fanout turns on hot-directory replica fan-out at the MDS: an
 	// authority pushes a hot directory to every peer.
 	Fanout bool
-	// FanoutPopularity is the decayed-popularity floor for fanning a
-	// directory out (default 200).
-	FanoutPopularity float64
 }
 
-// Defaults used by Normalize.
 const (
-	DefaultWays             = 2
-	DefaultDuration         = 500 * sim.Millisecond
-	DefaultGrantPopularity  = 20
-	DefaultFanoutPopularity = 200
+	// Ways is the per-client lease-slot count, a power of two. Each slot
+	// costs 12 bytes in the dense slab.
+	Ways = 2
+	// DefaultDuration is the lease lifetime Normalize fills in.
+	DefaultDuration = 500 * sim.Millisecond
+	// GrantPopularity is the decayed-popularity floor for granting a
+	// lease on a read reply: leases chase records that are already
+	// warming up, mirroring how traffic control keys off the same
+	// decayed counters.
+	GrantPopularity = 20
+	// FanoutPopularity is the decayed-popularity floor for fanning a
+	// directory out.
+	FanoutPopularity = 200
 )
 
-// Normalize fills zero tuning knobs with defaults and rounds Ways up to
-// a power of two. It returns an error for nonsensical values so a bad
-// knob is a construction error, never a mid-run surprise.
+// Normalize fills in the lease lifetime. It returns an error for a
+// negative one, so a bad setting is a construction error, never a
+// mid-run surprise.
 func (c *Config) Normalize() error {
 	if !c.Enabled && !c.Fanout {
 		return nil
-	}
-	if c.Ways == 0 {
-		c.Ways = DefaultWays
-	}
-	if c.Ways < 0 || c.Ways > 1<<10 {
-		return fmt.Errorf("lease: ways %d outside [1, 1024]", c.Ways)
-	}
-	for c.Ways&(c.Ways-1) != 0 {
-		c.Ways++
 	}
 	if c.Duration == 0 {
 		c.Duration = DefaultDuration
 	}
 	if c.Duration < 0 {
 		return fmt.Errorf("lease: negative duration %v", c.Duration)
-	}
-	if c.GrantPopularity == 0 {
-		c.GrantPopularity = DefaultGrantPopularity
-	}
-	if c.GrantPopularity < 0 {
-		return fmt.Errorf("lease: negative grant popularity %g", c.GrantPopularity)
-	}
-	if c.FanoutPopularity == 0 {
-		c.FanoutPopularity = DefaultFanoutPopularity
-	}
-	if c.FanoutPopularity < 0 {
-		return fmt.Errorf("lease: negative fan-out popularity %g", c.FanoutPopularity)
 	}
 	return nil
 }
@@ -258,7 +234,7 @@ type Plane struct {
 func NewPlane(cfg Config, clients int, maxIno namespace.InodeID) *Plane {
 	p := &Plane{Cfg: cfg, Reg: NewRegistry(maxIno)}
 	if cfg.Enabled && clients > 0 {
-		p.Tab = NewTable(clients, cfg.Ways)
+		p.Tab = NewTable(clients, Ways)
 	}
 	return p
 }

@@ -12,18 +12,8 @@ func TestNormalizeDefaults(t *testing.T) {
 	if err := c.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Ways != DefaultWays || c.Duration != DefaultDuration ||
-		c.GrantPopularity != DefaultGrantPopularity || c.FanoutPopularity != DefaultFanoutPopularity {
-		t.Fatalf("defaults not applied: %+v", c)
-	}
-
-	// Ways round up to a power of two.
-	c = Config{Enabled: true, Ways: 5}
-	if err := c.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Ways != 8 {
-		t.Fatalf("ways = %d, want 8", c.Ways)
+	if c.Duration != DefaultDuration {
+		t.Fatalf("default duration not applied: %+v", c)
 	}
 
 	// The zero value is inert and must stay untouched: a disabled plane
@@ -39,11 +29,8 @@ func TestNormalizeDefaults(t *testing.T) {
 
 func TestNormalizeRejectsBadKnobs(t *testing.T) {
 	bad := []Config{
-		{Enabled: true, Ways: -1},
-		{Enabled: true, Ways: 4096},
 		{Enabled: true, Duration: -sim.Second},
-		{Enabled: true, GrantPopularity: -1},
-		{Fanout: true, FanoutPopularity: -5},
+		{Fanout: true, Duration: -sim.Millisecond},
 	}
 	for i, c := range bad {
 		if err := c.Normalize(); err == nil {
@@ -168,14 +155,14 @@ func TestPlaneDangling(t *testing.T) {
 }
 
 func TestPlaneFootprint(t *testing.T) {
-	cfg := Config{Enabled: true, Ways: 2}
+	cfg := Config{Enabled: true}
 	if err := cfg.Normalize(); err != nil {
 		t.Fatal(err)
 	}
 	p := NewPlane(cfg, 1000, 100)
-	// 12 bytes per slot, ways slots per client.
-	if got := p.Tab.FootprintBytes(); got != 1000*2*12 {
-		t.Fatalf("slab footprint = %d, want %d", got, 1000*2*12)
+	// 12 bytes per slot, Ways slots per client.
+	if got := p.Tab.FootprintBytes(); got != 1000*Ways*12 {
+		t.Fatalf("slab footprint = %d, want %d", got, 1000*Ways*12)
 	}
 	// Fan-out-only planes carry no slab at all.
 	p = NewPlane(Config{Fanout: true}, 1000, 100)

@@ -166,9 +166,6 @@ func TestDirObjectAccounting(t *testing.T) {
 		return partition.NewStaticSubtree(1, tr, 2)
 	}, false)
 	m := cl.nodes[0]
-	if m.Store().Dirs == nil {
-		t.Skip("dir-object modelling disabled in test config")
-	}
 	dir := lookup(t, tree, "/home/u2")
 	m.Receive(&msg.Request{ID: 1, Op: msg.Create, Target: dir, NewName: "obj1"})
 	m.Receive(&msg.Request{ID: 2, Op: msg.Create, Target: dir, NewName: "obj2"})
@@ -203,11 +200,9 @@ func TestDirObjectSkippedForScatteredLayouts(t *testing.T) {
 	dir := lookup(t, tree, "/home/u2")
 	m.Receive(&msg.Request{ID: 1, Op: msg.Create, Target: dir, NewName: "scattered"})
 	eng.Run()
-	if dirs := m.Store().Dirs; dirs != nil {
-		dirs.ForEach(func(namespace.InodeID, *dirstore.Tree) {
-			t.Fatal("per-inode layout materialised directory objects")
-		})
-	}
+	m.Store().Dirs.ForEach(func(namespace.InodeID, *dirstore.Tree) {
+		t.Fatal("per-inode layout materialised directory objects")
+	})
 }
 
 // entries counts a directory object's records.

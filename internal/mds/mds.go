@@ -25,57 +25,52 @@ import (
 	"dynmds/internal/storage"
 )
 
-// Config holds the per-node service model.
-type Config struct {
-	// CPUService is the processing time per request at the serving
-	// node.
-	CPUService sim.Time
-	// PeerService is the (smaller) CPU time to serve a peer's prefix
+// The per-node service model (§5.1: "average disk latencies and
+// transactional throughputs only").
+const (
+	// cpuService is the processing time per request at the serving node.
+	cpuService = 300 * sim.Microsecond
+	// peerService is the (smaller) CPU time to serve a peer's prefix
 	// fetch or install a pushed replica.
-	PeerService sim.Time
-	// NetLatency is the one-way client↔MDS network latency.
-	NetLatency sim.Time
-	// FwdLatency is the one-way MDS↔MDS latency; intra-cluster
-	// forwarding "is likely to be cheap" (§5.3.3).
-	FwdLatency sim.Time
-	// ImportPerRecord is the CPU time per record to import or export a
+	peerService = 100 * sim.Microsecond
+	// importPerRecord is the CPU time per record to import or export a
 	// migrated subtree; it makes migrations briefly freeze the node.
-	ImportPerRecord sim.Time
+	importPerRecord = 5 * sim.Microsecond
+	// loadMissWeight weights cache misses against throughput in the
+	// balancer's load metric (§5.1).
+	loadMissWeight = 10
+	// rateHalfLife smooths the throughput/miss rates used for load.
+	rateHalfLife = 5 * sim.Second
+	// writeFlushInterval is the period at which replicas flush absorbed
+	// monotonic size updates to authorities (§4.2).
+	writeFlushInterval = sim.Second
+)
+
+// Fault-mode timeouts, armed by EnableFaults.
+const (
+	// fetchTimeout bounds a remote prefix-fetch round trip; on expiry
+	// the fetch falls back to this node's own read of the shared store —
+	// any node can read any record (§2.1.2), the peer round trip is
+	// only an optimisation. It must dwarf a loaded peer's disk queue
+	// (the response rides behind its read disk), or cold caches trigger
+	// storms of duplicate reads: it is a lost-message backstop, not a
+	// failure detector.
+	fetchTimeout = 400 * sim.Millisecond
+	// fwdTimeout bounds the forward→ack handshake: a node receiving a
+	// forwarded request acks it back to the forwarder (net.FwdAck); a
+	// missing ack reports the peer suspect and the forwarder re-resolves
+	// the authority and re-dispatches. The ack is sent before CPU/disk
+	// service, so the deadline only covers two network hops plus
+	// scheduling noise.
+	fwdTimeout = 20 * sim.Millisecond
+)
+
+// Config holds the per-node settings runs vary.
+type Config struct {
 	// CacheCapacity is the cache size in records.
 	CacheCapacity int
 	// Storage configures the two-tier store.
 	Storage storage.Config
-	// PopHalfLife is the popularity counter half-life.
-	PopHalfLife sim.Time
-	// LoadMissWeight weights cache misses against throughput in the
-	// balancer's load metric (§5.1).
-	LoadMissWeight float64
-	// RateHalfLife smooths the throughput/miss rates used for load.
-	RateHalfLife sim.Time
-
-	// WriteFlushInterval is the period at which replicas flush absorbed
-	// monotonic size updates to authorities (§4.2). The cluster starts
-	// the flusher ticker; zero disables periodic flushing (stat
-	// callbacks still collect on demand).
-	WriteFlushInterval sim.Time
-
-	// Fault-injection timeouts (zero disables both; the cluster sets
-	// them when a fault schedule is active, see internal/fault).
-	//
-	// FetchTimeout bounds a remote prefix-fetch round trip. On expiry
-	// the peer is reported suspect and the fetch falls back to this
-	// node's own read of the shared store — any node can read any
-	// record (§2.1.2), the peer round trip is only an optimisation.
-	// Arming it disables fetch-carrier pooling (a timed-out carrier may
-	// still be referenced by the late response).
-	FetchTimeout sim.Time
-	// FwdTimeout bounds the forward→ack handshake. When set, a node
-	// receiving a forwarded request acks it back to the forwarder
-	// (net.FwdAck); a missing ack reports the peer suspect and the
-	// forwarder re-resolves the authority and re-dispatches. Requests
-	// whose authority is confirmed down are dropped (dead-lettered) and
-	// covered by the client's retry timeout.
-	FwdTimeout sim.Time
 
 	// Ablation knob (see DESIGN.md).
 	//
@@ -85,28 +80,19 @@ type Config struct {
 	PrefetchHot bool
 }
 
-// DefaultConfig returns the service model used by the experiments.
+// DefaultConfig returns the configuration used by the experiments.
 func DefaultConfig(cacheCapacity int) Config {
 	return Config{
-		CPUService:         300 * sim.Microsecond,
-		PeerService:        100 * sim.Microsecond,
-		NetLatency:         200 * sim.Microsecond,
-		FwdLatency:         50 * sim.Microsecond,
-		ImportPerRecord:    5 * sim.Microsecond,
-		CacheCapacity:      cacheCapacity,
-		Storage:            storage.DefaultConfig(cacheCapacity),
-		PopHalfLife:        2 * sim.Second,
-		LoadMissWeight:     10,
-		RateHalfLife:       5 * sim.Second,
-		WriteFlushInterval: sim.Second,
+		CacheCapacity: cacheCapacity,
+		Storage:       storage.DefaultConfig(cacheCapacity),
 	}
 }
 
-// FaultCluster is optionally implemented by the Cluster when fault
-// injection is active: nodes report peers that miss timeouts, clear
-// suspicion on proof of life, and check whether an authority is already
-// confirmed down. The cluster turns accumulated suspicion into failover
-// reassignment (see internal/cluster).
+// FaultCluster is the cluster's suspicion surface, handed to a node by
+// EnableFaults when fault injection is active: nodes report peers that
+// miss timeouts, clear suspicion on proof of life, and check whether an
+// authority is already confirmed down. The cluster turns accumulated
+// suspicion into failover reassignment (see internal/cluster).
 type FaultCluster interface {
 	// Suspect records one missed-timeout strike against peer, observed
 	// by reporter.
@@ -202,17 +188,10 @@ type fetch struct {
 	// peer is the authority a remote fetch was sent to (-1 for local
 	// loads); done marks the fetch completed, so a timed-out fetch and
 	// its late remote response cannot both finish it. Both are only
-	// meaningful when FetchTimeout is armed.
+	// meaningful in fault mode.
 	peer int
 	done bool
 }
-
-// replyConsumer is optionally implemented by the Cluster. When Deliver
-// consumes replies synchronously (the real cluster: the client absorbs
-// hints and latency inside Deliver), the MDS recycles reply structs and
-// their hint slices. Test harnesses that retain replies simply do not
-// implement it.
-type replyConsumer interface{ DeliverConsumesReply() bool }
 
 // clientLocator is optionally implemented by the Cluster when execution
 // is sharded: it maps a client to the shard whose engine runs it, so
@@ -278,13 +257,12 @@ type MDS struct {
 
 	// fetchPool recycles the fetch carriers that thread a record load
 	// through its disk or peer round trip; replyPool recycles reply
-	// structs (with their hint slices) when the cluster consumes
-	// replies synchronously on Deliver. Pooled objects are released
-	// only by the dispatch that consumes them, never while an engine
-	// event still references them (see DESIGN.md, "Pooling rules").
-	fetchPool   []*fetch
-	replyPool   []*msg.Reply
-	poolReplies bool
+	// structs (with their hint slices), which the cluster consumes
+	// synchronously on Deliver. Pooled objects are released only by the
+	// dispatch that consumes them, never while an engine event still
+	// references them (see DESIGN.md, "Pooling rules").
+	fetchPool []*fetch
+	replyPool []*msg.Reply
 
 	// sizePending holds locally absorbed monotonic size updates not
 	// yet flushed to authorities (§4.2).
@@ -302,17 +280,16 @@ type MDS struct {
 	// slow scales this node's CPU service times while a slow-node fault
 	// window is active; 1 = normal speed.
 	slow float64
-	// fc is the cluster's suspicion surface, non-nil when the cluster
-	// implements FaultCluster; use is gated on the timeout knobs so
-	// fault-free runs are untouched.
+	// fc is the cluster's suspicion surface, set by EnableFaults: non-nil
+	// exactly in fault mode, where it arms the forward-ack and fetch
+	// timeouts and turns off fetch-carrier pooling (a timed-out carrier
+	// may be resumed by its late response). Fault-free runs never touch
+	// those paths.
 	fc FaultCluster
 	// pendingFwd tracks forwards awaiting their FwdAck; the value's seq
 	// invalidates stale timeout timers when a request is re-forwarded.
 	pendingFwd map[*msg.Request]fwdRec
 	fwdSeq     uint64
-	// poolFetch gates fetch-carrier recycling; off while FetchTimeout is
-	// armed (a timed-out carrier may be resumed by its late response).
-	poolFetch bool
 
 	// flusher is the periodic write-flush ticker, retained so the
 	// endurance quiesce can stop and restart it.
@@ -347,8 +324,8 @@ func New(id int, eng *sim.Engine, cfg Config, strat partition.Strategy, tc *core
 		cache:       cache.New(cfg.CacheCapacity),
 		store:       storage.New(eng, cfg.Storage),
 		tc:          tc,
-		opsRate:     metrics.NewDecayCounter(cfg.RateHalfLife),
-		missRate:    metrics.NewDecayCounter(cfg.RateHalfLife),
+		opsRate:     metrics.NewDecayCounter(rateHalfLife),
+		missRate:    metrics.NewDecayCounter(rateHalfLife),
 		pending:     make(map[namespace.InodeID][]pendingCall),
 		pendingDir:  make(map[namespace.InodeID][]pendingCall),
 		opens:       make(map[namespace.InodeID]int),
@@ -362,13 +339,6 @@ func New(id int, eng *sim.Engine, cfg Config, strat partition.Strategy, tc *core
 		m.lh = l
 	}
 	m.slow = 1
-	m.poolFetch = cfg.FetchTimeout <= 0
-	if fc, ok := cl.(FaultCluster); ok {
-		m.fc = fc
-	}
-	if rc, ok := cl.(replyConsumer); ok && rc.DeliverConsumesReply() {
-		m.poolReplies = true
-	}
 	if loc, ok := cl.(clientLocator); ok {
 		m.cloc = loc
 	}
@@ -411,6 +381,13 @@ func (m *MDS) AttachLeasePlane(p *lease.Plane) {
 		m.lec = lc
 	}
 }
+
+// EnableFaults puts the node in fault mode, reporting to fc: forwards
+// are acked and time out after fwdTimeout, remote fetches fall back to
+// a local read after fetchTimeout, and requests for an authority fc
+// confirms down are dead-lettered (the client's retry timeout covers
+// them). The cluster calls it when its fault schedule is non-empty.
+func (m *MDS) EnableFaults(fc FaultCluster) { m.fc = fc }
 
 // NoteLeaseAck lands a LeaseAck from the client edge: the recall round
 // trip is complete. Runs on this node's engine.
@@ -461,14 +438,14 @@ func clearReplicaTag(a, b any) {
 // bumpPop bumps inode b's popularity counter at node a.
 func bumpPop(a, b any) {
 	m := a.(*MDS)
-	partition.Popularity(b.(*namespace.Inode)).Add(m.eng.Now(), m.cfg.PopHalfLife, 1)
+	partition.Popularity(b.(*namespace.Inode)).Add(m.eng.Now(), partition.PopHalfLife, 1)
 }
 
 // bumpFwdPop bumps inode b's forwarded-request counter at node a
 // (deferred because it writes shared inode state).
 func bumpFwdPop(a, b any) {
 	m := a.(*MDS)
-	partition.FwdPopularity(b.(*namespace.Inode)).Add(m.eng.Now(), m.cfg.PopHalfLife, 1)
+	partition.FwdPopularity(b.(*namespace.Inode)).Add(m.eng.Now(), partition.PopHalfLife, 1)
 }
 
 // notePreemptive counts one preemptive replication on the shared policy.
@@ -520,10 +497,7 @@ func (m *MDS) SetSlow(factor float64) {
 // calls it at Run time; a perpetual ticker must not be created during
 // construction or engine Run() (drain-until-empty) would never return.
 func (m *MDS) StartFlusher() {
-	if m.cfg.WriteFlushInterval <= 0 {
-		return
-	}
-	m.flusher = sim.NewTicker(m.eng, m.cfg.WriteFlushInterval, m.flushWrites)
+	m.flusher = sim.NewTicker(m.eng, writeFlushInterval, m.flushWrites)
 	m.flusher.Start(0)
 }
 
@@ -547,7 +521,7 @@ func (m *MDS) Store() *storage.Store { return m.store }
 // of node throughput and cache misses" (§5.1). Throughput is measured
 // as offered load (request arrivals) so saturation is visible.
 func (m *MDS) Load(now sim.Time) float64 {
-	return m.opsRate.Value(now) + m.cfg.LoadMissWeight*m.missRate.Value(now)
+	return m.opsRate.Value(now) + loadMissWeight*m.missRate.Value(now)
 }
 
 // MaxQueues reports the deepest the node's three service-centre waiting
@@ -565,7 +539,7 @@ func (m *MDS) Receive(req *msg.Request) {
 		m.Stats.Dropped++
 		return
 	}
-	if m.cfg.FwdTimeout > 0 && req.Via >= 0 {
+	if m.fc != nil && req.Via >= 0 {
 		// Ack the forward so the forwarder's timeout stands down; only a
 		// live node acks, which is exactly the death signal the
 		// suspicion machinery needs.
@@ -582,7 +556,7 @@ func (m *MDS) Receive(req *msg.Request) {
 	// throughput caps out, but its offered load keeps rising — the
 	// balancer must see the latter.
 	m.opsRate.Add(m.eng.Now(), 1)
-	m.cpu.SubmitCall(m.svc(m.cfg.CPUService), mdsProcess, m, req)
+	m.cpu.SubmitCall(m.svc(cpuService), mdsProcess, m, req)
 }
 
 // fwdAckArrive lands a FwdAck at the forwarder: the outstanding-forward
@@ -599,7 +573,7 @@ func fwdAckArrive(a, b any) {
 	// retire the newer record; the client's retry timeout backstops any
 	// request lost that way, so the race costs accuracy, not liveness.
 	delete(f.pendingFwd, req)
-	if f.fc != nil && !f.failed {
+	if !f.failed {
 		f.fc.Exonerate(rec.to)
 	}
 }
@@ -642,7 +616,7 @@ func (m *MDS) process(req *msg.Request) {
 			m.reply(req)
 			return
 		}
-		if m.cfg.FwdTimeout > 0 && m.fc != nil && m.fc.NodeDown(auth) {
+		if m.fc != nil && m.fc.NodeDown(auth) {
 			// The authority is confirmed down and nothing here can serve
 			// the request; dead-letter it. The client's retry timeout
 			// covers the loss — and under the dynamic strategy the
@@ -664,7 +638,7 @@ func (m *MDS) forward(req *msg.Request, to int) {
 	}
 	m.maybePreemptiveReplicate(req)
 	req.Hops++
-	if m.cfg.FwdTimeout > 0 {
+	if m.fc != nil {
 		req.Via = m.id
 		m.armFwdTimeout(req, to)
 	}
@@ -683,16 +657,14 @@ func (m *MDS) armFwdTimeout(req *msg.Request, to int) {
 	m.fwdSeq++
 	seq := m.fwdSeq
 	m.pendingFwd[req] = fwdRec{to: to, seq: seq}
-	m.eng.After(m.cfg.FwdTimeout, func() {
+	m.eng.After(fwdTimeout, func() {
 		rec, ok := m.pendingFwd[req]
 		if !ok || rec.seq != seq || m.failed {
 			return
 		}
 		delete(m.pendingFwd, req)
 		m.Stats.FwdTimeouts++
-		if m.fc != nil {
-			m.fc.Suspect(m.id, rec.to)
-		}
+		m.fc.Suspect(m.id, rec.to)
 		m.process(req)
 	})
 }
@@ -701,7 +673,7 @@ func (m *MDS) armFwdTimeout(req *msg.Request, to int) {
 // node flooded with forwards for one item pulls a replica itself
 // instead of waiting for the authority to push one.
 func (m *MDS) maybePreemptiveReplicate(req *msg.Request) {
-	if m.tc == nil || !m.tc.Enabled || m.tc.PreemptiveThreshold <= 0 || req.Op.IsUpdate() {
+	if m.tc == nil || m.tc.PreemptiveThreshold <= 0 || req.Op.IsUpdate() {
 		return
 	}
 	target := req.Target
@@ -714,7 +686,7 @@ func (m *MDS) maybePreemptiveReplicate(req *msg.Request) {
 	if !tags.FwdTouched {
 		return
 	}
-	if tags.FwdPop.Peek(m.eng.Now(), m.cfg.PopHalfLife) < m.tc.PreemptiveThreshold || m.cache.Contains(target.ID) {
+	if tags.FwdPop.Peek(m.eng.Now(), partition.PopHalfLife) < m.tc.PreemptiveThreshold || m.cache.Contains(target.ID) {
 		return
 	}
 	m.eng.Defer(notePreemptive, m, nil)
@@ -784,7 +756,7 @@ func (m *MDS) fetchRecord(ino *namespace.Inode, cl cache.Class, fn sim.EventFunc
 		m.diskLoad(f)
 		return
 	}
-	if m.cfg.FetchTimeout > 0 && m.fc != nil && m.fc.NodeDown(auth) {
+	if m.fc != nil && m.fc.NodeDown(auth) {
 		// The authority is confirmed down; skip the doomed round trip
 		// and read the record from the shared store directly (§2.1.2).
 		m.diskLoad(f)
@@ -794,7 +766,7 @@ func (m *MDS) fetchRecord(ino *namespace.Inode, cl cache.Class, fn sim.EventFunc
 	// replica locally (for prefixes, the overhead Figure 3 measures).
 	m.Stats.RemoteFetches++
 	f.peer = auth
-	if m.cfg.FetchTimeout > 0 {
+	if m.fc != nil {
 		m.armFetchTimeout(f)
 	}
 	peer := m.cluster.Node(auth)
@@ -814,7 +786,7 @@ func (m *MDS) fetchRecord(ino *namespace.Inode, cl cache.Class, fn sim.EventFunc
 // Liveness suspicion comes only from the forward-ack path, whose ack is
 // sent before CPU/disk service and is therefore queue-independent.
 func (m *MDS) armFetchTimeout(f *fetch) {
-	m.eng.After(m.cfg.FetchTimeout, func() {
+	m.eng.After(fetchTimeout, func() {
 		if f.done || m.failed {
 			return
 		}
@@ -834,12 +806,12 @@ func (m *MDS) getFetch() *fetch {
 }
 
 // putFetch releases a carrier back to its owning node's pool. Only the
-// dispatch that consumed the carrier may call it (see DESIGN.md). With
-// FetchTimeout armed, carriers are not recycled at all: a timed-out
-// carrier may still be referenced by a watchdog timer or a late remote
-// response, and reuse would let those resume the wrong fetch.
+// dispatch that consumed the carrier may call it (see DESIGN.md). In
+// fault mode carriers are not recycled at all: a timed-out carrier may
+// still be referenced by a watchdog timer or a late remote response,
+// and reuse would let those resume the wrong fetch.
 func (m *MDS) putFetch(f *fetch) {
-	if !m.poolFetch {
+	if m.fc != nil {
 		return
 	}
 	f.ino, f.fn, f.a, f.b = nil, nil, nil, nil
@@ -883,7 +855,7 @@ func remoteFetchInstall(x, _ any) {
 		// disk read: the late response must not finish the fetch again.
 		return
 	}
-	if m.cfg.FetchTimeout > 0 && m.fc != nil {
+	if m.fc != nil {
 		m.fc.Exonerate(f.peer)
 	}
 	m.installPrefix(f.ino)
@@ -913,7 +885,7 @@ func (m *MDS) handleFetch(ino *namespace.Inode, fn sim.EventFunc, a, b any) {
 	m.Stats.PeerFetchServes++
 	pf := m.getFetch()
 	pf.ino, pf.fn, pf.a, pf.b = ino, fn, a, b
-	m.cpu.SubmitCall(m.svc(m.cfg.PeerService), peerFetchServe, pf, nil)
+	m.cpu.SubmitCall(m.svc(peerService), peerFetchServe, pf, nil)
 }
 
 func peerFetchServe(x, _ any) {
@@ -1257,7 +1229,7 @@ func coherenceArrive(a, _ any) {
 		return
 	}
 	peer.Stats.CoherenceReceived++
-	peer.cpu.Submit(peer.svc(peer.cfg.PeerService), nil)
+	peer.cpu.Submit(peer.svc(peerService), nil)
 }
 
 func (m *MDS) finishReply(req *msg.Request) {
@@ -1291,7 +1263,7 @@ func (m *MDS) finishReply(req *msg.Request) {
 	// barrier. Serially the deferred bump above has already run, so
 	// Peek+Commit here is exactly the old Decide.
 	if m.tc != nil {
-		switch m.tc.Peek(m.eng.Now(), m.cfg.PopHalfLife, target) {
+		switch m.tc.Peek(m.eng.Now(), target) {
 		case core.Replicate:
 			m.pushReplicas(target)
 			m.eng.Defer(tcCommitReplicate, m, target)
@@ -1333,10 +1305,9 @@ func (m *MDS) maybeFanOut(target *namespace.Inode) {
 	if !tags.PopTouched {
 		return
 	}
-	pop := tags.Pop.Peek(m.eng.Now(), m.cfg.PopHalfLife)
-	cfg := &m.lease.Cfg
+	pop := tags.Pop.Peek(m.eng.Now(), partition.PopHalfLife)
 	if !tags.ReplicatedAll {
-		if pop < cfg.FanoutPopularity {
+		if pop < lease.FanoutPopularity {
 			return
 		}
 		n := m.cluster.NumMDS() - 1
@@ -1353,7 +1324,7 @@ func (m *MDS) maybeFanOut(target *namespace.Inode) {
 		m.eng.Defer(fanoutTagSet, nil, target)
 		return
 	}
-	if (m.tc == nil || !m.tc.Enabled) && pop < cfg.FanoutPopularity/10 {
+	if m.tc == nil && pop < lease.FanoutPopularity/10 {
 		m.eng.Defer(fanoutTagClear, nil, target)
 	}
 }
@@ -1437,7 +1408,7 @@ func (m *MDS) applyUpdate(req *msg.Request) {
 // per-directory B-tree object (§4.6). Only directory-granular layouts
 // group entries into directory objects.
 func (m *MDS) dirObjectInsert(dir, entry *namespace.Inode) {
-	if m.store.Dirs == nil || dir == nil || !m.strat.DirGranular() {
+	if dir == nil || !m.strat.DirGranular() {
 		return
 	}
 	m.store.Dirs.Insert(dir.ID, dirstore.Record{
@@ -1451,7 +1422,7 @@ func (m *MDS) dirObjectInsert(dir, entry *namespace.Inode) {
 
 // dirObjectDelete records an entry removal in the directory object.
 func (m *MDS) dirObjectDelete(dir *namespace.Inode, name string) {
-	if m.store.Dirs == nil || dir == nil || !m.strat.DirGranular() {
+	if dir == nil || !m.strat.DirGranular() {
 		return
 	}
 	m.store.Dirs.Delete(dir.ID, name)
@@ -1486,7 +1457,7 @@ func (m *MDS) installReplica(target *namespace.Inode) {
 		return
 	}
 	m.Stats.ReplicaInstalls++
-	m.cpu.SubmitCall(m.svc(m.cfg.PeerService), installReplicaApply, m, target)
+	m.cpu.SubmitCall(m.svc(peerService), installReplicaApply, m, target)
 }
 
 func installReplicaApply(a, b any) {
@@ -1499,9 +1470,8 @@ func installReplicaApply(a, b any) {
 }
 
 // reply completes the request: hints tell the client where the target
-// and its prefixes live (§4.4), steering future requests. When the
-// cluster consumes replies on Deliver, the struct and its hint slice
-// come from (and return to) the node's reply pool.
+// and its prefixes live (§4.4), steering future requests. The struct
+// and its hint slice come from (and return to) the node's reply pool.
 func (m *MDS) reply(req *msg.Request) {
 	m.Stats.Served++
 	now := m.eng.Now()
@@ -1535,7 +1505,7 @@ func (m *MDS) reply(req *msg.Request) {
 	rep.Leased, rep.LeaseGen = false, 0
 	if m.lease != nil && m.lease.Cfg.Enabled && !req.Op.IsUpdate() && m.lease.Reg.Leasable(req.Target.ID) {
 		if tags := partition.TagsOf(req.Target); tags.PopTouched &&
-			tags.Pop.Peek(now, m.cfg.PopHalfLife) >= m.lease.Cfg.GrantPopularity {
+			tags.Pop.Peek(now, partition.PopHalfLife) >= lease.GrantPopularity {
 			rep.Leased, rep.LeaseGen = true, m.lease.Reg.Gen(req.Target.ID)
 			m.eng.Defer(leaseNoteGrant, m.lease, req.Target)
 			m.Stats.LeaseGrants++
@@ -1559,22 +1529,22 @@ func (m *MDS) getReply() *msg.Reply {
 	return &msg.Reply{}
 }
 
-// mdsDeliver hands the reply to the client and, when Deliver consumes
-// it synchronously, recycles the struct. The client detaches rep.Req
-// for its own pool inside Deliver, before the clear here.
+// mdsDeliver hands the reply to the client and recycles the struct:
+// Deliver consumes it synchronously and keeps no reference. The client
+// detaches rep.Req for its own pool inside Deliver, before the clear
+// here. Routed replies come back through TakeReply instead.
 func mdsDeliver(a, b any) {
 	m := a.(*MDS)
 	rep := b.(*msg.Reply)
 	m.cluster.Deliver(rep)
-	if m.poolReplies && !m.routedReplies {
-		rep.Req = nil
-		rep.Hints = rep.Hints[:0]
-		m.replyPool = append(m.replyPool, rep)
+	if !m.routedReplies {
+		m.TakeReply(rep)
 	}
 }
 
-// TakeReply returns a consumed reply to this node's pool. When replies
-// are routed (sharded execution), Deliver runs on the client's shard and
+// TakeReply returns a consumed reply to this node's pool, right after
+// Deliver. When replies are routed (sharded execution), Deliver runs on
+// the client's shard and
 // parks the struct in that shard's return buffer; the barrier — single
 // threaded, clocks synced — hands each reply back here.
 func (m *MDS) TakeReply(rep *msg.Reply) {
@@ -1638,7 +1608,7 @@ func (m *MDS) noteMiss() {
 // below never reads the exporter's live cache across shards.
 func (m *MDS) ImportSubtree(root *namespace.Inode, entries []core.Migrated) {
 	m.Stats.Imported += uint64(len(entries))
-	cost := m.svc(sim.Time(len(entries)+1) * m.cfg.ImportPerRecord)
+	cost := m.svc(sim.Time(len(entries)+1) * importPerRecord)
 	m.cpu.Submit(cost, func() {
 		// Anchor the subtree: the new authority "must cache the
 		// containing directory (prefix) inodes for each of its
@@ -1680,7 +1650,7 @@ func (m *MDS) ImportSubtree(root *namespace.Inode, entries []core.Migrated) {
 func (m *MDS) EvictSubtree(root *namespace.Inode) {
 	n := m.cache.CountUnder(root)
 	m.Stats.Exported += uint64(n)
-	cost := m.svc(sim.Time(n+1) * m.cfg.ImportPerRecord)
+	cost := m.svc(sim.Time(n+1) * importPerRecord)
 	m.cpu.Submit(cost, func() {
 		m.cache.RemoveSubtree(root)
 	})

@@ -2,6 +2,8 @@ package mds
 
 import (
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"dynmds/internal/cache"
@@ -19,7 +21,7 @@ type testCluster struct {
 	nodes   []*MDS
 	tree    *namespace.Tree
 	fab     *net.Fabric
-	replies []*msg.Reply
+	replies []msg.Reply
 }
 
 // emptyTree returns a tree holding only the root directory.
@@ -28,41 +30,30 @@ func emptyTree() *namespace.Tree {
 	return namespace.NewOverlay(f)
 }
 
-func (tc *testCluster) Node(i int) *MDS        { return tc.nodes[i] }
-func (tc *testCluster) NumMDS() int            { return len(tc.nodes) }
-func (tc *testCluster) Tree() *namespace.Tree  { return tc.tree }
-func (tc *testCluster) Deliver(rep *msg.Reply) { tc.replies = append(tc.replies, rep) }
-func (tc *testCluster) Fabric() *net.Fabric    { return tc.fab }
+func (tc *testCluster) Node(i int) *MDS       { return tc.nodes[i] }
+func (tc *testCluster) NumMDS() int           { return len(tc.nodes) }
+func (tc *testCluster) Tree() *namespace.Tree { return tc.tree }
+func (tc *testCluster) Fabric() *net.Fabric   { return tc.fab }
 
-// newTestCluster builds the fake with a fixed-latency fabric matching
-// testMDSConfig's latencies, sized for n nodes.
+// Deliver keeps a copy of the reply and its hints: the node recycles
+// the struct into its pool once Deliver returns.
+func (tc *testCluster) Deliver(rep *msg.Reply) {
+	r := *rep
+	r.Hints = append([]msg.Hint(nil), rep.Hints...)
+	tc.replies = append(tc.replies, r)
+}
+
+// newTestCluster builds the fake with a fixed-latency fabric, sized for
+// n nodes.
 func newTestCluster(eng *sim.Engine, tree *namespace.Tree, n int) *testCluster {
-	cfg := testMDSConfig()
 	return &testCluster{
 		tree: tree,
-		fab:  net.NewFabric(eng, n, net.Fixed{Net: cfg.NetLatency, Fwd: cfg.FwdLatency}),
+		fab:  net.NewFabric(eng, n, net.Fixed{Net: 200 * sim.Microsecond, Fwd: 50 * sim.Microsecond}),
 	}
 }
 
 func testMDSConfig() Config {
-	return Config{
-		CPUService:      100,
-		PeerService:     20,
-		NetLatency:      50,
-		FwdLatency:      10,
-		ImportPerRecord: 1,
-		CacheCapacity:   100,
-		Storage: storage.Config{
-			ReadLatency:      1000,
-			ReadPerRecord:    5,
-			LogAppendLatency: 30,
-			LogCapacity:      64,
-			DirObjectOrder:   8,
-		},
-		PopHalfLife:    sim.Second,
-		LoadMissWeight: 10,
-		RateHalfLife:   sim.Second,
-	}
+	return Config{CacheCapacity: 100, Storage: storage.Config{LogCapacity: 64}}
 }
 
 // buildCluster creates n nodes over a simple tree with the given
@@ -88,7 +79,7 @@ func buildCluster(t *testing.T, eng *sim.Engine, n int, makeStrat func(*namespac
 	strat := makeStrat(tree)
 	var tc *core.TrafficControl
 	if trafficOn {
-		tc = &core.TrafficControl{Enabled: true, ReplicateThreshold: 5, UnreplicateThreshold: 1}
+		tc = &core.TrafficControl{ReplicateThreshold: 5, UnreplicateThreshold: 1}
 	}
 	cl := newTestCluster(eng, tree, n)
 	for i := 0; i < n; i++ {
@@ -529,6 +520,34 @@ func TestDirLoadAllocFree(t *testing.T) {
 		}
 		if len(m.pendingDir) != 0 {
 			t.Fatalf("%d directory loads still pending", len(m.pendingDir))
+		}
+	}
+}
+
+// TestExperimentsStatesTheServiceModel holds EXPERIMENTS.md's "Common
+// configuration" paragraph to the service model the runs use.
+func TestExperimentsStatesTheServiceModel(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := strings.Join(strings.Fields(string(doc)), " ")
+	i := strings.Index(text, "Common configuration:")
+	if i < 0 {
+		t.Fatal("EXPERIMENTS.md has no \"Common configuration:\" paragraph")
+	}
+	para := text[i:]
+	if j := strings.Index(para, " ## "); j >= 0 {
+		para = para[:j]
+	}
+	for _, want := range []string{
+		fmt.Sprintf("%d ms average random read", storage.ReadLatency/sim.Millisecond),
+		fmt.Sprintf("%d µs/record transfer", storage.ReadPerRecord/sim.Microsecond),
+		fmt.Sprintf("%d µs NVRAM-backed log append", storage.LogAppendLatency/sim.Microsecond),
+		fmt.Sprintf("%d µs CPU service per op", cpuService/sim.Microsecond),
+	} {
+		if !strings.Contains(para, want) {
+			t.Errorf("EXPERIMENTS.md's common configuration does not say %q:\n%s", want, para)
 		}
 	}
 }

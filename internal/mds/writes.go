@@ -84,7 +84,7 @@ func (m *MDS) flushWrites(now sim.Time) {
 				if peer.failed {
 					return
 				}
-				peer.cpu.Submit(peer.svc(peer.cfg.PeerService), func() {
+				peer.cpu.Submit(peer.svc(peerService), func() {
 					// The size write is shared state (the authority's
 					// shard may not own the inode's other readers).
 					peer.eng.Defer(call0, func() {
@@ -140,7 +140,7 @@ func (m *MDS) statCallbackSlow(req *msg.Request, mask uint64) {
 		outstanding++
 		peer := m.cluster.Node(i)
 		m.fab.Send(net.StatCallback, m.id, i, net.Bytes(net.StatCallback), call0, func() {
-			peer.cpu.Submit(peer.svc(peer.cfg.PeerService), func() {
+			peer.cpu.Submit(peer.svc(peerService), func() {
 				// Peer reports its local max and clears it. The target's
 				// size and writer mask are shared, so the writes commit
 				// at the barrier; the reply itself carries no size, so

@@ -169,7 +169,6 @@ func TestPreemptiveReplication(t *testing.T) {
 
 	strat := partition.NewStaticSubtree(3, tree, 2)
 	tc := &core.TrafficControl{
-		Enabled:              true,
 		ReplicateThreshold:   1e9, // authority never pushes
 		UnreplicateThreshold: 1,
 		PreemptiveThreshold:  5,

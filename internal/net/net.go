@@ -143,8 +143,7 @@ type LatencyModel interface {
 	// size, and link state — the conservative-parallel window width: a
 	// message sent at t can never be due before t+Lookahead, so shards
 	// advanced in lockstep windows of that width cannot receive an event
-	// in their past. A model unable to bound its delay returns 0, which
-	// disables sharded execution.
+	// in their past.
 	Lookahead() sim.Time
 }
 

@@ -172,8 +172,7 @@ func TestDrainedDeviceReceivesNothing(t *testing.T) {
 
 func TestPoolReadWrite(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := Config{NumOSDs: 4, Replicas: 2, ReadLatency: 1000, ReadPerRecord: 10, WriteLatency: 100}
-	p, err := NewPool(eng, cfg)
+	p, err := NewPool(eng, DefaultConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +180,8 @@ func TestPoolReadWrite(t *testing.T) {
 	p.Read(42, 5, func() { readAt = eng.Now() })
 	p.Write(42, func() { wroteAt = eng.Now() })
 	eng.Run()
-	if readAt != 1050 {
-		t.Fatalf("read completed at %v", readAt)
+	if want := readLatency + 5*readPerRecord; readAt != want {
+		t.Fatalf("read completed at %v, want %v", readAt, want)
 	}
 	if wroteAt == 0 {
 		t.Fatal("write never completed")

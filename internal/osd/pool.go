@@ -6,30 +6,28 @@ import (
 	"dynmds/internal/sim"
 )
 
-// Config sets the device service model.
+// The device service model: a modest pool of 2004-era disks.
+const (
+	// readLatency is the average positioning cost per object read.
+	readLatency = 8 * sim.Millisecond
+	// readPerRecord is the transfer cost per metadata record.
+	readPerRecord = 10 * sim.Microsecond
+	// writeLatency is the cost of a (log or tier) object write.
+	writeLatency = 500 * sim.Microsecond
+)
+
+// Config sizes the pool.
 type Config struct {
 	// NumOSDs is the pool size.
 	NumOSDs int
 	// Replicas per object (reads go to the primary, falling over to
 	// the next replica when a device is down).
 	Replicas int
-	// ReadLatency is the average positioning cost per object read.
-	ReadLatency sim.Time
-	// ReadPerRecord is the transfer cost per metadata record.
-	ReadPerRecord sim.Time
-	// WriteLatency is the cost of a (log or tier) object write.
-	WriteLatency sim.Time
 }
 
-// DefaultConfig models a modest pool of 2004-era disks.
+// DefaultConfig returns a pool of n devices, two replicas per object.
 func DefaultConfig(n int) Config {
-	return Config{
-		NumOSDs:       n,
-		Replicas:      2,
-		ReadLatency:   8 * sim.Millisecond,
-		ReadPerRecord: 10 * sim.Microsecond,
-		WriteLatency:  500 * sim.Microsecond,
-	}
+	return Config{NumOSDs: n, Replicas: 2}
 }
 
 // Stats counts pool activity.
@@ -88,7 +86,7 @@ func (p *Pool) Read(obj ObjectID, records int, done func()) {
 			p.Stats.FailoverReads++
 		}
 		p.Stats.Reads++
-		p.devs[dev].Submit(p.cfg.ReadLatency+sim.Time(records)*p.cfg.ReadPerRecord, done)
+		p.devs[dev].Submit(readLatency+sim.Time(records)*readPerRecord, done)
 		return
 	}
 	p.Stats.UnplacedErrors++
@@ -115,7 +113,7 @@ func (p *Pool) Write(obj ObjectID, done func()) {
 			continue
 		}
 		p.Stats.Writes++
-		p.devs[dev].Submit(p.cfg.WriteLatency, func() {
+		p.devs[dev].Submit(writeLatency, func() {
 			remaining--
 			if remaining == 0 && done != nil {
 				done()

@@ -9,6 +9,7 @@ package partition
 import (
 	"dynmds/internal/metrics"
 	"dynmds/internal/namespace"
+	"dynmds/internal/sim"
 )
 
 // Strategy decides which MDS is authoritative for each metadata item and
@@ -35,6 +36,10 @@ type Strategy interface {
 	ClientComputable() bool
 }
 
+// PopHalfLife is the half-life of every inode's decayed popularity
+// counters (Tags.Pop and Tags.FwdPop), whoever bumps or reads them.
+const PopHalfLife = 2 * sim.Second
+
 // Tags is the per-inode scratch state higher layers hang off
 // namespace.Inode.Aux: authority memoization, the decayed popularity
 // counters used for traffic control, replication state, and Lazy Hybrid
@@ -52,7 +57,7 @@ type Tags struct {
 	AuthEpoch uint64
 
 	// Pop is the decayed access counter (§4.4), meaningful once
-	// PopTouched; its half-life is the run's mds.Config.PopHalfLife.
+	// PopTouched; its half-life is PopHalfLife.
 	Pop metrics.Decay
 	// FwdPop counts forwards of requests for this item (summed across
 	// non-authoritative nodes); drives preemptive replication (§5.4).

@@ -345,25 +345,6 @@ func (c *Codec) bound(p *int) {
 	}
 }
 
-// OptLen is Len for state a configuration may not have: -1 in the file
-// means absent. The snapshot and the restoring run must agree on
-// present; OptLen reports whether the elements follow.
-func (c *Codec) OptLen(present bool, p *int, what string) bool {
-	if !present {
-		*p = -1
-	}
-	I(c, p)
-	if c.err == nil && (*p >= 0) != present {
-		c.Failf("%s: present in the snapshot %v, in this run %v", what, *p >= 0, present)
-	}
-	if !present || c.err != nil {
-		*p = 0
-		return false
-	}
-	c.bound(p)
-	return c.err == nil
-}
-
 // Same carries a size the restoring run has already built from its
 // configuration (a table, a slab, a node count; -1 for a table this
 // configuration does not have): written, or read and compared. It is

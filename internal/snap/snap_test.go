@@ -251,18 +251,6 @@ func TestCodecRefusals(t *testing.T) {
 					t.Error("Has reported state the snapshot does not have")
 				}
 			}, "present in the snapshot false"},
-		{"optional count the run does not have", func(w *Writer) { w.Int(3) },
-			func(c *Codec) {
-				if n := 0; c.OptLen(false, &n, "test: objects") || n != 0 {
-					t.Error("OptLen reported elements the run has no place for")
-				}
-			}, "test: objects: present in the snapshot true, in this run false"},
-		{"optional count past the bytes left", func(w *Writer) { w.Int(3) },
-			func(c *Codec) {
-				if n := 0; c.OptLen(true, &n, "test: objects") || n != 0 {
-					t.Error("OptLen reported a count it refused")
-				}
-			}, "count 3 with 0 bytes left"},
 		{"narrow unsigned field", func(w *Writer) { w.U64(1 << 32) },
 			func(c *Codec) { var v uint32; U(c, &v) }, "4294967296 overflows its uint32 field"},
 		{"narrow signed field", func(w *Writer) { w.I64(-129) },
@@ -302,7 +290,7 @@ func TestCodecRefusals(t *testing.T) {
 				Slice(c, &after.s)
 				c.Bool(&after.ok)
 				c.Same(1, "after")
-				if c.Has(true, "after") || c.OptLen(true, &after.i, "after") {
+				if c.Has(true, "after") {
 					t.Error("optional state reported after an error")
 				}
 				if c.r.pos != at {
@@ -314,7 +302,7 @@ func TestCodecRefusals(t *testing.T) {
 				t.Fatalf("error %v, want one containing %q", dec.Err(), tc.want)
 			}
 			// Fields keep what they held; counts, which walks loop over, are zero.
-			if after.u != 5 || after.n != 0 || after.i != 0 || after.s != nil || after.ok {
+			if after.u != 5 || after.n != 0 || after.i != 5 || after.s != nil || after.ok {
 				t.Errorf("fields after the first error: %+v", after)
 			}
 		})

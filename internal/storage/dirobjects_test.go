@@ -58,10 +58,7 @@ func TestDirObjectsLifecycle(t *testing.T) {
 
 func TestStoreSharedPoolRouting(t *testing.T) {
 	eng := sim.NewEngine()
-	pool, err := osd.NewPool(eng, osd.Config{
-		NumOSDs: 4, Replicas: 2,
-		ReadLatency: 1000, ReadPerRecord: 10, WriteLatency: 100,
-	})
+	pool, err := osd.NewPool(eng, osd.DefaultConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +95,7 @@ func TestReadUtilizationLocalMode(t *testing.T) {
 	eng := sim.NewEngine()
 	s := New(eng, testConfig())
 	s.ReadInodeCall(1, run, nil, nil)
-	eng.RunUntil(2020) // read takes 1010
+	eng.RunUntil(2 * (ReadLatency + ReadPerRecord))
 	if u := float64(s.readDisk.BusyTime) / float64(eng.Now()); u <= 0.4 || u > 0.6 {
 		t.Fatalf("utilization = %v, want ~0.5", u)
 	}

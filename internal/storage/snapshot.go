@@ -45,13 +45,8 @@ func (s *Store) Snap(c *snap.Codec) {
 		}
 	}
 
-	n := 0
-	if s.Dirs != nil {
-		n = len(s.Dirs.trees)
-	}
-	if !c.OptLen(s.Dirs != nil, &n, "storage: directory objects") {
-		return
-	}
+	n := len(s.Dirs.trees)
+	c.Len(&n)
 	snap.U(c, &s.Dirs.NodesWritten)
 	snap.U(c, &s.Dirs.Updates)
 	// Written in ascending directory order; read as the file gives them,

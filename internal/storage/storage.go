@@ -24,24 +24,28 @@ import (
 	"dynmds/internal/sim"
 )
 
-// Config sets the latency model.
-type Config struct {
+// The disk model: 2004-era hardware.
+const (
 	// ReadLatency is the average positioning cost of one random
 	// metadata read I/O.
-	ReadLatency sim.Time
+	ReadLatency = 8 * sim.Millisecond
 	// ReadPerRecord is the incremental transfer time per metadata
 	// record in a directory-granular read.
-	ReadPerRecord sim.Time
-	// LogAppendLatency is the commit latency of one log append. NVRAM
-	// in the MDS can mask this almost entirely.
-	LogAppendLatency sim.Time
+	ReadPerRecord = 10 * sim.Microsecond
+	// LogAppendLatency is the commit latency of one NVRAM-backed log
+	// append: NVRAM in the MDS masks the disk almost entirely.
+	LogAppendLatency = 100 * sim.Microsecond
+	// dirObjectOrder is the order of the copy-on-write B-trees that
+	// model long-term directory objects, accounting incremental write
+	// amplification (§4.6).
+	dirObjectOrder = 32
+)
+
+// Config sizes the store.
+type Config struct {
 	// LogCapacity is the bounded log's size in records; on the order of
 	// the MDS cache capacity per the paper.
 	LogCapacity int
-	// DirObjectOrder, when > 0, models long-term directory objects as
-	// copy-on-write B-trees of that order, accounting incremental write
-	// amplification (§4.6). Zero disables the model.
-	DirObjectOrder int
 
 	// Pool, when non-nil, routes reads and log appends to the shared
 	// OSD pool instead of node-local disks — the shared metadata store
@@ -52,17 +56,9 @@ type Config struct {
 	PoolOwner int
 }
 
-// DefaultConfig returns disk parameters resembling 2004-era hardware:
-// ~8 ms average random read, ~10 µs per record transferred, ~100 µs
-// NVRAM-backed log append.
+// DefaultConfig returns a store with a log of logCapacity records.
 func DefaultConfig(logCapacity int) Config {
-	return Config{
-		ReadLatency:      8 * sim.Millisecond,
-		ReadPerRecord:    10 * sim.Microsecond,
-		LogAppendLatency: 100 * sim.Microsecond,
-		LogCapacity:      logCapacity,
-		DirObjectOrder:   32,
-	}
+	return Config{LogCapacity: logCapacity}
 }
 
 // Stats counts storage activity.
@@ -85,8 +81,7 @@ type Store struct {
 	// not scaled (pool service times belong to the pool, not the node).
 	slow float64
 
-	// Dirs is the long-term tier's directory-object model; nil when
-	// disabled.
+	// Dirs is the long-term tier's directory-object model.
 	Dirs *DirObjects
 
 	Stats Stats
@@ -97,16 +92,13 @@ func New(eng *sim.Engine, cfg Config) *Store {
 	if cfg.LogCapacity < 1 {
 		cfg.LogCapacity = 1
 	}
-	s := &Store{
+	return &Store{
 		cfg:      cfg,
 		readDisk: sim.NewServer(eng, 1),
 		logDisk:  sim.NewServer(eng, 1),
 		log:      NewBoundedLog(cfg.LogCapacity),
+		Dirs:     NewDirObjects(dirObjectOrder),
 	}
-	if cfg.DirObjectOrder > 0 {
-		s.Dirs = NewDirObjects(cfg.DirObjectOrder)
-	}
-	return s
 }
 
 // SetSlow scales subsequent disk service times by factor (slow-node
@@ -132,7 +124,7 @@ func (s *Store) ReadInodeCall(id namespace.InodeID, fn sim.EventFunc, a, b any) 
 		s.cfg.Pool.Read(osd.DirObject(id), 1, func() { fn(a, b) })
 		return
 	}
-	s.readDisk.SubmitCall(s.scaled(s.cfg.ReadLatency+s.cfg.ReadPerRecord), fn, a, b)
+	s.readDisk.SubmitCall(s.scaled(ReadLatency+ReadPerRecord), fn, a, b)
 }
 
 // ReadDirCall fetches directory dir and its embedded inodes in one I/O:
@@ -147,7 +139,7 @@ func (s *Store) ReadDirCall(dir namespace.InodeID, records int, fn sim.EventFunc
 		s.cfg.Pool.Read(osd.DirObject(dir), records, func() { fn(a, b) })
 		return
 	}
-	s.readDisk.SubmitCall(s.scaled(s.cfg.ReadLatency+sim.Time(records)*s.cfg.ReadPerRecord), fn, a, b)
+	s.readDisk.SubmitCall(s.scaled(ReadLatency+sim.Time(records)*ReadPerRecord), fn, a, b)
 }
 
 // CommitCall appends an update for the inode to the bounded log. Records
@@ -165,7 +157,7 @@ func (s *Store) CommitCall(id namespace.InodeID, fn sim.EventFunc, a, b any) {
 		s.cfg.Pool.Write(osd.LogObject(s.cfg.PoolOwner), func() { fn(a, b) })
 		return
 	}
-	s.logDisk.SubmitCall(s.scaled(s.cfg.LogAppendLatency), fn, a, b)
+	s.logDisk.SubmitCall(s.scaled(LogAppendLatency), fn, a, b)
 }
 
 // WorkingSet returns the distinct inode IDs currently in the log, oldest

@@ -8,14 +8,7 @@ import (
 	"dynmds/internal/sim"
 )
 
-func testConfig() Config {
-	return Config{
-		ReadLatency:      1000,
-		ReadPerRecord:    10,
-		LogAppendLatency: 50,
-		LogCapacity:      4,
-	}
-}
+func testConfig() Config { return Config{LogCapacity: 4} }
 
 // run is the completion the tests hand the store: the payload is the
 // closure to call, or nil when only the accounting is under test.
@@ -31,8 +24,8 @@ func TestReadInodeLatency(t *testing.T) {
 	var doneAt sim.Time
 	s.ReadInodeCall(1, run, func() { doneAt = eng.Now() }, nil)
 	eng.Run()
-	if doneAt != 1010 {
-		t.Fatalf("read completed at %v, want 1010", doneAt)
+	if doneAt != ReadLatency+ReadPerRecord {
+		t.Fatalf("read completed at %v, want %v", doneAt, ReadLatency+ReadPerRecord)
 	}
 	if s.Stats.InodeReads != 1 || s.Stats.RecordsRead != 1 {
 		t.Fatalf("stats = %+v", s.Stats)
@@ -47,8 +40,8 @@ func TestReadDirEmbeddedCost(t *testing.T) {
 	eng.Run()
 	// One positioning cost + 20 record transfers: far cheaper than 20
 	// individual reads — that is the embedded-inode advantage.
-	if doneAt != 1000+20*10 {
-		t.Fatalf("dir read completed at %v, want 1200", doneAt)
+	if want := ReadLatency + 20*ReadPerRecord; doneAt != want {
+		t.Fatalf("dir read completed at %v, want %v", doneAt, want)
 	}
 	if s.Stats.DirReads != 1 || s.Stats.RecordsRead != 20 {
 		t.Fatalf("stats = %+v", s.Stats)
@@ -69,7 +62,8 @@ func TestReadsQueueOnOneDisk(t *testing.T) {
 		s.ReadInodeCall(namespace.InodeID(i+1), run, func() { completions = append(completions, eng.Now()) }, nil)
 	}
 	eng.Run()
-	want := []sim.Time{1010, 2020, 3030}
+	one := ReadLatency + ReadPerRecord
+	want := []sim.Time{one, 2 * one, 3 * one}
 	for i := range want {
 		if completions[i] != want[i] {
 			t.Fatalf("completions = %v, want %v", completions, want)
@@ -169,11 +163,11 @@ func TestBoundedLogProperties(t *testing.T) {
 
 func TestDefaultConfig(t *testing.T) {
 	c := DefaultConfig(1000)
-	if c.LogCapacity != 1000 || c.ReadLatency <= 0 {
+	if c.LogCapacity != 1000 || c.Pool != nil {
 		t.Fatalf("default config = %+v", c)
 	}
 	eng := sim.NewEngine()
-	s := New(eng, Config{LogCapacity: 0, ReadLatency: 1})
+	s := New(eng, Config{LogCapacity: 0})
 	s.ReadInodeCall(1, run, nil, nil)
 	eng.Run() // must not panic with clamped log capacity
 }

@@ -91,26 +91,30 @@ func min(a, b int) int {
 	return b
 }
 
+// The Figure 7 crowd: at FlashTime every client suddenly requests the
+// same file and keeps hitting it for flashDuration.
+const (
+	FlashTime     = 8 * sim.Second
+	flashDuration = 2 * sim.Second
+)
+
 // FlashCrowd wraps a General generator and implements the Figure 7
-// scenario: at FlashTime every client suddenly requests the same file
-// and keeps hitting it for Duration.
+// scenario.
 type FlashCrowd struct {
 	*General
-	FlashTime sim.Time
-	Duration  sim.Time
-	Target    *namespace.Inode
+	Target *namespace.Inode
 
 	opened bool
 }
 
 // NewFlashCrowd builds the scenario around a general generator.
-func NewFlashCrowd(g *General, at, duration sim.Time, target *namespace.Inode) *FlashCrowd {
-	return &FlashCrowd{General: g, FlashTime: at, Duration: duration, Target: target}
+func NewFlashCrowd(g *General, target *namespace.Inode) *FlashCrowd {
+	return &FlashCrowd{General: g, Target: target}
 }
 
 // Next implements Generator.
 func (f *FlashCrowd) Next(now sim.Time, r *sim.RNG) (Op, bool) {
-	if now < f.FlashTime || now >= f.FlashTime+f.Duration {
+	if now < FlashTime || now >= FlashTime+flashDuration {
 		return f.General.Next(now, r)
 	}
 	if !f.opened {
@@ -133,35 +137,29 @@ type Scientific struct {
 	*General
 	// Job is the shared project directory.
 	Job *namespace.Inode
-	// PhaseLength is the duration of each phase.
-	PhaseLength sim.Time
-	// BurstFraction is the fraction of each phase spent bursting.
-	BurstFraction float64
 
 	seq       int
 	writeSize int64
 }
 
+// The scientific job's cycle: phases of phaseLength, each bursting for
+// its first burstFraction.
+const (
+	phaseLength   = 4 * sim.Second
+	burstFraction = 0.5
+)
+
 // NewScientific builds the generator. The General provides the quiet
 // local work between bursts.
-func NewScientific(g *General, job *namespace.Inode, phase sim.Time, burst float64) *Scientific {
-	return &Scientific{General: g, Job: job, PhaseLength: phase, BurstFraction: burst}
-}
-
-// phase returns the phase index and the position within it.
-func (s *Scientific) phase(now sim.Time) (int, float64) {
-	if s.PhaseLength <= 0 {
-		return 0, 0
-	}
-	idx := int(now / s.PhaseLength)
-	pos := float64(now%s.PhaseLength) / float64(s.PhaseLength)
-	return idx, pos
+func NewScientific(g *General, job *namespace.Inode) *Scientific {
+	return &Scientific{General: g, Job: job}
 }
 
 // Next implements Generator.
 func (s *Scientific) Next(now sim.Time, r *sim.RNG) (Op, bool) {
-	idx, pos := s.phase(now)
-	if pos >= s.BurstFraction {
+	idx := int(now / phaseLength)
+	pos := float64(now%phaseLength) / float64(phaseLength)
+	if pos >= burstFraction {
 		return s.General.Next(now, r) // quiet part of the phase
 	}
 	if idx%2 == 0 {

@@ -202,7 +202,7 @@ func TestFlashCrowdScenario(t *testing.T) {
 	snap := genSnapshot(t)
 	target := snap.Projects[0].Child(0)
 	g := NewGeneral(0, DefaultGeneralConfig(), region(snap, 0))
-	f := NewFlashCrowd(g, 8*sim.Second, 2*sim.Second, target)
+	f := NewFlashCrowd(g, target)
 	r := sim.NewRNG(6)
 
 	// During the crowd, all ops hit the target.
@@ -237,10 +237,10 @@ func TestScientificPhases(t *testing.T) {
 	snap := genSnapshot(t)
 	job := snap.Projects[1]
 	g := NewGeneral(3, DefaultGeneralConfig(), region(snap, 3))
-	s := NewScientific(g, job, 10*sim.Second, 0.3)
+	s := NewScientific(g, job)
 	r := sim.NewRNG(7)
 
-	// Phase 0 burst (t in [0, 3s)): N-to-1 on a job file.
+	// Phase 0 burst (t in [0, 2s)): N-to-1 on a job file.
 	op, ok := s.Next(sim.Second, r)
 	if !ok {
 		t.Fatal("no op in burst")
@@ -248,15 +248,15 @@ func TestScientificPhases(t *testing.T) {
 	if op.Target.Parent() != job {
 		t.Fatalf("N-to-1 target not in job dir: %s", op.Target.Path())
 	}
-	// Phase 1 burst (t in [10s, 13s)): N-to-N creates in the job dir.
-	op, ok = s.Next(11*sim.Second, r)
+	// Phase 1 burst (t in [4s, 6s)): N-to-N creates in the job dir.
+	op, ok = s.Next(5*sim.Second, r)
 	if !ok || op.Op != msg.Create || op.Target != job {
 		t.Fatalf("N-to-N op = %+v", op)
 	}
 	// Quiet part: local work, not the job dir.
 	quiet := 0
 	for i := 0; i < 50; i++ {
-		op, ok := s.Next(9*sim.Second, r)
+		op, ok := s.Next(3*sim.Second, r)
 		if ok && op.Target != job && op.Target.Parent() != job {
 			quiet++
 		}

@@ -3,7 +3,7 @@ package dynmds
 // The surface gate: code stays only if non-test code uses it. The
 // module's package graph comes from `go list -deps -export -json`, every
 // non-test file of the module is type-checked (the standard library from
-// its export data), and three kinds of entry fail the test:
+// its export data), and four kinds of entry fail the test:
 //
 //  1. a package-level func, method, type, var or const in internal/ or
 //     cmd/, exported or not, that no non-test code references outside
@@ -11,7 +11,12 @@ package dynmds
 //  2. a method of an interface declared in internal/ that no non-test
 //     code calls;
 //  3. an exported field of an internal/ struct that non-test code reads
-//     but never writes — a knob only tests turn.
+//     but never writes — a knob only tests turn;
+//  4. an exported field of an internal/ …Config or …Options struct, or
+//     of a struct one holds, that non-test code sets to one constant and
+//     only inside a defaulting function (Default…, …defaults/…Defaults,
+//     Normalize) — a knob no two runs set differently, which belongs in
+//     a constant.
 //
 // A method is used when its type implements an interface that has it and
 // that interface is either declared in a package the module imports
@@ -31,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -313,7 +319,7 @@ func (s *surface) position(pos token.Pos) token.Position {
 	return p
 }
 
-// findings applies the reachability rule and the three identifier rules.
+// findings applies the reachability rule and the four identifier rules.
 func (s *surface) findings() []finding {
 	s.considered = map[string]bool{}
 	var out []finding
@@ -532,20 +538,63 @@ func (s *surface) findings() []finding {
 	return out
 }
 
-// knobs applies rule 3: exported fields of internal/ structs that
-// non-test code reads and never writes. A write is a composite-literal
-// key, an unkeyed literal, an assignment, ++/--, &, a pointer-receiver
-// method call on the field, or any field along a mutated selector chain.
+// setting is what rule 4 knows of the writes to one field: the constant
+// a defaulting function stores, and whether any write stores something
+// else or happens anywhere else.
+type setting struct {
+	value  constant.Value
+	varied bool
+}
+
+// defaulting reports whether a function of this name fills in defaults.
+func defaulting(name string) bool {
+	return strings.HasPrefix(name, "Default") || strings.HasSuffix(name, "defaults") ||
+		strings.HasSuffix(name, "Defaults") || name == "Normalize"
+}
+
+// knobs applies rules 3 and 4 to the exported fields of internal/
+// structs. A write is a composite-literal key, an unkeyed literal, an
+// assignment, ++/--, &, a pointer-receiver method call on the field, or
+// any field along a mutated selector chain. Rule 3 flags a field that is
+// read and never written. Rule 4 flags a field of a …Config or …Options
+// struct (or of a struct one holds) whose every write sits in a
+// defaulting function and stores the same constant there; ++ and op= in
+// a defaulting function only refine the value already stored.
 func (s *surface) knobs() []finding {
 	read := map[*types.Var]bool{}
 	written := map[*types.Var]bool{}
+	settings := map[*types.Var]*setting{}
 	for _, p := range s.pkgs {
 		info := p.info
-		markWrite := func(e ast.Expr) {
+		inDefault := false
+		// note records one write of f: val is the value stored, nil when
+		// the write stores no single expression (&, a method call, a
+		// partial write through the field); refine marks ++ and op=.
+		note := func(f *types.Var, val ast.Expr, refine bool) {
+			written[f] = true
+			st := settings[f]
+			if st == nil {
+				st = &setting{}
+				settings[f] = st
+			}
+			switch {
+			case !inDefault:
+				st.varied = true
+			case refine:
+			case val == nil || info.Types[val].Value == nil:
+				st.varied = true
+			case st.value == nil:
+				st.value = info.Types[val].Value
+			case !constant.Compare(st.value, token.EQL, info.Types[val].Value):
+				st.varied = true
+			}
+		}
+		markWrite := func(e, val ast.Expr, refine bool) {
 			for {
 				switch x := e.(type) {
 				case *ast.ParenExpr:
 					e = x.X
+					continue
 				case *ast.StarExpr:
 					e = x.X
 				case *ast.IndexExpr:
@@ -555,75 +604,94 @@ func (s *surface) knobs() []finding {
 					if sel == nil || sel.Kind() != types.FieldVal {
 						return
 					}
-					for _, f := range selectionFields(sel) {
-						written[f] = true
+					fields := selectionFields(sel)
+					for i, f := range fields {
+						if i == len(fields)-1 {
+							note(f, val, refine)
+						} else {
+							note(f, nil, false)
+						}
 					}
 					e = x.X
 				default:
 					return
 				}
+				val, refine = nil, false
 			}
 		}
 		for _, f := range p.files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					sel := info.Selections[n]
-					if sel == nil {
-						break
-					}
-					fields := selectionFields(sel)
-					for _, f := range fields {
-						read[f] = true
-					}
-					if sel.Kind() == types.MethodVal && pointerRecv(sel.Obj()) {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				inDefault = ok && defaulting(fd.Name.Name)
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.SelectorExpr:
+						sel := info.Selections[n]
+						if sel == nil {
+							break
+						}
+						fields := selectionFields(sel)
 						for _, f := range fields {
-							written[f] = true
+							read[f] = true
 						}
-						markWrite(n.X)
-					}
-				case *ast.CompositeLit:
-					t := info.Types[n].Type
-					if p, ok := t.(*types.Pointer); ok {
-						t = p.Elem()
-					}
-					st, ok := t.Underlying().(*types.Struct)
-					if !ok {
-						break
-					}
-					for i, elt := range n.Elts {
-						if kv, ok := elt.(*ast.KeyValueExpr); ok {
-							if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
-								written[f.Origin()] = true
+						if sel.Kind() == types.MethodVal && pointerRecv(sel.Obj()) {
+							for _, f := range fields {
+								note(f, nil, false)
 							}
-						} else {
-							written[st.Field(i).Origin()] = true
+							markWrite(n.X, nil, false)
+						}
+					case *ast.CompositeLit:
+						t := info.Types[n].Type
+						if p, ok := t.(*types.Pointer); ok {
+							t = p.Elem()
+						}
+						st, ok := t.Underlying().(*types.Struct)
+						if !ok {
+							break
+						}
+						for i, elt := range n.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+									note(f.Origin(), kv.Value, false)
+								}
+							} else {
+								note(st.Field(i).Origin(), elt, false)
+							}
+						}
+					case *ast.AssignStmt:
+						switch {
+						case n.Tok == token.DEFINE:
+						case n.Tok != token.ASSIGN:
+							markWrite(n.Lhs[0], nil, true)
+						case len(n.Lhs) == len(n.Rhs):
+							for i, l := range n.Lhs {
+								markWrite(l, n.Rhs[i], false)
+							}
+						default:
+							for _, l := range n.Lhs {
+								markWrite(l, nil, false)
+							}
+						}
+					case *ast.IncDecStmt:
+						markWrite(n.X, nil, true)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							markWrite(n.X, nil, false)
+						}
+					case *ast.RangeStmt:
+						if n.Tok == token.ASSIGN {
+							markWrite(n.Key, nil, false)
+							markWrite(n.Value, nil, false)
 						}
 					}
-				case *ast.AssignStmt:
-					if n.Tok != token.DEFINE {
-						for _, l := range n.Lhs {
-							markWrite(l)
-						}
-					}
-				case *ast.IncDecStmt:
-					markWrite(n.X)
-				case *ast.UnaryExpr:
-					if n.Op == token.AND {
-						markWrite(n.X)
-					}
-				case *ast.RangeStmt:
-					if n.Tok == token.ASSIGN {
-						markWrite(n.Key)
-						markWrite(n.Value)
-					}
-				}
-				return true
-			})
+					return true
+				})
+			}
 		}
 	}
 
 	var out []finding
+	configs := s.configStructs()
 	for _, p := range s.pkgs {
 		if !s.internal(p.ImportPath) {
 			continue
@@ -647,6 +715,61 @@ func (s *surface) knobs() []finding {
 				if read[f] && !written[f] {
 					out = append(out, finding{pos: s.position(f.Pos()), key: key, what: "field that non-test code reads and never writes"})
 				}
+				if set := settings[f]; configs[tn] && set != nil && set.value != nil && !set.varied {
+					out = append(out, finding{pos: s.position(f.Pos()), key: key,
+						what: fmt.Sprintf("config field that only a defaulting function sets, always to %s: make it a constant", set.value)})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// configStructs returns rule 4's structs: every internal/ struct type
+// named …Config or …Options, and every internal/ struct one of those
+// holds in a field (by value, pointer, slice, array or map), transitively.
+func (s *surface) configStructs() map[*types.TypeName]bool {
+	out := map[*types.TypeName]bool{}
+	var hold func(t types.Type)
+	hold = func(t types.Type) {
+		for {
+			switch u := t.(type) {
+			case *types.Pointer:
+				t = u.Elem()
+				continue
+			case *types.Slice:
+				t = u.Elem()
+				continue
+			case *types.Array:
+				t = u.Elem()
+				continue
+			case *types.Map:
+				t = u.Elem()
+				continue
+			}
+			break
+		}
+		n, ok := t.(*types.Named)
+		if !ok || n.Obj().Pkg() == nil || !s.internal(n.Obj().Pkg().Path()) || out[n.Obj()] {
+			return
+		}
+		st, ok := n.Underlying().(*types.Struct)
+		if !ok {
+			return
+		}
+		out[n.Obj()] = true
+		for i := 0; i < st.NumFields(); i++ {
+			hold(st.Field(i).Type())
+		}
+	}
+	for _, p := range s.pkgs {
+		if !s.internal(p.ImportPath) {
+			continue
+		}
+		for _, name := range p.types.Scope().Names() {
+			if tn, ok := p.types.Scope().Lookup(name).(*types.TypeName); ok &&
+				(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+				hold(tn.Type())
 			}
 		}
 	}
@@ -833,6 +956,9 @@ func TestSurfaceRules(t *testing.T) {
 		{"method of an interface nothing calls", a + "Runner.Stop", true},
 		{"implementation of that method", a + "task.Stop", true},
 		{"knob set only from a test file", a + "Config.Knob", true},
+		{"config field only a default sets, to one constant", a + "Config.Limit", true},
+		{"config field a main package sets to another value", a + "Config.Retries", false},
+		{"config field a default sets from its parameter", a + "Config.Size", false},
 		{"package no main package reaches", "surfacefix/internal/orphan package", true},
 		{"interface method that is called", a + "Runner.Run", false},
 		{"String method", a + "T.String", false},

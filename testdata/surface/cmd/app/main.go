@@ -12,5 +12,7 @@ func main() {
 	var lvl a.Level
 	flag.Var(&lvl, "level", "verbosity")
 	flag.Parse()
-	fmt.Println(a.T{N: 1}, a.Start(a.Config{Size: int(lvl)}), a.Count(&a.Outer{}), a.Sum(), errors.Is(a.Check(-1), a.ErrBase))
+	cfg := a.DefaultConfig(int(lvl))
+	cfg.Retries = 5
+	fmt.Println(a.T{N: 1}, a.Start(cfg), a.Count(&a.Outer{}), a.Sum(), errors.Is(a.Check(-1), a.ErrBase))
 }

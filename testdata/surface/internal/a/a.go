@@ -25,14 +25,22 @@ type task struct{ n *int }
 func (t task) Run()  { *t.n++ }
 func (t task) Stop() {}
 
-// Config.Knob is read here and set only by a test.
+// Config.Knob is read here and set only by a test. DefaultConfig sets
+// Limit to one constant and nothing else sets it; it sets Retries too,
+// but cmd/app sets another value; Size comes from its parameter.
 type Config struct {
-	Knob int
-	Size int
+	Knob    int
+	Size    int
+	Limit   int
+	Retries int
+}
+
+func DefaultConfig(size int) Config {
+	return Config{Size: size, Limit: 8, Retries: 3}
 }
 
 func Start(c Config) int {
-	n := c.Knob + c.Size
+	n := c.Knob + c.Size + c.Limit + c.Retries
 	var r Runner = task{&n}
 	r.Run()
 	return n
