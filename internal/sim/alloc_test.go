@@ -88,7 +88,7 @@ func TestStopLeavesQueueAndPoolsIntact(t *testing.T) {
 	if len(order) != 2 {
 		t.Fatalf("ran %d callbacks before Stop, want 2 (order %v)", len(order), order)
 	}
-	if len(e.q) == 0 && s.QueueLen() == 0 && s.InService() == 0 {
+	if pending(e) == 0 && s.QueueLen() == 0 && s.InService() == 0 {
 		t.Fatal("Stop drained all pending work; it must leave the queue intact")
 	}
 
@@ -108,8 +108,8 @@ func TestStopLeavesQueueAndPoolsIntact(t *testing.T) {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
-	if len(e.q) != 0 || s.QueueLen() != 0 {
-		t.Fatalf("work left behind: %d events, %d queued jobs", len(e.q), s.QueueLen())
+	if pending(e) != 0 || s.QueueLen() != 0 {
+		t.Fatalf("work left behind: %d events, %d queued jobs", pending(e), s.QueueLen())
 	}
 }
 

@@ -74,8 +74,8 @@ func TestEngineRunUntil(t *testing.T) {
 	if ran != 2 {
 		t.Fatalf("ran = %d, want 2", ran)
 	}
-	if len(e.q) != 1 {
-		t.Fatalf("pending = %d, want 1", len(e.q))
+	if n := pending(e); n != 1 {
+		t.Fatalf("pending = %d, want 1", n)
 	}
 	if e.Now() != 20 {
 		t.Fatalf("Now = %v, want 20", e.Now())

@@ -106,22 +106,13 @@ func (s *Server) SubmitCall(service Time, fn EventFunc, a, b any) {
 		return
 	}
 	if s.qlen == len(s.queue) {
-		s.grow()
+		s.queue, s.head = growRing(s.queue, s.head, 8), 0
 	}
 	s.queue[(s.head+s.qlen)&(len(s.queue)-1)] = j
 	s.qlen++
 	if s.qlen > s.MaxQueue {
 		s.MaxQueue = s.qlen
 	}
-}
-
-// grow doubles the ring, unrolling the waiting jobs from head so the
-// new ring starts at slot 0.
-func (s *Server) grow() {
-	q := make([]*job, max(8, 2*len(s.queue)))
-	n := copy(q, s.queue[s.head:])
-	copy(q[n:], s.queue[:s.head])
-	s.queue, s.head = q, 0
 }
 
 func (s *Server) getJob() *job {

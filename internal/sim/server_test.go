@@ -347,7 +347,7 @@ func TestServerDifferentialAgainstShift(t *testing.T) {
 			for { // a callback may stop a drain short
 				got.eng.Run()
 				want.eng.Run()
-				if len(got.eng.q) == 0 && len(want.eng.q) == 0 {
+				if pending(got.eng) == 0 && pending(want.eng) == 0 {
 					break
 				}
 			}
