@@ -28,12 +28,14 @@ type Wheel struct {
 	Ticks uint64
 	Fired uint64
 
-	// Intrusive per-id links: next[id] chains ids within a slot (-1
-	// ends a list), when[id] is the low 16 bits of the deadline tick,
-	// needed to re-slot entries on cascade. Sixteen bits suffice: a
-	// level-1 or level-2 entry is cascaded at the tick c whose upper
-	// bits equal its deadline's, so the deadline is c plus the low bits'
-	// distance from c's; a level-0 entry never reads its deadline.
+	// Intrusive per-id links, each holding an id plus one so that zero
+	// means none and an empty wheel is its zero value: next[id] chains
+	// ids within a slot, head and tail end each slot's list. when[id] is
+	// the low 16 bits of the deadline tick, needed to re-slot entries on
+	// cascade. Sixteen bits suffice: a level-1 or level-2 entry is
+	// cascaded at the tick c whose upper bits equal its deadline's, so
+	// the deadline is c plus the low bits' distance from c's; a level-0
+	// entry never reads its deadline.
 	next []int32
 	when []uint16
 
@@ -61,19 +63,7 @@ func NewWheel(eng *Engine, tick Time, n int, fire func(id int32)) *Wheel {
 	if n < 0 {
 		panic("sim: negative wheel population")
 	}
-	w := &Wheel{eng: eng, tick: tick, fire: fire}
-	w.next = make([]int32, n)
-	w.when = make([]uint16, n)
-	for i := range w.next {
-		w.next[i] = -1
-	}
-	for l := 0; l < wheelLevels; l++ {
-		for s := 0; s < wheelSlots; s++ {
-			w.head[l][s] = -1
-			w.tail[l][s] = -1
-		}
-	}
-	return w
+	return &Wheel{eng: eng, tick: tick, fire: fire, next: make([]int32, n), when: make([]uint16, n)}
 }
 
 // Start anchors tick 0 at the current engine time and schedules the
@@ -97,15 +87,8 @@ func (w *Wheel) Stop() { w.stopped = true }
 // Reset the wheel and re-arm every client from its own RNG stream, so
 // the post-resume arrival process is identical in both.
 func (w *Wheel) Reset() {
-	for i := range w.next {
-		w.next[i] = -1
-	}
-	for l := 0; l < wheelLevels; l++ {
-		for s := 0; s < wheelSlots; s++ {
-			w.head[l][s] = -1
-			w.tail[l][s] = -1
-		}
-	}
+	clear(w.next)
+	w.head, w.tail = [wheelLevels][wheelSlots]int32{}, [wheelLevels][wheelSlots]int32{}
 	w.cur = 0
 	w.stopped = true
 }
@@ -148,13 +131,13 @@ func (w *Wheel) insert(id int32, t uint32) {
 		lvl = 2
 	}
 	slot := (t >> (lvl * wheelBits)) & wheelMask
-	w.next[id] = -1
-	if w.tail[lvl][slot] < 0 {
-		w.head[lvl][slot] = id
+	w.next[id] = 0
+	if last := w.tail[lvl][slot]; last == 0 {
+		w.head[lvl][slot] = id + 1
 	} else {
-		w.next[w.tail[lvl][slot]] = id
+		w.next[last-1] = id + 1
 	}
-	w.tail[lvl][slot] = id
+	w.tail[lvl][slot] = id + 1
 }
 
 // wheelTick is the recurring tick dispatcher: the wheel itself rides in
@@ -178,15 +161,15 @@ func (w *Wheel) advance() {
 		}
 	}
 	slot := c & wheelMask
-	id := w.head[0][slot]
-	w.head[0][slot] = -1
-	w.tail[0][slot] = -1
-	for id >= 0 {
-		nx := w.next[id]
-		w.next[id] = -1
+	link := w.head[0][slot]
+	w.head[0][slot] = 0
+	w.tail[0][slot] = 0
+	for link != 0 {
+		id := link - 1
+		link = w.next[id]
+		w.next[id] = 0
 		w.Fired++
 		w.fire(id)
-		id = nx
 	}
 	if !w.stopped {
 		w.eng.AfterCall(w.tick, wheelTick, w, nil)
@@ -200,12 +183,12 @@ func (w *Wheel) advance() {
 // past the current tick, so its low 16 bits recover it.
 func (w *Wheel) cascade(lvl uint, slot uint32) {
 	c := w.cur
-	id := w.head[lvl][slot]
-	w.head[lvl][slot] = -1
-	w.tail[lvl][slot] = -1
-	for id >= 0 {
-		nx := w.next[id]
+	link := w.head[lvl][slot]
+	w.head[lvl][slot] = 0
+	w.tail[lvl][slot] = 0
+	for link != 0 {
+		id := link - 1
+		link = w.next[id]
 		w.insert(id, c+uint32(w.when[id]-uint16(c)))
-		id = nx
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -17,7 +18,7 @@ func (w *Wheel) Pending() int {
 	n := 0
 	for l := 0; l < wheelLevels; l++ {
 		for s := 0; s < wheelSlots; s++ {
-			for id := w.head[l][s]; id >= 0; id = w.next[id] {
+			for link := w.head[l][s]; link != 0; link = w.next[link-1] {
 				n++
 			}
 		}
@@ -223,6 +224,44 @@ func TestWheelRescheduleFromFire(t *testing.T) {
 	}
 }
 
+// TestWheelEmptyIsZero: a fresh wheel, and one Reset after timers in
+// every level, hold nothing but zeros in their links, so neither has to
+// fill them; the reset wheel then fires a new schedule as a fresh one.
+func TestWheelEmptyIsZero(t *testing.T) {
+	allZero := func(w *Wheel) bool {
+		return !slices.ContainsFunc(w.next, func(l int32) bool { return l != 0 }) &&
+			w.head == [wheelLevels][wheelSlots]int32{} && w.tail == [wheelLevels][wheelSlots]int32{}
+	}
+	eng := NewEngine()
+	rec := &wheelRec{eng: eng}
+	w := NewWheel(eng, Millisecond, 64, rec.fire)
+	if !allZero(w) {
+		t.Fatal("a fresh wheel has non-zero links")
+	}
+	w.Start()
+	for i := int32(0); i < 64; i++ {
+		w.Schedule(i, Time(1+int(i)*2111%70000)*Millisecond)
+	}
+	eng.RunUntil(300 * Millisecond)
+	if w.Pending() == 0 || w.Fired == 0 {
+		t.Fatalf("pending %d, fired %d: the schedule should straddle the reset", w.Pending(), w.Fired)
+	}
+	w.Reset()
+	if !allZero(w) || w.Pending() != 0 {
+		t.Fatal("a reset wheel has non-zero links")
+	}
+	eng.Run() // drain the stopped wheel's last tick event
+	fired := len(rec.ids)
+	w.Start()
+	for i := int32(0); i < 4; i++ {
+		w.Schedule(3-i, 5*Millisecond)
+	}
+	eng.RunUntil(eng.Now() + 10*Millisecond)
+	if got := rec.ids[fired:]; !slices.Equal(got, []int32{3, 2, 1, 0}) {
+		t.Fatalf("after Reset the wheel fired %v, want [3 2 1 0]", got)
+	}
+}
+
 // wheelPin is the zero-alloc receiver: each firing reschedules itself,
 // so steady state exercises Schedule + cascade + dispatch.
 type wheelPin struct {
@@ -280,16 +319,7 @@ type refWheel struct {
 }
 
 func newRefWheel(eng *Engine, tick Time, n int, fire func(id int32)) *refWheel {
-	w := &refWheel{eng: eng, tick: tick, fire: fire, next: make([]int32, n), when: make([]uint32, n)}
-	for i := range w.next {
-		w.next[i] = -1
-	}
-	for l := range w.head {
-		for s := range w.head[l] {
-			w.head[l][s], w.tail[l][s] = -1, -1
-		}
-	}
-	return w
+	return &refWheel{eng: eng, tick: tick, fire: fire, next: make([]int32, n), when: make([]uint32, n)}
 }
 
 func (w *refWheel) Start() {
@@ -321,13 +351,13 @@ func (w *refWheel) insert(id int32, t uint32) {
 		lvl = 3
 	}
 	slot := (t >> (lvl * wheelBits)) & wheelMask
-	w.next[id] = -1
-	if w.tail[lvl][slot] < 0 {
-		w.head[lvl][slot] = id
+	w.next[id] = 0
+	if last := w.tail[lvl][slot]; last == 0 {
+		w.head[lvl][slot] = id + 1
 	} else {
-		w.next[w.tail[lvl][slot]] = id
+		w.next[last-1] = id + 1
 	}
-	w.tail[lvl][slot] = id
+	w.tail[lvl][slot] = id + 1
 }
 
 func refWheelTick(a, _ any) { a.(*refWheel).advance() }
@@ -345,24 +375,24 @@ func (w *refWheel) advance() {
 		}
 	}
 	slot := c & wheelMask
-	id := w.head[0][slot]
-	w.head[0][slot], w.tail[0][slot] = -1, -1
-	for id >= 0 {
-		nx := w.next[id]
-		w.next[id] = -1
+	link := w.head[0][slot]
+	w.head[0][slot], w.tail[0][slot] = 0, 0
+	for link != 0 {
+		id := link - 1
+		link = w.next[id]
+		w.next[id] = 0
 		w.fire(id)
-		id = nx
 	}
 	w.eng.AfterCall(w.tick, refWheelTick, w, nil)
 }
 
 func (w *refWheel) cascade(lvl uint, slot uint32) {
-	id := w.head[lvl][slot]
-	w.head[lvl][slot], w.tail[lvl][slot] = -1, -1
-	for id >= 0 {
-		nx := w.next[id]
+	link := w.head[lvl][slot]
+	w.head[lvl][slot], w.tail[lvl][slot] = 0, 0
+	for link != 0 {
+		id := link - 1
+		link = w.next[id]
 		w.insert(id, w.when[id])
-		id = nx
 	}
 }
 

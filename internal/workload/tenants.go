@@ -57,11 +57,16 @@ type Tenants struct {
 	cfg       TenantConfig
 	clientOff []int32 // prefix sums of clients per tenant, len T+1
 
-	// Working-set slabs, all tenants concatenated; tenant t owns
-	// files[fileOff[t]:fileOff[t+1]] (ditto dirs). The files slab may
-	// include directories — Stat/Chmod on a directory is a valid op.
-	files   []*namespace.Inode
-	dirs    []*namespace.Inode
+	// The files and directories some working set holds, each once: the
+	// only pointer slabs. The files pool may include directories —
+	// Stat/Chmod on a directory is a valid op.
+	poolF, poolD []*namespace.Inode
+
+	// Working-set slabs of indices into the pools, all tenants
+	// concatenated; tenant t owns files[fileOff[t]:fileOff[t+1]] (ditto
+	// dirs), hottest first.
+	files   []int32
+	dirs    []int32
 	fileOff []int32
 	dirOff  []int32
 
@@ -123,8 +128,8 @@ func (t *Tenants) TenantFrom(tn, client int) int {
 // FootprintBytes returns the slab bytes (8 per pointer/float, 4 per
 // int32), for the population's memory accounting.
 func (t *Tenants) FootprintBytes() int64 {
-	ptrs := len(t.files) + len(t.dirs)
-	i32 := len(t.alias) + len(t.tabOff) + len(t.fileOff) + len(t.dirOff) + len(t.clientOff)
+	ptrs := len(t.poolF) + len(t.poolD)
+	i32 := len(t.files) + len(t.dirs) + len(t.alias) + len(t.tabOff) + len(t.fileOff) + len(t.dirOff) + len(t.clientOff)
 	return int64(ptrs+len(t.prob))*8 + int64(i32)*4
 }
 
@@ -132,11 +137,11 @@ func (t *Tenants) FootprintBytes() int64 {
 // and directories, all tenants). The endurance plane uses it to keep
 // its base-churn unlink victims disjoint from the working sets.
 func (t *Tenants) ForEachTarget(fn func(*namespace.Inode)) {
-	for _, n := range t.files {
-		fn(n)
+	for _, k := range t.files {
+		fn(t.poolF[k])
 	}
-	for _, n := range t.dirs {
-		fn(n)
+	for _, k := range t.dirs {
+		fn(t.poolD[k])
 	}
 }
 
@@ -168,13 +173,13 @@ func (t *Tenants) buildAliasTables() {
 // u1 selects the candidate column, u2 resolves the alias coin flip.
 func (t *Tenants) File(i int, u1, u2 uint64) *namespace.Inode {
 	set := t.files[t.fileOff[i]:t.fileOff[i+1]]
-	return set[t.pick(len(set), u1, u2)]
+	return t.poolF[set[t.pick(len(set), u1, u2)]]
 }
 
 // Dir draws a directory from tenant i's working set.
 func (t *Tenants) Dir(i int, u1, u2 uint64) *namespace.Inode {
 	set := t.dirs[t.dirOff[i]:t.dirOff[i+1]]
-	return set[t.pick(len(set), u1, u2)]
+	return t.poolD[set[t.pick(len(set), u1, u2)]]
 }
 
 // pick draws an index into a working set of n entries from the shared
@@ -282,19 +287,52 @@ func (t *Tenants) buildWorkingSets(homes []*namespace.Inode, seed int64) {
 	t.prob, t.alias = make([]float64, total), make([]int32, total)
 	t.buildAliasTables()
 
-	t.files = make([]*namespace.Inode, t.fileOff[n])
-	t.dirs = make([]*namespace.Inode, t.dirOff[n])
-	var scratch []*namespace.Inode
+	t.files = make([]int32, t.fileOff[n])
+	t.dirs = make([]int32, t.dirOff[n])
+	var scratch []int32
 	rng := sim.NewRNG(0)
 	for i := 0; i < n; i++ {
 		rng.Restream(seed, "tenant-"+strconv.Itoa(i))
 		h := i % nh
-		// sampleK shuffles its pool, so it gets a copy of the pristine list.
-		scratch = append(scratch[:0], poolF[offF[h]:offF[h+1]]...)
+		// sampleK shuffles its pool, so it gets the pristine index range.
+		scratch = indexRange(scratch, offF[h], offF[h+1])
 		sampleK(scratch, t.files[t.fileOff[i]:t.fileOff[i+1]], rng)
-		scratch = append(scratch[:0], poolD[offD[h]:offD[h+1]]...)
+		scratch = indexRange(scratch, offD[h], offD[h+1])
 		sampleK(scratch, t.dirs[t.dirOff[i]:t.dirOff[i+1]], rng)
 	}
+	t.poolF = keepReferenced(poolF, t.files)
+	t.poolD = keepReferenced(poolD, t.dirs)
+}
+
+// keepReferenced returns the entries of pool that idx refers to, in
+// first-reference order, and renumbers idx to match: a home subtree
+// larger than its tenants' working sets keeps only what they sample.
+func keepReferenced(pool []*namespace.Inode, idx []int32) []*namespace.Inode {
+	renum := make([]int32, len(pool)) // new index + 1; 0: not kept
+	var n int32
+	for j, k := range idx {
+		if renum[k] == 0 {
+			n++
+			renum[k] = n
+		}
+		idx[j] = renum[k] - 1
+	}
+	kept := make([]*namespace.Inode, n)
+	for k, r := range renum {
+		if r != 0 {
+			kept[r-1] = pool[k]
+		}
+	}
+	return kept
+}
+
+// indexRange refills buf with lo, lo+1, …, hi-1.
+func indexRange(buf []int32, lo, hi int) []int32 {
+	buf = buf[:0]
+	for k := lo; k < hi; k++ {
+		buf = append(buf, int32(k))
+	}
+	return buf
 }
 
 // collectSubtree gathers the files and directories beneath root
@@ -310,10 +348,10 @@ func collectSubtree(root *namespace.Inode, files, dirs []*namespace.Inode) ([]*n
 	return files, dirs
 }
 
-// sampleK fills out with len(out) <= len(pool) distinct nodes by partial
-// Fisher–Yates, shuffling pool in place. The output order is the
+// sampleK fills out with len(out) <= len(pool) distinct entries by
+// partial Fisher–Yates, shuffling pool in place. The output order is the
 // popularity ranking (index 0 = hottest).
-func sampleK(pool, out []*namespace.Inode, rng *sim.RNG) {
+func sampleK(pool, out []int32, rng *sim.RNG) {
 	for i := range out {
 		j := i + rng.Pick(len(pool)-i)
 		pool[i], pool[j] = pool[j], pool[i]

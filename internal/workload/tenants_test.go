@@ -28,6 +28,18 @@ func (t *Tenants) WorkingSetSize(i int) int {
 	return int(t.fileOff[i+1] - t.fileOff[i])
 }
 
+// workingSet resolves tenant i's working sets from pool indices to
+// inodes, hottest first.
+func (t *Tenants) workingSet(i int) (files, dirs []*namespace.Inode) {
+	for _, k := range t.files[t.fileOff[i]:t.fileOff[i+1]] {
+		files = append(files, t.poolF[k])
+	}
+	for _, k := range t.dirs[t.dirOff[i]:t.dirOff[i+1]] {
+		dirs = append(dirs, t.poolD[k])
+	}
+	return files, dirs
+}
+
 func tenantTree(t *testing.T, h int) (*namespace.Tree, []*namespace.Inode) {
 	t.Helper()
 	tr := emptyTree()
@@ -150,7 +162,7 @@ func TestTenantsDrawDistribution(t *testing.T) {
 	if ws < 2 {
 		t.Fatalf("working set = %d", ws)
 	}
-	hot := tn.files[0]
+	hot := tn.poolF[tn.files[0]]
 	counts := map[*namespace.Inode]int{}
 	// Deterministic pseudo-uniform words via splitmix-ish mixing.
 	x := uint64(0x9E3779B97F4A7C15)
@@ -199,11 +211,12 @@ func TestTenantsWorkingSetBounded(t *testing.T) {
 		}
 		// Entries are distinct.
 		seen := map[*namespace.Inode]bool{}
-		for j := int(tn.fileOff[i]); j < int(tn.fileOff[i+1]); j++ {
-			if seen[tn.files[j]] {
+		files, _ := tn.workingSet(i)
+		for _, f := range files {
+			if seen[f] {
 				t.Fatalf("tenant %d working set has duplicates", i)
 			}
-			seen[tn.files[j]] = true
+			seen[f] = true
 		}
 	}
 }
@@ -273,7 +286,7 @@ func TestSharedAliasTablesMatchPerTenant(t *testing.T) {
 	refs := make([]ref, tenants)
 	sample := func(pool []*namespace.Inode, k int, rng *sim.RNG) []*namespace.Inode {
 		out := make([]*namespace.Inode, min(k, len(pool)))
-		sampleK(pool, out, rng)
+		sampleKPointers(pool, out, rng)
 		return out
 	}
 	for i := range refs {
@@ -282,10 +295,11 @@ func TestSharedAliasTablesMatchPerTenant(t *testing.T) {
 		r := &refs[i]
 		r.files = sample(poolF, cfg.WorkingSet, rng)
 		r.dirs = sample(poolD, cfg.WorkingSet/8, rng)
-		if got := tn.files[tn.fileOff[i]:tn.fileOff[i+1]]; !slices.Equal(got, r.files) {
+		files, dirs := tn.workingSet(i)
+		if !slices.Equal(files, r.files) {
 			t.Fatalf("tenant %d: file working set differs from a per-tenant walk and sample", i)
 		}
-		if got := tn.dirs[tn.dirOff[i]:tn.dirOff[i+1]]; !slices.Equal(got, r.dirs) {
+		if !slices.Equal(dirs, r.dirs) {
 			t.Fatalf("tenant %d: directory working set differs from a per-tenant walk and sample", i)
 		}
 		r.fProb, r.fAlias = make([]float64, len(r.files)), make([]int32, len(r.files))
@@ -312,6 +326,98 @@ func TestSharedAliasTablesMatchPerTenant(t *testing.T) {
 	check(cfg.FileSkew)
 	tn.SetFileSkew(1.7)
 	check(1.7)
+}
+
+// sampleKPointers is the sampler working sets were built with before
+// they became pool indices: a partial Fisher–Yates over a copy of the
+// inode pointers themselves.
+func sampleKPointers(pool, out []*namespace.Inode, rng *sim.RNG) {
+	for i := range out {
+		j := i + rng.Pick(len(pool)-i)
+		pool[i], pool[j] = pool[j], pool[i]
+		out[i] = pool[i]
+	}
+}
+
+// pointerWorkingSets rebuilds tn's working sets as the pointer sampler
+// did: each home's subtree collected once, each tenant shuffling a copy
+// of its home's pointers with its own stream.
+func pointerWorkingSets(tn *Tenants, homes []*namespace.Inode, seed int64) (files, dirs [][]*namespace.Inode) {
+	n := tn.NumTenants()
+	nh := min(n, len(homes))
+	poolF, poolD := make([][]*namespace.Inode, nh), make([][]*namespace.Inode, nh)
+	for h := range poolF {
+		poolF[h], poolD[h] = collectSubtree(homes[h], nil, nil)
+		if len(poolF[h]) == 0 {
+			poolF[h] = []*namespace.Inode{homes[h]}
+		}
+		if len(poolD[h]) == 0 {
+			poolD[h] = []*namespace.Inode{homes[h]}
+		}
+	}
+	ws := tn.cfg.WorkingSet
+	for i := 0; i < n; i++ {
+		rng := sim.NewStream(seed, "tenant-"+strconv.Itoa(i))
+		pf, pd := slices.Clone(poolF[i%nh]), slices.Clone(poolD[i%nh])
+		f, d := make([]*namespace.Inode, min(ws, len(pf))), make([]*namespace.Inode, min(max(1, ws/8), len(pd)))
+		sampleKPointers(pf, f, rng)
+		sampleKPointers(pd, d, rng)
+		files, dirs = append(files, f), append(dirs, d)
+	}
+	return files, dirs
+}
+
+// TestTenantsMatchPointerSampler holds the index working sets to the
+// pointer sampler they replaced: the same inodes per tenant, the same
+// File and Dir draws before and after a skew change, and the same
+// ForEachTarget order.
+func TestTenantsMatchPointerSampler(t *testing.T) {
+	for _, tc := range []struct {
+		clients int
+		skew    float64
+		seed    int64
+		homes   []*namespace.Inode
+	}{
+		{300, 0.8, 7, unevenHomes(t, 4)},
+		{5000, 1.2, 3, unevenHomes(t, 9)},
+		{20000, 0, 11, unevenHomes(t, 5)},
+		{40, 1.5, 1, func() []*namespace.Inode { _, h := tenantTree(t, 3); return h }()},
+	} {
+		cfg := TenantConfig{TenantSkew: 1, FileSkew: tc.skew, WorkingSet: 12}
+		tn := NewTenants(cfg, tc.clients, tc.homes, tc.seed)
+		files, dirs := pointerWorkingSets(tn, tc.homes, tc.seed)
+		var want []*namespace.Inode
+		for i := range files {
+			f, d := tn.workingSet(i)
+			if !slices.Equal(f, files[i]) || !slices.Equal(d, dirs[i]) {
+				t.Fatalf("clients %d seed %d: tenant %d's working sets differ from the pointer sampler's", tc.clients, tc.seed, i)
+			}
+			want = append(want, files[i]...)
+		}
+		for _, d := range dirs {
+			want = append(want, d...)
+		}
+		var got []*namespace.Inode
+		tn.ForEachTarget(func(n *namespace.Inode) { got = append(got, n) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("clients %d seed %d: ForEachTarget visits %d targets, not the pointer sampler's %d in order", tc.clients, tc.seed, len(got), len(want))
+		}
+		draws := func() {
+			rng := sim.NewStream(tc.seed, "draws")
+			for n := 0; n < 5000; n++ {
+				i, u1, u2 := rng.Pick(len(files)), rng.Uint64(), rng.Uint64()
+				if want := files[i][tn.pick(len(files[i]), u1, u2)]; tn.File(i, u1, u2) != want {
+					t.Fatalf("clients %d seed %d skew %v: File(%d, …) differs from the pointer sampler's", tc.clients, tc.seed, tn.cfg.FileSkew, i)
+				}
+				if want := dirs[i][tn.pick(len(dirs[i]), u1, u2)]; tn.Dir(i, u1, u2) != want {
+					t.Fatalf("clients %d seed %d skew %v: Dir(%d, …) differs from the pointer sampler's", tc.clients, tc.seed, tn.cfg.FileSkew, i)
+				}
+			}
+		}
+		draws()
+		tn.SetFileSkew(tc.skew + 0.9)
+		draws()
+	}
 }
 
 // TestClientTenantMatchesSortSearch checks the hand-rolled binary search

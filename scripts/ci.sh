@@ -35,7 +35,7 @@ budget() {
     fi
 }
 budget README.md $((24 * 1024))
-budget DESIGN.md 61400
+budget DESIGN.md 61350
 
 # -race on the small CI box is ~6x slower than native; give packages
 # headroom past go test's 10m default so a busy host doesn't flake. The
@@ -48,8 +48,9 @@ go test -race -timeout 30m ./...
 # Native fuzz targets, a fixed 15 s each: a checkpoint file, a fault
 # schedule and a plan are outside input, and whatever their bytes the
 # code that reads them returns an error or a value that round-trips — no
-# panic, no hang; and whatever program schedules and runs events, the
-# engine dispatches them in the order a sorted-slice reference does. A
+# panic, no hang; whatever program schedules and runs events, the
+# engine dispatches them in the order a sorted-slice reference does; and
+# whatever the seed, sim.RNG draws what math/rand seeded with it does. A
 # finding is written under the package's testdata/fuzz/ and fails the
 # step (and, left behind, the unchanged-tree check below); a clean run
 # writes only to the go build cache. A
@@ -59,6 +60,7 @@ go test -run '^$' -fuzz '^FuzzRestoreCheckpoint$' -fuzztime 15s -fuzzminimizetim
 go test -run '^$' -fuzz '^FuzzParseSchedule$' -fuzztime 15s ./internal/fault
 go test -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime 15s ./internal/plan
 go test -run '^$' -fuzz '^FuzzEngineOrder$' -fuzztime 15s ./internal/sim
+go test -run '^$' -fuzz '^FuzzRNGMatchesMathRand$' -fuzztime 15s ./internal/sim
 
 # Allocation pins once more without the race detector: its runtime skews
 # testing.AllocsPerRun and malloc counts, so a pin that has to skip or
