@@ -16,11 +16,10 @@ import (
 // gate violations exit 1.
 func runEndure(c *invocation, cfg cluster.Config) int {
 	opt := endure.Options{
-		Cluster:   cfg,
-		Every:     sim.FromSeconds(c.every),
-		Dir:       c.dir,
-		CompactAt: c.compactAt,
-		OnRow:     func(r endure.Row) { printEndureRow(c.stdout, r) },
+		Cluster: cfg,
+		Every:   sim.FromSeconds(c.every),
+		Dir:     c.dir,
+		OnRow:   func(r endure.Row) { printEndureRow(c.stdout, r) },
 	}
 	// Fail-fast validation: option errors, and — for -restore — snapshot
 	// version, config-hash, and shard-count mismatches are all usage
@@ -98,9 +97,9 @@ func runSoak(c *invocation, opt endure.Options, start time.Time) int {
 
 // printEndureRow is the per-checkpoint progress line.
 func printEndureRow(w io.Writer, r endure.Row) {
-	line := fmt.Sprintf("ck %2d t=%6.1fs: %8.0f ops/s, %6d tombstones (%.4f), lazy-miss %.4f, live %7d, compacted=%v",
+	line := fmt.Sprintf("ck %2d t=%6.1fs: %8.0f ops/s, %6d tombstones (%.4f), lazy-miss %.4f, live %7d",
 		r.Index, r.At.Seconds(), r.OpsPerSec, r.Tombstones, r.TombstoneDensity,
-		r.LazyMissRate, r.LiveInodes, r.Compacted)
+		r.LazyMissRate, r.LiveInodes)
 	if r.Path != "" {
 		line += " -> " + r.Path
 	}

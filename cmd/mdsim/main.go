@@ -57,7 +57,6 @@ type invocation struct {
 	chaosIntensity float64
 	every          float64
 	dir, restore   string
-	compactAt      int
 	soakCycles     int
 }
 
@@ -107,7 +106,6 @@ func parseArgs(args []string, stdout, stderr io.Writer) (c *invocation, code int
 	fs.Float64Var(&c.every, "checkpoint-every", 0, "run the default plan, made open loop with -set rate=R, on the endurance plane: churn the namespace over the full duration, quiescing and checkpointing at this cadence in simulated seconds (must exceed the quiesce drain)")
 	fs.StringVar(&c.dir, "checkpoint-dir", "", "endurance: write checkpoint snapshots into this directory")
 	fs.StringVar(&c.restore, "restore", "", "endurance: resume from this checkpoint snapshot instead of starting at t=0")
-	fs.IntVar(&c.compactAt, "compact-at", 0, "endurance: tombstone count that triggers overlay compaction (0 = default, negative = never compact)")
 	fs.IntVar(&c.soakCycles, "soak-cycles", 0, "endurance: the rolling chaos soak — this many crash/recover cycles over the run, simfsck at every checkpoint")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -130,8 +128,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	// and whether each override lands on it — before any simulation work
 	// starts; job is what is left to do.
 	endurance := c.every != 0 || c.soakCycles > 0
-	if !endurance && (c.dir != "" || c.restore != "" || c.compactAt != 0) {
-		return c.usage("-checkpoint-dir/-restore/-compact-at need -checkpoint-every")
+	if !endurance && (c.dir != "" || c.restore != "") {
+		return c.usage("-checkpoint-dir/-restore need -checkpoint-every")
 	}
 	var job func() int
 	switch {

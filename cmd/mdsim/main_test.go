@@ -127,7 +127,7 @@ func TestFlagSurface(t *testing.T) {
 	var got []string
 	c.flags.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{
-		"chaos-intensity", "chaos-runs", "checkpoint-dir", "checkpoint-every", "compact-at",
+		"chaos-intensity", "chaos-runs", "checkpoint-dir", "checkpoint-every",
 		"cpuprofile", "list", "memprofile", "plan", "quick", "restore", "seed", "set",
 		"soak-cycles", "workers",
 	}

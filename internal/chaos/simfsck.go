@@ -116,10 +116,8 @@ func checkAging(cl *cluster.Cluster, base Baseline, fail func(string, ...any)) {
 		fail("aging: MaxID %d regressed below the checkpoint watermark %d (restore lost allocations)",
 			tree.MaxID(), base.PriorMaxID)
 	}
-	want := tree.BaseDeletes - tree.Resurrected
-	if got := uint64(tree.TombstoneCount()); got != want {
-		fail("aging: %d tombstones, accounting says %d deletes - %d resurrections = %d",
-			got, tree.BaseDeletes, tree.Resurrected, want)
+	if got := uint64(tree.TombstoneCount()); got != tree.BaseDeletes {
+		fail("aging: %d tombstones, %d base deletes", got, tree.BaseDeletes)
 	}
 	bad := 0
 	tree.ForEachTombstone(func(id namespace.InodeID) {

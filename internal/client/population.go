@@ -270,12 +270,8 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// gamma is splitmix64's increment; gammaInv is its inverse mod 2^64, which
-// turns a state back into a draw count (snapshot reading).
-const (
-	gamma    = 0x9E3779B97F4A7C15
-	gammaInv = 0xF1DE83E19937733D
-)
+// gamma is splitmix64's increment.
+const gamma = 0x9E3779B97F4A7C15
 
 // origin is the local client's splitmix64 state before its first draw.
 // After n draws the state is origin + n·gamma, so the slab keeps only n.

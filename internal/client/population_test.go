@@ -219,9 +219,6 @@ func TestPopulationArrivalAllocFree(t *testing.T) {
 // or through next, is the n-th output of a splitmix64 state seeded at
 // the client's origin and stepped by gamma — at one shard and at three.
 func TestPopulationDrawsAreSplitmix(t *testing.T) {
-	if g, inv := uint64(gamma), uint64(gammaInv); g*inv != 1 {
-		t.Fatalf("gamma·gammaInv = %#x, want 1", g*inv)
-	}
 	const seed, clients, draws = 9, 10, 1000
 	_, homes := popTree(t, 2)
 	tn := workload.NewTenants(workload.TenantConfig{Tenants: 2, WorkingSet: 4}, clients, homes, seed)

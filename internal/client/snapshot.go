@@ -1,8 +1,6 @@
 package client
 
 import (
-	"math"
-
 	"dynmds/internal/namespace"
 	"dynmds/internal/snap"
 )
@@ -15,8 +13,7 @@ import (
 // checkpointing run and a restored run execute the same Pause → drain →
 // Resume protocol, and Resume re-arms every client from its own RNG
 // stream — so the post-resume arrival process is a pure function of the
-// serialized draw counts, identical in both runs. A count is written as
-// the splitmix64 state it stands for, origin + n·gamma.
+// serialized draw counts, identical in both runs.
 
 // Pause stops arrivals and wheels ahead of a checkpoint. The drain
 // window that follows lets in-flight requests and retry chains retire.
@@ -71,7 +68,7 @@ func (p *Population) Snap(c *snap.Codec, tree *namespace.Tree) {
 		s.stopped = true
 		c.Same(len(s.draws), "client: shard clients")
 		for li := range s.draws {
-			s.snapDraws(c, li)
+			snap.U(c, &s.draws[li])
 		}
 		snap.U(c, &s.seq)
 		snap.I(c, &s.nameSeq)
@@ -82,29 +79,10 @@ func (p *Population) Snap(c *snap.Codec, tree *namespace.Tree) {
 		snap.U(c, &s.hotRemote)
 		snap.U(c, &s.retries)
 		snap.U(c, &s.timedOut)
-		snap.U(c, &s.wheel.Ticks)
-		snap.U(c, &s.wheel.Fired)
 		queue(&s.churn, &s.churnHead, "client: churn ring")
 		queue(&s.baseVictims, &s.baseHead, "client: base victim")
 	}
 	p.hints.snap(c)
-}
-
-// snapDraws carries one client's draw count as its RNG state. Reading,
-// a state off the client's stream — n = (state − origin)·gamma⁻¹ past
-// 32 bits — is refused.
-func (s *popShard) snapDraws(c *snap.Codec, li int) {
-	origin := s.origin(li)
-	state := origin + uint64(s.draws[li])*gamma
-	snap.U(c, &state)
-	if !c.Reading() || c.Err() != nil {
-		return
-	}
-	if n := (state - origin) * gammaInv; n > math.MaxUint32 {
-		c.Failf("client: client %d: RNG state %#x is off its stream", li*s.k+s.shard, state)
-	} else {
-		s.draws[li] = uint32(n)
-	}
 }
 
 // snap walks the table sparsely, in the dense layout's terms: the slot

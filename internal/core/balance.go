@@ -121,7 +121,7 @@ func NewBalancer(eng *sim.Engine, cfg BalancerConfig, dyn *DynamicSubtree, nodes
 // Start begins periodic balancing.
 func (b *Balancer) Start() {
 	b.ticker = sim.NewTicker(b.eng, b.cfg.Interval, b.Rebalance)
-	b.ticker.Start(0)
+	b.ticker.Start()
 }
 
 // Stop halts periodic balancing.

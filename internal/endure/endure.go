@@ -9,13 +9,6 @@
 // event sequence of the uninterrupted run from that point on — final
 // digests are bit-identical — because the quiesce/resume protocol runs
 // identically whether or not a snapshot is written.
-//
-// The aging fix: under sustained create/delete churn the overlay's
-// tombstone map grows without bound, taxing every base-ID resolution
-// with a hash probe and the GC with a full map scan. When the tombstone
-// count crosses CompactAt the runner installs the dense bitset
-// representation (namespace.CompactTombstones) — a representation-only
-// swap, so digests are unchanged, which the tests pin.
 package endure
 
 import (
@@ -31,8 +24,10 @@ import (
 	"dynmds/internal/sim"
 )
 
-// DefaultCompactAt is the tombstone count at which the runner installs
-// the compacted bitset representation.
+// DefaultCompactAt stays only for the benchmark's aging driver, whose
+// compaction call is a no-op now that the overlay's tombstones are a
+// bitset from the first unlink; ROADMAP ledger item (h) deletes it with
+// that call.
 const DefaultCompactAt = 65536
 
 // Options configures an endurance run.
@@ -48,11 +43,6 @@ type Options struct {
 	// empty disables writing (the quiesce protocol still runs, so a run
 	// with Dir set and one without are bit-identical).
 	Dir string
-	// CompactAt is the tombstone-GC threshold: when the tombstone count
-	// reaches it at a checkpoint, the overlay switches to the compacted
-	// bitset. 0 means DefaultCompactAt; negative disables the fix (to
-	// measure the unfixed degradation curve).
-	CompactAt int
 	// OnRow, when set, observes each degradation-curve row as it is
 	// produced (progress reporting).
 	OnRow func(Row)
@@ -76,9 +66,6 @@ func (o *Options) Normalize() error {
 	if o.Cluster.Duration < o.Every {
 		return fmt.Errorf("endure: duration %v shorter than the checkpoint cadence %v",
 			o.Cluster.Duration, o.Every)
-	}
-	if o.CompactAt == 0 {
-		o.CompactAt = DefaultCompactAt
 	}
 	pc := *o.Cluster.OpenLoop // never mutate the caller's config through the pointer
 	if pc.MixStat+pc.MixReaddir+pc.MixChmod+pc.MixCreate+pc.MixRename+pc.MixUnlink <= 0 {
@@ -140,8 +127,6 @@ type Row struct {
 	LazyMissRate float64
 	// LiveInodes is the namespace size at the checkpoint.
 	LiveInodes int
-	// Compacted reports whether the tombstone bitset fix is installed.
-	Compacted bool
 	// Path is the snapshot file, empty when writing is disabled.
 	Path string
 }
@@ -237,18 +222,13 @@ func (st *runState) runFrom(first int) (*Result, error) {
 }
 
 // segment runs the cluster to checkpoint k and executes the checkpoint
-// protocol: quiesce, compaction check, degradation row, simfsck,
-// snapshot write. The caller resumes (except after the final one).
+// protocol: quiesce, degradation row, simfsck, snapshot write. The
+// caller resumes (except after the final one).
 func (st *runState) segment(k int) error {
 	c, at := st.c, st.instants[k]
 	c.RunTo(at)
 	if err := c.Quiesce(); err != nil {
 		return fmt.Errorf("endure: checkpoint %d (t=%.3fs): %w", k, at.Seconds(), err)
-	}
-	tree := c.Tree()
-	if st.opt.CompactAt > 0 && !tree.TombstonesCompacted() &&
-		tree.TombstoneCount() >= st.opt.CompactAt {
-		tree.CompactTombstones()
 	}
 	st.rows = append(st.rows, st.row(k, at))
 	if err := chaos.Fsck(c, st.base); err != nil {
@@ -256,7 +236,7 @@ func (st *runState) segment(k int) error {
 	}
 	// Re-baseline the read-through counters after the checker's walk so
 	// its probes don't pollute the next segment's rate.
-	st.prevLookups, st.prevMisses = tree.LazyStats()
+	st.prevLookups, st.prevMisses = c.Tree().LazyStats()
 	if st.opt.Dir != "" {
 		path, err := st.writeSnapshot(k)
 		if err != nil {
@@ -288,7 +268,6 @@ func (st *runState) row(k int, at sim.Time) Row {
 		At:         at,
 		Tombstones: tree.TombstoneCount(),
 		LiveInodes: tree.Len(),
-		Compacted:  tree.TombstonesCompacted(),
 	}
 	if seg > 0 {
 		r.OpsPerSec = float64(completed-st.prevCompleted) / seg.Seconds()
@@ -375,12 +354,6 @@ func load(opt *Options, data []byte) (*runState, *header, error) {
 	if err := c.RestoreCheckpoint(r); err != nil {
 		return nil, nil, err
 	}
-	// Match the checkpointing run's representation so the restored
-	// segments pay the same (post-fix) lookup costs.
-	if opt.CompactAt > 0 && !c.Tree().TombstonesCompacted() &&
-		c.Tree().TombstoneCount() >= opt.CompactAt {
-		c.Tree().CompactTombstones()
-	}
 	st.prevAt = hdr.At()
 	st.prevCompleted = c.Pop.Completed()
 	st.prevLookups, st.prevMisses = c.Tree().LazyStats()
@@ -389,7 +362,7 @@ func load(opt *Options, data []byte) (*runState, *header, error) {
 
 // CurveTable renders the degradation curve as an aligned table.
 func (res *Result) CurveTable() string {
-	t := metrics.NewTable("t(s)", "ops/s", "tombstones", "density", "lazy-miss", "live", "compacted")
+	t := metrics.NewTable("t(s)", "ops/s", "tombstones", "density", "lazy-miss", "live")
 	for _, r := range res.Rows {
 		t.AddRow(
 			fmt.Sprintf("%.1f", r.At.Seconds()),
@@ -398,7 +371,6 @@ func (res *Result) CurveTable() string {
 			fmt.Sprintf("%.4f", r.TombstoneDensity),
 			fmt.Sprintf("%.4f", r.LazyMissRate),
 			r.LiveInodes,
-			fmt.Sprintf("%v", r.Compacted),
 		)
 	}
 	return t.String()

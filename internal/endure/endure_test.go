@@ -191,34 +191,6 @@ func TestRestoreBitIdentity(t *testing.T) {
 	}
 }
 
-// TestCompactTombstonesDigestInvariant pins the claim in the aging
-// layer: swapping the tombstone map for the dense bitset is purely
-// representational, so a run that compacts mid-flight is bit-identical
-// to one that never does.
-func TestCompactTombstonesDigestInvariant(t *testing.T) {
-	unfixed := testOptions(0, "")
-	unfixed.CompactAt = -1
-	a, err := Run(unfixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixed := testOptions(0, "")
-	fixed.CompactAt = 1 // any tombstone triggers compaction at the first checkpoint
-	b, err := Run(fixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Digest != b.Digest {
-		t.Fatalf("compaction changed the run:\n  off %s\n  on  %s", a.Digest, b.Digest)
-	}
-	if last := a.Rows[len(a.Rows)-1]; last.Compacted {
-		t.Error("CompactAt=-1 run still compacted")
-	}
-	if last := b.Rows[len(b.Rows)-1]; !last.Compacted {
-		t.Error("CompactAt=1 run never compacted")
-	}
-}
-
 // TestInstants pins the checkpoint cadence: multiples of every up to
 // the horizon, the horizon itself always last, and a penultimate
 // multiple inside the quiesce drain of the horizon dropped (the two
@@ -310,12 +282,13 @@ func TestValidateSnapshot(t *testing.T) {
 	}
 }
 
-// TestSnapshotVersionRejected: a file of another format version — the
-// one before this build's (version 1 carried the latency recorders this
-// format dropped) or one past it — is refused with the version message
-// before any post-version field is decoded.
+// TestSnapshotVersionRejected: a file of another format version — an
+// older one (version 1 carried latency recorders, version 2 tombstone
+// and wheel fields and RNG states this format dropped) or one past this
+// build's — is refused with the version message before any post-version
+// field is decoded.
 func TestSnapshotVersionRejected(t *testing.T) {
-	for _, version := range []int{1, SnapshotVersion + 1} {
+	for _, version := range []int{1, 2, SnapshotVersion + 1} {
 		path := filepath.Join(t.TempDir(), "other.snap")
 		data := versionOnlySnapshot(version)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -357,12 +330,9 @@ func quickOptions() Options {
 }
 
 // TestAgedDriftGate: as the namespace ages under churn, ops/sec at the
-// last checkpoint stays within 5% of the curve's peak. Compaction is
-// representational (TestCompactTombstonesDigestInvariant), so the bound
-// holds with the threshold crossed or not.
+// last checkpoint stays within 5% of the curve's peak.
 func TestAgedDriftGate(t *testing.T) {
 	opt := quickOptions()
-	opt.CompactAt = 500
 	res, err := Run(opt)
 	if err != nil {
 		t.Fatal(err)

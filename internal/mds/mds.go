@@ -498,7 +498,7 @@ func (m *MDS) SetSlow(factor float64) {
 // construction or engine Run() (drain-until-empty) would never return.
 func (m *MDS) StartFlusher() {
 	m.flusher = sim.NewTicker(m.eng, writeFlushInterval, m.flushWrites)
-	m.flusher.Start(0)
+	m.flusher.Start()
 }
 
 // StopFlusher halts the periodic write-flush ticker ahead of an

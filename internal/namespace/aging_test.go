@@ -1,7 +1,9 @@
 package namespace
 
 import (
-	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,53 +54,69 @@ func agedOverlay(t *testing.T) (*Tree, *Frozen, []InodeID) {
 	return ov, f, dead
 }
 
-// TestCompactTombstonesRepresentation: the map→bitset swap preserves
-// the tombstone set, membership queries, iteration order, and
-// accounting, and is idempotent.
-func TestCompactTombstonesRepresentation(t *testing.T) {
-	ov, _, dead := agedOverlay(t)
-	if ov.TombstonesCompacted() {
-		t.Fatal("fresh overlay already compacted")
-	}
-	before := ov.TombstoneCount()
-	if before != len(dead) {
-		t.Fatalf("TombstoneCount = %d, want %d", before, len(dead))
-	}
-	var mapOrder []InodeID
-	ov.ForEachTombstone(func(id InodeID) { mapOrder = append(mapOrder, id) })
-
-	if n := ov.CompactTombstones(); n != before {
-		t.Fatalf("CompactTombstones migrated %d, want %d", n, before)
-	}
-	if !ov.TombstonesCompacted() {
-		t.Fatal("bitset not installed")
-	}
-	if got := ov.TombstoneCount(); got != before {
-		t.Fatalf("count after compaction = %d, want %d", got, before)
-	}
-	var bitOrder []InodeID
-	ov.ForEachTombstone(func(id InodeID) { bitOrder = append(bitOrder, id) })
-	if len(bitOrder) != len(mapOrder) {
-		t.Fatalf("iteration sizes differ: %d vs %d", len(bitOrder), len(mapOrder))
-	}
-	for i := range bitOrder {
-		if bitOrder[i] != mapOrder[i] {
-			t.Fatalf("iteration order diverged at %d: %d vs %d", i, bitOrder[i], mapOrder[i])
+// TestTombstonesMatchReference: random creates, unlinks and renames on
+// an aged overlay leave Tombstoned, ByID, TombstoneCount and the
+// ascending ForEachTombstone agreeing with a map of destroyed base IDs
+// kept beside the tree.
+func TestTombstonesMatchReference(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		ov, f, dead := agedOverlay(t)
+		ref := make(map[InodeID]bool)
+		for _, id := range dead {
+			ref[id] = true
 		}
-		if i > 0 && bitOrder[i] <= bitOrder[i-1] {
-			t.Fatalf("bitset iteration not ascending at %d", i)
+		r := rand.New(rand.NewSource(seed))
+		for step := 0; step < 300; step++ {
+			live := walkOrder(ov)
+			var dirs []*Inode
+			for _, n := range live {
+				if n.IsDir() {
+					dirs = append(dirs, n)
+				}
+			}
+			n, dir := live[1+r.Intn(len(live)-1)], dirs[r.Intn(len(dirs))]
+			switch r.Intn(3) {
+			case 0:
+				mustCreate(t, ov, dir, fmt.Sprintf("c%d", step))
+			case 1:
+				if n.IsDir() && n.NumChildren() > 0 {
+					continue
+				}
+				if err := ov.Remove(n); err != nil {
+					t.Fatal(err)
+				}
+				if ov.IsBase(n.ID) {
+					ref[n.ID] = true
+				}
+			case 2:
+				if !n.IsDir() {
+					if err := ov.Rename(n, dir, fmt.Sprintf("r%d", step)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			var want []InodeID
+			for id := InodeID(0); id <= InodeID(len(f.nodes))+1; id++ {
+				if got := ov.Tombstoned(id); got != ref[id] {
+					t.Fatalf("seed %d step %d: Tombstoned(%d) = %v, reference %v", seed, step, id, got, ref[id])
+				}
+				if _, ok := ov.ByID(id); ov.IsBase(id) && ok == ref[id] {
+					t.Fatalf("seed %d step %d: base inode %d resolves %v, reference tombstone %v", seed, step, id, ok, ref[id])
+				}
+				if ref[id] {
+					want = append(want, id)
+				}
+			}
+			var got []InodeID
+			ov.ForEachTombstone(func(id InodeID) { got = append(got, id) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: ForEachTombstone %v, reference %v", seed, step, got, want)
+			}
+			if ov.TombstoneCount() != len(ref) || ov.BaseDeletes != uint64(len(ref)) {
+				t.Fatalf("seed %d step %d: %d tombstones, %d base deletes, reference %d",
+					seed, step, ov.TombstoneCount(), ov.BaseDeletes, len(ref))
+			}
 		}
-	}
-	for _, id := range dead {
-		if !ov.Tombstoned(id) {
-			t.Fatalf("inode %d lost its tombstone across compaction", id)
-		}
-		if _, ok := ov.ByID(id); ok {
-			t.Fatalf("tombstoned inode %d resolves after compaction", id)
-		}
-	}
-	if n := ov.CompactTombstones(); n != 0 {
-		t.Fatalf("second compaction migrated %d, want 0", n)
 	}
 }
 
@@ -106,54 +124,45 @@ func TestCompactTombstonesRepresentation(t *testing.T) {
 // it onto a pristine overlay of the same base: shape, tombstones,
 // accounting, ID watermark, and read-through counters must all match.
 func TestOverlaySnapshotRoundTrip(t *testing.T) {
-	for _, compact := range []bool{false, true} {
-		ov, f, dead := agedOverlay(t)
-		if compact {
-			ov.CompactTombstones()
-		}
-		// Touch the lazy-index counters so the round trip covers them.
-		if _, err := ov.Lookup("/d0"); err != nil {
-			t.Fatal(err)
-		}
+	ov, f, dead := agedOverlay(t)
+	// Touch the lazy-index counters so the round trip covers them.
+	if _, err := ov.Lookup("/d0"); err != nil {
+		t.Fatal(err)
+	}
 
-		w := snap.NewWriter()
-		snap.Encoder(w).Section("tree", ov.Snap)
-		r, err := snap.NewReader(w.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, dec := NewOverlay(f), snap.Decoder(r)
-		if dec.Section("tree", got.Snap); dec.Err() != nil {
-			t.Fatalf("compact=%v: %v", compact, dec.Err())
-		}
+	w := snap.NewWriter()
+	snap.Encoder(w).Section("tree", ov.Snap)
+	r, err := snap.NewReader(w.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, dec := NewOverlay(f), snap.Decoder(r)
+	if dec.Section("tree", got.Snap); dec.Err() != nil {
+		t.Fatal(dec.Err())
+	}
 
-		requireSameShape(t, ov, got)
-		if got.MaxID() != ov.MaxID() {
-			t.Errorf("MaxID = %d, want %d", got.MaxID(), ov.MaxID())
+	requireSameShape(t, ov, got)
+	if got.MaxID() != ov.MaxID() {
+		t.Errorf("MaxID = %d, want %d", got.MaxID(), ov.MaxID())
+	}
+	if got.TombstoneCount() != ov.TombstoneCount() {
+		t.Errorf("tombstones = %d, want %d", got.TombstoneCount(), ov.TombstoneCount())
+	}
+	if got.BaseDeletes != ov.BaseDeletes {
+		t.Errorf("base deletes %d, want %d", got.BaseDeletes, ov.BaseDeletes)
+	}
+	for _, id := range dead {
+		if !got.Tombstoned(id) {
+			t.Errorf("restored overlay lost tombstone %d", id)
 		}
-		if got.TombstoneCount() != ov.TombstoneCount() {
-			t.Errorf("tombstones = %d, want %d", got.TombstoneCount(), ov.TombstoneCount())
-		}
-		if got.TombstonesCompacted() != compact {
-			t.Errorf("compacted = %v, want %v", got.TombstonesCompacted(), compact)
-		}
-		if got.BaseDeletes != ov.BaseDeletes || got.Resurrected != ov.Resurrected {
-			t.Errorf("accounting %d/%d, want %d/%d",
-				got.BaseDeletes, got.Resurrected, ov.BaseDeletes, ov.Resurrected)
-		}
-		for _, id := range dead {
-			if !got.Tombstoned(id) {
-				t.Errorf("restored overlay lost tombstone %d", id)
-			}
-		}
-		gl, gm := got.LazyStats()
-		wl, wm := ov.LazyStats()
-		if gl != wl || gm != wm {
-			t.Errorf("lazy stats %d/%d, want %d/%d", gl, gm, wl, wm)
-		}
-		if err := got.CheckInvariants(); err != nil {
-			t.Errorf("restored overlay invariants: %v", err)
-		}
+	}
+	gl, gm := got.LazyStats()
+	wl, wm := ov.LazyStats()
+	if gl != wl || gm != wm {
+		t.Errorf("lazy stats %d/%d, want %d/%d", gl, gm, wl, wm)
+	}
+	if err := got.CheckInvariants(); err != nil {
+		t.Errorf("restored overlay invariants: %v", err)
 	}
 }
 
@@ -177,9 +186,8 @@ func TestSnapParentMustBeDirectory(t *testing.T) {
 	}
 }
 
-// inodeRecord is an inode's delta record with the given link and
-// subtree counts.
-func inodeRecord(links, sub int) []byte {
+// inodeRecord is an inode's delta record with the given subtree count.
+func inodeRecord(sub int) []byte {
 	w := snap.NewWriter()
 	snap.Encoder(w).Section("inode", func(c *snap.Codec) {
 		var mode Mode
@@ -187,7 +195,6 @@ func inodeRecord(links, sub int) []byte {
 		name, parent := "f", InodeID(0)
 		snap.U(c, &mode)
 		snap.I(c, &size)
-		snap.I(c, &links)
 		snap.I(c, &sub)
 		c.String(&name)
 		snap.U(c, &parent)
@@ -208,33 +215,16 @@ func restoreRecord(t *testing.T, kind Kind, record []byte) (*Inode, error) {
 	return n, dec.Err()
 }
 
-// TestSnapLinkCountSlot: an inode record keeps its link-count slot and
-// writes 1 there; a restore refuses any other value, since no inode is
-// linked twice.
-func TestSnapLinkCountSlot(t *testing.T) {
-	w := snap.NewWriter()
-	n := &Inode{name: "f"}
-	snap.Encoder(w).Section("inode", func(c *snap.Codec) { n.snapFields(c) })
-	if !bytes.Equal(w.Bytes(), inodeRecord(1, 1)) {
-		t.Fatal("an inode record does not write its link count as 1")
-	}
-	for _, links := range []int{1, 0, 2} {
-		if _, err := restoreRecord(t, File, inodeRecord(links, 1)); (err == nil) != (links == 1) {
-			t.Errorf("link count %d: restore error %v", links, err)
-		}
-	}
-}
-
 // TestSnapFileSubtreeSlot: a file has no directory record to hold a
 // subtree count, so its record's slot reads 1 and a restore refuses any
 // other value; a directory takes whatever its record holds.
 func TestSnapFileSubtreeSlot(t *testing.T) {
 	for _, sub := range []int{1, 0, 2} {
-		if _, err := restoreRecord(t, File, inodeRecord(1, sub)); (err == nil) != (sub == 1) {
+		if _, err := restoreRecord(t, File, inodeRecord(sub)); (err == nil) != (sub == 1) {
 			t.Errorf("file with subtree count %d: restore error %v", sub, err)
 		}
 	}
-	if n, err := restoreRecord(t, Dir, inodeRecord(1, 7)); err != nil || n.SubtreeInodes() != 7 {
+	if n, err := restoreRecord(t, Dir, inodeRecord(7)); err != nil || n.SubtreeInodes() != 7 {
 		t.Errorf("directory with subtree count 7: restore error %v, count %d", err, n.SubtreeInodes())
 	}
 }

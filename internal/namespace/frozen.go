@@ -162,12 +162,5 @@ func (t *Tree) destroyed(id InodeID) {
 		return
 	}
 	t.BaseDeletes++
-	if t.dead != nil {
-		t.dead[id>>6] |= 1 << (id & 63)
-		return
-	}
-	if t.gone == nil {
-		t.gone = make(map[InodeID]struct{})
-	}
-	t.gone[id] = struct{}{}
+	t.bury(id)
 }

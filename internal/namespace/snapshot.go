@@ -44,11 +44,6 @@ func (t *Tree) SnapRef(c *snap.Codec, p **Inode, what string) {
 func (n *Inode) snapFields(c *snap.Codec) (parent InodeID) {
 	snap.U(c, &n.Mode)
 	snap.I(c, &n.Size)
-	links := 1 // the link count keeps its slot; no inode is linked twice
-	snap.I(c, &links)
-	if links != 1 {
-		c.Failf("namespace: inode %d has %d links, want 1", n.ID, links)
-	}
 	sub := n.SubtreeInodes()
 	snap.I(c, &sub)
 	if n.dir != nil {
@@ -100,7 +95,7 @@ func (n *Inode) expanded() bool { return n.dir != nil && n.dir.index != nil }
 // says which it is doing.
 func (t *Tree) Snap(c *snap.Codec) {
 	reading := c.Reading()
-	if reading && (len(t.byID) != 0 || t.gone != nil || t.dead != nil) {
+	if reading && (len(t.byID) != 0 || t.dead != nil) {
 		c.Failf("namespace: restore onto a non-pristine overlay")
 	}
 
@@ -111,15 +106,15 @@ func (t *Tree) Snap(c *snap.Codec) {
 	snap.I(c, &t.NumFiles)
 	snap.I(c, &t.NumDirs)
 	snap.U(c, &t.BaseDeletes)
-	snap.U(c, &t.Resurrected)
 	snap.U(c, &t.lazyLookups)
 	snap.U(c, &t.lazyMisses)
-	compacted := t.dead != nil
-	c.Bool(&compacted)
 
-	// Tombstones, ascending, delta-coded.
+	// Tombstones, ascending, delta-coded: one per base delete.
 	tombs := t.TombstoneCount()
 	c.Len(&tombs)
+	if reading && uint64(tombs) != t.BaseDeletes {
+		c.Failf("namespace: %d tombstones for %d base deletes", tombs, t.BaseDeletes)
+	}
 	if !reading {
 		prev := InodeID(0)
 		t.ForEachTombstone(func(id InodeID) {
@@ -128,20 +123,16 @@ func (t *Tree) Snap(c *snap.Codec) {
 			prev = id
 		})
 	} else {
-		if compacted {
-			t.dead = make([]uint64, len(t.base.nodes)/64+1)
-		} else if tombs > 0 {
-			t.gone = make(map[InodeID]struct{}, tombs)
-		}
 		for id := InodeID(0); tombs > 0 && c.Err() == nil; tombs-- {
 			var delta InodeID
 			snap.U(c, &delta)
-			if id += delta; !t.base.contains(id) {
+			switch id += delta; {
+			case !t.base.contains(id):
 				c.Failf("namespace: tombstone %d outside base", id)
-			} else if compacted {
-				t.dead[id>>6] |= 1 << (id & 63)
-			} else {
-				t.gone[id] = struct{}{}
+			case t.Tombstoned(id):
+				c.Failf("namespace: tombstone %d listed twice", id)
+			default:
+				t.bury(id)
 			}
 		}
 	}

@@ -21,23 +21,14 @@ type Tree struct {
 	// frozen.go).
 	base *Frozen
 	slab []Inode
-	// gone tombstones base IDs destroyed in this overlay so ByID cannot
-	// resurrect their slab slots. Allocated on first removal.
-	gone map[InodeID]struct{}
-	// dead is the compacted tombstone representation: one bit per base
-	// inode, installed by CompactTombstones once the gone map has grown
-	// past the caller's threshold. While non-nil it replaces the map
-	// entirely (gone is nil); ByID pays one O(1) bit test instead of a
-	// hash probe, and the GC no longer scans millions of map entries.
+	// dead tombstones base IDs destroyed in this overlay so ByID cannot
+	// resurrect their slab slots: one bit per base inode, allocated on
+	// the first removal. Pointer-free, so the GC never scans it.
 	dead []uint64
 
-	// Aging accounting. BaseDeletes counts base inodes destroyed in this
-	// overlay (the tombstone inflow); Resurrected counts tombstones
-	// brought back to life (currently never — IDs are not reused — but
-	// the invariant tombstones == BaseDeletes − Resurrected is checked
-	// by simfsck, so the counter exists to keep the accounting honest).
+	// BaseDeletes counts base inodes destroyed in this overlay. IDs are
+	// never reused, so it equals the tombstone count, which simfsck checks.
 	BaseDeletes uint64
-	Resurrected uint64
 	// lazyLookups/lazyMisses instrument the name-index read-through:
 	// LookupChild calls served by the frozen base's shared per-directory
 	// maps, and how many missed. Updated atomically — lookups run
@@ -59,11 +50,7 @@ func (t *Tree) allocID() InodeID {
 // resolve directly into the slab.
 func (t *Tree) ByID(id InodeID) (*Inode, bool) {
 	if t.base.contains(id) {
-		if t.dead != nil {
-			if t.dead[id>>6]&(1<<(id&63)) != 0 {
-				return nil, false
-			}
-		} else if _, dd := t.gone[id]; dd {
+		if t.dead != nil && t.dead[id>>6]&(1<<(id&63)) != 0 {
 			return nil, false
 		}
 		return t.node(id), true

@@ -545,7 +545,7 @@ func TestTickerFiresPeriodically(t *testing.T) {
 	e := NewEngine()
 	var ticks []Time
 	tk := NewTicker(e, 10, func(now Time) { ticks = append(ticks, now) })
-	tk.Start(0)
+	tk.Start()
 	e.RunUntil(35)
 	want := []Time{10, 20, 30}
 	if len(ticks) != len(want) {
@@ -568,7 +568,7 @@ func TestTickerStop(t *testing.T) {
 			tk.Stop()
 		}
 	})
-	tk.Start(0)
+	tk.Start()
 	e.RunUntil(1000)
 	if n != 2 {
 		t.Fatalf("ticks after stop = %d, want 2", n)

@@ -1,14 +1,12 @@
 package sim
 
 // Ticker invokes a callback at a fixed virtual-time period until stopped.
-// The first tick fires one period after Start (or after the optional
-// phase offset).
+// The first tick fires one period after Start.
 type Ticker struct {
 	eng     *Engine
 	period  Time
 	fn      func(now Time)
 	stopped bool
-	Ticks   uint64
 }
 
 // NewTicker creates a ticker; call Start to begin ticking.
@@ -19,10 +17,10 @@ func NewTicker(eng *Engine, period Time, fn func(now Time)) *Ticker {
 	return &Ticker{eng: eng, period: period, fn: fn}
 }
 
-// Start schedules the first tick phase+period from now.
-func (t *Ticker) Start(phase Time) {
+// Start schedules the first tick one period from now.
+func (t *Ticker) Start() {
 	t.stopped = false
-	t.eng.AfterCall(phase+t.period, tickerTick, t, nil)
+	t.eng.AfterCall(t.period, tickerTick, t, nil)
 }
 
 // tickerTick is the recurring tick dispatcher: the ticker itself is the
@@ -34,7 +32,6 @@ func (t *Ticker) tick() {
 	if t.stopped {
 		return
 	}
-	t.Ticks++
 	t.fn(t.eng.Now())
 	if !t.stopped {
 		t.eng.AfterCall(t.period, tickerTick, t, nil)

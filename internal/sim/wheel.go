@@ -24,10 +24,6 @@ type Wheel struct {
 	cur     uint32 // ticks fully dispatched
 	stopped bool
 
-	// Ticks counts tick events dispatched; Fired counts timers fired.
-	Ticks uint64
-	Fired uint64
-
 	// Intrusive per-id links, each holding an id plus one so that zero
 	// means none and an empty wheel is its zero value: next[id] chains
 	// ids within a slot, head and tail end each slot's list. when[id] is
@@ -80,12 +76,12 @@ func (w *Wheel) Start() {
 // currently dispatched tick, if any, completes.
 func (w *Wheel) Stop() { w.stopped = true }
 
-// Reset discards every pending timer and rewinds the wheel to tick 0,
-// keeping the cumulative Ticks/Fired counters. The endurance plane uses
-// it at checkpoint resume: rather than serializing millions of pending
-// arrival deadlines, both the checkpointing run and the restored run
-// Reset the wheel and re-arm every client from its own RNG stream, so
-// the post-resume arrival process is identical in both.
+// Reset discards every pending timer and rewinds the wheel to tick 0.
+// The endurance plane uses it at checkpoint resume: rather than
+// serializing millions of pending arrival deadlines, both the
+// checkpointing run and the restored run Reset the wheel and re-arm
+// every client from its own RNG stream, so the post-resume arrival
+// process is identical in both.
 func (w *Wheel) Reset() {
 	clear(w.next)
 	w.head, w.tail = [wheelLevels][wheelSlots]int32{}, [wheelLevels][wheelSlots]int32{}
@@ -148,7 +144,6 @@ func (w *Wheel) advance() {
 	if w.stopped {
 		return
 	}
-	w.Ticks++
 	w.cur++
 	c := w.cur
 	// Cascade a higher level each time the level below wraps: its due
@@ -168,7 +163,6 @@ func (w *Wheel) advance() {
 		id := link - 1
 		link = w.next[id]
 		w.next[id] = 0
-		w.Fired++
 		w.fire(id)
 	}
 	if !w.stopped {

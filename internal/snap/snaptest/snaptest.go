@@ -5,7 +5,8 @@
 // rewrites one section under it, and Damaged lists files each wrong in
 // one field: the three that took the hand-written decoders down — a
 // panic on a negative length, a panic on an index past its table, and a
-// loop bound of 2^62 — and a client RNG state no count of draws reaches.
+// loop bound of 2^62 — a client draw count past 32 bits, and a tombstone
+// list that repeats an ID or disagrees with the base-delete count.
 package snaptest
 
 import (
@@ -83,10 +84,20 @@ var Damaged = []struct {
 			from, to := After(b, 1), After(b, 2)
 			return append(binary.AppendUvarint(b[:from:from], 1<<62), b[to:]...)
 		}},
-	{"rng-state-off-its-stream", "pop", "client: client 0: RNG state",
-		func(b []byte) []byte { // the shard count, the shard's clients, then client 0's state
+	{"draw-count-past-32-bits", "pop", "4294967296 overflows its uint32 field",
+		func(b []byte) []byte { // the shard count, the shard's clients, then client 0's draw count
 			from, to := After(b, 2), After(b, 3)
-			state, _ := binary.Uvarint(b[from:])
-			return append(binary.AppendUvarint(b[:from:from], state+1), b[to:]...)
+			return append(binary.AppendUvarint(b[:from:from], 1<<32), b[to:]...)
+		}},
+	{"tombstone-listed-twice", "tree", "listed twice",
+		func(b []byte) []byte { // six counters, the tombstone count, the first ID, then the second's delta
+			from, to := After(b, 8), After(b, 9)
+			return append(binary.AppendUvarint(b[:from:from], 0), b[to:]...)
+		}},
+	{"tombstones-short-of-base-deletes", "tree", "tombstones for",
+		func(b []byte) []byte { // MaxID, files, dirs, then the base-delete count
+			from, to := After(b, 3), After(b, 4)
+			deletes, _ := binary.Uvarint(b[from:])
+			return append(binary.AppendUvarint(b[:from:from], deletes+1), b[to:]...)
 		}},
 }
