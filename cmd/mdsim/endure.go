@@ -22,8 +22,8 @@ func runEndure(c *invocation, cfg cluster.Config) int {
 		OnRow:   func(r endure.Row) { printEndureRow(c.stdout, r) },
 	}
 	// Fail-fast validation: option errors, and — for -restore — snapshot
-	// version, config-hash, and shard-count mismatches are all usage
-	// errors, caught before the simulation starts.
+	// version and config-hash mismatches are all usage errors, caught
+	// before the simulation starts.
 	var err error
 	switch {
 	case c.soakCycles > 0 && (c.restore != "" || cfg.Faults != ""):

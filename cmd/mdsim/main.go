@@ -98,7 +98,7 @@ func parseArgs(args []string, stdout, stderr io.Writer) (c *invocation, code int
 	fs.BoolVar(&c.list, "list", false, "list what -plan accepts")
 	fs.BoolVar(&c.opt.Quick, "quick", false, "reduced-scale experiments and plans")
 	fs.Int64Var(&c.opt.Seed, "seed", 1, "simulation seed; also seeds the chaos budget and the soak schedule")
-	fs.IntVar(&c.workers, "workers", 0, "sweep worker pool size (0 = GOMAXPROCS; shrunk so workers x shards fits the cores)")
+	fs.IntVar(&c.workers, "workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&c.memprofile, "memprofile", "", "write a heap profile to this file on exit")
 	fs.IntVar(&c.chaosRuns, "chaos-runs", 0, "run a seeded chaos fuzz budget instead of a plan: this many generated fault schedules, each against every strategy, each run checked by simfsck")
@@ -209,9 +209,6 @@ func (c *invocation) oneRun() (cluster.Config, error) {
 	cells, err := plan.Default().Compile(c.opt)
 	if err != nil {
 		return cluster.Config{}, err
-	}
-	if k := cells[0].Cfg.Shards; k > runtime.GOMAXPROCS(0) {
-		fmt.Fprintf(c.stderr, "mdsim: warning: shards=%d exceeds %d cores; expect no speedup\n", k, runtime.GOMAXPROCS(0))
 	}
 	return cells[0].Cfg, nil
 }

@@ -24,8 +24,8 @@ import (
 
 // badPlans are plan DSL files that parse or compile to an error: an
 // unknown act kind, overlapping phase acts, a zero rate multiplier, a
-// hotspot target that is not in the namespace, and a negative shard
-// count.
+// hotspot target that is not in the namespace, and a shards key, which
+// no cluster line accepts.
 var badPlans = map[string]string{
 	"bad-kind": `plan bad-kind
 traffic clients=100 rate=1
@@ -246,7 +246,7 @@ func TestReproLinesRoundTrip(t *testing.T) {
 
 	t.Run("chaos cell at K=2 on the queued model", func(t *testing.T) {
 		opt := harness.ChaosOptions{Seed: 7,
-			Set: []plan.Setting{{Key: "shards", Value: "2"}, {Key: "net", Value: "queued"}}}
+			Set: []plan.Setting{{Key: "cache", Value: "1500"}, {Key: "net", Value: "queued"}}}
 		failed, err := harness.ChaosConfig(opt, cluster.StratLazyHybrid, "crash@2s:mds1,partition@1s-3s:{0|1.2}")
 		if err != nil {
 			t.Fatal(err)
@@ -263,7 +263,6 @@ func TestReproLinesRoundTrip(t *testing.T) {
 		failed.ClientsPerMDS = 40
 		failed.FS.Users = 100
 		failed.NetModel = "fixed"
-		failed.Shards = 4
 		failed.Duration = sim.FromSeconds(8)
 		failed.Warmup = sim.FromSeconds(1)
 		failed.OpenLoop = &client.PopulationConfig{Clients: 20000, Rate: 0.02}

@@ -14,8 +14,8 @@ const numMixOps = 6
 // op-mix override, and an optional hotspot that absorbs HotFrac of the
 // act's target draws. Acts never overlap; between acts the population
 // runs its base configuration. Boundaries are scheduled at exact
-// virtual times on every shard engine, so a run with acts is
-// bit-reproducible for a fixed (seed, clients, shard count).
+// virtual times, so a run with acts is bit-reproducible for a fixed
+// (seed, clients).
 //
 // Open-loop semantics: each client's next inter-arrival is drawn at the
 // previous arrival, so a rate change takes effect at the client's first
@@ -37,74 +37,65 @@ type Act struct {
 	HotFrac float64
 }
 
-// shardActStat is one shard's slice of an act's accounting: counter
-// snapshots at the boundaries and a latency lane for completions that
-// land inside the window.
-type shardActStat struct {
+// actStat is one act's accounting: counter snapshots at the boundaries
+// and a latency histogram for completions that land inside the window.
+type actStat struct {
 	issued0, completed0 uint64
 	issued1, completed1 uint64
 	lat                 *metrics.LatHist
 	open                bool
 }
 
-// ScheduleActs registers the acts and schedules their boundary events on
-// every shard engine. Call once, before Start. The cluster layer
-// validates ordering and non-overlap; boundary work (threshold rebuild,
-// one histogram allocation per act per shard) runs off the hot path.
+// ScheduleActs registers the acts and schedules their boundary events.
+// Call once, before Start. The cluster layer validates ordering and
+// non-overlap; boundary work (threshold rebuild, one histogram
+// allocation per act) runs off the hot path.
 func (p *Population) ScheduleActs(acts []Act) {
 	p.acts = acts
-	churn := false
 	for i := range acts {
 		if acts[i].Mix[5] > 0 {
-			churn = true
+			p.churnOn = true
 		}
 	}
-	for _, s := range p.shards {
-		if churn {
-			s.churnOn = true
-		}
-		s.actStats = make([]shardActStat, len(acts))
-		sh := s
-		for i := range acts {
-			i := i
-			sh.eng.At(acts[i].From, func() { sh.beginAct(i) })
-			sh.eng.At(acts[i].To, func() { sh.endAct(i) })
-		}
+	p.actStats = make([]actStat, len(acts))
+	for i := range acts {
+		p.eng.At(acts[i].From, func() { p.beginAct(i) })
+		p.eng.At(acts[i].To, func() { p.endAct(i) })
 	}
 }
 
-// beginAct installs act i's phase state on this shard.
-func (s *popShard) beginAct(i int) {
-	a := &s.pop.acts[i]
-	s.rateMul = 1
+// beginAct installs act i's phase state.
+func (p *Population) beginAct(i int) {
+	a := &p.acts[i]
+	p.rateMul = 1
 	if a.RateMul > 0 {
-		s.rateMul = a.RateMul
+		p.rateMul = a.RateMul
 	}
 	if a.Mix[0]+a.Mix[1]+a.Mix[2]+a.Mix[3]+a.Mix[4]+a.Mix[5] > 0 {
-		s.cum = cumMix(a.Mix[0], a.Mix[1], a.Mix[2], a.Mix[3], a.Mix[4], a.Mix[5])
+		p.cum = cumMix(a.Mix[0], a.Mix[1], a.Mix[2], a.Mix[3], a.Mix[4], a.Mix[5])
 	} else {
-		s.cum = s.pop.baseCum
+		p.cum = p.baseCum
 	}
-	s.hot, s.hotFrac = a.Hot, a.HotFrac
-	st := &s.actStats[i]
-	st.issued0, st.completed0 = s.issued, s.completed
+	p.hot, p.hotFrac = a.Hot, a.HotFrac
+	st := &p.actStats[i]
+	st.issued0, st.completed0 = p.issued, p.completed
 	st.lat = metrics.NewLatHist()
 	st.open = true
-	s.curLat = st.lat
+	p.curLat = st.lat
 }
 
 // endAct snapshots act i's counters and reverts to the base phase.
-func (s *popShard) endAct(i int) {
-	st := &s.actStats[i]
-	st.issued1, st.completed1 = s.issued, s.completed
+func (p *Population) endAct(i int) {
+	st := &p.actStats[i]
+	st.issued1, st.completed1 = p.issued, p.completed
 	st.open = false
-	s.curLat = nil
-	s.rateMul = 1
-	s.cum = s.pop.baseCum
-	s.hot, s.hotFrac = nil, 0
+	p.curLat = nil
+	p.rateMul = 1
+	p.cum = p.baseCum
+	p.hot, p.hotFrac = nil, 0
 }
 
-// ActStat is one act's accounting merged across shards.
+// ActStat is one act's accounting.
 type ActStat struct {
 	Name      string
 	From, To  sim.Time
@@ -113,27 +104,26 @@ type ActStat struct {
 	Lat       *metrics.LatHist
 }
 
-// ActStats merges the per-shard act accounting. An act whose end event
-// has not fired (To at the run horizon) reads live counters instead.
+// ActStats reports the act accounting. An act whose end event has not
+// fired (To at the run horizon) reads live counters instead; one that
+// has not begun reports an empty histogram.
 func (p *Population) ActStats() []ActStat {
 	if len(p.acts) == 0 {
 		return nil
 	}
 	out := make([]ActStat, len(p.acts))
 	for i, a := range p.acts {
-		out[i] = ActStat{Name: a.Name, From: a.From, To: a.To, Lat: metrics.NewLatHist()}
-		for _, s := range p.shards {
-			st := &s.actStats[i]
-			i1, c1 := st.issued1, st.completed1
-			if st.open {
-				i1, c1 = s.issued, s.completed
-			}
-			out[i].Issued += i1 - st.issued0
-			out[i].Completed += c1 - st.completed0
-			if st.lat != nil {
-				out[i].Lat.Merge(st.lat)
-			}
+		st := &p.actStats[i]
+		i1, c1 := st.issued1, st.completed1
+		if st.open {
+			i1, c1 = p.issued, p.completed
 		}
+		lat := st.lat
+		if lat == nil {
+			lat = metrics.NewLatHist()
+		}
+		out[i] = ActStat{Name: a.Name, From: a.From, To: a.To,
+			Issued: i1 - st.issued0, Completed: c1 - st.completed0, Lat: lat}
 	}
 	return out
 }

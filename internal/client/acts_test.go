@@ -59,7 +59,7 @@ func actFixture(t *testing.T, cfg PopulationConfig, seed int64) (*sim.Engine, *P
 	tn := workload.NewTenants(cfg.Tenant, cfg.Clients, homes, seed)
 	eng := sim.NewEngine()
 	net := &recordNet{eng: eng, n: 4}
-	pop := NewPopulation(cfg, []*sim.Engine{eng}, net, partition.FileHash{N: 4}, tn, seed)
+	pop := NewPopulation(cfg, eng, net, partition.FileHash{N: 4}, tn, seed)
 	net.pop = pop
 	return eng, pop, net, homes
 }
@@ -191,7 +191,7 @@ func TestActDeterminism(t *testing.T) {
 // TestActSteadyStateAllocFree extends the population's zero-alloc pin
 // to a window with an act active: retargeted rate, mix, hotspot and the
 // per-act latency lane must not add a single steady-state allocation.
-// (Boundary work — threshold rebuild, one histogram per act per shard —
+// (Boundary work — threshold rebuild, one histogram per act —
 // happens at begin/end, outside the pinned window.)
 func TestActSteadyStateAllocFree(t *testing.T) {
 	cfg := PopulationConfig{

@@ -110,7 +110,7 @@ func New(id int, eng *sim.Engine, cfg Config, rng *sim.RNG, net Network, strat p
 		net:   net,
 		strat: strat,
 		gen:   gen,
-		hints: NewHintTable(1, cfg.KnownCap, 1),
+		hints: NewHintTable(1, cfg.KnownCap),
 	}
 }
 

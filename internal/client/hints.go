@@ -13,10 +13,7 @@ import (
 // 4-byte region index per client over fixed-size chunks of 8-byte
 // slots, and a client is handed a region of W ways on its first Put.
 // Which region it gets is layout, not state — it never influences an
-// answer. Regions come from one arena per stripe (client mod stripes),
-// so the shards of a striped population, each the only writer of its
-// own clients, never share allocator state. Inside a region it is open
-// addressing with a bounded probe
+// answer. Inside a region it is open addressing with a bounded probe
 // window. Compared to the per-client map+FIFO it replaces, it has no
 // per-entry allocation, no map header per client, and a deterministic
 // eviction rule (overwrite the key's home slot when the probe window is
@@ -32,12 +29,7 @@ type HintTable struct {
 	probe uint32 // probe window, min(ways, 4)
 	shift uint32 // log2(regions per chunk)
 
-	region []uint32 // per client: 1 + region number in its arena, 0 = none yet
-	arenas []hintArena
-}
-
-// hintArena allocates the regions of the clients of one stripe.
-type hintArena struct {
+	region []uint32   // per client: 1 + region number, 0 = none yet
 	chunks [][]uint64 // blocks of 1<<shift regions; never copied or regrown
 	used   uint32     // regions handed out so far
 }
@@ -53,15 +45,11 @@ const (
 )
 
 // NewHintTable builds a table for the given number of clients with ways
-// slots each (rounded up to a power of two, minimum 2), allocating from
-// stripes independent arenas. Every arena's first chunk is allocated
-// here, so a one-client table is complete at construction.
-func NewHintTable(clients, ways, stripes int) *HintTable {
+// slots each (rounded up to a power of two, minimum 2). The first chunk
+// is allocated here, so a one-client table is complete at construction.
+func NewHintTable(clients, ways int) *HintTable {
 	if clients < 1 {
 		clients = 1
-	}
-	if stripes < 1 {
-		panic("client: hint table with no stripes")
 	}
 	if ways < 2 {
 		ways = 2
@@ -70,23 +58,19 @@ func NewHintTable(clients, ways, stripes int) *HintTable {
 		panic("client: hint table with more than 1<<20 ways per client")
 	}
 	w := uint32(1) << uint(bits.Len32(uint32(ways-1)))
-	t := &HintTable{ways: w, probe: min(w, 4), region: make([]uint32, clients), arenas: make([]hintArena, stripes)}
+	t := &HintTable{ways: w, probe: min(w, 4), region: make([]uint32, clients)}
 	if w < hintChunkSlots {
 		t.shift = uint32(bits.TrailingZeros32(hintChunkSlots / w))
 	}
-	for s := range t.arenas {
-		t.addChunk(s)
-	}
+	t.addChunk()
 	return t
 }
 
-// addChunk appends arena s's next chunk, cut short when fewer of the
-// stripe's clients than a full chunk's regions remain without one.
-func (t *HintTable) addChunk(s int) {
-	a, k := &t.arenas[s], len(t.arenas)
-	clients := (len(t.region) - s + k - 1) / k
-	n := max(0, min(1<<t.shift, clients-len(a.chunks)<<t.shift))
-	a.chunks = append(a.chunks, make([]uint64, n*int(t.ways)))
+// addChunk appends the next chunk, cut short when fewer clients than a
+// full chunk's regions remain without one.
+func (t *HintTable) addChunk() {
+	n := max(0, min(1<<t.shift, len(t.region)-len(t.chunks)<<t.shift))
+	t.chunks = append(t.chunks, make([]uint64, n*int(t.ways)))
 }
 
 // FootprintBytes returns the table's size in bytes: the 4-byte region
@@ -94,10 +78,8 @@ func (t *HintTable) addChunk(s int) {
 // clients are first answered and never shrinks.
 func (t *HintTable) FootprintBytes() int64 {
 	b := int64(len(t.region)) * 4
-	for _, a := range t.arenas {
-		for _, c := range a.chunks {
-			b += int64(len(c)) * 8
-		}
+	for _, c := range t.chunks {
+		b += int64(len(c)) * 8
 	}
 	return b
 }
@@ -110,20 +92,18 @@ func (t *HintTable) slots(client int) []uint64 {
 	}
 	r--
 	off := (r & (1<<t.shift - 1)) * t.ways
-	return t.arenas[client%len(t.arenas)].chunks[r>>t.shift][off : off+t.ways]
+	return t.chunks[r>>t.shift][off : off+t.ways]
 }
 
 // claim returns client's region, handing it the next unused one first
 // if it has none.
 func (t *HintTable) claim(client int) []uint64 {
 	if t.region[client] == 0 {
-		s := client % len(t.arenas)
-		a := &t.arenas[s]
-		if int(a.used>>t.shift) == len(a.chunks) {
-			t.addChunk(s)
+		if int(t.used>>t.shift) == len(t.chunks) {
+			t.addChunk()
 		}
-		a.used++
-		t.region[client] = a.used
+		t.used++
+		t.region[client] = t.used
 	}
 	return t.slots(client)
 }

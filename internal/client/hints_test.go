@@ -2,7 +2,6 @@ package client
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 
 	"dynmds/internal/msg"
@@ -20,7 +19,7 @@ func (t *HintTable) Get(client int, ino namespace.InodeID) (authority int, repli
 func (t *HintTable) Put(client int, h msg.Hint) { t.put(t.claim(client), h) }
 
 func TestHintTableRoundTrip(t *testing.T) {
-	tab := NewHintTable(1, 8, 1)
+	tab := NewHintTable(1, 8)
 	tab.Put(0, msg.Hint{Ino: 42, Authority: 3})
 	auth, repl, ok := tab.Get(0, 42)
 	if !ok || auth != 3 || repl {
@@ -37,7 +36,7 @@ func TestHintTableRoundTrip(t *testing.T) {
 }
 
 func TestHintTableRefreshInPlace(t *testing.T) {
-	tab := NewHintTable(1, 8, 1)
+	tab := NewHintTable(1, 8)
 	tab.Put(0, msg.Hint{Ino: 5, Authority: 1})
 	tab.Put(0, msg.Hint{Ino: 5, Authority: 9})
 	if auth, _, _ := tab.Get(0, 5); auth != 9 {
@@ -49,7 +48,7 @@ func TestHintTableRefreshInPlace(t *testing.T) {
 }
 
 func TestHintTableBound(t *testing.T) {
-	tab := NewHintTable(1, 4, 1)
+	tab := NewHintTable(1, 4)
 	if tab.ways != 4 {
 		t.Fatalf("ways = %d", tab.ways)
 	}
@@ -60,13 +59,13 @@ func TestHintTableBound(t *testing.T) {
 		t.Fatalf("region overflowed: len = %d", tab.Len(0))
 	}
 	// Non-power-of-two ways round up.
-	if w := NewHintTable(1, 5, 1).ways; w != 8 {
+	if w := NewHintTable(1, 5).ways; w != 8 {
 		t.Fatalf("ways(5) = %d, want 8", w)
 	}
 }
 
 func TestHintTableDelClearsExactSlot(t *testing.T) {
-	tab := NewHintTable(1, 8, 1)
+	tab := NewHintTable(1, 8)
 	tab.Put(0, msg.Hint{Ino: 10, Authority: 1})
 	tab.Put(0, msg.Hint{Ino: 11, Authority: 2})
 	tab.Del(0, 10)
@@ -92,7 +91,7 @@ func TestHintTableDelClearsExactSlot(t *testing.T) {
 }
 
 func TestHintTablePerClientIsolation(t *testing.T) {
-	tab := NewHintTable(4, 4, 1)
+	tab := NewHintTable(4, 4)
 	for c := 0; c < 4; c++ {
 		tab.Put(c, msg.Hint{Ino: 7, Authority: c})
 	}
@@ -114,7 +113,7 @@ func TestHintTablePerClientIsolation(t *testing.T) {
 }
 
 func TestHintTableGetAllocFree(t *testing.T) {
-	tab := NewHintTable(2, 8, 1)
+	tab := NewHintTable(2, 8)
 	tab.Put(0, msg.Hint{Ino: 1, Authority: 1})
 	sink := 0
 	allocs := testing.AllocsPerRun(100, func() {
@@ -246,17 +245,12 @@ func (t *HintTable) snapshot() []byte {
 // TestHintTableDifferential drives the region table and the dense
 // reference through the same seeded histories: every answer and every
 // snapshot byte must agree, across a mid-history restore into a fresh
-// table (which hands regions out in client order, not first-Put order),
-// whatever the number of allocation stripes.
+// table (which hands regions out in client order, not first-Put order).
 func TestHintTableDifferential(t *testing.T) {
 	for _, ways := range []int{2, 4, 2048} {
 		for _, clients := range []int{1, 10_000} {
-			stripes := 1
-			if clients > 1 && ways < 2048 {
-				stripes = ways + 1 // 3 and 5: neither divides the chunk size
-			}
 			rng := sim.NewStream(int64(ways*clients), "hint-differential")
-			tab, ref := NewHintTable(clients, ways, stripes), newDenseHints(clients, ways)
+			tab, ref := NewHintTable(clients, ways), newDenseHints(clients, ways)
 			// Few enough speakers and keys that probe windows fill and
 			// regions are revisited; most clients stay silent.
 			speakers, keys := min(clients, 300), 8*ways
@@ -297,7 +291,7 @@ func TestHintTableDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tab = NewHintTable(clients, ways, stripes)
+				tab = NewHintTable(clients, ways)
 				dec := snap.Decoder(r)
 				if dec.Section("hints", tab.snap); dec.Err() != nil {
 					t.Fatal(dec.Err())
@@ -314,7 +308,7 @@ func TestHintTableDifferential(t *testing.T) {
 // uint32 base (client*ways) wrapped, so clients 2^22 apart shared slots.
 // Only the 32 MB region index exists until someone speaks.
 func TestHintTableNoAliasingPast32Bits(t *testing.T) {
-	tab := NewHintTable(1<<23, 1024, 1)
+	tab := NewHintTable(1<<23, 1024)
 	tab.Put(0, msg.Hint{Ino: 7, Authority: 3})
 	if _, _, ok := tab.Get(1<<22, 7); ok {
 		t.Fatal("client 1<<22 sees client 0's hint")
@@ -329,7 +323,7 @@ func TestHintTableNoAliasingPast32Bits(t *testing.T) {
 }
 
 func TestHintTableRejectsWideInodeIDs(t *testing.T) {
-	tab := NewHintTable(1, 8, 1)
+	tab := NewHintTable(1, 8)
 	tab.Put(0, msg.Hint{Ino: 41, Authority: 1})
 	wide := namespace.InodeID(1<<32 + 41) // truncates to 41's key
 	if _, _, ok := tab.Get(0, wide); ok {
@@ -346,7 +340,7 @@ func TestHintTableRejectsWideInodeIDs(t *testing.T) {
 }
 
 func TestHintTableSilentClientsOwnNothing(t *testing.T) {
-	tab := NewHintTable(100_000, 2, 1)
+	tab := NewHintTable(100_000, 2)
 	base := tab.FootprintBytes()
 	if want := int64(100_000*4 + 8*hintChunkSlots); base != want {
 		t.Fatalf("fresh footprint = %d, want %d", base, want)
@@ -373,36 +367,8 @@ func TestHintTableSilentClientsOwnNothing(t *testing.T) {
 func TestNewHintTableRejectsTooManyWays(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewHintTable(1, 1<<20+1, 1) did not panic")
+			t.Fatal("NewHintTable(1, 1<<20+1) did not panic")
 		}
 	}()
-	NewHintTable(1, 1<<20+1, 1)
-}
-
-// TestHintTableStripesShareNothing: the shards of a striped population
-// run concurrently, each the only writer for its own clients (client mod
-// K). First Puts allocate, so every stripe needs its own allocator;
-// run under -race.
-func TestHintTableStripesShareNothing(t *testing.T) {
-	const clients, stripes = 40_000, 4
-	tab := NewHintTable(clients, 2, stripes)
-	var wg sync.WaitGroup
-	for s := 0; s < stripes; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for c := s; c < clients; c += stripes {
-				tab.Put(c, msg.Hint{Ino: namespace.InodeID(c), Authority: c % 64})
-			}
-		}(s)
-	}
-	wg.Wait()
-	for c := 0; c < clients; c++ {
-		if auth, _, ok := tab.Get(c, namespace.InodeID(c)); !ok || auth != c%64 || tab.Len(c) != 1 {
-			t.Fatalf("client %d: Get = %d,%v, len %d", c, auth, ok, tab.Len(c))
-		}
-	}
-	if got, want := tab.FootprintBytes(), int64(clients*(4+2*8)); got != want {
-		t.Fatalf("footprint = %d, want %d: stripes over- or under-allocated", got, want)
-	}
+	NewHintTable(1, 1<<20+1)
 }

@@ -62,7 +62,7 @@ func leaseFixture(t *testing.T, cfg PopulationConfig, seed int64, delay sim.Time
 	net := &grantNet{eng: eng, n: 4, delay: delay, plane: plane, duration: lcfg.Duration}
 	// Subtree strategy: clients are ignorant and follow hints, so the
 	// stale-hint regression can steer routing through the hint table.
-	pop := NewPopulation(cfg, []*sim.Engine{eng}, net, partition.NewStaticSubtree(4, tr, int(seed)), tn, seed)
+	pop := NewPopulation(cfg, eng, net, partition.NewStaticSubtree(4, tr, int(seed)), tn, seed)
 	pop.AttachLeasePlane(plane)
 	net.pop = pop
 	return eng, pop, plane

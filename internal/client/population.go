@@ -115,22 +115,23 @@ func cumMix(stat, readdir, chmod, create, rename, unlink float64) [numMixOps]flo
 // clients as dense records in slab arrays, no per-client objects, maps,
 // or goroutines. Arrivals are open-loop — a client's next request is
 // scheduled by a Poisson draw regardless of whether earlier requests
-// have been answered — and flow through a hierarchical timer wheel per
-// shard, so pending arrivals never enter the engine's event heap.
+// have been answered — and flow through a hierarchical timer wheel, so
+// pending arrivals never enter the engine's event heap. A client's
+// tenant is not stored: it is derived from its id
+// (Tenants.ClientTenant).
 //
 // The hot paths (wheel fire → draw op → direct → send, and reply →
 // record → recycle) are allocation-free in steady state; only Create
 // and Rename ops allocate (the new entry's name and inode, inherent to
 // the op). Scenario acts (ScheduleActs) retarget rate, mix, and hotspot
 // at exact virtual times without adding steady-state work: the arrival
-// path reads plain per-shard phase fields.
+// path reads plain phase fields.
 type Population struct {
 	cfg     PopulationConfig
 	net     Network
 	strat   partition.Strategy
 	tenants *workload.Tenants
 	hints   *HintTable
-	shards  []*popShard
 	baseCum [numMixOps]float64
 	acts    []Act
 	seed    uint64 // roots every client's RNG stream (origin)
@@ -144,42 +145,31 @@ type Population struct {
 	// structurally impossible — recall bumps the shared generation the
 	// validity check reads).
 	lease *lease.Plane
-}
 
-// popShard is one shard's slice of the population: clients are striped
-// round-robin (global id g lives on shard g%K at local index g/K), and
-// each shard owns a timer wheel, draw-count slab, request pool, and
-// metric lanes touched only from its own engine. A client's tenant is
-// not stored: it is derived from the global id (Tenants.ClientTenant).
-type popShard struct {
-	pop   *Population
 	eng   *sim.Engine
-	shard int
-	k     int // stripe count
 	wheel *sim.Wheel
 
-	draws []uint32 // per-local-client count of RNG draws (see stream)
+	draws []uint32 // per-client count of RNG draws (see stream)
 
 	pool    []*msg.Request // free list; grows to max outstanding, then steady
-	seq     uint64         // shard-monotonic request ids
+	seq     uint64         // monotonic request ids
 	nameSeq int
 
 	// Phase state, rewritten at act boundaries and read on every
 	// arrival: the effective rate multiplier, cumulative mix
-	// thresholds, and hotspot redirect. Plain fields touched only from
-	// this shard's engine, so acts are free on the hot path.
+	// thresholds, and hotspot redirect.
 	rateMul float64
 	cum     [numMixOps]float64
 	hot     *namespace.Inode
 	hotFrac float64
 
-	actStats []shardActStat
-	curLat   *metrics.LatHist // per-act latency lane; nil outside acts
+	actStats []actStat
+	curLat   *metrics.LatHist // the open act's latency histogram; nil outside acts
 
 	issued    uint64
 	completed uint64
 
-	// Lease-plane lanes: local serves, plus ops landing on the active
+	// Lease-plane counters: local serves, plus ops landing on the active
 	// act's hotspot target (served locally vs remotely).
 	leaseHits uint64
 	hotLocal  uint64
@@ -206,8 +196,8 @@ type popShard struct {
 	baseHead    int
 
 	// Retry escalation (EnableRetries; fault runs only): outstanding
-	// requests keyed by shard-unique id, each a boxed record carrying
-	// the escalation state the flyweight slabs deliberately omit. Nil on
+	// requests keyed by request id, each a boxed record carrying the
+	// escalation state the flyweight slabs deliberately omit. Nil on
 	// fault-free runs, where the arrival path stays allocation-free.
 	retry        map[uint64]*openRetry
 	retryTimeout sim.Time
@@ -222,43 +212,28 @@ type openRetry struct {
 	attempts int
 }
 
-// NewPopulation builds the traffic plane over numShards engines
-// (pass the serial engine as a 1-element slice when unsharded).
-// Deterministic for (cfg, seed, len(engines)).
-func NewPopulation(cfg PopulationConfig, engines []*sim.Engine, netw Network, strat partition.Strategy, tenants *workload.Tenants, seed int64) *Population {
+// NewPopulation builds the traffic plane on eng. Deterministic for
+// (cfg, seed).
+func NewPopulation(cfg PopulationConfig, eng *sim.Engine, netw Network, strat partition.Strategy, tenants *workload.Tenants, seed int64) *Population {
 	cfg = cfg.withDefaults()
 	if cfg.Clients < 1 {
 		panic("client: population with no clients")
-	}
-	k := len(engines)
-	if k < 1 {
-		panic("client: population with no engines")
 	}
 	p := &Population{
 		cfg:     cfg,
 		net:     netw,
 		strat:   strat,
 		tenants: tenants,
-		hints:   NewHintTable(cfg.Clients, cfg.Ways, k),
+		hints:   NewHintTable(cfg.Clients, cfg.Ways),
 		baseCum: cumMix(cfg.MixStat, cfg.MixReaddir, cfg.MixChmod, cfg.MixCreate, cfg.MixRename, cfg.MixUnlink),
 		seed:    uint64(seed),
+		eng:     eng,
+		draws:   make([]uint32, cfg.Clients),
+		rateMul: 1,
+		churnOn: cfg.MixUnlink > 0,
 	}
-	p.shards = make([]*popShard, k)
-	for s := 0; s < k; s++ {
-		n := (cfg.Clients - s + k - 1) / k // ceil((clients-s)/k): locals of stripe s
-		ps := &popShard{
-			pop:     p,
-			eng:     engines[s],
-			shard:   s,
-			k:       k,
-			draws:   make([]uint32, n),
-			rateMul: 1,
-			cum:     p.baseCum,
-		}
-		ps.wheel = sim.NewWheel(engines[s], wheelTick, n, ps.arrive)
-		ps.churnOn = cfg.MixUnlink > 0
-		p.shards[s] = ps
-	}
+	p.cum = p.baseCum
+	p.wheel = sim.NewWheel(eng, wheelTick, cfg.Clients, p.arrive)
 	return p
 }
 
@@ -273,11 +248,10 @@ func mix64(z uint64) uint64 {
 // gamma is splitmix64's increment.
 const gamma = 0x9E3779B97F4A7C15
 
-// origin is the local client's splitmix64 state before its first draw.
-// After n draws the state is origin + n·gamma, so the slab keeps only n.
-func (s *popShard) origin(li int) uint64 {
-	g := li*s.k + s.shard
-	return mix64(s.pop.seed ^ mix64(uint64(g)+gamma))
+// origin is client li's splitmix64 state before its first draw. After n
+// draws the state is origin + n·gamma, so the slab keeps only n.
+func (p *Population) origin(li int) uint64 {
+	return mix64(p.seed ^ mix64(uint64(li)+gamma))
 }
 
 // stream is a cursor over one client's RNG: derived once per arrival,
@@ -287,9 +261,9 @@ type stream struct {
 	n     uint32
 }
 
-func (s *popShard) stream(li int32) stream {
-	n := s.draws[li]
-	return stream{state: s.origin(int(li)) + uint64(n)*gamma, n: n}
+func (p *Population) stream(li int32) stream {
+	n := p.draws[li]
+	return stream{state: p.origin(int(li)) + uint64(n)*gamma, n: n}
 }
 
 // next draws the stream's next uniform word. A count that would wrap —
@@ -304,58 +278,49 @@ func (r *stream) next() uint64 {
 	return mix64(r.state)
 }
 
-// next draws the local client's next uniform word outside an arrival.
-func (s *popShard) next(li int32) uint64 {
-	r := s.stream(li)
+// next draws client li's next uniform word outside an arrival.
+func (p *Population) next(li int32) uint64 {
+	r := p.stream(li)
 	u := r.next()
-	s.draws[li] = r.n
+	p.draws[li] = r.n
 	return u
 }
 
 // uniform converts a word to [0,1).
 func uniform(u uint64) float64 { return float64(u>>11) / (1 << 53) }
 
-// Start arms every client's first arrival and starts the wheels. Each
+// Start arms every client's first arrival and starts the wheel. Each
 // client's first draw comes from its own stream, so the herd
 // de-synchronises by construction.
-func (p *Population) Start() {
-	for _, s := range p.shards {
-		s.armAll()
-	}
-}
+func (p *Population) Start() { p.armAll() }
 
-// armAll starts the shard's wheel and arms every local client (Start,
-// and Resume after a checkpoint). Global ids ascend with the local
-// index, so the tenant is a cursor, not a search per client.
-func (s *popShard) armAll() {
-	s.wheel.Start()
+// armAll starts the wheel and arms every client (Start, and Resume
+// after a checkpoint). Ids ascend, so the tenant is a cursor, not a
+// search per client.
+func (p *Population) armAll() {
+	p.wheel.Start()
 	tn := 0
-	for li := range s.draws {
-		tn = s.pop.tenants.TenantFrom(tn, li*s.k+s.shard)
-		rng := s.stream(int32(li))
-		s.rearm(int32(li), tn, &rng)
+	for li := range p.draws {
+		tn = p.tenants.TenantFrom(tn, li)
+		rng := p.stream(int32(li))
+		p.rearm(int32(li), tn, &rng)
 	}
 }
 
 // Clients returns the population size.
 func (p *Population) Clients() int { return p.cfg.Clients }
 
-// SeedBaseVictims distributes reserved base-file unlink victims across
-// the shards (victim i to shard i mod K, preserving order within each
-// shard). Call before Start; the cluster layer picks the victims so the
-// walk order — and with it the unlink sequence — is deterministic.
+// SeedBaseVictims queues reserved base-file unlink victims in order.
+// Call before Start; the cluster layer picks the victims so the walk
+// order — and with it the unlink sequence — is deterministic.
 func (p *Population) SeedBaseVictims(victims []*namespace.Inode) {
-	k := len(p.shards)
-	for i, v := range victims {
-		s := p.shards[i%k]
-		s.baseVictims = append(s.baseVictims, v)
-	}
+	p.baseVictims = append(p.baseVictims, victims...)
 }
 
 // rate returns the momentary arrival rate λ(t) in ops/sec of a client
 // of the given tenant; only diurnal and burst modulation depend on it.
-func (s *popShard) rate(tenant int, now sim.Time) float64 {
-	cfg := &s.pop.cfg
+func (p *Population) rate(tenant int, now sim.Time) float64 {
+	cfg := &p.cfg
 	tn := uint64(tenant)
 	r := cfg.Rate
 	if cfg.DiurnalAmp > 0 {
@@ -380,29 +345,29 @@ func (s *popShard) rate(tenant int, now sim.Time) float64 {
 // arrival at the rate frozen at draw time, capped at an hour, through
 // the wheel. It takes the last draw of an arrival from rng and stores
 // the count. tn is the client's tenant, which every caller already holds.
-func (s *popShard) rearm(li int32, tn int, rng *stream) {
+func (p *Population) rearm(li int32, tn int, rng *stream) {
 	u := uniform(rng.next())
-	s.draws[li] = rng.n
+	p.draws[li] = rng.n
 	if u <= 0 {
 		u = 1e-18
 	}
 	// Cap in seconds: a tiny rate multiplier makes the quotient overflow
 	// sim.Time.
-	sec := -math.Log(u) / (s.rate(tn, s.eng.Now()) * s.rateMul)
+	sec := -math.Log(u) / (p.rate(tn, p.eng.Now()) * p.rateMul)
 	if sec > maxInterArrival.Seconds() {
 		sec = maxInterArrival.Seconds()
 	}
-	s.wheel.Schedule(li, sim.FromSeconds(sec))
+	p.wheel.Schedule(li, sim.FromSeconds(sec))
 }
 
 // getRequest reuses a drained request or allocates one. Open-loop
 // clients never retransmit, so exactly one copy of each request exists
 // and recycling on reply is unconditionally safe.
-func (s *popShard) getRequest() *msg.Request {
-	if n := len(s.pool); n > 0 {
-		req := s.pool[n-1]
-		s.pool[n-1] = nil
-		s.pool = s.pool[:n-1]
+func (p *Population) getRequest() *msg.Request {
+	if n := len(p.pool); n > 0 {
+		req := p.pool[n-1]
+		p.pool[n-1] = nil
+		p.pool = p.pool[:n-1]
 		gen := req.Gen + 1
 		*req = msg.Request{}
 		req.Gen = gen
@@ -413,39 +378,38 @@ func (s *popShard) getRequest() *msg.Request {
 
 // arrive is the wheel's fire callback: draw the op, direct it, send it,
 // and arm the next arrival. Allocation-free except for Create.
-func (s *popShard) arrive(li int32) {
-	if s.stopped {
+func (p *Population) arrive(li int32) {
+	if p.stopped {
 		return
 	}
-	p := s.pop
-	g := int(li)*s.k + s.shard
+	g := int(li)
 	tn := p.tenants.ClientTenant(g)
-	rng := s.stream(li)
+	rng := p.stream(li)
 
-	req := s.getRequest()
-	s.seq++
-	req.ID = s.seq
+	req := p.getRequest()
+	p.seq++
+	req.ID = p.seq
 	req.Client = g
-	req.Issued = s.eng.Now()
+	req.Issued = p.eng.Now()
 	req.Via = -1
 
-	x := uniform(rng.next()) * s.cum[numMixOps-1]
+	x := uniform(rng.next()) * p.cum[numMixOps-1]
 	switch {
-	case x < s.cum[0]:
+	case x < p.cum[0]:
 		req.Op = msg.Stat
 		req.Target = p.tenants.File(tn, rng.next(), rng.next())
-	case x < s.cum[1]:
+	case x < p.cum[1]:
 		req.Op = msg.Readdir
 		req.Target = p.tenants.Dir(tn, rng.next(), rng.next())
-	case x < s.cum[2]:
+	case x < p.cum[2]:
 		req.Op = msg.Chmod
 		req.Target = p.tenants.File(tn, rng.next(), rng.next())
-	case x < s.cum[3]:
+	case x < p.cum[3]:
 		req.Op = msg.Create
 		req.Target = p.tenants.Dir(tn, rng.next(), rng.next())
-		s.nameSeq++
-		req.NewName = popName(s.shard, s.nameSeq)
-	case x < s.cum[4]:
+		p.nameSeq++
+		req.NewName = popName(p.nameSeq)
+	case x < p.cum[4]:
 		// Rename: move a working-set entry into another tenant's
 		// directory — the cross-authority migration op. The inode
 		// survives the move (failed renames are MDS-side no-ops), so
@@ -460,21 +424,21 @@ func (s *popShard) arrive(li int32) {
 			}
 		}
 		req.DstDir = p.tenants.Dir(dst, rng.next(), rng.next())
-		s.nameSeq++
-		req.NewName = popName(s.shard, s.nameSeq)
+		p.nameSeq++
+		req.NewName = popName(p.nameSeq)
 	default:
 		// Unlink: remove a file this run created earlier, oldest first.
 		// Until a create has completed there is nothing to remove; the
 		// draw degrades to a create with the same draw pattern, seeding
 		// the ring.
-		if victim := s.churnPop(); victim != nil {
+		if victim := p.churnPop(); victim != nil {
 			req.Op = msg.Unlink
 			req.Target = victim
 		} else {
 			req.Op = msg.Create
 			req.Target = p.tenants.Dir(tn, rng.next(), rng.next())
-			s.nameSeq++
-			req.NewName = popName(s.shard, s.nameSeq)
+			p.nameSeq++
+			req.NewName = popName(p.nameSeq)
 		}
 	}
 	// Hotspot acts redirect a fraction of draws to one target. The
@@ -483,8 +447,8 @@ func (s *popShard) arrive(li int32) {
 	// Unlinks consume the draw but never redirect: the op must land on
 	// the ring victim — retargeting it would remove a working-set entry
 	// the tenant alias tables still point at.
-	if s.hotFrac > 0 && uniform(rng.next()) < s.hotFrac && req.Op != msg.Unlink {
-		req.Target = s.hot
+	if p.hotFrac > 0 && uniform(rng.next()) < p.hotFrac && req.Op != msg.Unlink {
+		req.Target = p.hot
 	}
 
 	// A validly leased record is served locally: zero fabric hops, zero
@@ -493,64 +457,64 @@ func (s *popShard) arrive(li int32) {
 	// bit-identically.
 	if l := p.lease; l != nil && l.Tab != nil && !req.Op.IsUpdate() {
 		ino := req.Target.ID
-		if l.Tab.Valid(g, ino, l.Reg.Gen(ino), s.eng.Now()) {
-			s.issued++
-			s.completed++
-			s.leaseHits++
-			if req.Target == s.hot {
-				s.hotLocal++
+		if l.Tab.Valid(g, ino, l.Reg.Gen(ino), p.eng.Now()) {
+			p.issued++
+			p.completed++
+			p.leaseHits++
+			if req.Target == p.hot {
+				p.hotLocal++
 			}
-			if s.curLat != nil {
-				s.curLat.Observe(0)
+			if p.curLat != nil {
+				p.curLat.Observe(0)
 			}
-			s.pool = append(s.pool, req)
-			s.rearm(li, tn, &rng)
+			p.pool = append(p.pool, req)
+			p.rearm(li, tn, &rng)
 			return
 		}
 	}
 
 	mds := p.direct(g, req, rng.next())
-	s.issued++
-	if s.retry != nil {
+	p.issued++
+	if p.retry != nil {
 		r := &openRetry{req: req, li: li}
-		s.retry[req.ID] = r
-		s.eng.AfterCall(s.retryTimeout, popRetryFire, s, r)
+		p.retry[req.ID] = r
+		p.eng.AfterCall(p.retryTimeout, popRetryFire, p, r)
 	}
 	p.net.Send(mds, req)
-	s.rearm(li, tn, &rng)
+	p.rearm(li, tn, &rng)
 }
 
 // churnPop takes the oldest unlink-eligible inode, or nil. Reserved
 // base victims drain first (they age the overlay), then the ring of
 // files this run created.
-func (s *popShard) churnPop() *namespace.Inode {
-	if s.baseHead < len(s.baseVictims) {
-		n := s.baseVictims[s.baseHead]
-		s.baseVictims[s.baseHead] = nil
-		s.baseHead++
+func (p *Population) churnPop() *namespace.Inode {
+	if p.baseHead < len(p.baseVictims) {
+		n := p.baseVictims[p.baseHead]
+		p.baseVictims[p.baseHead] = nil
+		p.baseHead++
 		return n
 	}
-	if s.churnHead >= len(s.churn) {
+	if p.churnHead >= len(p.churn) {
 		return nil
 	}
-	n := s.churn[s.churnHead]
-	s.churn[s.churnHead] = nil
-	s.churnHead++
+	n := p.churn[p.churnHead]
+	p.churn[p.churnHead] = nil
+	p.churnHead++
 	// Compact once half the slice is dead so the ring's footprint tracks
 	// the live backlog, not the cumulative create count.
-	if s.churnHead > len(s.churn)/2 && s.churnHead > 64 {
-		live := copy(s.churn, s.churn[s.churnHead:])
-		for i := live; i < len(s.churn); i++ {
-			s.churn[i] = nil
+	if p.churnHead > len(p.churn)/2 && p.churnHead > 64 {
+		live := copy(p.churn, p.churn[p.churnHead:])
+		for i := live; i < len(p.churn); i++ {
+			p.churn[i] = nil
 		}
-		s.churn = s.churn[:live]
-		s.churnHead = 0
+		p.churn = p.churn[:live]
+		p.churnHead = 0
 	}
 	return n
 }
 
 // churnPush appends a freshly created file to the unlink ring.
-func (s *popShard) churnPush(n *namespace.Inode) { s.churn = append(s.churn, n) }
+func (p *Population) churnPush(n *namespace.Inode) { p.churn = append(p.churn, n) }
 
 // popRetryFire is the retry-escalation timer: retransmit with doubled
 // backoff, or retire the op as timed out once attempts are exhausted
@@ -558,36 +522,32 @@ func (s *popShard) churnPush(n *namespace.Inode) { s.churn = append(s.churn, n) 
 // late reply for a retired id misses the retry map and is dropped
 // without touching the pool, so a struct can never be pooled twice.
 func popRetryFire(a, b any) {
-	s := a.(*popShard)
+	p := a.(*Population)
 	r := b.(*openRetry)
-	if s.retry[r.req.ID] != r {
+	if p.retry[r.req.ID] != r {
 		return // completed (or already retired); timer is stale
 	}
-	if s.stopped || r.attempts >= maxRetries {
-		delete(s.retry, r.req.ID)
-		s.timedOut++
-		s.pool = append(s.pool, r.req)
+	if p.stopped || r.attempts >= maxRetries {
+		delete(p.retry, r.req.ID)
+		p.timedOut++
+		p.pool = append(p.pool, r.req)
 		return
 	}
 	r.attempts++
-	s.retries++
+	p.retries++
 	// Resteer through the current hint state: the authority may have
 	// moved (or died) since the original send.
-	p := s.pop
-	g := int(r.li)*s.k + s.shard
-	mds := p.direct(g, r.req, s.next(r.li))
+	mds := p.direct(int(r.li), r.req, p.next(r.li))
 	p.net.Send(mds, r.req)
-	s.eng.AfterCall(retryBackoff(s.retryTimeout, r.attempts), popRetryFire, s, r)
+	p.eng.AfterCall(retryBackoff(p.retryTimeout, r.attempts), popRetryFire, p, r)
 }
 
-// popName formats p<shard>_<seq> without fmt; the retained string is
-// the new entry's name (inherent allocation of the Create op).
-func popName(shard, seq int) string {
+// popName formats p0_<seq> without fmt; the retained string is the new
+// entry's name (inherent allocation of the Create op). The prefix is
+// part of the name the hash strategies place and the digests cover.
+func popName(seq int) string {
 	var buf [24]byte
-	b := buf[:0]
-	b = append(b, 'p')
-	b = appendInt(b, shard)
-	b = append(b, '_')
+	b := append(buf[:0], "p0_"...)
 	b = appendInt(b, seq)
 	return string(b)
 }
@@ -632,25 +592,24 @@ func (p *Population) direct(g int, req *msg.Request, u uint64) int {
 }
 
 // OnReply completes one arrival: absorb hints and a lease grant if one
-// rides the reply, recycle the request. Runs on the client's shard.
-// Allocation-free (pool growth amortises to zero once the outstanding
-// high-water mark is reached). It reports whether the reply was
-// accepted: the caller records a completion's response time only then.
+// rides the reply, recycle the request. Allocation-free (pool growth
+// amortises to zero once the outstanding high-water mark is reached). It
+// reports whether the reply was accepted: the caller records a
+// completion's response time only then.
 func (p *Population) OnReply(rep *msg.Reply) bool {
-	s := p.shards[rep.Client%len(p.shards)]
-	if s.retry != nil {
-		r, ok := s.retry[rep.ID]
+	if p.retry != nil {
+		r, ok := p.retry[rep.ID]
 		if !ok || r.req != rep.Req {
 			// A duplicate reply to a retransmitted (or already retired)
 			// request: the first copy completed it and recycled the
 			// struct, so this one must not touch the pool or counters.
 			return false
 		}
-		delete(s.retry, rep.ID)
+		delete(p.retry, rep.ID)
 	}
-	s.completed++
-	if s.curLat != nil {
-		s.curLat.Observe(rep.Latency())
+	p.completed++
+	if p.curLat != nil {
+		p.curLat.Observe(rep.Latency())
 	}
 	if len(rep.Hints) > 0 {
 		reg := p.hints.claim(rep.Client)
@@ -659,17 +618,17 @@ func (p *Population) OnReply(rep *msg.Reply) bool {
 		}
 	}
 	if req := rep.Req; req != nil {
-		if req.Target == s.hot {
-			s.hotRemote++
+		if req.Target == p.hot {
+			p.hotRemote++
 		}
 		// Feed the churn ring with the completed create's inode. The
-		// reply travels after the barrier that applied the mutation, so
-		// the parent's index already holds the new entry and the lookup
-		// is read-only. Timed-out creates never reach here, so they can
-		// never be drawn as unlink victims.
-		if s.churnOn && req.Op == msg.Create {
+		// authority applied the mutation before replying, so the parent's
+		// index already holds the new entry and the lookup is read-only.
+		// Timed-out creates never reach here, so they can never be drawn
+		// as unlink victims.
+		if p.churnOn && req.Op == msg.Create {
 			if c, ok := req.Target.LookupChild(req.NewName); ok && !c.IsDir() {
-				s.churnPush(c)
+				p.churnPush(c)
 			}
 		}
 		// Install a granted lease at receipt: lifetime runs from now,
@@ -677,9 +636,9 @@ func (p *Population) OnReply(rep *msg.Reply) bool {
 		// that raced a recall from resurrecting the lease.
 		if rep.Leased && p.lease != nil && p.lease.Tab != nil {
 			p.lease.Tab.Install(rep.Client, req.Target.ID, rep.LeaseGen,
-				s.eng.Now()+p.lease.Cfg.Duration)
+				p.eng.Now()+p.lease.Cfg.Duration)
 		}
-		s.pool = append(s.pool, req)
+		p.pool = append(p.pool, req)
 	}
 	return true
 }
@@ -688,8 +647,8 @@ func (p *Population) OnReply(rep *msg.Reply) bool {
 // Call before Start.
 func (p *Population) AttachLeasePlane(l *lease.Plane) { p.lease = l }
 
-// EnableRetries arms the boxed retry-escalation cache on every shard:
-// unanswered requests are retransmitted with capped exponential backoff
+// EnableRetries arms the boxed retry-escalation cache: unanswered
+// requests are retransmitted with capped exponential backoff
 // (retryBackoff) and retired as timed out after maxRetries attempts. Only
 // fault schedules need this — it buys crash survival at the cost of one
 // small heap box per outstanding request.
@@ -697,85 +656,37 @@ func (p *Population) EnableRetries(timeout sim.Time) {
 	if timeout <= 0 {
 		panic("client: EnableRetries with no timeout")
 	}
-	for _, s := range p.shards {
-		s.retry = make(map[uint64]*openRetry)
-		s.retryTimeout = timeout
-	}
+	p.retry = make(map[uint64]*openRetry)
+	p.retryTimeout = timeout
 }
 
 // Stop suppresses further arrivals (Drain): pending wheel timers fire
 // into a no-op and outstanding retry chains retire at their next
 // deadline, so a drained run leaves no in-flight population state.
-func (p *Population) Stop() {
-	for _, s := range p.shards {
-		s.stopped = true
-	}
-}
+func (p *Population) Stop() { p.stopped = true }
 
-// Issued and Completed sum the per-shard counters.
-func (p *Population) Issued() uint64 {
-	var n uint64
-	for _, s := range p.shards {
-		n += s.issued
-	}
-	return n
-}
+// Issued returns the requests the population has issued.
+func (p *Population) Issued() uint64 { return p.issued }
 
-// Completed returns accepted replies across all shards.
-func (p *Population) Completed() uint64 {
-	var n uint64
-	for _, s := range p.shards {
-		n += s.completed
-	}
-	return n
-}
+// Completed returns accepted replies.
+func (p *Population) Completed() uint64 { return p.completed }
 
 // LeaseHits counts arrivals served locally from a valid lease.
-func (p *Population) LeaseHits() uint64 {
-	var n uint64
-	for _, s := range p.shards {
-		n += s.leaseHits
-	}
-	return n
-}
+func (p *Population) LeaseHits() uint64 { return p.leaseHits }
 
 // HotspotOps returns ops that landed on an act's hotspot target, split
 // into locally leased serves and remote (MDS) completions.
-func (p *Population) HotspotOps() (local, remote uint64) {
-	for _, s := range p.shards {
-		local += s.hotLocal
-		remote += s.hotRemote
-	}
-	return
-}
+func (p *Population) HotspotOps() (local, remote uint64) { return p.hotLocal, p.hotRemote }
 
-// Retries and TimedOut sum the retry-escalation counters.
-func (p *Population) Retries() uint64 {
-	var n uint64
-	for _, s := range p.shards {
-		n += s.retries
-	}
-	return n
-}
+// Retries counts retransmissions by the retry escalation.
+func (p *Population) Retries() uint64 { return p.retries }
 
 // TimedOut counts ops retired after exhausting their retry budget.
-func (p *Population) TimedOut() uint64 {
-	var n uint64
-	for _, s := range p.shards {
-		n += s.timedOut
-	}
-	return n
-}
+func (p *Population) TimedOut() uint64 { return p.timedOut }
 
 // RetryOutstanding counts boxed requests still awaiting a reply or a
 // retirement deadline; zero after a drain.
-func (p *Population) RetryOutstanding() int {
-	n := 0
-	for _, s := range p.shards {
-		n += len(s.retry)
-	}
-	return n
-}
+func (p *Population) RetryOutstanding() int { return len(p.retry) }
 
 // FootprintBytes returns the structural per-population memory: draw
 // counts (4 B/client), wheel intrusive lists (6 B/client), the shared
@@ -785,11 +696,7 @@ func (p *Population) RetryOutstanding() int {
 // excluded (they scale with outstanding requests, not with the
 // population size).
 func (p *Population) FootprintBytes() int64 {
-	var b int64
-	for _, s := range p.shards {
-		b += int64(len(s.draws)) * 4
-		b += s.wheel.FootprintBytes()
-	}
+	b := int64(len(p.draws))*4 + p.wheel.FootprintBytes()
 	b += p.hints.FootprintBytes() + p.tenants.FootprintBytes()
 	if p.lease != nil && p.lease.Tab != nil {
 		// The lease slab is per-client state and counts against the

@@ -79,7 +79,7 @@ func popFixture(t *testing.T, cfg PopulationConfig, seed int64, delay sim.Time) 
 	tn := workload.NewTenants(cfg.Tenant, cfg.Clients, homes, seed)
 	eng := sim.NewEngine()
 	net := &echoNet{eng: eng, n: 4, delay: delay}
-	pop := NewPopulation(cfg, []*sim.Engine{eng}, net, partition.FileHash{N: 4}, tn, seed)
+	pop := NewPopulation(cfg, eng, net, partition.FileHash{N: 4}, tn, seed)
 	net.pop = pop
 	return eng, pop, net
 }
@@ -174,7 +174,7 @@ func TestPopulationHintsSteerDirection(t *testing.T) {
 	// Subtree strategy: clients are ignorant and follow hints.
 	tr := homes[0].Parent()
 	_ = tr
-	pop := NewPopulation(cfg, []*sim.Engine{eng}, net, partition.NewStaticSubtree(8, emptyTree(), 1), tn, 1)
+	pop := NewPopulation(cfg, eng, net, partition.NewStaticSubtree(8, emptyTree(), 1), tn, 1)
 	net.pop = pop
 	f := tn.File(0, 0, 0)
 	pop.hints.Put(3, msg.Hint{Ino: f.ID, Authority: 5})
@@ -217,38 +217,31 @@ func TestPopulationArrivalAllocFree(t *testing.T) {
 // TestPopulationDrawsAreSplitmix holds the draw-count slab to the
 // stream it replaced: a client's n-th draw, through an arrival's cursor
 // or through next, is the n-th output of a splitmix64 state seeded at
-// the client's origin and stepped by gamma — at one shard and at three.
+// the client's origin and stepped by gamma.
 func TestPopulationDrawsAreSplitmix(t *testing.T) {
 	const seed, clients, draws = 9, 10, 1000
 	_, homes := popTree(t, 2)
 	tn := workload.NewTenants(workload.TenantConfig{Tenants: 2, WorkingSet: 4}, clients, homes, seed)
-	for _, k := range []int{1, 3} {
-		engines := make([]*sim.Engine, k)
-		for i := range engines {
-			engines[i] = sim.NewEngine()
-		}
-		newPop := func() *Population {
-			return NewPopulation(PopulationConfig{Clients: clients}, engines, &echoNet{n: 4}, partition.FileHash{N: 4}, tn, seed)
-		}
-		viaCursor, viaNext := newPop(), newPop()
-		for g := 0; g < clients; g++ {
-			li := int32(g / k)
-			state := mix64(uint64(seed) ^ mix64(uint64(g)+0x9E3779B97F4A7C15))
-			cs, ns := viaCursor.shards[g%k], viaNext.shards[g%k]
-			r := cs.stream(li)
-			for n := 1; n <= draws; n++ {
-				state += 0x9E3779B97F4A7C15
-				want := mix64(state)
-				if got := r.next(); got != want {
-					t.Fatalf("K=%d client %d draw %d: cursor %#x, splitmix64 %#x", k, g, n, got, want)
-				}
-				if got := ns.next(li); got != want {
-					t.Fatalf("K=%d client %d draw %d: next %#x, splitmix64 %#x", k, g, n, got, want)
-				}
+	newPop := func() *Population {
+		return NewPopulation(PopulationConfig{Clients: clients}, sim.NewEngine(), &echoNet{n: 4}, partition.FileHash{N: 4}, tn, seed)
+	}
+	viaCursor, viaNext := newPop(), newPop()
+	for g := 0; g < clients; g++ {
+		li := int32(g)
+		state := mix64(uint64(seed) ^ mix64(uint64(g)+0x9E3779B97F4A7C15))
+		r := viaCursor.stream(li)
+		for n := 1; n <= draws; n++ {
+			state += 0x9E3779B97F4A7C15
+			want := mix64(state)
+			if got := r.next(); got != want {
+				t.Fatalf("client %d draw %d: cursor %#x, splitmix64 %#x", g, n, got, want)
 			}
-			if ns.draws[li] != draws {
-				t.Fatalf("K=%d client %d: count %d after %d draws", k, g, ns.draws[li], draws)
+			if got := viaNext.next(li); got != want {
+				t.Fatalf("client %d draw %d: next %#x, splitmix64 %#x", g, n, got, want)
 			}
+		}
+		if viaNext.draws[li] != draws {
+			t.Fatalf("client %d: count %d after %d draws", g, viaNext.draws[li], draws)
 		}
 	}
 }
@@ -257,15 +250,14 @@ func TestPopulationDrawsAreSplitmix(t *testing.T) {
 // client may take; the next one panics rather than restart the stream.
 func TestPopulationDrawCountWraps(t *testing.T) {
 	_, pop, _ := popFixture(t, PopulationConfig{Clients: 2, Tenant: workload.TenantConfig{Tenants: 1}}, 3, 0)
-	s := pop.shards[0]
-	s.draws[1] = math.MaxUint32 - 1
-	s.next(1)
+	pop.draws[1] = math.MaxUint32 - 1
+	pop.next(1)
 	defer func() {
 		if r := recover(); r == nil {
 			t.Fatal("a draw past 2^32-1 did not panic")
 		}
 	}()
-	s.next(1)
+	pop.next(1)
 }
 
 // TestRearmCapUnderWheelHorizon: the longest inter-arrival rearm
@@ -274,14 +266,13 @@ func TestPopulationDrawCountWraps(t *testing.T) {
 // even from between two ticks, where the deadline rounds up.
 func TestRearmCapUnderWheelHorizon(t *testing.T) {
 	eng, pop, _ := popFixture(t, PopulationConfig{Clients: 1, Tenant: workload.TenantConfig{Tenants: 1}}, 3, 0)
-	s := pop.shards[0]
-	s.wheel.Start()
+	pop.wheel.Start()
 	eng.RunUntil(wheelTick / 2)
-	s.rateMul = 1e-300
-	r := s.stream(0)
-	s.rearm(0, 0, &r)
-	if s.draws[0] != 1 {
-		t.Fatalf("rearm stored count %d, want 1", s.draws[0])
+	pop.rateMul = 1e-300
+	r := pop.stream(0)
+	pop.rearm(0, 0, &r)
+	if pop.draws[0] != 1 {
+		t.Fatalf("rearm stored count %d, want 1", pop.draws[0])
 	}
 }
 
@@ -297,7 +288,7 @@ func TestPopulationHeapBytesPerClient(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	pop := NewPopulation(PopulationConfig{Clients: clients}, []*sim.Engine{eng}, &echoNet{n: 4}, partition.FileHash{N: 4}, tn, 1)
+	pop := NewPopulation(PopulationConfig{Clients: clients}, eng, &echoNet{n: 4}, partition.FileHash{N: 4}, tn, 1)
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	heap := float64(after.HeapAlloc) - float64(before.HeapAlloc)

@@ -7,8 +7,8 @@ import (
 
 // Endurance checkpointing for the open-loop traffic plane.
 //
-// The population's serialized state is the per-shard slabs and counters
-// plus the shared hint table. Pending wheel timers are deliberately NOT
+// The population's serialized state is its slabs and counters plus the
+// hint table. Pending wheel timers are deliberately NOT
 // serialized: a checkpoint happens at a quiesce point where both the
 // checkpointing run and a restored run execute the same Pause → drain →
 // Resume protocol, and Resume re-arms every client from its own RNG
@@ -18,27 +18,23 @@ import (
 // Pause stops arrivals and wheels ahead of a checkpoint. The drain
 // window that follows lets in-flight requests and retry chains retire.
 func (p *Population) Pause() {
-	for _, s := range p.shards {
-		s.stopped = true
-		s.wheel.Stop()
-	}
+	p.stopped = true
+	p.wheel.Stop()
 }
 
-// Resume re-arms every client and restarts the wheels. Executed
+// Resume re-arms every client and restarts the wheel. Executed
 // identically after an in-place checkpoint and after a restore.
 func (p *Population) Resume() {
-	for _, s := range p.shards {
-		s.stopped = false
-		s.wheel.Reset()
-		s.armAll()
-	}
+	p.stopped = false
+	p.wheel.Reset()
+	p.armAll()
 }
 
-// Snap walks the population: the per-shard slabs and counters, then the
-// shared hint table. Call only at a quiesce point — paused, drained (no
-// outstanding retries), and outside any act — or, reading, on a freshly
-// built population with the same config and shard count, whose inode
-// references resolve against tree.
+// Snap walks the population: its slabs and counters, then the hint
+// table. Call only at a quiesce point — paused, drained (no outstanding
+// retries), and outside any act — or, reading, on a freshly built
+// population with the same config, whose inode references resolve
+// against tree.
 func (p *Population) Snap(c *snap.Codec, tree *namespace.Tree) {
 	// queue walks the unconsumed tail of a FIFO of inodes; the restored
 	// queue holds nothing else (whatever a fresh build seeded is gone).
@@ -52,36 +48,33 @@ func (p *Population) Snap(c *snap.Codec, tree *namespace.Tree) {
 			*q, *head = live, 0
 		}
 	}
-	c.Same(len(p.shards), "client: population shards")
-	for _, s := range p.shards {
-		if !c.Reading() {
-			if !s.stopped {
-				panic("client: snapshot of a running population")
-			}
-			if len(s.retry) != 0 {
-				panic("client: snapshot with outstanding retries")
-			}
-			if s.curLat != nil {
-				panic("client: snapshot inside an act")
-			}
+	if !c.Reading() {
+		if !p.stopped {
+			panic("client: snapshot of a running population")
 		}
-		s.stopped = true
-		c.Same(len(s.draws), "client: shard clients")
-		for li := range s.draws {
-			snap.U(c, &s.draws[li])
+		if len(p.retry) != 0 {
+			panic("client: snapshot with outstanding retries")
 		}
-		snap.U(c, &s.seq)
-		snap.I(c, &s.nameSeq)
-		snap.U(c, &s.issued)
-		snap.U(c, &s.completed)
-		snap.U(c, &s.leaseHits)
-		snap.U(c, &s.hotLocal)
-		snap.U(c, &s.hotRemote)
-		snap.U(c, &s.retries)
-		snap.U(c, &s.timedOut)
-		queue(&s.churn, &s.churnHead, "client: churn ring")
-		queue(&s.baseVictims, &s.baseHead, "client: base victim")
+		if p.curLat != nil {
+			panic("client: snapshot inside an act")
+		}
 	}
+	p.stopped = true
+	c.Same(len(p.draws), "client: population clients")
+	for li := range p.draws {
+		snap.U(c, &p.draws[li])
+	}
+	snap.U(c, &p.seq)
+	snap.I(c, &p.nameSeq)
+	snap.U(c, &p.issued)
+	snap.U(c, &p.completed)
+	snap.U(c, &p.leaseHits)
+	snap.U(c, &p.hotLocal)
+	snap.U(c, &p.hotRemote)
+	snap.U(c, &p.retries)
+	snap.U(c, &p.timedOut)
+	queue(&p.churn, &p.churnHead, "client: churn ring")
+	queue(&p.baseVictims, &p.baseHead, "client: base victim")
 	p.hints.snap(c)
 }
 

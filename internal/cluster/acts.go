@@ -36,8 +36,7 @@ type ActConfig struct {
 
 // setupActs validates cfg.Acts, resolves hotspot paths against the
 // fresh snapshot, registers the acts with the population, and schedules
-// skew retargets on the global engine (they rebuild shared alias
-// tables, so they must run at barriers when sharded).
+// the skew retargets.
 func (c *Cluster) setupActs() error {
 	cfg := c.Cfg
 	if len(cfg.Acts) == 0 {

@@ -106,32 +106,21 @@ func actDigest(r *Result) string {
 }
 
 // TestActDeterministicAcrossShards pins bit-reproducibility of a run
-// with the full act machinery — rate, mix, hotspot, skew retarget —
-// serial and under the K=4 parallel executor.
+// with the full act machinery — rate, mix, hotspot, skew retarget — and
+// that Config.Shards, which nothing reads, leaves it as it was.
 func TestActDeterministicAcrossShards(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		shards := shards
-		t.Run(fmt.Sprintf("K%d", shards), func(t *testing.T) {
-			cfg := actConfig(StratDynamic)
-			cfg.Shards = shards
-			// Determinism doesn't depend on load volume; a lighter
-			// population keeps the 4 full runs affordable under -race
-			// on the 1-core CI box.
-			cfg.OpenLoop.Clients = 800
-			cfg.OpenLoop.Rate = 10
-			run := func() string {
-				cl, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return actDigest(cl.Run())
-			}
-			a, b := run(), run()
-			if a != b {
-				t.Fatalf("act run not reproducible:\n%s\n%s", a, b)
-			}
-		})
-	}
+	cfg := actConfig(StratDynamic)
+	// Determinism doesn't depend on load volume; a lighter population
+	// keeps the full runs affordable under -race.
+	cfg.OpenLoop.Clients = 800
+	cfg.OpenLoop.Rate = 10
+	eachShardCount(t, cfg, "act", func(t *testing.T, cfg Config) string {
+		cl, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return actDigest(cl.Run())
+	})
 }
 
 func TestActResults(t *testing.T) {

@@ -118,7 +118,7 @@ type Config struct {
 	// population with the open-loop flyweight traffic plane: dense
 	// per-client records, tenants with Zipf-distributed sizes, Poisson
 	// arrivals (with diurnal/burst modulation) scheduled through a
-	// hierarchical timer wheel per shard. OpenLoop.Clients defaults to
+	// hierarchical timer wheel. OpenLoop.Clients defaults to
 	// NumMDS·ClientsPerMDS. Incompatible with non-general workload kinds
 	// (the open loop has no scenario hooks). A fault schedule composes:
 	// it arms the population's boxed retry-escalation cache, so drops and
@@ -137,16 +137,9 @@ type Config struct {
 	// resolved against the namespace in New, before any simulation.
 	Acts []ActConfig
 
-	// Shards, when > 1, runs the simulation on the conservative parallel
-	// (Chandy–Misra style) sharded executor: MDS endpoints and clients
-	// are partitioned across that many per-shard event heaps advancing
-	// in lockstep lookahead windows derived from the fabric's minimum
-	// link latency. Results are bit-reproducible for a fixed shard
-	// count; 0 or 1 uses the serial engine. Incompatible with a shared
-	// OSD pool. When a fault schedule is active the same windowed
-	// execution runs single-threaded (the fault plane's RNG and the
-	// suspicion protocol's mid-window reassignment are shared state),
-	// still deterministic.
+	// Shards is ignored: every run is one engine on one goroutine. It
+	// is kept only because bench/shard.go still sets it, and goes with
+	// that file (ROADMAP, ledger item (f)).
 	Shards int
 
 	Duration     sim.Time
@@ -196,8 +189,7 @@ type Cluster struct {
 	// enables leases and/or fan-out).
 	Lease *lease.Plane
 	// tenants is the plane's tenant model, kept for act-driven skew
-	// retargets (scheduled on the global engine: they mutate shared
-	// alias tables, so they must run at barriers when sharded).
+	// retargets.
 	tenants *workload.Tenants
 
 	// Per-node reply series, cluster-wide forward and client-arrival
@@ -239,30 +231,6 @@ type Cluster struct {
 	warmServed, warmForwards, warmArrivals uint64
 	warmHits, warmMisses                   uint64
 	warmTaken                              bool
-
-	// Sharded (conservative parallel) execution state. group is nil when
-	// the effective shard count is <= 1 and everything above runs on the
-	// serial engine exactly as before.
-	group        *sim.ShardGroup
-	shardEngines []*sim.Engine
-	shardOf      []int // MDS id -> shard
-	numShards    int   // effective count (0 = serial)
-	// table is the strategy's subtree table when it has one; frozen
-	// during windows so Authority walks are read-only, re-memoized at
-	// barriers whenever the assignment epoch moves.
-	table      *partition.SubtreeTable
-	tableEpoch uint64
-	// Per-shard metric lanes: each is written by exactly one shard
-	// during windows and summed into the public aggregates (in shard
-	// order) when results are collected. Arrival/latency lanes are
-	// indexed by the client's shard, forward lanes by the forwarding
-	// node's shard. replyReturns parks replies consumed on a client
-	// shard until the barrier hands them back to the serving node's
-	// pool.
-	arrivalLanes []*metrics.Series
-	latHistLanes []*metrics.LatHist
-	forwardLanes []*metrics.Series
-	replyReturns [][]*msg.Reply
 
 	// lastSnapLen is the length of the checkpoint this cluster last
 	// wrote or was restored from: CheckpointTo's buffer-size hint, not
@@ -314,58 +282,17 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := cfg.Shards
-	if shards > cfg.NumMDS {
-		shards = cfg.NumMDS
-	}
-	if shards > 1 {
-		if cfg.OSDs > 0 {
-			return nil, fmt.Errorf("cluster: sharded execution is incompatible with a shared OSD pool")
-		}
-	} else {
-		shards = 0
-	}
 	c := &Cluster{
-		Cfg:       cfg,
-		Eng:       eng,
-		Snap:      snap,
-		Fab:       net.NewFabric(eng, cfg.NumMDS, model),
-		Forwards:  metrics.NewSeries(cfg.SeriesBucket),
-		Arrivals:  metrics.NewSeries(cfg.SeriesBucket),
-		LatH:      metrics.NewLatHist(),
-		numShards: shards,
+		Cfg:      cfg,
+		Eng:      eng,
+		Snap:     snap,
+		Fab:      net.NewFabric(eng, cfg.NumMDS, model),
+		Forwards: metrics.NewSeries(cfg.SeriesBucket),
+		Arrivals: metrics.NewSeries(cfg.SeriesBucket),
+		LatH:     metrics.NewLatHist(),
 	}
 	if k := cfg.Workload.Kind; cfg.OpenLoop != nil && k != "" && k != WorkGeneral {
 		return nil, fmt.Errorf("cluster: open-loop traffic plane supports only the general workload, not %q", k)
-	}
-	if shards > 1 {
-		c.shardEngines = make([]*sim.Engine, shards)
-		c.arrivalLanes = make([]*metrics.Series, shards)
-		c.latHistLanes = make([]*metrics.LatHist, shards)
-		c.forwardLanes = make([]*metrics.Series, shards)
-		for i := range c.shardEngines {
-			c.shardEngines[i] = sim.NewEngine()
-			c.arrivalLanes[i] = metrics.NewSeries(cfg.SeriesBucket)
-			c.latHistLanes[i] = metrics.NewLatHist()
-			c.forwardLanes[i] = metrics.NewSeries(cfg.SeriesBucket)
-		}
-		c.replyReturns = make([][]*msg.Reply, shards)
-		// Contiguous blocks of MDS nodes per shard: authority locality
-		// in the subtree partition keeps most hops intra-shard.
-		c.shardOf = make([]int, cfg.NumMDS)
-		base, rem := cfg.NumMDS/shards, cfg.NumMDS%shards
-		node := 0
-		for s := 0; s < shards; s++ {
-			cnt := base
-			if s < rem {
-				cnt++
-			}
-			for j := 0; j < cnt; j++ {
-				c.shardOf[node] = s
-				node++
-			}
-		}
-		c.Fab.Shard(shards, c.shardOf, c.shardEngines)
 	}
 	if !sched.Empty() {
 		c.sched = sched
@@ -399,11 +326,7 @@ func New(cfg Config) (*Cluster, error) {
 			nodeCfg.Storage.Pool = c.Pool
 			nodeCfg.Storage.PoolOwner = i
 		}
-		nodeEng := eng
-		if c.numShards > 1 {
-			nodeEng = c.shardEngines[c.shardOf[i]]
-		}
-		node := mds.New(i, nodeEng, nodeCfg, c.Strategy, c.Traffic, c)
+		node := mds.New(i, eng, nodeCfg, c.Strategy, c.Traffic, c)
 		if c.sched != nil {
 			node.EnableFaults(c)
 		}
@@ -413,10 +336,6 @@ func New(cfg Config) (*Cluster, error) {
 			c.RepliesPerNode[id].Observe(now, 1)
 		}
 		node.OnForward = func(id int, req *msg.Request, now sim.Time) {
-			if c.numShards > 1 {
-				c.forwardLanes[c.shardOf[id]].Observe(now, 1)
-				return
-			}
 			c.Forwards.Observe(now, 1)
 		}
 		c.Nodes = append(c.Nodes, node)
@@ -463,64 +382,12 @@ func New(cfg Config) (*Cluster, error) {
 	if c.Pop != nil && !sched.Empty() {
 		c.Pop.EnableRetries(cfg.Client.RetryTimeout)
 	}
-
-	if c.numShards > 1 {
-		// Materialize every inode's tag block and freeze authority
-		// resolution while still single-threaded: windows read tags and
-		// walk authority concurrently, so neither may allocate or
-		// memoize mid-window. The memo pass re-runs at barriers when a
-		// delegation bumps the table epoch.
-		snap.Tree.Walk(func(n *namespace.Inode) bool {
-			_ = partition.TagsOf(n)
-			return true
-		})
-		switch s := c.Strategy.(type) {
-		case *core.DynamicSubtree:
-			c.table = s.Table
-		case *partition.StaticSubtree:
-			c.table = s.Table
-		}
-		if c.table != nil {
-			c.table.SetFrozen(true)
-			c.table.Memoize(snap.Tree.Root)
-			c.tableEpoch = c.table.Epoch()
-		}
-		// Fault schedules share the plane's RNG and mutate the table
-		// mid-window (suspicion -> reassignment), so run the same
-		// windowed execution on one goroutine in that mode.
-		c.group = sim.NewShardGroup(c.shardEngines, eng, c.Fab.Lookahead(), sched.Empty(), c.barrier)
-	}
 	c.setupWall = time.Since(setupStart)
 	return c, nil
 }
 
-// barrier is the sharded executor's window boundary: merge cross-shard
-// mail, apply deferred shared-state mutations, dispatch global work
-// (balancer rounds, fault events, warmup snapshot) due by now, merge
-// any mail that work produced, refresh frozen authority memos if the
-// partition moved, and hand consumed replies back to their pools.
-func (c *Cluster) barrier(now sim.Time) {
-	c.Fab.DrainMail()
-	c.group.ApplyDeferred()
-	c.Eng.RunUntil(now)
-	c.Fab.DrainMail()
-	if c.table != nil && c.table.Epoch() != c.tableEpoch {
-		c.tableEpoch = c.table.Epoch()
-		c.table.Memoize(c.Snap.Tree.Root)
-	}
-	for s := range c.replyReturns {
-		buf := c.replyReturns[s]
-		for i, rep := range buf {
-			c.Nodes[rep.ServedBy].TakeReply(rep)
-			buf[i] = nil
-		}
-		c.replyReturns[s] = buf[:0]
-	}
-}
-
 // The fabric's one-way hop latencies: client↔MDS, and MDS↔MDS —
-// intra-cluster forwarding "is likely to be cheap" (§5.3.3). Both are
-// positive, so a sharded run always has a lookahead.
+// intra-cluster forwarding "is likely to be cheap" (§5.3.3).
 const (
 	netLatency = 200 * sim.Microsecond
 	fwdLatency = 50 * sim.Microsecond
@@ -639,18 +506,13 @@ func (c *Cluster) buildClients() error {
 			gen = workload.NewScientific(g, job)
 		}
 		rng := sim.NewStream(cfg.Seed, fmt.Sprintf("client-%d", i))
-		cliEng := c.Eng
-		if c.numShards > 1 {
-			cliEng = c.shardEngines[i%c.numShards]
-		}
-		c.Clients = append(c.Clients, client.New(i, cliEng, cfg.Client, rng, c, c.Strategy, gen))
+		c.Clients = append(c.Clients, client.New(i, c.Eng, cfg.Client, rng, c, c.Strategy, gen))
 	}
 	return nil
 }
 
 // buildPopulation assembles the open-loop traffic plane: the tenant
-// model over the snapshot's homes, then the flyweight population with
-// one timer wheel per shard engine.
+// model over the snapshot's homes, then the flyweight population.
 func (c *Cluster) buildPopulation() error {
 	cfg := c.Cfg
 	pcfg := *cfg.OpenLoop
@@ -664,12 +526,8 @@ func (c *Cluster) buildPopulation() error {
 		return fmt.Errorf("cluster: open-loop traffic plane needs home directories in the snapshot")
 	}
 	tenants := workload.NewTenants(pcfg.Tenant, pcfg.Clients, c.Snap.Homes, cfg.Seed)
-	engines := []*sim.Engine{c.Eng}
-	if c.numShards > 1 {
-		engines = c.shardEngines
-	}
 	c.tenants = tenants
-	c.Pop = client.NewPopulation(pcfg, engines, c, c.Strategy, tenants, cfg.Seed)
+	c.Pop = client.NewPopulation(pcfg, c.Eng, c, c.Strategy, tenants, cfg.Seed)
 	if pcfg.ChurnBase > 0 {
 		victims := baseVictims(c.Snap.Tree, tenants, pcfg.ChurnBase)
 		if len(victims) == 0 {
@@ -718,18 +576,8 @@ func (c *Cluster) Fabric() *net.Fabric { return c.Fab }
 
 // Deliver implements mds.Cluster: route the reply to its client and, if
 // the client accepts it, record the completion — the one place a
-// response time is measured. When sharded this runs on the client's
-// shard and writes that shard's lane; the consumed reply is parked in
-// the shard's return buffer until the barrier recycles it into the
-// serving node's pool (the two may live on different shards). A fault
-// schedule runs the windows on one goroutine, so CompletedOps needs no
-// lane.
+// response time is measured.
 func (c *Cluster) Deliver(rep *msg.Reply) {
-	eng, lat, shard := c.Eng, c.LatH, 0
-	if c.numShards > 1 {
-		shard = rep.Client % c.numShards
-		eng, lat = c.shardEngines[shard], c.latHistLanes[shard]
-	}
 	var accepted bool
 	if c.Pop != nil {
 		accepted = c.Pop.OnReply(rep)
@@ -737,60 +585,31 @@ func (c *Cluster) Deliver(rep *msg.Reply) {
 		accepted = c.Clients[rep.Client].OnReply(rep)
 	}
 	if accepted {
-		lat.Observe(rep.Latency())
+		c.LatH.Observe(rep.Latency())
 		if c.CompletedOps != nil {
-			c.CompletedOps.Observe(eng.Now(), 1)
+			c.CompletedOps.Observe(c.Eng.Now(), 1)
 		}
 	}
-	if c.numShards > 1 {
-		c.replyReturns[shard] = append(c.replyReturns[shard], rep)
-	}
 }
-
-// ClientShard tells the MDS which shard runs a client's event loop
-// (clients are striped round-robin across shards).
-func (c *Cluster) ClientShard(client int) int {
-	if c.numShards > 1 {
-		return client % c.numShards
-	}
-	return 0
-}
-
-// RoutesReplies tells the MDS that consumed replies return to its pool
-// at barriers (via TakeReply) rather than inline from Deliver.
-func (c *Cluster) RoutesReplies() bool { return c.numShards > 1 }
 
 // LeaseRecallDeliver lands a lease-recall notice at the client edge:
-// the generation bump (shared registry state) is deferred on the
-// delivering engine so it applies at the barrier when sharded, and a
-// LeaseAck rides back to the recalling authority. Recalls always travel
-// to edge shard 0 — the registry is shard-agnostic, so any one delivery
-// invalidates the lease for every client. Acks are sent exactly on
-// delivery, so LeaseAck.Sent == LeaseRecall.Delivered even when a fault
-// plane drops recalls (a lost recall is bounded by the lease lifetime:
-// holders lapse at expiry instead).
+// the registry's generation bump invalidates the lease for every
+// client at once, and a LeaseAck rides back to the recalling authority.
+// Acks are sent exactly on delivery, so LeaseAck.Sent ==
+// LeaseRecall.Delivered even when a fault plane drops recalls (a lost
+// recall is bounded by the lease lifetime: holders lapse at expiry
+// instead).
 func (c *Cluster) LeaseRecallDeliver(from int, target *namespace.Inode) {
-	eng := c.Eng
-	if c.numShards > 1 {
-		eng = c.shardEngines[0]
-	}
-	eng.Defer(lease.NoteRecalled, c.Lease, target)
-	c.Fab.SendFromEdge(0, net.LeaseAck, from, net.Bytes(net.LeaseAck), leaseAckArrive, c.Nodes[from], nil)
+	c.Lease.NoteRecalled(target.ID)
+	c.Fab.Send(net.LeaseAck, c.Fab.ClientEdge(), from, net.Bytes(net.LeaseAck), leaseAckArrive, c.Nodes[from], nil)
 }
 
 // leaseAckArrive completes the recall round trip at the authority.
 func leaseAckArrive(a, _ any) { a.(*mds.MDS).NoteLeaseAck() }
 
 // Send implements client.Network: the client→MDS hop enters the fabric
-// at the client edge — specifically the sending client's shard's slice
-// of it, so concurrent shards never share an edge-row counter.
+// at the client edge.
 func (c *Cluster) Send(i int, req *msg.Request) {
-	if c.numShards > 1 {
-		shard := req.Client % c.numShards
-		c.arrivalLanes[shard].Observe(c.shardEngines[shard].Now(), 1)
-		c.Fab.SendFromEdge(shard, net.Request, i, net.Bytes(net.Request), nodeReceive, c.Nodes[i], req)
-		return
-	}
 	c.Arrivals.Observe(c.Eng.Now(), 1)
 	c.Fab.Send(net.Request, c.Fab.ClientEdge(), i, net.Bytes(net.Request), nodeReceive, c.Nodes[i], req)
 }
@@ -818,22 +637,12 @@ func (c *Cluster) Run() *Result {
 	return c.Collect()
 }
 
-// ExecutedEvents returns events dispatched across every engine in the
-// run — the serial engine alone, or the global engine plus all shards.
-func (c *Cluster) ExecutedEvents() uint64 {
-	if c.group != nil {
-		return c.group.ExecutedEvents()
-	}
-	return c.Eng.Executed
-}
+// ExecutedEvents returns the events the run's engine has dispatched.
+func (c *Cluster) ExecutedEvents() uint64 { return c.Eng.Executed }
 
-// Windows returns the number of lookahead windows executed (0 serial).
-func (c *Cluster) Windows() uint64 {
-	if c.group == nil {
-		return 0
-	}
-	return c.group.Windows
-}
+// Windows returns 0. It is kept only because bench/run.go still reads
+// it, and goes with Config.Shards (ROADMAP, ledger item (f)).
+func (c *Cluster) Windows() uint64 { return 0 }
 
 // Result aggregates a finished run.
 type Result struct {
@@ -922,18 +731,6 @@ type Result struct {
 // Collect assembles the Result (callable after Run).
 func (c *Cluster) Collect() *Result {
 	cfg := c.Cfg
-	if c.numShards > 1 {
-		// A sharded run's aggregates are the sum of its lanes, in shard
-		// order, rebuilt at every collection: a later Collect (after
-		// Drain, say) sees what the lanes have gathered since.
-		c.Arrivals, c.Forwards = metrics.NewSeries(cfg.SeriesBucket), metrics.NewSeries(cfg.SeriesBucket)
-		c.LatH.Reset()
-		for i := 0; i < c.numShards; i++ {
-			c.Arrivals.Merge(c.arrivalLanes[i])
-			c.Forwards.Merge(c.forwardLanes[i])
-			c.LatH.Merge(c.latHistLanes[i])
-		}
-	}
 	window := cfg.Duration - cfg.Warmup
 	if !c.warmTaken {
 		window = cfg.Duration

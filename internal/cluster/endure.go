@@ -53,7 +53,7 @@ func (c *Cluster) EndureCheck() error {
 }
 
 // subtreeTable returns the strategy's delegation table, nil for hash
-// strategies. (c.table is only populated for sharded runs.)
+// strategies.
 func (c *Cluster) subtreeTable() *partition.SubtreeTable {
 	if c.Dyn != nil {
 		return c.Dyn.Table
@@ -105,16 +105,11 @@ func (c *Cluster) StartEndureRestored(t sim.Time) {
 	c.scheduleFaults(t)
 }
 
-// RunTo advances the simulation to absolute virtual time t (through the
-// shard group when sharded). Callable repeatedly; wall time accrues to
-// the run accounting.
+// RunTo advances the simulation to absolute virtual time t. Callable
+// repeatedly; wall time accrues to the run accounting.
 func (c *Cluster) RunTo(t sim.Time) {
 	start := time.Now()
-	if c.group != nil {
-		c.group.Run(t)
-	} else {
-		c.Eng.RunUntil(t)
-	}
+	c.Eng.RunUntil(t)
 	c.runWall += time.Since(start)
 }
 
@@ -151,9 +146,6 @@ func (c *Cluster) Quiesce() error {
 	}
 	if n := c.Fab.LiveEnvelopes(); n != 0 {
 		return fmt.Errorf("cluster: quiesce with %d live envelopes", n)
-	}
-	if n := c.Fab.PendingMail(); n != 0 {
-		return fmt.Errorf("cluster: quiesce with %d queued cross-shard deliveries", n)
 	}
 	// Dead means "no longer resolves": a tombstoned base inode, or one
 	// the run created and later unlinked. Restore resolves every
@@ -226,21 +218,6 @@ func (c *Cluster) snap(sc *snap.Codec) {
 			table.Snap(sc, tree)
 		}
 		partition.SnapTags(sc, tree, len(c.Nodes))
-		if sc.Reading() && c.numShards > 1 {
-			// Inodes created after the pristine snapshot have no tag blocks
-			// yet; materialize them before windows run concurrently, exactly
-			// as New does for the pristine tree.
-			tree.Walk(func(n *namespace.Inode) bool {
-				_ = partition.TagsOf(n)
-				return true
-			})
-			// Memos came from the snapshot verbatim (they are behavioral
-			// state — see partition's codec); only resync the barrier's
-			// epoch watermark so it does not re-Memoize over them.
-			if table != nil {
-				c.tableEpoch = table.Epoch()
-			}
-		}
 	})
 
 	sc.Section("core", func(sc *snap.Codec) {
@@ -292,16 +269,6 @@ func (c *Cluster) snap(sc *snap.Codec) {
 		c.Forwards.Snap(sc)
 		c.Arrivals.Snap(sc)
 		c.LatH.Snap(sc)
-		lanes := -1
-		if c.numShards > 1 {
-			lanes = c.numShards
-		}
-		sc.Same(lanes, "cluster: metric lanes")
-		for i := 0; i < lanes; i++ {
-			c.arrivalLanes[i].Snap(sc)
-			c.forwardLanes[i].Snap(sc)
-			c.latHistLanes[i].Snap(sc)
-		}
 		snap.U(sc, &c.warmServed)
 		snap.U(sc, &c.warmForwards)
 		snap.U(sc, &c.warmArrivals)

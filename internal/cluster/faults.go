@@ -140,10 +140,6 @@ func (c *Cluster) Drain() {
 	if c.Pop != nil {
 		c.Pop.Stop()
 	}
-	if c.group != nil {
-		c.group.Run(c.Cfg.Duration + 2*sim.Second)
-		return
-	}
 	c.Eng.RunUntil(c.Cfg.Duration + 2*sim.Second)
 }
 

@@ -103,26 +103,15 @@ func TestLeaseGrantRecallAck(t *testing.T) {
 }
 
 // TestLeaseDeterministic pins bit-reproducibility of the whole lease
-// protocol, serial and K=4.
+// protocol, with Config.Shards unset and set.
 func TestLeaseDeterministic(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		shards := shards
-		t.Run(fmt.Sprintf("K%d", shards), func(t *testing.T) {
-			cfg := leaseConfig(StratDynamic)
-			cfg.Shards = shards
-			run := func() string {
-				cl, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return leaseDigest(cl.Run())
-			}
-			a, b := run(), run()
-			if a != b {
-				t.Fatalf("lease run not reproducible:\n%s\n%s", a, b)
-			}
-		})
-	}
+	eachShardCount(t, leaseConfig(StratDynamic), "lease", func(t *testing.T, cfg Config) string {
+		cl, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return leaseDigest(cl.Run())
+	})
 }
 
 // TestLeaseExpiryVsRecall drives the race between natural expiry and

@@ -83,28 +83,18 @@ func TestOpenLoopRuns(t *testing.T) {
 }
 
 // TestOpenLoopDeterministic pins bit-reproducibility of the open-loop
-// plane for a fixed shard count, serial and K=4.
+// plane, with Config.Shards unset and set.
 func TestOpenLoopDeterministic(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		shards := shards
-		t.Run(fmt.Sprintf("K%d", shards), func(t *testing.T) {
-			cfg := openLoopConfig(StratDynamic)
-			cfg.OpenLoop.DiurnalAmp = 0.4
-			cfg.OpenLoop.BurstProb = 0.1
-			cfg.Shards = shards
-			run := func() string {
-				cl, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return openLoopDigest(cl.Run())
-			}
-			a, b := run(), run()
-			if a != b {
-				t.Fatalf("open-loop run not reproducible:\n%s\n%s", a, b)
-			}
-		})
-	}
+	cfg := openLoopConfig(StratDynamic)
+	cfg.OpenLoop.DiurnalAmp = 0.4
+	cfg.OpenLoop.BurstProb = 0.1
+	eachShardCount(t, cfg, "open-loop", func(t *testing.T, cfg Config) string {
+		cl, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return openLoopDigest(cl.Run())
+	})
 }
 
 func TestOpenLoopValidation(t *testing.T) {

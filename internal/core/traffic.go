@@ -64,10 +64,9 @@ const (
 
 // Peek computes the policy decision without mutating anything: the
 // tag block's by-value counter is read with metrics.Decay.Peek and the
-// replication flag is left untouched. Sharded windows use Peek so
-// concurrent shards never write shared inode state mid-window; the
-// matching flag flip and statistics land through Commit at the next
-// barrier; the serial path calls Commit right after.
+// replication flag is left untouched; the caller applies the decision
+// with Commit. Peek, not Value, because Value renormalises the stored
+// counter, and the stored bits feed every later read.
 func (tc *TrafficControl) Peek(now sim.Time, ino *namespace.Inode) Decision {
 	if tc == nil {
 		return Keep
@@ -87,9 +86,9 @@ func (tc *TrafficControl) Peek(now sim.Time, ino *namespace.Inode) Decision {
 }
 
 // Commit applies a previously peeked decision: it flips the inode's
-// replication flag and counts the transition. The flag is re-checked so
-// duplicate commits for the same inode within one window collapse into
-// one transition. Returns whether the flip happened.
+// replication flag and counts the transition. The flag is re-checked,
+// so a commit the flag already reflects counts nothing. Returns whether
+// the flip happened.
 func (tc *TrafficControl) Commit(d Decision, ino *namespace.Inode) bool {
 	if tc == nil || d == Keep {
 		return false

@@ -33,9 +33,9 @@ type Record struct {
 }
 
 // cowToken is a copy-on-write context: a pointer identity (never a
-// counter, so trees on different shards share nothing) naming the one
-// tree that may write a node in place. It must not be zero-sized:
-// distinct allocations need distinct addresses.
+// counter, so trees built by concurrent sweep workers share nothing)
+// naming the one tree that may write a node in place. It must not be
+// zero-sized: distinct allocations need distinct addresses.
 type cowToken struct{ _ byte }
 
 // node is a B+tree node. Leaves hold records; internal nodes hold

@@ -301,8 +301,8 @@ func (st *runState) writeSnapshot(k int) (string, error) {
 }
 
 // Restore resumes an endurance run from a snapshot file. The options
-// must describe the same run (config digest and shard count are
-// cross-checked against the file header); the run continues through the
+// must describe the same run (the config digest is cross-checked
+// against the file header); the run continues through the
 // remaining checkpoints to Duration, producing rows for them only.
 func Restore(opt Options, path string) (*Result, error) {
 	data, err := os.ReadFile(path)

@@ -22,12 +22,11 @@ import (
 // under an open-loop churn population, three checkpoints over an 8s
 // horizon. The arrival budget (~400 ops/s aggregate) stays well under
 // service capacity so every quiesce drains.
-func testOptions(shards int, faults string) Options {
+func testOptions(faults string) Options {
 	cfg := cluster.Default()
 	cfg.Seed = 42
 	cfg.NumMDS = 4
 	cfg.ClientsPerMDS = 40
-	cfg.Shards = shards
 	cfg.Faults = faults
 	cfg.Duration = sim.FromSeconds(8)
 	cfg.Warmup = sim.FromSeconds(1)
@@ -75,8 +74,8 @@ func quiescedAtFirstCheckpoint(t *testing.T, opt *Options) *cluster.Cluster {
 
 // TestRestoreBitIdentity is the endurance plane's core determinism
 // claim: a run saved at a checkpoint and restored finishes with a
-// digest bit-identical to the uninterrupted run — at the serial and
-// sharded engine configurations, under an active fault schedule, from a
+// digest bit-identical to the uninterrupted run — with Config.Shards
+// set, under an active fault schedule, from a
 // checkpoint taken while a node is down, on every strategy family, with
 // links that carry busy horizons, and with the lease plane on. The same
 // walk writes and reads a checkpoint, so two more things hold of every
@@ -90,6 +89,8 @@ func TestRestoreBitIdentity(t *testing.T) {
 		mod  func(*cluster.Config)
 	}{
 		{"serial", func(*cluster.Config) {}},
+		// Shards is read by nothing: the K cases pin that a checkpoint
+		// neither records it nor depends on it.
 		{"sharded-K4", func(cfg *cluster.Config) { cfg.Shards = 4 }},
 		{"serial-faults", func(cfg *cluster.Config) { cfg.Faults = "crash@3s-4s:mds1,crash@5s-5.6s:mds3" }},
 		{"outage", func(cfg *cluster.Config) { cfg.Faults = "crash@1s-7s:mds1,drop@0.02:all" }},
@@ -107,7 +108,7 @@ func TestRestoreBitIdentity(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			options := func() Options {
-				opt := testOptions(0, "")
+				opt := testOptions("")
 				tc.mod(&opt.Cluster)
 				return opt
 			}
@@ -223,43 +224,45 @@ func TestInstants(t *testing.T) {
 	}
 }
 
-// TestValidateSnapshot covers the fail-fast usage errors: shard-count,
-// config, and version mismatches, corruption, and restoring from the
+// TestValidateSnapshot covers the fail-fast usage errors: config and
+// version mismatches, corruption, and restoring from the
 // final checkpoint are all rejected without running any simulation.
 func TestValidateSnapshot(t *testing.T) {
-	opt := testOptions(0, "")
+	opt := testOptions("")
 	opt.Dir = t.TempDir()
 	if _, err := Run(opt); err != nil {
 		t.Fatal(err)
 	}
 	first := snapshotPath(opt.Dir, 0)
 
-	if err := ValidateSnapshot(testOptions(0, ""), first); err != nil {
+	if err := ValidateSnapshot(testOptions(""), first); err != nil {
 		t.Fatalf("matching config rejected: %v", err)
 	}
 	// The fault schedule is deliberately exempt (shrinking replays
 	// snapshots under reduced schedules).
-	if err := ValidateSnapshot(testOptions(0, "crash@3s-4s:mds1"), first); err != nil {
+	if err := ValidateSnapshot(testOptions("crash@3s-4s:mds1"), first); err != nil {
 		t.Fatalf("differing fault schedule rejected: %v", err)
 	}
 
-	if err := ValidateSnapshot(testOptions(4, ""), first); err == nil ||
-		!strings.Contains(err.Error(), "shards") {
-		t.Errorf("shard mismatch: %v", err)
+	// Shards is read by nothing, so a restore may set it differently.
+	sharded := testOptions("")
+	sharded.Cluster.Shards = 4
+	if err := ValidateSnapshot(sharded, first); err != nil {
+		t.Errorf("differing shard count rejected: %v", err)
 	}
-	other := testOptions(0, "")
+	other := testOptions("")
 	other.Cluster.Seed = 43
 	if err := ValidateSnapshot(other, first); err == nil ||
 		!strings.Contains(err.Error(), "config hash") {
 		t.Errorf("config mismatch: %v", err)
 	}
-	late := testOptions(0, "")
+	late := testOptions("")
 	final := snapshotPath(opt.Dir, 2)
 	if err := ValidateSnapshot(late, final); err == nil ||
 		!strings.Contains(err.Error(), "final checkpoint") {
 		t.Errorf("final-checkpoint restore: %v", err)
 	}
-	badCadence := testOptions(0, "")
+	badCadence := testOptions("")
 	badCadence.Every = sim.FromSeconds(3)
 	if err := ValidateSnapshot(badCadence, first); err == nil ||
 		!strings.Contains(err.Error(), "cadence") {
@@ -276,7 +279,7 @@ func TestValidateSnapshot(t *testing.T) {
 	if err := os.WriteFile(corrupt, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateSnapshot(testOptions(0, ""), corrupt); err == nil ||
+	if err := ValidateSnapshot(testOptions(""), corrupt); err == nil ||
 		!strings.Contains(err.Error(), "checksum") {
 		t.Errorf("corrupt snapshot: %v", err)
 	}
@@ -284,11 +287,12 @@ func TestValidateSnapshot(t *testing.T) {
 
 // TestSnapshotVersionRejected: a file of another format version — an
 // older one (version 1 carried latency recorders, version 2 tombstone
-// and wheel fields and RNG states this format dropped) or one past this
+// and wheel fields and RNG states, version 3 shard-count slots, all of
+// which this format dropped) or one past this
 // build's — is refused with the version message before any post-version
 // field is decoded.
 func TestSnapshotVersionRejected(t *testing.T) {
-	for _, version := range []int{1, 2, SnapshotVersion + 1} {
+	for _, version := range []int{1, 2, 3, SnapshotVersion + 1} {
 		path := filepath.Join(t.TempDir(), "other.snap")
 		data := versionOnlySnapshot(version)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -298,7 +302,7 @@ func TestSnapshotVersionRejected(t *testing.T) {
 		if _, _, err := decodeHeader(data); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("version %d: decodeHeader: %v, want %q", version, err, want)
 		}
-		if err := ValidateSnapshot(testOptions(0, ""), path); err == nil || !strings.Contains(err.Error(), want) {
+		if err := ValidateSnapshot(testOptions(""), path); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("version %d: ValidateSnapshot: %v, want %q", version, err, want)
 		}
 	}
@@ -376,11 +380,10 @@ func TestSoakDeterminism(t *testing.T) {
 // agingOptions is the benchmark's aging-churn workload (its namespace,
 // 20k clients at ~300 ops/s, 27 % writes) on a shorter horizon, at a
 // given cluster size and cache size.
-func agingOptions(seed int64, numMDS, cacheRecords, shards int) Options {
+func agingOptions(seed int64, numMDS, cacheRecords int) Options {
 	cfg := cluster.Default()
 	cfg.Seed = seed
 	cfg.NumMDS = numMDS
-	cfg.Shards = shards
 	cfg.FS = fsgen.Config{
 		Seed: 1, Users: 60, DirsPerUser: 20, MaxDepth: 6,
 		FilesPerDirMedian: 6, FilesPerDirSigma: 1.2, FilesPerDirMax: 500,
@@ -401,31 +404,26 @@ func agingOptions(seed int64, numMDS, cacheRecords, shards int) Options {
 // longer resolves — run-created inodes as well as tombstoned base ones —
 // or restore cannot rebuild that cache. Before the fix the checkpoint at
 // t=480s failed to restore on seeds 1, 2, 3, 5 (cache 4000) and 4, 5
-// (8 MDS). Five seeds run on the serial engine; the sharded engine costs
-// seven times as much on this horizon, so K=4 runs one seed of each
-// shape that used to fail (TestRestoreBitIdentity covers K=4 restore in
-// general).
+// (8 MDS).
 func TestRestoreResolvesRunCreatedUnlinks(t *testing.T) {
 	cases := []struct {
-		name                  string
-		numMDS, cache, shards int
-		seeds                 []int64
+		name          string
+		numMDS, cache int
+		seeds         []int64
 	}{
-		{"cache4000", 4, 4000, 0, []int64{1, 2, 3, 4, 5}},
-		{"mds8", 8, 2000, 0, []int64{1, 2, 3, 4, 5}},
-		{"cache4000-K4", 4, 4000, 4, []int64{2}},
-		{"mds8-K4", 8, 2000, 4, []int64{5}},
+		{"cache4000", 4, 4000, []int64{1, 2, 3, 4, 5}},
+		{"mds8", 8, 2000, []int64{1, 2, 3, 4, 5}},
 	}
 	for _, tc := range cases {
 		for _, seed := range tc.seeds {
-			saved := agingOptions(seed, tc.numMDS, tc.cache, tc.shards)
+			saved := agingOptions(seed, tc.numMDS, tc.cache)
 			saved.Dir = t.TempDir()
 			ref, err := Run(saved)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", tc.name, seed, err)
 			}
 			ck := len(ref.Rows) - 2 // the last checkpoint a run can resume from
-			restored, err := Restore(agingOptions(seed, tc.numMDS, tc.cache, tc.shards), snapshotPath(saved.Dir, ck))
+			restored, err := Restore(agingOptions(seed, tc.numMDS, tc.cache), snapshotPath(saved.Dir, ck))
 			if err != nil {
 				t.Fatalf("%s seed %d: restore from ck-%03d: %v", tc.name, seed, ck, err)
 			}

@@ -14,7 +14,7 @@ import (
 // SnapshotVersion is the endurance snapshot format version. Bump it on
 // any incompatible change to the section layout; Restore rejects
 // mismatched files rather than misreading them.
-const SnapshotVersion = 3
+const SnapshotVersion = 4
 
 // header is the "endure" section at the front of every snapshot file:
 // enough to validate the restoring run's configuration and position the
@@ -22,7 +22,6 @@ const SnapshotVersion = 3
 type header struct {
 	Version    int
 	ConfigHash uint64
-	Shards     int // effective shard count the snapshot was taken with
 	Checkpoint int // 0-based index into Instants(Every, Duration)
 	ResumeAt   sim.Time
 	MaxID      namespace.InodeID
@@ -35,14 +34,10 @@ func (h *header) At() sim.Time { return h.ResumeAt - cluster.QuiesceDrain }
 
 // configHash digests the parts of a cluster config that shape the event
 // sequence, excluding the fault schedule (chaos shrinking restores a
-// snapshot under a *reduced* schedule on purpose) and the shard count
-// (restore must work at any K — determinism across K is a separate,
-// tested property; the effective shard count is recorded in its own
-// header field and checked for an exact match instead).
+// snapshot under a *reduced* schedule on purpose).
 func configHash(cfg *cluster.Config) uint64 {
 	cp := *cfg
 	cp.Faults = ""
-	cp.Shards = 0
 	cp.MDS.Storage.Pool = nil // nil in endure runs; avoid hashing an address
 	h := fnv.New64a()
 	fmt.Fprintf(h, "seed=%d mds=%d cpm=%d strat=%q depth=%d fs=%+v mds=%+v client=%+v work=%+v net=%q bw=%g hashdir=%d lease=%+v dur=%d warm=%d bucket=%d",
@@ -66,19 +61,6 @@ func configHash(cfg *cluster.Config) uint64 {
 	return h.Sum64()
 }
 
-// effectiveShards replicates the cluster's shard-count clamp so the
-// header can be validated without building a cluster.
-func effectiveShards(cfg *cluster.Config) int {
-	k := cfg.Shards
-	if k > cfg.NumMDS {
-		k = cfg.NumMDS
-	}
-	if k <= 1 {
-		return 0
-	}
-	return k
-}
-
 // snap walks the header. A version this build does not read stops the
 // walk before any field the other version may lay out differently.
 func (h *header) snap(c *snap.Codec) {
@@ -87,7 +69,6 @@ func (h *header) snap(c *snap.Codec) {
 		c.Failf("snapshot version %d, this build reads version %d", h.Version, SnapshotVersion)
 	}
 	snap.U(c, &h.ConfigHash)
-	snap.I(c, &h.Shards)
 	snap.I(c, &h.Checkpoint)
 	snap.I(c, &h.ResumeAt)
 	snap.U(c, &h.MaxID)
@@ -101,7 +82,6 @@ func encodeSnapshot(c *cluster.Cluster, cfg *cluster.Config, checkpoint int, res
 	h := header{
 		Version:    SnapshotVersion,
 		ConfigHash: configHash(cfg),
-		Shards:     effectiveShards(cfg),
 		Checkpoint: checkpoint,
 		ResumeAt:   resumeAt,
 		MaxID:      c.Tree().MaxID(),
@@ -145,7 +125,7 @@ func (h *header) position(every, duration sim.Time) error {
 
 // ValidateSnapshot checks that path can be restored under opt without
 // running any simulation: codec checksum, format version, config hash,
-// shard count, and checkpoint cadence. A non-nil error is a usage
+// and checkpoint cadence. A non-nil error is a usage
 // error — the file and the flags disagree — so callers treat it like a
 // bad flag value (exit 2), not a runtime failure.
 func ValidateSnapshot(opt Options, path string) error {
@@ -167,14 +147,10 @@ func ValidateSnapshot(opt Options, path string) error {
 }
 
 // check validates a snapshot header against the restoring run's config.
-// Shard count and config hash must match exactly; the fault schedule is
-// deliberately NOT checked (shrinking replays snapshots under reduced
-// schedules), only recorded for the repro line.
+// The config hash must match exactly; the fault schedule is deliberately
+// NOT checked (shrinking replays snapshots under reduced schedules),
+// only recorded for the repro line.
 func (h *header) check(cfg *cluster.Config) error {
-	if got := effectiveShards(cfg); got != h.Shards {
-		return fmt.Errorf("endure: snapshot was taken with %d shards, this run uses %d (shard count must match to restore)",
-			h.Shards, got)
-	}
 	if got := configHash(cfg); got != h.ConfigHash {
 		return fmt.Errorf("endure: snapshot config hash %016x does not match this run's %016x (same workload configuration required)",
 			h.ConfigHash, got)

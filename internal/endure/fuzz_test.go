@@ -17,14 +17,13 @@ import (
 // enough that a checkpoint is a few tens of kilobytes and a cluster is
 // built in a millisecond, and between them holding every optional
 // section — the subtree table, the balancer, the fault plane with a
-// drop schedule, the sharded lanes, the lease plane.
+// drop schedule, a crash and a lag, the lease plane.
 var fuzzShapes = []struct {
 	name string
 	mod  func(*cluster.Config)
 }{
 	{"serial-drops", func(cfg *cluster.Config) { cfg.Faults = "drop@0.02:all" }},
-	{"faults-K2", func(cfg *cluster.Config) {
-		cfg.Shards = 2
+	{"faults", func(cfg *cluster.Config) {
 		cfg.Faults = "crash@1s-6s:mds1,drop@0.01:client,lag@2s-4s:mds2+1ms"
 	}},
 	{"static-leases", func(cfg *cluster.Config) {

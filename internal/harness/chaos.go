@@ -24,9 +24,7 @@ type ChaosOptions struct {
 
 	Strategies []string // nil means cluster.Strategies
 
-	// Set overrides keys on every cell (mdsim -set): net=queued, or
-	// shards=2 for the sharded executor (fault schedules force its
-	// single-goroutine windowed mode, so verdicts stay deterministic).
+	// Set overrides keys on every cell (mdsim -set), e.g. net=queued.
 	// The budget sweeps strategy and faults itself.
 	Set []plan.Setting
 }

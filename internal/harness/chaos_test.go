@@ -182,9 +182,9 @@ func TestShrinkScheduleRealRun(t *testing.T) {
 // cmd/mdsim's TestReproLinesRoundTrip.)
 func TestChaosSetOverrides(t *testing.T) {
 	opt := chaosTestOptions()
-	opt.Set = []plan.Setting{{Key: "shards", Value: "2"}, {Key: "net", Value: "queued"}}
+	opt.Set = []plan.Setting{{Key: "cache", Value: "1500"}, {Key: "net", Value: "queued"}}
 	cfg, err := ChaosConfig(opt, cluster.StratDynamic, "crash@2s:mds1")
-	if err != nil || cfg.Shards != 2 || cfg.NetModel != "queued" {
+	if err != nil || cfg.MDS.CacheCapacity != 1500 || cfg.NetModel != "queued" {
 		t.Fatalf("overrides not applied: %v %+v", err, cfg)
 	}
 	for _, s := range []plan.Setting{{Key: "strategy", Value: cluster.StratStatic}, {Key: "faults", Value: "drop@0.1:all"}, {Key: "link-bw", Value: "1e6"}} {

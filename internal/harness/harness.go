@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -58,43 +57,23 @@ var sweepWorkers atomic.Int32
 // default (GOMAXPROCS).
 func SetSweepWorkers(n int) { sweepWorkers.Store(int32(n)) }
 
-// clampLogOnce gates the oversubscription warning to one line per
-// process, however many sweeps run.
-var clampLogOnce sync.Once
-
-// poolSize returns the worker count for sweeping specs on a machine with
-// the given core count: the requested size (want <= 0 means one worker
-// per core), capped so that workers x shards fits the cores when any of
-// the runs is sharded — the widest run's shard count wins and the pool
-// shrinks, to a floor of one worker.
-func poolSize(want, cores int, specs []RunSpec) int {
+// poolSize returns the sweep's worker count on a machine with the given
+// core count: want, or one worker per core when want <= 0.
+func poolSize(want, cores int) int {
 	if want <= 0 {
-		want = cores
-	}
-	shards := 1
-	for i := range specs {
-		shards = max(shards, specs[i].Cfg.Shards)
-	}
-	if budget := max(cores/shards, 1); want > budget {
-		clampLogOnce.Do(func() {
-			fmt.Fprintf(os.Stderr,
-				"harness: clamping sweep workers %d -> %d so workers x %d shards fit %d cores\n",
-				want, budget, shards, cores)
-		})
-		want = budget
+		return cores
 	}
 	return want
 }
 
 // forEachRun calls run(i) for every spec on a pool of poolSize
 // goroutines and returns when all have finished. The semaphore is
-// acquired before each goroutine is spawned, so at most that many
-// exist at a time. Each run is an independent single-threaded (or
-// internally sharded) simulation, so the pool changes wall-clock time
-// only, never results.
+// acquired before each goroutine is spawned, so at most that many exist
+// at a time. Each run is an independent single-threaded simulation, so
+// the pool changes wall-clock time only, never results.
 func forEachRun(specs []RunSpec, run func(i int)) {
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, poolSize(int(sweepWorkers.Load()), runtime.GOMAXPROCS(0), specs))
+	sem := make(chan struct{}, poolSize(int(sweepWorkers.Load()), runtime.GOMAXPROCS(0)))
 	for i := range specs {
 		sem <- struct{}{}
 		wg.Add(1)
@@ -108,8 +87,8 @@ func forEachRun(specs []RunSpec, run func(i int)) {
 }
 
 // Sweep runs all specs on the worker pool (GOMAXPROCS wide unless
-// SetSweepWorkers / mdsim -workers or the specs' shard counts say
-// otherwise) and returns results in spec order. All failures are
+// SetSweepWorkers / mdsim -workers says otherwise) and returns results
+// in spec order. All failures are
 // reported, joined in spec order.
 func Sweep(specs []RunSpec) ([]*cluster.Result, error) {
 	results := make([]*cluster.Result, len(specs))

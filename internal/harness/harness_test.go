@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -202,33 +201,13 @@ func TestAblationClaims(t *testing.T) {
 	}
 }
 
-// TestPoolSizeCountsShards: the sweep pool is sized from the runs being
-// swept — four cells at four shards each on two cores get one worker —
-// wherever the shard count was set: in the plan text or by -set.
-func TestPoolSizeCountsShards(t *testing.T) {
-	const text = "plan pool\ncluster %s\nmatrix strategy=StaticSubtree,DynamicSubtree,DirHash,FileHash\nduration 10s\n"
-	for name, tc := range map[string]struct {
-		cluster string
-		set     []plan.Setting
-		want    int
-	}{
-		"plan text": {"shards=4", nil, 1},
-		"-set":      {"mds=4", []plan.Setting{{Key: "shards", Value: "4"}}, 1},
-		"serial":    {"mds=4", nil, 2},
-	} {
-		p, err := plan.Parse(fmt.Sprintf(text, tc.cluster))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cells, err := p.Compile(Options{Set: tc.set})
-		if err != nil || len(cells) != 4 {
-			t.Fatalf("%s: %d cells, %v", name, len(cells), err)
-		}
-		if got := poolSize(0, 2, cells); got != tc.want {
-			t.Errorf("%s: pool of %d workers on 2 cores, want %d", name, got, tc.want)
-		}
+// TestPoolSize: the sweep pool is the requested worker count, or one
+// worker per core when none is requested.
+func TestPoolSize(t *testing.T) {
+	if got := poolSize(0, 2); got != 2 {
+		t.Errorf("default pool on 2 cores: %d workers, want 2", got)
 	}
-	if got := poolSize(3, 8, nil); got != 3 {
+	if got := poolSize(3, 8); got != 3 {
 		t.Errorf("explicit worker count not honoured: %d", got)
 	}
 }

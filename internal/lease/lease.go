@@ -13,9 +13,7 @@
 // O(1) without tracking individual holders. A LeaseRecall notice rides
 // the fabric to the client edge (and is acknowledged with a LeaseAck)
 // so the protocol cost is modelled and conserved like any other class;
-// the registry bump itself is applied through the engine's deferred-op
-// path so it lands at a barrier under the sharded executor and
-// immediately in serial runs.
+// the registry bump itself is applied where the notice lands.
 //
 // Holder counts are an approximate upper bound: the registry counts
 // grants since the last recall and never decrements on natural expiry,
@@ -86,11 +84,8 @@ func (c *Config) Normalize() error {
 }
 
 // Registry holds the per-inode recall generation and the count of
-// grants issued since the last recall. It is shared state: the slices
-// are sized once at construction (never grown, so concurrent readers
-// under the sharded executor race with nothing), reads may happen on
-// any shard, and writes go through the engine's deferred-op appliers so
-// they land at barriers. Inodes past the pre-sized capacity are simply
+// grants issued since the last recall. The slices are sized once at
+// construction and never grown; inodes past that capacity are simply
 // never leased.
 type Registry struct {
 	gen    []uint32
@@ -124,7 +119,7 @@ func (r *Registry) Outstanding(ino namespace.InodeID) bool {
 	return r.Leasable(ino) && r.grants[ino] > 0
 }
 
-// NoteGrant records one issued grant. Deferred-applier target.
+// NoteGrant records one issued grant.
 func (r *Registry) NoteGrant(ino namespace.InodeID) {
 	if r.Leasable(ino) {
 		r.grants[ino]++
@@ -132,7 +127,7 @@ func (r *Registry) NoteGrant(ino namespace.InodeID) {
 }
 
 // Recall bumps the generation — invalidating every outstanding lease on
-// ino — and zeroes the grant count. Deferred-applier target.
+// ino — and zeroes the grant count.
 func (r *Registry) Recall(ino namespace.InodeID) {
 	if r.Leasable(ino) {
 		r.gen[ino]++
@@ -224,8 +219,7 @@ type Plane struct {
 	Reg *Registry
 	Tab *Table
 
-	// Recalled counts recall notices delivered at the client edge;
-	// bumped through a deferred applier so it is barrier-safe.
+	// Recalled counts recall notices delivered at the client edge.
 	Recalled uint64
 }
 
@@ -248,13 +242,11 @@ func (p *Plane) FootprintBytes() int {
 	return n
 }
 
-// NoteRecalled is the deferred applier that counts a recall notice
-// delivered at the client edge and applies the generation bump there.
-// a = *Plane, b = *namespace.Inode.
-func NoteRecalled(a, b any) {
-	p := a.(*Plane)
+// NoteRecalled counts a recall notice delivered at the client edge and
+// applies the generation bump there.
+func (p *Plane) NoteRecalled(ino namespace.InodeID) {
 	p.Recalled++
-	p.Reg.Recall(b.(*namespace.Inode).ID)
+	p.Reg.Recall(ino)
 }
 
 // Dangling scans the slab for slots that are unexpired, carry the

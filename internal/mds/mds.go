@@ -193,23 +193,10 @@ type fetch struct {
 	done bool
 }
 
-// clientLocator is optionally implemented by the Cluster when execution
-// is sharded: it maps a client to the shard whose engine runs it, so
-// replies are routed into the right client-edge lane. Unsharded clusters
-// need not implement it (shard 0 then means "the one engine").
-type clientLocator interface{ ClientShard(client int) int }
-
-// replyRouter is optionally implemented by the Cluster. When it reports
-// true, Deliver runs on the client's shard and parks consumed replies in
-// a per-shard return buffer; the barrier hands them back to the serving
-// node through TakeReply. mdsDeliver must then not recycle inline — that
-// would append to another shard's pool mid-window.
-type replyRouter interface{ RoutesReplies() bool }
-
 // leaseCluster is optionally implemented by the Cluster when the lease
 // plane is active: it lands a recall notice at the client edge (bumping
-// the shared recall generation through the edge engine's deferred-op
-// path) and acks it back to the authority on the LeaseAck class.
+// the shared recall generation) and acks it back to the authority on the
+// LeaseAck class.
 type leaseCluster interface {
 	LeaseRecallDeliver(from int, target *namespace.Inode)
 }
@@ -224,11 +211,6 @@ type MDS struct {
 	// fab is the cluster's message fabric; every network hop this node
 	// initiates goes through it (never eng.AfterCall directly).
 	fab *net.Fabric
-	// cloc resolves a client's shard for reply routing (nil unsharded);
-	// routedReplies disables inline reply recycling in favour of the
-	// barrier's TakeReply hand-back.
-	cloc          clientLocator
-	routedReplies bool
 
 	cpu   *sim.Server
 	cache *cache.Cache
@@ -339,24 +321,15 @@ func New(id int, eng *sim.Engine, cfg Config, strat partition.Strategy, tc *core
 		m.lh = l
 	}
 	m.slow = 1
-	if loc, ok := cl.(clientLocator); ok {
-		m.cloc = loc
-	}
-	if rr, ok := cl.(replyRouter); ok && rr.RoutesReplies() {
-		m.routedReplies = true
-	}
 	// When a replica (or remote prefix) is evicted, notify its
 	// authority so it can drop the holder from the replica set and is
-	// "free to remove its own copy from memory" (§4.2). The replica-set
-	// bit is shared inode state, so the clear is deferred to the barrier;
-	// a window that evicts and re-evicts can send a duplicate notice,
-	// which the authority absorbs as a counter bump.
+	// "free to remove its own copy from memory" (§4.2).
 	m.cache.OnEvict = func(e *cache.Entry) {
 		tags := partition.TagsOf(e.Ino)
 		if !tags.HasReplica(m.id) {
 			return
 		}
-		m.eng.Defer(clearReplicaTag, e.Ino, m)
+		tags.ClearReplica(m.id)
 		auth := m.strat.Authority(e.Ino)
 		if auth == m.id {
 			return
@@ -393,79 +366,21 @@ func (m *MDS) EnableFaults(fc FaultCluster) { m.fc = fc }
 // trip is complete. Runs on this node's engine.
 func (m *MDS) NoteLeaseAck() { m.Stats.LeaseAcks++ }
 
-// leaseNoteGrant records one issued grant on the shared registry.
-// a = *lease.Plane, b = *namespace.Inode.
-func leaseNoteGrant(a, b any) { a.(*lease.Plane).Reg.NoteGrant(b.(*namespace.Inode).ID) }
-
 // leaseGrantArrive is the LeaseGrant class's delivery continuation: the
 // capability itself rides the reply, so arrival is pure accounting (the
 // fabric's per-class counters conserve it).
 func leaseGrantArrive(_, _ any) {}
 
-// leaseRecallArrive lands a LeaseRecall at the client edge. It runs on
-// the edge shard's engine, so it only touches the cluster's dedicated
-// recall surface, which defers the generation bump there and acks back.
+// leaseRecallArrive lands a LeaseRecall at the client edge, where the
+// cluster's recall surface bumps the generation and acks back.
 func leaseRecallArrive(a, b any) {
 	m := a.(*MDS)
 	m.lec.LeaseRecallDeliver(m.id, b.(*namespace.Inode))
 }
 
-// fanoutTagSet / fanoutTagClear flip inode b's cluster-wide replication
-// advertisement for the fan-out mechanism (shared tag state, deferred).
-func fanoutTagSet(_, b any)   { partition.TagsOf(b.(*namespace.Inode)).ReplicatedAll = true }
-func fanoutTagClear(_, b any) { partition.TagsOf(b.(*namespace.Inode)).ReplicatedAll = false }
-
 // call0 adapts a bare func() to a fabric delivery continuation, for the
 // rare cold paths (write flushes, stat callbacks) that keep closures.
 func call0(a, _ any) { a.(func())() }
-
-// Deferred shared-state mutations. All writes to per-inode tags, the
-// namespace tree, and cluster-shared policy counters route through
-// Engine.Defer with one of these typed appliers: in serial execution
-// Defer calls them on the spot (bit-identical to the pre-sharding code),
-// in sharded execution they run in the deterministic barrier merge.
-
-// setReplicaTag marks b's node in inode a's replica set.
-func setReplicaTag(a, b any) {
-	partition.TagsOf(a.(*namespace.Inode)).SetReplica(b.(*MDS).id)
-}
-
-// clearReplicaTag removes b's node from inode a's replica set.
-func clearReplicaTag(a, b any) {
-	partition.TagsOf(a.(*namespace.Inode)).ClearReplica(b.(*MDS).id)
-}
-
-// bumpPop bumps inode b's popularity counter at node a.
-func bumpPop(a, b any) {
-	m := a.(*MDS)
-	partition.Popularity(b.(*namespace.Inode)).Add(m.eng.Now(), partition.PopHalfLife, 1)
-}
-
-// bumpFwdPop bumps inode b's forwarded-request counter at node a
-// (deferred because it writes shared inode state).
-func bumpFwdPop(a, b any) {
-	m := a.(*MDS)
-	partition.FwdPopularity(b.(*namespace.Inode)).Add(m.eng.Now(), partition.PopHalfLife, 1)
-}
-
-// notePreemptive counts one preemptive replication on the shared policy.
-func notePreemptive(a, _ any) { a.(*MDS).tc.Preemptive++ }
-
-// tcCommitReplicate / tcCommitConsolidate apply a peeked traffic-control
-// decision to inode b's shared replication flag and counters.
-func tcCommitReplicate(a, b any) {
-	a.(*MDS).tc.Commit(core.Replicate, b.(*namespace.Inode))
-}
-
-func tcCommitConsolidate(a, b any) {
-	a.(*MDS).tc.Commit(core.Consolidate, b.(*namespace.Inode))
-}
-
-// lhApplyTag refreshes inode b's stale dual-entry ACL (Lazy Hybrid).
-func lhApplyTag(a, b any) { a.(*MDS).lh.Apply(b.(*namespace.Inode)) }
-
-// mdsApplyUpdate applies request b's namespace mutation at node a.
-func mdsApplyUpdate(a, b any) { a.(*MDS).applyUpdate(b.(*msg.Request)) }
 
 // fwdRec is one outstanding forward awaiting its ack: the destination
 // (for suspicion/exoneration) and a sequence number that invalidates
@@ -678,34 +593,23 @@ func (m *MDS) maybePreemptiveReplicate(req *msg.Request) {
 	}
 	target := req.Target
 	tags := partition.TagsOf(target)
-	m.eng.Defer(bumpFwdPop, m, target)
-	// In serial execution the Defer above already ran, so the counter
-	// is touched and Peek sees the fresh bump exactly as Value did.
-	// Sharded, a counter the barrier has not yet touched reads as "not
-	// flooded".
+	partition.FwdPopularity(target).Add(m.eng.Now(), partition.PopHalfLife, 1)
 	if !tags.FwdTouched {
 		return
 	}
 	if tags.FwdPop.Peek(m.eng.Now(), partition.PopHalfLife) < m.tc.PreemptiveThreshold || m.cache.Contains(target.ID) {
 		return
 	}
-	m.eng.Defer(notePreemptive, m, nil)
+	m.tc.Preemptive++
 	// Pull the record from its authority and start advertising it as
 	// widely replicated; the authority's policy may consolidate later.
 	m.fetchRecord(target, cache.Replica, preemptiveInstalled, m, target)
 }
 
+// preemptiveInstalled records the pulled replica in the inode's tags.
 func preemptiveInstalled(a, b any) {
-	m := a.(*MDS)
-	m.eng.Defer(preemptiveTagApply, m, b)
-}
-
-// preemptiveTagApply records the pulled replica in shared inode state.
-func preemptiveTagApply(a, b any) {
-	m := a.(*MDS)
-	target := b.(*namespace.Inode)
-	tags := partition.TagsOf(target)
-	tags.SetReplica(m.id)
+	tags := partition.TagsOf(b.(*namespace.Inode))
+	tags.SetReplica(a.(*MDS).id)
 	tags.ReplicatedAll = true
 }
 
@@ -871,7 +775,7 @@ func (m *MDS) installPrefix(ino *namespace.Inode) {
 		// fall back to a detached record.
 		m.cache.InsertDetached(ino, cache.Prefix, false)
 	}
-	m.eng.Defer(setReplicaTag, ino, m)
+	partition.TagsOf(ino).SetReplica(m.id)
 }
 
 // handleFetch serves a peer's request for one inode record. fn(a, b)
@@ -1015,7 +919,7 @@ func dirLoaded(x, _ any) {
 				break // parent chain evicted mid-load; stop prefetching
 			}
 			if sibClass == cache.Replica {
-				m.eng.Defer(setReplicaTag, sib, m)
+				partition.TagsOf(sib).SetReplica(m.id)
 			}
 		}
 	}
@@ -1036,9 +940,7 @@ func (m *MDS) finishServe(req *msg.Request) {
 	// Lazy Hybrid: a stale dual-entry ACL must be refreshed before the
 	// op can proceed — one (lazy) propagation trip plus a log commit.
 	if m.lh != nil && m.lh.Stale(target) {
-		// The dual-entry refresh writes shared ACL state; Apply is
-		// idempotent, so window-concurrent trips converge at the barrier.
-		m.eng.Defer(lhApplyTag, m, target)
+		m.lh.Apply(target)
 		m.Stats.LHApplied++
 		// One lazy propagation round trip (priced at 2×Fwd by the
 		// model), carried on the node's loopback link, then a commit.
@@ -1129,7 +1031,7 @@ func dirContentsLoaded(x, y any) {
 			break
 		}
 		if cl == cache.Replica {
-			m.eng.Defer(setReplicaTag, c, m)
+			partition.TagsOf(c).SetReplica(m.id)
 		}
 	}
 	waiters := m.pendingDir[dir.ID]
@@ -1156,8 +1058,8 @@ func (m *MDS) completeOp(req *msg.Request) {
 		}
 		req.Applied = true
 		// Recall outstanding client leases on every record this mutation
-		// invalidates — before deferring the mutation, because the serial
-		// path applies it immediately and Rename rewires target.Parent().
+		// invalidates — before applying it, because Rename rewires
+		// target.Parent().
 		// Write is exempt: size maxima are monotonic and absorbed (§4.2).
 		if m.lease != nil && m.lease.Cfg.Enabled && req.Op != msg.Write {
 			m.recallLeases(target)
@@ -1169,11 +1071,7 @@ func (m *MDS) completeOp(req *msg.Request) {
 				m.recallLeases(req.DstDir)
 			}
 		}
-		// The namespace mutation lands at the barrier when sharded; the
-		// client cannot observe the gap, because its reply travels at
-		// least one lookahead of latency and so always arrives after the
-		// barrier that applies the mutation.
-		m.eng.Defer(mdsApplyUpdate, m, req)
+		m.applyUpdate(req)
 		if req.Op != msg.Write {
 			// Size updates are batched through the log by the
 			// flusher; structural updates propagate immediately.
@@ -1258,19 +1156,17 @@ func (m *MDS) finishReply(req *msg.Request) {
 		}
 	}
 	m.bumpPopularity(target)
-	// Peek reads the popularity counter and replication flag without
-	// writing them; the flag flip and transition counters commit at the
-	// barrier. Serially the deferred bump above has already run, so
-	// Peek+Commit here is exactly the old Decide.
+	// Peek reads the fresh popularity and the replication flag; Commit
+	// then flips the flag and counts the transition.
 	if m.tc != nil {
-		switch m.tc.Peek(m.eng.Now(), target) {
+		switch d := m.tc.Peek(m.eng.Now(), target); d {
 		case core.Replicate:
 			m.pushReplicas(target)
-			m.eng.Defer(tcCommitReplicate, m, target)
+			m.tc.Commit(d, target)
 		case core.Consolidate:
 			// Replicas stop being advertised and simply age out of
 			// peer caches.
-			m.eng.Defer(tcCommitConsolidate, m, target)
+			m.tc.Commit(d, target)
 		}
 	}
 	m.maybeFanOut(target)
@@ -1281,14 +1177,13 @@ func (m *MDS) finishReply(req *msg.Request) {
 // outstanding leases. Outstanding is an upper bound (natural expiry
 // never decrements it), so a recall may chase leases that already
 // lapsed — one spurious notice, no coherence consequence. The
-// generation bump is applied at the edge through the NoteRecalled
-// applier so it lands exactly once, on the engine that owns delivery.
+// generation bump is applied where the notice lands, at the edge.
 func (m *MDS) recallLeases(ino *namespace.Inode) {
 	if ino == nil || !m.lease.Reg.Outstanding(ino.ID) {
 		return
 	}
 	m.Stats.LeaseRecalls++
-	m.fab.SendToEdge(0, net.LeaseRecall, m.id, net.Bytes(net.LeaseRecall), leaseRecallArrive, m, ino)
+	m.fab.Send(net.LeaseRecall, m.id, m.fab.ClientEdge(), net.Bytes(net.LeaseRecall), leaseRecallArrive, m, ino)
 }
 
 // maybeFanOut pushes replicas of a hot directory to peers ahead of
@@ -1321,16 +1216,16 @@ func (m *MDS) maybeFanOut(target *namespace.Inode) {
 		}
 		m.Stats.ReplicaFanouts++
 		m.Stats.ReplicasPushed += uint64(n)
-		m.eng.Defer(fanoutTagSet, nil, target)
+		tags.ReplicatedAll = true
 		return
 	}
 	if m.tc == nil && pop < lease.FanoutPopularity/10 {
-		m.eng.Defer(fanoutTagClear, nil, target)
+		tags.ReplicatedAll = false
 	}
 }
 
 func (m *MDS) bumpPopularity(ino *namespace.Inode) {
-	m.eng.Defer(bumpPop, m, ino)
+	partition.Popularity(ino).Add(m.eng.Now(), partition.PopHalfLife, 1)
 }
 
 // applyUpdate mutates the shared namespace. Failed mutations (duplicate
@@ -1341,10 +1236,8 @@ func (m *MDS) applyUpdate(req *msg.Request) {
 	switch req.Op {
 	case msg.Create:
 		if n, err := tree.Create(req.Target, req.NewName); err == nil {
-			// Materialize the new inode's tag block while single
-			// threaded (applyUpdate runs at the barrier when sharded):
-			// the first window-time authority walk over it must not be
-			// the allocation.
+			// Materialize the new inode's tag block now rather than at its
+			// first authority walk.
 			_ = partition.TagsOf(n)
 			m.cacheNew(n)
 			m.dirObjectInsert(req.Target, n)
@@ -1466,7 +1359,7 @@ func installReplicaApply(a, b any) {
 	if _, err := m.cache.InsertPath(target, cache.Replica, false); err != nil {
 		m.cache.InsertDetached(target, cache.Replica, false)
 	}
-	m.eng.Defer(setReplicaTag, target, m)
+	partition.TagsOf(target).SetReplica(m.id)
 }
 
 // reply completes the request: hints tell the client where the target
@@ -1488,15 +1381,6 @@ func (m *MDS) reply(req *msg.Request) {
 	if !m.strat.ClientComputable() {
 		rep.Hints = m.appendHints(rep.Hints[:0], req.Target)
 	}
-	// The fabric prices the hop (hints add bytes under the queued
-	// model) and reports when the reply lands at the client edge. The
-	// edge aggregates clients from every shard, so the destination shard
-	// comes from the cluster's client→shard map (0 when unsharded, where
-	// SendToEdge degenerates to Send).
-	shard := 0
-	if m.cloc != nil {
-		shard = m.cloc.ClientShard(req.Client)
-	}
 	// Lease fields are value state on a pooled struct: reset them
 	// unconditionally, then maybe grant. A grant rides the reply and
 	// snapshots the recall generation now, at the authority — a recall
@@ -1507,15 +1391,17 @@ func (m *MDS) reply(req *msg.Request) {
 		if tags := partition.TagsOf(req.Target); tags.PopTouched &&
 			tags.Pop.Peek(now, partition.PopHalfLife) >= lease.GrantPopularity {
 			rep.Leased, rep.LeaseGen = true, m.lease.Reg.Gen(req.Target.ID)
-			m.eng.Defer(leaseNoteGrant, m.lease, req.Target)
+			m.lease.Reg.NoteGrant(req.Target.ID)
 			m.Stats.LeaseGrants++
 			// The capability itself is in the reply; this envelope carries
 			// the grant's wire cost and per-class conservation.
-			m.fab.SendToEdge(shard, net.LeaseGrant, m.id,
+			m.fab.Send(net.LeaseGrant, m.id, m.fab.ClientEdge(),
 				net.Bytes(net.LeaseGrant), leaseGrantArrive, nil, nil)
 		}
 	}
-	rep.Completed = m.fab.SendToEdge(shard, net.Reply, m.id,
+	// The fabric prices the hop (hints add bytes under the queued
+	// model) and reports when the reply lands at the client edge.
+	rep.Completed = m.fab.Send(net.Reply, m.id, m.fab.ClientEdge(),
 		net.ReplyBytes(len(rep.Hints)), mdsDeliver, m, rep)
 }
 
@@ -1532,22 +1418,11 @@ func (m *MDS) getReply() *msg.Reply {
 // mdsDeliver hands the reply to the client and recycles the struct:
 // Deliver consumes it synchronously and keeps no reference. The client
 // detaches rep.Req for its own pool inside Deliver, before the clear
-// here. Routed replies come back through TakeReply instead.
+// here.
 func mdsDeliver(a, b any) {
 	m := a.(*MDS)
 	rep := b.(*msg.Reply)
 	m.cluster.Deliver(rep)
-	if !m.routedReplies {
-		m.TakeReply(rep)
-	}
-}
-
-// TakeReply returns a consumed reply to this node's pool, right after
-// Deliver. When replies are routed (sharded execution), Deliver runs on
-// the client's shard and
-// parks the struct in that shard's return buffer; the barrier — single
-// threaded, clocks synced — hands each reply back here.
-func (m *MDS) TakeReply(rep *msg.Reply) {
 	rep.Req = nil
 	rep.Hints = rep.Hints[:0]
 	m.replyPool = append(m.replyPool, rep)
@@ -1604,8 +1479,8 @@ func (m *MDS) noteMiss() {
 // ImportSubtree implements core.Node: install migrated cache state and
 // charge the CPU for the transfer, briefly freezing request processing
 // (the double-commit hand-off). The entries are by-value snapshots taken
-// by the balancer at decision time (a barrier), so the deferred install
-// below never reads the exporter's live cache across shards.
+// by the balancer at decision time, so the install below does not read
+// the exporter's live cache.
 func (m *MDS) ImportSubtree(root *namespace.Inode, entries []core.Migrated) {
 	m.Stats.Imported += uint64(len(entries))
 	cost := m.svc(sim.Time(len(entries)+1) * importPerRecord)
@@ -1638,7 +1513,7 @@ func (m *MDS) ImportSubtree(root *namespace.Inode, entries []core.Migrated) {
 				// Replica entries whose replica sets named only the old
 				// holders.)
 				if e.Class == cache.Replica {
-					m.eng.Defer(setReplicaTag, e.Ino, m)
+					partition.TagsOf(e.Ino).SetReplica(m.id)
 				}
 			}
 		}

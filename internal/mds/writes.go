@@ -30,24 +30,12 @@ func (m *MDS) absorbWrite(req *msg.Request) {
 	if cur, ok := m.sizePending[target.ID]; !ok || req.Size > cur {
 		m.sizePending[target.ID] = req.Size
 	}
-	m.eng.Defer(markUnflushed, m, target)
+	if m.id < 64 {
+		partition.TagsOf(target).UnflushedWriters |= 1 << uint(m.id)
+	}
 	m.Stats.WritesAbsorbed++
 	m.bumpPopularity(target)
 	m.reply(req)
-}
-
-// markUnflushed flags this node in inode b's shared unflushed-writers
-// mask (deferred: the mask is read by the authority's stat path).
-func markUnflushed(a, b any) {
-	m := a.(*MDS)
-	if m.id < 64 {
-		partition.TagsOf(b.(*namespace.Inode)).UnflushedWriters |= 1 << uint(m.id)
-	}
-}
-
-// clearUnflushedTag is the deferred form of clearUnflushed.
-func clearUnflushedTag(a, b any) {
-	a.(*MDS).clearUnflushed(b.(*namespace.Inode))
 }
 
 // applyWrite applies a Write at the authority: retain the maximum.
@@ -85,24 +73,18 @@ func (m *MDS) flushWrites(now sim.Time) {
 					return
 				}
 				peer.cpu.Submit(peer.svc(peerService), func() {
-					// The size write is shared state (the authority's
-					// shard may not own the inode's other readers).
-					peer.eng.Defer(call0, func() {
-						if size > ino.Size {
-							ino.Size = size
-						}
-					}, nil)
+					if size > ino.Size {
+						ino.Size = size
+					}
 				})
 			}, nil)
-			m.eng.Defer(clearUnflushedTag, m, ino)
+			m.clearUnflushed(ino)
 			continue
 		}
-		m.eng.Defer(call0, func() {
-			if size > ino.Size {
-				ino.Size = size
-			}
-			m.clearUnflushed(ino)
-		}, nil)
+		if size > ino.Size {
+			ino.Size = size
+		}
+		m.clearUnflushed(ino)
 	}
 	clear(m.sizePending)
 }
@@ -141,19 +123,14 @@ func (m *MDS) statCallbackSlow(req *msg.Request, mask uint64) {
 		peer := m.cluster.Node(i)
 		m.fab.Send(net.StatCallback, m.id, i, net.Bytes(net.StatCallback), call0, func() {
 			peer.cpu.Submit(peer.svc(peerService), func() {
-				// Peer reports its local max and clears it. The target's
-				// size and writer mask are shared, so the writes commit
-				// at the barrier; the reply itself carries no size, so
-				// answering before the commit is indistinguishable.
-				peer.eng.Defer(call0, func() {
-					if size, ok := peer.sizePending[target.ID]; ok {
-						if size > target.Size {
-							target.Size = size
-						}
-						delete(peer.sizePending, target.ID)
+				// Peer reports its local max and clears it.
+				if size, ok := peer.sizePending[target.ID]; ok {
+					if size > target.Size {
+						target.Size = size
 					}
-					peer.clearUnflushed(target)
-				}, nil)
+					delete(peer.sizePending, target.ID)
+				}
+				peer.clearUnflushed(target)
 				m.fab.Send(net.StatCallback, peer.id, m.id, net.Bytes(net.StatCallback), call0, func() {
 					outstanding--
 					if outstanding == 0 && !m.failed {

@@ -95,18 +95,6 @@ func (h *LatHist) Quantile(q float64) sim.Time {
 	return latBound(latBuckets - 1)
 }
 
-// Merge folds src into h (sharded runs keep one lane per shard).
-func (h *LatHist) Merge(src *LatHist) {
-	h.n += src.n
-	h.sum += src.sum
-	for i := range h.buckets {
-		h.buckets[i] += src.buckets[i]
-	}
-}
-
-// Reset zeroes the histogram.
-func (h *LatHist) Reset() { *h = LatHist{} }
-
 // Snap walks the sum and the non-empty buckets for checkpoints; the
 // restoring histogram starts empty.
 func (h *LatHist) Snap(c *snap.Codec) {

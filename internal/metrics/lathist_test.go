@@ -62,40 +62,8 @@ func TestLatHistQuantiles(t *testing.T) {
 	}
 }
 
-// TestLatHistMerge checks lane merging matches a single histogram fed
-// the union — quantiles, and the mean to the bit in either merge order,
-// which a running floating-point mean would not give.
-func TestLatHistMerge(t *testing.T) {
-	a, b, all := NewLatHist(), NewLatHist(), NewLatHist()
-	for i := 0; i < 500; i++ {
-		v := sim.Time(i * 7 % 3000)
-		a.Observe(v)
-		all.Observe(v)
-	}
-	for i := 0; i < 300; i++ {
-		v := sim.Time(i * 13 % 90000)
-		b.Observe(v)
-		all.Observe(v)
-	}
-	ba := NewLatHist()
-	ba.Merge(b)
-	ba.Merge(a)
-	a.Merge(b)
-	if m := all.Mean(); m <= 0 || a.Mean() != m || ba.Mean() != m {
-		t.Fatalf("mean: union %v, a+b %v, b+a %v", m, a.Mean(), ba.Mean())
-	}
-	if a.N() != all.N() {
-		t.Fatalf("merged n = %d, want %d", a.N(), all.N())
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99, 0.999, 1} {
-		if a.Quantile(q) != all.Quantile(q) {
-			t.Fatalf("q%.3f: merged %v != union %v", q, a.Quantile(q), all.Quantile(q))
-		}
-	}
-}
-
 // TestLatHistEmptyAndClamp covers edge cases: empty histogram, negative
-// observation clamping, reset.
+// observation clamping.
 func TestLatHistEmptyAndClamp(t *testing.T) {
 	h := NewLatHist()
 	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
@@ -104,10 +72,6 @@ func TestLatHistEmptyAndClamp(t *testing.T) {
 	h.Observe(-5)
 	if h.N() != 1 || h.Quantile(1) != 0 {
 		t.Fatal("negative observation must clamp to bucket 0")
-	}
-	h.Reset()
-	if h.N() != 0 || h.Quantile(0.5) != 0 || h.Mean() != 0 {
-		t.Fatal("reset did not clear")
 	}
 }
 

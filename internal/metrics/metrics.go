@@ -46,10 +46,9 @@ func (d *Decay) Value(now, halfLife sim.Time) float64 {
 }
 
 // Peek returns the decayed value at now without updating the counter's
-// state: the read-only form used while the counter may be shared across
-// concurrent readers (sharded execution reads popularity during windows
-// and defers the writes to barriers). Peek(t) == Value(t) always; only
-// the stored (value, last) pair differs afterwards.
+// state. Peek(t) == Value(t) always; only the stored (value, last) pair
+// differs afterwards, and Value's renormalised pair can move the bits
+// of later reads, so callers that read with Peek keep doing so.
 func (d *Decay) Peek(now, halfLife sim.Time) float64 {
 	if now <= d.last {
 		return d.value
@@ -137,22 +136,6 @@ func (s *Series) Rate(i int) float64 {
 
 // BucketStart returns the virtual time at which bucket i begins.
 func (s *Series) BucketStart(i int) sim.Time { return sim.Time(i) * s.Bucket }
-
-// Merge folds src's buckets into s (bucketwise sum of sums and counts).
-// Both series must share a bucket width. Sharded runs keep one series
-// lane per shard and merge them at collection time.
-func (s *Series) Merge(src *Series) {
-	if src.Bucket != s.Bucket {
-		panic("metrics: merging series with different bucket widths")
-	}
-	if len(src.sums) > 0 {
-		s.grow(len(src.sums) - 1)
-	}
-	for i := range src.sums {
-		s.sums[i] += src.sums[i]
-		s.counts[i] += src.counts[i]
-	}
-}
 
 // Snap walks the raw buckets for checkpoints.
 func (s *Series) Snap(c *snap.Codec) {

@@ -1,9 +1,6 @@
 package namespace
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 // This file holds the overlay-aging surface: the tombstone bitset's
 // accounting and the name-index read-through counters.
@@ -53,15 +50,14 @@ func (t *Tree) ForEachTombstone(fn func(InodeID)) {
 }
 
 // noteLazyLookup records one read-through to the base name index.
-// Atomic: lookups run concurrently across shards during windows.
 func (t *Tree) noteLazyLookup(miss bool) {
-	atomic.AddUint64(&t.lazyLookups, 1)
+	t.lazyLookups++
 	if miss {
-		atomic.AddUint64(&t.lazyMisses, 1)
+		t.lazyMisses++
 	}
 }
 
 // LazyStats returns the cumulative read-through lookup and miss counts.
 func (t *Tree) LazyStats() (lookups, misses uint64) {
-	return atomic.LoadUint64(&t.lazyLookups), atomic.LoadUint64(&t.lazyMisses)
+	return t.lazyLookups, t.lazyMisses
 }

@@ -31,8 +31,8 @@ type Tree struct {
 	BaseDeletes uint64
 	// lazyLookups/lazyMisses instrument the name-index read-through:
 	// LookupChild calls served by the frozen base's shared per-directory
-	// maps, and how many missed. Updated atomically — lookups run
-	// concurrently across shards during windows.
+	// maps, and how many missed. Per overlay: sweep workers never share
+	// one, so plain increments suffice.
 	lazyLookups uint64
 	lazyMisses  uint64
 

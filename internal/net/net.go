@@ -139,12 +139,6 @@ type LatencyModel interface {
 	// Delay returns the send→deliver latency for a message of the given
 	// class and size entering link l at virtual time now.
 	Delay(l *Link, c Class, bytes int, now sim.Time) sim.Time
-	// Lookahead returns a positive lower bound on Delay over every class,
-	// size, and link state — the conservative-parallel window width: a
-	// message sent at t can never be due before t+Lookahead, so shards
-	// advanced in lockstep windows of that width cannot receive an event
-	// in their past.
-	Lookahead() sim.Time
 }
 
 // Fixed reproduces the original constant-latency behaviour exactly:
@@ -162,21 +156,10 @@ func (f Fixed) Name() string { return ModelFixed }
 // Delay implements LatencyModel.
 func (f Fixed) Delay(_ *Link, c Class, _ int, _ sim.Time) sim.Time { return f.base(c) }
 
-// Lookahead implements LatencyModel: the smallest per-class constant.
-// Net prices client-edge hops and Fwd intra-cluster hops (LHPropagate is
-// 2×Fwd, never the minimum), so min(Net, Fwd) bounds every delay.
-func (f Fixed) Lookahead() sim.Time {
-	if f.Net < f.Fwd {
-		return f.Net
-	}
-	return f.Fwd
-}
-
 func (f Fixed) base(c Class) sim.Time {
 	switch c {
 	case Request, Reply, LeaseGrant, LeaseRecall, LeaseAck:
-		// Client-edge hops; pricing the lease protocol at Net keeps
-		// Lookahead = min(Net, Fwd) unchanged.
+		// Client-edge hops, the lease protocol's included.
 		return f.Net
 	case LHPropagate:
 		return 2 * f.Fwd
@@ -203,14 +186,6 @@ type Queued struct {
 
 // Name implements LatencyModel.
 func (q *Queued) Name() string { return ModelQueued }
-
-// Lookahead implements LatencyModel. Delay is serialization-wait plus
-// the fixed base, and the wait term (done - now) is never negative, so
-// the base latencies' minimum bounds the queued model too: a busy link
-// (BusyUntil ahead of now) only pushes deliveries further out, never
-// closer. The bound therefore stays sound for every per-window BusyUntil
-// horizon without rescanning links at barriers.
-func (q *Queued) Lookahead() sim.Time { return q.Base.Lookahead() }
 
 // Delay implements LatencyModel: serialization behind the link's
 // in-flight transmissions, then the fixed propagation latency.

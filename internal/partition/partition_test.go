@@ -361,9 +361,9 @@ func TestSubtreeTableAccessors(t *testing.T) {
 	if tab.N() != 5 {
 		t.Fatalf("N = %d", tab.N())
 	}
-	e := tab.Epoch()
+	e := tab.epoch
 	_ = tab.Delegate(usr, 2)
-	if tab.Epoch() == e {
+	if tab.epoch == e {
 		t.Fatal("epoch did not advance")
 	}
 	if got, ok := tab.Assigned(usr); !ok || got != 2 {

@@ -70,9 +70,9 @@ func snapCounter(c *snap.Codec, touched *bool, d *metrics.Decay) {
 // therefore excluded — their tags can no longer influence the run.
 func SnapTags(c *snap.Codec, tree *namespace.Tree, nodes int) {
 	// One pass before the blocks: counts them to write; to read, clears
-	// any memo written between construction and restore (e.g. a sharded
-	// setup's wholesale Memoize pass) so post-restore memo state is
-	// exactly the serialized state, nothing more.
+	// any memo written between construction and restore (an authority
+	// lookup made while the cluster was assembled) so post-restore memo
+	// state is exactly the serialized state, nothing more.
 	count := 0
 	tree.Walk(func(n *namespace.Inode) bool {
 		tg, ok := n.Aux.(*Tags)

@@ -19,10 +19,6 @@ type SubtreeTable struct {
 	assign map[*namespace.Inode]int
 	// byMDS mirrors assign for per-node iteration.
 	byMDS []map[*namespace.Inode]bool
-	// frozen suppresses memo writes in Authority so concurrent shards can
-	// resolve authority lock-free during lookahead windows; memos are
-	// refreshed wholesale at barriers via Memoize.
-	frozen bool
 }
 
 // NewSubtreeTable creates a table for a cluster of n nodes with the
@@ -46,10 +42,6 @@ func NewSubtreeTable(n int) *SubtreeTable {
 
 // N returns the cluster size.
 func (t *SubtreeTable) N() int { return t.n }
-
-// Epoch returns the current partition epoch; it changes whenever the
-// partition changes.
-func (t *SubtreeTable) Epoch() uint64 { return t.epoch }
 
 // Delegate assigns authority for the subtree rooted at root to mds.
 func (t *SubtreeTable) Delegate(root *namespace.Inode, mds int) error {
@@ -82,21 +74,6 @@ func (t *SubtreeTable) Authority(ino *namespace.Inode) int {
 	if tags.AuthEpoch == t.epoch {
 		return int(tags.Auth)
 	}
-	if t.frozen {
-		// Pure read-only resolution: walk upward, shortcut through any
-		// ancestor's still-valid memo, write nothing. Used during
-		// lookahead windows, where many shards read concurrently.
-		for c := ino; c != nil; c = c.Parent() {
-			ct := TagsOf(c)
-			if ct.AuthEpoch == t.epoch {
-				return int(ct.Auth)
-			}
-			if a, ok := t.assign[c]; ok {
-				return a
-			}
-		}
-		return 0
-	}
 	// Walk upward; remember the chain so every node visited gets
 	// memoized with the resolved authority of its own nearest root.
 	var chain [64]*namespace.Inode
@@ -125,32 +102,6 @@ func (t *SubtreeTable) Authority(ino *namespace.Inode) int {
 		ct.Auth = int32(auth)
 	}
 	return auth
-}
-
-// SetFrozen switches Authority between memoizing (serial) and pure
-// read-only (sharded window) resolution.
-func (t *SubtreeTable) SetFrozen(on bool) { t.frozen = on }
-
-// Memoize refreshes the authority memo of every inode under root for the
-// current epoch, parents before children so each node resolves from its
-// parent's fresh memo in O(1). Sharded execution calls this at setup and
-// after any barrier that changes the partition epoch; between barriers
-// the memos make frozen Authority lookups one tag read.
-func (t *SubtreeTable) Memoize(root *namespace.Inode) {
-	t.memoize(root, 0)
-}
-
-func (t *SubtreeTable) memoize(n *namespace.Inode, inherited int) {
-	auth := inherited
-	if a, ok := t.assign[n]; ok {
-		auth = a
-	}
-	tags := TagsOf(n)
-	tags.AuthEpoch = t.epoch
-	tags.Auth = int32(auth)
-	for i := 0; i < n.NumChildren(); i++ {
-		t.memoize(n.Child(i), auth)
-	}
 }
 
 // RootsOf returns mds's explicitly delegated subtree roots, sorted by

@@ -15,7 +15,7 @@ import (
 //	describe Single-directory create storm against one home.
 //	quick 0.5
 //	fs users=40 projects=8
-//	cluster mds=8 strategy=DynamicSubtree cache=2500 shards=2 net=fixed bucket=500ms
+//	cluster mds=8 strategy=DynamicSubtree cache=2500 net=fixed bucket=500ms
 //	traffic clients=4000 rate=1.5 tenants=64 file-skew=1 mix=stat:70,readdir:20,create:10
 //	matrix strategy=DynamicSubtree,FileHash
 //	warmup 2s

@@ -67,8 +67,6 @@ var keys = []key{
 			return err
 		},
 		func(c *cluster.Config) string { return itoa(c.MDS.CacheCapacity) }},
-	numKey("shards", "cluster", "event-loop shards for one run (0 = the serial engine); sweeps shrink their worker pool so workers x shards fits the cores", 0, inf,
-		func(c *cluster.Config) *int { return &c.Shards }),
 	enumKey("net", "fabric latency model: fixed or queued", []string{net.ModelFixed, net.ModelQueued},
 		func(c *cluster.Config) *string { return &c.NetModel }),
 	numKey("link-bw", "cluster", "queued-model link bandwidth, bytes per simulated second (0 = 125e6); needs net=queued", 0, inf,
@@ -341,9 +339,6 @@ func Apply(cfg *cluster.Config, set []Setting) error {
 	}
 	if cfg.Lease.Enabled && cfg.OpenLoop == nil {
 		return fmt.Errorf("mechanism: client leases need an open-loop population (a traffic rate)")
-	}
-	if cfg.OSDs > 0 && min(cfg.Shards, cfg.NumMDS) > 1 {
-		return fmt.Errorf("shards: sharded execution cannot drive a shared OSD pool (this run has %d devices)", cfg.OSDs)
 	}
 	sched, err := fault.ParseSchedule(cfg.Faults)
 	if err == nil {

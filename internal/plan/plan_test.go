@@ -16,7 +16,7 @@ const fullSrc = `plan full-demo
 describe Every directive at once.
 quick 0.25
 fs users=40 projects=8
-cluster mds=8 strategy=DynamicSubtree cache=2500 shards=2 net=fixed faults=drop@0:all bucket=500ms
+cluster mds=8 strategy=DynamicSubtree cache=2500 net=fixed faults=drop@0:all bucket=500ms
 traffic clients=4000 rate=1.5 tenants=64 tenant-skew=0.8 file-skew=1 working-set=256 ways=4 mix=stat:70,readdir:20,create:10
 matrix strategy=DynamicSubtree,FileHash
 warmup 2s
@@ -69,7 +69,7 @@ func TestRoundTripPreservesFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := cells[0].Cfg
-	if q.Quick != 0.25 || cfg.FS.Users != 40 || cfg.Shards != 2 ||
+	if q.Quick != 0.25 || cfg.FS.Users != 40 || cfg.MDS.CacheCapacity != 2500 ||
 		cfg.SeriesBucket != 500*sim.Millisecond || cfg.Faults != "drop@0:all" {
 		t.Fatalf("header fields lost: %+v", cfg)
 	}
@@ -113,7 +113,7 @@ func TestParseRejects(t *testing.T) {
 		{"bad time", "plan p\nduration 10q\n", "bad time"},
 		{"key on the wrong line", "plan p\nfs mds=4\n", "unknown fs key"},
 		{"key bound twice", "plan p\nfs users=4 users=5\n", "bound twice"},
-		{"negative shards", "plan p\ncluster shards=-3\n", "shards"},
+		{"retired shards key", "plan p\ncluster shards=2\n", "unknown key \"shards\""},
 		{"unknown net model", "plan p\ncluster net=warp\n", "unknown net"},
 		{"zero rate", "plan p\ntraffic clients=10 rate=0\n", "bad rate"},
 		{"too many ways", "plan p\ntraffic ways=1048577\n", "ways"},
@@ -363,7 +363,7 @@ func TestCommandLineRoundTrip(t *testing.T) {
 		nil,
 		{{"mds", "8"}},
 		{{"mds", "3"}, {"clients", "30"}, {"users", "30"}, {"cache", "500"}, {"strategy", cluster.StratFileHash},
-			{"net", "queued"}, {"link-bw", "1e8"}, {"shards", "2"}, {"faults", "partition@1s-2s:{0|1.2},drop@0.02:all"},
+			{"net", "queued"}, {"link-bw", "1e8"}, {"faults", "partition@1s-2s:{0|1.2},drop@0.02:all"},
 			{"warmup", "1s"}, {"duration", "4500ms"}, {"mechanism", "fanout"}, {"bucket", "20ms"}, {"projects", "3"}},
 		{{"rate", "0.05"}, {"clients", "20000"}, {"tenants", "32"}, {"tenant-skew", "1"}, {"file-skew", "0.8"},
 			{"working-set", "64"}, {"ways", "4"}, {"mix", "stat:55,unlink:15,create:30"}, {"diurnal", "0.3"},

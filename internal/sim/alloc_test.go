@@ -113,59 +113,6 @@ func TestStopLeavesQueueAndPoolsIntact(t *testing.T) {
 	}
 }
 
-// deferRig is the receiver for the sharded-window allocation pin: each
-// firing defers a typed mutation and reschedules itself, keeping its
-// shard busy across every lookahead window.
-type deferRig struct {
-	e *Engine
-	c *counter
-}
-
-func deferAndReschedule(a, b any) {
-	d := a.(*deferRig)
-	d.e.Defer(bump, d.c, nil)
-	d.e.AfterCall(Millisecond, deferAndReschedule, a, b)
-}
-
-// TestShardedWindowAllocFree pins the sharded steady state: once the
-// heaps and deferred-op buffers have reached their high-water marks, a
-// full window cycle — window sizing, per-shard dispatch, Defer capture,
-// and the barrier's ApplyDeferred merge — allocates nothing. The pin
-// runs the windows sequentially (parallel=false), which executes the
-// identical per-window code path; parallel mode adds only a fixed
-// per-Run worker startup cost, never per-window allocations.
-func TestShardedWindowAllocFree(t *testing.T) {
-	shards := []*Engine{NewEngine(), NewEngine()}
-	global := NewEngine()
-	var g *ShardGroup
-	g = NewShardGroup(shards, global, Millisecond, false, func(now Time) {
-		g.ApplyDeferred()
-		global.RunUntil(now)
-	})
-	c := &counter{}
-	for _, s := range shards {
-		s.AfterCall(Millisecond, deferAndReschedule, &deferRig{e: s, c: c}, nil)
-	}
-	end := Time(0)
-	step := 64 * Millisecond
-	end += step
-	g.Run(end) // warmup: grow heaps and gop buffers
-
-	allocs := testing.AllocsPerRun(200, func() {
-		end += step
-		g.Run(end)
-	})
-	if allocs > 0 {
-		t.Fatalf("sharded window cycle allocated %.2f times per %v of windows, want 0", allocs, step)
-	}
-	if c.n == 0 {
-		t.Fatal("deferred mutations never applied")
-	}
-	if g.Windows == 0 {
-		t.Fatal("no windows executed")
-	}
-}
-
 // BenchmarkEngineSchedule measures pure scheduling cost: push b.N events
 // without dispatching (drained once outside the timer).
 func BenchmarkEngineSchedule(b *testing.B) {

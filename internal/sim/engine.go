@@ -52,27 +52,6 @@ type Engine struct {
 	lanes  [maxLanes]lane
 	nlanes int
 	seen   [1 << seenBits]sighting
-
-	// Deferred-mutation buffer for sharded (conservative parallel)
-	// execution. While deferring is set, Defer records the call instead
-	// of running it; the shard barrier applies all shards' buffers in a
-	// deterministic merge order. In serial execution deferring is false
-	// and Defer degenerates to an immediate call, so the serial engine's
-	// behaviour is bit-identical with or without Defer at the call sites.
-	deferring bool
-	gops      []gop
-	gopSeq    uint64
-}
-
-// gop ("global op") is one deferred shared-state mutation recorded during
-// a lookahead window: the virtual time it was requested at, a per-engine
-// sequence number, and the call to make. Buffers are reused across
-// windows, so steady-state deferral allocates nothing.
-type gop struct {
-	at   Time
-	seq  uint64
-	fn   EventFunc
-	a, b any
 }
 
 // The lane policy. Each slot of a small direct-mapped sighting table
@@ -237,18 +216,6 @@ func (e *Engine) RunUntil(end Time) {
 	}
 }
 
-// RunWindow dispatches events with timestamps strictly before end, then
-// (unless Stop was called) advances the clock to end. The half-open
-// window is the sharded executor's unit of progress: events scheduled
-// exactly at the barrier instant — merged cross-shard deliveries, global
-// barrier work — belong to the next window.
-func (e *Engine) RunWindow(end Time) {
-	e.dispatch(end - 1) // times are integers: before end is at or before end-1
-	if !e.stopped && e.now < end {
-		e.now = end
-	}
-}
-
 // dispatch runs events in (at, seq) order while the earliest is due at
 // or before last, until the queue is empty or Stop is called.
 func (e *Engine) dispatch(last Time) {
@@ -286,35 +253,6 @@ func (e *Engine) earliest() (src int, at Time, ok bool) {
 		}
 	}
 	return src, at, seq != emptySeq
-}
-
-// NextEventTime returns the timestamp of the earliest pending event.
-// ok is false when the queue is empty.
-func (e *Engine) NextEventTime() (t Time, ok bool) {
-	_, t, ok = e.earliest()
-	if !ok {
-		return 0, false
-	}
-	return t, true
-}
-
-// SetDeferring switches the engine between immediate and deferred
-// application of Defer calls. The sharded executor enables it for the
-// shard engines; serial engines leave it off.
-func (e *Engine) SetDeferring(on bool) { e.deferring = on }
-
-// Defer runs fn(a, b) immediately in serial execution, or records it for
-// deterministic application at the next shard barrier in sharded
-// execution. Model code routes every mutation of cross-shard shared
-// state (the namespace tree, per-inode tags, strategy tables) through
-// Defer so that lookahead windows only ever read shared state.
-func (e *Engine) Defer(fn EventFunc, a, b any) {
-	if !e.deferring {
-		fn(a, b)
-		return
-	}
-	e.gopSeq++
-	e.gops = append(e.gops, gop{at: e.now, seq: e.gopSeq, fn: fn, a: a, b: b})
 }
 
 // less orders events by (at, seq).

@@ -14,6 +14,16 @@ func pending(e *Engine) int {
 	return n
 }
 
+// NextEventTime returns the timestamp of the engine's earliest pending
+// event; ok is false when the queue is empty.
+func (e *Engine) NextEventTime() (t Time, ok bool) {
+	_, t, ok = e.earliest()
+	if !ok {
+		return 0, false
+	}
+	return t, true
+}
+
 // orderQueue is what the order tests drive: the engine, or the reference.
 type orderQueue interface {
 	Now() Time
@@ -21,7 +31,6 @@ type orderQueue interface {
 	AfterCall(d Time, fn EventFunc, a, b any)
 	Run()
 	RunUntil(end Time)
-	RunWindow(end Time)
 	Stop()
 	NextEventTime() (Time, bool)
 }
@@ -75,11 +84,6 @@ func (r *refQueue) Run() { r.run(func(Time) bool { return true }) }
 
 func (r *refQueue) RunUntil(end Time) {
 	r.run(func(t Time) bool { return t <= end })
-	r.advance(end)
-}
-
-func (r *refQueue) RunWindow(end Time) {
-	r.run(func(t Time) bool { return t < end })
 	r.advance(end)
 }
 
@@ -173,8 +177,8 @@ type orderCoverage struct {
 // runOrderProgram drives the engine and the reference through one
 // program and fails at the first step where their dispatch logs, clocks,
 // next event times or pending counts differ. Each program byte pair is
-// an op and its argument: schedule a burst, run to a closed or
-// half-open bound (some exactly at the next event), run to empty.
+// an op and its argument: schedule a burst, run to a bound (some
+// exactly at the next event), run to empty.
 // Callbacks schedule at most budget events between them.
 func runOrderProgram(t *testing.T, seed uint64, prog []byte, budget int) orderCoverage {
 	t.Helper()
@@ -219,27 +223,18 @@ func runOrderProgram(t *testing.T, seed uint64, prog []byte, budget int) orderCo
 					r.schedule(mix(seed ^ uint64(step)<<8 ^ j))
 				}
 			})
-		case 3:
+		case 3, 4:
 			name = "RunUntil"
 			end := eng.Now() + arg*25
 			both(func(r *orderRun) { r.q.RunUntil(end) })
-		case 4:
-			name = "RunWindow"
-			end := eng.Now() + arg*25
-			both(func(r *orderRun) { r.q.RunWindow(end) })
 		case 5, 6:
 			next, ok := eng.NextEventTime()
 			if !ok {
 				continue
 			}
 			cov.exactCuts++
-			if op%8 == 5 {
-				name = "RunUntil at the next event"
-				both(func(r *orderRun) { r.q.RunUntil(next) })
-			} else {
-				name = "RunWindow at the next event"
-				both(func(r *orderRun) { r.q.RunWindow(next) })
-			}
+			name = "RunUntil at the next event"
+			both(func(r *orderRun) { r.q.RunUntil(next) })
 		default:
 			name = "Run"
 			both(func(r *orderRun) { r.q.Run() })
@@ -266,7 +261,7 @@ func runOrderProgram(t *testing.T, seed uint64, prog []byte, budget int) orderCo
 // engine and the sorted-slice reference: recurring and wide delays,
 // AfterCall and AtCall, absolute times a lane's delay away, same-instant
 // ties between lane and heap events, callbacks that schedule and stop,
-// and closed and half-open cut points. The lanes must be invisible.
+// and cut points at and between events. The lanes must be invisible.
 func TestEngineLanesMatchReference(t *testing.T) {
 	var total orderCoverage
 	for seed := int64(1); seed <= 8; seed++ {

@@ -85,8 +85,8 @@ var Damaged = []struct {
 			return append(binary.AppendUvarint(b[:from:from], 1<<62), b[to:]...)
 		}},
 	{"draw-count-past-32-bits", "pop", "4294967296 overflows its uint32 field",
-		func(b []byte) []byte { // the shard count, the shard's clients, then client 0's draw count
-			from, to := After(b, 2), After(b, 3)
+		func(b []byte) []byte { // the client count, then client 0's draw count
+			from, to := After(b, 1), After(b, 2)
 			return append(binary.AppendUvarint(b[:from:from], 1<<32), b[to:]...)
 		}},
 	{"tombstone-listed-twice", "tree", "listed twice",

@@ -147,9 +147,8 @@ func (t *Tenants) ForEachTarget(fn func(*namespace.Inode)) {
 
 // SetFileSkew rebuilds the popularity alias tables in place for a new
 // Zipf exponent. The working sets themselves are unchanged — only the
-// draw distribution over them. Must run single-threaded (inline when
-// serial, at a barrier when sharded); the Vose scratch allocation is
-// boundary-time, not steady-state. Negative skew is a no-op, matching
+// draw distribution over them. Runs at an act boundary; the Vose
+// scratch allocation is boundary-time, not steady-state. Negative skew is a no-op, matching
 // the act-layer "unchanged" convention.
 func (t *Tenants) SetFileSkew(skew float64) {
 	if skew < 0 || skew == t.cfg.FileSkew {

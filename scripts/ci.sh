@@ -35,7 +35,7 @@ budget() {
     fi
 }
 budget README.md $((24 * 1024))
-budget DESIGN.md 61334
+budget DESIGN.md 58941
 
 # -race on the small CI box is ~6x slower than native; give packages
 # headroom past go test's 10m default so a busy host doesn't flake. The
@@ -87,9 +87,9 @@ RACE="$TMP/mdsim-race"
 
 # A bad override is a usage error, exit status 2, before any event runs.
 rc=0
-"$MDSIM" -set shards=-3 >"$TMP/usage.out" 2>/dev/null || rc=$?
+"$MDSIM" -set mds=0 >"$TMP/usage.out" 2>/dev/null || rc=$?
 if [ "$rc" -ne 2 ] || [ -s "$TMP/usage.out" ]; then
-    echo "ci: mdsim -set shards=-3 exited $rc (want 2) or wrote to stdout" >&2
+    echo "ci: mdsim -set mds=0 exited $rc (want 2) or wrote to stdout" >&2
     exit 1
 fi
 
@@ -123,14 +123,6 @@ fi
 # prints a shrunk minimal repro with its replay line).
 "$RACE" -chaos-runs 50 -seed 1
 
-# Sharded-engine smoke under the race detector: the conservative
-# parallel executor at K=4 on the Figure 2 quick config, then a
-# 10-schedule chaos batch at K=2 (fault schedules run the windowed
-# executor single-threaded, so this checks the deferred/barrier path
-# against simfsck rather than goroutine interleaving).
-"$RACE" -set mds=4 -set clients=120 -set duration=10s -set warmup=4s -set shards=4
-"$RACE" -chaos-runs 10 -seed 1 -set shards=2
-
 # Scenario-plan engine: one library plan end to end under the race
 # detector (acts retarget the live population mid-run), then the whole
 # library at quick scale.
@@ -161,7 +153,7 @@ echo "ci: goldens match"
 # benchmark's live_heap_mb on open-wide (51.6 MiB / 2M clients is
 # ~27 B/client, namespace and caches included; bound 8%).
 "$RACE" -set rate=0.01 -set clients=1e6 -set tenant-skew=1 -set file-skew=1 -set mds=8 -set users=40 \
-    -set duration=3s -set warmup=1s -set diurnal=0.3 -set burst-prob=0.05 -set shards=4
+    -set duration=3s -set warmup=1s -set diurnal=0.3 -set burst-prob=0.05
 
 # Lease-plane smoke under the race detector: the hotspot duel sweeps
 # all four coherence mechanisms (dumb/leases/fanout/both) across both
@@ -193,6 +185,12 @@ GONE='fig|list-plans|strategy|mds|clients|users|cache|dur|warmup|net-model|link-
 if grep -rnE "(^|[^[:alnum:]-])-($GONE)([^[:alnum:]-]|\$)" \
     README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; then
     echo "ci: the lines above mention an mdsim flag that no longer exists (use -plan / -set key=value, or drop it)" >&2
+    exit 1
+fi
+# Nor a -set key that was deleted.
+if grep -rnE "(^|[^[:alnum:]-])shards=" \
+    README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; then
+    echo "ci: the lines above spell the deleted shards key" >&2
     exit 1
 fi
 
