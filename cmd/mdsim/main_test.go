@@ -94,6 +94,11 @@ func TestUsageErrors(t *testing.T) {
 		{"unknown -set key", []string{"-set", "colour=red"}},
 		{"-set without a value", []string{"-set", "mds"}},
 		{"-set on a key the matrix sweeps", []string{"-plan", "fig2", "-quick", "-set", "mds=4"}},
+		{"-set on a key that co-varies with the swept mds", []string{"-plan", "fig2", "-quick", "-set", "users=100"}},
+		{"-set on the cache axis of Figure 4", []string{"-plan", "fig4", "-quick", "-set", "cache=500"}},
+		{"-set on the fault schedule the availability pair sweeps", []string{"-plan", "avail", "-quick", "-set", "faults=drop@0.1:all"}},
+		{"-set on the directory-hashing axis of sci", []string{"-plan", "sci", "-quick", "-set", "dirhash-at=0"}},
+		{"embed=off on a strategy it cannot unembed", []string{"-set", "embed=off"}},
 		{"fewer closed-loop clients than nodes", []string{"-set", "clients=3", "-set", "mds=8"}},
 		{"shards on the plan with the shared OSD pool", []string{"-plan", "ablations", "-quick", "-set", "shards=2"}},
 		{"-set of an open-loop key on a closed loop", []string{"-set", "tenants=8"}},

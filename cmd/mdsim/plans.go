@@ -87,7 +87,7 @@ func list(w io.Writer) {
 	for _, p := range library.All() {
 		cells := 1
 		for _, ax := range p.Matrix {
-			cells *= len(ax.Values)
+			cells *= ax.Len()
 		}
 		fmt.Fprintf(w, "%-24s %d run(s), %d act(s)\n%24s %s\n", p.Name, cells, len(p.Acts), "", p.Describe)
 	}

@@ -109,10 +109,10 @@ type Config struct {
 	// pool of that many devices, two replicas per object (§2.1.3),
 	// instead of node-local disks.
 	OSDs int
-	// MakeStrategy, when non-nil, overrides Strategy with a
-	// caller-built partitioning strategy constructed over the run's
-	// own tree (the embedded-inode ablation and tests).
-	MakeStrategy func(n int, tree *namespace.Tree) partition.Strategy
+	// NoEmbed stores a StaticSubtree partition's inodes one by one
+	// instead of embedded in their directories (§4.5): the same
+	// partition, per-inode I/O — the embedded-inode ablation.
+	NoEmbed bool
 
 	// OpenLoop, when non-nil, replaces the closed-loop per-object client
 	// population with the open-loop flyweight traffic plane: dense
@@ -148,13 +148,16 @@ type Config struct {
 }
 
 // Default returns a small, fast baseline configuration: callers override
-// strategy, sizes and workload.
+// strategy, sizes and workload. Its population (40 clients per MDS) and
+// fabric model are the default plan's, so a config that deviates from
+// that plan only on keys of the plan key table rebuilds from its -set
+// line field for field.
 func Default() Config {
 	fs := fsgen.Default()
 	return Config{
 		Seed:           1,
 		NumMDS:         4,
-		ClientsPerMDS:  50,
+		ClientsPerMDS:  40,
 		Strategy:       StratDynamic,
 		PartitionDepth: 2,
 		FS:             fs,
@@ -163,6 +166,7 @@ func Default() Config {
 		Workload:       WorkloadConfig{Kind: WorkGeneral, General: workload.DefaultGeneralConfig()},
 		Balancer:       ptr(core.DefaultBalancerConfig()),
 		Traffic:        core.DefaultTrafficControl(),
+		NetModel:       net.ModelFixed,
 		Duration:       30 * sim.Second,
 		Warmup:         10 * sim.Second,
 		SeriesBucket:   sim.Second,
@@ -303,10 +307,7 @@ func New(cfg Config) (*Cluster, error) {
 		c.CompletedOps = metrics.NewSeries(cfg.SeriesBucket)
 	}
 
-	// Strategy.
-	if cfg.MakeStrategy != nil {
-		c.Strategy = cfg.MakeStrategy(cfg.NumMDS, snap.Tree)
-	} else if err := c.buildStrategy(cfg, snap); err != nil {
+	if err := c.buildStrategy(cfg, snap); err != nil {
 		return nil, err
 	}
 
@@ -419,7 +420,11 @@ func (c *Cluster) buildStrategy(cfg Config, snap *fsgen.Snapshot) error {
 			c.Traffic = &tc
 		}
 	case StratStatic:
-		c.Strategy = partition.NewStaticSubtree(cfg.NumMDS, snap.Tree, cfg.PartitionDepth)
+		s := partition.NewStaticSubtree(cfg.NumMDS, snap.Tree, cfg.PartitionDepth)
+		c.Strategy = s
+		if cfg.NoEmbed {
+			c.Strategy = unembedded{s}
+		}
 	case StratDirHash:
 		c.Strategy = partition.DirHash{N: cfg.NumMDS}
 	case StratFileHash:
@@ -431,6 +436,12 @@ func (c *Cluster) buildStrategy(cfg Config, snap *fsgen.Snapshot) error {
 	}
 	return nil
 }
+
+// unembedded is a static subtree partition with embedded-inode
+// directory storage switched off (Config.NoEmbed).
+type unembedded struct{ *partition.StaticSubtree }
+
+func (unembedded) DirGranular() bool { return false }
 
 func (c *Cluster) buildClients() error {
 	cfg := c.Cfg

@@ -46,8 +46,8 @@ func (c *Cluster) EndureCheck() error {
 	if _, ok := c.Strategy.(*partition.LazyHybrid); ok {
 		return fmt.Errorf("cluster: endurance runs do not support the lazyhybrid strategy")
 	}
-	if c.Cfg.MakeStrategy != nil {
-		return fmt.Errorf("cluster: endurance runs do not support custom strategies")
+	if c.Cfg.NoEmbed {
+		return fmt.Errorf("cluster: endurance runs do not support embed=off")
 	}
 	return nil
 }

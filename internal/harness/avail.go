@@ -5,8 +5,8 @@ import (
 	"io"
 
 	"dynmds/internal/cluster"
+	"dynmds/internal/fault"
 	"dynmds/internal/metrics"
-	"dynmds/internal/plan"
 	"dynmds/internal/sim"
 )
 
@@ -40,87 +40,64 @@ type availMetrics struct {
 	Warmed int
 }
 
-// availSpec describes the shared crash scenario.
-type availSpec struct {
-	cfg       cluster.Config // the faulty run; control clears Faults
-	crashAt   sim.Time
-	recoverAt sim.Time
-	victim    int
-}
+// availSrc is the availability experiment: for every strategy, one of
+// eight nodes crashes mid-run and recovers later, next to a fault-free
+// control of the same configuration. The control's schedule is one rule
+// of probability zero: it arms the fault-mode plumbing (client retries,
+// timeouts, suspicion) without any fault, so the pair differs only in
+// the crash — the property the control leans on (tested in
+// internal/cluster).
+const availSrc = `plan avail
+quick 1
+fs users=200
+cluster mds=8 cache=2500 log=2000
+traffic clients=200 think=10ms
+matrix strategy=StaticSubtree,DynamicSubtree,DirHash,LazyHybrid,FileHash
+matrix faults=crash@15000ms-25000ms:mds2,drop@0:all
+warmup 5s
+duration 40s
+quick matrix faults=crash@8000ms-13000ms:mds2,drop@0:all
+quick warmup 3s
+quick duration 20s
+`
 
-// inertSchedule enables fault-mode plumbing without any fault: the only
-// rule has probability zero, so the run is bit-identical to a no-fault
-// run with the same resilience knobs — the property the control run
-// leans on (tested in internal/cluster).
-const inertSchedule = "drop@0:all"
-
-func availScenario(opt Options, strategy string) availSpec {
-	cfg := cluster.Default()
-	cfg.Seed = opt.Seed
-	cfg.Strategy = strategy
-	cfg.NumMDS = 8
-	cfg.ClientsPerMDS = 25
-	cfg.FS.Users = 200
-	cfg.MDS.CacheCapacity = 2500
-	cfg.Client.ThinkMean = 10 * sim.Millisecond
-	cfg.Duration = 40 * sim.Second
-	cfg.Warmup = 5 * sim.Second
-	s := availSpec{cfg: cfg, crashAt: 15 * sim.Second, recoverAt: 25 * sim.Second, victim: 2}
-	if opt.Quick {
-		s.cfg.Duration = 20 * sim.Second
-		s.cfg.Warmup = 3 * sim.Second
-		s.crashAt, s.recoverAt = 8*sim.Second, 13*sim.Second
-	}
-	s.cfg.Faults = fmt.Sprintf("crash@%dms-%dms:mds%d",
-		int64(s.crashAt/sim.Millisecond), int64(s.recoverAt/sim.Millisecond), s.victim)
-	return s
-}
-
-// availExt is the availability experiment: the crash/recovery
-// scenario for every strategy — one of eight nodes killed mid-run and
-// recovered later — next to a fault-free control of the same
-// configuration; each pair's per-second completion series reduces to
-// the throughput dip and the detection and recovery times it prints.
-func availExt(opt Options) (*plan.Plan, Renderer, error) {
-	p := &plan.Plan{
-		Name: "avail",
-		Matrix: []plan.Axis{
-			{Key: "strategy", Values: cluster.Strategies},
-			{Key: "run", Values: []string{"fault", "control"}},
-		},
-		Tweak: func(cfg *cluster.Config, cell plan.Cell) {
-			*cfg = availScenario(opt, cell["strategy"]).cfg
-			if cell["run"] == "control" {
-				cfg.Faults = inertSchedule
-			}
-		},
-	}
-	return p, func(w io.Writer, runs []PlanRun) error {
-		fmt.Fprintln(w, "Extension: availability under an injected crash "+
-			"(1 of 8 nodes down for a window, then log-warmed recovery; "+
-			"dip and recovery measured against a fault-free control run)")
-		tb := metrics.NewTable("strategy", "base ops/s", "dip ops/s", "dip frac",
-			"detect(s)", "recover(s)", "retries", "timed_out", "warmed")
-		for i, s := range cluster.Strategies {
-			m := reduceAvail(runs[2*i].Res, runs[2*i+1].Res, availScenario(opt, s))
-			tb.AddRow(m.Strategy,
-				int(m.Baseline),
-				int(m.Dip),
-				fmt.Sprintf("%.3f", m.DipFrac),
-				fmt.Sprintf("%.2f", m.DetectSeconds),
-				fmt.Sprintf("%.1f", m.RecoverySeconds),
-				int(m.Retries),
-				int(m.TimedOut),
-				m.Warmed)
+// renderAvail reduces each strategy's pair of per-second completion
+// series to the throughput dip and the detection and recovery times.
+func renderAvail(w io.Writer, runs []PlanRun) error {
+	fmt.Fprintln(w, "Extension: availability under an injected crash "+
+		"(1 of 8 nodes down for a window, then log-warmed recovery; "+
+		"dip and recovery measured against a fault-free control run)")
+	tb := metrics.NewTable("strategy", "base ops/s", "dip ops/s", "dip frac",
+		"detect(s)", "recover(s)", "retries", "timed_out", "warmed")
+	for i := 0; i+1 < len(runs); i += 2 {
+		m, err := reduceAvail(&runs[i], runs[i+1].Res)
+		if err != nil {
+			return err
 		}
-		_, err := io.WriteString(w, tb.String())
-		return err
-	}, nil
+		tb.AddRow(m.Strategy,
+			int(m.Baseline),
+			int(m.Dip),
+			fmt.Sprintf("%.3f", m.DipFrac),
+			fmt.Sprintf("%.2f", m.DetectSeconds),
+			fmt.Sprintf("%.1f", m.RecoverySeconds),
+			int(m.Retries),
+			int(m.TimedOut),
+			m.Warmed)
+	}
+	_, err := io.WriteString(w, tb.String())
+	return err
 }
 
 // reduceAvail computes the availability metrics from a faulty run and
-// its fault-free control.
-func reduceAvail(r, control *cluster.Result, sp availSpec) availMetrics {
+// its fault-free control; the crash window and victim are the faulty
+// cell's schedule's.
+func reduceAvail(run *PlanRun, control *cluster.Result) (availMetrics, error) {
+	sched, err := fault.ParseSchedule(run.Cfg.Faults)
+	if err != nil || len(sched.Crashes) != 1 || len(sched.Recovers) != 1 {
+		return availMetrics{}, fmt.Errorf("avail: %s: want one crash window, not %q", run.Label, run.Cfg.Faults)
+	}
+	r, victim := run.Res, sched.Crashes[0].Node
+	crashAt, recoverAt := sched.Crashes[0].At, sched.Recovers[0].At
 	m := availMetrics{
 		Strategy:        r.Strategy,
 		Retries:         r.Retries,
@@ -128,21 +105,21 @@ func reduceAvail(r, control *cluster.Result, sp availSpec) availMetrics {
 		DetectSeconds:   -1,
 		RecoverySeconds: -1,
 	}
-	if ev, ok := eventOn(r.Downs, sp.victim); ok {
-		m.DetectSeconds = (ev.At - sp.crashAt).Seconds()
+	if ev, ok := eventOn(r.Downs, victim); ok {
+		m.DetectSeconds = (ev.At - crashAt).Seconds()
 	}
-	if ev, ok := eventOn(r.Recoveries, sp.victim); ok {
+	if ev, ok := eventOn(r.Recoveries, victim); ok {
 		m.Warmed = ev.Warmed
 	}
 	s, cs := r.CompletedOps, control.CompletedOps
 	if s == nil || cs == nil {
-		return m
+		return m, nil
 	}
 	bucket := func(t sim.Time) int { return int(t / r.Bucket) }
 	// Baseline: control mean rate from warmup to the crash.
 	var sum float64
 	n := 0
-	for i := bucket(sp.cfg.Warmup); i < bucket(sp.crashAt); i++ {
+	for i := bucket(run.Cfg.Warmup); i < bucket(crashAt); i++ {
 		sum += cs.Rate(i)
 		n++
 	}
@@ -152,7 +129,7 @@ func reduceAvail(r, control *cluster.Result, sp availSpec) availMetrics {
 	// Dip: worst bucket wholly inside the outage, absolute and relative
 	// to the control's same bucket.
 	first := true
-	for i := bucket(sp.crashAt) + 1; i < bucket(sp.recoverAt); i++ {
+	for i := bucket(crashAt) + 1; i < bucket(recoverAt); i++ {
 		rate := s.Rate(i)
 		if first || rate < m.Dip {
 			m.Dip = rate
@@ -165,11 +142,11 @@ func reduceAvail(r, control *cluster.Result, sp availSpec) availMetrics {
 		first = false
 	}
 	// Recovery: first post-recovery bucket back at 90% of the control.
-	for i := bucket(sp.recoverAt); i < bucket(sp.cfg.Duration); i++ {
+	for i := bucket(recoverAt); i < bucket(run.Cfg.Duration); i++ {
 		if c := cs.Rate(i); c > 0 && s.Rate(i) >= 0.9*c {
-			m.RecoverySeconds = (s.BucketStart(i) - sp.recoverAt).Seconds()
+			m.RecoverySeconds = (s.BucketStart(i) - recoverAt).Seconds()
 			break
 		}
 	}
-	return m
+	return m, nil
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"dynmds/internal/cluster"
@@ -196,18 +197,24 @@ func TestChaosSetOverrides(t *testing.T) {
 }
 
 // TestAvailScenarioRespectsSeed: the availability experiment follows
-// the -seed option — both the faulty run and its fault-free control —
-// rather than being pinned to one RNG stream.
+// the -seed option — both the faulty runs and their fault-free controls
+// — rather than being pinned to one RNG stream.
 func TestAvailScenarioRespectsSeed(t *testing.T) {
-	for _, seed := range []int64{1, 42} {
-		spec := availScenario(Options{Seed: seed}, cluster.StratDynamic)
-		if spec.cfg.Seed != seed {
-			t.Errorf("seed %d: scenario pinned to seed %d", seed, spec.cfg.Seed)
+	avail, _ := ByID("avail")
+	var faults [2][]string
+	for i, seed := range []int64{1, 42} {
+		cells, _, err := avail.compile(Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cells {
+			if c.Cfg.Seed != seed {
+				t.Errorf("seed %d: %s pinned to seed %d", seed, c.Label, c.Cfg.Seed)
+			}
+			faults[i] = append(faults[i], c.Cfg.Faults)
 		}
 	}
-	a := availScenario(Options{Seed: 1}, cluster.StratDynamic)
-	b := availScenario(Options{Seed: 2}, cluster.StratDynamic)
-	if a.cfg.Faults != b.cfg.Faults {
-		t.Error("fault schedule must not vary with the seed (only the workload RNG does)")
+	if !slices.Equal(faults[0], faults[1]) {
+		t.Error("fault schedules must not vary with the seed (only the workload RNG does)")
 	}
 }

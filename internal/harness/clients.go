@@ -4,61 +4,28 @@ import (
 	"fmt"
 	"io"
 
-	"dynmds/internal/client"
-	"dynmds/internal/cluster"
 	"dynmds/internal/metrics"
-	"dynmds/internal/plan"
-	"dynmds/internal/sim"
-	"dynmds/internal/workload"
 )
 
-// clientsConfig builds one open-loop traffic-plane run.
-func clientsConfig(opt Options, strategy string, clients int, rate float64) cluster.Config {
-	cfg := cluster.Default()
-	cfg.Seed = opt.Seed
-	cfg.Strategy = strategy
-	cfg.NumMDS = 8
-	cfg.FS.Users = 40
-	cfg.MDS.CacheCapacity = 2500
-	cfg.Duration = 8 * sim.Second
-	cfg.Warmup = 2 * sim.Second
-	cfg.OpenLoop = &client.PopulationConfig{
-		Clients: clients,
-		Rate:    rate,
-		Tenant:  workload.TenantConfig{TenantSkew: 1, FileSkew: 1},
-	}
-	if opt.Quick {
-		cfg.Duration = 4 * sim.Second
-		cfg.Warmup = 1 * sim.Second
-	}
-	return cfg
-}
-
-// clientsExt sweeps the open-loop flyweight population across client
-// counts for the subtree strategies: per-client state stays flat (the
-// bytes/client column) while arrival volume is held constant, so the
-// axis isolates population-size cost from load.
-func clientsExt(opt Options) (*plan.Plan, Renderer, error) {
-	counts := []int{100_000, 1_000_000}
-	budget := 40e3 // arrivals per run, under cluster service capacity
-	if opt.Quick {
-		counts = []int{20_000, 200_000}
-		budget = 15e3
-	}
-	p := &plan.Plan{
-		Name: "clients",
-		Matrix: []plan.Axis{
-			{Key: "strategy", Values: []string{cluster.StratDynamic, cluster.StratStatic, cluster.StratFileHash}},
-			{Key: "clients", Values: intStrings(counts)},
-		},
-		Tweak: func(cfg *cluster.Config, cell plan.Cell) {
-			n := atoi(cell["clients"])
-			rate := budget / (float64(n) * clientsConfig(opt, cell["strategy"], n, 1).Duration.Seconds())
-			*cfg = clientsConfig(opt, cell["strategy"], n, rate)
-		},
-	}
-	return p, renderClients, nil
-}
+// clientsSrc sweeps the open-loop flyweight population across client
+// counts for the subtree strategies and FileHash. Per-client state stays
+// flat (the bytes/client column) while the rate falls as the population
+// grows, holding arrivals at 40k a run (15k at -quick), under the
+// cluster's service capacity, so the axis isolates population-size cost
+// from load.
+const clientsSrc = `plan clients
+quick 1
+fs users=40
+cluster mds=8 cache=2500 log=2000
+traffic tenant-skew=1 file-skew=1
+matrix strategy=DynamicSubtree,StaticSubtree,FileHash
+matrix clients=100000,1000000 rate=0.05,0.005
+warmup 2s
+duration 8s
+quick matrix clients=20000,200000 rate=0.1875,0.01875
+quick warmup 1s
+quick duration 4s
+`
 
 func renderClients(w io.Writer, runs []PlanRun) error {
 	fmt.Fprintln(w, "Extension: open-loop traffic plane, client-count sweep (constant arrival budget)")

@@ -3,12 +3,9 @@ package harness
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"dynmds/internal/cluster"
 	"dynmds/internal/metrics"
-	"dynmds/internal/plan"
-	"dynmds/internal/sim"
 )
 
 // Extras returns experiments beyond the paper's figures: the
@@ -24,7 +21,7 @@ func Extras() []Experiment {
 			Description: "Per-strategy throughput under LLNL-style burst phases: " +
 				"all clients of a job open the same file (N-to-1) or create in " +
 				"the same directory (N-to-N).",
-			Build: sciExt,
+			Build: texts(renderSci, "plan sci\nmatrix strategy=StaticSubtree,DynamicSubtree,DirHash,LazyHybrid,FileHash,DynamicSubtree dirhash-at=0,0,0,0,0,256\n"+sci),
 		},
 		{
 			ID:    "failover",
@@ -32,7 +29,7 @@ func Extras() []Experiment {
 			Description: "Cluster throughput over time as one node fails (its " +
 				"subtrees are reassigned over shared storage) and later recovers " +
 				"with a log-warmed cache.",
-			Build: failoverExt,
+			Build: texts(renderFailover, failoverSrc),
 		},
 		{
 			ID:    "clients",
@@ -40,7 +37,7 @@ func Extras() []Experiment {
 			Description: "Flyweight traffic plane scaled across population sizes " +
 				"at a constant arrival budget: latency quantiles and structural " +
 				"bytes per client as the population grows.",
-			Build: clientsExt,
+			Build: texts(renderClients, clientsSrc),
 		},
 		{
 			ID:    "avail",
@@ -48,7 +45,7 @@ func Extras() []Experiment {
 			Description: "Per-strategy throughput dip, failure-detection and " +
 				"recovery time when one of eight nodes crashes mid-run on a " +
 				"deterministic fault schedule.",
-			Build: availExt,
+			Build: texts(renderAvail, availSrc),
 		},
 		{
 			ID:    "ablations",
@@ -57,106 +54,60 @@ func Extras() []Experiment {
 				"directory hashing, the replication threshold, preemptive " +
 				"replication and the shared OSD pool, each run at the paper's " +
 				"setting and with the choice taken away.",
-			Build: ablationsExt,
+			Build: texts(renderAblations, ablationPlans()...),
 		},
 	}
 }
 
-// sciConfig builds the scientific workload run.
-func sciConfig(opt Options, strategy string) cluster.Config {
-	cfg := cluster.Default()
-	cfg.Seed = opt.Seed
-	cfg.Strategy = strategy
-	cfg.NumMDS = 6
-	cfg.ClientsPerMDS = 40
-	cfg.FS.Users = 60
-	cfg.FS.Projects = 12
-	cfg.MDS.CacheCapacity = 2500
-	cfg.Workload.Kind = cluster.WorkScientific
-	cfg.Duration = 24 * sim.Second
-	cfg.Warmup = 8 * sim.Second
-	if opt.Quick {
-		cfg.Duration = 12 * sim.Second
-		cfg.Warmup = 4 * sim.Second
-	}
-	return cfg
-}
-
-// sciHashDirThreshold is the directory size past which the "+dirhash"
-// variant (and the dir-hashing ablation) spreads a directory's entries.
-const sciHashDirThreshold = 256
-
-// sciExt compares strategies under the scientific workload; the shared
-// hot files and directories stress traffic control and (for the
-// dynamic strategy with directory hashing enabled) oversized-directory
+// sci is the scientific workload run: LLNL-style bursts in which all
+// clients of a job open one file (N-to-1) or create in one directory
+// (N-to-N). The extension sweeps every strategy, plus dynamic again
+// with directory hashing past 256 entries (dirhash-at); the shared hot
+// files and directories stress traffic control and oversized-directory
 // distribution.
-func sciExt(opt Options) (*plan.Plan, Renderer, error) {
-	// Every strategy, plus dynamic again with directory hashing of huge
-	// shared dirs.
-	variants := append(append([]string(nil), cluster.Strategies...),
-		cluster.StratDynamic+"+dirhash")
-	p := &plan.Plan{
-		Name: "sci",
-		Matrix: []plan.Axis{
-			{Key: "variant", Values: variants},
-		},
-		Tweak: func(cfg *cluster.Config, cell plan.Cell) {
-			v := cell["variant"]
-			strategy, hashed := strings.CutSuffix(v, "+dirhash")
-			*cfg = sciConfig(opt, strategy)
-			if hashed {
-				cfg.HashDirThreshold = sciHashDirThreshold
-			}
-		},
-	}
-	return p, func(w io.Writer, runs []PlanRun) error {
-		fmt.Fprintln(w, "Extension: scientific workload (synchronised N-to-1 / N-to-N bursts)")
-		tb := metrics.NewTable("strategy", "ops/s/mds", "hit", "fwd", "replications", "writes_absorbed")
-		for _, r := range runs {
-			tb.AddRow(r.Cell["variant"], r.Res.AvgThroughput,
-				fmt.Sprintf("%.3f", r.Res.HitRate),
-				fmt.Sprintf("%.4f", r.Res.ForwardFrac),
-				int(r.Res.Replications),
-				int(r.Res.WritesAbsorbed))
+const sci = `quick 1
+fs users=60 projects=12
+cluster mds=6 cache=2500 log=2000
+traffic clients=240 workload=scientific
+warmup 8s
+duration 24s
+quick warmup 4s
+quick duration 12s
+`
+
+func renderSci(w io.Writer, runs []PlanRun) error {
+	fmt.Fprintln(w, "Extension: scientific workload (synchronised N-to-1 / N-to-N bursts)")
+	tb := metrics.NewTable("strategy", "ops/s/mds", "hit", "fwd", "replications", "writes_absorbed")
+	for _, r := range runs {
+		variant := r.Cfg.Strategy
+		if r.Cfg.HashDirThreshold > 0 {
+			variant += "+dirhash"
 		}
-		_, err := io.WriteString(w, tb.String())
-		return err
-	}, nil
+		tb.AddRow(variant, r.Res.AvgThroughput,
+			fmt.Sprintf("%.3f", r.Res.HitRate),
+			fmt.Sprintf("%.4f", r.Res.ForwardFrac),
+			int(r.Res.Replications),
+			int(r.Res.WritesAbsorbed))
+	}
+	_, err := io.WriteString(w, tb.String())
+	return err
 }
 
-// failoverConfig builds the failure/recovery timeline's run: node 0
-// crashes on the fault schedule and recovers ten seconds later.
-func failoverConfig(opt Options) cluster.Config {
-	cfg := cluster.Default()
-	cfg.Seed = opt.Seed
-	cfg.Strategy = cluster.StratDynamic
-	cfg.NumMDS = 6
-	cfg.ClientsPerMDS = 30
-	cfg.FS.Users = 150
-	cfg.MDS.CacheCapacity = 2500
-	cfg.Client.ThinkMean = 15 * sim.Millisecond
-	cfg.Client.RetryTimeout = 200 * sim.Millisecond
-	cfg.Duration = 30 * sim.Second
-	cfg.Warmup = 5 * sim.Second
-	cfg.Faults = "crash@10s-20s:mds0"
-	if opt.Quick {
-		cfg.Duration = 18 * sim.Second
-		cfg.Faults = "crash@6s-12s:mds0"
-	}
-	return cfg
-}
-
-// failoverExt is the failure/recovery timeline: cluster and victim
-// throughput per second as a scheduled crash is detected by suspicion,
-// the victim's subtrees are reassigned, and the node rejoins with a
-// log-warmed cache.
-func failoverExt(opt Options) (*plan.Plan, Renderer, error) {
-	p := &plan.Plan{
-		Name:  "failover",
-		Tweak: func(cfg *cluster.Config, _ plan.Cell) { *cfg = failoverConfig(opt) },
-	}
-	return p, renderFailover, nil
-}
+// failoverSrc is the failure/recovery timeline: node 0 crashes on the
+// fault schedule and recovers ten seconds later (six at -quick); the
+// renderer prints cluster and victim throughput per second as suspicion
+// detects the crash, the victim's subtrees are reassigned, and the node
+// rejoins with a log-warmed cache.
+const failoverSrc = `plan failover
+quick 1
+fs users=150
+cluster mds=6 cache=2500 log=2000 faults=crash@10s-20s:mds0
+traffic clients=180 think=15ms retry=200ms
+warmup 5s
+duration 30s
+quick cluster faults=crash@6s-12s:mds0
+quick duration 18s
+`
 
 // eventOn finds the first fault event on a node.
 func eventOn(events []cluster.FaultEvent, node int) (cluster.FaultEvent, bool) {

@@ -12,209 +12,166 @@ import (
 	"dynmds/internal/workload"
 )
 
-// The figures are plan definitions: each builds a plan.Plan whose
-// matrix mirrors the old hand-rolled spec loops (first axis outermost,
-// so runs come back in the same order) and whose Tweak overwrites the
-// compiled config with the figure's bespoke one — which keeps the
-// goldens bit-identical to the pre-plan harness — and returns it with
-// the renderer that prints the figure's table from the runs.
+// The figures are plan texts. Each figure's runs are its plan's cells
+// in matrix order (first axis outermost), and its renderer prints the
+// figure's table from them. Full and reduced scale differ by more than
+// one factor, so every experiment's plan says "quick 1" and spells its
+// -quick scale out in quick lines.
 
-// scaledConfig builds the Figure 2/3 scaling configuration: MDS memory
-// is fixed while file system size and client base scale with the
-// cluster, exactly as §5.3 describes.
-func scaledConfig(opt Options, strategy string, n int) cluster.Config {
-	cfg := cluster.Default()
-	cfg.Seed = opt.Seed
-	cfg.Strategy = strategy
-	cfg.NumMDS = n
-	cfg.ClientsPerMDS = 60
-	cfg.FS.Users = 25 * n
-	cfg.FS.Projects = 2 * n
-	cfg.MDS.CacheCapacity = 2500
-	cfg.MDS.Storage.LogCapacity = 2500
-	cfg.Duration = 30 * sim.Second
-	cfg.Warmup = 10 * sim.Second
-	if opt.Quick {
-		cfg.ClientsPerMDS = 30
-		cfg.Duration = 10 * sim.Second
-		cfg.Warmup = 4 * sim.Second
-	}
-	return cfg
-}
+// Figures 2 and 3 (§5.3): MDS memory is fixed while the file system and
+// the client base scale with the cluster — per MDS, 25 homes, 2 project
+// trees and 60 closed-loop clients (30 at -quick).
+const (
+	fig2Src = `plan fig2
+matrix mds=5,10,15,20,25,30,40,50 users=125,250,375,500,625,750,1000,1250 projects=10,20,30,40,50,60,80,100 clients=300,600,900,1200,1500,1800,2400,3000
+` + scaling
+	fig3Src = `plan fig3
+matrix mds=5,10,15,20,25,30 users=125,250,375,500,625,750 projects=10,20,30,40,50,60 clients=300,600,900,1200,1500,1800
+` + scaling
+	scaling = `quick 1
+cluster cache=2500
+matrix strategy=StaticSubtree,DynamicSubtree,DirHash,LazyHybrid,FileHash
+warmup 10s
+duration 30s
+quick matrix mds=4,8,16 users=100,200,400 projects=8,16,32 clients=120,240,480
+quick warmup 4s
+quick duration 10s
+`
+)
 
-func sizesFor(opt Options, max int) []int {
-	if opt.Quick {
-		out := []int{4, 8, 16}
-		var kept []int
-		for _, n := range out {
-			if n <= max {
-				kept = append(kept, n)
+// cell8 is the Figure 2 cell at eight nodes, less its cluster line:
+// Figure 4 sweeps its cache, and four ablations vary one choice on it.
+const cell8 = `quick 1
+fs users=200 projects=16
+traffic clients=480
+warmup 10s
+duration 30s
+quick traffic clients=240
+quick warmup 4s
+quick duration 10s
+`
+
+const fig4Src = `plan fig4
+cluster mds=8
+matrix strategy=StaticSubtree,DynamicSubtree,DirHash,LazyHybrid,FileHash
+` + cell8
+
+// shift is the Figures 5/6 run (§5.3.2): half the clients move at
+// shift-at, balance rounds come every 2 s so adaptation shows on the
+// plot, and a 512-way location cache forces the rediscovery Figure 6
+// measures.
+const shift = `quick 1
+fs users=150
+cluster mds=6 cache=2500 log=2000 balance=2s
+traffic clients=180 think=15ms ways=512 workload=shift shift-at=25s
+warmup 10s
+duration 80s
+quick traffic shift-at=8s
+quick warmup 4s
+quick duration 24s
+`
+
+// flash is the Figure 7 crowd: 10,000 clients (2,000 at -quick) on one
+// file, with the balancer off to isolate traffic control.
+const flash = `quick 1
+fs users=100
+cluster mds=8 cache=4000 log=2000 bucket=20ms balance=off
+traffic clients=10000 think=20ms workload=flashcrowd
+warmup 4s
+duration 10s
+quick traffic clients=2000
+`
+
+// texts is an experiment's Build over fixed plan texts.
+func texts(render Renderer, srcs ...string) func(Options) ([]*plan.Plan, Renderer, error) {
+	return func(Options) ([]*plan.Plan, Renderer, error) {
+		ps := make([]*plan.Plan, len(srcs))
+		for i, src := range srcs {
+			p, err := plan.Parse(src)
+			if err != nil {
+				return nil, nil, err
 			}
+			ps[i] = p
 		}
-		return kept
-	}
-	var out []int
-	for n := 5; n <= max && n <= 30; n += 5 {
-		out = append(out, n)
-	}
-	for n := 40; n <= max; n += 10 {
-		out = append(out, n)
-	}
-	return out
-}
-
-// scalingPlan is the Figure 2/3 shape: cluster sizes × all strategies,
-// each cell the scaled configuration.
-func scalingPlan(name string, opt Options, sizes []int) *plan.Plan {
-	return &plan.Plan{
-		Name: name,
-		Matrix: []plan.Axis{
-			{Key: "mds", Values: intStrings(sizes)},
-			{Key: "strategy", Values: cluster.Strategies},
-		},
-		Tweak: func(cfg *cluster.Config, cell plan.Cell) {
-			*cfg = scaledConfig(opt, cell["strategy"], atoi(cell["mds"]))
-		},
+		return ps, render, nil
 	}
 }
 
 // writeStrategyGrid renders the table the scaling figures share: one
-// row per value of the plan's outer axis, one column per strategy (the
-// inner axis), runs in matrix (row-major) order.
-func writeStrategyGrid(w io.Writer, rowAxis string, runs []PlanRun, val func(*cluster.Result) interface{}) error {
-	tb := metrics.NewTable(append([]string{rowAxis}, cluster.Strategies...)...)
-	for n := len(cluster.Strategies); len(runs) >= n; runs = runs[n:] {
-		row := []interface{}{runs[0].Cell[rowAxis]}
+// row per value of the plan's outer axis, labelled by row, one column
+// per strategy (the inner axis), runs in matrix (row-major) order.
+func writeStrategyGrid(w io.Writer, header string, runs []PlanRun, row func(i int, first *PlanRun) any, val func(*cluster.Result) any) error {
+	tb := metrics.NewTable(append([]string{header}, cluster.Strategies...)...)
+	for i, n := 0, len(cluster.Strategies); len(runs) >= n; i, runs = i+1, runs[n:] {
+		cells := []any{row(i, &runs[0])}
 		for _, r := range runs[:n] {
-			row = append(row, val(r.Res))
+			cells = append(cells, val(r.Res))
 		}
-		tb.AddRow(row...)
+		tb.AddRow(cells...)
 	}
 	_, err := io.WriteString(w, tb.String())
 	return err
 }
 
-// fig2 regenerates Figure 2: average per-MDS throughput vs cluster size
-// for all five strategies under the general-purpose workload.
-func fig2(opt Options) (*plan.Plan, Renderer, error) {
-	return scalingPlan("fig2", opt, sizesFor(opt, 50)), func(w io.Writer, runs []PlanRun) error {
-		fmt.Fprintln(w, "Figure 2: average MDS throughput (ops/sec) vs cluster size")
-		return writeStrategyGrid(w, "mds", runs,
-			func(r *cluster.Result) interface{} { return r.AvgThroughput })
-	}, nil
+func mdsRow(_ int, r *PlanRun) any { return r.Cell["mds"] }
+
+// renderFig2 prints Figure 2: average per-MDS throughput vs cluster
+// size for all five strategies under the general-purpose workload.
+func renderFig2(w io.Writer, runs []PlanRun) error {
+	fmt.Fprintln(w, "Figure 2: average MDS throughput (ops/sec) vs cluster size")
+	return writeStrategyGrid(w, "mds", runs, mdsRow,
+		func(r *cluster.Result) any { return r.AvgThroughput })
 }
 
-// fig3 regenerates Figure 3: percentage of cache consumed by prefix
+// renderFig3 prints Figure 3: percentage of cache consumed by prefix
 // inodes vs cluster size (the paper plots four strategies; Lazy Hybrid
 // caches no prefixes by construction and is omitted there, but we print
 // it for completeness).
-func fig3(opt Options) (*plan.Plan, Renderer, error) {
-	return scalingPlan("fig3", opt, sizesFor(opt, 30)), func(w io.Writer, runs []PlanRun) error {
-		fmt.Fprintln(w, "Figure 3: cache consumed by prefix inodes (%) vs cluster size")
-		return writeStrategyGrid(w, "mds", runs,
-			func(r *cluster.Result) interface{} { return 100 * r.PrefixFrac })
-	}, nil
+func renderFig3(w io.Writer, runs []PlanRun) error {
+	fmt.Fprintln(w, "Figure 3: cache consumed by prefix inodes (%) vs cluster size")
+	return writeStrategyGrid(w, "mds", runs, mdsRow,
+		func(r *cluster.Result) any { return 100 * r.PrefixFrac })
 }
 
 // fig4 regenerates Figure 4: cache hit rate as a function of cache size
 // expressed as a fraction of total metadata size, at a fixed cluster
-// size.
-func fig4(opt Options) (*plan.Plan, Renderer, error) {
-	const n = 8
+// size. Only generation knows that size, so the cache axis is computed
+// here and put outermost.
+func fig4(opt Options) ([]*plan.Plan, Renderer, error) {
 	fractions := []float64{0.025, 0.05, 0.1, 0.2, 0.3, 0.45, 0.6}
 	if opt.Quick {
 		fractions = []float64{0.05, 0.2, 0.6}
 	}
-	// Estimate total metadata size from one generation. This primes the
-	// snapshot cache, so the sweep below reuses the same frozen base
-	// instead of regenerating per run.
-	base := scaledConfig(opt, cluster.StratStatic, n)
-	totalInodes, err := namespaceSize(base)
+	p, err := plan.Parse(fig4Src)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	fracs := make([]string, len(fractions))
+	// Generating the namespace primes the snapshot cache, so the sweep
+	// reuses the same frozen base instead of regenerating per run.
+	cells, err := p.Compile(opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	n := cells[0].Cfg.NumMDS
+	totalInodes, err := namespaceSize(cells[0].Cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	caches := make([]string, len(fractions))
 	for i, f := range fractions {
-		fracs[i] = fmt.Sprintf("%.3f", f)
+		caches[i] = strconv.Itoa(max(64, int(f*float64(totalInodes)/float64(n))))
 	}
-	p := &plan.Plan{
-		Name: "fig4",
-		Matrix: []plan.Axis{
-			{Key: "cache_frac", Values: fracs},
-			{Key: "strategy", Values: cluster.Strategies},
-		},
-		Tweak: func(cfg *cluster.Config, cell plan.Cell) {
-			f, _ := strconv.ParseFloat(cell["cache_frac"], 64)
-			*cfg = scaledConfig(opt, cell["strategy"], n)
-			perMDS := int(f * float64(totalInodes) / float64(n))
-			if perMDS < 64 {
-				perMDS = 64
-			}
-			cfg.MDS.CacheCapacity = perMDS
-			cfg.MDS.Storage.LogCapacity = perMDS
-		},
-	}
-	return p, func(w io.Writer, runs []PlanRun) error {
+	p.Matrix = append([]plan.Axis{{{Key: "cache", Values: caches}}}, p.Matrix...)
+	return []*plan.Plan{p}, func(w io.Writer, runs []PlanRun) error {
 		fmt.Fprintf(w, "Figure 4: cache hit rate vs cache size fraction (cluster of %d, fs=%d inodes)\n", n, totalInodes)
 		return writeStrategyGrid(w, "cache_frac", runs,
-			func(r *cluster.Result) interface{} { return fmt.Sprintf("%.3f", r.HitRate) })
+			func(i int, _ *PlanRun) any { return fmt.Sprintf("%.3f", fractions[i]) },
+			func(r *cluster.Result) any { return fmt.Sprintf("%.3f", r.HitRate) })
 	}, nil
 }
 
-// shiftConfig builds the Figure 5/6 workload-evolution run.
-func shiftConfig(opt Options, strategy string) cluster.Config {
-	cfg := cluster.Default()
-	cfg.Seed = opt.Seed
-	cfg.Strategy = strategy
-	cfg.NumMDS = 6
-	cfg.ClientsPerMDS = 30
-	cfg.FS.Users = 25 * cfg.NumMDS
-	cfg.MDS.CacheCapacity = 2500
-	cfg.Client.ThinkMean = 15 * sim.Millisecond
-	// A bounded location cache forces rediscovery when activity moves,
-	// the effect Figure 6 measures.
-	cfg.Client.KnownCap = 512
-	cfg.Workload.Kind = cluster.WorkShift
-	cfg.SeriesBucket = sim.Second
-	if opt.Quick {
-		cfg.Workload.ShiftTime = 8 * sim.Second
-		cfg.Duration = 24 * sim.Second
-		cfg.Warmup = 4 * sim.Second
-	} else {
-		cfg.Workload.ShiftTime = 25 * sim.Second
-		cfg.Duration = 80 * sim.Second
-		cfg.Warmup = 10 * sim.Second
-	}
-	// Faster balance rounds so adaptation is visible on the plot.
-	if cfg.Balancer != nil {
-		b := *cfg.Balancer
-		b.Interval = 2 * sim.Second
-		cfg.Balancer = &b
-	}
-	return cfg
-}
-
-// shiftPlan is the Figure 5/6 shape: dynamic vs static under the
-// workload shift.
-func shiftPlan(name string, opt Options) *plan.Plan {
-	return &plan.Plan{
-		Name: name,
-		Matrix: []plan.Axis{
-			{Key: "strategy", Values: []string{cluster.StratDynamic, cluster.StratStatic}},
-		},
-		Tweak: func(cfg *cluster.Config, cell plan.Cell) {
-			*cfg = shiftConfig(opt, cell["strategy"])
-		},
-	}
-}
-
-// fig5 regenerates Figure 5: the range (min..max) and average of MDS
+// renderFig5 prints Figure 5: the range (min..max) and average of MDS
 // throughput over time under the shifting workload, dynamic vs static.
-func fig5(opt Options) (*plan.Plan, Renderer, error) {
-	return shiftPlan("fig5", opt), renderFig5, nil
-}
-
 func renderFig5(w io.Writer, runs []PlanRun) error {
 	dyn, sta := runs[0].Res, runs[1].Res
 	fmt.Fprintln(w, "Figure 5: MDS throughput (ops/sec) over time under a workload shift")
@@ -252,12 +209,8 @@ func nodeRange(r *cluster.Result, i int) (min, avg, max float64) {
 	return w.Min(), w.Mean(), w.Max()
 }
 
-// fig6 regenerates Figure 6: the fraction of client requests forwarded
+// renderFig6 prints Figure 6: the fraction of client requests forwarded
 // over time under the same shift.
-func fig6(opt Options) (*plan.Plan, Renderer, error) {
-	return shiftPlan("fig6", opt), renderFig6, nil
-}
-
 func renderFig6(w io.Writer, runs []PlanRun) error {
 	dyn, sta := runs[0].Res, runs[1].Res
 	fmt.Fprintln(w, "Figure 6: fraction of requests forwarded over time under a workload shift")
@@ -290,44 +243,8 @@ func fracAt(r *cluster.Result, i int) float64 {
 	return r.Forwards.Sum(i) / arr
 }
 
-// flashConfig builds the Figure 7 flash-crowd run.
-func flashConfig(opt Options, trafficOn bool) cluster.Config {
-	cfg := cluster.Default()
-	cfg.Seed = opt.Seed
-	cfg.Strategy = cluster.StratDynamic
-	cfg.NumMDS = 8
-	cfg.ClientsPerMDS = 1250 // 10,000 clients, as in the paper
-	cfg.FS.Users = 100
-	cfg.MDS.CacheCapacity = 4000
-	cfg.Client.ThinkMean = 20 * sim.Millisecond
-	cfg.Workload.Kind = cluster.WorkFlashCrowd
-	cfg.Duration = 10 * sim.Second
-	cfg.Warmup = 4 * sim.Second
-	cfg.SeriesBucket = 20 * sim.Millisecond
-	cfg.Balancer = nil // isolate traffic control, as the figure does
-	if !trafficOn {
-		cfg.Traffic = nil
-	}
-	if opt.Quick {
-		cfg.ClientsPerMDS = 250
-	}
-	return cfg
-}
-
-// fig7 regenerates Figure 7: cluster-wide replies and forwards per
+// renderFig7 prints Figure 7: cluster-wide replies and forwards per
 // second through the flash crowd, without and with traffic control.
-func fig7(opt Options) (*plan.Plan, Renderer, error) {
-	return &plan.Plan{
-		Name: "fig7",
-		Matrix: []plan.Axis{
-			{Key: "tc", Values: []string{"off", "on"}},
-		},
-		Tweak: func(cfg *cluster.Config, cell plan.Cell) {
-			*cfg = flashConfig(opt, cell["tc"] == "on")
-		},
-	}, renderFig7, nil
-}
-
 func renderFig7(w io.Writer, runs []PlanRun) error {
 	off, on := runs[0].Res, runs[1].Res
 	fmt.Fprintf(w, "Figure 7: flash crowd at t=%s; requests/sec, traffic control off vs on\n", sim.FormatTime(workload.FlashTime))
@@ -361,19 +278,4 @@ func totalReplies(r *cluster.Result, i int) float64 {
 		sum += s.Sum(i)
 	}
 	return sum
-}
-
-// intStrings renders ints as matrix axis values.
-func intStrings(ns []int) []string {
-	out := make([]string, len(ns))
-	for i, n := range ns {
-		out[i] = strconv.Itoa(n)
-	}
-	return out
-}
-
-// atoi is strconv.Atoi for matrix values already validated by Compile.
-func atoi(s string) int {
-	n, _ := strconv.Atoi(s)
-	return n
 }

@@ -105,36 +105,64 @@ func Sweep(specs []RunSpec) ([]*cluster.Result, error) {
 // mdsim -set; it is the plan compiler's option set.
 type Options = plan.Options
 
-// Experiment is one regenerable figure: a plan plus the renderer that
-// prints the figure from the plan's runs.
+// Experiment is one regenerable figure: its plans plus the renderer
+// that prints the figure from their runs.
 type Experiment struct {
 	ID          string
 	Title       string
 	Description string
-	// Build returns the experiment's plan and its renderer.
-	Build func(opt Options) (*plan.Plan, Renderer, error)
+	// Build returns the experiment's plans and its renderer, which sees
+	// the plans' runs in plan order, each plan's in matrix order.
+	Build func(opt Options) ([]*plan.Plan, Renderer, error)
 }
 
-// Renderer prints an experiment's figure from its plan's runs.
+// Renderer prints an experiment's figure from its plans' runs.
 type Renderer func(w io.Writer, runs []PlanRun) error
 
-// Check reports, without simulating, whether the experiment can run
-// under opt: the plan compiles and every override lands.
-func (e Experiment) Check(opt Options) error {
-	p, _, err := e.Build(opt)
-	if err == nil {
-		_, err = p.Compile(opt)
+// compile builds the experiment's plans and compiles their cells, in
+// plan order.
+func (e Experiment) compile(opt Options) ([]plan.Compiled, Renderer, error) {
+	ps, render, err := e.Build(opt)
+	var cells []plan.Compiled
+	for _, p := range ps {
+		if err != nil {
+			break
+		}
+		var c []plan.Compiled
+		c, err = p.Compile(opt)
+		cells = append(cells, c...)
 	}
+	return cells, render, err
+}
+
+// Check reports, without simulating, whether the experiment can run
+// under opt: its plans compile and every override lands.
+func (e Experiment) Check(opt Options) error {
+	_, _, err := e.compile(opt)
 	return err
+}
+
+// runs sweeps every cell of the experiment through the shared worker
+// pool.
+func (e Experiment) runs(opt Options) ([]PlanRun, Renderer, error) {
+	cells, render, err := e.compile(opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	results, err := Sweep(cells)
+	if err != nil {
+		return nil, nil, err
+	}
+	runs := make([]PlanRun, len(cells))
+	for i, c := range cells {
+		runs[i] = PlanRun{c, results[i]}
+	}
+	return runs, render, nil
 }
 
 // Run executes the experiment and prints its figure.
 func (e Experiment) Run(w io.Writer, opt Options) error {
-	p, render, err := e.Build(opt)
-	if err != nil {
-		return err
-	}
-	runs, err := RunPlan(p, opt)
+	runs, render, err := e.runs(opt)
 	if err != nil {
 		return err
 	}
@@ -149,14 +177,14 @@ func All() []Experiment {
 			Title: "Figure 2: MDS performance vs cluster size",
 			Description: "Average per-MDS throughput as file system, cluster size and " +
 				"client base scale together, for all five strategies.",
-			Build: fig2,
+			Build: texts(renderFig2, fig2Src),
 		},
 		{
 			ID:    "fig3",
 			Title: "Figure 3: cache consumed by prefix inodes",
 			Description: "Percentage of MDS cache devoted to prefix directory inodes " +
 				"as the system scales, per strategy.",
-			Build: fig3,
+			Build: texts(renderFig3, fig3Src),
 		},
 		{
 			ID:    "fig4",
@@ -170,21 +198,21 @@ func All() []Experiment {
 			Title: "Figure 5: throughput under a workload shift",
 			Description: "Min/avg/max per-MDS throughput over time as half the " +
 				"clients migrate and create files in one subtree: dynamic vs static.",
-			Build: fig5,
+			Build: texts(renderFig5, "plan fig5\nmatrix strategy=DynamicSubtree,StaticSubtree\n"+shift),
 		},
 		{
 			ID:    "fig6",
 			Title: "Figure 6: forwarded requests under a workload shift",
 			Description: "Fraction of client requests forwarded over time for the " +
 				"same shifted workload: dynamic vs static.",
-			Build: fig6,
+			Build: texts(renderFig6, "plan fig6\nmatrix strategy=DynamicSubtree,StaticSubtree\n"+shift),
 		},
 		{
 			ID:    "fig7",
 			Title: "Figure 7: flash crowd traffic control",
 			Description: "Cluster replies and forwards per second while thousands of " +
 				"clients hit one file: traffic control off vs on.",
-			Build: fig7,
+			Build: texts(renderFig7, "plan fig7\nmatrix replicate-at=off,300\n"+flash),
 		},
 	}
 }

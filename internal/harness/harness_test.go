@@ -134,8 +134,8 @@ func TestExperimentRegistry(t *testing.T) {
 		// Every experiment is a plan, so -set lands on every one.
 		for _, quick := range []bool{true, false} {
 			opt := Options{Seed: 1, Quick: quick}
-			if p, render, err := e.Build(opt); err != nil || p == nil || render == nil {
-				t.Fatalf("%s: Build returned plan %v, renderer set %v, err %v", e.ID, p, render != nil, err)
+			if ps, render, err := e.Build(opt); err != nil || len(ps) == 0 || render == nil {
+				t.Fatalf("%s: Build returned %d plans, renderer set %v, err %v", e.ID, len(ps), render != nil, err)
 			}
 			opt.Set = []plan.Setting{{Key: "net", Value: "queued"}}
 			if err := e.Check(opt); err != nil {
@@ -145,6 +145,53 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	if _, ok := ByID("fig99"); ok {
 		t.Fatal("ByID invented an experiment")
+	}
+}
+
+// TestExperimentCellsReplay: every cell of every experiment, at both
+// scales, is the default plan under the -set line plan.CommandLine
+// prints for it, field for field — so a figure cell reproduces from its
+// repro line alone — and every experiment's plans print as canonical
+// text that parses back to the same text.
+func TestExperimentCellsReplay(t *testing.T) {
+	for _, e := range append(All(), Extras()...) {
+		for _, quick := range []bool{false, true} {
+			opt := Options{Seed: 1, Quick: quick}
+			ps, _, err := e.Build(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range ps {
+				text := p.String()
+				back, err := plan.Parse(text)
+				if err != nil || back.String() != text {
+					t.Errorf("%s: plan %s does not round-trip (%v):\n%s", e.ID, p.Name, err, text)
+				}
+			}
+			cells, _, err := e.compile(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range cells {
+				line := plan.CommandLine(c.Cfg)
+				args := strings.Fields(strings.ReplaceAll(line, "'", ""))
+				var set []plan.Setting
+				for i := 3; i+1 < len(args); i += 2 {
+					st, err := plan.ParseSetting(args[i+1])
+					if args[i] != "-set" || err != nil {
+						t.Fatalf("%s: bad argument %q %q (%v) in: %s", c.Label, args[i], args[i+1], err, line)
+					}
+					set = append(set, st)
+				}
+				rebuilt, err := plan.Default().Compile(Options{Seed: c.Cfg.Seed, Set: set})
+				if err != nil {
+					t.Fatalf("%s: %s: %v", c.Label, line, err)
+				}
+				if !reflect.DeepEqual(rebuilt[0].Cfg, c.Cfg) {
+					t.Errorf("%s (quick %v) does not replay from\n%s\n got: %+v\nwant: %+v", c.Label, quick, line, rebuilt[0].Cfg, c.Cfg)
+				}
+			}
+		}
 	}
 }
 
@@ -161,12 +208,8 @@ func TestAblationClaims(t *testing.T) {
 	type row struct{ choice, metric string }
 	held := map[row]int{}
 	for seed := int64(1); seed <= seeds; seed++ {
-		opt := Options{Quick: true, Seed: seed}
-		p, render, err := ablationsExt(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs, err := RunPlan(p, opt)
+		e, _ := ByID("ablations")
+		runs, render, err := e.runs(Options{Quick: true, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,25 +16,6 @@ type PlanRun struct {
 	Res *cluster.Result
 }
 
-// RunPlan compiles a plan and sweeps its cells through the shared
-// worker pool. This is the one executor behind figures, extras, library
-// scenarios and plan files: a plan in, labelled results out.
-func RunPlan(p *plan.Plan, opt Options) ([]PlanRun, error) {
-	cells, err := p.Compile(opt)
-	if err != nil {
-		return nil, err
-	}
-	results, err := Sweep(cells)
-	if err != nil {
-		return nil, err
-	}
-	runs := make([]PlanRun, len(cells))
-	for i, c := range cells {
-		runs[i] = PlanRun{c, results[i]}
-	}
-	return runs, nil
-}
-
 // Scenario wraps a scenario plan — a library plan or a plan file — as an
 // experiment whose figure is the plan report. It carries no Title: the
 // report prints its own heading.
@@ -42,8 +23,8 @@ func Scenario(p *plan.Plan) Experiment {
 	return Experiment{
 		ID:          p.Name,
 		Description: p.Describe,
-		Build: func(Options) (*plan.Plan, Renderer, error) {
-			return p, func(w io.Writer, runs []PlanRun) error { return WritePlanReport(w, p, runs) }, nil
+		Build: func(Options) ([]*plan.Plan, Renderer, error) {
+			return []*plan.Plan{p}, func(w io.Writer, runs []PlanRun) error { return WritePlanReport(w, p, runs) }, nil
 		},
 	}
 }

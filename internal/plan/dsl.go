@@ -20,16 +20,21 @@ import (
 //	matrix strategy=DynamicSubtree,FileHash
 //	warmup 2s
 //	duration 20s
+//	quick traffic clients=2000
 //	act phase warm @2s-6s rate=x2 mix=stat:70,readdir:20,chmod:8,create:2 skew=1.2
 //	act hotspot storm @6s-14s rate=x4 mix=stat:10,create:90 target=/home/u0000 frac=0.8
 //	optimize ops p99 load-spread
 //
 // The keys on the fs, cluster and traffic lines, and the warmup and
 // duration directives, are the key table's (keys.go); Parse vets each
-// value as it reads it. String renders the canonical form — fixed
-// directive order, keys in table order, values as written — so
-// Parse∘String is the identity on canonical text (the same contract
-// fault.Schedule keeps).
+// value as it reads it. A matrix line with several key=v1,v2,...
+// tokens is one axis whose keys co-vary: cell i binds each to its i-th
+// value. "quick <directive>" lines — fs, cluster, traffic, matrix,
+// warmup, duration — apply only under -quick, after the plan's own
+// lines; a quick matrix replaces the values of the axis with its keys.
+// String renders the canonical form — fixed directive order, keys in
+// table order, values as written — so Parse∘String is the identity on
+// canonical text (the same contract fault.Schedule keeps).
 
 // Parse parses a plan from DSL text. The result is syntactically
 // well-formed; call Validate (or Compile) for semantic checks.
@@ -43,11 +48,17 @@ func Parse(src string) (*Plan, error) {
 		}
 		dir, rest, _ := strings.Cut(line, " ")
 		rest = strings.TrimSpace(rest)
+		// A quick line is its directive, bound into the quick lists.
+		name, set, matrix := dir, &p.Set, &p.Matrix
+		if sub, subRest, _ := strings.Cut(rest, " "); dir == "quick" && quickDirective(sub) {
+			dir, rest, set, matrix = sub, strings.TrimSpace(subRest), &p.QuickSet, &p.QuickMatrix
+			name = "quick " + dir
+		}
 		if dir != "matrix" && dir != "act" {
-			if seen[dir] {
-				return nil, fmt.Errorf("plan line %d: duplicate %s directive", ln+1, dir)
+			if seen[name] {
+				return nil, fmt.Errorf("plan line %d: duplicate %s directive", ln+1, name)
 			}
-			seen[dir] = true
+			seen[name] = true
 		}
 		var err error
 		switch dir {
@@ -60,11 +71,11 @@ func Parse(src string) (*Plan, error) {
 		case "fs", "cluster", "traffic":
 			for _, tok := range strings.Fields(rest) {
 				if err == nil {
-					err = p.bindLine(dir, tok)
+					err = bindLine(set, dir, tok)
 				}
 			}
 		case "matrix":
-			err = parseMatrix(p, rest)
+			err = parseMatrix(matrix, rest)
 		case "act":
 			err = parseAct(p, rest)
 		case "optimize":
@@ -73,7 +84,7 @@ func Parse(src string) (*Plan, error) {
 			if k := lookupKey(dir); k == nil || k.line != "" {
 				err = fmt.Errorf("unknown directive %q", dir)
 			} else {
-				err = p.bindLine("", dir+"="+rest)
+				err = bindLine(set, "", dir+"="+rest)
 			}
 		}
 		if err != nil {
@@ -86,9 +97,16 @@ func Parse(src string) (*Plan, error) {
 	return p, nil
 }
 
+// quickDirective says whether a quick line names a directive rather
+// than giving the quick factor.
+func quickDirective(dir string) bool {
+	k := lookupKey(dir)
+	return dir == "fs" || dir == "cluster" || dir == "traffic" || dir == "matrix" || k != nil && k.line == ""
+}
+
 // bindLine records one key=value read from a DSL line: the key must be
 // one the key table writes on that line, bound once, with a good value.
-func (p *Plan) bindLine(line, tok string) error {
+func bindLine(set *[]Setting, line, tok string) error {
 	st, err := ParseSetting(tok)
 	if err != nil {
 		return err
@@ -96,19 +114,27 @@ func (p *Plan) bindLine(line, tok string) error {
 	if lookupKey(st.Key).line != line {
 		return fmt.Errorf("unknown %s key %q", line, st.Key)
 	}
-	if _, dup := p.value(st.Key); dup {
+	if lastIndex(*set, st.Key) >= 0 {
 		return fmt.Errorf("%s bound twice", st.Key)
 	}
-	p.Set = append(p.Set, st)
+	*set = append(*set, st)
 	return nil
 }
 
-func parseMatrix(p *Plan, rest string) error {
-	k, v, ok := strings.Cut(rest, "=")
-	if !ok || k == "" || v == "" {
-		return fmt.Errorf("matrix wants key=v1,v2,... got %q", rest)
+// parseMatrix parses one axis: key=v1,v2,... tokens.
+func parseMatrix(matrix *[]Axis, rest string) error {
+	var ax Axis
+	for _, tok := range strings.Fields(rest) {
+		k, v, ok := strings.Cut(tok, "=")
+		if !ok || k == "" || v == "" {
+			return fmt.Errorf("matrix wants key=v1,v2,... got %q", tok)
+		}
+		ax = append(ax, Column{Key: k, Values: strings.Split(v, ",")})
 	}
-	p.Matrix = append(p.Matrix, Axis{Key: k, Values: strings.Split(v, ",")})
+	if len(ax) == 0 {
+		return fmt.Errorf("matrix wants key=v1,v2,...")
+	}
+	*matrix = append(*matrix, ax)
 	return nil
 }
 
@@ -204,8 +230,7 @@ func parseMix(v string) (*MixSpec, error) {
 	return m, nil
 }
 
-// String renders the canonical DSL form (Tweak functions are code and
-// are not serialized).
+// String renders the canonical DSL form.
 func (p *Plan) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan %s\n", p.Name)
@@ -215,13 +240,19 @@ func (p *Plan) String() string {
 	if p.Quick > 0 {
 		fmt.Fprintf(&b, "quick %s\n", fmtFloat(p.Quick))
 	}
-	for _, line := range []string{"fs", "cluster", "traffic"} {
-		p.writeLine(&b, line)
+	for _, prefix := range []string{"", "quick "} {
+		set, matrix := p.Set, p.Matrix
+		if prefix != "" {
+			set, matrix = p.QuickSet, p.QuickMatrix
+		}
+		for _, line := range []string{"fs", "cluster", "traffic"} {
+			writeLine(&b, prefix, set, line)
+		}
+		for _, ax := range matrix {
+			fmt.Fprintf(&b, "%smatrix %s\n", prefix, ax)
+		}
+		writeLine(&b, prefix, set, "")
 	}
-	for _, ax := range p.Matrix {
-		fmt.Fprintf(&b, "matrix %s=%s\n", ax.Key, strings.Join(ax.Values, ","))
-	}
-	p.writeLine(&b, "")
 	for _, a := range p.Acts {
 		fmt.Fprintf(&b, "act %s %s @%s-%s", a.Kind, a.Name, sim.FormatTime(a.From), sim.FormatTime(a.To))
 		if a.RateMul > 0 {
@@ -262,23 +293,23 @@ func fmtMix(m *MixSpec) string {
 	return strings.Join(parts, ",")
 }
 
-// writeLine prints the plan's settings that the key table writes on
-// the named DSL line, in table order; "" names the keys that are
-// directives of their own.
-func (p *Plan) writeLine(b *strings.Builder, line string) {
+// writeLine prints the settings that the key table writes on the
+// named DSL line, in table order, after the prefix ("" or "quick "); ""
+// names the keys that are directives of their own.
+func writeLine(b *strings.Builder, prefix string, set []Setting, line string) {
 	var parts []string
 	for _, k := range keys {
-		v, bound := p.value(k.name)
+		i := lastIndex(set, k.name)
 		switch {
-		case !bound || k.line != line:
+		case i < 0 || k.line != line:
 		case line == "":
-			fmt.Fprintf(b, "%s %s\n", k.name, v)
+			fmt.Fprintf(b, "%s%s %s\n", prefix, k.name, set[i].Value)
 		default:
-			parts = append(parts, k.name+"="+v)
+			parts = append(parts, k.name+"="+set[i].Value)
 		}
 	}
 	if len(parts) > 0 {
-		fmt.Fprintf(b, "%s %s\n", line, strings.Join(parts, " "))
+		fmt.Fprintf(b, "%s%s %s\n", prefix, line, strings.Join(parts, " "))
 	}
 }
 

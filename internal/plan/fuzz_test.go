@@ -9,10 +9,13 @@ import (
 
 // FuzzParsePlan: whatever the text, Parse returns an error or a plan
 // whose canonical form parses and prints as itself; Validate, run on
-// what parsed, returns and does not panic. Seeds are the library plans
-// and the test's every-directive plan.
+// what parsed, returns and does not panic. Seeds are the library plans,
+// the test's every-directive plan, and the two forms the experiment
+// plans lean on: co-varying matrix keys and quick lines.
 func FuzzParsePlan(f *testing.F) {
 	f.Add(fullSrc)
+	f.Add("plan scaling\nquick 1\ncluster cache=2500\nmatrix mds=4,8 users=100,200 clients=120,240\nwarmup 4s\nduration 10s\n" +
+		"quick matrix mds=2,4 users=50,100 clients=60,120\nquick cluster log=2000\nquick warmup 2s\nquick duration 5s\n")
 	for _, p := range library.All() {
 		f.Add(p.String())
 	}

@@ -9,6 +9,7 @@ import (
 
 	"dynmds/internal/client"
 	"dynmds/internal/cluster"
+	"dynmds/internal/core"
 	"dynmds/internal/fault"
 	"dynmds/internal/net"
 	"dynmds/internal/sim"
@@ -48,8 +49,11 @@ type key struct {
 
 // keys is the table, in canonical order: the order a plan's String
 // prints and the order settings are applied in, whatever order they
-// were written in. Two entries lean on it — clients reads the mds count
-// and the open-loop switch that rate throws.
+// were written in. Some entries lean on it: clients reads the mds count
+// and the open-loop switch that rate throws, ways that switch too, log
+// overrides what cache sized, and redelegate-first and preempt-at need
+// the balancer and traffic control that balance and replicate-at may
+// switch off.
 var keys = []key{
 	numKey("users", "fs", "home directories in the generated namespace", 1, inf,
 		func(c *cluster.Config) *int { return &c.FS.Users }),
@@ -60,16 +64,18 @@ var keys = []key{
 		func(c *cluster.Config) *int { return &c.NumMDS }),
 	enumKey("strategy", "partitioning strategy: "+strings.Join(cluster.Strategies, ", "), cluster.Strategies,
 		func(c *cluster.Config) *string { return &c.Strategy }),
-	{"cache", "cluster", "per-MDS cache capacity in inode records (the bounded journal is sized to match)",
+	{"cache", "cluster", "per-MDS cache capacity in inode records; sizes the journal too",
 		func(c *cluster.Config, v string) error {
 			n, err := parseNum(v, 1, inf)
 			c.MDS.CacheCapacity, c.MDS.Storage.LogCapacity = n, n
 			return err
 		},
 		func(c *cluster.Config) string { return itoa(c.MDS.CacheCapacity) }},
+	numKey("log", "cluster", "per-MDS journal capacity in records (unset = cache)", 1, inf,
+		func(c *cluster.Config) *int { return &c.MDS.Storage.LogCapacity }),
 	enumKey("net", "fabric latency model: fixed or queued", []string{net.ModelFixed, net.ModelQueued},
 		func(c *cluster.Config) *string { return &c.NetModel }),
-	numKey("link-bw", "cluster", "queued-model link bandwidth, bytes per simulated second (0 = 125e6); needs net=queued", 0, inf,
+	numKey("link-bw", "cluster", "queued-model link bandwidth, bytes per simulated second (0 = 125e6)", 0, inf,
 		func(c *cluster.Config) *float64 { return &c.LinkBandwidth }),
 	{"faults", "cluster", "fault schedule, e.g. crash@3s-6s:mds1,drop@0.02:all (internal/fault)",
 		func(c *cluster.Config, v string) error {
@@ -80,7 +86,7 @@ var keys = []key{
 		func(c *cluster.Config) string { return c.Faults }},
 	timeKey("bucket", "cluster", "metrics series bucket", sim.Microsecond,
 		func(c *cluster.Config) *sim.Time { return &c.SeriesBucket }),
-	{"mechanism", "cluster", "client coherence: dumb, leases (needs an open-loop population), fanout (hot-directory replica push) or both",
+	{"mechanism", "cluster", "client coherence: dumb, leases (open loop only), fanout (hot-directory replica push) or both",
 		func(c *cluster.Config, v string) error {
 			i := slices.Index(mechanisms[:], v)
 			if i < 0 {
@@ -90,6 +96,42 @@ var keys = []key{
 			return nil
 		},
 		func(c *cluster.Config) string { return mechanisms[b2i(c.Lease.Enabled)|b2i(c.Lease.Fanout)<<1] }},
+	partKey("balance", "load-balancing interval, or off", "", balancer, core.DefaultBalancerConfig(),
+		func(b *core.BalancerConfig, v string) (err error) {
+			b.Interval, err = parseTime(v, sim.Microsecond)
+			return
+		},
+		func(b *core.BalancerConfig) string { return sim.FormatTime(b.Interval) }),
+	partKey("redelegate-first", "the balancer hands on imported trees first: on or off", "the balancer (balance is off)",
+		balancer, core.DefaultBalancerConfig(),
+		func(b *core.BalancerConfig, v string) (err error) {
+			b.NoRedelegateFirst, err = parseSwitch(onOff, v)
+			return
+		},
+		func(b *core.BalancerConfig) string { return onOff[b2i(b.NoRedelegateFirst)] }),
+	partKey("replicate-at", "traffic control's replication threshold (unreplicate at a tenth), or off", "",
+		traffic, *core.DefaultTrafficControl(),
+		func(t *core.TrafficControl, v string) error {
+			f, err := parseNum(v, 0.0, inf)
+			t.ReplicateThreshold, t.UnreplicateThreshold = f, f/10
+			return err
+		},
+		func(t *core.TrafficControl) string { return fmtFloat(t.ReplicateThreshold) }),
+	partKey("preempt-at", "forwards of one item that fetch a replica preemptively (0 = never)", "traffic control (replicate-at is off)",
+		traffic, *core.DefaultTrafficControl(),
+		func(t *core.TrafficControl, v string) (err error) {
+			t.PreemptiveThreshold, err = parseNum(v, 0.0, inf)
+			return
+		},
+		func(t *core.TrafficControl) string { return fmtFloat(t.PreemptiveThreshold) }),
+	numKey("dirhash-at", "cluster", "directory size past which DynamicSubtree hashes it (0 = never)", 0, inf,
+		func(c *cluster.Config) *int { return &c.HashDirThreshold }),
+	numKey("osds", "cluster", "shared OSD pool backing all MDS storage (0 = local disks)", 0, inf,
+		func(c *cluster.Config) *int { return &c.OSDs }),
+	switchKey("prefetch", "where prefetched siblings enter the cache", [2]string{"near-tail", "hot"},
+		func(c *cluster.Config) *bool { return &c.MDS.PrefetchHot }),
+	switchKey("embed", "StaticSubtree embeds inodes in their directories", onOff,
+		func(c *cluster.Config) *bool { return &c.NoEmbed }),
 
 	{"rate", "traffic", "per-client mean arrival rate, ops/s; giving one makes the population open loop (flyweight clients, Poisson arrivals)",
 		func(c *cluster.Config, v string) error {
@@ -109,7 +151,7 @@ var keys = []key{
 			}
 			return fmtFloat(c.OpenLoop.Rate)
 		}},
-	{"clients", "traffic", "client population: open-loop clients when the traffic has a rate, else closed-loop clients spread evenly over the MDS nodes (rounded down to a multiple of mds; at least mds)",
+	{"clients", "traffic", "open-loop clients when there is a rate, else closed-loop clients, a whole number per MDS",
 		func(c *cluster.Config, v string) error {
 			n, err := parseNum(v, 1, inf)
 			if c.OpenLoop != nil {
@@ -128,6 +170,21 @@ var keys = []key{
 			}
 			return itoa(c.NumMDS * c.ClientsPerMDS)
 		}},
+	timeKey("think", "traffic", "closed loop: mean think time between requests", 0,
+		func(c *cluster.Config) *sim.Time { return &c.Client.ThinkMean }),
+	timeKey("retry", "traffic", "client retry timeout (0 = 150ms under a fault schedule)", 0,
+		func(c *cluster.Config) *sim.Time { return &c.Client.RetryTimeout }),
+	{"workload", "traffic", "closed loop: general, shift, flashcrowd or scientific",
+		func(c *cluster.Config, v string) error {
+			if !slices.Contains(workloads, cluster.WorkloadKind(v)) {
+				return fmt.Errorf("unknown workload %q (want general, shift, flashcrowd or scientific)", v)
+			}
+			c.Workload.Kind = cluster.WorkloadKind(v)
+			return nil
+		},
+		func(c *cluster.Config) string { return string(c.Workload.Kind) }},
+	timeKey("shift-at", "traffic", "when the shift workload moves its clients", 0,
+		func(c *cluster.Config) *sim.Time { return &c.Workload.ShiftTime }),
 	numKey("tenants", "traffic", "open loop: tenant count (unset = clients/1024, at least 16)", 1, inf,
 		pop(func(p *client.PopulationConfig) *int { return &p.Tenant.Tenants })),
 	numKey("tenant-skew", "traffic", "open loop: Zipf exponent of tenant sizes (0 = uniform)", 0, inf,
@@ -136,8 +193,13 @@ var keys = []key{
 		pop(func(p *client.PopulationConfig) *float64 { return &p.Tenant.FileSkew })),
 	numKey("working-set", "traffic", "open loop: files each tenant draws from (unset = 512)", 1, inf,
 		pop(func(p *client.PopulationConfig) *int { return &p.Tenant.WorkingSet })),
-	numKey("ways", "traffic", "open loop: location-hint ways per client (unset = 2)", 1, 1<<20,
-		pop(func(p *client.PopulationConfig) *int { return &p.Ways })),
+	numKey("ways", "traffic", "location-hint ways per client (open loop: unset = 2)", 1, 1<<20,
+		func(c *cluster.Config) *int {
+			if c.OpenLoop != nil {
+				return &c.OpenLoop.Ways
+			}
+			return &c.Client.KnownCap
+		}),
 	{"mix", "traffic", "open loop: op mix, e.g. stat:80,readdir:10,create:10 (unset = stat 80, readdir 10, chmod 8, create 2)",
 		func(c *cluster.Config, v string) error {
 			m, err := parseMix(v)
@@ -174,6 +236,14 @@ var keys = []key{
 
 // mechanisms indexes the coherence mechanisms by leases | fanout<<1.
 var mechanisms = [...]string{"dumb", "leases", "fanout", "both"}
+
+// onOff indexes a switch by whether its bool is set; off also switches
+// the balancer or traffic control off altogether.
+var onOff = [2]string{"on", off}
+
+const off = "off"
+
+var workloads = []cluster.WorkloadKind{cluster.WorkGeneral, cluster.WorkShift, cluster.WorkFlashCrowd, cluster.WorkScientific}
 
 func b2i(b bool) int {
 	if b {
@@ -242,14 +312,76 @@ func numKey[T int | float64](name, line, doc string, lo, hi T, at func(*cluster.
 func timeKey(name, line, doc string, lo sim.Time, at func(*cluster.Config) *sim.Time) key {
 	return key{name, line, doc,
 		func(c *cluster.Config, v string) error {
-			t, err := sim.ParseTime(v)
-			if err == nil && t < lo {
-				err = fmt.Errorf("bad time %q (want at least %s)", v, sim.FormatTime(lo))
-			}
+			t, err := parseTime(v, lo)
 			*at(c) = t
 			return err
 		},
 		func(c *cluster.Config) string { return sim.FormatTime(*at(c)) }}
+}
+
+// parseTime parses a virtual time of at least lo.
+func parseTime(v string, lo sim.Time) (sim.Time, error) {
+	t, err := sim.ParseTime(v)
+	if err == nil && t < lo {
+		err = fmt.Errorf("bad time %q (want at least %s)", v, sim.FormatTime(lo))
+	}
+	return t, err
+}
+
+// parseSwitch reads one of a switch's two values: true for values[1].
+func parseSwitch(values [2]string, v string) (bool, error) {
+	i := slices.Index(values[:], v)
+	if i < 0 {
+		return false, fmt.Errorf("bad value %q (want %s or %s)", v, values[0], values[1])
+	}
+	return i == 1, nil
+}
+
+// switchKey is a cluster-line key that flips one bool: values[1] sets it.
+func switchKey(name, doc string, values [2]string, at func(*cluster.Config) *bool) key {
+	return key{name, "cluster", doc + ": " + values[0] + " or " + values[1],
+		func(c *cluster.Config, v string) (err error) {
+			*at(c), err = parseSwitch(values, v)
+			return err
+		},
+		func(c *cluster.Config) string { return values[b2i(*at(c))] }}
+}
+
+func balancer(c *cluster.Config) **core.BalancerConfig { return &c.Balancer }
+func traffic(c *cluster.Config) **core.TrafficControl  { return &c.Traffic }
+
+// partKey is a cluster-line key on a part of the run that may be off:
+// the balancer or traffic control. set edits a copy of the part (of
+// def when it is off). A key with no needs switches the part — "off"
+// removes it and any other value brings it back; a key that needs the
+// part is refused while it is off.
+func partKey[P any](name, doc, needs string, at func(*cluster.Config) **P, def P,
+	set func(*P, string) error, get func(*P) string) key {
+	return key{name, "cluster", doc,
+		func(c *cluster.Config, v string) error {
+			cur, part := at(c), def
+			switch {
+			case needs == "" && v == off:
+				*cur = nil
+				return nil
+			case needs != "" && *cur == nil:
+				return fmt.Errorf("needs %s", needs)
+			case *cur != nil:
+				part = **cur
+			}
+			err := set(&part, v)
+			*cur = &part
+			return err
+		},
+		func(c *cluster.Config) string {
+			switch cur := *at(c); {
+			case cur != nil:
+				return get(cur)
+			case needs == "":
+				return off
+			}
+			return ""
+		}}
 }
 
 // enumKey is a cluster-line key that takes one of a fixed set of names.
@@ -290,7 +422,8 @@ func checkValue(name, v string) error {
 	if k == nil {
 		return fmt.Errorf("unknown key %q (known: %s)", name, keyNames())
 	}
-	scratch := cluster.Config{NumMDS: 1, OpenLoop: &client.PopulationConfig{}}
+	scratch := cluster.Config{NumMDS: 1, OpenLoop: &client.PopulationConfig{},
+		Balancer: &core.BalancerConfig{}, Traffic: &core.TrafficControl{}}
 	if err := k.set(&scratch, v); err != nil {
 		return fmt.Errorf("%s: %w", name, err)
 	}
@@ -340,6 +473,12 @@ func Apply(cfg *cluster.Config, set []Setting) error {
 	if cfg.Lease.Enabled && cfg.OpenLoop == nil {
 		return fmt.Errorf("mechanism: client leases need an open-loop population (a traffic rate)")
 	}
+	if k := cfg.Workload.Kind; cfg.OpenLoop != nil && k != "" && k != cluster.WorkGeneral {
+		return fmt.Errorf("workload %s needs a closed loop (no traffic rate)", k)
+	}
+	if cfg.NoEmbed && cfg.Strategy != cluster.StratStatic {
+		return fmt.Errorf("embed=off needs strategy=%s (the only partition it unembeds)", cluster.StratStatic)
+	}
 	sched, err := fault.ParseSchedule(cfg.Faults)
 	if err == nil {
 		err = sched.Validate(cfg.NumMDS)
@@ -356,7 +495,8 @@ func Apply(cfg *cluster.Config, set []Setting) error {
 // read earlier ones (clients after mds and rate) come out right, then
 // any further arguments. Words are quoted for a POSIX shell.
 func CommandLine(cfg cluster.Config, more ...string) string {
-	cur, err := Default().baseConfig(Options{}, 1)
+	d := Default()
+	cur, err := d.config(0, d.Set, 1)
 	if err != nil {
 		panic(err)
 	}

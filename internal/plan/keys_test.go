@@ -11,7 +11,8 @@ import (
 // carries: key, the plan line it is written on, meaning, and its value
 // in the default plan.
 func keyTable(t *testing.T) string {
-	def, err := Default().baseConfig(Options{}, 1)
+	d := Default()
+	def, err := d.config(0, d.Set, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,7 @@ package plan
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 
@@ -49,8 +50,8 @@ type Plan struct {
 	Name string
 	// Describe is the one-line human description.
 	Describe string
-	// Quick scales simulated times and client counts when compiled with
-	// Options.Quick; 0 means the default 0.5.
+	// Quick scales simulated times and open-loop client counts when
+	// compiled with Options.Quick; 0 means the default 0.5.
 	Quick float64
 
 	// Set binds keys of the key table: the plan's fs, cluster and
@@ -62,6 +63,12 @@ type Plan struct {
 	// first axis outermost. Each cell compiles to one run.
 	Matrix []Axis
 
+	// QuickSet and QuickMatrix are the plan's quick lines, read only
+	// under Options.Quick: QuickSet rebinds keys after Set, and each
+	// QuickMatrix axis replaces the values of the axis with its keys.
+	QuickSet    []Setting
+	QuickMatrix []Axis
+
 	// Acts is the scenario timeline: ordered, non-overlapping windows
 	// within [0, duration].
 	Acts []Act
@@ -69,12 +76,6 @@ type Plan struct {
 	// Optimize names the metrics the plan is about; the report leads
 	// with them. A subset of Metrics.
 	Optimize []string
-
-	// Tweak, when non-nil, post-processes each compiled config (Go-only;
-	// not serialized, and String marks the plan as code-backed). The
-	// harness figure plans use it to reproduce their bespoke configs
-	// bit-for-bit; it also unlocks matrix keys the key table lacks.
-	Tweak func(cfg *cluster.Config, cell Cell)
 }
 
 // MixSpec is an op-mix weighting in canonical draw order.
@@ -86,11 +87,18 @@ func (m *MixSpec) sum() float64 {
 	return m.Stat + m.Readdir + m.Chmod + m.Create + m.Rename + m.Unlink
 }
 
-// Axis is one matrix dimension: a known key and the values to sweep.
-type Axis struct {
+// Axis is one matrix dimension: one key and the values it sweeps, or
+// several keys that co-vary — cell i binds each key to its i-th value.
+type Axis []Column
+
+// Column is one key of an axis and its values.
+type Column struct {
 	Key    string
 	Values []string
 }
+
+// Len is the number of cells along the axis.
+func (a Axis) Len() int { return len(a[0].Values) }
 
 // Cell maps axis keys to the values chosen for one compiled run.
 type Cell map[string]string
@@ -125,8 +133,8 @@ type Options struct {
 	// Seed, when non-zero, replaces the default simulation seed.
 	Seed int64
 	// Set overrides keys on every compiled cell, after the matrix axes
-	// and after the Tweak (mdsim -set). Overriding a key the matrix
-	// sweeps is an error: the sweep would collapse.
+	// (mdsim -set). Overriding a key the matrix sweeps is an error: the
+	// sweep would collapse.
 	Set []Setting
 }
 
@@ -159,11 +167,14 @@ func Default() *Plan {
 	return p
 }
 
-// Validate checks everything that does not need a namespace: it is
-// Compile for callers that only want the verdict (the plan library,
-// tests).
+// Validate checks everything that does not need a namespace, at full
+// and at quick scale: it is Compile for callers that only want the
+// verdict (the plan library, tests).
 func (p *Plan) Validate() error {
 	_, err := p.Compile(Options{})
+	if err == nil {
+		_, err = p.Compile(Options{Quick: true})
+	}
 	return err
 }
 
@@ -181,41 +192,32 @@ func (p *Plan) check() error {
 	if p.Quick < 0 {
 		return fmt.Errorf("plan %s: quick factor %s is negative", p.Name, fmtFloat(p.Quick))
 	}
-	base, err := p.baseConfig(Options{}, 1)
-	if err != nil {
-		return err
-	}
-	_, timed := p.value("duration")
-	if !timed && p.Tweak == nil {
+	if lastIndex(p.Set, "duration") < 0 {
 		return fmt.Errorf("plan %s: no duration", p.Name)
 	}
 	seen := map[string]bool{}
 	for _, ax := range p.Matrix {
-		if len(ax.Values) == 0 {
-			return fmt.Errorf("plan %s: matrix axis %q has no values", p.Name, ax.Key)
+		if err := p.checkAxis(ax); err != nil {
+			return err
 		}
-		if seen[ax.Key] {
-			return fmt.Errorf("plan %s: matrix axis %q repeated", p.Name, ax.Key)
-		}
-		seen[ax.Key] = true
-		if lookupKey(ax.Key) == nil {
-			if p.Tweak == nil {
-				return fmt.Errorf("plan %s: unknown matrix key %q (known: %s)", p.Name, ax.Key, keyNames())
+		for _, col := range ax {
+			if seen[col.Key] {
+				return fmt.Errorf("plan %s: matrix key %q repeated: a key belongs to one axis", p.Name, col.Key)
 			}
-			continue // the Tweak owns it
+			seen[col.Key] = true
 		}
-		for _, v := range ax.Values {
-			if err := checkValue(ax.Key, v); err != nil {
-				return fmt.Errorf("plan %s: matrix %w", p.Name, err)
-			}
+	}
+	for _, ax := range p.QuickMatrix {
+		if p.axisOf(ax) < 0 {
+			return fmt.Errorf("plan %s: quick matrix %s replaces no axis", p.Name, ax)
+		}
+		if err := p.checkAxis(ax); err != nil {
+			return fmt.Errorf("quick %w", err)
 		}
 	}
 	var prevTo sim.Time
 	prevName := ""
 	for i, a := range p.Acts {
-		if base.OpenLoop == nil {
-			return fmt.Errorf("plan %s: acts need an open-loop population (a traffic line with a rate)", p.Name)
-		}
 		if a.Kind != ActPhase && a.Kind != ActHotspot {
 			return fmt.Errorf("plan %s: unknown act kind %q (want %s or %s)", p.Name, a.Kind, ActPhase, ActHotspot)
 		}
@@ -224,9 +226,6 @@ func (p *Plan) check() error {
 		}
 		if a.From < 0 || a.To <= a.From {
 			return fmt.Errorf("plan %s: act %q: window %s..%s does not move forward", p.Name, a.Name, sim.FormatTime(a.From), sim.FormatTime(a.To))
-		}
-		if timed && a.To > base.Duration {
-			return fmt.Errorf("plan %s: act %q ends at %s, past the %s duration", p.Name, a.Name, sim.FormatTime(a.To), sim.FormatTime(base.Duration))
 		}
 		if a.From < prevTo {
 			return fmt.Errorf("plan %s: act %q (from %s) overlaps act %q (ends %s)", p.Name, a.Name, sim.FormatTime(a.From), prevName, sim.FormatTime(prevTo))
@@ -263,57 +262,89 @@ func (p *Plan) check() error {
 	return nil
 }
 
-// value returns the plan's own binding of a key.
-func (p *Plan) value(key string) (string, bool) {
-	if i := lastIndex(p.Set, key); i >= 0 {
-		return p.Set[i].Value, true
+// checkAxis vets one axis on its own: known keys, each with as many
+// good values as the others.
+func (p *Plan) checkAxis(ax Axis) error {
+	if len(ax) == 0 || ax.Len() == 0 {
+		return fmt.Errorf("plan %s: matrix axis %s has no values", p.Name, ax)
 	}
-	return "", false
+	for _, col := range ax {
+		if lookupKey(col.Key) == nil {
+			return fmt.Errorf("plan %s: unknown matrix key %q (known: %s)", p.Name, col.Key, keyNames())
+		}
+		if len(col.Values) != ax.Len() {
+			return fmt.Errorf("plan %s: matrix %s: co-varying keys need as many values each", p.Name, ax)
+		}
+		for _, v := range col.Values {
+			if err := checkValue(col.Key, v); err != nil {
+				return fmt.Errorf("plan %s: matrix %w", p.Name, err)
+			}
+		}
+	}
+	return nil
+}
+
+// axisOf finds the matrix axis with the same keys as ax; -1 if none.
+func (p *Plan) axisOf(ax Axis) int {
+	return slices.IndexFunc(p.Matrix, func(m Axis) bool {
+		return slices.EqualFunc(m, ax, func(a, b Column) bool { return a.Key == b.Key })
+	})
+}
+
+// String renders the axis as its matrix line does.
+func (a Axis) String() string {
+	parts := make([]string, len(a))
+	for i, col := range a {
+		parts[i] = col.Key + "=" + strings.Join(col.Values, ",")
+	}
+	return strings.Join(parts, " ")
 }
 
 // Compile checks the plan and expands its matrix into runnable
-// cluster configs, one per cell, in deterministic order. Each cell is
-// built in four layers, later ones winning: the plan's own settings,
-// the cell's matrix bindings, the Tweak, and opt.Set.
+// cluster configs, one per cell, in deterministic order. A cell's
+// config is the defaults overridden by the plan's own bindings, its
+// quick lines under opt.Quick, and the cell's matrix bindings — all
+// applied together in key-table order, later ones winning on a key —
+// then scaled by the quick factor, and last overridden by opt.Set.
 func (p *Plan) Compile(opt Options) ([]Compiled, error) {
 	if err := p.check(); err != nil {
 		return nil, err
 	}
-	for _, s := range opt.Set {
-		for _, ax := range p.Matrix {
-			if ax.Key == s.Key {
-				return nil, fmt.Errorf("plan %s: -set %s overrides the %q axis the plan's matrix sweeps", p.Name, s, ax.Key)
-			}
-		}
-	}
-	q := 1.0
+	set, matrix, q := p.Set, p.Matrix, 1.0
 	if opt.Quick {
-		q = p.Quick
-		if q <= 0 {
+		set = append(slices.Clip(set), p.QuickSet...)
+		matrix = slices.Clone(matrix)
+		for _, ax := range p.QuickMatrix {
+			matrix[p.axisOf(ax)] = ax
+		}
+		if q = p.Quick; q <= 0 {
 			q = 0.5
 		}
 	}
-	cells := expandMatrix(p.Matrix)
-	out := make([]Compiled, 0, len(cells))
-	for _, cell := range cells {
-		cfg, err := p.baseConfig(opt, q)
-		if err != nil {
-			return nil, err
-		}
-		label := p.Name
-		for _, ax := range p.Matrix {
-			v := cell[ax.Key]
-			label += "/" + ax.Key + "=" + v
-			if k := lookupKey(ax.Key); k != nil {
-				if err := k.set(&cfg, v); err != nil {
-					return nil, fmt.Errorf("plan %s: matrix %s=%s: %w", p.Name, ax.Key, v, err)
+	for _, s := range opt.Set {
+		for _, ax := range matrix {
+			for _, col := range ax {
+				if col.Key == s.Key {
+					return nil, fmt.Errorf("plan %s: -set %s overrides the %q axis the plan's matrix sweeps", p.Name, s, col.Key)
 				}
 			}
 		}
-		if p.Tweak != nil {
-			p.Tweak(&cfg, cell)
+	}
+	var out []Compiled
+	for _, cell := range expandMatrix(matrix) {
+		label := p.Name
+		cellSet := slices.Clip(set)
+		for _, ax := range matrix {
+			for _, col := range ax {
+				label += "/" + col.Key + "=" + cell[col.Key]
+				cellSet = append(cellSet, Setting{col.Key, cell[col.Key]})
+			}
 		}
-		if err := Apply(&cfg, opt.Set); err != nil {
+		cfg, err := p.config(opt.Seed, cellSet, q)
+		if err == nil {
+			err = Apply(&cfg, opt.Set)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("plan %s: %w", label, err)
 		}
 		out = append(out, Compiled{Label: label, Cell: cell, Cfg: cfg})
@@ -321,16 +352,17 @@ func (p *Plan) Compile(opt Options) ([]Compiled, error) {
 	return out, nil
 }
 
-// baseConfig builds the cell-independent config: cluster defaults, the
-// plan's own settings, and the quick-scaled timeline and population.
-func (p *Plan) baseConfig(opt Options, q float64) (cluster.Config, error) {
+// config builds one cell's config: cluster defaults, the settings, the
+// quick-scaled timeline and population, and the acts, checked against
+// the run they land on.
+func (p *Plan) config(seed int64, set []Setting, q float64) (cluster.Config, error) {
 	cfg := cluster.Default()
 	cfg.Warmup = 0 // a plan without a warmup directive measures from t=0
-	if opt.Seed != 0 {
-		cfg.Seed = opt.Seed
+	if seed != 0 {
+		cfg.Seed = seed
 	}
-	if err := bind(&cfg, p.Set); err != nil {
-		return cfg, fmt.Errorf("plan %s: %w", p.Name, err)
+	if err := bind(&cfg, set); err != nil {
+		return cfg, err
 	}
 	cfg.Duration = scaleTime(cfg.Duration, q)
 	cfg.Warmup = scaleTime(cfg.Warmup, q)
@@ -338,6 +370,9 @@ func (p *Plan) baseConfig(opt Options, q float64) (cluster.Config, error) {
 		cfg.OpenLoop.Clients = scaleCount(cfg.OpenLoop.Clients, q)
 	}
 	for _, a := range p.Acts {
+		if cfg.OpenLoop == nil {
+			return cfg, fmt.Errorf("acts need an open-loop population (a traffic line with a rate)")
+		}
 		ac := cluster.ActConfig{
 			Name:     a.Name,
 			From:     scaleTime(a.From, q),
@@ -346,6 +381,9 @@ func (p *Plan) baseConfig(opt Options, q float64) (cluster.Config, error) {
 			FileSkew: a.Skew,
 			Hotspot:  a.Target,
 			HotFrac:  a.Frac,
+		}
+		if ac.To > cfg.Duration {
+			return cfg, fmt.Errorf("act %q ends at %s, past the %s duration", a.Name, sim.FormatTime(ac.To), sim.FormatTime(cfg.Duration))
 		}
 		if a.Mix != nil {
 			ac.MixStat, ac.MixReaddir, ac.MixChmod = a.Mix.Stat, a.Mix.Readdir, a.Mix.Chmod
@@ -361,14 +399,13 @@ func (p *Plan) baseConfig(opt Options, q float64) (cluster.Config, error) {
 func expandMatrix(axes []Axis) []Cell {
 	cells := []Cell{{}}
 	for _, ax := range axes {
-		next := make([]Cell, 0, len(cells)*len(ax.Values))
+		next := make([]Cell, 0, len(cells)*ax.Len())
 		for _, c := range cells {
-			for _, v := range ax.Values {
-				nc := Cell{}
-				for k, cv := range c {
-					nc[k] = cv
+			for i := range ax.Len() {
+				nc := maps.Clone(c)
+				for _, col := range ax {
+					nc[col.Key] = col.Values[i]
 				}
-				nc[ax.Key] = v
 				next = append(next, nc)
 			}
 		}

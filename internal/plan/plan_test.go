@@ -19,8 +19,12 @@ fs users=40 projects=8
 cluster mds=8 strategy=DynamicSubtree cache=2500 net=fixed faults=drop@0:all bucket=500ms
 traffic clients=4000 rate=1.5 tenants=64 tenant-skew=0.8 file-skew=1 working-set=256 ways=4 mix=stat:70,readdir:20,create:10
 matrix strategy=DynamicSubtree,FileHash
+matrix diurnal=0,0.3 burst-prob=0,0.05
 warmup 2s
 duration 20s
+quick traffic clients=2000
+quick matrix diurnal=0,0.1 burst-prob=0,0.01
+quick duration 16s
 act phase warm @2s-6s rate=x2 mix=stat:70,readdir:20,chmod:8,create:2 skew=1.2
 act hotspot storm @6s-14s rate=x4 mix=stat:10,create:90 target=/home/u0000 frac=0.8
 optimize ops p99 load-spread
@@ -67,6 +71,9 @@ func TestRoundTripPreservesFields(t *testing.T) {
 	cells, err := q.Compile(plan.Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(cells) != 4 || cells[3].Cfg.OpenLoop.DiurnalAmp != 0.3 || cells[3].Cfg.OpenLoop.BurstProb != 0.05 {
+		t.Fatalf("co-varying axis lost: %d cells, last %+v", len(cells), cells[len(cells)-1].Cfg.OpenLoop)
 	}
 	cfg := cells[0].Cfg
 	if q.Quick != 0.25 || cfg.FS.Users != 40 || cfg.MDS.CacheCapacity != 2500 ||
@@ -119,6 +126,9 @@ func TestParseRejects(t *testing.T) {
 		{"too many ways", "plan p\ntraffic ways=1048577\n", "ways"},
 		{"burst probability above one", "plan p\ntraffic burst-prob=1.5\n", "burst-prob"},
 		{"bad matrix", "plan p\nmatrix strategy\n", "matrix wants"},
+		{"second quick factor", "plan p\nquick 0.5\nquick 1\n", "duplicate quick"},
+		{"quick line bound twice", "plan p\nquick fs users=4\nquick fs users=5\n", "duplicate quick fs"},
+		{"act as a quick line", "plan p\nquick act phase warm @1s-2s\n", "bad number"},
 	}
 	for _, c := range cases {
 		if _, err := plan.Parse(c.src); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -168,20 +178,43 @@ func TestValidateRejects(t *testing.T) {
 		{"link bandwidth on the fixed model", func(p *plan.Plan) { rebind(p, "link-bw", "1e6") }, "link-bw needs net=queued"},
 		{"leases on a closed loop", func(p *plan.Plan) { rebind(p, "rate", ""); rebind(p, "mechanism", "leases") }, "leases need"},
 		{"fault on a node the cluster lacks", func(p *plan.Plan) { rebind(p, "faults", "crash@1s:mds9") }, "faults"},
+		{"redelegate-first with the balancer off", func(p *plan.Plan) { rebind(p, "balance", "off"); rebind(p, "redelegate-first", "off") }, "needs the balancer"},
+		{"preempt-at with traffic control off", func(p *plan.Plan) { rebind(p, "replicate-at", "off"); rebind(p, "preempt-at", "50") }, "needs traffic control"},
+		{"embed=off on a dynamic partition", func(p *plan.Plan) { rebind(p, "embed", "off") }, "embed=off needs strategy=StaticSubtree"},
+		{"a closed-loop workload on an open loop", func(p *plan.Plan) { rebind(p, "workload", "shift") }, "needs a closed loop"},
 		{"unknown axis", func(p *plan.Plan) {
-			p.Matrix = []plan.Axis{{Key: "color", Values: []string{"red"}}}
+			p.Matrix = []plan.Axis{{{Key: "color", Values: []string{"red"}}}}
 		}, "unknown matrix key"},
 		{"empty axis", func(p *plan.Plan) {
-			p.Matrix = []plan.Axis{{Key: "strategy"}}
+			p.Matrix = []plan.Axis{{{Key: "strategy"}}}
 		}, "no values"},
 		{"repeated axis", func(p *plan.Plan) {
 			p.Matrix = []plan.Axis{
-				{Key: "mds", Values: []string{"4"}},
-				{Key: "mds", Values: []string{"8"}},
+				{{Key: "mds", Values: []string{"4"}}},
+				{{Key: "mds", Values: []string{"8"}}},
 			}
 		}, "repeated"},
+		{"a key in two axes", func(p *plan.Plan) {
+			p.Matrix = []plan.Axis{
+				{{Key: "mds", Values: []string{"4", "8"}}, {Key: "users", Values: []string{"40", "80"}}},
+				{{Key: "users", Values: []string{"20"}}},
+			}
+		}, "repeated"},
+		{"co-varying keys of unequal length", func(p *plan.Plan) {
+			p.Matrix = []plan.Axis{{{Key: "mds", Values: []string{"4", "8"}}, {Key: "users", Values: []string{"40"}}}}
+		}, "as many values"},
+		{"a quick matrix that replaces no axis", func(p *plan.Plan) {
+			p.Matrix = []plan.Axis{{{Key: "mds", Values: []string{"4", "8"}}, {Key: "users", Values: []string{"40", "80"}}}}
+			p.QuickMatrix = []plan.Axis{{{Key: "mds", Values: []string{"2"}}}}
+		}, "replaces no axis"},
+		{"unknown key in a co-varying axis", func(p *plan.Plan) {
+			p.Matrix = []plan.Axis{{{Key: "mds", Values: []string{"4", "8"}}, {Key: "colour", Values: []string{"red", "blue"}}}}
+		}, "unknown matrix key"},
+		{"bad co-varying value", func(p *plan.Plan) {
+			p.Matrix = []plan.Axis{{{Key: "mds", Values: []string{"4", "8"}}, {Key: "users", Values: []string{"40", "0"}}}}
+		}, "users"},
 		{"bad strategy value", func(p *plan.Plan) {
-			p.Matrix = []plan.Axis{{Key: "strategy", Values: []string{"Quantum"}}}
+			p.Matrix = []plan.Axis{{{Key: "strategy", Values: []string{"Quantum"}}}}
 		}, "unknown strategy"},
 		{"unknown act kind", func(p *plan.Plan) {
 			p.Acts = []plan.Act{{Kind: "surge", Name: "a", From: sim.Second, To: 2 * sim.Second, Skew: -1}}
@@ -231,8 +264,8 @@ func TestValidateRejects(t *testing.T) {
 func TestCompileMatrixOrderAndLabels(t *testing.T) {
 	p := validBase()
 	p.Matrix = []plan.Axis{
-		{Key: "mds", Values: []string{"4", "8"}},
-		{Key: "strategy", Values: []string{cluster.StratDynamic, cluster.StratStatic}},
+		{{Key: "mds", Values: []string{"4", "8"}}},
+		{{Key: "strategy", Values: []string{cluster.StratDynamic, cluster.StratStatic}}},
 	}
 	cells, err := p.Compile(plan.Options{})
 	if err != nil {
@@ -258,6 +291,53 @@ func TestCompileMatrixOrderAndLabels(t *testing.T) {
 	}
 	if cells[0].Cfg.OpenLoop == nil || cells[0].Cfg.OpenLoop.Clients != 100 {
 		t.Fatalf("traffic section not compiled: %+v", cells[0].Cfg.OpenLoop)
+	}
+}
+
+// TestCompileCovaryingAndQuickLines: a co-varying axis binds its keys
+// together, in key-table order whatever order they were written in (so
+// clients spreads over the cell's mds), and the quick lines rebind keys
+// and replace an axis's values under Options.Quick only.
+func TestCompileCovaryingAndQuickLines(t *testing.T) {
+	p, err := plan.Parse(`plan covary
+quick 1
+cluster cache=500
+matrix clients=40,90 mds=2,3
+warmup 1s
+duration 4s
+quick cluster cache=250
+quick matrix clients=10,60 mds=1,3
+quick duration 2s
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		quick        bool
+		label        string
+		mds, perMDS  []int
+		cache        int
+		warm, length sim.Time
+	}{
+		{false, "covary/clients=40/mds=2", []int{2, 3}, []int{20, 30}, 500, sim.Second, 4 * sim.Second},
+		{true, "covary/clients=10/mds=1", []int{1, 3}, []int{10, 20}, 250, sim.Second, 2 * sim.Second},
+	} {
+		cells, err := p.Compile(plan.Options{Quick: tc.quick})
+		if err != nil || len(cells) != 2 || cells[0].Label != tc.label {
+			t.Fatalf("quick=%v: %v, %d cells, first %q", tc.quick, err, len(cells), cells[0].Label)
+		}
+		for i, c := range cells {
+			cfg := c.Cfg
+			if cfg.NumMDS != tc.mds[i] || cfg.ClientsPerMDS != tc.perMDS[i] || cfg.MDS.CacheCapacity != tc.cache ||
+				cfg.MDS.Storage.LogCapacity != tc.cache || cfg.Warmup != tc.warm || cfg.Duration != tc.length {
+				t.Errorf("quick=%v, %s: mds %d, %d/mds, cache %d, log %d, %v-%v", tc.quick, c.Label,
+					cfg.NumMDS, cfg.ClientsPerMDS, cfg.MDS.CacheCapacity, cfg.MDS.Storage.LogCapacity, cfg.Warmup, cfg.Duration)
+			}
+		}
+	}
+	if _, err := p.Compile(plan.Options{Quick: true, Set: []plan.Setting{{Key: "clients", Value: "6"}}}); err == nil ||
+		!strings.Contains(err.Error(), "matrix sweeps") {
+		t.Errorf("-set on a co-varying key: err = %v", err)
 	}
 }
 
@@ -298,13 +378,14 @@ func TestCompileQuickScaling(t *testing.T) {
 }
 
 // TestSetOverrides: Options.Set has the last word on every cell — after
-// the matrix and after the Tweak, in table order whatever order it was
-// given in — and a -set that cannot take effect is an error, not a
+// the plan's own lines and the matrix, in table order whatever order it
+// was given in — and a -set that cannot take effect is an error, not a
 // no-op.
 func TestSetOverrides(t *testing.T) {
 	p := validBase()
-	p.Matrix = []plan.Axis{{Key: "strategy", Values: []string{cluster.StratDynamic, cluster.StratFileHash}}}
-	p.Tweak = func(cfg *cluster.Config, _ plan.Cell) { cfg.NumMDS, cfg.NetModel = 6, "fixed" }
+	p.Matrix = []plan.Axis{{{Key: "strategy", Values: []string{cluster.StratDynamic, cluster.StratFileHash}}}}
+	rebind(p, "mds", "6")
+	rebind(p, "net", "fixed")
 	cells, err := p.Compile(plan.Options{Set: []plan.Setting{
 		{"link-bw", "1e8"}, {"net", "queued"}, {"mds", "3"}, {"mds", "2"}, {"clients", "7"},
 	}})
@@ -368,6 +449,10 @@ func TestCommandLineRoundTrip(t *testing.T) {
 		{{"rate", "0.05"}, {"clients", "20000"}, {"tenants", "32"}, {"tenant-skew", "1"}, {"file-skew", "0.8"},
 			{"working-set", "64"}, {"ways", "4"}, {"mix", "stat:55,unlink:15,create:30"}, {"diurnal", "0.3"},
 			{"burst-prob", "0.05"}, {"mechanism", "both"}},
+		{{"cache", "2500"}, {"log", "2000"}, {"think", "15ms"}, {"ways", "512"}, {"retry", "200ms"}, {"workload", "shift"},
+			{"shift-at", "8s"}, {"balance", "2s"}, {"redelegate-first", "off"}, {"replicate-at", "1e9"}, {"preempt-at", "50"},
+			{"dirhash-at", "256"}, {"osds", "16"}, {"prefetch", "hot"}, {"strategy", cluster.StratStatic}, {"embed", "off"}},
+		{{"balance", "off"}, {"replicate-at", "off"}, {"workload", "flashcrowd"}},
 	} {
 		want, err := plan.Default().Compile(plan.Options{Seed: 7, Set: set})
 		if err != nil {

@@ -35,7 +35,7 @@ budget() {
     fi
 }
 budget README.md $((24 * 1024))
-budget DESIGN.md 58941
+budget DESIGN.md 58939
 
 # -race on the small CI box is ~6x slower than native; give packages
 # headroom past go test's 10m default so a busy host doesn't flake. The
@@ -90,6 +90,14 @@ rc=0
 "$MDSIM" -set mds=0 >"$TMP/usage.out" 2>/dev/null || rc=$?
 if [ "$rc" -ne 2 ] || [ -s "$TMP/usage.out" ]; then
     echo "ci: mdsim -set mds=0 exited $rc (want 2) or wrote to stdout" >&2
+    exit 1
+fi
+# So is a -set on a key a figure sweeps beside mds: users co-varies with
+# mds in Figure 2, and pinning it would collapse the sweep.
+rc=0
+"$MDSIM" -plan fig2 -quick -set users=100 >"$TMP/usage.out" 2>/dev/null || rc=$?
+if [ "$rc" -ne 2 ] || [ -s "$TMP/usage.out" ]; then
+    echo "ci: mdsim -plan fig2 -set users=100 exited $rc (want 2) or wrote to stdout" >&2
     exit 1
 fi
 

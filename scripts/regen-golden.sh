@@ -11,6 +11,10 @@
 # testdata/extras_full.txt    the sci, failover, avail, clients and
 #                             ablations extensions at paper scale
 #
+# The experiments are plan texts beside their renderers in
+# internal/harness (figures.go, extras.go, avail.go, clients.go,
+# ablations.go); the library plans are in internal/plan/library.
+#
 # All runs use seed 1 and the default fixed network model; with those
 # held, output is bit-identical across machines, so a diff against the
 # committed files is a real behaviour change, not noise (the "(wall
