@@ -15,7 +15,6 @@ import (
 
 	"dynmds/internal/client"
 	"dynmds/internal/cluster"
-	"dynmds/internal/endure"
 	"dynmds/internal/harness"
 	"dynmds/internal/plan"
 	"dynmds/internal/sim"
@@ -76,8 +75,16 @@ func TestUsageErrors(t *testing.T) {
 		{"negative shards", []string{"-set", "shards=-3"}},
 		{"leases without open loop", []string{"-set", "mechanism=leases"}},
 		{"checkpoint flags without a cadence", []string{"-set", "rate=10", "-checkpoint-dir", dir}},
-		{"endure with zero cadence", []string{"-set", "rate=10", "-set", "clients=1000", "-soak-cycles", "2", "-checkpoint-every", "0"}},
-		{"endure without open loop", []string{"-checkpoint-every", "2.5"}},
+		{"endure with zero cadence", []string{"-set", "rate=10", "-set", "clients=1000", "-set", "soak=2"}},
+		{"endure without open loop", []string{"-set", "checkpoint=2.5s"}},
+		{"cadence inside the quiesce drain", []string{"-set", "rate=10", "-set", "checkpoint=2s"}},
+		{"endure on the shared OSD pool", []string{"-set", "rate=0.05", "-set", "clients=2000", "-set", "checkpoint=2.5s", "-set", "osds=8"}},
+		{"endure with unembedded inodes", []string{"-set", "rate=0.05", "-set", "clients=2000", "-set", "checkpoint=2.5s",
+			"-set", "strategy=StaticSubtree", "-set", "embed=off"}},
+		{"endure on LazyHybrid", []string{"-set", "rate=0.05", "-set", "clients=2000", "-set", "checkpoint=2.5s", "-set", "strategy=LazyHybrid"}},
+		{"soak on a single node", []string{"-set", "rate=10", "-set", "mds=1", "-set", "checkpoint=2.5s", "-set", "soak=2"}},
+		{"chaos budget on a single node", []string{"-plan", "chaos", "-set", "mds=1"}},
+		{"restore on a matrix plan", []string{"-plan", "clients", "-quick", "-set", "checkpoint=2.5s", "-restore", filepath.Join(dir, "ck-000.snap")}},
 		{"plan: unknown act kind", []string{"-plan", planFile("bad-kind"), "-quick"}},
 		{"plan: overlapping phases", []string{"-plan", planFile("bad-overlap"), "-quick"}},
 		{"plan: zero rate", []string{"-plan", planFile("bad-rate"), "-quick"}},
@@ -102,10 +109,10 @@ func TestUsageErrors(t *testing.T) {
 		{"fewer closed-loop clients than nodes", []string{"-set", "clients=3", "-set", "mds=8"}},
 		{"shards on the plan with the shared OSD pool", []string{"-plan", "ablations", "-quick", "-set", "shards=2"}},
 		{"-set of an open-loop key on a closed loop", []string{"-set", "tenants=8"}},
-		{"-set on a key the chaos budget sweeps", []string{"-chaos-runs", "1", "-set", "strategy=FileHash"}},
-		{"chaos budget with a plan", []string{"-chaos-runs", "1", "-plan", "fig2"}},
-		{"endurance on a matrix plan", []string{"-plan", "namespace-aging", "-checkpoint-every", "5"}},
-		{"soak with its own faults", []string{"-set", "rate=10", "-set", "faults=drop@0.1:all", "-soak-cycles", "2", "-checkpoint-every", "5"}},
+		{"-set on a key the chaos budget sweeps", []string{"-plan", "chaos", "-set", "strategy=FileHash"}},
+		{"-set on the fault schedule the chaos budget sweeps", []string{"-plan", "chaos", "-set", "faults=drop@0.1:all"}},
+		{"endurance on a matrix plan", []string{"-plan", "namespace-aging", "-set", "checkpoint=5s"}},
+		{"soak with its own faults", []string{"-set", "rate=10", "-set", "faults=drop@0.1:all", "-set", "soak=2", "-set", "checkpoint=5s"}},
 		{"stray argument", []string{"fig2"}},
 	}
 	for _, tc := range cases {
@@ -131,11 +138,7 @@ func TestFlagSurface(t *testing.T) {
 	c, _ := parseArgs(nil, io.Discard, io.Discard)
 	var got []string
 	c.flags.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
-	want := []string{
-		"chaos-intensity", "chaos-runs", "checkpoint-dir", "checkpoint-every",
-		"cpuprofile", "list", "memprofile", "plan", "quick", "restore", "seed", "set",
-		"soak-cycles", "workers",
-	}
+	want := []string{"checkpoint-dir", "cpuprofile", "list", "memprofile", "plan", "quick", "restore", "seed", "set", "workers"}
 	if !slices.Equal(got, want) {
 		t.Errorf("flag set changed:\n got %v\nwant %v", got, want)
 	}
@@ -227,9 +230,10 @@ func shellFields(line string) []string {
 }
 
 // TestReproLinesRoundTrip: the repro lines the chaos budget and the soak
-// print are fed back through mdsim's own argument parser and compiled;
-// the configuration that comes out must be the one that failed
-// (snapshot pointer aside — it is filled in at run time).
+// print (plan.CommandLine) are fed back through mdsim's own argument
+// parser and compiled against the default plan; the configuration that
+// comes out must be the one that failed (snapshot pointer aside — it is
+// filled in at run time).
 func TestReproLinesRoundTrip(t *testing.T) {
 	replay := func(line string) (*invocation, cluster.Config) {
 		t.Helper()
@@ -242,20 +246,26 @@ func TestReproLinesRoundTrip(t *testing.T) {
 		if c == nil {
 			t.Fatalf("mdsim rejects its own repro line %q:\n%s", line, stderr.String())
 		}
-		cfg, err := c.oneRun()
+		cells, err := plan.Default().Compile(c.opt)
 		if err != nil {
 			t.Fatalf("%s: %v", line, err)
 		}
-		return c, cfg
+		return c, cells[0].Cfg
 	}
 
 	t.Run("chaos cell at K=2 on the queued model", func(t *testing.T) {
-		opt := harness.ChaosOptions{Seed: 7,
-			Set: []plan.Setting{{Key: "cache", Value: "1500"}, {Key: "net", Value: "queued"}}}
-		failed, err := harness.ChaosConfig(opt, cluster.StratLazyHybrid, "crash@2s:mds1,partition@1s-3s:{0|1.2}")
+		opt := harness.Options{Seed: 7, Set: []plan.Setting{{Key: "cache", Value: "1500"}, {Key: "net", Value: "queued"}}}
+		chaos, _ := harness.ByID("chaos")
+		ps, _, err := chaos.Build(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
+		cells, err := ps[0].Compile(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		failed := cells[slices.IndexFunc(cells, func(c plan.Compiled) bool { return c.Cfg.Strategy == cluster.StratLazyHybrid })].Cfg
+		failed.Faults = "crash@2s:mds1,partition@1s-3s:{0|1.2}" // as shrunk
 		if _, got := replay(plan.CommandLine(failed)); !reflect.DeepEqual(got, failed) {
 			t.Errorf("replayed config differs\nline: %s\n got: %+v\nwant: %+v", plan.CommandLine(failed), got, failed)
 		}
@@ -272,16 +282,16 @@ func TestReproLinesRoundTrip(t *testing.T) {
 		failed.Warmup = sim.FromSeconds(1)
 		failed.OpenLoop = &client.PopulationConfig{Clients: 20000, Rate: 0.02}
 		failed.OpenLoop.Tenant.FileSkew = 0.8
-		opt := endure.Options{Cluster: failed, Every: sim.FromSeconds(2.5)}
-		const shrunk, snap = "crash@3s-4s:mds1", "/tmp/soak dir/ck-001.snap"
-		line := endure.ReproLine(&opt, shrunk, snap)
+		failed.Checkpoint = sim.FromSeconds(2.5)
+		failed.Faults = "crash@3s-4s:mds1" // the soak's schedule, shrunk
+		const snap = "/tmp/soak dir/ck-001.snap"
+		line := plan.CommandLine(failed, "-restore", snap)
 		c, got := replay(line)
-		failed.Faults = shrunk
 		if !reflect.DeepEqual(got, failed) {
 			t.Errorf("replayed config differs\nline: %s\n got: %+v\nwant: %+v", line, got, failed)
 		}
-		if c.every != 2.5 || c.restore != snap {
-			t.Errorf("endurance flags lost: -checkpoint-every %g -restore %q in: %s", c.every, c.restore, line)
+		if c.opt.Restore != snap {
+			t.Errorf("-restore %q lost in: %s", c.opt.Restore, line)
 		}
 	})
 }
@@ -296,7 +306,7 @@ func TestReproLinesRoundTrip(t *testing.T) {
 func TestRestoreOfADamagedSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	aging := []string{"-set", "rate=1", "-set", "clients=200", "-set", "users=8", "-set", "duration=8s",
-		"-set", "warmup=1s", "-set", "faults=drop@0.02:all", "-checkpoint-every", "2.5"}
+		"-set", "warmup=1s", "-set", "faults=drop@0.02:all", "-set", "checkpoint=2.5s"}
 	mdsim := func(args ...string) (code int, stdout, stderr string) {
 		var o, e bytes.Buffer
 		code = run(append(slices.Clone(aging), args...), &o, &e)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -17,10 +18,13 @@ const (
 	groupLibrary = "library" // every scenario plan of the library
 )
 
-// resolve maps the -plan argument to what it runs: a group, a figure or
-// extension by ID, a library plan by name, or a plan DSL file.
+// resolve maps the -plan argument to what it runs: the default plan, a
+// group, a figure, extension or the chaos budget by ID, a library plan
+// by name, or a plan DSL file.
 func resolve(arg string) ([]harness.Experiment, error) {
 	switch arg {
+	case plan.Default().Name:
+		return []harness.Experiment{defaultPlan()}, nil
 	case groupFigures:
 		return append(harness.All(), harness.Extras()...), nil
 	case groupLibrary:
@@ -46,39 +50,39 @@ func resolve(arg string) ([]harness.Experiment, error) {
 	return []harness.Experiment{harness.Scenario(p)}, nil
 }
 
-// runTargets runs what resolve returned, in order.
+// runTargets runs what resolve returned, in order. An experiment with a
+// title gets a heading and a wall-time line; one without — the default
+// plan, the chaos budget, a scenario plan — prints its own report. A
+// cell that cannot be built from its plan (a hotspot path the namespace
+// lacks) is a usage error like any other bad plan, raised before the
+// cell's first event.
 func runTargets(c *invocation, targets []harness.Experiment) int {
 	w := c.stdout
 	for i, e := range targets {
-		if e.Title == "" {
-			// A scenario plan: its report is its own heading and is fully
-			// deterministic (golden-stable), so no wall-clock line. What
-			// can still fail is building a cluster from the plan — a
-			// hotspot path the namespace lacks — a usage error like any
-			// other bad plan, raised before the plan's first event.
-			if i > 0 {
-				fmt.Fprintln(w)
-			}
-			if err := e.Run(w, c.opt); err != nil {
+		start := time.Now()
+		if e.Title != "" {
+			fmt.Fprintf(w, "== %s ==\n%s\n\n", e.Title, e.Description)
+		} else if i > 0 {
+			fmt.Fprintln(w)
+		}
+		if err := e.Run(w, c.opt); err != nil {
+			if be := (*harness.BuildError)(nil); errors.As(err, &be) {
 				fmt.Fprintln(c.stderr, "mdsim:", err)
 				return 2
 			}
-			continue
-		}
-		start := time.Now()
-		fmt.Fprintf(w, "== %s ==\n%s\n\n", e.Title, e.Description)
-		if err := e.Run(w, c.opt); err != nil {
 			return c.fail(err)
 		}
-		fmt.Fprintf(w, "(wall time %v)\n\n", time.Since(start).Round(time.Millisecond))
+		if e.Title != "" {
+			fmt.Fprintf(w, "(wall time %v)\n\n", time.Since(start).Round(time.Millisecond))
+		}
 	}
 	return 0
 }
 
 // list prints everything -plan accepts.
 func list(w io.Writer) {
-	d := plan.Default()
-	fmt.Fprintf(w, "%-24s %s\n", d.Name, d.Describe)
+	d, chaos := plan.Default(), harness.Chaos()
+	fmt.Fprintf(w, "%-24s %s\n%-24s %s\n", d.Name, d.Describe, chaos.ID, chaos.Description)
 	fmt.Fprintf(w, "\n%-24s every experiment below, in order\n", groupFigures)
 	for _, e := range append(harness.All(), harness.Extras()...) {
 		fmt.Fprintf(w, "%-24s %s\n%24s %s\n", e.ID, e.Title, "", e.Description)

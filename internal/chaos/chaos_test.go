@@ -38,7 +38,6 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGenerateValid(t *testing.T) {
 	for run := 0; run < 200; run++ {
 		cfg := genConfig(run)
-		cfg.Intensity = float64(run%4) + 0.5
 		s := Generate(cfg)
 		if err := s.Validate(cfg.NumMDS); err != nil {
 			t.Fatalf("run %d: %v", run, err)
@@ -81,23 +80,5 @@ func TestGenerateValid(t *testing.T) {
 				t.Fatalf("run %d: drop probability %v out of bounds", run, d.P)
 			}
 		}
-	}
-}
-
-// TestGenerateIntensityScales: a higher intensity draws more rules in
-// aggregate.
-func TestGenerateIntensityScales(t *testing.T) {
-	total := func(intensity float64) int {
-		sum := 0
-		for run := 0; run < 60; run++ {
-			cfg := genConfig(run)
-			cfg.Intensity = intensity
-			sum += Generate(cfg).NumRules()
-		}
-		return sum
-	}
-	low, high := total(0.4), total(3)
-	if high <= low {
-		t.Errorf("intensity 3 generated %d rules, intensity 0.4 generated %d", high, low)
 	}
 }

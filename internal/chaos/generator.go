@@ -2,8 +2,10 @@
 // cluster: a schedule generator that derives random-but-reproducible
 // fault schedules from a single seed, and simfsck, a cluster-wide
 // end-of-run consistency checker that goes beyond the per-structure
-// CheckInvariants methods. The fuzz driver and shrinker that tie them
-// together live in internal/harness (they need the run machinery).
+// CheckInvariants methods, and ShrinkSchedule, which cuts a failing
+// schedule down to a minimal one. The chaos budget that ties them
+// together is an experiment of internal/harness (it needs the run
+// machinery).
 //
 // Determinism: Generate draws every value from one sim.NewStream keyed
 // by (Seed, Run), in a fixed order, so the same inputs always yield a
@@ -32,9 +34,6 @@ type GenConfig struct {
 	// [Duration/10, Duration*9/10] so the run warms up before the first
 	// fault and quiesces before the drain.
 	Duration sim.Time
-	// Intensity scales fault counts, drop probabilities, lag magnitudes
-	// and slow factors. 1.0 is the nominal mix; 0 means 1.0.
-	Intensity float64
 }
 
 // Generate derives a random, valid fault schedule from the config.
@@ -44,7 +43,7 @@ type GenConfig struct {
 //   - crash windows are paired with a recovery three times out of four
 //     (the rest stay down through the run's end);
 //   - drop probabilities, lag magnitudes and slow factors are bounded
-//     (<= 0.3, <= 50ms, <= 8x) so runs degrade rather than stall;
+//     (< 0.08, <= 20ms, < 4x) so runs degrade rather than stall;
 //   - every window lies strictly inside the run and the result passes
 //     Validate(NumMDS).
 func Generate(cfg GenConfig) *fault.Schedule {
@@ -53,10 +52,6 @@ func Generate(cfg GenConfig) *fault.Schedule {
 	}
 	if cfg.Duration <= 0 {
 		panic("chaos: Generate needs a positive Duration")
-	}
-	intensity := cfg.Intensity
-	if intensity <= 0 {
-		intensity = 1
 	}
 	rng := sim.NewStream(cfg.Seed, fmt.Sprintf("chaos-gen-%d", cfg.Run))
 	g := &generator{
@@ -67,24 +62,17 @@ func Generate(cfg GenConfig) *fault.Schedule {
 		s:   &fault.Schedule{},
 	}
 
-	// Count budget per class, scaled by intensity.
-	scaled := func(max int) int {
-		m := int(float64(max)*intensity + 0.5)
-		if m < 1 {
-			m = 1
-		}
-		return g.rng.Intn(m + 1)
-	}
-	nCrash := scaled(min(2, cfg.NumMDS-1))
-	nDrop := scaled(2)
-	nLag := scaled(2)
-	nSlow := scaled(1)
-	nPart := scaled(1)
+	// Up to this many rules per class.
+	nCrash := g.rng.Intn(min(2, cfg.NumMDS-1) + 1)
+	nDrop := g.rng.Intn(3)
+	nLag := g.rng.Intn(3)
+	nSlow := g.rng.Intn(2)
+	nPart := g.rng.Intn(2)
 
 	g.crashes(nCrash)
-	g.drops(nDrop, intensity)
-	g.lags(nLag, intensity)
-	g.slows(nSlow, intensity)
+	g.drops(nDrop)
+	g.lags(nLag)
+	g.slows(nSlow)
 	g.partitions(nPart)
 
 	if err := g.s.Validate(cfg.NumMDS); err != nil {
@@ -99,7 +87,7 @@ type RollingConfig struct {
 	Seed int64
 	// NumMDS is the cluster size (>= 2; node 0 never crashes).
 	NumMDS int
-	// Cycles is the number of crash/recover pairs; 0 means 10.
+	// Cycles is the number of crash/recover pairs (>= 1).
 	Cycles int
 	// Horizon is the run length the cycles are spread over.
 	Horizon sim.Time
@@ -111,24 +99,19 @@ type RollingConfig struct {
 // survivor, so failover always has a target — evenly spaced over the
 // middle 80% of the horizon with millisecond jitter, each node back up
 // after a third of the cycle spacing (at most 2s), well before the next
-// one goes down (outages never overlap). The
-// result is deterministic in the config and valid for NumMDS.
-func GenerateRolling(cfg RollingConfig) *fault.Schedule {
+// one goes down (outages never overlap). The result is deterministic in
+// the config and valid for NumMDS; a config with no node to crash, or
+// cycles closer than 4ms apart, is an error.
+func GenerateRolling(cfg RollingConfig) (*fault.Schedule, error) {
 	if cfg.NumMDS < 2 {
-		panic("chaos: GenerateRolling needs NumMDS >= 2")
-	}
-	if cfg.Horizon <= 0 {
-		panic("chaos: GenerateRolling needs a positive Horizon")
+		return nil, fmt.Errorf("a rolling schedule needs at least 2 MDS nodes (node 0 never crashes)")
 	}
 	cycles := cfg.Cycles
-	if cycles <= 0 {
-		cycles = 10
-	}
 	lo, hi := cfg.Horizon/10, cfg.Horizon*9/10
-	step := (hi - lo) / sim.Time(cycles)
-	if step < 4*sim.Millisecond {
-		panic("chaos: GenerateRolling horizon too short for the cycle count")
+	if cycles < 1 || (hi-lo)/sim.Time(cycles) < 4*sim.Millisecond {
+		return nil, fmt.Errorf("%d crash/recover cycles do not fit a %s run", cycles, sim.FormatTime(cfg.Horizon))
 	}
+	step := (hi - lo) / sim.Time(cycles)
 	outage := min(step/3, 2*sim.Second)
 	rng := sim.NewStream(cfg.Seed, "chaos-rolling")
 	s := &fault.Schedule{}
@@ -145,7 +128,7 @@ func GenerateRolling(cfg RollingConfig) *fault.Schedule {
 	if err := s.Validate(cfg.NumMDS); err != nil {
 		panic("chaos: generated an invalid rolling schedule: " + err.Error())
 	}
-	return s
+	return s, nil
 }
 
 type generator struct {
@@ -212,44 +195,32 @@ func (g *generator) sel() fault.LinkSel {
 	}
 }
 
-// drops draws whole-run probabilistic drop rules. Probabilities scale
-// with intensity but stay <= 0.3 so traffic degrades rather than stops.
-func (g *generator) drops(count int, intensity float64) {
+// drops draws whole-run probabilistic drop rules, probability under
+// 0.08 so traffic degrades rather than stops.
+func (g *generator) drops(count int) {
 	for i := 0; i < count; i++ {
 		sel := g.sel()
-		p := 0.08 * intensity * g.rng.Float64()
-		if p > 0.3 {
-			p = 0.3
-		}
+		p := 0.08 * g.rng.Float64()
 		g.s.Drops = append(g.s.Drops, fault.DropRule{Sel: sel, P: p})
 	}
 }
 
-// lags draws windowed latency spikes, <= 50ms extra per message.
-func (g *generator) lags(count int, intensity float64) {
+// lags draws windowed latency spikes, 1-20ms extra per message.
+func (g *generator) lags(count int) {
 	for i := 0; i < count; i++ {
 		sel := g.sel()
 		from, to := g.window()
-		extra := sim.Time(float64(1+g.rng.Intn(20)) * intensity * float64(sim.Millisecond))
-		if extra < sim.Millisecond {
-			extra = sim.Millisecond
-		}
-		if extra > 50*sim.Millisecond {
-			extra = 50 * sim.Millisecond
-		}
+		extra := sim.Time(1+g.rng.Intn(20)) * sim.Millisecond
 		g.s.Lags = append(g.s.Lags, fault.LagRule{Sel: sel, From: from, To: to, Extra: extra})
 	}
 }
 
-// slows draws windowed service-time scaling, factor in [1.5, 8].
-func (g *generator) slows(count int, intensity float64) {
+// slows draws windowed service-time scaling, factor in [1.5, 4).
+func (g *generator) slows(count int) {
 	for i := 0; i < count; i++ {
 		node := g.rng.Intn(g.n)
 		from, to := g.window()
-		factor := 1.5 + 2.5*intensity*g.rng.Float64()
-		if factor > 8 {
-			factor = 8
-		}
+		factor := 1.5 + 2.5*g.rng.Float64()
 		g.s.Slows = append(g.s.Slows, fault.SlowWindow{From: from, To: to, Node: node, Factor: factor})
 	}
 }

@@ -145,6 +145,15 @@ type Config struct {
 	Duration     sim.Time
 	Warmup       sim.Time
 	SeriesBucket sim.Time
+
+	// Checkpoint, when positive, runs the config on the endurance plane
+	// (internal/endure): quiesced, simfsck'd and snapshotted at this
+	// cadence. Soak, when positive, replaces the fault schedule with a
+	// rolling one of that many crash/recover cycles (chaos.GenerateRolling).
+	// The cluster itself reads neither; EndureCheck says whether the
+	// rest of the config can take a cadence.
+	Checkpoint sim.Time
+	Soak       int
 }
 
 // Default returns a small, fast baseline configuration: callers override
@@ -680,6 +689,13 @@ type Result struct {
 	LatencyP50  float64
 	LatencyP99  float64
 	LatencyP999 float64
+	// Replies counts the accepted replies behind them: completions less
+	// the lease hits, which are served without one.
+	Replies uint64
+	// MaxQueue is, per kind of service centre (CPU, read disk, log
+	// disk), the deepest waiting line of the run; MaxQueueNode the
+	// lowest-numbered node it formed on.
+	MaxQueue, MaxQueueNode [3]int
 
 	// Open-loop traffic-plane accounting (zero / false when closed loop).
 	OpenLoop  bool
@@ -732,7 +748,9 @@ type Result struct {
 	// the series behind availability/recovery-time analysis.
 	CompletedOps *metrics.Series
 
-	// Series for the over-time figures (bucketed from t=0).
+	// Series for the over-time figures (bucketed from t=0). Like every
+	// series of a Result they are copies: running the cluster on after
+	// Collect (a drain) does not move them.
 	RepliesPerNode []*metrics.Series
 	Forwards       *metrics.Series
 	Arrivals       *metrics.Series
@@ -747,18 +765,17 @@ func (c *Cluster) Collect() *Result {
 		window = cfg.Duration
 	}
 	r := &Result{
-		Strategy:       cfg.Strategy,
-		NumMDS:         cfg.NumMDS,
-		Clients:        len(c.Clients),
-		FSInodes:       c.Snap.Tree.Len(),
-		Window:         window,
-		RepliesPerNode: c.RepliesPerNode,
-		Forwards:       c.Forwards,
-		Arrivals:       c.Arrivals,
-		Bucket:         cfg.SeriesBucket,
-		SetupWall:      c.setupWall,
-		RunWall:        c.runWall,
-		Net:            c.Fab.Summary(),
+		Strategy:  cfg.Strategy,
+		NumMDS:    cfg.NumMDS,
+		Clients:   len(c.Clients),
+		FSInodes:  c.Snap.Tree.Len(),
+		Window:    window,
+		Forwards:  c.Forwards.Clone(),
+		Arrivals:  c.Arrivals.Clone(),
+		Bucket:    cfg.SeriesBucket,
+		SetupWall: c.setupWall,
+		RunWall:   c.runWall,
+		Net:       c.Fab.Summary(),
 	}
 	if c.sched != nil {
 		r.FaultSchedule = c.sched.Source()
@@ -766,14 +783,21 @@ func (c *Cluster) Collect() *Result {
 		r.Failures = c.Failures
 		r.Recoveries = c.Recoveries
 		r.Downs = c.Downs
-		r.CompletedOps = c.CompletedOps
+		r.CompletedOps = c.CompletedOps.Clone()
 		for _, cl := range c.Clients {
 			r.Retries += cl.Stats.Retries
 			r.TimedOut += cl.Stats.TimedOut
 		}
 	}
 	var served, forwards, arrivals, hits, misses uint64
-	for _, n := range c.Nodes {
+	for i, n := range c.Nodes {
+		r.RepliesPerNode = append(r.RepliesPerNode, c.RepliesPerNode[i].Clone())
+		cpu, readDisk, logDisk := n.MaxQueues()
+		for k, d := range [3]int{cpu, readDisk, logDisk} {
+			if d > r.MaxQueue[k] {
+				r.MaxQueue[k], r.MaxQueueNode[k] = d, i
+			}
+		}
 		served += n.Stats.Served
 		forwards += n.Stats.Forwarded
 		arrivals += n.Stats.ClientArrivals
@@ -810,6 +834,7 @@ func (c *Cluster) Collect() *Result {
 	if arrivals > 0 {
 		r.ForwardFrac = float64(forwards) / float64(arrivals)
 	}
+	r.Replies = c.LatH.N()
 	r.MeanLatency = c.LatH.Mean()
 	r.LatencyP50 = c.LatH.Quantile(0.5).Seconds()
 	r.LatencyP99 = c.LatH.Quantile(0.99).Seconds()

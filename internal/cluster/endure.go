@@ -29,28 +29,29 @@ import (
 // full retry ladder is ~1.2s with fault-mode defaults).
 const QuiesceDrain = 2 * sim.Second
 
-// EndureCheck verifies the configuration is endurance-capable. The
-// checkpoint codec covers the open-loop plane and the subtree/hash
-// strategies; closed-loop clients, scenario acts, the shared OSD pool
-// and the lazy-hybrid ledger are out of scope and fail loudly here.
-func (c *Cluster) EndureCheck() error {
-	if c.Pop == nil {
-		return fmt.Errorf("cluster: endurance runs need the open-loop traffic plane")
-	}
-	if len(c.Cfg.Acts) != 0 {
-		return fmt.Errorf("cluster: endurance runs do not support scenario acts")
-	}
-	if c.Pool != nil {
-		return fmt.Errorf("cluster: endurance runs do not support a shared OSD pool")
-	}
-	if _, ok := c.Strategy.(*partition.LazyHybrid); ok {
-		return fmt.Errorf("cluster: endurance runs do not support the lazyhybrid strategy")
-	}
-	if c.Cfg.NoEmbed {
-		return fmt.Errorf("cluster: endurance runs do not support embed=off")
+// EndureCheck says whether the config can run on the endurance plane.
+// The checkpoint codec covers the open-loop plane and the subtree and
+// hash strategies; closed-loop clients, scenario acts, the shared OSD
+// pool, the lazy-hybrid ledger and unembedded inodes are out of scope.
+func (cfg *Config) EndureCheck() error {
+	switch {
+	case cfg.OpenLoop == nil:
+		return fmt.Errorf("endurance runs need the open-loop traffic plane (a traffic rate)")
+	case len(cfg.Acts) != 0:
+		return fmt.Errorf("endurance runs do not support scenario acts")
+	case cfg.OSDs > 0:
+		return fmt.Errorf("endurance runs do not support a shared OSD pool")
+	case cfg.Strategy == StratLazyHybrid:
+		return fmt.Errorf("endurance runs do not support the %s strategy", StratLazyHybrid)
+	case cfg.NoEmbed:
+		return fmt.Errorf("endurance runs do not support embed=off")
 	}
 	return nil
 }
+
+// EndureCheck is the config's EndureCheck, for callers that hold the
+// cluster.
+func (c *Cluster) EndureCheck() error { return c.Cfg.EndureCheck() }
 
 // subtreeTable returns the strategy's delegation table, nil for hash
 // strategies.

@@ -43,21 +43,19 @@ type Options struct {
 	// empty disables writing (the quiesce protocol still runs, so a run
 	// with Dir set and one without are bit-identical).
 	Dir string
-	// OnRow, when set, observes each degradation-curve row as it is
-	// produced (progress reporting).
-	OnRow func(Row)
 }
 
-// Normalize validates and defaults the options. The op mix defaults to
-// a churn-heavy blend (the plain open-loop default has no unlink, which
-// would leave nothing to age), and ChurnBase — the reserve of frozen
-// base files the unlink stream consumes first — defaults to the
+// Normalize validates and defaults the options: the config must be one
+// the checkpoint codec covers (cluster.Config.EndureCheck). The op mix
+// defaults to a churn-heavy blend (the plain open-loop default has no
+// unlink, which would leave nothing to age), and ChurnBase — the
+// reserve of frozen base files the unlink stream consumes first — to the
 // expected unlink draws over the horizon. Both defaults are applied
-// identically by Run, Restore, and ValidateSnapshot, so the config
-// hash recorded in a snapshot matches on restore.
+// identically by Run, Restore, and ValidateSnapshot, so the config hash
+// recorded in a snapshot matches on restore.
 func (o *Options) Normalize() error {
-	if o.Cluster.OpenLoop == nil {
-		return fmt.Errorf("endure: endurance runs need the open-loop traffic plane")
+	if err := o.Cluster.EndureCheck(); err != nil {
+		return fmt.Errorf("endure: %w", err)
 	}
 	if o.Every <= cluster.QuiesceDrain {
 		return fmt.Errorf("endure: checkpoint cadence %v must exceed the %v quiesce drain",
@@ -131,9 +129,13 @@ type Row struct {
 	Path string
 }
 
-// Result is a finished endurance run.
+// Result is a finished endurance run, or one cut short by a simfsck
+// violation: then Rows ends at the last checkpoint that passed and Res
+// is collected where the run stopped.
 type Result struct {
 	Rows []Row
+	// Res is the cluster's result at the end of the run.
+	Res *cluster.Result
 	// Digest fingerprints the run outcome; restored runs must reproduce
 	// the uninterrupted run's digest exactly.
 	Digest string
@@ -179,16 +181,14 @@ type runState struct {
 	prevMisses    uint64
 }
 
-// Run executes a fresh endurance run from t=0.
+// Run executes a fresh endurance run from t=0. On a simfsck violation
+// it returns the run so far with an *FsckError.
 func Run(opt Options) (*Result, error) {
 	if err := opt.Normalize(); err != nil {
 		return nil, err
 	}
 	c, err := cluster.New(opt.Cluster)
 	if err != nil {
-		return nil, err
-	}
-	if err := c.EndureCheck(); err != nil {
 		return nil, err
 	}
 	st := newRunState(&opt, c, chaos.Capture(c))
@@ -208,17 +208,19 @@ func newRunState(opt *Options, c *cluster.Cluster, base chaos.Baseline) *runStat
 
 // runFrom executes checkpoints from (0-based) index first to the end,
 // assuming the cluster is armed and positioned before instants[first].
+// A simfsck violation stops the run with what it has so far.
 func (st *runState) runFrom(first int) (*Result, error) {
-	for k := first; k < len(st.instants); k++ {
-		if err := st.segment(k); err != nil {
-			return nil, err
-		}
-		if k < len(st.instants)-1 {
+	var err error
+	for k := first; k < len(st.instants) && err == nil; k++ {
+		if err = st.segment(k); err == nil && k < len(st.instants)-1 {
 			st.c.Resume()
 		}
 	}
+	if _, ok := IsFsck(err); err != nil && !ok {
+		return nil, err
+	}
 	res := st.c.Collect()
-	return &Result{Rows: st.rows, Digest: Digest(res)}, nil
+	return &Result{Rows: st.rows, Res: res, Digest: Digest(res)}, err
 }
 
 // segment runs the cluster to checkpoint k and executes the checkpoint
@@ -230,7 +232,7 @@ func (st *runState) segment(k int) error {
 	if err := c.Quiesce(); err != nil {
 		return fmt.Errorf("endure: checkpoint %d (t=%.3fs): %w", k, at.Seconds(), err)
 	}
-	st.rows = append(st.rows, st.row(k, at))
+	row := st.row(k, at)
 	if err := chaos.Fsck(c, st.base); err != nil {
 		return &FsckError{Checkpoint: k, At: at, Err: err}
 	}
@@ -242,11 +244,9 @@ func (st *runState) segment(k int) error {
 		if err != nil {
 			return err
 		}
-		st.rows[len(st.rows)-1].Path = path
+		row.Path = path
 	}
-	if st.opt.OnRow != nil {
-		st.opt.OnRow(st.rows[len(st.rows)-1])
-	}
+	st.rows = append(st.rows, row)
 	return nil
 }
 
@@ -303,7 +303,8 @@ func (st *runState) writeSnapshot(k int) (string, error) {
 // Restore resumes an endurance run from a snapshot file. The options
 // must describe the same run (the config digest is cross-checked
 // against the file header); the run continues through the
-// remaining checkpoints to Duration, producing rows for them only.
+// remaining checkpoints to Duration, producing rows for them only, and
+// stops at a simfsck violation as Run does.
 func Restore(opt Options, path string) (*Result, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -337,9 +338,6 @@ func load(opt *Options, data []byte) (*runState, *header, error) {
 	}
 	c, err := cluster.New(opt.Cluster)
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := c.EndureCheck(); err != nil {
 		return nil, nil, err
 	}
 	base := chaos.Capture(c)

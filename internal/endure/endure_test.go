@@ -372,8 +372,8 @@ func TestSoakDeterminism(t *testing.T) {
 	if a.Result.Digest != b.Result.Digest {
 		t.Fatalf("soak digests differ:\n  %s\n  %s", a.Result.Digest, b.Result.Digest)
 	}
-	if a.Drift > 0.15 {
-		t.Errorf("throughput drift %.3f exceeds 0.15 (curve peak→last)", a.Drift)
+	if d := a.Result.Drift(); d > 0.15 {
+		t.Errorf("throughput drift %.3f exceeds 0.15 (curve peak→last)", d)
 	}
 }
 

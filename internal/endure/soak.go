@@ -1,12 +1,8 @@
 package endure
 
 import (
-	"fmt"
-
 	"dynmds/internal/chaos"
 	"dynmds/internal/fault"
-	"dynmds/internal/harness"
-	"dynmds/internal/plan"
 )
 
 // SoakOptions configures a rolling chaos soak: an endurance run under a
@@ -18,7 +14,7 @@ type SoakOptions struct {
 	Base Options
 	// Seed keys the rolling schedule's jitter.
 	Seed int64
-	// Cycles is the number of crash/recover cycles (0 means 10).
+	// Cycles is the number of crash/recover cycles.
 	Cycles int
 }
 
@@ -26,11 +22,8 @@ type SoakOptions struct {
 type SoakReport struct {
 	// Schedule is the generated rolling fault schedule.
 	Schedule string
-	// Result is the finished run (nil when a checkpoint failed simfsck).
+	// Result is the run, up to the failing checkpoint on a failure.
 	Result *Result
-	// Drift is the throughput degradation over the curve, when Result
-	// is present.
-	Drift float64
 	// Failure describes the first gate violation, nil on success.
 	Failure *SoakFailure
 }
@@ -38,20 +31,17 @@ type SoakReport struct {
 // SoakFailure captures a failed soak gate with everything needed to
 // reproduce it.
 type SoakFailure struct {
-	// Checkpoint is the index of the checkpoint that failed.
-	Checkpoint int
-	// Err is the violation.
-	Err string
+	// FsckError is the violation and the checkpoint that found it.
+	*FsckError
 	// Shrunk is the minimized schedule that still reproduces the
 	// failure (empty when shrinking was not applicable).
 	Shrunk string
 	// Evals is the number of shrink predicate evaluations spent.
 	Evals int
 	// RestartFrom is the snapshot file the shrink predicate restarted
-	// candidate runs from (empty when shrinking ran from scratch).
+	// candidate runs from (empty when shrinking ran from scratch): the
+	// shrunk schedule replays from it.
 	RestartFrom string
-	// Repro is a one-line reproduction command.
-	Repro string
 }
 
 // Soak runs the endurance plane under a generated rolling-upgrade fault
@@ -59,28 +49,30 @@ type SoakFailure struct {
 // schedule is shrunk to a minimal reproducer, restarting candidate runs
 // from the last good checkpoint's snapshot when one exists (so each
 // predicate evaluation replays only the failing tail, not the whole
-// soak). The returned report always has Schedule set; exactly one of
-// Result or Failure is set.
+// soak). The returned report always has Schedule and Result set, and
+// Failure when a checkpoint failed.
 func Soak(opt SoakOptions) (*SoakReport, error) {
-	sched := chaos.GenerateRolling(chaos.RollingConfig{
+	sched, err := chaos.GenerateRolling(chaos.RollingConfig{
 		Seed:    opt.Seed,
 		NumMDS:  opt.Base.Cluster.NumMDS,
 		Cycles:  opt.Cycles,
 		Horizon: opt.Base.Cluster.Duration,
 	})
+	if err != nil {
+		return nil, err
+	}
 	opt.Base.Cluster.Faults = sched.String()
 	rep := &SoakReport{Schedule: opt.Base.Cluster.Faults}
 
 	res, err := Run(opt.Base)
-	if err != nil {
-		fe, ok := IsFsck(err)
-		if !ok {
-			return nil, err
-		}
-		rep.Failure = shrinkFailure(opt, sched, fe)
-		return rep, nil
+	fe, failed := IsFsck(err)
+	if err != nil && !failed {
+		return nil, err
 	}
-	rep.Result, rep.Drift = res, res.Drift()
+	rep.Result = res
+	if failed {
+		rep.Failure = shrinkFailure(opt, sched, fe)
+	}
 	return rep, nil
 }
 
@@ -90,7 +82,7 @@ func Soak(opt SoakOptions) (*SoakReport, error) {
 // resumes from its recorded draw position, so the replayed tail is
 // self-consistent with the original run's prefix.
 func shrinkFailure(opt SoakOptions, sched *fault.Schedule, fe *FsckError) *SoakFailure {
-	f := &SoakFailure{Checkpoint: fe.Checkpoint, Err: fe.Err.Error()}
+	f := &SoakFailure{FsckError: fe}
 	f.RestartFrom = priorSnapshot(&opt.Base, fe.Checkpoint)
 
 	fails := func(cand *fault.Schedule) bool {
@@ -109,9 +101,8 @@ func shrinkFailure(opt SoakOptions, sched *fault.Schedule, fe *FsckError) *SoakF
 		_, isFsck := IsFsck(err)
 		return isFsck
 	}
-	shrunk, evals := harness.ShrinkSchedule(sched, fails, 0) // the default budget
+	shrunk, evals := chaos.ShrinkSchedule(sched, fails, 0) // the default budget
 	f.Shrunk, f.Evals = shrunk.String(), evals
-	f.Repro = ReproLine(&opt.Base, f.Shrunk, f.RestartFrom)
 	return f
 }
 
@@ -122,19 +113,4 @@ func priorSnapshot(o *Options, failed int) string {
 		return ""
 	}
 	return snapshotPath(o.Dir, failed-1)
-}
-
-// ReproLine renders the one-line mdsim command that reproduces a soak
-// failure: the run's configuration spelled against the default plan
-// (plan.CommandLine) with the given fault schedule, the checkpoint
-// cadence, and the snapshot the shrink restarted from, so the failure
-// replays from mid-run, not from scratch.
-func ReproLine(o *Options, faults, restartFrom string) string {
-	cfg := o.Cluster
-	cfg.Faults = faults
-	more := []string{"-checkpoint-every", fmt.Sprint(o.Every.Seconds())}
-	if restartFrom != "" {
-		more = append(more, "-restore", restartFrom)
-	}
-	return plan.CommandLine(cfg, more...)
 }

@@ -1,8 +1,8 @@
 // Package harness defines the experiments that regenerate every figure
-// in the paper's evaluation (§5), and a parallel sweep runner that
-// executes independent simulation configurations across CPU cores. Each
-// simulation itself is single-threaded and deterministic; the sweep's
-// parallelism never changes results, only wall-clock time.
+// in the paper's evaluation (§5), the chaos budget, and the one cell
+// runner every plan's cells go through, swept in parallel across CPU
+// cores. Each simulation itself is single-threaded and deterministic;
+// the sweep's parallelism never changes results, only wall-clock time.
 package harness
 
 import (
@@ -10,42 +10,126 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"dynmds/internal/chaos"
 	"dynmds/internal/cluster"
+	"dynmds/internal/endure"
 	"dynmds/internal/plan"
 )
 
-// RunSpec names one simulation configuration: a compiled plan cell, or
-// a label and a config put together by hand.
-type RunSpec = plan.Compiled
-
-// build assembles the cluster for one configuration. Unless the config
-// brings its own snapshot, the namespace comes from the process-wide
-// snapshot cache: the first run for a given fs config generates and
-// freezes it, and every other run thaws a private copy-on-write overlay
-// over the shared base.
-func build(cfg cluster.Config) (*cluster.Cluster, error) {
+// shared returns cfg with its namespace from the process-wide snapshot
+// cache, unless the config brings its own: the first run for a given fs
+// config generates and freezes it, and every other run thaws a private
+// copy-on-write overlay over the shared base.
+func shared(cfg cluster.Config) (cluster.Config, error) {
 	if cfg.Snapshot == nil {
 		key := cfg.FS
 		key.Seed = cfg.Seed // replicate cluster.New's seeding
 		snap, err := sharedSnapshot(key)
 		if err != nil {
-			return nil, err
+			return cfg, err
 		}
 		cfg.Snapshot = snap
 	}
-	return cluster.New(cfg)
+	return cfg, nil
 }
 
-// RunOne builds and runs a single configuration.
-func RunOne(spec RunSpec) (*cluster.Result, error) {
-	cl, err := build(spec.Cfg)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s: %w", spec.Label, err)
+// BuildError is a cell whose cluster could not be built from its
+// config — a plan the namespace cannot carry, such as a hotspot path it
+// lacks — found before the cell's first event.
+type BuildError struct {
+	Label string
+	Err   error
+}
+
+func (e *BuildError) Error() string { return "harness: " + e.Label + ": " + e.Err.Error() }
+
+func (e *BuildError) Unwrap() error { return e.Err }
+
+// runCell runs one compiled cell, one of three ways. A cell with a
+// checkpoint cadence runs on the endurance plane: endure.Soak when it
+// soaks, endure.Restore from opt.Restore, else endure.Run, each
+// simfsck'ing every checkpoint. A faulted cell captures a simfsck
+// baseline, runs, drains and is checked. Any other cell just runs.
+// heap asks for the cell's live-heap growth (PlanRun.Heap). A simfsck
+// violation lands in the run; the error reports only what kept the cell
+// from running.
+func runCell(c plan.Compiled, opt Options, heap bool) (PlanRun, error) {
+	run := PlanRun{Compiled: c}
+	var before int64
+	if heap {
+		before = liveHeap()
 	}
-	return cl.Run(), nil
+	cfg, err := shared(c.Cfg)
+	if err != nil {
+		return run, &BuildError{c.Label, err}
+	}
+	if cfg.Checkpoint > 0 {
+		return run, run.endure(endureOptions(cfg, opt), opt.Restore)
+	}
+	cl, err := cluster.New(cfg)
+	if err != nil {
+		return run, &BuildError{c.Label, err}
+	}
+	var base chaos.Baseline
+	if cfg.Faults != "" {
+		base = chaos.Capture(cl)
+	}
+	run.Res = cl.Run()
+	if heap {
+		run.Heap = liveHeap() - before
+		runtime.KeepAlive(cl)
+	}
+	if cfg.Faults != "" {
+		cl.Drain()
+		run.Fsck = chaos.Fsck(cl, base)
+	}
+	return run, nil
+}
+
+// endure runs a cell with a checkpoint cadence on the endurance plane,
+// from the snapshot at restore when there is one.
+func (run *PlanRun) endure(eo endure.Options, restore string) error {
+	var res *endure.Result
+	var err error
+	switch cfg := &eo.Cluster; {
+	case cfg.Soak > 0:
+		run.Soak, err = endure.Soak(endure.SoakOptions{Base: eo, Seed: cfg.Seed, Cycles: cfg.Soak})
+		if err == nil {
+			res = run.Soak.Result
+			if f := run.Soak.Failure; f != nil {
+				err = f.FsckError
+			}
+		}
+	case restore != "":
+		res, err = endure.Restore(eo, restore)
+	default:
+		res, err = endure.Run(eo)
+	}
+	if fe, ok := endure.IsFsck(err); ok {
+		run.Fsck, err = fe, nil
+	}
+	if err != nil {
+		return err
+	}
+	run.Endure, run.Res = res, res.Res
+	return nil
+}
+
+// endureOptions are the endurance plane's options for a cell.
+func endureOptions(cfg cluster.Config, opt Options) endure.Options {
+	return endure.Options{Cluster: cfg, Every: cfg.Checkpoint, Dir: opt.CheckpointDir}
+}
+
+// liveHeap returns the live heap bytes after a forced GC.
+func liveHeap() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
 }
 
 // sweepWorkers overrides the sweep pool size when positive; zero falls
@@ -66,15 +150,15 @@ func poolSize(want, cores int) int {
 	return want
 }
 
-// forEachRun calls run(i) for every spec on a pool of poolSize
+// forEachRun calls run(i) for i in [0, n) on a pool of poolSize
 // goroutines and returns when all have finished. The semaphore is
 // acquired before each goroutine is spawned, so at most that many exist
 // at a time. Each run is an independent single-threaded simulation, so
 // the pool changes wall-clock time only, never results.
-func forEachRun(specs []RunSpec, run func(i int)) {
+func forEachRun(n int, run func(i int)) {
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, poolSize(int(sweepWorkers.Load()), runtime.GOMAXPROCS(0)))
-	for i := range specs {
+	for i := range n {
 		sem <- struct{}{}
 		wg.Add(1)
 		go func(i int) {
@@ -86,18 +170,18 @@ func forEachRun(specs []RunSpec, run func(i int)) {
 	wg.Wait()
 }
 
-// Sweep runs all specs on the worker pool (GOMAXPROCS wide unless
-// SetSweepWorkers / mdsim -workers says otherwise) and returns results
-// in spec order. All failures are
-// reported, joined in spec order.
-func Sweep(specs []RunSpec) ([]*cluster.Result, error) {
-	results := make([]*cluster.Result, len(specs))
-	errs := make([]error, len(specs))
-	forEachRun(specs, func(i int) { results[i], errs[i] = RunOne(specs[i]) })
+// sweep runs every cell through runCell on the worker pool (GOMAXPROCS
+// wide unless SetSweepWorkers / mdsim -workers says otherwise) and
+// returns the runs in cell order. Every failure is reported, joined in
+// cell order.
+func sweep(cells []plan.Compiled, opt Options, heap bool) ([]PlanRun, error) {
+	runs := make([]PlanRun, len(cells))
+	errs := make([]error, len(cells))
+	forEachRun(len(cells), func(i int) { runs[i], errs[i] = runCell(cells[i], opt, heap) })
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	return results, nil
+	return runs, nil
 }
 
 // Options tunes experiment scale, seed and key overrides, so the same
@@ -114,6 +198,10 @@ type Experiment struct {
 	// Build returns the experiment's plans and its renderer, which sees
 	// the plans' runs in plan order, each plan's in matrix order.
 	Build func(opt Options) ([]*plan.Plan, Renderer, error)
+	// Heap asks for each cell's live-heap growth (PlanRun.Heap): a
+	// forced GC before the cell is built and after it has run. It means
+	// something only when one cell runs at a time.
+	Heap bool
 }
 
 // Renderer prints an experiment's figure from its plans' runs.
@@ -136,9 +224,13 @@ func (e Experiment) compile(opt Options) ([]plan.Compiled, Renderer, error) {
 }
 
 // Check reports, without simulating, whether the experiment can run
-// under opt: its plans compile and every override lands.
+// under opt: its plans compile, every override lands, and a snapshot
+// to restore from belongs to the run.
 func (e Experiment) Check(opt Options) error {
-	_, _, err := e.compile(opt)
+	cells, _, err := e.compile(opt)
+	if err == nil && opt.Restore != "" {
+		err = endure.ValidateSnapshot(endureOptions(cells[0].Cfg, opt), opt.Restore)
+	}
 	return err
 }
 
@@ -149,24 +241,27 @@ func (e Experiment) runs(opt Options) ([]PlanRun, Renderer, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	results, err := Sweep(cells)
-	if err != nil {
-		return nil, nil, err
-	}
-	runs := make([]PlanRun, len(cells))
-	for i, c := range cells {
-		runs[i] = PlanRun{c, results[i]}
-	}
-	return runs, render, nil
+	runs, err := sweep(cells, opt, e.Heap)
+	return runs, render, err
 }
 
-// Run executes the experiment and prints its figure.
+// Run executes the experiment and prints its figure. A cell that failed
+// simfsck fails the run once the figure is out: the error names the
+// first such cell and the command that replays it.
 func (e Experiment) Run(w io.Writer, opt Options) error {
 	runs, render, err := e.runs(opt)
+	if err == nil {
+		err = render(w, runs)
+	}
 	if err != nil {
 		return err
 	}
-	return render(w, runs)
+	failed := slices.IndexFunc(runs, func(r PlanRun) bool { return r.Fsck != nil })
+	if failed < 0 {
+		return nil
+	}
+	r := &runs[failed]
+	return fmt.Errorf("%s failed simfsck (replay: %s):\n%v", r.Label, plan.CommandLine(r.Cfg), r.Fsck)
 }
 
 // All returns every experiment in figure order.
@@ -217,9 +312,10 @@ func All() []Experiment {
 	}
 }
 
-// ByID finds an experiment among the figures and the extras.
+// ByID finds an experiment among the figures, the extras and the chaos
+// budget.
 func ByID(id string) (Experiment, bool) {
-	for _, e := range append(All(), Extras()...) {
+	for _, e := range append(All(), append(Extras(), Chaos())...) {
 		if e.ID == id {
 			return e, true
 		}

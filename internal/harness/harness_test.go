@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -22,16 +23,36 @@ func tinyCfg(strategy string) cluster.Config {
 	return cfg
 }
 
-func TestRunOneAndSweep(t *testing.T) {
-	specs := []RunSpec{
-		{Label: "a", Cfg: tinyCfg(cluster.StratDynamic)},
-		{Label: "b", Cfg: tinyCfg(cluster.StratFileHash)},
-		{Label: "c", Cfg: tinyCfg(cluster.StratStatic)},
-	}
-	results, err := Sweep(specs)
+// runOne runs one cell alone.
+func runOne(t *testing.T, c plan.Compiled) *cluster.Result {
+	t.Helper()
+	run, err := runCell(c, Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return run.Res
+}
+
+// results sweeps the cells and returns their results.
+func results(t *testing.T, cells []plan.Compiled) []*cluster.Result {
+	t.Helper()
+	runs, err := sweep(cells, Options{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]*cluster.Result, len(runs))
+	for i := range runs {
+		out[i] = runs[i].Res
+	}
+	return out
+}
+
+func TestRunOneAndSweep(t *testing.T) {
+	results := results(t, []plan.Compiled{
+		{Label: "a", Cfg: tinyCfg(cluster.StratDynamic)},
+		{Label: "b", Cfg: tinyCfg(cluster.StratFileHash)},
+		{Label: "c", Cfg: tinyCfg(cluster.StratStatic)},
+	})
 	if len(results) != 3 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -46,16 +67,9 @@ func TestRunOneAndSweep(t *testing.T) {
 }
 
 func TestSweepParallelismMatchesSerial(t *testing.T) {
-	spec := RunSpec{Label: "x", Cfg: tinyCfg(cluster.StratDynamic)}
-	serial, err := RunOne(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Sweep([]RunSpec{spec, spec, spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range par {
+	spec := plan.Compiled{Label: "x", Cfg: tinyCfg(cluster.StratDynamic)}
+	serial := runOne(t, spec)
+	for i, r := range results(t, []plan.Compiled{spec, spec, spec}) {
 		if r.MeasuredOps != serial.MeasuredOps || r.HitRate != serial.HitRate {
 			t.Fatalf("parallel run %d diverged from serial: %v vs %v", i, r, serial)
 		}
@@ -83,24 +97,13 @@ func TestDeterminism(t *testing.T) {
 	cfg.FS.Users = 10
 	cfg.Duration = 2 * sim.Second
 	cfg.Warmup = 500 * sim.Millisecond
-	spec := RunSpec{Label: "det", Cfg: cfg}
+	spec := plan.Compiled{Label: "det", Cfg: cfg}
 
-	first, err := RunOne(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := RunOne(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first, second := runOne(t, spec), runOne(t, spec)
 	if !reflect.DeepEqual(stripWall(first), stripWall(second)) {
 		t.Fatalf("serial reruns diverged:\n first: %+v\nsecond: %+v", first, second)
 	}
-	swept, err := Sweep([]RunSpec{spec, spec, spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range swept {
+	for i, r := range results(t, []plan.Compiled{spec, spec, spec}) {
 		if !reflect.DeepEqual(stripWall(first), stripWall(r)) {
 			t.Fatalf("sweep run %d diverged from serial:\nserial: %+v\n sweep: %+v", i, first, r)
 		}
@@ -109,8 +112,10 @@ func TestDeterminism(t *testing.T) {
 
 func TestSweepPropagatesErrors(t *testing.T) {
 	bad := tinyCfg("Nonsense")
-	if _, err := Sweep([]RunSpec{{Label: "bad", Cfg: bad}}); err == nil {
-		t.Fatal("sweep swallowed an error")
+	_, err := sweep([]plan.Compiled{{Label: "bad", Cfg: bad}}, Options{}, false)
+	var be *BuildError
+	if !errors.As(err, &be) || be.Label != "bad" {
+		t.Fatalf("sweep did not report the cell that failed to build: %v", err)
 	}
 }
 
@@ -148,13 +153,14 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
-// TestExperimentCellsReplay: every cell of every experiment, at both
-// scales, is the default plan under the -set line plan.CommandLine
-// prints for it, field for field — so a figure cell reproduces from its
-// repro line alone — and every experiment's plans print as canonical
-// text that parses back to the same text.
+// TestExperimentCellsReplay: every cell of every experiment and of the
+// chaos budget, at both scales, is the default plan under the -set line
+// plan.CommandLine prints for it, field for field — so a figure cell or
+// a chaos failure reproduces from its repro line alone — and every
+// experiment's plans print as canonical text that parses back to the
+// same text.
 func TestExperimentCellsReplay(t *testing.T) {
-	for _, e := range append(All(), Extras()...) {
+	for _, e := range append(All(), append(Extras(), Chaos())...) {
 		for _, quick := range []bool{false, true} {
 			opt := Options{Seed: 1, Quick: quick}
 			ps, _, err := e.Build(opt)

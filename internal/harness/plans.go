@@ -5,15 +5,27 @@ import (
 	"io"
 
 	"dynmds/internal/cluster"
+	"dynmds/internal/endure"
 	"dynmds/internal/metrics"
 	"dynmds/internal/plan"
 )
 
-// PlanRun is one executed cell of a plan: the compiled cell and its
-// result.
+// PlanRun is one executed cell of a plan: the compiled cell, its
+// result, and what the cell runner checked beside it.
 type PlanRun struct {
 	plan.Compiled
 	Res *cluster.Result
+	// Fsck is the simfsck violation of a faulted or checkpointed cell;
+	// nil when the cell was clean or not checked.
+	Fsck error
+	// Endure is the degradation curve and digest of a cell with a
+	// checkpoint cadence; Soak the rolling schedule and the shrunk
+	// failure of one that soaks.
+	Endure *endure.Result
+	Soak   *endure.SoakReport
+	// Heap is the cell's live-heap growth in bytes, when its experiment
+	// asks for it.
+	Heap int64
 }
 
 // Scenario wraps a scenario plan — a library plan or a plan file — as an

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dynmds/internal/cluster"
+	"dynmds/internal/plan"
 	"dynmds/internal/sim"
 )
 
@@ -39,16 +40,14 @@ func privateRun(t *testing.T, cfg cluster.Config) *cluster.Result {
 // generation, and a second sweep is pure reuse.
 func TestSharedSnapshotCacheReuse(t *testing.T) {
 	resetSnapshotCache(t)
-	var specs []RunSpec
+	var cells []plan.Compiled
 	for _, s := range cluster.Strategies {
-		specs = append(specs, RunSpec{Label: s, Cfg: tinyCfg(s)})
+		cells = append(cells, plan.Compiled{Label: s, Cfg: tinyCfg(s)})
 	}
-	for sweep := 1; sweep <= 2; sweep++ {
-		if _, err := Sweep(specs); err != nil {
-			t.Fatal(err)
-		}
+	for i := 1; i <= 2; i++ {
+		results(t, cells)
 		if gen := snapCache.generated.Load(); gen != 1 {
-			t.Fatalf("after sweep %d: generated=%d, want 1", sweep, gen)
+			t.Fatalf("after sweep %d: generated=%d, want 1", i, gen)
 		}
 	}
 }
@@ -66,14 +65,14 @@ func TestConcurrentOverlayRuns(t *testing.T) {
 	// All goroutines race on a cold cache: one generates, the rest
 	// block on the entry's once and then share the frozen base.
 	const runs = 4
-	results := make([]*cluster.Result, runs)
+	results := make([]PlanRun, runs)
 	errs := make([]error, runs)
 	var wg sync.WaitGroup
 	for i := 0; i < runs; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = RunOne(RunSpec{Label: "conc", Cfg: cfg})
+			results[i], errs[i] = runCell(plan.Compiled{Label: "conc", Cfg: cfg}, Options{}, false)
 		}(i)
 	}
 	wg.Wait()
@@ -81,8 +80,8 @@ func TestConcurrentOverlayRuns(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		if !reflect.DeepEqual(stripWall(want), stripWall(results[i])) {
-			t.Fatalf("concurrent run %d diverged:\nprivate: %+v\nshared: %+v", i, want, results[i])
+		if !reflect.DeepEqual(stripWall(want), stripWall(results[i].Res)) {
+			t.Fatalf("concurrent run %d diverged:\nprivate: %+v\nshared: %+v", i, want, results[i].Res)
 		}
 	}
 	if gen := snapCache.generated.Load(); gen != 1 {

@@ -8,6 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"dynmds/internal/sim"
@@ -120,6 +121,12 @@ func (s *Series) Observe(now sim.Time, x float64) {
 
 // Len returns the number of buckets touched so far.
 func (s *Series) Len() int { return len(s.sums) }
+
+// Clone returns a copy of the series that later observations of s do
+// not reach.
+func (s *Series) Clone() *Series {
+	return &Series{Bucket: s.Bucket, sums: slices.Clone(s.sums), counts: slices.Clone(s.counts)}
+}
 
 // Sum returns the accumulated sum in bucket i (0 if untouched).
 func (s *Series) Sum(i int) float64 {

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"dynmds/internal/chaos"
 	"dynmds/internal/client"
 	"dynmds/internal/cluster"
 	"dynmds/internal/core"
@@ -232,6 +233,10 @@ var keys = []key{
 		func(c *cluster.Config) *sim.Time { return &c.Warmup }),
 	timeKey("duration", "", "simulated length of the run", sim.Microsecond,
 		func(c *cluster.Config) *sim.Time { return &c.Duration }),
+	timeKey("checkpoint", "", "endurance: quiesce, simfsck and snapshot the run at this cadence (0s = never)", 0,
+		func(c *cluster.Config) *sim.Time { return &c.Checkpoint }),
+	numKey("soak", "", "endurance: rolling crash/recover cycles over nodes 1..n-1 (0 = none)", 0, inf,
+		func(c *cluster.Config) *int { return &c.Soak }),
 }
 
 // mechanisms indexes the coherence mechanisms by leases | fanout<<1.
@@ -485,6 +490,37 @@ func Apply(cfg *cluster.Config, set []Setting) error {
 	}
 	if err != nil {
 		return fmt.Errorf("faults: %w", err)
+	}
+	return checkEndure(cfg)
+}
+
+// checkEndure vets the endurance keys: a soak rides on a checkpoint
+// cadence and brings its own fault schedule, and a cadence needs a
+// config the checkpoint codec covers, room for a quiesce drain, and a
+// run at least one cadence long.
+func checkEndure(cfg *cluster.Config) error {
+	if cfg.Soak > 0 {
+		switch {
+		case cfg.Checkpoint == 0:
+			return fmt.Errorf("soak needs a checkpoint cadence (checkpoint=...)")
+		case cfg.Faults != "":
+			return fmt.Errorf("soak generates its own fault schedule; drop faults")
+		}
+		if _, err := chaos.GenerateRolling(chaos.RollingConfig{NumMDS: cfg.NumMDS, Cycles: cfg.Soak, Horizon: cfg.Duration}); err != nil {
+			return fmt.Errorf("soak: %w", err)
+		}
+	}
+	if cfg.Checkpoint == 0 {
+		return nil
+	}
+	switch {
+	case cfg.Checkpoint <= cluster.QuiesceDrain:
+		return fmt.Errorf("checkpoint %s must exceed the %s quiesce drain", sim.FormatTime(cfg.Checkpoint), sim.FormatTime(cluster.QuiesceDrain))
+	case cfg.Duration < cfg.Checkpoint:
+		return fmt.Errorf("duration %s is shorter than the %s checkpoint cadence", sim.FormatTime(cfg.Duration), sim.FormatTime(cfg.Checkpoint))
+	}
+	if err := cfg.EndureCheck(); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil
 }

@@ -154,9 +154,10 @@ optimize hot ops p99 load-spread
 // create/rename/unlink turnover that pushes the COW overlay away from
 // its frozen base (tombstones accumulate, directories fragment), with a
 // stat-heavy settle so the aged namespace is then read back through the
-// overlay it degraded. `mdsim -checkpoint-every` runs the same shape with
-// checkpoints and simfsck; this plan exposes it to the comparison
-// matrix so strategies can be ranked on an aged namespace.
+// overlay it degraded. The plan ranks strategies on an aged namespace;
+// it cannot take a checkpoint cadence, because the checkpoint codec does
+// not cover acts — a run with -set checkpoint= (default plan, a rate and
+// a churn mix) ages the namespace with checkpoints and simfsck.
 const agingSrc = `plan namespace-aging
 describe Namespace aging: sustained create/rename/unlink churn ages the overlay, then stat traffic reads it back.
 fs users=60

@@ -136,6 +136,12 @@ type Options struct {
 	// (mdsim -set). Overriding a key the matrix sweeps is an error: the
 	// sweep would collapse.
 	Set []Setting
+	// CheckpointDir and Restore are the endurance plane's files (mdsim
+	// -checkpoint-dir, -restore): the directory a run with a checkpoint
+	// cadence writes its snapshots to, and the snapshot it resumes from.
+	// Only a plan of one cell with a cadence takes them, and a soak,
+	// which starts from its own schedule at t=0, takes no Restore.
+	CheckpointDir, Restore string
 }
 
 // Compiled is one runnable cell of a plan.
@@ -348,6 +354,16 @@ func (p *Plan) Compile(opt Options) ([]Compiled, error) {
 			return nil, fmt.Errorf("plan %s: %w", label, err)
 		}
 		out = append(out, Compiled{Label: label, Cell: cell, Cfg: cfg})
+	}
+	if opt.CheckpointDir != "" || opt.Restore != "" {
+		switch {
+		case len(out) != 1:
+			return nil, fmt.Errorf("plan %s: -checkpoint-dir and -restore take a plan of one run, not %d", p.Name, len(out))
+		case out[0].Cfg.Checkpoint == 0:
+			return nil, fmt.Errorf("plan %s: -checkpoint-dir and -restore need a checkpoint cadence (-set checkpoint=...)", p.Name)
+		case opt.Restore != "" && out[0].Cfg.Soak > 0:
+			return nil, fmt.Errorf("plan %s: a soak starts from its own schedule at t=0; drop -restore", p.Name)
+		}
 	}
 	return out, nil
 }

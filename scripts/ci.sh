@@ -35,7 +35,7 @@ budget() {
     fi
 }
 budget README.md $((24 * 1024))
-budget DESIGN.md 58939
+budget DESIGN.md 58931
 
 # -race on the small CI box is ~6x slower than native; give packages
 # headroom past go test's 10m default so a busy host doesn't flake. The
@@ -129,7 +129,7 @@ fi
 # fault schedules, each against all five strategies, every finished
 # run checked by simfsck. Any invariant violation exits non-zero (and
 # prints a shrunk minimal repro with its replay line).
-"$RACE" -chaos-runs 50 -seed 1
+"$RACE" -plan chaos -seed 1
 
 # Scenario-plan engine: one library plan end to end under the race
 # detector (acts retarget the live population mid-run), then the whole
@@ -169,10 +169,11 @@ echo "ci: goldens match"
 "$RACE" -plan hotspot-duel -quick
 
 # Endurance smoke under the race detector: a short aging run with two
-# checkpoints, each quiesced, simfsck-checked, and snapshotted.
+# checkpoints (the checkpoint key), each quiesced, simfsck-checked, and
+# snapshotted.
 ENDTMP="$TMP/endure"
 mkdir "$ENDTMP"
-AGING="-set rate=0.05 -set clients=20000 -set tenant-skew=1 -set file-skew=1 -set duration=5s -set warmup=1s -checkpoint-every 2.5"
+AGING="-set rate=0.05 -set clients=20000 -set tenant-skew=1 -set file-skew=1 -set duration=5s -set warmup=1s -set checkpoint=2.5s"
 "$RACE" $AGING -checkpoint-dir "$ENDTMP"
 
 # Restore determinism assert: resuming from the first snapshot must
@@ -187,9 +188,20 @@ if [ -z "$FULL" ] || [ "$FULL" != "$REST" ]; then
 fi
 echo "ci: endurance restore determinism passed"
 
+# Soak smoke under the race detector: the rolling chaos soak crashes and
+# recovers nodes 1-3 in turn four times over the run, simfsck at every
+# checkpoint.
+"$RACE" -set rate=0.03 -set clients=20000 -set users=60 -set duration=10s -set warmup=1s \
+    -set checkpoint=2.5s -set soak=4 >"$TMP/soak.txt"
+if ! grep -q '^soak: clean' "$TMP/soak.txt"; then
+    cat "$TMP/soak.txt" >&2
+    echo "ci: the soak smoke is not clean" >&2
+    exit 1
+fi
+
 # The documents describe the mdsim that exists: none of them may spell a
 # flag that -set replaced or that was deleted.
-GONE='fig|list-plans|strategy|mds|clients|users|cache|dur|warmup|net-model|link-bw|faults|shards|open-loop|open-rate|open-tenants|tenant-skew|file-skew|diurnal|burst-prob|leases|replica-fanout|endure|chaos-seed|compact-at'
+GONE='fig|list-plans|strategy|mds|clients|users|cache|dur|warmup|net-model|link-bw|faults|shards|open-loop|open-rate|open-tenants|tenant-skew|file-skew|diurnal|burst-prob|leases|replica-fanout|endure|chaos-seed|compact-at|checkpoint-every|soak-cycles|chaos-runs|chaos-intensity'
 if grep -rnE "(^|[^[:alnum:]-])-($GONE)([^[:alnum:]-]|\$)" \
     README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; then
     echo "ci: the lines above mention an mdsim flag that no longer exists (use -plan / -set key=value, or drop it)" >&2
