@@ -6,7 +6,6 @@ import (
 
 	"dynmds/internal/cache"
 	"dynmds/internal/cluster"
-	"dynmds/internal/dirstore"
 	"dynmds/internal/namespace"
 	"dynmds/internal/net"
 	"dynmds/internal/partition"
@@ -15,10 +14,9 @@ import (
 // Baseline captures pre-run facts Fsck needs to scope its checks.
 // Capture it after cluster.New and before Run.
 type Baseline struct {
-	// MaxInodeID is the namespace's ID watermark before the run; any
-	// live inode above it was created by the workload, so the dirstore
-	// must know about it (pre-existing inodes were generated, not
-	// written through an MDS).
+	// MaxInodeID is the namespace's ID watermark before the run. IDs
+	// are never reused, so the tree's watermark after the run may not
+	// fall below it.
 	MaxInodeID namespace.InodeID
 	// PriorMaxID is the watermark recorded in the checkpoint a restored
 	// run resumed from (zero for fresh runs). IDs are never reused, so
@@ -54,10 +52,6 @@ func Capture(cl *cluster.Cluster) Baseline {
 //     unflushed-writer bit names a node outside the cluster; after the
 //     drain, unflushed-writer bits on reachable inodes belong only to
 //     failed nodes (live replicas flush within the drain window);
-//   - dirstore <-> namespace: every record whose inode still exists
-//     agrees with it on kind (IDs are never reused); every reachable
-//     inode created during the run is findable by (parent, name) in
-//     some node's directory objects (dir-granular strategies);
 //   - fabric conservation: per class sent == delivered + dropped, no
 //     in-flight messages or leaked envelopes after the drain;
 //   - op accounting: issued == completed + timedout per client, no
@@ -76,7 +70,6 @@ func Fsck(cl *cluster.Cluster, base Baseline) error {
 	checkNamespace(cl, base, fail)
 	checkAuthority(cl, fail)
 	checkReplicaEntries(cl, fail)
-	checkDirstore(cl, base, fail)
 	checkFabric(cl, fail)
 	checkOps(cl, fail)
 	checkJournal(cl, fail)
@@ -284,63 +277,6 @@ func checkReplicaEntries(cl *cluster.Cluster, fail func(string, ...any)) {
 			}
 		})
 	}
-}
-
-// checkDirstore cross-checks the long-term tier against the namespace.
-func checkDirstore(cl *cluster.Cluster, base Baseline, fail func(string, ...any)) {
-	tree := cl.Tree()
-	// (a) Records never contradict a live inode's kind: inode IDs are
-	// never reused and a file cannot become a directory, so even a
-	// record left stale by an authority migration must agree on kind.
-	for i, node := range cl.Nodes {
-		bad := 0
-		node.Store().Dirs.ForEach(func(dir namespace.InodeID, t *dirstore.Tree) {
-			if err := t.CheckInvariants(); err != nil {
-				fail("dirstore mds%d dir %d: %v", i, dir, err)
-				bad++
-			}
-			t.Range(func(rec dirstore.Record) bool {
-				ino, ok := tree.ByID(rec.Ino)
-				if ok && ino.Kind != rec.Kind {
-					fail("dirstore mds%d: record %q in dir %d has kind %v, inode %d is %v",
-						i, rec.Name, dir, rec.Kind, rec.Ino, ino.Kind)
-					bad++
-				}
-				return bad < 3
-			})
-		})
-	}
-	// (b) Every reachable inode created during the run is findable by
-	// its current (parent, name) on some node: the applying MDS wrote
-	// the record in the same event as the namespace mutation, crashes
-	// do not erase disk, and renames re-record under the new parent.
-	if !cl.Strategy.DirGranular() {
-		return
-	}
-	missing := 0
-	tree.Walk(func(ino *namespace.Inode) bool {
-		if missing >= 5 {
-			return false
-		}
-		if ino.ID <= base.MaxInodeID || ino.Parent() == nil {
-			return true
-		}
-		found := false
-		for _, node := range cl.Nodes {
-			if t, ok := node.Store().Dirs.Object(ino.Parent().ID); ok {
-				if rec, ok := t.Get(ino.Name()); ok && rec.Ino == ino.ID {
-					found = true
-					break
-				}
-			}
-		}
-		if !found {
-			fail("dirstore: run-created inode %s (id %d) has no record under (dir %d, %q) on any node",
-				ino.Path(), ino.ID, ino.Parent().ID, ino.Name())
-			missing++
-		}
-		return true
-	})
 }
 
 // checkFabric verifies message conservation after the drain.

@@ -6,8 +6,6 @@ import (
 
 	"dynmds/internal/client"
 	"dynmds/internal/cluster"
-	"dynmds/internal/dirstore"
-	"dynmds/internal/namespace"
 	"dynmds/internal/partition"
 	"dynmds/internal/sim"
 	"dynmds/internal/workload"
@@ -138,17 +136,6 @@ func TestFsckDetectsPlantedViolations(t *testing.T) {
 		err := Fsck(cl, base)
 		if err == nil || !strings.Contains(err.Error(), "unflushed write") {
 			t.Errorf("planted stale unflushed-writer bit not caught: %v", err)
-		}
-	})
-	t.Run("dirstore-kind-mismatch", func(t *testing.T) {
-		cl, base := runDrained(t, tinyConfig(cluster.StratStatic, ""))
-		// Record the root directory as a file under a bogus name.
-		cl.Nodes[0].Store().Dirs.Insert(cl.Tree().Root.ID, dirstore.Record{
-			Name: "fsck-bogus", Ino: cl.Tree().Root.ID, Kind: namespace.File,
-		})
-		err := Fsck(cl, base)
-		if err == nil || !strings.Contains(err.Error(), "kind") {
-			t.Errorf("planted kind mismatch not caught: %v", err)
 		}
 	})
 	t.Run("dead-node-owning-roots", func(t *testing.T) {

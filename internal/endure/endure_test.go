@@ -287,12 +287,13 @@ func TestValidateSnapshot(t *testing.T) {
 
 // TestSnapshotVersionRejected: a file of another format version — an
 // older one (version 1 carried latency recorders, version 2 tombstone
-// and wheel fields and RNG states, version 3 shard-count slots, all of
-// which this format dropped) or one past this
+// and wheel fields and RNG states, version 3 shard-count slots,
+// version 4 each store's directory objects and three unread MDS
+// counters, all of which this format dropped) or one past this
 // build's — is refused with the version message before any post-version
 // field is decoded.
 func TestSnapshotVersionRejected(t *testing.T) {
-	for _, version := range []int{1, 2, 3, SnapshotVersion + 1} {
+	for _, version := range []int{1, 2, 3, 4, SnapshotVersion + 1} {
 		path := filepath.Join(t.TempDir(), "other.snap")
 		data := versionOnlySnapshot(version)
 		if err := os.WriteFile(path, data, 0o644); err != nil {

@@ -14,7 +14,7 @@ import (
 // SnapshotVersion is the endurance snapshot format version. Bump it on
 // any incompatible change to the section layout; Restore rejects
 // mismatched files rather than misreading them.
-const SnapshotVersion = 4
+const SnapshotVersion = 5
 
 // header is the "endure" section at the front of every snapshot file:
 // enough to validate the restoring run's configuration and position the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"dynmds/internal/dirstore"
 	"dynmds/internal/msg"
 	"dynmds/internal/namespace"
 	"dynmds/internal/partition"
@@ -158,56 +157,4 @@ func TestUnlinkClosedFileReapsImmediately(t *testing.T) {
 	if m.Cache().Contains(f.ID) {
 		t.Fatal("unlinked record still cached")
 	}
-}
-
-func TestDirObjectAccounting(t *testing.T) {
-	eng := sim.NewEngine()
-	cl, tree, _ := buildCluster(t, eng, 1, func(tr *namespace.Tree) partition.Strategy {
-		return partition.NewStaticSubtree(1, tr, 2)
-	}, false)
-	m := cl.nodes[0]
-	dir := lookup(t, tree, "/home/u2")
-	m.Receive(&msg.Request{ID: 1, Op: msg.Create, Target: dir, NewName: "obj1"})
-	m.Receive(&msg.Request{ID: 2, Op: msg.Create, Target: dir, NewName: "obj2"})
-	eng.Run()
-	obj, ok := m.Store().Dirs.Object(dir.ID)
-	if !ok {
-		t.Fatal("no directory object materialised")
-	}
-	if n := entries(obj); n != 2 {
-		t.Fatalf("object has %d entries", n)
-	}
-	if m.Store().Dirs.NodesWritten == 0 {
-		t.Fatal("no write amplification accounted")
-	}
-	f := lookup(t, tree, "/home/u2/obj1")
-	m.Receive(&msg.Request{ID: 3, Op: msg.Unlink, Target: f})
-	eng.Run()
-	if n := entries(obj); n != 1 {
-		t.Fatalf("live object has %d entries after unlink", n)
-	}
-	if _, ok := obj.Get("obj1"); ok {
-		t.Fatal("unlinked entry still in the live object")
-	}
-}
-
-func TestDirObjectSkippedForScatteredLayouts(t *testing.T) {
-	eng := sim.NewEngine()
-	cl, tree, _ := buildCluster(t, eng, 1, func(tr *namespace.Tree) partition.Strategy {
-		return partition.FileHash{N: 1}
-	}, false)
-	m := cl.nodes[0]
-	dir := lookup(t, tree, "/home/u2")
-	m.Receive(&msg.Request{ID: 1, Op: msg.Create, Target: dir, NewName: "scattered"})
-	eng.Run()
-	m.Store().Dirs.ForEach(func(namespace.InodeID, *dirstore.Tree) {
-		t.Fatal("per-inode layout materialised directory objects")
-	})
-}
-
-// entries counts a directory object's records.
-func entries(t *dirstore.Tree) int {
-	n := 0
-	t.Range(func(dirstore.Record) bool { n++; return true })
-	return n
 }

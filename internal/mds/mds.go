@@ -14,7 +14,6 @@ package mds
 import (
 	"dynmds/internal/cache"
 	"dynmds/internal/core"
-	"dynmds/internal/dirstore"
 	"dynmds/internal/lease"
 	"dynmds/internal/metrics"
 	"dynmds/internal/msg"
@@ -120,14 +119,12 @@ type Cluster interface {
 
 // Stats counts one node's activity.
 type Stats struct {
-	Received        uint64 // all arrivals (client + forwarded)
 	ClientArrivals  uint64 // arrivals directly from clients
 	Served          uint64 // replies sent (including replica serves)
 	ReplicaServes   uint64
 	Forwarded       uint64
 	CacheMissLoads  uint64 // fetches that went to disk or a peer
 	RemoteFetches   uint64 // prefix fetches sent to peers
-	PeerFetchServes uint64
 	ReplicaInstalls uint64
 	ReplicasPushed  uint64
 	LHApplied       uint64 // lazy ACL propagations performed
@@ -142,13 +139,11 @@ type Stats struct {
 	DeadLetters   uint64 // requests dropped: authority confirmed down
 
 	// Cache-coherence traffic (§4.2): updates pushed to replica
-	// holders, updates received for local replicas, and
-	// discard notices sent to / received by authorities when a
-	// replica is evicted.
+	// holders, updates received for local replicas, and discard
+	// notices sent to authorities when a replica is evicted.
 	CoherenceSent     uint64
 	CoherenceReceived uint64
 	EvictNoticesSent  uint64
-	EvictNoticesRecvd uint64
 
 	// Deleted-while-open retention (§4.5).
 	OrphansRetained uint64
@@ -335,13 +330,15 @@ func New(id int, eng *sim.Engine, cfg Config, strat partition.Strategy, tc *core
 			return
 		}
 		m.Stats.EvictNoticesSent++
-		peer := m.cluster.Node(auth)
-		m.fab.Send(net.EvictNotice, m.id, auth, net.Bytes(net.EvictNotice), evictNoticeArrive, peer, nil)
+		m.fab.Send(net.EvictNotice, m.id, auth, net.Bytes(net.EvictNotice), evictNoticeArrive, nil, nil)
 	}
 	return m
 }
 
-func evictNoticeArrive(a, _ any) { a.(*MDS).Stats.EvictNoticesRecvd++ }
+// evictNoticeArrive is the EvictNotice class's delivery continuation:
+// the sender already cleared its replica bit, so arrival is pure
+// accounting (the fabric's per-class counters conserve it).
+func evictNoticeArrive(_, _ any) {}
 
 // AttachLeasePlane activates the hotspot-mitigation plane on this node:
 // read-lease grants on replies, recall-on-mutate notices, and
@@ -463,7 +460,6 @@ func (m *MDS) Receive(req *msg.Request) {
 		m.fab.Send(net.FwdAck, m.id, via, net.Bytes(net.FwdAck),
 			fwdAckArrive, m.cluster.Node(via), req)
 	}
-	m.Stats.Received++
 	if req.Hops == 0 {
 		m.Stats.ClientArrivals++
 	}
@@ -786,7 +782,6 @@ func (m *MDS) handleFetch(ino *namespace.Inode, fn sim.EventFunc, a, b any) {
 	if m.failed {
 		return
 	}
-	m.Stats.PeerFetchServes++
 	pf := m.getFetch()
 	pf.ino, pf.fn, pf.a, pf.b = ino, fn, a, b
 	m.cpu.SubmitCall(m.svc(peerService), peerFetchServe, pf, nil)
@@ -1240,20 +1235,16 @@ func (m *MDS) applyUpdate(req *msg.Request) {
 			// first authority walk.
 			_ = partition.TagsOf(n)
 			m.cacheNew(n)
-			m.dirObjectInsert(req.Target, n)
 		}
 	case msg.Mkdir:
 		if n, err := tree.Mkdir(req.Target, req.NewName); err == nil {
 			_ = partition.TagsOf(n)
 			m.cacheNew(n)
-			m.dirObjectInsert(req.Target, n)
 		}
 	case msg.Unlink:
 		if !req.Target.IsDir() {
 			id := req.Target.ID
-			parent, name := req.Target.Parent(), req.Target.Name()
 			if err := tree.Remove(req.Target); err == nil {
-				m.dirObjectDelete(parent, name)
 				if m.opens[id] > 0 {
 					// Deleted while open: retain the record until the
 					// last close (§4.5).
@@ -1266,7 +1257,6 @@ func (m *MDS) applyUpdate(req *msg.Request) {
 		}
 	case msg.Chmod:
 		tree.Chmod(req.Target, req.Target.Mode^0o022)
-		m.dirObjectInsert(req.Target.Parent(), req.Target)
 		if req.Target.IsDir() && m.lh != nil {
 			m.lh.NoteDirUpdate(req.Target)
 		}
@@ -1275,13 +1265,8 @@ func (m *MDS) applyUpdate(req *msg.Request) {
 	case msg.Rename:
 		if req.DstDir != nil {
 			wasDir := req.Target.IsDir()
-			oldParent, oldName := req.Target.Parent(), req.Target.Name()
-			if err := tree.Rename(req.Target, req.DstDir, req.NewName); err == nil {
-				m.dirObjectDelete(oldParent, oldName)
-				m.dirObjectInsert(req.DstDir, req.Target)
-				if wasDir && m.lh != nil {
-					m.lh.NoteDirUpdate(req.Target)
-				}
+			if err := tree.Rename(req.Target, req.DstDir, req.NewName); err == nil && wasDir && m.lh != nil {
+				m.lh.NoteDirUpdate(req.Target)
 			}
 		}
 	}
@@ -1295,30 +1280,6 @@ func (m *MDS) applyUpdate(req *msg.Request) {
 		}
 		m.dyn.MaybeHashDir(dir)
 	}
-}
-
-// dirObjectInsert records an entry write in the long-term tier's
-// per-directory B-tree object (§4.6). Only directory-granular layouts
-// group entries into directory objects.
-func (m *MDS) dirObjectInsert(dir, entry *namespace.Inode) {
-	if dir == nil || !m.strat.DirGranular() {
-		return
-	}
-	m.store.Dirs.Insert(dir.ID, dirstore.Record{
-		Name: entry.Name(),
-		Ino:  entry.ID,
-		Kind: entry.Kind,
-		Mode: entry.Mode,
-		Size: entry.Size,
-	})
-}
-
-// dirObjectDelete records an entry removal in the directory object.
-func (m *MDS) dirObjectDelete(dir *namespace.Inode, name string) {
-	if dir == nil || !m.strat.DirGranular() {
-		return
-	}
-	m.store.Dirs.Delete(dir.ID, name)
 }
 
 // cacheNew caches a just-created inode on its authority (this node).

@@ -18,13 +18,13 @@ import (
 // statFields enumerates every Stats counter in serialization order.
 func (s *Stats) statFields() []*uint64 {
 	return []*uint64{
-		&s.Received, &s.ClientArrivals, &s.Served, &s.ReplicaServes,
+		&s.ClientArrivals, &s.Served, &s.ReplicaServes,
 		&s.Forwarded, &s.CacheMissLoads, &s.RemoteFetches,
-		&s.PeerFetchServes, &s.ReplicaInstalls, &s.ReplicasPushed,
+		&s.ReplicaInstalls, &s.ReplicasPushed,
 		&s.LHApplied, &s.Commits, &s.Imported, &s.Exported, &s.Dropped,
 		&s.FetchTimeouts, &s.FwdTimeouts, &s.DeadLetters,
 		&s.CoherenceSent, &s.CoherenceReceived, &s.EvictNoticesSent,
-		&s.EvictNoticesRecvd, &s.OrphansRetained, &s.OrphansReaped,
+		&s.OrphansRetained, &s.OrphansReaped,
 		&s.WritesAbsorbed, &s.WriteFlushes, &s.SizeCallbacks,
 		&s.LeaseGrants, &s.LeaseRecalls, &s.LeaseAcks, &s.ReplicaFanouts,
 	}

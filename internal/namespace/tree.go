@@ -67,8 +67,8 @@ func (t *Tree) Len() int { return t.NumFiles + t.NumDirs }
 // MaxID returns the highest inode ID allocated so far. IDs are never
 // reused, so capturing this before a run gives a watermark: any live
 // inode with a larger ID was created during the run. The consistency
-// checker (internal/chaos) uses it to scope its dirstore cross-check to
-// run-created entries.
+// checker (internal/chaos) holds it monotone across a run and across
+// checkpoint/restore.
 func (t *Tree) MaxID() InodeID { return t.nextID }
 
 // Mkdir creates a directory named name under parent.

@@ -1,10 +1,6 @@
 package storage
 
-import (
-	"dynmds/internal/dirstore"
-	"dynmds/internal/namespace"
-	"dynmds/internal/snap"
-)
+import "dynmds/internal/snap"
 
 // Checkpoint codec. Serialized at a quiesce point, when both disks are
 // idle — sim.Server's walk panics otherwise. The bounded log's live map
@@ -43,26 +39,5 @@ func (s *Store) Snap(c *snap.Codec) {
 		if c.Reading() {
 			l.live[*slot]++
 		}
-	}
-
-	n := len(s.Dirs.trees)
-	c.Len(&n)
-	snap.U(c, &s.Dirs.NodesWritten)
-	snap.U(c, &s.Dirs.Updates)
-	// Written in ascending directory order; read as the file gives them,
-	// each into a tree built for it (t == nil).
-	object := func(dir namespace.InodeID, t *dirstore.Tree) {
-		snap.U(c, &dir)
-		if t == nil {
-			t = s.Dirs.tree(dir)
-		}
-		t.Snap(c)
-	}
-	if !c.Reading() {
-		s.Dirs.ForEach(object)
-		return
-	}
-	for ; n > 0 && c.Err() == nil; n-- {
-		object(0, nil)
 	}
 }

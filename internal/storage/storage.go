@@ -35,10 +35,6 @@ const (
 	// LogAppendLatency is the commit latency of one NVRAM-backed log
 	// append: NVRAM in the MDS masks the disk almost entirely.
 	LogAppendLatency = 100 * sim.Microsecond
-	// dirObjectOrder is the order of the copy-on-write B-trees that
-	// model long-term directory objects, accounting incremental write
-	// amplification (§4.6).
-	dirObjectOrder = 32
 )
 
 // Config sizes the store.
@@ -81,9 +77,6 @@ type Store struct {
 	// not scaled (pool service times belong to the pool, not the node).
 	slow float64
 
-	// Dirs is the long-term tier's directory-object model.
-	Dirs *DirObjects
-
 	Stats Stats
 }
 
@@ -97,7 +90,6 @@ func New(eng *sim.Engine, cfg Config) *Store {
 		readDisk: sim.NewServer(eng, 1),
 		logDisk:  sim.NewServer(eng, 1),
 		log:      NewBoundedLog(cfg.LogCapacity),
-		Dirs:     NewDirObjects(dirObjectOrder),
 	}
 }
 

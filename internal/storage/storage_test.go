@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"dynmds/internal/namespace"
+	"dynmds/internal/osd"
 	"dynmds/internal/sim"
 )
 
@@ -170,4 +171,49 @@ func TestDefaultConfig(t *testing.T) {
 	s := New(eng, Config{LogCapacity: 0})
 	s.ReadInodeCall(1, run, nil, nil)
 	eng.Run() // must not panic with clamped log capacity
+}
+
+func TestStoreSharedPoolRouting(t *testing.T) {
+	eng := sim.NewEngine()
+	pool, err := osd.NewPool(eng, osd.DefaultConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.Pool = pool
+	cfg.PoolOwner = 3
+	s := New(eng, cfg)
+
+	var readDone, dirDone, commitDone bool
+	s.ReadInodeCall(11, run, func() { readDone = true }, nil)
+	s.ReadDirCall(12, 5, run, func() { dirDone = true }, nil)
+	s.CommitCall(13, run, func() { commitDone = true }, nil)
+	eng.Run()
+	if !readDone || !dirDone || !commitDone {
+		t.Fatalf("callbacks: %v %v %v", readDone, dirDone, commitDone)
+	}
+	if pool.Stats.Reads != 2 {
+		t.Fatalf("pool reads = %d", pool.Stats.Reads)
+	}
+	if pool.Stats.Writes == 0 {
+		t.Fatal("log append did not reach the pool")
+	}
+	// The local disks saw nothing.
+	if s.readDisk.Submitted != 0 {
+		t.Fatal("local read disk used in pool mode")
+	}
+	// The bounded log still tracks the working set locally.
+	if s.log.live[13] == 0 {
+		t.Fatal("log lost the commit record")
+	}
+}
+
+func TestReadUtilizationLocalMode(t *testing.T) {
+	eng := sim.NewEngine()
+	s := New(eng, testConfig())
+	s.ReadInodeCall(1, run, nil, nil)
+	eng.RunUntil(2 * (ReadLatency + ReadPerRecord))
+	if u := float64(s.readDisk.BusyTime) / float64(eng.Now()); u <= 0.4 || u > 0.6 {
+		t.Fatalf("utilization = %v, want ~0.5", u)
+	}
 }
