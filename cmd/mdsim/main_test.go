@@ -109,6 +109,8 @@ func TestUsageErrors(t *testing.T) {
 		{"fewer closed-loop clients than nodes", []string{"-set", "clients=3", "-set", "mds=8"}},
 		{"shards on the plan with the shared OSD pool", []string{"-plan", "ablations", "-quick", "-set", "shards=2"}},
 		{"-set of an open-loop key on a closed loop", []string{"-set", "tenants=8"}},
+		{"an op mix of no weight", []string{"-set", "rate=0.5", "-set", "clients=2000", "-set", "mix=stat:0",
+			"-set", "duration=2s", "-set", "warmup=1s"}},
 		{"-set on a key the chaos budget sweeps", []string{"-plan", "chaos", "-set", "strategy=FileHash"}},
 		{"-set on the fault schedule the chaos budget sweeps", []string{"-plan", "chaos", "-set", "faults=drop@0.1:all"}},
 		{"endurance on a matrix plan", []string{"-plan", "namespace-aging", "-set", "checkpoint=5s"}},

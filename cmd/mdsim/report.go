@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"dynmds/internal/endure"
 	"dynmds/internal/harness"
 	"dynmds/internal/plan"
 )
@@ -25,13 +24,13 @@ func defaultPlan() harness.Experiment {
 			start := time.Now()
 			return []*plan.Plan{d}, func(w io.Writer, runs []harness.PlanRun) error {
 				r := &runs[0]
-				switch {
-				case r.Soak != nil:
-					writeSoak(w, r, start)
-				case r.Endure != nil:
-					writeEndure(w, r, opt.Restore, start)
-				default:
+				if r.Endure == nil {
 					writeSingle(w, r, start)
+					return nil
+				}
+				harness.WriteEndure(w, r, opt.Restore)
+				if r.Fsck == nil {
+					fmt.Fprintf(w, "wall time: %v\n", time.Since(start).Round(time.Millisecond))
 				}
 				return nil
 			}, nil
@@ -75,62 +74,4 @@ func writeSingle(w io.Writer, r *harness.PlanRun, start time.Time) {
 	fmt.Fprintf(w, "wall time: %v (setup %v, run %v)\n",
 		time.Since(start).Round(time.Millisecond),
 		res.SetupWall.Round(time.Millisecond), res.RunWall.Round(time.Millisecond))
-}
-
-// writeEndure is the report of an endurance run: a line per checkpoint,
-// then the degradation curve, its drift and the run's digest.
-func writeEndure(w io.Writer, r *harness.PlanRun, restore string, start time.Time) {
-	if restore != "" {
-		fmt.Fprintf(w, "restoring from %s\n", restore)
-	}
-	writeRows(w, r.Endure)
-	if fe, ok := endure.IsFsck(r.Fsck); ok {
-		fmt.Fprintf(w, "simfsck: FAIL at checkpoint %d\n%v\n", fe.Checkpoint, fe.Err)
-		return
-	}
-	fmt.Fprint(w, r.Endure.CurveTable())
-	fmt.Fprintf(w, "degradation drift: %.4f (1 - last/peak ops/s)\n", r.Endure.Drift())
-	fmt.Fprintf(w, "digest: %s\n", r.Endure.Digest)
-	fmt.Fprintf(w, "wall time: %v\n", time.Since(start).Round(time.Millisecond))
-}
-
-// writeSoak is the report of a rolling chaos soak: its schedule, then
-// the curve of a clean soak, or the failing checkpoint, the shrunk
-// schedule and the command that replays it.
-func writeSoak(w io.Writer, r *harness.PlanRun, start time.Time) {
-	rep := r.Soak
-	writeRows(w, rep.Result)
-	fmt.Fprintf(w, "soak schedule: %s\n", rep.Schedule)
-	if f := rep.Failure; f != nil {
-		fmt.Fprintf(w, "soak: FAIL (checkpoint %d)\n%v\n", f.Checkpoint, f.Err)
-		if f.Shrunk != "" {
-			fmt.Fprintf(w, "shrunk schedule (%d evals): %s\n", f.Evals, f.Shrunk)
-		}
-		var more []string
-		if f.RestartFrom != "" {
-			fmt.Fprintf(w, "shrink restarted from checkpoint: %s\n", f.RestartFrom)
-			more = []string{"-restore", f.RestartFrom}
-		}
-		cfg := r.Cfg
-		cfg.Faults, cfg.Soak = f.Shrunk, 0
-		fmt.Fprintf(w, "repro: %s\n", plan.CommandLine(cfg, more...))
-		return
-	}
-	fmt.Fprint(w, rep.Result.CurveTable())
-	fmt.Fprintf(w, "soak: clean — %d checkpoints simfsck-verified, drift %.4f\n",
-		len(rep.Result.Rows), rep.Result.Drift())
-	fmt.Fprintf(w, "wall time: %v\n", time.Since(start).Round(time.Millisecond))
-}
-
-// writeRows prints a line per checkpoint that passed.
-func writeRows(w io.Writer, res *endure.Result) {
-	for _, r := range res.Rows {
-		line := fmt.Sprintf("ck %2d t=%6.1fs: %8.0f ops/s, %6d tombstones (%.4f), lazy-miss %.4f, live %7d",
-			r.Index, r.At.Seconds(), r.OpsPerSec, r.Tombstones, r.TombstoneDensity,
-			r.LazyMissRate, r.LiveInodes)
-		if r.Path != "" {
-			line += " -> " + r.Path
-		}
-		fmt.Fprintln(w, line)
-	}
 }

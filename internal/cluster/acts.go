@@ -10,9 +10,9 @@ import (
 
 // ActConfig is one scenario act on a run's timeline: during [From, To)
 // the open-loop traffic plane runs a retargeted rate/mix/hotspot, and
-// the tenant popularity skew may be rebuilt. Acts are validated and
-// resolved against the namespace in New — a bad act is a construction
-// error, never a mid-run surprise.
+// the tenant popularity skew may be rebuilt; a plan's act lines parse to
+// it. Config.Validate checks acts and New resolves them against the
+// namespace: a bad act is refused before any event.
 type ActConfig struct {
 	Name     string
 	From, To sim.Time
@@ -25,69 +25,38 @@ type ActConfig struct {
 	// FileSkew retargets the tenant popularity Zipf exponent at From.
 	// Unlike rate/mix/hotspot it persists past To (reshaping popularity
 	// is a state change, not a phase): a later act, or nothing, reverts
-	// it. Negative means unchanged.
+	// it. Negative means unchanged (0 retargets to uniform).
 	FileSkew float64
-	// Hotspot is an absolute namespace path that absorbs HotFrac of the
-	// act's target draws — the directory of a create storm, the file of
-	// a stat crowd. Empty means no hotspot.
+	// Hotspot is an absolute namespace path that absorbs HotFrac, in
+	// (0, 1], of the act's target draws — the directory of a create
+	// storm, the file of a stat crowd. Empty (HotFrac 0) means none.
 	Hotspot string
 	HotFrac float64
 }
 
-// setupActs validates cfg.Acts, resolves hotspot paths against the
-// fresh snapshot, registers the acts with the population, and schedules
-// the skew retargets.
+// Mix returns the act's op-mix weights in canonical draw order.
+func (a *ActConfig) Mix() [6]float64 {
+	return [...]float64{a.MixStat, a.MixReaddir, a.MixChmod, a.MixCreate, a.MixRename, a.MixUnlink}
+}
+
+// setupActs resolves the acts' hotspot paths against the fresh
+// snapshot, registers the acts with the population, and schedules the
+// skew retargets.
 func (c *Cluster) setupActs() error {
-	cfg := c.Cfg
-	if len(cfg.Acts) == 0 {
+	if len(c.Cfg.Acts) == 0 {
 		return nil
 	}
-	if c.Pop == nil {
-		return fmt.Errorf("cluster: acts require the open-loop traffic plane (set OpenLoop)")
-	}
-	baseMix := cfg.OpenLoop.EffectiveMix()
-	acts := make([]client.Act, len(cfg.Acts))
-	var prevTo sim.Time
-	prevName := ""
-	for i, a := range cfg.Acts {
-		if a.Name == "" {
-			return fmt.Errorf("cluster: act %d has no name", i)
-		}
-		if a.From < 0 || a.To <= a.From {
-			return fmt.Errorf("cluster: act %q: window %v..%v does not move forward", a.Name, a.From, a.To)
-		}
-		if a.To > cfg.Duration {
-			return fmt.Errorf("cluster: act %q ends at %v, past the run duration %v", a.Name, a.To, cfg.Duration)
-		}
-		if a.From < prevTo {
-			return fmt.Errorf("cluster: act %q (from %v) overlaps act %q (ends %v)", a.Name, a.From, prevName, prevTo)
-		}
-		prevTo, prevName = a.To, a.Name
-		if a.RateMul < 0 {
-			return fmt.Errorf("cluster: act %q: rate multiplier %g must be >= 0", a.Name, a.RateMul)
-		}
-		mix := [...]float64{a.MixStat, a.MixReaddir, a.MixChmod, a.MixCreate, a.MixRename, a.MixUnlink}
-		for _, w := range mix {
-			if w < 0 {
-				return fmt.Errorf("cluster: act %q: negative mix weight %g", a.Name, w)
-			}
-		}
-		if a.HotFrac < 0 || a.HotFrac > 1 {
-			return fmt.Errorf("cluster: act %q: hotspot fraction %g outside [0, 1]", a.Name, a.HotFrac)
-		}
-		act := client.Act{Name: a.Name, From: a.From, To: a.To, RateMul: a.RateMul, Mix: mix, HotFrac: a.HotFrac}
-		if a.Hotspot == "" {
-			if a.HotFrac > 0 {
-				return fmt.Errorf("cluster: act %q: hotspot fraction without a hotspot path", a.Name)
-			}
-		} else {
+	acts := make([]client.Act, len(c.Cfg.Acts))
+	for i, a := range c.Cfg.Acts {
+		act := client.Act{Name: a.Name, From: a.From, To: a.To, RateMul: a.RateMul, Mix: a.Mix(), HotFrac: a.HotFrac}
+		if a.Hotspot != "" {
 			n, err := c.Snap.Tree.Lookup(a.Hotspot)
 			if err != nil {
 				return fmt.Errorf("cluster: act %q: hotspot path not in namespace: %v", a.Name, err)
 			}
-			eff := mix
-			if mix[0]+mix[1]+mix[2]+mix[3]+mix[4]+mix[5] <= 0 {
-				eff = baseMix
+			eff := act.Mix
+			if eff == [6]float64{} {
+				eff = c.Cfg.OpenLoop.EffectiveMix()
 			}
 			if !n.IsDir() && eff[1]+eff[3] > 0 {
 				return fmt.Errorf("cluster: act %q: hotspot %s is a file but the act mix includes directory ops (readdir/create)", a.Name, a.Hotspot)
@@ -96,8 +65,7 @@ func (c *Cluster) setupActs() error {
 		}
 		acts[i] = act
 		if a.FileSkew >= 0 {
-			skew := a.FileSkew
-			c.Eng.At(a.From, func() { c.tenants.SetFileSkew(skew) })
+			c.Eng.At(a.From, func() { c.tenants.SetFileSkew(a.FileSkew) })
 		}
 	}
 	c.Pop.ScheduleActs(acts)

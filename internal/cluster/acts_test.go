@@ -24,29 +24,15 @@ func actConfig(strategy string) Config {
 	return cfg
 }
 
+// TestActValidation pins the act rule that needs the namespace: a
+// hotspot path must resolve. The rules that need none are
+// Config.Validate's, held to one wording with the plan compiler by
+// plan's TestRulebook.
 func TestActValidation(t *testing.T) {
-	cases := []struct {
-		name string
-		mut  func(cfg *Config)
-		want string
-	}{
-		{"no open loop", func(cfg *Config) { cfg.OpenLoop = nil }, "require the open-loop"},
-		{"unnamed act", func(cfg *Config) { cfg.Acts[0].Name = "" }, "has no name"},
-		{"backward window", func(cfg *Config) { cfg.Acts[0].From, cfg.Acts[0].To = 2*sim.Second, sim.Second }, "does not move forward"},
-		{"past duration", func(cfg *Config) { cfg.Acts[2].To = cfg.Duration + sim.Second }, "past the run duration"},
-		{"overlap", func(cfg *Config) { cfg.Acts[1].From = 1500 * sim.Millisecond }, "overlaps"},
-		{"negative rate", func(cfg *Config) { cfg.Acts[1].RateMul = -1 }, "must be >= 0"},
-		{"negative mix", func(cfg *Config) { cfg.Acts[1].MixStat = -5 }, "negative mix weight"},
-		{"frac out of range", func(cfg *Config) { cfg.Acts[1].HotFrac = 1.5 }, "outside [0, 1]"},
-		{"frac without path", func(cfg *Config) { cfg.Acts[1].Hotspot = "" }, "without a hotspot path"},
-		{"unknown path", func(cfg *Config) { cfg.Acts[1].Hotspot = "/home/u9999" }, "hotspot path not in namespace"},
-	}
-	for _, c := range cases {
-		cfg := actConfig(StratDynamic)
-		c.mut(&cfg)
-		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: err = %v, want mention of %q", c.name, err, c.want)
-		}
+	cfg := actConfig(StratDynamic)
+	cfg.Acts[1].Hotspot = "/home/u9999"
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "hotspot path not in namespace") {
+		t.Errorf("unknown hotspot path: err = %v", err)
 	}
 	if _, err := New(actConfig(StratDynamic)); err != nil {
 		t.Fatalf("valid act config rejected: %v", err)

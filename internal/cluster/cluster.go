@@ -7,6 +7,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"dynmds/internal/client"
@@ -133,8 +134,9 @@ type Config struct {
 
 	// Acts, when non-empty, scripts the open-loop run as a timeline of
 	// scenario acts — timed rate/mix/skew/hotspot retargets of the
-	// traffic plane (see ActConfig). Requires OpenLoop; validated and
-	// resolved against the namespace in New, before any simulation.
+	// traffic plane (see ActConfig). Requires OpenLoop; validated by
+	// Validate and resolved against the namespace in New, before any
+	// simulation.
 	Acts []ActConfig
 
 	// Shards is ignored: every run is one engine on one goroutine. It
@@ -256,35 +258,87 @@ type Cluster struct {
 	runWall   time.Duration
 }
 
+// Validate checks every rule about a run that needs no namespace. New
+// calls it first; plan.Apply calls it once a cell is bound, so mdsim
+// refuses a bad plan before any event. What needs the namespace — an
+// act's hotspot path resolving, a file hotspot taking no directory ops —
+// is setupActs's, and the checkpoint cadence's rules are
+// endure.Options.Normalize's.
+func (cfg *Config) Validate() error {
+	open := cfg.OpenLoop != nil
+	switch k := cfg.Workload.Kind; {
+	case cfg.NumMDS < 1:
+		return fmt.Errorf("a cluster needs at least one MDS, not %d", cfg.NumMDS)
+	case cfg.Warmup >= cfg.Duration:
+		return fmt.Errorf("warmup %s does not fit the %s duration: nothing would be measured",
+			sim.FormatTime(cfg.Warmup), sim.FormatTime(cfg.Duration))
+	case cfg.LinkBandwidth != 0 && cfg.NetModel != net.ModelQueued:
+		return fmt.Errorf("link-bw needs net=%s (the fixed model has no link bandwidth)", net.ModelQueued)
+	case cfg.NoEmbed && cfg.Strategy != StratStatic:
+		return fmt.Errorf("embed=off needs strategy=%s (the only partition it unembeds)", StratStatic)
+	case cfg.Lease.Enabled && !open:
+		return fmt.Errorf("client leases need an open-loop population (a traffic rate)")
+	case open && k != "" && k != WorkGeneral:
+		return fmt.Errorf("workload %s needs a closed loop (no traffic rate)", k)
+	case len(cfg.Acts) > 0 && !open:
+		return fmt.Errorf("acts need an open-loop population (a traffic rate)")
+	}
+	sched, err := fault.ParseSchedule(cfg.Faults)
+	if err == nil {
+		err = sched.Validate(cfg.NumMDS)
+	}
+	if err != nil {
+		return fmt.Errorf("faults: %w", err)
+	}
+	// Acts are named, move forward, end inside the run and after the one
+	// before, and carry a hotspot and its fraction together.
+	for i, a := range cfg.Acts {
+		switch {
+		case a.Name == "":
+			return fmt.Errorf("act %d has no name", i)
+		case a.From < 0 || a.To <= a.From:
+			return fmt.Errorf("act %q: window %s..%s does not move forward", a.Name, sim.FormatTime(a.From), sim.FormatTime(a.To))
+		case a.To > cfg.Duration:
+			return fmt.Errorf("act %q ends at %s, past the %s duration", a.Name, sim.FormatTime(a.To), sim.FormatTime(cfg.Duration))
+		case i > 0 && a.From < cfg.Acts[i-1].To:
+			return fmt.Errorf("act %q (from %s) overlaps act %q (ends %s)",
+				a.Name, sim.FormatTime(a.From), cfg.Acts[i-1].Name, sim.FormatTime(cfg.Acts[i-1].To))
+		case a.RateMul < 0:
+			return fmt.Errorf("act %q: rate multiplier %g is negative", a.Name, a.RateMul)
+		case min(a.MixStat, a.MixReaddir, a.MixChmod, a.MixCreate, a.MixRename, a.MixUnlink) < 0:
+			return fmt.Errorf("act %q: negative mix weight", a.Name)
+		case (a.Hotspot == "") != (a.HotFrac == 0):
+			return fmt.Errorf("act %q: a hotspot takes a target path and a fraction together", a.Name)
+		case a.HotFrac < 0 || a.HotFrac > 1:
+			return fmt.Errorf("act %q: hotspot fraction %g outside (0, 1]", a.Name, a.HotFrac)
+		case a.Hotspot != "" && !strings.HasPrefix(a.Hotspot, "/"):
+			return fmt.Errorf("act %q: hotspot target %q is not an absolute path", a.Name, a.Hotspot)
+		}
+	}
+	return nil
+}
+
 // New builds a cluster from the configuration.
 func New(cfg Config) (*Cluster, error) {
-	if cfg.NumMDS < 1 {
-		return nil, fmt.Errorf("cluster: NumMDS must be >= 1")
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	if cfg.SeriesBucket <= 0 {
 		cfg.SeriesBucket = sim.Second
 	}
-	sched, err := fault.ParseSchedule(cfg.Faults)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: bad fault schedule: %w", err)
-	}
-	if err := sched.Validate(cfg.NumMDS); err != nil {
-		return nil, fmt.Errorf("cluster: bad fault schedule: %w", err)
-	}
+	sched, _ := fault.ParseSchedule(cfg.Faults) // Validate has parsed it
 	if !sched.Empty() && cfg.Client.RetryTimeout <= 0 {
 		cfg.Client.RetryTimeout = defaultRetryTimeout
 	}
 	if err := cfg.Lease.Normalize(); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	if cfg.Lease.Enabled && cfg.OpenLoop == nil {
-		return nil, fmt.Errorf("cluster: client leases require the open-loop traffic plane")
-	}
 	setupStart := time.Now()
 	frozen := cfg.Snapshot
 	if frozen == nil {
 		fs := cfg.FS
 		fs.Seed = cfg.Seed
+		var err error
 		if frozen, err = fsgen.GenerateFrozen(fs); err != nil {
 			return nil, err
 		}
@@ -303,9 +357,6 @@ func New(cfg Config) (*Cluster, error) {
 		Forwards: metrics.NewSeries(cfg.SeriesBucket),
 		Arrivals: metrics.NewSeries(cfg.SeriesBucket),
 		LatH:     metrics.NewLatHist(),
-	}
-	if k := cfg.Workload.Kind; cfg.OpenLoop != nil && k != "" && k != WorkGeneral {
-		return nil, fmt.Errorf("cluster: open-loop traffic plane supports only the general workload, not %q", k)
 	}
 	if !sched.Empty() {
 		c.sched = sched
@@ -365,8 +416,8 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 
-	// Scenario acts: validated, hotspot paths resolved against the
-	// fresh namespace, boundaries scheduled.
+	// Scenario acts: hotspot paths resolved against the fresh
+	// namespace, boundaries scheduled.
 	if err := c.setupActs(); err != nil {
 		return nil, err
 	}

@@ -45,25 +45,28 @@ type Options struct {
 	Dir string
 }
 
-// Normalize validates and defaults the options: the config must be one
-// the checkpoint codec covers (cluster.Config.EndureCheck). The op mix
-// defaults to a churn-heavy blend (the plain open-loop default has no
-// unlink, which would leave nothing to age), and ChurnBase — the
-// reserve of frozen base files the unlink stream consumes first — to the
-// expected unlink draws over the horizon. Both defaults are applied
-// identically by Run, Restore, and ValidateSnapshot, so the config hash
-// recorded in a snapshot matches on restore.
+// Normalize validates and defaults the options. The config must be one
+// the checkpoint codec covers (cluster.Config.EndureCheck), and the
+// cadence must exceed the quiesce drain and fit the run at least once;
+// plan.Apply calls it for a cell with a checkpoint, so these rules are
+// written only here. The op mix defaults to a churn-heavy blend (the
+// plain open-loop default has no unlink, which would leave nothing to
+// age), and ChurnBase — the reserve of frozen base files the unlink
+// stream consumes first — to the expected unlink draws over the
+// horizon. Both defaults are applied identically by Run, Restore, and
+// ValidateSnapshot, so the config hash recorded in a snapshot matches on
+// restore.
 func (o *Options) Normalize() error {
 	if err := o.Cluster.EndureCheck(); err != nil {
 		return fmt.Errorf("endure: %w", err)
 	}
 	if o.Every <= cluster.QuiesceDrain {
-		return fmt.Errorf("endure: checkpoint cadence %v must exceed the %v quiesce drain",
-			o.Every, cluster.QuiesceDrain)
+		return fmt.Errorf("endure: checkpoint %s must exceed the %s quiesce drain",
+			sim.FormatTime(o.Every), sim.FormatTime(cluster.QuiesceDrain))
 	}
 	if o.Cluster.Duration < o.Every {
-		return fmt.Errorf("endure: duration %v shorter than the checkpoint cadence %v",
-			o.Cluster.Duration, o.Every)
+		return fmt.Errorf("endure: duration %s is shorter than the %s checkpoint cadence",
+			sim.FormatTime(o.Cluster.Duration), sim.FormatTime(o.Every))
 	}
 	pc := *o.Cluster.OpenLoop // never mutate the caller's config through the pointer
 	if pc.MixStat+pc.MixReaddir+pc.MixChmod+pc.MixCreate+pc.MixRename+pc.MixUnlink <= 0 {

@@ -35,17 +35,18 @@ func Scenario(p *plan.Plan) Experiment {
 	return Experiment{
 		ID:          p.Name,
 		Description: p.Describe,
-		Build: func(Options) ([]*plan.Plan, Renderer, error) {
-			return []*plan.Plan{p}, func(w io.Writer, runs []PlanRun) error { return WritePlanReport(w, p, runs) }, nil
+		Build: func(opt Options) ([]*plan.Plan, Renderer, error) {
+			return []*plan.Plan{p}, func(w io.Writer, runs []PlanRun) error { return WritePlanReport(w, p, runs, opt.Restore) }, nil
 		},
 	}
 }
 
 // WritePlanReport renders the default deterministic plan report: a
-// summary table across cells (optimize metrics first), then one per-act
-// table per cell when the plan has acts. No wall-clock lines — the
-// output is golden-stable.
-func WritePlanReport(w io.Writer, p *plan.Plan, runs []PlanRun) error {
+// summary table across cells (optimize metrics first), then per cell its
+// act table or its endurance report (restore names the snapshot it
+// resumed from, if any). No wall-clock lines — the output is
+// golden-stable.
+func WritePlanReport(w io.Writer, p *plan.Plan, runs []PlanRun, restore string) error {
 	fmt.Fprintf(w, "## plan %s\n", p.Name)
 	if p.Describe != "" {
 		fmt.Fprintf(w, "%s\n", p.Describe)
@@ -63,10 +64,16 @@ func WritePlanReport(w io.Writer, p *plan.Plan, runs []PlanRun) error {
 		tbl.AddRow(row...)
 	}
 	fmt.Fprint(w, tbl.String())
-	if len(p.Acts) == 0 {
-		return nil
-	}
+	// A cell has acts or a checkpoint cadence, never both
+	// (cluster.Config.EndureCheck).
 	for _, r := range runs {
+		if r.Endure != nil {
+			fmt.Fprintf(w, "\nendurance: %s\n", r.Label)
+			WriteEndure(w, &r, restore)
+		}
+		if len(p.Acts) == 0 {
+			continue
+		}
 		fmt.Fprintf(w, "\nacts: %s\n", r.Label)
 		at := metrics.NewTable("act", "window", "issued", "completed", "ops/s", "p50 ms", "p99 ms", "spread")
 		for _, a := range r.Res.Acts {
@@ -82,6 +89,62 @@ func WritePlanReport(w io.Writer, p *plan.Plan, runs []PlanRun) error {
 		fmt.Fprint(w, at.String())
 	}
 	return nil
+}
+
+// WriteEndure prints the endurance report of a cell with a checkpoint
+// cadence: a line per checkpoint that passed, then the soak's schedule
+// and verdict, or the degradation curve, its drift and the run's digest
+// — or the simfsck failure that cut the run short. restore names the
+// snapshot the run resumed from, if any. It prints no wall time.
+func WriteEndure(w io.Writer, r *PlanRun, restore string) {
+	if restore != "" {
+		fmt.Fprintf(w, "restoring from %s\n", restore)
+	}
+	for _, ck := range r.Endure.Rows {
+		line := fmt.Sprintf("ck %2d t=%6.1fs: %8.0f ops/s, %6d tombstones (%.4f), lazy-miss %.4f, live %7d",
+			ck.Index, ck.At.Seconds(), ck.OpsPerSec, ck.Tombstones, ck.TombstoneDensity, ck.LazyMissRate, ck.LiveInodes)
+		if ck.Path != "" {
+			line += " -> " + ck.Path
+		}
+		fmt.Fprintln(w, line)
+	}
+	if r.Soak != nil {
+		writeSoak(w, r)
+		return
+	}
+	if fe, ok := endure.IsFsck(r.Fsck); ok {
+		fmt.Fprintf(w, "simfsck: FAIL at checkpoint %d\n%v\n", fe.Checkpoint, fe.Err)
+		return
+	}
+	fmt.Fprint(w, r.Endure.CurveTable())
+	fmt.Fprintf(w, "degradation drift: %.4f (1 - last/peak ops/s)\n", r.Endure.Drift())
+	fmt.Fprintf(w, "digest: %s\n", r.Endure.Digest)
+}
+
+// writeSoak is the rest of a rolling chaos soak's report: its schedule,
+// then the curve of a clean soak, or the failing checkpoint, the shrunk
+// schedule and the command that replays it.
+func writeSoak(w io.Writer, r *PlanRun) {
+	rep := r.Soak
+	fmt.Fprintf(w, "soak schedule: %s\n", rep.Schedule)
+	if f := rep.Failure; f != nil {
+		fmt.Fprintf(w, "soak: FAIL (checkpoint %d)\n%v\n", f.Checkpoint, f.Err)
+		if f.Shrunk != "" {
+			fmt.Fprintf(w, "shrunk schedule (%d evals): %s\n", f.Evals, f.Shrunk)
+		}
+		var more []string
+		if f.RestartFrom != "" {
+			fmt.Fprintf(w, "shrink restarted from checkpoint: %s\n", f.RestartFrom)
+			more = []string{"-restore", f.RestartFrom}
+		}
+		cfg := r.Cfg
+		cfg.Faults, cfg.Soak = f.Shrunk, 0
+		fmt.Fprintf(w, "repro: %s\n", plan.CommandLine(cfg, more...))
+		return
+	}
+	fmt.Fprint(w, rep.Result.CurveTable())
+	fmt.Fprintf(w, "soak: clean — %d checkpoints simfsck-verified, drift %.4f\n",
+		len(rep.Result.Rows), rep.Result.Drift())
 }
 
 // planColumns returns the summary columns: the plan's optimize metrics

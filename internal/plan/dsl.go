@@ -2,9 +2,11 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
+	"dynmds/internal/cluster"
 	"dynmds/internal/sim"
 )
 
@@ -138,13 +140,22 @@ func parseMatrix(matrix *[]Axis, rest string) error {
 	return nil
 }
 
+// actKinds names an act by whether it has a hotspot target: a phase
+// retargets rate, mix and skew for its window; a hotspot also
+// concentrates a fraction of the target draws on one namespace path.
+var actKinds = [2]string{"phase", "hotspot"}
+
 // parseAct parses "act <kind> <name> @from-to [key=value]...".
 func parseAct(p *Plan, rest string) error {
 	fields := strings.Fields(rest)
 	if len(fields) < 3 {
 		return fmt.Errorf("act wants <kind> <name> @from-to, got %q", rest)
 	}
-	a := Act{Kind: fields[0], Name: fields[1], Skew: -1}
+	kind := slices.Index(actKinds[:], fields[0])
+	if kind < 0 {
+		return fmt.Errorf("unknown act kind %q (want %s or %s)", fields[0], actKinds[0], actKinds[1])
+	}
+	a := cluster.ActConfig{Name: fields[1], FileSkew: -1}
 	win, ok := strings.CutPrefix(fields[2], "@")
 	if !ok {
 		return fmt.Errorf("act window %q must start with @", fields[2])
@@ -178,25 +189,30 @@ func parseAct(p *Plan, rest string) error {
 				return fmt.Errorf("act rate multiplier %q must be > 0", v)
 			}
 		case "mix":
-			if a.Mix, err = parseMix(v); err != nil {
+			w, err := parseMix(v)
+			if err != nil {
 				return err
 			}
+			a.MixStat, a.MixReaddir, a.MixChmod, a.MixCreate, a.MixRename, a.MixUnlink = w[0], w[1], w[2], w[3], w[4], w[5]
 		case "skew":
-			if a.Skew, err = parseFloat(v); err != nil {
+			if a.FileSkew, err = parseFloat(v); err != nil {
 				return err
 			}
-			if a.Skew < 0 {
+			if a.FileSkew < 0 {
 				return fmt.Errorf("act skew %q must be >= 0", v)
 			}
 		case "target":
-			a.Target = v
+			a.Hotspot = v
 		case "frac":
-			if a.Frac, err = parseFloat(v); err != nil {
+			if a.HotFrac, err = parseFloat(v); err != nil {
 				return err
 			}
 		default:
 			return fmt.Errorf("unknown act option %q", k)
 		}
+	}
+	if (a.Hotspot != "") != (kind == 1) {
+		return fmt.Errorf("act %s %s: a hotspot act takes a target=path, a phase act none", fields[0], a.Name)
 	}
 	p.Acts = append(p.Acts, a)
 	return nil
@@ -205,29 +221,30 @@ func parseAct(p *Plan, rest string) error {
 // mixOpNames is the canonical draw order shared with the traffic plane.
 var mixOpNames = [...]string{"stat", "readdir", "chmod", "create", "rename", "unlink"}
 
-// parseMix parses "stat:80,create:20" (ops omitted weigh zero).
-func parseMix(v string) (*MixSpec, error) {
-	m := &MixSpec{}
-	slot := map[string]*float64{
-		"stat": &m.Stat, "readdir": &m.Readdir, "chmod": &m.Chmod,
-		"create": &m.Create, "rename": &m.Rename, "unlink": &m.Unlink,
-	}
+// parseMix parses "stat:80,create:20" into weights in canonical op
+// order (ops omitted weigh zero). A mix must weigh something: an
+// all-zero one would silently be the population's default.
+func parseMix(v string) ([6]float64, error) {
+	var w [6]float64
 	for _, part := range strings.Split(v, ",") {
-		op, w, ok := strings.Cut(part, ":")
+		op, weight, ok := strings.Cut(part, ":")
 		if !ok {
-			return nil, fmt.Errorf("mix entry %q wants op:weight", part)
+			return w, fmt.Errorf("mix entry %q wants op:weight", part)
 		}
-		dst, known := slot[op]
-		if !known {
-			return nil, fmt.Errorf("unknown mix op %q (want %s)", op, strings.Join(mixOpNames[:], "/"))
+		i := slices.Index(mixOpNames[:], op)
+		if i < 0 {
+			return w, fmt.Errorf("unknown mix op %q (want %s)", op, strings.Join(mixOpNames[:], "/"))
 		}
-		f, err := parseFloat(w)
+		f, err := parseFloat(weight)
 		if err != nil || f < 0 {
-			return nil, fmt.Errorf("bad mix weight %q", part)
+			return w, fmt.Errorf("bad mix weight %q", part)
 		}
-		*dst = f
+		w[i] = f
 	}
-	return m, nil
+	if w[0]+w[1]+w[2]+w[3]+w[4]+w[5] <= 0 {
+		return w, fmt.Errorf("%q has no weight", v)
+	}
+	return w, nil
 }
 
 // String renders the canonical DSL form.
@@ -254,21 +271,21 @@ func (p *Plan) String() string {
 		writeLine(&b, prefix, set, "")
 	}
 	for _, a := range p.Acts {
-		fmt.Fprintf(&b, "act %s %s @%s-%s", a.Kind, a.Name, sim.FormatTime(a.From), sim.FormatTime(a.To))
+		fmt.Fprintf(&b, "act %s %s @%s-%s", actKinds[b2i(a.Hotspot != "")], a.Name, sim.FormatTime(a.From), sim.FormatTime(a.To))
 		if a.RateMul > 0 {
 			fmt.Fprintf(&b, " rate=x%s", fmtFloat(a.RateMul))
 		}
-		if a.Mix != nil {
-			fmt.Fprintf(&b, " mix=%s", fmtMix(a.Mix))
+		if mix := fmtMix(a.Mix()); mix != "" {
+			fmt.Fprintf(&b, " mix=%s", mix)
 		}
-		if a.Skew >= 0 {
-			fmt.Fprintf(&b, " skew=%s", fmtFloat(a.Skew))
+		if a.FileSkew >= 0 {
+			fmt.Fprintf(&b, " skew=%s", fmtFloat(a.FileSkew))
 		}
-		if a.Target != "" {
-			fmt.Fprintf(&b, " target=%s", a.Target)
+		if a.Hotspot != "" {
+			fmt.Fprintf(&b, " target=%s", a.Hotspot)
 		}
-		if a.Frac > 0 {
-			fmt.Fprintf(&b, " frac=%s", fmtFloat(a.Frac))
+		if a.HotFrac != 0 {
+			fmt.Fprintf(&b, " frac=%s", fmtFloat(a.HotFrac))
 		}
 		b.WriteByte('\n')
 	}
@@ -278,17 +295,14 @@ func (p *Plan) String() string {
 	return b.String()
 }
 
-// fmtMix renders the non-zero weights in canonical op order.
-func fmtMix(m *MixSpec) string {
-	ws := [...]float64{m.Stat, m.Readdir, m.Chmod, m.Create, m.Rename, m.Unlink}
+// fmtMix renders the non-zero weights in canonical op order; "" when
+// there are none.
+func fmtMix(w [6]float64) string {
 	var parts []string
-	for i, w := range ws {
-		if w != 0 {
-			parts = append(parts, mixOpNames[i]+":"+fmtFloat(w))
+	for i, x := range w {
+		if x != 0 {
+			parts = append(parts, mixOpNames[i]+":"+fmtFloat(x))
 		}
-	}
-	if len(parts) == 0 {
-		return "stat:0"
 	}
 	return strings.Join(parts, ",")
 }

@@ -10,8 +10,9 @@ import (
 // FuzzParsePlan: whatever the text, Parse returns an error or a plan
 // whose canonical form parses and prints as itself; Validate, run on
 // what parsed, returns and does not panic. Seeds are the library plans,
-// the test's every-directive plan, and the two forms the experiment
-// plans lean on: co-varying matrix keys and quick lines.
+// the test's every-directive plan, the two forms the experiment plans
+// lean on — co-varying matrix keys and quick lines — and three acts and
+// mixes Parse refuses.
 func FuzzParsePlan(f *testing.F) {
 	f.Add(fullSrc)
 	f.Add("plan scaling\nquick 1\ncluster cache=2500\nmatrix mds=4,8 users=100,200 clients=120,240\nwarmup 4s\nduration 10s\n" +
@@ -19,6 +20,11 @@ func FuzzParsePlan(f *testing.F) {
 	for _, p := range library.All() {
 		f.Add(p.String())
 	}
+	// The act kind must agree with the target, and a mix must weigh
+	// something.
+	f.Add("plan p\ntraffic rate=1\nduration 4s\nact hotspot x @1s-2s frac=0.5\n")
+	f.Add("plan p\ntraffic rate=1\nduration 4s\nact phase x @1s-2s target=/home/u0000\n")
+	f.Add("plan p\ntraffic rate=1 mix=stat:0\nduration 4s\nact phase x @1s-2s mix=create:0\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := plan.Parse(src)
 		if err != nil {

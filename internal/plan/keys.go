@@ -11,6 +11,7 @@ import (
 	"dynmds/internal/client"
 	"dynmds/internal/cluster"
 	"dynmds/internal/core"
+	"dynmds/internal/endure"
 	"dynmds/internal/fault"
 	"dynmds/internal/net"
 	"dynmds/internal/sim"
@@ -203,7 +204,7 @@ var keys = []key{
 		}),
 	{"mix", "traffic", "open loop: op mix, e.g. stat:80,readdir:10,create:10 (unset = stat 80, readdir 10, chmod 8, create 2)",
 		func(c *cluster.Config, v string) error {
-			m, err := parseMix(v)
+			w, err := parseMix(v)
 			if err != nil {
 				return err
 			}
@@ -211,16 +212,12 @@ var keys = []key{
 				return errClosedLoop
 			}
 			p := c.OpenLoop
-			p.MixStat, p.MixReaddir, p.MixChmod = m.Stat, m.Readdir, m.Chmod
-			p.MixCreate, p.MixRename, p.MixUnlink = m.Create, m.Rename, m.Unlink
+			p.MixStat, p.MixReaddir, p.MixChmod, p.MixCreate, p.MixRename, p.MixUnlink = w[0], w[1], w[2], w[3], w[4], w[5]
 			return nil
 		},
 		func(c *cluster.Config) string {
 			if p := c.OpenLoop; p != nil {
-				m := MixSpec{p.MixStat, p.MixReaddir, p.MixChmod, p.MixCreate, p.MixRename, p.MixUnlink}
-				if m.sum() > 0 {
-					return fmtMix(&m)
-				}
+				return fmtMix([...]float64{p.MixStat, p.MixReaddir, p.MixChmod, p.MixCreate, p.MixRename, p.MixUnlink})
 			}
 			return ""
 		}},
@@ -463,64 +460,36 @@ func lastIndex(set []Setting, key string) int {
 	return -1
 }
 
-// Apply overrides cfg with the settings (as bind does) and then checks
-// the constraints that span keys. An empty list only checks.
+// Apply overrides cfg with the settings (as bind does), then checks the
+// run they make: the cluster's rulebook (cluster.Config.Validate), the
+// checkpoint cadence by the endurance plane's (endure.Options.Normalize),
+// and the soak's rules. An empty list only checks.
 func Apply(cfg *cluster.Config, set []Setting) error {
 	if err := bind(cfg, set); err != nil {
 		return err
 	}
-	if cfg.Warmup >= cfg.Duration {
-		return fmt.Errorf("warmup %s does not fit the %s duration: nothing would be measured", sim.FormatTime(cfg.Warmup), sim.FormatTime(cfg.Duration))
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-	if cfg.LinkBandwidth != 0 && cfg.NetModel != net.ModelQueued {
-		return fmt.Errorf("link-bw needs net=%s (the fixed model has no link bandwidth)", net.ModelQueued)
-	}
-	if cfg.Lease.Enabled && cfg.OpenLoop == nil {
-		return fmt.Errorf("mechanism: client leases need an open-loop population (a traffic rate)")
-	}
-	if k := cfg.Workload.Kind; cfg.OpenLoop != nil && k != "" && k != cluster.WorkGeneral {
-		return fmt.Errorf("workload %s needs a closed loop (no traffic rate)", k)
-	}
-	if cfg.NoEmbed && cfg.Strategy != cluster.StratStatic {
-		return fmt.Errorf("embed=off needs strategy=%s (the only partition it unembeds)", cluster.StratStatic)
-	}
-	sched, err := fault.ParseSchedule(cfg.Faults)
-	if err == nil {
-		err = sched.Validate(cfg.NumMDS)
-	}
-	if err != nil {
-		return fmt.Errorf("faults: %w", err)
-	}
-	return checkEndure(cfg)
-}
-
-// checkEndure vets the endurance keys: a soak rides on a checkpoint
-// cadence and brings its own fault schedule, and a cadence needs a
-// config the checkpoint codec covers, room for a quiesce drain, and a
-// run at least one cadence long.
-func checkEndure(cfg *cluster.Config) error {
-	if cfg.Soak > 0 {
-		switch {
-		case cfg.Checkpoint == 0:
-			return fmt.Errorf("soak needs a checkpoint cadence (checkpoint=...)")
-		case cfg.Faults != "":
-			return fmt.Errorf("soak generates its own fault schedule; drop faults")
-		}
-		if _, err := chaos.GenerateRolling(chaos.RollingConfig{NumMDS: cfg.NumMDS, Cycles: cfg.Soak, Horizon: cfg.Duration}); err != nil {
-			return fmt.Errorf("soak: %w", err)
+	if cfg.Checkpoint > 0 {
+		eo := endure.Options{Cluster: *cfg, Every: cfg.Checkpoint}
+		if err := eo.Normalize(); err != nil {
+			return err
 		}
 	}
-	if cfg.Checkpoint == 0 {
+	if cfg.Soak == 0 {
 		return nil
 	}
+	// A soak rides on a checkpoint cadence, brings its own fault
+	// schedule and must fit the run; only a plan reads the soak key.
 	switch {
-	case cfg.Checkpoint <= cluster.QuiesceDrain:
-		return fmt.Errorf("checkpoint %s must exceed the %s quiesce drain", sim.FormatTime(cfg.Checkpoint), sim.FormatTime(cluster.QuiesceDrain))
-	case cfg.Duration < cfg.Checkpoint:
-		return fmt.Errorf("duration %s is shorter than the %s checkpoint cadence", sim.FormatTime(cfg.Duration), sim.FormatTime(cfg.Checkpoint))
+	case cfg.Checkpoint == 0:
+		return fmt.Errorf("soak needs a checkpoint cadence (checkpoint=...)")
+	case cfg.Faults != "":
+		return fmt.Errorf("soak generates its own fault schedule; drop faults")
 	}
-	if err := cfg.EndureCheck(); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+	if _, err := chaos.GenerateRolling(chaos.RollingConfig{NumMDS: cfg.NumMDS, Cycles: cfg.Soak, Horizon: cfg.Duration}); err != nil {
+		return fmt.Errorf("soak: %w", err)
 	}
 	return nil
 }

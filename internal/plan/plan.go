@@ -8,9 +8,10 @@
 //
 // A plan's lifecycle is Parse (or Go literal) → Validate → Compile →
 // harness sweep. Everything that can be rejected before simulation is:
-// unknown act kinds, overlapping act windows, non-positive rates,
-// unknown keys or metrics. The one namespace-dependent check — an
-// act's hotspot path resolving to a real inode — happens in
+// Compile checks the plan's shape and each cell's keys, then the
+// cluster's rulebook (cluster.Config.Validate), the checkpoint cadence
+// (endure.Options.Normalize) and the soak. The namespace-dependent
+// checks — an act's hotspot path resolving to a real inode — happen in
 // cluster.New, still before any event runs.
 //
 // Every knob of a run is one entry of the key table (keys.go). A plan
@@ -27,15 +28,6 @@ import (
 
 	"dynmds/internal/cluster"
 	"dynmds/internal/sim"
-)
-
-// Act kinds.
-const (
-	// ActPhase retargets the traffic plane's rate/mix/skew for a window.
-	ActPhase = "phase"
-	// ActHotspot is a phase that additionally concentrates a fraction of
-	// target draws on one namespace path.
-	ActHotspot = "hotspot"
 )
 
 // Metrics are the columns of a plan report, in report order. A plan may
@@ -70,21 +62,12 @@ type Plan struct {
 	QuickMatrix []Axis
 
 	// Acts is the scenario timeline: ordered, non-overlapping windows
-	// within [0, duration].
-	Acts []Act
+	// within [0, duration], written at full scale.
+	Acts []cluster.ActConfig
 
 	// Optimize names the metrics the plan is about; the report leads
 	// with them. A subset of Metrics.
 	Optimize []string
-}
-
-// MixSpec is an op-mix weighting in canonical draw order.
-type MixSpec struct {
-	Stat, Readdir, Chmod, Create, Rename, Unlink float64
-}
-
-func (m *MixSpec) sum() float64 {
-	return m.Stat + m.Readdir + m.Chmod + m.Create + m.Rename + m.Unlink
 }
 
 // Axis is one matrix dimension: one key and the values it sweeps, or
@@ -102,29 +85,6 @@ func (a Axis) Len() int { return len(a[0].Values) }
 
 // Cell maps axis keys to the values chosen for one compiled run.
 type Cell map[string]string
-
-// Act is one timeline entry.
-type Act struct {
-	// Kind is ActPhase or ActHotspot.
-	Kind string
-	// Name labels the act in reports ("warm", "storm", ...).
-	Name     string
-	From, To sim.Time
-	// RateMul scales the arrival rate for the window; 0 = unchanged.
-	RateMul float64
-	// Mix overrides the op mix for the window; nil = unchanged.
-	Mix *MixSpec
-	// Skew retargets the tenant popularity Zipf exponent at From (it
-	// persists past To — see cluster.ActConfig). Negative = unchanged;
-	// note the Go zero value 0 means "retarget to uniform", so
-	// Go-authored acts that don't touch skew must set -1. Parse defaults
-	// it correctly.
-	Skew float64
-	// Target and Frac are the hotspot path and the fraction of draws it
-	// absorbs (hotspot acts only).
-	Target string
-	Frac   float64
-}
 
 // Options parameterises compilation.
 type Options struct {
@@ -184,8 +144,9 @@ func (p *Plan) Validate() error {
 	return err
 }
 
-// check vets the plan's shape — name, matrix, acts, metrics — before
-// any cell is built; the cells' configs are vetted as they compile.
+// check vets the plan's shape — name, matrix, metrics — before any cell
+// is built; the cells' configs, acts included, are vetted as they
+// compile.
 func (p *Plan) check() error {
 	if p.Name == "" {
 		return fmt.Errorf("plan has no name")
@@ -219,45 +180,6 @@ func (p *Plan) check() error {
 		}
 		if err := p.checkAxis(ax); err != nil {
 			return fmt.Errorf("quick %w", err)
-		}
-	}
-	var prevTo sim.Time
-	prevName := ""
-	for i, a := range p.Acts {
-		if a.Kind != ActPhase && a.Kind != ActHotspot {
-			return fmt.Errorf("plan %s: unknown act kind %q (want %s or %s)", p.Name, a.Kind, ActPhase, ActHotspot)
-		}
-		if a.Name == "" {
-			return fmt.Errorf("plan %s: act %d has no name", p.Name, i)
-		}
-		if a.From < 0 || a.To <= a.From {
-			return fmt.Errorf("plan %s: act %q: window %s..%s does not move forward", p.Name, a.Name, sim.FormatTime(a.From), sim.FormatTime(a.To))
-		}
-		if a.From < prevTo {
-			return fmt.Errorf("plan %s: act %q (from %s) overlaps act %q (ends %s)", p.Name, a.Name, sim.FormatTime(a.From), prevName, sim.FormatTime(prevTo))
-		}
-		prevTo, prevName = a.To, a.Name
-		if a.RateMul < 0 {
-			return fmt.Errorf("plan %s: act %q: rate multiplier must be > 0", p.Name, a.Name)
-		}
-		if a.Mix != nil && a.Mix.sum() <= 0 {
-			return fmt.Errorf("plan %s: act %q: mix has no weight", p.Name, a.Name)
-		}
-		switch a.Kind {
-		case ActHotspot:
-			if a.Target == "" {
-				return fmt.Errorf("plan %s: act %q: hotspot without a target path", p.Name, a.Name)
-			}
-			if !strings.HasPrefix(a.Target, "/") {
-				return fmt.Errorf("plan %s: act %q: hotspot target %q is not an absolute path", p.Name, a.Name, a.Target)
-			}
-			if a.Frac <= 0 || a.Frac > 1 {
-				return fmt.Errorf("plan %s: act %q: hotspot fraction %s outside (0, 1]", p.Name, a.Name, fmtFloat(a.Frac))
-			}
-		case ActPhase:
-			if a.Target != "" || a.Frac != 0 {
-				return fmt.Errorf("plan %s: act %q: phase acts take no target/frac (use kind %s)", p.Name, a.Name, ActHotspot)
-			}
 		}
 	}
 	for _, m := range p.Optimize {
@@ -368,9 +290,8 @@ func (p *Plan) Compile(opt Options) ([]Compiled, error) {
 	return out, nil
 }
 
-// config builds one cell's config: cluster defaults, the settings, the
-// quick-scaled timeline and population, and the acts, checked against
-// the run they land on.
+// config builds one cell's config: cluster defaults, the settings, and
+// the quick-scaled timeline, population and acts. Apply checks it.
 func (p *Plan) config(seed int64, set []Setting, q float64) (cluster.Config, error) {
 	cfg := cluster.Default()
 	cfg.Warmup = 0 // a plan without a warmup directive measures from t=0
@@ -386,26 +307,8 @@ func (p *Plan) config(seed int64, set []Setting, q float64) (cluster.Config, err
 		cfg.OpenLoop.Clients = scaleCount(cfg.OpenLoop.Clients, q)
 	}
 	for _, a := range p.Acts {
-		if cfg.OpenLoop == nil {
-			return cfg, fmt.Errorf("acts need an open-loop population (a traffic line with a rate)")
-		}
-		ac := cluster.ActConfig{
-			Name:     a.Name,
-			From:     scaleTime(a.From, q),
-			To:       scaleTime(a.To, q),
-			RateMul:  a.RateMul,
-			FileSkew: a.Skew,
-			Hotspot:  a.Target,
-			HotFrac:  a.Frac,
-		}
-		if ac.To > cfg.Duration {
-			return cfg, fmt.Errorf("act %q ends at %s, past the %s duration", a.Name, sim.FormatTime(ac.To), sim.FormatTime(cfg.Duration))
-		}
-		if a.Mix != nil {
-			ac.MixStat, ac.MixReaddir, ac.MixChmod = a.Mix.Stat, a.Mix.Readdir, a.Mix.Chmod
-			ac.MixCreate, ac.MixRename, ac.MixUnlink = a.Mix.Create, a.Mix.Rename, a.Mix.Unlink
-		}
-		cfg.Acts = append(cfg.Acts, ac)
+		a.From, a.To = scaleTime(a.From, q), scaleTime(a.To, q)
+		cfg.Acts = append(cfg.Acts, a)
 	}
 	return cfg, nil
 }

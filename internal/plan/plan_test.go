@@ -89,17 +89,15 @@ func TestRoundTripPreservesFields(t *testing.T) {
 		t.Fatalf("acts lost: %+v", q.Acts)
 	}
 	warm, storm := q.Acts[0], q.Acts[1]
-	if warm.Kind != plan.ActPhase || warm.RateMul != 2 || warm.Skew != 1.2 ||
-		warm.Mix == nil || warm.Mix.Chmod != 8 {
+	if warm.Hotspot != "" || warm.RateMul != 2 || warm.FileSkew != 1.2 || warm.MixChmod != 8 {
 		t.Fatalf("warm act lost fields: %+v", warm)
 	}
-	if storm.Kind != plan.ActHotspot || storm.Target != "/home/u0000" ||
-		storm.Frac != 0.8 || storm.From != 6*sim.Second {
+	if storm.Hotspot != "/home/u0000" || storm.HotFrac != 0.8 || storm.From != 6*sim.Second {
 		t.Fatalf("storm act lost fields: %+v", storm)
 	}
 	// An act that never touched skew must round-trip as "unchanged".
-	if storm.Skew != -1 {
-		t.Fatalf("storm skew = %v, want -1 (unchanged)", storm.Skew)
+	if storm.FileSkew != -1 {
+		t.Fatalf("storm skew = %v, want -1 (unchanged)", storm.FileSkew)
 	}
 }
 
@@ -117,6 +115,11 @@ func TestParseRejects(t *testing.T) {
 		{"negative skew", "plan p\nact phase warm @2s-6s skew=-1\n", "must be >= 0"},
 		{"unknown mix op", "plan p\nact phase warm @2s-6s mix=open:50\n", "unknown mix op"},
 		{"unknown act option", "plan p\nact phase warm @2s-6s color=red\n", "unknown act option"},
+		{"unknown act kind", "plan p\nact surge a @1s-2s\n", "unknown act kind"},
+		{"hotspot without target", "plan p\nact hotspot a @1s-2s frac=0.5\n", "a hotspot act takes a target=path"},
+		{"phase with target", "plan p\nact phase a @1s-2s target=/home/u0\n", "a phase act none"},
+		{"act mix of no weight", "plan p\nact phase a @1s-2s mix=stat:0,create:0\n", "has no weight"},
+		{"traffic mix of no weight", "plan p\ntraffic rate=1 mix=stat:0\n", "has no weight"},
 		{"bad time", "plan p\nduration 10q\n", "bad time"},
 		{"key on the wrong line", "plan p\nfs mds=4\n", "unknown fs key"},
 		{"key bound twice", "plan p\nfs users=4 users=5\n", "bound twice"},
@@ -172,16 +175,10 @@ func TestValidateRejects(t *testing.T) {
 	}{
 		{"bad name", func(p *plan.Plan) { p.Name = "Bad Name" }, "lowercase"},
 		{"no duration", func(p *plan.Plan) { rebind(p, "duration", "") }, "no duration"},
-		{"warmup too long", func(p *plan.Plan) { rebind(p, "warmup", "10s") }, "does not fit"},
 		{"bad net", func(p *plan.Plan) { rebind(p, "net", "warp") }, "unknown net"},
 		{"traffic key on a closed loop", func(p *plan.Plan) { rebind(p, "rate", ""); rebind(p, "tenants", "8") }, "open-loop"},
-		{"link bandwidth on the fixed model", func(p *plan.Plan) { rebind(p, "link-bw", "1e6") }, "link-bw needs net=queued"},
-		{"leases on a closed loop", func(p *plan.Plan) { rebind(p, "rate", ""); rebind(p, "mechanism", "leases") }, "leases need"},
-		{"fault on a node the cluster lacks", func(p *plan.Plan) { rebind(p, "faults", "crash@1s:mds9") }, "faults"},
 		{"redelegate-first with the balancer off", func(p *plan.Plan) { rebind(p, "balance", "off"); rebind(p, "redelegate-first", "off") }, "needs the balancer"},
 		{"preempt-at with traffic control off", func(p *plan.Plan) { rebind(p, "replicate-at", "off"); rebind(p, "preempt-at", "50") }, "needs traffic control"},
-		{"embed=off on a dynamic partition", func(p *plan.Plan) { rebind(p, "embed", "off") }, "embed=off needs strategy=StaticSubtree"},
-		{"a closed-loop workload on an open loop", func(p *plan.Plan) { rebind(p, "workload", "shift") }, "needs a closed loop"},
 		{"unknown axis", func(p *plan.Plan) {
 			p.Matrix = []plan.Axis{{{Key: "color", Values: []string{"red"}}}}
 		}, "unknown matrix key"},
@@ -216,37 +213,6 @@ func TestValidateRejects(t *testing.T) {
 		{"bad strategy value", func(p *plan.Plan) {
 			p.Matrix = []plan.Axis{{{Key: "strategy", Values: []string{"Quantum"}}}}
 		}, "unknown strategy"},
-		{"unknown act kind", func(p *plan.Plan) {
-			p.Acts = []plan.Act{{Kind: "surge", Name: "a", From: sim.Second, To: 2 * sim.Second, Skew: -1}}
-		}, "unknown act kind"},
-		{"acts without traffic", func(p *plan.Plan) {
-			rebind(p, "rate", "")
-			p.Acts = []plan.Act{{Kind: plan.ActPhase, Name: "a", From: sim.Second, To: 2 * sim.Second, Skew: -1}}
-		}, "acts need an open-loop population"},
-		{"backward window", func(p *plan.Plan) {
-			p.Acts = []plan.Act{{Kind: plan.ActPhase, Name: "a", From: 2 * sim.Second, To: sim.Second, Skew: -1}}
-		}, "does not move forward"},
-		{"act past duration", func(p *plan.Plan) {
-			p.Acts = []plan.Act{{Kind: plan.ActPhase, Name: "a", From: sim.Second, To: 11 * sim.Second, Skew: -1}}
-		}, "past the"},
-		{"overlapping acts", func(p *plan.Plan) {
-			p.Acts = []plan.Act{
-				{Kind: plan.ActPhase, Name: "a", From: sim.Second, To: 5 * sim.Second, Skew: -1},
-				{Kind: plan.ActPhase, Name: "b", From: 4 * sim.Second, To: 6 * sim.Second, Skew: -1},
-			}
-		}, "overlaps"},
-		{"hotspot without target", func(p *plan.Plan) {
-			p.Acts = []plan.Act{{Kind: plan.ActHotspot, Name: "a", From: sim.Second, To: 2 * sim.Second, Skew: -1, Frac: 0.5}}
-		}, "without a target path"},
-		{"relative target", func(p *plan.Plan) {
-			p.Acts = []plan.Act{{Kind: plan.ActHotspot, Name: "a", From: sim.Second, To: 2 * sim.Second, Skew: -1, Target: "home/u0", Frac: 0.5}}
-		}, "not an absolute path"},
-		{"frac out of range", func(p *plan.Plan) {
-			p.Acts = []plan.Act{{Kind: plan.ActHotspot, Name: "a", From: sim.Second, To: 2 * sim.Second, Skew: -1, Target: "/home/u0", Frac: 1.5}}
-		}, "outside (0, 1]"},
-		{"phase with target", func(p *plan.Plan) {
-			p.Acts = []plan.Act{{Kind: plan.ActPhase, Name: "a", From: sim.Second, To: 2 * sim.Second, Skew: -1, Target: "/home/u0"}}
-		}, "take no target"},
 		{"unknown metric", func(p *plan.Plan) { p.Optimize = []string{"vibes"} }, "unknown metric"},
 	}
 	for _, c := range cases {
@@ -258,6 +224,84 @@ func TestValidateRejects(t *testing.T) {
 	}
 	if err := validBase().Validate(); err != nil {
 		t.Fatalf("base plan should validate: %v", err)
+	}
+}
+
+// rulebookSrc is a valid open-loop plan with a three-act timeline: a
+// calm phase, a create storm against one home directory, a cool-down.
+const rulebookSrc = `plan rules
+fs users=8
+traffic clients=200 rate=2
+warmup 1s
+duration 6s
+act phase calm @1s-2s
+act hotspot storm @2s-4s rate=x3 mix=stat:20,create:80 skew=1.2 target=/home/u0000 frac=0.8
+act phase cool @4s-6s
+`
+
+// TestRulebook: cluster.Config.Validate is the one rulebook for a run,
+// so the plan compiler and cluster.New refuse each bad config in the
+// same words — the plan's error ends with the cluster's, bar its
+// "cluster: " prefix. The namespace's rules are cluster's own tests'.
+func TestRulebook(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(p *plan.Plan)
+		want string
+	}{
+		{"warmup too long", func(p *plan.Plan) { rebind(p, "warmup", "6s") }, "does not fit"},
+		{"link bandwidth on the fixed model", func(p *plan.Plan) { rebind(p, "link-bw", "1e6") }, "link-bw needs net=queued"},
+		{"embed=off on a dynamic partition", func(p *plan.Plan) { rebind(p, "embed", "off") }, "embed=off needs strategy=StaticSubtree"},
+		{"leases on a closed loop", func(p *plan.Plan) {
+			rebind(p, "rate", "")
+			rebind(p, "mechanism", "leases")
+			p.Acts = nil
+		}, "client leases need"},
+		{"a closed-loop workload on an open loop", func(p *plan.Plan) { rebind(p, "workload", "shift") }, "needs a closed loop"},
+		{"fault on a node the cluster lacks", func(p *plan.Plan) { rebind(p, "faults", "crash@1s:mds9") }, "faults"},
+		{"acts on a closed loop", func(p *plan.Plan) { rebind(p, "rate", "") }, "acts need an open-loop population"},
+		{"unnamed act", func(p *plan.Plan) { p.Acts[0].Name = "" }, "act 0 has no name"},
+		{"backward window", func(p *plan.Plan) { p.Acts[0].From, p.Acts[0].To = 2*sim.Second, sim.Second }, "does not move forward"},
+		{"act past duration", func(p *plan.Plan) { p.Acts[2].To = 7 * sim.Second }, "past the 6s duration"},
+		{"overlapping acts", func(p *plan.Plan) { p.Acts[1].From = 1500 * sim.Millisecond }, "overlaps act \"calm\""},
+		{"negative rate", func(p *plan.Plan) { p.Acts[1].RateMul = -1 }, "rate multiplier -1 is negative"},
+		{"negative mix", func(p *plan.Plan) { p.Acts[1].MixStat = -5 }, "negative mix weight"},
+		{"frac out of range", func(p *plan.Plan) { p.Acts[1].HotFrac = 1.5 }, "outside (0, 1]"},
+		{"frac without path", func(p *plan.Plan) { p.Acts[1].Hotspot = "" }, "a target path and a fraction together"},
+		{"path without frac", func(p *plan.Plan) { p.Acts[1].HotFrac = 0 }, "a target path and a fraction together"},
+		{"relative target", func(p *plan.Plan) { p.Acts[1].Hotspot = "home/u0000" }, "not an absolute path"},
+	}
+	parse := func() *plan.Plan {
+		p, err := plan.Parse(rulebookSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, c := range cases {
+		p := parse()
+		c.mut(p)
+		_, perr := p.Compile(plan.Options{})
+		cfg, err := p.Bound()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		_, cerr := cluster.New(cfg)
+		if perr == nil || cerr == nil {
+			t.Errorf("%s: plan err = %v, cluster.New err = %v; want both refused", c.name, perr, cerr)
+			continue
+		}
+		if !strings.Contains(cerr.Error(), c.want) || !strings.HasSuffix(perr.Error(), strings.TrimPrefix(cerr.Error(), "cluster: ")) {
+			t.Errorf("%s: plan says %q, cluster.New says %q; want one wording, mentioning %q", c.name, perr, cerr, c.want)
+		}
+	}
+	p := parse()
+	if _, err := p.Compile(plan.Options{}); err != nil {
+		t.Fatalf("the base plan is refused: %v", err)
+	}
+	cfg, _ := p.Bound()
+	if _, err := cluster.New(cfg); err != nil {
+		t.Fatalf("the base config is refused: %v", err)
 	}
 }
 
@@ -344,7 +388,7 @@ quick duration 2s
 func TestCompileQuickScaling(t *testing.T) {
 	p := validBase()
 	p.Quick = 0.5
-	p.Acts = []plan.Act{{Kind: plan.ActPhase, Name: "a", From: 2 * sim.Second, To: 6 * sim.Second, Skew: -1}}
+	p.Acts = []cluster.ActConfig{{Name: "a", From: 2 * sim.Second, To: 6 * sim.Second, FileSkew: -1}}
 	full, err := p.Compile(plan.Options{})
 	if err != nil {
 		t.Fatal(err)

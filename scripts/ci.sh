@@ -35,7 +35,7 @@ budget() {
     fi
 }
 budget README.md $((24 * 1024))
-budget DESIGN.md 56799
+budget DESIGN.md 56785
 
 # -race on the small CI box is ~6x slower than native; give packages
 # headroom past go test's 10m default so a busy host doesn't flake. The
@@ -90,6 +90,13 @@ rc=0
 "$MDSIM" -set mds=0 >"$TMP/usage.out" 2>/dev/null || rc=$?
 if [ "$rc" -ne 2 ] || [ -s "$TMP/usage.out" ]; then
     echo "ci: mdsim -set mds=0 exited $rc (want 2) or wrote to stdout" >&2
+    exit 1
+fi
+# So is an op mix of no weight, which would silently be the default mix.
+rc=0
+"$MDSIM" -set rate=0.5 -set clients=2000 -set mix=stat:0 -set duration=2s -set warmup=1s >"$TMP/usage.out" 2>/dev/null || rc=$?
+if [ "$rc" -ne 2 ] || [ -s "$TMP/usage.out" ]; then
+    echo "ci: mdsim -set mix=stat:0 exited $rc (want 2) or wrote to stdout" >&2
     exit 1
 fi
 # So is a -set on a key a figure sweeps beside mds: users co-varies with
@@ -187,6 +194,26 @@ if [ -z "$FULL" ] || [ "$FULL" != "$REST" ]; then
     exit 1
 fi
 echo "ci: endurance restore determinism passed"
+
+# The same keys written as a plan file are the same run, and the plan
+# report carries its endurance half: the digest must match.
+cat >"$TMP/aging.plan" <<'EOF'
+plan aging
+fs users=100
+cluster mds=4 strategy=DynamicSubtree cache=2000 net=fixed
+traffic clients=20000 rate=0.05 tenant-skew=1 file-skew=1
+warmup 1s
+duration 5s
+checkpoint 2.5s
+EOF
+PLANNED=$("$MDSIM" -plan "$TMP/aging.plan" | sed -n 's/^digest: //p')
+if [ "$FULL" != "$PLANNED" ]; then
+    echo "ci: the aging run as a plan file diverged from the same keys given by -set" >&2
+    echo "ci:   -set: $FULL" >&2
+    echo "ci:   plan: $PLANNED" >&2
+    exit 1
+fi
+echo "ci: the aging plan file reports the same digest"
 
 # Soak smoke under the race detector: the rolling chaos soak crashes and
 # recovers nodes 1-3 in turn four times over the run, simfsck at every
