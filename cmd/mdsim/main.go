@@ -3,11 +3,12 @@
 // with no -plan — the built-in default plan, one run of the stock
 // cluster reported in full. -set key=value overrides a key of the plan
 // key table (internal/plan) on every run the plan compiles to; the
-// checkpoint and soak keys put a run on the endurance plane. Every run
-// takes one path: the plan compiles to cells, one harness cell runner
-// runs each (a faulted cell is drained and checked by simfsck), and the
-// plan's renderer prints the result. Performance is measured by the
-// repository benchmark (go run ./bench), not here.
+// checkpoint key puts a run on the endurance plane. Every run takes one
+// path: the plan compiles to cells, one harness cell runner runs each (a
+// faulted cell is drained and checked by simfsck), the plan's renderer
+// prints the result, and a failure block follows for each cell that
+// failed simfsck. Performance is measured by the repository benchmark
+// (go run ./bench), not here.
 //
 // Usage:
 //

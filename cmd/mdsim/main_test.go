@@ -75,7 +75,6 @@ func TestUsageErrors(t *testing.T) {
 		{"negative shards", []string{"-set", "shards=-3"}},
 		{"leases without open loop", []string{"-set", "mechanism=leases"}},
 		{"checkpoint flags without a cadence", []string{"-set", "rate=10", "-checkpoint-dir", dir}},
-		{"endure with zero cadence", []string{"-set", "rate=10", "-set", "clients=1000", "-set", "soak=2"}},
 		{"endure without open loop", []string{"-set", "checkpoint=2.5s"}},
 		{"cadence inside the quiesce drain", []string{"-set", "rate=10", "-set", "checkpoint=2s"}},
 		{"endure on the shared OSD pool", []string{"-set", "rate=0.05", "-set", "clients=2000", "-set", "checkpoint=2.5s", "-set", "osds=8"}},
@@ -147,9 +146,10 @@ func TestFlagSurface(t *testing.T) {
 }
 
 // TestValidInvocations: the up-front validation rejects nothing valid —
-// the listing, a small default-plan run on the queued model, and -set on
-// an experiment and on the group of all of them (every experiment is a
-// plan; the group is cut to two simulated seconds a run) exit 0.
+// the listing, a small default-plan run on the queued model, -set on an
+// experiment and on the group of all of them (every experiment is a
+// plan; the group is cut to two simulated seconds a run), and a soak
+// with no checkpoint cadence, a faulted cell like any other, exit 0.
 func TestValidInvocations(t *testing.T) {
 	for name, args := range map[string][]string{
 		"the listing": {"-list"},
@@ -157,6 +157,8 @@ func TestValidInvocations(t *testing.T) {
 			"-set", "duration=2s", "-set", "warmup=1s", "-set", "net=queued", "-set", "link-bw=1e8"},
 		"-set on the failover experiment": {"-plan", "failover", "-quick", "-set", "net=queued"},
 		"-set on every member of a group": {"-plan", "figures", "-quick", "-set", "net=queued", "-set", "duration=2s", "-set", "warmup=1s"},
+		"a soak without a checkpoint cadence": {"-set", "rate=0.03", "-set", "clients=2000", "-set", "soak=2",
+			"-set", "duration=2s", "-set", "warmup=1s"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

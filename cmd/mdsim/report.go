@@ -13,7 +13,7 @@ import (
 // reported in full — response times, the open-loop plane, the fabric,
 // the deepest service queues, faults and the simfsck verdict — or, with
 // a checkpoint cadence, as the endurance plane's degradation curve and
-// digest, or the soak's verdict.
+// digest.
 func defaultPlan() harness.Experiment {
 	d := plan.Default()
 	return harness.Experiment{
@@ -64,12 +64,8 @@ func writeSingle(w io.Writer, r *harness.PlanRun, start time.Time) {
 		q[0], n[0], q[1], n[1], q[2], n[2])
 	fmt.Fprint(w, res.Net.Table())
 	fmt.Fprint(w, res.FaultSummary())
-	if r.Cfg.Faults != "" {
-		if r.Fsck != nil {
-			fmt.Fprintf(w, "simfsck: FAIL\n%v\n", r.Fsck)
-		} else {
-			fmt.Fprintln(w, "simfsck: clean")
-		}
+	if r.Cfg.Faults != "" && r.Fsck == nil {
+		fmt.Fprintln(w, "simfsck: clean") // else the failure block follows
 	}
 	fmt.Fprintf(w, "wall time: %v (setup %v, run %v)\n",
 		time.Since(start).Round(time.Millisecond),

@@ -94,14 +94,14 @@ type RollingConfig struct {
 }
 
 // GenerateRolling derives a rolling-upgrade shaped fault schedule: the
-// soak workload of the endurance plane. Cycles sequential crash/recover
-// pairs sweep round-robin over nodes 1..n-1 — node 0 is the designated
-// survivor, so failover always has a target — evenly spaced over the
-// middle 80% of the horizon with millisecond jitter, each node back up
-// after a third of the cycle spacing (at most 2s), well before the next
-// one goes down (outages never overlap). The result is deterministic in
-// the config and valid for NumMDS; a config with no node to crash, or
-// cycles closer than 4ms apart, is an error.
+// one the soak key writes into a cell's faults. Cycles sequential
+// crash/recover pairs sweep round-robin over nodes 1..n-1 — node 0 is
+// the designated survivor, so failover always has a target — evenly
+// spaced over the middle 80% of the horizon with millisecond jitter,
+// each node back up after a third of the cycle spacing (at most 2s),
+// well before the next one goes down (outages never overlap). The
+// result is deterministic in the config and valid for NumMDS; a config
+// with no node to crash, or cycles closer than 4ms apart, is an error.
 func GenerateRolling(cfg RollingConfig) (*fault.Schedule, error) {
 	if cfg.NumMDS < 2 {
 		return nil, fmt.Errorf("a rolling schedule needs at least 2 MDS nodes (node 0 never crashes)")

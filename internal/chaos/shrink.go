@@ -8,16 +8,13 @@ import (
 // ShrinkSchedule minimises a failing fault schedule: it repeatedly
 // applies reductions — drop a whole rule, halve a rule's window, drop a
 // partition-group member — keeping a candidate only if fails still
-// returns true, until a fixed point or the evaluation budget (<= 0
-// means 200) is exhausted. The candidate order is deterministic, so a
+// returns true, until a fixed point or the evaluation budget is
+// exhausted. The candidate order is deterministic, so a
 // deterministic predicate always yields the same minimum. The result is
 // valid whenever the input was: reductions never widen windows, empty a
 // partition group, or invent node indices. Returns the shrunk schedule
 // and the number of predicate evaluations spent.
 func ShrinkSchedule(s *fault.Schedule, fails func(*fault.Schedule) bool, budget int) (*fault.Schedule, int) {
-	if budget <= 0 {
-		budget = 200
-	}
 	evals := 0
 	try := func(c *fault.Schedule) bool {
 		if evals >= budget {

@@ -38,7 +38,7 @@ func TestShrinkScheduleSynthetic(t *testing.T) {
 	if !fails(orig) {
 		t.Fatal("predicate must hold for the original schedule")
 	}
-	shrunk, evals := ShrinkSchedule(orig, fails, 0)
+	shrunk, evals := ShrinkSchedule(orig, fails, 200)
 	if !fails(shrunk) {
 		t.Fatalf("shrunk schedule no longer fails: %s", shrunk)
 	}
@@ -78,7 +78,7 @@ func TestShrinkScheduleBudget(t *testing.T) {
 func TestShrinkScheduleWindows(t *testing.T) {
 	orig := knownBadSchedule(t)
 	fails := func(s *fault.Schedule) bool { return len(s.Lags) > 0 }
-	shrunk, _ := ShrinkSchedule(orig, fails, 0)
+	shrunk, _ := ShrinkSchedule(orig, fails, 200)
 	if shrunk.NumRules() != 1 || len(shrunk.Lags) != 1 {
 		t.Fatalf("expected a single lag rule, got %s", shrunk)
 	}

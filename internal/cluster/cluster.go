@@ -150,10 +150,10 @@ type Config struct {
 
 	// Checkpoint, when positive, runs the config on the endurance plane
 	// (internal/endure): quiesced, simfsck'd and snapshotted at this
-	// cadence. Soak, when positive, replaces the fault schedule with a
-	// rolling one of that many crash/recover cycles (chaos.GenerateRolling).
-	// The cluster itself reads neither; EndureCheck says whether the
-	// rest of the config can take a cadence.
+	// cadence; EndureCheck says whether the rest of the config can take
+	// one. Soak carries the soak key only as far as plan.Apply, which
+	// writes that many rolling crash/recover cycles into Faults and
+	// zeroes it. The cluster itself reads neither.
 	Checkpoint sim.Time
 	Soak       int
 }

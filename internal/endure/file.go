@@ -14,7 +14,7 @@ import (
 // SnapshotVersion is the endurance snapshot format version. Bump it on
 // any incompatible change to the section layout; Restore rejects
 // mismatched files rather than misreading them.
-const SnapshotVersion = 5
+const SnapshotVersion = 6
 
 // header is the "endure" section at the front of every snapshot file:
 // enough to validate the restoring run's configuration and position the
@@ -25,7 +25,6 @@ type header struct {
 	Checkpoint int // 0-based index into Instants(Every, Duration)
 	ResumeAt   sim.Time
 	MaxID      namespace.InodeID
-	Faults     string
 }
 
 // At returns the checkpoint instant the snapshot was written at (the
@@ -72,7 +71,6 @@ func (h *header) snap(c *snap.Codec) {
 	snap.I(c, &h.Checkpoint)
 	snap.I(c, &h.ResumeAt)
 	snap.U(c, &h.MaxID)
-	c.String(&h.Faults)
 }
 
 // encodeSnapshot serializes the quiesced cluster plus the endure header
@@ -85,7 +83,6 @@ func encodeSnapshot(c *cluster.Cluster, cfg *cluster.Config, checkpoint int, res
 		Checkpoint: checkpoint,
 		ResumeAt:   resumeAt,
 		MaxID:      c.Tree().MaxID(),
-		Faults:     cfg.Faults,
 	}
 	w := snap.NewWriter()
 	snap.Encoder(w).Section("endure", h.snap)
@@ -148,8 +145,7 @@ func ValidateSnapshot(opt Options, path string) error {
 
 // check validates a snapshot header against the restoring run's config.
 // The config hash must match exactly; the fault schedule is deliberately
-// NOT checked (shrinking replays snapshots under reduced schedules),
-// only recorded for the repro line.
+// not part of it (shrinking replays snapshots under reduced schedules).
 func (h *header) check(cfg *cluster.Config) error {
 	if got := configHash(cfg); got != h.ConfigHash {
 		return fmt.Errorf("endure: snapshot config hash %016x does not match this run's %016x (same workload configuration required)",

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"dynmds/internal/chaos"
 	"dynmds/internal/fault"
@@ -13,15 +12,10 @@ import (
 
 // The chaos budget: chaosSchedules generated fault schedules
 // (chaos.Generate, runs 0.. off the seed), each run against every
-// strategy and checked by simfsck after a drain. Of the failing cells
-// the first chaosMaxShrinks are shrunk to minimal repros, spending at
-// most chaosShrinkBudget predicate evaluations (full re-runs) each. The
+// strategy and checked by simfsck after a drain; failing cells are
+// shrunk and reported as any experiment's are (Experiment.Run). The
 // whole budget is a pure function of the seed and the -set overrides.
-const (
-	chaosSchedules    = 50
-	chaosShrinkBudget = 120
-	chaosMaxShrinks   = 4
-)
+const chaosSchedules = 50
 
 // chaosSrc is the cell the budget injects its schedules into; the faults
 // axis goes in front of its matrix, so cells are schedule-major.
@@ -36,7 +30,7 @@ duration 5s
 `
 
 // Chaos is the chaos budget as an experiment. It prints no heading:
-// its report is one summary line and its failures.
+// its report is one summary line, then the failure blocks.
 func Chaos() Experiment { return chaosExperiment(chaosSchedules) }
 
 func chaosExperiment(schedules int) Experiment {
@@ -74,43 +68,17 @@ func chaosExperiment(schedules int) Experiment {
 	}
 }
 
-// writeChaosReport prints the budget's summary line and every cell that
-// failed simfsck (the runs are schedule-major); the first
-// chaosMaxShrinks failures are shrunk and given the command that
-// replays them.
+// writeChaosReport prints the budget's summary line.
 func writeChaosReport(w io.Writer, seed int64, scheds []*fault.Schedule, runs []PlanRun) {
-	strategies, rules := len(runs)/len(scheds), 0
+	failed, rules := 0, 0
 	for _, s := range scheds {
 		rules += s.NumRules()
 	}
-	var failed []int
 	for i := range runs {
 		if runs[i].Fsck != nil {
-			failed = append(failed, i)
+			failed++
 		}
 	}
 	fmt.Fprintf(w, "chaos: seed=%d schedules=%d strategies=%d runs=%d passed=%d failed=%d rules=%d\n",
-		seed, len(scheds), strategies, len(runs), len(runs)-len(failed), len(failed), rules)
-	for n, i := range failed {
-		r, sched := &runs[i], scheds[i/strategies]
-		fmt.Fprintf(w, "FAIL schedule=%d strategy=%s rules=%d\n  faults: %s\n  %s\n",
-			i/strategies, r.Cfg.Strategy, sched.NumRules(), r.Cfg.Faults,
-			strings.ReplaceAll(r.Fsck.Error(), "\n", "\n  "))
-		if n >= chaosMaxShrinks {
-			continue
-		}
-		cfg := r.Cfg
-		shrunk, evals := chaos.ShrinkSchedule(sched, func(s *fault.Schedule) bool {
-			cfg.Faults = s.String()
-			run, err := runCell(plan.Compiled{Label: r.Label, Cfg: cfg}, Options{}, false)
-			return err == nil && run.Fsck != nil
-		}, chaosShrinkBudget)
-		if shrunk.NumRules() == 0 {
-			fmt.Fprintf(w, "  shrunk to the empty schedule in %d evals — fails without faults\n", evals)
-		} else {
-			fmt.Fprintf(w, "  shrunk %d -> %d rules in %d evals: %s\n", sched.NumRules(), shrunk.NumRules(), evals, shrunk)
-		}
-		cfg.Faults = shrunk.String()
-		fmt.Fprintf(w, "  replay: %s\n", plan.CommandLine(cfg))
-	}
+		seed, len(scheds), len(runs)/len(scheds), len(runs), len(runs)-failed, failed, rules)
 }

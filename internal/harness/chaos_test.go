@@ -77,17 +77,20 @@ func TestChaosSetOverrides(t *testing.T) {
 	}
 }
 
-// TestChaosReportShrinksFailures: a failing cell is reported with its
-// schedule and violation, shrunk, and given a replay line that spells
-// the shrunk schedule. The violation is planted, so every shrink
-// candidate passes and the schedule cannot shrink.
+// TestChaosReportShrinksFailures: a failing cell is shrunk by the
+// harness, not by the renderer, and reported in the common failure
+// block: label, violation, schedule, the shrunk schedule with its evals,
+// and a replay line that spells the shrunk schedule. The violation is
+// planted, so every shrink candidate passes and the schedule cannot
+// shrink; each candidate re-runs the cell from t=0.
 func TestChaosReportShrinksFailures(t *testing.T) {
+	opt := Options{Seed: 3}
 	e := chaosExperiment(1)
-	ps, render, err := e.Build(Options{Seed: 3})
+	ps, render, err := e.Build(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := ps[0].Compile(Options{Seed: 3})
+	cells, err := ps[0].Compile(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,16 +99,22 @@ func TestChaosReportShrinksFailures(t *testing.T) {
 		runs[i] = PlanRun{Compiled: c}
 	}
 	runs[2].Fsck = errors.New("planted violation")
+	shrinkFailures(runs, opt, runCell)
 	var out bytes.Buffer
 	if err := render(&out, runs); err != nil {
 		t.Fatal(err)
 	}
-	faults := runs[2].Cfg.Faults
+	r := &runs[2]
+	writeFailure(&out, r, "")
+	s, faults := r.shrunk, r.Cfg.Faults
+	if s == nil || s.Faults != faults || s.Evals == 0 || s.From != "" {
+		t.Fatalf("shrink of a failure no candidate reproduces: %+v, want %s unchanged, from t=0", s, faults)
+	}
 	for _, want := range []string{
 		"passed=4 failed=1",
-		"FAIL schedule=0 strategy=" + cluster.StratDirHash,
-		"  faults: " + faults + "\n  planted violation\n",
-		"  replay: " + plan.CommandLine(runs[2].Cfg) + "\n",
+		"FAIL " + r.Label + "\n  planted violation\n  faults: " + faults + "\n",
+		fmt.Sprintf("  shrunk in %d evals: %s\n", s.Evals, faults),
+		"  replay: " + plan.CommandLine(r.Cfg) + "\n",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("report lacks %q:\n%s", want, out.String())

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -50,13 +49,12 @@ func (e *BuildError) Error() string { return "harness: " + e.Label + ": " + e.Er
 func (e *BuildError) Unwrap() error { return e.Err }
 
 // runCell runs one compiled cell, one of three ways. A cell with a
-// checkpoint cadence runs on the endurance plane: endure.Soak when it
-// soaks, endure.Restore from opt.Restore, else endure.Run, each
-// simfsck'ing every checkpoint. A faulted cell captures a simfsck
-// baseline, runs, drains and is checked. Any other cell just runs.
-// heap asks for the cell's live-heap growth (PlanRun.Heap). A simfsck
-// violation lands in the run; the error reports only what kept the cell
-// from running.
+// checkpoint cadence runs on the endurance plane, endure.Restore from
+// opt.Restore or else endure.Run, each simfsck'ing every checkpoint. A
+// faulted cell captures a simfsck baseline, runs, drains and is
+// checked. Any other cell just runs. heap asks for the cell's live-heap
+// growth (PlanRun.Heap). A simfsck violation lands in the run; the error
+// reports only what kept the cell from running.
 func runCell(c plan.Compiled, opt Options, heap bool) (PlanRun, error) {
 	run := PlanRun{Compiled: c}
 	var before int64
@@ -95,18 +93,9 @@ func runCell(c plan.Compiled, opt Options, heap bool) (PlanRun, error) {
 func (run *PlanRun) endure(eo endure.Options, restore string) error {
 	var res *endure.Result
 	var err error
-	switch cfg := &eo.Cluster; {
-	case cfg.Soak > 0:
-		run.Soak, err = endure.Soak(endure.SoakOptions{Base: eo, Seed: cfg.Seed, Cycles: cfg.Soak})
-		if err == nil {
-			res = run.Soak.Result
-			if f := run.Soak.Failure; f != nil {
-				err = f.FsckError
-			}
-		}
-	case restore != "":
+	if restore != "" {
 		res, err = endure.Restore(eo, restore)
-	default:
+	} else {
 		res, err = endure.Run(eo)
 	}
 	if fe, ok := endure.IsFsck(err); ok {
@@ -245,23 +234,30 @@ func (e Experiment) runs(opt Options) ([]PlanRun, Renderer, error) {
 	return runs, render, err
 }
 
-// Run executes the experiment and prints its figure. A cell that failed
-// simfsck fails the run once the figure is out: the error names the
-// first such cell and the command that replays it.
+// Run executes the experiment and prints its figure, then a failure
+// block for every cell that failed simfsck, the first maxShrinks with
+// their schedules shrunk. Any such cell fails the run once the report
+// is out.
 func (e Experiment) Run(w io.Writer, opt Options) error {
 	runs, render, err := e.runs(opt)
-	if err == nil {
-		err = render(w, runs)
-	}
 	if err != nil {
 		return err
 	}
-	failed := slices.IndexFunc(runs, func(r PlanRun) bool { return r.Fsck != nil })
-	if failed < 0 {
-		return nil
+	shrinkFailures(runs, opt, runCell)
+	if err := render(w, runs); err != nil {
+		return err
 	}
-	r := &runs[failed]
-	return fmt.Errorf("%s failed simfsck (replay: %s):\n%v", r.Label, plan.CommandLine(r.Cfg), r.Fsck)
+	failed := 0
+	for i := range runs {
+		if runs[i].Fsck != nil {
+			writeFailure(w, &runs[i], opt.Restore)
+			failed++
+		}
+	}
+	if failed > 0 {
+		return fmt.Errorf("%d of %d cells failed simfsck; the report ends with their replay lines", failed, len(runs))
+	}
+	return nil
 }
 
 // All returns every experiment in figure order.

@@ -3,11 +3,13 @@ package harness
 import (
 	"bytes"
 	"errors"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"dynmds/internal/cluster"
+	"dynmds/internal/endure"
 	"dynmds/internal/plan"
 	"dynmds/internal/sim"
 )
@@ -305,5 +307,102 @@ func TestFiguresQuickSmoke(t *testing.T) {
 				t.Fatalf("suspiciously short output:\n%s", out)
 			}
 		})
+	}
+}
+
+// settings parses space-separated key=value pairs as -set would.
+func settings(t *testing.T, text string) []plan.Setting {
+	t.Helper()
+	var out []plan.Setting
+	for _, f := range strings.Fields(text) {
+		st, err := plan.ParseSetting(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, st)
+	}
+	return out
+}
+
+// soakKeys is the soak smoke of scripts/ci.sh: 20k clients at ~600
+// ops/s on the default plan's four nodes, four checkpoints over 10 s.
+const soakKeys = "rate=0.03 clients=20000 users=60 duration=10s warmup=1s checkpoint=2.5s"
+
+// TestSoakDeterminism: soak=4 compiles to a rolling schedule of four
+// crash/recover cycles written into faults, and the cell it makes is a
+// pure function of its keys — two runs agree on the digest — that
+// passes simfsck at every checkpoint. Across the crash cycles, ops/sec
+// at the last checkpoint stays within 15% of the peak.
+func TestSoakDeterminism(t *testing.T) {
+	cells, err := plan.Default().Compile(Options{Set: settings(t, soakKeys+" soak=4")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cells[0]
+	if got := strings.Count(c.Cfg.Faults, "crash@"); got != 4 || c.Cfg.Soak != 0 {
+		t.Fatalf("soak=4 compiled to %d crash cycles and soak=%d: %s", got, c.Cfg.Soak, c.Cfg.Faults)
+	}
+	var runs [2]PlanRun
+	for i := range runs {
+		if runs[i], err = runCell(c, Options{}, false); err != nil {
+			t.Fatal(err)
+		}
+		if runs[i].Fsck != nil {
+			t.Fatalf("soak failed simfsck: %v", runs[i].Fsck)
+		}
+	}
+	a, b := runs[0].Endure, runs[1].Endure
+	if a.Digest != b.Digest {
+		t.Fatalf("soak digests differ:\n  %s\n  %s", a.Digest, b.Digest)
+	}
+	if d := a.Drift(); d > 0.15 {
+		t.Errorf("throughput drift %.3f exceeds 0.15 (curve peak→last)", d)
+	}
+}
+
+// TestShrinkRestoresFromLastGoodCheckpoint: a checkpointed faulted cell
+// that fails simfsck at checkpoint 2, run under -checkpoint-dir, is
+// shrunk from its last good checkpoint — every candidate restores
+// ck-001.snap and replays only the failing tail — and its failure
+// block's replay line restores that snapshot too. The violation is
+// planted on a clean run, so no candidate reproduces it.
+func TestShrinkRestoresFromLastGoodCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	opt := Options{CheckpointDir: dir, Set: settings(t, soakKeys+" faults=crash@3s:mds1,recover@4s:mds1,drop@0.01:client")}
+	cells, err := plan.Default().Compile(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := runCell(cells[0], opt, false)
+	if err != nil || run.Fsck != nil || len(run.Endure.Rows) != 4 {
+		t.Fatalf("the checkpointing run: %v, simfsck %v", err, run.Fsck)
+	}
+	run.Endure.Rows = run.Endure.Rows[:2]
+	run.Fsck = &endure.FsckError{Checkpoint: 2, At: 3 * cells[0].Cfg.Checkpoint, Err: errors.New("planted violation")}
+	runs := []PlanRun{run}
+	var restored []string
+	shrinkFailures(runs, opt, func(c plan.Compiled, o Options, heap bool) (PlanRun, error) {
+		restored = append(restored, o.Restore)
+		return runCell(c, o, heap)
+	})
+	ck1 := filepath.Join(dir, "ck-001.snap")
+	s := runs[0].shrunk
+	if s == nil || s.Evals == 0 || s.Evals != len(restored) || s.From != ck1 || s.Faults != run.Cfg.Faults {
+		t.Fatalf("shrink: %+v over %d candidates, want %s unchanged from %s", s, len(restored), run.Cfg.Faults, ck1)
+	}
+	for i, from := range restored {
+		if from != ck1 {
+			t.Errorf("candidate %d restored from %q, want %s", i, from, ck1)
+		}
+	}
+	var out bytes.Buffer
+	writeFailure(&out, &runs[0], "")
+	for _, want := range []string{
+		"FAIL default\n  checkpoint 2 (t=7.500s)\n  planted violation\n",
+		"  replay: " + plan.CommandLine(run.Cfg, "-restore", ck1) + "\n",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("failure block lacks %q:\n%s", want, out.String())
+		}
 	}
 }

@@ -18,11 +18,11 @@ type PlanRun struct {
 	// Fsck is the simfsck violation of a faulted or checkpointed cell;
 	// nil when the cell was clean or not checked.
 	Fsck error
+	// shrunk is the schedule of a failed cell the harness shrank.
+	shrunk *shrunk
 	// Endure is the degradation curve and digest of a cell with a
-	// checkpoint cadence; Soak the rolling schedule and the shrunk
-	// failure of one that soaks.
+	// checkpoint cadence.
 	Endure *endure.Result
-	Soak   *endure.SoakReport
 	// Heap is the cell's live-heap growth in bytes, when its experiment
 	// asks for it.
 	Heap int64
@@ -92,10 +92,11 @@ func WritePlanReport(w io.Writer, p *plan.Plan, runs []PlanRun, restore string) 
 }
 
 // WriteEndure prints the endurance report of a cell with a checkpoint
-// cadence: a line per checkpoint that passed, then the soak's schedule
-// and verdict, or the degradation curve, its drift and the run's digest
-// — or the simfsck failure that cut the run short. restore names the
-// snapshot the run resumed from, if any. It prints no wall time.
+// cadence: a line per checkpoint that passed, the cell's fault schedule
+// if it has one, then the degradation curve, its drift and the run's
+// digest — unless simfsck cut the run short, when the failure block
+// after the report says why. restore names the snapshot the run
+// resumed from, if any. It prints no wall time.
 func WriteEndure(w io.Writer, r *PlanRun, restore string) {
 	if restore != "" {
 		fmt.Fprintf(w, "restoring from %s\n", restore)
@@ -108,43 +109,15 @@ func WriteEndure(w io.Writer, r *PlanRun, restore string) {
 		}
 		fmt.Fprintln(w, line)
 	}
-	if r.Soak != nil {
-		writeSoak(w, r)
-		return
+	if r.Cfg.Faults != "" {
+		fmt.Fprintf(w, "faults: %s\n", r.Cfg.Faults)
 	}
-	if fe, ok := endure.IsFsck(r.Fsck); ok {
-		fmt.Fprintf(w, "simfsck: FAIL at checkpoint %d\n%v\n", fe.Checkpoint, fe.Err)
+	if r.Fsck != nil {
 		return
 	}
 	fmt.Fprint(w, r.Endure.CurveTable())
 	fmt.Fprintf(w, "degradation drift: %.4f (1 - last/peak ops/s)\n", r.Endure.Drift())
 	fmt.Fprintf(w, "digest: %s\n", r.Endure.Digest)
-}
-
-// writeSoak is the rest of a rolling chaos soak's report: its schedule,
-// then the curve of a clean soak, or the failing checkpoint, the shrunk
-// schedule and the command that replays it.
-func writeSoak(w io.Writer, r *PlanRun) {
-	rep := r.Soak
-	fmt.Fprintf(w, "soak schedule: %s\n", rep.Schedule)
-	if f := rep.Failure; f != nil {
-		fmt.Fprintf(w, "soak: FAIL (checkpoint %d)\n%v\n", f.Checkpoint, f.Err)
-		if f.Shrunk != "" {
-			fmt.Fprintf(w, "shrunk schedule (%d evals): %s\n", f.Evals, f.Shrunk)
-		}
-		var more []string
-		if f.RestartFrom != "" {
-			fmt.Fprintf(w, "shrink restarted from checkpoint: %s\n", f.RestartFrom)
-			more = []string{"-restore", f.RestartFrom}
-		}
-		cfg := r.Cfg
-		cfg.Faults, cfg.Soak = f.Shrunk, 0
-		fmt.Fprintf(w, "repro: %s\n", plan.CommandLine(cfg, more...))
-		return
-	}
-	fmt.Fprint(w, rep.Result.CurveTable())
-	fmt.Fprintf(w, "soak: clean — %d checkpoints simfsck-verified, drift %.4f\n",
-		len(rep.Result.Rows), rep.Result.Drift())
 }
 
 // planColumns returns the summary columns: the plan's optimize metrics

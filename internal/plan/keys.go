@@ -232,7 +232,7 @@ var keys = []key{
 		func(c *cluster.Config) *sim.Time { return &c.Duration }),
 	timeKey("checkpoint", "", "endurance: quiesce, simfsck and snapshot the run at this cadence (0s = never)", 0,
 		func(c *cluster.Config) *sim.Time { return &c.Checkpoint }),
-	numKey("soak", "", "endurance: rolling crash/recover cycles over nodes 1..n-1 (0 = none)", 0, inf,
+	numKey("soak", "", "rolling crash/recover cycles over nodes 1..n-1, written into faults (0 = none)", 0, inf,
 		func(c *cluster.Config) *int { return &c.Soak }),
 }
 
@@ -461,9 +461,12 @@ func lastIndex(set []Setting, key string) int {
 }
 
 // Apply overrides cfg with the settings (as bind does), then checks the
-// run they make: the cluster's rulebook (cluster.Config.Validate), the
-// checkpoint cadence by the endurance plane's (endure.Options.Normalize),
-// and the soak's rules. An empty list only checks.
+// run they make: the cluster's rulebook (cluster.Config.Validate) and
+// the checkpoint cadence by the endurance plane's
+// (endure.Options.Normalize). Last it turns a soak into its fault
+// schedule: the rolling one chaos.GenerateRolling draws for the cell's
+// seed, cluster and duration, written into faults, so a soak runs and
+// replays as any faulted cell does. An empty list only checks.
 func Apply(cfg *cluster.Config, set []Setting) error {
 	if err := bind(cfg, set); err != nil {
 		return err
@@ -480,17 +483,14 @@ func Apply(cfg *cluster.Config, set []Setting) error {
 	if cfg.Soak == 0 {
 		return nil
 	}
-	// A soak rides on a checkpoint cadence, brings its own fault
-	// schedule and must fit the run; only a plan reads the soak key.
-	switch {
-	case cfg.Checkpoint == 0:
-		return fmt.Errorf("soak needs a checkpoint cadence (checkpoint=...)")
-	case cfg.Faults != "":
+	if cfg.Faults != "" {
 		return fmt.Errorf("soak generates its own fault schedule; drop faults")
 	}
-	if _, err := chaos.GenerateRolling(chaos.RollingConfig{NumMDS: cfg.NumMDS, Cycles: cfg.Soak, Horizon: cfg.Duration}); err != nil {
+	sched, err := chaos.GenerateRolling(chaos.RollingConfig{Seed: cfg.Seed, NumMDS: cfg.NumMDS, Cycles: cfg.Soak, Horizon: cfg.Duration})
+	if err != nil {
 		return fmt.Errorf("soak: %w", err)
 	}
+	cfg.Faults, cfg.Soak = sched.String(), 0
 	return nil
 }
 

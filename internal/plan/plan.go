@@ -9,10 +9,11 @@
 // A plan's lifecycle is Parse (or Go literal) → Validate → Compile →
 // harness sweep. Everything that can be rejected before simulation is:
 // Compile checks the plan's shape and each cell's keys, then the
-// cluster's rulebook (cluster.Config.Validate), the checkpoint cadence
-// (endure.Options.Normalize) and the soak. The namespace-dependent
-// checks — an act's hotspot path resolving to a real inode — happen in
-// cluster.New, still before any event runs.
+// cluster's rulebook (cluster.Config.Validate) and the checkpoint
+// cadence (endure.Options.Normalize), and turns a soak into its fault
+// schedule. The namespace-dependent checks — an act's hotspot path
+// resolving to a real inode — happen in cluster.New, still before any
+// event runs.
 //
 // Every knob of a run is one entry of the key table (keys.go). A plan
 // binds keys on its fs/cluster/traffic lines, sweeps them in its
@@ -99,8 +100,7 @@ type Options struct {
 	// CheckpointDir and Restore are the endurance plane's files (mdsim
 	// -checkpoint-dir, -restore): the directory a run with a checkpoint
 	// cadence writes its snapshots to, and the snapshot it resumes from.
-	// Only a plan of one cell with a cadence takes them, and a soak,
-	// which starts from its own schedule at t=0, takes no Restore.
+	// Only a plan of one cell with a cadence takes them.
 	CheckpointDir, Restore string
 }
 
@@ -283,8 +283,6 @@ func (p *Plan) Compile(opt Options) ([]Compiled, error) {
 			return nil, fmt.Errorf("plan %s: -checkpoint-dir and -restore take a plan of one run, not %d", p.Name, len(out))
 		case out[0].Cfg.Checkpoint == 0:
 			return nil, fmt.Errorf("plan %s: -checkpoint-dir and -restore need a checkpoint cadence (-set checkpoint=...)", p.Name)
-		case opt.Restore != "" && out[0].Cfg.Soak > 0:
-			return nil, fmt.Errorf("plan %s: a soak starts from its own schedule at t=0; drop -restore", p.Name)
 		}
 	}
 	return out, nil

@@ -35,7 +35,7 @@ budget() {
     fi
 }
 budget README.md $((24 * 1024))
-budget DESIGN.md 56785
+budget DESIGN.md 56708
 
 # -race on the small CI box is ~6x slower than native; give packages
 # headroom past go test's 10m default so a busy host doesn't flake. The
@@ -215,16 +215,26 @@ if [ "$FULL" != "$PLANNED" ]; then
 fi
 echo "ci: the aging plan file reports the same digest"
 
-# Soak smoke under the race detector: the rolling chaos soak crashes and
-# recovers nodes 1-3 in turn four times over the run, simfsck at every
-# checkpoint.
-"$RACE" -set rate=0.03 -set clients=20000 -set users=60 -set duration=10s -set warmup=1s \
-    -set checkpoint=2.5s -set soak=4 >"$TMP/soak.txt"
-if ! grep -q '^soak: clean' "$TMP/soak.txt"; then
+# Soak smoke under the race detector: soak=4 is a rolling fault schedule
+# that crashes and recovers nodes 1-3 in turn four times over the run,
+# and a checkpoint that fails simfsck exits 1. The soak is the run of
+# the same keys with that schedule as faults: four checkpoint rows, that
+# run's digest, and the same digest restored from its ck-001.snap.
+SOAK="-set rate=0.03 -set clients=20000 -set users=60 -set duration=10s -set warmup=1s -set checkpoint=2.5s"
+"$RACE" $SOAK -set soak=4 -checkpoint-dir "$TMP/soak" >"$TMP/soak.txt"
+SCHED=$(sed -n 's/^faults: //p' "$TMP/soak.txt")
+SOAKED=$(sed -n 's/^digest: //p' "$TMP/soak.txt")
+FAULTED=$("$MDSIM" $SOAK -set faults="$SCHED" | sed -n 's/^digest: //p')
+RESUMED=$("$MDSIM" $SOAK -set soak=4 -restore "$TMP/soak/ck-001.snap" | sed -n 's/^digest: //p')
+if [ "$(grep -c '^ck ' "$TMP/soak.txt")" != 4 ] || [ -z "$SOAKED" ] ||
+    [ "$SOAKED" != "$FAULTED" ] || [ "$SOAKED" != "$RESUMED" ]; then
     cat "$TMP/soak.txt" >&2
-    echo "ci: the soak smoke is not clean" >&2
+    echo "ci: the soak smoke is not the faulted run of its schedule" >&2
+    echo "ci:   faults=$SCHED: $FAULTED" >&2
+    echo "ci:   restored from ck-001: $RESUMED" >&2
     exit 1
 fi
+echo "ci: the soak is its fault schedule, and restores"
 
 # The documents describe the mdsim that exists: none of them may spell a
 # flag that -set replaced or that was deleted.
