@@ -18,7 +18,8 @@
 //	mdsim -plan figures -quick                  # every figure and extension, reduced scale
 //	mdsim -plan chaos -seed 7                   # the chaos budget
 //	mdsim -plan hotspot-duel -quick -set net=queued
-//	mdsim -set rate=0.05 -set clients=20000 -set checkpoint=2.5s -checkpoint-dir ck
+//	mdsim -set rate=0.05 -set clients=20000 -set checkpoint=2.5s -checkpoint-dir ck \
+//	      -set mix=stat:55,readdir:10,chmod:5,create:12,rename:3,unlink:15  # an aging run
 //	mdsim -plan my.plan -cpuprofile cpu.pprof -memprofile mem.pprof
 //	mdsim -list                                 # what -plan accepts
 //

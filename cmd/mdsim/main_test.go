@@ -310,7 +310,8 @@ func TestReproLinesRoundTrip(t *testing.T) {
 func TestRestoreOfADamagedSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	aging := []string{"-set", "rate=1", "-set", "clients=200", "-set", "users=8", "-set", "duration=8s",
-		"-set", "warmup=1s", "-set", "faults=drop@0.02:all", "-set", "checkpoint=2.5s"}
+		"-set", "warmup=1s", "-set", "faults=drop@0.02:all", "-set", "checkpoint=2.5s",
+		"-set", "mix=stat:55,readdir:10,chmod:5,create:12,rename:3,unlink:15"}
 	mdsim := func(args ...string) (code int, stdout, stderr string) {
 		var o, e bytes.Buffer
 		code = run(append(slices.Clone(aging), args...), &o, &e)

@@ -39,20 +39,12 @@ type PopulationConfig struct {
 	// open-loop plane never issues an op whose accounting depends on a
 	// paired follow-up. Rename moves a working-set entry into another
 	// tenant's directory — the cross-authority migration op. Unlink
-	// removes a file this run created earlier — the churn op of the
-	// endurance plane; it never touches the frozen working sets the
-	// tenant alias tables point into, so create/unlink churn can run
-	// for virtual days without invalidating a single tenant pointer.)
+	// removes a frozen base file from the reserve UnlinkReserve sizes,
+	// then a file this run created earlier — the churn op that ages the
+	// namespace; it never touches the frozen working sets the tenant
+	// alias tables point into, so create/unlink churn can run for
+	// virtual days without invalidating a single tenant pointer.)
 	MixStat, MixReaddir, MixChmod, MixCreate, MixRename, MixUnlink float64
-
-	// ChurnBase reserves this many frozen base files — outside every
-	// tenant working set, so no alias-table pointer ever dangles — as
-	// unlink victims, consumed before the run-created ring. Base unlinks
-	// are what tombstone the overlay: without them, churn only recycles
-	// run-created inodes and the aged-overlay degradation the endurance
-	// plane measures never materialises. The cluster layer selects the
-	// victims (it owns the tree walk) via SeedBaseVictims.
-	ChurnBase int
 }
 
 // The traffic plane's fixed shape: the timer-wheel granularity every
@@ -77,6 +69,22 @@ func (c PopulationConfig) withDefaults() PopulationConfig {
 		c.MixStat, c.MixReaddir, c.MixChmod, c.MixCreate = 80, 10, 8, 2
 	}
 	return c
+}
+
+// UnlinkReserve is how many frozen base files a population of Clients
+// should hold in reserve for its unlinks over horizon: the expected
+// unlink draws, at least 1024, and none without an unlink
+// weight. Base unlinks are what tombstone the overlay; without them,
+// churn only recycles run-created inodes. The cluster layer picks the
+// files (it owns the tree walk) and hands them to SeedBaseVictims.
+func (c PopulationConfig) UnlinkReserve(horizon sim.Time) int {
+	d := c.withDefaults()
+	if d.MixUnlink <= 0 {
+		return 0
+	}
+	total := d.MixStat + d.MixReaddir + d.MixChmod + d.MixCreate + d.MixRename + d.MixUnlink
+	expect := d.Rate * float64(d.Clients) * horizon.Seconds() * d.MixUnlink / total
+	return max(int(expect), 1024)
 }
 
 // EffectiveMix returns the defaulted op-mix weights in canonical draw
@@ -189,7 +197,7 @@ type Population struct {
 	churn     []*namespace.Inode
 	churnHead int
 
-	// Base-victim pool (ChurnBase > 0 only): frozen base files reserved
+	// Base-victim pool (UnlinkReserve > 0 only): frozen base files reserved
 	// for unlink, consumed FIFO before the run-created ring so overlay
 	// tombstones accrue from the first unlink draws.
 	baseVictims []*namespace.Inode

@@ -150,10 +150,10 @@ type Config struct {
 
 	// Checkpoint, when positive, runs the config on the endurance plane
 	// (internal/endure): quiesced, simfsck'd and snapshotted at this
-	// cadence; EndureCheck says whether the rest of the config can take
-	// one. Soak carries the soak key only as far as plan.Apply, which
-	// writes that many rolling crash/recover cycles into Faults and
-	// zeroes it. The cluster itself reads neither.
+	// cadence, which decides when the run is checked and never what it
+	// simulates; Validate holds its rules. Soak carries the soak key
+	// only as far as plan.Apply, which writes that many rolling
+	// crash/recover cycles into Faults and zeroes it.
 	Checkpoint sim.Time
 	Soak       int
 }
@@ -262,8 +262,9 @@ type Cluster struct {
 // calls it first; plan.Apply calls it once a cell is bound, so mdsim
 // refuses a bad plan before any event. What needs the namespace — an
 // act's hotspot path resolving, a file hotspot taking no directory ops —
-// is setupActs's, and the checkpoint cadence's rules are
-// endure.Options.Normalize's.
+// is setupActs's. A checkpoint cadence must exceed the quiesce drain,
+// fit the duration, and come with a config the checkpoint codec covers
+// (EndureCheck).
 func (cfg *Config) Validate() error {
 	open := cfg.OpenLoop != nil
 	switch k := cfg.Workload.Kind; {
@@ -314,6 +315,18 @@ func (cfg *Config) Validate() error {
 		case a.Hotspot != "" && !strings.HasPrefix(a.Hotspot, "/"):
 			return fmt.Errorf("act %q: hotspot target %q is not an absolute path", a.Name, a.Hotspot)
 		}
+	}
+	switch err := cfg.EndureCheck(); {
+	case cfg.Checkpoint == 0:
+		return nil
+	case err != nil:
+		return err
+	case cfg.Checkpoint <= QuiesceDrain:
+		return fmt.Errorf("checkpoint %s must exceed the %s quiesce drain",
+			sim.FormatTime(cfg.Checkpoint), sim.FormatTime(QuiesceDrain))
+	case cfg.Duration < cfg.Checkpoint:
+		return fmt.Errorf("duration %s is shorter than the %s checkpoint cadence",
+			sim.FormatTime(cfg.Duration), sim.FormatTime(cfg.Checkpoint))
 	}
 	return nil
 }
@@ -599,10 +612,10 @@ func (c *Cluster) buildPopulation() error {
 	tenants := workload.NewTenants(pcfg.Tenant, pcfg.Clients, c.Snap.Homes, cfg.Seed)
 	c.tenants = tenants
 	c.Pop = client.NewPopulation(pcfg, c.Eng, c, c.Strategy, tenants, cfg.Seed)
-	if pcfg.ChurnBase > 0 {
-		victims := baseVictims(c.Snap.Tree, tenants, pcfg.ChurnBase)
+	if n := pcfg.UnlinkReserve(cfg.Duration); n > 0 {
+		victims := baseVictims(c.Snap.Tree, tenants, n)
 		if len(victims) == 0 {
-			return fmt.Errorf("cluster: ChurnBase %d but no base files outside the tenant working sets", pcfg.ChurnBase)
+			return fmt.Errorf("cluster: an unlink reserve of %d but no base files outside the tenant working sets", n)
 		}
 		c.Pop.SeedBaseVictims(victims)
 	}

@@ -118,3 +118,25 @@ func TestOpenLoopValidation(t *testing.T) {
 		t.Fatal("open loop + shift workload accepted")
 	}
 }
+
+// TestUnlinksTombstoneWithoutCadence: an open-loop run whose mix has an
+// unlink weight reserves base files for its unlinks and tombstones them,
+// with or without a checkpoint cadence — the cadence decides only when
+// the run is checked.
+func TestUnlinksTombstoneWithoutCadence(t *testing.T) {
+	cfg := Default()
+	cfg.Duration = 5 * sim.Second
+	cfg.Warmup = sim.Second
+	cfg.OpenLoop = &client.PopulationConfig{
+		Clients: 20000, Rate: 0.05,
+		MixStat: 55, MixReaddir: 10, MixChmod: 5, MixCreate: 12, MixRename: 3, MixUnlink: 15,
+	}
+	cl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Run()
+	if n := cl.Tree().TombstoneCount(); n == 0 {
+		t.Fatal("unlinks tombstoned no base file")
+	}
+}

@@ -33,10 +33,10 @@ const DefaultCompactAt = 65536
 // Options configures an endurance run.
 type Options struct {
 	// Cluster is the run configuration; it must use the open-loop
-	// traffic plane and a churn-capable op mix.
+	// traffic plane (cluster.Config.EndureCheck).
 	Cluster cluster.Config
-	// Every is the checkpoint cadence in virtual time. Must exceed the
-	// quiesce drain window. A final checkpoint always lands at
+	// Every is the checkpoint cadence in virtual time, held to the rules
+	// of cluster.Config.Checkpoint. A final checkpoint always lands at
 	// Cluster.Duration.
 	Every sim.Time
 	// Dir is where snapshot files are written (created if missing);
@@ -45,63 +45,29 @@ type Options struct {
 	Dir string
 }
 
-// Normalize validates and defaults the options. The config must be one
-// the checkpoint codec covers (cluster.Config.EndureCheck), and the
-// cadence must exceed the quiesce drain and fit the run at least once;
-// plan.Apply calls it for a cell with a checkpoint, so these rules are
-// written only here. The op mix defaults to a churn-heavy blend (the
-// plain open-loop default has no unlink, which would leave nothing to
-// age), and ChurnBase — the reserve of frozen base files the unlink
-// stream consumes first — to the expected unlink draws over the
-// horizon. Both defaults are applied identically by Run, Restore, and
-// ValidateSnapshot, so the config hash recorded in a snapshot matches on
-// restore.
+// Normalize checks the options against the cluster's rulebook
+// (cluster.Config.Validate) with Every as the checkpoint cadence. It
+// changes nothing: a cadence decides when a run is quiesced and
+// checked, never what it simulates.
 func (o *Options) Normalize() error {
-	if err := o.Cluster.EndureCheck(); err != nil {
+	cfg := o.Cluster
+	cfg.Checkpoint = o.Every
+	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("endure: %w", err)
 	}
-	if o.Every <= cluster.QuiesceDrain {
-		return fmt.Errorf("endure: checkpoint %s must exceed the %s quiesce drain",
-			sim.FormatTime(o.Every), sim.FormatTime(cluster.QuiesceDrain))
-	}
-	if o.Cluster.Duration < o.Every {
-		return fmt.Errorf("endure: duration %s is shorter than the %s checkpoint cadence",
-			sim.FormatTime(o.Cluster.Duration), sim.FormatTime(o.Every))
-	}
-	pc := *o.Cluster.OpenLoop // never mutate the caller's config through the pointer
-	if pc.MixStat+pc.MixReaddir+pc.MixChmod+pc.MixCreate+pc.MixRename+pc.MixUnlink <= 0 {
-		pc.MixStat, pc.MixReaddir, pc.MixChmod = 55, 10, 5
-		pc.MixCreate, pc.MixRename, pc.MixUnlink = 12, 3, 15
-	}
-	if pc.ChurnBase == 0 && pc.MixUnlink > 0 {
-		total := pc.MixStat + pc.MixReaddir + pc.MixChmod + pc.MixCreate + pc.MixRename + pc.MixUnlink
-		clients := pc.Clients
-		if clients <= 0 {
-			clients = o.Cluster.NumMDS * o.Cluster.ClientsPerMDS
-		}
-		rate := pc.Rate
-		if rate <= 0 {
-			rate = 10
-		}
-		expect := rate * float64(clients) * o.Cluster.Duration.Seconds() * pc.MixUnlink / total
-		pc.ChurnBase = int(expect)
-		if pc.ChurnBase < 1024 {
-			pc.ChurnBase = 1024
-		}
-	}
-	o.Cluster.OpenLoop = &pc
 	return nil
 }
 
 // Instants returns the checkpoint instants for a cadence and duration:
-// every multiple of the cadence inside the run, plus the run's end. A
-// multiple within one quiesce drain of the end merges into the final
-// checkpoint — the segment between them would hold no serving time
-// (each quiesce consumes a drain window of virtual time before the next
-// segment's traffic resumes).
+// every multiple of the cadence inside the run (none for a cadence that
+// is not positive), plus the run's end. A multiple within one quiesce
+// drain of the end merges into the final checkpoint — the segment
+// between them would hold no serving time (each quiesce consumes a
+// drain window of virtual time before the next segment's traffic
+// resumes).
 func Instants(every, duration sim.Time) []sim.Time {
 	var out []sim.Time
-	for t := every; t < duration; t += every {
+	for t := every; t > 0 && t < duration; t += every {
 		out = append(out, t)
 	}
 	if n := len(out); n > 0 && duration-out[n-1] <= cluster.QuiesceDrain {
@@ -326,17 +292,8 @@ func Restore(opt Options, path string) (*Result, error) {
 // to it: the state of the checkpointing run at the snapshot's instant,
 // armed for the rest of the schedule, its clock still at zero.
 func load(opt *Options, data []byte) (*runState, *header, error) {
-	if err := opt.Normalize(); err != nil {
-		return nil, nil, err
-	}
-	hdr, r, err := decodeHeader(data)
+	hdr, r, err := openSnapshot(opt, data)
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := hdr.check(&opt.Cluster); err != nil {
-		return nil, nil, err
-	}
-	if err := hdr.position(opt.Every, opt.Cluster.Duration); err != nil {
 		return nil, nil, err
 	}
 	c, err := cluster.New(opt.Cluster)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -18,6 +19,16 @@ import (
 	"dynmds/internal/workload"
 )
 
+// churn is an open-loop population under the endurance op mix: 27 %
+// writes, and unlinks that consume reserved base files, so the overlay
+// ages (cluster tombstones them).
+func churn(clients int, rate float64) *client.PopulationConfig {
+	return &client.PopulationConfig{
+		Clients: clients, Rate: rate,
+		MixStat: 55, MixReaddir: 10, MixChmod: 5, MixCreate: 12, MixRename: 3, MixUnlink: 15,
+	}
+}
+
 // testOptions is a small endurance configuration: a 4-node cluster
 // under an open-loop churn population, three checkpoints over an 8s
 // horizon. The arrival budget (~400 ops/s aggregate) stays well under
@@ -30,7 +41,7 @@ func testOptions(faults string) Options {
 	cfg.Faults = faults
 	cfg.Duration = sim.FromSeconds(8)
 	cfg.Warmup = sim.FromSeconds(1)
-	cfg.OpenLoop = &client.PopulationConfig{Clients: 20000, Rate: 0.02}
+	cfg.OpenLoop = churn(20000, 0.02)
 	return Options{Cluster: cfg, Every: sim.FromSeconds(2.5)}
 }
 
@@ -116,6 +127,7 @@ func TestRestoreBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			requireAged(t, ref)
 
 			saved := options()
 			saved.Dir = t.TempDir()
@@ -193,7 +205,8 @@ func TestRestoreBitIdentity(t *testing.T) {
 }
 
 // TestInstants pins the checkpoint cadence: multiples of every up to
-// the horizon, the horizon itself always last, and a penultimate
+// the horizon (none for a zero cadence), the horizon itself always
+// last, and a penultimate
 // multiple inside the quiesce drain of the horizon dropped (the two
 // checkpoints would overlap).
 func TestInstants(t *testing.T) {
@@ -217,6 +230,9 @@ func TestInstants(t *testing.T) {
 	}
 	if got := Instants(s(3), s(6)); !eq(got, []sim.Time{s(3), s(6)}) {
 		t.Errorf("Instants(3s, 6s) = %v (the 6s multiple is the horizon)", got)
+	}
+	if got := Instants(0, s(6)); !eq(got, []sim.Time{s(6)}) {
+		t.Errorf("Instants(0, 6s) = %v (no cadence: only the horizon)", got)
 	}
 	drainS := cluster.QuiesceDrain.Seconds()
 	if got := Instants(s(3), s(6)+cluster.QuiesceDrain/2); !eq(got, []sim.Time{s(3), s(6) + cluster.QuiesceDrain/2}) {
@@ -290,11 +306,12 @@ func TestValidateSnapshot(t *testing.T) {
 // and wheel fields and RNG states, version 3 shard-count slots,
 // version 4 each store's directory objects and three unread MDS
 // counters, version 5 the header's fault schedule, all of which this
-// format dropped) or one past this
+// format dropped; version 6 hashed a config with an unlink-reserve
+// field) or one past this
 // build's — is refused with the version message before any post-version
 // field is decoded.
 func TestSnapshotVersionRejected(t *testing.T) {
-	for _, version := range []int{1, 2, 3, 4, 5, SnapshotVersion + 1} {
+	for _, version := range []int{1, 2, 3, 4, 5, 6, SnapshotVersion + 1} {
 		path := filepath.Join(t.TempDir(), "other.snap")
 		data := versionOnlySnapshot(version)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -331,7 +348,7 @@ func quickOptions() Options {
 	cfg.FS.Users = 60
 	cfg.Duration = sim.FromSeconds(10)
 	cfg.Warmup = sim.FromSeconds(1)
-	cfg.OpenLoop = &client.PopulationConfig{Clients: 20000, Rate: 0.03}
+	cfg.OpenLoop = churn(20000, 0.03)
 	return Options{Cluster: cfg, Every: sim.FromSeconds(2.5)}
 }
 
@@ -343,8 +360,39 @@ func TestAgedDriftGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireAged(t, res)
 	if d := res.Drift(); d > 0.05 {
 		t.Errorf("aged ops/s drift %.4f exceeds the 5%% gate\n%s", d, res.CurveTable())
+	}
+}
+
+// requireAged fails a test whose run tombstoned no base file by its
+// last checkpoint: it measured an overlay that never aged.
+func requireAged(t *testing.T, res *Result) {
+	t.Helper()
+	if last := res.Rows[len(res.Rows)-1]; last.Tombstones == 0 {
+		t.Fatalf("no tombstones at the last checkpoint: the run aged nothing\n%s", res.CurveTable())
+	}
+}
+
+// TestNormalizeChangesNothing: a checkpoint cadence decides when a run
+// is checked, never what it simulates, so Normalize leaves its options
+// as it found them, whether they spell an op mix or leave it to the
+// population's default.
+func TestNormalizeChangesNothing(t *testing.T) {
+	plain := testOptions("")
+	plain.Cluster.OpenLoop = &client.PopulationConfig{Clients: 20000, Rate: 0.02}
+	for _, opt := range []Options{testOptions(""), plain} {
+		pop := opt.Cluster.OpenLoop
+		want := opt
+		want.Cluster.OpenLoop = new(client.PopulationConfig)
+		*want.Cluster.OpenLoop = *pop
+		if err := opt.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		if opt.Cluster.OpenLoop != pop || !reflect.DeepEqual(opt, want) {
+			t.Errorf("Normalize changed the options:\n got %+v\nwant %+v", *opt.Cluster.OpenLoop, *want.Cluster.OpenLoop)
+		}
 	}
 }
 
@@ -363,7 +411,7 @@ func agingOptions(seed int64, numMDS, cacheRecords int) Options {
 	cfg.MDS = mds.DefaultConfig(cacheRecords)
 	cfg.Duration = sim.FromSeconds(600)
 	cfg.Warmup = cfg.Duration / 10
-	cfg.OpenLoop = &client.PopulationConfig{Clients: 20000, Rate: 0.015}
+	cfg.OpenLoop = churn(20000, 0.015)
 	return Options{Cluster: cfg, Every: sim.FromSeconds(120)}
 }
 

@@ -14,7 +14,7 @@ import (
 // SnapshotVersion is the endurance snapshot format version. Bump it on
 // any incompatible change to the section layout; Restore rejects
 // mismatched files rather than misreading them.
-const SnapshotVersion = 6
+const SnapshotVersion = 7
 
 // header is the "endure" section at the front of every snapshot file:
 // enough to validate the restoring run's configuration and position the
@@ -105,6 +105,26 @@ func decodeHeader(data []byte) (*header, *snap.Reader, error) {
 	return h, r, nil
 }
 
+// openSnapshot checks that data can be restored under opt — the
+// options themselves, codec checksum, format version, config hash and
+// checkpoint cadence — and returns its header and the reader positioned
+// at the first cluster section. The fault schedule is not part of the
+// hash: shrinking replays snapshots under reduced schedules.
+func openSnapshot(opt *Options, data []byte) (*header, *snap.Reader, error) {
+	if err := opt.Normalize(); err != nil {
+		return nil, nil, err
+	}
+	hdr, r, err := decodeHeader(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	if got := configHash(&opt.Cluster); got != hdr.ConfigHash {
+		return nil, nil, fmt.Errorf("endure: snapshot config hash %016x does not match this run's %016x (same workload configuration required)",
+			hdr.ConfigHash, got)
+	}
+	return hdr, r, hdr.position(opt.Every, opt.Cluster.Duration)
+}
+
 // position validates the header's checkpoint index against the
 // restoring run's cadence.
 func (h *header) position(every, duration sim.Time) error {
@@ -121,35 +141,14 @@ func (h *header) position(every, duration sim.Time) error {
 }
 
 // ValidateSnapshot checks that path can be restored under opt without
-// running any simulation: codec checksum, format version, config hash,
-// and checkpoint cadence. A non-nil error is a usage
+// running any simulation (openSnapshot). A non-nil error is a usage
 // error — the file and the flags disagree — so callers treat it like a
 // bad flag value (exit 2), not a runtime failure.
 func ValidateSnapshot(opt Options, path string) error {
-	if err := opt.Normalize(); err != nil {
-		return err
-	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("endure: %w", err)
 	}
-	hdr, _, err := decodeHeader(data)
-	if err != nil {
-		return err
-	}
-	if err := hdr.check(&opt.Cluster); err != nil {
-		return err
-	}
-	return hdr.position(opt.Every, opt.Cluster.Duration)
-}
-
-// check validates a snapshot header against the restoring run's config.
-// The config hash must match exactly; the fault schedule is deliberately
-// not part of it (shrinking replays snapshots under reduced schedules).
-func (h *header) check(cfg *cluster.Config) error {
-	if got := configHash(cfg); got != h.ConfigHash {
-		return fmt.Errorf("endure: snapshot config hash %016x does not match this run's %016x (same workload configuration required)",
-			h.ConfigHash, got)
-	}
-	return nil
+	_, _, err = openSnapshot(&opt, data)
+	return err
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"dynmds/internal/client"
 	"dynmds/internal/cluster"
 	"dynmds/internal/fsgen"
 	"dynmds/internal/sim"
@@ -42,13 +41,13 @@ func fuzzOptions(shape int) Options {
 	}
 	cfg.Duration = sim.FromSeconds(8)
 	cfg.Warmup = sim.FromSeconds(1)
-	cfg.OpenLoop = &client.PopulationConfig{Clients: 200, Rate: 1}
+	cfg.OpenLoop = churn(200, 1)
 	fuzzShapes[shape].mod(&cfg)
 	return Options{Cluster: cfg, Every: sim.FromSeconds(2.5)}
 }
 
 // fuzzConfigs returns each shape's cluster config as a run would build
-// from it: normalized, and holding its frozen namespace — one per shape,
+// from it: checked, and holding its frozen namespace — one per shape,
 // as a sweep shares one, so that building a cluster for an input is an
 // overlay and four empty nodes.
 func fuzzConfigs(t testing.TB) []cluster.Config {

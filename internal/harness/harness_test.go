@@ -325,8 +325,10 @@ func settings(t *testing.T, text string) []plan.Setting {
 }
 
 // soakKeys is the soak smoke of scripts/ci.sh: 20k clients at ~600
-// ops/s on the default plan's four nodes, four checkpoints over 10 s.
-const soakKeys = "rate=0.03 clients=20000 users=60 duration=10s warmup=1s checkpoint=2.5s"
+// ops/s of the endurance op mix, whose unlinks age the overlay, on the
+// default plan's four nodes, four checkpoints over 10 s.
+const soakKeys = "rate=0.03 clients=20000 users=60 duration=10s warmup=1s checkpoint=2.5s " +
+	"mix=stat:55,readdir:10,chmod:5,create:12,rename:3,unlink:15"
 
 // TestSoakDeterminism: soak=4 compiles to a rolling schedule of four
 // crash/recover cycles written into faults, and the cell it makes is a
@@ -354,6 +356,9 @@ func TestSoakDeterminism(t *testing.T) {
 	a, b := runs[0].Endure, runs[1].Endure
 	if a.Digest != b.Digest {
 		t.Fatalf("soak digests differ:\n  %s\n  %s", a.Digest, b.Digest)
+	}
+	if last := a.Rows[len(a.Rows)-1]; last.Tombstones == 0 {
+		t.Fatalf("no tombstones at the last checkpoint: the soak aged nothing\n%s", a.CurveTable())
 	}
 	if d := a.Drift(); d > 0.15 {
 		t.Errorf("throughput drift %.3f exceeds 0.15 (curve peak→last)", d)

@@ -11,7 +11,6 @@ import (
 	"dynmds/internal/client"
 	"dynmds/internal/cluster"
 	"dynmds/internal/core"
-	"dynmds/internal/endure"
 	"dynmds/internal/fault"
 	"dynmds/internal/net"
 	"dynmds/internal/sim"
@@ -461,24 +460,17 @@ func lastIndex(set []Setting, key string) int {
 }
 
 // Apply overrides cfg with the settings (as bind does), then checks the
-// run they make: the cluster's rulebook (cluster.Config.Validate) and
-// the checkpoint cadence by the endurance plane's
-// (endure.Options.Normalize). Last it turns a soak into its fault
-// schedule: the rolling one chaos.GenerateRolling draws for the cell's
-// seed, cluster and duration, written into faults, so a soak runs and
-// replays as any faulted cell does. An empty list only checks.
+// run they make against the cluster's rulebook (cluster.Config.Validate,
+// the checkpoint cadence's rules included). Last it turns a soak into
+// its fault schedule: the rolling one chaos.GenerateRolling draws for
+// the cell's seed, cluster and duration, written into faults, so a soak
+// runs and replays as any faulted cell does. An empty list only checks.
 func Apply(cfg *cluster.Config, set []Setting) error {
 	if err := bind(cfg, set); err != nil {
 		return err
 	}
 	if err := cfg.Validate(); err != nil {
 		return err
-	}
-	if cfg.Checkpoint > 0 {
-		eo := endure.Options{Cluster: *cfg, Every: cfg.Checkpoint}
-		if err := eo.Normalize(); err != nil {
-			return err
-		}
 	}
 	if cfg.Soak == 0 {
 		return nil

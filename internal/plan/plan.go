@@ -9,11 +9,10 @@
 // A plan's lifecycle is Parse (or Go literal) → Validate → Compile →
 // harness sweep. Everything that can be rejected before simulation is:
 // Compile checks the plan's shape and each cell's keys, then the
-// cluster's rulebook (cluster.Config.Validate) and the checkpoint
-// cadence (endure.Options.Normalize), and turns a soak into its fault
-// schedule. The namespace-dependent checks — an act's hotspot path
-// resolving to a real inode — happen in cluster.New, still before any
-// event runs.
+// cluster's rulebook (cluster.Config.Validate, the checkpoint cadence's
+// rules included), and turns a soak into its fault schedule. The
+// namespace-dependent checks — an act's hotspot path resolving to a real
+// inode — happen in cluster.New, still before any event runs.
 //
 // Every knob of a run is one entry of the key table (keys.go). A plan
 // binds keys on its fs/cluster/traffic lines, sweeps them in its

@@ -239,6 +239,14 @@ act hotspot storm @2s-4s rate=x3 mix=stat:20,create:80 skew=1.2 target=/home/u00
 act phase cool @4s-6s
 `
 
+// checkpointed drops the plan's acts, gives it a 2.5s checkpoint
+// cadence, then rebinds k to v.
+func checkpointed(p *plan.Plan, k, v string) {
+	p.Acts = nil
+	rebind(p, "checkpoint", "2.5s")
+	rebind(p, k, v)
+}
+
 // TestRulebook: cluster.Config.Validate is the one rulebook for a run,
 // so the plan compiler and cluster.New refuse each bad config in the
 // same words — the plan's error ends with the cluster's, bar its
@@ -270,6 +278,16 @@ func TestRulebook(t *testing.T) {
 		{"frac without path", func(p *plan.Plan) { p.Acts[1].Hotspot = "" }, "a target path and a fraction together"},
 		{"path without frac", func(p *plan.Plan) { p.Acts[1].HotFrac = 0 }, "a target path and a fraction together"},
 		{"relative target", func(p *plan.Plan) { p.Acts[1].Hotspot = "home/u0000" }, "not an absolute path"},
+		{"cadence inside the quiesce drain", func(p *plan.Plan) { checkpointed(p, "checkpoint", "2s") }, "must exceed the 2s quiesce drain"},
+		{"cadence past the duration", func(p *plan.Plan) { checkpointed(p, "checkpoint", "7s") }, "shorter than the 7s checkpoint cadence"},
+		{"cadence on a closed loop", func(p *plan.Plan) { checkpointed(p, "rate", "") }, "need the open-loop traffic plane"},
+		{"cadence with acts", func(p *plan.Plan) { rebind(p, "checkpoint", "2.5s") }, "do not support scenario acts"},
+		{"cadence on the shared OSD pool", func(p *plan.Plan) { checkpointed(p, "osds", "4") }, "do not support a shared OSD pool"},
+		{"cadence on LazyHybrid", func(p *plan.Plan) { checkpointed(p, "strategy", "LazyHybrid") }, "do not support the LazyHybrid strategy"},
+		{"cadence on unembedded inodes", func(p *plan.Plan) {
+			checkpointed(p, "strategy", "StaticSubtree")
+			rebind(p, "embed", "off")
+		}, "do not support embed=off"},
 	}
 	parse := func() *plan.Plan {
 		p, err := plan.Parse(rulebookSrc)

@@ -35,7 +35,7 @@ budget() {
     fi
 }
 budget README.md $((24 * 1024))
-budget DESIGN.md 56708
+budget DESIGN.md 56704
 
 # -race on the small CI box is ~6x slower than native; give packages
 # headroom past go test's 10m default so a busy host doesn't flake. The
@@ -177,11 +177,20 @@ echo "ci: goldens match"
 
 # Endurance smoke under the race detector: a short aging run with two
 # checkpoints (the checkpoint key), each quiesced, simfsck-checked, and
-# snapshotted.
+# snapshotted. The cadence only checks the run; the churn mix ages it,
+# so the last checkpoint must report tombstones.
 ENDTMP="$TMP/endure"
 mkdir "$ENDTMP"
-AGING="-set rate=0.05 -set clients=20000 -set tenant-skew=1 -set file-skew=1 -set duration=5s -set warmup=1s -set checkpoint=2.5s"
-"$RACE" $AGING -checkpoint-dir "$ENDTMP"
+CHURN="-set mix=stat:55,readdir:10,chmod:5,create:12,rename:3,unlink:15"
+AGING="-set rate=0.05 -set clients=20000 -set tenant-skew=1 -set file-skew=1 -set duration=5s -set warmup=1s -set checkpoint=2.5s $CHURN"
+"$RACE" $AGING -checkpoint-dir "$ENDTMP" >"$TMP/aging.txt"
+TOMBS=$(grep '^ck ' "$TMP/aging.txt" | tail -1 | sed -n 's/.* \([0-9][0-9]*\) tombstones.*/\1/p')
+if [ -z "$TOMBS" ] || [ "$TOMBS" -eq 0 ]; then
+    cat "$TMP/aging.txt" >&2
+    echo "ci: the aging run's last checkpoint reports no tombstones: it aged nothing" >&2
+    exit 1
+fi
+echo "ci: the aging run tombstoned $TOMBS base files"
 
 # Restore determinism assert: resuming from the first snapshot must
 # reproduce the uninterrupted run's digest bit for bit.
@@ -201,7 +210,7 @@ cat >"$TMP/aging.plan" <<'EOF'
 plan aging
 fs users=100
 cluster mds=4 strategy=DynamicSubtree cache=2000 net=fixed
-traffic clients=20000 rate=0.05 tenant-skew=1 file-skew=1
+traffic clients=20000 rate=0.05 tenant-skew=1 file-skew=1 mix=stat:55,readdir:10,chmod:5,create:12,rename:3,unlink:15
 warmup 1s
 duration 5s
 checkpoint 2.5s
@@ -220,7 +229,7 @@ echo "ci: the aging plan file reports the same digest"
 # and a checkpoint that fails simfsck exits 1. The soak is the run of
 # the same keys with that schedule as faults: four checkpoint rows, that
 # run's digest, and the same digest restored from its ck-001.snap.
-SOAK="-set rate=0.03 -set clients=20000 -set users=60 -set duration=10s -set warmup=1s -set checkpoint=2.5s"
+SOAK="-set rate=0.03 -set clients=20000 -set users=60 -set duration=10s -set warmup=1s -set checkpoint=2.5s $CHURN"
 "$RACE" $SOAK -set soak=4 -checkpoint-dir "$TMP/soak" >"$TMP/soak.txt"
 SCHED=$(sed -n 's/^faults: //p' "$TMP/soak.txt")
 SOAKED=$(sed -n 's/^digest: //p' "$TMP/soak.txt")
