@@ -167,6 +167,7 @@ func checkNamespace(cl *cluster.Cluster, base Baseline, fail func(string, ...any
 		outOfRange = ^uint64(0) << uint(n)
 	}
 	bad := 0
+	writers := cl.Writers()
 	cl.Tree().Walk(func(ino *namespace.Inode) bool {
 		if bad >= 5 { // cap the error spam; one walk still covers all checks
 			return false
@@ -175,22 +176,19 @@ func checkNamespace(cl *cluster.Cluster, base Baseline, fail func(string, ...any
 			fail("authority: %s resolves to out-of-range mds %d", ino.Path(), a)
 			bad++
 		}
-		tags, ok := ino.Aux.(*partition.Tags)
-		if !ok || tags == nil {
-			return true
-		}
-		if bits := tags.ReplicaSet & outOfRange; bits != 0 {
+		if bits := partition.TagsOf(ino).ReplicaSet & outOfRange; bits != 0 {
 			fail("replica set of %s names nodes outside the cluster (mask %#x, %d nodes)",
 				ino.Path(), bits, n)
 			bad++
 		}
-		if bits := tags.UnflushedWriters & outOfRange; bits != 0 {
+		w := writers[ino.ID]
+		if bits := w & outOfRange; bits != 0 {
 			fail("unflushed-writer set of %s names nodes outside the cluster (mask %#x, %d nodes)",
 				ino.Path(), bits, n)
 			bad++
 		}
 		for i := 0; i < n && i < 64; i++ {
-			if tags.UnflushedWriters&(1<<uint(i)) != 0 && !cl.Nodes[i].Failed() {
+			if w&(1<<uint(i)) != 0 && !cl.Nodes[i].Failed() {
 				fail("unflushed write on %s held by live mds%d after drain", ino.Path(), i)
 				bad++
 				break
@@ -269,8 +267,7 @@ func checkReplicaEntries(cl *cluster.Cluster, fail func(string, ...any)) {
 			if e.Class != cache.Replica || bad >= 3 {
 				return
 			}
-			tags, ok := e.Ino.Aux.(*partition.Tags)
-			if !ok || !tags.HasReplica(i) {
+			if !partition.TagsOf(e.Ino).HasReplica(i) {
 				fail("replica entry for %s cached on live mds%d but absent from its replica set",
 					e.Ino.Path(), i)
 				bad++

@@ -132,7 +132,7 @@ func TestFsckDetectsPlantedViolations(t *testing.T) {
 	})
 	t.Run("unflushed-write-on-live-node", func(t *testing.T) {
 		cl, base := runDrained(t, tinyConfig(cluster.StratDynamic, ""))
-		partition.TagsOf(cl.Tree().Root).UnflushedWriters |= 1
+		cl.Writers()[cl.Tree().Root.ID] |= 1
 		err := Fsck(cl, base)
 		if err == nil || !strings.Contains(err.Error(), "unflushed write") {
 			t.Errorf("planted stale unflushed-writer bit not caught: %v", err)

@@ -223,6 +223,9 @@ type Cluster struct {
 	// Pool is the shared OSD pool, when configured.
 	Pool *osd.Pool
 
+	// writers is the unflushed-writer masks the nodes share (§4.2).
+	writers mds.Writers
+
 	// Fault-injection state (nil / zero when Cfg.Faults is empty).
 	sched   *fault.Schedule
 	plane   *fault.Plane
@@ -270,6 +273,8 @@ func (cfg *Config) Validate() error {
 	switch k := cfg.Workload.Kind; {
 	case cfg.NumMDS < 1:
 		return fmt.Errorf("a cluster needs at least one MDS, not %d", cfg.NumMDS)
+	case cfg.NumMDS > partition.MaxNodes:
+		return fmt.Errorf("a cluster of %d MDSs is more than the %d an authority memo can name", cfg.NumMDS, partition.MaxNodes)
 	case cfg.Warmup >= cfg.Duration:
 		return fmt.Errorf("warmup %s does not fit the %s duration: nothing would be measured",
 			sim.FormatTime(cfg.Warmup), sim.FormatTime(cfg.Duration))
@@ -370,6 +375,7 @@ func New(cfg Config) (*Cluster, error) {
 		Forwards: metrics.NewSeries(cfg.SeriesBucket),
 		Arrivals: metrics.NewSeries(cfg.SeriesBucket),
 		LatH:     metrics.NewLatHist(),
+		writers:  make(mds.Writers),
 	}
 	if !sched.Empty() {
 		c.sched = sched
@@ -488,9 +494,7 @@ func (c *Cluster) buildStrategy(cfg Config, snap *fsgen.Snapshot) error {
 		c.Dyn = d
 		c.Strategy = d
 		if cfg.Traffic != nil {
-			tc := *cfg.Traffic
-			tc.Replications, tc.Consolidations = 0, 0
-			c.Traffic = &tc
+			c.Traffic = cfg.Traffic.ForCluster()
 		}
 	case StratStatic:
 		s := partition.NewStaticSubtree(cfg.NumMDS, snap.Tree, cfg.PartitionDepth)
@@ -657,6 +661,10 @@ func (c *Cluster) Tree() *namespace.Tree { return c.Snap.Tree }
 // Fabric implements mds.Cluster: the message fabric shared by every
 // node and the client edge.
 func (c *Cluster) Fabric() *net.Fabric { return c.Fab }
+
+// Writers implements mds.Cluster: the unflushed-writer masks its nodes
+// share.
+func (c *Cluster) Writers() mds.Writers { return c.writers }
 
 // Deliver implements mds.Cluster: route the reply to its client and, if
 // the client accepts it, record the completion — the one place a

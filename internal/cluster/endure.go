@@ -218,7 +218,7 @@ func (c *Cluster) snap(sc *snap.Codec) {
 		if sc.Has(table != nil, "cluster: subtree table") {
 			table.Snap(sc, tree)
 		}
-		partition.SnapTags(sc, tree, len(c.Nodes))
+		partition.SnapTags(sc, tree, len(c.Nodes), c.Traffic.Forwards(), c.writers)
 	})
 
 	sc.Section("core", func(sc *snap.Codec) {

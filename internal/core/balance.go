@@ -395,7 +395,7 @@ func entryPop(now sim.Time, e *cache.Entry) float64 {
 		return 0
 	}
 	tags := partition.TagsOf(e.Ino)
-	if !tags.PopTouched {
+	if !tags.Has(namespace.PopTouched) {
 		return 0
 	}
 	return tags.Pop.Value(now, partition.PopHalfLife)

@@ -47,7 +47,7 @@ func NewDynamicSubtree(n int, tree *namespace.Tree, partitionDepth int) *Dynamic
 // hashed directory are spread by (directory inode number, entry name);
 // everything else follows the subtree table.
 func (d *DynamicSubtree) Authority(ino *namespace.Inode) int {
-	if p := ino.Parent(); p != nil && partition.TagsOf(p).HashedDir {
+	if p := ino.Parent(); p != nil && partition.TagsOf(p).Has(namespace.HashedDir) {
 		return int(partition.NameHash(p.ID, ino.Name()) % uint64(d.Table.N()))
 	}
 	return d.Table.Authority(ino)
@@ -55,7 +55,7 @@ func (d *DynamicSubtree) Authority(ino *namespace.Inode) int {
 
 // AuthorityForName implements partition.Strategy.
 func (d *DynamicSubtree) AuthorityForName(dir *namespace.Inode, name string) int {
-	if partition.TagsOf(dir).HashedDir {
+	if partition.TagsOf(dir).Has(namespace.HashedDir) {
 		return int(partition.NameHash(dir.ID, name) % uint64(d.Table.N()))
 	}
 	return d.Table.Authority(dir)
@@ -80,13 +80,13 @@ func (d *DynamicSubtree) MaybeHashDir(dir *namespace.Inode) bool {
 		return false
 	}
 	tags := partition.TagsOf(dir)
-	switch {
-	case !tags.HashedDir && dir.NumChildren() >= d.HashDirThreshold:
-		tags.HashedDir = true
+	switch hashed := tags.Has(namespace.HashedDir); {
+	case !hashed && dir.NumChildren() >= d.HashDirThreshold:
+		tags.Set(namespace.HashedDir, true)
 		d.DirsHashed++
 		return true
-	case tags.HashedDir && dir.NumChildren() < d.HashDirThreshold/2:
-		tags.HashedDir = false
+	case hashed && dir.NumChildren() < d.HashDirThreshold/2:
+		tags.Set(namespace.HashedDir, false)
 		d.DirsHashed--
 		return true
 	}

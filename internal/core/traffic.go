@@ -1,6 +1,7 @@
 package core
 
 import (
+	"dynmds/internal/metrics"
 	"dynmds/internal/namespace"
 	"dynmds/internal/partition"
 	"dynmds/internal/sim"
@@ -39,6 +40,12 @@ type TrafficControl struct {
 	Replications   uint64
 	Consolidations uint64
 	Preemptive     uint64
+
+	// fwd holds each item's decayed forward count, summed across the
+	// non-authoritative nodes that forwarded requests for it (§5.4);
+	// an item never forwarded has no entry. Only preemptive
+	// replication writes it.
+	fwd map[namespace.InodeID]metrics.Decay
 }
 
 // DefaultTrafficControl returns the policy used by the experiments.
@@ -62,8 +69,41 @@ const (
 	Consolidate
 )
 
+// ForCluster returns a fresh controller with tc's thresholds for one
+// cluster to run: no transitions counted, no forward counts.
+func (tc *TrafficControl) ForCluster() *TrafficControl {
+	return &TrafficControl{
+		ReplicateThreshold:   tc.ReplicateThreshold,
+		UnreplicateThreshold: tc.UnreplicateThreshold,
+		PreemptiveThreshold:  tc.PreemptiveThreshold,
+	}
+}
+
+// Forwards returns the controller's forward counters, keyed by inode
+// (nil without traffic control): NoteForward's state, and the
+// checkpoint codec's.
+func (tc *TrafficControl) Forwards() map[namespace.InodeID]metrics.Decay {
+	if tc == nil {
+		return nil
+	}
+	if tc.fwd == nil {
+		tc.fwd = make(map[namespace.InodeID]metrics.Decay)
+	}
+	return tc.fwd
+}
+
+// NoteForward counts one forwarded request for ino and returns the
+// item's decayed forward count.
+func (tc *TrafficControl) NoteForward(now sim.Time, ino *namespace.Inode) float64 {
+	fwd := tc.Forwards()
+	d := fwd[ino.ID]
+	d.Add(now, partition.PopHalfLife, 1)
+	fwd[ino.ID] = d
+	return d.Peek(now, partition.PopHalfLife)
+}
+
 // Peek computes the policy decision without mutating anything: the
-// tag block's by-value counter is read with metrics.Decay.Peek and the
+// inode's by-value counter is read with metrics.Decay.Peek and the
 // replication flag is left untouched; the caller applies the decision
 // with Commit. Peek, not Value, because Value renormalises the stored
 // counter, and the stored bits feed every later read.
@@ -72,14 +112,14 @@ func (tc *TrafficControl) Peek(now sim.Time, ino *namespace.Inode) Decision {
 		return Keep
 	}
 	tags := partition.TagsOf(ino)
-	if !tags.PopTouched {
+	if !tags.Has(namespace.PopTouched) {
 		return Keep
 	}
 	v := tags.Pop.Peek(now, partition.PopHalfLife)
-	switch {
-	case !tags.ReplicatedAll && v >= tc.ReplicateThreshold:
+	switch replicated := tags.Has(namespace.ReplicatedAll); {
+	case !replicated && v >= tc.ReplicateThreshold:
 		return Replicate
-	case tags.ReplicatedAll && v < tc.UnreplicateThreshold:
+	case replicated && v < tc.UnreplicateThreshold:
 		return Consolidate
 	}
 	return Keep
@@ -94,18 +134,14 @@ func (tc *TrafficControl) Commit(d Decision, ino *namespace.Inode) bool {
 		return false
 	}
 	tags := partition.TagsOf(ino)
-	switch d {
-	case Replicate:
-		if tags.ReplicatedAll {
-			return false
-		}
-		tags.ReplicatedAll = true
+	replicate := d == Replicate
+	if tags.Has(namespace.ReplicatedAll) == replicate {
+		return false
+	}
+	tags.Set(namespace.ReplicatedAll, replicate)
+	if replicate {
 		tc.Replications++
-	case Consolidate:
-		if !tags.ReplicatedAll {
-			return false
-		}
-		tags.ReplicatedAll = false
+	} else {
 		tc.Consolidations++
 	}
 	return true
@@ -117,5 +153,5 @@ func (tc *TrafficControl) Replicated(ino *namespace.Inode) bool {
 	if tc == nil {
 		return false
 	}
-	return partition.TagsOf(ino).ReplicatedAll
+	return partition.TagsOf(ino).Has(namespace.ReplicatedAll)
 }

@@ -50,8 +50,11 @@ func configHash(cfg *cluster.Config) uint64 {
 	if cp.Balancer != nil {
 		fmt.Fprintf(h, " bal=%+v", *cp.Balancer)
 	}
-	if cp.Traffic != nil {
-		fmt.Fprintf(h, " tc=%+v", *cp.Traffic)
+	if tc := cp.Traffic; tc != nil {
+		// The policy's fields as %+v spells them; its forward counters
+		// are run state, not configuration.
+		fmt.Fprintf(h, " tc={ReplicateThreshold:%v UnreplicateThreshold:%v PreemptiveThreshold:%v Replications:%v Consolidations:%v Preemptive:%v}",
+			tc.ReplicateThreshold, tc.UnreplicateThreshold, tc.PreemptiveThreshold, tc.Replications, tc.Consolidations, tc.Preemptive)
 	}
 	// cp.Snapshot is deliberately not hashed: the tree it holds is a
 	// pure function of (FS, Seed) when endure generates it, and opaque

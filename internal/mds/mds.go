@@ -115,6 +115,9 @@ type Cluster interface {
 	// Fabric returns the message fabric every simulated hop routes
 	// through (see internal/net).
 	Fabric() *net.Fabric
+	// Writers returns the unflushed-writer masks every node of the
+	// cluster shares.
+	Writers() Writers
 }
 
 // Stats counts one node's activity.
@@ -242,8 +245,10 @@ type MDS struct {
 	replyPool []*msg.Reply
 
 	// sizePending holds locally absorbed monotonic size updates not
-	// yet flushed to authorities (§4.2).
+	// yet flushed to authorities (§4.2); writers is the cluster's
+	// record of which nodes hold such updates, per inode.
 	sizePending map[namespace.InodeID]int64
+	writers     Writers
 
 	// opens tracks per-inode open counts at the authority, and orphans
 	// holds inodes unlinked while still open: without a global inode
@@ -308,6 +313,7 @@ func New(id int, eng *sim.Engine, cfg Config, strat partition.Strategy, tc *core
 		opens:       make(map[namespace.InodeID]int),
 		orphans:     make(map[namespace.InodeID]*namespace.Inode),
 		sizePending: make(map[namespace.InodeID]int64),
+		writers:     cl.Writers(),
 	}
 	if d, ok := strat.(*core.DynamicSubtree); ok {
 		m.dyn = d
@@ -588,12 +594,7 @@ func (m *MDS) maybePreemptiveReplicate(req *msg.Request) {
 		return
 	}
 	target := req.Target
-	tags := partition.TagsOf(target)
-	partition.FwdPopularity(target).Add(m.eng.Now(), partition.PopHalfLife, 1)
-	if !tags.FwdTouched {
-		return
-	}
-	if tags.FwdPop.Peek(m.eng.Now(), partition.PopHalfLife) < m.tc.PreemptiveThreshold || m.cache.Contains(target.ID) {
+	if m.tc.NoteForward(m.eng.Now(), target) < m.tc.PreemptiveThreshold || m.cache.Contains(target.ID) {
 		return
 	}
 	m.tc.Preemptive++
@@ -606,7 +607,7 @@ func (m *MDS) maybePreemptiveReplicate(req *msg.Request) {
 func preemptiveInstalled(a, b any) {
 	tags := partition.TagsOf(b.(*namespace.Inode))
 	tags.SetReplica(a.(*MDS).id)
-	tags.ReplicatedAll = true
+	tags.Set(namespace.ReplicatedAll, true)
 }
 
 // serve handles a request this node is authoritative for.
@@ -1192,11 +1193,11 @@ func (m *MDS) maybeFanOut(target *namespace.Inode) {
 		return
 	}
 	tags := partition.TagsOf(target)
-	if !tags.PopTouched {
+	if !tags.Has(namespace.PopTouched) {
 		return
 	}
 	pop := tags.Pop.Peek(m.eng.Now(), partition.PopHalfLife)
-	if !tags.ReplicatedAll {
+	if !tags.Has(namespace.ReplicatedAll) {
 		if pop < lease.FanoutPopularity {
 			return
 		}
@@ -1211,11 +1212,11 @@ func (m *MDS) maybeFanOut(target *namespace.Inode) {
 		}
 		m.Stats.ReplicaFanouts++
 		m.Stats.ReplicasPushed += uint64(n)
-		tags.ReplicatedAll = true
+		tags.Set(namespace.ReplicatedAll, true)
 		return
 	}
 	if m.tc == nil && pop < lease.FanoutPopularity/10 {
-		tags.ReplicatedAll = false
+		tags.Set(namespace.ReplicatedAll, false)
 	}
 }
 
@@ -1231,14 +1232,10 @@ func (m *MDS) applyUpdate(req *msg.Request) {
 	switch req.Op {
 	case msg.Create:
 		if n, err := tree.Create(req.Target, req.NewName); err == nil {
-			// Materialize the new inode's tag block now rather than at its
-			// first authority walk.
-			_ = partition.TagsOf(n)
 			m.cacheNew(n)
 		}
 	case msg.Mkdir:
 		if n, err := tree.Mkdir(req.Target, req.NewName); err == nil {
-			_ = partition.TagsOf(n)
 			m.cacheNew(n)
 		}
 	case msg.Unlink:
@@ -1349,7 +1346,7 @@ func (m *MDS) reply(req *msg.Request) {
 	// stale instead of resurrecting the lease.
 	rep.Leased, rep.LeaseGen = false, 0
 	if m.lease != nil && m.lease.Cfg.Enabled && !req.Op.IsUpdate() && m.lease.Reg.Leasable(req.Target.ID) {
-		if tags := partition.TagsOf(req.Target); tags.PopTouched &&
+		if tags := partition.TagsOf(req.Target); tags.Has(namespace.PopTouched) &&
 			tags.Pop.Peek(now, partition.PopHalfLife) >= lease.GrantPopularity {
 			rep.Leased, rep.LeaseGen = true, m.lease.Reg.Gen(req.Target.ID)
 			m.lease.Reg.NoteGrant(req.Target.ID)
@@ -1429,7 +1426,7 @@ func (m *MDS) advertised(ino *namespace.Inode) bool {
 	if m.tc.Replicated(ino) {
 		return true
 	}
-	return m.lease != nil && m.lease.Cfg.Fanout && partition.TagsOf(ino).ReplicatedAll
+	return m.lease != nil && m.lease.Cfg.Fanout && partition.TagsOf(ino).Has(namespace.ReplicatedAll)
 }
 
 func (m *MDS) noteMiss() {

@@ -22,6 +22,7 @@ type testCluster struct {
 	tree    *namespace.Tree
 	fab     *net.Fabric
 	replies []msg.Reply
+	writers Writers
 }
 
 // emptyTree returns a tree holding only the root directory.
@@ -34,6 +35,7 @@ func (tc *testCluster) Node(i int) *MDS       { return tc.nodes[i] }
 func (tc *testCluster) NumMDS() int           { return len(tc.nodes) }
 func (tc *testCluster) Tree() *namespace.Tree { return tc.tree }
 func (tc *testCluster) Fabric() *net.Fabric   { return tc.fab }
+func (tc *testCluster) Writers() Writers      { return tc.writers }
 
 // Deliver keeps a copy of the reply and its hints: the node recycles
 // the struct into its pool once Deliver returns.
@@ -47,8 +49,9 @@ func (tc *testCluster) Deliver(rep *msg.Reply) {
 // n nodes.
 func newTestCluster(eng *sim.Engine, tree *namespace.Tree, n int) *testCluster {
 	return &testCluster{
-		tree: tree,
-		fab:  net.NewFabric(eng, n, net.Fixed{Net: 200 * sim.Microsecond, Fwd: 50 * sim.Microsecond}),
+		tree:    tree,
+		writers: make(Writers),
+		fab:     net.NewFabric(eng, n, net.Fixed{Net: 200 * sim.Microsecond, Fwd: 50 * sim.Microsecond}),
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"dynmds/internal/msg"
 	"dynmds/internal/namespace"
 	"dynmds/internal/net"
-	"dynmds/internal/partition"
 	"dynmds/internal/sim"
 )
 
@@ -19,10 +18,17 @@ import (
 //
 // A Write op arriving at a node holding a replica of the target is
 // absorbed locally: the node tracks its local maximum size and marks
-// itself in the inode's unflushed-writers mask. A periodic flusher
+// itself in the inode's unflushed-writers mask (Writers). A periodic flusher
 // pushes local maxima to authorities. A Stat served at the authority
 // while unflushed writers exist first calls back to them for their
 // maxima.
+
+// Writers maps each inode that replicas have absorbed writes for, not
+// yet flushed, to the bitmask of those replica nodes. Almost no inode
+// ever has an entry, so the cluster keeps one map, shared by its nodes,
+// instead of a word in every inode; a mask that empties is deleted.
+// Nodes past the first 64 are not tracked.
+type Writers map[namespace.InodeID]uint64
 
 // absorbWrite handles a Write op at a replica-holding non-authority.
 func (m *MDS) absorbWrite(req *msg.Request) {
@@ -31,7 +37,7 @@ func (m *MDS) absorbWrite(req *msg.Request) {
 		m.sizePending[target.ID] = req.Size
 	}
 	if m.id < 64 {
-		partition.TagsOf(target).UnflushedWriters |= 1 << uint(m.id)
+		m.writers[target.ID] |= 1 << uint(m.id)
 	}
 	m.Stats.WritesAbsorbed++
 	m.bumpPopularity(target)
@@ -90,8 +96,13 @@ func (m *MDS) flushWrites(now sim.Time) {
 }
 
 func (m *MDS) clearUnflushed(ino *namespace.Inode) {
-	if m.id < 64 {
-		partition.TagsOf(ino).UnflushedWriters &^= 1 << uint(m.id)
+	if m.id >= 64 {
+		return
+	}
+	if w := m.writers[ino.ID] &^ (1 << uint(m.id)); w != 0 {
+		m.writers[ino.ID] = w
+	} else {
+		delete(m.writers, ino.ID)
 	}
 }
 
@@ -100,7 +111,7 @@ func (m *MDS) clearUnflushed(ino *namespace.Inode) {
 // Zero means the reply can go out immediately; the caller keeps that
 // fast path allocation-free by checking before statCallbackSlow.
 func (m *MDS) statCallbackMask(target *namespace.Inode) uint64 {
-	mask := partition.TagsOf(target).UnflushedWriters
+	mask := m.writers[target.ID]
 	if m.id < 64 {
 		mask &^= 1 << uint(m.id)
 	}

@@ -18,7 +18,7 @@ func replicateFile(t *testing.T, eng *sim.Engine, cl *testCluster, auth int, f *
 		cl.nodes[auth].Receive(&msg.Request{ID: uint64(i), Op: msg.Open, Target: f})
 	}
 	eng.Run()
-	if !partition.TagsOf(f).ReplicatedAll {
+	if !partition.TagsOf(f).Has(namespace.ReplicatedAll) {
 		t.Fatal("file did not replicate")
 	}
 }
@@ -49,7 +49,7 @@ func TestWriteAbsorbedAtReplica(t *testing.T) {
 	if !partition.TagsOf(f).HasReplica(other) {
 		t.Fatal("replica bit missing")
 	}
-	if partition.TagsOf(f).UnflushedWriters == 0 {
+	if cl.writers[f.ID] == 0 {
 		t.Fatal("unflushed-writer mask not set")
 	}
 	// ...until the replica flushes.
@@ -58,7 +58,7 @@ func TestWriteAbsorbedAtReplica(t *testing.T) {
 	if f.Size != 4096 {
 		t.Fatalf("size after flush = %d", f.Size)
 	}
-	if partition.TagsOf(f).UnflushedWriters != 0 {
+	if cl.writers[f.ID] != 0 {
 		t.Fatal("mask not cleared after flush")
 	}
 	if cl.nodes[other].Stats.WriteFlushes != 1 {
@@ -109,7 +109,7 @@ func TestStatCallbackCollectsUnflushed(t *testing.T) {
 	if f.Size != 7777 {
 		t.Fatalf("stat observed size %d, want 7777", f.Size)
 	}
-	if partition.TagsOf(f).UnflushedWriters != 0 {
+	if cl.writers[f.ID] != 0 {
 		t.Fatal("mask not cleared by callback")
 	}
 	// A second stat needs no callback.

@@ -235,18 +235,22 @@ func TestFnodeSize(t *testing.T) {
 	}
 }
 
-// TestInodeLayout: a file pays only for what a file has; a directory's
-// extra state is one record, and a run-created directory's inode and
-// record together fill one 128-byte size class.
+// TestInodeLayout: a file pays only for what a file has — 56 bytes of
+// its own and the 32-byte tag record the layers above keep in it; a
+// directory's extra state is one record, and a run-created directory's
+// inode and record together fill one 144-byte size class.
 func TestInodeLayout(t *testing.T) {
-	if size := unsafe.Sizeof(Inode{}); size != 72 {
-		t.Errorf("Inode is %d bytes, want 72", size)
+	if size := unsafe.Sizeof(Inode{}); size != 88 {
+		t.Errorf("Inode is %d bytes, want 88", size)
+	}
+	if size := unsafe.Sizeof(Tags{}); size != 32 {
+		t.Errorf("Tags is %d bytes, want 32", size)
 	}
 	if size := unsafe.Sizeof(dirState{}); size > 56 {
 		t.Errorf("dirState is %d bytes, want <= 56", size)
 	}
-	if size := unsafe.Sizeof(dirInode{}); size > 128 {
-		t.Errorf("dirInode is %d bytes, want <= 128", size)
+	if size := unsafe.Sizeof(dirInode{}); size > 144 {
+		t.Errorf("dirInode is %d bytes, want <= 144", size)
 	}
 }
 

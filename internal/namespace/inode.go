@@ -45,21 +45,22 @@ type Mode uint16
 // Inode is a file or directory metadata record. Directory inodes carry
 // their children (embedded-inode storage groups a directory's entries and
 // the child inodes together on disk, §4.5) in a separate record, so a
-// file — most of any namespace — pays for none of it.
+// file — most of any namespace — pays for none of it. The pointer words
+// come first, so the collector scans an inode's first 32 bytes only.
 type Inode struct {
-	ID     InodeID
 	parent *Inode
 	name   string
-	Size   int64
-
-	// Aux is scratch space for higher layers (e.g. partition epochs,
-	// popularity counters). The namespace package never touches it.
-	Aux interface{}
-
 	// dir is the directory record, nil exactly when Kind is File.
-	dir  *dirState
+	dir *dirState
+
+	ID   InodeID
+	Size int64
 	Mode Mode
 	Kind Kind
+
+	// Tags is the higher layers' state for this inode; the namespace
+	// package never touches it.
+	Tags Tags
 }
 
 // dirState is what a directory has and a file does not. Overlay

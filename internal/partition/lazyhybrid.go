@@ -16,6 +16,11 @@ type LazyHybrid struct {
 
 	// updateEpoch increments on every directory permission/path change.
 	updateEpoch uint64
+	// dirEpoch holds, per directory, the update epoch at which its
+	// permissions or path last changed; applied holds, per file, the
+	// epoch whose effects have been folded into its dual-entry ACL. An
+	// inode never changed or refreshed has no entry.
+	dirEpoch, applied map[namespace.InodeID]uint64
 
 	// Debt is the number of file records with un-propagated updates
 	// outstanding; LH's viability depends on updates being applied
@@ -24,7 +29,9 @@ type LazyHybrid struct {
 }
 
 // NewLazyHybrid returns the strategy for an n-node cluster.
-func NewLazyHybrid(n int) *LazyHybrid { return &LazyHybrid{N: n} }
+func NewLazyHybrid(n int) *LazyHybrid {
+	return &LazyHybrid{N: n, dirEpoch: make(map[namespace.InodeID]uint64), applied: make(map[namespace.InodeID]uint64)}
+}
 
 // Authority implements Strategy: hash of the full path.
 func (l *LazyHybrid) Authority(ino *namespace.Inode) int {
@@ -54,7 +61,7 @@ func (l *LazyHybrid) NoteDirUpdate(dir *namespace.Inode) int {
 		return 0
 	}
 	l.updateEpoch++
-	TagsOf(dir).LHDirEpoch = l.updateEpoch
+	l.dirEpoch[dir.ID] = l.updateEpoch
 	affected := dir.SubtreeInodes() - 1
 	l.Debt += affected
 	return affected
@@ -64,9 +71,12 @@ func (l *LazyHybrid) NoteDirUpdate(dir *namespace.Inode) int {
 // before the request can be served: some ancestor changed after the last
 // propagation to this record.
 func (l *LazyHybrid) Stale(ino *namespace.Inode) bool {
-	applied := TagsOf(ino).LHApplied
+	applied := l.applied[ino.ID]
+	if applied >= l.updateEpoch {
+		return false // no directory has changed since
+	}
 	for c := ino.Parent(); c != nil; c = c.Parent() {
-		if TagsOf(c).LHDirEpoch > applied {
+		if l.dirEpoch[c.ID] > applied {
 			return true
 		}
 	}
@@ -77,9 +87,8 @@ func (l *LazyHybrid) Stale(ino *namespace.Inode) bool {
 // propagation, costing the caller one network trip). It reduces the
 // outstanding debt.
 func (l *LazyHybrid) Apply(ino *namespace.Inode) {
-	t := TagsOf(ino)
-	if t.LHApplied < l.updateEpoch {
-		t.LHApplied = l.updateEpoch
+	if l.applied[ino.ID] < l.updateEpoch {
+		l.applied[ino.ID] = l.updateEpoch
 		if l.Debt > 0 {
 			l.Debt--
 		}

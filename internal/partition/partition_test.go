@@ -2,7 +2,9 @@ package partition
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -288,12 +290,12 @@ func TestTagsAndPopularity(t *testing.T) {
 	if TagsOf(f) != TagsOf(f) {
 		t.Fatal("TagsOf not stable")
 	}
-	if TagsOf(f).PopTouched {
+	if TagsOf(f).Has(namespace.PopTouched) {
 		t.Fatal("counter touched before its first bump")
 	}
 	p := Popularity(f)
 	p.Add(0, sim.Second, 5)
-	if Popularity(f) != p || !TagsOf(f).PopTouched {
+	if Popularity(f) != p || !TagsOf(f).Has(namespace.PopTouched) {
 		t.Fatal("Popularity not stable")
 	}
 	if got := p.Value(sim.Second, sim.Second); got < 2.4 || got > 2.6 {
@@ -416,12 +418,21 @@ func TestSubtreeTableCheckConsistency(t *testing.T) {
 	}
 }
 
-// TestTagsBlockLayout pins the tag block's shape: no larger than the
-// 80-byte size class and pointer-free at every depth, so the one object
-// a touched inode costs is never scanned by the collector.
+// TestTagsBlockLayout pins the tag record's shape: pointer-free at every
+// depth, no larger than 32 bytes, held in the inode after its last
+// pointer field, and the inode no larger than 88 bytes — so touching an
+// inode's tags never allocates and the collector never scans them. The
+// memo's node index must name every node of the largest cluster
+// cluster.Config.Validate admits.
 func TestTagsBlockLayout(t *testing.T) {
-	if size := unsafe.Sizeof(Tags{}); size > 80 {
-		t.Fatalf("Tags is %d bytes, want <= 80", size)
+	if size := unsafe.Sizeof(Tags{}); size > 32 {
+		t.Fatalf("Tags is %d bytes, want <= 32", size)
+	}
+	if size := unsafe.Sizeof(namespace.Inode{}); size > 88 {
+		t.Fatalf("namespace.Inode is %d bytes, want <= 88", size)
+	}
+	if got := uint64(1) << (8 * unsafe.Sizeof(Tags{}.Auth)); got != MaxNodes {
+		t.Fatalf("the memo's node index names %d nodes, MaxNodes is %d", got, MaxNodes)
 	}
 	var walk func(path string, ty reflect.Type)
 	walk = func(path string, ty reflect.Type) {
@@ -436,64 +447,48 @@ func TestTagsBlockLayout(t *testing.T) {
 			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
 			reflect.Float32, reflect.Float64:
 		default:
-			t.Errorf("%s is a %s: the tag block must hold no pointer", path, ty.Kind())
+			t.Errorf("%s is a %s: the tag record must hold no pointer", path, ty.Kind())
 		}
 	}
 	walk("Tags", reflect.TypeOf(Tags{}))
+
+	ino := reflect.TypeOf(namespace.Inode{})
+	tags, ok := ino.FieldByName("Tags")
+	if !ok || tags.Type != reflect.TypeOf(Tags{}) {
+		t.Fatal("namespace.Inode holds no Tags record by value")
+	}
+	for i := 0; i < ino.NumField(); i++ {
+		f := ino.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Pointer, reflect.String, reflect.Slice, reflect.Map, reflect.Interface, reflect.Func, reflect.Chan:
+			if f.Offset > tags.Offset {
+				t.Errorf("namespace.Inode.%s (a %s) comes after the tag record", f.Name, f.Type.Kind())
+			}
+		}
+	}
 }
 
-// TestTagsAllocs pins what the popularity path allocates: the first
-// touch of an inode is the tag block and nothing else, and no later
-// bump, read or authority-memo write allocates at all.
-func TestTagsAllocs(t *testing.T) {
-	tr, usr, local := smallTree(t)
-	const runs = 100
-	files := make([]*namespace.Inode, 0, runs+1) // AllocsPerRun adds a warm-up call
-	for i := 0; i <= runs; i++ {
-		f, err := tr.Create(local, fmt.Sprintf("f%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, f)
-	}
+// TestDelegateRefusesEpochWrap: the memo epoch is 32 bits, and a table
+// whose epoch wrapped would find every stale memo current again, so the
+// delegation that would wrap it is refused and changes nothing.
+func TestDelegateRefusesEpochWrap(t *testing.T) {
+	_, usr, local := smallTree(t)
 	tab := NewSubtreeTable(4)
 	if err := tab.Delegate(usr, 1); err != nil {
 		t.Fatal(err)
 	}
-	tab.Authority(local) // the files' ancestors are tagged from here on
-
-	now, next := sim.Time(0), 0
-	touches := []struct {
-		name  string
-		touch func(f *namespace.Inode)
-	}{
-		{"Pop bump", func(f *namespace.Inode) { Popularity(f).Add(now, sim.Second, 1) }},
-		{"FwdPop bump", func(f *namespace.Inode) { FwdPopularity(f).Add(now, sim.Second, 1) }},
-		{"Pop peek", func(f *namespace.Inode) { _ = TagsOf(f).Pop.Peek(now, sim.Second) }},
-		{"authority memo", func(f *namespace.Inode) {
-			if tab.Authority(f) != 1 {
-				t.Fatal("authority moved")
-			}
-		}},
+	tab.epoch = math.MaxUint32 - 1
+	if err := tab.Delegate(local, 2); err != nil {
+		t.Fatalf("the last epoch is refused: %v", err)
 	}
-	first := touches[0]
-	if got := testing.AllocsPerRun(runs, func() { first.touch(files[next]); next++ }); got != 1 {
-		t.Fatalf("first touch of an inode allocated %v times, want exactly 1", got)
+	if tab.Authority(local) != 2 {
+		t.Fatal("delegation at the last epoch not applied")
 	}
-	for _, tc := range touches {
-		got := testing.AllocsPerRun(runs, func() {
-			now += 100 * sim.Millisecond
-			// A moved epoch makes every memo stale, so Authority rewrites
-			// the chain's memos instead of reading them.
-			if err := tab.Delegate(usr, 1); err != nil {
-				t.Fatal(err)
-			}
-			for _, f := range files {
-				tc.touch(f)
-			}
-		})
-		if got != 0 {
-			t.Errorf("%s on a touched inode allocated %v times per pass, want 0", tc.name, got)
-		}
+	err := tab.Delegate(local, 3)
+	if err == nil || !strings.Contains(err.Error(), "would wrap") {
+		t.Fatalf("Delegate at epoch %d: %v, want a refusal", tab.epoch, err)
+	}
+	if tab.epoch != math.MaxUint32 || tab.Authority(local) != 2 {
+		t.Fatalf("a refused delegation moved the table: epoch %d, authority %d", tab.epoch, tab.Authority(local))
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"dynmds/internal/snap"
 )
 
-// Checkpoint codec for the subtree table and the per-inode tag blocks.
+// Checkpoint codec for the subtree table and the per-inode tags.
 // Authority memos (AuthEpoch/Auth) ARE serialized: although they look
 // like a cache, they are behavioral state. A rename moves an inode
 // without bumping the table epoch, so a memo written before the rename
@@ -49,14 +49,6 @@ func (t *SubtreeTable) Snap(c *snap.Codec, tree *namespace.Tree) {
 	}
 }
 
-// tagsLive reports whether a tag block carries any restorable state.
-func tagsLive(tg *Tags) bool {
-	return tg.PopTouched || tg.FwdTouched || tg.ReplicatedAll ||
-		tg.LHDirEpoch != 0 || tg.LHApplied != 0 || tg.HashedDir ||
-		tg.ReplicaSet != 0 || tg.UnflushedWriters != 0 ||
-		tg.AuthEpoch != 0 || tg.Auth != 0
-}
-
 // snapCounter walks a decay counter that exists only once touched.
 func snapCounter(c *snap.Codec, touched *bool, d *metrics.Decay) {
 	if c.Bool(touched); *touched {
@@ -64,44 +56,83 @@ func snapCounter(c *snap.Codec, touched *bool, d *metrics.Decay) {
 	}
 }
 
-// SnapTags walks every live tag block, in deterministic tree walk
-// order; reading applies them onto the restored tree of a cluster of
-// the given number of nodes. Destroyed inodes are unreachable and
-// therefore excluded — their tags can no longer influence the run.
-func SnapTags(c *snap.Codec, tree *namespace.Tree, nodes int) {
+// SnapTags walks the tags of every inode that carries any, one block per
+// inode in deterministic tree walk order; reading applies them onto the
+// restored tree of a cluster of the given number of nodes. A block holds
+// the inode's Tags record and the sparse state kept beside it: fwd,
+// traffic control's forward counters (nil without traffic control), and
+// unflushed, the MDS nodes' unflushed-writer masks. Destroyed inodes are
+// unreachable and therefore excluded — their tags can no longer
+// influence the run.
+func SnapTags(c *snap.Codec, tree *namespace.Tree, nodes int, fwd map[namespace.InodeID]metrics.Decay, unflushed map[namespace.InodeID]uint64) {
+	// An inode has a block when any of its state is set (Pop is only
+	// ever written with PopTouched).
+	live := func(n *namespace.Inode) bool {
+		_, forwarded := fwd[n.ID]
+		return n.Tags != (Tags{}) || forwarded || unflushed[n.ID] != 0
+	}
 	// One pass before the blocks: counts them to write; to read, clears
 	// any memo written between construction and restore (an authority
 	// lookup made while the cluster was assembled) so post-restore memo
 	// state is exactly the serialized state, nothing more.
 	count := 0
 	tree.Walk(func(n *namespace.Inode) bool {
-		tg, ok := n.Aux.(*Tags)
 		switch {
-		case !ok:
 		case c.Reading():
-			tg.AuthEpoch, tg.Auth = 0, 0
-		case tagsLive(tg):
+			n.Tags.AuthEpoch, n.Tags.Auth = 0, 0
+		case live(n):
 			count++
 		}
 		return true
 	})
+	if c.Reading() {
+		clear(fwd)
+		clear(unflushed)
+	}
 	c.Len(&count)
 	block := func(ino *namespace.Inode) {
 		tree.SnapRef(c, &ino, "partition: tags")
 		if c.Err() != nil {
 			return
 		}
-		tg := TagsOf(ino)
-		snapCounter(c, &tg.PopTouched, &tg.Pop)
-		snapCounter(c, &tg.FwdTouched, &tg.FwdPop)
-		c.Bool(&tg.ReplicatedAll)
-		snap.U(c, &tg.LHDirEpoch)
-		snap.U(c, &tg.LHApplied)
-		c.Bool(&tg.HashedDir)
+		tg := &ino.Tags
+		popTouched, replicated, hashed := tg.Has(namespace.PopTouched), tg.Has(namespace.ReplicatedAll), tg.Has(namespace.HashedDir)
+		fp, forwarded := fwd[ino.ID]
+		writers := unflushed[ino.ID]
+		auth := int32(tg.Auth)
+		// Lazy Hybrid runs take no checkpoints (cluster's EndureCheck), so
+		// its two epochs, kept in LazyHybrid, are zero in every block.
+		var lhDir, lhApplied uint64
+		snapCounter(c, &popTouched, &tg.Pop)
+		snapCounter(c, &forwarded, &fp)
+		c.Bool(&replicated)
+		snap.U(c, &lhDir)
+		snap.U(c, &lhApplied)
+		c.Bool(&hashed)
 		snap.U(c, &tg.ReplicaSet)
-		snap.U(c, &tg.UnflushedWriters)
+		snap.U(c, &writers)
 		snap.U(c, &tg.AuthEpoch)
-		snap.Index(c, &tg.Auth, nodes, "partition: authority memo")
+		snap.Index(c, &auth, nodes, "partition: authority memo")
+		switch {
+		case !c.Reading() || c.Err() != nil:
+			return
+		case lhDir != 0 || lhApplied != 0:
+			c.Failf("partition: Lazy Hybrid epochs on %s", ino)
+			return
+		case forwarded && fwd == nil:
+			c.Failf("partition: a forward counter on %s without traffic control", ino)
+			return
+		}
+		tg.Set(namespace.PopTouched, popTouched)
+		tg.Set(namespace.ReplicatedAll, replicated)
+		tg.Set(namespace.HashedDir, hashed)
+		tg.Auth = uint16(auth)
+		if forwarded {
+			fwd[ino.ID] = fp
+		}
+		if writers != 0 {
+			unflushed[ino.ID] = writers
+		}
 	}
 	if c.Reading() {
 		for ; count > 0 && c.Err() == nil; count-- {
@@ -110,7 +141,7 @@ func SnapTags(c *snap.Codec, tree *namespace.Tree, nodes int) {
 		return
 	}
 	tree.Walk(func(n *namespace.Inode) bool {
-		if tg, ok := n.Aux.(*Tags); ok && tagsLive(tg) {
+		if live(n) {
 			block(n)
 		}
 		return true

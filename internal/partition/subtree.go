@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"dynmds/internal/namespace"
@@ -14,8 +15,11 @@ import (
 // memoized per inode and invalidated by bumping the table epoch on every
 // delegation change.
 type SubtreeTable struct {
-	n      int
-	epoch  uint64
+	n int
+	// epoch is what an inode's memo (Tags.AuthEpoch) is checked
+	// against. It starts at 1, so a never-written memo is stale, and it
+	// never wraps: a wrapped epoch would revive every stale memo.
+	epoch  uint32
 	assign map[*namespace.Inode]int
 	// byMDS mirrors assign for per-node iteration.
 	byMDS []map[*namespace.Inode]bool
@@ -25,8 +29,8 @@ type SubtreeTable struct {
 // entire hierarchy implicitly assigned to node 0 until delegations are
 // made.
 func NewSubtreeTable(n int) *SubtreeTable {
-	if n < 1 {
-		panic("partition: cluster size must be >= 1")
+	if n < 1 || n > MaxNodes {
+		panic(fmt.Sprintf("partition: cluster size %d outside [1, %d]", n, MaxNodes))
 	}
 	t := &SubtreeTable{
 		n:      n,
@@ -51,6 +55,9 @@ func (t *SubtreeTable) Delegate(root *namespace.Inode, mds int) error {
 	if !root.IsDir() {
 		return fmt.Errorf("partition: delegation root %s is not a directory", root)
 	}
+	if t.epoch == math.MaxUint32 {
+		return fmt.Errorf("partition: delegation epoch %d would wrap", t.epoch)
+	}
 	if old, ok := t.assign[root]; ok {
 		delete(t.byMDS[old], root)
 	}
@@ -70,9 +77,8 @@ func (t *SubtreeTable) Assigned(root *namespace.Inode) (int, bool) {
 // its nearest explicitly assigned ancestor-or-self, defaulting to 0.
 func (t *SubtreeTable) Authority(ino *namespace.Inode) int {
 	// Fast path: memoized for the current epoch.
-	tags := TagsOf(ino)
-	if tags.AuthEpoch == t.epoch {
-		return int(tags.Auth)
+	if ino.Tags.AuthEpoch == t.epoch {
+		return int(ino.Tags.Auth)
 	}
 	// Walk upward; remember the chain so every node visited gets
 	// memoized with the resolved authority of its own nearest root.
@@ -80,7 +86,7 @@ func (t *SubtreeTable) Authority(ino *namespace.Inode) int {
 	depth := 0
 	auth := 0
 	for c := ino; c != nil; c = c.Parent() {
-		ct := TagsOf(c)
+		ct := &c.Tags
 		if ct.AuthEpoch == t.epoch {
 			auth = int(ct.Auth)
 			break
@@ -88,7 +94,7 @@ func (t *SubtreeTable) Authority(ino *namespace.Inode) int {
 		if a, ok := t.assign[c]; ok {
 			auth = a
 			ct.AuthEpoch = t.epoch
-			ct.Auth = int32(a)
+			ct.Auth = uint16(a)
 			break
 		}
 		if depth < len(chain) {
@@ -97,9 +103,9 @@ func (t *SubtreeTable) Authority(ino *namespace.Inode) int {
 		}
 	}
 	for i := 0; i < depth; i++ {
-		ct := TagsOf(chain[i])
+		ct := &chain[i].Tags
 		ct.AuthEpoch = t.epoch
-		ct.Auth = int32(auth)
+		ct.Auth = uint16(auth)
 	}
 	return auth
 }
