@@ -97,9 +97,9 @@ func checkStructures(cl *cluster.Cluster, fail func(string, ...any)) {
 // checkAging validates the overlay-aging invariants: tombstone
 // accounting balances, tombstoned base IDs are truly dead, every
 // reachable inode is live (not tombstoned) and findable through its
-// parent's name index — a lazily expanded directory must never leak a
-// destroyed entry back to life — and the ID watermark never regresses
-// across a restore.
+// parent's name index — the frozen base's index must never bring a
+// destroyed or renamed-away entry back to life — and the ID watermark
+// never regresses across a restore.
 func checkAging(cl *cluster.Cluster, base Baseline, fail func(string, ...any)) {
 	tree := cl.Tree()
 	if tree.MaxID() < base.MaxInodeID {

@@ -343,10 +343,14 @@ func TestGenerateAllocBudget(t *testing.T) {
 // TestThawBytesPerInode: what the namespace keeps, per inode, at the
 // benchmark's shape — the shared frozen base, and one run's overlay on
 // top of it once every inode's popularity has been bumped, as a run's
-// authoritative accesses do. An 88-byte inode (its tag record included),
-// its share of the child-pointer array and of the directory records
-// come to ~101 B, and the bumps add nothing; the next field added to
-// Inode has to pay for itself.
+// authoritative accesses do — and what a create costs once 8 land in
+// every directory. An 88-byte inode (its tag record included), its
+// share of the child-pointer array and of the directory records come
+// to ~101 B, and the bumps add nothing; the next field added to Inode
+// has to pay for itself. A create pays its inode, its moved-set slots,
+// its created slot and its share of the grown child slices (~170 B);
+// a per-directory name index would add a map entry for every child of
+// every directory a create lands in.
 func TestThawBytesPerInode(t *testing.T) {
 	cfg := Default()
 	cfg.Users = 200
@@ -363,16 +367,34 @@ func TestThawBytesPerInode(t *testing.T) {
 	}
 	h1 := heap()
 	snap := fs.Thaw()
+	var dirs []*namespace.Inode
 	snap.Tree.Walk(func(n *namespace.Inode) bool {
 		partition.Popularity(n).Add(sim.Second, partition.PopHalfLife, 1)
+		if n.IsDir() {
+			dirs = append(dirs, n)
+		}
 		return true
 	})
 	h2 := heap()
+	names := [...]string{"c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7"}
+	for _, d := range dirs {
+		for _, name := range names {
+			if _, err := snap.Tree.Create(d, name); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dirs = nil
+	h3 := heap()
 	n := float64(fs.Base.NumInodes())
+	creates := float64(snap.Tree.Len()) - n
 	base, overlay := (float64(h1)-float64(h0))/n, (float64(h2)-float64(h1))/n
-	t.Logf("%d inodes: base %.1f B/inode, touched overlay %.1f B/inode", fs.Base.NumInodes(), base, overlay)
-	if base > 60 || overlay > 104 {
-		t.Fatalf("%d inodes: base %.1f B/inode (budget 60), touched overlay %.1f B/inode (budget 104)", fs.Base.NumInodes(), base, overlay)
+	perCreate := (float64(h3) - float64(h2)) / creates
+	t.Logf("%d inodes: base %.1f B/inode, touched overlay %.1f B/inode; %.0f creates, %.1f B/create",
+		fs.Base.NumInodes(), base, overlay, creates, perCreate)
+	if base > 48 || overlay > 104 || perCreate > 200 {
+		t.Fatalf("%d inodes: base %.1f B/inode (budget 48), touched overlay %.1f B/inode (budget 104), %.1f B/create (budget 200)",
+			fs.Base.NumInodes(), base, overlay, perCreate)
 	}
 	runtime.KeepAlive(snap)
 }
@@ -405,5 +427,66 @@ func BenchmarkThaw(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = fs.Thaw()
+	}
+}
+
+// BenchmarkOverlayChurn is the namespace's mutation kernel at the
+// largest Figure 2 scale: thaw, create one file in every directory,
+// unlink every fourth base file, move every eighth to another
+// directory, then look up in every directory a name it holds and two
+// it does not.
+func BenchmarkOverlayChurn(b *testing.B) {
+	fs, err := GenerateFrozen(fig2LargestFS())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var dirs, files []namespace.InodeID
+	var present []string
+	fs.Thaw().Tree.Walk(func(n *namespace.Inode) bool {
+		if !n.IsDir() {
+			files = append(files, n.ID)
+		} else if n.NumChildren() > 0 {
+			dirs = append(dirs, n.ID)
+			present = append(present, n.Child(0).Name())
+		}
+		return true
+	})
+	moved := make([]string, len(files))
+	for k := range moved {
+		moved[k] = fmt.Sprintf("moved%d", k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr := fs.Thaw().Tree
+		node := func(id namespace.InodeID) *namespace.Inode {
+			n, ok := tr.ByID(id)
+			if !ok {
+				b.Fatalf("inode %d missing", id)
+			}
+			return n
+		}
+		for _, id := range dirs {
+			if _, err := tr.Create(node(id), "new"); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for k, id := range files {
+			switch k % 8 {
+			case 0, 4:
+				err = tr.Remove(node(id))
+			case 1:
+				err = tr.Rename(node(id), node(dirs[k%len(dirs)]), moved[k])
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		for j, id := range dirs {
+			d := node(id)
+			d.LookupChild(present[j])
+			d.LookupChild("new")
+			d.LookupChild("absent")
+		}
 	}
 }

@@ -186,6 +186,36 @@ func TestSnapParentMustBeDirectory(t *testing.T) {
 	}
 }
 
+// TestSnapCreatedIDs: a delta's run-created inodes carry IDs past the
+// base, at most the watermark, ascending; any other ID is refused, 0
+// included — it would index no slot of the created list.
+func TestSnapCreatedIDs(t *testing.T) {
+	for _, tc := range []struct {
+		what string
+		id   func(ov *Tree, prev InodeID) InodeID
+	}{
+		{"ID 0", func(*Tree, InodeID) InodeID { return 0 }},
+		{"a base ID", func(ov *Tree, _ InodeID) InodeID { return InodeID(len(ov.base.nodes)) }},
+		{"past the watermark", func(ov *Tree, _ InodeID) InodeID { return ov.MaxID() + 1 }},
+		{"out of order", func(_ *Tree, prev InodeID) InodeID { return prev - 1 }},
+	} {
+		ov, f, _ := agedOverlay(t)
+		prev := mustCreate(t, ov, ov.Root, "prev")
+		last := mustCreate(t, ov, ov.Root, "last")
+		last.ID = tc.id(ov, prev.ID)
+		w := snap.NewWriter()
+		snap.Encoder(w).Section("tree", ov.Snap)
+		r, err := snap.NewReader(w.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := snap.Decoder(r)
+		if dec.Section("tree", NewOverlay(f).Snap); dec.Err() == nil || !strings.Contains(dec.Err().Error(), "out of range or order") {
+			t.Errorf("%s: restore: %v", tc.what, dec.Err())
+		}
+	}
+}
+
 // inodeRecord is an inode's delta record with the given subtree count.
 func inodeRecord(sub int) []byte {
 	w := snap.NewWriter()

@@ -117,8 +117,8 @@ func (b *Builder) path(id InodeID) string {
 }
 
 // Freeze lays the records into an immutable snapshot: one exactly sized
-// node array, CSR child lists in insertion order, subtree counts, and
-// the same lists sorted by name for lookup — a fixed number of
+// node array, subtree counts, and each directory's children sorted by
+// name for lookup — a fixed number of
 // allocations whatever the namespace holds. It returns the first
 // refusal, if a call was refused, and refuses a name used twice in one
 // directory. The builder is left as it was; the snapshot shares its name
@@ -130,7 +130,6 @@ func (b *Builder) Freeze() (*Frozen, error) {
 	n := b.n
 	f := &Frozen{
 		nodes:    make([]fnode, n),
-		childIDs: make([]InodeID, n-1),
 		byName:   make([]uint32, n-1),
 		numFiles: b.numFiles,
 		numDirs:  b.numDirs,
@@ -139,9 +138,9 @@ func (b *Builder) Freeze() (*Frozen, error) {
 	for i, c := range b.chunks {
 		copy(nodes[i*chunkLen:], c.nodes[:])
 	}
-	// Child lists by a stable counting pass over parents: count, lay the
-	// offsets out in ID order, then place each child in ascending ID —
-	// which is the order its directory received it.
+	// Segments by a counting pass over parents: count, lay the offsets
+	// out in ID order, then place each child in its parent's segment,
+	// which is sorted by name below.
 	for i := 1; i < n; i++ {
 		nodes[nodes[i].parent-1].kidLen++
 	}
@@ -152,7 +151,6 @@ func (b *Builder) Freeze() (*Frozen, error) {
 	}
 	for i := 1; i < n; i++ {
 		p := &nodes[nodes[i].parent-1]
-		f.childIDs[p.kidOff+p.kidLen] = InodeID(i + 1)
 		f.byName[p.kidOff+p.kidLen] = uint32(i + 1)
 		p.kidLen++
 	}

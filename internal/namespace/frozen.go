@@ -14,18 +14,17 @@ import (
 // in the overlays.
 //
 // Layout: node records live in a single slice indexed by id-1 (IDs are
-// allocated densely from 1, root first). Directory children are stored
-// CSR-style — one shared []InodeID with per-directory offset/length, in
-// the directory's insertion order, so an overlay that expands a
-// directory reproduces exactly the child order a freshly generated tree
-// would have. byName holds the same segments, each sorted by name: the
-// name index every overlay searches, read-only, for a directory it has
-// not mutated, so no run builds an index for a directory it never
-// mutates and the base holds no per-directory objects at all.
+// allocated densely from 1, root first). Each directory owns one
+// segment of byName (offset and length in its record), holding its
+// children's IDs sorted by name: the name index of every base entry,
+// which overlays search read-only and keep only their differences
+// from (see movedSet). Child order needs no array of its own: ascending
+// ID is the order each directory received its children, which is how
+// NewOverlay lays out the child lists. The base holds no per-directory
+// objects at all.
 type Frozen struct {
-	nodes    []fnode
-	childIDs []InodeID
-	byName   []uint32
+	nodes  []fnode
+	byName []uint32
 
 	numFiles, numDirs int
 }
@@ -77,17 +76,14 @@ func (f *Frozen) lookup(dir InodeID, name string) (InodeID, bool) {
 // workloads touch nearly the entire namespace anyway, and a bulk
 // array-order copy is both far cheaper than piecewise materialization
 // and far cheaper to GC than a generated tree (three large allocations
-// instead of one object and one map per inode). What stays lazy is the
-// per-directory name index: lookups search the base's name-sorted index
-// until a directory's first structural mutation (see expand), so an
-// overlay run allocates no per-directory maps for the — typically vast —
-// untouched-by-mutation portion of the tree. All mutation lands in the
-// slabs and the overlay's own structures; the base is never written.
-// Many overlays may share one base concurrently; each overlay itself is
-// single-goroutine, like Tree.
+// instead of one object and one map per inode). No name index is
+// built: the base's sorted one serves every entry still at its frozen
+// place, and the overlay's moved set, empty at first, every other. All
+// mutation lands in the slabs and the overlay's own structures; the
+// base is never written. Many overlays may share one base
+// concurrently; each overlay itself is single-goroutine, like Tree.
 func NewOverlay(f *Frozen) *Tree {
 	t := &Tree{
-		byID:     make(map[InodeID]*Inode),
 		base:     f,
 		nextID:   InodeID(len(f.nodes)),
 		NumFiles: f.numFiles,
@@ -95,7 +91,10 @@ func NewOverlay(f *Frozen) *Tree {
 	}
 	t.slab = make([]Inode, len(f.nodes))
 	dirs := make([]dirState, f.numDirs)
-	backing := make([]*Inode, len(f.childIDs))
+	backing := make([]*Inode, len(f.byName))
+	// One pass in ascending ID, which is each directory's child order: a
+	// parent precedes its children, so its record exists when they are
+	// appended to it.
 	for i := range t.slab {
 		fn := &f.nodes[i]
 		n := &t.slab[i]
@@ -104,7 +103,10 @@ func NewOverlay(f *Frozen) *Tree {
 		n.Mode = fn.mode
 		n.name = fn.name
 		if fn.parent != 0 {
-			n.parent = &t.slab[fn.parent-1]
+			p := &t.slab[fn.parent-1]
+			n.parent = p
+			n.pos = uint32(len(p.dir.children))
+			p.dir.children = append(p.dir.children, n)
 		}
 		if fn.kind != Dir {
 			continue
@@ -115,15 +117,10 @@ func NewOverlay(f *Frozen) *Tree {
 		n.dir = d
 		if fn.kidLen > 0 {
 			// Full-capacity slice of this directory's private segment of
-			// the backing array: in-place swap-on-remove stays inside the
-			// segment, and growth reallocates instead of clobbering the
-			// next directory's segment.
-			seg := backing[fn.kidOff : fn.kidOff+fn.kidLen : fn.kidOff+fn.kidLen]
-			for j, cid := range f.childIDs[fn.kidOff : fn.kidOff+fn.kidLen] {
-				seg[j] = &t.slab[cid-1]
-			}
-			d.children = seg
-			d.lazy = true
+			// the backing array: appending fills it in place, in-place
+			// swap-on-remove stays inside the segment, and growth
+			// reallocates instead of clobbering the next directory's.
+			d.children = backing[fn.kidOff : fn.kidOff : fn.kidOff+fn.kidLen]
 		}
 	}
 	t.Root = &t.slab[0]
@@ -137,28 +134,12 @@ func (t *Tree) node(id InodeID) *Inode { return &t.slab[id-1] }
 // opposed to an inode created during the run.
 func (t *Tree) IsBase(id InodeID) bool { return t.base.contains(id) }
 
-// expand builds a directory's private name index from its current child
-// list, switching lookups off the shared base index. Any structural
-// mutation of a directory (attach/detach) expands it first, so the
-// mutation then proceeds exactly as it would on an eagerly built tree —
-// including the swap-on-remove child ordering the simulator's
-// determinism depends on.
-func (n *Inode) expand() {
-	d := n.dir
-	if d == nil || !d.lazy {
-		return
-	}
-	d.lazy = false
-	d.index = make(map[string]int, len(d.children))
-	for i, c := range d.children {
-		d.index[c.name] = i
-	}
-}
-
-// destroyed records that a base inode no longer exists in this overlay,
-// so ByID cannot re-materialize it from the base.
+// destroyed records that an inode no longer exists in this overlay: a
+// run-created one leaves created, a base one is tombstoned so ByID
+// cannot re-materialize it from the base.
 func (t *Tree) destroyed(id InodeID) {
 	if !t.base.contains(id) {
+		t.created[t.createdIndex(id)] = nil
 		return
 	}
 	t.BaseDeletes++

@@ -236,8 +236,9 @@ func TestFnodeSize(t *testing.T) {
 }
 
 // TestInodeLayout: a file pays only for what a file has — 56 bytes of
-// its own and the 32-byte tag record the layers above keep in it; a
-// directory's extra state is one record, and a run-created directory's
+// its own, its child position in what was padding, and the 32-byte tag
+// record the layers above keep in it; a directory's extra state is one
+// 48-byte record with no name index, and a run-created directory's
 // inode and record together fill one 144-byte size class.
 func TestInodeLayout(t *testing.T) {
 	if size := unsafe.Sizeof(Inode{}); size != 88 {
@@ -246,8 +247,8 @@ func TestInodeLayout(t *testing.T) {
 	if size := unsafe.Sizeof(Tags{}); size != 32 {
 		t.Errorf("Tags is %d bytes, want 32", size)
 	}
-	if size := unsafe.Sizeof(dirState{}); size > 56 {
-		t.Errorf("dirState is %d bytes, want <= 56", size)
+	if size := unsafe.Sizeof(dirState{}); size > 48 {
+		t.Errorf("dirState is %d bytes, want <= 48", size)
 	}
 	if size := unsafe.Sizeof(dirInode{}); size > 144 {
 		t.Errorf("dirInode is %d bytes, want <= 144", size)
@@ -256,7 +257,7 @@ func TestInodeLayout(t *testing.T) {
 
 // TestBuilderAllocBudget: the builder allocates per chunk, never per
 // inode, and Freeze a fixed number of objects — the snapshot and its
-// three arrays — whatever the directory count: 1 000 directories of 4
+// two arrays — whatever the directory count: 1 000 directories of 4
 // names cost it what 4 directories of 1 000 names do.
 func TestBuilderAllocBudget(t *testing.T) {
 	names := make([]string, 1000)
@@ -286,8 +287,8 @@ func TestBuilderAllocBudget(t *testing.T) {
 			}
 		})
 	}
-	if wide, deep := freeze(build(1000, 4)), freeze(build(4, 1000)); wide != deep || wide > 4 {
-		t.Errorf("Freeze took %.0f mallocs over 1 000 directories, %.0f over 4; want equal and <= 4", wide, deep)
+	if wide, deep := freeze(build(1000, 4)), freeze(build(4, 1000)); wide != deep || wide > 3 {
+		t.Errorf("Freeze took %.0f mallocs over 1 000 directories, %.0f over 4; want equal and <= 3", wide, deep)
 	}
 }
 
@@ -336,45 +337,46 @@ func TestOverlayTombstones(t *testing.T) {
 
 // TestOverlayLazyNameIndex checks the slab overlay's laziness contract:
 // thawing is a flat bulk copy (constant allocation count, no per-inode or
-// per-directory allocations), directory name lookups read through to the
-// shared base index until a directory's first structural mutation, and
-// only mutated directories ever build a private name index map.
+// per-directory allocations), the frozen base's sorted index answers
+// every lookup of an entry still at its frozen place, and the overlay
+// keeps only its differences: a directory's first structural mutation
+// marks that directory alone, and only the entry that moved joins the
+// moved set.
 func TestOverlayLazyNameIndex(t *testing.T) {
 	base, f := genBase(t, 5, 30, 10)
 
 	// Thawing allocates O(1) objects regardless of snapshot size: the
-	// Tree, its small maps/tables, the inode slab, the directory-record
-	// slab, and the child backing array. A per-inode or per-directory
-	// allocation would scale with the ~330-inode snapshot and blow well
-	// past this bound.
+	// Tree, the inode slab, the directory-record slab, and the child
+	// backing array. A per-inode or per-directory allocation would scale
+	// with the ~330-inode snapshot and blow well past this bound.
 	if allocs := testing.AllocsPerRun(5, func() { _ = NewOverlay(f) }); allocs > 12 {
 		t.Fatalf("NewOverlay allocates %.0f objects, want O(1) (<= 12)", allocs)
 	}
 
 	ov := NewOverlay(f)
-	if got := len(ov.byID); got != 0 {
-		t.Fatalf("fresh overlay has %d byID entries, want 0 (base IDs resolve via slab)", got)
+	if len(ov.created) != 0 || ov.moved.n != 0 || ov.moved.slots != nil {
+		t.Fatalf("fresh overlay has %d created, %d moved entries, want none (base IDs resolve via slab)", len(ov.created), ov.moved.n)
 	}
-	countLazy := func() (lazy, indexed int) {
+	countMutated := func() (lazy, mutated int) {
 		ov.Walk(func(n *Inode) bool {
 			if n.IsDir() && n.NumChildren() > 0 {
-				if n.dir.lazy {
-					lazy++
+				if n.dir.mutated {
+					mutated++
 				} else {
-					indexed++
+					lazy++
 				}
 			}
 			return true
 		})
 		return
 	}
-	lazyBefore, indexedBefore := countLazy()
-	if indexedBefore != 0 {
-		t.Fatalf("fresh overlay has %d pre-built child indexes, want 0", indexedBefore)
+	lazyBefore, mutatedBefore := countMutated()
+	if mutatedBefore != 0 {
+		t.Fatalf("fresh overlay has %d mutated directories, want 0", mutatedBefore)
 	}
 
 	// Read-only resolution — ByID, Path, LookupChild — works through the
-	// shared base index without building any private index.
+	// shared base index and marks nothing.
 	deepest, depth := ov.Root, -1
 	base.Walk(func(n *Inode) bool {
 		if !n.IsDir() && n.Depth() > depth {
@@ -392,39 +394,40 @@ func TestOverlayLazyNameIndex(t *testing.T) {
 	if got, err := ov.Lookup(deepest.Path()); err != nil || got.ID != deepest.ID {
 		t.Fatalf("overlay lookup %s: %v, %v", deepest.Path(), got, err)
 	}
-	if l, i := countLazy(); l != lazyBefore || i != 0 {
-		t.Fatalf("read-only access built %d child indexes", i)
+	if l, m := countMutated(); l != lazyBefore || m != 0 {
+		t.Fatalf("read-only access mutated %d directories", m)
 	}
 
-	// The first structural mutation of a directory builds exactly that
-	// directory's index; siblings stay lazy.
+	// The first structural mutation of a directory marks exactly that
+	// directory; siblings stay lazy, and only the new entry is moved.
 	dir := n.Parent()
 	if _, err := ov.Create(dir, "fresh"); err != nil {
 		t.Fatal(err)
 	}
-	if dir.dir.lazy || dir.dir.index == nil {
-		t.Fatal("mutated directory did not build its private index")
+	if !dir.dir.mutated || ov.moved.n != 1 {
+		t.Fatalf("mutated directory marked %v, %d moved entries (want 1)", dir.dir.mutated, ov.moved.n)
 	}
 	if got, ok := dir.LookupChild("fresh"); !ok || got.Name() != "fresh" {
-		t.Fatal("private index missing new child")
+		t.Fatal("moved set missing new child")
 	}
 	if got, ok := dir.LookupChild(n.Name()); !ok || got != n {
-		t.Fatal("private index lost pre-existing child")
+		t.Fatal("base index lost pre-existing child")
 	}
-	if l, i := countLazy(); i != 1 || l != lazyBefore-1 {
-		t.Fatalf("after one mutation: %d indexed (want 1), %d lazy (want %d)", i, l, lazyBefore-1)
+	if l, m := countMutated(); m != 1 || l != lazyBefore-1 {
+		t.Fatalf("after one mutation: %d mutated (want 1), %d lazy (want %d)", m, l, lazyBefore-1)
 	}
 }
 
-// TestCheckInvariantsLeavesLazy: checking a fresh overlay expands no
-// directory and counts no read-through lookup — the check reads the base
-// index directly — yet a corrupted lazy child list is still reported.
+// TestCheckInvariantsLeavesLazy: checking a fresh overlay marks no
+// directory mutated and counts no read-through lookup — the check reads
+// the base index directly — yet a corrupted lazy child list is still
+// reported.
 func TestCheckInvariantsLeavesLazy(t *testing.T) {
 	_, f := genBase(t, 5, 30, 10)
 	ov := NewOverlay(f)
 	lazy := func() (n int) {
 		ov.Walk(func(in *Inode) bool {
-			if in.IsDir() && in.dir.lazy {
+			if in.IsDir() && in.NumChildren() > 0 && !in.dir.mutated {
 				n++
 			}
 			return true
@@ -444,7 +447,7 @@ func TestCheckInvariantsLeavesLazy(t *testing.T) {
 
 	var dir *Inode
 	ov.Walk(func(n *Inode) bool {
-		if dir == nil && n.IsDir() && n.dir.lazy && n.NumChildren() > 1 {
+		if dir == nil && n.IsDir() && !n.dir.mutated && n.NumChildren() > 1 {
 			dir = n
 		}
 		return true
@@ -473,8 +476,8 @@ func TestCheckInvariantsLeavesLazy(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.errHas) {
 			t.Errorf("%s: err %v, want one holding %q", tc.what, err, tc.errHas)
 		}
-		if !dir.dir.lazy {
-			t.Fatalf("%s: the check expanded the corrupted directory", tc.what)
+		if dir.dir.mutated {
+			t.Fatalf("%s: the check mutated the corrupted directory", tc.what)
 		}
 	}
 	if err := ov.CheckInvariants(); err != nil {
@@ -482,7 +485,7 @@ func TestCheckInvariantsLeavesLazy(t *testing.T) {
 	}
 }
 
-// TestSortedNameIndex: a lazy directory's LookupChild — a binary search
+// TestSortedNameIndex: an unmutated directory's LookupChild — a binary search
 // of the base's name-sorted segment — agrees with a scan of Children()
 // for every present name and for absent ones before the first, between
 // neighbours, after the last and in an empty directory, whatever order
@@ -522,8 +525,8 @@ func TestSortedNameIndex(t *testing.T) {
 		ov := NewOverlay(f)
 		for _, id := range dirs {
 			d := ov.node(id)
-			if d.NumChildren() > 0 && !d.dir.lazy {
-				t.Fatalf("round %d: %s is not lazy", round, d)
+			if d.dir.mutated {
+				t.Fatalf("round %d: %s is mutated", round, d)
 			}
 			for _, name := range probes {
 				want, wok := scan(d, name)
@@ -532,8 +535,8 @@ func TestSortedNameIndex(t *testing.T) {
 					t.Fatalf("round %d: %s LookupChild(%q) = %v, %v; the scan finds %v, %v", round, d, name, got, ok, want, wok)
 				}
 			}
-			if d.NumChildren() > 0 && !d.dir.lazy {
-				t.Fatalf("round %d: lookups expanded %s", round, d)
+			if d.dir.mutated {
+				t.Fatalf("round %d: lookups mutated %s", round, d)
 			}
 		}
 

@@ -57,6 +57,9 @@ type Inode struct {
 	Size int64
 	Mode Mode
 	Kind Kind
+	// pos is the inode's index in its parent's child list, so detach
+	// swaps by position; it fills padding, not a word of its own.
+	pos uint32
 
 	// Tags is the higher layers' state for this inode; the namespace
 	// package never touches it.
@@ -69,19 +72,17 @@ type Inode struct {
 // shares its inode's allocation (see newInode).
 type dirState struct {
 	children []*Inode
-	// index is the private name index; nil until the directory is first
-	// mutated (see expand) or, for a run-created one, first attached to.
-	index map[string]int
-	// tree is the owning tree, whose frozen base backs lookups while
-	// lazy is set.
+	// tree is the owning tree, whose moved set and frozen base resolve
+	// names (see Tree.child).
 	tree *Tree
 	// sub counts inodes in the subtree rooted here, this one included.
 	sub int
-	// lazy marks an overlay directory whose private name index has not
-	// been built yet. While set, LookupChild searches the frozen base's
-	// name-sorted index; the first structural mutation builds index and
-	// clears the flag (see expand).
-	lazy bool
+	// mutated marks a directory that was ever attached to or detached
+	// from, refused or not: only such a directory can hold a moved
+	// entry, and only its child list can differ from the base, so it is
+	// the set a checkpoint carries and a lookup in any other directory
+	// with children is one LazyStats counts.
+	mutated bool
 }
 
 // dirInode is a run-created directory: inode and directory record in one
@@ -138,19 +139,11 @@ func (n *Inode) LookupChild(name string) (*Inode, bool) {
 	if d == nil {
 		return nil, false
 	}
-	if d.lazy {
-		id, ok := d.tree.base.lookup(n.ID, name)
-		d.tree.noteLazyLookup(!ok)
-		if !ok {
-			return nil, false
-		}
-		return d.tree.node(id), true
+	c := d.tree.child(n, name)
+	if !d.mutated && len(d.children) > 0 {
+		d.tree.noteLazyLookup(c == nil)
 	}
-	i, ok := d.index[name]
-	if !ok {
-		return nil, false
-	}
-	return d.children[i], true
+	return c, c != nil
 }
 
 // Children returns the live child slice (nil for files). Callers must
@@ -213,33 +206,37 @@ func (n *Inode) attach(child *Inode) error {
 	if d == nil {
 		return fmt.Errorf("namespace: %s is not a directory", n.Path())
 	}
-	n.expand()
-	if d.index == nil {
-		d.index = make(map[string]int)
-	}
-	if _, exists := d.index[child.name]; exists {
+	d.mutated = true
+	t := d.tree
+	if t.child(n, child.name) != nil {
 		return fmt.Errorf("namespace: %s already contains %q", n.Path(), child.name)
 	}
-	d.index[child.name] = len(d.children)
-	d.children = append(d.children, child)
 	child.parent = n
+	child.pos = uint32(len(d.children))
+	d.children = append(d.children, child)
+	if t.displaced(child) {
+		t.moved.insert(child)
+	}
 	return nil
 }
 
 func (n *Inode) detach(child *Inode) error {
-	n.expand()
 	d := n.dir
-	i, ok := d.index[child.name]
-	if !ok || d.children[i] != child {
+	d.mutated = true
+	i := int(child.pos)
+	if child.parent != n || i >= len(d.children) || d.children[i] != child {
 		return fmt.Errorf("namespace: %s does not contain %q", n.Path(), child.name)
+	}
+	if t := d.tree; t.displaced(child) {
+		t.moved.remove(child)
 	}
 	last := len(d.children) - 1
 	if i != last {
 		d.children[i] = d.children[last]
-		d.index[d.children[i].name] = i
+		d.children[i].pos = uint32(i)
 	}
+	d.children[last] = nil
 	d.children = d.children[:last]
-	delete(d.index, child.name)
 	child.parent = nil
 	return nil
 }

@@ -1,22 +1,17 @@
 package namespace
 
-import (
-	"cmp"
-	"slices"
-
-	"dynmds/internal/snap"
-)
+import "dynmds/internal/snap"
 
 // Overlay checkpointing: an overlay tree is serialized as a delta
 // against its immutable frozen base — tombstones, run-created inodes,
 // base inodes whose fields drifted from their frozen record, and the
-// ordered child list of every directory whose private name index has
-// been materialized (any structural mutation materializes it, so the
-// set of emitted directories is exactly the set whose child order can
-// differ from the base). Restoring applies the delta onto a pristine
-// overlay of the same base; the result is field-identical to the
-// serialized tree, including the lazy/expanded split the read-through
-// instrumentation depends on.
+// ordered child list of every mutated directory (only a mutated
+// directory's child order can differ from the base, and only its
+// children can be away from their frozen place). Restoring applies the
+// delta onto a pristine overlay of the same base and rebuilds the moved
+// set and child positions from those lists; the result is
+// field-identical to the serialized tree, including the mutated flags
+// the read-through instrumentation depends on.
 
 // SnapRef carries a reference to a live inode as its ID: written from
 // *p, read and resolved against the restored tree. what names the
@@ -85,17 +80,13 @@ func (t *Tree) drifted(id InodeID) bool {
 		n.SubtreeInodes() != int(fn.sub) || parent != fn.parent
 }
 
-// expanded reports whether n is a directory with a private name index,
-// whose child list a delta carries.
-func (n *Inode) expanded() bool { return n.dir != nil && n.dir.index != nil }
-
 // Snap walks the overlay delta; reading, the tree must be a pristine
 // overlay of the same frozen base. Gathering what to write and
 // building what was read are different work, so each part of the delta
 // says which it is doing.
 func (t *Tree) Snap(c *snap.Codec) {
 	reading := c.Reading()
-	if reading && (len(t.byID) != 0 || t.dead != nil) {
+	if reading && (len(t.created) != 0 || t.moved.n != 0 || t.dead != nil) {
 		c.Failf("namespace: restore onto a non-pristine overlay")
 	}
 
@@ -132,7 +123,10 @@ func (t *Tree) Snap(c *snap.Codec) {
 			case t.Tombstoned(id):
 				c.Failf("namespace: tombstone %d listed twice", id)
 			default:
+				// A destroyed inode is detached: the base index must not
+				// find it at its frozen place.
 				t.bury(id)
+				t.node(id).parent = nil
 			}
 		}
 	}
@@ -141,11 +135,11 @@ func (t *Tree) Snap(c *snap.Codec) {
 	// of them are registered.
 	var created []*Inode
 	if !reading {
-		created = make([]*Inode, 0, len(t.byID))
-		for _, n := range t.byID {
-			created = append(created, n)
+		for _, n := range t.created {
+			if n != nil {
+				created = append(created, n)
+			}
 		}
-		slices.SortFunc(created, func(a, b *Inode) int { return cmp.Compare(a.ID, b.ID) })
 	}
 	snap.Slice(c, &created)
 	var parents []InodeID
@@ -171,11 +165,11 @@ func (t *Tree) Snap(c *snap.Codec) {
 		if !reading || c.Err() != nil {
 			continue
 		}
-		if t.base.contains(n.ID) || n.ID > t.nextID {
-			c.Failf("namespace: created inode %d out of range", n.ID)
+		if n.ID <= InodeID(len(t.base.nodes)) || n.ID > t.nextID || (i > 0 && n.ID <= created[i-1].ID) {
+			c.Failf("namespace: created inode %d out of range or order", n.ID)
 			return
 		}
-		t.byID[n.ID] = n
+		t.register(n)
 		parents[i] = parent
 	}
 	for i, parent := range parents {
@@ -195,8 +189,8 @@ func (t *Tree) Snap(c *snap.Codec) {
 	snap.Slice(c, &dirty)
 	for i := range dirty {
 		snap.U(c, &dirty[i])
-		if !t.base.contains(dirty[i]) {
-			c.Failf("namespace: dirty inode %d outside base", dirty[i])
+		if !t.base.contains(dirty[i]) || t.Tombstoned(dirty[i]) {
+			c.Failf("namespace: dirty inode %d outside base or tombstoned", dirty[i])
 			return
 		}
 		n := t.node(dirty[i])
@@ -205,19 +199,19 @@ func (t *Tree) Snap(c *snap.Codec) {
 		}
 	}
 
-	// Materialized directories with their ordered child IDs: base slab
-	// order first, then created dirs ascending. Reading installs the
-	// children and rebuilds the private name index; the directory leaves
-	// the lazy read-through set exactly as it did in the serialized run.
+	// Mutated directories with their ordered child IDs: base slab order
+	// first, then created dirs ascending. Reading installs the children,
+	// their positions and the moved entries among them; the directory is
+	// mutated, as it was in the serialized run.
 	var mat []*Inode
 	if !reading {
 		for i := range t.slab {
-			if t.slab[i].expanded() && !t.Tombstoned(InodeID(i+1)) {
+			if d := t.slab[i].dir; d != nil && d.mutated && !t.Tombstoned(InodeID(i+1)) {
 				mat = append(mat, &t.slab[i])
 			}
 		}
 		for _, n := range created {
-			if n.expanded() {
+			if n.dir != nil && n.dir.mutated {
 				mat = append(mat, n)
 			}
 		}
@@ -228,9 +222,10 @@ func (t *Tree) Snap(c *snap.Codec) {
 		if c.Err() != nil {
 			return
 		}
-		d := mat[i].dir
+		dir := mat[i]
+		d := dir.dir
 		if d == nil {
-			c.Failf("namespace: materialized inode %d is not a directory", mat[i].ID)
+			c.Failf("namespace: materialized inode %d is not a directory", dir.ID)
 			return
 		}
 		snap.Slice(c, &d.children)
@@ -243,14 +238,23 @@ func (t *Tree) Snap(c *snap.Codec) {
 		if c.Err() != nil {
 			return
 		}
-		d.index = make(map[string]int, len(d.children))
+		d.mutated = true
 		for j, child := range d.children {
-			if _, dup := d.index[child.name]; dup {
-				c.Failf("namespace: dir %d lists %q twice", mat[i].ID, child.name)
+			switch {
+			case child.parent != dir:
+				c.Failf("namespace: inode %d listed under %d is not its child", child.ID, dir.ID)
+			case int(child.pos) < j && d.children[child.pos] == child,
+				t.displaced(child) && t.child(dir, child.name) != nil:
+				c.Failf("namespace: dir %d lists %q twice", dir.ID, child.name)
 			}
-			d.index[child.name] = j
+			if c.Err() != nil {
+				return
+			}
+			child.pos = uint32(j)
+			if t.displaced(child) {
+				t.moved.insert(child)
+			}
 		}
-		d.lazy = false
 	}
 	if !reading {
 		return

@@ -12,15 +12,18 @@ import (
 // consistent.
 type Tree struct {
 	Root   *Inode
-	byID   map[InodeID]*Inode
 	nextID InodeID
 
 	// base is the shared immutable snapshot this tree overlays. slab
 	// holds the run-private copies of every base inode (indexed by
-	// id-1), and byID holds only inodes created after the thaw (see
-	// frozen.go).
-	base *Frozen
-	slab []Inode
+	// id-1), created the inodes made after the thaw (indexed by the ID
+	// past the base; nil once destroyed, or where an ID was spent on a
+	// refused create), and moved every attached inode away from its
+	// frozen (parent, name) — see frozen.go and moved.go.
+	base    *Frozen
+	slab    []Inode
+	created []*Inode
+	moved   movedSet
 	// dead tombstones base IDs destroyed in this overlay so ByID cannot
 	// resurrect their slab slots: one bit per base inode, allocated on
 	// the first removal. Pointer-free, so the GC never scans it.
@@ -30,9 +33,10 @@ type Tree struct {
 	// never reused, so it equals the tombstone count, which simfsck checks.
 	BaseDeletes uint64
 	// lazyLookups/lazyMisses instrument the name-index read-through:
-	// LookupChild calls served by the frozen base's shared per-directory
-	// maps, and how many missed. Per overlay: sweep workers never share
-	// one, so plain increments suffice.
+	// LookupChild calls on a directory with children that was never
+	// mutated, which the frozen base's sorted index alone answers, and
+	// how many missed. Per overlay: sweep workers never share one, so
+	// plain increments suffice.
 	lazyLookups uint64
 	lazyMisses  uint64
 
@@ -47,7 +51,7 @@ func (t *Tree) allocID() InodeID {
 }
 
 // ByID returns the inode with the given ID, if it exists. Base IDs
-// resolve directly into the slab.
+// resolve directly into the slab, later ones into created.
 func (t *Tree) ByID(id InodeID) (*Inode, bool) {
 	if t.base.contains(id) {
 		if t.dead != nil && t.dead[id>>6]&(1<<(id&63)) != 0 {
@@ -55,10 +59,27 @@ func (t *Tree) ByID(id InodeID) (*Inode, bool) {
 		}
 		return t.node(id), true
 	}
-	if n, ok := t.byID[id]; ok {
-		return n, true
+	if i := t.createdIndex(id); i < uint64(len(t.created)) {
+		n := t.created[i]
+		return n, n != nil
 	}
 	return nil, false
+}
+
+// createdIndex is a post-base ID's index in created (wrapping past any
+// length for a base ID or 0).
+func (t *Tree) createdIndex(id InodeID) uint64 {
+	return uint64(id) - uint64(len(t.base.nodes)) - 1
+}
+
+// register records run-created inode n in created, growing it to n's
+// index: the IDs it skips were spent on refused creates.
+func (t *Tree) register(n *Inode) {
+	i := int(t.createdIndex(n.ID))
+	for len(t.created) <= i {
+		t.created = append(t.created, nil)
+	}
+	t.created[i] = n
 }
 
 // Len returns the total number of live inodes.
@@ -90,7 +111,7 @@ func (t *Tree) add(parent *Inode, name string, kind Kind) (*Inode, error) {
 		return nil, err
 	}
 	parent.adjustSubtreeCount(1)
-	t.byID[n.ID] = n
+	t.register(n)
 	if kind == Dir {
 		t.NumDirs++
 	} else {
@@ -122,7 +143,6 @@ func (t *Tree) Remove(n *Inode) error {
 		return err
 	}
 	parent.adjustSubtreeCount(-n.SubtreeInodes())
-	delete(t.byID, n.ID)
 	t.destroyed(n.ID)
 	if n.Kind == Dir {
 		t.NumDirs--
@@ -215,13 +235,14 @@ func (t *Tree) Walk(fn func(*Inode) bool) {
 	rec(t.Root)
 }
 
-// CheckInvariants validates subtree counters, parent/child symmetry and
-// the name indexes. It changes nothing, not even which directories are
-// lazy: a lazy directory's children are checked against the frozen
-// base's index directly, which the read-through counters do not see.
+// CheckInvariants validates subtree counters, parent/child symmetry,
+// child positions and name resolution, and the moved set: it holds
+// exactly the reachable inodes away from their frozen (parent, name),
+// each attached. It changes nothing and counts no read-through lookup.
 // Returns the first violation found.
 func (t *Tree) CheckInvariants() error {
 	var err error
+	displaced := 0
 	t.Walk(func(n *Inode) bool {
 		if err != nil {
 			return false
@@ -236,9 +257,12 @@ func (t *Tree) CheckInvariants() error {
 				err = fmt.Errorf("child %s has wrong parent", c)
 				return false
 			}
-			if !n.indexes(i, c) {
+			if c.pos != uint32(i) || t.child(n, c.name) != c {
 				err = fmt.Errorf("child index broken for %s", c)
 				return false
+			}
+			if t.displaced(c) {
+				displaced++
 			}
 			want += c.SubtreeInodes()
 		}
@@ -252,17 +276,20 @@ func (t *Tree) CheckInvariants() error {
 		}
 		return true
 	})
-	return err
-}
-
-// indexes reports whether directory n's name index resolves c's name to
-// c, its i'th child.
-func (n *Inode) indexes(i int, c *Inode) bool {
-	d := n.dir
-	if d.lazy {
-		id, ok := d.tree.base.lookup(n.ID, c.name)
-		return ok && id == c.ID
+	if err != nil {
+		return err
 	}
-	j, ok := d.index[c.name]
-	return ok && j == i
+	for _, e := range t.moved.slots {
+		switch {
+		case e == nil:
+		case e.parent == nil || e.parent.dir == nil || int(e.pos) >= len(e.parent.dir.children) || e.parent.dir.children[e.pos] != e:
+			return fmt.Errorf("moved set holds %s, which is not attached", e)
+		case !t.displaced(e):
+			return fmt.Errorf("moved set holds %s, which is at its frozen place", e)
+		}
+	}
+	if t.moved.n != displaced {
+		return fmt.Errorf("moved set holds %d entries, %d reachable inodes are away from their frozen place", t.moved.n, displaced)
+	}
+	return nil
 }

@@ -35,7 +35,7 @@ budget() {
     fi
 }
 budget README.md $((24 * 1024))
-budget DESIGN.md 56690
+budget DESIGN.md 56663
 
 # -race on the small CI box is ~6x slower than native; give packages
 # headroom past go test's 10m default so a busy host doesn't flake. The
@@ -49,8 +49,10 @@ go test -race -timeout 30m ./...
 # schedule and a plan are outside input, and whatever their bytes the
 # code that reads them returns an error or a value that round-trips — no
 # panic, no hang; whatever program schedules and runs events, the
-# engine dispatches them in the order a sorted-slice reference does; and
-# whatever the seed, sim.RNG draws what math/rand seeded with it does. A
+# engine dispatches them in the order a sorted-slice reference does;
+# whatever the seed, sim.RNG draws what math/rand seeded with it does;
+# and whatever creates, unlinks and renames an overlay sees, its name
+# index agrees with its child lists and survives a checkpoint. A
 # finding is written under the package's testdata/fuzz/ and fails the
 # step (and, left behind, the unchanged-tree check below); a clean run
 # writes only to the go build cache. A
@@ -61,6 +63,7 @@ go test -run '^$' -fuzz '^FuzzParseSchedule$' -fuzztime 15s ./internal/fault
 go test -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime 15s ./internal/plan
 go test -run '^$' -fuzz '^FuzzEngineOrder$' -fuzztime 15s ./internal/sim
 go test -run '^$' -fuzz '^FuzzRNGMatchesMathRand$' -fuzztime 15s ./internal/sim
+go test -run '^$' -fuzz '^FuzzOverlayNames$' -fuzztime 15s -fuzzminimizetime 10x ./internal/namespace
 
 # Allocation pins once more without the race detector: its runtime skews
 # testing.AllocsPerRun and malloc counts, so a pin that has to skip or
@@ -71,12 +74,12 @@ go test -count=1 -run 'Alloc|ZeroAlloc|AllocBudget' ./internal/sim ./internal/ca
 # One iteration of the cache and authority benchmarks the ledger's
 # kernels mirror (and of hits spread over a 300k-inode namespace, where
 # an index sized by the highest ID misses L2), of the service-centre
-# backlog benchmark the depth-ratio pin runs and of the set-up kernels
-# (generate, thaw), so they cannot rot.
+# backlog benchmark the depth-ratio pin runs, of the set-up kernels
+# (generate, thaw) and of the namespace churn kernel, so they cannot rot.
 go test -run '^$' -bench 'InsertPathEvict|GetHit$|GetHitSpread' -benchtime 1x ./internal/cache
 go test -run '^$' -bench 'SubtreeAuthority' -benchtime 1x ./internal/partition
 go test -run '^$' -bench 'ServerBacklog' -benchtime 1x ./internal/sim
-go test -run '^$' -bench 'Generate|Thaw' -benchtime 1x ./internal/fsgen
+go test -run '^$' -bench 'Generate|Thaw|OverlayChurn' -benchtime 1x ./internal/fsgen
 
 # One mdsim, and one built with the race detector, for every invocation
 # below: a built binary starts at once and keeps its exit status (go run
@@ -166,8 +169,8 @@ echo "ci: goldens match"
 # gates are TestPopulationHeapBytesPerClient (15 heap B/client; 14
 # measured), TestLeasePlaneFootprint's structural assertion (21 B/client
 # as a run leaves it, 38 B with every client answered) and the
-# benchmark's live_heap_mb on open-wide (45.4 MiB / 2M clients is
-# ~24 B/client, namespace and caches included; bound 8%).
+# benchmark's live_heap_mb on open-wide (43.8 MiB / 2M clients is
+# ~23 B/client, namespace and caches included; bound 8%).
 "$RACE" -set rate=0.01 -set clients=1e6 -set tenant-skew=1 -set file-skew=1 -set mds=8 -set users=40 \
     -set duration=3s -set warmup=1s -set diurnal=0.3 -set burst-prob=0.05
 
