@@ -348,9 +348,10 @@ func TestGenerateAllocBudget(t *testing.T) {
 // share of the child-pointer array and of the directory records come
 // to ~101 B, and the bumps add nothing; the next field added to Inode
 // has to pay for itself. A create pays its inode, its moved-set slots,
-// its created slot and its share of the grown child slices (~170 B);
-// a per-directory name index would add a map entry for every child of
-// every directory a create lands in.
+// its 16-byte created record and its share of the grown child slices
+// (~162 B). The 200-B budget holds the moved set to its table: a Go map
+// in its place costs ~208 B, and a per-directory name index would add
+// a map entry for every child of every directory a create lands in.
 func TestThawBytesPerInode(t *testing.T) {
 	cfg := Default()
 	cfg.Users = 200

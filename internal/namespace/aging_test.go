@@ -3,6 +3,7 @@ package namespace
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -130,15 +131,9 @@ func TestOverlaySnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w := snap.NewWriter()
-	snap.Encoder(w).Section("tree", ov.Snap)
-	r, err := snap.NewReader(w.Bytes())
+	got, err := restoreOf(t, ov, f)
 	if err != nil {
 		t.Fatal(err)
-	}
-	got, dec := NewOverlay(f), snap.Decoder(r)
-	if dec.Section("tree", got.Snap); dec.Err() != nil {
-		t.Fatal(dec.Err())
 	}
 
 	requireSameShape(t, ov, got)
@@ -174,21 +169,14 @@ func TestSnapParentMustBeDirectory(t *testing.T) {
 	file := mustCreate(t, ov, ov.Root, "file")
 	orphan := mustCreate(t, ov, ov.Root, "orphan")
 	orphan.parent = file
-	w := snap.NewWriter()
-	snap.Encoder(w).Section("tree", ov.Snap)
-	r, err := snap.NewReader(w.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := snap.Decoder(r)
-	if dec.Section("tree", NewOverlay(f).Snap); dec.Err() == nil || !strings.Contains(dec.Err().Error(), "is not a directory") {
-		t.Fatalf("restore: %v", dec.Err())
+	if _, err := restoreOf(t, ov, f); err == nil || !strings.Contains(err.Error(), "is not a directory") {
+		t.Fatalf("restore: %v", err)
 	}
 }
 
 // TestSnapCreatedIDs: a delta's run-created inodes carry IDs past the
 // base, at most the watermark, ascending; any other ID is refused, 0
-// included — it would index no slot of the created list.
+// included.
 func TestSnapCreatedIDs(t *testing.T) {
 	for _, tc := range []struct {
 		what string
@@ -203,16 +191,154 @@ func TestSnapCreatedIDs(t *testing.T) {
 		prev := mustCreate(t, ov, ov.Root, "prev")
 		last := mustCreate(t, ov, ov.Root, "last")
 		last.ID = tc.id(ov, prev.ID)
-		w := snap.NewWriter()
-		snap.Encoder(w).Section("tree", ov.Snap)
-		r, err := snap.NewReader(w.Bytes())
+		if _, err := restoreOf(t, ov, f); err == nil || !strings.Contains(err.Error(), "out of range or order") {
+			t.Errorf("%s: restore: %v", tc.what, err)
+		}
+	}
+}
+
+// restoreOf writes ov's delta and restores it onto a pristine overlay
+// of f.
+func restoreOf(t *testing.T, ov *Tree, f *Frozen) (*Tree, error) {
+	t.Helper()
+	w := snap.NewWriter()
+	snap.Encoder(w).Section("tree", ov.Snap)
+	r, err := snap.NewReader(w.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, dec := NewOverlay(f), snap.Decoder(r)
+	dec.Section("tree", got.Snap)
+	return got, dec.Err()
+}
+
+// unlist takes n out of dir's child list the way detach would, but
+// leaves n's parent and the moved set alone: the list a damaged file
+// carries.
+func unlist(dir, n *Inode) {
+	d := dir.dir
+	last := d.children[len(d.children)-1]
+	d.children[n.pos], last.pos = last, n.pos
+	d.children = d.children[:len(d.children)-1]
+	d.mutated = true
+}
+
+// TestSnapFarCreatedID: the watermark is only a number in the file, and
+// a created inode's ID may lie anywhere up to it. Restoring one near
+// 2^40 costs memory in proportion to the file, not to the ID, whether
+// the file holds together (it restores) or leaves that inode out of
+// every child list (it is refused).
+func TestSnapFarCreatedID(t *testing.T) {
+	for _, listed := range []bool{true, false} {
+		ov, f, _ := agedOverlay(t)
+		ov.nextID = 1 << 40
+		far := mustCreate(t, ov, ov.Root, "far")
+		if !listed {
+			unlist(ov.Root, far)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := restoreOf(t, ov, f)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+			t.Errorf("listed %v: restore allocated %d bytes", listed, grew)
+		}
+		if !listed {
+			if err == nil || !strings.Contains(err.Error(), "listed by no directory") {
+				t.Errorf("unlisted far inode: restore: %v", err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec := snap.Decoder(r)
-		if dec.Section("tree", NewOverlay(f).Snap); dec.Err() == nil || !strings.Contains(dec.Err().Error(), "out of range or order") {
-			t.Errorf("%s: restore: %v", tc.what, dec.Err())
+		if n, ok := got.ByID(far.ID); !ok || n.Path() != "/far" || got.MaxID() != far.ID {
+			t.Errorf("far inode %d: resolves %v, MaxID %d", far.ID, ok, got.MaxID())
 		}
+		if err := got.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestSnapUnlistedBaseChild: a file may list a mutated directory's
+// children and leave out a base child still at its frozen place, which
+// is neither tombstoned nor drifted. Lookups must not find an entry the
+// child list lacks, and a restore refuses such a file: the inode would
+// resolve by ID yet be out of every walk.
+func TestSnapUnlistedBaseChild(t *testing.T) {
+	ov, f, _ := agedOverlay(t)
+	var dir, b *Inode
+	ov.Walk(func(n *Inode) bool {
+		if c := n.Children(); b == nil && n.IsDir() && !n.dir.mutated && len(c) > 0 && !c[0].IsDir() {
+			dir, b = n, c[0]
+		}
+		return b == nil
+	})
+	if b == nil {
+		t.Fatal("no unmutated base directory with a file")
+	}
+	mustCreate(t, ov, dir, "new")
+	unlist(dir, b)
+	if c, ok := dir.LookupChild(b.name); ok {
+		t.Errorf("lookup of unlisted %q found %s", b.name, c)
+	}
+	if _, err := restoreOf(t, ov, f); err == nil || !strings.Contains(err.Error(), "listed by no directory") {
+		t.Errorf("restore: %v", err)
+	}
+}
+
+// TestSnapDuplicateName: a file whose child list names one entry twice
+// is refused, whether the second holder of the name is a base entry
+// still at its frozen place, listed before or after it, or another
+// moved entry.
+func TestSnapDuplicateName(t *testing.T) {
+	for _, tc := range []string{"base entry first", "base entry last", "two moved entries"} {
+		ov, f, _ := agedOverlay(t)
+		dir := ov.Root
+		b := dir.Children()[0]
+		x := mustCreate(t, ov, dir, "x")
+		switch tc {
+		case "base entry last":
+			d := dir.dir.children
+			d[0], d[x.pos] = x, b
+			b.pos, x.pos = x.pos, 0
+		case "two moved entries":
+			b = mustCreate(t, ov, dir, "y")
+		}
+		x.name = b.name
+		if _, err := restoreOf(t, ov, f); err == nil || !strings.Contains(err.Error(), "twice") {
+			t.Errorf("%s: restore: %v", tc, err)
+		}
+	}
+}
+
+// TestSnapUnreachableLoop: two base directories listed under each
+// other, each the other's parent and neither under the root, pass
+// every per-list check; a restore refuses them as unreachable.
+func TestSnapUnreachableLoop(t *testing.T) {
+	ov, f, _ := agedOverlay(t)
+	var x, y *Inode
+	for _, c := range ov.Root.Children() {
+		if c.IsDir() && ov.IsBase(c.ID) && x == nil {
+			x = c
+		} else if c.IsDir() && ov.IsBase(c.ID) && y == nil {
+			y = c
+		}
+	}
+	if y == nil {
+		t.Fatal("root has fewer than two base directories")
+	}
+	unlist(ov.Root, x)
+	unlist(ov.Root, y)
+	for _, e := range [][2]*Inode{{x, y}, {y, x}} {
+		dir, n := e[0], e[1]
+		n.parent, n.pos = dir, uint32(len(dir.dir.children))
+		dir.dir.children = append(dir.dir.children, n)
+		dir.dir.mutated = true
+	}
+	if _, err := restoreOf(t, ov, f); err == nil || !strings.Contains(err.Error(), "unreachable from the root") {
+		t.Errorf("restore: %v", err)
 	}
 }
 

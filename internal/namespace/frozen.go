@@ -139,7 +139,7 @@ func (t *Tree) IsBase(id InodeID) bool { return t.base.contains(id) }
 // cannot re-materialize it from the base.
 func (t *Tree) destroyed(id InodeID) {
 	if !t.base.contains(id) {
-		t.created[t.createdIndex(id)] = nil
+		t.created.drop(id)
 		return
 	}
 	t.BaseDeletes++

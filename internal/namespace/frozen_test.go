@@ -354,8 +354,8 @@ func TestOverlayLazyNameIndex(t *testing.T) {
 	}
 
 	ov := NewOverlay(f)
-	if len(ov.created) != 0 || ov.moved.n != 0 || ov.moved.slots != nil {
-		t.Fatalf("fresh overlay has %d created, %d moved entries, want none (base IDs resolve via slab)", len(ov.created), ov.moved.n)
+	if len(ov.created.recs) != 0 || ov.moved.n != 0 || ov.moved.slots != nil {
+		t.Fatalf("fresh overlay has %d created, %d moved entries, want none (base IDs resolve via slab)", len(ov.created.recs), ov.moved.n)
 	}
 	countMutated := func() (lazy, mutated int) {
 		ov.Walk(func(n *Inode) bool {

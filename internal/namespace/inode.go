@@ -223,14 +223,13 @@ func (n *Inode) attach(child *Inode) error {
 func (n *Inode) detach(child *Inode) error {
 	d := n.dir
 	d.mutated = true
-	i := int(child.pos)
-	if child.parent != n || i >= len(d.children) || d.children[i] != child {
+	if child.parent != n || !child.attached() {
 		return fmt.Errorf("namespace: %s does not contain %q", n.Path(), child.name)
 	}
 	if t := d.tree; t.displaced(child) {
 		t.moved.remove(child)
 	}
-	last := len(d.children) - 1
+	i, last := int(child.pos), len(d.children)-1
 	if i != last {
 		d.children[i] = d.children[last]
 		d.children[i].pos = uint32(i)
@@ -239,6 +238,12 @@ func (n *Inode) detach(child *Inode) error {
 	d.children = d.children[:last]
 	child.parent = nil
 	return nil
+}
+
+// attached reports whether n's parent lists it at its position.
+func (n *Inode) attached() bool {
+	p := n.parent
+	return p != nil && p.dir != nil && int(n.pos) < len(p.dir.children) && p.dir.children[n.pos] == n
 }
 
 // adjustSubtreeCount adds delta to the subtree count of directory n and

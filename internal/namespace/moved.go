@@ -111,7 +111,8 @@ func (t *Tree) displaced(n *Inode) bool {
 // lookup: the moved set first, if dir was ever mutated (nothing has
 // moved into a directory that was not), then the frozen base's sorted
 // segment, whose inode counts only while it is still at that frozen
-// place — an unlinked or renamed-away base entry falls through.
+// place and listed there — an unlinked or renamed-away base entry
+// falls through.
 func (t *Tree) child(dir *Inode, name string) *Inode {
 	if dir.dir.mutated {
 		if c := t.moved.lookup(dir, name); c != nil {
@@ -125,7 +126,7 @@ func (t *Tree) child(dir *Inode, name string) *Inode {
 	if !ok {
 		return nil
 	}
-	if c := t.node(id); c.parent == dir && c.name == name {
+	if c := t.node(id); c.parent == dir && c.name == name && c.attached() {
 		return c
 	}
 	return nil

@@ -86,7 +86,7 @@ func (t *Tree) drifted(id InodeID) bool {
 // says which it is doing.
 func (t *Tree) Snap(c *snap.Codec) {
 	reading := c.Reading()
-	if reading && (len(t.created) != 0 || t.moved.n != 0 || t.dead != nil) {
+	if reading && (len(t.created.recs) != 0 || t.moved.n != 0 || t.dead != nil) {
 		c.Failf("namespace: restore onto a non-pristine overlay")
 	}
 
@@ -135,9 +135,9 @@ func (t *Tree) Snap(c *snap.Codec) {
 	// of them are registered.
 	var created []*Inode
 	if !reading {
-		for _, n := range t.created {
-			if n != nil {
-				created = append(created, n)
+		for _, r := range t.created.recs {
+			if r.n != nil {
+				created = append(created, r.n)
 			}
 		}
 	}
@@ -169,7 +169,7 @@ func (t *Tree) Snap(c *snap.Codec) {
 			c.Failf("namespace: created inode %d out of range or order", n.ID)
 			return
 		}
-		t.register(n)
+		t.created.add(n)
 		parents[i] = parent
 	}
 	for i, parent := range parents {
@@ -238,26 +238,53 @@ func (t *Tree) Snap(c *snap.Codec) {
 		if c.Err() != nil {
 			return
 		}
+		// Positions first, so the base index sees every listed entry
+		// when the moved ones are checked for a name already taken.
 		d.mutated = true
 		for j, child := range d.children {
 			switch {
 			case child.parent != dir:
 				c.Failf("namespace: inode %d listed under %d is not its child", child.ID, dir.ID)
-			case int(child.pos) < j && d.children[child.pos] == child,
-				t.displaced(child) && t.child(dir, child.name) != nil:
+				return
+			case int(child.pos) < j && d.children[child.pos] == child:
 				c.Failf("namespace: dir %d lists %q twice", dir.ID, child.name)
-			}
-			if c.Err() != nil {
 				return
 			}
 			child.pos = uint32(j)
-			if t.displaced(child) {
-				t.moved.insert(child)
+		}
+		for _, child := range d.children {
+			if !t.displaced(child) {
+				continue
 			}
+			if t.child(dir, child.name) != nil {
+				c.Failf("namespace: dir %d lists %q twice", dir.ID, child.name)
+				return
+			}
+			t.moved.insert(child)
 		}
 	}
 	if !reading {
 		return
+	}
+	// Every live inode but the root must be listed by its parent: one
+	// the file leaves out of every list would resolve by ID yet be
+	// missing from every walk and lookup.
+	live := 0
+	for i := range t.slab {
+		if n := &t.slab[i]; !t.Tombstoned(n.ID) {
+			live++
+			if n != t.Root && !n.attached() {
+				c.Failf("namespace: inode %d is listed by no directory", n.ID)
+				return
+			}
+		}
+	}
+	for _, r := range t.created.recs {
+		live++
+		if !r.n.attached() {
+			c.Failf("namespace: inode %d is listed by no directory", r.n.ID)
+			return
+		}
 	}
 	// The child lists now come from the file. One that names an ancestor
 	// would make every later walk of the tree endless, one that repeats
@@ -267,7 +294,11 @@ func (t *Tree) Snap(c *snap.Codec) {
 	if t.Root.parent != nil {
 		c.Failf("namespace: the root has a parent")
 	}
+	// Lists that hang inodes on each other in a loop away from the root
+	// pass every check above; the walk counts what the root reaches.
+	reached := 0
 	t.Walk(func(n *Inode) bool {
+		reached++
 		for _, child := range n.Children() {
 			if child.parent != n {
 				c.Failf("namespace: inode %d listed under %d is not its child", child.ID, n.ID)
@@ -275,4 +306,7 @@ func (t *Tree) Snap(c *snap.Codec) {
 		}
 		return c.Err() == nil
 	})
+	if c.Err() == nil && reached != live {
+		c.Failf("namespace: %d of %d live inodes unreachable from the root", live-reached, live)
+	}
 }

@@ -1,7 +1,9 @@
 package namespace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -16,13 +18,12 @@ type Tree struct {
 
 	// base is the shared immutable snapshot this tree overlays. slab
 	// holds the run-private copies of every base inode (indexed by
-	// id-1), created the inodes made after the thaw (indexed by the ID
-	// past the base; nil once destroyed, or where an ID was spent on a
-	// refused create), and moved every attached inode away from its
-	// frozen (parent, name) — see frozen.go and moved.go.
+	// id-1), created the live inodes made after the thaw, and moved
+	// every attached inode away from its frozen (parent, name) — see
+	// frozen.go and moved.go.
 	base    *Frozen
 	slab    []Inode
-	created []*Inode
+	created createdSet
 	moved   movedSet
 	// dead tombstones base IDs destroyed in this overlay so ByID cannot
 	// resurrect their slab slots: one bit per base inode, allocated on
@@ -51,7 +52,7 @@ func (t *Tree) allocID() InodeID {
 }
 
 // ByID returns the inode with the given ID, if it exists. Base IDs
-// resolve directly into the slab, later ones into created.
+// resolve directly into the slab, later ones by search of created.
 func (t *Tree) ByID(id InodeID) (*Inode, bool) {
 	if t.base.contains(id) {
 		if t.dead != nil && t.dead[id>>6]&(1<<(id&63)) != 0 {
@@ -59,27 +60,57 @@ func (t *Tree) ByID(id InodeID) (*Inode, bool) {
 		}
 		return t.node(id), true
 	}
-	if i := t.createdIndex(id); i < uint64(len(t.created)) {
-		n := t.created[i]
-		return n, n != nil
-	}
-	return nil, false
+	n := t.created.get(id)
+	return n, n != nil
 }
 
-// createdIndex is a post-base ID's index in created (wrapping past any
-// length for a base ID or 0).
-func (t *Tree) createdIndex(id InodeID) uint64 {
-	return uint64(id) - uint64(len(t.base.nodes)) - 1
+// createdSet holds the live run-created inodes in ascending ID. A
+// destroyed one leaves a hole until holes outnumber the live entries
+// and are squeezed out, so the set costs memory in proportion to the
+// live inodes it has held, not to the IDs spent since the thaw:
+// refused creates spend IDs too, and a checkpoint's watermark is only
+// a number in the file.
+type createdSet struct {
+	recs  []createdRec
+	holes int
 }
 
-// register records run-created inode n in created, growing it to n's
-// index: the IDs it skips were spent on refused creates.
-func (t *Tree) register(n *Inode) {
-	i := int(t.createdIndex(n.ID))
-	for len(t.created) <= i {
-		t.created = append(t.created, nil)
+// createdRec is one slot of a createdSet; n is nil for a hole.
+type createdRec struct {
+	id InodeID
+	n  *Inode
+}
+
+func (s *createdSet) find(id InodeID) (int, bool) {
+	return slices.BinarySearchFunc(s.recs, id, func(r createdRec, id InodeID) int {
+		return cmp.Compare(r.id, id)
+	})
+}
+
+// get returns the live inode with ID id, or nil.
+func (s *createdSet) get(id InodeID) *Inode {
+	if i, ok := s.find(id); ok {
+		return s.recs[i].n
 	}
-	t.created[i] = n
+	return nil
+}
+
+// add appends n, whose ID is above every ID the set has held.
+func (s *createdSet) add(n *Inode) {
+	s.recs = append(s.recs, createdRec{n.ID, n})
+}
+
+// drop removes the inode with ID id, if held.
+func (s *createdSet) drop(id InodeID) {
+	i, ok := s.find(id)
+	if !ok || s.recs[i].n == nil {
+		return
+	}
+	s.recs[i].n = nil
+	if s.holes++; 2*s.holes > len(s.recs) {
+		s.recs = slices.DeleteFunc(s.recs, func(r createdRec) bool { return r.n == nil })
+		s.holes = 0
+	}
 }
 
 // Len returns the total number of live inodes.
@@ -111,7 +142,7 @@ func (t *Tree) add(parent *Inode, name string, kind Kind) (*Inode, error) {
 		return nil, err
 	}
 	parent.adjustSubtreeCount(1)
-	t.register(n)
+	t.created.add(n)
 	if kind == Dir {
 		t.NumDirs++
 	} else {
@@ -282,7 +313,7 @@ func (t *Tree) CheckInvariants() error {
 	for _, e := range t.moved.slots {
 		switch {
 		case e == nil:
-		case e.parent == nil || e.parent.dir == nil || int(e.pos) >= len(e.parent.dir.children) || e.parent.dir.children[e.pos] != e:
+		case !e.attached():
 			return fmt.Errorf("moved set holds %s, which is not attached", e)
 		case !t.displaced(e):
 			return fmt.Errorf("moved set holds %s, which is at its frozen place", e)

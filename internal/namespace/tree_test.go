@@ -279,6 +279,48 @@ func TestTreeInvariantsUnderRandomOps(t *testing.T) {
 	}
 }
 
+// TestCreatedResolvesLiveOnly: with IDs spent on refused creates and
+// run-created files removed at random, ByID resolves exactly the live
+// run-created inodes, and created keeps at most two records per live
+// one, however many IDs the run has spent.
+func TestCreatedResolvesLiveOnly(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	tr := emptyTree()
+	ref := map[InodeID]*Inode{}
+	var live []*Inode
+	for step := 0; step < 3000; step++ {
+		if len(live) > 0 && r.Intn(2) == 0 {
+			i := r.Intn(len(live))
+			if err := tr.Remove(live[i]); err != nil {
+				t.Fatal(err)
+			}
+			ref[live[i].ID] = nil
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			continue
+		}
+		// One name in three is taken already: the refusal spends an ID.
+		if n, err := tr.Create(tr.Root, "f"+strconv.Itoa(r.Intn(3*len(live)+1))); err == nil {
+			ref[n.ID] = n
+			live = append(live, n)
+		}
+		if step%100 != 99 {
+			continue
+		}
+		for id := InodeID(2); id <= tr.MaxID()+1; id++ {
+			if got, _ := tr.ByID(id); got != ref[id] {
+				t.Fatalf("step %d: ByID(%d) = %v, want %v", step, id, got, ref[id])
+			}
+		}
+		if len(tr.created.recs) > 2*len(live)+1 {
+			t.Fatalf("step %d: %d created records for %d live inodes", step, len(tr.created.recs), len(live))
+		}
+	}
+	if tr.MaxID() < InodeID(len(live)+1000) {
+		t.Fatalf("only %d IDs spent for %d live inodes: too few removals or refusals to test", tr.MaxID(), len(live))
+	}
+}
+
 func TestKindString(t *testing.T) {
 	if File.String() != "file" || Dir.String() != "dir" {
 		t.Error("Kind.String wrong")
