@@ -76,12 +76,12 @@ func spreadTree(t testing.TB, dirs, files, stride int) []*namespace.Inode {
 // its directory and those on its spare list.
 func indexPages(c *Cache) int {
 	n := 0
-	for _, p := range c.dir {
-		if p != nil {
+	for _, k := range c.dir {
+		if k != 0 {
 			n++
 		}
 	}
-	for p := c.spare; p != nil; p = p.next {
+	for k := c.spare; k != 0; k = c.pages[k].next {
 		n++
 	}
 	return n
@@ -189,9 +189,9 @@ func TestInsertPathEvictAllocFree(t *testing.T) {
 // page the spare list holds.
 func TestIndexGrowthOneAlloc(t *testing.T) {
 	c := New(1)
-	c.store(1, &Entry{})
+	e := c.newEntry()
+	c.store(1, e)
 	c.erase(1)
-	e := &Entry{}
 	allocs := testing.AllocsPerRun(8, func() {
 		id := namespace.InodeID(len(c.dir)) << pageBits
 		c.store(id, e)
@@ -219,4 +219,56 @@ func TestEntrySizeClass(t *testing.T) {
 	if s := unsafe.Sizeof(Entry{}); s > 48 {
 		t.Fatalf("Entry is %d bytes, past the 48-byte size class", s)
 	}
+}
+
+// TestIndexPageSize: a page is its 32 two-byte slots, its live count
+// and its spare link — 72 bytes, where 32 pointers took 272.
+func TestIndexPageSize(t *testing.T) {
+	if s := unsafe.Sizeof(page{}); s > 72 {
+		t.Fatalf("an index page is %d bytes, want at most 72", s)
+	}
+}
+
+// TestCheckInvariantsAllocs: simfsck checks every node's cache at every
+// checkpoint, so a full cache of 2 000 entries is checked in at most
+// two allocations, its tallies, whatever it holds.
+func TestCheckInvariantsAllocs(t *testing.T) {
+	const capacity = 2000
+	c := New(capacity)
+	for _, f := range chainTree(t, 40, 2, 60) {
+		if _, err := c.InsertPath(f, Auth, f.ID%3 == 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.n != capacity {
+		t.Fatalf("the cache holds %d entries, want %d", c.n, capacity)
+	}
+	var err error
+	allocs := testing.AllocsPerRun(4, func() { err = c.CheckInvariants() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 2 {
+		t.Fatalf("CheckInvariants allocated %.0f times on a full cache, want at most 2", allocs)
+	}
+}
+
+// TestMaxEntries: a cache holds MaxEntries entries, every one found by
+// its ref, and panics on the next rather than wrap a ref onto a live
+// entry.
+func TestMaxEntries(t *testing.T) {
+	files := chainTree(t, 1, 0, MaxEntries+1)
+	c := New(1 << 20)
+	for _, f := range files[:MaxEntries] {
+		c.InsertDetached(f, Auth, false)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("entry %d of a cache went in", MaxEntries+1)
+		}
+	}()
+	c.InsertDetached(files[MaxEntries], Auth, false)
 }

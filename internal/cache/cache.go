@@ -21,6 +21,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 
 	"dynmds/internal/namespace"
 )
@@ -68,8 +69,11 @@ type Entry struct {
 	// the segment's counter, so it strictly decreases head to tail.
 	stamp uint64
 	// pins counts cached children; an entry with pins > 0 must not be
-	// evicted (leaf-only expiry).
-	pins  int32
+	// evicted (leaf-only expiry). A cache holds at most MaxEntries.
+	pins uint16
+	// ref is the entry's place in the cache's chunks, fixed when its
+	// chunk is made: what an index slot holds.
+	ref   ref
 	Class Class
 	hot   bool
 	// detached entries (Lazy Hybrid) do not participate in the
@@ -107,6 +111,27 @@ func (l *list) pushFront(e *Entry) {
 	}
 }
 
+// moveToFront is remove then pushFront for an entry already on l,
+// without their count and nil-link updates: a hit on a hot entry.
+func (l *list) moveToFront(e *Entry) {
+	if e != l.head {
+		if l.cursor == e {
+			l.cursor = e.prev
+		}
+		e.prev.next = e.next
+		if e.next != nil {
+			e.next.prev = e.prev
+		} else {
+			l.tail = e.prev
+		}
+		e.prev, e.next = nil, l.head
+		l.head.prev = e
+		l.head = e
+	}
+	l.stamp++
+	e.stamp = l.stamp
+}
+
 func (l *list) remove(e *Entry) {
 	if l.cursor == e {
 		l.cursor = e.prev
@@ -132,15 +157,34 @@ type Stats struct {
 	PinBlockedEvicts uint64
 }
 
+// A ref names an entry by its place in the cache's chunks: chunk
+// r>>entryBits, slot r&(entryChunk-1). Chunk 0 is never made, so ref 0
+// is nil, and 16 bits address MaxEntries entries.
+type ref uint16
+
+// entryChunk is how many entries one refill of an empty free list
+// allocates. Entries are recycled for the life of the cache, so a chunk
+// is never partly dead, and a cache growing to capacity makes one
+// allocation per 64 inserts.
+const entryBits, entryChunk = 6, 1 << 6
+
+// MaxEntries is how many entries one cache's refs address; MaxCapacity
+// leaves one chunk of them for a fully pinned path to overflow into.
+const (
+	MaxEntries  = (1<<16/entryChunk - 1) * entryChunk
+	MaxCapacity = MaxEntries - entryChunk
+)
+
 // A page holds the index slots of 1<<pageBits consecutive IDs; live
-// counts the non-nil ones. Spare pages are chained through next (unread
-// while a page is listed) and allocated pageChunk at a time.
+// counts the non-zero ones. Pages are named by their index in the
+// cache's page table; spare ones are chained through next (unread while
+// a page is listed) and added pageChunk at a time.
 const pageBits, pageSlots, pageChunk = 5, 1 << 5, 64
 
 type page struct {
-	slots [pageSlots]*Entry
-	live  int32
-	next  *page
+	slots [pageSlots]ref
+	live  uint16
+	next  uint32
 }
 
 // Cache is a bounded, segmented-LRU metadata cache.
@@ -148,11 +192,13 @@ type Cache struct {
 	capacity int
 	// dir is the id→entry index: InodeIDs are dense and never reused, so
 	// "is this record cached?", asked on every path component of every
-	// request, is two array loads. dir[id>>pageBits] is nil unless the
-	// page holds a cached entry, so the index costs what the cache holds
-	// plus 8 bytes per 32 IDs, not the highest ID.
-	dir   []*page
-	spare *page
+	// request, is two array loads. dir[id>>pageBits] names the page
+	// holding the range's slots, or page 0, all-zero and never written,
+	// when no entry of the range is cached; so the index costs what the
+	// cache holds plus 4 bytes per 32 IDs, not the highest ID.
+	dir   []uint32
+	pages []page
+	spare uint32
 	n     int
 	hot   list
 	warm  list
@@ -175,10 +221,18 @@ type Cache struct {
 	OnEvict func(*Entry)
 
 	Stats Stats
+
+	// chunks holds the entries refs name, indexed by ref>>entryBits:
+	// every index a ref can hold, so reading one needs no bounds check.
+	// made counts the chunks made; chunks[0] is never made.
+	made   int
+	chunks [1 << 16 >> entryBits]*[entryChunk]Entry
 }
 
 // New creates a cache bounded to capacity entries. Capacity must be
-// positive.
+// positive. A run's is at most MaxCapacity (cluster.Config.Validate); a
+// larger one is accepted, but the cache panics if it is ever to hold
+// more than MaxEntries entries.
 func New(capacity int) *Cache {
 	if capacity < 1 {
 		panic("cache: capacity must be >= 1")
@@ -186,12 +240,25 @@ func New(capacity int) *Cache {
 	return &Cache{capacity: capacity}
 }
 
-// lookup returns the entry for id, or nil.
-func (c *Cache) lookup(id namespace.InodeID) *Entry {
-	if i := uint64(id) >> pageBits; i < uint64(len(c.dir)) && c.dir[i] != nil {
-		return c.dir[i].slots[id&(pageSlots-1)]
+// entry returns the entry r names: nil for ref 0, whose chunk is never
+// made. Testing the chunk, not r, spares the load that a nil check of
+// the chunk pointer would otherwise make.
+func (c *Cache) entry(r ref) *Entry {
+	if ch := c.chunks[r>>entryBits]; ch != nil {
+		return &ch[r&(entryChunk-1)]
 	}
 	return nil
+}
+
+// lookup returns the entry for id, or nil.
+func (c *Cache) lookup(id namespace.InodeID) *Entry { return c.entry(c.slot(id)) }
+
+// slot returns id's index slot: the ref of its entry, or 0.
+func (c *Cache) slot(id namespace.InodeID) ref {
+	if i := uint64(id) >> pageBits; i < uint64(len(c.dir)) {
+		return c.pages[c.dir[i]].slots[id&(pageSlots-1)]
+	}
+	return 0
 }
 
 // store records the entry for id, taking a spare page when id's range
@@ -199,33 +266,41 @@ func (c *Cache) lookup(id namespace.InodeID) *Entry {
 func (c *Cache) store(id namespace.InodeID, e *Entry) {
 	i := int(id >> pageBits)
 	if i >= len(c.dir) {
-		c.dir = append(make([]*page, 0, 2*i+1), c.dir...)[:2*i+1]
+		c.dir = append(make([]uint32, 0, 2*i+1), c.dir...)[:2*i+1]
 	}
-	if c.dir[i] == nil {
-		if c.spare == nil {
-			chunk := make([]page, pageChunk)
-			for k := range chunk[:pageChunk-1] {
-				chunk[k].next = &chunk[k+1]
-			}
-			c.spare = &chunk[0]
+	if c.dir[i] == 0 {
+		if c.spare == 0 {
+			c.addPages()
 		}
-		c.dir[i], c.spare = c.spare, c.spare.next
+		c.dir[i], c.spare = c.spare, c.pages[c.spare].next
 	}
-	p := c.dir[i]
-	p.slots[id&(pageSlots-1)] = e
+	p := &c.pages[c.dir[i]]
+	p.slots[id&(pageSlots-1)] = e.ref
 	p.live++
 	c.n++
 }
 
+// addPages grows the page table by pageChunk spare pages, making page 0
+// first. Pages are named by index, so the table may move as it grows.
+func (c *Cache) addPages() {
+	n := max(len(c.pages), 1)
+	c.pages = slices.Grow(c.pages, n+pageChunk-len(c.pages))[:n+pageChunk]
+	for k := n; k < n+pageChunk-1; k++ {
+		c.pages[k].next = uint32(k + 1)
+	}
+	c.spare = uint32(n)
+}
+
 // erase clears id's slot and hands its page back to the spare list when
-// that was the page's last entry: every slot is nil then, so the next
+// that was the page's last entry: every slot is zero then, so the next
 // taker needs no clearing.
 func (c *Cache) erase(id namespace.InodeID) {
 	i := id >> pageBits
-	p := c.dir[i]
-	p.slots[id&(pageSlots-1)] = nil
+	k := c.dir[i]
+	p := &c.pages[k]
+	p.slots[id&(pageSlots-1)] = 0
 	if p.live--; p.live == 0 {
-		c.dir[i], p.next, c.spare = nil, c.spare, p
+		c.dir[i], p.next, c.spare = 0, c.spare, k
 	}
 	c.n--
 }
@@ -254,7 +329,7 @@ func (c *Cache) PrefixFraction() float64 {
 
 // Contains reports presence without touching LRU state or stats.
 func (c *Cache) Contains(id namespace.InodeID) bool {
-	return c.lookup(id) != nil
+	return c.slot(id) != 0
 }
 
 // Get looks up an entry, recording a hit or miss and refreshing its
@@ -279,7 +354,11 @@ func (c *Cache) segment(e *Entry) *list {
 }
 
 func (c *Cache) touch(e *Entry) {
-	c.segment(e).remove(e)
+	if e.hot {
+		c.hot.moveToFront(e)
+		return
+	}
+	c.warm.remove(e)
 	e.hot = true
 	c.hot.pushFront(e)
 }
@@ -290,6 +369,16 @@ func (c *Cache) touch(e *Entry) {
 // use InsertPath to bring in the ancestor chain. Inserting may evict
 // unpinned entries to stay within capacity.
 func (c *Cache) Insert(ino *namespace.Inode, cl Class, warm bool) (*Entry, error) {
+	var pe *Entry
+	if parent := ino.Parent(); parent != nil {
+		pe = c.lookup(parent.ID)
+	}
+	return c.insertUnder(ino, cl, warm, pe)
+}
+
+// insertUnder is Insert given pe, the cached entry of ino's parent (nil
+// if none), which a path insert has already looked up.
+func (c *Cache) insertUnder(ino *namespace.Inode, cl Class, warm bool, pe *Entry) (*Entry, error) {
 	if e := c.lookup(ino.ID); e != nil {
 		// Refresh: upgrade class priority (Auth > Replica > Prefix in
 		// specificity: a direct request upgrades a prefix entry).
@@ -303,35 +392,43 @@ func (c *Cache) Insert(ino *namespace.Inode, cl Class, warm bool) (*Entry, error
 		}
 		return e, nil
 	}
-	parent := ino.Parent()
-	var pe *Entry
-	if parent != nil {
-		pe = c.lookup(parent.ID)
-		if pe == nil {
-			return nil, fmt.Errorf("cache: inserting %s without cached parent", ino)
-		}
+	if pe == nil && ino.Parent() != nil {
+		return nil, fmt.Errorf("cache: inserting %s without cached parent", ino)
 	}
 	return c.add(ino, cl, warm, pe, false), nil
 }
 
-// entryChunk is how many entries one refill of an empty free list
-// allocates. Entries are recycled for the life of the cache, so a chunk
-// is never partly dead, and a cache growing to capacity makes one
-// allocation per 64 inserts.
-const entryChunk = 64
-
-// add links a new entry for ino, pinning pe, and evicts down to
-// capacity. It takes the Entry from the free list, refilled when empty.
-func (c *Cache) add(ino *namespace.Inode, cl Class, warm bool, pe *Entry, detached bool) *Entry {
+// newEntry takes an entry from the free list, refilling it with a new
+// chunk when empty.
+func (c *Cache) newEntry() *Entry {
 	if c.free == nil {
-		chunk := make([]Entry, entryChunk)
-		for i := range chunk[:entryChunk-1] {
-			chunk[i].next = &chunk[i+1]
-		}
-		c.free = &chunk[0]
+		c.addChunk()
 	}
 	e := c.free
 	c.free, e.next = e.next, nil
+	return e
+}
+
+// addChunk makes the next chunk of entries and lists them free.
+func (c *Cache) addChunk() {
+	k := c.made + 1
+	if k == len(c.chunks) {
+		panic(fmt.Sprintf("cache: more than %d entries", MaxEntries))
+	}
+	chunk := new([entryChunk]Entry)
+	for i := range chunk {
+		chunk[i].ref = ref(k<<entryBits | i)
+	}
+	for i := range chunk[:entryChunk-1] {
+		chunk[i].next = &chunk[i+1]
+	}
+	c.chunks[k], c.made, c.free = chunk, k, &chunk[0]
+}
+
+// add links a new entry for ino, pinning pe, and evicts down to
+// capacity.
+func (c *Cache) add(ino *namespace.Inode, cl Class, warm bool, pe *Entry, detached bool) *Entry {
+	e := c.newEntry()
 	e.Ino, e.Class, e.hot, e.parent, e.detached = ino, cl, !warm, pe, detached
 	c.store(ino.ID, e)
 	c.classCount[cl]++
@@ -365,16 +462,23 @@ func (c *Cache) InsertDetached(ino *namespace.Inode, cl Class, warm bool) *Entry
 // InsertPath caches ino along with any missing ancestors (as Prefix
 // entries), maintaining the tree invariant.
 func (c *Cache) InsertPath(ino *namespace.Inode, cl Class, warm bool) (*Entry, error) {
+	parent := ino.Parent()
+	if parent == nil {
+		return c.Insert(ino, cl, warm)
+	}
 	// The parent chain, nearest first, in a stack buffer: append moves
-	// it to the heap only for a path deeper than the buffer.
+	// it to the heap only for a path deeper than the buffer. The parent
+	// is looked up, not just probed: a whole chain hands its entry to
+	// the insert.
 	var buf [32]*namespace.Inode
-	chain, missing := buf[:0], false
-	for anc := ino.Parent(); anc != nil; anc = anc.Parent() {
+	pe := c.lookup(parent.ID)
+	chain, missing := append(buf[:0], parent), pe == nil
+	for anc := parent.Parent(); anc != nil; anc = anc.Parent() {
 		chain = append(chain, anc)
 		missing = missing || !c.Contains(anc.ID)
 	}
 	if !missing {
-		return c.Insert(ino, cl, warm)
+		return c.insertUnder(ino, cl, warm, pe)
 	}
 	// Root down, re-checking at each step: an insert may evict an
 	// ancestor further down the chain (a cached directory renamed under
@@ -450,7 +554,7 @@ func (c *Cache) drop(e *Entry, evicted bool) {
 			c.OnEvict(e)
 		}
 	}
-	*e = Entry{next: c.free}
+	*e = Entry{next: c.free, ref: e.ref}
 	c.free = e
 }
 
@@ -558,16 +662,21 @@ func (c *Cache) NoteMiss() { c.Stats.Misses++ }
 // CheckInvariants validates pin counts, segment membership, the
 // cached-subset-is-a-tree property, each segment's stamps and cursor,
 // that no live entry is on the free list, and the index's page
-// accounting. For tests.
+// accounting. simfsck runs it on every node at every checkpoint, so it
+// tallies in two slices indexed by ref, not in maps.
 func (c *Cache) CheckInvariants() error {
-	pins := make(map[*Entry]int32)
-	live := make(map[*Entry]bool)
+	refs := (c.made + 1) << entryBits
+	pins, live := make([]int32, refs), make([]bool, refs)
 	var err error
 	c.forEach(func(e *Entry) {
-		live[e] = true
 		if err != nil {
 			return
 		}
+		if r := int(e.ref); r >= refs || c.entry(e.ref) != e {
+			err = fmt.Errorf("cache: %s has ref %d, which does not name it", e.Ino, r)
+			return
+		}
+		live[e.ref] = true
 		if e.detached {
 			if e.parent != nil {
 				err = fmt.Errorf("cache: detached %s holds a pin", e.Ino)
@@ -579,27 +688,31 @@ func (c *Cache) CheckInvariants() error {
 				err = fmt.Errorf("cache: %s pins an entry not in the cache", e.Ino)
 				return
 			}
-			pins[e.parent]++
+			pins[e.parent.ref]++
 		}
 	})
 	if err != nil {
 		return err
 	}
+	pinned := 0
 	c.forEach(func(e *Entry) {
-		if err == nil && e.pins != pins[e] {
-			err = fmt.Errorf("cache: %s pin count %d, want %d", e.Ino, e.pins, pins[e])
+		if want := pins[e.ref]; err == nil && int32(e.pins) != want {
+			err = fmt.Errorf("cache: %s pin count %d, want %d", e.Ino, e.pins, want)
 		} else if err == nil && c.lookup(e.Ino.ID) != e {
 			err = fmt.Errorf("cache: the index does not find %s", e.Ino)
 		}
+		if e.pins > 0 {
+			pinned++
+		}
 	})
 	if err != nil {
 		return err
 	}
-	if c.pinned != len(pins) {
-		return fmt.Errorf("cache: pinned counter %d, want %d", c.pinned, len(pins))
+	if c.pinned != pinned {
+		return fmt.Errorf("cache: pinned counter %d, want %d", c.pinned, pinned)
 	}
 	for f := c.free; f != nil; f = f.next {
-		if live[f] {
+		if live[f.ref] {
 			return fmt.Errorf("cache: live entry %s on the free list", f.Ino)
 		}
 	}
@@ -634,17 +747,21 @@ func (c *Cache) CheckInvariants() error {
 		return fmt.Errorf("cache: class counts %v != size %d", c.classCount, c.n)
 	}
 	// The index holds the live entries (lookup found each) and nothing
-	// else: a listed page counts its non-nil slots, at least one, and the
-	// counts sum to Len; a spare page is all-nil, so it is never listed.
+	// else: a listed page counts its non-zero slots, at least one, and
+	// the counts sum to Len; page 0 and every spare page are all-zero.
 	held := 0
-	for i, p := range c.dir {
-		n := int32(0)
-		for k := 0; p != nil && k < pageSlots; k++ {
-			if p.slots[k] != nil {
+	for i, k := range c.dir {
+		if k == 0 {
+			continue
+		}
+		p := &c.pages[k]
+		n := uint16(0)
+		for _, r := range p.slots {
+			if r != 0 {
 				n++
 			}
 		}
-		if p != nil && (n == 0 || p.live != n) {
+		if n == 0 || p.live != n {
 			return fmt.Errorf("cache: index page %d counts %d entries, holds %d", i, p.live, n)
 		}
 		held += int(n)
@@ -652,9 +769,15 @@ func (c *Cache) CheckInvariants() error {
 	if held != c.n {
 		return fmt.Errorf("cache: index pages hold %d entries, size %d", held, c.n)
 	}
-	for p := c.spare; p != nil; p = p.next {
-		if p.live != 0 || p.slots != [pageSlots]*Entry{} {
-			return fmt.Errorf("cache: spare page holds %d entries", p.live)
+	if len(c.pages) > 0 && c.pages[0] != (page{}) {
+		return fmt.Errorf("cache: page 0 was written")
+	}
+	for k, seen := c.spare, 0; k != 0; k, seen = c.pages[k].next, seen+1 {
+		if seen == len(c.pages) {
+			return fmt.Errorf("cache: the spare pages form a cycle")
+		}
+		if p := &c.pages[k]; p.live != 0 || p.slots != [pageSlots]ref{} {
+			return fmt.Errorf("cache: spare page %d holds %d entries", k, p.live)
 		}
 	}
 	return nil

@@ -203,12 +203,12 @@ type diffWorld struct {
 	// pageAt is the directory slot each index page was last seen in;
 	// refills counts pages seen again in another slot, i.e. handed back
 	// empty and taken for a different ID range.
-	pageAt  map[*page]int
+	pageAt  map[uint32]int
 	refills int
 }
 
 func newDiffWorld(t *testing.T, seed int64, capacity, files int) *diffWorld {
-	w := &diffWorld{t: t, rng: rand.New(rand.NewSource(seed)), tree: emptyTree(), pageAt: make(map[*page]int)}
+	w := &diffWorld{t: t, rng: rand.New(rand.NewSource(seed)), tree: emptyTree(), pageAt: make(map[uint32]int)}
 	w.dirs = []*namespace.Inode{w.tree.Root}
 	for i := 0; i < 150; i++ {
 		parent := w.dirs[w.rng.Intn(len(w.dirs))]
@@ -410,7 +410,7 @@ func (w *diffWorld) compare(op string, deep bool) {
 		t.Fatalf("after %s: %v", op, err)
 	}
 	for i, p := range c.dir {
-		if p == nil {
+		if p == 0 {
 			continue
 		}
 		if j, seen := w.pageAt[p]; seen && j != i {

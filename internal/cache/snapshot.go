@@ -61,6 +61,10 @@ func (c *Cache) Snap(sc *snap.Codec, tree *namespace.Tree) {
 	for li, l := range [...]*list{&c.hot, &c.warm} {
 		n := l.n
 		sc.Len(&n)
+		if sc.Reading() && len(all)+n > MaxEntries {
+			sc.Failf("cache: snapshot holds %d entries, a cache addresses %d", len(all)+n, MaxEntries)
+			return
+		}
 		if !sc.Reading() {
 			for e := l.head; e != nil; e = e.next {
 				fields(e)
@@ -69,7 +73,8 @@ func (c *Cache) Snap(sc *snap.Codec, tree *namespace.Tree) {
 		}
 		var prev *Entry
 		for i := 0; i < n; i++ {
-			e := &Entry{hot: li == 0, stamp: uint64(n - i), prev: prev}
+			e := c.newEntry()
+			e.hot, e.stamp, e.prev = li == 0, uint64(n-i), prev
 			parent := fields(e)
 			if sc.Err() != nil {
 				return

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"dynmds/internal/cache"
 	"dynmds/internal/client"
 	"dynmds/internal/core"
 	"dynmds/internal/fault"
@@ -275,6 +276,8 @@ func (cfg *Config) Validate() error {
 		return fmt.Errorf("a cluster needs at least one MDS, not %d", cfg.NumMDS)
 	case cfg.NumMDS > partition.MaxNodes:
 		return fmt.Errorf("a cluster of %d MDSs is more than the %d an authority memo can name", cfg.NumMDS, partition.MaxNodes)
+	case cfg.MDS.CacheCapacity > cache.MaxCapacity:
+		return fmt.Errorf("a cache of %d records is more than the %d a node's cache can hold", cfg.MDS.CacheCapacity, cache.MaxCapacity)
 	case cfg.Warmup >= cfg.Duration:
 		return fmt.Errorf("warmup %s does not fit the %s duration: nothing would be measured",
 			sim.FormatTime(cfg.Warmup), sim.FormatTime(cfg.Duration))

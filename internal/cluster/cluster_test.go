@@ -165,7 +165,7 @@ func TestScientificWorkloadRuns(t *testing.T) {
 	grew := false
 	for _, p := range cl.Snap.Projects {
 		for _, c := range p.Children() {
-			if c.Size > 0 {
+			if cl.Tree().Size(c) > 0 {
 				grew = true
 			}
 		}

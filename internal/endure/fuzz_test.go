@@ -1,14 +1,17 @@
 package endure
 
 import (
+	"bytes"
 	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"dynmds/internal/cache"
 	"dynmds/internal/cluster"
 	"dynmds/internal/fsgen"
 	"dynmds/internal/sim"
+	"dynmds/internal/snap"
 	"dynmds/internal/snap/snaptest"
 )
 
@@ -114,6 +117,47 @@ func TestDamagedCheckpoints(t *testing.T) {
 	}
 }
 
+// overfullCache returns seed with its first node's cache holding one
+// entry more than a cache addresses: the hot count of that cache, found
+// in the nodes section by its bytes, set past the limit and padded so
+// the codec's bytes-left bound passes.
+func overfullCache(t testing.TB, seed []byte) []byte {
+	t.Helper()
+	opt := fuzzOptions(0)
+	st, _, err := load(&opt, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := snap.NewWriter()
+	snap.Encoder(w).Section("cache", func(sc *snap.Codec) { st.c.Node(0).Cache().Snap(sc, st.c.Tree()) })
+	var body []byte
+	if _, err := snaptest.Edit(w.Bytes(), "cache", func(b []byte) []byte { body = b; return b }); err != nil {
+		t.Fatal(err)
+	}
+	at := -1
+	data, err := snaptest.Edit(seed, "nodes", func(b []byte) []byte {
+		if at = bytes.Index(b, body); at < 0 {
+			return b
+		}
+		return snaptest.Overcount(b, at, 6, cache.MaxEntries+1) // capacity and five counters, then the hot count
+	})
+	if err != nil || at < 0 {
+		t.Fatalf("no cache section of node 0 in the checkpoint (%v)", err)
+	}
+	return data
+}
+
+// TestOverfullCacheRefused: a checkpoint whose cache holds more entries
+// than a cache addresses is refused with the cache's error, not a
+// panic of its chunk allocator.
+func TestOverfullCacheRefused(t *testing.T) {
+	data := overfullCache(t, fuzzSeeds(t)[0])
+	opt := fuzzOptions(0)
+	if _, _, err := load(&opt, data); err == nil || !strings.Contains(err.Error(), "a cache addresses") {
+		t.Fatalf("restore: %v, want the cache's count refused", err)
+	}
+}
+
 // TestRestoreOfMutatedCheckpoints is the fuzz target's property on a
 // fixed sample the fuzzer's 15 s would not reach field by field: one
 // byte in every 29 of each shape's checkpoint, set to the values that
@@ -158,7 +202,8 @@ func TestRestoreOfMutatedCheckpoints(t *testing.T) {
 // the file (the fuzzer kills an input that does). The trailer is
 // recomputed for every input, so mutations reach the section walks
 // rather than stopping at the checksum. Seeds: the first checkpoint of
-// a run of each shape, and the damaged files of TestDamagedCheckpoints.
+// a run of each shape, the damaged files of TestDamagedCheckpoints and
+// the overfull cache of TestOverfullCacheRefused.
 func FuzzRestoreCheckpoint(f *testing.F) {
 	seeds := fuzzSeeds(f)
 	for shape, data := range seeds {
@@ -171,6 +216,7 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		}
 		f.Add(uint8(0), data)
 	}
+	f.Add(uint8(0), overfullCache(f, seeds[0]))
 	// The header's cross-checks are not the target — they would turn away
 	// every mutation of the shape or the header — so an input goes
 	// straight from a header that parses to a cluster of its shape.

@@ -305,7 +305,7 @@ func TestGenerateMatchesTreeOracle(t *testing.T) {
 				if !ok {
 					t.Fatalf("users %d seed %d: inode %d missing", cfg.Users, cfg.Seed, id)
 				}
-				if g.Name() != w.Name() || g.Kind != w.Kind || g.Mode != w.Mode || g.Size != w.Size ||
+				if g.Name() != w.Name() || g.Kind != w.Kind || g.Mode != w.Mode || got.Tree.Size(g) != want.Tree.Size(w) ||
 					g.SubtreeInodes() != w.SubtreeInodes() ||
 					(w.Parent() == nil) != (g.Parent() == nil) || (w.Parent() != nil && g.Parent().ID != w.Parent().ID) ||
 					!reflect.DeepEqual(ids(g.Children()), ids(w.Children())) {
@@ -344,14 +344,16 @@ func TestGenerateAllocBudget(t *testing.T) {
 // benchmark's shape — the shared frozen base, and one run's overlay on
 // top of it once every inode's popularity has been bumped, as a run's
 // authoritative accesses do — and what a create costs once 8 land in
-// every directory. An 88-byte inode (its tag record included), its
-// share of the child-pointer array and of the directory records come
-// to ~101 B, and the bumps add nothing; the next field added to Inode
-// has to pay for itself. A create pays its inode, its moved-set slots,
-// its 16-byte created record and its share of the grown child slices
-// (~162 B). The 200-B budget holds the moved set to its table: a Go map
-// in its place costs ~208 B, and a per-directory name index would add
-// a map entry for every child of every directory a create lands in.
+// every directory. An 80-byte inode (its tag record included, its size
+// kept by the tree only when set), its share of the child-pointer array
+// and of the directory records come to ~93 B, and the bumps add
+// nothing; the next field added to Inode has to pay for itself. A
+// create pays its inode, its moved-set slots, its 16-byte created
+// record and its share of the grown child slices (~146 B). The 152-B
+// budget holds the file inode to the 80-byte size class and the moved
+// set to its table: a Go map in its place costs ~46 B more, and a
+// per-directory name index would add a map entry for every child of
+// every directory a create lands in.
 func TestThawBytesPerInode(t *testing.T) {
 	cfg := Default()
 	cfg.Users = 200
@@ -393,8 +395,8 @@ func TestThawBytesPerInode(t *testing.T) {
 	perCreate := (float64(h3) - float64(h2)) / creates
 	t.Logf("%d inodes: base %.1f B/inode, touched overlay %.1f B/inode; %.0f creates, %.1f B/create",
 		fs.Base.NumInodes(), base, overlay, creates, perCreate)
-	if base > 48 || overlay > 104 || perCreate > 200 {
-		t.Fatalf("%d inodes: base %.1f B/inode (budget 48), touched overlay %.1f B/inode (budget 104), %.1f B/create (budget 200)",
+	if base > 48 || overlay > 96 || perCreate > 152 {
+		t.Fatalf("%d inodes: base %.1f B/inode (budget 48), touched overlay %.1f B/inode (budget 96), %.1f B/create (budget 152)",
 			fs.Base.NumInodes(), base, overlay, perCreate)
 	}
 	runtime.KeepAlive(snap)

@@ -46,8 +46,13 @@ func (m *MDS) absorbWrite(req *msg.Request) {
 
 // applyWrite applies a Write at the authority: retain the maximum.
 func (m *MDS) applyWrite(req *msg.Request) {
-	if req.Size > req.Target.Size {
-		req.Target.Size = req.Size
+	m.raiseSize(req.Target, req.Size)
+}
+
+// raiseSize sets ino's size to size if that is larger: sizes only grow.
+func (m *MDS) raiseSize(ino *namespace.Inode, size int64) {
+	if tree := m.cluster.Tree(); size > tree.Size(ino) {
+		tree.SetSize(ino, size)
 	}
 }
 
@@ -78,18 +83,12 @@ func (m *MDS) flushWrites(now sim.Time) {
 				if peer.failed {
 					return
 				}
-				peer.cpu.Submit(peer.svc(peerService), func() {
-					if size > ino.Size {
-						ino.Size = size
-					}
-				})
+				peer.cpu.Submit(peer.svc(peerService), func() { peer.raiseSize(ino, size) })
 			}, nil)
 			m.clearUnflushed(ino)
 			continue
 		}
-		if size > ino.Size {
-			ino.Size = size
-		}
+		m.raiseSize(ino, size)
 		m.clearUnflushed(ino)
 	}
 	clear(m.sizePending)
@@ -136,9 +135,7 @@ func (m *MDS) statCallbackSlow(req *msg.Request, mask uint64) {
 			peer.cpu.Submit(peer.svc(peerService), func() {
 				// Peer reports its local max and clears it.
 				if size, ok := peer.sizePending[target.ID]; ok {
-					if size > target.Size {
-						target.Size = size
-					}
+					peer.raiseSize(target, size)
 					delete(peer.sizePending, target.ID)
 				}
 				peer.clearUnflushed(target)

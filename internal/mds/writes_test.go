@@ -43,7 +43,7 @@ func TestWriteAbsorbedAtReplica(t *testing.T) {
 		t.Fatal("replica write was forwarded")
 	}
 	// Not yet visible at the authority...
-	if f.Size == 4096 {
+	if tree.Size(f) == 4096 {
 		t.Fatal("size applied before flush")
 	}
 	if !partition.TagsOf(f).HasReplica(other) {
@@ -55,8 +55,8 @@ func TestWriteAbsorbedAtReplica(t *testing.T) {
 	// ...until the replica flushes.
 	cl.nodes[other].flushWrites(eng.Now())
 	eng.Run()
-	if f.Size != 4096 {
-		t.Fatalf("size after flush = %d", f.Size)
+	if tree.Size(f) != 4096 {
+		t.Fatalf("size after flush = %d", tree.Size(f))
 	}
 	if cl.writers[f.ID] != 0 {
 		t.Fatal("mask not cleared after flush")
@@ -83,8 +83,8 @@ func TestWriteMonotoneMaxWins(t *testing.T) {
 	cl.nodes[a].flushWrites(eng.Now())
 	cl.nodes[b].flushWrites(eng.Now())
 	eng.Run()
-	if f.Size != 9000 {
-		t.Fatalf("size = %d, want max 9000", f.Size)
+	if tree.Size(f) != 9000 {
+		t.Fatalf("size = %d, want max 9000", tree.Size(f))
 	}
 }
 
@@ -106,8 +106,8 @@ func TestStatCallbackCollectsUnflushed(t *testing.T) {
 	if cl.nodes[auth].Stats.SizeCallbacks != 1 {
 		t.Fatalf("size callbacks = %d", cl.nodes[auth].Stats.SizeCallbacks)
 	}
-	if f.Size != 7777 {
-		t.Fatalf("stat observed size %d, want 7777", f.Size)
+	if tree.Size(f) != 7777 {
+		t.Fatalf("stat observed size %d, want 7777", tree.Size(f))
 	}
 	if cl.writers[f.ID] != 0 {
 		t.Fatal("mask not cleared by callback")
@@ -128,14 +128,14 @@ func TestWriteAtAuthorityAppliesDirectly(t *testing.T) {
 	f := lookup(t, tree, "/home/u0/f0")
 	cl.nodes[0].Receive(&msg.Request{ID: 1, Op: msg.Write, Target: f, Size: 123})
 	eng.Run()
-	if f.Size != 123 {
-		t.Fatalf("size = %d", f.Size)
+	if tree.Size(f) != 123 {
+		t.Fatalf("size = %d", tree.Size(f))
 	}
 	// Shrinking writes are ignored (monotone).
 	cl.nodes[0].Receive(&msg.Request{ID: 2, Op: msg.Write, Target: f, Size: 5})
 	eng.Run()
-	if f.Size != 123 {
-		t.Fatalf("monotonicity violated: %d", f.Size)
+	if tree.Size(f) != 123 {
+		t.Fatalf("monotonicity violated: %d", tree.Size(f))
 	}
 	if cl.nodes[0].Stats.Commits == 0 {
 		t.Fatal("write not committed")
@@ -155,8 +155,8 @@ func TestWriteForwardedWithoutReplica(t *testing.T) {
 	if cl.nodes[other].Stats.Forwarded != 1 {
 		t.Fatal("write without replica not forwarded")
 	}
-	if f.Size != 55 {
-		t.Fatalf("size = %d", f.Size)
+	if tree.Size(f) != 55 {
+		t.Fatalf("size = %d", tree.Size(f))
 	}
 }
 

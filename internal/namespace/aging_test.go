@@ -51,7 +51,7 @@ func agedOverlay(t *testing.T) (*Tree, *Frozen, []InodeID) {
 		t.Fatal(err)
 	}
 	ov.Chmod(files[2], 0o600)
-	files[2].Size = 4096
+	ov.SetSize(files[2], 4096)
 	return ov, f, dead
 }
 
@@ -365,9 +365,10 @@ func restoreRecord(t *testing.T, kind Kind, record []byte) (*Inode, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := emptyTree().newInode(2, kind, "")
+	tr := emptyTree()
+	n := tr.newInode(2, kind, "")
 	dec := snap.Decoder(r)
-	dec.Section("inode", func(c *snap.Codec) { n.snapFields(c) })
+	dec.Section("inode", func(c *snap.Codec) { tr.snapFields(c, n) })
 	return n, dec.Err()
 }
 

@@ -134,10 +134,11 @@ func (t *Tree) node(id InodeID) *Inode { return &t.slab[id-1] }
 // opposed to an inode created during the run.
 func (t *Tree) IsBase(id InodeID) bool { return t.base.contains(id) }
 
-// destroyed records that an inode no longer exists in this overlay: a
-// run-created one leaves created, a base one is tombstoned so ByID
-// cannot re-materialize it from the base.
+// destroyed records that an inode no longer exists in this overlay: it
+// loses its size, a run-created one leaves created, and a base one is
+// tombstoned so ByID cannot re-materialize it from the base.
 func (t *Tree) destroyed(id InodeID) {
+	delete(t.sizes, id)
 	if !t.base.contains(id) {
 		t.created.drop(id)
 		return

@@ -70,7 +70,7 @@ func requireSameShape(t *testing.T, want, got *Tree) {
 	}
 	for i := range a {
 		x, y := a[i], b[i]
-		if x.ID != y.ID || x.Kind != y.Kind || x.Mode != y.Mode || x.Size != y.Size ||
+		if x.ID != y.ID || x.Kind != y.Kind || x.Mode != y.Mode || want.Size(x) != got.Size(y) ||
 			x.name != y.name || x.SubtreeInodes() != y.SubtreeInodes() {
 			t.Fatalf("inode %d differs: %+v vs %+v", i, x, y)
 		}
@@ -130,8 +130,8 @@ func mutateBoth(t *testing.T, r *rand.Rand, legacy, overlay *Tree, seq int) {
 		legacy.Chmod(la[i], la[i].Mode^0o022)
 		overlay.Chmod(oa[i], oa[i].Mode^0o022)
 	case 5: // size update
-		la[i].Size += int64(seq)
-		oa[i].Size += int64(seq)
+		legacy.SetSize(la[i], legacy.Size(la[i])+int64(seq))
+		overlay.SetSize(oa[i], overlay.Size(oa[i])+int64(seq))
 	}
 	if (err1 == nil) != (err2 == nil) {
 		t.Fatalf("op %d errors diverged: legacy=%v overlay=%v", seq, err1, err2)
@@ -235,14 +235,15 @@ func TestFnodeSize(t *testing.T) {
 	}
 }
 
-// TestInodeLayout: a file pays only for what a file has — 56 bytes of
+// TestInodeLayout: a file pays only for what a file has — 48 bytes of
 // its own, its child position in what was padding, and the 32-byte tag
-// record the layers above keep in it; a directory's extra state is one
-// 48-byte record with no name index, and a run-created directory's
-// inode and record together fill one 144-byte size class.
+// record the layers above keep in it, with no size word (Tree.Size);
+// a directory's extra state is one 48-byte record with no name index,
+// and a run-created directory's inode and record together fill one
+// 128-byte size class.
 func TestInodeLayout(t *testing.T) {
-	if size := unsafe.Sizeof(Inode{}); size != 88 {
-		t.Errorf("Inode is %d bytes, want 88", size)
+	if size := unsafe.Sizeof(Inode{}); size != 80 {
+		t.Errorf("Inode is %d bytes, want 80", size)
 	}
 	if size := unsafe.Sizeof(Tags{}); size != 32 {
 		t.Errorf("Tags is %d bytes, want 32", size)
@@ -250,8 +251,8 @@ func TestInodeLayout(t *testing.T) {
 	if size := unsafe.Sizeof(dirState{}); size > 48 {
 		t.Errorf("dirState is %d bytes, want <= 48", size)
 	}
-	if size := unsafe.Sizeof(dirInode{}); size > 144 {
-		t.Errorf("dirInode is %d bytes, want <= 144", size)
+	if size := unsafe.Sizeof(dirInode{}); size > 128 {
+		t.Errorf("dirInode is %d bytes, want <= 128", size)
 	}
 }
 

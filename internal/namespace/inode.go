@@ -47,6 +47,7 @@ type Mode uint16
 // the child inodes together on disk, §4.5) in a separate record, so a
 // file — most of any namespace — pays for none of it. The pointer words
 // come first, so the collector scans an inode's first 32 bytes only.
+// A file's size is not here: few inodes ever have one (see Tree.Size).
 type Inode struct {
 	parent *Inode
 	name   string
@@ -54,7 +55,6 @@ type Inode struct {
 	dir *dirState
 
 	ID   InodeID
-	Size int64
 	Mode Mode
 	Kind Kind
 	// pos is the inode's index in its parent's child list, so detach

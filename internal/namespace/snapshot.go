@@ -35,10 +35,14 @@ func (t *Tree) SnapRef(c *snap.Codec, p **Inode, what string) {
 
 // snapFields walks the fields a delta carries for one inode, created or
 // drifted, up to its parent, which travels as an ID (0: none) and is
-// resolved by the caller once every inode it can name exists.
-func (n *Inode) snapFields(c *snap.Codec) (parent InodeID) {
+// resolved by the caller once every inode it can name exists. The size
+// is read into the tree before n is registered, so it bypasses SetSize.
+func (t *Tree) snapFields(c *snap.Codec, n *Inode) (parent InodeID) {
 	snap.U(c, &n.Mode)
-	snap.I(c, &n.Size)
+	size := t.Size(n)
+	if snap.I(c, &size); c.Reading() {
+		t.setSize(n.ID, size)
+	}
 	sub := n.SubtreeInodes()
 	snap.I(c, &sub)
 	if n.dir != nil {
@@ -76,7 +80,7 @@ func (t *Tree) drifted(id InodeID) bool {
 	if n.parent != nil {
 		parent = n.parent.ID
 	}
-	return n.name != fn.name || n.Size != 0 || n.Mode != fn.mode ||
+	return n.name != fn.name || t.sizes[id] != 0 || n.Mode != fn.mode ||
 		n.SubtreeInodes() != int(fn.sub) || parent != fn.parent
 }
 
@@ -86,7 +90,7 @@ func (t *Tree) drifted(id InodeID) bool {
 // says which it is doing.
 func (t *Tree) Snap(c *snap.Codec) {
 	reading := c.Reading()
-	if reading && (len(t.created.recs) != 0 || t.moved.n != 0 || t.dead != nil) {
+	if reading && (len(t.created.recs) != 0 || t.moved.n != 0 || t.dead != nil || len(t.sizes) != 0) {
 		c.Failf("namespace: restore onto a non-pristine overlay")
 	}
 
@@ -161,7 +165,7 @@ func (t *Tree) Snap(c *snap.Codec) {
 			created[i] = t.newInode(id, kind, "")
 		}
 		n := created[i]
-		parent := n.snapFields(c)
+		parent := t.snapFields(c, n)
 		if !reading || c.Err() != nil {
 			continue
 		}
@@ -194,7 +198,7 @@ func (t *Tree) Snap(c *snap.Codec) {
 			return
 		}
 		n := t.node(dirty[i])
-		if parent := n.snapFields(c); reading {
+		if parent := t.snapFields(c, n); reading {
 			t.setParent(c, n, parent)
 		}
 	}

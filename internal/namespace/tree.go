@@ -29,6 +29,10 @@ type Tree struct {
 	// resurrect their slab slots: one bit per base inode, allocated on
 	// the first removal. Pointer-free, so the GC never scans it.
 	dead []uint64
+	// sizes holds the non-zero sizes of live inodes. Only a write sets
+	// one, and almost no inode ever has an entry, so the tree keeps one
+	// map instead of a word in every inode.
+	sizes map[InodeID]int64
 
 	// BaseDeletes counts base inodes destroyed in this overlay. IDs are
 	// never reused, so it equals the tombstone count, which simfsck checks.
@@ -229,6 +233,28 @@ func (t *Tree) Rename(n *Inode, dstDir *Inode, newName string) error {
 
 // Chmod updates an inode's permission word.
 func (t *Tree) Chmod(n *Inode, mode Mode) { n.Mode = mode }
+
+// Size returns n's file size: 0 until a write sets one.
+func (t *Tree) Size(n *Inode) int64 { return t.sizes[n.ID] }
+
+// SetSize sets n's file size. An inode destroyed since keeps none: the
+// write that arrives after its unlink is dropped.
+func (t *Tree) SetSize(n *Inode, size int64) {
+	if live, _ := t.ByID(n.ID); live == n {
+		t.setSize(n.ID, size)
+	}
+}
+
+func (t *Tree) setSize(id InodeID, size int64) {
+	switch {
+	case size == 0:
+		delete(t.sizes, id)
+	case t.sizes == nil:
+		t.sizes = map[InodeID]int64{id: size}
+	default:
+		t.sizes[id] = size
+	}
+}
 
 // Lookup resolves an absolute slash-separated path. Components are
 // iterated in place (see Segments), so resolution does not allocate.

@@ -258,6 +258,7 @@ func TestRulebook(t *testing.T) {
 		want string
 	}{
 		{"more MDSs than a memo can name", func(p *plan.Plan) { rebind(p, "mds", "65537") }, "the 65536 an authority memo can name"},
+		{"a cache past its references", func(p *plan.Plan) { rebind(p, "cache", "70000") }, "the 65408 a node's cache can hold"},
 		{"warmup too long", func(p *plan.Plan) { rebind(p, "warmup", "6s") }, "does not fit"},
 		{"link bandwidth on the fixed model", func(p *plan.Plan) { rebind(p, "link-bw", "1e6") }, "link-bw needs net=queued"},
 		{"embed=off on a dynamic partition", func(p *plan.Plan) { rebind(p, "embed", "off") }, "embed=off needs strategy=StaticSubtree"},

@@ -6,7 +6,8 @@
 // one field: the three that took the hand-written decoders down — a
 // panic on a negative length, a panic on an index past its table, and a
 // loop bound of 2^62 — a client draw count past 32 bits, and a tombstone
-// list that repeats an ID or disagrees with the base-delete count.
+// list that repeats an ID or disagrees with the base-delete count;
+// Overcount makes a count too large for the structure it fills.
 package snaptest
 
 import (
@@ -60,6 +61,18 @@ func After(body []byte, n int) int {
 		pos += w
 	}
 	return pos
+}
+
+// Overcount returns body with the signed count that follows the first
+// skip varints from offset at set to count, and count zero bytes
+// appended: the count passes a bytes-left bound, so only a limit of the
+// walk itself can refuse it.
+func Overcount(body []byte, at, skip int, count int64) []byte {
+	from := at + After(body[at:], skip)
+	to := from + After(body[from:], 1)
+	out := binary.AppendVarint(append([]byte(nil), body[:from]...), count)
+	out = append(out, body[to:]...)
+	return append(out, make([]byte, count)...)
 }
 
 // Damaged are checkpoints of a cluster with a subtree table and a drop

@@ -35,7 +35,7 @@ budget() {
     fi
 }
 budget README.md $((24 * 1024))
-budget DESIGN.md 56660
+budget DESIGN.md 56637
 
 # -race on the small CI box is ~6x slower than native; give packages
 # headroom past go test's 10m default so a busy host doesn't flake. The
@@ -94,6 +94,13 @@ rc=0
 "$MDSIM" -set mds=0 >"$TMP/usage.out" 2>/dev/null || rc=$?
 if [ "$rc" -ne 2 ] || [ -s "$TMP/usage.out" ]; then
     echo "ci: mdsim -set mds=0 exited $rc (want 2) or wrote to stdout" >&2
+    exit 1
+fi
+# So is a cache larger than a node's 16-bit entry references address.
+rc=0
+"$MDSIM" -set cache=70000 >"$TMP/usage.out" 2>/dev/null || rc=$?
+if [ "$rc" -ne 2 ] || [ -s "$TMP/usage.out" ]; then
+    echo "ci: mdsim -set cache=70000 exited $rc (want 2) or wrote to stdout" >&2
     exit 1
 fi
 # So is an op mix of no weight, which would silently be the default mix.
