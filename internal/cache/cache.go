@@ -152,9 +152,7 @@ func (l *list) remove(e *Entry) {
 
 // Stats counts cache activity since construction.
 type Stats struct {
-	Hits, Misses     uint64
-	Inserts, Evicts  uint64
-	PinBlockedEvicts uint64
+	Hits, Misses uint64
 }
 
 // A ref names an entry by its place in the cache's chunks: chunk
@@ -438,7 +436,6 @@ func (c *Cache) add(ino *namespace.Inode, cl Class, warm bool, pe *Entry, detach
 		}
 	}
 	c.segment(e).pushFront(e)
-	c.Stats.Inserts++
 	// The new entry is protected from its own insertion's eviction pass:
 	// a path insert brings in ancestors one at a time, and a chain link
 	// must survive until its child pins it.
@@ -504,7 +501,6 @@ func (c *Cache) evictToCapacity(protect *Entry) {
 			e = c.hot.victim(protect)
 		}
 		if e == nil {
-			c.Stats.PinBlockedEvicts++
 			return
 		}
 		c.drop(e, true)
@@ -548,11 +544,8 @@ func (c *Cache) drop(e *Entry, evicted bool) {
 			}
 		}
 	}
-	if evicted {
-		c.Stats.Evicts++
-		if c.OnEvict != nil {
-			c.OnEvict(e)
-		}
+	if evicted && c.OnEvict != nil {
+		c.OnEvict(e)
 	}
 	*e = Entry{next: c.free, ref: e.ref}
 	c.free = e

@@ -242,9 +242,6 @@ func TestPinBlockedOverflow(t *testing.T) {
 	if c.n <= 2 {
 		t.Fatalf("len = %d, expected overflow beyond capacity", c.n)
 	}
-	if c.Stats.PinBlockedEvicts == 0 {
-		t.Fatal("no pin-blocked evict recorded")
-	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

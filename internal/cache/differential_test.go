@@ -97,7 +97,6 @@ func (r *refCache) insert(ino *namespace.Inode, cl Class, warm, detached bool) b
 		pe.pins++
 	}
 	r.pushFront(e)
-	r.stats.Inserts++
 	r.evictToCapacity(e)
 	return true
 }
@@ -132,11 +131,9 @@ func (r *refCache) evictToCapacity(protect *refEntry) {
 			e = r.victim(r.hot, protect)
 		}
 		if e == nil {
-			r.stats.PinBlockedEvicts++
 			return
 		}
 		r.drop(e)
-		r.stats.Evicts++
 		r.evicted = append(r.evicted, e.ino.ID)
 	}
 }

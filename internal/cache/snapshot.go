@@ -40,9 +40,6 @@ func (c *Cache) Snap(sc *snap.Codec, tree *namespace.Tree) {
 	}
 	snap.U(sc, &c.Stats.Hits)
 	snap.U(sc, &c.Stats.Misses)
-	snap.U(sc, &c.Stats.Inserts)
-	snap.U(sc, &c.Stats.Evicts)
-	snap.U(sc, &c.Stats.PinBlockedEvicts)
 	fields := func(e *Entry) (parent namespace.InodeID) {
 		tree.SnapRef(sc, &e.Ino, "cache: entry")
 		snap.Index(sc, &e.Class, len(c.classCount), "cache: class")

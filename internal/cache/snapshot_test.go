@@ -21,7 +21,7 @@ func TestSnapRefusesUnaddressableCount(t *testing.T) {
 	w := snap.NewWriter()
 	snap.Encoder(w).Section("cache", func(sc *snap.Codec) { c.Snap(sc, tr) })
 	data, err := snaptest.Edit(w.Bytes(), "cache", func(b []byte) []byte {
-		return snaptest.Overcount(b, 0, 6, MaxEntries+1) // capacity and five counters, then the hot count
+		return snaptest.Overcount(b, 0, 3, MaxEntries+1) // capacity and two counters, then the hot count
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -934,7 +934,7 @@ func (c *Cluster) Collect() *Result {
 		}
 	}
 	if c.Balancer != nil {
-		r.Migrations = len(c.Balancer.Migrations)
+		r.Migrations = c.Balancer.Migrations
 	}
 	if c.Dyn != nil {
 		r.Delegations = c.Dyn.Table.NumDelegations()

@@ -222,9 +222,6 @@ func (c *Cluster) snap(sc *snap.Codec) {
 	})
 
 	sc.Section("core", func(sc *snap.Codec) {
-		if sc.Has(c.Dyn != nil, "cluster: dynamic-strategy state") {
-			c.Dyn.Snap(sc)
-		}
 		if sc.Has(c.Traffic != nil, "cluster: traffic-control state") {
 			c.Traffic.Snap(sc)
 		}

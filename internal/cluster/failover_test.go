@@ -234,36 +234,41 @@ func TestMarkDownAllDead(t *testing.T) {
 }
 
 func TestSharedOSDPoolBackend(t *testing.T) {
-	cfg := smallConfig(StratDynamic)
-	cfg.OSDs = 12
-	cl, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := cl.Run()
-	if res.MeasuredOps == 0 {
-		t.Fatal("no ops with shared pool")
-	}
-	if cl.Pool == nil {
-		t.Fatal("pool not constructed")
-	}
-	if cl.Pool.Stats.Reads == 0 {
-		t.Fatal("no pool reads: storage not routed through OSDs")
-	}
-	if cl.Pool.Stats.Writes == 0 {
-		t.Fatal("no pool writes: log appends not routed through OSDs")
+	// deepest is the deepest line any node's local read or log disk
+	// queued, and the run's result.
+	deepest := func(osds int) (int, *Result) {
+		cfg := smallConfig(StratDynamic)
+		cfg.OSDs = osds
+		cl, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (cl.Pool != nil) != (osds > 0) {
+			t.Fatalf("OSDs = %d: pool constructed = %v", osds, cl.Pool != nil)
+		}
+		res := cl.Run()
+		if res.MeasuredOps == 0 {
+			t.Fatalf("OSDs = %d: no ops", osds)
+		}
+		depth := 0
+		for _, n := range cl.Nodes {
+			r, l := n.Store().MaxQueues()
+			depth = max(depth, r, l)
+		}
+		return depth, res
 	}
 	// Every store read and log append went to the pool instead of a
-	// node-local disk: one pool read per store read, one pool write per
-	// replica of each append.
-	var reads, appends uint64
-	for _, n := range cl.Nodes {
-		st := n.Store().Stats
-		reads += st.InodeReads + st.DirReads
-		appends += st.LogAppends
+	// node-local disk: no local disk queued, where the same run on local
+	// disks queues, and the pool's slower writes moved the latency.
+	localDepth, local := deepest(0)
+	poolDepth, pooled := deepest(12)
+	if localDepth == 0 {
+		t.Fatal("no local disk queued without the pool: the check below proves nothing")
 	}
-	if cl.Pool.Stats.Reads != reads || cl.Pool.Stats.Writes != 2*appends {
-		t.Fatalf("pool reads/writes %d/%d, stores read %d times and appended %d",
-			cl.Pool.Stats.Reads, cl.Pool.Stats.Writes, reads, appends)
+	if poolDepth != 0 {
+		t.Fatalf("a node-local disk queued %d deep with the shared pool", poolDepth)
+	}
+	if pooled.MeanLatency == local.MeanLatency {
+		t.Fatal("the shared pool left the mean latency unchanged")
 	}
 }

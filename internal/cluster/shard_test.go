@@ -19,16 +19,12 @@ import (
 // digests being equal means the runs were observationally identical.
 func resultDigest(cl *Cluster) string {
 	r := cl.Run()
-	var callbacks uint64
-	for _, n := range cl.Nodes {
-		callbacks += n.Stats.SizeCallbacks
-	}
-	return fmt.Sprintf("ops=%d served=%x hit=%x fwd=%x lat=%x p50=%x p99=%x migr=%d repl=%d net=%+v wr=%d cb=%d",
+	return fmt.Sprintf("ops=%d served=%x hit=%x fwd=%x lat=%x p50=%x p99=%x migr=%d repl=%d net=%+v wr=%d",
 		r.MeasuredOps, math.Float64bits(r.AvgThroughput),
 		math.Float64bits(r.HitRate), math.Float64bits(r.ForwardFrac),
 		math.Float64bits(r.MeanLatency), math.Float64bits(r.LatencyP50),
 		math.Float64bits(r.LatencyP99), r.Migrations, r.Replications,
-		r.Net, r.WritesAbsorbed, callbacks)
+		r.Net, r.WritesAbsorbed)
 }
 
 func runDigest(t *testing.T, cfg Config) string {

@@ -70,18 +70,6 @@ type Migrated struct {
 	Class cache.Class
 }
 
-// Migration records one authority transfer, for introspection and tests.
-type Migration struct {
-	At      sim.Time
-	Root    *namespace.Inode
-	From    int
-	To      int
-	Entries int
-	// Redelegation marks a whole previously-imported tree handed on,
-	// as opposed to a fresh subtree split off a node's workload.
-	Redelegation bool
-}
-
 // Balancer periodically exchanges heartbeat load information among MDS
 // nodes and transfers authority for appropriately popular subtrees from
 // busy nodes to non-busy ones (§4.3).
@@ -98,12 +86,8 @@ type Balancer struct {
 
 	ticker *sim.Ticker
 
-	// Migrations is the log of executed transfers.
-	Migrations []Migration
-	// Rounds counts balance invocations; HeartbeatMsgs counts load
-	// messages exchanged across the cluster.
-	Rounds        uint64
-	HeartbeatMsgs uint64
+	// Migrations counts executed transfers.
+	Migrations int
 }
 
 // NewBalancer wires a balancer over the cluster's nodes. Call Start to
@@ -138,7 +122,6 @@ func (b *Balancer) Stop() {
 // available ones based on the exchanged (now slightly stale) values.
 // Exported for tests and manual driving.
 func (b *Balancer) Rebalance(now sim.Time) {
-	b.Rounds++
 	n := len(b.nodes)
 	if n < 2 {
 		return
@@ -165,7 +148,6 @@ func (b *Balancer) Rebalance(now sim.Time) {
 		return
 	}
 	mean /= float64(alive)
-	b.HeartbeatMsgs += uint64(alive * (alive - 1))
 	if mean < minMeanLoad {
 		return
 	}
@@ -266,7 +248,7 @@ func (b *Balancer) migrateOne(now sim.Time, src, dst int, load, excess float64) 
 		}
 	}
 	if bestIdx >= 0 {
-		b.transfer(now, roots[bestIdx], src, dst, true)
+		b.transfer(roots[bestIdx], src, dst)
 		return true
 	}
 
@@ -289,17 +271,17 @@ func (b *Balancer) migrateOne(now sim.Time, src, dst int, load, excess float64) 
 	}
 	root := roots[hot]
 	if pops[hot] <= wantPop*1.5 {
-		b.transfer(now, root, src, dst, false)
+		b.transfer(root, src, dst)
 		return true
 	}
 	if children := b.pickChildren(now, node, root, wantPop); len(children) > 0 {
 		for _, c := range children {
-			b.transfer(now, c, src, dst, false)
+			b.transfer(c, src, dst)
 		}
 		return true
 	}
 	if pops[hot] <= 2*wantPop {
-		b.transfer(now, root, src, dst, false)
+		b.transfer(root, src, dst)
 		return true
 	}
 	return false
@@ -404,7 +386,7 @@ func entryPop(now sim.Time, e *cache.Entry) float64 {
 // transfer executes the double-commit authority migration: the subtree
 // table is updated, the importer receives the exporter's cached state,
 // and the exporter discards it.
-func (b *Balancer) transfer(now sim.Time, root *namespace.Inode, src, dst int, redelegation bool) {
+func (b *Balancer) transfer(root *namespace.Inode, src, dst int) {
 	live := b.nodes[src].Cache().EntriesUnder(root)
 	entries := make([]Migrated, len(live))
 	for i, e := range live {
@@ -418,12 +400,5 @@ func (b *Balancer) transfer(now sim.Time, root *namespace.Inode, src, dst int, r
 	// Either way the tree is now an import at dst, delegated by src;
 	// if dst grows busy it will prefer handing the whole tree onward.
 	b.imports[root] = src
-	b.Migrations = append(b.Migrations, Migration{
-		At:           now,
-		Root:         root,
-		From:         src,
-		To:           dst,
-		Entries:      len(entries),
-		Redelegation: redelegation,
-	})
+	b.Migrations++
 }

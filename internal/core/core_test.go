@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"dynmds/internal/cache"
@@ -56,8 +57,8 @@ func TestDynamicDirHashing(t *testing.T) {
 	if !d.MaybeHashDir(dir) {
 		t.Fatal("big directory not hashed")
 	}
-	if d.DirsHashed != 1 {
-		t.Fatalf("DirsHashed = %d", d.DirsHashed)
+	if !partition.TagsOf(dir).Has(namespace.HashedDir) {
+		t.Fatal("hashed directory not tagged")
 	}
 	// Entries now spread across nodes by name hash.
 	got := map[int]bool{}
@@ -85,8 +86,8 @@ func TestDynamicDirHashing(t *testing.T) {
 	if !d.MaybeHashDir(dir) {
 		t.Fatal("shrunken directory not consolidated")
 	}
-	if d.DirsHashed != 0 {
-		t.Fatalf("DirsHashed = %d after consolidation", d.DirsHashed)
+	if partition.TagsOf(dir).Has(namespace.HashedDir) {
+		t.Fatal("consolidated directory still tagged hashed")
 	}
 	// No-ops: threshold disabled or target is a file.
 	d2 := NewDynamicSubtree(4, tr, 2)
@@ -132,8 +133,8 @@ func TestTrafficControlDecisions(t *testing.T) {
 	if tc.Replicated(f) {
 		t.Fatal("still marked replicated")
 	}
-	if tc.Replications != 1 || tc.Consolidations != 1 {
-		t.Fatalf("counters = %d/%d", tc.Replications, tc.Consolidations)
+	if tc.Replications != 1 {
+		t.Fatalf("replications = %d, want 1", tc.Replications)
 	}
 }
 
@@ -156,16 +157,18 @@ func TestTrafficControlDisabledAndNil(t *testing.T) {
 
 // fakeNode implements Node for balancer tests.
 type fakeNode struct {
-	id              int
-	load            float64
-	c               *cache.Cache
-	imports, evicts int
+	id     int
+	load   float64
+	c      *cache.Cache
+	polled int                // heartbeat rounds that read the load
+	roots  []*namespace.Inode // imported subtree roots, in order
+	evicts int
 }
 
-func (f *fakeNode) Load(now sim.Time) float64 { return f.load }
+func (f *fakeNode) Load(now sim.Time) float64 { f.polled++; return f.load }
 func (f *fakeNode) Cache() *cache.Cache       { return f.c }
 func (f *fakeNode) ImportSubtree(root *namespace.Inode, entries []Migrated) {
-	f.imports++
+	f.roots = append(f.roots, root)
 	for _, e := range entries {
 		if _, err := f.c.InsertPath(e.Ino, e.Class, false); err != nil {
 			panic(err)
@@ -210,28 +213,38 @@ func TestBalancerMigratesHotSubtree(t *testing.T) {
 	b.Rebalance(0)
 	eng.Run()
 
-	if len(b.Migrations) == 0 {
+	if b.Migrations == 0 {
 		t.Fatal("no migration executed")
 	}
-	m := b.Migrations[0]
-	if m.From != src {
-		t.Fatalf("migrated from %d, want %d", m.From, src)
+	// One node imported one subtree, and only the busy node evicted.
+	to := -1
+	for i, f := range fakes {
+		if len(f.roots) > 0 {
+			if to >= 0 {
+				t.Fatalf("nodes %d and %d both imported", to, i)
+			}
+			to = i
+		}
+		if i != src && f.evicts != 0 {
+			t.Fatalf("node %d evicted, want only the busy node %d", i, src)
+		}
 	}
-	if m.To == src {
-		t.Fatal("migrated to itself")
+	if to < 0 || to == src {
+		t.Fatalf("migrated from %d to %d", src, to)
 	}
-	if fakes[m.To].imports != 1 || fakes[src].evicts == 0 {
+	if len(fakes[to].roots) != 1 || fakes[src].evicts == 0 {
 		t.Fatal("import/evict not invoked")
 	}
+	root := fakes[to].roots[0]
 	// Authority actually moved.
-	if got := d.Authority(m.Root); got != m.To {
-		t.Fatalf("authority(%s) = %d, want %d", m.Root, got, m.To)
+	if got := d.Authority(root); got != to {
+		t.Fatalf("authority(%s) = %d, want %d", root, got, to)
 	}
 	// The destination received the cached state.
-	if len(fakes[m.To].c.EntriesUnder(m.Root)) == 0 {
+	if len(fakes[to].c.EntriesUnder(root)) == 0 {
 		t.Fatal("destination cache empty for migrated subtree")
 	}
-	if len(fakes[src].c.EntriesUnder(m.Root)) != 0 {
+	if len(fakes[src].c.EntriesUnder(root)) != 0 {
 		t.Fatal("source still caches migrated subtree")
 	}
 }
@@ -247,7 +260,7 @@ func TestBalancerIdleClusterDoesNothing(t *testing.T) {
 	b := NewBalancer(eng, DefaultBalancerConfig(), d, nodes)
 	b.Rebalance(0)
 	eng.Run()
-	if len(b.Migrations) != 0 {
+	if b.Migrations != 0 {
 		t.Fatal("idle cluster migrated")
 	}
 }
@@ -263,7 +276,7 @@ func TestBalancerBalancedClusterDoesNothing(t *testing.T) {
 	b := NewBalancer(eng, DefaultBalancerConfig(), d, nodes)
 	b.Rebalance(0)
 	eng.Run()
-	if len(b.Migrations) != 0 {
+	if b.Migrations != 0 {
 		t.Fatal("balanced cluster migrated")
 	}
 }
@@ -297,26 +310,44 @@ func TestBalancerPrefersRedelegatingImports(t *testing.T) {
 	fakes[1].ImportSubtree(homes[0], entries)
 	b.imports[homes[0]] = src
 
-	// Populate node 1's cache with popularity on the imported tree.
-	for i := 0; i < homes[0].NumChildren(); i++ {
-		c := homes[0].Child(i)
-		if _, err := fakes[1].c.InsertPath(c, cache.Auth, false); err != nil {
-			t.Fatal(err)
+	// Populate node 1's cache with popularity on the imported tree and,
+	// a little hotter, on a tree it owns: split-first would pick that.
+	owned := -1
+	for i, h := range homes[1:] {
+		if d.Authority(h) == 1 && slices.Contains(d.Table.RootsOf(1), h) {
+			owned = i + 1
+			break
 		}
-		partition.Popularity(c).Add(0, partition.PopHalfLife, 30)
+	}
+	if owned < 0 {
+		t.Fatal("node 1 owns no home directory as a root")
+	}
+	for _, hot := range []struct {
+		h   *namespace.Inode
+		pop float64
+	}{{homes[0], 30}, {homes[owned], 40}} {
+		for i := 0; i < hot.h.NumChildren(); i++ {
+			c := hot.h.Child(i)
+			if _, err := fakes[1].c.InsertPath(c, cache.Auth, false); err != nil {
+				t.Fatal(err)
+			}
+			partition.Popularity(c).Add(0, partition.PopHalfLife, hot.pop)
+		}
 	}
 	fakes[1].load = 1000
 
 	b.Rebalance(0)
 	eng.Run()
-	if len(b.Migrations) == 0 {
+	if b.Migrations == 0 {
 		t.Fatal("no migration")
 	}
-	if !b.Migrations[0].Redelegation {
-		t.Fatalf("expected redelegation of imported tree, got %+v", b.Migrations[0])
+	// The whole imported tree moved on, and is now an import its
+	// new authority took from node 1.
+	if got := d.Authority(homes[0]); got == 1 {
+		t.Fatalf("imported tree %v not redelegated", homes[0])
 	}
-	if b.Migrations[0].Root != homes[0] {
-		t.Fatalf("redelegated %v, want %v", b.Migrations[0].Root, homes[0])
+	if from, ok := b.imports[homes[0]]; !ok || from != 1 {
+		t.Fatalf("imports[%v] = %d, %v; want delegated by node 1", homes[0], from, ok)
 	}
 }
 
@@ -332,13 +363,15 @@ func TestBalancerStartStopTicker(t *testing.T) {
 	cfg.Interval = sim.Second
 	b := NewBalancer(eng, cfg, d, nodes)
 	b.Start()
+	// Every round polls each node's load once.
+	polled := func() int { return nodes[0].(*fakeNode).polled }
 	eng.RunUntil(3500 * sim.Millisecond)
-	if b.Rounds != 3 {
-		t.Fatalf("rounds = %d, want 3", b.Rounds)
+	if polled() != 3 {
+		t.Fatalf("rounds = %d, want 3", polled())
 	}
 	b.Stop()
 	eng.RunUntil(10 * sim.Second)
-	if b.Rounds != 3 {
-		t.Fatalf("rounds after stop = %d", b.Rounds)
+	if polled() != 3 {
+		t.Fatalf("rounds after stop = %d", polled())
 	}
 }

@@ -30,9 +30,6 @@ type DynamicSubtree struct {
 	// any directory with at least this many entries across the cluster
 	// (§4.3). Zero disables directory hashing.
 	HashDirThreshold int
-
-	// DirsHashed counts directories currently hashed.
-	DirsHashed int
 }
 
 // NewDynamicSubtree builds the strategy with the paper's initial
@@ -83,11 +80,9 @@ func (d *DynamicSubtree) MaybeHashDir(dir *namespace.Inode) bool {
 	switch hashed := tags.Has(namespace.HashedDir); {
 	case !hashed && dir.NumChildren() >= d.HashDirThreshold:
 		tags.Set(namespace.HashedDir, true)
-		d.DirsHashed++
 		return true
 	case hashed && dir.NumChildren() < d.HashDirThreshold/2:
 		tags.Set(namespace.HashedDir, false)
-		d.DirsHashed--
 		return true
 	}
 	return false

@@ -8,8 +8,8 @@ import (
 	"dynmds/internal/snap"
 )
 
-// Checkpoint codec for the control plane: balancer bookkeeping, traffic
-// control counters, and the dynamic strategy's hashed-directory count.
+// Checkpoint codec for the control plane: balancer bookkeeping and the
+// traffic control replication count.
 // The balancer's ticker is not serialized — the endurance quiesce
 // protocol stops it before a checkpoint and restarts it identically in
 // both the checkpointing run and a restored one.
@@ -17,8 +17,7 @@ import (
 // Snap walks the balancer's mutable state; reading, a freshly built
 // balancer whose inode references resolve against tree.
 func (b *Balancer) Snap(c *snap.Codec, tree *namespace.Tree) {
-	snap.U(c, &b.Rounds)
-	snap.U(c, &b.HeartbeatMsgs)
+	snap.I(c, &b.Migrations)
 	type imp struct {
 		root *namespace.Inode
 		src  int
@@ -39,28 +38,10 @@ func (b *Balancer) Snap(c *snap.Codec, tree *namespace.Tree) {
 			b.imports[imps[i].root] = imps[i].src
 		}
 	}
-	snap.Slice(c, &b.Migrations)
-	for i := range b.Migrations {
-		m := &b.Migrations[i]
-		snap.I(c, &m.At)
-		tree.SnapRef(c, &m.Root, "core: migration root")
-		snap.I(c, &m.From)
-		snap.I(c, &m.To)
-		snap.I(c, &m.Entries)
-		c.Bool(&m.Redelegation)
-	}
 }
 
-// Snap walks the policy's transition counters; thresholds come from
+// Snap walks the policy's replication count; thresholds come from
 // config.
 func (tc *TrafficControl) Snap(c *snap.Codec) {
 	snap.U(c, &tc.Replications)
-	snap.U(c, &tc.Consolidations)
-	snap.U(c, &tc.Preemptive)
-}
-
-// Snap walks the strategy's mutable state (the table is serialized
-// separately; HashedDir flags travel with the inode tags).
-func (d *DynamicSubtree) Snap(c *snap.Codec) {
-	snap.I(c, &d.DirsHashed)
 }

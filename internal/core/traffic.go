@@ -35,11 +35,8 @@ type TrafficControl struct {
 	// shortening flash-crowd response time. Zero disables it.
 	PreemptiveThreshold float64
 
-	// Replications and Consolidations count policy transitions;
-	// Preemptive counts replicas pulled by flooded non-authorities.
-	Replications   uint64
-	Consolidations uint64
-	Preemptive     uint64
+	// Replications counts items the policy replicated.
+	Replications uint64
 
 	// fwd holds each item's decayed forward count, summed across the
 	// non-authoritative nodes that forwarded requests for it (§5.4);
@@ -70,7 +67,7 @@ const (
 )
 
 // ForCluster returns a fresh controller with tc's thresholds for one
-// cluster to run: no transitions counted, no forward counts.
+// cluster to run: no replications counted, no forward counts.
 func (tc *TrafficControl) ForCluster() *TrafficControl {
 	return &TrafficControl{
 		ReplicateThreshold:   tc.ReplicateThreshold,
@@ -126,7 +123,7 @@ func (tc *TrafficControl) Peek(now sim.Time, ino *namespace.Inode) Decision {
 }
 
 // Commit applies a previously peeked decision: it flips the inode's
-// replication flag and counts the transition. The flag is re-checked,
+// replication flag and counts a replication. The flag is re-checked,
 // so a commit the flag already reflects counts nothing. Returns whether
 // the flip happened.
 func (tc *TrafficControl) Commit(d Decision, ino *namespace.Inode) bool {
@@ -141,8 +138,6 @@ func (tc *TrafficControl) Commit(d Decision, ino *namespace.Inode) bool {
 	tags.Set(namespace.ReplicatedAll, replicate)
 	if replicate {
 		tc.Replications++
-	} else {
-		tc.Consolidations++
 	}
 	return true
 }

@@ -307,11 +307,12 @@ func TestValidateSnapshot(t *testing.T) {
 // version 4 each store's directory objects and three unread MDS
 // counters, version 5 the header's fault schedule, all of which this
 // format dropped; version 6 hashed a config with an unlink-reserve
-// field) or one past this
+// field; version 7 carried 35 write-only counters and the balancer's
+// migration log) or one past this
 // build's — is refused with the version message before any post-version
 // field is decoded.
 func TestSnapshotVersionRejected(t *testing.T) {
-	for _, version := range []int{1, 2, 3, 4, 5, 6, SnapshotVersion + 1} {
+	for _, version := range []int{1, 2, 3, 4, 5, 6, 7, SnapshotVersion + 1} {
 		path := filepath.Join(t.TempDir(), "other.snap")
 		data := versionOnlySnapshot(version)
 		if err := os.WriteFile(path, data, 0o644); err != nil {

@@ -14,7 +14,7 @@ import (
 // SnapshotVersion is the endurance snapshot format version. Bump it on
 // any incompatible change to the section layout; Restore rejects
 // mismatched files rather than misreading them.
-const SnapshotVersion = 7
+const SnapshotVersion = 8
 
 // header is the "endure" section at the front of every snapshot file:
 // enough to validate the restoring run's configuration and position the
@@ -51,10 +51,10 @@ func configHash(cfg *cluster.Config) uint64 {
 		fmt.Fprintf(h, " bal=%+v", *cp.Balancer)
 	}
 	if tc := cp.Traffic; tc != nil {
-		// The policy's fields as %+v spells them; its forward counters
-		// are run state, not configuration.
-		fmt.Fprintf(h, " tc={ReplicateThreshold:%v UnreplicateThreshold:%v PreemptiveThreshold:%v Replications:%v Consolidations:%v Preemptive:%v}",
-			tc.ReplicateThreshold, tc.UnreplicateThreshold, tc.PreemptiveThreshold, tc.Replications, tc.Consolidations, tc.Preemptive)
+		// The policy's thresholds; its replication count and forward
+		// counters are run state, not configuration.
+		fmt.Fprintf(h, " tc={ReplicateThreshold:%v UnreplicateThreshold:%v PreemptiveThreshold:%v}",
+			tc.ReplicateThreshold, tc.UnreplicateThreshold, tc.PreemptiveThreshold)
 	}
 	// cp.Snapshot is deliberately not hashed: the tree it holds is a
 	// pure function of (FS, Seed) when endure generates it, and opaque

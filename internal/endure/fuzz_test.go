@@ -139,7 +139,7 @@ func overfullCache(t testing.TB, seed []byte) []byte {
 		if at = bytes.Index(b, body); at < 0 {
 			return b
 		}
-		return snaptest.Overcount(b, at, 6, cache.MaxEntries+1) // capacity and five counters, then the hot count
+		return snaptest.Overcount(b, at, 3, cache.MaxEntries+1) // capacity and two counters, then the hot count
 	})
 	if err != nil || at < 0 {
 		t.Fatalf("no cache section of node 0 in the checkpoint (%v)", err)

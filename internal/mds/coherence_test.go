@@ -6,6 +6,7 @@ import (
 
 	"dynmds/internal/msg"
 	"dynmds/internal/namespace"
+	"dynmds/internal/net"
 	"dynmds/internal/partition"
 	"dynmds/internal/sim"
 )
@@ -34,18 +35,14 @@ func TestCoherenceUpdatePropagation(t *testing.T) {
 	}
 
 	// An update at the authority pushes coherence to every holder.
+	before := cl.fab.Class(net.Coherence)
 	cl.nodes[auth].Receive(&msg.Request{ID: 100, Op: msg.Chmod, Target: f})
 	eng.Run()
-	if cl.nodes[auth].Stats.CoherenceSent != 2 {
-		t.Fatalf("coherence sent = %d, want 2", cl.nodes[auth].Stats.CoherenceSent)
+	after := cl.fab.Class(net.Coherence)
+	if sent := after.Sent - before.Sent; sent != 2 {
+		t.Fatalf("coherence sent = %d, want 2", sent)
 	}
-	var recvd uint64
-	for i, n := range cl.nodes {
-		if i != auth {
-			recvd += n.Stats.CoherenceReceived
-		}
-	}
-	if recvd != 2 {
+	if recvd := after.Delivered - before.Delivered; recvd != 2 {
 		t.Fatalf("coherence received = %d, want 2", recvd)
 	}
 }
@@ -86,8 +83,7 @@ func TestCoherenceEvictNotice(t *testing.T) {
 		}
 	}
 	eng.Run()
-	sent := cl.nodes[0].Stats.EvictNoticesSent + cl.nodes[1].Stats.EvictNoticesSent
-	if sent == 0 {
+	if cl.fab.Class(net.EvictNotice).Sent == 0 {
 		t.Fatal("no eviction notices despite replica evictions")
 	}
 }
@@ -101,8 +97,8 @@ func TestCoherenceNoTrafficForUnreplicated(t *testing.T) {
 	f := lookup(t, tree, "/home/u0/f0")
 	m.Receive(&msg.Request{ID: 1, Op: msg.Chmod, Target: f})
 	eng.Run()
-	if m.Stats.CoherenceSent != 0 {
-		t.Fatalf("coherence sent for unreplicated item: %d", m.Stats.CoherenceSent)
+	if sent := cl.fab.Class(net.Coherence).Sent; sent != 0 {
+		t.Fatalf("coherence sent for unreplicated item: %d", sent)
 	}
 }
 
@@ -122,8 +118,8 @@ func TestUnlinkWhileOpenRetainsRecord(t *testing.T) {
 	if _, err := tree.Lookup("/home/u0/f0"); err == nil {
 		t.Fatal("unlink did not remove the name")
 	}
-	if m.Stats.OrphansRetained != 1 {
-		t.Fatalf("orphans retained = %d", m.Stats.OrphansRetained)
+	if len(m.orphans) != 1 {
+		t.Fatalf("orphans retained = %d", len(m.orphans))
 	}
 	if !m.Cache().Contains(f.ID) {
 		t.Fatal("open-orphan evicted from cache")
@@ -131,8 +127,8 @@ func TestUnlinkWhileOpenRetainsRecord(t *testing.T) {
 	// The close reaps it.
 	m.Receive(&msg.Request{ID: 3, Op: msg.Close, Target: f})
 	eng.Run()
-	if m.Stats.OrphansReaped != 1 {
-		t.Fatalf("orphans reaped = %d", m.Stats.OrphansReaped)
+	if len(m.orphans) != 0 {
+		t.Fatalf("%d orphans left after the last close", len(m.orphans))
 	}
 	if m.Cache().Contains(f.ID) {
 		t.Fatal("orphan record survived the last close")
@@ -151,7 +147,7 @@ func TestUnlinkClosedFileReapsImmediately(t *testing.T) {
 	eng.Run()
 	m.Receive(&msg.Request{ID: 3, Op: msg.Unlink, Target: f})
 	eng.Run()
-	if m.Stats.OrphansRetained != 0 {
+	if len(m.orphans) != 0 {
 		t.Fatal("closed file retained as orphan")
 	}
 	if m.Cache().Contains(f.ID) {

@@ -122,40 +122,21 @@ type Cluster interface {
 
 // Stats counts one node's activity.
 type Stats struct {
-	ClientArrivals  uint64 // arrivals directly from clients
-	Served          uint64 // replies sent (including replica serves)
-	ReplicaServes   uint64
-	Forwarded       uint64
-	CacheMissLoads  uint64 // fetches that went to disk or a peer
-	RemoteFetches   uint64 // prefix fetches sent to peers
-	ReplicaInstalls uint64
-	ReplicasPushed  uint64
-	LHApplied       uint64 // lazy ACL propagations performed
-	Commits         uint64
-	Imported        uint64 // records imported by migrations
-	Exported        uint64
-	Dropped         uint64 // requests dropped (failed node)
+	ClientArrivals uint64 // arrivals directly from clients
+	Served         uint64 // replies sent (including replica serves)
+	ReplicaServes  uint64
+	Forwarded      uint64
+	CacheMissLoads uint64 // fetches that went to disk or a peer
+	RemoteFetches  uint64 // prefix fetches sent to peers
+	Commits        uint64
 
 	// Fault-injection machinery (zero in fault-free runs).
 	FetchTimeouts uint64 // remote fetches that fell back to local disk
 	FwdTimeouts   uint64 // forwards that missed their ack
 	DeadLetters   uint64 // requests dropped: authority confirmed down
 
-	// Cache-coherence traffic (§4.2): updates pushed to replica
-	// holders, updates received for local replicas, and discard
-	// notices sent to authorities when a replica is evicted.
-	CoherenceSent     uint64
-	CoherenceReceived uint64
-	EvictNoticesSent  uint64
-
-	// Deleted-while-open retention (§4.5).
-	OrphansRetained uint64
-	OrphansReaped   uint64
-
 	// Distributed monotonic updates (§4.2).
 	WritesAbsorbed uint64 // size updates absorbed at this replica
-	WriteFlushes   uint64 // local maxima flushed to authorities
-	SizeCallbacks  uint64 // stat-time callbacks issued as authority
 
 	// Lease plane (internal/lease): read leases granted on replies,
 	// recall notices sent on mutations of leased records, recall acks
@@ -335,7 +316,6 @@ func New(id int, eng *sim.Engine, cfg Config, strat partition.Strategy, tc *core
 		if auth == m.id {
 			return
 		}
-		m.Stats.EvictNoticesSent++
 		m.fab.Send(net.EvictNotice, m.id, auth, net.Bytes(net.EvictNotice), evictNoticeArrive, nil, nil)
 	}
 	return m
@@ -454,7 +434,6 @@ func (m *MDS) MaxQueues() (cpu, readDisk, logDisk int) {
 // a forwarding peer).
 func (m *MDS) Receive(req *msg.Request) {
 	if m.failed {
-		m.Stats.Dropped++
 		return
 	}
 	if m.fc != nil && req.Via >= 0 {
@@ -511,7 +490,6 @@ func (m *MDS) authorityFor(req *msg.Request) int {
 func (m *MDS) process(req *msg.Request) {
 	if m.failed {
 		// The node died with this request still queued on its CPU.
-		m.Stats.Dropped++
 		return
 	}
 	auth := m.authorityFor(req)
@@ -597,7 +575,6 @@ func (m *MDS) maybePreemptiveReplicate(req *msg.Request) {
 	if m.tc.NoteForward(m.eng.Now(), target) < m.tc.PreemptiveThreshold || m.cache.Contains(target.ID) {
 		return
 	}
-	m.tc.Preemptive++
 	// Pull the record from its authority and start advertising it as
 	// widely replicated; the authority's policy may consolidate later.
 	m.fetchRecord(target, cache.Replica, preemptiveInstalled, m, target)
@@ -937,7 +914,6 @@ func (m *MDS) finishServe(req *msg.Request) {
 	// op can proceed — one (lazy) propagation trip plus a log commit.
 	if m.lh != nil && m.lh.Stale(target) {
 		m.lh.Apply(target)
-		m.Stats.LHApplied++
 		// One lazy propagation round trip (priced at 2×Fwd by the
 		// model), carried on the node's loopback link, then a commit.
 		m.fab.Send(net.LHPropagate, m.id, m.id, net.Bytes(net.LHPropagate), lhPropagated, m, req)
@@ -1111,7 +1087,6 @@ func (m *MDS) propagateCoherence(target *namespace.Inode) {
 		if i == m.id || set&(1<<uint(i)) == 0 {
 			continue
 		}
-		m.Stats.CoherenceSent++
 		peer := m.cluster.Node(i)
 		m.fab.Send(net.Coherence, m.id, i, net.Bytes(net.Coherence), coherenceArrive, peer, nil)
 	}
@@ -1122,7 +1097,6 @@ func coherenceArrive(a, _ any) {
 	if peer.failed {
 		return
 	}
-	peer.Stats.CoherenceReceived++
 	peer.cpu.Submit(peer.svc(peerService), nil)
 }
 
@@ -1145,7 +1119,6 @@ func (m *MDS) finishReply(req *msg.Request) {
 				delete(m.opens, target.ID)
 				if _, orphaned := m.orphans[target.ID]; orphaned {
 					delete(m.orphans, target.ID)
-					m.Stats.OrphansReaped++
 					_ = m.cache.Remove(target.ID)
 				}
 			}
@@ -1211,7 +1184,6 @@ func (m *MDS) maybeFanOut(target *namespace.Inode) {
 			m.fab.Send(net.ReplicaInstall, m.id, to, net.Bytes(net.ReplicaInstall), installReplicaAt, peer, target)
 		}
 		m.Stats.ReplicaFanouts++
-		m.Stats.ReplicasPushed += uint64(n)
 		tags.Set(namespace.ReplicatedAll, true)
 		return
 	}
@@ -1246,7 +1218,6 @@ func (m *MDS) applyUpdate(req *msg.Request) {
 					// Deleted while open: retain the record until the
 					// last close (§4.5).
 					m.orphans[id] = req.Target
-					m.Stats.OrphansRetained++
 				} else {
 					_ = m.cache.Remove(id)
 				}
@@ -1298,7 +1269,6 @@ func (m *MDS) pushReplicas(target *namespace.Inode) {
 		peer := m.cluster.Node(i)
 		m.fab.Send(net.ReplicaInstall, m.id, i, net.Bytes(net.ReplicaInstall), installReplicaAt, peer, target)
 	}
-	m.Stats.ReplicasPushed += uint64(m.cluster.NumMDS() - 1)
 }
 
 func installReplicaAt(a, b any) { a.(*MDS).installReplica(b.(*namespace.Inode)) }
@@ -1307,7 +1277,6 @@ func (m *MDS) installReplica(target *namespace.Inode) {
 	if m.failed {
 		return
 	}
-	m.Stats.ReplicaInstalls++
 	m.cpu.SubmitCall(m.svc(peerService), installReplicaApply, m, target)
 }
 
@@ -1330,7 +1299,7 @@ func (m *MDS) reply(req *msg.Request) {
 		m.OnReply(m.id, req, now)
 	}
 	rep := m.getReply()
-	rep.Req, rep.ServedBy = req, m.id
+	rep.Req = req
 	// Identity and issue time are copied by value: the client matches
 	// replies by (Client, ID, Gen) and computes latency from Issued, so
 	// a duplicate reply stays recognisable (and harmless) even after
@@ -1440,7 +1409,6 @@ func (m *MDS) noteMiss() {
 // by the balancer at decision time, so the install below does not read
 // the exporter's live cache.
 func (m *MDS) ImportSubtree(root *namespace.Inode, entries []core.Migrated) {
-	m.Stats.Imported += uint64(len(entries))
 	cost := m.svc(sim.Time(len(entries)+1) * importPerRecord)
 	m.cpu.Submit(cost, func() {
 		// Anchor the subtree: the new authority "must cache the
@@ -1482,7 +1450,6 @@ func (m *MDS) ImportSubtree(root *namespace.Inode, entries []core.Migrated) {
 // migrated-away subtree.
 func (m *MDS) EvictSubtree(root *namespace.Inode) {
 	n := m.cache.CountUnder(root)
-	m.Stats.Exported += uint64(n)
 	cost := m.svc(sim.Time(n+1) * importPerRecord)
 	m.cpu.Submit(cost, func() {
 		m.cache.RemoveSubtree(root)

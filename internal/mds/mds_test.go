@@ -118,12 +118,12 @@ func TestServeMissThenHit(t *testing.T) {
 	}
 	// The directory object came with embedded siblings: a second open
 	// of a sibling must hit without disk I/O.
-	reads := m.store.Stats.DirReads + m.store.Stats.InodeReads
+	loads := m.Stats.CacheMissLoads
 	g := lookup(t, tree, "/home/u0/f1")
 	m.Receive(&msg.Request{ID: 2, Op: msg.Open, Target: g})
 	eng.Run()
-	if got := m.store.Stats.DirReads + m.store.Stats.InodeReads; got != reads {
-		t.Fatalf("sibling open went to disk (%d -> %d reads)", reads, got)
+	if got := m.Stats.CacheMissLoads; got != loads {
+		t.Fatalf("sibling open went to disk (%d -> %d loads)", loads, got)
 	}
 	if len(cl.replies) != 2 {
 		t.Fatalf("replies = %d", len(cl.replies))
@@ -146,16 +146,18 @@ func TestPerInodeLayoutDoesNotPrefetch(t *testing.T) {
 		return partition.FileHash{N: 1}
 	}, false)
 	m := cl.nodes[0]
+	sibling := lookup(t, tree, "/home/u0/f1")
 	m.Receive(&msg.Request{ID: 1, Op: msg.Open, Target: lookup(t, tree, "/home/u0/f0")})
 	eng.Run()
-	m.Receive(&msg.Request{ID: 2, Op: msg.Open, Target: lookup(t, tree, "/home/u0/f1")})
+	if m.Cache().Contains(sibling.ID) {
+		t.Fatal("sibling cached by a per-inode read")
+	}
+	loads := m.Stats.CacheMissLoads
+	m.Receive(&msg.Request{ID: 2, Op: msg.Open, Target: sibling})
 	eng.Run()
 	// Sibling was NOT prefetched: second open reads again.
-	if m.store.Stats.InodeReads < 2 {
-		t.Fatalf("inode reads = %d, want >= 2", m.store.Stats.InodeReads)
-	}
-	if m.store.Stats.DirReads != 0 {
-		t.Fatalf("dir reads = %d for per-inode layout", m.store.Stats.DirReads)
+	if got := m.Stats.CacheMissLoads; got != loads+1 {
+		t.Fatalf("second open made %d loads, want 1", got-loads)
 	}
 }
 
@@ -173,8 +175,9 @@ func TestForwardingToAuthority(t *testing.T) {
 	if len(cl.replies) != 1 {
 		t.Fatalf("replies = %d", len(cl.replies))
 	}
-	if cl.replies[0].ServedBy != auth {
-		t.Fatalf("served by %d, want %d", cl.replies[0].ServedBy, auth)
+	if cl.nodes[auth].Stats.Served != 1 || cl.nodes[wrong].Stats.Served != 0 {
+		t.Fatalf("served by the authority %d, by the forwarder %d; want 1 and 0",
+			cl.nodes[auth].Stats.Served, cl.nodes[wrong].Stats.Served)
 	}
 	if cl.nodes[wrong].Stats.Forwarded != 1 {
 		t.Fatalf("forwards = %d", cl.nodes[wrong].Stats.Forwarded)
@@ -197,11 +200,11 @@ func TestTrafficControlReplicatesAndServesLocally(t *testing.T) {
 		cl.nodes[auth].Receive(&msg.Request{ID: uint64(i), Op: msg.Open, Target: f})
 	}
 	eng.Run()
-	if cl.nodes[auth].Stats.ReplicasPushed == 0 {
+	if cl.fab.Class(net.ReplicaInstall).Sent == 0 {
 		t.Fatal("no replicas pushed despite hot item")
 	}
 	other := (auth + 1) % 3
-	if cl.nodes[other].Stats.ReplicaInstalls == 0 {
+	if !cl.nodes[other].Cache().Contains(f.ID) {
 		t.Fatal("peer did not install replica")
 	}
 	// A read at a non-authoritative node is now served locally.
@@ -239,7 +242,7 @@ func TestUpdatesMutateTreeAndCommit(t *testing.T) {
 	if !m.Cache().Contains(nf.ID) {
 		t.Fatal("created inode not cached")
 	}
-	if m.Stats.Commits == 0 || m.store.Stats.LogAppends == 0 {
+	if m.Stats.Commits == 0 || len(m.store.WorkingSet()) == 0 {
 		t.Fatal("create not committed to log")
 	}
 
@@ -293,19 +296,25 @@ func TestLazyHybridStalenessCost(t *testing.T) {
 	if lh.Debt == 0 {
 		t.Fatal("no LH debt after dir chmod")
 	}
+	if !lh.Stale(f) {
+		t.Fatal("file not stale after dir chmod")
+	}
 	debt := lh.Debt
 	m.Receive(&msg.Request{ID: 3, Op: msg.Stat, Target: f})
 	eng.Run()
-	if m.Stats.LHApplied != 1 {
-		t.Fatalf("LHApplied = %d", m.Stats.LHApplied)
+	if lh.Stale(f) {
+		t.Fatal("file still stale after a stat")
 	}
 	if lh.Debt != debt-1 {
 		t.Fatalf("debt = %d, want %d", lh.Debt, debt-1)
 	}
+	if sent := cl.fab.Class(net.LHPropagate).Sent; sent != 1 {
+		t.Fatalf("%d lazy propagations sent, want 1", sent)
+	}
 	// Second access: no further propagation.
 	m.Receive(&msg.Request{ID: 4, Op: msg.Stat, Target: f})
 	eng.Run()
-	if m.Stats.LHApplied != 1 {
+	if sent := cl.fab.Class(net.LHPropagate).Sent; sent != 1 {
 		t.Fatal("LH applied twice for one staleness")
 	}
 }
@@ -320,14 +329,14 @@ func TestReaddirPrefetchesThenStatsHit(t *testing.T) {
 
 	m.Receive(&msg.Request{ID: 1, Op: msg.Readdir, Target: dir})
 	eng.Run()
-	reads := m.store.Stats.DirReads + m.store.Stats.InodeReads
+	loads := m.Stats.CacheMissLoads
 	// All children must now be cached: stats go without I/O.
 	for i := 0; i < dir.NumChildren(); i++ {
 		m.Receive(&msg.Request{ID: uint64(10 + i), Op: msg.Stat, Target: dir.Child(i)})
 	}
 	eng.Run()
-	if got := m.store.Stats.DirReads + m.store.Stats.InodeReads; got != reads {
-		t.Fatalf("stats after readdir hit disk: %d -> %d", reads, got)
+	if got := m.Stats.CacheMissLoads; got != loads {
+		t.Fatalf("stats after readdir hit disk: %d -> %d loads", loads, got)
 	}
 }
 
@@ -360,9 +369,6 @@ func TestImportExportSubtree(t *testing.T) {
 	if len(src.Cache().EntriesUnder(h)) != 0 {
 		t.Fatal("source still caches subtree")
 	}
-	if dst.Stats.Imported == 0 || src.Stats.Exported == 0 {
-		t.Fatal("import/export stats missing")
-	}
 	if err := dst.Cache().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +387,7 @@ func TestFailoverDropsAndRecoverWarmsFromLog(t *testing.T) {
 		m.Receive(&msg.Request{ID: uint64(i), Op: msg.Create, Target: dir, NewName: fmt.Sprintf("n%d", i)})
 	}
 	eng.Run()
-	served := m.Stats.Served
+	served, replies := m.Stats.Served, len(cl.replies)
 
 	m.Fail()
 	if !m.Failed() {
@@ -389,7 +395,7 @@ func TestFailoverDropsAndRecoverWarmsFromLog(t *testing.T) {
 	}
 	m.Receive(&msg.Request{ID: 100, Op: msg.Stat, Target: dir})
 	eng.Run()
-	if m.Stats.Served != served || m.Stats.Dropped != 1 {
+	if m.Stats.Served != served || len(cl.replies) != replies {
 		t.Fatal("failed node served a request")
 	}
 
@@ -483,8 +489,7 @@ func TestFetchCoalescing(t *testing.T) {
 	if len(cl.replies) != 25 {
 		t.Fatalf("replies = %d", len(cl.replies))
 	}
-	reads := m.store.Stats.DirReads + m.store.Stats.InodeReads
-	if reads > 4 {
+	if reads := m.Stats.CacheMissLoads; reads > 4 {
 		t.Fatalf("reads = %d, want <= 4 (coalesced)", reads)
 	}
 }

@@ -20,12 +20,9 @@ func (s *Stats) statFields() []*uint64 {
 	return []*uint64{
 		&s.ClientArrivals, &s.Served, &s.ReplicaServes,
 		&s.Forwarded, &s.CacheMissLoads, &s.RemoteFetches,
-		&s.ReplicaInstalls, &s.ReplicasPushed,
-		&s.LHApplied, &s.Commits, &s.Imported, &s.Exported, &s.Dropped,
+		&s.Commits,
 		&s.FetchTimeouts, &s.FwdTimeouts, &s.DeadLetters,
-		&s.CoherenceSent, &s.CoherenceReceived, &s.EvictNoticesSent,
-		&s.OrphansRetained, &s.OrphansReaped,
-		&s.WritesAbsorbed, &s.WriteFlushes, &s.SizeCallbacks,
+		&s.WritesAbsorbed,
 		&s.LeaseGrants, &s.LeaseRecalls, &s.LeaseAcks, &s.ReplicaFanouts,
 	}
 }

@@ -76,7 +76,6 @@ func (m *MDS) flushWrites(now sim.Time) {
 		if !ok {
 			continue // unlinked since
 		}
-		m.Stats.WriteFlushes++
 		if auth := m.strat.Authority(ino); auth != m.id {
 			peer := m.cluster.Node(auth)
 			m.fab.Send(net.WriteFlush, m.id, auth, net.Bytes(net.WriteFlush), call0, func() {
@@ -123,7 +122,6 @@ func (m *MDS) statCallbackMask(target *namespace.Inode) uint64 {
 func (m *MDS) statCallbackSlow(req *msg.Request, mask uint64) {
 	target := req.Target
 	done := func() { m.finishReply(req) }
-	m.Stats.SizeCallbacks++
 	outstanding := 0
 	for i := 0; i < m.cluster.NumMDS() && i < 64; i++ {
 		if mask&(1<<uint(i)) == 0 {

@@ -6,6 +6,7 @@ import (
 	"dynmds/internal/core"
 	"dynmds/internal/msg"
 	"dynmds/internal/namespace"
+	"dynmds/internal/net"
 	"dynmds/internal/partition"
 	"dynmds/internal/sim"
 )
@@ -53,6 +54,7 @@ func TestWriteAbsorbedAtReplica(t *testing.T) {
 		t.Fatal("unflushed-writer mask not set")
 	}
 	// ...until the replica flushes.
+	flushes := cl.fab.Class(net.WriteFlush).Sent
 	cl.nodes[other].flushWrites(eng.Now())
 	eng.Run()
 	if tree.Size(f) != 4096 {
@@ -61,8 +63,8 @@ func TestWriteAbsorbedAtReplica(t *testing.T) {
 	if cl.writers[f.ID] != 0 {
 		t.Fatal("mask not cleared after flush")
 	}
-	if cl.nodes[other].Stats.WriteFlushes != 1 {
-		t.Fatalf("flushes = %d", cl.nodes[other].Stats.WriteFlushes)
+	if n := cl.fab.Class(net.WriteFlush).Sent - flushes; n != 1 {
+		t.Fatalf("flushes = %d", n)
 	}
 }
 
@@ -100,11 +102,12 @@ func TestStatCallbackCollectsUnflushed(t *testing.T) {
 	other := (auth + 1) % 3
 	cl.nodes[other].Receive(&msg.Request{ID: 1, Op: msg.Write, Target: f, Size: 7777})
 	eng.Run()
-	// A stat at the authority must observe the unflushed write.
+	// A stat at the authority must observe the unflushed write: one
+	// callback to the writer and its answer.
 	cl.nodes[auth].Receive(&msg.Request{ID: 2, Op: msg.Stat, Target: f})
 	eng.Run()
-	if cl.nodes[auth].Stats.SizeCallbacks != 1 {
-		t.Fatalf("size callbacks = %d", cl.nodes[auth].Stats.SizeCallbacks)
+	if n := cl.fab.Class(net.StatCallback).Sent; n != 2 {
+		t.Fatalf("size callback messages = %d, want 2", n)
 	}
 	if tree.Size(f) != 7777 {
 		t.Fatalf("stat observed size %d, want 7777", tree.Size(f))
@@ -115,7 +118,7 @@ func TestStatCallbackCollectsUnflushed(t *testing.T) {
 	// A second stat needs no callback.
 	cl.nodes[auth].Receive(&msg.Request{ID: 3, Op: msg.Stat, Target: f})
 	eng.Run()
-	if cl.nodes[auth].Stats.SizeCallbacks != 1 {
+	if cl.fab.Class(net.StatCallback).Sent != 2 {
 		t.Fatal("redundant callback issued")
 	}
 }
@@ -185,7 +188,7 @@ func TestPreemptiveReplication(t *testing.T) {
 		cl.nodes[other].Receive(&msg.Request{ID: uint64(i), Op: msg.Open, Target: f})
 	}
 	eng.Run()
-	if tc.Preemptive == 0 {
+	if tags := partition.TagsOf(f); !tags.HasReplica(other) || !tags.Has(namespace.ReplicatedAll) {
 		t.Fatal("no preemptive replication under forward flood")
 	}
 	if !cl.nodes[other].Cache().Contains(f.ID) {

@@ -111,7 +111,6 @@ type Reply struct {
 	ID        uint64
 	Gen       uint32
 	Issued    sim.Time
-	ServedBy  int
 	Completed sim.Time
 	// Hints covers the target and its prefix directories.
 	Hints []Hint

@@ -5,19 +5,12 @@ import (
 	"dynmds/internal/sim"
 )
 
-// LinkStats counts one directed link's lifetime traffic.
-type LinkStats struct {
-	Messages uint64
-	Bytes    uint64
+// Link is one directed endpoint pair, with its high-water mark and the
+// mutable per-link state latency models use.
+type Link struct {
 	// MaxDepth is the high-water mark of messages simultaneously in
 	// flight on the link (its queue depth).
 	MaxDepth int
-}
-
-// Link is one directed endpoint pair, with its counters and the mutable
-// per-link state latency models use.
-type Link struct {
-	Stats LinkStats
 	// BusyUntil is the queued model's serialization horizon: the time
 	// the link finishes transmitting everything accepted so far.
 	BusyUntil sim.Time
@@ -99,11 +92,9 @@ func (f *Fabric) Send(c Class, from, to, bytes int, fn sim.EventFunc, a, b any) 
 		}
 	}
 	delay := extra + f.model.Delay(l, c, bytes, now)
-	l.Stats.Messages++
-	l.Stats.Bytes += uint64(bytes)
 	l.depth++
-	if l.depth > l.Stats.MaxDepth {
-		l.Stats.MaxDepth = l.depth
+	if l.depth > l.MaxDepth {
+		l.MaxDepth = l.depth
 	}
 	cs.Sent++
 	cs.Bytes += uint64(bytes)
@@ -182,7 +173,7 @@ func (f *Fabric) Summary() Stats {
 		s.Dropped += s.PerClass[c].Dropped
 	}
 	for i := range f.links {
-		if d := f.links[i].Stats.MaxDepth; d > s.MaxQueueDepth {
+		if d := f.links[i].MaxDepth; d > s.MaxQueueDepth {
 			s.MaxQueueDepth = d
 		}
 	}

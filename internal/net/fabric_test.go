@@ -41,8 +41,8 @@ func TestFabricDeliversWithFixedLatency(t *testing.T) {
 	if got := fab.Class(Forward); got.Sent != 1 || got.Delivered != 1 || got.Bytes != uint64(Bytes(Forward)) {
 		t.Fatalf("class stats = %+v", got)
 	}
-	if ls := fab.links[1].Stats; ls.Messages != 1 || ls.MaxDepth != 1 { // link 0→1
-		t.Fatalf("link stats = %+v", ls)
+	if d := fab.links[1].MaxDepth; d != 1 { // link 0→1
+		t.Fatalf("link 0→1 max depth = %d, want 1", d)
 	}
 	if fab.InFlight() != 0 || fab.LiveEnvelopes() != 0 {
 		t.Fatalf("in flight = %d, live = %d after drain", fab.InFlight(), fab.LiveEnvelopes())
@@ -67,8 +67,8 @@ func TestQueuedSerializes(t *testing.T) {
 	if len(at) != 3 || at[0] != want[0] || at[1] != want[1] || at[2] != want[2] {
 		t.Fatalf("deliveries at %v, want %v", at, want)
 	}
-	if ls := fab.links[1].Stats; ls.MaxDepth != 2 { // link 0→1
-		t.Fatalf("link 0->1 max depth = %d, want 2", ls.MaxDepth)
+	if d := fab.links[1].MaxDepth; d != 2 { // link 0→1
+		t.Fatalf("link 0->1 max depth = %d, want 2", d)
 	}
 }
 

@@ -15,9 +15,7 @@ func (l *Link) snap(c *snap.Codec) {
 	if l.depth != 0 {
 		panic("net: snapshot with nonzero link depth")
 	}
-	snap.U(c, &l.Stats.Messages)
-	snap.U(c, &l.Stats.Bytes)
-	snap.I(c, &l.Stats.MaxDepth)
+	snap.I(c, &l.MaxDepth)
 	snap.I(c, &l.BusyUntil)
 }
 

@@ -1,58 +1,11 @@
 package osd
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 
 	"dynmds/internal/sim"
 )
-
-// The placement changes below are for tests: a run places on equally
-// weighted devices that never fail.
-
-// AddDevice grows the cluster by one device of the given weight,
-// returning its index. Existing objects move only onto the new device
-// (minimal movement).
-func (p *Placement) AddDevice(weight float64) int {
-	if weight <= 0 {
-		weight = 1
-	}
-	p.weights = append(p.weights, weight)
-	return len(p.weights) - 1
-}
-
-// SetWeight adjusts a device's weight (0 drains it).
-func (p *Placement) SetWeight(dev int, weight float64) error {
-	if dev < 0 || dev >= len(p.weights) {
-		return fmt.Errorf("osd: device %d out of range", dev)
-	}
-	if weight < 0 {
-		weight = 0
-	}
-	p.weights[dev] = weight
-	return nil
-}
-
-// Primary returns the object's primary device.
-func (p *Placement) Primary(obj ObjectID) int {
-	best, bestScore := 0, -1.0
-	for d := range p.weights {
-		if s := p.score(obj, d); s > bestScore {
-			best, bestScore = d, s
-		}
-	}
-	return best
-}
-
-// SetDown marks a device failed or recovered.
-func (p *Pool) SetDown(dev int, down bool) error {
-	if dev < 0 || dev >= len(p.devs) {
-		return fmt.Errorf("osd: device %d out of range", dev)
-	}
-	p.down[dev] = down
-	return nil
-}
 
 func TestPlacementDeterministic(t *testing.T) {
 	a, _ := NewPlacement(16)
@@ -80,39 +33,21 @@ func TestPlacementBalance(t *testing.T) {
 	}
 }
 
-func TestPlacementWeights(t *testing.T) {
-	p, _ := NewPlacement(2)
-	if err := p.SetWeight(1, 3); err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int, 2)
-	for obj := ObjectID(0); obj < 20000; obj++ {
-		counts[p.Primary(obj)]++
-	}
-	// Device 1 has 3x the weight: expect ~75% of objects.
-	frac := float64(counts[1]) / 20000
-	if frac < 0.70 || frac > 0.80 {
-		t.Fatalf("weighted share = %.3f, want ~0.75", frac)
-	}
-	if err := p.SetWeight(9, 1); err == nil {
-		t.Fatal("out-of-range weight accepted")
-	}
-}
-
 // The paper's key requirement: adding a device must move only ~1/(n+1)
 // of objects — probabilistically balanced with minimal migration.
 func TestPlacementMinimalMovement(t *testing.T) {
 	const n = 9
 	p, _ := NewPlacement(n)
+	grown, _ := NewPlacement(n + 1)
 	const objs = 20000
 	before := make([]int, objs)
 	for obj := 0; obj < objs; obj++ {
 		before[obj] = p.Primary(ObjectID(obj))
 	}
-	newDev := p.AddDevice(1)
+	newDev := n
 	moved, movedElsewhere := 0, 0
 	for obj := 0; obj < objs; obj++ {
-		after := p.Primary(ObjectID(obj))
+		after := grown.Primary(ObjectID(obj))
 		if after != before[obj] {
 			moved++
 			if after != newDev {
@@ -151,22 +86,10 @@ func TestReplicasDistinctAndStable(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Clamped when r exceeds live devices.
+	// Clamped when r exceeds the devices.
 	small, _ := NewPlacement(2)
 	if got := small.Replicas(7, 5); len(got) != 2 {
 		t.Fatalf("replicas = %v", got)
-	}
-}
-
-func TestDrainedDeviceReceivesNothing(t *testing.T) {
-	p, _ := NewPlacement(4)
-	_ = p.SetWeight(2, 0)
-	for obj := ObjectID(0); obj < 5000; obj++ {
-		for _, d := range p.Replicas(obj, 2) {
-			if d == 2 {
-				t.Fatal("drained device selected")
-			}
-		}
 	}
 }
 
@@ -186,45 +109,22 @@ func TestPoolReadWrite(t *testing.T) {
 	if wroteAt == 0 {
 		t.Fatal("write never completed")
 	}
-	if p.Stats.Reads != 1 || p.Stats.Writes != 2 { // 2 replicas written
-		t.Fatalf("stats = %+v", p.Stats)
+	// The read went to the primary, the write to both replicas.
+	replicas := p.placement.Replicas(42, 2)
+	if replicas[0] != p.placement.Primary(42) {
+		t.Fatalf("replicas %v do not start at the primary %d", replicas, p.placement.Primary(42))
 	}
-}
-
-func TestPoolFailoverRead(t *testing.T) {
-	eng := sim.NewEngine()
-	p, err := NewPool(eng, DefaultConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const obj = ObjectID(99)
-	primary := p.placement.Primary(obj)
-	if err := p.SetDown(primary, true); err != nil {
-		t.Fatal(err)
-	}
-	completed := false
-	p.Read(obj, 1, func() { completed = true })
-	eng.Run()
-	if !completed {
-		t.Fatal("read did not fail over")
-	}
-	if p.Stats.FailoverReads != 1 {
-		t.Fatalf("failover reads = %d", p.Stats.FailoverReads)
-	}
-	// All replicas down: the read is dropped and counted.
-	for _, d := range p.placement.Replicas(obj, 2) {
-		_ = p.SetDown(d, true)
-	}
-	p.Read(obj, 1, func() { t.Fatal("read completed with all replicas down") })
-	eng.Run()
-	if p.Stats.UnplacedErrors != 1 {
-		t.Fatalf("unplaced errors = %d", p.Stats.UnplacedErrors)
-	}
-	// Write with all replicas down is also dropped.
-	p.Write(obj, func() { t.Fatal("write completed with all replicas down") })
-	eng.Run()
-	if p.Stats.UnplacedErrors != 2 {
-		t.Fatalf("unplaced errors = %d", p.Stats.UnplacedErrors)
+	for d, dev := range p.devs {
+		want := uint64(0)
+		switch d {
+		case replicas[0]:
+			want = 2
+		case replicas[1]:
+			want = 1
+		}
+		if dev.Completed != want {
+			t.Fatalf("device %d served %d requests, want %d", d, dev.Completed, want)
+		}
 	}
 }
 

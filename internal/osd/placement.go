@@ -6,12 +6,12 @@
 // probabilistically balanced distribution of data throughout the
 // system" (§2.1.1, the RUSH family).
 //
-// Placement here is weighted rendezvous (highest-random-weight)
-// hashing, which delivers the properties the paper requires and that
-// tests verify: deterministic, probabilistically balanced, independent
-// of any directory service, and minimal data movement when devices are
-// added (expanding from n to n+1 devices relocates ≈ 1/(n+1) of
-// objects, the information-theoretic minimum).
+// Placement here is rendezvous (highest-random-weight) hashing, which
+// delivers the properties the paper requires and that tests verify:
+// deterministic, probabilistically balanced, independent of any
+// directory service, and minimal data movement when devices are added
+// (expanding from n to n+1 devices relocates ≈ 1/(n+1) of objects, the
+// information-theoretic minimum).
 package osd
 
 import (
@@ -32,35 +32,38 @@ func DirObject(id namespace.InodeID) ObjectID { return ObjectID(id) }
 // disjoint from directory objects.
 func LogObject(mds int) ObjectID { return ObjectID(1<<63 | uint64(mds)) }
 
-// Placement deterministically maps objects to devices. Devices carry
-// weights so heterogeneous capacities can be expressed.
+// Placement deterministically maps objects to n equal devices.
 type Placement struct {
-	weights []float64
+	n int
 }
 
-// NewPlacement creates a placement over n equally weighted devices.
+// NewPlacement creates a placement over n devices.
 func NewPlacement(n int) (*Placement, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("osd: need at least one device")
 	}
-	p := &Placement{}
-	for i := 0; i < n; i++ {
-		p.weights = append(p.weights, 1)
-	}
-	return p, nil
+	return &Placement{n: n}, nil
 }
 
 // score computes the rendezvous score of obj on device dev: a
-// deterministic uniform draw shaped by the device weight
-// (w / -ln(u) — larger is better; weighted rendezvous hashing).
-func (p *Placement) score(obj ObjectID, dev int) float64 {
-	if p.weights[dev] <= 0 {
-		return -1
-	}
+// deterministic uniform draw u mapped to 1 / -ln(u); larger is better.
+func score(obj ObjectID, dev int) float64 {
 	h := mix(uint64(obj), uint64(dev))
 	// Map to (0,1); avoid exactly 0.
 	u := (float64(h>>11) + 1) / float64(1<<53)
-	return p.weights[dev] / -math.Log(u)
+	return 1 / -math.Log(u)
+}
+
+// Primary returns the object's top-ranked device, the first of its
+// Replicas.
+func (p *Placement) Primary(obj ObjectID) int {
+	best, bestScore := 0, -1.0
+	for d := 0; d < p.n; d++ {
+		if s := score(obj, d); s > bestScore {
+			best, bestScore = d, s
+		}
+	}
+	return best
 }
 
 // mix is a splitmix64-style avalanche over the (object, device) pair.
@@ -75,32 +78,30 @@ func mix(a, b uint64) uint64 {
 }
 
 // Replicas returns the object's r top-ranked devices (primary first),
-// clamped to the number of devices with positive weight.
+// clamped to the number of devices.
 func (p *Placement) Replicas(obj ObjectID, r int) []int {
 	type ds struct {
 		dev   int
 		score float64
 	}
-	var alive []ds
-	for d := range p.weights {
-		if s := p.score(obj, d); s >= 0 {
-			alive = append(alive, ds{d, s})
-		}
+	all := make([]ds, p.n)
+	for d := range all {
+		all[d] = ds{d, score(obj, d)}
 	}
-	if r > len(alive) {
-		r = len(alive)
+	if r > len(all) {
+		r = len(all)
 	}
 	// Partial selection sort: r is small (2-3).
 	out := make([]int, 0, r)
 	for k := 0; k < r; k++ {
 		best := k
-		for i := k + 1; i < len(alive); i++ {
-			if alive[i].score > alive[best].score {
+		for i := k + 1; i < len(all); i++ {
+			if all[i].score > all[best].score {
 				best = i
 			}
 		}
-		alive[k], alive[best] = alive[best], alive[k]
-		out = append(out, alive[k].dev)
+		all[k], all[best] = all[best], all[k]
+		out = append(out, all[k].dev)
 	}
 	return out
 }

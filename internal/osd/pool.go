@@ -20,22 +20,14 @@ const (
 type Config struct {
 	// NumOSDs is the pool size.
 	NumOSDs int
-	// Replicas per object (reads go to the primary, falling over to
-	// the next replica when a device is down).
+	// Replicas per object: reads go to the primary, writes to every
+	// replica.
 	Replicas int
 }
 
 // DefaultConfig returns a pool of n devices, two replicas per object.
 func DefaultConfig(n int) Config {
 	return Config{NumOSDs: n, Replicas: 2}
-}
-
-// Stats counts pool activity.
-type Stats struct {
-	Reads          uint64
-	Writes         uint64
-	FailoverReads  uint64 // reads redirected past a down primary
-	UnplacedErrors uint64 // reads with no live replica
 }
 
 // Pool is the shared object store: a set of OSD service centres plus
@@ -46,9 +38,6 @@ type Pool struct {
 	cfg       Config
 	placement *Placement
 	devs      []*sim.Server
-	down      []bool
-
-	Stats Stats
 }
 
 // NewPool creates the pool on the engine.
@@ -66,53 +55,25 @@ func NewPool(eng *sim.Engine, cfg Config) (*Pool, error) {
 	p := &Pool{cfg: cfg, placement: pl}
 	for i := 0; i < cfg.NumOSDs; i++ {
 		p.devs = append(p.devs, sim.NewServer(eng, 1))
-		p.down = append(p.down, false)
 	}
 	return p, nil
 }
 
-// Read fetches an object of the given record count: placement picks the
-// primary; a down primary fails over to the next replica. done runs at
-// completion; if no replica is alive the read is dropped and counted.
+// Read fetches an object of the given record count from its primary
+// device; done runs at completion.
 func (p *Pool) Read(obj ObjectID, records int, done func()) {
 	if records < 1 {
 		records = 1
 	}
-	for i, dev := range p.placement.Replicas(obj, p.cfg.Replicas) {
-		if p.down[dev] {
-			continue
-		}
-		if i > 0 {
-			p.Stats.FailoverReads++
-		}
-		p.Stats.Reads++
-		p.devs[dev].Submit(readLatency+sim.Time(records)*readPerRecord, done)
-		return
-	}
-	p.Stats.UnplacedErrors++
+	p.devs[p.placement.Primary(obj)].Submit(readLatency+sim.Time(records)*readPerRecord, done)
 }
 
-// Write appends to an object at every live replica; done runs when the
-// slowest live replica acknowledges.
+// Write appends to an object at every replica; done runs when the
+// slowest replica acknowledges.
 func (p *Pool) Write(obj ObjectID, done func()) {
 	replicas := p.placement.Replicas(obj, p.cfg.Replicas)
-	outstanding := 0
+	remaining := len(replicas)
 	for _, dev := range replicas {
-		if p.down[dev] {
-			continue
-		}
-		outstanding++
-	}
-	if outstanding == 0 {
-		p.Stats.UnplacedErrors++
-		return
-	}
-	remaining := outstanding
-	for _, dev := range replicas {
-		if p.down[dev] {
-			continue
-		}
-		p.Stats.Writes++
 		p.devs[dev].Submit(writeLatency, func() {
 			remaining--
 			if remaining == 0 && done != nil {

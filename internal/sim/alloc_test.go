@@ -59,12 +59,13 @@ func TestServerSubmitAllocFree(t *testing.T) {
 	}
 }
 
-// TestStopLeavesQueueAndPoolsIntact exercises the Stop/pool contract:
-// Stop halts dispatch without draining the queue, so events (and the
-// pooled jobs they reference) still pending at Stop must survive — they
-// are released to free lists only by the dispatch that consumes them.
-// Run after Stop resumes exactly where it left off, every callback fires
-// exactly once, and submission order is preserved throughout.
+// TestStopLeavesQueueAndPoolsIntact exercises the pool contract of a
+// run stopped short: RunUntil halts dispatch without draining the
+// queue, so events (and the pooled jobs they reference) still pending
+// at its bound must survive — they are released to free lists only by
+// the dispatch that consumes them. Run afterwards resumes exactly where
+// it left off, every callback fires exactly once, and submission order
+// is preserved throughout.
 func TestStopLeavesQueueAndPoolsIntact(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e, 1)
@@ -75,21 +76,17 @@ func TestStopLeavesQueueAndPoolsIntact(t *testing.T) {
 	for i := range tags {
 		tags[i] = &counter{n: i}
 	}
-	// First batch; the second job stops the engine mid-run.
-	s.SubmitCall(Millisecond, record, tags[0], nil)
-	s.SubmitCall(Millisecond, func(a, b any) {
-		record(a, b)
-		e.Stop()
-	}, tags[1], nil)
-	s.SubmitCall(Millisecond, record, tags[2], nil)
-	s.SubmitCall(Millisecond, record, tags[3], nil)
-	e.Run()
+	// First batch; the run stops once the second job completes.
+	for _, tag := range tags[:4] {
+		s.SubmitCall(Millisecond, record, tag, nil)
+	}
+	e.RunUntil(2 * Millisecond)
 
 	if len(order) != 2 {
-		t.Fatalf("ran %d callbacks before Stop, want 2 (order %v)", len(order), order)
+		t.Fatalf("ran %d callbacks before the stop, want 2 (order %v)", len(order), order)
 	}
 	if pending(e) == 0 && s.QueueLen() == 0 && s.InService() == 0 {
-		t.Fatal("Stop drained all pending work; it must leave the queue intact")
+		t.Fatal("the stop drained all pending work; it must leave the queue intact")
 	}
 
 	// More submissions while stopped: these must queue behind the

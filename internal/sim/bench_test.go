@@ -34,7 +34,8 @@ func BenchmarkServerPipeline(b *testing.B) {
 }
 
 // backlogRig keeps a service centre at a steady depth: every completion
-// submits one more job until left runs out.
+// submits one more job while left lasts, and then the backlog drains,
+// so Run returns on an empty queue.
 type backlogRig struct {
 	e    *Engine
 	s    *Server
@@ -43,17 +44,16 @@ type backlogRig struct {
 
 func backlogStep(a, _ any) {
 	r := a.(*backlogRig)
-	r.left--
-	if r.left <= 0 {
-		r.e.Stop()
-		return
+	if r.left > 0 {
+		r.left--
+		r.s.SubmitCall(Microsecond, backlogStep, r, nil)
 	}
-	r.s.SubmitCall(Microsecond, backlogStep, r, nil)
 }
 
 func benchServerBacklog(b *testing.B, depth int) {
 	e := NewEngine()
-	r := &backlogRig{e: e, s: NewServer(e, 1), left: b.N}
+	// b.N jobs in all once N covers the first depth+1.
+	r := &backlogRig{e: e, s: NewServer(e, 1), left: b.N - depth - 1}
 	for i := 0; i <= depth; i++ { // one in service, depth waiting
 		r.s.SubmitCall(Microsecond, backlogStep, r, nil)
 	}

@@ -42,10 +42,9 @@ type event struct {
 // no heap.Interface calls, no interface{} boxing on push/pop — and the
 // wider fan-out halves tree depth.
 type Engine struct {
-	now     Time
-	q       []event
-	seq     uint64
-	stopped bool
+	now Time
+	q   []event
+	seq uint64
 	// Executed counts events dispatched since construction.
 	Executed uint64
 
@@ -203,24 +202,23 @@ func (e *Engine) AfterCall(d Time, fn EventFunc, a, b any) {
 	e.AtCall(e.now+d, fn, a, b)
 }
 
-// Run dispatches events in timestamp order until the queue is empty or
-// Stop is called. The clock remains at the last dispatched event.
+// Run dispatches events in timestamp order until the queue is empty.
+// The clock remains at the last dispatched event.
 func (e *Engine) Run() { e.dispatch(emptyAt) }
 
-// RunUntil dispatches events with timestamps <= end, then (unless Stop
-// was called) advances the clock to end: idle virtual time passes.
+// RunUntil dispatches events with timestamps <= end, then advances the
+// clock to end: idle virtual time passes.
 func (e *Engine) RunUntil(end Time) {
 	e.dispatch(end)
-	if !e.stopped && e.now < end {
+	if e.now < end {
 		e.now = end
 	}
 }
 
 // dispatch runs events in (at, seq) order while the earliest is due at
-// or before last, until the queue is empty or Stop is called.
+// or before last, until the queue is empty.
 func (e *Engine) dispatch(last Time) {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		src, at, ok := e.earliest()
 		if !ok || at > last {
 			return

@@ -5,12 +5,6 @@ import (
 	"testing/quick"
 )
 
-// Stop makes the current Run/RunUntil call return once the executing
-// event completes. Further events remain queued, untouched: anything
-// they reference (pooled server jobs, client requests) stays reachable
-// and is never recycled while still scheduled.
-func (e *Engine) Stop() { e.stopped = true }
-
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
@@ -92,21 +86,6 @@ func TestEngineRunUntilAdvancesIdleClock(t *testing.T) {
 	e.RunUntil(100)
 	if e.Now() != 100 {
 		t.Fatalf("Now = %v, want 100", e.Now())
-	}
-}
-
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.At(1, func() { ran++; e.Stop() })
-	e.At(2, func() { ran++ })
-	e.Run()
-	if ran != 1 {
-		t.Fatalf("ran = %d, want 1", ran)
-	}
-	e.Run()
-	if ran != 2 {
-		t.Fatalf("ran = %d, want 2 after resume", ran)
 	}
 }
 

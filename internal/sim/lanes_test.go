@@ -31,7 +31,6 @@ type orderQueue interface {
 	AfterCall(d Time, fn EventFunc, a, b any)
 	Run()
 	RunUntil(end Time)
-	Stop()
 	NextEventTime() (Time, bool)
 }
 
@@ -39,10 +38,9 @@ type orderQueue interface {
 // pending events in one slice sorted by (at, seq), dispatched from the
 // front. It shares no code with the engine's heap or lanes.
 type refQueue struct {
-	now     Time
-	seq     uint64
-	stopped bool
-	q       []event
+	now Time
+	seq uint64
+	q   []event
 }
 
 func (r *refQueue) Now() Time { return r.now }
@@ -62,11 +60,8 @@ func (r *refQueue) AtCall(t Time, fn EventFunc, a, b any) {
 
 func (r *refQueue) AfterCall(d Time, fn EventFunc, a, b any) { r.AtCall(r.now+d, fn, a, b) }
 
-func (r *refQueue) Stop() { r.stopped = true }
-
 func (r *refQueue) run(due func(Time) bool) {
-	r.stopped = false
-	for !r.stopped && len(r.q) > 0 && due(r.q[0].at) {
+	for len(r.q) > 0 && due(r.q[0].at) {
 		ev := r.q[0]
 		r.q = r.q[1:]
 		r.now = ev.at
@@ -75,7 +70,7 @@ func (r *refQueue) run(due func(Time) bool) {
 }
 
 func (r *refQueue) advance(end Time) {
-	if !r.stopped && r.now < end {
+	if r.now < end {
 		r.now = end
 	}
 }
@@ -106,16 +101,15 @@ type fired struct {
 }
 
 // orderRun is one queue running an order program. Each event's choices
-// — how many events it schedules, with which delays, whether it stops
-// the queue — are a function of the seed and its id alone, so two
-// queues make the same choices as long as they dispatch in one order.
+// — how many events it schedules, with which delays — are a function of
+// the seed and its id alone, so two queues make the same choices as long
+// as they dispatch in one order.
 type orderRun struct {
 	q      orderQueue
 	seed   uint64
 	ids    int
 	budget int // events callbacks may still schedule
 	log    []fired
-	stops  int
 	inLane map[int]bool // the engine's events that went to a lane
 }
 
@@ -162,16 +156,12 @@ func orderFire(a, b any) {
 		h = mix(h)
 		r.schedule(h)
 	}
-	if h>>40%128 == 0 {
-		r.stops++
-		r.q.Stop()
-	}
 }
 
 // orderCoverage is what a set of programs exercised on the engine side.
 type orderCoverage struct {
-	events, laneEvents, ties, stops, exactCuts int
-	maxLanes                                   int
+	events, laneEvents, ties, exactCuts int
+	maxLanes                            int
 }
 
 // runOrderProgram drives the engine and the reference through one
@@ -241,11 +231,9 @@ func runOrderProgram(t *testing.T, seed uint64, prog []byte, budget int) orderCo
 		}
 		compare(step, name)
 	}
-	for pending(eng) > 0 || len(want.q.(*refQueue).q) > 0 { // a callback may stop a drain short
-		both(func(r *orderRun) { r.q.Run() })
-		compare(len(prog), "drain")
-	}
-	cov.events, cov.stops = len(got.log), got.stops
+	both(func(r *orderRun) { r.q.Run() })
+	compare(len(prog), "drain")
+	cov.events = len(got.log)
 	for i, f := range got.log {
 		if got.inLane[f.id] {
 			cov.laneEvents++
@@ -260,8 +248,8 @@ func runOrderProgram(t *testing.T, seed uint64, prog []byte, budget int) orderCo
 // TestEngineLanesMatchReference runs seeded order programs through the
 // engine and the sorted-slice reference: recurring and wide delays,
 // AfterCall and AtCall, absolute times a lane's delay away, same-instant
-// ties between lane and heap events, callbacks that schedule and stop,
-// and cut points at and between events. The lanes must be invisible.
+// ties between lane and heap events, callbacks that schedule, and cut
+// points at and between events. The lanes must be invisible.
 func TestEngineLanesMatchReference(t *testing.T) {
 	var total orderCoverage
 	for seed := int64(1); seed <= 8; seed++ {
@@ -272,13 +260,12 @@ func TestEngineLanesMatchReference(t *testing.T) {
 		total.events += cov.events
 		total.laneEvents += cov.laneEvents
 		total.ties += cov.ties
-		total.stops += cov.stops
 		total.exactCuts += cov.exactCuts
 		total.maxLanes = max(total.maxLanes, cov.maxLanes)
 	}
 	t.Logf("engine side: %+v", total)
 	if total.maxLanes < len(recurring) || total.laneEvents*4 < total.events || total.laneEvents*4 > 3*total.events ||
-		total.ties < 100 || total.stops < 20 || total.exactCuts < 100 {
+		total.ties < 100 || total.exactCuts < 100 {
 		t.Fatalf("programs too tame: %+v", total)
 	}
 }

@@ -15,7 +15,7 @@ import "dynmds/internal/snap"
 // steady-state submit/complete cycle allocates nothing. A job is
 // returned to the free list only by the completion event that consumes
 // it — never while its completion is still queued in the engine — so
-// Engine.Stop leaving events queued cannot corrupt the pool (see
+// RunUntil leaving events queued cannot corrupt the pool (see
 // DESIGN.md, "Pooling rules").
 //
 // The waiting line is a ring: enqueue and dequeue are O(1) whatever the

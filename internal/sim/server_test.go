@@ -243,12 +243,11 @@ type completion struct {
 // for as long as their service centres complete jobs in the same order
 // at the same instants, so the first difference shows in done or state.
 type history struct {
-	eng   *Engine
-	srv   serviceCentre
-	rng   *RNG
-	tag   int
-	stops int
-	done  []completion
+	eng  *Engine
+	srv  serviceCentre
+	rng  *RNG
+	tag  int
+	done []completion
 }
 
 func newHistory(seed int64, srv func(*Engine) serviceCentre) *history {
@@ -267,20 +266,17 @@ func (h *history) submit() {
 }
 
 // historyDone records the completion; one in four resubmits from inside
-// the callback, and now and then one stops the engine mid-backlog.
+// the callback.
 func historyDone(a, b any) {
 	h := a.(*history)
 	h.done = append(h.done, completion{b.(int), h.eng.Now()})
 	if h.rng.Intn(4) == 0 {
 		h.submit()
 	}
-	if h.rng.Intn(400) == 0 {
-		h.stops++
-		h.eng.Stop()
-	}
 }
 
-// step submits a burst and runs the engine a little further. Overloaded
+// step submits a burst and runs the engine a little further, stopping
+// it mid-backlog when the centre is overloaded. Overloaded
 // steps offer several times what the centre can serve, with the odd
 // burst of hundreds; the others let it drain.
 func (h *history) step(overload bool) {
@@ -298,9 +294,9 @@ func (h *history) step(overload bool) {
 }
 
 // TestServerDifferentialAgainstShift runs seeded histories — zero and
-// random service times, bursts between RunUntil steps, callbacks that
-// resubmit or stop the engine, backlogs thousands deep that drain to
-// empty and build again — against the slice-shift server. The ring must
+// random service times, bursts between RunUntil steps that stop the
+// engine mid-backlog, callbacks that resubmit, backlogs thousands deep
+// that drain to empty and build again — against the slice-shift server. The ring must
 // be invisible: same completion order and instants, same counters, same
 // queue length and occupancy after every step.
 func TestServerDifferentialAgainstShift(t *testing.T) {
@@ -344,21 +340,16 @@ func TestServerDifferentialAgainstShift(t *testing.T) {
 					empties++
 				}
 			}
-			for { // a callback may stop a drain short
-				got.eng.Run()
-				want.eng.Run()
-				if pending(got.eng) == 0 && pending(want.eng) == 0 {
-					break
-				}
-			}
+			got.eng.Run()
+			want.eng.Run()
 			compare("after the drain")
 			if ring.QueueLen() != 0 || ring.InService() != 0 || int(ring.Completed) != got.tag {
 				t.Fatalf("%s: drained server holds %d queued, %d in service, completed %d of %d",
 					name, ring.QueueLen(), ring.InService(), ring.Completed, got.tag)
 			}
-			if ring.MaxQueue < 2000 || empties < 3 || got.stops < 10 || len(ring.queue) < 2048 {
-				t.Fatalf("%s: history too tame: deepest queue %d, %d deep backlogs drained to empty, %d stops, ring of %d",
-					name, ring.MaxQueue, empties, got.stops, len(ring.queue))
+			if ring.MaxQueue < 2000 || empties < 3 || len(ring.queue) < 2048 {
+				t.Fatalf("%s: history too tame: deepest queue %d, %d deep backlogs drained to empty, ring of %d",
+					name, ring.MaxQueue, empties, len(ring.queue))
 			}
 		}
 	}
@@ -371,7 +362,6 @@ type ringRig struct {
 	s         *Server
 	submitted int
 	completed int
-	stopAt    int // completion that stops the engine; 0 = never
 }
 
 func newRingRig(t *testing.T) *ringRig {
@@ -391,9 +381,6 @@ func ringDone(a, b any) {
 	r.completed++
 	if tag := b.(int); tag != r.completed {
 		r.t.Fatalf("completion %d is job %d, want FIFO", r.completed, tag)
-	}
-	if r.completed == r.stopAt {
-		r.e.Stop()
 	}
 }
 
@@ -490,16 +477,16 @@ func TestServerRingWrapsAtEveryCapacity(t *testing.T) {
 	}
 }
 
-// TestServerRingSurvivesStopMidBacklog stops the engine from a callback
+// TestServerRingSurvivesStopMidBacklog stops the engine with RunUntil
 // with a wrapped backlog waiting, submits enough to grow the ring while
 // stopped, and resumes: nothing is lost, duplicated or reordered.
 func TestServerRingSurvivesStopMidBacklog(t *testing.T) {
 	r := newRingRig(t)
 	r.fill(128, 100)
-	r.stopAt = r.completed + 41
-	r.e.Run()
-	// Job stopAt+1 went into service before the stopping callback ran.
-	if r.completed != r.stopAt || r.s.InService() != 1 || r.s.QueueLen() != 128-41 || r.s.head != (100+41)%128 {
+	stopAt := r.completed + 41
+	r.complete(41)
+	// Job stopAt+1 went into service before the last callback ran.
+	if r.completed != stopAt || r.s.InService() != 1 || r.s.QueueLen() != 128-41 || r.s.head != (100+41)%128 {
 		t.Fatalf("stopped after %d of %d: %d in service, %d waiting, head %d",
 			r.completed, r.submitted, r.s.InService(), r.s.QueueLen(), r.s.head)
 	}

@@ -12,10 +12,6 @@ func (s *Store) Snap(c *snap.Codec) {
 	if s.cfg.Pool != nil {
 		panic("storage: checkpointing the shared-pool ablation is not supported")
 	}
-	snap.U(c, &s.Stats.InodeReads)
-	snap.U(c, &s.Stats.DirReads)
-	snap.U(c, &s.Stats.RecordsRead)
-	snap.U(c, &s.Stats.LogAppends)
 	snap.U(c, &s.Stats.TierWrites)
 	c.F64(&s.slow)
 	s.readDisk.Snap(c)

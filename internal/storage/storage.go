@@ -59,11 +59,7 @@ func DefaultConfig(logCapacity int) Config {
 
 // Stats counts storage activity.
 type Stats struct {
-	InodeReads  uint64 // single-record read I/Os
-	DirReads    uint64 // directory-granular read I/Os
-	RecordsRead uint64 // total records fetched
-	LogAppends  uint64
-	TierWrites  uint64 // records flushed from log to the store tier
+	TierWrites uint64 // records flushed from log to the store tier
 }
 
 // Store is one MDS's storage subsystem.
@@ -110,8 +106,6 @@ func (s *Store) scaled(t sim.Time) sim.Time {
 // shared-pool path closes over the arguments (it is an ablation
 // configuration, not the measured hot path).
 func (s *Store) ReadInodeCall(id namespace.InodeID, fn sim.EventFunc, a, b any) {
-	s.Stats.InodeReads++
-	s.Stats.RecordsRead++
 	if s.cfg.Pool != nil {
 		s.cfg.Pool.Read(osd.DirObject(id), 1, func() { fn(a, b) })
 		return
@@ -125,8 +119,6 @@ func (s *Store) ReadDirCall(dir namespace.InodeID, records int, fn sim.EventFunc
 	if records < 1 {
 		records = 1
 	}
-	s.Stats.DirReads++
-	s.Stats.RecordsRead += uint64(records)
 	if s.cfg.Pool != nil {
 		s.cfg.Pool.Read(osd.DirObject(dir), records, func() { fn(a, b) })
 		return
@@ -141,7 +133,6 @@ func (s *Store) ReadDirCall(dir namespace.InodeID, records int, fn sim.EventFunc
 // With a shared pool the log object itself lives on OSDs, which is what
 // lets a standby replay a failed node's log (§4.6).
 func (s *Store) CommitCall(id namespace.InodeID, fn sim.EventFunc, a, b any) {
-	s.Stats.LogAppends++
 	if expelled := s.log.Append(id); expelled {
 		s.Stats.TierWrites++
 	}

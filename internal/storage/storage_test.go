@@ -28,8 +28,8 @@ func TestReadInodeLatency(t *testing.T) {
 	if doneAt != ReadLatency+ReadPerRecord {
 		t.Fatalf("read completed at %v, want %v", doneAt, ReadLatency+ReadPerRecord)
 	}
-	if s.Stats.InodeReads != 1 || s.Stats.RecordsRead != 1 {
-		t.Fatalf("stats = %+v", s.Stats)
+	if busy := s.readDisk.BusyTime; busy != ReadLatency+ReadPerRecord {
+		t.Fatalf("read disk busy %v, want %v", busy, ReadLatency+ReadPerRecord)
 	}
 }
 
@@ -44,14 +44,14 @@ func TestReadDirEmbeddedCost(t *testing.T) {
 	if want := ReadLatency + 20*ReadPerRecord; doneAt != want {
 		t.Fatalf("dir read completed at %v, want %v", doneAt, want)
 	}
-	if s.Stats.DirReads != 1 || s.Stats.RecordsRead != 20 {
-		t.Fatalf("stats = %+v", s.Stats)
+	if busy, want := s.readDisk.BusyTime, ReadLatency+20*ReadPerRecord; busy != want {
+		t.Fatalf("read disk busy %v, want %v", busy, want)
 	}
 	// Degenerate record count clamps to 1.
 	s.ReadDirCall(2, 0, run, nil, nil)
 	eng.Run()
-	if s.Stats.RecordsRead != 21 {
-		t.Fatalf("records = %d", s.Stats.RecordsRead)
+	if busy, want := s.readDisk.BusyTime, 2*ReadLatency+21*ReadPerRecord; busy != want {
+		t.Fatalf("read disk busy %v, want %v", busy, want)
 	}
 }
 
@@ -95,8 +95,8 @@ func TestCommitAndTierWrites(t *testing.T) {
 		t.Fatalf("tier writes = %d, want 4", s.Stats.TierWrites)
 	}
 	eng.Run()
-	if s.Stats.LogAppends != 9 {
-		t.Fatalf("log appends = %d", s.Stats.LogAppends)
+	if busy := s.logDisk.BusyTime; busy != 9*LogAppendLatency {
+		t.Fatalf("log disk busy %v, want 9 appends' %v", busy, 9*LogAppendLatency)
 	}
 }
 
@@ -192,15 +192,9 @@ func TestStoreSharedPoolRouting(t *testing.T) {
 	if !readDone || !dirDone || !commitDone {
 		t.Fatalf("callbacks: %v %v %v", readDone, dirDone, commitDone)
 	}
-	if pool.Stats.Reads != 2 {
-		t.Fatalf("pool reads = %d", pool.Stats.Reads)
-	}
-	if pool.Stats.Writes == 0 {
-		t.Fatal("log append did not reach the pool")
-	}
-	// The local disks saw nothing.
-	if s.readDisk.Submitted != 0 {
-		t.Fatal("local read disk used in pool mode")
+	// The pool served all three: the local disks saw nothing.
+	if s.readDisk.Submitted != 0 || s.logDisk.Submitted != 0 {
+		t.Fatal("local disk used in pool mode")
 	}
 	// The bounded log still tracks the working set locally.
 	if s.log.live[13] == 0 {

@@ -3,7 +3,7 @@ package dynmds
 // The surface gate: code stays only if non-test code uses it. The
 // module's package graph comes from `go list -deps -export -json`, every
 // non-test file of the module is type-checked (the standard library from
-// its export data), and four kinds of entry fail the test:
+// its export data), and five kinds of entry fail the test:
 //
 //  1. a package-level func, method, type, var or const in internal/ or
 //     cmd/, exported or not, that no non-test code references outside
@@ -16,7 +16,10 @@ package dynmds
 //     of a struct one holds, that non-test code sets to one constant and
 //     only inside a defaulting function (Default…, …defaults/…Defaults,
 //     Normalize) — a knob no two runs set differently, which belongs in
-//     a constant.
+//     a constant;
+//  5. an exported field of an internal/ struct that non-test code writes
+//     but never reads — state no run looks at. Taking the field's address,
+//     as a checkpoint walk does, is neither a read nor a write.
 //
 // A method is used when its type implements an interface that has it and
 // that interface is either declared in a package the module imports
@@ -319,7 +322,7 @@ func (s *surface) position(pos token.Pos) token.Position {
 	return p
 }
 
-// findings applies the reachability rule and the four identifier rules.
+// findings applies the reachability rule and the five identifier rules.
 func (s *surface) findings() []finding {
 	s.considered = map[string]bool{}
 	var out []finding
@@ -552,21 +555,49 @@ func defaulting(name string) bool {
 		strings.HasSuffix(name, "Defaults") || name == "Normalize"
 }
 
-// knobs applies rules 3 and 4 to the exported fields of internal/
+// knobs applies rules 3, 4 and 5 to the exported fields of internal/
 // structs. A write is a composite-literal key, an unkeyed literal, an
 // assignment, ++/--, &, a pointer-receiver method call on the field, or
 // any field along a mutated selector chain. Rule 3 flags a field that is
 // read and never written. Rule 4 flags a field of a …Config or …Options
 // struct (or of a struct one holds) whose every write sits in a
 // defaulting function and stores the same constant there; ++ and op= in
-// a defaulting function only refine the value already stored.
+// a defaulting function only refine the value already stored. Rule 5
+// flags a field that is stored to (a literal, an assignment, ++/--, op=)
+// and never loaded: every selector of it that is not itself the target
+// of a store or of & loads it, the inner links of a chain included.
+// Rule 5 passes over embedded fields.
 func (s *surface) knobs() []finding {
 	read := map[*types.Var]bool{}
 	written := map[*types.Var]bool{}
 	settings := map[*types.Var]*setting{}
+	stored := map[*types.Var]bool{}
+	loaded := map[*types.Var]bool{}
 	for _, p := range s.pkgs {
 		info := p.info
 		inDefault := false
+		// notLoaded holds the selectors that are the target of a store
+		// or of &; target marks e as one and, for a store, records its
+		// field as stored.
+		notLoaded := map[*ast.SelectorExpr]bool{}
+		target := func(e ast.Expr, store bool) {
+			for {
+				x, ok := e.(*ast.ParenExpr)
+				if !ok {
+					break
+				}
+				e = x.X
+			}
+			x, ok := e.(*ast.SelectorExpr)
+			if !ok {
+				return
+			}
+			notLoaded[x] = true
+			if sel := info.Selections[x]; store && sel != nil && sel.Kind() == types.FieldVal {
+				fields := selectionFields(sel)
+				stored[fields[len(fields)-1]] = true
+			}
+		}
 		// note records one write of f: val is the value stored, nil when
 		// the write stores no single expression (&, a method call, a
 		// partial write through the field); refine marks ++ and op=.
@@ -631,8 +662,11 @@ func (s *surface) knobs() []finding {
 							break
 						}
 						fields := selectionFields(sel)
-						for _, f := range fields {
+						for i, f := range fields {
 							read[f] = true
+							if i < len(fields)-1 || sel.Kind() != types.FieldVal || !notLoaded[n] {
+								loaded[f] = true
+							}
 						}
 						if sel.Kind() == types.MethodVal && pointerRecv(sel.Obj()) {
 							for _, f := range fields {
@@ -653,9 +687,11 @@ func (s *surface) knobs() []finding {
 							if kv, ok := elt.(*ast.KeyValueExpr); ok {
 								if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
 									note(f.Origin(), kv.Value, false)
+									stored[f.Origin()] = true
 								}
 							} else {
 								note(st.Field(i).Origin(), elt, false)
+								stored[st.Field(i).Origin()] = true
 							}
 						}
 					case *ast.AssignStmt:
@@ -663,25 +699,32 @@ func (s *surface) knobs() []finding {
 						case n.Tok == token.DEFINE:
 						case n.Tok != token.ASSIGN:
 							markWrite(n.Lhs[0], nil, true)
+							target(n.Lhs[0], true)
 						case len(n.Lhs) == len(n.Rhs):
 							for i, l := range n.Lhs {
 								markWrite(l, n.Rhs[i], false)
+								target(l, true)
 							}
 						default:
 							for _, l := range n.Lhs {
 								markWrite(l, nil, false)
+								target(l, true)
 							}
 						}
 					case *ast.IncDecStmt:
 						markWrite(n.X, nil, true)
+						target(n.X, true)
 					case *ast.UnaryExpr:
 						if n.Op == token.AND {
 							markWrite(n.X, nil, false)
+							target(n.X, false)
 						}
 					case *ast.RangeStmt:
 						if n.Tok == token.ASSIGN {
 							markWrite(n.Key, nil, false)
 							markWrite(n.Value, nil, false)
+							target(n.Key, true)
+							target(n.Value, true)
 						}
 					}
 					return true
@@ -714,6 +757,11 @@ func (s *surface) knobs() []finding {
 				s.considered[key] = true
 				if read[f] && !written[f] {
 					out = append(out, finding{pos: s.position(f.Pos()), key: key, what: "field that non-test code reads and never writes"})
+				}
+				// An embedded field lends the struct its methods, which an
+				// interface call reaches without a selector.
+				if stored[f] && !loaded[f] && !f.Embedded() {
+					out = append(out, finding{pos: s.position(f.Pos()), key: key, what: "field that non-test code writes and never reads"})
 				}
 				if set := settings[f]; configs[tn] && set != nil && set.value != nil && !set.varied {
 					out = append(out, finding{pos: s.position(f.Pos()), key: key,
@@ -967,6 +1015,9 @@ func TestSurfaceRules(t *testing.T) {
 		{"field written through x.A.B++", a + "Outer.A", false},
 		{"leaf of that chain", a + "Inner.B", false},
 		{"unkeyed struct literal", a + "Pair.X", false},
+		{"field only incremented", a + "Counters.Bumps", true},
+		{"field incremented and walked by &", a + "Counters.Walked", true},
+		{"field incremented and read once", a + "Counters.Seen", false},
 		{"test-support package", "surfacefix/internal/testsupport Helper", false},
 	} {
 		// A passing row must name an entry the gate looked at, or a

@@ -14,5 +14,5 @@ func main() {
 	flag.Parse()
 	cfg := a.DefaultConfig(int(lvl))
 	cfg.Retries = 5
-	fmt.Println(a.T{N: 1}, a.Start(cfg), a.Count(&a.Outer{}), a.Sum(), errors.Is(a.Check(-1), a.ErrBase))
+	fmt.Println(a.T{N: 1}, a.Start(cfg), a.Count(&a.Outer{}), a.Sum(), a.Tally(&a.Counters{}, func(*int) {}), errors.Is(a.Check(-1), a.ErrBase))
 }

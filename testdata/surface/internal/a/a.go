@@ -89,3 +89,15 @@ func Sum() int {
 	p := Pair{1, 2}
 	return p.X + p.Y
 }
+
+// Counters: Bumps is only incremented, Walked is incremented and walked
+// by & as a checkpoint does, and Seen is incremented and read once.
+type Counters struct{ Bumps, Walked, Seen int }
+
+func Tally(c *Counters, walk func(*int)) int {
+	c.Bumps++
+	c.Walked++
+	c.Seen++
+	walk(&c.Walked)
+	return c.Seen
+}
