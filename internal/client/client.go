@@ -77,7 +77,7 @@ type Client struct {
 	gen   workload.Generator
 
 	// hints is the location-knowledge cache, a private single-client
-	// table.
+	// table that keeps no draw count.
 	hints *HintTable
 
 	nextID   uint64
@@ -110,7 +110,7 @@ func New(id int, eng *sim.Engine, cfg Config, rng *sim.RNG, net Network, strat p
 		net:   net,
 		strat: strat,
 		gen:   gen,
-		hints: NewHintTable(1, cfg.KnownCap),
+		hints: NewHintTable(1, cfg.KnownCap, false),
 	}
 }
 
@@ -234,9 +234,9 @@ func (c *Client) direct(req *msg.Request) int {
 		}
 		return c.strat.Authority(req.Target)
 	}
-	reg := c.hints.slots(0)
+	rec := c.hints.record(0)
 	for n := req.Target; n != nil; n = n.Parent() {
-		if auth, repl, ok := c.hints.get(reg, n.ID); ok {
+		if auth, repl, ok := c.hints.get(rec, n.ID); ok {
 			if repl {
 				return c.rng.Pick(c.net.NumMDS())
 			}
@@ -261,9 +261,9 @@ func (c *Client) OnReply(rep *msg.Reply) bool {
 	c.inflight = nil
 	c.Stats.Completed++
 	if len(rep.Hints) > 0 {
-		reg := c.hints.claim(0)
+		rec := c.hints.claim(0)
 		for _, h := range rep.Hints {
-			c.hints.put(reg, h)
+			c.hints.put(rec, h)
 		}
 	}
 	if c.attempts == 0 {

@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"dynmds/internal/msg"
@@ -10,16 +11,16 @@ import (
 	"dynmds/internal/snap"
 )
 
-// Get looks up the hint for ino in client's region.
+// Get looks up the hint for ino in client's record.
 func (t *HintTable) Get(client int, ino namespace.InodeID) (authority int, replicated, ok bool) {
-	return t.get(t.slots(client), ino)
+	return t.get(t.record(client), ino)
 }
 
-// Put records a hint in client's region, handing it one on its first.
+// Put records a hint in client's record, handing it one on its first.
 func (t *HintTable) Put(client int, h msg.Hint) { t.put(t.claim(client), h) }
 
 func TestHintTableRoundTrip(t *testing.T) {
-	tab := NewHintTable(1, 8)
+	tab := NewHintTable(1, 8, false)
 	tab.Put(0, msg.Hint{Ino: 42, Authority: 3})
 	auth, repl, ok := tab.Get(0, 42)
 	if !ok || auth != 3 || repl {
@@ -36,7 +37,7 @@ func TestHintTableRoundTrip(t *testing.T) {
 }
 
 func TestHintTableRefreshInPlace(t *testing.T) {
-	tab := NewHintTable(1, 8)
+	tab := NewHintTable(1, 8, false)
 	tab.Put(0, msg.Hint{Ino: 5, Authority: 1})
 	tab.Put(0, msg.Hint{Ino: 5, Authority: 9})
 	if auth, _, _ := tab.Get(0, 5); auth != 9 {
@@ -48,7 +49,7 @@ func TestHintTableRefreshInPlace(t *testing.T) {
 }
 
 func TestHintTableBound(t *testing.T) {
-	tab := NewHintTable(1, 4)
+	tab := NewHintTable(1, 4, false)
 	if tab.ways != 4 {
 		t.Fatalf("ways = %d", tab.ways)
 	}
@@ -59,13 +60,13 @@ func TestHintTableBound(t *testing.T) {
 		t.Fatalf("region overflowed: len = %d", tab.Len(0))
 	}
 	// Non-power-of-two ways round up.
-	if w := NewHintTable(1, 5).ways; w != 8 {
+	if w := NewHintTable(1, 5, false).ways; w != 8 {
 		t.Fatalf("ways(5) = %d, want 8", w)
 	}
 }
 
 func TestHintTableDelClearsExactSlot(t *testing.T) {
-	tab := NewHintTable(1, 8)
+	tab := NewHintTable(1, 8, false)
 	tab.Put(0, msg.Hint{Ino: 10, Authority: 1})
 	tab.Put(0, msg.Hint{Ino: 11, Authority: 2})
 	tab.Del(0, 10)
@@ -91,7 +92,7 @@ func TestHintTableDelClearsExactSlot(t *testing.T) {
 }
 
 func TestHintTablePerClientIsolation(t *testing.T) {
-	tab := NewHintTable(4, 4)
+	tab := NewHintTable(4, 4, true)
 	for c := 0; c < 4; c++ {
 		tab.Put(c, msg.Hint{Ino: 7, Authority: c})
 	}
@@ -113,7 +114,7 @@ func TestHintTablePerClientIsolation(t *testing.T) {
 }
 
 func TestHintTableGetAllocFree(t *testing.T) {
-	tab := NewHintTable(2, 8)
+	tab := NewHintTable(2, 8, true)
 	tab.Put(0, msg.Hint{Ino: 1, Authority: 1})
 	sink := 0
 	allocs := testing.AllocsPerRun(100, func() {
@@ -152,7 +153,7 @@ func (t *denseHints) get(client int, ino namespace.InodeID) (int, bool, bool) {
 		s := t.slots[base+(start+j)&(t.ways-1)]
 		if uint32(s) == key {
 			v := uint32(s >> 32)
-			return int(v &^ hintReplicated), v&hintReplicated != 0, true
+			return int(v &^ snapReplicated), v&snapReplicated != 0, true
 		}
 	}
 	return 0, false, false
@@ -162,7 +163,7 @@ func (t *denseHints) put(client int, h msg.Hint) {
 	key := uint32(h.Ino) + 1
 	v := uint32(h.Authority)
 	if h.Replicated {
-		v |= hintReplicated
+		v |= snapReplicated
 	}
 	packed := uint64(v)<<32 | uint64(key)
 	base := uint32(client) * t.ways
@@ -235,22 +236,37 @@ func (t *denseHints) snapshot() []byte {
 	return w.Bytes()
 }
 
+// hintMDS is the cluster size the tests' checkpoints are read for.
+const hintMDS = 64
+
 // snapshot is the table's checkpoint section as finished bytes.
 func (t *HintTable) snapshot() []byte {
 	w := snap.NewWriter()
-	snap.Encoder(w).Section("hints", t.snap)
+	snap.Encoder(w).Section("hints", func(c *snap.Codec) { t.snap(c, hintMDS) })
 	return w.Bytes()
 }
 
-// TestHintTableDifferential drives the region table and the dense
+// restore reads a checkpoint section into t, a fresh table.
+func (t *HintTable) restore(data []byte) error {
+	r, err := snap.NewReader(data)
+	if err != nil {
+		return err
+	}
+	dec := snap.Decoder(r)
+	dec.Section("hints", func(c *snap.Codec) { t.snap(c, hintMDS) })
+	return dec.Err()
+}
+
+// TestHintTableDifferential drives the record table and the dense
 // reference through the same seeded histories: every answer and every
 // snapshot byte must agree, across a mid-history restore into a fresh
-// table (which hands regions out in client order, not first-Put order).
+// table (which hands records out in client order, not first-Put order).
 func TestHintTableDifferential(t *testing.T) {
 	for _, ways := range []int{2, 4, 2048} {
 		for _, clients := range []int{1, 10_000} {
+			counted := clients > 1
 			rng := sim.NewStream(int64(ways*clients), "hint-differential")
-			tab, ref := NewHintTable(clients, ways), newDenseHints(clients, ways)
+			tab, ref := NewHintTable(clients, ways, counted), newDenseHints(clients, ways)
 			// Few enough speakers and keys that probe windows fill and
 			// regions are revisited; most clients stay silent.
 			speakers, keys := min(clients, 300), 8*ways
@@ -260,7 +276,7 @@ func TestHintTableDifferential(t *testing.T) {
 				ino := namespace.InodeID(rng.Pick(keys))
 				switch op := rng.Pick(10); {
 				case op < 5:
-					h := msg.Hint{Ino: ino, Authority: rng.Pick(64), Replicated: rng.Pick(4) == 0}
+					h := msg.Hint{Ino: ino, Authority: rng.Pick(hintMDS), Replicated: rng.Pick(4) == 0}
 					tab.Put(c, h)
 					ref.put(c, h)
 				case op < 8:
@@ -287,14 +303,9 @@ func TestHintTableDifferential(t *testing.T) {
 					t.Fatalf("ways %d clients %d step %d: snapshot differs from the dense encoder's (%d vs %d bytes)",
 						ways, clients, step, len(got), len(want))
 				}
-				r, err := snap.NewReader(got)
-				if err != nil {
+				tab = NewHintTable(clients, ways, counted)
+				if err := tab.restore(got); err != nil {
 					t.Fatal(err)
-				}
-				tab = NewHintTable(clients, ways)
-				dec := snap.Decoder(r)
-				if dec.Section("hints", tab.snap); dec.Err() != nil {
-					t.Fatal(dec.Err())
 				}
 				if again := tab.snapshot(); !bytes.Equal(again, want) {
 					t.Fatalf("ways %d clients %d step %d: restored table re-encodes differently", ways, clients, step)
@@ -306,9 +317,9 @@ func TestHintTableDifferential(t *testing.T) {
 
 // TestHintTableNoAliasingPast32Bits: with 2^33 slots the dense layout's
 // uint32 base (client*ways) wrapped, so clients 2^22 apart shared slots.
-// Only the 32 MB region index exists until someone speaks.
+// Only the 32 MB of client words exist until someone speaks.
 func TestHintTableNoAliasingPast32Bits(t *testing.T) {
-	tab := NewHintTable(1<<23, 1024)
+	tab := NewHintTable(1<<23, 1024, false)
 	tab.Put(0, msg.Hint{Ino: 7, Authority: 3})
 	if _, _, ok := tab.Get(1<<22, 7); ok {
 		t.Fatal("client 1<<22 sees client 0's hint")
@@ -317,13 +328,13 @@ func TestHintTableNoAliasingPast32Bits(t *testing.T) {
 	if auth, _, ok := tab.Get(0, 7); !ok || auth != 3 {
 		t.Fatalf("client 0's hint clobbered: %d,%v", auth, ok)
 	}
-	if got, want := tab.FootprintBytes(), int64(4<<23+8*hintChunkSlots); got != want {
-		t.Fatalf("footprint = %d, want index + one chunk = %d", got, want)
+	if got, want := tab.FootprintBytes(), int64(4<<23+6*hintChunkSlots); got != want {
+		t.Fatalf("footprint = %d, want words + one chunk = %d", got, want)
 	}
 }
 
 func TestHintTableRejectsWideInodeIDs(t *testing.T) {
-	tab := NewHintTable(1, 8)
+	tab := NewHintTable(1, 8, false)
 	tab.Put(0, msg.Hint{Ino: 41, Authority: 1})
 	wide := namespace.InodeID(1<<32 + 41) // truncates to 41's key
 	if _, _, ok := tab.Get(0, wide); ok {
@@ -340,7 +351,7 @@ func TestHintTableRejectsWideInodeIDs(t *testing.T) {
 }
 
 func TestHintTableSilentClientsOwnNothing(t *testing.T) {
-	tab := NewHintTable(100_000, 2)
+	tab := NewHintTable(100_000, 2, true)
 	base := tab.FootprintBytes()
 	if want := int64(100_000*4 + 8*hintChunkSlots); base != want {
 		t.Fatalf("fresh footprint = %d, want %d", base, want)
@@ -352,14 +363,14 @@ func TestHintTableSilentClientsOwnNothing(t *testing.T) {
 		tab.Del(c, 1)
 	}
 	if tab.FootprintBytes() != base {
-		t.Fatal("Get/Del on silent clients allocated regions")
+		t.Fatal("Get/Del on silent clients allocated records")
 	}
-	// Every client speaks: the total is the dense slab plus the index,
-	// the last chunk cut to the clients that remain.
+	// Every client speaks: the total is a 16-byte record per client plus
+	// the words, the last chunk cut to the clients that remain.
 	for c := 0; c < 100_000; c++ {
 		tab.Put(c, msg.Hint{Ino: 1, Authority: c % 8})
 	}
-	if got, want := tab.FootprintBytes(), int64(100_000*(4+2*8)); got != want {
+	if got, want := tab.FootprintBytes(), int64(100_000*(4+16)); got != want {
 		t.Fatalf("full footprint = %d, want %d", got, want)
 	}
 }
@@ -370,5 +381,69 @@ func TestNewHintTableRejectsTooManyWays(t *testing.T) {
 			t.Fatal("NewHintTable(1, 1<<20+1) did not panic")
 		}
 	}()
-	NewHintTable(1, 1<<20+1)
+	NewHintTable(1, 1<<20+1, false)
+}
+
+// TestHintRecordLayout holds the record to its sizes — a 2-way counted
+// record is 16 B, the same as the bare region it replaced; a 2048-way
+// closed-loop region is 12 288 B, a Go size class — and to its
+// checkpoint form: a replicated hint keeps its authority through the
+// uint64 round trip, and a claim moves the draw count into the record.
+func TestHintRecordLayout(t *testing.T) {
+	if b := NewHintTable(1, 2, true).stride * 4; b != 16 {
+		t.Errorf("2-way record = %d B, want 16", b)
+	}
+	closed := NewHintTable(1, 2048, false)
+	if b := closed.FootprintBytes() - 4; b != 12288 {
+		t.Errorf("2048-way closed-loop region = %d B, want 12288", b)
+	}
+	if c := cap(closed.chunks[0]) * 4; c != 12288 {
+		t.Errorf("2048-way closed-loop chunk capacity = %d B, want 12288", c)
+	}
+
+	tab := NewHintTable(3, 2, true)
+	tab.word[1] = 12345
+	tab.Put(1, msg.Hint{Ino: 7, Authority: 5, Replicated: true})
+	tab.Put(1, msg.Hint{Ino: 8, Authority: hintMDS - 1})
+	if rec := tab.record(1); rec == nil || rec[0] != 12345 || tab.word[1]&hintRecord == 0 {
+		t.Fatalf("claim left word %#x, record %v; want the count 12345 moved into the record", tab.word[1], rec)
+	}
+	again := NewHintTable(3, 2, true)
+	if err := again.restore(tab.snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if auth, repl, ok := again.Get(1, 7); !ok || auth != 5 || !repl {
+		t.Errorf("restored replicated hint = %d,%v,%v; want 5,true,true", auth, repl, ok)
+	}
+	if auth, repl, ok := again.Get(1, 8); !ok || auth != hintMDS-1 || repl {
+		t.Errorf("restored hint = %d,%v,%v; want %d,false,true", auth, repl, ok, hintMDS-1)
+	}
+}
+
+// TestHintSnapRefusesImpossibleSlots: a slot the table could not have
+// written — no key, an authority past the cluster, a key outside its
+// probe window — is an error that names it, not a record a later
+// arrival indexes the cluster with.
+func TestHintSnapRefusesImpossibleSlots(t *testing.T) {
+	const ways = 8
+	key := uint32(41) + 1
+	home := NewHintTable(1, ways, false).home(key)
+	for _, c := range []struct {
+		name string
+		slot uint32
+		val  uint64
+		want string
+	}{
+		{"no key", home, 3 << 32, "holds no key"},
+		{"authority past the cluster", home, hintMDS<<32 | uint64(key), "names MDS 64 of a cluster of 64"},
+		{"replicated, authority past the cluster", home, (snapReplicated|100)<<32 | uint64(key), "names MDS 100"},
+		{"outside the probe window", (home + 4) % ways, 3<<32 | uint64(key), "outside its key's probe window"},
+	} {
+		ref := newDenseHints(1, ways)
+		ref.slots[c.slot] = c.val
+		err := NewHintTable(1, ways, false).restore(ref.snapshot())
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: restore = %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
 }

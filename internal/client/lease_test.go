@@ -134,7 +134,7 @@ func TestLeaseRecallNotResurrectedByStaleHint(t *testing.T) {
 
 	// The stale hint still steers routing — that is all it may do.
 	req := &msg.Request{Op: msg.Stat, Target: f}
-	if got := pop.direct(g, req, 12345); got != 2 {
+	if got := pop.direct(pop.hints.record(g), req, 12345); got != 2 {
 		t.Fatalf("stale hint no longer routes: direct = %d, want 2", got)
 	}
 

@@ -20,7 +20,7 @@ type PopulationConfig struct {
 	// rate, before diurnal/burst modulation). Zero means 10.
 	Rate float64
 	// Ways is the per-client way count in the shared hint table
-	// (default 2: 16 bytes of location knowledge per client).
+	// (default 2: a 16-byte record per client once it is answered).
 	Ways int
 	// Tenant shapes the tenant split and working sets.
 	Tenant workload.TenantConfig
@@ -157,8 +157,6 @@ type Population struct {
 	eng   *sim.Engine
 	wheel *sim.Wheel
 
-	draws []uint32 // per-client count of RNG draws (see stream)
-
 	pool    []*msg.Request // free list; grows to max outstanding, then steady
 	seq     uint64         // monotonic request ids
 	nameSeq int
@@ -232,11 +230,10 @@ func NewPopulation(cfg PopulationConfig, eng *sim.Engine, netw Network, strat pa
 		net:     netw,
 		strat:   strat,
 		tenants: tenants,
-		hints:   NewHintTable(cfg.Clients, cfg.Ways),
+		hints:   NewHintTable(cfg.Clients, cfg.Ways, true),
 		baseCum: cumMix(cfg.MixStat, cfg.MixReaddir, cfg.MixChmod, cfg.MixCreate, cfg.MixRename, cfg.MixUnlink),
 		seed:    uint64(seed),
 		eng:     eng,
-		draws:   make([]uint32, cfg.Clients),
 		rateMul: 1,
 		churnOn: cfg.MixUnlink > 0,
 	}
@@ -257,28 +254,50 @@ func mix64(z uint64) uint64 {
 const gamma = 0x9E3779B97F4A7C15
 
 // origin is client li's splitmix64 state before its first draw. After n
-// draws the state is origin + n·gamma, so the slab keeps only n.
+// draws the state is origin + n·gamma, so a client keeps only n: in its
+// hint-table word until it is first answered, then in its record.
 func (p *Population) origin(li int) uint64 {
 	return mix64(p.seed ^ mix64(uint64(li)+gamma))
 }
 
-// stream is a cursor over one client's RNG: derived once per arrival,
-// drawn from, and its count stored back once.
+// maxDraws is the most draws a client may take: its count shares a word
+// with the hint-record flag.
+const maxDraws = hintRecord - 1
+
+// stream is a cursor over one client's RNG, with the client's word
+// resolved once: derived once per arrival, drawn from, and its count
+// stored back once (keep). rec is the client's hint record, nil until
+// the client is first answered; direct looks hints up in it.
 type stream struct {
 	state uint64
 	n     uint32
+	rec   []uint32
 }
 
 func (p *Population) stream(li int32) stream {
-	n := p.draws[li]
-	return stream{state: p.origin(int(li)) + uint64(n)*gamma, n: n}
+	rec := p.hints.record(int(li))
+	n := p.hints.word[li]
+	if rec != nil {
+		n = rec[0]
+	}
+	return stream{state: p.origin(int(li)) + uint64(n)*gamma, n: n, rec: rec}
 }
 
-// next draws the stream's next uniform word. A count that would wrap —
-// some 5·10^8 arrivals from one client — panics rather than repeat the
-// stream.
+// keep stores the stream's count back where client li keeps it. No
+// record may be claimed for li between stream and keep.
+func (p *Population) keep(li int32, r *stream) {
+	if r.rec != nil {
+		r.rec[0] = r.n
+	} else {
+		p.hints.word[li] = r.n
+	}
+}
+
+// next draws the stream's next uniform word. A count that would reach
+// the record flag — some 2·10^8 arrivals from one client — panics
+// rather than repeat the stream.
 func (r *stream) next() uint64 {
-	if r.n == math.MaxUint32 {
+	if r.n == maxDraws {
 		panic("client: a client's RNG draw count overflows")
 	}
 	r.n++
@@ -290,7 +309,7 @@ func (r *stream) next() uint64 {
 func (p *Population) next(li int32) uint64 {
 	r := p.stream(li)
 	u := r.next()
-	p.draws[li] = r.n
+	p.keep(li, &r)
 	return u
 }
 
@@ -308,7 +327,7 @@ func (p *Population) Start() { p.armAll() }
 func (p *Population) armAll() {
 	p.wheel.Start()
 	tn := 0
-	for li := range p.draws {
+	for li := range p.hints.word {
 		tn = p.tenants.TenantFrom(tn, li)
 		rng := p.stream(int32(li))
 		p.rearm(int32(li), tn, &rng)
@@ -355,7 +374,7 @@ func (p *Population) rate(tenant int, now sim.Time) float64 {
 // the count. tn is the client's tenant, which every caller already holds.
 func (p *Population) rearm(li int32, tn int, rng *stream) {
 	u := uniform(rng.next())
-	p.draws[li] = rng.n
+	p.keep(li, rng)
 	if u <= 0 {
 		u = 1e-18
 	}
@@ -384,8 +403,10 @@ func (p *Population) getRequest() *msg.Request {
 	return &msg.Request{}
 }
 
-// arrive is the wheel's fire callback: draw the op, direct it, send it,
-// and arm the next arrival. Allocation-free except for Create.
+// arrive is the wheel's fire callback: draw the op, direct it, arm the
+// next arrival, and send. Allocation-free except for Create. The send
+// comes last because a reply may be delivered within it and claim the
+// client's hint record, which moves the count rearm stores.
 func (p *Population) arrive(li int32) {
 	if p.stopped {
 		return
@@ -481,15 +502,15 @@ func (p *Population) arrive(li int32) {
 		}
 	}
 
-	mds := p.direct(g, req, rng.next())
+	mds := p.direct(rng.rec, req, rng.next())
 	p.issued++
 	if p.retry != nil {
 		r := &openRetry{req: req, li: li}
 		p.retry[req.ID] = r
 		p.eng.AfterCall(p.retryTimeout, popRetryFire, p, r)
 	}
-	p.net.Send(mds, req)
 	p.rearm(li, tn, &rng)
+	p.net.Send(mds, req)
 }
 
 // churnPop takes the oldest unlink-eligible inode, or nil. Reserved
@@ -545,7 +566,7 @@ func popRetryFire(a, b any) {
 	p.retries++
 	// Resteer through the current hint state: the authority may have
 	// moved (or died) since the original send.
-	mds := p.direct(int(r.li), r.req, p.next(r.li))
+	mds := p.direct(p.hints.record(int(r.li)), r.req, p.next(r.li))
 	p.net.Send(mds, r.req)
 	p.eng.AfterCall(retryBackoff(p.retryTimeout, r.attempts), popRetryFire, p, r)
 }
@@ -576,20 +597,19 @@ func appendInt(b []byte, v int) []byte {
 
 // direct steers a request exactly like the closed-loop client (§4.4):
 // computed authority for hashed strategies, deepest known prefix from
-// the shared hint table otherwise, random fallback.
-func (p *Population) direct(g int, req *msg.Request, u uint64) int {
+// the client's hint record rec otherwise, random fallback.
+func (p *Population) direct(rec []uint32, req *msg.Request, u uint64) int {
 	if p.strat.ClientComputable() {
 		if req.Op == msg.Create || req.Op == msg.Mkdir {
 			return p.strat.AuthorityForName(req.Target, req.NewName)
 		}
 		return p.strat.Authority(req.Target)
 	}
-	reg := p.hints.slots(g)
-	if reg == nil {
+	if rec == nil {
 		return int(u % uint64(p.net.NumMDS())) // never answered: knows nothing
 	}
 	for n := req.Target; n != nil; n = n.Parent() {
-		if auth, repl, ok := p.hints.get(reg, n.ID); ok {
+		if auth, repl, ok := p.hints.get(rec, n.ID); ok {
 			if repl {
 				return int(u % uint64(p.net.NumMDS()))
 			}
@@ -620,9 +640,9 @@ func (p *Population) OnReply(rep *msg.Reply) bool {
 		p.curLat.Observe(rep.Latency())
 	}
 	if len(rep.Hints) > 0 {
-		reg := p.hints.claim(rep.Client)
+		rec := p.hints.claim(rep.Client)
 		for _, h := range rep.Hints {
-			p.hints.put(reg, h)
+			p.hints.put(rec, h)
 		}
 	}
 	if req := rep.Req; req != nil {
@@ -696,16 +716,15 @@ func (p *Population) TimedOut() uint64 { return p.timedOut }
 // retirement deadline; zero after a drain.
 func (p *Population) RetryOutstanding() int { return len(p.retry) }
 
-// FootprintBytes returns the structural per-population memory: draw
-// counts (4 B/client), wheel intrusive lists (6 B/client), the shared
-// hint table (a 4 B/client region index plus the chunks allocated so
-// far, so it grows as clients are first answered), the tenant model,
-// and the lease slab when attached. Request pools and engine state are
-// excluded (they scale with outstanding requests, not with the
-// population size).
+// FootprintBytes returns the structural per-population memory: wheel
+// intrusive lists (6 B/client), the shared hint table (a 4 B/client word
+// holding the draw count or naming a record, plus the chunks of records
+// allocated so far, so it grows as clients are first answered), the
+// tenant model, and the lease slab when attached. Request pools and
+// engine state are excluded (they scale with outstanding requests, not
+// with the population size).
 func (p *Population) FootprintBytes() int64 {
-	b := int64(len(p.draws))*4 + p.wheel.FootprintBytes()
-	b += p.hints.FootprintBytes() + p.tenants.FootprintBytes()
+	b := p.wheel.FootprintBytes() + p.hints.FootprintBytes() + p.tenants.FootprintBytes()
 	if p.lease != nil && p.lease.Tab != nil {
 		// The lease slab is per-client state and counts against the
 		// bytes/client budget; the shared registry scales with the

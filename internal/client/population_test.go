@@ -179,11 +179,11 @@ func TestPopulationHintsSteerDirection(t *testing.T) {
 	f := tn.File(0, 0, 0)
 	pop.hints.Put(3, msg.Hint{Ino: f.ID, Authority: 5})
 	req := &msg.Request{Op: msg.Stat, Target: f}
-	if got := pop.direct(3, req, 12345); got != 5 {
+	if got := pop.direct(pop.hints.record(3), req, 12345); got != 5 {
 		t.Fatalf("direct = %d, want hinted 5", got)
 	}
 	// Another client without the hint falls back to u mod n.
-	if got := pop.direct(4, req, 12345); got != 12345%8 {
+	if got := pop.direct(pop.hints.record(4), req, 12345); got != 12345%8 {
 		t.Fatalf("direct = %d, want fallback %d", got, 12345%8)
 	}
 }
@@ -240,21 +240,30 @@ func TestPopulationDrawsAreSplitmix(t *testing.T) {
 				t.Fatalf("client %d draw %d: next %#x, splitmix64 %#x", g, n, got, want)
 			}
 		}
-		if viaNext.draws[li] != draws {
-			t.Fatalf("client %d: count %d after %d draws", g, viaNext.draws[li], draws)
+		if n := viaNext.stream(li).n; n != draws {
+			t.Fatalf("client %d: count %d after %d draws", g, n, draws)
 		}
 	}
 }
 
-// TestPopulationDrawCountWraps: the count's last value is a draw no
-// client may take; the next one panics rather than restart the stream.
+// TestPopulationDrawCountWraps: a count stops at 2^31-1, below the
+// record flag that shares its word, whether the client keeps it in its
+// word or in its hint record; the next draw panics rather than restart
+// the stream or turn the count into a record number.
 func TestPopulationDrawCountWraps(t *testing.T) {
 	_, pop, _ := popFixture(t, PopulationConfig{Clients: 2, Tenant: workload.TenantConfig{Tenants: 1}}, 3, 0)
-	pop.draws[1] = math.MaxUint32 - 1
+	pop.hints.word[1] = maxDraws - 1
 	pop.next(1)
+	if n := pop.stream(1).n; n != 1<<31-1 {
+		t.Fatalf("count %d, want 2^31-1", n)
+	}
+	pop.hints.Put(1, msg.Hint{Ino: 1, Authority: 1})
+	if rec := pop.hints.record(1); rec == nil || rec[0] != 1<<31-1 {
+		t.Fatalf("the claim did not move the count into the record: %v", rec)
+	}
 	defer func() {
 		if r := recover(); r == nil {
-			t.Fatal("a draw past 2^32-1 did not panic")
+			t.Fatal("a draw past 2^31-1 did not panic")
 		}
 	}()
 	pop.next(1)
@@ -271,15 +280,16 @@ func TestRearmCapUnderWheelHorizon(t *testing.T) {
 	pop.rateMul = 1e-300
 	r := pop.stream(0)
 	pop.rearm(0, 0, &r)
-	if pop.draws[0] != 1 {
-		t.Fatalf("rearm stored count %d, want 1", pop.draws[0])
+	if n := pop.stream(0).n; n != 1 {
+		t.Fatalf("rearm stored count %d, want 1", n)
 	}
 }
 
-// TestPopulationHeapBytesPerClient measures what a client costs on the
-// heap — draw count, wheel link and deadline, hint-region index — and
-// holds FootprintBytes, which the bench's bytes_per_client row and the
-// clients plan's B/client column report, to that measurement.
+// TestPopulationHeapBytesPerClient measures what a silent client costs
+// on the heap — its word (the draw count until it is first answered),
+// wheel link and deadline: 10 B — and holds FootprintBytes, which the
+// bench's bytes_per_client row and the clients plan's B/client column
+// report, to that measurement.
 func TestPopulationHeapBytesPerClient(t *testing.T) {
 	const clients = 1_000_000
 	_, homes := popTree(t, 4)
@@ -294,8 +304,8 @@ func TestPopulationHeapBytesPerClient(t *testing.T) {
 	heap := float64(after.HeapAlloc) - float64(before.HeapAlloc)
 	reported := float64(pop.FootprintBytes() - tn.FootprintBytes())
 	t.Logf("%.2f heap B/client, FootprintBytes %.2f", heap/clients, reported/clients)
-	if bpc := heap / clients; bpc > 15 {
-		t.Errorf("population holds %.1f heap B/client, gate 15", bpc)
+	if bpc := heap / clients; bpc > 11 {
+		t.Errorf("population holds %.1f heap B/client, gate 11", bpc)
 	}
 	if math.Abs(reported-heap) > 0.05*heap {
 		t.Errorf("FootprintBytes reports %.0f B without the tenants, the heap grew %.0f B", reported, heap)

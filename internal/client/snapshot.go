@@ -60,9 +60,16 @@ func (p *Population) Snap(c *snap.Codec, tree *namespace.Tree) {
 		}
 	}
 	p.stopped = true
-	c.Same(len(p.draws), "client: population clients")
-	for li := range p.draws {
-		snap.U(c, &p.draws[li])
+	c.Same(len(p.hints.word), "client: population clients")
+	for li := range p.hints.word {
+		r := p.stream(int32(li))
+		if snap.U(c, &r.n); r.n > maxDraws {
+			c.Failf("client: client %d has drawn %d times, past the 31-bit count", li, r.n)
+		}
+		if c.Err() != nil {
+			break
+		}
+		p.keep(int32(li), &r)
 	}
 	snap.U(c, &p.seq)
 	snap.I(c, &p.nameSeq)
@@ -75,38 +82,70 @@ func (p *Population) Snap(c *snap.Codec, tree *namespace.Tree) {
 	snap.U(c, &p.timedOut)
 	queue(&p.churn, &p.churnHead, "client: churn ring")
 	queue(&p.baseVictims, &p.baseHead, "client: base victim")
-	p.hints.snap(c)
+	p.hints.snap(c, p.net.NumMDS())
 }
 
 // snap walks the table sparsely, in the dense layout's terms: the slot
 // count clients·ways, then a (client·ways+j, slot) pair for every
-// occupied slot in ascending order. Region numbers are not written:
-// reading hands regions out in file — that is, client — order, whatever
-// order the checkpointed run met its clients in. Writing goes region by
-// region, so a silent client costs one load.
-func (t *HintTable) snap(c *snap.Codec) {
+// occupied slot in ascending order, each slot as one uint64 — key in the
+// low word, authority in the high one with the replicated flag in its
+// bit 31. Record numbers are not written: reading hands records out in
+// file — that is, client — order, whatever order the checkpointed run
+// met its clients in. Writing goes record by record, so a silent client
+// costs one load. Reading refuses a slot the table could not have
+// written for a cluster of mds nodes: an empty key, an authority past
+// the cluster, a key outside its probe window.
+func (t *HintTable) snap(c *snap.Codec, mds int) {
 	ways := int(t.ways)
-	total := len(t.region) * ways
+	total := len(t.word) * ways
 	c.Same(total, "client: hint table slots")
 	occupied := 0
-	for client := range t.region {
+	for client := range t.word {
 		occupied += t.Len(client)
 	}
 	c.Len(&occupied)
 	if c.Reading() {
 		for idx := 0; occupied > 0 && c.Err() == nil; occupied-- {
+			var s uint64
 			if snap.Index(c, &idx, total, "client: hint slot"); c.Err() == nil {
-				snap.U(c, &t.claim(idx / ways)[idx%ways])
+				snap.U(c, &s)
+			}
+			if c.Err() != nil {
+				return
+			}
+			j, key, auth := uint32(idx%ways), uint32(s), uint32(s>>32)&^snapReplicated
+			switch {
+			case key == 0:
+				c.Failf("client: hint slot %d holds no key", idx)
+			case auth >= uint32(mds):
+				c.Failf("client: hint slot %d names MDS %d of a cluster of %d", idx, auth, mds)
+			case (j-t.home(key))&(t.ways-1) >= t.probe:
+				c.Failf("client: hint slot %d lies outside its key's probe window", idx)
+			default:
+				v := auth
+				if s>>32&snapReplicated != 0 {
+					v |= hintReplicated
+				}
+				t.set(t.claim(idx/ways), j, key, v)
 			}
 		}
 		return
 	}
-	for client := range t.region {
-		region := t.slots(client)
-		for j := range region {
-			if idx := client*ways + j; region[j] != 0 {
+	for client := range t.word {
+		rec := t.record(client)
+		if rec == nil {
+			continue
+		}
+		for j := uint32(0); j < t.ways; j++ {
+			if key := rec[t.head+j]; key != 0 {
+				idx := client*ways + int(j)
+				v := t.value(rec, j)
+				s := uint64(v&^hintReplicated)<<32 | uint64(key)
+				if v&hintReplicated != 0 {
+					s |= snapReplicated << 32
+				}
 				snap.Index(c, &idx, total, "client: hint slot")
-				snap.U(c, &region[j])
+				snap.U(c, &s)
 			}
 		}
 	}

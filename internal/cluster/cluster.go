@@ -274,8 +274,8 @@ func (cfg *Config) Validate() error {
 	switch k := cfg.Workload.Kind; {
 	case cfg.NumMDS < 1:
 		return fmt.Errorf("a cluster needs at least one MDS, not %d", cfg.NumMDS)
-	case cfg.NumMDS > partition.MaxNodes:
-		return fmt.Errorf("a cluster of %d MDSs is more than the %d an authority memo can name", cfg.NumMDS, partition.MaxNodes)
+	case cfg.NumMDS > client.MaxHintMDS:
+		return fmt.Errorf("a cluster of %d MDSs is more than the %d a client's location hint can name", cfg.NumMDS, client.MaxHintMDS)
 	case cfg.MDS.CacheCapacity > cache.MaxCapacity:
 		return fmt.Errorf("a cache of %d records is more than the %d a node's cache can hold", cfg.MDS.CacheCapacity, cache.MaxCapacity)
 	case cfg.Warmup >= cfg.Duration:

@@ -175,7 +175,7 @@ func TestLeaseOffInert(t *testing.T) {
 // structural footprint per client, with the lease slab off and on (the
 // slab is two 12 B slots per client), as the run leaves it — about 2 %
 // of the clients have been answered, the rest own no hint slots — and
-// again once every client has been handed its hint region, the most the
+// again once every client has been handed its hint record, the most the
 // plane can reach. Limits are the measured value plus ~15 %, so no
 // per-client boxed state can sneak in. The per-client slope does not
 // depend on the population size; 100k clients keeps the fixed tenant
@@ -185,12 +185,12 @@ func TestLeasePlaneFootprint(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
 		leases, fanout bool
-		limit, spoken  float64 // measured 17.9 / 33.2 B lease-off, 41.9 / 57.2 B lease-on
+		limit, spoken  float64 // measured 13.68 / 29.02 B lease-off, 37.68 / 53.02 B lease-on
 	}{
-		{"dumb", false, false, 21, 38},
-		{"leases", true, false, 48, 66},
-		{"fanout", false, true, 21, 38},
-		{"both", true, true, 48, 66},
+		{"dumb", false, false, 16, 34},
+		{"leases", true, false, 44, 61},
+		{"fanout", false, true, 16, 34},
+		{"both", true, true, 44, 61},
 	} {
 		cfg := openLoopConfig(StratStatic)
 		cfg.Duration = 2 * sim.Second

@@ -212,9 +212,9 @@ type MDS struct {
 	// by value, so coalescing allocates no closures.
 	pending    map[namespace.InodeID][]pendingCall
 	pendingDir map[namespace.InodeID][]pendingCall
-	// dirWaiters recycles pendingDir's waiter lists, emptied, so a
-	// directory load in steady state allocates nothing.
-	dirWaiters [][]pendingCall
+	// waiterLists recycles both maps' waiter lists, emptied (addWaiter,
+	// wake), so coalescing in steady state allocates nothing.
+	waiterLists [][]pendingCall
 
 	// fetchPool recycles the fetch carriers that thread a record load
 	// through its disk or peer round trip; replyPool recycles reply
@@ -622,7 +622,7 @@ func (m *MDS) servePath(req *msg.Request) {
 // fn(a, b) runs once the record is cached.
 func (m *MDS) fetchRecord(ino *namespace.Inode, cl cache.Class, fn sim.EventFunc, a, b any) {
 	if waiters, inFlight := m.pending[ino.ID]; inFlight {
-		m.pending[ino.ID] = append(waiters, pendingCall{fn, a, b})
+		m.pending[ino.ID] = m.addWaiter(waiters, pendingCall{fn, a, b})
 		return
 	}
 	m.pending[ino.ID] = nil
@@ -706,8 +706,35 @@ func finishFetch(f *fetch) {
 	waiters := m.pending[ino.ID]
 	delete(m.pending, ino.ID)
 	fn(a, b)
-	for _, w := range waiters {
+	m.wake(waiters)
+}
+
+// maxPooledWaiters is the largest waiter list wake recycles: a crowd's
+// backlog grows a list far past the usual few, and pooling it would
+// keep that backlog's memory for the rest of the run.
+const maxPooledWaiters = 64
+
+// addWaiter appends call to a coalesced fetch's waiter list, starting
+// an absent list from a recycled one.
+func (m *MDS) addWaiter(waiters []pendingCall, call pendingCall) []pendingCall {
+	if n := len(m.waiterLists); waiters == nil && n > 0 {
+		waiters = m.waiterLists[n-1]
+		m.waiterLists[n-1] = nil
+		m.waiterLists = m.waiterLists[:n-1]
+	}
+	return append(waiters, call)
+}
+
+// wake runs a finished fetch's waiters in order, and only then recycles
+// the list — a waiter may start a fetch that takes a list from the pool
+// — unless it grew past maxPooledWaiters.
+func (m *MDS) wake(waiters []pendingCall) {
+	for i, w := range waiters {
+		waiters[i] = pendingCall{}
 		w.fn(w.a, w.b)
+	}
+	if waiters != nil && cap(waiters) <= maxPooledWaiters {
+		m.waiterLists = append(m.waiterLists, waiters[:0])
 	}
 }
 
@@ -809,7 +836,7 @@ func (m *MDS) fetchTarget(req *msg.Request) {
 	// Scattered per-inode layout without traversal (Lazy Hybrid);
 	// still coalesce duplicate in-flight fetches.
 	if waiters, inFlight := m.pending[target.ID]; inFlight {
-		m.pending[target.ID] = append(waiters, pendingCall{mdsFinishServe, m, req})
+		m.pending[target.ID] = m.addWaiter(waiters, pendingCall{mdsFinishServe, m, req})
 		return
 	}
 	m.pending[target.ID] = nil
@@ -832,9 +859,7 @@ func scatteredTargetLoaded(a, b any) {
 	waiters := m.pending[target.ID]
 	delete(m.pending, target.ID)
 	m.finishServe(req)
-	for _, w := range waiters {
-		w.fn(w.a, w.b)
-	}
+	m.wake(waiters)
 }
 
 // diskLoad reads the record carried by f from this node's store and
@@ -970,17 +995,11 @@ func mdsCompleteOp(a, b any) { a.(*MDS).completeOp(b.(*msg.Request)) }
 // a load that outlives a crash and recovery finds the list Fail reset,
 // not a continuation of its own, so it wakes nobody it should not.
 func (m *MDS) loadDirContents(dir *namespace.Inode, fn sim.EventFunc, a, b any) {
-	if waiters, inFlight := m.pendingDir[dir.ID]; inFlight {
-		m.pendingDir[dir.ID] = append(waiters, pendingCall{fn, a, b})
+	waiters, inFlight := m.pendingDir[dir.ID]
+	m.pendingDir[dir.ID] = m.addWaiter(waiters, pendingCall{fn, a, b})
+	if inFlight {
 		return
 	}
-	var waiters []pendingCall
-	if n := len(m.dirWaiters); n > 0 {
-		waiters = m.dirWaiters[n-1]
-		m.dirWaiters[n-1] = nil
-		m.dirWaiters = m.dirWaiters[:n-1]
-	}
-	m.pendingDir[dir.ID] = append(waiters, pendingCall{fn, a, b})
 	m.noteMiss()
 	m.store.ReadDirCall(dir.ID, 1+dir.NumChildren(), dirContentsLoaded, m, dir)
 }
@@ -1008,13 +1027,7 @@ func dirContentsLoaded(x, y any) {
 	}
 	waiters := m.pendingDir[dir.ID]
 	delete(m.pendingDir, dir.ID)
-	for i, w := range waiters {
-		waiters[i] = pendingCall{}
-		w.fn(w.a, w.b)
-	}
-	if waiters != nil {
-		m.dirWaiters = append(m.dirWaiters, waiters[:0])
-	}
+	m.wake(waiters)
 }
 
 func (m *MDS) completeOp(req *msg.Request) {

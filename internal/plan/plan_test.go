@@ -257,7 +257,8 @@ func TestRulebook(t *testing.T) {
 		mut  func(p *plan.Plan)
 		want string
 	}{
-		{"more MDSs than a memo can name", func(p *plan.Plan) { rebind(p, "mds", "65537") }, "the 65536 an authority memo can name"},
+		{"more MDSs than a memo can name", func(p *plan.Plan) { rebind(p, "mds", "65537") }, "the 32768 a client's location hint can name"},
+		{"more MDSs than a hint can name", func(p *plan.Plan) { rebind(p, "mds", "32769") }, "the 32768 a client's location hint can name"},
 		{"a cache past its references", func(p *plan.Plan) { rebind(p, "cache", "70000") }, "the 65408 a node's cache can hold"},
 		{"warmup too long", func(p *plan.Plan) { rebind(p, "warmup", "6s") }, "does not fit"},
 		{"link bandwidth on the fixed model", func(p *plan.Plan) { rebind(p, "link-bw", "1e6") }, "link-bw needs net=queued"},

@@ -5,9 +5,11 @@
 // rewrites one section under it, and Damaged lists files each wrong in
 // one field: the three that took the hand-written decoders down — a
 // panic on a negative length, a panic on an index past its table, and a
-// loop bound of 2^62 — a client draw count past 32 bits, and a tombstone
-// list that repeats an ID or disagrees with the base-delete count;
-// Overcount makes a count too large for the structure it fills.
+// loop bound of 2^62 — a client draw count past 32 bits and one past 31,
+// a hint naming an MDS past the cluster (restored, it panicked at the
+// first arrival), and a tombstone list that repeats an ID or disagrees
+// with the base-delete count; Overcount makes a count too large for the
+// structure it fills.
 package snaptest
 
 import (
@@ -101,6 +103,20 @@ var Damaged = []struct {
 		func(b []byte) []byte { // the client count, then client 0's draw count
 			from, to := After(b, 1), After(b, 2)
 			return append(binary.AppendUvarint(b[:from:from], 1<<32), b[to:]...)
+		}},
+	{"draw-count-past-31-bits", "pop", "past the 31-bit count",
+		func(b []byte) []byte { // the client count, then client 0's draw count
+			from, to := After(b, 1), After(b, 2)
+			return append(binary.AppendUvarint(b[:from:from], 1<<31), b[to:]...)
+		}},
+	{"hint-authority-past-the-cluster", "pop", "names MDS 100 of a cluster of",
+		func(b []byte) []byte { // the section ends with the last hint slot: key low, authority high
+			last := 0
+			for pos := 0; pos < len(b); pos += After(b[pos:], 1) {
+				last = pos
+			}
+			slot, _ := binary.Uvarint(b[last:])
+			return binary.AppendUvarint(b[:last:last], slot&(1<<32-1)|100<<32)
 		}},
 	{"tombstone-listed-twice", "tree", "listed twice",
 		func(b []byte) []byte { // six counters, the tombstone count, the first ID, then the second's delta

@@ -43,7 +43,7 @@ budget() {
     fi
 }
 budget README.md $((24 * 1024))
-budget DESIGN.md 56623
+budget DESIGN.md 56572
 
 # -race on the small CI box is ~6x slower than native; give packages
 # headroom past go test's 10m default so a busy host doesn't flake. The
@@ -110,6 +110,13 @@ rc=0
 "$MDSIM" -set cache=70000 >"$TMP/usage.out" 2>/dev/null || rc=$?
 if [ "$rc" -ne 2 ] || [ -s "$TMP/usage.out" ]; then
     echo "ci: mdsim -set cache=70000 exited $rc (want 2) or wrote to stdout" >&2
+    exit 1
+fi
+# So is a cluster larger than a client's 15-bit location hint can name.
+rc=0
+"$MDSIM" -set mds=32769 >"$TMP/usage.out" 2>/dev/null || rc=$?
+if [ "$rc" -ne 2 ] || [ -s "$TMP/usage.out" ]; then
+    echo "ci: mdsim -set mds=32769 exited $rc (want 2) or wrote to stdout" >&2
     exit 1
 fi
 # So is an op mix of no weight, which would silently be the default mix.
