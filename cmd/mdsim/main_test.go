@@ -55,8 +55,8 @@ duration 10s
 }
 
 // TestUsageErrors: every bad knob or inconsistent combination is a usage
-// error — exit status 2 and a message on stderr — raised before any
-// simulation runs, so stdout stays empty.
+// error — exit status 2 and a message on stderr naming what is wrong —
+// raised before any simulation runs, so stdout stays empty.
 func TestUsageErrors(t *testing.T) {
 	dir := t.TempDir()
 	planFile := func(name string) string {
@@ -69,52 +69,68 @@ func TestUsageErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
+		want string
 	}{
-		{"unknown net model", []string{"-set", "net=bogus", "-plan", "fig2", "-quick"}},
-		{"unknown fault kind", []string{"-set", "faults=explode@1s:mds0"}},
-		{"negative shards", []string{"-set", "shards=-3"}},
-		{"leases without open loop", []string{"-set", "mechanism=leases"}},
-		{"checkpoint flags without a cadence", []string{"-set", "rate=10", "-checkpoint-dir", dir}},
-		{"endure without open loop", []string{"-set", "checkpoint=2.5s"}},
-		{"cadence inside the quiesce drain", []string{"-set", "rate=10", "-set", "checkpoint=2s"}},
-		{"endure on the shared OSD pool", []string{"-set", "rate=0.05", "-set", "clients=2000", "-set", "checkpoint=2.5s", "-set", "osds=8"}},
+		{"unknown net model", []string{"-set", "net=bogus", "-plan", "fig2", "-quick"}, `unknown net "bogus"`},
+		{"unknown fault kind", []string{"-set", "faults=explode@1s:mds0"}, `unknown fault kind "explode"`},
+		{"negative shards", []string{"-set", "shards=-3"}, `unknown key "shards"`},
+		{"leases without open loop", []string{"-set", "mechanism=leases"}, "client leases need an open-loop population"},
+		{"checkpoint flags without a cadence", []string{"-set", "rate=10", "-checkpoint-dir", dir}, "need a checkpoint cadence"},
+		{"endure without open loop", []string{"-set", "checkpoint=2.5s"}, "endurance runs need the open-loop traffic plane"},
+		{"cadence inside the quiesce drain", []string{"-set", "rate=10", "-set", "checkpoint=2s"}, "must exceed the 2s quiesce drain"},
+		{"endure on the shared OSD pool", []string{"-set", "rate=0.05", "-set", "clients=2000", "-set", "checkpoint=2.5s", "-set", "osds=8"},
+			"do not support a shared OSD pool"},
 		{"endure with unembedded inodes", []string{"-set", "rate=0.05", "-set", "clients=2000", "-set", "checkpoint=2.5s",
-			"-set", "strategy=StaticSubtree", "-set", "embed=off"}},
-		{"endure on LazyHybrid", []string{"-set", "rate=0.05", "-set", "clients=2000", "-set", "checkpoint=2.5s", "-set", "strategy=LazyHybrid"}},
-		{"soak on a single node", []string{"-set", "rate=10", "-set", "mds=1", "-set", "checkpoint=2.5s", "-set", "soak=2"}},
-		{"chaos budget on a single node", []string{"-plan", "chaos", "-set", "mds=1"}},
-		{"restore on a matrix plan", []string{"-plan", "clients", "-quick", "-set", "checkpoint=2.5s", "-restore", filepath.Join(dir, "ck-000.snap")}},
-		{"plan: unknown act kind", []string{"-plan", planFile("bad-kind"), "-quick"}},
-		{"plan: overlapping phases", []string{"-plan", planFile("bad-overlap"), "-quick"}},
-		{"plan: zero rate", []string{"-plan", planFile("bad-rate"), "-quick"}},
-		{"plan: hotspot not in namespace", []string{"-plan", planFile("bad-hotspot"), "-quick"}},
-		{"unknown plan name", []string{"-plan", "no-such-plan"}},
-		{"warmup equals duration", []string{"-set", "duration=5s", "-set", "warmup=5s"}},
-		{"default warmup past duration", []string{"-set", "rate=10", "-set", "clients=1000", "-set", "duration=3s"}},
-		{"link bandwidth on the fixed model", []string{"-set", "link-bw=1e6"}},
-		{"unknown strategy", []string{"-set", "strategy=Bogus"}},
-		{"unknown figure", []string{"-plan", "fig99", "-quick"}},
-		{"empty cluster", []string{"-set", "mds=0"}},
+			"-set", "strategy=StaticSubtree", "-set", "embed=off"}, "do not support embed=off"},
+		{"endure on LazyHybrid", []string{"-set", "rate=0.05", "-set", "clients=2000", "-set", "checkpoint=2.5s", "-set", "strategy=LazyHybrid"},
+			"do not support the LazyHybrid strategy"},
+		{"soak on a single node", []string{"-set", "rate=10", "-set", "mds=1", "-set", "checkpoint=2.5s", "-set", "soak=2"},
+			"a rolling schedule needs at least 2 MDS nodes"},
+		{"chaos budget on a single node", []string{"-plan", "chaos", "-set", "mds=1"}, "the budget needs mds >= 2"},
+		{"restore on a matrix plan", []string{"-plan", "clients", "-quick", "-set", "checkpoint=2.5s", "-restore", filepath.Join(dir, "ck-000.snap")},
+			"take a plan of one run, not 6"},
+		{"plan: unknown act kind", []string{"-plan", planFile("bad-kind"), "-quick"}, `unknown act kind "surge"`},
+		{"plan: overlapping phases", []string{"-plan", planFile("bad-overlap"), "-quick"}, `act "b" (from 2s) overlaps act "a"`},
+		{"plan: zero rate", []string{"-plan", planFile("bad-rate"), "-quick"}, `act rate multiplier "x0" must be > 0`},
+		{"plan: hotspot not in namespace", []string{"-plan", planFile("bad-hotspot"), "-quick"}, "hotspot path not in namespace"},
+		{"unknown plan name", []string{"-plan", "no-such-plan"}, `-plan "no-such-plan" is neither listed by -list nor a readable plan file`},
+		{"warmup equals duration", []string{"-set", "duration=5s", "-set", "warmup=5s"}, "warmup 5s does not fit the 5s duration"},
+		{"default warmup past duration", []string{"-set", "rate=10", "-set", "clients=1000", "-set", "duration=3s"},
+			"warmup 5s does not fit the 3s duration"},
+		{"link bandwidth on the fixed model", []string{"-set", "link-bw=1e6"}, `unknown key "link-bw"`},
+		{"unknown strategy", []string{"-set", "strategy=Bogus"}, `unknown strategy "Bogus"`},
+		{"unknown figure", []string{"-plan", "fig99", "-quick"}, `-plan "fig99" is neither listed`},
+		{"empty cluster", []string{"-set", "mds=0"}, `mds: bad value "0" (want a whole number >= 1)`},
+		{"a cache past its 16-bit references", []string{"-set", "cache=70000"}, "a cache of 70000 records is more than the 65408"},
+		{"more nodes than a hint can name", []string{"-set", "mds=32769"}, "a cluster of 32769 MDSs is more than the 32768"},
 
-		{"plan: negative shards", []string{"-plan", planFile("bad-shards")}},
-		{"unknown -set key", []string{"-set", "colour=red"}},
-		{"-set without a value", []string{"-set", "mds"}},
-		{"-set on a key the matrix sweeps", []string{"-plan", "fig2", "-quick", "-set", "mds=4"}},
-		{"-set on a key that co-varies with the swept mds", []string{"-plan", "fig2", "-quick", "-set", "users=100"}},
-		{"-set on the cache axis of Figure 4", []string{"-plan", "fig4", "-quick", "-set", "cache=500"}},
-		{"-set on the fault schedule the availability pair sweeps", []string{"-plan", "avail", "-quick", "-set", "faults=drop@0.1:all"}},
-		{"-set on the directory-hashing axis of sci", []string{"-plan", "sci", "-quick", "-set", "dirhash-at=0"}},
-		{"embed=off on a strategy it cannot unembed", []string{"-set", "embed=off"}},
-		{"fewer closed-loop clients than nodes", []string{"-set", "clients=3", "-set", "mds=8"}},
-		{"shards on the plan with the shared OSD pool", []string{"-plan", "ablations", "-quick", "-set", "shards=2"}},
-		{"-set of an open-loop key on a closed loop", []string{"-set", "tenants=8"}},
+		{"plan: negative shards", []string{"-plan", planFile("bad-shards")}, `plan line 2: unknown key "shards"`},
+		{"unknown -set key", []string{"-set", "colour=red"}, `unknown key "colour"`},
+		{"-set without a value", []string{"-set", "mds"}, `"mds" wants key=value`},
+		{"-set on a key the matrix sweeps", []string{"-plan", "fig2", "-quick", "-set", "mds=4"}, `-set mds=4 overrides the "mds" axis`},
+		{"-set on a key that co-varies with the swept mds", []string{"-plan", "fig2", "-quick", "-set", "users=100"},
+			`-set users=100 overrides the "users" axis`},
+		{"-set on the cache axis of Figure 4", []string{"-plan", "fig4", "-quick", "-set", "cache=500"}, `overrides the "cache" axis`},
+		{"-set on the fault schedule the availability pair sweeps", []string{"-plan", "avail", "-quick", "-set", "faults=drop@0.1:all"},
+			`plan avail: -set faults=drop@0.1:all overrides the "faults" axis`},
+		{"-set on the directory-hashing axis of sci", []string{"-plan", "sci", "-quick", "-set", "dirhash-at=0"},
+			`overrides the "dirhash-at" axis`},
+		{"embed=off on a strategy it cannot unembed", []string{"-set", "embed=off"}, "embed=off needs strategy=StaticSubtree"},
+		{"fewer closed-loop clients than nodes", []string{"-set", "clients=3", "-set", "mds=8"},
+			"a closed-loop population of 3 cannot put a client on each of 8 MDS nodes"},
+		{"shards on the plan with the shared OSD pool", []string{"-plan", "ablations", "-quick", "-set", "shards=2"}, `unknown key "shards"`},
+		{"-set of an open-loop key on a closed loop", []string{"-set", "tenants=8"}, "tenants=8: needs an open-loop population"},
 		{"an op mix of no weight", []string{"-set", "rate=0.5", "-set", "clients=2000", "-set", "mix=stat:0",
-			"-set", "duration=2s", "-set", "warmup=1s"}},
-		{"-set on a key the chaos budget sweeps", []string{"-plan", "chaos", "-set", "strategy=FileHash"}},
-		{"-set on the fault schedule the chaos budget sweeps", []string{"-plan", "chaos", "-set", "faults=drop@0.1:all"}},
-		{"endurance on a matrix plan", []string{"-plan", "namespace-aging", "-set", "checkpoint=5s"}},
-		{"soak with its own faults", []string{"-set", "rate=10", "-set", "faults=drop@0.1:all", "-set", "soak=2", "-set", "checkpoint=5s"}},
-		{"stray argument", []string{"fig2"}},
+			"-set", "duration=2s", "-set", "warmup=1s"}, `mix: "stat:0" has no weight`},
+		{"-set on a key the chaos budget sweeps", []string{"-plan", "chaos", "-set", "strategy=FileHash"},
+			`plan chaos: -set strategy=FileHash overrides the "strategy" axis`},
+		{"-set on the fault schedule the chaos budget sweeps", []string{"-plan", "chaos", "-set", "faults=drop@0.1:all"},
+			`plan chaos: -set faults=drop@0.1:all overrides the "faults" axis`},
+		{"endurance on a matrix plan", []string{"-plan", "namespace-aging", "-set", "checkpoint=5s"},
+			"endurance runs do not support scenario acts"},
+		{"soak with its own faults", []string{"-set", "rate=10", "-set", "faults=drop@0.1:all", "-set", "soak=2", "-set", "checkpoint=5s"},
+			"soak generates its own fault schedule"},
+		{"stray argument", []string{"fig2"}, `unexpected argument "fig2"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -122,13 +138,123 @@ func TestUsageErrors(t *testing.T) {
 			if code := run(tc.args, &stdout, &stderr); code != 2 {
 				t.Errorf("exit status %d, want 2", code)
 			}
-			if stderr.Len() == 0 {
-				t.Error("no message on stderr")
+			if !strings.Contains(stderr.String(), tc.want) {
+				t.Errorf("stderr does not say %q:\n%s", tc.want, stderr.String())
 			}
 			if stdout.Len() != 0 {
 				t.Errorf("work started before the usage error:\n%s", stdout.String())
 			}
 		})
+	}
+}
+
+// goldens are the committed outputs scripts/regen-golden.sh writes, with
+// the arguments it runs mdsim with. The third, figures_quick.txt, is
+// diffed one experiment at a time by internal/harness's quick smoke
+// tests, so each figure runs once in go test.
+var goldens = []struct {
+	file string
+	args []string
+}{
+	{"plans_quick.txt", []string{"-plan", "library", "-quick"}},
+	{"chaos_seed1.txt", []string{"-plan", "chaos", "-seed", "1"}},
+}
+
+// withoutWall drops the "(wall time ...)" lines, the one part of a report
+// that real time decides.
+func withoutWall(report string) []string {
+	var out []string
+	for _, line := range strings.SplitAfter(report, "\n") {
+		if !strings.HasPrefix(line, "(wall time ") {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// TestGoldens: mdsim prints what testdata holds, byte for byte, bar the
+// wall-time lines. Seed and network model are fixed, so a difference is
+// a behaviour change: explain it and run scripts/regen-golden.sh.
+func TestGoldens(t *testing.T) {
+	for _, g := range goldens {
+		t.Run(g.file, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("..", "..", "testdata", g.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			if code := run(g.args, &stdout, &stderr); code != 0 {
+				t.Fatalf("mdsim %s: exit status %d\n%s", strings.Join(g.args, " "), code, stderr.String())
+			}
+			got, want := withoutWall(stdout.String()), withoutWall(string(data))
+			if slices.Equal(got, want) {
+				return
+			}
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			got, want = append(got, ""), append(want, "") // "" past the end
+			t.Fatalf("mdsim %s differs from testdata/%s at line %d (wall-time lines skipped):\n got: %q\nwant: %q",
+				strings.Join(g.args, " "), g.file, i+1, got[i], want[i])
+		})
+	}
+}
+
+// TestEveryKeyIsTurned: a key that no run moves off the default plan's
+// value is a constant the goldens never pin. Each key must be moved by a
+// cell of some plan -list offers, at full or quick scale (the keys
+// plan.CommandLine renders for the cell), or by a -set word of
+// scripts/ci.sh.
+func TestEveryKeyIsTurned(t *testing.T) {
+	ci, err := os.ReadFile(filepath.Join("..", "..", "scripts", "ci.sh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	turned := map[string]bool{}
+	for _, m := range regexp.MustCompile(`-set ([a-z-]+)=`).FindAllStringSubmatch(string(ci), -1) {
+		turned[m[1]] = true
+	}
+	for _, name := range []string{plan.Default().Name, harness.Chaos().ID, groupFigures, groupLibrary} {
+		targets, err := resolve(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range targets {
+			for _, quick := range []bool{false, true} {
+				opt := harness.Options{Seed: 1, Quick: quick}
+				ps, _, err := e.Build(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range ps {
+					cells, err := p.Compile(opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, c := range cells {
+						args := shellFields(plan.CommandLine(c.Cfg))
+						for i := 1; i < len(args); i++ {
+							if args[i-1] == "-set" {
+								k, _, _ := strings.Cut(args[i], "=")
+								turned[k] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	// An unknown key's error lists the key table, as mdsim -set shows it.
+	_, err = plan.ParseSetting("?=?")
+	_, known, ok := strings.Cut(err.Error(), "(known: ")
+	if !ok {
+		t.Fatalf("the unknown-key error lists no keys: %v", err)
+	}
+	for _, k := range strings.Fields(strings.TrimSuffix(known, ")")) {
+		if !turned[k] {
+			t.Errorf("key %s keeps the default plan's value in every plan -list offers and every -set of scripts/ci.sh: make it a constant", k)
+		}
 	}
 }
 
@@ -148,15 +274,16 @@ func TestFlagSurface(t *testing.T) {
 // TestValidInvocations: the up-front validation rejects nothing valid —
 // the listing, a small default-plan run on the queued model, -set on an
 // experiment and on the group of all of them (every experiment is a
-// plan; the group is cut to two simulated seconds a run), and a soak
-// with no checkpoint cadence, a faulted cell like any other, exit 0.
+// plan; the group is cut to one simulated second a run, TestGoldens runs
+// it at quick length), and a soak with no checkpoint cadence, a faulted
+// cell like any other, exit 0.
 func TestValidInvocations(t *testing.T) {
 	for name, args := range map[string][]string{
 		"the listing": {"-list"},
 		"the default plan reshaped": {"-set", "strategy=FileHash", "-set", "mds=2", "-set", "clients=10", "-set", "users=10",
-			"-set", "duration=2s", "-set", "warmup=1s", "-set", "net=queued", "-set", "link-bw=1e8"},
+			"-set", "duration=2s", "-set", "warmup=1s", "-set", "net=queued"},
 		"-set on the failover experiment": {"-plan", "failover", "-quick", "-set", "net=queued"},
-		"-set on every member of a group": {"-plan", "figures", "-quick", "-set", "net=queued", "-set", "duration=2s", "-set", "warmup=1s"},
+		"-set on every member of a group": {"-plan", "figures", "-quick", "-set", "net=queued", "-set", "duration=1s", "-set", "warmup=500ms"},
 		"a soak without a checkpoint cadence": {"-set", "rate=0.03", "-set", "clients=2000", "-set", "soak=2",
 			"-set", "duration=2s", "-set", "warmup=1s"},
 	} {

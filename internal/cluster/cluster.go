@@ -78,11 +78,8 @@ type Config struct {
 	// NetModel selects the message-fabric latency model: net.ModelFixed
 	// (the default; reproduces the constant netLatency/fwdLatency hops
 	// exactly) or net.ModelQueued (adds per-link serialization delay
-	// from message size and link bandwidth).
+	// from message size at net.DefaultBandwidth).
 	NetModel string
-	// LinkBandwidth sets the queued model's per-link capacity in bytes
-	// per simulated second; zero means net.DefaultBandwidth.
-	LinkBandwidth float64
 
 	// Faults is a fault-injection schedule in the internal/fault DSL,
 	// e.g. "crash@30s:mds3,drop@0.01:link2-5,partition@60s-90s:{0-3|4-7}".
@@ -281,8 +278,6 @@ func (cfg *Config) Validate() error {
 	case cfg.Warmup >= cfg.Duration:
 		return fmt.Errorf("warmup %s does not fit the %s duration: nothing would be measured",
 			sim.FormatTime(cfg.Warmup), sim.FormatTime(cfg.Duration))
-	case cfg.LinkBandwidth != 0 && cfg.NetModel != net.ModelQueued:
-		return fmt.Errorf("link-bw needs net=%s (the fixed model has no link bandwidth)", net.ModelQueued)
 	case cfg.NoEmbed && cfg.Strategy != StratStatic:
 		return fmt.Errorf("embed=off needs strategy=%s (the only partition it unembeds)", StratStatic)
 	case cfg.Lease.Enabled && !open:
@@ -483,7 +478,7 @@ func buildNetModel(cfg Config) (net.LatencyModel, error) {
 	case "", net.ModelFixed:
 		return base, nil
 	case net.ModelQueued:
-		return &net.Queued{Base: base, Bandwidth: cfg.LinkBandwidth}, nil
+		return &net.Queued{Base: base, Bandwidth: net.DefaultBandwidth}, nil
 	default:
 		return nil, fmt.Errorf("cluster: unknown net model %q", cfg.NetModel)
 	}

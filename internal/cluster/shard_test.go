@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-
-	"dynmds/internal/net"
 )
 
 // Config.Shards is read by nothing: every run is one engine on one
@@ -99,9 +97,9 @@ func TestShardedDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedConservation checks the fabric's accounting identity on a
-// run with Shards=4, on every strategy: after the drain every message
-// was delivered exactly once and no pooled envelope leaked.
+// TestShardedConservation checks the fabric's accounting identity, as
+// TestMessageConservation does, on a run with Shards=4, on every
+// strategy.
 func TestShardedConservation(t *testing.T) {
 	for _, s := range Strategies {
 		t.Run(s, func(t *testing.T) {
@@ -114,31 +112,7 @@ func TestShardedConservation(t *testing.T) {
 			}
 			cl.Run()
 			cl.Drain()
-			if n := cl.Fab.InFlight(); n != 0 {
-				t.Errorf("in-flight after drain = %d", n)
-			}
-			if n := cl.Fab.LiveEnvelopes(); n != 0 {
-				t.Errorf("live envelopes after drain = %d", n)
-			}
-			for c := 0; c < net.NumClasses; c++ {
-				cs := cl.Fab.Class(net.Class(c))
-				if cs.Sent != cs.Delivered {
-					t.Errorf("%s: sent %d != delivered %d", net.Class(c), cs.Sent, cs.Delivered)
-				}
-			}
-			var issued, completed uint64
-			for _, c := range cl.Clients {
-				issued += c.Stats.Issued
-				completed += c.Stats.Completed
-			}
-			req := cl.Fab.Class(net.Request)
-			rep := cl.Fab.Class(net.Reply)
-			if req.Sent != issued {
-				t.Errorf("requests sent %d != issued %d", req.Sent, issued)
-			}
-			if completed != rep.Sent {
-				t.Errorf("completed %d != replies sent %d", completed, rep.Sent)
-			}
+			conserved(t, cl)
 		})
 	}
 }

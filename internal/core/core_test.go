@@ -100,7 +100,7 @@ func TestTrafficControlDecisions(t *testing.T) {
 	tr, homes := buildTree(t)
 	_ = tr
 	f := homes[0].Child(0)
-	tc := &TrafficControl{ReplicateThreshold: 10, UnreplicateThreshold: 2}
+	tc := &TrafficControl{ReplicateThreshold: 10}
 	pop := partition.Popularity(f)
 	decide := func(now sim.Time) Decision {
 		d := tc.Peek(now, f)

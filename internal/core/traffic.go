@@ -21,12 +21,10 @@ import (
 // contrasts off and on).
 type TrafficControl struct {
 	// ReplicateThreshold is the decayed access count above which an
-	// item is replicated cluster-wide.
+	// item is replicated cluster-wide. A replicated item is consolidated
+	// back to its authority once its count falls below a tenth of it
+	// (hysteresis).
 	ReplicateThreshold float64
-	// UnreplicateThreshold is the decayed count below which a
-	// replicated item is consolidated back to its authority. Must be
-	// below ReplicateThreshold (hysteresis).
-	UnreplicateThreshold float64
 
 	// PreemptiveThreshold, when > 0, implements the paper's suggested
 	// improvement (§5.4): a non-authoritative node that forwards more
@@ -47,10 +45,7 @@ type TrafficControl struct {
 
 // DefaultTrafficControl returns the policy used by the experiments.
 func DefaultTrafficControl() *TrafficControl {
-	return &TrafficControl{
-		ReplicateThreshold:   300,
-		UnreplicateThreshold: 30,
-	}
+	return &TrafficControl{ReplicateThreshold: 300}
 }
 
 // Decision tells the MDS what to do after an access.
@@ -70,9 +65,8 @@ const (
 // cluster to run: no replications counted, no forward counts.
 func (tc *TrafficControl) ForCluster() *TrafficControl {
 	return &TrafficControl{
-		ReplicateThreshold:   tc.ReplicateThreshold,
-		UnreplicateThreshold: tc.UnreplicateThreshold,
-		PreemptiveThreshold:  tc.PreemptiveThreshold,
+		ReplicateThreshold:  tc.ReplicateThreshold,
+		PreemptiveThreshold: tc.PreemptiveThreshold,
 	}
 }
 
@@ -116,7 +110,7 @@ func (tc *TrafficControl) Peek(now sim.Time, ino *namespace.Inode) Decision {
 	switch replicated := tags.Has(namespace.ReplicatedAll); {
 	case !replicated && v >= tc.ReplicateThreshold:
 		return Replicate
-	case replicated && v < tc.UnreplicateThreshold:
+	case replicated && v < tc.ReplicateThreshold/10:
 		return Consolidate
 	}
 	return Keep

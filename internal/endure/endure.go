@@ -17,6 +17,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"dynmds/internal/chaos"
 	"dynmds/internal/cluster"
@@ -126,13 +127,24 @@ func (e *FsckError) Error() string {
 func (e *FsckError) Unwrap() error { return e.Err }
 
 // Digest fingerprints a run's externally observable outcome. The
-// fields match the determinism convention used across the test suite.
+// fields match the determinism convention used across the test suite;
+// the fabric's are spelled as %+v would print net.Stats.
 func Digest(r *cluster.Result) string {
-	return fmt.Sprintf("iss=%d comp=%d ops=%d p50=%x p99=%x p999=%x mean=%x fwd=%x net=%+v",
+	n := &r.Net
+	var b strings.Builder
+	fmt.Fprintf(&b, "iss=%d comp=%d ops=%d p50=%x p99=%x p999=%x mean=%x fwd=%x net={Model:%s Messages:%d Bytes:%d Dropped:%d MaxQueueDepth:%d PerClass:[",
 		r.Issued, r.Completed, r.MeasuredOps,
 		math.Float64bits(r.LatencyP50), math.Float64bits(r.LatencyP99),
 		math.Float64bits(r.LatencyP999), math.Float64bits(r.MeanLatency),
-		math.Float64bits(r.ForwardFrac), r.Net)
+		math.Float64bits(r.ForwardFrac), n.Model, n.Messages, n.Bytes, n.Dropped, n.MaxQueueDepth)
+	for i, c := range n.PerClass {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "{Sent:%d Delivered:%d Dropped:%d Bytes:%d}", c.Sent, c.Delivered, c.Dropped, c.Bytes)
+	}
+	b.WriteString("]}")
+	return b.String()
 }
 
 // runState threads the per-segment bookkeeping through a run.

@@ -128,6 +128,11 @@ func TestRestoreBitIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireAged(t, ref)
+			// Digest spells the fabric's fields out; bench digests and
+			// committed restore digests hold it to %+v's text.
+			if net := fmt.Sprintf(" net=%+v", ref.Res.Net); !strings.HasSuffix(ref.Digest, net) {
+				t.Errorf("digest %q does not end in%s", ref.Digest, net)
+			}
 
 			saved := options()
 			saved.Dir = t.TempDir()
@@ -312,7 +317,7 @@ func TestValidateSnapshot(t *testing.T) {
 // build's — is refused with the version message before any post-version
 // field is decoded.
 func TestSnapshotVersionRejected(t *testing.T) {
-	for _, version := range []int{1, 2, 3, 4, 5, 6, 7, SnapshotVersion + 1} {
+	for _, version := range []int{1, 2, 3, 4, 5, 6, 7, 8, SnapshotVersion + 1} {
 		path := filepath.Join(t.TempDir(), "other.snap")
 		data := versionOnlySnapshot(version)
 		if err := os.WriteFile(path, data, 0o644); err != nil {

@@ -14,7 +14,7 @@ import (
 // SnapshotVersion is the endurance snapshot format version. Bump it on
 // any incompatible change to the section layout; Restore rejects
 // mismatched files rather than misreading them.
-const SnapshotVersion = 8
+const SnapshotVersion = 9
 
 // header is the "endure" section at the front of every snapshot file:
 // enough to validate the restoring run's configuration and position the
@@ -32,34 +32,41 @@ type header struct {
 func (h *header) At() sim.Time { return h.ResumeAt - cluster.QuiesceDrain }
 
 // configHash digests the parts of a cluster config that shape the event
-// sequence, excluding the fault schedule (chaos shrinking restores a
-// snapshot under a *reduced* schedule on purpose).
+// sequence, field by field. It leaves out the fault schedule (chaos
+// shrinking restores a snapshot under a *reduced* schedule on purpose),
+// the storage pool (nil in endure runs), and Acts, OSDs and NoEmbed,
+// which EndureCheck refuses. cfg.Snapshot is deliberately not hashed:
+// the tree it holds is a pure function of (FS, Seed) when endure
+// generates it, and opaque when the caller shares one — either way
+// presence timing must not change the hash.
 func configHash(cfg *cluster.Config) uint64 {
-	cp := *cfg
-	cp.Faults = ""
-	cp.MDS.Storage.Pool = nil // nil in endure runs; avoid hashing an address
 	h := fnv.New64a()
-	fmt.Fprintf(h, "seed=%d mds=%d cpm=%d strat=%q depth=%d fs=%+v mds=%+v client=%+v work=%+v net=%q bw=%g hashdir=%d lease=%+v dur=%d warm=%d bucket=%d",
-		cp.Seed, cp.NumMDS, cp.ClientsPerMDS, cp.Strategy, cp.PartitionDepth,
-		cp.FS, cp.MDS, cp.Client, cp.Workload, cp.NetModel, cp.LinkBandwidth,
-		cp.HashDirThreshold, cp.Lease,
-		cp.Duration, cp.Warmup, cp.SeriesBucket)
-	if cp.OpenLoop != nil {
-		fmt.Fprintf(h, " pop=%+v", *cp.OpenLoop)
+	fs, m, cl, w, g, l := &cfg.FS, &cfg.MDS, &cfg.Client, &cfg.Workload, &cfg.Workload.General, &cfg.Lease
+	fmt.Fprintf(h, "seed=%d mds=%d cpm=%d strat=%q depth=%d net=%q hashdir=%d dur=%d warm=%d bucket=%d",
+		cfg.Seed, cfg.NumMDS, cfg.ClientsPerMDS, cfg.Strategy, cfg.PartitionDepth, cfg.NetModel,
+		cfg.HashDirThreshold, cfg.Duration, cfg.Warmup, cfg.SeriesBucket)
+	fmt.Fprintf(h, " fs=%d/%d/%d/%d/%v/%v/%d/%d/%d/%d/%d", fs.Seed, fs.Users, fs.DirsPerUser, fs.MaxDepth,
+		fs.FilesPerDirMedian, fs.FilesPerDirSigma, fs.FilesPerDirMax, fs.SystemDirs, fs.SystemFilesPerDir,
+		fs.Projects, fs.FilesPerProject)
+	fmt.Fprintf(h, " node=%d/%d/%d/%t client=%d/%d/%d", m.CacheCapacity, m.Storage.LogCapacity,
+		m.Storage.PoolOwner, m.PrefetchHot, cl.ThinkMean, cl.KnownCap, cl.RetryTimeout)
+	fmt.Fprintf(h, " work=%q/%v/%v/%v/%v/%v/%v/%v/%v/%v/%v/%v/%v/%v/%d/%d", w.Kind,
+		g.Mix.Stat, g.Mix.Open, g.Mix.Readdir, g.Mix.Create, g.Mix.Unlink, g.Mix.Mkdir, g.Mix.Chmod, g.Mix.Rename,
+		g.PMove, g.PJump, g.PShared, g.PDirChmod, g.PDirRename, g.ReaddirStats, w.ShiftTime)
+	fmt.Fprintf(h, " lease=%t/%d/%t", l.Enabled, l.Duration, l.Fanout)
+	if p := cfg.OpenLoop; p != nil {
+		fmt.Fprintf(h, " pop=%d/%v/%d/%d/%v/%v/%d/%v/%v/%v/%v/%v/%v/%v/%v", p.Clients, p.Rate, p.Ways,
+			p.Tenant.Tenants, p.Tenant.TenantSkew, p.Tenant.FileSkew, p.Tenant.WorkingSet, p.DiurnalAmp, p.BurstProb,
+			p.MixStat, p.MixReaddir, p.MixChmod, p.MixCreate, p.MixRename, p.MixUnlink)
 	}
-	if cp.Balancer != nil {
-		fmt.Fprintf(h, " bal=%+v", *cp.Balancer)
+	if b := cfg.Balancer; b != nil {
+		fmt.Fprintf(h, " bal=%d/%t", b.Interval, b.NoRedelegateFirst)
 	}
-	if tc := cp.Traffic; tc != nil {
+	if tc := cfg.Traffic; tc != nil {
 		// The policy's thresholds; its replication count and forward
 		// counters are run state, not configuration.
-		fmt.Fprintf(h, " tc={ReplicateThreshold:%v UnreplicateThreshold:%v PreemptiveThreshold:%v}",
-			tc.ReplicateThreshold, tc.UnreplicateThreshold, tc.PreemptiveThreshold)
+		fmt.Fprintf(h, " tc=%v/%v", tc.ReplicateThreshold, tc.PreemptiveThreshold)
 	}
-	// cp.Snapshot is deliberately not hashed: the tree it holds is a
-	// pure function of (FS, Seed) when endure generates it, and opaque
-	// when the caller shares one — either way presence timing must not
-	// change the hash.
 	return h.Sum64()
 }
 

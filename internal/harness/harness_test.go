@@ -3,6 +3,8 @@ package harness
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -225,6 +227,16 @@ func TestAblationClaims(t *testing.T) {
 		if err := render(&table, runs); err != nil {
 			t.Fatal(err)
 		}
+		if seed == 1 {
+			// What Run prints at seed 1: the table, and no simfsck
+			// failure block after it.
+			for i := range runs {
+				if runs[i].Fsck != nil {
+					t.Errorf("%s failed simfsck: %v", runs[i].Label, runs[i].Fsck)
+				}
+			}
+			sameReport(t, e.ID, table.String(), quickGolden(t)[e.ID])
+		}
 		claims := 0
 		for i, a := range ablations {
 			for _, c := range a.claims {
@@ -263,49 +275,79 @@ func TestPoolSize(t *testing.T) {
 	}
 }
 
-func TestExtrasQuickSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
+// quickGolden splits testdata/figures_quick.txt, which
+// scripts/regen-golden.sh writes from mdsim -plan figures -quick, into
+// the report each experiment printed, keyed by ID. The file must be, in
+// All() then Extras() order, each experiment's "== Title ==" heading,
+// description, report and wall-time line, with nothing after the last:
+// so the headings checked here and the reports diffed by the tests
+// below pin every byte of it but the wall times.
+func quickGolden(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "figures_quick.txt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	opt := Options{Quick: true, Seed: 1}
-	for _, e := range Extras() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			if e.ID == "ablations" {
-				t.Skip("run and rendered by TestAblationClaims")
-			}
-			var buf bytes.Buffer
-			if err := e.Run(&buf, opt); err != nil {
-				t.Fatal(err)
-			}
-			if !strings.Contains(buf.String(), "Extension") {
-				t.Fatalf("unexpected output:\n%s", buf.String())
-			}
-		})
+	rest := string(data)
+	reports := map[string]string{}
+	for _, e := range append(All(), Extras()...) {
+		head := fmt.Sprintf("== %s ==\n%s\n\n", e.Title, e.Description)
+		if !strings.HasPrefix(rest, head) {
+			t.Fatalf("testdata/figures_quick.txt: %s's block does not start with its heading and description:\n%s", e.ID, head)
+		}
+		rest = rest[len(head):]
+		end := strings.Index(rest, "\n(wall time ")
+		nl := strings.Index(rest[end+1:], ")\n\n")
+		if end < 0 || nl < 0 {
+			t.Fatalf("testdata/figures_quick.txt: %s's report ends in no wall-time line", e.ID)
+		}
+		reports[e.ID] = rest[:end+1]
+		rest = rest[end+1+nl+len(")\n\n"):]
 	}
+	if rest != "" {
+		t.Fatalf("testdata/figures_quick.txt runs on past the last experiment:\n%s", rest)
+	}
+	return reports
 }
 
-// The figure runners are exercised end-to-end at the smallest scale to
-// catch wiring regressions; shape assertions live in EXPERIMENTS.md.
-func TestFiguresQuickSmoke(t *testing.T) {
+// sameReport fails t at the first line where an experiment's report
+// differs from its golden. Seed and network model are fixed, so a
+// difference is a behaviour change: explain it and run
+// scripts/regen-golden.sh.
+func sameReport(t *testing.T, id, got, want string) {
+	t.Helper()
+	if got == want {
+		return
+	}
+	g, w := strings.SplitAfter(got, "\n"), strings.SplitAfter(want, "\n")
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
+	}
+	g, w = append(g, ""), append(w, "") // "" past the end
+	t.Fatalf("%s -quick differs from testdata/figures_quick.txt at line %d of its report:\n got: %q\nwant: %q", id, i+1, g[i], w[i])
+}
+
+func TestExtrasQuickSmoke(t *testing.T)  { quickSmoke(t, Extras()) }
+func TestFiguresQuickSmoke(t *testing.T) { quickSmoke(t, All()) }
+
+// quickSmoke runs each experiment end to end at -quick, seed 1, and
+// holds it to its golden report byte for byte.
+func quickSmoke(t *testing.T, experiments []Experiment) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	opt := Options{Quick: true, Seed: 1}
-	for _, e := range All() {
-		e := e
+	golden := quickGolden(t)
+	for _, e := range experiments {
 		t.Run(e.ID, func(t *testing.T) {
+			if e.ID == "ablations" {
+				t.Skip("run, rendered and diffed by TestAblationClaims")
+			}
 			var buf bytes.Buffer
-			if err := e.Run(&buf, opt); err != nil {
+			if err := e.Run(&buf, Options{Quick: true, Seed: 1}); err != nil {
 				t.Fatal(err)
 			}
-			out := buf.String()
-			if !strings.Contains(out, "Figure") {
-				t.Fatalf("no table header in output:\n%s", out)
-			}
-			if len(strings.Split(out, "\n")) < 4 {
-				t.Fatalf("suspiciously short output:\n%s", out)
-			}
+			sameReport(t, e.ID, buf.String(), golden[e.ID])
 		})
 	}
 }

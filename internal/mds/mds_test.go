@@ -82,7 +82,7 @@ func buildCluster(t *testing.T, eng *sim.Engine, n int, makeStrat func(*namespac
 	strat := makeStrat(tree)
 	var tc *core.TrafficControl
 	if trafficOn {
-		tc = &core.TrafficControl{ReplicateThreshold: 5, UnreplicateThreshold: 1}
+		tc = &core.TrafficControl{ReplicateThreshold: 5}
 	}
 	cl := newTestCluster(eng, tree, n)
 	for i := 0; i < n; i++ {

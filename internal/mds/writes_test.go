@@ -171,11 +171,11 @@ func TestPreemptiveReplication(t *testing.T) {
 	f, _ := tree.Create(u, "hot")
 
 	strat := partition.NewStaticSubtree(3, tree, 2)
-	tc := &core.TrafficControl{
-		ReplicateThreshold:   1e9, // authority never pushes
-		UnreplicateThreshold: 1,
-		PreemptiveThreshold:  5,
-	}
+	// The authority never pushes: the flood leaves its count at 12 at
+	// most. Nor does it consolidate the pulled replica: the count starts
+	// at 2, a tenth of the threshold.
+	tc := &core.TrafficControl{ReplicateThreshold: 20, PreemptiveThreshold: 5}
+	partition.Popularity(f).Add(0, partition.PopHalfLife, 2)
 	cl := newTestCluster(eng, tree, 3)
 	for i := 0; i < 3; i++ {
 		cl.nodes = append(cl.nodes, New(i, eng, testMDSConfig(), strat, tc, cl))

@@ -168,8 +168,8 @@ func (f Fixed) base(c Class) sim.Time {
 	}
 }
 
-// DefaultBandwidth is the queued model's per-link bandwidth when none is
-// configured: 125 MB per simulated second (a 1 Gb/s link).
+// DefaultBandwidth is the queued model's per-link bandwidth in a
+// cluster: 125 MB per simulated second (a 1 Gb/s link).
 const DefaultBandwidth = 125e6
 
 // Queued adds per-link serialization delay to the Fixed base latencies:
@@ -190,11 +190,7 @@ func (q *Queued) Name() string { return ModelQueued }
 // Delay implements LatencyModel: serialization behind the link's
 // in-flight transmissions, then the fixed propagation latency.
 func (q *Queued) Delay(l *Link, c Class, bytes int, now sim.Time) sim.Time {
-	bw := q.Bandwidth
-	if bw <= 0 {
-		bw = DefaultBandwidth
-	}
-	ser := sim.Time(float64(bytes) / bw * float64(sim.Second))
+	ser := sim.Time(float64(bytes) / q.Bandwidth * float64(sim.Second))
 	start := now
 	if l.BusyUntil > start {
 		start = l.BusyUntil

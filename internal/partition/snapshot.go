@@ -61,9 +61,10 @@ func snapCounter(c *snap.Codec, touched *bool, d *metrics.Decay) {
 // restored tree of a cluster of the given number of nodes. A block holds
 // the inode's Tags record and the sparse state kept beside it: fwd,
 // traffic control's forward counters (nil without traffic control), and
-// unflushed, the MDS nodes' unflushed-writer masks. Destroyed inodes are
-// unreachable and therefore excluded — their tags can no longer
-// influence the run.
+// unflushed, the MDS nodes' unflushed-writer masks. Lazy Hybrid's
+// epochs are not carried: its runs take no checkpoints (cluster's
+// EndureCheck). Destroyed inodes are unreachable and therefore excluded
+// — their tags can no longer influence the run.
 func SnapTags(c *snap.Codec, tree *namespace.Tree, nodes int, fwd map[namespace.InodeID]metrics.Decay, unflushed map[namespace.InodeID]uint64) {
 	// An inode has a block when any of its state is set (Pop is only
 	// ever written with PopTouched).
@@ -100,14 +101,9 @@ func SnapTags(c *snap.Codec, tree *namespace.Tree, nodes int, fwd map[namespace.
 		fp, forwarded := fwd[ino.ID]
 		writers := unflushed[ino.ID]
 		auth := int32(tg.Auth)
-		// Lazy Hybrid runs take no checkpoints (cluster's EndureCheck), so
-		// its two epochs, kept in LazyHybrid, are zero in every block.
-		var lhDir, lhApplied uint64
 		snapCounter(c, &popTouched, &tg.Pop)
 		snapCounter(c, &forwarded, &fp)
 		c.Bool(&replicated)
-		snap.U(c, &lhDir)
-		snap.U(c, &lhApplied)
 		c.Bool(&hashed)
 		snap.U(c, &tg.ReplicaSet)
 		snap.U(c, &writers)
@@ -115,9 +111,6 @@ func SnapTags(c *snap.Codec, tree *namespace.Tree, nodes int, fwd map[namespace.
 		snap.Index(c, &auth, nodes, "partition: authority memo")
 		switch {
 		case !c.Reading() || c.Err() != nil:
-			return
-		case lhDir != 0 || lhApplied != 0:
-			c.Failf("partition: Lazy Hybrid epochs on %s", ino)
 			return
 		case forwarded && fwd == nil:
 			c.Failf("partition: a forward counter on %s without traffic control", ino)

@@ -76,8 +76,6 @@ var keys = []key{
 		func(c *cluster.Config) *int { return &c.MDS.Storage.LogCapacity }),
 	enumKey("net", "fabric latency model: fixed or queued", []string{net.ModelFixed, net.ModelQueued},
 		func(c *cluster.Config) *string { return &c.NetModel }),
-	numKey("link-bw", "cluster", "queued-model link bandwidth, bytes per simulated second (0 = 125e6)", 0, inf,
-		func(c *cluster.Config) *float64 { return &c.LinkBandwidth }),
 	{"faults", "cluster", "fault schedule, e.g. crash@3s-6s:mds1,drop@0.02:all (internal/fault)",
 		func(c *cluster.Config, v string) error {
 			_, err := fault.ParseSchedule(v)
@@ -112,10 +110,9 @@ var keys = []key{
 		func(b *core.BalancerConfig) string { return onOff[b2i(b.NoRedelegateFirst)] }),
 	partKey("replicate-at", "traffic control's replication threshold (unreplicate at a tenth), or off", "",
 		traffic, *core.DefaultTrafficControl(),
-		func(t *core.TrafficControl, v string) error {
-			f, err := parseNum(v, 0.0, inf)
-			t.ReplicateThreshold, t.UnreplicateThreshold = f, f/10
-			return err
+		func(t *core.TrafficControl, v string) (err error) {
+			t.ReplicateThreshold, err = parseNum(v, 0.0, inf)
+			return
 		},
 		func(t *core.TrafficControl) string { return fmtFloat(t.ReplicateThreshold) }),
 	partKey("preempt-at", "forwards of one item that fetch a replica preemptively (0 = never)", "traffic control (replicate-at is off)",

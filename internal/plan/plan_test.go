@@ -261,7 +261,6 @@ func TestRulebook(t *testing.T) {
 		{"more MDSs than a hint can name", func(p *plan.Plan) { rebind(p, "mds", "32769") }, "the 32768 a client's location hint can name"},
 		{"a cache past its references", func(p *plan.Plan) { rebind(p, "cache", "70000") }, "the 65408 a node's cache can hold"},
 		{"warmup too long", func(p *plan.Plan) { rebind(p, "warmup", "6s") }, "does not fit"},
-		{"link bandwidth on the fixed model", func(p *plan.Plan) { rebind(p, "link-bw", "1e6") }, "link-bw needs net=queued"},
 		{"embed=off on a dynamic partition", func(p *plan.Plan) { rebind(p, "embed", "off") }, "embed=off needs strategy=StaticSubtree"},
 		{"leases on a closed loop", func(p *plan.Plan) {
 			rebind(p, "rate", "")
@@ -452,13 +451,13 @@ func TestSetOverrides(t *testing.T) {
 	rebind(p, "mds", "6")
 	rebind(p, "net", "fixed")
 	cells, err := p.Compile(plan.Options{Set: []plan.Setting{
-		{"link-bw", "1e8"}, {"net", "queued"}, {"mds", "3"}, {"mds", "2"}, {"clients", "7"},
+		{"net", "queued"}, {"mds", "3"}, {"mds", "2"}, {"clients", "7"},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range cells {
-		if c.Cfg.NumMDS != 2 || c.Cfg.NetModel != "queued" || c.Cfg.LinkBandwidth != 1e8 || c.Cfg.OpenLoop.Clients != 7 {
+		if c.Cfg.NumMDS != 2 || c.Cfg.NetModel != "queued" || c.Cfg.OpenLoop.Clients != 7 {
 			t.Fatalf("%s: overrides not applied last: %+v", c.Label, c.Cfg)
 		}
 	}
@@ -470,7 +469,7 @@ func TestSetOverrides(t *testing.T) {
 		"unknown key":       {plan.Setting{Key: "colour", Value: "red"}, "unknown key"},
 		"bad value":         {plan.Setting{Key: "mds", Value: "0"}, "mds=0"},
 		"warmup past end":   {plan.Setting{Key: "duration", Value: "1s"}, "does not fit"},
-		"link-bw, no queue": {plan.Setting{Key: "link-bw", Value: "1e6"}, "needs net=queued"},
+		"embed=off dynamic": {plan.Setting{Key: "embed", Value: "off"}, "embed=off needs"},
 	} {
 		if _, err := p.Compile(plan.Options{Set: []plan.Setting{tc.set}}); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want mention of %q", name, err, tc.want)
@@ -509,7 +508,7 @@ func TestCommandLineRoundTrip(t *testing.T) {
 		nil,
 		{{"mds", "8"}},
 		{{"mds", "3"}, {"clients", "30"}, {"users", "30"}, {"cache", "500"}, {"strategy", cluster.StratFileHash},
-			{"net", "queued"}, {"link-bw", "1e8"}, {"faults", "partition@1s-2s:{0|1.2},drop@0.02:all"},
+			{"net", "queued"}, {"faults", "partition@1s-2s:{0|1.2},drop@0.02:all"},
 			{"warmup", "1s"}, {"duration", "4500ms"}, {"mechanism", "fanout"}, {"bucket", "20ms"}, {"projects", "3"}},
 		{{"rate", "0.05"}, {"clients", "20000"}, {"tenants", "32"}, {"tenant-skew", "1"}, {"file-skew", "0.8"},
 			{"working-set", "64"}, {"ways", "4"}, {"mix", "stat:55,unlink:15,create:30"}, {"diurnal", "0.3"},

@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
 # Tier-1 gate: vet, build, run the full test suite under the race
-# detector and each fuzz target for a fixed budget, then smoke-test the
-# figure, chaos, plan, open-loop and endurance surfaces of one built
-# mdsim. It measures nothing — performance is `go run ./bench`
-# (bench/README.md) — and writes nothing into the checkout. Run from the
-# repository root; any failure fails the script.
+# detector and each fuzz target for a fixed budget, then run what go test
+# cannot: one built mdsim on the queued fabric, the open loop, and the
+# endurance plane, checkpoint files and soak included. It measures
+# nothing — performance is `go run ./bench` (bench/README.md) — and
+# writes nothing into the checkout. Run from the repository root; any
+# failure fails the script.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -43,10 +44,14 @@ budget() {
     fi
 }
 budget README.md $((24 * 1024))
-budget DESIGN.md 56572
+budget DESIGN.md 56569
 
 # -race on the small CI box is ~6x slower than native; give packages
-# headroom past go test's 10m default so a busy host doesn't flake. The
+# headroom past go test's 10m default so a busy host doesn't flake.
+# cmd/mdsim's TestGoldens runs every library plan at quick scale and the
+# seed-1 chaos budget, and internal/harness's quick smoke tests every
+# experiment, here under the race detector, and diff them against
+# testdata/ (scripts/regen-golden.sh writes it). The
 # root package's TestSurface is the reachability and unused-identifier
 # gate: every internal package is reached by mdsim or the benchmark,
 # every identifier by non-test code, (rule 4) no config field is set
@@ -98,57 +103,13 @@ go build -race -o "$TMP/mdsim-race" ./cmd/mdsim
 MDSIM="$TMP/mdsim"
 RACE="$TMP/mdsim-race"
 
-# A bad override is a usage error, exit status 2, before any event runs.
-rc=0
-"$MDSIM" -set mds=0 >"$TMP/usage.out" 2>/dev/null || rc=$?
-if [ "$rc" -ne 2 ] || [ -s "$TMP/usage.out" ]; then
-    echo "ci: mdsim -set mds=0 exited $rc (want 2) or wrote to stdout" >&2
-    exit 1
-fi
-# So is a cache larger than a node's 16-bit entry references address.
-rc=0
-"$MDSIM" -set cache=70000 >"$TMP/usage.out" 2>/dev/null || rc=$?
-if [ "$rc" -ne 2 ] || [ -s "$TMP/usage.out" ]; then
-    echo "ci: mdsim -set cache=70000 exited $rc (want 2) or wrote to stdout" >&2
-    exit 1
-fi
-# So is a cluster larger than a client's 15-bit location hint can name.
-rc=0
-"$MDSIM" -set mds=32769 >"$TMP/usage.out" 2>/dev/null || rc=$?
-if [ "$rc" -ne 2 ] || [ -s "$TMP/usage.out" ]; then
-    echo "ci: mdsim -set mds=32769 exited $rc (want 2) or wrote to stdout" >&2
-    exit 1
-fi
-# So is an op mix of no weight, which would silently be the default mix.
-rc=0
-"$MDSIM" -set rate=0.5 -set clients=2000 -set mix=stat:0 -set duration=2s -set warmup=1s >"$TMP/usage.out" 2>/dev/null || rc=$?
-if [ "$rc" -ne 2 ] || [ -s "$TMP/usage.out" ]; then
-    echo "ci: mdsim -set mix=stat:0 exited $rc (want 2) or wrote to stdout" >&2
-    exit 1
-fi
-# So is a -set on a key a figure sweeps beside mds: users co-varies with
-# mds in Figure 2, and pinning it would collapse the sweep.
-rc=0
-"$MDSIM" -plan fig2 -quick -set users=100 >"$TMP/usage.out" 2>/dev/null || rc=$?
-if [ "$rc" -ne 2 ] || [ -s "$TMP/usage.out" ]; then
-    echo "ci: mdsim -plan fig2 -set users=100 exited $rc (want 2) or wrote to stdout" >&2
-    exit 1
-fi
-
-# Figure smoke run: exercises the sweep runner, the snapshot cache, and
-# the copy-on-write overlay path end to end at reduced scale, under
-# both fabric latency models.
-"$MDSIM" -plan fig2 -quick
+# The fabric's queued model on a figure: per-link serialization delay
+# on every hop of the sweep.
 "$MDSIM" -plan fig2 -quick -set net=queued
 
-# Availability experiment under the race detector: fault injection,
-# client retries, suspicion-driven failover and log-warmed recovery at
-# reduced scale.
-"$RACE" -plan avail -quick
-
-# The same experiment over the open loop: the availability series is fed
-# where a reply is accepted, whichever client model sent the request, so
-# every strategy's row must report a non-zero base rate.
+# The availability experiment over the open loop: the availability
+# series is fed where a reply is accepted, whichever client model sent
+# the request, so every strategy's row must report a non-zero base rate.
 "$MDSIM" -plan avail -quick -set rate=2 -set clients=2000 >"$TMP/avail-open.txt"
 if ! awk '$1 == "strategy" { rows = 1; next }
           /^\(wall time/ { rows = 0 }
@@ -159,48 +120,17 @@ if ! awk '$1 == "strategy" { rows = 1; next }
     exit 1
 fi
 
-# Chaos fuzz budget under the race detector: 50 fixed-seed random
-# fault schedules, each against all five strategies, every finished
-# run checked by simfsck. Any invariant violation exits non-zero (and
-# prints a shrunk minimal repro with its replay line).
-"$RACE" -plan chaos -seed 1
-
-# Scenario-plan engine: one library plan end to end under the race
-# detector (acts retarget the live population mid-run), then the whole
-# library at quick scale.
-"$RACE" -plan simfs-campaign -quick
-"$MDSIM" -list >/dev/null
-
-# Golden comparison: every experiment and every library plan at quick
-# scale must print what testdata/ holds (scripts/regen-golden.sh), bar
-# the "(wall time ...)" lines. Seed and network model are fixed, so a
-# difference is a behaviour change: explain it and regenerate.
-"$MDSIM" -plan figures -quick | grep -v '^(wall time ' >"$TMP/figures_quick.txt"
-"$MDSIM" -plan library -quick | grep -v '^(wall time ' >"$TMP/plans_quick.txt"
-for g in figures_quick.txt plans_quick.txt; do
-    if ! grep -v '^(wall time ' "testdata/$g" | diff - "$TMP/$g"; then
-        echo "ci: mdsim output differs from testdata/$g (golden '<', this run '>')" >&2
-        exit 1
-    fi
-done
-echo "ci: goldens match"
-
 # Open-loop traffic-plane smoke under the race detector: one million
-# flyweight clients through the hierarchical timer wheels at K=4, with
-# diurnal and burst modulation on. The arrival rate keeps the total
-# budget (~30k ops) under cluster service capacity. The flyweight memory
-# gates are TestPopulationHeapBytesPerClient (15 heap B/client; 14
-# measured), TestLeasePlaneFootprint's structural assertion (21 B/client
-# as a run leaves it, 38 B with every client answered) and the
-# benchmark's live_heap_mb on open-wide (43.8 MiB / 2M clients is
-# ~23 B/client, namespace and caches included; bound 8%).
+# flyweight clients through the hierarchical timer wheels, with diurnal
+# and burst modulation on. The arrival rate keeps the total budget (~30k
+# ops) under cluster service capacity. The flyweight memory gates are
+# TestPopulationHeapBytesPerClient (11 heap B/client),
+# TestLeasePlaneFootprint's structural assertion (16 B/client as a run
+# leaves it and 34 B with every client answered; 44 and 61 B with the
+# lease slab) and the benchmark's live_heap_mb on open-wide (35.5 MiB /
+# 2M clients is ~19 B/client, namespace and caches included; bound 8%).
 "$RACE" -set rate=0.01 -set clients=1e6 -set tenant-skew=1 -set file-skew=1 -set mds=8 -set users=40 \
     -set duration=3s -set warmup=1s -set diurnal=0.3 -set burst-prob=0.05
-
-# Lease-plane smoke under the race detector: the hotspot duel sweeps
-# all four coherence mechanisms (dumb/leases/fanout/both) across both
-# subtree strategies with grant, recall, and fan-out traffic live.
-"$RACE" -plan hotspot-duel -quick
 
 # Endurance smoke under the race detector: a short aging run with two
 # checkpoints (the checkpoint key), each quiesced, simfsck-checked, and
@@ -281,9 +211,9 @@ if grep -rnE "(^|[^[:alnum:]-])-($GONE)([^[:alnum:]-]|\$)" \
     exit 1
 fi
 # Nor a -set key that was deleted.
-if grep -rnE "(^|[^[:alnum:]-])shards=" \
+if grep -rnE "(^|[^[:alnum:]-])(shards|link-bw)=" \
     README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; then
-    echo "ci: the lines above spell the deleted shards key" >&2
+    echo "ci: the lines above spell a deleted key (shards, link-bw)" >&2
     exit 1
 fi
 

@@ -1,15 +1,22 @@
 #!/usr/bin/env sh
 # Regenerate the committed golden experiment outputs in testdata/:
 #
-#   scripts/regen-golden.sh          # quick golden only (~1 min)
+#   scripts/regen-golden.sh          # quick goldens only (~1 min)
 #   scripts/regen-golden.sh -full    # also the full-scale goldens (~10 min)
 #
 # testdata/figures_quick.txt  every experiment at reduced scale (-quick)
 # testdata/plans_quick.txt    the plan library at reduced scale (no wall
 #                             lines: plan reports are fully deterministic)
+# testdata/chaos_seed1.txt    the chaos budget on seed 1
 # testdata/figures_full.txt   Figures 2-7 at paper scale
 # testdata/extras_full.txt    the sci, failover, avail, clients and
 #                             ablations extensions at paper scale
+#
+# go test ./... diffs the first three: cmd/mdsim's TestGoldens runs mdsim
+# as this script does for the plans and the chaos line, and
+# internal/harness's TestFiguresQuickSmoke and TestExtrasQuickSmoke (with
+# TestAblationClaims) hold each experiment's -quick report to its block
+# of figures_quick.txt.
 #
 # The experiments are plan texts beside their renderers in
 # internal/harness (figures.go, extras.go, avail.go, clients.go,
@@ -29,6 +36,9 @@ echo "wrote testdata/figures_quick.txt"
 
 ./mdsim -plan library -quick > testdata/plans_quick.txt
 echo "wrote testdata/plans_quick.txt"
+
+./mdsim -plan chaos -seed 1 > testdata/chaos_seed1.txt
+echo "wrote testdata/chaos_seed1.txt"
 
 if [ "${1:-}" = "-full" ]; then
 	: > testdata/figures_full.txt
