@@ -220,7 +220,7 @@ func (g *generator) slows(count int) {
 	for i := 0; i < count; i++ {
 		node := g.rng.Intn(g.n)
 		from, to := g.window()
-		factor := 1.5 + 2.5*g.rng.Float64()
+		factor := 1.5 + float64(2.5*g.rng.Float64())
 		g.s.Slows = append(g.s.Slows, fault.SlowWindow{From: from, To: to, Node: node, Factor: factor})
 	}
 }

@@ -2,6 +2,7 @@ package client
 
 import (
 	"math"
+	"slices"
 
 	"dynmds/internal/lease"
 	"dynmds/internal/metrics"
@@ -351,9 +352,9 @@ func (p *Population) rate(tenant int, now sim.Time) float64 {
 	tn := uint64(tenant)
 	r := cfg.Rate
 	if cfg.DiurnalAmp > 0 {
-		phase := uniform(mix64(tn + 0x5851F42D4C957F2D))
+		phase := float64(uniform(mix64(tn + 0x5851F42D4C957F2D)))
 		x := now.Seconds()/diurnalPeriod.Seconds() + phase
-		r *= 1 + cfg.DiurnalAmp*math.Sin(2*math.Pi*x)
+		r *= 1 + float64(cfg.DiurnalAmp*math.Sin(2*math.Pi*x))
 	}
 	if cfg.BurstProb > 0 {
 		epoch := uint64(now / burstEpoch)
@@ -520,7 +521,9 @@ func (p *Population) churnPop() *namespace.Inode {
 	if p.baseHead < len(p.baseVictims) {
 		n := p.baseVictims[p.baseHead]
 		p.baseVictims[p.baseHead] = nil
-		p.baseHead++
+		if p.baseHead++; p.baseHead == len(p.baseVictims) {
+			p.baseVictims, p.baseHead = nil, 0 // drained: its backing goes
+		}
 		return n
 	}
 	if p.churnHead >= len(p.churn) {
@@ -529,14 +532,18 @@ func (p *Population) churnPop() *namespace.Inode {
 	n := p.churn[p.churnHead]
 	p.churn[p.churnHead] = nil
 	p.churnHead++
-	// Compact once half the slice is dead so the ring's footprint tracks
-	// the live backlog, not the cumulative create count.
+	// Compact once half the slice is dead, into a new backing once the
+	// old one is over four times the backlog, so the ring's footprint
+	// tracks the live backlog, not the largest it has been or the
+	// cumulative create count.
 	if p.churnHead > len(p.churn)/2 && p.churnHead > 64 {
-		live := copy(p.churn, p.churn[p.churnHead:])
-		for i := live; i < len(p.churn); i++ {
-			p.churn[i] = nil
+		if live := p.churn[p.churnHead:]; cap(p.churn) > 4*len(live) {
+			p.churn = slices.Clone(live)
+		} else {
+			k := copy(p.churn, live)
+			clear(p.churn[k:])
+			p.churn = p.churn[:k]
 		}
-		p.churn = p.churn[:live]
 		p.churnHead = 0
 	}
 	return n

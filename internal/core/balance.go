@@ -221,7 +221,7 @@ func (b *Balancer) migrateOne(now sim.Time, src, dst int, load, excess float64) 
 	if wantFrac > 0.5 {
 		wantFrac = 0.5 // never hand off more than half a node's work at once
 	}
-	wantPop := nodePop * wantFrac
+	wantPop := float64(nodePop * wantFrac)
 	if wantPop < minSubtreePop {
 		return false
 	}

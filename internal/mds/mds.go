@@ -419,7 +419,7 @@ func (m *MDS) Store() *storage.Store { return m.store }
 // of node throughput and cache misses" (§5.1). Throughput is measured
 // as offered load (request arrivals) so saturation is visible.
 func (m *MDS) Load(now sim.Time) float64 {
-	return m.opsRate.Value(now) + loadMissWeight*m.missRate.Value(now)
+	return m.opsRate.Value(now) + float64(loadMissWeight*m.missRate.Value(now))
 }
 
 // MaxQueues reports the deepest the node's three service-centre waiting

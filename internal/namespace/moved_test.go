@@ -68,13 +68,29 @@ func checkNames(t *testing.T, tr *Tree, what string) {
 	})
 }
 
+// checkCreated holds ByID to made, the run-created inodes by ID (nil
+// once removed), over every ID past the base the run has spent or will
+// spend next: a live one resolves to an inode of its ID and path, a
+// removed one or an ID a refused create spent to nothing.
+func checkCreated(t *testing.T, tr *Tree, made map[InodeID]*Inode, what string) {
+	t.Helper()
+	for id := InodeID(len(tr.base.nodes)) + 1; id <= tr.MaxID()+1; id++ {
+		want := made[id]
+		got, ok := tr.ByID(id)
+		if ok != (want != nil) || ok && (got.ID != id || got.Path() != want.Path()) {
+			t.Fatalf("%s: ByID(%d) = %v, %v; want %v", what, id, got, ok, want)
+		}
+	}
+}
+
 // FuzzOverlayNames drives an overlay of a small frozen base through
 // creates, mkdirs, unlinks and renames chosen by the input — renames
 // back to a base entry's frozen (parent, name), unlinks of base
 // entries, directory moves and refused duplicate names among them. After
-// every op the name index must agree with the child lists (checkNames),
-// and a checkpoint restored onto a fresh overlay must give the same
-// child order and lookups.
+// every op the name index must agree with the child lists (checkNames)
+// and ByID with the run-created inodes (checkCreated), and a checkpoint
+// restored onto a fresh overlay must give the same child order, lookups
+// and ByID.
 func FuzzOverlayNames(f *testing.F) {
 	base := namesBase(f)
 	f.Add([]byte{0, 0, 1, 7, 2, 3, 0, 0, 4, 3, 0, 0})
@@ -85,6 +101,7 @@ func FuzzOverlayNames(f *testing.F) {
 		// input's cost bounded.
 		ops = ops[:min(len(ops), 256)]
 		ov := NewOverlay(base)
+		made := map[InodeID]*Inode{}
 		for step := 0; len(ops) >= 4; step, ops = step+1, ops[4:] {
 			live := walkOrder(ov)
 			n := live[int(ops[1])%len(live)]
@@ -114,21 +131,28 @@ func FuzzOverlayNames(f *testing.F) {
 				taken = taken || c.name == name
 			}
 			var err error
+			var c *Inode
 			switch op {
 			case 0:
-				_, err = ov.Create(dir, name)
+				c, err = ov.Create(dir, name)
 			case 1:
-				_, err = ov.Mkdir(dir, name)
+				c, err = ov.Mkdir(dir, name)
 			case 2:
-				err, taken = ov.Remove(n), false
+				if err, taken = ov.Remove(n), false; err == nil && !ov.IsBase(n.ID) {
+					made[n.ID] = nil
+				}
 			case 3, 4:
 				err = ov.Rename(n, dir, name)
+			}
+			if c != nil {
+				made[c.ID] = c
 			}
 			what := "step " + strconv.Itoa(step)
 			if taken && err == nil {
 				t.Fatalf("%s: op %d put a second %q into %s", what, op, name, dir)
 			}
 			checkNames(t, ov, what)
+			checkCreated(t, ov, made, what)
 
 			w := snap.NewWriter()
 			snap.Encoder(w).Section("tree", ov.Snap)
@@ -142,6 +166,7 @@ func FuzzOverlayNames(f *testing.F) {
 			}
 			requireSameShape(t, ov, got)
 			checkNames(t, got, what+", restored")
+			checkCreated(t, got, made, what+", restored")
 		}
 	})
 }

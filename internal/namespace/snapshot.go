@@ -90,7 +90,7 @@ func (t *Tree) drifted(id InodeID) bool {
 // says which it is doing.
 func (t *Tree) Snap(c *snap.Codec) {
 	reading := c.Reading()
-	if reading && (len(t.created.recs) != 0 || t.moved.n != 0 || t.dead != nil || len(t.sizes) != 0) {
+	if reading && (len(t.created.pages) != 0 || t.moved.n != 0 || t.dead != nil || len(t.sizes) != 0) {
 		c.Failf("namespace: restore onto a non-pristine overlay")
 	}
 
@@ -139,11 +139,7 @@ func (t *Tree) Snap(c *snap.Codec) {
 	// of them are registered.
 	var created []*Inode
 	if !reading {
-		for _, r := range t.created.recs {
-			if r.n != nil {
-				created = append(created, r.n)
-			}
-		}
+		t.created.each(func(n *Inode) { created = append(created, n) })
 	}
 	snap.Slice(c, &created)
 	var parents []InodeID
@@ -283,10 +279,10 @@ func (t *Tree) Snap(c *snap.Codec) {
 			}
 		}
 	}
-	for _, r := range t.created.recs {
+	for _, n := range created {
 		live++
-		if !r.n.attached() {
-			c.Failf("namespace: inode %d is listed by no directory", r.n.ID)
+		if !n.attached() {
+			c.Failf("namespace: inode %d is listed by no directory", n.ID)
 			return
 		}
 	}

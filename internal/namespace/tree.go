@@ -68,52 +68,81 @@ func (t *Tree) ByID(id InodeID) (*Inode, bool) {
 	return n, n != nil
 }
 
-// createdSet holds the live run-created inodes in ascending ID. A
-// destroyed one leaves a hole until holes outnumber the live entries
-// and are squeezed out, so the set costs memory in proportion to the
-// live inodes it has held, not to the IDs spent since the thaw:
-// refused creates spend IDs too, and a checkpoint's watermark is only
-// a number in the file.
+// createdSet holds the live run-created inodes, paged by ID: a page
+// covers one aligned run of pageIDs IDs, and the pages sit in ascending
+// ID order. IDs only grow, so a new page appends; a page leaves once
+// its last inode is destroyed, except the tail page, where the next IDs
+// land. The set costs memory in proportion to the pages its live inodes
+// span, not to the IDs spent since the thaw: refused creates spend IDs
+// too, and a checkpoint's watermark is only a number in the file.
 type createdSet struct {
-	recs  []createdRec
-	holes int
+	pages []createdPage
 }
 
-// createdRec is one slot of a createdSet; n is nil for a hole.
-type createdRec struct {
-	id InodeID
-	n  *Inode
+// pageIDs is the number of IDs a createdPage covers, a power of two.
+const pageIDs = 64
+
+// createdPage holds the live inodes with IDs key*pageIDs up to the
+// next page's first, inode id at n[id%pageIDs] and nil where none
+// lives; live counts the non-nil slots.
+type createdPage struct {
+	key  InodeID
+	live int
+	n    *[pageIDs]*Inode
 }
 
 func (s *createdSet) find(id InodeID) (int, bool) {
-	return slices.BinarySearchFunc(s.recs, id, func(r createdRec, id InodeID) int {
-		return cmp.Compare(r.id, id)
+	return slices.BinarySearchFunc(s.pages, id/pageIDs, func(p createdPage, key InodeID) int {
+		return cmp.Compare(p.key, key)
 	})
 }
 
 // get returns the live inode with ID id, or nil.
 func (s *createdSet) get(id InodeID) *Inode {
 	if i, ok := s.find(id); ok {
-		return s.recs[i].n
+		return s.pages[i].n[id%pageIDs]
 	}
 	return nil
 }
 
-// add appends n, whose ID is above every ID the set has held.
+// add inserts n, whose ID is above every ID the set has held.
 func (s *createdSet) add(n *Inode) {
-	s.recs = append(s.recs, createdRec{n.ID, n})
+	key, last := n.ID/pageIDs, len(s.pages)-1
+	switch {
+	case last >= 0 && s.pages[last].key == key:
+	case last >= 0 && s.pages[last].live == 0:
+		// The tail page emptied with IDs to spare: it moves on.
+		s.pages[last].key = key
+	default:
+		s.pages = append(s.pages, createdPage{key: key, n: new([pageIDs]*Inode)})
+		last++
+	}
+	p := &s.pages[last]
+	p.n[n.ID%pageIDs] = n
+	p.live++
 }
 
 // drop removes the inode with ID id, if held.
 func (s *createdSet) drop(id InodeID) {
 	i, ok := s.find(id)
-	if !ok || s.recs[i].n == nil {
+	if !ok || s.pages[i].n[id%pageIDs] == nil {
 		return
 	}
-	s.recs[i].n = nil
-	if s.holes++; 2*s.holes > len(s.recs) {
-		s.recs = slices.DeleteFunc(s.recs, func(r createdRec) bool { return r.n == nil })
-		s.holes = 0
+	p := &s.pages[i]
+	p.n[id%pageIDs] = nil
+	if p.live--; p.live == 0 && i < len(s.pages)-1 {
+		s.pages = slices.Delete(s.pages, i, i+1)
+	}
+}
+
+// each calls f on every live inode in ascending ID.
+func (s *createdSet) each(f func(*Inode)) {
+	for _, p := range s.pages {
+		for _, n := range p.n {
+			if n != nil {
+				f(n)
+			}
+		}
 	}
 }
 

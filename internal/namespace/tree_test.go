@@ -281,8 +281,9 @@ func TestTreeInvariantsUnderRandomOps(t *testing.T) {
 
 // TestCreatedResolvesLiveOnly: with IDs spent on refused creates and
 // run-created files removed at random, ByID resolves exactly the live
-// run-created inodes, and created keeps at most two records per live
-// one, however many IDs the run has spent.
+// run-created inodes, and created holds exactly the pages they span
+// (plus at most the tail page, where the next IDs land), however many
+// IDs the run has spent.
 func TestCreatedResolvesLiveOnly(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	tr := emptyTree()
@@ -312,12 +313,60 @@ func TestCreatedResolvesLiveOnly(t *testing.T) {
 				t.Fatalf("step %d: ByID(%d) = %v, want %v", step, id, got, ref[id])
 			}
 		}
-		if len(tr.created.recs) > 2*len(live)+1 {
-			t.Fatalf("step %d: %d created records for %d live inodes", step, len(tr.created.recs), len(live))
-		}
+		checkPages(t, tr, live, "step "+strconv.Itoa(step))
 	}
 	if tr.MaxID() < InodeID(len(live)+1000) {
 		t.Fatalf("only %d IDs spent for %d live inodes: too few removals or refusals to test", tr.MaxID(), len(live))
+	}
+}
+
+// checkPages holds created to exact page accounting: its pages ascend,
+// each but the tail holds a live inode, and every page a live inode
+// falls in is held.
+func checkPages(t *testing.T, tr *Tree, live []*Inode, what string) {
+	t.Helper()
+	keys := map[InodeID]bool{}
+	for _, n := range live {
+		keys[n.ID/pageIDs] = true
+	}
+	pages := tr.created.pages
+	for i, p := range pages {
+		if i > 0 && p.key <= pages[i-1].key {
+			t.Fatalf("%s: page %d follows page %d", what, p.key, pages[i-1].key)
+		}
+		if !keys[p.key] && i < len(pages)-1 {
+			t.Fatalf("%s: page %d of %d holds no live inode", what, i, len(pages))
+		}
+		delete(keys, p.key)
+	}
+	if len(keys) != 0 {
+		t.Fatalf("%s: %d pages of live inodes not held", what, len(keys))
+	}
+}
+
+// TestCreatedFIFOChurnPages: a backlog of ~3k files created and unlinked
+// oldest first, as the open loop's churn ring does, over 100k creates.
+// The live IDs slide forward; created keeps only the pages they span,
+// not the pages of every ID spent.
+func TestCreatedFIFOChurnPages(t *testing.T) {
+	const backlog, creates = 3000, 100000
+	tr := emptyTree()
+	var fifo []*Inode
+	for i := 0; i < creates; i++ {
+		fifo = append(fifo, mustCreate(t, tr, tr.Root, "f"+strconv.Itoa(i)))
+		if len(fifo) > backlog {
+			if err := tr.Remove(fifo[0]); err != nil {
+				t.Fatal(err)
+			}
+			fifo = fifo[1:]
+		}
+		if held := len(tr.created.pages); held > len(fifo)/pageIDs+3 {
+			t.Fatalf("create %d: %d pages held for %d live inodes", i, held, len(fifo))
+		}
+	}
+	checkPages(t, tr, fifo, "end")
+	if n, ok := tr.ByID(fifo[0].ID); !ok || n != fifo[0] || tr.Len() != backlog+1 {
+		t.Fatalf("oldest live inode resolves %v, %d live inodes", ok, tr.Len())
 	}
 }
 

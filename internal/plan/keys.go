@@ -3,6 +3,7 @@ package plan
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -250,8 +251,9 @@ func b2i(b bool) int {
 	return 0
 }
 
-// inf is the upper bound of a key that has none worth stating.
-const inf = 1 << 40
+// inf is the upper bound of a key that has none worth stating: 2^40,
+// or the largest int where int is 32 bits wide.
+const inf = min(1<<40, math.MaxInt)
 
 var errClosedLoop = errors.New("needs an open-loop population (a traffic rate)")
 

@@ -62,7 +62,7 @@ func (r *RNG) Exp(mean Time) Time {
 // LogNormalInt returns a draw from a log-normal distribution with the
 // given median and sigma, clamped to [min, max].
 func (r *RNG) LogNormalInt(median float64, sigma float64, min, max int) int {
-	v := math.Exp(math.Log(median) + sigma*r.NormFloat64())
+	v := math.Exp(math.Log(median) + float64(sigma*r.NormFloat64()))
 	n := int(v)
 	if n < min {
 		n = min

@@ -26,6 +26,24 @@ trap 'rm -rf "$TMP"' EXIT
 go vet ./...
 go build ./...
 
+# Where int is 32 bits wide the module builds too: no untyped constant
+# past 2^31 lands in an int.
+GOARCH=386 go build ./...
+
+# No fused multiply-add in the module's code on arm64. Go may fuse x*y+z
+# into one instruction that rounds once, unless the product is rounded
+# explicitly (float64(x*y)); the low bits it moves reach digests and
+# goldens. amd64 (GOAMD64=v1) never fuses, so only the arm64 build can
+# show one.
+GOARCH=arm64 go build -o "$TMP/mdsim-arm64" ./cmd/mdsim
+FUSED=$(go tool objdump "$TMP/mdsim-arm64" |
+    awk '/^TEXT / { sym = $2 } sym ~ /^dynmds\// && /[[:space:]](FMADD|FMSUB|FNMADD|FNMSUB)[SD]?[[:space:]]/ { print sym }' | sort -u)
+if [ -n "$FUSED" ]; then
+    echo "$FUSED" >&2
+    echo "ci: the functions above fuse a multiply-add on arm64 (round the product: float64(x*y))" >&2
+    exit 1
+fi
+
 # Every Go file, testdata fixtures included, is as gofmt writes it.
 UNFORMATTED=$(gofmt -l .)
 if [ -n "$UNFORMATTED" ]; then
