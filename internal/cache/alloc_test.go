@@ -81,7 +81,7 @@ func indexPages(c *Cache) int {
 			n++
 		}
 	}
-	for k := c.spare; k != 0; k = c.pages[k].next {
+	for k := c.spare; k != 0; k = c.page(k).next {
 		n++
 	}
 	return n
@@ -90,7 +90,7 @@ func indexPages(c *Cache) int {
 // TestIndexPagesFollowLiveEntries cycles a cache of 64 through 100 000
 // files whose IDs are spread ten apart over a namespace of over a
 // million IDs, in a seeded random order, and holds the index to what the
-// cache holds: never more pages than capacity plus one spare chunk,
+// cache holds: never more pages than capacity plus one spare block,
 // however high the IDs reach — a page is handed back when its last entry
 // leaves. Pages are never freed, so the count never falls and the last
 // check covers the whole run.
@@ -105,8 +105,8 @@ func TestIndexPagesFollowLiveEntries(t *testing.T) {
 	c.OnEvict = func(*Entry) { evicts++ }
 	check := func(inserts int) {
 		t.Helper()
-		if pages := indexPages(c); pages > capacity+pageChunk {
-			t.Fatalf("after %d inserts the index holds %d pages, want at most %d", inserts, pages, capacity+pageChunk)
+		if pages := indexPages(c); pages > capacity+pageBlock {
+			t.Fatalf("after %d inserts the index holds %d pages, want at most %d", inserts, pages, capacity+pageBlock)
 		}
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatal(err)
@@ -177,8 +177,8 @@ func TestInsertPathEvictAllocFree(t *testing.T) {
 			if tc.prefixInserts == (evicts == calls) {
 				t.Fatalf("%d evictions over %d calls; ancestors missing = %v", evicts, calls, tc.prefixInserts)
 			}
-			if pages := indexPages(c); pages > tc.capacity+pageChunk {
-				t.Fatalf("the index holds %d pages, want at most %d", pages, tc.capacity+pageChunk)
+			if pages := indexPages(c); pages > tc.capacity+pageBlock {
+				t.Fatalf("the index holds %d pages, want at most %d", pages, tc.capacity+pageBlock)
 			}
 			if err := c.CheckInvariants(); err != nil {
 				t.Fatal(err)
@@ -227,10 +227,52 @@ func TestEntrySizeClass(t *testing.T) {
 }
 
 // TestIndexPageSize: a page is its 32 two-byte slots, its live count
-// and its spare link — 72 bytes, where 32 pointers took 272.
+// and its spare link — 68 bytes, where 32 pointers took 272.
 func TestIndexPageSize(t *testing.T) {
-	if s := unsafe.Sizeof(page{}); s > 72 {
-		t.Fatalf("an index page is %d bytes, want at most 72", s)
+	if s := unsafe.Sizeof(page{}); s > 68 {
+		t.Fatalf("an index page is %d bytes, want at most 68", s)
+	}
+}
+
+// TestIndexFillAllocsBlocks: filling a cache allocates its entry
+// chunks, the index directory and one block per pageBlock pages made,
+// ⌈(pages listed + page 0) / pageBlock⌉ of them, and nothing else:
+// growing the index copies no page. Each of 3000 files sits in its own
+// 32-ID range, so every insert lists a page. The directory is made at
+// its final length first, and with it the first block, which a store
+// makes before any lookup reads the directory.
+func TestIndexFillAllocsBlocks(t *testing.T) {
+	const files = 3000
+	all := spreadTree(t, 1, files, pageSlots)
+	var c *Cache
+	allocs := testing.AllocsPerRun(1, func() {
+		c = New(files + 1)
+		c.dir = make([]uint16, all[files-1].ID>>pageBits+1)
+		c.addPages()
+		for _, f := range all {
+			if _, err := c.InsertPath(f, Auth, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	listed := 0
+	for _, k := range c.dir {
+		if k != 0 {
+			listed++
+		}
+	}
+	if listed < files {
+		t.Fatalf("%d pages listed for %d files in their own ranges", listed, files)
+	}
+	blocks := (listed + 1 + pageBlock - 1) / pageBlock
+	if c.blocksMade != blocks {
+		t.Fatalf("%d pages listed in %d blocks, want %d", listed, c.blocksMade, blocks)
+	}
+	if want := 2 + c.made + blocks; allocs != float64(want) {
+		t.Fatalf("filling the cache allocated %.0f times, want %d: the cache, its directory, %d entry chunks and %d page blocks", allocs, want, c.made, blocks)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -21,7 +21,6 @@ package cache
 
 import (
 	"fmt"
-	"slices"
 
 	"dynmds/internal/namespace"
 )
@@ -174,15 +173,21 @@ const (
 )
 
 // A page holds the index slots of 1<<pageBits consecutive IDs; live
-// counts the non-zero ones. Pages are named by their index in the
-// cache's page table; spare ones are chained through next (unread while
-// a page is listed) and added pageChunk at a time.
-const pageBits, pageSlots, pageChunk = 5, 1 << 5, 64
+// counts the non-zero ones. Pages are made pageBlock at a time, in
+// blocks that never move, and named by number: page k is slot
+// k%pageBlock of block k/pageBlock, a shift and a mask. Spare pages are
+// chained through next (unread while a page is listed). A listed page
+// holds an entry, so at most MaxEntries pages and page 0 are listed,
+// and with one block of spares a page number fits 16 bits. A block of
+// 64 pages is 4352 bytes, in the 4864-byte size class; 60 would fill
+// the 4096-byte class, but dividing by 60 on every lookup costs more
+// than the 512 bytes a block saves.
+const pageBits, pageSlots, pageBlock = 5, 1 << 5, 64
 
 type page struct {
 	slots [pageSlots]ref
 	live  uint16
-	next  uint32
+	next  uint16
 }
 
 // Cache is a bounded, segmented-LRU metadata cache.
@@ -190,13 +195,12 @@ type Cache struct {
 	capacity int
 	// dir is the id→entry index: InodeIDs are dense and never reused, so
 	// "is this record cached?", asked on every path component of every
-	// request, is two array loads. dir[id>>pageBits] names the page
+	// request, is three loads. dir[id>>pageBits] names the page
 	// holding the range's slots, or page 0, all-zero and never written,
 	// when no entry of the range is cached; so the index costs what the
-	// cache holds plus 4 bytes per 32 IDs, not the highest ID.
-	dir   []uint32
-	pages []page
-	spare uint32
+	// cache holds plus 2 bytes per 32 IDs, not the highest ID.
+	dir   []uint16
+	spare uint16
 	n     int
 	hot   list
 	warm  list
@@ -225,6 +229,11 @@ type Cache struct {
 	// made counts the chunks made; chunks[0] is never made.
 	made   int
 	chunks [1 << 16 >> entryBits]*[entryChunk]Entry
+	// blocks holds the index pages, indexed by page number / pageBlock:
+	// every index a page number can hold, so reading one needs no
+	// bounds check. blocksMade counts the blocks made.
+	blocksMade int
+	blocks     [1 << 16 / pageBlock]*[pageBlock]page
 }
 
 // New creates a cache bounded to capacity entries. Capacity must be
@@ -254,39 +263,51 @@ func (c *Cache) lookup(id namespace.InodeID) *Entry { return c.entry(c.slot(id))
 // slot returns id's index slot: the ref of its entry, or 0.
 func (c *Cache) slot(id namespace.InodeID) ref {
 	if i := uint64(id) >> pageBits; i < uint64(len(c.dir)) {
-		return c.pages[c.dir[i]].slots[id&(pageSlots-1)]
+		return c.page(c.dir[i]).slots[id&(pageSlots-1)]
 	}
 	return 0
 }
+
+// page returns page k, which must have been made.
+func (c *Cache) page(k uint16) *page { return &c.blocks[k/pageBlock][k%pageBlock] }
 
 // store records the entry for id, taking a spare page when id's range
 // has none and growing the directory by doubling as the ID space grows.
 func (c *Cache) store(id namespace.InodeID, e *Entry) {
 	i := int(id >> pageBits)
 	if i >= len(c.dir) {
-		c.dir = append(make([]uint32, 0, 2*i+1), c.dir...)[:2*i+1]
+		c.dir = append(make([]uint16, 0, 2*i+1), c.dir...)[:2*i+1]
 	}
 	if c.dir[i] == 0 {
 		if c.spare == 0 {
 			c.addPages()
 		}
-		c.dir[i], c.spare = c.spare, c.pages[c.spare].next
+		c.dir[i], c.spare = c.spare, c.page(c.spare).next
 	}
-	p := &c.pages[c.dir[i]]
+	p := c.page(c.dir[i])
 	p.slots[id&(pageSlots-1)] = e.ref
 	p.live++
 	c.n++
 }
 
-// addPages grows the page table by pageChunk spare pages, making page 0
-// first. Pages are named by index, so the table may move as it grows.
+// addPages makes the next block of pages and lists them spare; the
+// first block's first page is page 0, which stays all-zero. No page
+// moves, so growing the index copies nothing.
 func (c *Cache) addPages() {
-	n := max(len(c.pages), 1)
-	c.pages = slices.Grow(c.pages, n+pageChunk-len(c.pages))[:n+pageChunk]
-	for k := n; k < n+pageChunk-1; k++ {
-		c.pages[k].next = uint32(k + 1)
+	k := c.blocksMade * pageBlock
+	if k+pageBlock > 1<<16 {
+		panic(fmt.Sprintf("cache: more than %d index pages", k))
 	}
-	c.spare = uint32(n)
+	b := new([pageBlock]page)
+	for j := range b[:pageBlock-1] {
+		b[j].next = uint16(k + j + 1)
+	}
+	c.spare = uint16(k)
+	if k == 0 {
+		b[0].next, c.spare = 0, 1
+	}
+	c.blocks[c.blocksMade] = b
+	c.blocksMade++
 }
 
 // erase clears id's slot and hands its page back to the spare list when
@@ -295,7 +316,7 @@ func (c *Cache) addPages() {
 func (c *Cache) erase(id namespace.InodeID) {
 	i := id >> pageBits
 	k := c.dir[i]
-	p := &c.pages[k]
+	p := c.page(k)
 	p.slots[id&(pageSlots-1)] = 0
 	if p.live--; p.live == 0 {
 		c.dir[i], p.next, c.spare = 0, c.spare, k
@@ -747,7 +768,7 @@ func (c *Cache) CheckInvariants() error {
 		if k == 0 {
 			continue
 		}
-		p := &c.pages[k]
+		p := c.page(k)
 		n := uint16(0)
 		for _, r := range p.slots {
 			if r != 0 {
@@ -762,14 +783,14 @@ func (c *Cache) CheckInvariants() error {
 	if held != c.n {
 		return fmt.Errorf("cache: index pages hold %d entries, size %d", held, c.n)
 	}
-	if len(c.pages) > 0 && c.pages[0] != (page{}) {
+	if c.blocksMade > 0 && *c.page(0) != (page{}) {
 		return fmt.Errorf("cache: page 0 was written")
 	}
-	for k, seen := c.spare, 0; k != 0; k, seen = c.pages[k].next, seen+1 {
-		if seen == len(c.pages) {
+	for k, seen := c.spare, 0; k != 0; k, seen = c.page(k).next, seen+1 {
+		if seen == c.blocksMade*pageBlock {
 			return fmt.Errorf("cache: the spare pages form a cycle")
 		}
-		if p := &c.pages[k]; p.live != 0 || p.slots != [pageSlots]ref{} {
+		if p := c.page(k); p.live != 0 || p.slots != [pageSlots]ref{} {
 			return fmt.Errorf("cache: spare page %d holds %d entries", k, p.live)
 		}
 	}

@@ -200,12 +200,12 @@ type diffWorld struct {
 	// pageAt is the directory slot each index page was last seen in;
 	// refills counts pages seen again in another slot, i.e. handed back
 	// empty and taken for a different ID range.
-	pageAt  map[uint32]int
+	pageAt  map[uint16]int
 	refills int
 }
 
 func newDiffWorld(t *testing.T, seed int64, capacity, files int) *diffWorld {
-	w := &diffWorld{t: t, rng: rand.New(rand.NewSource(seed)), tree: emptyTree(), pageAt: make(map[uint32]int)}
+	w := &diffWorld{t: t, rng: rand.New(rand.NewSource(seed)), tree: emptyTree(), pageAt: make(map[uint16]int)}
 	w.dirs = []*namespace.Inode{w.tree.Root}
 	for i := 0; i < 150; i++ {
 		parent := w.dirs[w.rng.Intn(len(w.dirs))]

@@ -24,6 +24,7 @@ import (
 	"dynmds/internal/osd"
 	"dynmds/internal/partition"
 	"dynmds/internal/sim"
+	"dynmds/internal/storage"
 	"dynmds/internal/workload"
 )
 
@@ -275,6 +276,8 @@ func (cfg *Config) Validate() error {
 		return fmt.Errorf("a cluster of %d MDSs is more than the %d a client's location hint can name", cfg.NumMDS, client.MaxHintMDS)
 	case cfg.MDS.CacheCapacity > cache.MaxCapacity:
 		return fmt.Errorf("a cache of %d records is more than the %d a node's cache can hold", cfg.MDS.CacheCapacity, cache.MaxCapacity)
+	case cfg.MDS.Storage.LogCapacity > storage.MaxLogCapacity:
+		return fmt.Errorf("a journal of %d records is more than the %d a node's journal can hold", cfg.MDS.Storage.LogCapacity, storage.MaxLogCapacity)
 	case cfg.Warmup >= cfg.Duration:
 		return fmt.Errorf("warmup %s does not fit the %s duration: nothing would be measured",
 			sim.FormatTime(cfg.Warmup), sim.FormatTime(cfg.Duration))

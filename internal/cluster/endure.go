@@ -184,8 +184,18 @@ func (c *Cluster) Resume() {
 func (c *Cluster) CheckpointTo(w *snap.Writer) {
 	// A run's checkpoints grow slowly: room for the last one's length
 	// and an eighth, plus the writer's trailer, makes this one a single
-	// allocation instead of append's doublings from empty.
-	w.Grow(c.lastSnapLen + c.lastSnapLen/8 + 8)
+	// allocation instead of append's regrowth from empty. The first has
+	// no last one: a counting pass measures it, which costs one more
+	// walk and saves the copies (several times its size) and the peak
+	// of old and new buffers that growth from empty would make.
+	if c.lastSnapLen == 0 {
+		n := snap.NewCounter()
+		c.snap(snap.Encoder(n))
+		c.lastSnapLen = n.Len()
+		w.Grow(c.lastSnapLen + 8)
+	} else {
+		w.Grow(c.lastSnapLen + c.lastSnapLen/8 + 8)
+	}
 	start := w.Len()
 	enc := snap.Encoder(w)
 	if c.snap(enc); enc.Err() != nil {

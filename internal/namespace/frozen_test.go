@@ -355,7 +355,7 @@ func TestOverlayLazyNameIndex(t *testing.T) {
 	}
 
 	ov := NewOverlay(f)
-	if len(ov.created.pages) != 0 || ov.moved.n != 0 || ov.moved.slots != nil {
+	if len(ov.created.pages) != 0 || ov.moved.n != 0 || ov.moved.dir != nil {
 		t.Fatalf("fresh overlay has %d created, %d moved entries, want none (base IDs resolve via slab)", len(ov.created.pages), ov.moved.n)
 	}
 	countMutated := func() (lazy, mutated int) {

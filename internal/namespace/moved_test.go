@@ -1,8 +1,8 @@
 package namespace
 
 import (
+	"fmt"
 	"math/rand"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -250,8 +250,7 @@ func TestCheckInvariantsMovedSet(t *testing.T) {
 		{"a detach that skipped the set deletion", func(ov *Tree, made, _, _ *Inode) {
 			// Remove, then restore the set as it was before: what a
 			// detach that skipped the deletion would leave.
-			kept := ov.moved
-			kept.slots = slices.Clone(kept.slots)
+			kept := ov.moved.clone()
 			if err := ov.Remove(made); err != nil {
 				t.Fatal(err)
 			}
@@ -283,6 +282,187 @@ func TestCheckInvariantsMovedSet(t *testing.T) {
 		tc.plant(ov, made, files[1], files[2])
 		if err := ov.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.errHas) {
 			t.Errorf("%s: err %v, want one holding %q", tc.what, err, tc.errHas)
+		}
+	}
+}
+
+// clone returns a deep copy of s: its own buckets, shared by the same
+// directory slots.
+func (s *movedSet) clone() movedSet {
+	c, copies := *s, map[*movedBucket]*movedBucket{}
+	c.dir = make([]*movedBucket, len(s.dir))
+	for i, b := range s.dir {
+		if copies[b] == nil {
+			nb := *b
+			copies[b] = &nb
+		}
+		c.dir[i] = copies[b]
+	}
+	return c
+}
+
+// movedKey is a moved-set key, for the reference map.
+type movedKey struct {
+	dir  InodeID
+	name string
+}
+
+// movedWorld drives a bare moved set and a map reference through the
+// same inserts, removes and renames over synthetic inodes: 64
+// directories and entries named by a counter.
+type movedWorld struct {
+	t    *testing.T
+	rng  *rand.Rand
+	s    movedSet
+	ref  map[movedKey]*Inode
+	dirs []*Inode
+	in   []*Inode // the entries the set holds, in no order
+	made int
+}
+
+func (w *movedWorld) key(x *Inode) movedKey { return movedKey{x.parent.ID, x.name} }
+
+// fresh returns a new entry under a random directory whose key the set
+// does not hold; with topZero it retries until the hash's top topZero
+// bits are zero, so every such entry lands in one corner of the table.
+func (w *movedWorld) fresh(topZero uint) *Inode {
+	for {
+		w.made++
+		x := &Inode{ID: InodeID(1000 + w.made), parent: w.dirs[w.rng.Intn(len(w.dirs))], name: "e" + strconv.Itoa(w.made)}
+		if topZero == 0 || entryHash(x)>>(64-topZero) == 0 {
+			return x
+		}
+	}
+}
+
+func (w *movedWorld) insert(x *Inode) {
+	if w.ref[w.key(x)] != nil {
+		w.t.Fatalf("key of %s/%s inserted twice", x.parent.name, x.name)
+	}
+	w.s.insert(x)
+	w.ref[w.key(x)] = x
+	w.in = append(w.in, x)
+}
+
+// remove takes the i-th held entry out of both, returning it.
+func (w *movedWorld) remove(i int) *Inode {
+	x := w.in[i]
+	w.s.remove(x)
+	delete(w.ref, w.key(x))
+	w.in[i] = w.in[len(w.in)-1]
+	w.in = w.in[:len(w.in)-1]
+	return x
+}
+
+// step makes one random operation: insert (half the time, skewed or
+// not), remove, or rename — a remove, a new key, an insert.
+func (w *movedWorld) step(topZero uint) {
+	switch r := w.rng.Intn(8); {
+	case r < 4 || len(w.in) == 0:
+		w.insert(w.fresh(topZero))
+	case r < 6:
+		w.remove(w.rng.Intn(len(w.in)))
+	default:
+		x := w.remove(w.rng.Intn(len(w.in)))
+		y := w.fresh(topZero)
+		x.parent, x.name = y.parent, y.name
+		w.insert(x)
+	}
+}
+
+// compare checks the table's structure and that every held key, and as
+// many absent ones, look up as in the reference.
+func (w *movedWorld) compare(what string) {
+	w.t.Helper()
+	if err := w.s.check(func(*Inode) error { return nil }); err != nil {
+		w.t.Fatalf("%s: %v", what, err)
+	}
+	if w.s.n != len(w.ref) {
+		w.t.Fatalf("%s: the set counts %d entries, reference %d", what, w.s.n, len(w.ref))
+	}
+	for k, x := range w.ref {
+		if got := w.s.lookup(x.parent, k.name); got != x {
+			w.t.Fatalf("%s: lookup(%d, %q) = %v, want %v", what, k.dir, k.name, got, x)
+		}
+	}
+	for i := 0; i < len(w.ref); i++ {
+		d, name := w.dirs[w.rng.Intn(len(w.dirs))], "e"+strconv.Itoa(w.rng.Intn(w.made+1))
+		if got, want := w.s.lookup(d, name), w.ref[movedKey{d.ID, name}]; got != want {
+			w.t.Fatalf("%s: lookup(%d, %q) = %v, reference %v", what, d.ID, name, got, want)
+		}
+	}
+}
+
+// TestMovedSetDifferential runs 150k seeded random inserts, removes
+// and renames through a bare moved set and a map reference, in phases:
+// growth past many directory doublings, balanced churn, a skewed phase
+// whose keys all hash into one corner (one bucket splits again and
+// again while the rest stay shallow, so directory slots share buckets),
+// and a drain. Lookups of held and absent keys and the structural
+// checks must agree with the reference after every phase.
+func TestMovedSetDifferential(t *testing.T) {
+	w := &movedWorld{t: t, rng: rand.New(rand.NewSource(5)), ref: map[movedKey]*Inode{}}
+	for i := range 64 {
+		w.dirs = append(w.dirs, &Inode{ID: InodeID(i + 1), Kind: Dir, name: "d" + strconv.Itoa(i)})
+	}
+	w.compare("empty")
+	phases := []struct {
+		what    string
+		steps   int
+		topZero uint
+	}{
+		{"growth", 40_000, 0},
+		{"churn", 40_000, 0},
+		{"skew", 30_000, 6},
+		{"churn after skew", 30_000, 0},
+	}
+	for _, ph := range phases {
+		for i := 0; i < ph.steps; i++ {
+			w.step(ph.topZero)
+		}
+		w.compare(ph.what)
+	}
+	shallow := false
+	for _, b := range w.s.dir {
+		shallow = shallow || b.depth < w.s.depth
+	}
+	if w.s.depth < 8 || !shallow {
+		t.Fatalf("global depth %d, a bucket below it %v: the history did not double the directory and split unevenly", w.s.depth, shallow)
+	}
+	for len(w.in) > 0 {
+		w.remove(w.rng.Intn(len(w.in)))
+	}
+	w.compare("drained")
+}
+
+// BenchmarkMovedSetChurn measures the moved set under steady churn:
+// 20 000 entries held, and each op removes one, inserts another and
+// looks one up. Buckets never merge, so once the set has grown the
+// timed loop allocates nothing.
+func BenchmarkMovedSetChurn(b *testing.B) {
+	const held = 20_000
+	var dirs []*Inode
+	for i := range 256 {
+		dirs = append(dirs, &Inode{ID: InodeID(i + 1), Kind: Dir})
+	}
+	pool := make([]*Inode, 2*held)
+	for i := range pool {
+		pool[i] = &Inode{ID: InodeID(1000 + i), parent: dirs[i%len(dirs)], name: fmt.Sprintf("f%d", i)}
+	}
+	var s movedSet
+	for _, x := range pool[:held] {
+		s.insert(x)
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, in := rng.Intn(held), held+rng.Intn(held)
+		s.remove(pool[out])
+		s.insert(pool[in])
+		pool[out], pool[in] = pool[in], pool[out]
+		if x := pool[rng.Intn(held)]; s.lookup(x.parent, x.name) != x {
+			b.Fatal("a held entry was not found")
 		}
 	}
 }

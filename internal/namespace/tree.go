@@ -365,14 +365,17 @@ func (t *Tree) CheckInvariants() error {
 	if err != nil {
 		return err
 	}
-	for _, e := range t.moved.slots {
+	err = t.moved.check(func(e *Inode) error {
 		switch {
-		case e == nil:
 		case !e.attached():
 			return fmt.Errorf("moved set holds %s, which is not attached", e)
 		case !t.displaced(e):
 			return fmt.Errorf("moved set holds %s, which is at its frozen place", e)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if t.moved.n != displaced {
 		return fmt.Errorf("moved set holds %d entries, %d reachable inodes are away from their frozen place", t.moved.n, displaced)

@@ -260,6 +260,7 @@ func TestRulebook(t *testing.T) {
 		{"more MDSs than a memo can name", func(p *plan.Plan) { rebind(p, "mds", "65537") }, "the 32768 a client's location hint can name"},
 		{"more MDSs than a hint can name", func(p *plan.Plan) { rebind(p, "mds", "32769") }, "the 32768 a client's location hint can name"},
 		{"a cache past its references", func(p *plan.Plan) { rebind(p, "cache", "70000") }, "the 65408 a node's cache can hold"},
+		{"a journal past its positions", func(p *plan.Plan) { rebind(p, "log", "16777217") }, "the 16777216 a node's journal can hold"},
 		{"warmup too long", func(p *plan.Plan) { rebind(p, "warmup", "6s") }, "does not fit"},
 		{"embed=off on a dynamic partition", func(p *plan.Plan) { rebind(p, "embed", "off") }, "embed=off needs strategy=StaticSubtree"},
 		{"leases on a closed loop", func(p *plan.Plan) {

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -32,13 +33,27 @@ type Writer struct {
 	// section bookkeeping: start of the current section's length prefix.
 	secAt   int
 	secName string
+	// counting writers keep no bytes: count is what they were given.
+	counting bool
+	count    int
 }
 
 // NewWriter returns an empty snapshot writer.
 func NewWriter() *Writer { return &Writer{} }
 
+// NewCounter returns a writer that keeps nothing and counts the bytes a
+// walk writes, so a caller can Grow the real writer once, to the exact
+// size, before writing a snapshot it has no earlier size for. It has no
+// Bytes.
+func NewCounter() *Writer { return &Writer{counting: true} }
+
 // Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
+func (w *Writer) Len() int {
+	if w.counting {
+		return w.count
+	}
+	return len(w.buf)
+}
 
 // Grow makes room for n more bytes, so a caller that knows roughly what
 // it is about to write pays one allocation in place of append's
@@ -57,6 +72,10 @@ func (w *Writer) Begin(name string) {
 	w.secName = name
 	w.String(name)
 	// Reserve a fixed 8-byte length slot so we can patch it after End.
+	if w.counting {
+		w.count += 8
+		return
+	}
 	w.secAt = len(w.buf)
 	w.buf = append(w.buf, 0, 0, 0, 0, 0, 0, 0, 0)
 }
@@ -66,16 +85,30 @@ func (w *Writer) End() {
 	if w.secName == "" {
 		panic("snap: End outside section")
 	}
-	n := len(w.buf) - w.secAt - 8
-	binary.LittleEndian.PutUint64(w.buf[w.secAt:], uint64(n))
+	if !w.counting {
+		n := len(w.buf) - w.secAt - 8
+		binary.LittleEndian.PutUint64(w.buf[w.secAt:], uint64(n))
+	}
 	w.secName = ""
 }
 
 // U64 appends an unsigned varint.
-func (w *Writer) U64(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
+func (w *Writer) U64(v uint64) {
+	if w.counting {
+		w.count += (bits.Len64(v|1) + 6) / 7
+		return
+	}
+	w.buf = binary.AppendUvarint(w.buf, v)
+}
 
 // I64 appends a signed varint (zigzag).
-func (w *Writer) I64(v int64) { w.buf = binary.AppendVarint(w.buf, v) }
+func (w *Writer) I64(v int64) {
+	if w.counting {
+		w.U64(uint64(v<<1) ^ uint64(v>>63))
+		return
+	}
+	w.buf = binary.AppendVarint(w.buf, v)
+}
 
 // Bool appends a boolean.
 func (w *Writer) Bool(v bool) {
@@ -89,6 +122,10 @@ func (w *Writer) Bool(v bool) {
 // String appends a length-prefixed string.
 func (w *Writer) String(s string) {
 	w.U64(uint64(len(s)))
+	if w.counting {
+		w.count += len(s)
+		return
+	}
 	w.buf = append(w.buf, s...)
 }
 
@@ -97,6 +134,9 @@ func (w *Writer) String(s string) {
 func (w *Writer) Bytes() []byte {
 	if w.secName != "" {
 		panic("snap: Bytes inside open section " + w.secName)
+	}
+	if w.counting {
+		panic("snap: Bytes of a counting writer")
 	}
 	h := fnv.New64a()
 	h.Write(w.buf)

@@ -387,3 +387,33 @@ func TestWriterGrowAllocFree(t *testing.T) {
 		t.Fatalf("Reader.Len = %d over %d bytes", r.Len(), len(data))
 	}
 }
+
+// TestCounterMeasuresWriter: a counting writer given the same walk as a
+// real one reports the real one's length exactly — varints of every
+// width, zigzag signs, strings and section slots — and keeps no bytes.
+func TestCounterMeasuresWriter(t *testing.T) {
+	walk := func(w *Writer) {
+		w.Begin("sizes")
+		for shift := 0; shift < 64; shift++ {
+			w.U64(1<<shift - 1)
+			w.U64(1 << shift)
+			w.I64(-1 << shift)
+			w.I64(1<<shift - 1)
+		}
+		w.U64(math.MaxUint64)
+		w.I64(math.MinInt64)
+		w.Bool(true)
+		w.End()
+		w.Begin("strings")
+		for n := 0; n < 300; n += 37 {
+			w.String(strings.Repeat("x", n))
+		}
+		w.End()
+	}
+	w, n := NewWriter(), NewCounter()
+	walk(w)
+	walk(n)
+	if n.Len() != w.Len() || n.buf != nil {
+		t.Fatalf("the counter measured %d bytes (kept %d), the writer wrote %d", n.Len(), len(n.buf), w.Len())
+	}
+}

@@ -3,8 +3,8 @@ package storage
 import "dynmds/internal/snap"
 
 // Checkpoint codec. Serialized at a quiesce point, when both disks are
-// idle — sim.Server's walk panics otherwise. The bounded log's live map
-// is not serialized; it is rebuilt from the ring contents.
+// idle — sim.Server's walk panics otherwise. The bounded log's index of
+// newest records is not serialized; it is rebuilt from the ring window.
 
 // Snap walks the store's mutable state; reading, a freshly built store
 // with the same config.
@@ -30,10 +30,10 @@ func (s *Store) Snap(c *snap.Codec) {
 		return
 	}
 	for i := 0; i < l.n; i++ {
-		slot := &l.ring[(l.head+i)%l.capacity]
-		snap.U(c, slot)
+		pos := (l.head + i) % l.capacity
+		snap.U(c, &l.ring[pos])
 		if c.Reading() {
-			l.live[*slot]++
+			l.note(pos)
 		}
 	}
 }

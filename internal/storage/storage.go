@@ -19,6 +19,9 @@
 package storage
 
 import (
+	"fmt"
+	"math/bits"
+
 	"dynmds/internal/namespace"
 	"dynmds/internal/osd"
 	"dynmds/internal/sim"
@@ -155,6 +158,11 @@ func (s *Store) MaxQueues() (readDisk, logDisk int) {
 	return s.readDisk.MaxQueue, s.logDisk.MaxQueue
 }
 
+// MaxLogCapacity is the largest log a node keeps, in records: the ring
+// (8 B a record) and its index (2^25 slots of 4 B) then take 256 MiB,
+// and a ring position fits the index's int32 slots with room to spare.
+const MaxLogCapacity = 1 << 24
+
 // BoundedLog is a fixed-capacity append log of inode IDs. Appending when
 // full expels the oldest entry; the expelled entry triggers a tier write
 // only if no newer append for the same inode remains in the log (a newer
@@ -164,51 +172,108 @@ type BoundedLog struct {
 	ring     []namespace.InodeID
 	head     int // index of oldest
 	n        int
-	live     map[namespace.InodeID]int // entries per inode currently in log
+	// newest indexes every inode in the log by its newest record: an
+	// open-addressing table, at most half full and probed linearly, of
+	// 1 + that record's ring position (0 is empty). The key is read from
+	// the ring, so a slot is 4 bytes, and the table is made once, at
+	// NewBoundedLog: appends never grow it. An expelled record is its
+	// inode's last in the log iff it is the newest one.
+	newest []int32
+	shift  uint8 // 64 - log2(len(newest)): hash takes the top bits
+	ids    int   // occupied slots: the distinct inodes in the log
 }
 
-// NewBoundedLog creates a log holding capacity records.
+// seen marks a slot whose inode Distinct has already listed; it is set
+// and cleared within one Distinct call.
+const seen = -1 << 31
+
+// NewBoundedLog creates a log holding capacity records, at most
+// MaxLogCapacity.
 func NewBoundedLog(capacity int) *BoundedLog {
-	if capacity < 1 {
-		panic("storage: log capacity must be >= 1")
+	if capacity < 1 || capacity > MaxLogCapacity {
+		panic(fmt.Sprintf("storage: log capacity %d outside 1..%d", capacity, MaxLogCapacity))
 	}
+	k := uint8(bits.Len(uint(2*capacity - 1)))
 	return &BoundedLog{
 		capacity: capacity,
 		ring:     make([]namespace.InodeID, capacity),
-		live:     make(map[namespace.InodeID]int),
+		newest:   make([]int32, 1<<k),
+		shift:    64 - k,
 	}
+}
+
+// home returns the slot where the probe for id starts.
+func (l *BoundedLog) home(id namespace.InodeID) int {
+	return int(uint64(id) * 0x9e3779b97f4a7c15 >> l.shift)
+}
+
+// slot returns id's slot in newest: the one holding its newest record,
+// or the empty one where it would go.
+func (l *BoundedLog) slot(id namespace.InodeID) int {
+	mask := len(l.newest) - 1
+	for i := l.home(id); ; i = (i + 1) & mask {
+		if p := l.newest[i]; p == 0 || l.ring[p&^seen-1] == id {
+			return i
+		}
+	}
+}
+
+// note records ring position pos as its inode's newest record.
+func (l *BoundedLog) note(pos int) {
+	i := l.slot(l.ring[pos])
+	if l.newest[i] == 0 {
+		l.ids++
+	}
+	l.newest[i] = int32(pos + 1)
 }
 
 // Append adds a record, reporting whether an expelled record required a
 // tier write (no newer record for the same inode remained).
 func (l *BoundedLog) Append(id namespace.InodeID) (tierWrite bool) {
 	if l.n == l.capacity {
-		old := l.ring[l.head]
-		l.head = (l.head + 1) % l.capacity
-		l.n--
-		l.live[old]--
-		if l.live[old] == 0 {
-			delete(l.live, old)
+		if i := l.slot(l.ring[l.head]); l.newest[i] == int32(l.head+1) {
+			l.vacate(i)
 			tierWrite = true
 		}
+		l.head = (l.head + 1) % l.capacity
+		l.n--
 	}
 	tail := (l.head + l.n) % l.capacity
 	l.ring[tail] = id
 	l.n++
-	l.live[id]++
+	l.note(tail)
 	return tierWrite
 }
 
-// Distinct returns the distinct inode IDs in the log, oldest first.
+// vacate empties slot i, shifting the slots after it back: one moves
+// into the hole unless its home lies cyclically in (hole, its slot],
+// where a probe for it would never pass the hole.
+func (l *BoundedLog) vacate(i int) {
+	mask := len(l.newest) - 1
+	for j := (i + 1) & mask; l.newest[j] != 0; j = (j + 1) & mask {
+		if (j-l.home(l.ring[l.newest[j]-1]))&mask >= (j-i)&mask {
+			l.newest[i] = l.newest[j]
+			i = j
+		}
+	}
+	l.newest[i] = 0
+	l.ids--
+}
+
+// Distinct returns the distinct inode IDs in the log, oldest first: each
+// at its first record. It marks each listed inode's slot seen, then
+// unmarks them, so it allocates only its result.
 func (l *BoundedLog) Distinct() []namespace.InodeID {
-	seen := make(map[namespace.InodeID]bool, len(l.live))
-	out := make([]namespace.InodeID, 0, len(l.live))
-	for i := 0; i < l.n; i++ {
-		id := l.ring[(l.head+i)%l.capacity]
-		if !seen[id] {
-			seen[id] = true
+	out := make([]namespace.InodeID, 0, l.ids)
+	for k := 0; k < l.n; k++ {
+		id := l.ring[(l.head+k)%l.capacity]
+		if i := l.slot(id); l.newest[i] > 0 {
+			l.newest[i] |= seen
 			out = append(out, id)
 		}
+	}
+	for _, id := range out {
+		l.newest[l.slot(id)] &^= seen
 	}
 	return out
 }

@@ -124,11 +124,11 @@ func TestBoundedLogContains(t *testing.T) {
 	l := NewBoundedLog(2)
 	l.Append(1)
 	l.Append(2)
-	if l.live[1] == 0 || l.live[2] == 0 {
+	if !l.contains(1) || !l.contains(2) {
 		t.Fatal("log missing entries")
 	}
 	l.Append(3) // expels 1
-	if l.live[1] > 0 {
+	if l.contains(1) {
 		t.Fatal("expelled entry still contained")
 	}
 	if l.n != 2 || l.capacity != 2 {
@@ -150,7 +150,7 @@ func TestBoundedLogProperties(t *testing.T) {
 		d := l.Distinct()
 		seen := map[namespace.InodeID]bool{}
 		for _, id := range d {
-			if seen[id] || l.live[id] == 0 {
+			if seen[id] || !l.contains(id) {
 				return false
 			}
 			seen[id] = true
@@ -197,7 +197,7 @@ func TestStoreSharedPoolRouting(t *testing.T) {
 		t.Fatal("local disk used in pool mode")
 	}
 	// The bounded log still tracks the working set locally.
-	if s.log.live[13] == 0 {
+	if !s.log.contains(13) {
 		t.Fatal("log lost the commit record")
 	}
 }

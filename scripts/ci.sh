@@ -62,7 +62,7 @@ budget() {
     fi
 }
 budget README.md $((24 * 1024))
-budget DESIGN.md 56569
+budget DESIGN.md 56549
 
 # -race on the small CI box is ~6x slower than native; give packages
 # headroom past go test's 10m default so a busy host doesn't flake.
@@ -102,13 +102,16 @@ go test -run '^$' -fuzz '^FuzzOverlayNames$' -fuzztime 15s -fuzzminimizetime 10x
 # loosen under -race would otherwise never be enforced.
 go test -count=1 -run 'Alloc|ZeroAlloc|AllocBudget' ./internal/sim ./internal/cache ./internal/cluster ./internal/mds \
     ./internal/partition ./internal/workload ./internal/snap ./internal/client ./internal/metrics \
-    ./internal/fsgen ./internal/namespace
+    ./internal/fsgen ./internal/namespace ./internal/storage
 # One iteration of the cache and authority benchmarks the ledger's
 # kernels mirror (and of hits spread over a 300k-inode namespace, where
 # an index sized by the highest ID misses L2), of the service-centre
 # backlog benchmark the depth-ratio pin runs, of the set-up kernels
-# (generate, thaw) and of the namespace churn kernel, so they cannot rot.
+# (generate, thaw), of the namespace churn kernel and of the moved-set
+# and journal-append kernels, so they cannot rot.
 go test -run '^$' -bench 'InsertPathEvict|GetHit$|GetHitSpread' -benchtime 1x ./internal/cache
+go test -run '^$' -bench 'MovedSetChurn' -benchtime 1x ./internal/namespace
+go test -run '^$' -bench 'LogAppend' -benchtime 1x ./internal/storage
 go test -run '^$' -bench 'SubtreeAuthority' -benchtime 1x ./internal/partition
 go test -run '^$' -bench 'ServerBacklog' -benchtime 1x ./internal/sim
 go test -run '^$' -bench 'Generate|Thaw|OverlayChurn' -benchtime 1x ./internal/fsgen
