@@ -103,6 +103,7 @@ func TestUsageErrors(t *testing.T) {
 		{"empty cluster", []string{"-set", "mds=0"}, `mds: bad value "0" (want a whole number >= 1)`},
 		{"a cache past its 16-bit references", []string{"-set", "cache=70000"}, "a cache of 70000 records is more than the 65408"},
 		{"more nodes than a hint can name", []string{"-set", "mds=32769"}, "a cluster of 32769 MDSs is more than the 32768"},
+		{"more nodes than a replica set can name", []string{"-set", "mds=65"}, "a cluster of 65 MDSs is more than the 64 a replica set can name"},
 
 		{"plan: negative shards", []string{"-plan", planFile("bad-shards")}, `plan line 2: unknown key "shards"`},
 		{"unknown -set key", []string{"-set", "colour=red"}, `unknown key "colour"`},

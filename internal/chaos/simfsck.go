@@ -163,7 +163,7 @@ func subtreeTable(cl *cluster.Cluster) *partition.SubtreeTable {
 func checkNamespace(cl *cluster.Cluster, base Baseline, fail func(string, ...any)) {
 	n := len(cl.Nodes)
 	var outOfRange uint64
-	if n < 64 {
+	if n < namespace.MaxMDS {
 		outOfRange = ^uint64(0) << uint(n)
 	}
 	bad := 0
@@ -187,7 +187,7 @@ func checkNamespace(cl *cluster.Cluster, base Baseline, fail func(string, ...any
 				ino.Path(), bits, n)
 			bad++
 		}
-		for i := 0; i < n && i < 64; i++ {
+		for i := 0; i < n && i < namespace.MaxMDS; i++ {
 			if w&(1<<uint(i)) != 0 && !cl.Nodes[i].Failed() {
 				fail("unflushed write on %s held by live mds%d after drain", ino.Path(), i)
 				bad++

@@ -223,25 +223,32 @@ func (c *Client) armRetry(req *msg.Request) {
 	})
 }
 
-// direct picks the MDS to contact (§4.4): computed directly for hashed
-// strategies; otherwise the deepest known prefix's advertised location,
-// falling back to a random node (the root is "known to all clients and
-// consequently highly replicated").
-func (c *Client) direct(req *msg.Request) int {
-	if c.strat.ClientComputable() {
+// steer picks the MDS a request goes to (§4.4), for both client models:
+// computed directly for hashed strategies; otherwise the deepest prefix
+// whose location the client's hint record rec holds. It reports false
+// when that prefix is advertised as replicated or none is known: the
+// caller then picks a node at random (the root is "known to all clients
+// and consequently highly replicated").
+func steer(strat partition.Strategy, hints *HintTable, rec []uint32, req *msg.Request) (int, bool) {
+	if strat.ClientComputable() {
 		if req.Op == msg.Create || req.Op == msg.Mkdir {
-			return c.strat.AuthorityForName(req.Target, req.NewName)
+			return strat.AuthorityForName(req.Target, req.NewName), true
 		}
-		return c.strat.Authority(req.Target)
+		return strat.Authority(req.Target), true
 	}
-	rec := c.hints.record(0)
-	for n := req.Target; n != nil; n = n.Parent() {
-		if auth, repl, ok := c.hints.get(rec, n.ID); ok {
-			if repl {
-				return c.rng.Pick(c.net.NumMDS())
-			}
-			return auth
+	for n := req.Target; rec != nil && n != nil; n = n.Parent() {
+		if auth, repl, ok := hints.get(rec, n.ID); ok {
+			return auth, !repl
 		}
+	}
+	return 0, false
+}
+
+// direct steers req, drawing the random fallback from the client's
+// stream only when it is needed.
+func (c *Client) direct(req *msg.Request) int {
+	if mds, ok := steer(c.strat, c.hints, c.hints.record(0), req); ok {
+		return mds
 	}
 	return c.rng.Pick(c.net.NumMDS())
 }

@@ -602,26 +602,12 @@ func appendInt(b []byte, v int) []byte {
 	return append(b, tmp[i:]...)
 }
 
-// direct steers a request exactly like the closed-loop client (§4.4):
-// computed authority for hashed strategies, deepest known prefix from
-// the client's hint record rec otherwise, random fallback.
+// direct steers req like the closed-loop client (steer), from the
+// client's hint record rec; the random fallback is u, a word already
+// drawn from the client's stream.
 func (p *Population) direct(rec []uint32, req *msg.Request, u uint64) int {
-	if p.strat.ClientComputable() {
-		if req.Op == msg.Create || req.Op == msg.Mkdir {
-			return p.strat.AuthorityForName(req.Target, req.NewName)
-		}
-		return p.strat.Authority(req.Target)
-	}
-	if rec == nil {
-		return int(u % uint64(p.net.NumMDS())) // never answered: knows nothing
-	}
-	for n := req.Target; n != nil; n = n.Parent() {
-		if auth, repl, ok := p.hints.get(rec, n.ID); ok {
-			if repl {
-				return int(u % uint64(p.net.NumMDS()))
-			}
-			return auth
-		}
+	if mds, ok := steer(p.strat, p.hints, rec, req); ok {
+		return mds
 	}
 	return int(u % uint64(p.net.NumMDS()))
 }

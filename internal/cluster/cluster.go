@@ -274,6 +274,8 @@ func (cfg *Config) Validate() error {
 		return fmt.Errorf("a cluster needs at least one MDS, not %d", cfg.NumMDS)
 	case cfg.NumMDS > client.MaxHintMDS:
 		return fmt.Errorf("a cluster of %d MDSs is more than the %d a client's location hint can name", cfg.NumMDS, client.MaxHintMDS)
+	case cfg.NumMDS > namespace.MaxMDS:
+		return fmt.Errorf("a cluster of %d MDSs is more than the %d a replica set can name", cfg.NumMDS, namespace.MaxMDS)
 	case cfg.MDS.CacheCapacity > cache.MaxCapacity:
 		return fmt.Errorf("a cache of %d records is more than the %d a node's cache can hold", cfg.MDS.CacheCapacity, cache.MaxCapacity)
 	case cfg.MDS.Storage.LogCapacity > storage.MaxLogCapacity:
@@ -400,7 +402,7 @@ func New(cfg Config) (*Cluster, error) {
 		c.Pool = pool
 	}
 
-	// Nodes with measurement hooks.
+	// Nodes, each with its reply series.
 	for i := 0; i < cfg.NumMDS; i++ {
 		nodeCfg := cfg.MDS
 		if c.Pool != nil {
@@ -409,16 +411,9 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		node := mds.New(i, eng, nodeCfg, c.Strategy, c.Traffic, c)
 		if c.sched != nil {
-			node.EnableFaults(c)
+			node.EnableFaults()
 		}
-		series := metrics.NewSeries(cfg.SeriesBucket)
-		c.RepliesPerNode = append(c.RepliesPerNode, series)
-		node.OnReply = func(id int, req *msg.Request, now sim.Time) {
-			c.RepliesPerNode[id].Observe(now, 1)
-		}
-		node.OnForward = func(id int, req *msg.Request, now sim.Time) {
-			c.Forwards.Observe(now, 1)
-		}
+		c.RepliesPerNode = append(c.RepliesPerNode, metrics.NewSeries(cfg.SeriesBucket))
 		c.Nodes = append(c.Nodes, node)
 	}
 
@@ -685,9 +680,16 @@ func (c *Cluster) Deliver(rep *msg.Reply) {
 	}
 }
 
-// LeaseRecallDeliver lands a lease-recall notice at the client edge:
-// the registry's generation bump invalidates the lease for every
-// client at once, and a LeaseAck rides back to the recalling authority.
+// NoteReply implements mds.Cluster: node sent a reply.
+func (c *Cluster) NoteReply(node int, now sim.Time) { c.RepliesPerNode[node].Observe(now, 1) }
+
+// NoteForward implements mds.Cluster: a node forwarded a request.
+func (c *Cluster) NoteForward(now sim.Time) { c.Forwards.Observe(now, 1) }
+
+// LeaseRecallDeliver implements mds.Cluster: a lease-recall notice
+// lands at the client edge, where the registry's generation bump
+// invalidates the lease for every client at once, and a LeaseAck rides
+// back to the recalling authority.
 // Acks are sent exactly on delivery, so LeaseAck.Sent ==
 // LeaseRecall.Delivered even when a fault plane drops recalls (a lost
 // recall is bounded by the lease lifetime: holders lapse at expiry

@@ -130,7 +130,7 @@ func TestMarkDownSpreadsRoots(t *testing.T) {
 	}
 }
 
-// TestSuspicionLifecycle drives the mds.FaultCluster surface directly:
+// TestSuspicionLifecycle drives the suspicion methods of mds.Cluster directly:
 // strikes below the threshold are reversible by exoneration, the
 // threshold confirms the peer down (reassigning its subtrees), and a
 // down verdict is sticky until recovery clears it.

@@ -76,7 +76,7 @@ func (c *Cluster) scheduleFaults(after sim.Time) {
 	}
 }
 
-// Suspect implements mds.FaultCluster: one missed-timeout strike
+// Suspect implements mds.Cluster: one missed-timeout strike
 // against peer. At suspicionThreshold strikes the peer is marked down:
 // peers stop round-tripping to it (dead-letter forwards, direct disk
 // reads for fetches) and the dynamic strategy reassigns its subtrees to
@@ -96,7 +96,7 @@ func (c *Cluster) Suspect(reporter, peer int) {
 	}
 }
 
-// Exonerate implements mds.FaultCluster: a reply or ack from the peer
+// Exonerate implements mds.Cluster: a reply or ack from the peer
 // proves it alive, clearing accumulated strikes. A node already marked
 // down stays down until RecoverNode (suspicion is sticky; a stray late
 // ack from a crashed node's final moments must not resurrect it).
@@ -109,7 +109,7 @@ func (c *Cluster) Exonerate(peer int) {
 	}
 }
 
-// NodeDown implements mds.FaultCluster.
+// NodeDown implements mds.Cluster.
 func (c *Cluster) NodeDown(peer int) bool {
 	return c.down != nil && peer >= 0 && peer < len(c.down) && c.down[peer]
 }
@@ -126,7 +126,7 @@ func (c *Cluster) markDown(peer int) {
 	}
 }
 
-// Drain stops every client and runs the engine two simulated seconds
+// Drain stops every client and runs the engine a QuiesceDrain window
 // past the configured duration, so every bounded message chain
 // completes or times out (the longest — a retried, forwarded request
 // with a disk fetch — is well under a second) and only the perpetual
@@ -140,7 +140,7 @@ func (c *Cluster) Drain() {
 	if c.Pop != nil {
 		c.Pop.Stop()
 	}
-	c.Eng.RunUntil(c.Cfg.Duration + 2*sim.Second)
+	c.Eng.RunUntil(c.Cfg.Duration + QuiesceDrain)
 }
 
 // FaultSummary renders the human-readable fault block for a finished

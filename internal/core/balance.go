@@ -25,6 +25,9 @@ type Node interface {
 	// EvictSubtree discards the exporter's cached state for the
 	// migrated subtree.
 	EvictSubtree(root *namespace.Inode)
+	// Failed reports whether the node is down (a crash on the fault
+	// schedule, or the failover extension).
+	Failed() bool
 }
 
 // The balancer's policy.
@@ -136,7 +139,7 @@ func (b *Balancer) Rebalance(now sim.Time) {
 	alive := 0
 	var mean float64
 	for i, node := range b.nodes {
-		if nodeFailed(node) {
+		if node.Failed() {
 			dead[i] = true
 			continue
 		}
@@ -152,15 +155,6 @@ func (b *Balancer) Rebalance(now sim.Time) {
 		return
 	}
 	b.eng.After(decisionDelay, func() { b.decide(loads, dead, mean) })
-}
-
-// failer is the optional capability a Node implementation exposes when
-// it can be taken down by fault injection or the failover extension.
-type failer interface{ Failed() bool }
-
-func nodeFailed(n Node) bool {
-	f, ok := n.(failer)
-	return ok && f.Failed()
 }
 
 // decide applies one round's migration decisions to the exchanged

@@ -179,6 +179,7 @@ func (f *fakeNode) EvictSubtree(root *namespace.Inode) {
 	f.evicts++
 	f.c.RemoveSubtree(root)
 }
+func (f *fakeNode) Failed() bool { return false }
 
 func TestBalancerMigratesHotSubtree(t *testing.T) {
 	tr, homes := buildTree(t)

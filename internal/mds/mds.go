@@ -87,22 +87,9 @@ func DefaultConfig(cacheCapacity int) Config {
 	}
 }
 
-// FaultCluster is the cluster's suspicion surface, handed to a node by
-// EnableFaults when fault injection is active: nodes report peers that
-// miss timeouts, clear suspicion on proof of life, and check whether an
-// authority is already confirmed down. The cluster turns accumulated
-// suspicion into failover reassignment (see internal/cluster).
-type FaultCluster interface {
-	// Suspect records one missed-timeout strike against peer, observed
-	// by reporter.
-	Suspect(reporter, peer int)
-	// Exonerate clears the strikes against a peer that proved alive.
-	Exonerate(peer int)
-	// NodeDown reports whether peer has been confirmed down.
-	NodeDown(peer int) bool
-}
-
-// Cluster is the MDS's view of its surroundings.
+// Cluster is the MDS's view of its surroundings: its peers, the shared
+// namespace and fabric, the client edge, and the cluster-wide machinery
+// (suspicion, lease recalls, measurement) a node reports to.
 type Cluster interface {
 	// Node returns peer i.
 	Node(i int) *MDS
@@ -118,6 +105,23 @@ type Cluster interface {
 	// Writers returns the unflushed-writer masks every node of the
 	// cluster shares.
 	Writers() Writers
+
+	// Suspect records one missed-timeout strike against peer, observed
+	// by reporter; Exonerate clears the strikes against a peer that
+	// proved alive; NodeDown reports whether peer has been confirmed
+	// down. Only a node in fault mode (EnableFaults) calls them; the
+	// cluster turns accumulated suspicion into failover reassignment.
+	Suspect(reporter, peer int)
+	Exonerate(peer int)
+	NodeDown(peer int) bool
+	// LeaseRecallDeliver lands a recall notice from node from at the
+	// client edge (bumping the shared recall generation) and acks it
+	// back on the LeaseAck class. Only a node with a lease plane calls it.
+	LeaseRecallDeliver(from int, target *namespace.Inode)
+	// NoteReply and NoteForward observe a reply sent by node and a
+	// forward, for time-series measurement.
+	NoteReply(node int, now sim.Time)
+	NoteForward(now sim.Time)
 }
 
 // Stats counts one node's activity.
@@ -170,14 +174,6 @@ type fetch struct {
 	// meaningful in fault mode.
 	peer int
 	done bool
-}
-
-// leaseCluster is optionally implemented by the Cluster when the lease
-// plane is active: it lands a recall notice at the client edge (bumping
-// the shared recall generation) and acks it back to the authority on the
-// LeaseAck class.
-type leaseCluster interface {
-	LeaseRecallDeliver(from int, target *namespace.Inode)
 }
 
 // MDS is one metadata server.
@@ -243,12 +239,12 @@ type MDS struct {
 	// slow scales this node's CPU service times while a slow-node fault
 	// window is active; 1 = normal speed.
 	slow float64
-	// fc is the cluster's suspicion surface, set by EnableFaults: non-nil
-	// exactly in fault mode, where it arms the forward-ack and fetch
-	// timeouts and turns off fetch-carrier pooling (a timed-out carrier
-	// may be resumed by its late response). Fault-free runs never touch
-	// those paths.
-	fc FaultCluster
+	// faults is set by EnableFaults: in fault mode the node arms the
+	// forward-ack and fetch timeouts, reports suspicion to the cluster,
+	// and turns off fetch-carrier pooling (a timed-out carrier may be
+	// resumed by its late response). Fault-free runs never touch those
+	// paths.
+	faults bool
 	// pendingFwd tracks forwards awaiting their FwdAck; the value's seq
 	// invalidates stale timeout timers when a request is re-forwarded.
 	pendingFwd map[*msg.Request]fwdRec
@@ -259,15 +255,8 @@ type MDS struct {
 	flusher *sim.Ticker
 
 	// lease is the cluster's hotspot-mitigation plane (nil when neither
-	// client leases nor replica fan-out are enabled); lec is the
-	// cluster's recall-delivery surface, set alongside it.
+	// client leases nor replica fan-out are enabled).
 	lease *lease.Plane
-	lec   leaseCluster
-
-	// OnReply and OnForward, when set, observe served requests and
-	// forwards for time-series measurement.
-	OnReply   func(id int, req *msg.Request, now sim.Time)
-	OnForward func(id int, req *msg.Request, now sim.Time)
 
 	Stats Stats
 }
@@ -331,19 +320,15 @@ func evictNoticeArrive(_, _ any) {}
 // hot-directory replica fan-out. The cluster attaches it after
 // construction; a nil plane (the default) leaves every request path
 // bit-identical to a build without the plane.
-func (m *MDS) AttachLeasePlane(p *lease.Plane) {
-	m.lease = p
-	if lc, ok := m.cluster.(leaseCluster); ok {
-		m.lec = lc
-	}
-}
+func (m *MDS) AttachLeasePlane(p *lease.Plane) { m.lease = p }
 
-// EnableFaults puts the node in fault mode, reporting to fc: forwards
-// are acked and time out after fwdTimeout, remote fetches fall back to
-// a local read after fetchTimeout, and requests for an authority fc
-// confirms down are dead-lettered (the client's retry timeout covers
-// them). The cluster calls it when its fault schedule is non-empty.
-func (m *MDS) EnableFaults(fc FaultCluster) { m.fc = fc }
+// EnableFaults puts the node in fault mode: forwards are acked and time
+// out after fwdTimeout, reporting the peer suspect to the cluster,
+// remote fetches fall back to a local read after fetchTimeout, and
+// requests for an authority the cluster confirms down are dead-lettered
+// (the client's retry timeout covers them). The cluster calls it when
+// its fault schedule is non-empty.
+func (m *MDS) EnableFaults() { m.faults = true }
 
 // NoteLeaseAck lands a LeaseAck from the client edge: the recall round
 // trip is complete. Runs on this node's engine.
@@ -358,7 +343,7 @@ func leaseGrantArrive(_, _ any) {}
 // cluster's recall surface bumps the generation and acks back.
 func leaseRecallArrive(a, b any) {
 	m := a.(*MDS)
-	m.lec.LeaseRecallDeliver(m.id, b.(*namespace.Inode))
+	m.cluster.LeaseRecallDeliver(m.id, b.(*namespace.Inode))
 }
 
 // call0 adapts a bare func() to a fabric delivery continuation, for the
@@ -436,7 +421,7 @@ func (m *MDS) Receive(req *msg.Request) {
 	if m.failed {
 		return
 	}
-	if m.fc != nil && req.Via >= 0 {
+	if m.faults && req.Via >= 0 {
 		// Ack the forward so the forwarder's timeout stands down; only a
 		// live node acks, which is exactly the death signal the
 		// suspicion machinery needs.
@@ -470,7 +455,7 @@ func fwdAckArrive(a, b any) {
 	// request lost that way, so the race costs accuracy, not liveness.
 	delete(f.pendingFwd, req)
 	if !f.failed {
-		f.fc.Exonerate(rec.to)
+		f.cluster.Exonerate(rec.to)
 	}
 }
 
@@ -511,7 +496,7 @@ func (m *MDS) process(req *msg.Request) {
 			m.reply(req)
 			return
 		}
-		if m.fc != nil && m.fc.NodeDown(auth) {
+		if m.faults && m.cluster.NodeDown(auth) {
 			// The authority is confirmed down and nothing here can serve
 			// the request; dead-letter it. The client's retry timeout
 			// covers the loss — and under the dynamic strategy the
@@ -528,12 +513,10 @@ func (m *MDS) process(req *msg.Request) {
 
 func (m *MDS) forward(req *msg.Request, to int) {
 	m.Stats.Forwarded++
-	if m.OnForward != nil {
-		m.OnForward(m.id, req, m.eng.Now())
-	}
+	m.cluster.NoteForward(m.eng.Now())
 	m.maybePreemptiveReplicate(req)
 	req.Hops++
-	if m.fc != nil {
+	if m.faults {
 		req.Via = m.id
 		m.armFwdTimeout(req, to)
 	}
@@ -559,7 +542,7 @@ func (m *MDS) armFwdTimeout(req *msg.Request, to int) {
 		}
 		delete(m.pendingFwd, req)
 		m.Stats.FwdTimeouts++
-		m.fc.Suspect(m.id, rec.to)
+		m.cluster.Suspect(m.id, rec.to)
 		m.process(req)
 	})
 }
@@ -619,7 +602,14 @@ func (m *MDS) servePath(req *msg.Request) {
 
 // fetchRecord brings one record into the cache, coalescing concurrent
 // fetches of the same inode into a single I/O or peer round trip.
-// fn(a, b) runs once the record is cached.
+// fn(a, b) runs once the record is cached. Every record load takes this
+// one path; only the source differs. A record this node is authority
+// for is read from its own store; so is any record under Lazy Hybrid,
+// whose create is served where the new name's path hashes while its
+// parent's path may hash elsewhere (any node can read any record from
+// the shared store, §2.1.2); and so is one whose authority is confirmed
+// down, skipping the doomed round trip. Otherwise a peer round trip
+// fetches it.
 func (m *MDS) fetchRecord(ino *namespace.Inode, cl cache.Class, fn sim.EventFunc, a, b any) {
 	if waiters, inFlight := m.pending[ino.ID]; inFlight {
 		m.pending[ino.ID] = m.addWaiter(waiters, pendingCall{fn, a, b})
@@ -630,13 +620,7 @@ func (m *MDS) fetchRecord(ino *namespace.Inode, cl cache.Class, fn sim.EventFunc
 	f := m.getFetch()
 	f.ino, f.cl, f.fn, f.a, f.b = ino, cl, fn, a, b
 	auth := m.strat.Authority(ino)
-	if auth == m.id {
-		m.diskLoad(f)
-		return
-	}
-	if m.fc != nil && m.fc.NodeDown(auth) {
-		// The authority is confirmed down; skip the doomed round trip
-		// and read the record from the shared store directly (§2.1.2).
+	if auth == m.id || !m.strat.NeedsPathTraversal() || m.faults && m.cluster.NodeDown(auth) {
 		m.diskLoad(f)
 		return
 	}
@@ -644,7 +628,7 @@ func (m *MDS) fetchRecord(ino *namespace.Inode, cl cache.Class, fn sim.EventFunc
 	// replica locally (for prefixes, the overhead Figure 3 measures).
 	m.Stats.RemoteFetches++
 	f.peer = auth
-	if m.fc != nil {
+	if m.faults {
 		m.armFetchTimeout(f)
 	}
 	peer := m.cluster.Node(auth)
@@ -689,7 +673,7 @@ func (m *MDS) getFetch() *fetch {
 // still be referenced by a watchdog timer or a late remote response,
 // and reuse would let those resume the wrong fetch.
 func (m *MDS) putFetch(f *fetch) {
-	if m.fc != nil {
+	if m.faults {
 		return
 	}
 	f.ino, f.fn, f.a, f.b = nil, nil, nil, nil
@@ -760,23 +744,34 @@ func remoteFetchInstall(x, _ any) {
 		// disk read: the late response must not finish the fetch again.
 		return
 	}
-	if m.fc != nil {
-		m.fc.Exonerate(f.peer)
+	if m.faults {
+		m.cluster.Exonerate(f.peer)
 	}
-	m.installPrefix(f.ino)
+	// A remotely fetched ancestor: the ones above it are already cached
+	// (servePath works root-down), so only this record is added.
+	m.insert(f.ino, cache.Prefix, false)
+	partition.TagsOf(f.ino).SetReplica(m.id)
 	finishFetch(f)
 }
 
-// installPrefix caches a remotely fetched ancestor. Ancestors above it
-// are already cached (ensurePath works root-down), so InsertPath only
-// adds this record.
-func (m *MDS) installPrefix(ino *namespace.Inode) {
-	if _, err := m.cache.InsertPath(ino, cache.Prefix, false); err != nil {
-		// The chain above was evicted while the fetch was in flight;
-		// fall back to a detached record.
-		m.cache.InsertDetached(ino, cache.Prefix, false)
+// insert caches ino below its ancestors, adding those missing, or
+// detached when the chain cannot be cached (evicted while a load was in
+// flight, or pinned full).
+func (m *MDS) insert(ino *namespace.Inode, cl cache.Class, warm bool) {
+	if _, err := m.cache.InsertPath(ino, cl, warm); err != nil {
+		m.cache.InsertDetached(ino, cl, warm)
 	}
-	partition.TagsOf(ino).SetReplica(m.id)
+}
+
+// cacheLoaded caches a record this node read or created: below its
+// ancestors under path traversal, detached under Lazy Hybrid, which
+// keeps no prefixes.
+func (m *MDS) cacheLoaded(ino *namespace.Inode, cl cache.Class) {
+	if !m.strat.NeedsPathTraversal() {
+		m.cache.InsertDetached(ino, cl, false)
+		return
+	}
+	m.insert(ino, cl, false)
 }
 
 // handleFetch serves a peer's request for one inode record. fn(a, b)
@@ -829,38 +824,10 @@ func (m *MDS) fetchTarget(req *msg.Request) {
 	// Every request that found its target uncached is a demand miss,
 	// whether or not the fetch below coalesces with one in flight.
 	m.cache.NoteMiss()
-	if m.strat.NeedsPathTraversal() {
-		m.fetchRecord(target, cache.Auth, mdsFinishServe, m, req)
-		return
-	}
-	// Scattered per-inode layout without traversal (Lazy Hybrid);
-	// still coalesce duplicate in-flight fetches.
-	if waiters, inFlight := m.pending[target.ID]; inFlight {
-		m.pending[target.ID] = m.addWaiter(waiters, pendingCall{mdsFinishServe, m, req})
-		return
-	}
-	m.pending[target.ID] = nil
-	m.noteMiss()
-	m.store.ReadInodeCall(target.ID, scatteredTargetLoaded, m, req)
+	m.fetchRecord(target, cache.Auth, mdsFinishServe, m, req)
 }
 
 func mdsFinishServe(a, b any) { a.(*MDS).finishServe(b.(*msg.Request)) }
-
-// scatteredTargetLoaded completes a scattered-layout target read: cache
-// the record, serve the initiating request, then every coalesced waiter.
-func scatteredTargetLoaded(a, b any) {
-	m := a.(*MDS)
-	req := b.(*msg.Request)
-	if m.failed {
-		return
-	}
-	target := req.Target
-	m.cache.InsertDetached(target, cache.Auth, false)
-	waiters := m.pending[target.ID]
-	delete(m.pending, target.ID)
-	m.finishServe(req)
-	m.wake(waiters)
-}
 
 // diskLoad reads the record carried by f from this node's store and
 // inserts it (plus, for directory-granular layouts, its embedded
@@ -890,7 +857,7 @@ func inodeLoaded(x, _ any) {
 	if m.failed || f.done {
 		return
 	}
-	m.insertLoaded(f.ino, f.cl)
+	m.cacheLoaded(f.ino, f.cl)
 	finishFetch(f)
 }
 
@@ -901,32 +868,33 @@ func dirLoaded(x, _ any) {
 		return
 	}
 	ino := f.ino
-	m.insertLoaded(ino, f.cl)
-	// Embedded inodes: the whole directory came along; insert the
-	// siblings near the LRU tail (§4.5).
+	m.insert(ino, f.cl, false)
+	// Embedded inodes: the whole directory came along.
 	if parent := ino.Parent(); parent != nil {
-		for _, sib := range parent.Children() {
-			if sib == ino || m.cache.Contains(sib.ID) {
-				continue
-			}
-			sibClass := cache.Replica
-			if m.strat.Authority(sib) == m.id {
-				sibClass = cache.Auth
-			}
-			if _, err := m.cache.InsertPath(sib, sibClass, !m.cfg.PrefetchHot); err != nil {
-				break // parent chain evicted mid-load; stop prefetching
-			}
-			if sibClass == cache.Replica {
-				partition.TagsOf(sib).SetReplica(m.id)
-			}
-		}
+		m.prefetchChildren(parent, ino)
 	}
 	finishFetch(f)
 }
 
-func (m *MDS) insertLoaded(ino *namespace.Inode, cl cache.Class) {
-	if _, err := m.cache.InsertPath(ino, cl, false); err != nil {
-		m.cache.InsertDetached(ino, cl, false)
+// prefetchChildren caches the uncached children of dir, bar skip, that
+// came along in one read of its object: near the LRU tail (§4.5) unless
+// the PrefetchHot ablation is on. It stops at the first that cannot be
+// cached: the directory's chain was evicted mid-load.
+func (m *MDS) prefetchChildren(dir, skip *namespace.Inode) {
+	for _, c := range dir.Children() {
+		if c == skip || m.cache.Contains(c.ID) {
+			continue
+		}
+		cl := cache.Replica
+		if m.strat.Authority(c) == m.id {
+			cl = cache.Auth
+		}
+		if _, err := m.cache.InsertPath(c, cl, !m.cfg.PrefetchHot); err != nil {
+			break
+		}
+		if cl == cache.Replica {
+			partition.TagsOf(c).SetReplica(m.id)
+		}
 	}
 }
 
@@ -1010,21 +978,7 @@ func dirContentsLoaded(x, y any) {
 	if m.failed {
 		return
 	}
-	for _, c := range dir.Children() {
-		if m.cache.Contains(c.ID) {
-			continue
-		}
-		cl := cache.Replica
-		if m.strat.Authority(c) == m.id {
-			cl = cache.Auth
-		}
-		if _, err := m.cache.InsertPath(c, cl, !m.cfg.PrefetchHot); err != nil {
-			break
-		}
-		if cl == cache.Replica {
-			partition.TagsOf(c).SetReplica(m.id)
-		}
-	}
+	m.prefetchChildren(dir, nil)
 	waiters := m.pendingDir[dir.ID]
 	delete(m.pendingDir, dir.ID)
 	m.wake(waiters)
@@ -1096,7 +1050,7 @@ func (m *MDS) propagateCoherence(target *namespace.Inode) {
 	if set == 0 {
 		return
 	}
-	for i := 0; i < m.cluster.NumMDS() && i < 64; i++ {
+	for i := 0; i < m.cluster.NumMDS() && i < namespace.MaxMDS; i++ {
 		if i == m.id || set&(1<<uint(i)) == 0 {
 			continue
 		}
@@ -1217,11 +1171,11 @@ func (m *MDS) applyUpdate(req *msg.Request) {
 	switch req.Op {
 	case msg.Create:
 		if n, err := tree.Create(req.Target, req.NewName); err == nil {
-			m.cacheNew(n)
+			m.cacheLoaded(n, cache.Auth)
 		}
 	case msg.Mkdir:
 		if n, err := tree.Mkdir(req.Target, req.NewName); err == nil {
-			m.cacheNew(n)
+			m.cacheLoaded(n, cache.Auth)
 		}
 	case msg.Unlink:
 		if !req.Target.IsDir() {
@@ -1263,15 +1217,6 @@ func (m *MDS) applyUpdate(req *msg.Request) {
 	}
 }
 
-// cacheNew caches a just-created inode on its authority (this node).
-func (m *MDS) cacheNew(n *namespace.Inode) {
-	if m.strat.NeedsPathTraversal() {
-		m.insertLoaded(n, cache.Auth)
-		return
-	}
-	m.cache.InsertDetached(n, cache.Auth, false)
-}
-
 // pushReplicas installs copies of a newly popular item across the
 // cluster (§4.4).
 func (m *MDS) pushReplicas(target *namespace.Inode) {
@@ -1296,9 +1241,7 @@ func (m *MDS) installReplica(target *namespace.Inode) {
 func installReplicaApply(a, b any) {
 	m := a.(*MDS)
 	target := b.(*namespace.Inode)
-	if _, err := m.cache.InsertPath(target, cache.Replica, false); err != nil {
-		m.cache.InsertDetached(target, cache.Replica, false)
-	}
+	m.insert(target, cache.Replica, false)
 	partition.TagsOf(target).SetReplica(m.id)
 }
 
@@ -1308,9 +1251,7 @@ func installReplicaApply(a, b any) {
 func (m *MDS) reply(req *msg.Request) {
 	m.Stats.Served++
 	now := m.eng.Now()
-	if m.OnReply != nil {
-		m.OnReply(m.id, req, now)
-	}
+	m.cluster.NoteReply(m.id, now)
 	rep := m.getReply()
 	rep.Req = req
 	// Identity and issue time are copied by value: the client matches
@@ -1427,9 +1368,7 @@ func (m *MDS) ImportSubtree(root *namespace.Inode, entries []core.Migrated) {
 		// Anchor the subtree: the new authority "must cache the
 		// containing directory (prefix) inodes for each of its
 		// subtrees" (§4.3).
-		if _, err := m.cache.InsertPath(root, cache.Auth, false); err != nil {
-			m.cache.InsertDetached(root, cache.Auth, false)
-		}
+		m.insert(root, cache.Auth, false)
 		// Insert parents before children so path insertion succeeds.
 		byDepth := make(map[int][]core.Migrated)
 		maxD := 0
@@ -1442,9 +1381,7 @@ func (m *MDS) ImportSubtree(root *namespace.Inode, entries []core.Migrated) {
 		}
 		for d := 0; d <= maxD; d++ {
 			for _, e := range byDepth[d] {
-				if _, err := m.cache.InsertPath(e.Ino, e.Class, false); err != nil {
-					m.cache.InsertDetached(e.Ino, e.Class, false)
-				}
+				m.insert(e.Ino, e.Class, false)
 				// A migrated replica now lives here: record this node in
 				// the inode's replica set. The exporter's bit stays until
 				// its own eviction, matching the bulk-removal rule. (Found
@@ -1500,7 +1437,7 @@ func (m *MDS) Fail() {
 	}
 }
 
-// Failed reports whether the node is down.
+// Failed implements core.Node: whether the node is down.
 func (m *MDS) Failed() bool { return m.failed }
 
 // Recover brings the node back and pre-warms its cache from the bounded
@@ -1515,9 +1452,7 @@ func (m *MDS) Recover() int {
 		if !ok {
 			continue
 		}
-		if _, err := m.cache.InsertPath(ino, cache.Auth, true); err != nil {
-			m.cache.InsertDetached(ino, cache.Auth, true)
-		}
+		m.insert(ino, cache.Auth, true)
 		warmed++
 	}
 	return warmed

@@ -37,6 +37,15 @@ func (tc *testCluster) Tree() *namespace.Tree { return tc.tree }
 func (tc *testCluster) Fabric() *net.Fabric   { return tc.fab }
 func (tc *testCluster) Writers() Writers      { return tc.writers }
 
+// The fault, lease and measurement surface: the nodes here run no fault
+// schedule, no lease plane and no series.
+func (tc *testCluster) Suspect(reporter, peer int)                           {}
+func (tc *testCluster) Exonerate(peer int)                                   {}
+func (tc *testCluster) NodeDown(peer int) bool                               { return false }
+func (tc *testCluster) LeaseRecallDeliver(from int, target *namespace.Inode) {}
+func (tc *testCluster) NoteReply(node int, now sim.Time)                     {}
+func (tc *testCluster) NoteForward(now sim.Time)                             {}
+
 // Deliver keeps a copy of the reply and its hints: the node recycles
 // the struct into its pool once Deliver returns.
 func (tc *testCluster) Deliver(rep *msg.Reply) {
@@ -316,6 +325,54 @@ func TestLazyHybridStalenessCost(t *testing.T) {
 	eng.Run()
 	if sent := cl.fab.Class(net.LHPropagate).Sent; sent != 1 {
 		t.Fatal("LH applied twice for one staleness")
+	}
+}
+
+// TestLazyHybridCreateReadsParentLocally: a Lazy Hybrid create is served
+// where the new name's path hashes, which can differ from where its
+// parent's path hashes. The parent is still read from the serving node's
+// own store (no peer round trip), cached detached (no prefixes), and a
+// second create in the same directory while that read is in flight is
+// served by it, after the first.
+func TestLazyHybridCreateReadsParentLocally(t *testing.T) {
+	eng := sim.NewEngine()
+	var lh *partition.LazyHybrid
+	cl, tree, _ := buildCluster(t, eng, 2, func(tr *namespace.Tree) partition.Strategy {
+		lh = partition.NewLazyHybrid(2)
+		return lh
+	}, false)
+	dir := lookup(t, tree, "/home/u1")
+	serving := 1 - lh.Authority(dir)
+	var names []string
+	for i := 0; len(names) < 2; i++ {
+		if name := fmt.Sprintf("n%d", i); lh.AuthorityForName(dir, name) == serving {
+			names = append(names, name)
+		}
+	}
+	m := cl.nodes[serving]
+	m.Receive(&msg.Request{ID: 1, Op: msg.Create, Target: dir, NewName: names[0]})
+	eng.At(sim.Millisecond, func() {
+		if m.Stats.CacheMissLoads != 1 || m.Cache().Contains(dir.ID) {
+			t.Error("the parent's read is not in flight when the second create arrives")
+		}
+		m.Receive(&msg.Request{ID: 2, Op: msg.Create, Target: dir, NewName: names[1]})
+	})
+	eng.Run()
+
+	if len(cl.replies) != 2 || cl.replies[0].ID != 1 || cl.replies[1].ID != 2 {
+		t.Fatalf("replies %+v, want request 1 then request 2", cl.replies)
+	}
+	if got := cl.nodes[0].Stats.RemoteFetches + cl.nodes[1].Stats.RemoteFetches; got != 0 {
+		t.Fatalf("%d remote fetches, want the parent read locally", got)
+	}
+	if got := m.Stats.CacheMissLoads; got != 1 {
+		t.Fatalf("%d loads, want one read serving both creates", got)
+	}
+	if !m.Cache().Contains(dir.ID) {
+		t.Fatal("parent not cached")
+	}
+	if m.Cache().Contains(dir.Parent().ID) || m.Cache().Contains(tree.Root.ID) || m.Cache().PrefixFraction() != 0 {
+		t.Fatal("parent cached under its prefixes, want detached")
 	}
 }
 

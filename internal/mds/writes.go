@@ -27,7 +27,7 @@ import (
 // yet flushed, to the bitmask of those replica nodes. Almost no inode
 // ever has an entry, so the cluster keeps one map, shared by its nodes,
 // instead of a word in every inode; a mask that empties is deleted.
-// Nodes past the first 64 are not tracked.
+// A mask has one bit for each of at most namespace.MaxMDS nodes.
 type Writers map[namespace.InodeID]uint64
 
 // absorbWrite handles a Write op at a replica-holding non-authority.
@@ -36,7 +36,7 @@ func (m *MDS) absorbWrite(req *msg.Request) {
 	if cur, ok := m.sizePending[target.ID]; !ok || req.Size > cur {
 		m.sizePending[target.ID] = req.Size
 	}
-	if m.id < 64 {
+	if m.id < namespace.MaxMDS {
 		m.writers[target.ID] |= 1 << uint(m.id)
 	}
 	m.Stats.WritesAbsorbed++
@@ -94,7 +94,7 @@ func (m *MDS) flushWrites(now sim.Time) {
 }
 
 func (m *MDS) clearUnflushed(ino *namespace.Inode) {
-	if m.id >= 64 {
+	if m.id >= namespace.MaxMDS {
 		return
 	}
 	if w := m.writers[ino.ID] &^ (1 << uint(m.id)); w != 0 {
@@ -110,7 +110,7 @@ func (m *MDS) clearUnflushed(ino *namespace.Inode) {
 // fast path allocation-free by checking before statCallbackSlow.
 func (m *MDS) statCallbackMask(target *namespace.Inode) uint64 {
 	mask := m.writers[target.ID]
-	if m.id < 64 {
+	if m.id < namespace.MaxMDS {
 		mask &^= 1 << uint(m.id)
 	}
 	return mask
@@ -123,7 +123,7 @@ func (m *MDS) statCallbackSlow(req *msg.Request, mask uint64) {
 	target := req.Target
 	done := func() { m.finishReply(req) }
 	outstanding := 0
-	for i := 0; i < m.cluster.NumMDS() && i < 64; i++ {
+	for i := 0; i < m.cluster.NumMDS() && i < namespace.MaxMDS; i++ {
 		if mask&(1<<uint(i)) == 0 {
 			continue
 		}

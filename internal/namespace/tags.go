@@ -17,7 +17,7 @@ type Tags struct {
 	// PopTouched flag is set.
 	Pop metrics.Decay
 	// ReplicaSet is a bitmask of the MDS nodes holding replicas of this
-	// record; nodes past the first 64 are not tracked.
+	// record, one bit for each of at most MaxMDS nodes.
 	ReplicaSet uint64
 	// AuthEpoch and Auth memoize the inode's authority: Auth is valid
 	// while AuthEpoch matches the subtree table's epoch.
@@ -25,6 +25,11 @@ type Tags struct {
 	Auth      uint16
 	flags     TagFlag
 }
+
+// MaxMDS is the largest cluster a ReplicaSet (and an unflushed-writer
+// mask of the same width) can name; cluster.Config.Validate refuses a
+// larger one.
+const MaxMDS = 64
 
 // TagFlag is one of a Tags record's flag bits.
 type TagFlag uint8
@@ -55,19 +60,19 @@ func (t *Tags) Set(f TagFlag, on bool) {
 
 // SetReplica marks node id as holding a replica.
 func (t *Tags) SetReplica(id int) {
-	if id < 64 {
+	if id < MaxMDS {
 		t.ReplicaSet |= 1 << uint(id)
 	}
 }
 
 // ClearReplica removes node id from the replica set.
 func (t *Tags) ClearReplica(id int) {
-	if id < 64 {
+	if id < MaxMDS {
 		t.ReplicaSet &^= 1 << uint(id)
 	}
 }
 
 // HasReplica reports whether node id holds a replica.
 func (t *Tags) HasReplica(id int) bool {
-	return id < 64 && t.ReplicaSet&(1<<uint(id)) != 0
+	return id < MaxMDS && t.ReplicaSet&(1<<uint(id)) != 0
 }

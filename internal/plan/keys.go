@@ -62,7 +62,7 @@ var keys = []key{
 	numKey("projects", "fs", "shared project trees in the generated namespace", 1, inf,
 		func(c *cluster.Config) *int { return &c.FS.Projects }),
 
-	numKey("mds", "cluster", "metadata servers", 1, inf,
+	numKey("mds", "cluster", "metadata servers, 1–64", 1, inf,
 		func(c *cluster.Config) *int { return &c.NumMDS }),
 	enumKey("strategy", "partitioning strategy: "+strings.Join(cluster.Strategies, ", "), cluster.Strategies,
 		func(c *cluster.Config) *string { return &c.Strategy }),
