@@ -117,6 +117,8 @@ func TestUsageErrors(t *testing.T) {
 		{"-set on the directory-hashing axis of sci", []string{"-plan", "sci", "-quick", "-set", "dirhash-at=0"},
 			`overrides the "dirhash-at" axis`},
 		{"embed=off on a strategy it cannot unembed", []string{"-set", "embed=off"}, "embed=off needs strategy=StaticSubtree"},
+		{"dirhash-at on a strategy that never hashes", []string{"-set", "strategy=StaticSubtree", "-set", "dirhash-at=1"},
+			"dirhash-at needs strategy=DynamicSubtree"},
 		{"fewer closed-loop clients than nodes", []string{"-set", "clients=3", "-set", "mds=8"},
 			"a closed-loop population of 3 cannot put a client on each of 8 MDS nodes"},
 		{"shards on the plan with the shared OSD pool", []string{"-plan", "ablations", "-quick", "-set", "shards=2"}, `unknown key "shards"`},

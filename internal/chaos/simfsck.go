@@ -87,8 +87,8 @@ func checkStructures(cl *cluster.Cluster, fail func(string, ...any)) {
 			fail("cache mds%d: %v", i, err)
 		}
 	}
-	if t := subtreeTable(cl); t != nil {
-		if err := t.CheckConsistency(); err != nil {
+	if cl.Table != nil {
+		if err := cl.Table.CheckConsistency(); err != nil {
 			fail("%v", err)
 		}
 	}
@@ -140,18 +140,6 @@ func checkAging(cl *cluster.Cluster, base Baseline, fail func(string, ...any)) {
 		}
 		return true
 	})
-}
-
-// subtreeTable returns the delegation table for subtree strategies, nil
-// for hash-based ones.
-func subtreeTable(cl *cluster.Cluster) *partition.SubtreeTable {
-	if cl.Dyn != nil {
-		return cl.Dyn.Table
-	}
-	if s, ok := cl.Strategy.(*partition.StaticSubtree); ok {
-		return s.Table
-	}
-	return nil
 }
 
 // checkNamespace walks every reachable inode once, validating the
@@ -207,8 +195,7 @@ func checkNamespace(cl *cluster.Cluster, base Baseline, fail func(string, ...any
 // re-delegated to while it was still alive, so only post-crash
 // confirmations are conclusive.)
 func checkAuthority(cl *cluster.Cluster, fail func(string, ...any)) {
-	t := subtreeTable(cl)
-	if t == nil || cl.Dyn == nil {
+	if !cl.Reassigns() {
 		return // only the dynamic strategy reassigns on failure
 	}
 	survivor := false
@@ -244,7 +231,7 @@ func checkAuthority(cl *cluster.Cluster, fail func(string, ...any)) {
 		if !down || downAt < crashAt {
 			continue
 		}
-		if roots := t.RootsOf(i); len(roots) > 0 {
+		if roots := cl.Table.RootsOf(i); len(roots) > 0 {
 			fail("failover: dead mds%d (crashed, confirmed down) still owns %d delegated roots, first %s",
 				i, len(roots), roots[0].Path())
 		}

@@ -111,7 +111,7 @@ func TestFsckOpenLoopFaultsWithLeases(t *testing.T) {
 	if res.LeaseGrants == 0 || res.LeaseHits == 0 || res.ReplicaFanouts == 0 {
 		t.Fatalf("lease plane idle: %d grants, %d hits, %d fan-outs", res.LeaseGrants, res.LeaseHits, res.ReplicaFanouts)
 	}
-	if res.PopRetries == 0 {
+	if res.Retries == 0 {
 		t.Fatal("2% drops produced no population retries")
 	}
 	if err := Fsck(cl, base); err != nil {
@@ -141,7 +141,7 @@ func TestFsckDetectsPlantedViolations(t *testing.T) {
 	t.Run("dead-node-owning-roots", func(t *testing.T) {
 		cl, base := runDrained(t, tinyConfig(cluster.StratDynamic, "crash@1500ms:mds2"))
 		// Hand a subtree back to the dead node behind failover's back.
-		if err := cl.Dyn.Table.Delegate(cl.Tree().Root, 2); err != nil {
+		if err := cl.Table.Delegate(cl.Tree().Root, 2); err != nil {
 			t.Fatal(err)
 		}
 		err := Fsck(cl, base)

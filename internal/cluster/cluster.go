@@ -103,7 +103,8 @@ type Config struct {
 	// Traffic enables traffic control (DynamicSubtree only); the
 	// template's thresholds are copied into a fresh controller.
 	Traffic *core.TrafficControl
-	// HashDirThreshold enables dynamic directory hashing (§4.3).
+	// HashDirThreshold enables dynamic directory hashing (§4.3;
+	// DynamicSubtree only).
 	HashDirThreshold int
 	// OSDs, when > 0, backs all MDS storage with one shared object
 	// pool of that many devices, two replicas per object (§2.1.3),
@@ -192,7 +193,9 @@ type Cluster struct {
 	Snap     *fsgen.Snapshot
 	Fab      *net.Fabric
 	Strategy partition.Strategy
-	Dyn      *core.DynamicSubtree
+	// Table is the subtree partition's delegation table (nil under the
+	// hash strategies).
+	Table    *partition.SubtreeTable
 	Traffic  *core.TrafficControl
 	Balancer *core.Balancer
 	Nodes    []*mds.MDS
@@ -243,6 +246,10 @@ type Cluster struct {
 	// reassigned away, so recovery can fail them back to the rejoining
 	// node — whose log-warmed cache covers exactly that working set.
 	lostRoots map[int][]*namespace.Inode
+	// dynamic is set by buildStrategy for DynamicSubtree: the balancer
+	// (Cfg.Balancer) moves the table, and failover reassigns a
+	// confirmed-down node's subtree roots (reassignRoots).
+	dynamic bool
 
 	// Warmup snapshots for windowed aggregates.
 	warmServed, warmForwards, warmArrivals uint64
@@ -285,6 +292,8 @@ func (cfg *Config) Validate() error {
 			sim.FormatTime(cfg.Warmup), sim.FormatTime(cfg.Duration))
 	case cfg.NoEmbed && cfg.Strategy != StratStatic:
 		return fmt.Errorf("embed=off needs strategy=%s (the only partition it unembeds)", StratStatic)
+	case cfg.HashDirThreshold > 0 && cfg.Strategy != StratDynamic:
+		return fmt.Errorf("dirhash-at needs strategy=%s (the only partition that hashes a directory)", StratDynamic)
 	case cfg.Lease.Enabled && !open:
 		return fmt.Errorf("client leases need an open-loop population (a traffic rate)")
 	case open && k != "" && k != WorkGeneral:
@@ -418,12 +427,12 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	// Balancer (dynamic only).
-	if c.Dyn != nil && cfg.Balancer != nil {
+	if c.dynamic && cfg.Balancer != nil {
 		nodes := make([]core.Node, len(c.Nodes))
 		for i, n := range c.Nodes {
 			nodes[i] = n
 		}
-		c.Balancer = core.NewBalancer(eng, *cfg.Balancer, c.Dyn, nodes)
+		c.Balancer = core.NewBalancer(eng, *cfg.Balancer, c.Table, nodes)
 	}
 
 	// Clients.
@@ -482,21 +491,23 @@ func buildNetModel(cfg Config) (net.LatencyModel, error) {
 	}
 }
 
+// buildStrategy builds the partition, and is the one place that decides
+// what makes a subtree partition dynamic: for DynamicSubtree, directory
+// hashing, traffic control, the balancer and failover's root
+// reassignment (dynamic). StaticSubtree is the same partition without
+// them (§5).
 func (c *Cluster) buildStrategy(cfg Config, snap *fsgen.Snapshot) error {
 	switch cfg.Strategy {
-	case StratDynamic:
-		d := core.NewDynamicSubtree(cfg.NumMDS, snap.Tree, cfg.PartitionDepth)
-		d.HashDirThreshold = cfg.HashDirThreshold
-		c.Dyn = d
-		c.Strategy = d
-		if cfg.Traffic != nil {
-			c.Traffic = cfg.Traffic.ForCluster()
-		}
-	case StratStatic:
+	case StratDynamic, StratStatic:
 		s := partition.NewStaticSubtree(cfg.NumMDS, snap.Tree, cfg.PartitionDepth)
-		c.Strategy = s
-		if cfg.NoEmbed {
-			c.Strategy = unembedded{s}
+		s.Scattered = cfg.NoEmbed
+		c.Strategy, c.Table = s, s.Table
+		if cfg.Strategy == StratDynamic {
+			s.HashDirAt = cfg.HashDirThreshold
+			if cfg.Traffic != nil {
+				c.Traffic = cfg.Traffic.ForCluster()
+			}
+			c.dynamic = true
 		}
 	case StratDirHash:
 		c.Strategy = partition.DirHash{N: cfg.NumMDS}
@@ -509,12 +520,6 @@ func (c *Cluster) buildStrategy(cfg Config, snap *fsgen.Snapshot) error {
 	}
 	return nil
 }
-
-// unembedded is a static subtree partition with embedded-inode
-// directory storage switched off (Config.NoEmbed).
-type unembedded struct{ *partition.StaticSubtree }
-
-func (unembedded) DirGranular() bool { return false }
 
 func (c *Cluster) buildClients() error {
 	cfg := c.Cfg
@@ -754,7 +759,7 @@ type Result struct {
 	ForwardFrac   float64
 	MeanLatency   float64 // seconds; exact (Cluster.LatH's integer sum)
 	Migrations    int
-	Delegations   int // subtree delegations in the dynamic partition at the end
+	Delegations   int // subtree delegations in the partition at the end (subtree strategies)
 	Replications  uint64
 	// WritesAbsorbed counts writes a replica absorbed (§4.2).
 	WritesAbsorbed uint64
@@ -796,8 +801,6 @@ type Result struct {
 	HotspotLocal   uint64
 	HotspotRemote  uint64
 	LeaseFootprint int // registry + slab structural bytes
-	PopRetries     uint64
-	PopTimedOut    uint64
 
 	// Wall-clock accounting: SetupWall covers namespace generation (or
 	// thaw) plus cluster assembly; RunWall covers event-loop execution.
@@ -922,10 +925,8 @@ func (c *Cluster) Collect() *Result {
 		r.PopFootprint = c.Pop.FootprintBytes()
 		r.LeaseHits = c.Pop.LeaseHits()
 		r.HotspotLocal, r.HotspotRemote = c.Pop.HotspotOps()
-		r.PopRetries = c.Pop.Retries()
-		r.PopTimedOut = c.Pop.TimedOut()
-		r.Retries += r.PopRetries
-		r.TimedOut += r.PopTimedOut
+		r.Retries += c.Pop.Retries()
+		r.TimedOut += c.Pop.TimedOut()
 		c.collectActs(r)
 	} else {
 		for _, cl := range c.Clients {
@@ -936,8 +937,8 @@ func (c *Cluster) Collect() *Result {
 	if c.Balancer != nil {
 		r.Migrations = c.Balancer.Migrations
 	}
-	if c.Dyn != nil {
-		r.Delegations = c.Dyn.Table.NumDelegations()
+	if c.Table != nil {
+		r.Delegations = c.Table.NumDelegations()
 	}
 	if c.Traffic != nil {
 		r.Replications = c.Traffic.Replications

@@ -53,18 +53,6 @@ func (cfg *Config) EndureCheck() error {
 // cluster.
 func (c *Cluster) EndureCheck() error { return c.Cfg.EndureCheck() }
 
-// subtreeTable returns the strategy's delegation table, nil for hash
-// strategies.
-func (c *Cluster) subtreeTable() *partition.SubtreeTable {
-	if c.Dyn != nil {
-		return c.Dyn.Table
-	}
-	if s, ok := c.Strategy.(*partition.StaticSubtree); ok {
-		return s.Table
-	}
-	return nil
-}
-
 // StartEndure arms the cluster — population or closed-loop clients,
 // balancer, flushers, warmup snapshot, fault schedule — and returns
 // without executing: Run's first step, and the endurance runner's, which
@@ -224,9 +212,8 @@ func (c *Cluster) snap(sc *snap.Codec) {
 	sc.Section("tree", tree.Snap)
 
 	sc.Section("partition", func(sc *snap.Codec) {
-		table := c.subtreeTable()
-		if sc.Has(table != nil, "cluster: subtree table") {
-			table.Snap(sc, tree)
+		if sc.Has(c.Table != nil, "cluster: subtree table") {
+			c.Table.Snap(sc, tree)
 		}
 		partition.SnapTags(sc, tree, len(c.Nodes), c.Traffic.Forwards(), c.writers)
 	})

@@ -24,7 +24,7 @@ import (
 // confirmed-down node is only routed around, and clients depend on
 // retry timeouts.
 func (c *Cluster) reassignRoots(victim int) error {
-	roots := c.Dyn.Table.RootsOf(victim)
+	roots := c.Table.RootsOf(victim)
 	if len(roots) == 0 {
 		return nil
 	}
@@ -46,7 +46,7 @@ func (c *Cluster) reassignRoots(victim int) error {
 	}
 	for _, root := range roots {
 		best := pickLeastLoaded(alive, load)
-		if err := c.Dyn.Table.Delegate(root, best); err != nil {
+		if err := c.Table.Delegate(root, best); err != nil {
 			return err
 		}
 		load[best] += share
@@ -57,6 +57,10 @@ func (c *Cluster) reassignRoots(victim int) error {
 	c.lostRoots[victim] = roots
 	return nil
 }
+
+// Reassigns reports whether failover reassigns a confirmed-down node's
+// subtree roots (reassignRoots): DynamicSubtree's mechanism alone.
+func (c *Cluster) Reassigns() bool { return c.dynamic }
 
 // pickLeastLoaded returns the alive node with the smallest load,
 // breaking ties toward the lowest id (alive is in ascending order).
@@ -88,14 +92,12 @@ func (c *Cluster) RecoverNode(i int) error {
 		c.down[i] = false
 		c.strikes[i] = 0
 	}
-	if c.Dyn != nil {
-		for _, root := range c.lostRoots[i] {
-			if err := c.Dyn.Table.Delegate(root, i); err != nil {
-				return err
-			}
+	for _, root := range c.lostRoots[i] {
+		if err := c.Table.Delegate(root, i); err != nil {
+			return err
 		}
-		delete(c.lostRoots, i)
 	}
+	delete(c.lostRoots, i)
 	c.Recoveries = append(c.Recoveries, FaultEvent{At: c.Eng.Now(), Node: i, Warmed: warmed})
 	return nil
 }

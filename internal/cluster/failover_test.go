@@ -29,7 +29,7 @@ func TestFailoverDynamic(t *testing.T) {
 				return
 			}
 			sampledDown++
-			if n := len(cl.Dyn.Table.RootsOf(victim)); n != 0 {
+			if n := len(cl.Table.RootsOf(victim)); n != 0 {
 				t.Errorf("t=%v: confirmed-down victim still owns %d roots", cl.Eng.Now(), n)
 			}
 		})
@@ -94,16 +94,16 @@ func TestMarkDownSpreadsRoots(t *testing.T) {
 		t.Fatal(err)
 	}
 	const victim = 2
-	moved := len(cl.Dyn.Table.RootsOf(victim))
+	moved := len(cl.Table.RootsOf(victim))
 	if moved < 2 {
 		t.Skipf("victim owns %d roots; need >= 2 for a spread", moved)
 	}
 	before := map[int]int{}
 	for j := 0; j < cfg.NumMDS; j++ {
-		before[j] = len(cl.Dyn.Table.RootsOf(j))
+		before[j] = len(cl.Table.RootsOf(j))
 	}
 	cl.markDown(victim)
-	if n := len(cl.Dyn.Table.RootsOf(victim)); n != 0 {
+	if n := len(cl.Table.RootsOf(victim)); n != 0 {
 		t.Fatalf("victim retains %d roots", n)
 	}
 	// Every node is idle (Load = 0), so each assignment adds one
@@ -114,7 +114,7 @@ func TestMarkDownSpreadsRoots(t *testing.T) {
 		if j == victim {
 			continue
 		}
-		gain := len(cl.Dyn.Table.RootsOf(j)) - before[j]
+		gain := len(cl.Table.RootsOf(j)) - before[j]
 		if gain < minGain {
 			minGain = gain
 		}
@@ -160,7 +160,7 @@ func TestSuspicionLifecycle(t *testing.T) {
 	if len(cl.Downs) != 1 || cl.Downs[0].Node != peer {
 		t.Fatalf("down event not recorded: %v", cl.Downs)
 	}
-	if n := len(cl.Dyn.Table.RootsOf(peer)); n != 0 {
+	if n := len(cl.Table.RootsOf(peer)); n != 0 {
 		t.Fatalf("down peer retains %d roots", n)
 	}
 	// Sticky: a late ack must not resurrect a confirmed-down node.
@@ -220,7 +220,7 @@ func TestMarkDownAllDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roots := len(cl.Dyn.Table.RootsOf(0))
+	roots := len(cl.Table.RootsOf(0))
 	if err := cl.reassignRoots(0); err == nil {
 		t.Fatal("reassigning the last node's roots should error")
 	}
@@ -228,7 +228,7 @@ func TestMarkDownAllDead(t *testing.T) {
 	if !cl.NodeDown(0) {
 		t.Fatal("down verdict lost")
 	}
-	if n := len(cl.Dyn.Table.RootsOf(0)); n != roots {
+	if n := len(cl.Table.RootsOf(0)); n != roots {
 		t.Fatalf("roots went from %d to %d with no survivor to take them", roots, n)
 	}
 }

@@ -121,7 +121,7 @@ func (c *Cluster) markDown(peer int) {
 	}
 	c.down[peer] = true
 	c.Downs = append(c.Downs, FaultEvent{At: c.Eng.Now(), Node: peer})
-	if c.Dyn != nil {
+	if c.dynamic {
 		c.reassignRoots(peer) //nolint:errcheck // delegation over a live table
 	}
 }

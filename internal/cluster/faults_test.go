@@ -224,7 +224,7 @@ func TestCrashAutoFailoverDynamic(t *testing.T) {
 	// delegations by the suspicion-triggered failover.
 	rootsDuringOutage := -1
 	cl.Eng.At(7900*sim.Millisecond, func() {
-		rootsDuringOutage = len(cl.Dyn.Table.RootsOf(victim))
+		rootsDuringOutage = len(cl.Table.RootsOf(victim))
 	})
 	res := cl.Run()
 

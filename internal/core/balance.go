@@ -1,3 +1,14 @@
+// Package core implements what makes the paper's subtree partition
+// dynamic (§4), over partition.Subtree's delegation table:
+//
+//   - Balancer: the heartbeat-driven load balancer that migrates
+//     subtrees from busy to non-busy nodes (§4.3), preferring to
+//     re-delegate whole previously imported subtrees to keep the
+//     partition simple;
+//   - TrafficControl: the popularity-driven replication policy that
+//     manages client ignorance to disperse flash crowds (§4.4).
+//
+// Directory hashing, the third mechanism, is partition.Subtree's.
 package core
 
 import (
@@ -79,7 +90,7 @@ type Migrated struct {
 type Balancer struct {
 	eng   *sim.Engine
 	cfg   BalancerConfig
-	dyn   *DynamicSubtree
+	table *partition.SubtreeTable
 	nodes []Node
 
 	// imports[root] = node that delegated the subtree here; busy nodes
@@ -95,11 +106,11 @@ type Balancer struct {
 
 // NewBalancer wires a balancer over the cluster's nodes. Call Start to
 // begin heartbeats.
-func NewBalancer(eng *sim.Engine, cfg BalancerConfig, dyn *DynamicSubtree, nodes []Node) *Balancer {
+func NewBalancer(eng *sim.Engine, cfg BalancerConfig, table *partition.SubtreeTable, nodes []Node) *Balancer {
 	return &Balancer{
 		eng:     eng,
 		cfg:     cfg,
-		dyn:     dyn,
+		table:   table,
 		nodes:   nodes,
 		imports: make(map[*namespace.Inode]int),
 	}
@@ -198,7 +209,7 @@ func (b *Balancer) decide(loads []float64, dead []bool, mean float64) {
 // delegates it to dst. Returns whether a migration happened.
 func (b *Balancer) migrateOne(now sim.Time, src, dst int, load, excess float64) bool {
 	node := b.nodes[src]
-	roots := b.dyn.Table.RootsOf(src)
+	roots := b.table.RootsOf(src)
 	if len(roots) == 0 {
 		return false
 	}
@@ -330,7 +341,7 @@ func (b *Balancer) pickChildren(now sim.Time, node Node, root *namespace.Inode, 
 			prev = c
 		}
 		if prev != nil && prev.Parent() == root && prev.IsDir() {
-			if _, taken := b.dyn.Table.Assigned(prev); taken {
+			if _, taken := b.table.Assigned(prev); taken {
 				return
 			}
 			childPop[prev] += p
@@ -386,7 +397,7 @@ func (b *Balancer) transfer(root *namespace.Inode, src, dst int) {
 	for i, e := range live {
 		entries[i] = Migrated{Ino: e.Ino, Class: e.Class}
 	}
-	if err := b.dyn.Table.Delegate(root, dst); err != nil {
+	if err := b.table.Delegate(root, dst); err != nil {
 		return
 	}
 	b.nodes[dst].ImportSubtree(root, entries)

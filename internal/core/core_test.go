@@ -35,67 +35,6 @@ func buildTree(t *testing.T) (*namespace.Tree, []*namespace.Inode) {
 	return tr, homes
 }
 
-func TestDynamicSubtreeStrategyFlags(t *testing.T) {
-	tr, _ := buildTree(t)
-	d := NewDynamicSubtree(4, tr, 2)
-	if !d.DirGranular() || !d.NeedsPathTraversal() || d.ClientComputable() {
-		t.Fatal("flags wrong")
-	}
-	a := d.Authority(tr.Root)
-	if a < 0 || a >= 4 {
-		t.Fatalf("root authority = %d", a)
-	}
-}
-
-func TestDynamicDirHashing(t *testing.T) {
-	tr, homes := buildTree(t)
-	d := NewDynamicSubtree(4, tr, 2)
-	d.HashDirThreshold = 8
-	dir := homes[0] // has 10 children
-	before := d.Authority(dir.Child(0))
-	_ = before
-	if !d.MaybeHashDir(dir) {
-		t.Fatal("big directory not hashed")
-	}
-	if !partition.TagsOf(dir).Has(namespace.HashedDir) {
-		t.Fatal("hashed directory not tagged")
-	}
-	// Entries now spread across nodes by name hash.
-	got := map[int]bool{}
-	for i := 0; i < dir.NumChildren(); i++ {
-		a := d.Authority(dir.Child(i))
-		if a < 0 || a >= 4 {
-			t.Fatalf("authority out of range")
-		}
-		got[a] = true
-	}
-	if len(got) < 2 {
-		t.Fatalf("hashed directory entries on %d node(s), want spread", len(got))
-	}
-	// AuthorityForName consistent with Authority for an existing child.
-	c := dir.Child(3)
-	if d.AuthorityForName(dir, c.Name()) != d.Authority(c) {
-		t.Fatal("AuthorityForName mismatch for hashed dir")
-	}
-	// Shrink below half the threshold: consolidate.
-	for dir.NumChildren() > 3 {
-		if err := tr.Remove(dir.Child(0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !d.MaybeHashDir(dir) {
-		t.Fatal("shrunken directory not consolidated")
-	}
-	if partition.TagsOf(dir).Has(namespace.HashedDir) {
-		t.Fatal("consolidated directory still tagged hashed")
-	}
-	// No-ops: threshold disabled or target is a file.
-	d2 := NewDynamicSubtree(4, tr, 2)
-	if d2.MaybeHashDir(dir) {
-		t.Fatal("hashing with disabled threshold")
-	}
-}
-
 func TestTrafficControlDecisions(t *testing.T) {
 	tr, homes := buildTree(t)
 	_ = tr
@@ -184,7 +123,7 @@ func (f *fakeNode) Failed() bool { return false }
 func TestBalancerMigratesHotSubtree(t *testing.T) {
 	tr, homes := buildTree(t)
 	const n = 4
-	d := NewDynamicSubtree(n, tr, 2)
+	d := partition.NewStaticSubtree(n, tr, 2)
 	eng := sim.NewEngine()
 
 	nodes := make([]Node, n)
@@ -210,7 +149,7 @@ func TestBalancerMigratesHotSubtree(t *testing.T) {
 		}
 	}
 
-	b := NewBalancer(eng, DefaultBalancerConfig(), d, nodes)
+	b := NewBalancer(eng, DefaultBalancerConfig(), d.Table, nodes)
 	b.Rebalance(0)
 	eng.Run()
 
@@ -252,13 +191,13 @@ func TestBalancerMigratesHotSubtree(t *testing.T) {
 
 func TestBalancerIdleClusterDoesNothing(t *testing.T) {
 	tr, _ := buildTree(t)
-	d := NewDynamicSubtree(2, tr, 2)
+	d := partition.NewStaticSubtree(2, tr, 2)
 	eng := sim.NewEngine()
 	nodes := []Node{
 		&fakeNode{id: 0, load: 1, c: cache.New(10)},
 		&fakeNode{id: 1, load: 0, c: cache.New(10)},
 	}
-	b := NewBalancer(eng, DefaultBalancerConfig(), d, nodes)
+	b := NewBalancer(eng, DefaultBalancerConfig(), d.Table, nodes)
 	b.Rebalance(0)
 	eng.Run()
 	if b.Migrations != 0 {
@@ -268,13 +207,13 @@ func TestBalancerIdleClusterDoesNothing(t *testing.T) {
 
 func TestBalancerBalancedClusterDoesNothing(t *testing.T) {
 	tr, _ := buildTree(t)
-	d := NewDynamicSubtree(2, tr, 2)
+	d := partition.NewStaticSubtree(2, tr, 2)
 	eng := sim.NewEngine()
 	nodes := []Node{
 		&fakeNode{id: 0, load: 1000, c: cache.New(10)},
 		&fakeNode{id: 1, load: 1000, c: cache.New(10)},
 	}
-	b := NewBalancer(eng, DefaultBalancerConfig(), d, nodes)
+	b := NewBalancer(eng, DefaultBalancerConfig(), d.Table, nodes)
 	b.Rebalance(0)
 	eng.Run()
 	if b.Migrations != 0 {
@@ -285,7 +224,7 @@ func TestBalancerBalancedClusterDoesNothing(t *testing.T) {
 func TestBalancerPrefersRedelegatingImports(t *testing.T) {
 	tr, homes := buildTree(t)
 	const n = 3
-	d := NewDynamicSubtree(n, tr, 2)
+	d := partition.NewStaticSubtree(n, tr, 2)
 	eng := sim.NewEngine()
 	fakes := make([]*fakeNode, n)
 	nodes := make([]Node, n)
@@ -293,7 +232,7 @@ func TestBalancerPrefersRedelegatingImports(t *testing.T) {
 		fakes[i] = &fakeNode{id: i, load: 100, c: cache.New(10000)}
 		nodes[i] = fakes[i]
 	}
-	b := NewBalancer(eng, DefaultBalancerConfig(), d, nodes)
+	b := NewBalancer(eng, DefaultBalancerConfig(), d.Table, nodes)
 
 	// Import homes[0] into node 1 by hand, then make node 1 busy with
 	// comparable popularity on the imported tree and an owned tree.
@@ -354,7 +293,7 @@ func TestBalancerPrefersRedelegatingImports(t *testing.T) {
 
 func TestBalancerStartStopTicker(t *testing.T) {
 	tr, _ := buildTree(t)
-	d := NewDynamicSubtree(2, tr, 2)
+	d := partition.NewStaticSubtree(2, tr, 2)
 	eng := sim.NewEngine()
 	nodes := []Node{
 		&fakeNode{id: 0, load: 0, c: cache.New(10)},
@@ -362,7 +301,7 @@ func TestBalancerStartStopTicker(t *testing.T) {
 	}
 	cfg := DefaultBalancerConfig()
 	cfg.Interval = sim.Second
-	b := NewBalancer(eng, cfg, d, nodes)
+	b := NewBalancer(eng, cfg, d.Table, nodes)
 	b.Start()
 	// Every round polls each node's load once.
 	polled := func() int { return nodes[0].(*fakeNode).polled }

@@ -194,8 +194,8 @@ type MDS struct {
 	// tc is non-nil when the dynamic strategy's traffic control is
 	// active on this cluster.
 	tc *core.TrafficControl
-	// dyn is non-nil for the dynamic strategy (directory hashing hook).
-	dyn *core.DynamicSubtree
+	// sub is non-nil for a subtree partition (directory hashing hook).
+	sub *partition.Subtree
 	// lh is non-nil for the Lazy Hybrid strategy.
 	lh *partition.LazyHybrid
 
@@ -262,7 +262,7 @@ type MDS struct {
 }
 
 // New creates a node. The strategy's concrete type activates optional
-// behaviour: *core.DynamicSubtree enables directory-hash checks,
+// behaviour: *partition.Subtree enables directory-hash checks,
 // *partition.LazyHybrid enables dual-entry ACL staleness handling.
 func New(id int, eng *sim.Engine, cfg Config, strat partition.Strategy, tc *core.TrafficControl, cl Cluster) *MDS {
 	m := &MDS{
@@ -285,8 +285,8 @@ func New(id int, eng *sim.Engine, cfg Config, strat partition.Strategy, tc *core
 		sizePending: make(map[namespace.InodeID]int64),
 		writers:     cl.Writers(),
 	}
-	if d, ok := strat.(*core.DynamicSubtree); ok {
-		m.dyn = d
+	if s, ok := strat.(*partition.Subtree); ok {
+		m.sub = s
 	}
 	if l, ok := strat.(*partition.LazyHybrid); ok {
 		m.lh = l
@@ -1206,14 +1206,14 @@ func (m *MDS) applyUpdate(req *msg.Request) {
 		}
 	}
 	// Dynamic directory hashing reacts to growth/shrink (§4.3).
-	if m.dyn != nil {
+	if m.sub != nil {
 		dir := req.Target
 		if !dir.IsDir() {
 			if p := dir.Parent(); p != nil {
 				dir = p
 			}
 		}
-		m.dyn.MaybeHashDir(dir)
+		m.sub.MaybeHashDir(dir)
 	}
 }
 

@@ -400,7 +400,7 @@ func TestReaddirPrefetchesThenStatsHit(t *testing.T) {
 func TestImportExportSubtree(t *testing.T) {
 	eng := sim.NewEngine()
 	cl, tree, _ := buildCluster(t, eng, 2, func(tr *namespace.Tree) partition.Strategy {
-		return core.NewDynamicSubtree(2, tr, 2)
+		return partition.NewStaticSubtree(2, tr, 2)
 	}, false)
 	h := lookup(t, tree, "/home/u0")
 	src, dst := cl.nodes[0], cl.nodes[1]

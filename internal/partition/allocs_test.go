@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"dynmds/internal/core"
 	"dynmds/internal/namespace"
 	"dynmds/internal/partition"
 	"dynmds/internal/sim"
@@ -12,15 +11,15 @@ import (
 
 // TestTagsAllocs pins what touching an inode's tags allocates: nothing,
 // the first touch included — a popularity bump, a peek, an authority
-// memo write, a replica mark, and the dynamic strategy's authority
+// memo write, a replica mark, and the subtree strategy's authority
 // lookup on a file whose parent was never tagged (it reads the parent's
 // hashed-directory flag before the table memoizes the chain).
 func TestTagsAllocs(t *testing.T) {
 	const runs = 100
 	// fresh builds /usr/d<i>/f for i in 0..runs (AllocsPerRun adds a
-	// warm-up call) and a dynamic partition giving usr to node 1: no
+	// warm-up call) and a subtree partition giving usr to node 1: no
 	// directory or file has been touched yet.
-	fresh := func() (files []*namespace.Inode, usr *namespace.Inode, dyn *core.DynamicSubtree) {
+	fresh := func() (files []*namespace.Inode, usr *namespace.Inode, dyn *partition.Subtree) {
 		empty, _ := namespace.NewBuilder().Freeze()
 		tr := namespace.NewOverlay(empty)
 		usr, err := tr.Mkdir(tr.Root, "usr")
@@ -38,7 +37,7 @@ func TestTagsAllocs(t *testing.T) {
 			}
 			files = append(files, f)
 		}
-		dyn = core.NewDynamicSubtree(4, tr, 0)
+		dyn = partition.NewStaticSubtree(4, tr, 0)
 		if err := dyn.Table.Delegate(usr, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -48,17 +47,17 @@ func TestTagsAllocs(t *testing.T) {
 	now := sim.Time(0)
 	touches := []struct {
 		name  string
-		touch func(dyn *core.DynamicSubtree, f *namespace.Inode)
+		touch func(dyn *partition.Subtree, f *namespace.Inode)
 	}{
-		{"Pop bump", func(_ *core.DynamicSubtree, f *namespace.Inode) { partition.Popularity(f).Add(now, sim.Second, 1) }},
-		{"Pop peek", func(_ *core.DynamicSubtree, f *namespace.Inode) { _ = partition.TagsOf(f).Pop.Peek(now, sim.Second) }},
-		{"authority memo", func(dyn *core.DynamicSubtree, f *namespace.Inode) {
+		{"Pop bump", func(_ *partition.Subtree, f *namespace.Inode) { partition.Popularity(f).Add(now, sim.Second, 1) }},
+		{"Pop peek", func(_ *partition.Subtree, f *namespace.Inode) { _ = partition.TagsOf(f).Pop.Peek(now, sim.Second) }},
+		{"authority memo", func(dyn *partition.Subtree, f *namespace.Inode) {
 			if dyn.Table.Authority(f) != 1 {
 				t.Fatal("authority moved")
 			}
 		}},
-		{"SetReplica", func(_ *core.DynamicSubtree, f *namespace.Inode) { partition.TagsOf(f).SetReplica(2) }},
-		{"dynamic authority", func(dyn *core.DynamicSubtree, f *namespace.Inode) {
+		{"SetReplica", func(_ *partition.Subtree, f *namespace.Inode) { partition.TagsOf(f).SetReplica(2) }},
+		{"subtree authority", func(dyn *partition.Subtree, f *namespace.Inode) {
 			if dyn.Authority(f) != 1 {
 				t.Fatal("authority moved")
 			}

@@ -58,6 +58,25 @@ func BenchmarkSubtreeAuthorityMemoized(b *testing.B) {
 	}
 }
 
+// authSink keeps the compiler from dropping a benchmarked lookup.
+var authSink int
+
+// BenchmarkSubtreeAuthorityStrategy measures the strategy's lookup —
+// the parent's hashed-directory check, then the memoized table — the
+// one every MDS and the bench kernel call.
+func BenchmarkSubtreeAuthorityStrategy(b *testing.B) {
+	snap := benchSnapshot(b)
+	files := deepFiles(snap, 1024)
+	s := NewStaticSubtree(16, snap.Tree, 2)
+	for _, f := range files {
+		s.Authority(f) // warm memo
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		authSink = s.Authority(files[i%len(files)])
+	}
+}
+
 // BenchmarkSubtreeAuthorityColdEpoch measures lookup cost right after a
 // partition change invalidates all memoization.
 func BenchmarkSubtreeAuthorityColdEpoch(b *testing.B) {

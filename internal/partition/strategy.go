@@ -1,9 +1,9 @@
 // Package partition defines the metadata-partitioning strategy interface
-// and implements the comparison strategies the paper evaluates against
-// dynamic subtree partitioning (§3.1, §5): static subtree partitioning,
-// file hashing, directory hashing, and Lazy Hybrid. The dynamic strategy
-// itself — the paper's contribution — lives in internal/core and builds
-// on this package's subtree table.
+// and implements every strategy the paper evaluates (§3.1, §5): the
+// subtree partition, static or dynamic, with its directory hashing
+// (§4.3), file hashing, directory hashing, and Lazy Hybrid. What makes
+// a subtree partition dynamic — the balancer that moves its table and
+// traffic control — lives in internal/core.
 package partition
 
 import (

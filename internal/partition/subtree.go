@@ -176,38 +176,79 @@ func InitialPartition(t *SubtreeTable, tree *namespace.Tree, maxDepth int) {
 	})
 }
 
-// StaticSubtree is the traditional NFS/AFS-style fixed partition
-// (§3.1.1): the initial assignment never changes, so the system cannot
-// adapt to workload evolution.
-type StaticSubtree struct {
+// Subtree is the subtree partition (§3.1.1, §4): authority follows the
+// delegation table. Both subtree strategies are this type. The static
+// comparator "does not employ load balancing to adjust the initial
+// partition" (§5), so its table never changes and HashDirAt stays 0;
+// the dynamic one has its table moved by core.Balancer and failover,
+// and hashes oversized directories (§4.3).
+type Subtree struct {
 	Table *SubtreeTable
+
+	// HashDirAt, when > 0, hashes the entries of any directory with at
+	// least this many across the cluster (MaybeHashDir). Zero never
+	// hashes a directory.
+	HashDirAt int
+
+	// Scattered stores inodes one by one instead of embedded in their
+	// directories (§4.5): the same partition, per-inode I/O — the
+	// embedded-inode ablation.
+	Scattered bool
 }
 
-// NewStaticSubtree builds a static partition over the tree.
-func NewStaticSubtree(n int, tree *namespace.Tree, partitionDepth int) *StaticSubtree {
+// NewStaticSubtree builds a subtree partition over the tree with the
+// paper's initial assignment (InitialPartition).
+func NewStaticSubtree(n int, tree *namespace.Tree, partitionDepth int) *Subtree {
 	t := NewSubtreeTable(n)
 	InitialPartition(t, tree, partitionDepth)
-	return &StaticSubtree{Table: t}
+	return &Subtree{Table: t}
 }
 
-// Authority implements Strategy.
-func (s *StaticSubtree) Authority(ino *namespace.Inode) int {
+// Authority implements Strategy. Entries of a hashed directory are
+// spread by (directory inode number, entry name); everything else
+// follows the subtree table.
+func (s *Subtree) Authority(ino *namespace.Inode) int {
+	if p := ino.Parent(); p != nil && p.Tags.Has(namespace.HashedDir) {
+		return int(NameHash(p.ID, ino.Name()) % uint64(s.Table.N()))
+	}
 	return s.Table.Authority(ino)
 }
 
 // AuthorityForName implements Strategy: a new entry belongs to its
-// directory's subtree.
-func (s *StaticSubtree) AuthorityForName(dir *namespace.Inode, name string) int {
+// directory's subtree, or to its name's hash in a hashed directory.
+func (s *Subtree) AuthorityForName(dir *namespace.Inode, name string) int {
+	if dir.Tags.Has(namespace.HashedDir) {
+		return int(NameHash(dir.ID, name) % uint64(s.Table.N()))
+	}
 	return s.Table.Authority(dir)
 }
 
-// DirGranular implements Strategy: subtree partitions store directories
-// with embedded inodes.
-func (s *StaticSubtree) DirGranular() bool { return true }
+// DirGranular implements Strategy: a subtree partition stores
+// directories with embedded inodes unless Scattered.
+func (s *Subtree) DirGranular() bool { return !s.Scattered }
 
 // NeedsPathTraversal implements Strategy.
-func (s *StaticSubtree) NeedsPathTraversal() bool { return true }
+func (s *Subtree) NeedsPathTraversal() bool { return true }
 
-// ClientComputable implements Strategy: clients discover the partition
-// through replies and forwards.
-func (s *StaticSubtree) ClientComputable() bool { return false }
+// ClientComputable implements Strategy: clients learn the partition
+// from replies and forwards — the ignorance traffic control exploits.
+func (s *Subtree) ClientComputable() bool { return false }
+
+// MaybeHashDir applies the directory-hashing policy to dir: hash it if
+// it has grown past HashDirAt, consolidate it if it has shrunk below
+// half of that (hysteresis). Reports whether the state changed.
+func (s *Subtree) MaybeHashDir(dir *namespace.Inode) bool {
+	if s.HashDirAt <= 0 || !dir.IsDir() {
+		return false
+	}
+	tags := &dir.Tags
+	switch hashed := tags.Has(namespace.HashedDir); {
+	case !hashed && dir.NumChildren() >= s.HashDirAt:
+		tags.Set(namespace.HashedDir, true)
+		return true
+	case hashed && dir.NumChildren() < s.HashDirAt/2:
+		tags.Set(namespace.HashedDir, false)
+		return true
+	}
+	return false
+}

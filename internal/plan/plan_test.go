@@ -264,6 +264,10 @@ func TestRulebook(t *testing.T) {
 		{"a journal past its positions", func(p *plan.Plan) { rebind(p, "log", "16777217") }, "the 16777216 a node's journal can hold"},
 		{"warmup too long", func(p *plan.Plan) { rebind(p, "warmup", "6s") }, "does not fit"},
 		{"embed=off on a dynamic partition", func(p *plan.Plan) { rebind(p, "embed", "off") }, "embed=off needs strategy=StaticSubtree"},
+		{"dirhash-at on a static partition", func(p *plan.Plan) {
+			rebind(p, "strategy", "StaticSubtree")
+			rebind(p, "dirhash-at", "64")
+		}, "dirhash-at needs strategy=DynamicSubtree"},
 		{"leases on a closed loop", func(p *plan.Plan) {
 			rebind(p, "rate", "")
 			rebind(p, "mechanism", "leases")
@@ -517,8 +521,8 @@ func TestCommandLineRoundTrip(t *testing.T) {
 			{"burst-prob", "0.05"}, {"mechanism", "both"}},
 		{{"cache", "2500"}, {"log", "2000"}, {"think", "15ms"}, {"ways", "512"}, {"retry", "200ms"}, {"workload", "shift"},
 			{"shift-at", "8s"}, {"balance", "2s"}, {"redelegate-first", "off"}, {"replicate-at", "1e9"}, {"preempt-at", "50"},
-			{"dirhash-at", "256"}, {"osds", "16"}, {"prefetch", "hot"}, {"strategy", cluster.StratStatic}, {"embed", "off"}},
-		{{"balance", "off"}, {"replicate-at", "off"}, {"workload", "flashcrowd"}},
+			{"osds", "16"}, {"prefetch", "hot"}, {"strategy", cluster.StratStatic}, {"embed", "off"}},
+		{{"balance", "off"}, {"replicate-at", "off"}, {"workload", "flashcrowd"}, {"dirhash-at", "256"}},
 	} {
 		want, err := plan.Default().Compile(plan.Options{Seed: 7, Set: set})
 		if err != nil {
