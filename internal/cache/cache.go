@@ -618,23 +618,25 @@ func (c *Cache) unwind() int {
 // RemoveSubtree discards every cached entry at or below root. Returns
 // the number removed.
 func (c *Cache) RemoveSubtree(root *namespace.Inode) int {
-	c.forEach(func(e *Entry) {
-		if under(root, e) {
-			c.scratch = append(c.scratch, e)
-		}
-	})
+	c.ForEachUnder(root, func(e *Entry) { c.scratch = append(c.scratch, e) })
 	return c.unwind()
 }
 
 // CountUnder returns the number of entries at or below root.
 func (c *Cache) CountUnder(root *namespace.Inode) int {
 	n := 0
+	c.ForEachUnder(root, func(*Entry) { n++ })
+	return n
+}
+
+// ForEachUnder visits the entries at or below root in ForEach's order
+// (hot then warm, MRU first). The callback must not mutate the cache.
+func (c *Cache) ForEachUnder(root *namespace.Inode, fn func(*Entry)) {
 	c.forEach(func(e *Entry) {
 		if under(root, e) {
-			n++
+			fn(e)
 		}
 	})
-	return n
 }
 
 // Clear discards every entry at once, with no eviction notifications:
@@ -655,18 +657,6 @@ func (c *Cache) Clear(fn func(*Entry)) int {
 // ForEach visits every entry in LRU-segment order (hot then warm, MRU
 // first). The callback must not mutate the cache.
 func (c *Cache) ForEach(fn func(*Entry)) { c.forEach(fn) }
-
-// EntriesUnder collects the entries at or below root, in the same
-// deterministic order ForEach uses.
-func (c *Cache) EntriesUnder(root *namespace.Inode) []*Entry {
-	var out []*Entry
-	c.forEach(func(e *Entry) {
-		if under(root, e) {
-			out = append(out, e)
-		}
-	})
-	return out
-}
 
 // NoteMiss records a demand lookup that found its record absent.
 // Callers that probe with Contains (to run their own fetch path) use

@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -247,19 +248,31 @@ func TestPinBlockedOverflow(t *testing.T) {
 	}
 }
 
-func TestEntriesUnder(t *testing.T) {
+// TestForEachUnder: the walk under a root visits exactly the entries at
+// or below it, in ForEach's order, and CountUnder counts them.
+func TestForEachUnder(t *testing.T) {
 	tr, dirs, f := buildChain(t, 2)
 	c := New(100)
 	c.InsertPath(f, Auth, false)
 	g, _ := tr.Create(dirs[0], "g")
 	c.InsertPath(g, Auth, false)
-	under := c.EntriesUnder(dirs[1])
-	if len(under) != 2 { // d1 and f
-		t.Fatalf("entries under d1 = %d, want 2", len(under))
+	for _, root := range []*namespace.Inode{dirs[1], tr.Root} {
+		var want, got []*namespace.Inode
+		c.ForEach(func(e *Entry) {
+			if e.Ino == root || root.IsAncestorOf(e.Ino) {
+				want = append(want, e.Ino)
+			}
+		})
+		c.ForEachUnder(root, func(e *Entry) { got = append(got, e.Ino) })
+		if !slices.Equal(got, want) || c.CountUnder(root) != len(want) {
+			t.Fatalf("under %s: walk %v, count %d, want %v", root, got, c.CountUnder(root), want)
+		}
 	}
-	all := c.EntriesUnder(tr.Root)
-	if len(all) != c.n {
-		t.Fatalf("entries under root = %d, want %d", len(all), c.n)
+	if n := c.CountUnder(dirs[1]); n != 2 { // d1 and f
+		t.Fatalf("entries under d1 = %d, want 2", n)
+	}
+	if n := c.CountUnder(tr.Root); n != c.n {
+		t.Fatalf("entries under root = %d, want %d", n, c.n)
 	}
 }
 

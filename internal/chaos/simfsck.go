@@ -57,8 +57,9 @@ func Capture(cl *cluster.Cluster) Baseline {
 //   - op accounting: issued == completed + timedout per client, no
 //     in-flight client requests, and requests crossed the client edge
 //     exactly once per issue or retry;
-//   - journal: each node's log working set is duplicate-free and within
-//     the log's capacity, as are the recovery warm counts.
+//   - journal: each node's log agrees with its index of newest records
+//     (one slot per distinct inode, each naming its newest record), and
+//     the recovery warm counts are within the log's capacity.
 func Fsck(cl *cluster.Cluster, base Baseline) error {
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -322,28 +323,20 @@ func checkLeases(cl *cluster.Cluster, fail func(string, ...any)) {
 	}
 }
 
-// checkJournal verifies each node's bounded log is well-formed and the
+// checkJournal verifies each node's bounded log against its index
+// (storage.Store.CheckJournal, which allocates nothing) and that the
 // recovery warm counts are plausible. (Recover() pre-warms from the
 // log's distinct working set; entries for destroyed inodes are skipped
 // by design, so warmed <= capacity is the strongest post-hoc bound.)
 func checkJournal(cl *cluster.Cluster, fail func(string, ...any)) {
+	for i, node := range cl.Nodes {
+		if err := node.Store().CheckJournal(); err != nil {
+			fail("journal mds%d: %v", i, err)
+		}
+	}
 	capacity := cl.Cfg.MDS.Storage.LogCapacity
 	if capacity < 1 {
 		capacity = 1 // storage.New clamps the same way
-	}
-	for i, node := range cl.Nodes {
-		ws := node.Store().WorkingSet()
-		if len(ws) > capacity {
-			fail("journal mds%d: working set %d exceeds log capacity %d", i, len(ws), capacity)
-		}
-		seen := make(map[namespace.InodeID]bool, len(ws))
-		for _, id := range ws {
-			if seen[id] {
-				fail("journal mds%d: duplicate id %d in working set", i, id)
-				break
-			}
-			seen[id] = true
-		}
 	}
 	for _, ev := range cl.Recoveries {
 		if ev.Warmed < 0 || ev.Warmed > capacity {

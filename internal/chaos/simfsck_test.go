@@ -211,3 +211,14 @@ func TestFsckRecoverWithoutCrash(t *testing.T) {
 		t.Fatalf("recovery not injected: %+v", cl.Recoveries)
 	}
 }
+
+// TestJournalCheckZeroAlloc: checking every node's journal after a
+// faulted run allocates nothing — each log is checked against its own
+// index, with no working set or map of seen IDs built.
+func TestJournalCheckZeroAlloc(t *testing.T) {
+	cl, _ := runDrained(t, tinyConfig(cluster.StratDynamic, "crash@1500ms-2500ms:mds1"))
+	fail := func(format string, args ...any) { t.Fatalf("simfsck: "+format, args...) }
+	if allocs := testing.AllocsPerRun(20, func() { checkJournal(cl, fail) }); allocs != 0 {
+		t.Fatalf("checkJournal allocated %.1f times per call, want 0", allocs)
+	}
+}

@@ -56,9 +56,10 @@ func TestMissPathAllocBudget(t *testing.T) {
 
 // TestCheckpointAllocBudget holds a run's checkpoints to one buffer:
 // CheckpointTo sizes the writer from the length of the previous
-// checkpoint, or for the first from a counting pass, so serializing
-// allocates little more than the bytes it returns instead of append's
-// regrowth from empty (~3x).
+// checkpoint, or for the first from a counting pass, and the walks
+// count and then write what they carry instead of gathering it, so
+// serializing allocates little more than the bytes it returns (~1.05x;
+// append's regrowth from empty is ~3x).
 func TestCheckpointAllocBudget(t *testing.T) {
 	cfg := Default()
 	cfg.NumMDS = 4
@@ -91,8 +92,8 @@ func TestCheckpointAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		alloc := after.TotalAlloc - before.TotalAlloc
 		t.Logf("checkpoint %d: %d bytes, %d allocated", k, len(data), alloc)
-		if float64(alloc) > 1.25*float64(len(data)) {
-			t.Fatalf("checkpoint %d of %d bytes allocated %d, budget 1.25x its length", k, len(data), alloc)
+		if float64(alloc) > 1.10*float64(len(data)) {
+			t.Fatalf("checkpoint %d of %d bytes allocated %d, budget 1.10x its length", k, len(data), alloc)
 		}
 		c.Resume()
 	}

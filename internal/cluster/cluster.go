@@ -504,7 +504,8 @@ func (c *Cluster) buildStrategy(cfg Config, snap *fsgen.Snapshot) error {
 		c.Strategy, c.Table = s, s.Table
 		if cfg.Strategy == StratDynamic {
 			s.HashDirAt = cfg.HashDirThreshold
-			if cfg.Traffic != nil {
+			// Traffic control replicates to peers: one node has none.
+			if cfg.Traffic != nil && cfg.NumMDS > 1 {
 				c.Traffic = cfg.Traffic.ForCluster()
 			}
 			c.dynamic = true

@@ -13,12 +13,8 @@ import (
 // (Strategy aside), as (a) DynamicSubtree with neither balancer nor
 // traffic control, and (b) plain DynamicSubtree on a single node, where
 // neither has a peer to act on. Closed and open loop, the latter with
-// leases and replica fan-out, over three seeds.
-//
-// Relation (b) has one named exception, Replications: on a single node
-// traffic control still commits replicate decisions (and counts them)
-// though pushReplicas has no peer to send to, so it moves no event and
-// no other field.
+// leases and replica fan-out, over three seeds. A one-node cluster arms
+// no traffic control, so relation (b) holds with no exception.
 func TestStaticIsDynamicWithoutMechanisms(t *testing.T) {
 	openLoop := func(strategy string) Config {
 		cfg := openLoopConfig(strategy)
@@ -42,10 +38,9 @@ func TestStaticIsDynamicWithoutMechanisms(t *testing.T) {
 			for _, rel := range []struct {
 				name            string
 				static, dynamic func(Config) Config
-				except          string
 			}{
-				{"a:no-mechanisms", func(c Config) Config { return c }, bare, ""},
-				{"b:one-node", single, single, "Replications"},
+				{"a:no-mechanisms", func(c Config) Config { return c }, bare},
+				{"b:one-node", single, single},
 			} {
 				t.Run(fmt.Sprintf("%s/seed%d/%s", loop.name, seed, rel.name), func(t *testing.T) {
 					static, dynamic := rel.static(loop.cfg(StratStatic)), rel.dynamic(loop.cfg(StratDynamic))
@@ -55,9 +50,6 @@ func TestStaticIsDynamicWithoutMechanisms(t *testing.T) {
 					want.Strategy, got.Strategy = "", ""
 					g, w := reflect.ValueOf(stripWallTimes(got)).Elem(), reflect.ValueOf(stripWallTimes(want)).Elem()
 					for i := 0; i < g.NumField(); i++ {
-						if g.Type().Field(i).Name == rel.except {
-							continue
-						}
 						if gf, wf := g.Field(i).Interface(), w.Field(i).Interface(); !reflect.DeepEqual(gf, wf) {
 							t.Errorf("Result.%s: DynamicSubtree %v, StaticSubtree %v", g.Type().Field(i).Name, gf, wf)
 						}

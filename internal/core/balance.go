@@ -389,14 +389,15 @@ func entryPop(now sim.Time, e *cache.Entry) float64 {
 }
 
 // transfer executes the double-commit authority migration: the subtree
-// table is updated, the importer receives the exporter's cached state,
-// and the exporter discards it.
+// table is updated, the importer receives the exporter's cached state
+// (one exactly sized slice, in the exporter's hot-then-warm order), and
+// the exporter discards it.
 func (b *Balancer) transfer(root *namespace.Inode, src, dst int) {
-	live := b.nodes[src].Cache().EntriesUnder(root)
-	entries := make([]Migrated, len(live))
-	for i, e := range live {
-		entries[i] = Migrated{Ino: e.Ino, Class: e.Class}
-	}
+	c := b.nodes[src].Cache()
+	entries := make([]Migrated, 0, c.CountUnder(root))
+	c.ForEachUnder(root, func(e *cache.Entry) {
+		entries = append(entries, Migrated{Ino: e.Ino, Class: e.Class})
+	})
 	if err := b.table.Delegate(root, dst); err != nil {
 		return
 	}

@@ -181,10 +181,10 @@ func TestBalancerMigratesHotSubtree(t *testing.T) {
 		t.Fatalf("authority(%s) = %d, want %d", root, got, to)
 	}
 	// The destination received the cached state.
-	if len(fakes[to].c.EntriesUnder(root)) == 0 {
+	if fakes[to].c.CountUnder(root) == 0 {
 		t.Fatal("destination cache empty for migrated subtree")
 	}
-	if len(fakes[src].c.EntriesUnder(root)) != 0 {
+	if fakes[src].c.CountUnder(root) != 0 {
 		t.Fatal("source still caches migrated subtree")
 	}
 }
@@ -234,21 +234,15 @@ func TestBalancerPrefersRedelegatingImports(t *testing.T) {
 	}
 	b := NewBalancer(eng, DefaultBalancerConfig(), d.Table, nodes)
 
-	// Import homes[0] into node 1 by hand, then make node 1 busy with
+	// Migrate homes[0] into node 1, then make node 1 busy with
 	// comparable popularity on the imported tree and an owned tree.
 	src := d.Authority(homes[0])
 	if src == 1 {
 		src = (src + 1) % n
 		_ = d.Table.Delegate(homes[0], src)
 	}
-	live := fakes[src].c.EntriesUnder(homes[0])
-	entries := make([]Migrated, len(live))
-	for i, e := range live {
-		entries[i] = Migrated{Ino: e.Ino, Class: e.Class}
-	}
-	_ = d.Table.Delegate(homes[0], 1)
-	fakes[1].ImportSubtree(homes[0], entries)
-	b.imports[homes[0]] = src
+	b.transfer(homes[0], src, 1)
+	imported := b.Migrations
 
 	// Populate node 1's cache with popularity on the imported tree and,
 	// a little hotter, on a tree it owns: split-first would pick that.
@@ -278,7 +272,7 @@ func TestBalancerPrefersRedelegatingImports(t *testing.T) {
 
 	b.Rebalance(0)
 	eng.Run()
-	if b.Migrations == 0 {
+	if b.Migrations == imported {
 		t.Fatal("no migration")
 	}
 	// The whole imported tree moved on, and is now an import its
@@ -313,5 +307,60 @@ func TestBalancerStartStopTicker(t *testing.T) {
 	eng.RunUntil(10 * sim.Second)
 	if polled() != 3 {
 		t.Fatalf("rounds after stop = %d", polled())
+	}
+}
+
+// jobNode imports the way an MDS does: one CPU job, run later, installs
+// the entries the balancer handed over.
+type jobNode struct {
+	fakeNode
+	cpu *sim.Server
+}
+
+func (j *jobNode) ImportSubtree(root *namespace.Inode, entries []Migrated) {
+	j.cpu.Submit(sim.Millisecond, func() {
+		for _, e := range entries {
+			if _, err := j.c.InsertPath(e.Ino, e.Class, false); err != nil {
+				panic(err)
+			}
+		}
+	})
+}
+
+// TestTransferAllocs: a migration allocates the importer's entries,
+// once and exactly sized, and the import job; the exporter's cache is
+// walked twice (count, then fill) with nothing gathered in between.
+func TestTransferAllocs(t *testing.T) {
+	tr, homes := buildTree(t)
+	d := partition.NewStaticSubtree(2, tr, 2)
+	eng := sim.NewEngine()
+	fakes := make([]*jobNode, 2)
+	nodes := make([]Node, 2)
+	for i := range fakes {
+		fakes[i] = &jobNode{fakeNode: fakeNode{id: i, c: cache.New(1000)}, cpu: sim.NewServer(eng, 1)}
+		nodes[i] = fakes[i]
+	}
+	b := NewBalancer(eng, DefaultBalancerConfig(), d.Table, nodes)
+	root := homes[0]
+	src := d.Authority(root)
+	for i := 0; i < root.NumChildren(); i++ {
+		if _, err := fakes[src].c.InsertPath(root.Child(i), cache.Auth, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := fakes[src].c.CountUnder(root)
+	hop := func() {
+		b.transfer(root, src, 1-src)
+		eng.Run()
+		src = 1 - src
+	}
+	hop()
+	hop()
+	if allocs := testing.AllocsPerRun(50, hop); allocs > 2 {
+		t.Errorf("a transfer allocated %.1f times, want at most 2 (the entries and the import job)", allocs)
+	}
+	if got := fakes[src].c.CountUnder(root); got != want || fakes[1-src].c.CountUnder(root) != 0 {
+		t.Fatalf("after the hops the owner caches %d entries under the root, want %d; the other %d",
+			got, want, fakes[1-src].c.CountUnder(root))
 	}
 }

@@ -453,3 +453,75 @@ func TestShrinkRestoresFromLastGoodCheckpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestExperimentsStatesFigure2: EXPERIMENTS.md's Figure 2 table holds
+// every row of the paper-scale golden, testdata/figures_full.txt, each
+// cell rounded to a whole op/s, and its FileHash decline is the
+// golden's, first row to last.
+func TestExperimentsStatesFigure2(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "figures_full.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The golden's block: a header line, then one row per cluster size.
+	const title = "Figure 2: average MDS throughput (ops/sec) vs cluster size\n"
+	_, block, ok := strings.Cut(string(golden), title)
+	if !ok {
+		t.Fatalf("figures_full.txt has no %q block", strings.TrimSpace(title))
+	}
+	lines := strings.Split(block, "\n")
+	header := strings.Fields(lines[0])
+	var want [][]string
+	for _, l := range lines[1:] {
+		f := strings.Fields(l)
+		if len(f) != len(header) {
+			break
+		}
+		row := []string{f[0]}
+		for _, v := range f[1:] {
+			var x float64
+			if _, err := fmt.Sscan(v, &x); err != nil {
+				t.Fatalf("golden cell %q: %v", v, err)
+			}
+			row = append(row, fmt.Sprintf("%.0f", x))
+		}
+		want = append(want, row)
+	}
+	// The document's table: the first one under the Figure 2 heading.
+	_, section, ok := strings.Cut(string(doc), "## Figure 2 ")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no Figure 2 section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var got [][]string
+	for _, l := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(l, "|") || strings.HasPrefix(l, "|--") {
+			continue
+		}
+		var row []string
+		for _, c := range strings.Split(strings.Trim(l, "|"), "|") {
+			row = append(row, strings.TrimSpace(c))
+		}
+		got = append(got, row)
+	}
+	want = append([][]string{header}, want...)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("EXPERIMENTS.md's Figure 2 table:\n%v\nthe golden's rows, rounded:\n%v", got, want)
+	}
+	first, last := want[1], want[len(want)-1]
+	col := len(header) - 1
+	if header[col] != "FileHash" {
+		t.Fatalf("the golden's last column is %s, want FileHash", header[col])
+	}
+	var a, b float64
+	fmt.Sscan(first[col], &a)
+	fmt.Sscan(last[col], &b)
+	claim := fmt.Sprintf("(−%.0f%% from n=%s to n=%s)", 100*(1-b/a), first[0], last[0])
+	if !strings.Contains(strings.Join(strings.Fields(section), " "), claim) {
+		t.Errorf("EXPERIMENTS.md's Figure 2 prose does not say %q", claim)
+	}
+}

@@ -12,6 +12,8 @@
 package mds
 
 import (
+	"math"
+
 	"dynmds/internal/cache"
 	"dynmds/internal/core"
 	"dynmds/internal/lease"
@@ -1369,18 +1371,19 @@ func (m *MDS) ImportSubtree(root *namespace.Inode, entries []core.Migrated) {
 		// containing directory (prefix) inodes for each of its
 		// subtrees" (§4.3).
 		m.insert(root, cache.Auth, false)
-		// Insert parents before children so path insertion succeeds.
-		byDepth := make(map[int][]core.Migrated)
-		maxD := 0
+		// Insert parents before children so path insertion succeeds:
+		// depth by depth, each in the exporter's order. Depths are taken
+		// here, not at export: a rename in between can change them.
+		minD, maxD := math.MaxInt, -1
 		for _, e := range entries {
 			d := e.Ino.Depth()
-			byDepth[d] = append(byDepth[d], e)
-			if d > maxD {
-				maxD = d
-			}
+			minD, maxD = min(minD, d), max(maxD, d)
 		}
-		for d := 0; d <= maxD; d++ {
-			for _, e := range byDepth[d] {
+		for d := minD; d <= maxD; d++ {
+			for _, e := range entries {
+				if e.Ino.Depth() != d {
+					continue
+				}
 				m.insert(e.Ino, e.Class, false)
 				// A migrated replica now lives here: record this node in
 				// the inode's replica set. The exporter's bit stays until

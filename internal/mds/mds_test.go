@@ -411,19 +411,17 @@ func TestImportExportSubtree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	live := src.Cache().EntriesUnder(h)
-	entries := make([]core.Migrated, len(live))
-	for i, e := range live {
-		entries[i] = core.Migrated{Ino: e.Ino, Class: e.Class}
-	}
+	var entries []core.Migrated
+	src.Cache().ForEachUnder(h, func(e *cache.Entry) {
+		entries = append(entries, core.Migrated{Ino: e.Ino, Class: e.Class})
+	})
 	dst.ImportSubtree(h, entries)
 	src.EvictSubtree(h)
 	eng.Run()
-	if len(dst.Cache().EntriesUnder(h)) < len(entries) {
-		t.Fatalf("destination has %d entries, want >= %d",
-			len(dst.Cache().EntriesUnder(h)), len(entries))
+	if got := dst.Cache().CountUnder(h); got < len(entries) {
+		t.Fatalf("destination has %d entries, want >= %d", got, len(entries))
 	}
-	if len(src.Cache().EntriesUnder(h)) != 0 {
+	if src.Cache().CountUnder(h) != 0 {
 		t.Fatal("source still caches subtree")
 	}
 	if err := dst.Cache().CheckInvariants(); err != nil {

@@ -212,6 +212,26 @@ func restoreOf(t *testing.T, ov *Tree, f *Frozen) (*Tree, error) {
 	return got, dec.Err()
 }
 
+// TestSnapWriteZeroAlloc: writing an aged overlay's delta into a writer
+// already grown to hold it allocates nothing — every part is counted,
+// then walked, with no list of what to write gathered first.
+func TestSnapWriteZeroAlloc(t *testing.T) {
+	ov, _, _ := agedOverlay(t)
+	count := snap.NewCounter()
+	ov.Snap(snap.Encoder(count))
+	const runs = 20
+	w := snap.NewWriter()
+	w.Grow((runs + 1) * count.Len())
+	enc := snap.Encoder(w)
+	runtime.GC()
+	if allocs := testing.AllocsPerRun(runs, func() { ov.Snap(enc) }); allocs != 0 {
+		t.Errorf("writing the overlay delta allocated %.1f times, want 0", allocs)
+	}
+	if want := (runs + 1) * count.Len(); w.Len() != want {
+		t.Fatalf("wrote %d bytes, want %d", w.Len(), want)
+	}
+}
+
 // unlist takes n out of dir's child list the way detach would, but
 // leaves n's parent and the moved set alone: the list a damaged file
 // carries.

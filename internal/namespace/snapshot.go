@@ -85,9 +85,10 @@ func (t *Tree) drifted(id InodeID) bool {
 }
 
 // Snap walks the overlay delta; reading, the tree must be a pristine
-// overlay of the same frozen base. Gathering what to write and
-// building what was read are different work, so each part of the delta
-// says which it is doing.
+// overlay of the same frozen base. Past the counters, writing
+// (snapWrite) and reading are different work: the writer walks the live
+// tree and keeps nothing, the reader builds and checks what the file
+// says.
 func (t *Tree) Snap(c *snap.Codec) {
 	reading := c.Reading()
 	if reading && (len(t.created.pages) != 0 || t.moved.n != 0 || t.dead != nil || len(t.sizes) != 0) {
@@ -104,65 +105,50 @@ func (t *Tree) Snap(c *snap.Codec) {
 	snap.U(c, &t.lazyLookups)
 	snap.U(c, &t.lazyMisses)
 
+	if !reading {
+		t.snapWrite(c)
+		return
+	}
+
 	// Tombstones, ascending, delta-coded: one per base delete.
-	tombs := t.TombstoneCount()
+	var tombs int
 	c.Len(&tombs)
-	if reading && uint64(tombs) != t.BaseDeletes {
+	if uint64(tombs) != t.BaseDeletes {
 		c.Failf("namespace: %d tombstones for %d base deletes", tombs, t.BaseDeletes)
 	}
-	if !reading {
-		prev := InodeID(0)
-		t.ForEachTombstone(func(id InodeID) {
-			delta := id - prev
-			snap.U(c, &delta)
-			prev = id
-		})
-	} else {
-		for id := InodeID(0); tombs > 0 && c.Err() == nil; tombs-- {
-			var delta InodeID
-			snap.U(c, &delta)
-			switch id += delta; {
-			case !t.base.contains(id):
-				c.Failf("namespace: tombstone %d outside base", id)
-			case t.Tombstoned(id):
-				c.Failf("namespace: tombstone %d listed twice", id)
-			default:
-				// A destroyed inode is detached: the base index must not
-				// find it at its frozen place.
-				t.bury(id)
-				t.node(id).parent = nil
-			}
+	for id := InodeID(0); tombs > 0 && c.Err() == nil; tombs-- {
+		var delta InodeID
+		snap.U(c, &delta)
+		switch id += delta; {
+		case !t.base.contains(id):
+			c.Failf("namespace: tombstone %d outside base", id)
+		case t.Tombstoned(id):
+			c.Failf("namespace: tombstone %d listed twice", id)
+		default:
+			// A destroyed inode is detached: the base index must not
+			// find it at its frozen place.
+			t.bury(id)
+			t.node(id).parent = nil
 		}
 	}
 
 	// Run-created inodes, ascending ID; parents are resolved after all
 	// of them are registered.
 	var created []*Inode
-	if !reading {
-		t.created.each(func(n *Inode) { created = append(created, n) })
-	}
 	snap.Slice(c, &created)
-	var parents []InodeID
-	if reading {
-		parents = make([]InodeID, len(created))
-	}
+	parents := make([]InodeID, len(created))
 	for i := range created {
 		if c.Err() != nil {
 			return
 		}
 		var id InodeID
 		var kind Kind
-		if !reading {
-			id, kind = created[i].ID, created[i].Kind
-		}
 		snap.U(c, &id)
 		snap.U(c, &kind)
-		if reading {
-			created[i] = t.newInode(id, kind, "")
-		}
-		n := created[i]
+		n := t.newInode(id, kind, "")
+		created[i] = n
 		parent := t.snapFields(c, n)
-		if !reading || c.Err() != nil {
+		if c.Err() != nil {
 			continue
 		}
 		if n.ID <= InodeID(len(t.base.nodes)) || n.ID > t.nextID || (i > 0 && n.ID <= created[i-1].ID) {
@@ -176,16 +162,8 @@ func (t *Tree) Snap(c *snap.Codec) {
 		t.setParent(c, created[i], parent)
 	}
 
-	// Drifted base inodes: fields differ from the frozen record. Skip
-	// tombstoned slots — their stale fields are unreachable.
+	// Drifted base inodes: fields differ from the frozen record.
 	var dirty []InodeID
-	if !reading {
-		for i := range t.slab {
-			if id := InodeID(i + 1); !t.Tombstoned(id) && t.drifted(id) {
-				dirty = append(dirty, id)
-			}
-		}
-	}
 	snap.Slice(c, &dirty)
 	for i := range dirty {
 		snap.U(c, &dirty[i])
@@ -194,28 +172,13 @@ func (t *Tree) Snap(c *snap.Codec) {
 			return
 		}
 		n := t.node(dirty[i])
-		if parent := t.snapFields(c, n); reading {
-			t.setParent(c, n, parent)
-		}
+		t.setParent(c, n, t.snapFields(c, n))
 	}
 
-	// Mutated directories with their ordered child IDs: base slab order
-	// first, then created dirs ascending. Reading installs the children,
-	// their positions and the moved entries among them; the directory is
-	// mutated, as it was in the serialized run.
+	// Mutated directories with their ordered child IDs. Reading installs
+	// the children, their positions and the moved entries among them;
+	// the directory is mutated, as it was in the serialized run.
 	var mat []*Inode
-	if !reading {
-		for i := range t.slab {
-			if d := t.slab[i].dir; d != nil && d.mutated && !t.Tombstoned(InodeID(i+1)) {
-				mat = append(mat, &t.slab[i])
-			}
-		}
-		for _, n := range created {
-			if n.dir != nil && n.dir.mutated {
-				mat = append(mat, n)
-			}
-		}
-	}
 	snap.Slice(c, &mat)
 	for i := range mat {
 		t.SnapRef(c, &mat[i], "namespace: materialized dir")
@@ -228,13 +191,7 @@ func (t *Tree) Snap(c *snap.Codec) {
 			c.Failf("namespace: materialized inode %d is not a directory", dir.ID)
 			return
 		}
-		snap.Slice(c, &d.children)
-		for j := range d.children {
-			t.SnapRef(c, &d.children[j], "namespace: child")
-		}
-		if !reading {
-			continue
-		}
+		t.snapChildren(c, d)
 		if c.Err() != nil {
 			return
 		}
@@ -262,9 +219,6 @@ func (t *Tree) Snap(c *snap.Codec) {
 			}
 			t.moved.insert(child)
 		}
-	}
-	if !reading {
-		return
 	}
 	// Every live inode but the root must be listed by its parent: one
 	// the file leaves out of every list would resolve by ID yet be
@@ -309,4 +263,79 @@ func (t *Tree) Snap(c *snap.Codec) {
 	if c.Err() == nil && reached != live {
 		c.Failf("namespace: %d of %d live inodes unreachable from the root", live-reached, live)
 	}
+}
+
+// snapWrite writes the rest of the delta Snap reads: tombstones
+// (ascending, delta-coded), run-created inodes (ascending ID), drifted
+// base inodes (slab order, tombstoned slots skipped: their stale fields
+// are unreachable), then mutated directories with their ordered child
+// IDs (slab order, then created directories ascending). Each part is
+// counted, then walked, so a checkpoint gathers nothing.
+func (t *Tree) snapWrite(c *snap.Codec) {
+	count := t.TombstoneCount()
+	c.Len(&count)
+	prev := InodeID(0)
+	t.ForEachTombstone(func(id InodeID) {
+		delta := id - prev
+		snap.U(c, &delta)
+		prev = id
+	})
+
+	count = t.created.len()
+	c.Len(&count)
+	t.created.each(func(n *Inode) {
+		id, kind := n.ID, n.Kind
+		snap.U(c, &id)
+		snap.U(c, &kind)
+		t.snapFields(c, n)
+	})
+
+	count = 0
+	t.eachDrifted(func(*Inode) { count++ })
+	c.Len(&count)
+	t.eachDrifted(func(n *Inode) {
+		snap.U(c, &n.ID)
+		t.snapFields(c, n)
+	})
+
+	count = 0
+	t.eachMutatedDir(func(*Inode) { count++ })
+	c.Len(&count)
+	t.eachMutatedDir(func(dir *Inode) {
+		t.SnapRef(c, &dir, "namespace: materialized dir")
+		t.snapChildren(c, dir.dir)
+	})
+}
+
+// snapChildren carries a directory's ordered child list as IDs.
+func (t *Tree) snapChildren(c *snap.Codec, d *dirState) {
+	snap.Slice(c, &d.children)
+	for j := range d.children {
+		t.SnapRef(c, &d.children[j], "namespace: child")
+	}
+}
+
+// eachDrifted calls f on every live base inode whose fields differ
+// from its frozen record, in slab order.
+func (t *Tree) eachDrifted(f func(*Inode)) {
+	for i := range t.slab {
+		if id := InodeID(i + 1); !t.Tombstoned(id) && t.drifted(id) {
+			f(&t.slab[i])
+		}
+	}
+}
+
+// eachMutatedDir calls f on every live mutated directory: base slab
+// order first, then created directories ascending.
+func (t *Tree) eachMutatedDir(f func(*Inode)) {
+	for i := range t.slab {
+		if d := t.slab[i].dir; d != nil && d.mutated && !t.Tombstoned(InodeID(i+1)) {
+			f(&t.slab[i])
+		}
+	}
+	t.created.each(func(n *Inode) {
+		if n.dir != nil && n.dir.mutated {
+			f(n)
+		}
+	})
 }

@@ -135,6 +135,15 @@ func (s *createdSet) drop(id InodeID) {
 	}
 }
 
+// len returns the number of live inodes.
+func (s *createdSet) len() int {
+	n := 0
+	for _, p := range s.pages {
+		n += p.live
+	}
+	return n
+}
+
 // each calls f on every live inode in ascending ID.
 func (s *createdSet) each(f func(*Inode)) {
 	for _, p := range s.pages {

@@ -242,7 +242,7 @@ func Encoder(w *Writer) *Codec { return &Codec{w: w} }
 func Decoder(r *Reader) *Codec { return &Codec{r: r} }
 
 // Reading reports the direction. A walk asks only where the two
-// directions do different work: gathering or sorting what to write;
+// directions do different work: counting or sorting what to write;
 // allocating, resolving an ID or rebuilding a derived index to read.
 func (c *Codec) Reading() bool { return c.r != nil }
 

@@ -3,6 +3,7 @@ package storage
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"dynmds/internal/namespace"
@@ -49,9 +50,13 @@ func (r *refLog) distinct() []namespace.InodeID {
 
 // checkIndex holds the index to the ring: every occupied slot names a
 // record in the window that is its inode's newest and is found by its
-// probe, one slot per distinct inode, none marked seen.
+// probe, one slot per distinct inode, none marked seen. Check must
+// agree, and leave no slot marked.
 func checkIndex(t *testing.T, l *BoundedLog, what string) {
 	t.Helper()
+	if err := l.Check(); err != nil {
+		t.Fatalf("%s: Check: %v", what, err)
+	}
 	newest := map[namespace.InodeID]int{}
 	for k := 0; k < l.n; k++ {
 		pos := (l.head + k) % l.capacity
@@ -153,6 +158,65 @@ func TestLogAppendZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Append allocated %.2f times per call, want 0", allocs)
+	}
+}
+
+// TestLogCheckZeroAlloc: checking a full log against its index
+// allocates nothing.
+func TestLogCheckZeroAlloc(t *testing.T) {
+	l := NewBoundedLog(1000)
+	for id := namespace.InodeID(0); id < 3000; id++ {
+		l.Append(id * 7 % 1300)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := l.Check(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Check allocated %.2f times per call, want 0", allocs)
+	}
+}
+
+// TestLogCheckFindsPlantedFaults: an index that lost a slot, names an
+// older record than the newest, holds a slot no record reaches or
+// miscounts its inodes fails Check, which leaves no slot marked seen.
+func TestLogCheckFindsPlantedFaults(t *testing.T) {
+	fill := func() *BoundedLog {
+		l := NewBoundedLog(8)
+		for _, id := range []namespace.InodeID{1, 2, 3, 2, 4, 5, 1, 6, 7, 2} {
+			l.Append(id)
+		}
+		return l
+	}
+	for _, tc := range []struct {
+		name, want string
+		plant      func(l *BoundedLog)
+	}{
+		{"lost slot", "no index slot", func(l *BoundedLog) { l.newest[l.slot(4)] = 0 }},
+		{"older record", "its slot names record", func(l *BoundedLog) {
+			// 2's records sit at window offsets 1 and 7.
+			l.newest[l.slot(2)] = int32((l.head+1)%l.capacity + 1)
+		}},
+		{"miscount", "index counts", func(l *BoundedLog) { l.ids++ }},
+		{"stray slot", "name no inode", func(l *BoundedLog) {
+			i := l.slot(99)
+			l.newest[i] = l.newest[l.slot(5)]
+			l.ids++
+		}},
+	} {
+		l := fill()
+		if err := l.Check(); err != nil {
+			t.Fatalf("%s: clean log: %v", tc.name, err)
+		}
+		tc.plant(l)
+		if err := l.Check(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Check = %v, want %q", tc.name, err, tc.want)
+		}
+		for i, p := range l.newest {
+			if p < 0 {
+				t.Fatalf("%s: slot %d left marked seen", tc.name, i)
+			}
+		}
 	}
 }
 

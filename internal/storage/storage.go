@@ -151,6 +151,10 @@ func (s *Store) CommitCall(id namespace.InodeID, fn sim.EventFunc, a, b any) {
 // failover (§4.6).
 func (s *Store) WorkingSet() []namespace.InodeID { return s.log.Distinct() }
 
+// CheckJournal verifies the bounded log against its index of newest
+// records (BoundedLog.Check).
+func (s *Store) CheckJournal() error { return s.log.Check() }
+
 // MaxQueues reports the deepest the read-disk and log-disk waiting
 // lines have been (sim.Server.MaxQueue: a diagnostic that restarts on
 // restore). Both stay zero when a shared OSD pool does the I/O.
@@ -183,8 +187,8 @@ type BoundedLog struct {
 	ids    int   // occupied slots: the distinct inodes in the log
 }
 
-// seen marks a slot whose inode Distinct has already listed; it is set
-// and cleared within one Distinct call.
+// seen marks a slot whose inode Distinct has already listed, or Check
+// has already reached; it is set and cleared within one such call.
 const seen = -1 << 31
 
 // NewBoundedLog creates a log holding capacity records, at most
@@ -276,4 +280,49 @@ func (l *BoundedLog) Distinct() []namespace.InodeID {
 		l.newest[l.slot(id)] &^= seen
 	}
 	return out
+}
+
+// Check verifies the log against its index of newest records and
+// allocates nothing: the window fits the ring; each record's inode is
+// found by its probe at a slot naming a record of the window no older
+// than this one; and the index holds one slot per distinct inode in the
+// window, as many as it counts, and no other. It marks each inode's
+// slot seen as Distinct does and unmarks every slot before it returns.
+func (l *BoundedLog) Check() error {
+	if l.n < 0 || l.n > l.capacity || l.head < 0 || l.head >= l.capacity {
+		return fmt.Errorf("window of %d records at %d in a ring of %d", l.n, l.head, l.capacity)
+	}
+	var err error
+	for k := 0; k < l.n && err == nil; k++ {
+		id := l.ring[(l.head+k)%l.capacity]
+		i := l.slot(id)
+		p := int(l.newest[i] &^ seen)
+		switch newest := (p - 1 - l.head + l.capacity) % l.capacity; {
+		case p == 0:
+			err = fmt.Errorf("inode %d has record %d of the log and no index slot", id, k)
+		case newest < k || newest >= l.n:
+			err = fmt.Errorf("inode %d has record %d of the log, its slot names record %d", id, k, newest)
+		default:
+			l.newest[i] |= seen
+		}
+	}
+	occupied, reached := 0, 0
+	for i, p := range l.newest {
+		if p != 0 {
+			occupied++
+		}
+		if p < 0 {
+			reached++
+		}
+		l.newest[i] = p &^ seen
+	}
+	switch {
+	case err != nil:
+		return err
+	case occupied != l.ids:
+		return fmt.Errorf("index counts %d inodes and holds %d slots", l.ids, occupied)
+	case reached != occupied:
+		return fmt.Errorf("%d index slots name no inode of the log", occupied-reached)
+	}
+	return nil
 }
