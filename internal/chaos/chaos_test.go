@@ -46,8 +46,8 @@ func TestGenerateValid(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d: generated schedule does not reparse: %v\n%s", run, err, s)
 		}
-		if back.NumRules() != s.NumRules() {
-			t.Fatalf("run %d: reparse changed rule count %d -> %d", run, s.NumRules(), back.NumRules())
+		if len(back.Rules) != len(s.Rules) {
+			t.Fatalf("run %d: reparse changed rule count %d -> %d", run, len(s.Rules), len(back.Rules))
 		}
 		lo, hi := cfg.Duration/10, cfg.Duration*9/10
 		checkWin := func(from, to sim.Time) {
@@ -55,29 +55,26 @@ func TestGenerateValid(t *testing.T) {
 				t.Fatalf("run %d: window [%v, %v) outside [%v, %v)", run, from, to, lo, hi)
 			}
 		}
-		for _, e := range s.Crashes {
-			if e.Node == 0 {
-				t.Fatalf("run %d: schedule crashes node 0", run)
-			}
-			if e.At < lo || e.At >= hi {
-				t.Fatalf("run %d: crash at %v outside the run body", run, e.At)
-			}
-		}
-		for _, l := range s.Lags {
-			checkWin(l.From, l.To)
-		}
-		for _, w := range s.Slows {
-			checkWin(w.From, w.To)
-		}
-		for _, p := range s.Partitions {
-			checkWin(p.From, p.To)
-			if len(p.A) == 0 || len(p.B) == 0 {
-				t.Fatalf("run %d: empty partition group", run)
-			}
-		}
-		for _, d := range s.Drops {
-			if d.P < 0 || d.P > 0.3 {
-				t.Fatalf("run %d: drop probability %v out of bounds", run, d.P)
+		for _, r := range s.Rules {
+			switch r.Kind {
+			case fault.Crash:
+				if r.Node == 0 {
+					t.Fatalf("run %d: schedule crashes node 0", run)
+				}
+				if r.From < lo || r.From >= hi {
+					t.Fatalf("run %d: crash at %v outside the run body", run, r.From)
+				}
+			case fault.Lag, fault.Slow:
+				checkWin(r.From, r.To)
+			case fault.Partition:
+				checkWin(r.From, r.To)
+				if len(r.A) == 0 || len(r.B) == 0 {
+					t.Fatalf("run %d: empty partition group", run)
+				}
+			case fault.Drop:
+				if r.P < 0 || r.P > 0.3 {
+					t.Fatalf("run %d: drop probability %v out of bounds", run, r.P)
+				}
 			}
 		}
 	}

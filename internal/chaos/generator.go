@@ -59,7 +59,6 @@ func Generate(cfg GenConfig) *fault.Schedule {
 		n:   cfg.NumMDS,
 		lo:  cfg.Duration / 10,
 		hi:  cfg.Duration * 9 / 10,
-		s:   &fault.Schedule{},
 	}
 
 	// Up to this many rules per class.
@@ -75,10 +74,11 @@ func Generate(cfg GenConfig) *fault.Schedule {
 	g.slows(nSlow)
 	g.partitions(nPart)
 
-	if err := g.s.Validate(cfg.NumMDS); err != nil {
+	s := fault.NewSchedule(g.rules)
+	if err := s.Validate(cfg.NumMDS); err != nil {
 		panic("chaos: generated an invalid schedule: " + err.Error())
 	}
-	return g.s
+	return s
 }
 
 // RollingConfig parameterises GenerateRolling.
@@ -114,7 +114,7 @@ func GenerateRolling(cfg RollingConfig) (*fault.Schedule, error) {
 	step := (hi - lo) / sim.Time(cycles)
 	outage := min(step/3, 2*sim.Second)
 	rng := sim.NewStream(cfg.Seed, "chaos-rolling")
-	s := &fault.Schedule{}
+	var rules []fault.Rule
 	jitterSpan := int((step - outage) / (4 * sim.Millisecond))
 	for i := 0; i < cycles; i++ {
 		at := lo + sim.Time(i)*step
@@ -122,9 +122,10 @@ func GenerateRolling(cfg RollingConfig) (*fault.Schedule, error) {
 			at += sim.Time(rng.Intn(jitterSpan)) * sim.Millisecond
 		}
 		victim := 1 + i%(cfg.NumMDS-1)
-		s.Crashes = append(s.Crashes, fault.NodeEvent{At: at, Node: victim})
-		s.Recovers = append(s.Recovers, fault.NodeEvent{At: at + outage, Node: victim})
+		rules = append(rules, fault.Rule{Kind: fault.Crash, From: at, Node: victim},
+			fault.Rule{Kind: fault.Recover, From: at + outage, Node: victim})
 	}
+	s := fault.NewSchedule(rules)
 	if err := s.Validate(cfg.NumMDS); err != nil {
 		panic("chaos: generated an invalid rolling schedule: " + err.Error())
 	}
@@ -135,7 +136,7 @@ type generator struct {
 	rng    *sim.RNG
 	n      int
 	lo, hi sim.Time
-	s      *fault.Schedule
+	rules  []fault.Rule
 }
 
 // at picks a millisecond-granular instant in [g.lo, g.hi).
@@ -172,9 +173,9 @@ func (g *generator) crashes(count int) {
 			continue
 		}
 		used[node] = true
-		g.s.Crashes = append(g.s.Crashes, fault.NodeEvent{At: from, Node: node})
+		g.rules = append(g.rules, fault.Rule{Kind: fault.Crash, From: from, Node: node})
 		if recovers {
-			g.s.Recovers = append(g.s.Recovers, fault.NodeEvent{At: to, Node: node})
+			g.rules = append(g.rules, fault.Rule{Kind: fault.Recover, From: to, Node: node})
 		}
 	}
 }
@@ -201,7 +202,7 @@ func (g *generator) drops(count int) {
 	for i := 0; i < count; i++ {
 		sel := g.sel()
 		p := 0.08 * g.rng.Float64()
-		g.s.Drops = append(g.s.Drops, fault.DropRule{Sel: sel, P: p})
+		g.rules = append(g.rules, fault.Rule{Kind: fault.Drop, Sel: sel, P: p})
 	}
 }
 
@@ -211,7 +212,7 @@ func (g *generator) lags(count int) {
 		sel := g.sel()
 		from, to := g.window()
 		extra := sim.Time(1+g.rng.Intn(20)) * sim.Millisecond
-		g.s.Lags = append(g.s.Lags, fault.LagRule{Sel: sel, From: from, To: to, Extra: extra})
+		g.rules = append(g.rules, fault.Rule{Kind: fault.Lag, From: from, To: to, Sel: sel, Extra: extra})
 	}
 }
 
@@ -221,7 +222,7 @@ func (g *generator) slows(count int) {
 		node := g.rng.Intn(g.n)
 		from, to := g.window()
 		factor := 1.5 + float64(2.5*g.rng.Float64())
-		g.s.Slows = append(g.s.Slows, fault.SlowWindow{From: from, To: to, Node: node, Factor: factor})
+		g.rules = append(g.rules, fault.Rule{Kind: fault.Slow, From: from, To: to, Node: node, Factor: factor})
 	}
 }
 
@@ -236,8 +237,8 @@ func (g *generator) partitions(count int) {
 		size := 2 + g.rng.Intn(g.n-1) // nodes involved: 2..n
 		cut := 1 + g.rng.Intn(size-1) // split point: both sides non-empty
 		from, to := g.window()
-		g.s.Partitions = append(g.s.Partitions, fault.Partition{
-			From: from, To: to,
+		g.rules = append(g.rules, fault.Rule{
+			Kind: fault.Partition, From: from, To: to,
 			A: append([]int(nil), perm[:cut]...),
 			B: append([]int(nil), perm[cut:size]...),
 		})

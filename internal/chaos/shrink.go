@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"slices"
+
 	"dynmds/internal/fault"
 	"dynmds/internal/sim"
 )
@@ -28,8 +30,10 @@ func ShrinkSchedule(s *fault.Schedule, fails func(*fault.Schedule) bool, budget 
 		changed = false
 		// Pass 1: drop whole rules, one at a time. Greedy left-to-right:
 		// after a successful drop the same index holds the next rule.
-		for i := 0; i < cur.NumRules(); i++ {
-			if cand := dropRule(cur, i); try(cand) {
+		for i := 0; i < len(cur.Rules); i++ {
+			cand := cur.Clone()
+			cand.Rules = slices.Delete(cand.Rules, i, i+1)
+			if try(cand) {
 				cur = cand
 				changed = true
 				i--
@@ -38,64 +42,40 @@ func ShrinkSchedule(s *fault.Schedule, fails func(*fault.Schedule) bool, budget 
 		// Pass 2: halve windows toward their start — recoveries move
 		// toward their crash, lag/slow/partition windows shrink. Shorter
 		// windows mean fewer affected messages, hence simpler repros.
-		for i := range cur.Recovers {
-			if cand, ok := halveRecovery(cur, i); ok && try(cand) {
-				cur = cand
-				changed = true
+		for i := range cur.Rules {
+			var cand *fault.Schedule
+			switch r := cur.Rules[i]; r.Kind {
+			case fault.Recover:
+				cand = halveRecovery(cur, i)
+			case fault.Lag, fault.Slow, fault.Partition:
+				if mid, ok := midpoint(r.From, r.To); ok {
+					cand = cur.Clone()
+					cand.Rules[i].To = mid
+				}
 			}
-		}
-		for i := range cur.Lags {
-			mid, ok := midpoint(cur.Lags[i].From, cur.Lags[i].To)
-			if !ok {
-				continue
-			}
-			cand := cur.Clone()
-			cand.Lags[i].To = mid
-			if try(cand) {
-				cur = cand
-				changed = true
-			}
-		}
-		for i := range cur.Slows {
-			mid, ok := midpoint(cur.Slows[i].From, cur.Slows[i].To)
-			if !ok {
-				continue
-			}
-			cand := cur.Clone()
-			cand.Slows[i].To = mid
-			if try(cand) {
-				cur = cand
-				changed = true
-			}
-		}
-		for i := range cur.Partitions {
-			mid, ok := midpoint(cur.Partitions[i].From, cur.Partitions[i].To)
-			if !ok {
-				continue
-			}
-			cand := cur.Clone()
-			cand.Partitions[i].To = mid
-			if try(cand) {
+			if cand != nil && try(cand) {
 				cur = cand
 				changed = true
 			}
 		}
 		// Pass 3: reduce the nodes a partition involves, one group
 		// member at a time (groups stay non-empty).
-		for i := range cur.Partitions {
+		for i := range cur.Rules {
+			if cur.Rules[i].Kind != fault.Partition {
+				continue
+			}
 			for _, side := range []int{0, 1} {
-				group := cur.Partitions[i].A
+				group := cur.Rules[i].A
 				if side == 1 {
-					group = cur.Partitions[i].B
+					group = cur.Rules[i].B
 				}
 				for m := 0; m < len(group) && len(group) > 1; m++ {
 					cand := cur.Clone()
-					g := append([]int(nil), group[:m]...)
-					g = append(g, group[m+1:]...)
+					g := slices.Delete(slices.Clone(group), m, m+1)
 					if side == 0 {
-						cand.Partitions[i].A = g
+						cand.Rules[i].A = g
 					} else {
-						cand.Partitions[i].B = g
+						cand.Rules[i].B = g
 					}
 					if try(cand) {
 						cur = cand
@@ -110,52 +90,27 @@ func ShrinkSchedule(s *fault.Schedule, fails func(*fault.Schedule) bool, budget 
 	return cur, evals
 }
 
-// dropRule clones the schedule minus rule idx, indexing across the
-// rule slices in struct order (crash, recover, drop, lag, slow,
-// partition) — the same order NumRules counts.
-func dropRule(s *fault.Schedule, idx int) *fault.Schedule {
-	c := s.Clone()
-	for _, sl := range []struct {
-		n   int
-		cut func(i int)
-	}{
-		{len(c.Crashes), func(i int) { c.Crashes = append(c.Crashes[:i], c.Crashes[i+1:]...) }},
-		{len(c.Recovers), func(i int) { c.Recovers = append(c.Recovers[:i], c.Recovers[i+1:]...) }},
-		{len(c.Drops), func(i int) { c.Drops = append(c.Drops[:i], c.Drops[i+1:]...) }},
-		{len(c.Lags), func(i int) { c.Lags = append(c.Lags[:i], c.Lags[i+1:]...) }},
-		{len(c.Slows), func(i int) { c.Slows = append(c.Slows[:i], c.Slows[i+1:]...) }},
-		{len(c.Partitions), func(i int) { c.Partitions = append(c.Partitions[:i], c.Partitions[i+1:]...) }},
-	} {
-		if idx < sl.n {
-			sl.cut(idx)
-			return c
-		}
-		idx -= sl.n
-	}
-	return c // idx out of range: unchanged clone (callers stay in range)
-}
-
-// halveRecovery moves recovery i to the midpoint between its node's
-// latest preceding crash and its current time, shortening the outage's
-// tail. Returns ok=false when there is no room to move.
-func halveRecovery(s *fault.Schedule, i int) (*fault.Schedule, bool) {
-	rec := s.Recovers[i]
+// halveRecovery moves recovery rule i to the midpoint between its
+// node's latest preceding crash and its current time, shortening the
+// outage's tail. Returns nil when there is no room to move.
+func halveRecovery(s *fault.Schedule, i int) *fault.Schedule {
+	rec := s.Rules[i]
 	crashAt := sim.Time(-1)
-	for _, ev := range s.Crashes {
-		if ev.Node == rec.Node && ev.At < rec.At && ev.At > crashAt {
-			crashAt = ev.At
+	for _, r := range s.Rules {
+		if r.Kind == fault.Crash && r.Node == rec.Node && r.From < rec.From && r.From > crashAt {
+			crashAt = r.From
 		}
 	}
 	if crashAt < 0 {
-		return nil, false
+		return nil
 	}
-	mid, ok := midpoint(crashAt, rec.At)
+	mid, ok := midpoint(crashAt, rec.From)
 	if !ok {
-		return nil, false
+		return nil
 	}
 	c := s.Clone()
-	c.Recovers[i].At = mid
-	return c, true
+	c.Rules[i].From = mid
+	return c
 }
 
 // midpoint returns the millisecond-rounded midpoint of [from, to),

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"slices"
 	"testing"
 
 	"dynmds/internal/cluster"
@@ -21,19 +22,25 @@ func knownBadSchedule(t *testing.T) *fault.Schedule {
 	return s
 }
 
+// countKind counts s's rules of kind k.
+func countKind(s *fault.Schedule, k fault.Kind) int {
+	n := 0
+	for _, r := range s.Rules {
+		if r.Kind == k {
+			n++
+		}
+	}
+	return n
+}
+
 // TestShrinkScheduleSynthetic: against a synthetic predicate — fails
 // iff the schedule still crashes mds1 AND keeps at least one drop rule
 // — the shrinker must reach exactly those two rules.
 func TestShrinkScheduleSynthetic(t *testing.T) {
 	orig := knownBadSchedule(t)
 	fails := func(s *fault.Schedule) bool {
-		crash := false
-		for _, ev := range s.Crashes {
-			if ev.Node == 1 {
-				crash = true
-			}
-		}
-		return crash && len(s.Drops) > 0
+		crash := slices.ContainsFunc(s.Rules, func(r fault.Rule) bool { return r.Kind == fault.Crash && r.Node == 1 })
+		return crash && countKind(s, fault.Drop) > 0
 	}
 	if !fails(orig) {
 		t.Fatal("predicate must hold for the original schedule")
@@ -42,7 +49,7 @@ func TestShrinkScheduleSynthetic(t *testing.T) {
 	if !fails(shrunk) {
 		t.Fatalf("shrunk schedule no longer fails: %s", shrunk)
 	}
-	if got := shrunk.NumRules(); got != 2 {
+	if got := len(shrunk.Rules); got != 2 {
 		t.Fatalf("expected the 2-rule minimum, got %d: %s", got, shrunk)
 	}
 	if evals <= 0 || evals > 200 {
@@ -53,11 +60,11 @@ func TestShrinkScheduleSynthetic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("shrunk schedule does not reparse: %v", err)
 	}
-	if back.NumRules() != shrunk.NumRules() {
+	if len(back.Rules) != len(shrunk.Rules) {
 		t.Fatalf("reparse changed rule count")
 	}
 	// The original is untouched (shrinking works on clones).
-	if orig.NumRules() != knownBadSchedule(t).NumRules() {
+	if len(orig.Rules) != len(knownBadSchedule(t).Rules) {
 		t.Fatal("ShrinkSchedule mutated its input")
 	}
 }
@@ -77,12 +84,12 @@ func TestShrinkScheduleBudget(t *testing.T) {
 // surviving window.
 func TestShrinkScheduleWindows(t *testing.T) {
 	orig := knownBadSchedule(t)
-	fails := func(s *fault.Schedule) bool { return len(s.Lags) > 0 }
+	fails := func(s *fault.Schedule) bool { return countKind(s, fault.Lag) > 0 }
 	shrunk, _ := ShrinkSchedule(orig, fails, 200)
-	if shrunk.NumRules() != 1 || len(shrunk.Lags) != 1 {
+	if len(shrunk.Rules) != 1 || shrunk.Rules[0].Kind != fault.Lag {
 		t.Fatalf("expected a single lag rule, got %s", shrunk)
 	}
-	l := shrunk.Lags[0]
+	l := shrunk.Rules[0]
 	if l.To-l.From >= 2*sim.Millisecond {
 		t.Fatalf("window not narrowed: [%v, %v)", l.From, l.To)
 	}
@@ -115,10 +122,10 @@ func TestShrinkScheduleRealRun(t *testing.T) {
 	if !fails(shrunk) {
 		t.Fatalf("shrunk schedule no longer trips the predicate: %s", shrunk)
 	}
-	if shrunk.NumRules() > 1 {
+	if len(shrunk.Rules) > 1 {
 		t.Fatalf("expected the lone crash rule after %d evals, got: %s", evals, shrunk)
 	}
-	if len(shrunk.Crashes) != 1 || shrunk.Crashes[0].Node != 1 {
+	if countKind(shrunk, fault.Crash) != 1 || shrunk.Rules[0].Node != 1 {
 		t.Fatalf("wrong surviving rule: %s", shrunk)
 	}
 }

@@ -388,9 +388,9 @@ func (p *Population) rearm(li int32, tn int, rng *stream) {
 	p.wheel.Schedule(li, sim.FromSeconds(sec))
 }
 
-// getRequest reuses a drained request or allocates one. Open-loop
-// clients never retransmit, so exactly one copy of each request exists
-// and recycling on reply is unconditionally safe.
+// getRequest reuses a drained request or allocates one. Only requests
+// answered on their first send are drained into the pool (OnReply), so
+// no copy of a reused struct is left anywhere in the cluster.
 func (p *Population) getRequest() *msg.Request {
 	if n := len(p.pool); n > 0 {
 		req := p.pool[n-1]
@@ -554,9 +554,9 @@ func (p *Population) churnPush(n *namespace.Inode) { p.churn = append(p.churn, n
 
 // popRetryFire is the retry-escalation timer: retransmit with doubled
 // backoff, or retire the op as timed out once attempts are exhausted
-// (or the population is draining). Retiring recycles the request; a
-// late reply for a retired id misses the retry map and is dropped
-// without touching the pool, so a struct can never be pooled twice.
+// (or the population is draining). A retired request is never recycled:
+// a copy of it may still be in flight, and a late reply for its id
+// misses the retry map and is dropped.
 func popRetryFire(a, b any) {
 	p := a.(*Population)
 	r := b.(*openRetry)
@@ -566,7 +566,6 @@ func popRetryFire(a, b any) {
 	if p.stopped || r.attempts >= maxRetries {
 		delete(p.retry, r.req.ID)
 		p.timedOut++
-		p.pool = append(p.pool, r.req)
 		return
 	}
 	r.attempts++
@@ -613,20 +612,23 @@ func (p *Population) direct(rec []uint32, req *msg.Request, u uint64) int {
 }
 
 // OnReply completes one arrival: absorb hints and a lease grant if one
-// rides the reply, recycle the request. Allocation-free (pool growth
-// amortises to zero once the outstanding high-water mark is reached). It
-// reports whether the reply was accepted: the caller records a
-// completion's response time only then.
+// rides the reply, recycle the request if it was sent once — the
+// closed-loop Client's rule. Allocation-free (pool growth amortises to
+// zero once the outstanding high-water mark is reached). It reports
+// whether the reply was accepted: the caller records a completion's
+// response time only then.
 func (p *Population) OnReply(rep *msg.Reply) bool {
+	resent := false
 	if p.retry != nil {
 		r, ok := p.retry[rep.ID]
 		if !ok || r.req != rep.Req {
 			// A duplicate reply to a retransmitted (or already retired)
-			// request: the first copy completed it and recycled the
-			// struct, so this one must not touch the pool or counters.
+			// request: the first copy completed it, so this one must not
+			// touch the pool or counters.
 			return false
 		}
 		delete(p.retry, rep.ID)
+		resent = r.attempts > 0
 	}
 	p.completed++
 	if p.curLat != nil {
@@ -659,7 +661,13 @@ func (p *Population) OnReply(rep *msg.Reply) bool {
 			p.lease.Tab.Install(rep.Client, req.Target.ID, rep.LeaseGen,
 				p.eng.Now()+p.lease.Cfg.Duration)
 		}
-		p.pool = append(p.pool, req)
+		if !resent {
+			// Its one copy is answered, so none is left in flight. A
+			// retransmitted request may still have one: reused, that
+			// copy would be served as the next arrival and complete it
+			// early. It is left to the garbage collector.
+			p.pool = append(p.pool, req)
+		}
 	}
 	return true
 }

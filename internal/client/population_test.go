@@ -312,3 +312,61 @@ func TestPopulationHeapBytesPerClient(t *testing.T) {
 	}
 	runtime.KeepAlive(pop)
 }
+
+// holdNet keeps every request sent and answers none: the test delivers
+// replies itself.
+type holdNet struct{ sent []*msg.Request }
+
+func (h *holdNet) NumMDS() int                  { return 4 }
+func (h *holdNet) Send(_ int, req *msg.Request) { h.sent = append(h.sent, req) }
+
+// TestPopulationRecyclesOnlyOnceSentRequests: a retransmitted request
+// has a second copy in flight after its first reply is accepted, so its
+// struct must not serve the next arrival — the stale copy would be
+// served as that arrival and its reply would complete it early. A
+// request answered on its first send has no other copy and is recycled.
+func TestPopulationRecyclesOnlyOnceSentRequests(t *testing.T) {
+	cfg := PopulationConfig{
+		Clients: 1, Rate: 1e-3,
+		Tenant:  workload.TenantConfig{Tenants: 1, WorkingSet: 8},
+		MixStat: 1,
+	}
+	_, homes := popTree(t, 1)
+	eng := sim.NewEngine()
+	net := &holdNet{}
+	pop := NewPopulation(cfg, eng, net, partition.FileHash{N: 4}, workload.NewTenants(cfg.Tenant, 1, homes, 3), 3)
+	pop.EnableRetries(10 * sim.Millisecond)
+	reply := func(req *msg.Request) bool {
+		rep := msg.Reply{Req: req, Client: req.Client, ID: req.ID, Gen: req.Gen, Issued: req.Issued, Completed: eng.Now()}
+		return pop.OnReply(&rep)
+	}
+
+	pop.arrive(0)
+	eng.RunUntil(15 * sim.Millisecond) // the retry timer resends it
+	if len(net.sent) != 2 || net.sent[0] != net.sent[1] || pop.Retries() != 1 {
+		t.Fatalf("want one request sent twice, got %d sends and %d retries", len(net.sent), pop.Retries())
+	}
+	resent := net.sent[0]
+	if !reply(resent) {
+		t.Fatal("the first copy's reply was refused")
+	}
+	pop.arrive(0)
+	if net.sent[2] == resent {
+		t.Fatal("the next arrival reuses a struct whose second copy is still in flight")
+	}
+	if reply(resent) {
+		t.Error("the second copy's reply was accepted")
+	}
+
+	once := net.sent[2]
+	if !reply(once) {
+		t.Fatal("a once-sent request's reply was refused")
+	}
+	pop.arrive(0)
+	if net.sent[3] != once {
+		t.Error("a request answered on its first send was not recycled")
+	}
+	if pop.Completed() != 2 {
+		t.Errorf("completed = %d, want 2", pop.Completed())
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"dynmds/internal/fault"
 	"dynmds/internal/net"
 	"dynmds/internal/sim"
 )
@@ -46,32 +47,24 @@ func (c *Cluster) scheduleFaults(after sim.Time) {
 	if c.sched == nil {
 		return
 	}
-	for _, ev := range c.sched.Crashes {
-		if ev.At <= after {
-			continue
-		}
-		ev := ev
-		c.Eng.At(ev.At, func() {
-			c.Nodes[ev.Node].Fail()
-			c.Failures = append(c.Failures, FaultEvent{At: ev.At, Node: ev.Node})
-		})
-	}
-	for _, ev := range c.sched.Recovers {
-		if ev.At <= after {
-			continue
-		}
-		ev := ev
-		c.Eng.At(ev.At, func() {
-			c.RecoverNode(ev.Node) //nolint:errcheck // node index validated at parse
-		})
-	}
-	for _, w := range c.sched.Slows {
-		w := w
-		if w.From > after {
-			c.Eng.At(w.From, func() { c.Nodes[w.Node].SetSlow(w.Factor) })
-		}
-		if w.To > after {
-			c.Eng.At(w.To, func() { c.Nodes[w.Node].SetSlow(1) })
+	for _, r := range c.sched.Rules {
+		switch {
+		case r.Kind == fault.Crash && r.From > after:
+			c.Eng.At(r.From, func() {
+				c.Nodes[r.Node].Fail()
+				c.Failures = append(c.Failures, FaultEvent{At: r.From, Node: r.Node})
+			})
+		case r.Kind == fault.Recover && r.From > after:
+			c.Eng.At(r.From, func() {
+				c.RecoverNode(r.Node) //nolint:errcheck // node index validated at parse
+			})
+		case r.Kind == fault.Slow:
+			if r.From > after {
+				c.Eng.At(r.From, func() { c.Nodes[r.Node].SetSlow(r.Factor) })
+			}
+			if r.To > after {
+				c.Eng.At(r.To, func() { c.Nodes[r.Node].SetSlow(1) })
+			}
 		}
 	}
 }
@@ -146,7 +139,7 @@ func (c *Cluster) Drain() {
 // FaultSummary renders the human-readable fault block for a finished
 // run: the resilience counters, per-class drop counts, and the injected
 // crash / confirmed-down / recovery timeline. Empty string on
-// fault-free runs. mdsim prints this after a custom -faults run.
+// fault-free runs. mdsim prints this after a run with a fault schedule.
 func (r *Result) FaultSummary() string {
 	if r.FaultSchedule == "" {
 		return ""

@@ -1,11 +1,12 @@
 // Package fault is the deterministic fault injector. A Schedule — parsed
-// from a compact DSL or built programmatically — describes scheduled and
-// probabilistic faults against a simulated cluster: MDS crashes and
-// recoveries at virtual times, per-link message drop probabilities,
-// windowed latency spikes, slow-node service-time scaling, and network
-// partitions between MDS groups. A Plane binds a schedule to a seeded
-// RNG stream and implements net.FaultPlane, so the message fabric
-// consults it on every send.
+// from a compact DSL or built by NewSchedule — is one list of Rules
+// against a simulated cluster: MDS crashes and recoveries at virtual
+// times, per-link message drop probabilities, windowed latency spikes,
+// slow-node service-time scaling, and network partitions between MDS
+// groups. Rules are kept in Kind order, and within a kind in the order
+// they were written; every order a run can observe follows from that.
+// A Plane binds a schedule to a seeded RNG stream and implements
+// net.FaultPlane, so the message fabric consults it on every send.
 //
 // Determinism contract: the plane is driven only by virtual time and its
 // own seeded stream, and it never consumes randomness for a message no
@@ -34,8 +35,10 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -72,6 +75,17 @@ func (s LinkSel) Matches(from, to, clientEdge int) bool {
 	}
 }
 
+// nodes lists the MDS indices the selector names.
+func (s LinkSel) nodes() []int {
+	switch s.kind {
+	case selNode:
+		return []int{s.a}
+	case selPair:
+		return []int{s.a, s.b}
+	}
+	return nil
+}
+
 func (s LinkSel) String() string {
 	switch s.kind {
 	case selAll:
@@ -85,92 +99,64 @@ func (s LinkSel) String() string {
 	}
 }
 
-// NodeEvent schedules a crash or recovery of one MDS at a virtual time.
-type NodeEvent struct {
-	At   sim.Time
-	Node int
-}
+// Kind names what a rule does. A schedule keeps its rules in Kind
+// order, and within a kind in the order they were written: that one
+// ordering rule fixes the canonical text, the order the plane's drop
+// rules draw in, the order the cluster posts node events in and the
+// shrinker's candidate order.
+type Kind uint8
 
-// DropRule drops each matching message independently with probability P
-// for the whole run.
-type DropRule struct {
-	Sel LinkSel
-	P   float64
-}
+// The rule kinds, in schedule order.
+const (
+	Crash     Kind = iota // node Node fails at From
+	Recover               // node Node recovers at From
+	Drop                  // links Sel drop each message with probability P, all run
+	Lag                   // links Sel add Extra transit latency in [From, To)
+	Slow                  // node Node serves Factor times slower in [From, To)
+	Partition             // groups A and B cannot talk in [From, To); never the client edge
+)
 
-// LagRule adds Extra transit latency to matching messages sent during
-// [From, To).
-type LagRule struct {
-	Sel      LinkSel
-	From, To sim.Time
-	Extra    sim.Time
-}
-
-// SlowWindow scales one node's CPU and disk service times by Factor
-// during [From, To).
-type SlowWindow struct {
+// Rule is one fault; which fields it uses depends on its Kind.
+type Rule struct {
+	Kind     Kind
 	From, To sim.Time
 	Node     int
+	Sel      LinkSel
+	P        float64
+	Extra    sim.Time
 	Factor   float64
-}
-
-// Partition drops every message between group A and group B (either
-// direction) during [From, To). The client edge is never partitioned.
-type Partition struct {
-	From, To sim.Time
 	A, B     []int
 }
 
-// Schedule is a full parsed fault schedule.
+// Schedule is a full fault schedule: its rules in Kind order.
 type Schedule struct {
-	Crashes    []NodeEvent
-	Recovers   []NodeEvent
-	Drops      []DropRule
-	Lags       []LagRule
-	Slows      []SlowWindow
-	Partitions []Partition
+	Rules []Rule
 
 	src string
 }
 
-// NumRules counts the schedule's individual rules. The chaos shrinker
-// uses this as its size metric: a shrunk repro must never be larger than
-// the schedule it came from.
-func (s *Schedule) NumRules() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.Crashes) + len(s.Recovers) + len(s.Drops) +
-		len(s.Lags) + len(s.Slows) + len(s.Partitions)
+// NewSchedule builds a schedule from rules, sorting them stably into
+// Kind order in place. ParseSchedule and the chaos generators build
+// through it; cloning, deleting a rule or moving a window keeps the
+// order.
+func NewSchedule(rules []Rule) *Schedule {
+	slices.SortStableFunc(rules, func(a, b Rule) int { return cmp.Compare(a.Kind, b.Kind) })
+	return &Schedule{Rules: rules}
 }
 
 // Clone returns a deep copy that shares no slices with s, so shrinker
 // candidates can be mutated freely.
 func (s *Schedule) Clone() *Schedule {
-	c := &Schedule{
-		Crashes:  append([]NodeEvent(nil), s.Crashes...),
-		Recovers: append([]NodeEvent(nil), s.Recovers...),
-		Drops:    append([]DropRule(nil), s.Drops...),
-		Lags:     append([]LagRule(nil), s.Lags...),
-		Slows:    append([]SlowWindow(nil), s.Slows...),
-		src:      s.src,
-	}
-	for _, p := range s.Partitions {
-		c.Partitions = append(c.Partitions, Partition{
-			From: p.From, To: p.To,
-			A: append([]int(nil), p.A...),
-			B: append([]int(nil), p.B...),
-		})
+	c := &Schedule{Rules: slices.Clone(s.Rules), src: s.src}
+	for i := range c.Rules {
+		c.Rules[i].A = slices.Clone(c.Rules[i].A)
+		c.Rules[i].B = slices.Clone(c.Rules[i].B)
 	}
 	return c
 }
 
 // Empty reports whether the schedule contains no events at all.
-func (s *Schedule) Empty() bool {
-	return s == nil || (len(s.Crashes) == 0 && len(s.Recovers) == 0 &&
-		len(s.Drops) == 0 && len(s.Lags) == 0 && len(s.Slows) == 0 &&
-		len(s.Partitions) == 0)
-}
+func (s *Schedule) Empty() bool { return s == nil || len(s.Rules) == 0 }
 
 // Source returns the DSL string the schedule was parsed from.
 func (s *Schedule) Source() string { return s.src }
@@ -187,39 +173,34 @@ func SelNode(n int) LinkSel { return LinkSel{kind: selNode, a: n} }
 // SelPair selects both directions between MDS a and MDS b.
 func SelPair(a, b int) LinkSel { return LinkSel{kind: selPair, a: a, b: b} }
 
-// String renders the schedule in canonical DSL form: events in struct
-// order (crashes, recovers, drops, lags, slows, partitions), each time
-// in the largest unit that represents it exactly, floats in shortest
-// round-trip form, partition groups as '.'-joined single indices. The
-// output parses back — via ParseSchedule — into a structurally
-// identical schedule (the round-trip property is tested), so
-// programmatically built or shrunk schedules can be replayed verbatim
-// with `mdsim -faults`.
+// String renders the schedule in canonical DSL form: rules in schedule
+// order, each time in the largest unit that represents it exactly,
+// floats in shortest round-trip form, partition groups as '.'-joined
+// single indices. The output parses back — via ParseSchedule — into a
+// structurally identical schedule (the round-trip property is tested),
+// so programmatically built or shrunk schedules can be replayed
+// verbatim with `mdsim -set faults=`.
 func (s *Schedule) String() string {
 	if s.Empty() {
 		return ""
 	}
-	var parts []string
-	for _, e := range s.Crashes {
-		parts = append(parts, fmt.Sprintf("crash@%s:mds%d", sim.FormatTime(e.At), e.Node))
-	}
-	for _, e := range s.Recovers {
-		parts = append(parts, fmt.Sprintf("recover@%s:mds%d", sim.FormatTime(e.At), e.Node))
-	}
-	for _, d := range s.Drops {
-		parts = append(parts, fmt.Sprintf("drop@%s:%s", fmtFloat(d.P), d.Sel))
-	}
-	for _, l := range s.Lags {
-		parts = append(parts, fmt.Sprintf("lag@%s-%s:%s+%s",
-			sim.FormatTime(l.From), sim.FormatTime(l.To), l.Sel, sim.FormatTime(l.Extra)))
-	}
-	for _, w := range s.Slows {
-		parts = append(parts, fmt.Sprintf("slow@%s-%s:mds%dx%s",
-			sim.FormatTime(w.From), sim.FormatTime(w.To), w.Node, fmtFloat(w.Factor)))
-	}
-	for _, p := range s.Partitions {
-		parts = append(parts, fmt.Sprintf("partition@%s-%s:{%s|%s}",
-			sim.FormatTime(p.From), sim.FormatTime(p.To), fmtGroup(p.A), fmtGroup(p.B)))
+	parts := make([]string, len(s.Rules))
+	for i, r := range s.Rules {
+		from, to := sim.FormatTime(r.From), sim.FormatTime(r.To)
+		switch r.Kind {
+		case Crash:
+			parts[i] = fmt.Sprintf("crash@%s:mds%d", from, r.Node)
+		case Recover:
+			parts[i] = fmt.Sprintf("recover@%s:mds%d", from, r.Node)
+		case Drop:
+			parts[i] = fmt.Sprintf("drop@%s:%s", fmtFloat(r.P), r.Sel)
+		case Lag:
+			parts[i] = fmt.Sprintf("lag@%s-%s:%s+%s", from, to, r.Sel, sim.FormatTime(r.Extra))
+		case Slow:
+			parts[i] = fmt.Sprintf("slow@%s-%s:mds%dx%s", from, to, r.Node, fmtFloat(r.Factor))
+		case Partition:
+			parts[i] = fmt.Sprintf("partition@%s-%s:{%s|%s}", from, to, fmtGroup(r.A), fmtGroup(r.B))
+		}
 	}
 	return strings.Join(parts, ",")
 }
@@ -238,225 +219,158 @@ func fmtGroup(g []int) string {
 // ParseSchedule parses the fault DSL described in the package comment.
 // An empty (or all-whitespace) string yields an empty schedule.
 func ParseSchedule(src string) (*Schedule, error) {
-	s := &Schedule{src: strings.TrimSpace(src)}
-	if s.src == "" {
-		return s, nil
-	}
-	for _, ev := range strings.Split(s.src, ",") {
-		ev = strings.TrimSpace(ev)
-		if ev == "" {
-			continue
+	src = strings.TrimSpace(src)
+	var rules []Rule
+	if src != "" {
+		for _, ev := range strings.Split(src, ",") {
+			ev = strings.TrimSpace(ev)
+			if ev == "" {
+				continue
+			}
+			var err error
+			if rules, err = parseEvent(rules, ev); err != nil {
+				return nil, fmt.Errorf("fault event %q: %w", ev, err)
+			}
 		}
-		if err := s.parseEvent(ev); err != nil {
-			return nil, fmt.Errorf("fault event %q: %w", ev, err)
-		}
 	}
+	s := NewSchedule(rules)
+	s.src = src
 	return s, nil
 }
 
-func (s *Schedule) parseEvent(ev string) error {
+// parseEvent appends the rules one event spells (a windowed crash is a
+// crash and a recovery) to rules.
+func parseEvent(rules []Rule, ev string) ([]Rule, error) {
 	kind, rest, ok := strings.Cut(ev, "@")
 	if !ok {
-		return fmt.Errorf("missing '@' (want kind@spec:target)")
+		return nil, fmt.Errorf("missing '@' (want kind@spec:target)")
 	}
 	spec, target, ok := strings.Cut(rest, ":")
 	if !ok {
-		return fmt.Errorf("missing ':' (want kind@spec:target)")
+		return nil, fmt.Errorf("missing ':' (want kind@spec:target)")
 	}
 	switch kind {
 	case "crash":
 		node, err := parseNode(target)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if from, to, isWin := cutWindow(spec); isWin {
 			f, t, err := parseWindow(from, to)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			s.Crashes = append(s.Crashes, NodeEvent{At: f, Node: node})
-			s.Recovers = append(s.Recovers, NodeEvent{At: t, Node: node})
-			return nil
+			return append(rules, Rule{Kind: Crash, From: f, Node: node}, Rule{Kind: Recover, From: t, Node: node}), nil
 		}
 		at, err := sim.ParseTime(spec)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		s.Crashes = append(s.Crashes, NodeEvent{At: at, Node: node})
-		return nil
+		return append(rules, Rule{Kind: Crash, From: at, Node: node}), nil
 	case "recover":
 		node, err := parseNode(target)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		at, err := sim.ParseTime(spec)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		s.Recovers = append(s.Recovers, NodeEvent{At: at, Node: node})
-		return nil
+		return append(rules, Rule{Kind: Recover, From: at, Node: node}), nil
 	case "drop":
 		p, err := strconv.ParseFloat(spec, 64)
 		if err != nil || !(p >= 0 && p <= 1) {
-			return fmt.Errorf("drop probability %q not in [0, 1]", spec)
+			return nil, fmt.Errorf("drop probability %q not in [0, 1]", spec)
 		}
 		sel, err := parseSel(target)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		s.Drops = append(s.Drops, DropRule{Sel: sel, P: p})
-		return nil
+		return append(rules, Rule{Kind: Drop, Sel: sel, P: p}), nil
+	}
+	// The rest are windowed.
+	if kind != "lag" && kind != "slow" && kind != "partition" {
+		return nil, fmt.Errorf("unknown fault kind %q (want crash, recover, drop, lag, slow, or partition)", kind)
+	}
+	from, to, isWin := cutWindow(spec)
+	if !isWin {
+		return nil, fmt.Errorf("%s wants a time window (from-to), got %q", kind, spec)
+	}
+	f, t, err := parseWindow(from, to)
+	if err != nil {
+		return nil, err
+	}
+	switch kind {
 	case "lag":
-		from, to, isWin := cutWindow(spec)
-		if !isWin {
-			return fmt.Errorf("lag wants a time window (from-to), got %q", spec)
-		}
-		f, t, err := parseWindow(from, to)
-		if err != nil {
-			return err
-		}
 		selStr, extraStr, ok := strings.Cut(target, "+")
 		if !ok {
-			return fmt.Errorf("lag target wants selector+duration, got %q", target)
+			return nil, fmt.Errorf("lag target wants selector+duration, got %q", target)
 		}
 		sel, err := parseSel(selStr)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		extra, err := sim.ParseTime(extraStr)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if extra <= 0 {
-			return fmt.Errorf("lag duration %q must be positive", extraStr)
+			return nil, fmt.Errorf("lag duration %q must be positive", extraStr)
 		}
-		s.Lags = append(s.Lags, LagRule{Sel: sel, From: f, To: t, Extra: extra})
-		return nil
+		return append(rules, Rule{Kind: Lag, From: f, To: t, Sel: sel, Extra: extra}), nil
 	case "slow":
-		from, to, isWin := cutWindow(spec)
-		if !isWin {
-			return fmt.Errorf("slow wants a time window (from-to), got %q", spec)
-		}
-		f, t, err := parseWindow(from, to)
-		if err != nil {
-			return err
-		}
 		nodeStr, facStr, ok := strings.Cut(target, "x")
 		if !ok {
-			return fmt.Errorf("slow target wants mdsN x factor, got %q", target)
+			return nil, fmt.Errorf("slow target wants mdsN x factor, got %q", target)
 		}
 		node, err := parseNode(nodeStr)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fac, err := strconv.ParseFloat(facStr, 64)
 		if err != nil || !(fac >= 1) || math.IsInf(fac, 1) {
-			return fmt.Errorf("slow factor %q must be >= 1", facStr)
+			return nil, fmt.Errorf("slow factor %q must be >= 1", facStr)
 		}
-		s.Slows = append(s.Slows, SlowWindow{From: f, To: t, Node: node, Factor: fac})
-		return nil
-	case "partition":
-		from, to, isWin := cutWindow(spec)
-		if !isWin {
-			return fmt.Errorf("partition wants a time window (from-to), got %q", spec)
-		}
-		f, t, err := parseWindow(from, to)
-		if err != nil {
-			return err
-		}
-		if !strings.HasPrefix(target, "{") || !strings.HasSuffix(target, "}") {
-			return fmt.Errorf("partition target wants {groupA|groupB}, got %q", target)
-		}
-		aStr, bStr, ok := strings.Cut(target[1:len(target)-1], "|")
-		if !ok {
-			return fmt.Errorf("partition target wants {groupA|groupB}, got %q", target)
-		}
-		a, err := parseGroup(aStr)
-		if err != nil {
-			return err
-		}
-		b, err := parseGroup(bStr)
-		if err != nil {
-			return err
-		}
-		for _, n := range a {
-			for _, m := range b {
-				if n == m {
-					return fmt.Errorf("partition groups overlap on node %d", n)
-				}
-			}
-		}
-		s.Partitions = append(s.Partitions, Partition{From: f, To: t, A: a, B: b})
-		return nil
-	default:
-		return fmt.Errorf("unknown fault kind %q (want crash, recover, drop, lag, slow, or partition)", kind)
+		return append(rules, Rule{Kind: Slow, From: f, To: t, Node: node, Factor: fac}), nil
 	}
+	if !strings.HasPrefix(target, "{") || !strings.HasSuffix(target, "}") {
+		return nil, fmt.Errorf("partition target wants {groupA|groupB}, got %q", target)
+	}
+	aStr, bStr, ok := strings.Cut(target[1:len(target)-1], "|")
+	if !ok {
+		return nil, fmt.Errorf("partition target wants {groupA|groupB}, got %q", target)
+	}
+	a, err := parseGroup(aStr)
+	if err != nil {
+		return nil, err
+	}
+	b, err := parseGroup(bStr)
+	if err != nil {
+		return nil, err
+	}
+	for _, n := range a {
+		if slices.Contains(b, n) {
+			return nil, fmt.Errorf("partition groups overlap on node %d", n)
+		}
+	}
+	return append(rules, Rule{Kind: Partition, From: f, To: t, A: a, B: b}), nil
 }
 
 // Validate checks node indices against the cluster size. It is separate
 // from parsing so the DSL can be validated before a cluster exists and
 // re-checked once the size is known.
 func (s *Schedule) Validate(numMDS int) error {
-	check := func(n int) error {
-		if n < 0 || n >= numMDS {
-			return fmt.Errorf("fault schedule names mds%d, cluster has %d nodes", n, numMDS)
+	for _, r := range s.Rules {
+		named := []int{r.Node}
+		switch r.Kind {
+		case Drop, Lag:
+			named = r.Sel.nodes()
+		case Partition:
+			named = slices.Concat(r.A, r.B)
 		}
-		return nil
-	}
-	for _, e := range s.Crashes {
-		if err := check(e.Node); err != nil {
-			return err
-		}
-	}
-	for _, e := range s.Recovers {
-		if err := check(e.Node); err != nil {
-			return err
-		}
-	}
-	for _, w := range s.Slows {
-		if err := check(w.Node); err != nil {
-			return err
-		}
-	}
-	for _, d := range s.Drops {
-		if d.Sel.kind == selNode {
-			if err := check(d.Sel.a); err != nil {
-				return err
-			}
-		}
-		if d.Sel.kind == selPair {
-			if err := check(d.Sel.a); err != nil {
-				return err
-			}
-			if err := check(d.Sel.b); err != nil {
-				return err
-			}
-		}
-	}
-	for _, l := range s.Lags {
-		if l.Sel.kind == selNode {
-			if err := check(l.Sel.a); err != nil {
-				return err
-			}
-		}
-		if l.Sel.kind == selPair {
-			if err := check(l.Sel.a); err != nil {
-				return err
-			}
-			if err := check(l.Sel.b); err != nil {
-				return err
-			}
-		}
-	}
-	for _, p := range s.Partitions {
-		for _, n := range p.A {
-			if err := check(n); err != nil {
-				return err
-			}
-		}
-		for _, n := range p.B {
-			if err := check(n); err != nil {
-				return err
+		for _, n := range named {
+			if n < 0 || n >= numMDS {
+				return fmt.Errorf("fault schedule names mds%d, cluster has %d nodes", n, numMDS)
 			}
 		}
 	}

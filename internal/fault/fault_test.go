@@ -17,30 +17,21 @@ func TestParseScheduleFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Crashes) != 1 || s.Crashes[0] != (NodeEvent{At: 30 * sim.Second, Node: 3}) {
-		t.Errorf("crashes = %+v", s.Crashes)
+	want := []Rule{
+		{Kind: Crash, From: 30 * sim.Second, Node: 3},
+		{Kind: Recover, From: 45 * sim.Second, Node: 3},
+		{Kind: Drop, Sel: SelPair(2, 5), P: 0.01},
+		{Kind: Drop, Sel: SelNode(1), P: 0.05},
+		{Kind: Drop, Sel: SelClient(), P: 0.02},
+		{Kind: Lag, From: 10 * sim.Second, To: 20 * sim.Second, Sel: SelAll(), Extra: 2 * sim.Millisecond},
+		{Kind: Slow, From: 5 * sim.Second, To: 15 * sim.Second, Node: 2, Factor: 4},
+		{Kind: Partition, From: 60 * sim.Second, To: 90 * sim.Second, A: []int{0, 1, 2, 3}, B: []int{4, 5, 6, 7}},
 	}
-	if len(s.Recovers) != 1 || s.Recovers[0] != (NodeEvent{At: 45 * sim.Second, Node: 3}) {
-		t.Errorf("recovers = %+v", s.Recovers)
+	if !reflect.DeepEqual(s.Rules, want) {
+		t.Errorf("rules = %+v\nwant %+v", s.Rules, want)
 	}
-	if len(s.Drops) != 3 {
-		t.Fatalf("drops = %+v", s.Drops)
-	}
-	if got := s.Drops[0].Sel.String(); got != "link2-5" {
+	if got := s.Rules[2].Sel.String(); got != "link2-5" {
 		t.Errorf("drop sel = %s", got)
-	}
-	if len(s.Lags) != 1 || s.Lags[0].Extra != 2*sim.Millisecond {
-		t.Errorf("lags = %+v", s.Lags)
-	}
-	if len(s.Slows) != 1 || s.Slows[0].Factor != 4 {
-		t.Errorf("slows = %+v", s.Slows)
-	}
-	if len(s.Partitions) != 1 {
-		t.Fatalf("partitions = %+v", s.Partitions)
-	}
-	p := s.Partitions[0]
-	if len(p.A) != 4 || len(p.B) != 4 || p.A[0] != 0 || p.B[3] != 7 {
-		t.Errorf("partition groups = %+v | %+v", p.A, p.B)
 	}
 	if err := s.Validate(8); err != nil {
 		t.Errorf("validate(8): %v", err)
@@ -58,11 +49,27 @@ func TestParseScheduleWindowCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Crashes) != 1 || len(s.Recovers) != 1 {
-		t.Fatalf("windowed crash: %+v / %+v", s.Crashes, s.Recovers)
+	if len(s.Rules) != 2 || s.Rules[0].Kind != Crash || s.Rules[1].Kind != Recover {
+		t.Fatalf("windowed crash: %+v", s.Rules)
 	}
-	if s.Recovers[0].At != 45*sim.Second {
-		t.Errorf("auto-recover at %v", s.Recovers[0].At)
+	if s.Rules[1].From != 45*sim.Second {
+		t.Errorf("auto-recover at %v", s.Rules[1].From)
+	}
+}
+
+// TestKindOrder: whatever order a schedule is written in, its rules
+// come out in Kind order and, within a kind, in the order written — the
+// one ordering rule the text, the plane and the cluster all follow.
+func TestKindOrder(t *testing.T) {
+	s, err := ParseSchedule("partition@1s-2s:{0|1},slow@1s-2s:mds2x2,recover@9s:mds1," +
+		"drop@0.2:mds2,crash@3s-4s:mds2,lag@1s-2s:all+1ms,drop@0.1:all,crash@1s:mds1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "crash@3s:mds2,crash@1s:mds1,recover@9s:mds1,recover@4s:mds2," +
+		"drop@0.2:mds2,drop@0.1:all,lag@1s-2s:all+1ms,slow@1s-2s:mds2x2,partition@1s-2s:{0|1}"
+	if got := s.String(); got != want {
+		t.Errorf("canonical text\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -83,14 +90,14 @@ func TestParseScheduleTimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Crashes[0].At != 500*sim.Millisecond {
-		t.Errorf("500ms parsed as %v", s.Crashes[0].At)
+	if s.Rules[0].From != 500*sim.Millisecond {
+		t.Errorf("500ms parsed as %v", s.Rules[0].From)
 	}
-	if s.Recovers[0].At != 250*sim.Microsecond {
-		t.Errorf("250us parsed as %v", s.Recovers[0].At)
+	if s.Rules[1].From != 250*sim.Microsecond {
+		t.Errorf("250us parsed as %v", s.Rules[1].From)
 	}
-	if s.Lags[0].From != 1500*sim.Millisecond || s.Lags[0].Extra != 750*sim.Microsecond {
-		t.Errorf("lag window parsed as %+v", s.Lags[0])
+	if l := s.Rules[2]; l.From != 1500*sim.Millisecond || l.Extra != 750*sim.Microsecond {
+		t.Errorf("lag window parsed as %+v", l)
 	}
 }
 
@@ -165,6 +172,23 @@ func TestPlanePartitionAndLag(t *testing.T) {
 	}
 	if _, extra := at(16*sim.Second, 0, 3); extra != 0 {
 		t.Errorf("lag active after window: %v", extra)
+	}
+}
+
+// TestPlanePassOrder: partitions are checked before any drop rule
+// draws, whatever the kind order, so a partitioned message consumes no
+// randomness and a message the partition lets through draws as usual.
+func TestPlanePassOrder(t *testing.T) {
+	s, err := ParseSchedule("drop@0.5:all,partition@0s-10s:{0|1}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPlane(1, s, 3)
+	if drop, _ := p.Transit(0, 1, 5*sim.Second); !drop || p.draws != 0 {
+		t.Errorf("partitioned 0->1: dropped %v after %d draws, want dropped after 0", drop, p.draws)
+	}
+	if p.Transit(0, 2, 5*sim.Second); p.draws != 1 {
+		t.Errorf("0->2 across no partition: %d draws, want 1", p.draws)
 	}
 }
 
@@ -249,42 +273,42 @@ func randomSchedule(rng *sim.RNG, numMDS int) *Schedule {
 			return SelPair(a, b)
 		}
 	}
-	s := &Schedule{}
+	var rules []Rule
 	for i := rng.Intn(3); i > 0; i-- {
-		s.Crashes = append(s.Crashes, NodeEvent{At: rt(), Node: rng.Intn(numMDS)})
+		rules = append(rules, Rule{Kind: Crash, From: rt(), Node: rng.Intn(numMDS)})
 	}
 	for i := rng.Intn(3); i > 0; i-- {
-		s.Recovers = append(s.Recovers, NodeEvent{At: rt(), Node: rng.Intn(numMDS)})
+		rules = append(rules, Rule{Kind: Recover, From: rt(), Node: rng.Intn(numMDS)})
 	}
 	for i := rng.Intn(3); i > 0; i-- {
-		s.Drops = append(s.Drops, DropRule{Sel: sel(), P: rng.Float64()})
-	}
-	for i := rng.Intn(3); i > 0; i-- {
-		f, to := win()
-		s.Lags = append(s.Lags, LagRule{Sel: sel(), From: f, To: to, Extra: rt()})
+		rules = append(rules, Rule{Kind: Drop, Sel: sel(), P: rng.Float64()})
 	}
 	for i := rng.Intn(3); i > 0; i-- {
 		f, to := win()
-		s.Slows = append(s.Slows, SlowWindow{From: f, To: to, Node: rng.Intn(numMDS), Factor: 1 + 7*rng.Float64()})
+		rules = append(rules, Rule{Kind: Lag, Sel: sel(), From: f, To: to, Extra: rt()})
+	}
+	for i := rng.Intn(3); i > 0; i-- {
+		f, to := win()
+		rules = append(rules, Rule{Kind: Slow, From: f, To: to, Node: rng.Intn(numMDS), Factor: 1 + 7*rng.Float64()})
 	}
 	for i := rng.Intn(2); i > 0; i-- {
 		f, to := win()
 		half := 1 + rng.Intn(numMDS-1)
 		perm := rng.Perm(numMDS)
-		s.Partitions = append(s.Partitions, Partition{
-			From: f, To: to,
+		rules = append(rules, Rule{
+			Kind: Partition, From: f, To: to,
 			A: append([]int(nil), perm[:half]...),
 			B: append([]int(nil), perm[half:]...),
 		})
 	}
-	return s
+	return NewSchedule(rules)
 }
 
 // TestStringRoundTripProperty is the satellite-1 guarantee: for any
 // schedule — parsed from the DSL or built programmatically (as the
 // chaos generator and shrinker do) — String() emits canonical DSL that
 // ParseSchedule turns back into a structurally identical schedule. That
-// makes every shrunk repro loadable via `mdsim -faults` verbatim.
+// makes every shrunk repro loadable via `mdsim -set faults=` verbatim.
 func TestStringRoundTripProperty(t *testing.T) {
 	const numMDS = 6
 	rng := sim.NewStream(20260806, "fault-roundtrip")
@@ -344,13 +368,13 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := s.Clone()
-	c.Crashes[0].Node = 2
-	c.Partitions[0].A[0] = 9
-	if s.Crashes[0].Node != 1 || s.Partitions[0].A[0] != 0 {
+	c.Rules[0].Node = 2
+	c.Rules[1].A[0] = 9
+	if s.Rules[0].Node != 1 || s.Rules[1].A[0] != 0 {
 		t.Error("Clone shares memory with the original")
 	}
-	if s.NumRules() != 2 || c.NumRules() != 2 {
-		t.Errorf("NumRules = %d / %d, want 2", s.NumRules(), c.NumRules())
+	if len(s.Rules) != 2 || len(c.Rules) != 2 {
+		t.Errorf("rules = %d / %d, want 2", len(s.Rules), len(c.Rules))
 	}
 }
 
@@ -363,8 +387,8 @@ func TestScheduleSourceRoundTrip(t *testing.T) {
 	if s.Source() != src {
 		t.Errorf("source = %q", s.Source())
 	}
-	if !strings.Contains(s.Drops[0].Sel.String(), "link") {
-		t.Errorf("sel string = %q", s.Drops[0].Sel.String())
+	if !strings.Contains(s.Rules[1].Sel.String(), "link") {
+		t.Errorf("sel string = %q", s.Rules[1].Sel.String())
 	}
 }
 

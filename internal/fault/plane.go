@@ -27,8 +27,8 @@ type Plane struct {
 	// checkpoint serializes the count and a restore replays it forward.
 	draws uint64
 
-	// side[i] is partition i's membership table indexed by endpoint; the
-	// client edge is always sideNone.
+	// side[i] is partition rule i's membership table indexed by
+	// endpoint (nil for other kinds); the client edge is always sideNone.
 	side [][]uint8
 }
 
@@ -37,13 +37,16 @@ type Plane struct {
 // with its own label, so attaching a plane perturbs no other stream.
 func NewPlane(seed int64, s *Schedule, clientEdge int) *Plane {
 	p := &Plane{s: s, rng: sim.NewStream(seed, "fault"), edge: clientEdge}
-	p.side = make([][]uint8, len(s.Partitions))
-	for i, part := range s.Partitions {
+	p.side = make([][]uint8, len(s.Rules))
+	for i, r := range s.Rules {
+		if r.Kind != Partition {
+			continue
+		}
 		tbl := make([]uint8, clientEdge+1)
-		for _, n := range part.A {
+		for _, n := range r.A {
 			tbl[n] = sideA
 		}
-		for _, n := range part.B {
+		for _, n := range r.B {
 			tbl[n] = sideB
 		}
 		p.side[i] = tbl
@@ -51,14 +54,17 @@ func NewPlane(seed int64, s *Schedule, clientEdge int) *Plane {
 	return p
 }
 
-// Transit implements net.FaultPlane: partitions drop deterministically,
-// drop rules each draw once per matching message, and active lag rules
-// accumulate extra latency. No randomness is consumed unless a
-// positive-probability drop rule matches the link.
+// Transit implements net.FaultPlane in three passes over the rules:
+// partitions drop deterministically, then drop rules each draw once per
+// matching message, then active lag rules accumulate extra latency. A
+// partitioned message is dropped before any drop rule draws, and no
+// randomness is consumed unless a positive-probability drop rule
+// matches the link.
 func (p *Plane) Transit(from, to int, now sim.Time) (bool, sim.Time) {
-	for i := range p.s.Partitions {
-		part := &p.s.Partitions[i]
-		if now < part.From || now >= part.To {
+	rules := p.s.Rules
+	for i := range rules {
+		r := &rules[i]
+		if r.Kind != Partition || now < r.From || now >= r.To {
 			continue
 		}
 		a, b := p.side[i][from], p.side[i][to]
@@ -66,21 +72,21 @@ func (p *Plane) Transit(from, to int, now sim.Time) (bool, sim.Time) {
 			return true, 0
 		}
 	}
-	for i := range p.s.Drops {
-		d := &p.s.Drops[i]
-		if d.P <= 0 || !d.Sel.Matches(from, to, p.edge) {
+	for i := range rules {
+		r := &rules[i]
+		if r.Kind != Drop || r.P <= 0 || !r.Sel.Matches(from, to, p.edge) {
 			continue
 		}
 		p.draws++
-		if p.rng.Float64() < d.P {
+		if p.rng.Float64() < r.P {
 			return true, 0
 		}
 	}
 	var extra sim.Time
-	for i := range p.s.Lags {
-		l := &p.s.Lags[i]
-		if now >= l.From && now < l.To && l.Sel.Matches(from, to, p.edge) {
-			extra += l.Extra
+	for i := range rules {
+		r := &rules[i]
+		if r.Kind == Lag && now >= r.From && now < r.To && r.Sel.Matches(from, to, p.edge) {
+			extra += r.Extra
 		}
 	}
 	return false, extra
@@ -97,8 +103,8 @@ func (p *Plane) Snap(c *snap.Codec) { snap.U(c, &p.draws) }
 // refused rather than believed.
 func (p *Plane) Replay(sent uint64) error {
 	rules := uint64(0)
-	for i := range p.s.Drops {
-		if p.s.Drops[i].P > 0 {
+	for _, r := range p.s.Rules {
+		if r.Kind == Drop && r.P > 0 {
 			rules++
 		}
 	}

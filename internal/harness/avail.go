@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"dynmds/internal/cluster"
 	"dynmds/internal/fault"
@@ -93,11 +94,15 @@ func renderAvail(w io.Writer, runs []PlanRun) error {
 // cell's schedule's.
 func reduceAvail(run *PlanRun, control *cluster.Result) (availMetrics, error) {
 	sched, err := fault.ParseSchedule(run.Cfg.Faults)
-	if err != nil || len(sched.Crashes) != 1 || len(sched.Recovers) != 1 {
+	var w []fault.Rule // the node events: crashes, then recoveries
+	if err == nil {
+		w = slices.DeleteFunc(sched.Rules, func(r fault.Rule) bool { return r.Kind > fault.Recover })
+	}
+	if len(w) != 2 || w[0].Kind != fault.Crash || w[1].Kind != fault.Recover {
 		return availMetrics{}, fmt.Errorf("avail: %s: want one crash window, not %q", run.Label, run.Cfg.Faults)
 	}
-	r, victim := run.Res, sched.Crashes[0].Node
-	crashAt, recoverAt := sched.Crashes[0].At, sched.Recovers[0].At
+	r, victim := run.Res, w[0].Node
+	crashAt, recoverAt := w[0].From, w[1].From
 	m := availMetrics{
 		Strategy:        r.Strategy,
 		Retries:         r.Retries,

@@ -72,7 +72,7 @@ func chaosExperiment(schedules int) Experiment {
 func writeChaosReport(w io.Writer, seed int64, scheds []*fault.Schedule, runs []PlanRun) {
 	failed, rules := 0, 0
 	for _, s := range scheds {
-		rules += s.NumRules()
+		rules += len(s.Rules)
 	}
 	for i := range runs {
 		if runs[i].Fsck != nil {

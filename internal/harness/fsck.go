@@ -51,7 +51,7 @@ func shrinkFailures(runs []PlanRun, opt Options, run func(plan.Compiled, Options
 			return
 		}
 		sched, err := fault.ParseSchedule(r.Cfg.Faults)
-		if err != nil || sched.NumRules() == 0 {
+		if err != nil || sched.Empty() {
 			continue // no schedule to shrink (a compiled cell's always parses)
 		}
 		from := ""
