@@ -323,6 +323,32 @@ func TestServiceQueuesLine(t *testing.T) {
 	}
 }
 
+// TestDefaultReportIsDeterministic: the single-run report prints only
+// what the run determines, so one command run twice in one process
+// prints the same text bar its wall-time line — the second run thaws
+// the frozen base the first one cached.
+func TestDefaultReportIsDeterministic(t *testing.T) {
+	args := []string{"-set", "rate=0.05", "-set", "clients=20000", "-set", "tenant-skew=1",
+		"-set", "file-skew=1", "-set", "duration=8s", "-set", "warmup=1s",
+		"-set", "mechanism=both", "-set", "strategy=StaticSubtree"}
+	report := func() []string {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("exit status %d\n%s", code, stderr.String())
+		}
+		var out []string
+		for _, line := range strings.SplitAfter(stdout.String(), "\n") {
+			if !strings.HasPrefix(line, "wall time: ") {
+				out = append(out, line)
+			}
+		}
+		return out
+	}
+	if first, second := report(), report(); !slices.Equal(first, second) {
+		t.Fatalf("two runs of one command differ:\n%s\n---\n%s", strings.Join(first, ""), strings.Join(second, ""))
+	}
+}
+
 // TestMemprofileFailureExits1: a heap profile that cannot be written is
 // a failed run, not a silent success.
 func TestMemprofileFailureExits1(t *testing.T) {

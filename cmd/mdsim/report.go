@@ -19,7 +19,6 @@ func defaultPlan() harness.Experiment {
 	return harness.Experiment{
 		ID:          d.Name,
 		Description: d.Describe,
-		Heap:        true,
 		Build: func(opt harness.Options) ([]*plan.Plan, harness.Renderer, error) {
 			start := time.Now()
 			return []*plan.Plan{d}, func(w io.Writer, runs []harness.PlanRun) error {
@@ -47,8 +46,7 @@ func writeSingle(w io.Writer, r *harness.PlanRun, start time.Time) {
 	if res.OpenLoop {
 		fmt.Fprintf(w, "open loop: %d clients, issued %d, completed %d\n",
 			res.Clients, res.Issued, res.Completed)
-		fmt.Fprintf(w, "memory: plane %.1f B/client structural, %.1f B/client heap delta (fs+cluster+plane)\n",
-			float64(res.PopFootprint)/float64(res.Clients), float64(r.Heap)/float64(res.Clients))
+		fmt.Fprintf(w, "memory: plane %.1f B/client structural\n", float64(res.PopFootprint)/float64(res.Clients))
 		if r.Cfg.Lease.Enabled || r.Cfg.Lease.Fanout {
 			fmt.Fprintf(w, "leases: %d grants, %d local hits, recalls %d sent / %d delivered / %d acked, %d fanouts, slab+registry %d B\n",
 				res.LeaseGrants, res.LeaseHits, res.LeaseRecalls,

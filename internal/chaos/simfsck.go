@@ -151,10 +151,7 @@ func checkAging(cl *cluster.Cluster, base Baseline, fail func(string, ...any)) {
 // destroyed while dirty are unreachable and exempt by design).
 func checkNamespace(cl *cluster.Cluster, base Baseline, fail func(string, ...any)) {
 	n := len(cl.Nodes)
-	var outOfRange uint64
-	if n < namespace.MaxMDS {
-		outOfRange = ^uint64(0) << uint(n)
-	}
+	outOfRange := ^uint64(0) << uint(n)
 	bad := 0
 	writers := cl.Writers()
 	cl.Tree().Walk(func(ino *namespace.Inode) bool {
@@ -176,7 +173,7 @@ func checkNamespace(cl *cluster.Cluster, base Baseline, fail func(string, ...any
 				ino.Path(), bits, n)
 			bad++
 		}
-		for i := 0; i < n && i < namespace.MaxMDS; i++ {
+		for i := 0; i < n; i++ {
 			if w&(1<<uint(i)) != 0 && !cl.Nodes[i].Failed() {
 				fail("unflushed write on %s held by live mds%d after drain", ino.Path(), i)
 				bad++

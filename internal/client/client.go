@@ -11,7 +11,9 @@
 //   - Population is the open-loop flyweight plane for millions of
 //     clients: dense per-client records in slab arrays, arrivals
 //     scheduled through a hierarchical timer wheel, tenants with
-//     Zipf-distributed sizes (see population.go).
+//     Zipf-distributed sizes (see population.go). It knows no scenario
+//     acts: the cluster runs them and installs each act's rate, mix,
+//     hotspot and latency lane as the population's phase (SetPhase).
 //
 // Both planes keep location knowledge in a HintTable (hints.go): one
 // population-wide table for the open loop, a private single-client table

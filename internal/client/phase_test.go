@@ -3,6 +3,7 @@ package client
 import (
 	"testing"
 
+	"dynmds/internal/metrics"
 	"dynmds/internal/msg"
 	"dynmds/internal/namespace"
 	"dynmds/internal/partition"
@@ -64,7 +65,16 @@ func actFixture(t *testing.T, cfg PopulationConfig, seed int64) (*sim.Engine, *P
 	return eng, pop, net, homes
 }
 
-// TestActRetargetsMixRateAndHotspot drives one act through the
+// schedulePhase installs a phase over [from, to) as a cluster act does,
+// then reverts to the base phase, and returns the phase's latency lane.
+func schedulePhase(eng *sim.Engine, pop *Population, from, to sim.Time, rateMul float64, mix [numMixOps]float64, hot *namespace.Inode, hotFrac float64) *metrics.LatHist {
+	lat := metrics.NewLatHist()
+	eng.At(from, func() { pop.SetPhase(rateMul, mix, hot, hotFrac, lat) })
+	eng.At(to, func() { pop.SetPhase(0, [numMixOps]float64{}, nil, 0, nil) })
+	return lat
+}
+
+// TestActRetargetsMixRateAndHotspot drives one act's phase through the
 // population and checks all three retargeting mechanisms window by
 // window: the op mix flips to creates, the arrival rate triples, and
 // the hotspot absorbs its fraction of targets — then everything reverts
@@ -78,12 +88,9 @@ func TestActRetargetsMixRateAndHotspot(t *testing.T) {
 	eng, pop, net, homes := actFixture(t, cfg, 21)
 	hot := homes[0]
 	net.hot = hot
-	pop.ScheduleActs([]Act{{
-		Name: "storm", From: sim.Second, To: 2 * sim.Second,
-		RateMul: 3,
-		Mix:     [numMixOps]float64{0, 0, 0, 1, 0}, // pure create
-		Hot:     hot, HotFrac: 0.8,
-	}})
+	schedulePhase(eng, pop, sim.Second, 2*sim.Second, 3,
+		[numMixOps]float64{0, 0, 0, 1, 0}, // pure create
+		hot, 0.8)
 	pop.Start()
 	eng.RunUntil(3 * sim.Second)
 
@@ -120,46 +127,9 @@ func TestActRetargetsMixRateAndHotspot(t *testing.T) {
 	}
 }
 
-// TestActStatsAccounting cross-checks the per-act counters against the
-// network's own window counts, and the latency lane against completions.
-func TestActStatsAccounting(t *testing.T) {
-	cfg := PopulationConfig{
-		Clients: 300, Rate: 40,
-		Tenant:  workload.TenantConfig{Tenants: 4, WorkingSet: 8},
-		MixStat: 1,
-	}
-	eng, pop, net, _ := actFixture(t, cfg, 5)
-	pop.ScheduleActs([]Act{
-		{Name: "a", From: sim.Second, To: 2 * sim.Second},
-		{Name: "b", From: 2 * sim.Second, To: 3 * sim.Second, RateMul: 2},
-	})
-	pop.Start()
-	eng.RunUntil(4 * sim.Second)
-
-	stats := pop.ActStats()
-	if len(stats) != 2 {
-		t.Fatalf("got %d act stats, want 2", len(stats))
-	}
-	for i, name := range []string{"a", "b"} {
-		st := stats[i]
-		if st.Name != name {
-			t.Fatalf("act %d name = %q, want %q", i, st.Name, name)
-		}
-		// Synchronous echo: every send completes instantly, so the act's
-		// issued and completed both equal the window's send count.
-		want := net.wins[i+1].sends
-		if st.Issued != want || st.Completed != want {
-			t.Fatalf("act %q: issued=%d completed=%d, want %d", name, st.Issued, st.Completed, want)
-		}
-		if st.Lat.N() != st.Completed {
-			t.Fatalf("act %q: latency lane N=%d, completed=%d", name, st.Lat.N(), st.Completed)
-		}
-	}
-}
-
-// TestActDeterminism pins bit-reproducibility with the full act
-// machinery active: same seed, same counts, same event count, same tail
-// quantile; a different seed diverges.
+// TestActDeterminism pins bit-reproducibility with two act phases in a
+// row: same seed, same counts, same event count, same tail quantile of
+// the second phase; a different seed diverges.
 func TestActDeterminism(t *testing.T) {
 	cfg := PopulationConfig{
 		Clients: 300, Rate: 50,
@@ -168,14 +138,12 @@ func TestActDeterminism(t *testing.T) {
 	}
 	run := func(seed int64) (uint64, uint64, sim.Time, uint64) {
 		eng, pop, _, homes := actFixture(t, cfg, seed)
-		pop.ScheduleActs([]Act{
-			{Name: "warm", From: sim.Second, To: 2 * sim.Second, RateMul: 2},
-			{Name: "storm", From: 2 * sim.Second, To: 4 * sim.Second,
-				Mix: [numMixOps]float64{50, 0, 0, 50, 0}, Hot: homes[1], HotFrac: 0.6},
-		})
+		schedulePhase(eng, pop, sim.Second, 2*sim.Second, 2, [numMixOps]float64{}, nil, 0)
+		storm := schedulePhase(eng, pop, 2*sim.Second, 4*sim.Second, 0,
+			[numMixOps]float64{50, 0, 0, 50, 0}, homes[1], 0.6)
 		pop.Start()
 		eng.RunUntil(5 * sim.Second)
-		return pop.Issued(), pop.Completed(), pop.ActStats()[1].Lat.Quantile(0.99), eng.Executed
+		return pop.Issued(), pop.Completed(), storm.Quantile(0.99), eng.Executed
 	}
 	i1, c1, q1, e1 := run(42)
 	i2, c2, q2, e2 := run(42)
@@ -189,10 +157,10 @@ func TestActDeterminism(t *testing.T) {
 }
 
 // TestActSteadyStateAllocFree extends the population's zero-alloc pin
-// to a window with an act active: retargeted rate, mix, hotspot and the
-// per-act latency lane must not add a single steady-state allocation.
-// (Boundary work — threshold rebuild, one histogram per act —
-// happens at begin/end, outside the pinned window.)
+// to a window with an act's phase active: retargeted rate, mix, hotspot
+// and the latency lane must not add a single steady-state allocation.
+// (Boundary work — the threshold rebuild — happens at SetPhase, outside
+// the pinned window.)
 func TestActSteadyStateAllocFree(t *testing.T) {
 	cfg := PopulationConfig{
 		Clients: 1000, Rate: 200,
@@ -202,12 +170,8 @@ func TestActSteadyStateAllocFree(t *testing.T) {
 		DiurnalAmp: 0.3, BurstProb: 0.1,
 	}
 	eng, pop, _, homes := actFixture(t, cfg, 11)
-	pop.ScheduleActs([]Act{{
-		Name: "busy", From: sim.Second, To: 10 * sim.Second,
-		RateMul: 2,
-		Mix:     [numMixOps]float64{60, 20, 20, 0, 0},
-		Hot:     homes[2], HotFrac: 0.5,
-	}})
+	lat := schedulePhase(eng, pop, sim.Second, 10*sim.Second, 2,
+		[numMixOps]float64{60, 20, 20, 0, 0}, homes[2], 0.5)
 	pop.Start()
 	// Warm into the act: boundary fired, pools and wheel at high water.
 	eng.RunUntil(2 * sim.Second)
@@ -219,7 +183,7 @@ func TestActSteadyStateAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("act-active hot path allocates: %v allocs per 50ms window", allocs)
 	}
-	if st := pop.ActStats(); st[0].Issued == 0 || st[0].Completed == 0 {
+	if lat.N() == 0 {
 		t.Fatal("no traffic during pin")
 	}
 }

@@ -3,6 +3,7 @@ package client
 import (
 	"math"
 	"slices"
+	"strconv"
 
 	"dynmds/internal/lease"
 	"dynmds/internal/metrics"
@@ -12,6 +13,10 @@ import (
 	"dynmds/internal/sim"
 	"dynmds/internal/workload"
 )
+
+// numMixOps is the op vocabulary size of the open-loop mix, in canonical
+// draw order: stat, readdir, chmod, create, rename, unlink.
+const numMixOps = 6
 
 // PopulationConfig parameterises the open-loop traffic plane.
 type PopulationConfig struct {
@@ -132,8 +137,8 @@ func cumMix(stat, readdir, chmod, create, rename, unlink float64) [numMixOps]flo
 // The hot paths (wheel fire → draw op → direct → send, and reply →
 // record → recycle) are allocation-free in steady state; only Create
 // and Rename ops allocate (the new entry's name and inode, inherent to
-// the op). Scenario acts (ScheduleActs) retarget rate, mix, and hotspot
-// at exact virtual times without adding steady-state work: the arrival
+// the op). A phase (SetPhase) retargets rate, mix and hotspot at an
+// exact virtual time without adding steady-state work: the arrival
 // path reads plain phase fields.
 type Population struct {
 	cfg     PopulationConfig
@@ -142,7 +147,6 @@ type Population struct {
 	tenants *workload.Tenants
 	hints   *HintTable
 	baseCum [numMixOps]float64
-	acts    []Act
 	seed    uint64 // roots every client's RNG stream (origin)
 
 	// lease, when attached, is the coherent client-cache plane
@@ -162,16 +166,15 @@ type Population struct {
 	seq     uint64         // monotonic request ids
 	nameSeq int
 
-	// Phase state, rewritten at act boundaries and read on every
-	// arrival: the effective rate multiplier, cumulative mix
-	// thresholds, and hotspot redirect.
+	// Phase state, written by SetPhase and read on every arrival: the
+	// effective rate multiplier, cumulative mix thresholds, hotspot
+	// redirect, and the histogram every completion is observed into
+	// (nil: none).
 	rateMul float64
 	cum     [numMixOps]float64
 	hot     *namespace.Inode
 	hotFrac float64
-
-	actStats []actStat
-	curLat   *metrics.LatHist // the open act's latency histogram; nil outside acts
+	curLat  *metrics.LatHist
 
 	issued    uint64
 	completed uint64
@@ -186,8 +189,9 @@ type Population struct {
 	// still fire but issue nothing and do not rearm.
 	stopped bool
 
-	// Churn ring (MixUnlink > 0 only): run-created files eligible for
-	// unlink, consumed FIFO so every created file is eventually removed.
+	// Churn ring (MixUnlink > 0, or KeepChurn): run-created files
+	// eligible for unlink, consumed FIFO so every created file is
+	// eventually removed.
 	// Fed on create completion — never on issue, so a timed-out create
 	// can never be unlinked — and disjoint by construction from the
 	// frozen working sets renames and stats draw from. churnHead indexes
@@ -335,6 +339,34 @@ func (p *Population) armAll() {
 	}
 }
 
+// SetPhase retargets the arrival path: rateMul scales the per-client
+// rate (0 means unchanged), mix overrides the op-mix weights in
+// canonical order (all zero inherits the base mix), hot receives
+// hotFrac of the draws as their target (the directory of a create
+// storm, the file of a stat crowd), and lat observes every completion,
+// lease-local serves included (nil: none). SetPhase(0, [6]float64{},
+// nil, 0, nil) is the base phase.
+//
+// Each client's next inter-arrival is drawn at its previous arrival, so
+// a rate change takes effect at the client's first draw after the call:
+// one inter-arrival of lag, never a burst of rescheduling work.
+func (p *Population) SetPhase(rateMul float64, mix [numMixOps]float64, hot *namespace.Inode, hotFrac float64, lat *metrics.LatHist) {
+	p.rateMul = 1
+	if rateMul > 0 {
+		p.rateMul = rateMul
+	}
+	p.cum = p.baseCum
+	if mix[0]+mix[1]+mix[2]+mix[3]+mix[4]+mix[5] > 0 {
+		p.cum = cumMix(mix[0], mix[1], mix[2], mix[3], mix[4], mix[5])
+	}
+	p.hot, p.hotFrac, p.curLat = hot, hotFrac, lat
+}
+
+// KeepChurn feeds the unlink ring from the first completed create, for
+// a base mix without unlinks whose phases will draw them. Call before
+// Start.
+func (p *Population) KeepChurn() { p.churnOn = true }
+
 // Clients returns the population size.
 func (p *Population) Clients() int { return p.cfg.Clients }
 
@@ -471,7 +503,7 @@ func (p *Population) arrive(li int32) {
 			req.NewName = popName(p.nameSeq)
 		}
 	}
-	// Hotspot acts redirect a fraction of draws to one target. The
+	// A hotspot phase redirects a fraction of draws to one target. The
 	// extra uniform word is drawn only while a hotspot is active, so
 	// hotspot-free runs keep their RNG streams (and goldens) intact.
 	// Unlinks consume the draw but never redirect: the op must land on
@@ -582,23 +614,8 @@ func popRetryFire(a, b any) {
 // part of the name the hash strategies place and the digests cover.
 func popName(seq int) string {
 	var buf [24]byte
-	b := append(buf[:0], "p0_"...)
-	b = appendInt(b, seq)
+	b := strconv.AppendInt(append(buf[:0], "p0_"...), int64(seq), 10)
 	return string(b)
-}
-
-func appendInt(b []byte, v int) []byte {
-	if v == 0 {
-		return append(b, '0')
-	}
-	var tmp [12]byte
-	i := len(tmp)
-	for v > 0 {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return append(b, tmp[i:]...)
 }
 
 // direct steers req like the closed-loop client (steer), from the

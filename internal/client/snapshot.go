@@ -56,7 +56,7 @@ func (p *Population) Snap(c *snap.Codec, tree *namespace.Tree) {
 			panic("client: snapshot with outstanding retries")
 		}
 		if p.curLat != nil {
-			panic("client: snapshot inside an act")
+			panic("client: snapshot inside a phase")
 		}
 	}
 	p.stopped = true

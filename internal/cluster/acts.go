@@ -3,8 +3,8 @@ package cluster
 import (
 	"fmt"
 
-	"dynmds/internal/client"
 	"dynmds/internal/metrics"
+	"dynmds/internal/namespace"
 	"dynmds/internal/sim"
 )
 
@@ -39,37 +39,74 @@ func (a *ActConfig) Mix() [6]float64 {
 	return [...]float64{a.MixStat, a.MixReaddir, a.MixChmod, a.MixCreate, a.MixRename, a.MixUnlink}
 }
 
+// act is one ActConfig's runtime, index for index with Cfg.Acts: the
+// resolved hotspot, the population's issued and completed counts at
+// the act's start (0) and end (1), the latency of the completions that
+// land inside it, and whether it is open.
+type act struct {
+	hot                 *namespace.Inode
+	issued0, completed0 uint64
+	issued1, completed1 uint64
+	lat                 metrics.LatHist
+	open                bool
+}
+
 // setupActs resolves the acts' hotspot paths against the fresh
-// snapshot, registers the acts with the population, and schedules the
-// skew retargets.
+// snapshot and posts every boundary: all skew retargets first, then
+// each act's start and end, so act k ends before act k+1 begins at a
+// shared instant. A mix with unlinks keeps the churn ring fed from the
+// first completed create, not from the act's start.
 func (c *Cluster) setupActs() error {
 	if len(c.Cfg.Acts) == 0 {
 		return nil
 	}
-	acts := make([]client.Act, len(c.Cfg.Acts))
-	for i, a := range c.Cfg.Acts {
-		act := client.Act{Name: a.Name, From: a.From, To: a.To, RateMul: a.RateMul, Mix: a.Mix(), HotFrac: a.HotFrac}
+	c.acts = make([]act, len(c.Cfg.Acts))
+	for i := range c.Cfg.Acts {
+		a := &c.Cfg.Acts[i]
+		mix := a.Mix()
 		if a.Hotspot != "" {
 			n, err := c.Snap.Tree.Lookup(a.Hotspot)
 			if err != nil {
 				return fmt.Errorf("cluster: act %q: hotspot path not in namespace: %v", a.Name, err)
 			}
-			eff := act.Mix
+			eff := mix
 			if eff == [6]float64{} {
 				eff = c.Cfg.OpenLoop.EffectiveMix()
 			}
 			if !n.IsDir() && eff[1]+eff[3] > 0 {
 				return fmt.Errorf("cluster: act %q: hotspot %s is a file but the act mix includes directory ops (readdir/create)", a.Name, a.Hotspot)
 			}
-			act.Hot = n
+			c.acts[i].hot = n
 		}
-		acts[i] = act
+		if mix[5] > 0 {
+			c.Pop.KeepChurn()
+		}
 		if a.FileSkew >= 0 {
 			c.Eng.At(a.From, func() { c.tenants.SetFileSkew(a.FileSkew) })
 		}
 	}
-	c.Pop.ScheduleActs(acts)
+	for i := range c.Cfg.Acts {
+		c.Eng.At(c.Cfg.Acts[i].From, func() { c.beginAct(i) })
+		c.Eng.At(c.Cfg.Acts[i].To, func() { c.endAct(i) })
+	}
 	return nil
+}
+
+// beginAct counts act i's start and installs its phase.
+func (c *Cluster) beginAct(i int) {
+	a, r := &c.Cfg.Acts[i], &c.acts[i]
+	r.issued0, r.completed0 = c.Pop.Issued(), c.Pop.Completed()
+	r.open = true
+	c.Pop.SetPhase(a.RateMul, a.Mix(), r.hot, a.HotFrac, &r.lat)
+}
+
+// endAct counts act i's end and reverts the population to its base
+// phase.
+func (c *Cluster) endAct(i int) {
+	r := &c.acts[i]
+	r.issued1, r.completed1 = c.Pop.Issued(), c.Pop.Completed()
+	r.open = false
+	c.Pop.SetPhase(0, [6]float64{}, nil, 0, nil)
 }
 
 // ActResult is one act's merged metrics: arrivals and completions
@@ -86,20 +123,23 @@ type ActResult struct {
 	LoadSpread float64
 }
 
-// collectActs fills r.Acts from the population's per-act accounting and
-// the per-node reply series.
+// collectActs fills r.Acts from the acts' counters and the per-node
+// reply series. An act still open reads the live counters; one that
+// never began reports zero counts and an empty histogram.
 func (c *Cluster) collectActs(r *Result) {
-	if c.Pop == nil {
-		return
-	}
-	for _, st := range c.Pop.ActStats() {
-		ar := ActResult{Name: st.Name, From: st.From, To: st.To, Issued: st.Issued, Completed: st.Completed}
-		if w := (st.To - st.From).Seconds(); w > 0 {
-			ar.OpsPerSec = float64(st.Completed) / w
+	for i := range c.acts {
+		a, st := &c.Cfg.Acts[i], &c.acts[i]
+		i1, c1 := st.issued1, st.completed1
+		if st.open {
+			i1, c1 = c.Pop.Issued(), c.Pop.Completed()
 		}
-		ar.P50 = st.Lat.Quantile(0.5).Seconds()
-		ar.P99 = st.Lat.Quantile(0.99).Seconds()
-		ar.LoadSpread = c.loadSpread(st.From, st.To)
+		ar := ActResult{Name: a.Name, From: a.From, To: a.To, Issued: i1 - st.issued0, Completed: c1 - st.completed0}
+		if w := (a.To - a.From).Seconds(); w > 0 {
+			ar.OpsPerSec = float64(ar.Completed) / w
+		}
+		ar.P50 = st.lat.Quantile(0.5).Seconds()
+		ar.P99 = st.lat.Quantile(0.99).Seconds()
+		ar.LoadSpread = c.loadSpread(a.From, a.To)
 		r.Acts = append(r.Acts, ar)
 	}
 }

@@ -172,3 +172,51 @@ func TestActTinyRateMultiplier(t *testing.T) {
 		t.Fatalf("hush issued %d, lull %d; want some, then none", hush.Issued, lull.Issued)
 	}
 }
+
+// TestActAccounting holds each act's runtime to the population's
+// counters, read by probes posted after the acts' own boundary events
+// (so they run just after them at the same instants), and its latency
+// lane to its completions, lease-local serves included. The run is
+// collected inside the last act, which is still open and reads the
+// live counters.
+func TestActAccounting(t *testing.T) {
+	cfg := actConfig(StratDynamic)
+	cfg.OpenLoop.Clients = 800
+	cfg.Lease.Enabled = true
+	cl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type count struct{ issued, completed uint64 }
+	probes := make(map[sim.Time]count)
+	for _, a := range cfg.Acts {
+		for _, at := range []sim.Time{a.From, a.To} {
+			cl.Eng.At(at, func() { probes[at] = count{cl.Pop.Issued(), cl.Pop.Completed()} })
+		}
+	}
+	cl.StartEndure()
+	cl.RunTo(5 * sim.Second)
+	r := cl.Collect()
+	for i, a := range cfg.Acts {
+		st, res := &cl.acts[i], r.Acts[i]
+		from := probes[a.From]
+		to, ended := probes[a.To]
+		if ended == (i == len(cfg.Acts)-1) {
+			t.Fatalf("act %q: ended=%v at 5s", a.Name, ended)
+		}
+		if !ended {
+			to = count{cl.Pop.Issued(), cl.Pop.Completed()}
+		}
+		if st.open == ended || st.issued0 != from.issued || st.completed0 != from.completed {
+			t.Fatalf("act %q: open=%v ended=%v start (%d, %d), want (%d, %d)",
+				a.Name, st.open, ended, st.issued0, st.completed0, from.issued, from.completed)
+		}
+		if res.Issued != to.issued-from.issued || res.Completed != to.completed-from.completed {
+			t.Fatalf("act %q: issued=%d completed=%d, want %d and %d",
+				a.Name, res.Issued, res.Completed, to.issued-from.issued, to.completed-from.completed)
+		}
+		if st.lat.N() != res.Completed {
+			t.Fatalf("act %q: latency lane N=%d, completed=%d", a.Name, st.lat.N(), res.Completed)
+		}
+	}
+}

@@ -208,6 +208,8 @@ type Cluster struct {
 	// tenants is the plane's tenant model, kept for act-driven skew
 	// retargets.
 	tenants *workload.Tenants
+	// acts is the runtime of Cfg.Acts, index for index (setupActs).
+	acts []act
 
 	// Per-node reply series, cluster-wide forward and client-arrival
 	// series, replica-serve series (all bucketed by SeriesBucket).

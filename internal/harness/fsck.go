@@ -40,7 +40,7 @@ type shrunk struct {
 // any other candidate re-runs the cell. Only a simfsck violation counts
 // as a reproduction: a candidate the snapshot cannot take (a schedule
 // emptied past the fault plane's presence check) does not.
-func shrinkFailures(runs []PlanRun, opt Options, run func(plan.Compiled, Options, bool) (PlanRun, error)) {
+func shrinkFailures(runs []PlanRun, opt Options, run func(plan.Compiled, Options) (PlanRun, error)) {
 	n := 0
 	for i := range runs {
 		r := &runs[i]
@@ -64,7 +64,7 @@ func shrinkFailures(runs []PlanRun, opt Options, run func(plan.Compiled, Options
 		cfg := r.Cfg
 		cut, evals := chaos.ShrinkSchedule(sched, func(cand *fault.Schedule) bool {
 			cfg.Faults = cand.String()
-			c, err := run(plan.Compiled{Label: r.Label, Cfg: cfg}, Options{Restore: from}, false)
+			c, err := run(plan.Compiled{Label: r.Label, Cfg: cfg}, Options{Restore: from})
 			return err == nil && c.Fsck != nil
 		}, shrinkBudget)
 		r.shrunk = &shrunk{Faults: cut.String(), Evals: evals, From: from}

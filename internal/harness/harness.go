@@ -52,15 +52,10 @@ func (e *BuildError) Unwrap() error { return e.Err }
 // checkpoint cadence runs on the endurance plane, endure.Restore from
 // opt.Restore or else endure.Run, each simfsck'ing every checkpoint. A
 // faulted cell captures a simfsck baseline, runs, drains and is
-// checked. Any other cell just runs. heap asks for the cell's live-heap
-// growth (PlanRun.Heap). A simfsck violation lands in the run; the error
-// reports only what kept the cell from running.
-func runCell(c plan.Compiled, opt Options, heap bool) (PlanRun, error) {
+// checked. Any other cell just runs. A simfsck violation lands in the
+// run; the error reports only what kept the cell from running.
+func runCell(c plan.Compiled, opt Options) (PlanRun, error) {
 	run := PlanRun{Compiled: c}
-	var before int64
-	if heap {
-		before = liveHeap()
-	}
 	cfg, err := shared(c.Cfg)
 	if err != nil {
 		return run, &BuildError{c.Label, err}
@@ -77,10 +72,6 @@ func runCell(c plan.Compiled, opt Options, heap bool) (PlanRun, error) {
 		base = chaos.Capture(cl)
 	}
 	run.Res = cl.Run()
-	if heap {
-		run.Heap = liveHeap() - before
-		runtime.KeepAlive(cl)
-	}
 	if cfg.Faults != "" {
 		cl.Drain()
 		run.Fsck = chaos.Fsck(cl, base)
@@ -111,14 +102,6 @@ func (run *PlanRun) endure(eo endure.Options, restore string) error {
 // endureOptions are the endurance plane's options for a cell.
 func endureOptions(cfg cluster.Config, opt Options) endure.Options {
 	return endure.Options{Cluster: cfg, Every: cfg.Checkpoint, Dir: opt.CheckpointDir}
-}
-
-// liveHeap returns the live heap bytes after a forced GC.
-func liveHeap() int64 {
-	runtime.GC()
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return int64(m.HeapAlloc)
 }
 
 // sweepWorkers overrides the sweep pool size when positive; zero falls
@@ -163,10 +146,10 @@ func forEachRun(n int, run func(i int)) {
 // wide unless SetSweepWorkers / mdsim -workers says otherwise) and
 // returns the runs in cell order. Every failure is reported, joined in
 // cell order.
-func sweep(cells []plan.Compiled, opt Options, heap bool) ([]PlanRun, error) {
+func sweep(cells []plan.Compiled, opt Options) ([]PlanRun, error) {
 	runs := make([]PlanRun, len(cells))
 	errs := make([]error, len(cells))
-	forEachRun(len(cells), func(i int) { runs[i], errs[i] = runCell(cells[i], opt, heap) })
+	forEachRun(len(cells), func(i int) { runs[i], errs[i] = runCell(cells[i], opt) })
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
@@ -187,10 +170,6 @@ type Experiment struct {
 	// Build returns the experiment's plans and its renderer, which sees
 	// the plans' runs in plan order, each plan's in matrix order.
 	Build func(opt Options) ([]*plan.Plan, Renderer, error)
-	// Heap asks for each cell's live-heap growth (PlanRun.Heap): a
-	// forced GC before the cell is built and after it has run. It means
-	// something only when one cell runs at a time.
-	Heap bool
 }
 
 // Renderer prints an experiment's figure from its plans' runs.
@@ -230,7 +209,7 @@ func (e Experiment) runs(opt Options) ([]PlanRun, Renderer, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	runs, err := sweep(cells, opt, e.Heap)
+	runs, err := sweep(cells, opt)
 	return runs, render, err
 }
 

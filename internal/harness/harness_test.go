@@ -30,7 +30,7 @@ func tinyCfg(strategy string) cluster.Config {
 // runOne runs one cell alone.
 func runOne(t *testing.T, c plan.Compiled) *cluster.Result {
 	t.Helper()
-	run, err := runCell(c, Options{}, false)
+	run, err := runCell(c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func runOne(t *testing.T, c plan.Compiled) *cluster.Result {
 // results sweeps the cells and returns their results.
 func results(t *testing.T, cells []plan.Compiled) []*cluster.Result {
 	t.Helper()
-	runs, err := sweep(cells, Options{}, false)
+	runs, err := sweep(cells, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestSweepPropagatesErrors(t *testing.T) {
 	bad := tinyCfg("Nonsense")
-	_, err := sweep([]plan.Compiled{{Label: "bad", Cfg: bad}}, Options{}, false)
+	_, err := sweep([]plan.Compiled{{Label: "bad", Cfg: bad}}, Options{})
 	var be *BuildError
 	if !errors.As(err, &be) || be.Label != "bad" {
 		t.Fatalf("sweep did not report the cell that failed to build: %v", err)
@@ -388,7 +388,7 @@ func TestSoakDeterminism(t *testing.T) {
 	}
 	var runs [2]PlanRun
 	for i := range runs {
-		if runs[i], err = runCell(c, Options{}, false); err != nil {
+		if runs[i], err = runCell(c, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		if runs[i].Fsck != nil {
@@ -420,7 +420,7 @@ func TestShrinkRestoresFromLastGoodCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := runCell(cells[0], opt, false)
+	run, err := runCell(cells[0], opt)
 	if err != nil || run.Fsck != nil || len(run.Endure.Rows) != 4 {
 		t.Fatalf("the checkpointing run: %v, simfsck %v", err, run.Fsck)
 	}
@@ -428,9 +428,9 @@ func TestShrinkRestoresFromLastGoodCheckpoint(t *testing.T) {
 	run.Fsck = &endure.FsckError{Checkpoint: 2, At: 3 * cells[0].Cfg.Checkpoint, Err: errors.New("planted violation")}
 	runs := []PlanRun{run}
 	var restored []string
-	shrinkFailures(runs, opt, func(c plan.Compiled, o Options, heap bool) (PlanRun, error) {
+	shrinkFailures(runs, opt, func(c plan.Compiled, o Options) (PlanRun, error) {
 		restored = append(restored, o.Restore)
-		return runCell(c, o, heap)
+		return runCell(c, o)
 	})
 	ck1 := filepath.Join(dir, "ck-001.snap")
 	s := runs[0].shrunk

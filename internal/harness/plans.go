@@ -23,9 +23,6 @@ type PlanRun struct {
 	// Endure is the degradation curve and digest of a cell with a
 	// checkpoint cadence.
 	Endure *endure.Result
-	// Heap is the cell's live-heap growth in bytes, when its experiment
-	// asks for it.
-	Heap int64
 }
 
 // Scenario wraps a scenario plan — a library plan or a plan file — as an

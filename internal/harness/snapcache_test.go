@@ -72,7 +72,7 @@ func TestConcurrentOverlayRuns(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = runCell(plan.Compiled{Label: "conc", Cfg: cfg}, Options{}, false)
+			results[i], errs[i] = runCell(plan.Compiled{Label: "conc", Cfg: cfg}, Options{})
 		}(i)
 	}
 	wg.Wait()

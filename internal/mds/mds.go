@@ -1052,7 +1052,7 @@ func (m *MDS) propagateCoherence(target *namespace.Inode) {
 	if set == 0 {
 		return
 	}
-	for i := 0; i < m.cluster.NumMDS() && i < namespace.MaxMDS; i++ {
+	for i := 0; i < m.cluster.NumMDS(); i++ {
 		if i == m.id || set&(1<<uint(i)) == 0 {
 			continue
 		}

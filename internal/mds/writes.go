@@ -36,9 +36,7 @@ func (m *MDS) absorbWrite(req *msg.Request) {
 	if cur, ok := m.sizePending[target.ID]; !ok || req.Size > cur {
 		m.sizePending[target.ID] = req.Size
 	}
-	if m.id < namespace.MaxMDS {
-		m.writers[target.ID] |= 1 << uint(m.id)
-	}
+	m.writers[target.ID] |= 1 << uint(m.id)
 	m.Stats.WritesAbsorbed++
 	m.bumpPopularity(target)
 	m.reply(req)
@@ -94,9 +92,6 @@ func (m *MDS) flushWrites(now sim.Time) {
 }
 
 func (m *MDS) clearUnflushed(ino *namespace.Inode) {
-	if m.id >= namespace.MaxMDS {
-		return
-	}
 	if w := m.writers[ino.ID] &^ (1 << uint(m.id)); w != 0 {
 		m.writers[ino.ID] = w
 	} else {
@@ -109,11 +104,7 @@ func (m *MDS) clearUnflushed(ino *namespace.Inode) {
 // Zero means the reply can go out immediately; the caller keeps that
 // fast path allocation-free by checking before statCallbackSlow.
 func (m *MDS) statCallbackMask(target *namespace.Inode) uint64 {
-	mask := m.writers[target.ID]
-	if m.id < namespace.MaxMDS {
-		mask &^= 1 << uint(m.id)
-	}
-	return mask
+	return m.writers[target.ID] &^ (1 << uint(m.id))
 }
 
 // statCallbackSlow collects outstanding write maxima from the unflushed
@@ -123,7 +114,7 @@ func (m *MDS) statCallbackSlow(req *msg.Request, mask uint64) {
 	target := req.Target
 	done := func() { m.finishReply(req) }
 	outstanding := 0
-	for i := 0; i < m.cluster.NumMDS() && i < namespace.MaxMDS; i++ {
+	for i := 0; i < m.cluster.NumMDS(); i++ {
 		if mask&(1<<uint(i)) == 0 {
 			continue
 		}

@@ -59,20 +59,12 @@ func (t *Tags) Set(f TagFlag, on bool) {
 }
 
 // SetReplica marks node id as holding a replica.
-func (t *Tags) SetReplica(id int) {
-	if id < MaxMDS {
-		t.ReplicaSet |= 1 << uint(id)
-	}
-}
+func (t *Tags) SetReplica(id int) { t.ReplicaSet |= 1 << uint(id) }
 
 // ClearReplica removes node id from the replica set.
-func (t *Tags) ClearReplica(id int) {
-	if id < MaxMDS {
-		t.ReplicaSet &^= 1 << uint(id)
-	}
-}
+func (t *Tags) ClearReplica(id int) { t.ReplicaSet &^= 1 << uint(id) }
 
 // HasReplica reports whether node id holds a replica.
 func (t *Tags) HasReplica(id int) bool {
-	return id < MaxMDS && t.ReplicaSet&(1<<uint(id)) != 0
+	return t.ReplicaSet&(1<<uint(id)) != 0
 }

@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -550,6 +551,71 @@ func TestCommandLineRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got[0].Cfg, want[0].Cfg) {
 			t.Errorf("replay differs\nline: %s\n got: %+v\nwant: %+v", line, got[0].Cfg, want[0].Cfg)
+		}
+	}
+}
+
+// TestOneValueAxisIsASet pins relation (e) between runs: a matrix axis
+// of one value compiles to the config, and runs to the Result, that
+// the same plan without the axis gives under a -set of that value —
+// field for field bar wall times, over three seeds, closed and open
+// loop.
+func TestOneValueAxisIsASet(t *testing.T) {
+	const src = `plan relation-e
+fs users=20
+cluster mds=3 strategy=DynamicSubtree
+traffic clients=%s
+%swarmup 1s
+duration 3s
+`
+	for _, loop := range []struct{ name, traffic string }{
+		{"closed", "30"},
+		{"open", "3000 rate=2 tenants=8"},
+	} {
+		compile := func(matrix string, opt plan.Options) cluster.Config {
+			t.Helper()
+			p, err := plan.Parse(fmt.Sprintf(src, loop.traffic, matrix))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells, err := p.Compile(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cells) != 1 {
+				t.Fatalf("%d cells, want 1", len(cells))
+			}
+			return cells[0].Cfg
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", loop.name, seed), func(t *testing.T) {
+				axis := compile("matrix cache=2500\n", plan.Options{Seed: seed})
+				set := compile("", plan.Options{Seed: seed, Set: []plan.Setting{{Key: "cache", Value: "2500"}}})
+				if axis.MDS.CacheCapacity != 2500 || (axis.OpenLoop != nil) != (loop.name == "open") {
+					t.Fatalf("cache %d, open loop %v: the plan does not run what it names", axis.MDS.CacheCapacity, axis.OpenLoop != nil)
+				}
+				if !reflect.DeepEqual(axis, set) {
+					t.Fatalf("configs differ:\naxis %+v\n-set %+v", axis, set)
+				}
+				run := func(cfg cluster.Config) reflect.Value {
+					cl, err := cluster.New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r := cl.Run()
+					if r.MeasuredOps == 0 {
+						t.Fatal("the run measured no ops")
+					}
+					r.SetupWall, r.RunWall = 0, 0
+					return reflect.ValueOf(r).Elem()
+				}
+				a, s := run(axis), run(set)
+				for i := 0; i < a.NumField(); i++ {
+					if af, sf := a.Field(i).Interface(), s.Field(i).Interface(); !reflect.DeepEqual(af, sf) {
+						t.Errorf("Result.%s: axis %v, -set %v", a.Type().Field(i).Name, af, sf)
+					}
+				}
+			})
 		}
 	}
 }
