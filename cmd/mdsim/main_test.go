@@ -515,3 +515,41 @@ func TestRestoreOfADamagedSnapshot(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckpointDrainOutlastsTheWindow: a checkpoint whose drain outlasts
+// the fixed quiesce window keeps draining, at most to the next instant.
+// On the aging line at a 7 s cadence a two-node cluster drains ~3 s past
+// the window at its first checkpoint; the run checkpoints, and restoring
+// ck-000 or ck-001 reproduces its digest. At the 2.5 s cadence neither
+// one nor two nodes drain by the next instant: exit 1, one line naming
+// the bound and what is left.
+func TestCheckpointDrainOutlastsTheWindow(t *testing.T) {
+	aging := []string{"-set", "rate=0.05", "-set", "clients=20000", "-set", "tenant-skew=1", "-set", "file-skew=1",
+		"-set", "warmup=1s", "-set", "mix=stat:55,readdir:10,chmod:5,create:12,rename:3,unlink:15"}
+	mdsim := func(args ...string) (code int, stdout, stderr string) {
+		var o, e bytes.Buffer
+		code = run(append(slices.Clone(aging), args...), &o, &e)
+		return code, o.String(), e.String()
+	}
+	digest := regexp.MustCompile(`(?m)^digest: .*$`)
+	dir := t.TempDir()
+	long := []string{"-set", "mds=2", "-set", "duration=20s", "-set", "checkpoint=7s"}
+	code, stdout, stderr := mdsim(append(long, "-checkpoint-dir", dir)...)
+	want := digest.FindString(stdout)
+	if code != 0 || want == "" {
+		t.Fatalf("the checkpointing run exited %d:\n%s%s", code, stdout, stderr)
+	}
+	for _, ck := range []string{"ck-000.snap", "ck-001.snap"} {
+		code, stdout, stderr := mdsim(append(long, "-restore", filepath.Join(dir, ck))...)
+		if got := digest.FindString(stdout); code != 0 || got != want {
+			t.Errorf("restoring %s: exit %d, %q, want %q\n%s", ck, code, got, want, stderr)
+		}
+	}
+	for _, nodes := range []string{"mds=1", "mds=2"} {
+		code, _, stderr := mdsim("-set", nodes, "-set", "duration=8s", "-set", "checkpoint=2.5s")
+		if code != 1 || !strings.Contains(stderr, "checkpoint 0 (t=2.500s): cluster: quiesce: not drained by 5s: mds 0: ") ||
+			!strings.Contains(stderr, "pending record fetches") {
+			t.Errorf("%s at a 2.5 s cadence: exit %d, want 1 naming the bound and what is left:\n%s", nodes, code, stderr)
+		}
+	}
+}

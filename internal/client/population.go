@@ -517,7 +517,7 @@ func (p *Population) arrive(li int32) {
 	// latency. The check consumes no randomness and the branch only
 	// exists when the plane is attached, so runs without it replay
 	// bit-identically.
-	if l := p.lease; l != nil && l.Tab != nil && !req.Op.IsUpdate() {
+	if l := p.lease; l != nil && !req.Op.IsUpdate() {
 		ino := req.Target.ID
 		if l.Tab.Valid(g, ino, l.Reg.Gen(ino), p.eng.Now()) {
 			p.issued++
@@ -674,7 +674,7 @@ func (p *Population) OnReply(rep *msg.Reply) bool {
 		// Install a granted lease at receipt: lifetime runs from now,
 		// and the generation snapshotted at the authority keeps a grant
 		// that raced a recall from resurrecting the lease.
-		if rep.Leased && p.lease != nil && p.lease.Tab != nil {
+		if rep.Leased && p.lease != nil {
 			p.lease.Tab.Install(rep.Client, req.Target.ID, rep.LeaseGen,
 				p.eng.Now()+p.lease.Cfg.Duration)
 		}
@@ -743,7 +743,7 @@ func (p *Population) RetryOutstanding() int { return len(p.retry) }
 // with the population size).
 func (p *Population) FootprintBytes() int64 {
 	b := p.wheel.FootprintBytes() + p.hints.FootprintBytes() + p.tenants.FootprintBytes()
-	if p.lease != nil && p.lease.Tab != nil {
+	if p.lease != nil {
 		// The lease slab is per-client state and counts against the
 		// bytes/client budget; the shared registry scales with the
 		// namespace, not the population, and is reported separately.

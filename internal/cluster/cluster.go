@@ -100,8 +100,8 @@ type Config struct {
 
 	// Balancer enables dynamic load balancing (DynamicSubtree only).
 	Balancer *core.BalancerConfig
-	// Traffic enables traffic control (DynamicSubtree only); the
-	// template's thresholds are copied into a fresh controller.
+	// Traffic enables traffic control's §4.4 rule (DynamicSubtree only);
+	// the template's thresholds are copied into a fresh controller.
 	Traffic *core.TrafficControl
 	// HashDirThreshold enables dynamic directory hashing (§4.3;
 	// DynamicSubtree only).
@@ -126,10 +126,10 @@ type Config struct {
 	// crashes are survivable.
 	OpenLoop *client.PopulationConfig
 
-	// Lease configures the hotspot-mitigation plane (internal/lease):
-	// coherent client read leases (Lease.Enabled; requires OpenLoop) and
-	// hot-directory replica fan-out (Lease.Fanout). The zero value
-	// disables both and leaves runs bit-identical to a build without it.
+	// Lease configures coherent client read leases (Lease.Enabled, the
+	// lease plane; requires OpenLoop) and hot-directory replica fan-out
+	// (Lease.Fanout, traffic control's directory rule). The zero value
+	// disables both and leaves runs bit-identical to a build without them.
 	Lease lease.Config
 
 	// Acts, when non-empty, scripts the open-loop run as a timeline of
@@ -196,14 +196,13 @@ type Cluster struct {
 	// Table is the subtree partition's delegation table (nil under the
 	// hash strategies).
 	Table    *partition.SubtreeTable
-	Traffic  *core.TrafficControl
+	Traffic  *core.TrafficControl // nil with no rule on, and on one node
 	Balancer *core.Balancer
 	Nodes    []*mds.MDS
 	Clients  []*client.Client
 	// Pop is the open-loop traffic plane (nil for closed-loop runs).
 	Pop *client.Population
-	// Lease is the hotspot-mitigation plane (nil unless Cfg.Lease
-	// enables leases and/or fan-out).
+	// Lease is the lease plane (nil unless Cfg.Lease enables leases).
 	Lease *lease.Plane
 	// tenants is the plane's tenant model, kept for act-driven skew
 	// retargets.
@@ -448,25 +447,19 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 
-	// Hotspot-mitigation plane: shared registry sized to the namespace
-	// (plus mid-run growth headroom), lease slab sized to the population.
-	if cfg.Lease.Enabled || cfg.Lease.Fanout {
-		nclients := 0
-		if c.Pop != nil {
-			nclients = c.Pop.Clients()
-		}
-		c.Lease = lease.NewPlane(cfg.Lease, nclients, snap.Tree.MaxID())
+	// Lease plane: shared registry sized to the namespace (plus mid-run
+	// growth headroom), lease slab sized to the population.
+	if cfg.Lease.Enabled {
+		c.Lease = lease.NewPlane(cfg.Lease, c.Pop.Clients(), snap.Tree.MaxID())
 		for _, n := range c.Nodes {
 			n.AttachLeasePlane(c.Lease)
 		}
-		if c.Pop != nil && cfg.Lease.Enabled {
-			c.Pop.AttachLeasePlane(c.Lease)
-		}
+		c.Pop.AttachLeasePlane(c.Lease)
 	}
 
-	// A fault schedule over the open loop arms the population's boxed
-	// retry cache with the same (defaulted) timeout closed-loop clients use.
-	if c.Pop != nil && !sched.Empty() {
+	// A retry timeout — set, or defaulted by a fault schedule — arms the
+	// open loop's boxed retry cache, as it arms closed-loop clients.
+	if c.Pop != nil && cfg.Client.RetryTimeout > 0 {
 		c.Pop.EnableRetries(cfg.Client.RetryTimeout)
 	}
 	c.setupWall = time.Since(setupStart)
@@ -495,10 +488,12 @@ func buildNetModel(cfg Config) (net.LatencyModel, error) {
 
 // buildStrategy builds the partition, and is the one place that decides
 // what makes a subtree partition dynamic: for DynamicSubtree, directory
-// hashing, traffic control, the balancer and failover's root
+// hashing, traffic control's §4.4 rule, the balancer and failover's root
 // reassignment (dynamic). StaticSubtree is the same partition without
-// them (§5).
+// them (§5). It also arms traffic control's directory rule under
+// fan-out, whatever the strategy.
 func (c *Cluster) buildStrategy(cfg Config, snap *fsgen.Snapshot) error {
+	var items *core.TrafficControl // the §4.4 rule's template
 	switch cfg.Strategy {
 	case StratDynamic, StratStatic:
 		s := partition.NewStaticSubtree(cfg.NumMDS, snap.Tree, cfg.PartitionDepth)
@@ -506,10 +501,7 @@ func (c *Cluster) buildStrategy(cfg Config, snap *fsgen.Snapshot) error {
 		c.Strategy, c.Table = s, s.Table
 		if cfg.Strategy == StratDynamic {
 			s.HashDirAt = cfg.HashDirThreshold
-			// Traffic control replicates to peers: one node has none.
-			if cfg.Traffic != nil && cfg.NumMDS > 1 {
-				c.Traffic = cfg.Traffic.ForCluster()
-			}
+			items = cfg.Traffic
 			c.dynamic = true
 		}
 	case StratDirHash:
@@ -520,6 +512,10 @@ func (c *Cluster) buildStrategy(cfg Config, snap *fsgen.Snapshot) error {
 		c.Strategy = partition.NewLazyHybrid(cfg.NumMDS)
 	default:
 		return fmt.Errorf("cluster: unknown strategy %q", cfg.Strategy)
+	}
+	// Traffic control replicates to peers: one node has none.
+	if cfg.NumMDS > 1 {
+		c.Traffic = items.ForCluster(cfg.Lease.Fanout)
 	}
 	return nil
 }

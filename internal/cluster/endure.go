@@ -29,6 +29,10 @@ import (
 // full retry ladder is ~1.2s with fault-mode defaults).
 const QuiesceDrain = 2 * sim.Second
 
+// quiesceStep is how far a drain that outlasts QuiesceDrain advances
+// between two looks at what is left in flight.
+const quiesceStep = 100 * sim.Millisecond
+
 // EndureCheck says whether the config can run on the endurance plane.
 // The checkpoint codec covers the open-loop plane and the subtree and
 // hash strategies; closed-loop clients, scenario acts, the shared OSD
@@ -105,15 +109,20 @@ func (c *Cluster) RunTo(t sim.Time) {
 // Now returns the global virtual clock.
 func (c *Cluster) Now() sim.Time { return c.Eng.Now() }
 
-// Quiesce executes the checkpoint protocol at the current instant:
+// Quiesce is QuiesceBy with no room past the drain window.
+func (c *Cluster) Quiesce() error { return c.QuiesceBy(c.Eng.Now() + QuiesceDrain) }
+
+// QuiesceBy executes the checkpoint protocol at the current instant:
 // pause arrivals and stop the tickers, drain QuiesceDrain of virtual
-// time so in-flight chains retire, verify that nothing is left in
-// flight anywhere, then garbage-collect cached replicas of destroyed
-// inodes on every node (the deterministic checkpoint GC — it runs
-// whether or not a snapshot is written, keeping checkpointing and
-// restored runs in lockstep). On success the cluster is serializable;
-// call Resume (after optionally CheckpointTo) to continue.
-func (c *Cluster) Quiesce() error {
+// time so in-flight chains retire, and past that window (an overloaded
+// node's backlog outlasts it) keep draining until nothing is in flight
+// anywhere, failing with what is left at bound. Then it garbage-collects
+// cached replicas of destroyed inodes on every node (the deterministic
+// checkpoint GC — it runs whether or not a snapshot is written, keeping
+// checkpointing and restored runs in lockstep). On success the cluster
+// is serializable and resumes at the current instant; call Resume
+// (after optionally CheckpointTo) to continue.
+func (c *Cluster) QuiesceBy(bound sim.Time) error {
 	c.Pop.Pause()
 	if c.Balancer != nil {
 		c.Balancer.Stop()
@@ -122,19 +131,11 @@ func (c *Cluster) Quiesce() error {
 		n.StopFlusher()
 	}
 	c.RunTo(c.Eng.Now() + QuiesceDrain)
-	if n := c.Pop.RetryOutstanding(); n != 0 {
-		return fmt.Errorf("cluster: quiesce with %d boxed retries outstanding", n)
-	}
-	for _, n := range c.Nodes {
-		if err := n.CheckQuiesced(); err != nil {
-			return fmt.Errorf("cluster: quiesce: %w", err)
+	for err := c.drained(); err != nil; err = c.drained() {
+		if c.Eng.Now() >= bound {
+			return fmt.Errorf("cluster: quiesce: not drained by %s: %w", sim.FormatTime(bound), err)
 		}
-	}
-	if n := c.Fab.InFlight(); n != 0 {
-		return fmt.Errorf("cluster: quiesce with %d messages in flight", n)
-	}
-	if n := c.Fab.LiveEnvelopes(); n != 0 {
-		return fmt.Errorf("cluster: quiesce with %d live envelopes", n)
+		c.RunTo(min(c.Eng.Now()+quiesceStep, bound))
 	}
 	// Dead means "no longer resolves": a tombstoned base inode, or one
 	// the run created and later unlinked. Restore resolves every
@@ -146,6 +147,25 @@ func (c *Cluster) Quiesce() error {
 	}
 	for _, n := range c.Nodes {
 		n.Cache().DropDestroyed(dead)
+	}
+	return nil
+}
+
+// drained says what is still in flight anywhere, nil when nothing is.
+func (c *Cluster) drained() error {
+	if n := c.Pop.RetryOutstanding(); n != 0 {
+		return fmt.Errorf("%d boxed retries outstanding", n)
+	}
+	for _, n := range c.Nodes {
+		if err := n.CheckQuiesced(); err != nil {
+			return err
+		}
+	}
+	if n := c.Fab.InFlight(); n != 0 {
+		return fmt.Errorf("%d messages in flight", n)
+	}
+	if n := c.Fab.LiveEnvelopes(); n != 0 {
+		return fmt.Errorf("%d live envelopes", n)
 	}
 	return nil
 }

@@ -142,3 +142,24 @@ func TestUnlinksTombstoneWithoutCadence(t *testing.T) {
 		t.Fatal("unlinks tombstoned no base file")
 	}
 }
+
+// TestOpenLoopRetryWithoutFaults: a retry timeout arms the open loop's
+// retries as it arms closed-loop clients', fault schedule or not. A
+// 1 ms timeout on an unfaulted run retransmits; without one nothing
+// does.
+func TestOpenLoopRetryWithoutFaults(t *testing.T) {
+	cfg := Default()
+	cfg.Duration, cfg.Warmup = 3*sim.Second, sim.Second
+	cfg.OpenLoop = &client.PopulationConfig{Clients: 2000, Rate: 0.5}
+	for _, timeout := range []sim.Time{0, sim.Millisecond} {
+		cfg.Client.RetryTimeout = timeout
+		cl, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := cl.Run()
+		if armed := res.Retries > 0; armed != (timeout > 0) {
+			t.Errorf("retry timeout %v: %d retries", timeout, res.Retries)
+		}
+	}
+}

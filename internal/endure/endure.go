@@ -155,8 +155,10 @@ type runState struct {
 	instants []sim.Time
 	rows     []Row
 
-	baseInodes    int
-	prevAt        sim.Time
+	baseInodes int
+	// prevResume is when the segment being served started: 0, or the
+	// instant the last checkpoint's quiesce ended.
+	prevResume    sim.Time
 	prevCompleted uint64
 	prevLookups   uint64
 	prevMisses    uint64
@@ -206,14 +208,21 @@ func (st *runState) runFrom(first int) (*Result, error) {
 
 // segment runs the cluster to checkpoint k and executes the checkpoint
 // protocol: quiesce, degradation row, simfsck, snapshot write. The
-// caller resumes (except after the final one).
+// caller resumes (except after the final one). The drain must end by the
+// next instant (one cadence past the final one): a checkpoint is never
+// skipped.
 func (st *runState) segment(k int) error {
 	c, at := st.c, st.instants[k]
 	c.RunTo(at)
-	if err := c.Quiesce(); err != nil {
+	next := at + st.opt.Every
+	if k+1 < len(st.instants) {
+		next = st.instants[k+1]
+	}
+	if err := c.QuiesceBy(next); err != nil {
 		return fmt.Errorf("endure: checkpoint %d (t=%.3fs): %w", k, at.Seconds(), err)
 	}
 	row := st.row(k, at)
+	st.prevResume = c.Now()
 	if err := chaos.Fsck(c, st.base); err != nil {
 		return &FsckError{Checkpoint: k, At: at, Err: err}
 	}
@@ -238,12 +247,8 @@ func (st *runState) row(k int, at sim.Time) Row {
 	tree := c.Tree()
 	completed := c.Pop.Completed()
 	lookups, misses := tree.LazyStats()
-	// Serving span: segments after the first start at the previous
-	// checkpoint's resume point, one quiesce drain past its instant.
-	seg := at - st.prevAt
-	if k > 0 {
-		seg -= cluster.QuiesceDrain
-	}
+	// Serving span: from the previous checkpoint's resume instant.
+	seg := at - st.prevResume
 	r := Row{
 		Index:      k,
 		At:         at,
@@ -259,7 +264,7 @@ func (st *runState) row(k int, at sim.Time) Row {
 	if dl := lookups - st.prevLookups; dl > 0 {
 		r.LazyMissRate = float64(misses-st.prevMisses) / float64(dl)
 	}
-	st.prevAt, st.prevCompleted = at, completed
+	st.prevCompleted = completed
 	st.prevLookups, st.prevMisses = lookups, misses
 	return r
 }
@@ -324,7 +329,7 @@ func load(opt *Options, data []byte) (*runState, *header, error) {
 	if err := c.RestoreCheckpoint(r); err != nil {
 		return nil, nil, err
 	}
-	st.prevAt = hdr.At()
+	st.prevResume = hdr.ResumeAt
 	st.prevCompleted = c.Pop.Completed()
 	st.prevLookups, st.prevMisses = c.Tree().LazyStats()
 	return st, hdr, nil

@@ -45,10 +45,10 @@ func testOptions(faults string) Options {
 	return Options{Cluster: cfg, Every: sim.FromSeconds(2.5)}
 }
 
-// leaseEverything turns the lease plane on and concentrates the traffic
-// — one tenant, a steep popularity skew, 2.5 times the rate — so that
-// the hottest records' decayed popularity crosses the grant and fan-out
-// floors (lease.GrantPopularity, lease.FanoutPopularity) within the
+// leaseEverything turns leases and fan-out on and concentrates the
+// traffic — one tenant, a steep popularity skew, 2.5 times the rate — so
+// that the hottest records' decayed popularity crosses the grant and
+// fan-out floors (lease.GrantPopularity, core.DirThreshold) within the
 // first checkpoint interval, and the registry, the client slab and the
 // replica sets have content to carry.
 func leaseEverything(cfg *cluster.Config) {
@@ -242,6 +242,33 @@ func TestInstants(t *testing.T) {
 	drainS := cluster.QuiesceDrain.Seconds()
 	if got := Instants(s(3), s(6)+cluster.QuiesceDrain/2); !eq(got, []sim.Time{s(3), s(6) + cluster.QuiesceDrain/2}) {
 		t.Errorf("Instants(3s, 6s+%.1gs/2) = %v (penultimate multiple inside the drain must drop)", drainS, got)
+	}
+}
+
+// TestHeaderPosition: a header names its checkpoint by index, and its
+// resume instant may lie anywhere from one quiesce drain past that
+// instant (a drain that ended in the fixed window) to the next instant
+// (one that kept draining), never outside.
+func TestHeaderPosition(t *testing.T) {
+	s := sim.FromSeconds
+	every, duration := s(7), s(20) // instants 7s, 14s, 20s
+	for _, c := range []struct {
+		k        int
+		resumeAt sim.Time
+		ok       bool
+	}{
+		{0, s(7) + cluster.QuiesceDrain, true},
+		{0, s(10), true},
+		{1, s(14), false}, // before its drain could end
+		{0, s(14), true},  // the drain ended on the next instant
+		{0, s(14) + 1, false},
+		{2, s(22), false}, // the final checkpoint: nothing to resume
+		{3, s(22), false},
+	} {
+		h := header{Checkpoint: c.k, ResumeAt: c.resumeAt}
+		if err := h.position(every, duration); (err == nil) != c.ok {
+			t.Errorf("checkpoint %d resuming at %v: %v, want ok=%t", c.k, c.resumeAt, err, c.ok)
+		}
 	}
 }
 

@@ -27,10 +27,6 @@ type header struct {
 	MaxID      namespace.InodeID
 }
 
-// At returns the checkpoint instant the snapshot was written at (the
-// resume point is one quiesce drain later).
-func (h *header) At() sim.Time { return h.ResumeAt - cluster.QuiesceDrain }
-
 // configHash digests the parts of a cluster config that shape the event
 // sequence, field by field. It leaves out the fault schedule (chaos
 // shrinking restores a snapshot under a *reduced* schedule on purpose),
@@ -136,15 +132,17 @@ func openSnapshot(opt *Options, data []byte) (*header, *snap.Reader, error) {
 }
 
 // position validates the header's checkpoint index against the
-// restoring run's cadence.
+// restoring run's cadence: the index names an instant, and the resume
+// instant lies between one quiesce drain past it and the next instant.
 func (h *header) position(every, duration sim.Time) error {
 	instants := Instants(every, duration)
-	if h.Checkpoint < 0 || h.Checkpoint >= len(instants) ||
-		instants[h.Checkpoint] != h.At() {
-		return fmt.Errorf("endure: snapshot checkpoint %d at t=%.3fs does not match cadence %v over %v",
-			h.Checkpoint, h.At().Seconds(), every, duration)
+	k := h.Checkpoint
+	if k < 0 || k >= len(instants) || h.ResumeAt < instants[k]+cluster.QuiesceDrain ||
+		k+1 < len(instants) && h.ResumeAt > instants[k+1] {
+		return fmt.Errorf("endure: snapshot checkpoint %d resuming at t=%.3fs does not match cadence %v over %v",
+			k, h.ResumeAt.Seconds(), every, duration)
 	}
-	if h.Checkpoint == len(instants)-1 {
+	if k == len(instants)-1 {
 		return fmt.Errorf("endure: snapshot is the run's final checkpoint; nothing to resume")
 	}
 	return nil

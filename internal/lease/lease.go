@@ -1,6 +1,5 @@
-// Package lease is the hotspot-mitigation plane layered over the
-// message fabric: coherent client-side metadata leases and
-// hot-directory replica fan-out.
+// Package lease is the lease plane layered over the message fabric:
+// coherent client-side metadata leases.
 //
 // A lease is a bounded-lifetime read capability on one metadata record.
 // The authority grants it on a reply when the record's decayed
@@ -22,11 +21,9 @@
 // matters — a valid lease slot implies the registry knows grants are
 // outstanding — holds by construction and is checked by simfsck.
 //
-// Replica fan-out is the server-side counterpart (configured here,
-// executed by the MDS): when a directory's popularity crosses the
-// fan-out threshold the authority pushes Replica-class cache entries to
-// peers ahead of demand, reusing the replica-set machinery that the
-// coherence and failover paths already harden.
+// The plane exists only while leases are on. Hot-directory replica
+// fan-out, the server-side counterpart that Config.Fanout switches on,
+// is traffic control's directory rule (core.TrafficControl).
 package lease
 
 import (
@@ -38,7 +35,7 @@ import (
 
 // Config selects the two hotspot-mitigation mechanisms. The zero value
 // disables both, leaving every fabric path bit-identical to a build
-// without the plane.
+// without them.
 type Config struct {
 	// Enabled turns on client-side read leases (requires the open-loop
 	// traffic plane, which owns the per-client lease slab).
@@ -46,8 +43,9 @@ type Config struct {
 	// Duration is the lease lifetime from client receipt (default 500ms).
 	Duration sim.Time
 
-	// Fanout turns on hot-directory replica fan-out at the MDS: an
-	// authority pushes a hot directory to every peer.
+	// Fanout turns on hot-directory replica fan-out at the MDS: traffic
+	// control's directory rule, under which an authority pushes a hot
+	// directory to every peer (core.TrafficControl).
 	Fanout bool
 }
 
@@ -62,16 +60,13 @@ const (
 	// warming up, mirroring how traffic control keys off the same
 	// decayed counters.
 	GrantPopularity = 20
-	// FanoutPopularity is the decayed-popularity floor for fanning a
-	// directory out.
-	FanoutPopularity = 200
 )
 
 // Normalize fills in the lease lifetime. It returns an error for a
 // negative one, so a bad setting is a construction error, never a
 // mid-run surprise.
 func (c *Config) Normalize() error {
-	if !c.Enabled && !c.Fanout {
+	if !c.Enabled {
 		return nil
 	}
 	if c.Duration == 0 {
@@ -211,9 +206,9 @@ func (t *Table) Valid(client int, ino namespace.InodeID, gen uint32, now sim.Tim
 func (t *Table) FootprintBytes() int { return len(t.key)*4 + len(t.meta)*8 }
 
 // Plane bundles the shared registry and the client slab with the
-// normalized config; the cluster builds one and hands it to both the
-// MDS nodes (grant/recall/fan-out decisions) and the population (local
-// serves and installs).
+// normalized config; the cluster builds one when leases are on and
+// hands it to both the MDS nodes (grant and recall decisions) and the
+// population (local serves and installs).
 type Plane struct {
 	Cfg Config
 	Reg *Registry
@@ -226,21 +221,11 @@ type Plane struct {
 // NewPlane builds the plane for a population of clients over a
 // namespace whose largest inode ID is maxIno. cfg must be normalized.
 func NewPlane(cfg Config, clients int, maxIno namespace.InodeID) *Plane {
-	p := &Plane{Cfg: cfg, Reg: NewRegistry(maxIno)}
-	if cfg.Enabled && clients > 0 {
-		p.Tab = NewTable(clients, Ways)
-	}
-	return p
+	return &Plane{Cfg: cfg, Reg: NewRegistry(maxIno), Tab: NewTable(clients, Ways)}
 }
 
 // FootprintBytes is the plane's structural size (registry + slab).
-func (p *Plane) FootprintBytes() int {
-	n := p.Reg.FootprintBytes()
-	if p.Tab != nil {
-		n += p.Tab.FootprintBytes()
-	}
-	return n
-}
+func (p *Plane) FootprintBytes() int { return p.Reg.FootprintBytes() + p.Tab.FootprintBytes() }
 
 // NoteRecalled counts a recall notice delivered at the client edge and
 // applies the generation bump there.
@@ -255,9 +240,6 @@ func (p *Plane) NoteRecalled(ino namespace.InodeID) {
 // serving reads the authority believes nobody caches — and must never
 // exist; simfsck calls this after every drained run.
 func (p *Plane) Dangling(now sim.Time) int {
-	if p.Tab == nil {
-		return 0
-	}
 	t := p.Tab
 	nowMs := expiryMs(now)
 	dangling := 0

@@ -30,12 +30,18 @@ func TestNormalizeDefaults(t *testing.T) {
 func TestNormalizeRejectsBadKnobs(t *testing.T) {
 	bad := []Config{
 		{Enabled: true, Duration: -sim.Second},
-		{Fanout: true, Duration: -sim.Millisecond},
+		{Enabled: true, Fanout: true, Duration: -sim.Millisecond},
 	}
 	for i, c := range bad {
 		if err := c.Normalize(); err == nil {
 			t.Fatalf("case %d: bad config %+v accepted", i, c)
 		}
+	}
+	// Fan-out alone builds no plane: traffic control runs it, and the
+	// lease lifetime is neither defaulted nor checked.
+	c := Config{Fanout: true}
+	if err := c.Normalize(); err != nil || c != (Config{Fanout: true}) {
+		t.Fatalf("fan-out-only config normalized to %+v, %v", c, err)
 	}
 }
 
@@ -164,9 +170,8 @@ func TestPlaneFootprint(t *testing.T) {
 	if got := p.Tab.FootprintBytes(); got != 1000*Ways*12 {
 		t.Fatalf("slab footprint = %d, want %d", got, 1000*Ways*12)
 	}
-	// Fan-out-only planes carry no slab at all.
-	p = NewPlane(Config{Fanout: true}, 1000, 100)
-	if p.Tab != nil {
-		t.Fatal("fan-out-only plane allocated a client slab")
+	// The plane is the registry plus the slab, nothing else.
+	if got, want := p.FootprintBytes(), p.Reg.FootprintBytes()+1000*Ways*12; got != want {
+		t.Fatalf("plane footprint = %d, want %d", got, want)
 	}
 }

@@ -19,17 +19,12 @@ func (p *Plane) Snap(c *snap.Codec) {
 			snap.U(c, &reg.gen[i])
 			snap.U(c, &reg.grants[i])
 		})
-	slab := -1
-	if p.Tab != nil {
-		slab = len(p.Tab.key)
-	}
-	c.Same(slab, "lease: client slab size")
-	if tab := p.Tab; tab != nil {
-		snap.Sparse(c, slab, "lease: client slab slot",
-			func(i int) bool { return tab.key[i] != 0 },
-			func(i int) {
-				snap.U(c, &tab.key[i])
-				snap.U(c, &tab.meta[i])
-			})
-	}
+	tab := p.Tab
+	c.Same(len(tab.key), "lease: client slab size")
+	snap.Sparse(c, len(tab.key), "lease: client slab slot",
+		func(i int) bool { return tab.key[i] != 0 },
+		func(i int) {
+			snap.U(c, &tab.key[i])
+			snap.U(c, &tab.meta[i])
+		})
 }

@@ -145,9 +145,9 @@ type Stats struct {
 	WritesAbsorbed uint64 // size updates absorbed at this replica
 
 	// Lease plane (internal/lease): read leases granted on replies,
-	// recall notices sent on mutations of leased records, recall acks
-	// received back from the client edge, and hot directories pushed to
-	// peers ahead of demand.
+	// recall notices sent on mutations of leased records and recall
+	// acks received back from the client edge. ReplicaFanouts counts
+	// hot directories traffic control's directory rule pushed to peers.
 	LeaseGrants    uint64
 	LeaseRecalls   uint64
 	LeaseAcks      uint64
@@ -256,8 +256,7 @@ type MDS struct {
 	// endurance quiesce can stop and restart it.
 	flusher *sim.Ticker
 
-	// lease is the cluster's hotspot-mitigation plane (nil when neither
-	// client leases nor replica fan-out are enabled).
+	// lease is the cluster's lease plane (nil when leases are off).
 	lease *lease.Plane
 
 	Stats Stats
@@ -317,11 +316,10 @@ func New(id int, eng *sim.Engine, cfg Config, strat partition.Strategy, tc *core
 // accounting (the fabric's per-class counters conserve it).
 func evictNoticeArrive(_, _ any) {}
 
-// AttachLeasePlane activates the hotspot-mitigation plane on this node:
-// read-lease grants on replies, recall-on-mutate notices, and
-// hot-directory replica fan-out. The cluster attaches it after
-// construction; a nil plane (the default) leaves every request path
-// bit-identical to a build without the plane.
+// AttachLeasePlane activates the lease plane on this node: read-lease
+// grants on replies and recall-on-mutate notices. The cluster attaches
+// it after construction; a nil plane (the default) leaves every request
+// path bit-identical to a build without the plane.
 func (m *MDS) AttachLeasePlane(p *lease.Plane) { m.lease = p }
 
 // EnableFaults puts the node in fault mode: forwards are acked and time
@@ -489,9 +487,9 @@ func (m *MDS) process(req *msg.Request) {
 			return
 		}
 		// A read of widely replicated metadata can be served from the
-		// local replica: the whole point of traffic control (§4.4) and of
-		// hot-directory fan-out (internal/lease).
-		if !req.Op.IsUpdate() && m.advertised(req.Target) && m.cache.Contains(req.Target.ID) {
+		// local replica: the whole point of traffic control (§4.4), both
+		// its rules.
+		if !req.Op.IsUpdate() && m.tc.Replicated(req.Target) && m.cache.Contains(req.Target.ID) {
 			m.cache.Get(req.Target.ID)
 			m.Stats.ReplicaServes++
 			m.bumpPopularity(req.Target)
@@ -565,11 +563,12 @@ func (m *MDS) maybePreemptiveReplicate(req *msg.Request) {
 	m.fetchRecord(target, cache.Replica, preemptiveInstalled, m, target)
 }
 
-// preemptiveInstalled records the pulled replica in the inode's tags.
+// preemptiveInstalled records the pulled replica in the inode's tags
+// and has traffic control advertise it.
 func preemptiveInstalled(a, b any) {
-	tags := partition.TagsOf(b.(*namespace.Inode))
-	tags.SetReplica(a.(*MDS).id)
-	tags.Set(namespace.ReplicatedAll, true)
+	m, target := a.(*MDS), b.(*namespace.Inode)
+	partition.TagsOf(target).SetReplica(m.id)
+	m.tc.NotePulled(target)
 }
 
 // serve handles a request this node is authoritative for.
@@ -1002,7 +1001,7 @@ func (m *MDS) completeOp(req *msg.Request) {
 		// invalidates — before applying it, because Rename rewires
 		// target.Parent().
 		// Write is exempt: size maxima are monotonic and absorbed (§4.2).
-		if m.lease != nil && m.lease.Cfg.Enabled && req.Op != msg.Write {
+		if m.lease != nil && req.Op != msg.Write {
 			m.recallLeases(target)
 			switch req.Op {
 			case msg.Unlink:
@@ -1095,19 +1094,16 @@ func (m *MDS) finishReply(req *msg.Request) {
 	}
 	m.bumpPopularity(target)
 	// Peek reads the fresh popularity and the replication flag; Commit
-	// then flips the flag and counts the transition.
-	if m.tc != nil {
-		switch d := m.tc.Peek(m.eng.Now(), target); d {
-		case core.Replicate:
+	// then flips the flag and counts the transition. On Consolidate the
+	// replicas stop being advertised and simply age out of peer caches.
+	if d := m.tc.Peek(m.eng.Now(), target); d != core.Keep {
+		if d != core.Consolidate {
 			m.pushReplicas(target)
-			m.tc.Commit(d, target)
-		case core.Consolidate:
-			// Replicas stop being advertised and simply age out of
-			// peer caches.
-			m.tc.Commit(d, target)
+		}
+		if m.tc.Commit(d, target) && d == core.ReplicateDir {
+			m.Stats.ReplicaFanouts++
 		}
 	}
-	m.maybeFanOut(target)
 	m.reply(req)
 }
 
@@ -1122,43 +1118,6 @@ func (m *MDS) recallLeases(ino *namespace.Inode) {
 	}
 	m.Stats.LeaseRecalls++
 	m.fab.Send(net.LeaseRecall, m.id, m.fab.ClientEdge(), net.Bytes(net.LeaseRecall), leaseRecallArrive, m, ino)
-}
-
-// maybeFanOut pushes replicas of a hot directory to peers ahead of
-// demand (the server-side hotspot mechanism, internal/lease). The
-// ReplicatedAll tag doubles as the "already fanned" marker and the
-// client advertisement; when traffic control is active it owns the
-// tag's hysteresis, so fan-out only un-fans under strategies running
-// without it (the threshold regions never overlap).
-func (m *MDS) maybeFanOut(target *namespace.Inode) {
-	if m.lease == nil || !m.lease.Cfg.Fanout || !target.IsDir() || target.Parent() == nil {
-		return
-	}
-	tags := partition.TagsOf(target)
-	if !tags.Has(namespace.PopTouched) {
-		return
-	}
-	pop := tags.Pop.Peek(m.eng.Now(), partition.PopHalfLife)
-	if !tags.Has(namespace.ReplicatedAll) {
-		if pop < lease.FanoutPopularity {
-			return
-		}
-		n := m.cluster.NumMDS() - 1
-		if n <= 0 {
-			return
-		}
-		for k := 1; k <= n; k++ {
-			to := (m.id + k) % m.cluster.NumMDS()
-			peer := m.cluster.Node(to)
-			m.fab.Send(net.ReplicaInstall, m.id, to, net.Bytes(net.ReplicaInstall), installReplicaAt, peer, target)
-		}
-		m.Stats.ReplicaFanouts++
-		tags.Set(namespace.ReplicatedAll, true)
-		return
-	}
-	if m.tc == nil && pop < lease.FanoutPopularity/10 {
-		tags.Set(namespace.ReplicatedAll, false)
-	}
 }
 
 func (m *MDS) bumpPopularity(ino *namespace.Inode) {
@@ -1270,7 +1229,7 @@ func (m *MDS) reply(req *msg.Request) {
 	// racing this grant bumps the shared generation, so the grant arrives
 	// stale instead of resurrecting the lease.
 	rep.Leased, rep.LeaseGen = false, 0
-	if m.lease != nil && m.lease.Cfg.Enabled && !req.Op.IsUpdate() && m.lease.Reg.Leasable(req.Target.ID) {
+	if m.lease != nil && !req.Op.IsUpdate() && m.lease.Reg.Leasable(req.Target.ID) {
 		if tags := partition.TagsOf(req.Target); tags.Has(namespace.PopTouched) &&
 			tags.Pop.Peek(now, partition.PopHalfLife) >= lease.GrantPopularity {
 			rep.Leased, rep.LeaseGen = true, m.lease.Reg.Gen(req.Target.ID)
@@ -1330,28 +1289,17 @@ func (m *MDS) appendHints(hs []msg.Hint, target *namespace.Inode) []msg.Hint {
 		hs = append(hs, msg.Hint{
 			Ino:        a.ID,
 			Authority:  m.strat.Authority(a),
-			Replicated: m.advertised(a),
+			Replicated: m.tc.Replicated(a),
 		})
 	}
 	if target.Parent() != nil {
 		hs = append(hs, msg.Hint{
 			Ino:        target.ID,
 			Authority:  m.strat.Authority(target),
-			Replicated: m.advertised(target),
+			Replicated: m.tc.Replicated(target),
 		})
 	}
 	return hs
-}
-
-// advertised reports whether replies should tell clients the item is
-// available cluster-wide: traffic control's hysteresis says so, or the
-// fan-out mechanism has pushed it (which also advertises under
-// strategies that run without traffic control).
-func (m *MDS) advertised(ino *namespace.Inode) bool {
-	if m.tc.Replicated(ino) {
-		return true
-	}
-	return m.lease != nil && m.lease.Cfg.Fanout && partition.TagsOf(ino).Has(namespace.ReplicatedAll)
 }
 
 func (m *MDS) noteMiss() {

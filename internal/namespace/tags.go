@@ -39,7 +39,7 @@ const (
 	// PopTouched records that Pop has been bumped at least once.
 	PopTouched TagFlag = 1 << iota
 	// ReplicatedAll marks metadata replicated across the cluster by
-	// traffic control or lease fan-out.
+	// traffic control, its one writer (core.TrafficControl).
 	ReplicatedAll
 	// HashedDir marks a directory whose entries are dynamically hashed
 	// across the cluster (§4.3).

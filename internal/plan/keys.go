@@ -86,7 +86,7 @@ var keys = []key{
 		func(c *cluster.Config) string { return c.Faults }},
 	timeKey("bucket", "cluster", "metrics series bucket", sim.Microsecond,
 		func(c *cluster.Config) *sim.Time { return &c.SeriesBucket }),
-	{"mechanism", "cluster", "client coherence: dumb, leases (open loop only), fanout (hot-directory replica push) or both",
+	{"mechanism", "cluster", "client coherence: dumb, leases (open loop only), fanout (traffic control's hot-directory rule, any strategy) or both",
 		func(c *cluster.Config, v string) error {
 			i := slices.Index(mechanisms[:], v)
 			if i < 0 {

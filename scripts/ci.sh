@@ -62,7 +62,7 @@ budget() {
     fi
 }
 budget README.md $((24 * 1024))
-budget DESIGN.md 56471
+budget DESIGN.md 56453
 
 # -race on the small CI box is ~6x slower than native; give packages
 # headroom past go test's 10m default so a busy host doesn't flake.
@@ -181,6 +181,23 @@ if [ -z "$FULL" ] || [ "$FULL" != "$REST" ]; then
     exit 1
 fi
 echo "ci: endurance restore determinism passed"
+
+# Fan-out is traffic control's directory rule on any strategy: a
+# StaticSubtree aging run with it (one tenant, a steep file skew, so a
+# directory gets hot) checkpoints a traffic-control section and no lease
+# plane, and restoring its ck-000 or ck-001 reproduces its digest.
+FANOUT="-set rate=0.05 -set clients=20000 -set tenants=1 -set tenant-skew=1 -set file-skew=2 -set duration=8s -set warmup=1s -set checkpoint=2.5s $CHURN -set mechanism=fanout -set strategy=StaticSubtree"
+FANFULL=$("$MDSIM" $FANOUT -checkpoint-dir "$TMP/fanout" | sed -n 's/^digest: //p')
+for k in 0 1; do
+    FANREST=$("$MDSIM" $FANOUT -restore "$TMP/fanout/ck-00$k.snap" | sed -n 's/^digest: //p')
+    if [ -z "$FANFULL" ] || [ "$FANFULL" != "$FANREST" ]; then
+        echo "ci: the fan-out aging run restored from ck-00$k diverged" >&2
+        echo "ci:   full:     $FANFULL" >&2
+        echo "ci:   restored: $FANREST" >&2
+        exit 1
+    fi
+done
+echo "ci: the fan-out aging run restores"
 
 # The same keys written as a plan file are the same run, and the plan
 # report carries its endurance half: the digest must match.
