@@ -323,6 +323,32 @@ func TestServiceQueuesLine(t *testing.T) {
 	}
 }
 
+// TestMechanismLines: the single-run report prints the lease plane's
+// line only when leases are on and the fan-out count only when fan-out
+// is on, so neither mechanism reports zeros for the other.
+func TestMechanismLines(t *testing.T) {
+	for _, c := range []struct {
+		mechanism      string
+		leases, fanout bool
+	}{{"dumb", false, false}, {"leases", true, false}, {"fanout", false, true}, {"both", true, true}} {
+		var stdout, stderr bytes.Buffer
+		args := []string{"-set", "rate=0.05", "-set", "clients=20000", "-set", "tenants=1", "-set", "file-skew=2",
+			"-set", "duration=2s", "-set", "warmup=1s", "-set", "mechanism=" + c.mechanism, "-set", "strategy=StaticSubtree"}
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: exit status %d\n%s", c.mechanism, code, stderr.String())
+		}
+		out := stdout.String()
+		leases := regexp.MustCompile(`(?m)^leases: ([1-9]\d*) grants, \d+ local hits, recalls \d+ sent / \d+ delivered / \d+ acked, slab\+registry [1-9]\d* B$`)
+		fanout := regexp.MustCompile(`(?m)^fan-out: \d+ hot directories pushed to every peer$`)
+		if got := leases.MatchString(out); got != c.leases || strings.Contains(out, "leases:") != c.leases {
+			t.Errorf("mechanism=%s: a lease line with grants %t, want %t:\n%s", c.mechanism, got, c.leases, out)
+		}
+		if got := fanout.MatchString(out); got != c.fanout || strings.Contains(out, "fan") != c.fanout {
+			t.Errorf("mechanism=%s: a fan-out line %t, want %t:\n%s", c.mechanism, got, c.fanout, out)
+		}
+	}
+}
+
 // TestDefaultReportIsDeterministic: the single-run report prints only
 // what the run determines, so one command run twice in one process
 // prints the same text bar its wall-time line — the second run thaws

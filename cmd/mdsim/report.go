@@ -47,11 +47,14 @@ func writeSingle(w io.Writer, r *harness.PlanRun, start time.Time) {
 		fmt.Fprintf(w, "open loop: %d clients, issued %d, completed %d\n",
 			res.Clients, res.Issued, res.Completed)
 		fmt.Fprintf(w, "memory: plane %.1f B/client structural\n", float64(res.PopFootprint)/float64(res.Clients))
-		if r.Cfg.Lease.Enabled || r.Cfg.Lease.Fanout {
-			fmt.Fprintf(w, "leases: %d grants, %d local hits, recalls %d sent / %d delivered / %d acked, %d fanouts, slab+registry %d B\n",
+		if r.Cfg.Lease.Enabled {
+			fmt.Fprintf(w, "leases: %d grants, %d local hits, recalls %d sent / %d delivered / %d acked, slab+registry %d B\n",
 				res.LeaseGrants, res.LeaseHits, res.LeaseRecalls,
-				res.LeaseRecalled, res.LeaseAcks, res.ReplicaFanouts, res.LeaseFootprint)
+				res.LeaseRecalled, res.LeaseAcks, res.LeaseFootprint)
 		}
+	}
+	if r.Cfg.Lease.Fanout {
+		fmt.Fprintf(w, "fan-out: %d hot directories pushed to every peer\n", res.ReplicaFanouts)
 	}
 	fmt.Fprintf(w, "fabric (%s model): %d messages, %d bytes, max link queue %d\n",
 		res.Net.Model, res.Net.Messages, res.Net.Bytes, res.Net.MaxQueueDepth)

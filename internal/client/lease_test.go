@@ -54,12 +54,8 @@ func leaseFixture(t *testing.T, cfg PopulationConfig, seed int64, delay sim.Time
 	tr, homes := popTree(t, 4)
 	tn := workload.NewTenants(cfg.Tenant, cfg.Clients, homes, seed)
 	eng := sim.NewEngine()
-	lcfg := lease.Config{Enabled: true, Duration: 100 * sim.Millisecond}
-	if err := lcfg.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	plane := lease.NewPlane(lcfg, cfg.Clients, tr.MaxID())
-	net := &grantNet{eng: eng, n: 4, delay: delay, plane: plane, duration: lcfg.Duration}
+	plane := lease.NewPlane(100*sim.Millisecond, cfg.Clients, tr.MaxID())
+	net := &grantNet{eng: eng, n: 4, delay: delay, plane: plane, duration: plane.Duration}
 	// Subtree strategy: clients are ignorant and follow hints, so the
 	// stale-hint regression can steer routing through the hint table.
 	pop := NewPopulation(cfg, eng, net, partition.NewStaticSubtree(4, tr, int(seed)), tn, seed)

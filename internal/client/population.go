@@ -676,7 +676,7 @@ func (p *Population) OnReply(rep *msg.Reply) bool {
 		// that raced a recall from resurrecting the lease.
 		if rep.Leased && p.lease != nil {
 			p.lease.Tab.Install(rep.Client, req.Target.ID, rep.LeaseGen,
-				p.eng.Now()+p.lease.Cfg.Duration)
+				p.eng.Now()+p.lease.Duration)
 		}
 		if !resent {
 			// Its one copy is answered, so none is left in flight. A

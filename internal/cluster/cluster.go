@@ -100,8 +100,8 @@ type Config struct {
 
 	// Balancer enables dynamic load balancing (DynamicSubtree only).
 	Balancer *core.BalancerConfig
-	// Traffic enables traffic control's §4.4 rule (DynamicSubtree only);
-	// the template's thresholds are copied into a fresh controller.
+	// Traffic's thresholds arm traffic control's §4.4 rule and §5.4 pull
+	// (DynamicSubtree only), copied into a fresh controller.
 	Traffic *core.TrafficControl
 	// HashDirThreshold enables dynamic directory hashing (§4.3;
 	// DynamicSubtree only).
@@ -196,7 +196,7 @@ type Cluster struct {
 	// Table is the subtree partition's delegation table (nil under the
 	// hash strategies).
 	Table    *partition.SubtreeTable
-	Traffic  *core.TrafficControl // nil with no rule on, and on one node
+	Traffic  *core.TrafficControl // nil with no rule on
 	Balancer *core.Balancer
 	Nodes    []*mds.MDS
 	Clients  []*client.Client
@@ -450,7 +450,7 @@ func New(cfg Config) (*Cluster, error) {
 	// Lease plane: shared registry sized to the namespace (plus mid-run
 	// growth headroom), lease slab sized to the population.
 	if cfg.Lease.Enabled {
-		c.Lease = lease.NewPlane(cfg.Lease, c.Pop.Clients(), snap.Tree.MaxID())
+		c.Lease = lease.NewPlane(cfg.Lease.Duration, c.Pop.Clients(), snap.Tree.MaxID())
 		for _, n := range c.Nodes {
 			n.AttachLeasePlane(c.Lease)
 		}
@@ -488,12 +488,13 @@ func buildNetModel(cfg Config) (net.LatencyModel, error) {
 
 // buildStrategy builds the partition, and is the one place that decides
 // what makes a subtree partition dynamic: for DynamicSubtree, directory
-// hashing, traffic control's §4.4 rule, the balancer and failover's root
-// reassignment (dynamic). StaticSubtree is the same partition without
-// them (§5). It also arms traffic control's directory rule under
-// fan-out, whatever the strategy.
+// hashing, traffic control's §4.4 rule (and §5.4's pull), the balancer
+// and failover's root reassignment (dynamic). StaticSubtree is the same
+// partition without them (§5). It also arms traffic control's directory
+// rule under fan-out and its lease rule under leases, whatever the
+// strategy.
 func (c *Cluster) buildStrategy(cfg Config, snap *fsgen.Snapshot) error {
-	var items *core.TrafficControl // the §4.4 rule's template
+	var items *core.TrafficControl // the §4.4 and pull rules' template
 	switch cfg.Strategy {
 	case StratDynamic, StratStatic:
 		s := partition.NewStaticSubtree(cfg.NumMDS, snap.Tree, cfg.PartitionDepth)
@@ -513,10 +514,7 @@ func (c *Cluster) buildStrategy(cfg Config, snap *fsgen.Snapshot) error {
 	default:
 		return fmt.Errorf("cluster: unknown strategy %q", cfg.Strategy)
 	}
-	// Traffic control replicates to peers: one node has none.
-	if cfg.NumMDS > 1 {
-		c.Traffic = items.ForCluster(cfg.Lease.Fanout)
-	}
+	c.Traffic = items.ForCluster(cfg.NumMDS > 1, cfg.Lease.Fanout, cfg.Lease.Enabled)
 	return nil
 }
 

@@ -14,7 +14,8 @@ import (
 // traffic control, and (b) plain DynamicSubtree on a single node, where
 // neither has a peer to act on. Closed and open loop, the latter with
 // leases and replica fan-out, over three seeds. A one-node cluster arms
-// no traffic control, so relation (b) holds with no exception.
+// only traffic control's lease rule, whatever the strategy, so relation
+// (b) holds with no exception.
 func TestStaticIsDynamicWithoutMechanisms(t *testing.T) {
 	openLoop := func(strategy string) Config {
 		cfg := openLoopConfig(strategy)

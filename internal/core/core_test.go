@@ -39,7 +39,7 @@ func TestTrafficControlDecisions(t *testing.T) {
 	tr, homes := buildTree(t)
 	_ = tr
 	f := homes[0].Child(0)
-	tc := &TrafficControl{ReplicateThreshold: 10}
+	tc := (&TrafficControl{ReplicateThreshold: 10}).ForCluster(true, false, false)
 	pop := partition.Popularity(f)
 	decide := func(now sim.Time) Decision {
 		d := tc.Peek(now, f)
@@ -83,13 +83,14 @@ func TestTrafficControlDisabledAndNil(t *testing.T) {
 	f := homes[0].Child(0)
 	partition.Popularity(f).Add(0, partition.PopHalfLife, 1e6)
 	var nilTC *TrafficControl
-	if nilTC.Peek(0, f) != Keep || nilTC.Replicated(f) || nilTC.Commit(Replicate, f) {
+	if nilTC.Peek(0, f) != Keep || nilTC.Replicated(f) || nilTC.Commit(Replicate, f) ||
+		nilTC.Grant(0, f, false) || nilTC.Pull(0, f, false) {
 		t.Fatal("nil traffic control acted")
 	}
 	// Untouched inode (no Pop counter): Keep.
 	g := homes[0].Child(1)
-	on := DefaultTrafficControl()
-	if on.Peek(0, g) != Keep {
+	on := DefaultTrafficControl().ForCluster(true, true, true)
+	if on.Peek(0, g) != Keep || on.Grant(0, g, false) {
 		t.Fatal("decision for untouched inode")
 	}
 }

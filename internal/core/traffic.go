@@ -7,54 +7,55 @@ import (
 	"dynmds/internal/sim"
 )
 
-// TrafficControl implements the paper's flash-crowd defence (§4.4) and
-// is the one owner of cluster-wide replication and of the ReplicatedAll
-// tag (the checkpoint restore aside). MDS nodes monitor metadata
-// popularity with decaying access counters (the MDS bumps the counter
-// on every authoritative access); the counter approximates how widely
-// an item appears in client caches because every reply that advertises
-// an item also delivered it to a client. When an item becomes popular
-// its authority replicates it across the cluster and replies start
-// telling clients the item lives everywhere; when popularity decays the
-// item is consolidated and replies point at the authority again. Client ignorance is thus managed so that no crowd of
-// clients ever simultaneously believes an unreplicated item is in one
-// place. A nil controller is replication switched off (Figure 7
-// contrasts off and on). A second rule shares the signal and the tag:
-// the directory rule (hot-directory fan-out) replicates a directory
-// below the root at DirThreshold and consolidates it below a tenth of
-// that, unless the §4.4 rule is on: then its tenth owns consolidation,
-// and it wins a tie.
+// TrafficControl is the cluster's one hot-metadata policy: MDS nodes
+// "monitor metadata popularity with decaying access counters" (§4.4),
+// every action on them is decided here, and the MDS only carries it
+// out. It alone writes the ReplicatedAll tag (the checkpoint restore
+// aside). A popular item is replicated across the cluster and replies
+// tell clients it lives everywhere; once its popularity decays it is
+// consolidated and replies point at its authority again, so no crowd
+// of clients ever believes an unreplicated item is in one place. The
+// rules: the §4.4 rule and the directory rule (hot-directory fan-out,
+// below the root) through Peek/Commit, each consolidating below a
+// tenth of its threshold (the §4.4 rule, when on, owns consolidation
+// and wins a tie); the lease rule (Grant); §5.4's pull (Pull). A nil
+// controller is every rule off (Figure 7 contrasts replication off and on).
 type TrafficControl struct {
 	// ReplicateThreshold is the decayed access count above which the
-	// §4.4 rule replicates an item cluster-wide. A replicated item is
-	// consolidated back to its authority once its count falls below a
-	// tenth of it (hysteresis).
+	// §4.4 rule replicates an item cluster-wide.
 	ReplicateThreshold float64
 
-	// PreemptiveThreshold, when > 0, implements the paper's suggested
-	// improvement (§5.4): a non-authoritative node that forwards more
-	// than this (decayed) number of requests for one item fetches a
-	// replica preemptively, "without waiting to be told to do so",
-	// shortening flash-crowd response time. Zero disables it.
+	// PreemptiveThreshold, when > 0, arms §5.4's suggested improvement
+	// beside the §4.4 rule: a non-authoritative node that forwards this
+	// (decayed) number of requests for one item fetches a replica
+	// "without waiting to be told to do so", shortening flash-crowd
+	// response time.
 	PreemptiveThreshold float64
 
 	// Replications counts items the §4.4 rule replicated.
 	Replications uint64
 
-	// dirs arms the directory rule; dirsOnly leaves the §4.4 rule off
-	// (a controller built for fan-out alone).
-	dirs, dirsOnly bool
-
-	// fwd holds each item's decayed forward count, summed across the
-	// non-authoritative nodes that forwarded requests for it (§5.4);
-	// an item never forwarded has no entry. Only preemptive
-	// replication writes it.
+	rules uint8 // the rules ForCluster armed
+	// fwd is the pull rule's state (nil without it): each item's decayed
+	// forward count, summed across the nodes that forwarded it.
 	fwd map[namespace.InodeID]metrics.Decay
 }
 
-// DirThreshold is the decayed access count at which the directory rule
-// replicates a directory below the root cluster-wide.
-const DirThreshold = 200
+const (
+	ruleReplicate = 1 << iota // §4.4
+	ruleDirs                  // hot-directory fan-out
+	ruleLease                 // client read-lease grants
+	rulePull                  // §5.4's preemptive pull
+)
+
+const (
+	// DirThreshold is the decayed access count at which the directory
+	// rule replicates a directory.
+	DirThreshold = 200
+	// GrantPopularity is the decayed access count from which the lease
+	// rule grants a read lease: leases chase records already warming up.
+	GrantPopularity = 20
+)
 
 // DefaultTrafficControl returns the policy used by the experiments.
 func DefaultTrafficControl() *TrafficControl {
@@ -76,49 +77,69 @@ const (
 	Consolidate
 )
 
-// ForCluster returns a fresh controller for one cluster to run, with no
-// replications counted and no forward counts: tc's thresholds for the
-// §4.4 rule (a nil tc leaves that rule off) and, when dirs is set, the
-// directory rule. It returns nil when neither rule is on.
-func (tc *TrafficControl) ForCluster(dirs bool) *TrafficControl {
-	switch {
-	case tc != nil:
-		return &TrafficControl{ReplicateThreshold: tc.ReplicateThreshold,
-			PreemptiveThreshold: tc.PreemptiveThreshold, dirs: dirs}
-	case dirs:
-		return &TrafficControl{dirs: true, dirsOnly: true}
+// ForCluster returns a fresh controller for one cluster to run, with
+// nothing counted. Replication needs peers: with them, tc's thresholds
+// arm the §4.4 rule and, when PreemptiveThreshold is set, the pull (a
+// nil tc leaves both off), and dirs arms the directory rule. leases
+// arms the lease rule on any cluster. It returns nil when no rule is on.
+func (tc *TrafficControl) ForCluster(peers, dirs, leases bool) *TrafficControl {
+	out := &TrafficControl{}
+	if peers && tc != nil {
+		out.ReplicateThreshold, out.PreemptiveThreshold = tc.ReplicateThreshold, tc.PreemptiveThreshold
+		out.rules |= ruleReplicate
+		if tc.PreemptiveThreshold > 0 {
+			out.rules |= rulePull
+			out.fwd = make(map[namespace.InodeID]metrics.Decay)
+		}
 	}
-	return nil
+	if peers && dirs {
+		out.rules |= ruleDirs
+	}
+	if leases {
+		out.rules |= ruleLease
+	}
+	if out.rules == 0 {
+		return nil
+	}
+	return out
 }
 
-// Forwards returns the controller's forward counters, keyed by inode
-// (nil without traffic control): NoteForward's state, and the
-// checkpoint codec's.
+// Forwards returns the pull rule's forward counters, keyed by inode
+// (nil without the rule), for the checkpoint codec.
 func (tc *TrafficControl) Forwards() map[namespace.InodeID]metrics.Decay {
 	if tc == nil {
 		return nil
 	}
-	if tc.fwd == nil {
-		tc.fwd = make(map[namespace.InodeID]metrics.Decay)
-	}
 	return tc.fwd
 }
 
-// NoteForward counts one forwarded request for ino and returns the
-// item's decayed forward count.
-func (tc *TrafficControl) NoteForward(now sim.Time, ino *namespace.Inode) float64 {
-	fwd := tc.Forwards()
-	d := fwd[ino.ID]
+// Pull is the pull rule, asked on every forward: it counts a forwarded
+// read of ino and reports whether the item's decayed forward count has
+// reached PreemptiveThreshold, so the forwarding node should pull a
+// replica itself instead of waiting for the authority to push one.
+func (tc *TrafficControl) Pull(now sim.Time, ino *namespace.Inode, update bool) bool {
+	if tc == nil || tc.rules&rulePull == 0 || update {
+		return false
+	}
+	d := tc.fwd[ino.ID]
 	d.Add(now, partition.PopHalfLife, 1)
-	fwd[ino.ID] = d
-	return d.Peek(now, partition.PopHalfLife)
+	tc.fwd[ino.ID] = d
+	return d.Peek(now, partition.PopHalfLife) >= tc.PreemptiveThreshold
 }
 
-// Peek computes the policy decision without mutating anything: the
-// inode's by-value counter is read with metrics.Decay.Peek and the
-// replication flag is left untouched; the caller applies the decision
-// with Commit. Peek, not Value, because Value renormalises the stored
-// counter, and the stored bits feed every later read.
+// Grant is the lease rule, asked on every reply: a read of a record
+// whose decayed popularity has reached GrantPopularity carries a lease.
+func (tc *TrafficControl) Grant(now sim.Time, ino *namespace.Inode, update bool) bool {
+	if tc == nil || tc.rules&ruleLease == 0 || update {
+		return false
+	}
+	tags := partition.TagsOf(ino)
+	return tags.Has(namespace.PopTouched) && tags.Pop.Peek(now, partition.PopHalfLife) >= GrantPopularity
+}
+
+// Peek computes the replication rules' decision without mutating
+// anything; the caller applies it with Commit. Peek, not Value, because
+// Value renormalises the stored counter, whose bits feed every later read.
 func (tc *TrafficControl) Peek(now sim.Time, ino *namespace.Inode) Decision {
 	if tc == nil {
 		return Keep
@@ -128,23 +149,23 @@ func (tc *TrafficControl) Peek(now sim.Time, ino *namespace.Inode) Decision {
 		return Keep
 	}
 	v := tags.Pop.Peek(now, partition.PopHalfLife)
-	dir := tc.dirs && ino.IsDir() && ino.Parent() != nil
+	items := tc.rules&ruleReplicate != 0
+	dir := tc.rules&ruleDirs != 0 && ino.IsDir() && ino.Parent() != nil
 	switch replicated := tags.Has(namespace.ReplicatedAll); {
-	case !replicated && !tc.dirsOnly && v >= tc.ReplicateThreshold:
+	case !replicated && items && v >= tc.ReplicateThreshold:
 		return Replicate
 	case !replicated && dir && v >= DirThreshold:
 		return ReplicateDir
-	case replicated && !tc.dirsOnly && v < tc.ReplicateThreshold/10,
-		replicated && tc.dirsOnly && dir && v < DirThreshold/10:
+	case replicated && items && v < tc.ReplicateThreshold/10,
+		replicated && !items && dir && v < DirThreshold/10:
 		return Consolidate
 	}
 	return Keep
 }
 
-// Commit applies a previously peeked decision: it flips the inode's
-// replication flag and counts a §4.4 replication. The flag is
-// re-checked, so a commit the flag already reflects counts nothing.
-// Returns whether the flip happened.
+// Commit applies a peeked decision: it flips the inode's replication
+// flag and counts a §4.4 replication, and reports whether the flag
+// flipped (a commit the flag already reflects counts nothing).
 func (tc *TrafficControl) Commit(d Decision, ino *namespace.Inode) bool {
 	if tc == nil || d == Keep {
 		return false

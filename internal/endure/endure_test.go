@@ -48,11 +48,18 @@ func testOptions(faults string) Options {
 // leaseEverything turns leases and fan-out on and concentrates the
 // traffic — one tenant, a steep popularity skew, 2.5 times the rate — so
 // that the hottest records' decayed popularity crosses the grant and
-// fan-out floors (lease.GrantPopularity, core.DirThreshold) within the
+// fan-out floors (core.GrantPopularity, core.DirThreshold) within the
 // first checkpoint interval, and the registry, the client slab and the
 // replica sets have content to carry.
 func leaseEverything(cfg *cluster.Config) {
-	cfg.Lease.Enabled, cfg.Lease.Fanout = true, true
+	leasesOnly(cfg)
+	cfg.Lease.Fanout = true
+}
+
+// leasesOnly is leaseEverything without fan-out: traffic control arms
+// its lease rule alone unless the strategy brings the §4.4 rule.
+func leasesOnly(cfg *cluster.Config) {
+	cfg.Lease.Enabled = true
 	cfg.OpenLoop.Rate *= 2.5
 	cfg.OpenLoop.Tenant = workload.TenantConfig{Tenants: 1, FileSkew: 2}
 }
@@ -88,7 +95,8 @@ func quiescedAtFirstCheckpoint(t *testing.T, opt *Options) *cluster.Cluster {
 // digest bit-identical to the uninterrupted run — with Config.Shards
 // set, under an active fault schedule, from a
 // checkpoint taken while a node is down, on every strategy family, with
-// links that carry busy horizons, and with the lease plane on. The same
+// links that carry busy horizons, and with the lease plane on (also
+// with traffic control's lease rule armed alone). The same
 // walk writes and reads a checkpoint, so two more things hold of every
 // case: writing does not change what it walks (two checkpoints written
 // back to back are the same bytes, and the bytes of the run's file), and
@@ -114,6 +122,16 @@ func TestRestoreBitIdentity(t *testing.T) {
 		{"leases-K2", func(cfg *cluster.Config) {
 			cfg.Shards = 2
 			leaseEverything(cfg)
+		}},
+		// Traffic control with its lease rule alone: StaticSubtree, and
+		// one node, where no replication rule has a peer.
+		{"static-leases", func(cfg *cluster.Config) {
+			cfg.Strategy = cluster.StratStatic
+			leasesOnly(cfg)
+		}},
+		{"leases-one-node", func(cfg *cluster.Config) {
+			cfg.NumMDS = 1
+			leasesOnly(cfg)
 		}},
 	}
 	for _, tc := range cases {
@@ -148,12 +166,15 @@ func TestRestoreBitIdentity(t *testing.T) {
 			live := options()
 			c := quiescedAtFirstCheckpoint(t, &live)
 			if live.Cluster.Lease.Enabled {
+				if c.Traffic == nil {
+					t.Fatal("leases on and no traffic control: the lease rule is unarmed")
+				}
 				var grants, fanouts uint64
 				for _, n := range c.Nodes {
 					grants += n.Stats.LeaseGrants
 					fanouts += n.Stats.ReplicaFanouts
 				}
-				if grants == 0 || fanouts == 0 {
+				if grants == 0 || live.Cluster.Lease.Fanout && fanouts == 0 {
 					t.Fatalf("lease plane idle at the first checkpoint: %d grants, %d fan-outs", grants, fanouts)
 				}
 			}

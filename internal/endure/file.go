@@ -34,7 +34,8 @@ type header struct {
 // which EndureCheck refuses. cfg.Snapshot is deliberately not hashed:
 // the tree it holds is a pure function of (FS, Seed) when endure
 // generates it, and opaque when the caller shares one — either way
-// presence timing must not change the hash.
+// presence timing must not change the hash. TestConfigHashCoversEveryField
+// holds it to every other field.
 func configHash(cfg *cluster.Config) uint64 {
 	h := fnv.New64a()
 	fs, m, cl, w, g, l := &cfg.FS, &cfg.MDS, &cfg.Client, &cfg.Workload, &cfg.Workload.General, &cfg.Lease

@@ -2,8 +2,8 @@
 // coherent client-side metadata leases.
 //
 // A lease is a bounded-lifetime read capability on one metadata record.
-// The authority grants it on a reply when the record's decayed
-// popularity crosses a threshold; the client then serves further reads
+// The authority grants it on a reply when traffic control's lease rule
+// says so (core.TrafficControl.Grant); the client then serves further reads
 // of that record locally, with zero fabric hops, until the lease
 // expires or the authority recalls it. Recall is by generation: every
 // inode has a recall generation in a shared Registry, a grant snapshots
@@ -55,11 +55,6 @@ const (
 	Ways = 2
 	// DefaultDuration is the lease lifetime Normalize fills in.
 	DefaultDuration = 500 * sim.Millisecond
-	// GrantPopularity is the decayed-popularity floor for granting a
-	// lease on a read reply: leases chase records that are already
-	// warming up, mirroring how traffic control keys off the same
-	// decayed counters.
-	GrantPopularity = 20
 )
 
 // Normalize fills in the lease lifetime. It returns an error for a
@@ -205,23 +200,24 @@ func (t *Table) Valid(client int, ino namespace.InodeID, gen uint32, now sim.Tim
 // FootprintBytes is the slab's structural size.
 func (t *Table) FootprintBytes() int { return len(t.key)*4 + len(t.meta)*8 }
 
-// Plane bundles the shared registry and the client slab with the
-// normalized config; the cluster builds one when leases are on and
-// hands it to both the MDS nodes (grant and recall decisions) and the
-// population (local serves and installs).
+// Plane bundles the shared registry and the client slab with the lease
+// lifetime; the cluster builds one when leases are on and hands it to
+// both the MDS nodes (grants and recalls) and the population (local
+// serves and installs).
 type Plane struct {
-	Cfg Config
-	Reg *Registry
-	Tab *Table
+	Duration sim.Time
+	Reg      *Registry
+	Tab      *Table
 
 	// Recalled counts recall notices delivered at the client edge.
 	Recalled uint64
 }
 
 // NewPlane builds the plane for a population of clients over a
-// namespace whose largest inode ID is maxIno. cfg must be normalized.
-func NewPlane(cfg Config, clients int, maxIno namespace.InodeID) *Plane {
-	return &Plane{Cfg: cfg, Reg: NewRegistry(maxIno), Tab: NewTable(clients, Ways)}
+// namespace whose largest inode ID is maxIno, granting leases that
+// live for duration.
+func NewPlane(duration sim.Time, clients int, maxIno namespace.InodeID) *Plane {
+	return &Plane{Duration: duration, Reg: NewRegistry(maxIno), Tab: NewTable(clients, Ways)}
 }
 
 // FootprintBytes is the plane's structural size (registry + slab).

@@ -128,11 +128,7 @@ func TestTableHugeInodeIgnored(t *testing.T) {
 }
 
 func TestPlaneDangling(t *testing.T) {
-	cfg := Config{Enabled: true}
-	if err := cfg.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	p := NewPlane(cfg, 4, 100)
+	p := NewPlane(DefaultDuration, 4, 100)
 	ino := namespace.InodeID(9)
 
 	// A granted lease the registry knows about: not dangling.
@@ -161,11 +157,7 @@ func TestPlaneDangling(t *testing.T) {
 }
 
 func TestPlaneFootprint(t *testing.T) {
-	cfg := Config{Enabled: true}
-	if err := cfg.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	p := NewPlane(cfg, 1000, 100)
+	p := NewPlane(DefaultDuration, 1000, 100)
 	// 12 bytes per slot, Ways slots per client.
 	if got := p.Tab.FootprintBytes(); got != 1000*Ways*12 {
 		t.Fatalf("slab footprint = %d, want %d", got, 1000*Ways*12)

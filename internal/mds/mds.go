@@ -193,8 +193,8 @@ type MDS struct {
 	cache *cache.Cache
 	store *storage.Store
 
-	// tc is non-nil when the dynamic strategy's traffic control is
-	// active on this cluster.
+	// tc is the cluster's traffic control (nil with no rule on): it makes
+	// every hot-metadata decision this node carries out.
 	tc *core.TrafficControl
 	// sub is non-nil for a subtree partition (directory hashing hook).
 	sub *partition.Subtree
@@ -316,10 +316,8 @@ func New(id int, eng *sim.Engine, cfg Config, strat partition.Strategy, tc *core
 // accounting (the fabric's per-class counters conserve it).
 func evictNoticeArrive(_, _ any) {}
 
-// AttachLeasePlane activates the lease plane on this node: read-lease
-// grants on replies and recall-on-mutate notices. The cluster attaches
-// it after construction; a nil plane (the default) leaves every request
-// path bit-identical to a build without the plane.
+// AttachLeasePlane gives the node the cluster's lease plane, whose
+// registry its grants and recalls update.
 func (m *MDS) AttachLeasePlane(p *lease.Plane) { m.lease = p }
 
 // EnableFaults puts the node in fault mode: forwards are acked and time
@@ -514,7 +512,12 @@ func (m *MDS) process(req *msg.Request) {
 func (m *MDS) forward(req *msg.Request, to int) {
 	m.Stats.Forwarded++
 	m.cluster.NoteForward(m.eng.Now())
-	m.maybePreemptiveReplicate(req)
+	// Traffic control's pull rule (§5.4): a node flooded with forwards
+	// for one item pulls a replica itself instead of waiting for the
+	// authority to push one; the authority may consolidate it later.
+	if m.tc.Pull(m.eng.Now(), req.Target, req.Op.IsUpdate()) && !m.cache.Contains(req.Target.ID) {
+		m.fetchRecord(req.Target, cache.Replica, preemptiveInstalled, m, req.Target)
+	}
 	req.Hops++
 	if m.faults {
 		req.Via = m.id
@@ -545,22 +548,6 @@ func (m *MDS) armFwdTimeout(req *msg.Request, to int) {
 		m.cluster.Suspect(m.id, rec.to)
 		m.process(req)
 	})
-}
-
-// maybePreemptiveReplicate implements §5.4's suggested improvement: a
-// node flooded with forwards for one item pulls a replica itself
-// instead of waiting for the authority to push one.
-func (m *MDS) maybePreemptiveReplicate(req *msg.Request) {
-	if m.tc == nil || m.tc.PreemptiveThreshold <= 0 || req.Op.IsUpdate() {
-		return
-	}
-	target := req.Target
-	if m.tc.NoteForward(m.eng.Now(), target) < m.tc.PreemptiveThreshold || m.cache.Contains(target.ID) {
-		return
-	}
-	// Pull the record from its authority and start advertising it as
-	// widely replicated; the authority's policy may consolidate later.
-	m.fetchRecord(target, cache.Replica, preemptiveInstalled, m, target)
 }
 
 // preemptiveInstalled records the pulled replica in the inode's tags
@@ -1224,22 +1211,19 @@ func (m *MDS) reply(req *msg.Request) {
 		rep.Hints = m.appendHints(rep.Hints[:0], req.Target)
 	}
 	// Lease fields are value state on a pooled struct: reset them
-	// unconditionally, then maybe grant. A grant rides the reply and
-	// snapshots the recall generation now, at the authority — a recall
-	// racing this grant bumps the shared generation, so the grant arrives
-	// stale instead of resurrecting the lease.
+	// unconditionally, then grant if traffic control's lease rule says
+	// so. A grant rides the reply and snapshots the recall generation
+	// now, at the authority — a recall racing this grant bumps the shared
+	// generation, so the grant arrives stale instead of resurrecting it.
 	rep.Leased, rep.LeaseGen = false, 0
-	if m.lease != nil && !req.Op.IsUpdate() && m.lease.Reg.Leasable(req.Target.ID) {
-		if tags := partition.TagsOf(req.Target); tags.Has(namespace.PopTouched) &&
-			tags.Pop.Peek(now, partition.PopHalfLife) >= lease.GrantPopularity {
-			rep.Leased, rep.LeaseGen = true, m.lease.Reg.Gen(req.Target.ID)
-			m.lease.Reg.NoteGrant(req.Target.ID)
-			m.Stats.LeaseGrants++
-			// The capability itself is in the reply; this envelope carries
-			// the grant's wire cost and per-class conservation.
-			m.fab.Send(net.LeaseGrant, m.id, m.fab.ClientEdge(),
-				net.Bytes(net.LeaseGrant), leaseGrantArrive, nil, nil)
-		}
+	if m.tc.Grant(now, req.Target, req.Op.IsUpdate()) && m.lease.Reg.Leasable(req.Target.ID) {
+		rep.Leased, rep.LeaseGen = true, m.lease.Reg.Gen(req.Target.ID)
+		m.lease.Reg.NoteGrant(req.Target.ID)
+		m.Stats.LeaseGrants++
+		// The capability itself is in the reply; this envelope carries
+		// the grant's wire cost and per-class conservation.
+		m.fab.Send(net.LeaseGrant, m.id, m.fab.ClientEdge(),
+			net.Bytes(net.LeaseGrant), leaseGrantArrive, nil, nil)
 	}
 	// The fabric prices the hop (hints add bytes under the queued
 	// model) and reports when the reply lands at the client edge.

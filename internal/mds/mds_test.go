@@ -91,7 +91,7 @@ func buildCluster(t *testing.T, eng *sim.Engine, n int, makeStrat func(*namespac
 	strat := makeStrat(tree)
 	var tc *core.TrafficControl
 	if trafficOn {
-		tc = &core.TrafficControl{ReplicateThreshold: 5}
+		tc = (&core.TrafficControl{ReplicateThreshold: 5}).ForCluster(true, false, false)
 	}
 	cl := newTestCluster(eng, tree, n)
 	for i := 0; i < n; i++ {

@@ -174,7 +174,7 @@ func TestPreemptiveReplication(t *testing.T) {
 	// The authority never pushes: the flood leaves its count at 12 at
 	// most. Nor does it consolidate the pulled replica: the count starts
 	// at 2, a tenth of the threshold.
-	tc := &core.TrafficControl{ReplicateThreshold: 20, PreemptiveThreshold: 5}
+	tc := (&core.TrafficControl{ReplicateThreshold: 20, PreemptiveThreshold: 5}).ForCluster(true, false, false)
 	partition.Popularity(f).Add(0, partition.PopHalfLife, 2)
 	cl := newTestCluster(eng, tree, 3)
 	for i := 0; i < 3; i++ {
