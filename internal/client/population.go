@@ -321,6 +321,36 @@ func (p *Population) next(li int32) uint64 {
 // uniform converts a word to [0,1).
 func uniform(u uint64) float64 { return float64(u>>11) / (1 << 53) }
 
+// SetHorizon declares h, the instant the run ends, as the wheel's
+// horizon: an arrival due after it is drawn and counted but never
+// stored, and the wheel panics if it ticks past h before Stop or Pause.
+// It reserves the wheel's nodes for the clients expected to arrive by h
+// from the armed instant (now) — pending timers never increase after
+// arming, since each firing re-arms at most its own client — plus six
+// standard deviations and 1024. Call before Start.
+func (p *Population) SetHorizon(h sim.Time) {
+	p.wheel.SetHorizon(h)
+	e := p.firstArrivals(h)
+	p.wheel.Reserve(min(p.cfg.Clients, int(e+float64(6*math.Sqrt(e)))+1024))
+}
+
+// firstArrivals is the expected number of clients whose first arrival,
+// armed now, falls at or before h: Σ_t n_t·(1 − e^(−λ_t·(h−now))) over
+// tenants, each at the rate its clients draw at, or every client once
+// the span reaches the inter-arrival cap.
+func (p *Population) firstArrivals(h sim.Time) float64 {
+	now := p.eng.Now()
+	if h-now >= maxInterArrival {
+		return float64(p.cfg.Clients)
+	}
+	span := max(h-now, 0).Seconds()
+	e := 0.0
+	for tn := range p.tenants.NumTenants() {
+		e -= float64(float64(p.tenants.TenantClients(tn)) * math.Expm1(-p.rate(tn, now)*p.rateMul*span))
+	}
+	return e
+}
+
 // Start arms every client's first arrival and starts the wheel. Each
 // client's first draw comes from its own stream, so the herd
 // de-synchronises by construction.
@@ -707,9 +737,13 @@ func (p *Population) EnableRetries(timeout sim.Time) {
 }
 
 // Stop suppresses further arrivals (Drain): pending wheel timers fire
-// into a no-op and outstanding retry chains retire at their next
-// deadline, so a drained run leaves no in-flight population state.
-func (p *Population) Stop() { p.stopped = true }
+// into a no-op, the wheel may tick past its horizon, and outstanding
+// retry chains retire at their next deadline, so a drained run leaves
+// no in-flight population state.
+func (p *Population) Stop() {
+	p.stopped = true
+	p.wheel.Retire()
+}
 
 // Issued returns the requests the population has issued.
 func (p *Population) Issued() uint64 { return p.issued }
@@ -734,8 +768,9 @@ func (p *Population) TimedOut() uint64 { return p.timedOut }
 // retirement deadline; zero after a drain.
 func (p *Population) RetryOutstanding() int { return len(p.retry) }
 
-// FootprintBytes returns the structural per-population memory: wheel
-// intrusive lists (6 B/client), the shared hint table (a 4 B/client word
+// FootprintBytes returns the structural per-population memory: the
+// wheel's nodes (6 B/client, or 10 B per pooled node when few clients
+// can arrive before the horizon), the shared hint table (a 4 B/client word
 // holding the draw count or naming a record, plus the chunks of records
 // allocated so far, so it grows as clients are first answered), the
 // tenant model, and the lease slab when attached. Request pools and

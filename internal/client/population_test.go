@@ -3,6 +3,7 @@ package client
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dynmds/internal/metrics"
@@ -286,31 +287,45 @@ func TestRearmCapUnderWheelHorizon(t *testing.T) {
 }
 
 // TestPopulationHeapBytesPerClient measures what a silent client costs
-// on the heap — its word (the draw count until it is first answered),
-// wheel link and deadline: 10 B — and holds FootprintBytes, which the
-// bench's bytes_per_client row and the clients plan's B/client column
-// report, to that measurement.
+// on the heap once its population has declared its horizon — its word
+// (the draw count until it is first answered) and its share of the
+// wheel's nodes — and holds FootprintBytes, which the bench's
+// bytes_per_client row and the clients plan's B/client column report, to
+// that measurement. Dense: every client can arrive by the horizon, so
+// the wheel keeps a node per client (10 B a client). Sparse: ~9 % can, so
+// it pools nodes for them (~5 B a client).
 func TestPopulationHeapBytesPerClient(t *testing.T) {
 	const clients = 1_000_000
 	_, homes := popTree(t, 4)
 	tn := workload.NewTenants(workload.TenantConfig{Tenants: 16}, clients, homes, 1)
-	eng := sim.NewEngine()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	pop := NewPopulation(PopulationConfig{Clients: clients}, eng, &echoNet{n: 4}, partition.FileHash{N: 4}, tn, 1)
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	heap := float64(after.HeapAlloc) - float64(before.HeapAlloc)
-	reported := float64(pop.FootprintBytes() - tn.FootprintBytes())
-	t.Logf("%.2f heap B/client, FootprintBytes %.2f", heap/clients, reported/clients)
-	if bpc := heap / clients; bpc > 11 {
-		t.Errorf("population holds %.1f heap B/client, gate 11", bpc)
+	for _, tc := range []struct {
+		name    string
+		rate    float64
+		horizon sim.Time
+		gate    float64
+	}{
+		{"dense", 0, 10 * sim.Second, 11},
+		{"sparse", 0.0012, 80 * sim.Second, 5.5},
+	} {
+		eng := sim.NewEngine()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		pop := NewPopulation(PopulationConfig{Clients: clients, Rate: tc.rate}, eng, &echoNet{n: 4}, partition.FileHash{N: 4}, tn, 1)
+		pop.SetHorizon(tc.horizon)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		heap := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+		reported := float64(pop.FootprintBytes() - tn.FootprintBytes())
+		t.Logf("%s: %.2f heap B/client, FootprintBytes %.2f", tc.name, heap/clients, reported/clients)
+		if bpc := heap / clients; bpc > tc.gate {
+			t.Errorf("%s: population holds %.1f heap B/client, gate %g", tc.name, bpc, tc.gate)
+		}
+		if math.Abs(reported-heap) > 0.05*heap {
+			t.Errorf("%s: FootprintBytes reports %.0f B without the tenants, the heap grew %.0f B", tc.name, reported, heap)
+		}
+		runtime.KeepAlive(pop)
 	}
-	if math.Abs(reported-heap) > 0.05*heap {
-		t.Errorf("FootprintBytes reports %.0f B without the tenants, the heap grew %.0f B", reported, heap)
-	}
-	runtime.KeepAlive(pop)
 }
 
 // holdNet keeps every request sent and answers none: the test delivers
@@ -368,5 +383,70 @@ func TestPopulationRecyclesOnlyOnceSentRequests(t *testing.T) {
 	}
 	if pop.Completed() != 2 {
 		t.Errorf("completed = %d, want 2", pop.Completed())
+	}
+}
+
+// logNet is echoNet that also logs each send's client and instant.
+type logNet struct {
+	*echoNet
+	log []int64
+}
+
+func (l *logNet) Send(i int, req *msg.Request) {
+	l.log = append(l.log, int64(req.Client), int64(l.eng.Now()))
+	l.echoNet.Send(i, req)
+}
+
+// TestPopulationHorizonIsInvisible: a population that declared its
+// horizon — its wheel pooled, the arrivals due after the horizon
+// dropped — sends what one without a horizon sends, from the same
+// clients at the same instants, across a Pause/Resume, and leaves every
+// client's draw count where it is: a dropped arrival's draw is taken.
+// Its reservation holds every timer, and stopped, it ticks past the
+// horizon without tripping the wheel's guard.
+func TestPopulationHorizonIsInvisible(t *testing.T) {
+	cfg := PopulationConfig{
+		Clients: 20000, Rate: 0.05,
+		Tenant:     workload.TenantConfig{Tenants: 4, FileSkew: 1, WorkingSet: 16},
+		DiurnalAmp: 0.3, BurstProb: 0.1,
+	}
+	const h = 4 * sim.Second
+	run := func(horizon bool) (*Population, *logNet) {
+		eng, pop, echo := popFixture(t, cfg, 5, 300*sim.Microsecond)
+		net := &logNet{echoNet: echo}
+		pop.net = net
+		if horizon {
+			pop.SetHorizon(h)
+			if pop.wheel.FootprintBytes() >= 6*int64(cfg.Clients) {
+				t.Fatalf("a sparse population's wheel holds %d B, no less than a node per client", pop.wheel.FootprintBytes())
+			}
+		}
+		reserved := pop.wheel.FootprintBytes()
+		pop.Start()
+		eng.RunUntil(h / 2)
+		pop.Pause()
+		eng.RunUntil(h/2 + 100*sim.Millisecond)
+		pop.Resume()
+		eng.RunUntil(h)
+		pop.Stop()
+		eng.RunUntil(h + 2*sim.Second)
+		if horizon && pop.wheel.FootprintBytes() != reserved {
+			t.Fatalf("the wheel grew from the %d B reserved to %d B", reserved, pop.wheel.FootprintBytes())
+		}
+		return pop, net
+	}
+	plain, plainNet := run(false)
+	bounded, boundedNet := run(true)
+	if plain.Issued() == 0 || plain.Issued() != bounded.Issued() || plain.Completed() != bounded.Completed() {
+		t.Fatalf("issued %d/%d, completed %d/%d without and with a horizon",
+			plain.Issued(), bounded.Issued(), plain.Completed(), bounded.Completed())
+	}
+	if !slices.Equal(plainNet.log, boundedNet.log) {
+		t.Fatal("with a horizon the population sends from other clients or at other instants")
+	}
+	for li := range cfg.Clients {
+		if a, b := plain.stream(int32(li)).n, bounded.stream(int32(li)).n; a != b {
+			t.Fatalf("client %d: %d draws without a horizon, %d with", li, a, b)
+		}
 	}
 }

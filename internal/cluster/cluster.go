@@ -614,6 +614,7 @@ func (c *Cluster) buildPopulation() error {
 	tenants := workload.NewTenants(pcfg.Tenant, pcfg.Clients, c.Snap.Homes, cfg.Seed)
 	c.tenants = tenants
 	c.Pop = client.NewPopulation(pcfg, c.Eng, c, c.Strategy, tenants, cfg.Seed)
+	c.Pop.SetHorizon(cfg.Duration)
 	if n := pcfg.UnlinkReserve(cfg.Duration); n > 0 {
 		victims := baseVictims(c.Snap.Tree, tenants, n)
 		if len(victims) == 0 {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"dynmds/internal/client"
@@ -162,4 +163,49 @@ func TestOpenLoopRetryWithoutFaults(t *testing.T) {
 			t.Errorf("retry timeout %v: %d retries", timeout, res.Retries)
 		}
 	}
+}
+
+// TestOpenLoopHorizonGuard: the population's wheel drops arrivals due
+// after Config.Duration, so running past it with the population live
+// panics, naming the horizon. Drain stops the population first, and a
+// quiesce pauses it, so neither trips the guard.
+func TestOpenLoopHorizonGuard(t *testing.T) {
+	cfg := openLoopConfig(StratDynamic)
+	cfg.OpenLoop.Rate = 0.05 // sparse: the wheel pools its nodes
+	build := func() *Cluster {
+		cl, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.StartEndure()
+		return cl
+	}
+
+	cl := build()
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "horizon "+sim.FormatTime(cfg.Duration)) {
+				t.Fatalf("running past the duration recovered %q, want the wheel's horizon panic", msg)
+			}
+		}()
+		cl.RunTo(cfg.Duration + sim.Second)
+	}()
+
+	cl = build()
+	cl.RunTo(cfg.Duration)
+	cl.Drain()
+	if err := cl.DrainCheck(); err != nil {
+		t.Fatal(err)
+	}
+	if cl.Pop.Issued() == 0 {
+		t.Fatal("the sparse population issued nothing")
+	}
+
+	cl = build()
+	cl.RunTo(cfg.Duration)
+	if err := cl.QuiesceBy(cfg.Duration + 5*sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	cl.RunTo(cfg.Duration + 6*sim.Second)
 }

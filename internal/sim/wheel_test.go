@@ -2,6 +2,7 @@ package sim
 
 import (
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -32,7 +33,7 @@ func (r *wheelRec) fire(id int32) {
 }
 
 // TestWheelFiresOnTime schedules timers across all three levels, up to
-// the horizon's last tick, and checks each fires at its deadline rounded
+// the range's last tick, and checks each fires at its deadline rounded
 // up to a tick boundary, regardless of how many cascades it crossed.
 func TestWheelFiresOnTime(t *testing.T) {
 	eng := NewEngine()
@@ -46,14 +47,14 @@ func TestWheelFiresOnTime(t *testing.T) {
 		256 * Millisecond, // level 1 first slot
 		300 * Millisecond, // level 1
 		65536 * Millisecond,
-		65600 * Millisecond,              // level 2
-		(wheelHorizon - 1) * Millisecond, // the horizon's last tick
+		65600 * Millisecond,            // level 2
+		(wheelRange - 1) * Millisecond, // the range's last tick
 	}
 	w.Start()
 	for i, d := range delays {
 		w.Schedule(int32(i), d)
 	}
-	eng.RunUntil((wheelHorizon + 16) * Millisecond)
+	eng.RunUntil((wheelRange + 16) * Millisecond)
 	w.Stop()
 	eng.Run()
 
@@ -76,17 +77,18 @@ func TestWheelFiresOnTime(t *testing.T) {
 }
 
 // TestWheelHorizon checks that a deadline one tick past what the levels
-// cover is refused, not wrapped onto an earlier slot.
+// cover (the wheel's own horizon) is refused, not wrapped onto an
+// earlier slot.
 func TestWheelHorizon(t *testing.T) {
 	eng := NewEngine()
 	w := NewWheel(eng, Millisecond, 1, func(int32) {})
 	w.Start()
 	defer func() {
-		if r := recover(); r != "sim: wheel horizon exceeded" {
+		if r := recover(); r != "sim: wheel range exceeded" {
 			t.Fatalf("recovered %v, want the horizon panic", r)
 		}
 	}()
-	w.Schedule(0, wheelHorizon*Millisecond)
+	w.Schedule(0, wheelRange*Millisecond)
 }
 
 // TestWheelSubTickRoundsUp checks that deadlines between tick
@@ -219,41 +221,64 @@ func TestWheelRescheduleFromFire(t *testing.T) {
 	}
 }
 
+// wheelLayouts names the two node layouts: a node per id, and a pool
+// reserved for an eighth of the ids (which grows past that on demand).
+var wheelLayouts = []struct {
+	name string
+	make func(eng *Engine, n int, fire func(int32)) *Wheel
+}{
+	{"per-id", func(eng *Engine, n int, fire func(int32)) *Wheel { return NewWheel(eng, Millisecond, n, fire) }},
+	{"pooled", func(eng *Engine, n int, fire func(int32)) *Wheel {
+		w := NewWheel(eng, Millisecond, n, fire)
+		w.Reserve(n / 8)
+		if w.ids == nil {
+			panic("an eighth of the ids did not reserve a pool")
+		}
+		return w
+	}},
+}
+
 // TestWheelEmptyIsZero: a fresh wheel, and one Reset after timers in
-// every level, hold nothing but zeros in their links, so neither has to
-// fill them; the reset wheel then fires a new schedule as a fresh one.
+// every level, hold nothing but zeros in their links — a pool holds no
+// node, taken or returned — so neither has to fill them; the reset wheel
+// then fires a new schedule as a fresh one.
 func TestWheelEmptyIsZero(t *testing.T) {
 	allZero := func(w *Wheel) bool {
-		return !slices.ContainsFunc(w.next, func(l int32) bool { return l != 0 }) &&
-			w.head == [wheelLevels][wheelSlots]int32{} && w.tail == [wheelLevels][wheelSlots]int32{}
+		links := !slices.ContainsFunc(w.next, func(l int32) bool { return l != 0 })
+		if w.ids != nil {
+			links = w.free == 0 && w.used == 0
+		}
+		return links && w.head == [wheelLevels][wheelSlots]int32{} && w.tail == [wheelLevels][wheelSlots]int32{}
 	}
-	eng := NewEngine()
-	rec := &wheelRec{eng: eng}
-	w := NewWheel(eng, Millisecond, 64, rec.fire)
-	if !allZero(w) {
-		t.Fatal("a fresh wheel has non-zero links")
-	}
-	w.Start()
-	for i := int32(0); i < 64; i++ {
-		w.Schedule(i, Time(1+int(i)*2111%70000)*Millisecond)
-	}
-	eng.RunUntil(300 * Millisecond)
-	if w.Pending() == 0 || len(rec.ids) == 0 {
-		t.Fatalf("pending %d, fired %d: the schedule should straddle the reset", w.Pending(), len(rec.ids))
-	}
-	w.Reset()
-	if !allZero(w) || w.Pending() != 0 {
-		t.Fatal("a reset wheel has non-zero links")
-	}
-	eng.Run() // drain the stopped wheel's last tick event
-	fired := len(rec.ids)
-	w.Start()
-	for i := int32(0); i < 4; i++ {
-		w.Schedule(3-i, 5*Millisecond)
-	}
-	eng.RunUntil(eng.Now() + 10*Millisecond)
-	if got := rec.ids[fired:]; !slices.Equal(got, []int32{3, 2, 1, 0}) {
-		t.Fatalf("after Reset the wheel fired %v, want [3 2 1 0]", got)
+	for _, layout := range wheelLayouts {
+		eng := NewEngine()
+		rec := &wheelRec{eng: eng}
+		w := layout.make(eng, 64, rec.fire)
+		if !allZero(w) {
+			t.Fatalf("%s: a fresh wheel has non-zero links", layout.name)
+		}
+		w.Start()
+		for i := int32(0); i < 64; i++ {
+			w.Schedule(i, Time(1+int(i)*2111%70000)*Millisecond)
+		}
+		eng.RunUntil(300 * Millisecond)
+		if w.Pending() == 0 || len(rec.ids) == 0 {
+			t.Fatalf("%s: pending %d, fired %d: the schedule should straddle the reset", layout.name, w.Pending(), len(rec.ids))
+		}
+		w.Reset()
+		if !allZero(w) || w.Pending() != 0 {
+			t.Fatalf("%s: a reset wheel has non-zero links", layout.name)
+		}
+		eng.Run() // drain the stopped wheel's last tick event
+		fired := len(rec.ids)
+		w.Start()
+		for i := int32(0); i < 4; i++ {
+			w.Schedule(3-i, 5*Millisecond)
+		}
+		eng.RunUntil(eng.Now() + 10*Millisecond)
+		if got := rec.ids[fired:]; !slices.Equal(got, []int32{3, 2, 1, 0}) {
+			t.Fatalf("%s: after Reset the wheel fired %v, want [3 2 1 0]", layout.name, got)
+		}
 	}
 }
 
@@ -273,28 +298,34 @@ func (p *wheelPin) fire(id int32) {
 
 // TestWheelAllocFree pins the tentpole property: steady-state
 // scheduling, cascading and dispatch through the wheel allocate
-// nothing.
+// nothing, in either layout — a pool once it holds as many nodes as
+// are ever pending.
 func TestWheelAllocFree(t *testing.T) {
-	eng := NewEngine()
-	pin := &wheelPin{}
-	w := NewWheel(eng, Millisecond, 1024, pin.fire)
-	pin.w = w
-	w.Start()
-	for i := int32(0); i < 1024; i++ {
-		w.Schedule(i, Time(1+i%512)*Millisecond)
-	}
-	end := Time(2) * Second
-	eng.RunUntil(end) // warmup: event heap reaches its high-water mark
+	for _, layout := range wheelLayouts {
+		eng := NewEngine()
+		pin := &wheelPin{}
+		w := layout.make(eng, 1024, pin.fire)
+		pin.w = w
+		w.Start()
+		for i := int32(0); i < 1024; i++ {
+			w.Schedule(i, Time(1+i%512)*Millisecond)
+		}
+		end := Time(2) * Second
+		eng.RunUntil(end) // warmup: event heap reaches its high-water mark
 
-	allocs := testing.AllocsPerRun(20, func() {
-		end += 100 * Millisecond
-		eng.RunUntil(end)
-	})
-	if allocs > 0 {
-		t.Fatalf("wheel steady state allocated %.2f times per 100ms of ticks, want 0", allocs)
-	}
-	if pin.n == 0 {
-		t.Fatal("no timers fired")
+		allocs := testing.AllocsPerRun(20, func() {
+			end += 100 * Millisecond
+			eng.RunUntil(end)
+		})
+		if allocs > 0 {
+			t.Fatalf("%s: wheel steady state allocated %.2f times per 100ms of ticks, want 0", layout.name, allocs)
+		}
+		if pin.n == 0 {
+			t.Fatalf("%s: no timers fired", layout.name)
+		}
+		if w.used > 1024 {
+			t.Fatalf("%s: %d nodes taken for 1024 ids: fired nodes are not reused", layout.name, w.used)
+		}
 	}
 }
 
@@ -413,10 +444,10 @@ func diffDelay(seed uint64, id int32, n int) Time {
 	return Time(ticks)*Millisecond + Time(z>>40%1000)*Microsecond
 }
 
-// TestWheelDifferential drives the wheel and the reference wheel through
-// the same seeded fire-and-reschedule histories over 2^20 ticks — 16
-// level-2 cascades and as many wraps of the 16-bit deadline — and
-// requires the identical (id, time) firing sequence from both.
+// TestWheelDifferential drives the wheel, in each layout, and the
+// reference wheel through the same seeded fire-and-reschedule histories
+// over 2^20 ticks — 16 level-2 cascades and as many wraps of the 16-bit
+// deadline — and requires the identical (id, time) firing sequence.
 func TestWheelDifferential(t *testing.T) {
 	const ids, ticks = 512, 1 << 20
 	for _, seed := range []uint64{1, 2, 3} {
@@ -434,15 +465,6 @@ func TestWheelDifferential(t *testing.T) {
 		var got, want []firing
 		gotN, wantN := make([]int, ids), make([]int, ids)
 
-		eng := NewEngine()
-		var w *Wheel
-		w = NewWheel(eng, Millisecond, ids, func(id int32) {
-			got = append(got, firing{id, eng.Now()})
-			gotN[id]++
-			w.Schedule(id, diffDelay(seed, id, gotN[id]))
-		})
-		run(w.Schedule, w.Start, eng)
-
 		refEng := NewEngine()
 		var r *refWheel
 		r = newRefWheel(refEng, Millisecond, ids, func(id int32) {
@@ -455,13 +477,169 @@ func TestWheelDifferential(t *testing.T) {
 		if len(want) < 10*ids {
 			t.Fatalf("seed %d: reference fired only %d timers", seed, len(want))
 		}
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: wheel fired %d timers, reference %d", seed, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: firing %d is %+v, reference %+v", seed, i, got[i], want[i])
+
+		for _, layout := range wheelLayouts {
+			got = got[:0]
+			clear(gotN)
+			eng := NewEngine()
+			var w *Wheel
+			w = layout.make(eng, ids, func(id int32) {
+				got = append(got, firing{id, eng.Now()})
+				gotN[id]++
+				w.Schedule(id, diffDelay(seed, id, gotN[id]))
+			})
+			run(w.Schedule, w.Start, eng)
+			if len(got) != len(want) {
+				t.Fatalf("seed %d, %s: wheel fired %d timers, reference %d", seed, layout.name, len(got), len(want))
 			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d, %s: firing %d is %+v, reference %+v", seed, layout.name, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestWheelHorizonDropsLateTimers: with a horizon, a timer due after it
+// is never stored and one due at it fires, from tick 0 and after a Reset
+// that restarts the wheel off the tick grid; ticking past the horizon
+// panics, naming it, until the owner retires the wheel.
+func TestWheelHorizonDropsLateTimers(t *testing.T) {
+	for _, layout := range wheelLayouts {
+		eng := NewEngine()
+		rec := &wheelRec{eng: eng}
+		w := layout.make(eng, 64, rec.fire)
+		const h = 100 * Millisecond
+		w.SetHorizon(h)
+		w.Start()
+		// Due at 99 and 100 ms, then at 101 ms (100.5 rounds up), 101 ms,
+		// and in levels 1 and 2.
+		for i, d := range []Time{99 * Millisecond, h, h + 500*Microsecond, h + Millisecond, 5 * Second, 70 * Second} {
+			w.Schedule(int32(i), d)
+		}
+		if got := w.Pending(); got != 2 {
+			t.Fatalf("%s: %d timers stored, want the 2 due by the horizon", layout.name, got)
+		}
+		eng.RunUntil(h)
+		if !slices.Equal(rec.ids, []int32{0, 1}) || !slices.Equal(rec.times, []Time{99 * Millisecond, h}) {
+			t.Fatalf("%s: fired %v at %v, want [0 1] at 99 and 100 ms", layout.name, rec.ids, rec.times)
+		}
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, FormatTime(h)) {
+					t.Fatalf("%s: ticking past the horizon recovered %q, want a panic naming %s", layout.name, msg, FormatTime(h))
+				}
+			}()
+			eng.RunUntil(h + Millisecond)
+		}()
+
+		// Restart 40.3 ms in: ticks fall at 40.3 + k ms, the last one
+		// by the horizon at 99.3 ms.
+		w.Reset()
+		eng = NewEngine()
+		w.eng, rec.eng, rec.ids, rec.times = eng, eng, nil, nil
+		eng.RunUntil(40*Millisecond + 300*Microsecond)
+		w.Start()
+		w.Schedule(0, 59*Millisecond)                 // 99.3 ms
+		w.Schedule(1, 59*Millisecond+500*Microsecond) // rounds to 100.3 ms
+		if got := w.Pending(); got != 1 {
+			t.Fatalf("%s: after a restart %d timers stored, want 1", layout.name, got)
+		}
+		w.Retire()
+		eng.RunUntil(2 * Second)
+		if !slices.Equal(rec.ids, []int32{0}) || rec.times[0] != 99*Millisecond+300*Microsecond {
+			t.Fatalf("%s: after a restart fired %v at %v, want [0] at 99.3 ms", layout.name, rec.ids, rec.times)
+		}
+	}
+}
+
+// TestWheelPooledMatchesPerID drives both layouts through the same
+// random histories: firings that re-arm their own id at any level or
+// not at all and arm an idle id beside it (so the pool, reserved for an
+// eighth of the ids, grows), then a Reset and a re-arm of every third id. Both must fire
+// the same ids at the same times.
+func TestWheelPooledMatchesPerID(t *testing.T) {
+	const ids, ticks = 300, 1 << 20
+	type firing struct {
+		id int32
+		at Time
+	}
+	drive := func(seed uint64, layout int) ([]firing, int) {
+		eng := NewEngine()
+		var got []firing
+		pending := make([]bool, ids)
+		count := make([]int, ids)
+		var w *Wheel
+		arm := func(id int32) {
+			pending[id] = true
+			count[id]++
+			w.Schedule(id, diffDelay(seed, id, count[id]))
+		}
+		w = wheelLayouts[layout].make(eng, ids, func(id int32) {
+			got = append(got, firing{id, eng.Now()})
+			pending[id] = false
+			z := uint64(diffDelay(seed^0xA5, id, count[id]))
+			if z%5 != 0 {
+				arm(id)
+			}
+			if other := int32(z / 5 % ids); !pending[other] {
+				arm(other)
+			}
+		})
+		w.Start()
+		for id := int32(0); id < ids; id += 2 {
+			arm(id)
+		}
+		eng.RunUntil(ticks / 2 * Millisecond)
+		w.Reset()
+		clear(pending)
+		eng.Run() // the stopped wheel's last tick event
+		w.Start()
+		for id := int32(0); id < ids; id += 3 {
+			arm(id)
+		}
+		eng.RunUntil(eng.Now() + ticks/2*Millisecond)
+		return got, len(w.next)
+	}
+	for _, seed := range []uint64{1, 2, 3} {
+		perID, _ := drive(seed, 0)
+		pooled, nodes := drive(seed, 1)
+		if len(perID) < 10*ids || nodes <= ids/8 {
+			t.Fatalf("seed %d: %d firings, a pool of %d nodes: the history should fire 10 times per id and grow the pool", seed, len(perID), nodes)
+		}
+		if !slices.Equal(perID, pooled) {
+			i := 0
+			for i < min(len(perID), len(pooled)) && perID[i] == pooled[i] {
+				i++
+			}
+			t.Fatalf("seed %d: the layouts diverge at firing %d of %d/%d", seed, i, len(perID), len(pooled))
+		}
+	}
+}
+
+// TestWheelReserveChoosesLayout: a reservation costing less than a node
+// per id gets a pool, 10 B a node; one costing as much keeps a node per
+// id, 6 B an id; and FootprintBytes reports what was laid out.
+func TestWheelReserveChoosesLayout(t *testing.T) {
+	const slots = wheelLevels * wheelSlots * 8
+	for _, tc := range []struct {
+		reserve int
+		pooled  bool
+		bytes   int64
+	}{
+		{599, true, 5990},
+		{600, false, 6000},
+		{5000, false, 6000},
+	} {
+		w := NewWheel(NewEngine(), Millisecond, 1000, func(int32) {})
+		if got := w.FootprintBytes(); got != slots {
+			t.Fatalf("an unlaid wheel reports %d B, want %d", got, slots)
+		}
+		w.Reserve(tc.reserve)
+		if (w.ids != nil) != tc.pooled || w.FootprintBytes() != tc.bytes+slots {
+			t.Errorf("Reserve(%d): pooled %v, %d B; want %v, %d B", tc.reserve, w.ids != nil, w.FootprintBytes()-slots, tc.pooled, tc.bytes)
 		}
 	}
 }

@@ -100,6 +100,9 @@ func NewTenants(cfg TenantConfig, clients int, homes []*namespace.Inode, seed in
 // NumTenants returns the tenant count after defaulting.
 func (t *Tenants) NumTenants() int { return len(t.clientOff) - 1 }
 
+// TenantClients returns how many clients tenant i has.
+func (t *Tenants) TenantClients(i int) int { return int(t.clientOff[i+1] - t.clientOff[i]) }
+
 // ClientTenant maps a client id to its tenant (contiguous ranges): a
 // binary search over the prefix sums, on every open-loop arrival, hence
 // without sort.Search's closure.

@@ -12,15 +12,10 @@ import (
 
 // tenantTree builds a small namespace with h home directories, each
 // holding a few files and one subdirectory.
-// TenantClients returns tenant i's client count.
 // emptyTree returns a tree holding only the root directory.
 func emptyTree() *namespace.Tree {
 	f, _ := namespace.NewBuilder().Freeze()
 	return namespace.NewOverlay(f)
-}
-
-func (t *Tenants) TenantClients(i int) int {
-	return int(t.clientOff[i+1] - t.clientOff[i])
 }
 
 // WorkingSetSize returns tenant i's file working-set size.
