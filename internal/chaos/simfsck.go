@@ -283,16 +283,12 @@ func checkOps(cl *cluster.Cluster, fail func(string, ...any)) {
 	if err := cl.DrainCheck(); err != nil {
 		fail("%v", err)
 	}
-	var issued, retries uint64
-	for _, c := range cl.Clients {
-		issued += c.Stats.Issued
-		retries += c.Stats.Retries
-	}
+	// Retransmissions cross the edge once more per retry; leased hits
+	// complete locally and never cross it.
+	n := cl.Requests()
+	issued, retries := n.Issued, n.Retries
 	if p := cl.Pop; p != nil {
-		// Open-loop accounting: leased hits complete locally and never
-		// cross the edge; retransmissions cross it once more per retry.
-		issued += p.Issued() - p.LeaseHits()
-		retries += p.Retries()
+		issued -= p.LeaseHits()
 	}
 	if req := cl.Fab.Class(net.Request); req.Sent != issued+retries {
 		fail("ops: %d requests crossed the client edge, clients issued %d + retried %d",

@@ -78,8 +78,8 @@ func TestFsckCrashWithoutRecovery(t *testing.T) {
 }
 
 // TestFsckOpenLoopFaultsWithLeases composes the three planes that must
-// coexist: the open-loop population (with its boxed retry-escalation
-// cache armed by the fault schedule), a lossy faulted fabric, and the
+// coexist: the open-loop population (its retries armed by the fault
+// schedule), a lossy faulted fabric, and the
 // lease plane with fan-out. Drops force retries; recalls ride the same
 // lossy fabric; the checker must still find conservation intact and no
 // lease dangling.

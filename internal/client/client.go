@@ -17,7 +17,10 @@
 //
 // Both planes keep location knowledge in a HintTable (hints.go): one
 // population-wide table for the open loop, a private single-client table
-// per closed-loop Client.
+// per closed-loop Client. Both send through one request lifecycle,
+// Requests (requests.go) — pool, stamp, retry rule, reply acceptance and
+// counts — one per closed-loop Client and one for the Population; a
+// model decides only where a resend goes and what follows a give-up.
 package client
 
 import (
@@ -43,29 +46,9 @@ type Config struct {
 	// KnownCap bounds the location-knowledge cache (per-client ways in
 	// the shared hint table, rounded up to a power of two).
 	KnownCap int
-	// RetryTimeout, when positive, re-sends a request that has not
-	// been answered within the timeout, doubling the wait per attempt up
-	// to 8× the timeout, at most maxRetries times. Retries resteer: the
-	// stale location hint for the target is invalidated and the resend
-	// avoids the node tried last, since that node may be down. Needed for
-	// failover and fault-injection scenarios; zero disables retries.
+	// RetryTimeout, when positive, arms the request lifecycle's retries
+	// (Requests) in either client model; zero disables them.
 	RetryTimeout sim.Time
-}
-
-// maxRetries bounds the resend attempts per request, in either client
-// model; once exhausted the request is abandoned and counted as timed
-// out, and the client moves on to its next operation.
-const maxRetries = 8
-
-// Stats counts one client's activity.
-type Stats struct {
-	Issued    uint64
-	Completed uint64
-	Retries   uint64
-	// TimedOut counts requests abandoned after maxRetries unanswered
-	// sends (or cut off by Stop while still unanswered). Every issued
-	// request ends up either Completed or TimedOut once the run drains.
-	TimedOut uint64
 }
 
 // Client is one simulated client.
@@ -74,7 +57,6 @@ type Client struct {
 	eng   *sim.Engine
 	cfg   Config
 	rng   *sim.RNG
-	net   Network
 	strat partition.Strategy
 	gen   workload.Generator
 
@@ -82,21 +64,9 @@ type Client struct {
 	// table that keeps no draw count.
 	hints *HintTable
 
-	nextID   uint64
-	stopped  bool
-	inflight *msg.Request
-	attempts int // resends of the current in-flight request
-	lastMDS  int // node the in-flight request was last sent to
-	// reqPool recycles completed requests. Replies are matched by
-	// (client, id, gen) values rather than pointer identity, so reuse
-	// is safe even in retry configurations: a recycled struct's next
-	// incarnation carries a bumped Gen, and a late duplicate reply to
-	// the old incarnation no longer matches. The one case that still
-	// allocates is a request that was actually retransmitted — a stale
-	// in-flight copy may reference the struct, so it is not recycled.
-	reqPool *msg.Request
-
-	Stats Stats
+	// reqs is the client's own request lifecycle; its pool holds the one
+	// struct a closed loop recycles.
+	reqs Requests
 }
 
 // New creates a client driving the given workload generator.
@@ -104,16 +74,17 @@ func New(id int, eng *sim.Engine, cfg Config, rng *sim.RNG, net Network, strat p
 	if cfg.KnownCap <= 0 {
 		cfg.KnownCap = 1024
 	}
-	return &Client{
+	c := &Client{
 		id:    id,
 		eng:   eng,
 		cfg:   cfg,
 		rng:   rng,
-		net:   net,
 		strat: strat,
 		gen:   gen,
 		hints: NewHintTable(1, cfg.KnownCap, false),
 	}
+	c.reqs.init(eng, net, c, cfg.RetryTimeout, 1)
+	return c
 }
 
 // Start begins the closed loop, staggered by the given phase to avoid a
@@ -126,25 +97,15 @@ func (c *Client) Start(phase sim.Time) {
 // the event payload, so the closed loop schedules without allocating.
 func clientIssue(a, _ any) { a.(*Client).issue() }
 
-// Stop ends the loop after the in-flight operation completes.
-func (c *Client) Stop() { c.stopped = true }
+// Stop ends the loop after the in-flight operation completes or is
+// abandoned.
+func (c *Client) Stop() { c.reqs.stopped = true }
 
-// getRequest returns a recycled request (with its generation counter
-// bumped) or a fresh one.
-func (c *Client) getRequest() *msg.Request {
-	if c.reqPool != nil {
-		req := c.reqPool
-		c.reqPool = nil
-		gen := req.Gen + 1
-		*req = msg.Request{}
-		req.Gen = gen
-		return req
-	}
-	return &msg.Request{}
-}
+// Counts returns what the client's request lifecycle has done.
+func (c *Client) Counts() Counts { return c.reqs.Counts }
 
 func (c *Client) issue() {
-	if c.stopped {
+	if c.reqs.stopped {
 		return
 	}
 	op, ok := c.gen.Next(c.eng.Now(), c.rng)
@@ -153,76 +114,33 @@ func (c *Client) issue() {
 		c.eng.AfterCall(c.rng.Exp(c.cfg.ThinkMean)+sim.Millisecond, clientIssue, c, nil)
 		return
 	}
-	c.nextID++
-	req := c.getRequest()
-	req.ID = c.nextID
-	req.Client = c.id
+	req := c.reqs.get(c.id)
 	req.Op = op.Op
 	req.Target = op.Target
 	req.DstDir = op.DstDir
 	req.NewName = op.NewName
 	req.Size = op.Size
-	req.Issued = c.eng.Now()
-	req.Via = -1
-	mds := c.direct(req)
-	c.Stats.Issued++
-	c.inflight = req
-	c.attempts = 0
-	c.lastMDS = mds
-	c.net.Send(mds, req)
-	c.armRetry(req)
+	c.reqs.send(c.direct(req), req)
 }
 
-// retryBackoff returns the wait before the next retransmission of a
-// request already resent attempts times, for either client model: the
-// timeout doubled per attempt, capped at 8× the timeout.
-func retryBackoff(timeout sim.Time, attempts int) sim.Time {
-	return timeout << uint(min(attempts, 3))
-}
-
-// armRetry schedules a retransmission for an unanswered request with
-// capped exponential backoff. Each retry resteers: the (possibly stale)
-// location hint for the target is dropped and the resend avoids the
-// node tried last — the original target may have failed, and any node
-// can forward to the current authority. After maxRetries attempts the
-// request is abandoned as timed out and the closed loop moves on.
-func (c *Client) armRetry(req *msg.Request) {
-	if c.cfg.RetryTimeout <= 0 {
-		return
+// resend steers a resend: the (possibly stale) location hint for the
+// target is dropped and the resend avoids the node tried last — it may
+// have failed, and any node can forward to the current authority.
+func (c *Client) resend(req *msg.Request, last int) int {
+	if req.Target != nil {
+		c.hints.Del(0, req.Target.ID)
 	}
-	gen := req.Gen
-	c.eng.After(retryBackoff(c.cfg.RetryTimeout, c.attempts), func() {
-		if c.inflight != req || req.Gen != gen {
-			// Answered (and possibly already recycled into a new
-			// incarnation with a bumped Gen) — nothing to retry.
-			return
-		}
-		if c.stopped {
-			// The run is draining: account the unanswered request so
-			// every issued op ends up completed or timed out.
-			c.Stats.TimedOut++
-			c.inflight = nil
-			return
-		}
-		if c.attempts >= maxRetries {
-			c.Stats.TimedOut++
-			c.inflight = nil
-			c.eng.AfterCall(c.rng.Exp(c.cfg.ThinkMean), clientIssue, c, nil)
-			return
-		}
-		c.attempts++
-		c.Stats.Retries++
-		if req.Target != nil {
-			c.hints.Del(0, req.Target.ID)
-		}
-		to := c.rng.Pick(c.net.NumMDS())
-		if n := c.net.NumMDS(); n > 1 && to == c.lastMDS {
-			to = (to + 1) % n
-		}
-		c.lastMDS = to
-		c.net.Send(to, req)
-		c.armRetry(req)
-	})
+	n := c.reqs.net.NumMDS()
+	to := c.rng.Pick(n)
+	if n > 1 && to == last {
+		to = (to + 1) % n
+	}
+	return to
+}
+
+// abandoned moves the loop on past an abandoned request: think, issue.
+func (c *Client) abandoned() {
+	c.eng.AfterCall(c.rng.Exp(c.cfg.ThinkMean), clientIssue, c, nil)
 }
 
 // steer picks the MDS a request goes to (§4.4), for both client models:
@@ -252,43 +170,26 @@ func (c *Client) direct(req *msg.Request) int {
 	if mds, ok := steer(c.strat, c.hints, c.hints.record(0), req); ok {
 		return mds
 	}
-	return c.rng.Pick(c.net.NumMDS())
+	return c.rng.Pick(c.reqs.net.NumMDS())
 }
 
 // OnReply completes the in-flight operation: absorb distribution hints,
-// think, and issue the next request. Replies are matched by (client, id,
-// gen) values — never pointer identity — so duplicates (a retried
-// request answered twice, or a late answer to an abandoned request) are
-// dropped even after the request struct itself has been recycled. It
-// reports whether the reply was accepted: the caller records a
-// completion's response time only then.
+// think, and issue the next request. It reports whether the lifecycle
+// accepted the reply (a duplicate, or a late answer to an abandoned
+// request, is refused): the caller records a completion's response time
+// only then.
 func (c *Client) OnReply(rep *msg.Reply) bool {
-	req := c.inflight
-	if req == nil || rep.Client != c.id || rep.ID != req.ID || rep.Gen != req.Gen {
+	if !c.reqs.accept(rep) {
 		return false
 	}
-	c.inflight = nil
-	c.Stats.Completed++
 	if len(rep.Hints) > 0 {
 		rec := c.hints.claim(0)
 		for _, h := range rep.Hints {
 			c.hints.put(rec, h)
 		}
 	}
-	if c.attempts == 0 {
-		// Exactly one copy of this request was ever sent and its one
-		// delivery chain just completed, so no stale reference can
-		// remain anywhere in the cluster: recycle. Retransmitted
-		// requests (attempts > 0) may still have an in-flight copy
-		// traversing the fabric and are left to the garbage collector.
-		c.reqPool = req
-	}
-	if !c.stopped {
+	if !c.reqs.stopped {
 		c.eng.AfterCall(c.rng.Exp(c.cfg.ThinkMean), clientIssue, c, nil)
 	}
 	return true
 }
-
-// Inflight reports whether the client still holds an unanswered
-// request (drain/invariant checks).
-func (c *Client) Inflight() bool { return c.inflight != nil }

@@ -42,7 +42,7 @@ func (g fixedGen) Next(now sim.Time, r *sim.RNG) (workload.Op, bool) { return g.
 // copied by value from the request.
 func replyTo(req *msg.Request, completed sim.Time) *msg.Reply {
 	return &msg.Reply{
-		Req: req, Client: req.Client, ID: req.ID, Gen: req.Gen,
+		Req: req, Client: req.Client, ID: req.ID,
 		Issued: req.Issued, Completed: completed,
 	}
 }
@@ -140,25 +140,25 @@ func TestClosedLoopAndLatency(t *testing.T) {
 	c.Start(0)
 	eng.RunUntil(sim.Millisecond)
 	// One outstanding request; no more until the reply arrives.
-	if c.Stats.Issued != 1 {
-		t.Fatalf("issued = %d", c.Stats.Issued)
+	if c.Counts().Issued != 1 {
+		t.Fatalf("issued = %d", c.Counts().Issued)
 	}
 	req := net.sends[0].req
 	c.OnReply(replyTo(req, req.Issued+500*sim.Microsecond))
 	eng.RunUntil(20 * sim.Millisecond)
-	if c.Stats.Completed != 1 {
-		t.Fatalf("completed = %d", c.Stats.Completed)
+	if c.Counts().Completed != 1 {
+		t.Fatalf("completed = %d", c.Counts().Completed)
 	}
-	if c.Stats.Issued < 2 {
+	if c.Counts().Issued < 2 {
 		t.Fatal("no follow-up request after reply")
 	}
 	c.Stop()
-	issued := c.Stats.Issued
+	issued := c.Counts().Issued
 	// A stale duplicate of the first operation (id 1, gen 0) must not
 	// match whatever is in flight now.
 	c.OnReply(&msg.Reply{Client: 0, ID: 1, Completed: eng.Now()})
 	eng.Run()
-	if c.Stats.Issued != issued {
+	if c.Counts().Issued != issued {
 		t.Fatal("stopped client issued more requests")
 	}
 }
@@ -191,8 +191,8 @@ func TestRetryOnTimeout(t *testing.T) {
 	c.Start(0)
 	eng.RunUntil(35 * sim.Millisecond)
 	// No reply ever arrives: the client must have retried ~3 times.
-	if c.Stats.Retries < 2 {
-		t.Fatalf("retries = %d", c.Stats.Retries)
+	if c.Counts().Retries < 2 {
+		t.Fatalf("retries = %d", c.Counts().Retries)
 	}
 	if len(net.sends) < 3 {
 		t.Fatalf("sends = %d", len(net.sends))
@@ -206,9 +206,9 @@ func TestRetryOnTimeout(t *testing.T) {
 	// A reply stops the retrying and duplicates are dropped.
 	req := net.sends[0].req
 	c.OnReply(replyTo(req, eng.Now()))
-	completed := c.Stats.Completed
+	completed := c.Counts().Completed
 	c.OnReply(replyTo(req, eng.Now()))
-	if c.Stats.Completed != completed {
+	if c.Counts().Completed != completed {
 		t.Fatal("duplicate reply double-counted")
 	}
 }
@@ -236,8 +236,8 @@ func TestRetryExponentialBackoff(t *testing.T) {
 			t.Fatalf("send %d: issued = %v", i, s.req.Issued)
 		}
 	}
-	if c.Stats.Retries != 5 {
-		t.Errorf("retries = %d", c.Stats.Retries)
+	if c.Counts().Retries != 5 {
+		t.Errorf("retries = %d", c.Counts().Retries)
 	}
 }
 
@@ -282,31 +282,27 @@ func TestRetryMaxRetriesTimesOut(t *testing.T) {
 		fixedGen{workload.Op{Op: msg.Stat, Target: f}})
 	c.Start(0)
 	eng.RunUntil(sim.Second)
-	if c.Stats.TimedOut == 0 {
+	if c.Counts().TimedOut == 0 {
 		t.Fatal("no request timed out")
 	}
 	// Abandoned requests free the loop: the client kept issuing.
-	if c.Stats.Issued < 2 {
-		t.Fatalf("issued = %d after first timeout", c.Stats.Issued)
+	if c.Counts().Issued < 2 {
+		t.Fatalf("issued = %d after first timeout", c.Counts().Issued)
 	}
 	// Max 1 + maxRetries sends per request.
-	if max := int(c.Stats.Issued) * (1 + maxRetries); len(net.sends) > max {
+	if max := int(c.Counts().Issued) * (1 + maxRetries); len(net.sends) > max {
 		t.Fatalf("sends = %d > %d", len(net.sends), max)
 	}
 	// Every issued request is accounted: completed, timed out, or the
 	// one still in flight.
-	inflight := uint64(0)
-	if c.inflight != nil {
-		inflight = 1
-	}
-	if c.Stats.Issued != c.Stats.Completed+c.Stats.TimedOut+inflight {
-		t.Fatalf("accounting: issued %d != completed %d + timedout %d + inflight %d",
-			c.Stats.Issued, c.Stats.Completed, c.Stats.TimedOut, inflight)
+	if n := c.Counts(); n.Outstanding() > 1 {
+		t.Fatalf("accounting: issued %d != completed %d + timedout %d + at most one in flight",
+			n.Issued, n.Completed, n.TimedOut)
 	}
 	// A late reply to an abandoned request must be ignored.
-	completed := c.Stats.Completed
+	completed := c.Counts().Completed
 	c.OnReply(replyTo(net.sends[0].req, eng.Now()))
-	if c.Stats.Completed != completed {
+	if c.Counts().Completed != completed {
 		t.Fatal("late reply to abandoned request was accepted")
 	}
 }
@@ -323,10 +319,10 @@ func TestStoppedClientAccountsTimeout(t *testing.T) {
 	eng.RunUntil(sim.Millisecond)
 	c.Stop()
 	eng.RunUntil(sim.Second)
-	if c.Stats.TimedOut != 1 {
-		t.Fatalf("timed out = %d, want the orphaned in-flight request", c.Stats.TimedOut)
+	if c.Counts().TimedOut != 1 {
+		t.Fatalf("timed out = %d, want the orphaned in-flight request", c.Counts().TimedOut)
 	}
-	if c.inflight != nil {
+	if c.Counts().Outstanding() != 0 {
 		t.Fatal("in-flight request not cleared at drain")
 	}
 }

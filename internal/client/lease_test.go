@@ -38,7 +38,7 @@ func grantAnswer(a, b any) { a.(*grantNet).answer(b.(*msg.Request)) }
 
 func (e *grantNet) answer(req *msg.Request) {
 	e.rep = msg.Reply{
-		Req: req, Client: req.Client, ID: req.ID, Gen: req.Gen,
+		Req: req, Client: req.Client, ID: req.ID,
 		Issued: req.Issued, Completed: e.eng.Now(),
 	}
 	if !req.Op.IsUpdate() {
@@ -58,7 +58,7 @@ func leaseFixture(t *testing.T, cfg PopulationConfig, seed int64, delay sim.Time
 	net := &grantNet{eng: eng, n: 4, delay: delay, plane: plane, duration: plane.Duration}
 	// Subtree strategy: clients are ignorant and follow hints, so the
 	// stale-hint regression can steer routing through the hint table.
-	pop := NewPopulation(cfg, eng, net, partition.NewStaticSubtree(4, tr, int(seed)), tn, seed)
+	pop := NewPopulation(cfg, eng, net, partition.NewStaticSubtree(4, tr, int(seed)), tn, 0, seed)
 	pop.AttachLeasePlane(plane)
 	net.pop = pop
 	return eng, pop, plane

@@ -48,7 +48,7 @@ func (e *recordNet) Send(i int, req *msg.Request) {
 		win.hotHits++
 	}
 	e.rep = msg.Reply{
-		Req: req, Client: req.Client, ID: req.ID, Gen: req.Gen,
+		Req: req, Client: req.Client, ID: req.ID,
 		Issued: req.Issued, Completed: e.eng.Now(),
 	}
 	e.pop.OnReply(&e.rep)
@@ -60,7 +60,7 @@ func actFixture(t *testing.T, cfg PopulationConfig, seed int64) (*sim.Engine, *P
 	tn := workload.NewTenants(cfg.Tenant, cfg.Clients, homes, seed)
 	eng := sim.NewEngine()
 	net := &recordNet{eng: eng, n: 4}
-	pop := NewPopulation(cfg, eng, net, partition.FileHash{N: 4}, tn, seed)
+	pop := NewPopulation(cfg, eng, net, partition.FileHash{N: 4}, tn, 0, seed)
 	net.pop = pop
 	return eng, pop, net, homes
 }
@@ -143,7 +143,7 @@ func TestActDeterminism(t *testing.T) {
 			[numMixOps]float64{50, 0, 0, 50, 0}, homes[1], 0.6)
 		pop.Start()
 		eng.RunUntil(5 * sim.Second)
-		return pop.Issued(), pop.Completed(), storm.Quantile(0.99), eng.Executed
+		return pop.Counts().Issued, pop.Counts().Completed, storm.Quantile(0.99), eng.Executed
 	}
 	i1, c1, q1, e1 := run(42)
 	i2, c2, q2, e2 := run(42)

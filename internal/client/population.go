@@ -142,7 +142,6 @@ func cumMix(stat, readdir, chmod, create, rename, unlink float64) [numMixOps]flo
 // path reads plain phase fields.
 type Population struct {
 	cfg     PopulationConfig
-	net     Network
 	strat   partition.Strategy
 	tenants *workload.Tenants
 	hints   *HintTable
@@ -162,8 +161,9 @@ type Population struct {
 	eng   *sim.Engine
 	wheel *sim.Wheel
 
-	pool    []*msg.Request // free list; grows to max outstanding, then steady
-	seq     uint64         // monotonic request ids
+	// reqs is the population's one request lifecycle; its pool grows to
+	// the most requests outstanding at once, then holds steady.
+	reqs    Requests
 	nameSeq int
 
 	// Phase state, written by SetPhase and read on every arrival: the
@@ -176,18 +176,11 @@ type Population struct {
 	hotFrac float64
 	curLat  *metrics.LatHist
 
-	issued    uint64
-	completed uint64
-
 	// Lease-plane counters: local serves, plus ops landing on the active
 	// act's hotspot target (served locally vs remotely).
 	leaseHits uint64
 	hotLocal  uint64
 	hotRemote uint64
-
-	// stopped suppresses new arrivals (Drain); pending wheel timers
-	// still fire but issue nothing and do not rearm.
-	stopped bool
 
 	// Churn ring (MixUnlink > 0, or KeepChurn): run-created files
 	// eligible for unlink, consumed FIFO so every created file is
@@ -205,34 +198,17 @@ type Population struct {
 	// tombstones accrue from the first unlink draws.
 	baseVictims []*namespace.Inode
 	baseHead    int
-
-	// Retry escalation (EnableRetries; fault runs only): outstanding
-	// requests keyed by request id, each a boxed record carrying the
-	// escalation state the flyweight slabs deliberately omit. Nil on
-	// fault-free runs, where the arrival path stays allocation-free.
-	retry        map[uint64]*openRetry
-	retryTimeout sim.Time
-	retries      uint64
-	timedOut     uint64
 }
 
-// openRetry is one outstanding open-loop request's retry box.
-type openRetry struct {
-	req      *msg.Request
-	li       int32
-	attempts int
-}
-
-// NewPopulation builds the traffic plane on eng. Deterministic for
-// (cfg, seed).
-func NewPopulation(cfg PopulationConfig, eng *sim.Engine, netw Network, strat partition.Strategy, tenants *workload.Tenants, seed int64) *Population {
+// NewPopulation builds the traffic plane on eng, its requests retried
+// after retry (zero: never). Deterministic for (cfg, seed).
+func NewPopulation(cfg PopulationConfig, eng *sim.Engine, netw Network, strat partition.Strategy, tenants *workload.Tenants, retry sim.Time, seed int64) *Population {
 	cfg = cfg.withDefaults()
 	if cfg.Clients < 1 {
 		panic("client: population with no clients")
 	}
 	p := &Population{
 		cfg:     cfg,
-		net:     netw,
 		strat:   strat,
 		tenants: tenants,
 		hints:   NewHintTable(cfg.Clients, cfg.Ways, true),
@@ -244,6 +220,7 @@ func NewPopulation(cfg PopulationConfig, eng *sim.Engine, netw Network, strat pa
 	}
 	p.cum = p.baseCum
 	p.wheel = sim.NewWheel(eng, wheelTick, cfg.Clients, p.arrive)
+	p.reqs.init(eng, netw, p, retry, 0)
 	return p
 }
 
@@ -450,40 +427,19 @@ func (p *Population) rearm(li int32, tn int, rng *stream) {
 	p.wheel.Schedule(li, sim.FromSeconds(sec))
 }
 
-// getRequest reuses a drained request or allocates one. Only requests
-// answered on their first send are drained into the pool (OnReply), so
-// no copy of a reused struct is left anywhere in the cluster.
-func (p *Population) getRequest() *msg.Request {
-	if n := len(p.pool); n > 0 {
-		req := p.pool[n-1]
-		p.pool[n-1] = nil
-		p.pool = p.pool[:n-1]
-		gen := req.Gen + 1
-		*req = msg.Request{}
-		req.Gen = gen
-		return req
-	}
-	return &msg.Request{}
-}
-
 // arrive is the wheel's fire callback: draw the op, direct it, arm the
 // next arrival, and send. Allocation-free except for Create. The send
 // comes last because a reply may be delivered within it and claim the
 // client's hint record, which moves the count rearm stores.
 func (p *Population) arrive(li int32) {
-	if p.stopped {
+	if p.reqs.stopped {
 		return
 	}
 	g := int(li)
 	tn := p.tenants.ClientTenant(g)
 	rng := p.stream(li)
 
-	req := p.getRequest()
-	p.seq++
-	req.ID = p.seq
-	req.Client = g
-	req.Issued = p.eng.Now()
-	req.Via = -1
+	req := p.reqs.get(g)
 
 	x := uniform(rng.next()) * p.cum[numMixOps-1]
 	switch {
@@ -550,8 +506,7 @@ func (p *Population) arrive(li int32) {
 	if l := p.lease; l != nil && !req.Op.IsUpdate() {
 		ino := req.Target.ID
 		if l.Tab.Valid(g, ino, l.Reg.Gen(ino), p.eng.Now()) {
-			p.issued++
-			p.completed++
+			p.reqs.local(req)
 			p.leaseHits++
 			if req.Target == p.hot {
 				p.hotLocal++
@@ -559,21 +514,14 @@ func (p *Population) arrive(li int32) {
 			if p.curLat != nil {
 				p.curLat.Observe(0)
 			}
-			p.pool = append(p.pool, req)
 			p.rearm(li, tn, &rng)
 			return
 		}
 	}
 
 	mds := p.direct(rng.rec, req, rng.next())
-	p.issued++
-	if p.retry != nil {
-		r := &openRetry{req: req, li: li}
-		p.retry[req.ID] = r
-		p.eng.AfterCall(p.retryTimeout, popRetryFire, p, r)
-	}
 	p.rearm(li, tn, &rng)
-	p.net.Send(mds, req)
+	p.reqs.send(mds, req)
 }
 
 // churnPop takes the oldest unlink-eligible inode, or nil. Reserved
@@ -614,30 +562,15 @@ func (p *Population) churnPop() *namespace.Inode {
 // churnPush appends a freshly created file to the unlink ring.
 func (p *Population) churnPush(n *namespace.Inode) { p.churn = append(p.churn, n) }
 
-// popRetryFire is the retry-escalation timer: retransmit with doubled
-// backoff, or retire the op as timed out once attempts are exhausted
-// (or the population is draining). A retired request is never recycled:
-// a copy of it may still be in flight, and a late reply for its id
-// misses the retry map and is dropped.
-func popRetryFire(a, b any) {
-	p := a.(*Population)
-	r := b.(*openRetry)
-	if p.retry[r.req.ID] != r {
-		return // completed (or already retired); timer is stale
-	}
-	if p.stopped || r.attempts >= maxRetries {
-		delete(p.retry, r.req.ID)
-		p.timedOut++
-		return
-	}
-	r.attempts++
-	p.retries++
-	// Resteer through the current hint state: the authority may have
-	// moved (or died) since the original send.
-	mds := p.direct(p.hints.record(int(r.li)), r.req, p.next(r.li))
-	p.net.Send(mds, r.req)
-	p.eng.AfterCall(retryBackoff(p.retryTimeout, r.attempts), popRetryFire, p, r)
+// resend resteers a resend through the client's current hint record
+// and a fresh draw from its stream: the authority may have moved, or
+// died, since the last send.
+func (p *Population) resend(req *msg.Request, _ int) int {
+	return p.direct(p.hints.record(req.Client), req, p.next(int32(req.Client)))
 }
+
+// abandoned: an open-loop client's arrivals do not wait on its requests.
+func (p *Population) abandoned() {}
 
 // popName formats p0_<seq> without fmt; the retained string is the new
 // entry's name (inherent allocation of the Create op). The prefix is
@@ -655,29 +588,17 @@ func (p *Population) direct(rec []uint32, req *msg.Request, u uint64) int {
 	if mds, ok := steer(p.strat, p.hints, rec, req); ok {
 		return mds
 	}
-	return int(u % uint64(p.net.NumMDS()))
+	return int(u % uint64(p.reqs.net.NumMDS()))
 }
 
-// OnReply completes one arrival: absorb hints and a lease grant if one
-// rides the reply, recycle the request if it was sent once — the
-// closed-loop Client's rule. Allocation-free (pool growth amortises to
-// zero once the outstanding high-water mark is reached). It reports
-// whether the reply was accepted: the caller records a completion's
-// response time only then.
+// OnReply completes one arrival: absorb hints, and a lease grant if one
+// rides the reply. Allocation-free. It reports whether the lifecycle
+// accepted the reply: the caller records a completion's response time
+// only then.
 func (p *Population) OnReply(rep *msg.Reply) bool {
-	resent := false
-	if p.retry != nil {
-		r, ok := p.retry[rep.ID]
-		if !ok || r.req != rep.Req {
-			// A duplicate reply to a retransmitted (or already retired)
-			// request: the first copy completed it, so this one must not
-			// touch the pool or counters.
-			return false
-		}
-		delete(p.retry, rep.ID)
-		resent = r.attempts > 0
+	if !p.reqs.accept(rep) {
+		return false
 	}
-	p.completed++
 	if p.curLat != nil {
 		p.curLat.Observe(rep.Latency())
 	}
@@ -687,34 +608,26 @@ func (p *Population) OnReply(rep *msg.Reply) bool {
 			p.hints.put(rec, h)
 		}
 	}
-	if req := rep.Req; req != nil {
-		if req.Target == p.hot {
-			p.hotRemote++
+	req := rep.Req
+	if req.Target == p.hot {
+		p.hotRemote++
+	}
+	// Feed the churn ring with the completed create's inode. The
+	// authority applied the mutation before replying, so the parent's
+	// index already holds the new entry and the lookup is read-only.
+	// Timed-out creates never reach here, so they can never be drawn
+	// as unlink victims.
+	if p.churnOn && req.Op == msg.Create {
+		if c, ok := req.Target.LookupChild(req.NewName); ok && !c.IsDir() {
+			p.churnPush(c)
 		}
-		// Feed the churn ring with the completed create's inode. The
-		// authority applied the mutation before replying, so the parent's
-		// index already holds the new entry and the lookup is read-only.
-		// Timed-out creates never reach here, so they can never be drawn
-		// as unlink victims.
-		if p.churnOn && req.Op == msg.Create {
-			if c, ok := req.Target.LookupChild(req.NewName); ok && !c.IsDir() {
-				p.churnPush(c)
-			}
-		}
-		// Install a granted lease at receipt: lifetime runs from now,
-		// and the generation snapshotted at the authority keeps a grant
-		// that raced a recall from resurrecting the lease.
-		if rep.Leased && p.lease != nil {
-			p.lease.Tab.Install(rep.Client, req.Target.ID, rep.LeaseGen,
-				p.eng.Now()+p.lease.Duration)
-		}
-		if !resent {
-			// Its one copy is answered, so none is left in flight. A
-			// retransmitted request may still have one: reused, that
-			// copy would be served as the next arrival and complete it
-			// early. It is left to the garbage collector.
-			p.pool = append(p.pool, req)
-		}
+	}
+	// Install a granted lease at receipt: lifetime runs from now, and
+	// the generation snapshotted at the authority keeps a grant that
+	// raced a recall from resurrecting the lease.
+	if rep.Leased && p.lease != nil {
+		p.lease.Tab.Install(rep.Client, req.Target.ID, rep.LeaseGen,
+			p.eng.Now()+p.lease.Duration)
 	}
 	return true
 }
@@ -723,33 +636,17 @@ func (p *Population) OnReply(rep *msg.Reply) bool {
 // Call before Start.
 func (p *Population) AttachLeasePlane(l *lease.Plane) { p.lease = l }
 
-// EnableRetries arms the boxed retry-escalation cache: unanswered
-// requests are retransmitted with capped exponential backoff
-// (retryBackoff) and retired as timed out after maxRetries attempts. Only
-// fault schedules need this — it buys crash survival at the cost of one
-// small heap box per outstanding request.
-func (p *Population) EnableRetries(timeout sim.Time) {
-	if timeout <= 0 {
-		panic("client: EnableRetries with no timeout")
-	}
-	p.retry = make(map[uint64]*openRetry)
-	p.retryTimeout = timeout
-}
-
 // Stop suppresses further arrivals (Drain): pending wheel timers fire
 // into a no-op, the wheel may tick past its horizon, and outstanding
 // retry chains retire at their next deadline, so a drained run leaves
 // no in-flight population state.
 func (p *Population) Stop() {
-	p.stopped = true
+	p.reqs.stopped = true
 	p.wheel.Retire()
 }
 
-// Issued returns the requests the population has issued.
-func (p *Population) Issued() uint64 { return p.issued }
-
-// Completed returns accepted replies.
-func (p *Population) Completed() uint64 { return p.completed }
+// Counts returns what the population's request lifecycle has done.
+func (p *Population) Counts() Counts { return p.reqs.Counts }
 
 // LeaseHits counts arrivals served locally from a valid lease.
 func (p *Population) LeaseHits() uint64 { return p.leaseHits }
@@ -757,16 +654,6 @@ func (p *Population) LeaseHits() uint64 { return p.leaseHits }
 // HotspotOps returns ops that landed on an act's hotspot target, split
 // into locally leased serves and remote (MDS) completions.
 func (p *Population) HotspotOps() (local, remote uint64) { return p.hotLocal, p.hotRemote }
-
-// Retries counts retransmissions by the retry escalation.
-func (p *Population) Retries() uint64 { return p.retries }
-
-// TimedOut counts ops retired after exhausting their retry budget.
-func (p *Population) TimedOut() uint64 { return p.timedOut }
-
-// RetryOutstanding counts boxed requests still awaiting a reply or a
-// retirement deadline; zero after a drain.
-func (p *Population) RetryOutstanding() int { return len(p.retry) }
 
 // FootprintBytes returns the structural per-population memory: the
 // wheel's nodes (6 B/client, or 10 B per pooled node when few clients

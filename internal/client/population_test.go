@@ -66,7 +66,7 @@ func echoAnswer(a, b any) { a.(*echoNet).answer(b.(*msg.Request)) }
 
 func (e *echoNet) answer(req *msg.Request) {
 	e.rep = msg.Reply{
-		Req: req, Client: req.Client, ID: req.ID, Gen: req.Gen,
+		Req: req, Client: req.Client, ID: req.ID,
 		Issued: req.Issued, Completed: e.eng.Now(),
 	}
 	if e.pop.OnReply(&e.rep) {
@@ -80,7 +80,7 @@ func popFixture(t *testing.T, cfg PopulationConfig, seed int64, delay sim.Time) 
 	tn := workload.NewTenants(cfg.Tenant, cfg.Clients, homes, seed)
 	eng := sim.NewEngine()
 	net := &echoNet{eng: eng, n: 4, delay: delay}
-	pop := NewPopulation(cfg, eng, net, partition.FileHash{N: 4}, tn, seed)
+	pop := NewPopulation(cfg, eng, net, partition.FileHash{N: 4}, tn, 0, seed)
 	net.pop = pop
 	return eng, pop, net
 }
@@ -97,18 +97,18 @@ func TestPopulationOpenLoopRate(t *testing.T) {
 	// 500 clients × 100 ops/s × 10 s = 500k expected arrivals; Poisson
 	// noise over 500k draws is well under 5%.
 	want := 500.0 * 100 * 10
-	got := float64(pop.Issued())
+	got := float64(pop.Counts().Issued)
 	if got < want*0.95 || got > want*1.05 {
 		t.Fatalf("issued = %.0f, want ≈ %.0f", got, want)
 	}
 	// Open loop: sends issued within the last echo delay are still in
 	// flight at the cutoff.
-	if d := net.sends - pop.Completed(); d > 1000 {
-		t.Fatalf("completed %d lags sends %d by %d", pop.Completed(), net.sends, d)
+	if d := net.sends - pop.Counts().Completed; d > 1000 {
+		t.Fatalf("completed %d lags sends %d by %d", pop.Counts().Completed, net.sends, d)
 	}
 	h := &net.lat
-	if h.N() != pop.Completed() {
-		t.Fatalf("latency hist N = %d, completed %d", h.N(), pop.Completed())
+	if h.N() != pop.Counts().Completed {
+		t.Fatalf("latency hist N = %d, completed %d", h.N(), pop.Counts().Completed)
 	}
 	if q := h.Quantile(0.5); q < 200*sim.Microsecond {
 		t.Fatalf("p50 = %v, want >= the 200µs echo delay", q)
@@ -128,7 +128,7 @@ func TestPopulationDeterminism(t *testing.T) {
 		eng, pop, net := popFixture(t, cfg, seed, 300*sim.Microsecond)
 		pop.Start()
 		eng.RunUntil(5 * sim.Second)
-		return pop.Issued(), pop.Completed(), net.lat.Quantile(0.99), eng.Executed
+		return pop.Counts().Issued, pop.Counts().Completed, net.lat.Quantile(0.99), eng.Executed
 	}
 	i1, c1, q1, e1 := run(42)
 	i2, c2, q2, e2 := run(42)
@@ -152,7 +152,7 @@ func TestPopulationModulationChangesTraffic(t *testing.T) {
 		eng, pop, _ := popFixture(t, cfg, 5, 0)
 		pop.Start()
 		eng.RunUntil(5 * sim.Second)
-		return pop.Issued()
+		return pop.Counts().Issued
 	}
 	plain := run(base)
 	burst := base
@@ -175,7 +175,7 @@ func TestPopulationHintsSteerDirection(t *testing.T) {
 	// Subtree strategy: clients are ignorant and follow hints.
 	tr := homes[0].Parent()
 	_ = tr
-	pop := NewPopulation(cfg, eng, net, partition.NewStaticSubtree(8, emptyTree(), 1), tn, 1)
+	pop := NewPopulation(cfg, eng, net, partition.NewStaticSubtree(8, emptyTree(), 1), tn, 0, 1)
 	net.pop = pop
 	f := tn.File(0, 0, 0)
 	pop.hints.Put(3, msg.Hint{Ino: f.ID, Authority: 5})
@@ -210,7 +210,7 @@ func TestPopulationArrivalAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("open-loop hot path allocates: %v allocs per 50ms window", allocs)
 	}
-	if pop.Issued() == 0 || pop.Completed() == 0 {
+	if pop.Counts().Issued == 0 || pop.Counts().Completed == 0 {
 		t.Fatal("no traffic during pin")
 	}
 }
@@ -224,7 +224,7 @@ func TestPopulationDrawsAreSplitmix(t *testing.T) {
 	_, homes := popTree(t, 2)
 	tn := workload.NewTenants(workload.TenantConfig{Tenants: 2, WorkingSet: 4}, clients, homes, seed)
 	newPop := func() *Population {
-		return NewPopulation(PopulationConfig{Clients: clients}, sim.NewEngine(), &echoNet{n: 4}, partition.FileHash{N: 4}, tn, seed)
+		return NewPopulation(PopulationConfig{Clients: clients}, sim.NewEngine(), &echoNet{n: 4}, partition.FileHash{N: 4}, tn, 0, seed)
 	}
 	viaCursor, viaNext := newPop(), newPop()
 	for g := 0; g < clients; g++ {
@@ -311,7 +311,7 @@ func TestPopulationHeapBytesPerClient(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		pop := NewPopulation(PopulationConfig{Clients: clients, Rate: tc.rate}, eng, &echoNet{n: 4}, partition.FileHash{N: 4}, tn, 1)
+		pop := NewPopulation(PopulationConfig{Clients: clients, Rate: tc.rate}, eng, &echoNet{n: 4}, partition.FileHash{N: 4}, tn, 0, 1)
 		pop.SetHorizon(tc.horizon)
 		runtime.GC()
 		runtime.ReadMemStats(&after)
@@ -349,17 +349,16 @@ func TestPopulationRecyclesOnlyOnceSentRequests(t *testing.T) {
 	_, homes := popTree(t, 1)
 	eng := sim.NewEngine()
 	net := &holdNet{}
-	pop := NewPopulation(cfg, eng, net, partition.FileHash{N: 4}, workload.NewTenants(cfg.Tenant, 1, homes, 3), 3)
-	pop.EnableRetries(10 * sim.Millisecond)
+	pop := NewPopulation(cfg, eng, net, partition.FileHash{N: 4}, workload.NewTenants(cfg.Tenant, 1, homes, 3), 10*sim.Millisecond, 3)
 	reply := func(req *msg.Request) bool {
-		rep := msg.Reply{Req: req, Client: req.Client, ID: req.ID, Gen: req.Gen, Issued: req.Issued, Completed: eng.Now()}
+		rep := msg.Reply{Req: req, Client: req.Client, ID: req.ID, Issued: req.Issued, Completed: eng.Now()}
 		return pop.OnReply(&rep)
 	}
 
 	pop.arrive(0)
 	eng.RunUntil(15 * sim.Millisecond) // the retry timer resends it
-	if len(net.sent) != 2 || net.sent[0] != net.sent[1] || pop.Retries() != 1 {
-		t.Fatalf("want one request sent twice, got %d sends and %d retries", len(net.sent), pop.Retries())
+	if len(net.sent) != 2 || net.sent[0] != net.sent[1] || pop.Counts().Retries != 1 {
+		t.Fatalf("want one request sent twice, got %d sends and %d retries", len(net.sent), pop.Counts().Retries)
 	}
 	resent := net.sent[0]
 	if !reply(resent) {
@@ -381,8 +380,8 @@ func TestPopulationRecyclesOnlyOnceSentRequests(t *testing.T) {
 	if net.sent[3] != once {
 		t.Error("a request answered on its first send was not recycled")
 	}
-	if pop.Completed() != 2 {
-		t.Errorf("completed = %d, want 2", pop.Completed())
+	if pop.Counts().Completed != 2 {
+		t.Errorf("completed = %d, want 2", pop.Counts().Completed)
 	}
 }
 
@@ -414,7 +413,7 @@ func TestPopulationHorizonIsInvisible(t *testing.T) {
 	run := func(horizon bool) (*Population, *logNet) {
 		eng, pop, echo := popFixture(t, cfg, 5, 300*sim.Microsecond)
 		net := &logNet{echoNet: echo}
-		pop.net = net
+		pop.reqs.net = net
 		if horizon {
 			pop.SetHorizon(h)
 			if pop.wheel.FootprintBytes() >= 6*int64(cfg.Clients) {
@@ -437,9 +436,9 @@ func TestPopulationHorizonIsInvisible(t *testing.T) {
 	}
 	plain, plainNet := run(false)
 	bounded, boundedNet := run(true)
-	if plain.Issued() == 0 || plain.Issued() != bounded.Issued() || plain.Completed() != bounded.Completed() {
+	if plain.Counts().Issued == 0 || plain.Counts().Issued != bounded.Counts().Issued || plain.Counts().Completed != bounded.Counts().Completed {
 		t.Fatalf("issued %d/%d, completed %d/%d without and with a horizon",
-			plain.Issued(), bounded.Issued(), plain.Completed(), bounded.Completed())
+			plain.Counts().Issued, bounded.Counts().Issued, plain.Counts().Completed, bounded.Counts().Completed)
 	}
 	if !slices.Equal(plainNet.log, boundedNet.log) {
 		t.Fatal("with a horizon the population sends from other clients or at other instants")

@@ -18,14 +18,14 @@ import (
 // Pause stops arrivals and wheels ahead of a checkpoint. The drain
 // window that follows lets in-flight requests and retry chains retire.
 func (p *Population) Pause() {
-	p.stopped = true
+	p.reqs.stopped = true
 	p.wheel.Stop()
 }
 
 // Resume re-arms every client and restarts the wheel. Executed
 // identically after an in-place checkpoint and after a restore.
 func (p *Population) Resume() {
-	p.stopped = false
+	p.reqs.stopped = false
 	p.wheel.Reset()
 	p.armAll()
 }
@@ -49,17 +49,17 @@ func (p *Population) Snap(c *snap.Codec, tree *namespace.Tree) {
 		}
 	}
 	if !c.Reading() {
-		if !p.stopped {
+		if !p.reqs.stopped {
 			panic("client: snapshot of a running population")
 		}
-		if len(p.retry) != 0 {
-			panic("client: snapshot with outstanding retries")
+		if p.reqs.Outstanding() != 0 {
+			panic("client: snapshot with outstanding requests")
 		}
 		if p.curLat != nil {
 			panic("client: snapshot inside a phase")
 		}
 	}
-	p.stopped = true
+	p.reqs.stopped = true
 	c.Same(len(p.hints.word), "client: population clients")
 	for li := range p.hints.word {
 		r := p.stream(int32(li))
@@ -71,18 +71,18 @@ func (p *Population) Snap(c *snap.Codec, tree *namespace.Tree) {
 		}
 		p.keep(int32(li), &r)
 	}
-	snap.U(c, &p.seq)
+	snap.U(c, &p.reqs.seq)
 	snap.I(c, &p.nameSeq)
-	snap.U(c, &p.issued)
-	snap.U(c, &p.completed)
+	snap.U(c, &p.reqs.Issued)
+	snap.U(c, &p.reqs.Completed)
 	snap.U(c, &p.leaseHits)
 	snap.U(c, &p.hotLocal)
 	snap.U(c, &p.hotRemote)
-	snap.U(c, &p.retries)
-	snap.U(c, &p.timedOut)
+	snap.U(c, &p.reqs.Retries)
+	snap.U(c, &p.reqs.TimedOut)
 	queue(&p.churn, &p.churnHead, "client: churn ring")
 	queue(&p.baseVictims, &p.baseHead, "client: base victim")
-	p.hints.snap(c, p.net.NumMDS())
+	p.hints.snap(c, p.reqs.net.NumMDS())
 }
 
 // snap walks the table sparsely, in the dense layout's terms: the slot

@@ -95,7 +95,8 @@ func (c *Cluster) setupActs() error {
 // beginAct counts act i's start and installs its phase.
 func (c *Cluster) beginAct(i int) {
 	a, r := &c.Cfg.Acts[i], &c.acts[i]
-	r.issued0, r.completed0 = c.Pop.Issued(), c.Pop.Completed()
+	n := c.Pop.Counts()
+	r.issued0, r.completed0 = n.Issued, n.Completed
 	r.open = true
 	c.Pop.SetPhase(a.RateMul, a.Mix(), r.hot, a.HotFrac, &r.lat)
 }
@@ -104,7 +105,8 @@ func (c *Cluster) beginAct(i int) {
 // phase.
 func (c *Cluster) endAct(i int) {
 	r := &c.acts[i]
-	r.issued1, r.completed1 = c.Pop.Issued(), c.Pop.Completed()
+	n := c.Pop.Counts()
+	r.issued1, r.completed1 = n.Issued, n.Completed
 	r.open = false
 	c.Pop.SetPhase(0, [6]float64{}, nil, 0, nil)
 }
@@ -131,7 +133,8 @@ func (c *Cluster) collectActs(r *Result) {
 		a, st := &c.Cfg.Acts[i], &c.acts[i]
 		i1, c1 := st.issued1, st.completed1
 		if st.open {
-			i1, c1 = c.Pop.Issued(), c.Pop.Completed()
+			n := c.Pop.Counts()
+			i1, c1 = n.Issued, n.Completed
 		}
 		ar := ActResult{Name: a.Name, From: a.From, To: a.To, Issued: i1 - st.issued0, Completed: c1 - st.completed0}
 		if w := (a.To - a.From).Seconds(); w > 0 {

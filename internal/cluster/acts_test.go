@@ -191,7 +191,7 @@ func TestActAccounting(t *testing.T) {
 	probes := make(map[sim.Time]count)
 	for _, a := range cfg.Acts {
 		for _, at := range []sim.Time{a.From, a.To} {
-			cl.Eng.At(at, func() { probes[at] = count{cl.Pop.Issued(), cl.Pop.Completed()} })
+			cl.Eng.At(at, func() { probes[at] = count{cl.Pop.Counts().Issued, cl.Pop.Counts().Completed} })
 		}
 	}
 	cl.StartEndure()
@@ -205,7 +205,7 @@ func TestActAccounting(t *testing.T) {
 			t.Fatalf("act %q: ended=%v at 5s", a.Name, ended)
 		}
 		if !ended {
-			to = count{cl.Pop.Issued(), cl.Pop.Completed()}
+			to = count{cl.Pop.Counts().Issued, cl.Pop.Counts().Completed}
 		}
 		if st.open == ended || st.issued0 != from.issued || st.completed0 != from.completed {
 			t.Fatalf("act %q: open=%v ended=%v start (%d, %d), want (%d, %d)",

@@ -121,9 +121,9 @@ type Config struct {
 	// arrivals (with diurnal/burst modulation) scheduled through a
 	// hierarchical timer wheel. OpenLoop.Clients defaults to
 	// NumMDS·ClientsPerMDS. Incompatible with non-general workload kinds
-	// (the open loop has no scenario hooks). A fault schedule composes:
-	// it arms the population's boxed retry-escalation cache, so drops and
-	// crashes are survivable.
+	// (the open loop has no scenario hooks). Its requests follow the one
+	// lifecycle a closed-loop client's do (client.Requests), retries
+	// included, so a fault schedule composes.
 	OpenLoop *client.PopulationConfig
 
 	// Lease configures coherent client read leases (Lease.Enabled, the
@@ -456,12 +456,6 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		c.Pop.AttachLeasePlane(c.Lease)
 	}
-
-	// A retry timeout — set, or defaulted by a fault schedule — arms the
-	// open loop's boxed retry cache, as it arms closed-loop clients.
-	if c.Pop != nil && cfg.Client.RetryTimeout > 0 {
-		c.Pop.EnableRetries(cfg.Client.RetryTimeout)
-	}
 	c.setupWall = time.Since(setupStart)
 	return c, nil
 }
@@ -613,7 +607,7 @@ func (c *Cluster) buildPopulation() error {
 	}
 	tenants := workload.NewTenants(pcfg.Tenant, pcfg.Clients, c.Snap.Homes, cfg.Seed)
 	c.tenants = tenants
-	c.Pop = client.NewPopulation(pcfg, c.Eng, c, c.Strategy, tenants, cfg.Seed)
+	c.Pop = client.NewPopulation(pcfg, c.Eng, c, c.Strategy, tenants, cfg.Client.RetryTimeout, cfg.Seed)
 	c.Pop.SetHorizon(cfg.Duration)
 	if n := pcfg.UnlinkReserve(cfg.Duration); n > 0 {
 		victims := baseVictims(c.Snap.Tree, tenants, n)
@@ -833,6 +827,19 @@ type Result struct {
 	Bucket         sim.Time
 }
 
+// Requests sums the counts of the client request lifecycles: the
+// population's, or every closed-loop client's.
+func (c *Cluster) Requests() client.Counts {
+	if c.Pop != nil {
+		return c.Pop.Counts()
+	}
+	var n client.Counts
+	for _, cl := range c.Clients {
+		n.Add(cl.Counts())
+	}
+	return n
+}
+
 // Collect assembles the Result (callable after Run).
 func (c *Cluster) Collect() *Result {
 	cfg := c.Cfg
@@ -860,11 +867,9 @@ func (c *Cluster) Collect() *Result {
 		r.Recoveries = c.Recoveries
 		r.Downs = c.Downs
 		r.CompletedOps = c.CompletedOps.Clone()
-		for _, cl := range c.Clients {
-			r.Retries += cl.Stats.Retries
-			r.TimedOut += cl.Stats.TimedOut
-		}
 	}
+	n := c.Requests()
+	r.Issued, r.Completed, r.Retries, r.TimedOut = n.Issued, n.Completed, n.Retries, n.TimedOut
 	var served, forwards, arrivals, hits, misses uint64
 	for i, n := range c.Nodes {
 		r.RepliesPerNode = append(r.RepliesPerNode, c.RepliesPerNode[i].Clone())
@@ -918,19 +923,10 @@ func (c *Cluster) Collect() *Result {
 	if c.Pop != nil {
 		r.OpenLoop = true
 		r.Clients = c.Pop.Clients()
-		r.Issued = c.Pop.Issued()
-		r.Completed = c.Pop.Completed()
 		r.PopFootprint = c.Pop.FootprintBytes()
 		r.LeaseHits = c.Pop.LeaseHits()
 		r.HotspotLocal, r.HotspotRemote = c.Pop.HotspotOps()
-		r.Retries += c.Pop.Retries()
-		r.TimedOut += c.Pop.TimedOut()
 		c.collectActs(r)
-	} else {
-		for _, cl := range c.Clients {
-			r.Issued += cl.Stats.Issued
-			r.Completed += cl.Stats.Completed
-		}
 	}
 	if c.Balancer != nil {
 		r.Migrations = c.Balancer.Migrations

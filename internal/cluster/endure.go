@@ -153,9 +153,6 @@ func (c *Cluster) QuiesceBy(bound sim.Time) error {
 
 // drained says what is still in flight anywhere, nil when nothing is.
 func (c *Cluster) drained() error {
-	if n := c.Pop.RetryOutstanding(); n != 0 {
-		return fmt.Errorf("%d boxed retries outstanding", n)
-	}
 	for _, n := range c.Nodes {
 		if err := n.CheckQuiesced(); err != nil {
 			return err
@@ -166,6 +163,9 @@ func (c *Cluster) drained() error {
 	}
 	if n := c.Fab.LiveEnvelopes(); n != 0 {
 		return fmt.Errorf("%d live envelopes", n)
+	}
+	if n := c.Requests().Outstanding(); n != 0 {
+		return fmt.Errorf("%d requests outstanding", n)
 	}
 	return nil
 }

@@ -73,8 +73,8 @@ func conserved(t *testing.T, cl *Cluster) {
 	// exactly one reply that reached its client.
 	var issued, completed uint64
 	for _, c := range cl.Clients {
-		issued += c.Stats.Issued
-		completed += c.Stats.Completed
+		issued += c.Counts().Issued
+		completed += c.Counts().Completed
 	}
 	req := cl.Fab.Class(net.Request)
 	rep := cl.Fab.Class(net.Reply)

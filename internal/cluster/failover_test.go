@@ -47,7 +47,7 @@ func TestFailoverDynamic(t *testing.T) {
 	}
 	stuck := 0
 	for _, c := range cl.Clients {
-		if c.Stats.Completed == 0 {
+		if c.Counts().Completed == 0 {
 			stuck++
 		}
 	}

@@ -171,29 +171,11 @@ func (r *Result) FaultSummary() string {
 
 // DrainCheck verifies that after a drain (clients stopped, engine run
 // past the last timeout) no operation is orphaned: every issued request
-// either completed or was accounted as timed out, and no client still
-// holds an in-flight request. It returns the first violation found.
+// either completed or was accounted as timed out.
 func (c *Cluster) DrainCheck() error {
-	if c.Pop != nil {
-		if n := c.Pop.RetryOutstanding(); n > 0 {
-			return fmt.Errorf("cluster: population holds %d boxed requests after drain", n)
-		}
-		issued, completed, timedOut := c.Pop.Issued(), c.Pop.Completed(), c.Pop.TimedOut()
-		if issued != completed+timedOut {
-			return fmt.Errorf("cluster: orphaned population ops: issued=%d != completed=%d + timedout=%d",
-				issued, completed, timedOut)
-		}
-	}
-	for _, cl := range c.Clients {
-		s := cl.Stats
-		if cl.Inflight() {
-			return fmt.Errorf("cluster: client has an unaccounted in-flight request (issued=%d completed=%d timedout=%d)",
-				s.Issued, s.Completed, s.TimedOut)
-		}
-		if s.Issued != s.Completed+s.TimedOut {
-			return fmt.Errorf("cluster: orphaned ops: issued=%d != completed=%d + timedout=%d",
-				s.Issued, s.Completed, s.TimedOut)
-		}
+	if n := c.Requests(); n.Outstanding() != 0 {
+		return fmt.Errorf("cluster: orphaned ops: issued=%d != completed=%d + timedout=%d",
+			n.Issued, n.Completed, n.TimedOut)
 	}
 	return nil
 }

@@ -82,8 +82,8 @@ func TestFaultyMessageConservation(t *testing.T) {
 			}
 			var issued, retries uint64
 			for _, c := range cl.Clients {
-				issued += c.Stats.Issued
-				retries += c.Stats.Retries
+				issued += c.Counts().Issued
+				retries += c.Counts().Retries
 			}
 			req := cl.Fab.Class(net.Request)
 			if req.Sent != issued+retries {
@@ -245,7 +245,7 @@ func TestCrashAutoFailoverDynamic(t *testing.T) {
 	}
 	stuck := 0
 	for _, c := range cl.Clients {
-		if c.Stats.Completed == 0 {
+		if c.Counts().Completed == 0 {
 			stuck++
 		}
 	}

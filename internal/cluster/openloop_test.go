@@ -101,7 +101,7 @@ func TestOpenLoopDeterministic(t *testing.T) {
 }
 
 func TestOpenLoopValidation(t *testing.T) {
-	// Open loop + faults composes (the boxed retry cache); leases
+	// Open loop + faults composes (the lifecycle's retries); leases
 	// without the open loop does not — the slab lives in the population.
 	bad := openLoopConfig(StratDynamic)
 	bad.OpenLoop = nil
@@ -198,7 +198,7 @@ func TestOpenLoopHorizonGuard(t *testing.T) {
 	if err := cl.DrainCheck(); err != nil {
 		t.Fatal(err)
 	}
-	if cl.Pop.Issued() == 0 {
+	if cl.Pop.Counts().Issued == 0 {
 		t.Fatal("the sparse population issued nothing")
 	}
 

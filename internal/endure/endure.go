@@ -245,7 +245,7 @@ func (st *runState) segment(k int) error {
 func (st *runState) row(k int, at sim.Time) Row {
 	c := st.c
 	tree := c.Tree()
-	completed := c.Pop.Completed()
+	completed := c.Requests().Completed
 	lookups, misses := tree.LazyStats()
 	// Serving span: from the previous checkpoint's resume instant.
 	seg := at - st.prevResume
@@ -330,7 +330,7 @@ func load(opt *Options, data []byte) (*runState, *header, error) {
 		return nil, nil, err
 	}
 	st.prevResume = hdr.ResumeAt
-	st.prevCompleted = c.Pop.Completed()
+	st.prevCompleted = c.Requests().Completed
 	st.prevLookups, st.prevMisses = c.Tree().LazyStats()
 	return st, hdr, nil
 }

@@ -1202,11 +1202,11 @@ func (m *MDS) reply(req *msg.Request) {
 	m.cluster.NoteReply(m.id, now)
 	rep := m.getReply()
 	rep.Req = req
-	// Identity and issue time are copied by value: the client matches
-	// replies by (Client, ID, Gen) and computes latency from Issued, so
-	// a duplicate reply stays recognisable (and harmless) even after
-	// the request struct is recycled for a newer operation.
-	rep.Client, rep.ID, rep.Gen, rep.Issued = req.Client, req.ID, req.Gen, req.Issued
+	// Identity and issue time are copied by value: the client accepts a
+	// reply only while the request still carries its ID and computes
+	// latency from Issued, so a duplicate reply stays recognisable (and
+	// harmless) even after the request struct is retired or recycled.
+	rep.Client, rep.ID, rep.Issued = req.Client, req.ID, req.Issued
 	if !m.strat.ClientComputable() {
 		rep.Hints = m.appendHints(rep.Hints[:0], req.Target)
 	}

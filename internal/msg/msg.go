@@ -54,16 +54,12 @@ func (o Op) IsUpdate() bool {
 
 // Request is one client metadata operation in flight.
 type Request struct {
+	// ID is unique within the issuing client's request lifecycle, and
+	// zero once the client has retired the request (answered or
+	// abandoned it).
 	ID     uint64
 	Client int
-	// Gen distinguishes incarnations of a pooled request struct: the
-	// client bumps it each time the struct is recycled for a new
-	// operation, and replies echo it, so a late duplicate reply to an
-	// earlier incarnation can never be mistaken for the current one.
-	// Matching by (Client, ID, Gen) values — not pointer identity —
-	// is what makes request pooling safe under retries.
-	Gen uint32
-	Op  Op
+	Op     Op
 
 	// Target is the inode the operation applies to. For Create and
 	// Mkdir it is the containing directory; NewName is the entry to
@@ -100,16 +96,15 @@ type Hint struct {
 	Replicated bool
 }
 
-// Reply completes a request. The identifying fields (Client, ID, Gen)
-// and Issued are copied BY VALUE from the request when the authority
-// builds the reply: the request struct may be recycled for a new
-// operation while a duplicate reply is still in flight, so consumers
-// must never derive identity or latency from Req's fields.
+// Reply completes a request. The identifying fields (Client, ID) and
+// Issued are copied BY VALUE from the request when the authority builds
+// the reply: the client accepts the reply only while Req still carries
+// that ID, and a recycled struct carries another, so consumers must
+// never derive identity or latency from Req's fields.
 type Reply struct {
 	Req       *Request
 	Client    int
 	ID        uint64
-	Gen       uint32
 	Issued    sim.Time
 	Completed sim.Time
 	// Hints covers the target and its prefix directories.
