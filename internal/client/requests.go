@@ -54,6 +54,10 @@ type owner interface {
 // request is retired (answered or abandoned), so a reply is accepted
 // only while the request it answers still carries the reply's ID: a
 // duplicate, or a late answer to an abandoned request, matches nothing.
+// A retired request is recycled only while retries are disarmed: with
+// them, a copy of it may still be in flight, or held by an MDS forward
+// watchdog that re-dispatches it, and a recycled struct would carry
+// another operation there.
 type Requests struct {
 	Counts
 
@@ -66,19 +70,12 @@ type Requests struct {
 	stopped bool
 	seq     uint64
 	pool    []*msg.Request
-	// resent marks the requests sent more than once while retries are
-	// armed: a copy of one may still be in flight after its reply, so it
-	// is not recycled.
-	resent map[*msg.Request]bool
 }
 
 // init sets the lifecycle up for its owner; poolCap presizes the pool.
 func (r *Requests) init(eng *sim.Engine, net Network, o owner, timeout sim.Time, poolCap int) {
 	r.eng, r.net, r.owner, r.timeout = eng, net, o, timeout
 	r.pool = make([]*msg.Request, 0, poolCap)
-	if timeout > 0 {
-		r.resent = make(map[*msg.Request]bool)
-	}
 }
 
 // get returns a request for client, recycled or fresh, stamped with the
@@ -102,17 +99,24 @@ func (r *Requests) get(client int) *msg.Request {
 func (r *Requests) send(to int, req *msg.Request) {
 	r.Issued++
 	if r.timeout > 0 {
-		r.eng.AfterCall(r.timeout, retryFire, r, &pending{req: req, id: req.ID, last: to})
+		r.eng.AfterCall(r.timeout, retryFire, r, &pending{req: req, last: to})
 	}
 	r.net.Send(to, req)
 }
 
 // local counts req as issued and answered without a send (a lease hit)
-// and recycles it.
+// and retires it.
 func (r *Requests) local(req *msg.Request) {
 	r.Issued++
 	r.Completed++
-	r.pool = append(r.pool, req)
+	r.put(req)
+}
+
+// put recycles a retired request unless retries are armed.
+func (r *Requests) put(req *msg.Request) {
+	if r.timeout == 0 {
+		r.pool = append(r.pool, req)
+	}
 }
 
 // accept retires the request rep answers and counts its completion; it
@@ -125,17 +129,13 @@ func (r *Requests) accept(rep *msg.Reply) bool {
 	}
 	r.Completed++
 	req.ID = 0
-	if !r.resent[req] {
-		r.pool = append(r.pool, req)
-	}
-	delete(r.resent, req)
+	r.put(req)
 	return true
 }
 
 // pending is a sent request's retry state, its timer's payload.
 type pending struct {
 	req      *msg.Request
-	id       uint64
 	attempts int
 	last     int // the node it was last sent to
 }
@@ -144,16 +144,14 @@ func retryFire(a, b any) { a.(*Requests).retry(b.(*pending)) }
 
 // retry is a sent request's retry timer: resend it with the wait
 // doubled, or abandon it once the resends are exhausted or the
-// lifecycle is stopped. An abandoned request is never recycled: a copy
-// of it may still be in flight.
+// lifecycle is stopped.
 func (r *Requests) retry(p *pending) {
-	if p.req.ID != p.id {
+	if p.req.ID == 0 {
 		return // answered or abandoned: the timer is stale
 	}
 	if r.stopped || p.attempts >= maxRetries {
 		r.TimedOut++
 		p.req.ID = 0
-		delete(r.resent, p.req)
 		if !r.stopped {
 			r.owner.abandoned()
 		}
@@ -161,7 +159,6 @@ func (r *Requests) retry(p *pending) {
 	}
 	p.attempts++
 	r.Retries++
-	r.resent[p.req] = true
 	p.last = r.owner.resend(p.req, p.last)
 	r.net.Send(p.last, p.req)
 	r.eng.AfterCall(r.timeout<<uint(min(p.attempts, 3)), retryFire, r, p)

@@ -1,0 +1,104 @@
+package client
+
+import (
+	"testing"
+
+	"dynmds/internal/msg"
+	"dynmds/internal/partition"
+	"dynmds/internal/sim"
+	"dynmds/internal/workload"
+)
+
+// answerNet answers every request once, a fixed delay after its send,
+// through reply (the model's OnReply), reusing one reply struct; with
+// log set it keeps every struct sent.
+type answerNet struct {
+	eng   *sim.Engine
+	n     int
+	delay sim.Time
+	reply func(*msg.Reply) bool
+	rep   msg.Reply
+	log   bool
+	sent  []*msg.Request
+}
+
+func (a *answerNet) NumMDS() int { return a.n }
+
+func (a *answerNet) Send(_ int, req *msg.Request) {
+	if a.log {
+		a.sent = append(a.sent, req)
+	}
+	a.eng.AfterCall(a.delay, answerFire, a, req)
+}
+
+func answerFire(x, y any) {
+	a, req := x.(*answerNet), y.(*msg.Request)
+	a.rep = msg.Reply{Req: req, Client: req.Client, ID: req.ID, Issued: req.Issued, Completed: a.eng.Now()}
+	a.reply(&a.rep)
+}
+
+// TestRetriesNeverReuseARequest: while retries are armed no request
+// struct serves two operations, in either model — an MDS forward
+// watchdog may still hold one answered on its first send, and would
+// re-dispatch it carrying the next operation.
+func TestRetriesNeverReuseARequest(t *testing.T) {
+	_, f := testTree(t)
+	eng := sim.NewEngine()
+	closed := &answerNet{eng: eng, n: 2, delay: 500 * sim.Microsecond, log: true}
+	c := New(0, eng, Config{ThinkMean: sim.Millisecond, RetryTimeout: 10 * sim.Millisecond}, sim.NewRNG(3), closed,
+		partition.FileHash{N: 2}, fixedGen{workload.Op{Op: msg.Stat, Target: f}})
+	closed.reply = c.OnReply
+	c.Start(0)
+
+	cfg := PopulationConfig{Clients: 50, Rate: 20, Tenant: workload.TenantConfig{Tenants: 2, WorkingSet: 8}, MixStat: 1}
+	_, homes := popTree(t, 4)
+	open := &answerNet{eng: eng, n: 4, delay: 300 * sim.Microsecond, log: true}
+	pop := NewPopulation(cfg, eng, open, partition.FileHash{N: 4}, workload.NewTenants(cfg.Tenant, cfg.Clients, homes, 5),
+		10*sim.Millisecond, 5)
+	open.reply = pop.OnReply
+	pop.Start()
+
+	eng.RunUntil(sim.Second)
+	for _, m := range []struct {
+		name string
+		net  *answerNet
+		done uint64
+	}{{"closed", closed, c.Counts().Completed}, {"open", open, pop.Counts().Completed}} {
+		if m.done < 100 || m.done+2 < uint64(len(m.net.sent)) {
+			t.Fatalf("%s loop: %d completions of %d sends, want many and every send answered", m.name, m.done, len(m.net.sent))
+		}
+		seen := make(map[*msg.Request]bool, len(m.net.sent))
+		for _, req := range m.net.sent {
+			if seen[req] {
+				t.Fatalf("%s loop: a request struct was sent for two operations while retries are armed", m.name)
+			}
+			seen[req] = true
+		}
+	}
+}
+
+// TestClosedLoopCycleAllocFree: a fault-free closed-loop client's
+// steady-state issue → reply → think cycle allocates nothing; its one
+// request struct is recycled.
+func TestClosedLoopCycleAllocFree(t *testing.T) {
+	_, f := testTree(t)
+	eng := sim.NewEngine()
+	net := &answerNet{eng: eng, n: 2, delay: 200 * sim.Microsecond}
+	c := New(0, eng, Config{ThinkMean: sim.Millisecond}, sim.NewRNG(7), net,
+		partition.FileHash{N: 2}, fixedGen{workload.Op{Op: msg.Stat, Target: f}})
+	net.reply = c.OnReply
+	c.Start(0)
+	eng.RunUntil(100 * sim.Millisecond)
+	before := c.Counts().Completed
+	now := eng.Now()
+	allocs := testing.AllocsPerRun(20, func() {
+		now += 10 * sim.Millisecond
+		eng.RunUntil(now)
+	})
+	if allocs != 0 {
+		t.Fatalf("the closed-loop cycle allocates: %v allocs per 10ms window", allocs)
+	}
+	if c.Counts().Completed == before {
+		t.Fatal("no completions during the pinned window")
+	}
+}
