@@ -349,6 +349,33 @@ func TestMechanismLines(t *testing.T) {
 	}
 }
 
+// TestRetriesLine: a run that arms retries without a fault schedule
+// reports them on their own line, a closed loop's as an open loop's; a
+// run without retries prints none, and a faulted run prints them in its
+// fault block instead.
+func TestRetriesLine(t *testing.T) {
+	line := regexp.MustCompile(`(?m)^retries: ([1-9]\d*) \(\d+ timed out\)$`)
+	for _, c := range []struct {
+		args []string
+		want bool
+	}{
+		{[]string{"-set", "retry=20ms"}, true},
+		{[]string{"-set", "retry=20ms", "-set", "rate=0.5", "-set", "clients=2000"}, true},
+		{nil, false},
+		{[]string{"-set", "retry=20ms", "-set", "faults=drop@0.05:all"}, false},
+	} {
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"-set", "duration=4s", "-set", "warmup=1s"}, c.args...)
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit status %d\n%s", c.args, code, stderr.String())
+		}
+		out := stdout.String()
+		if got := line.MatchString(out); got != c.want || strings.Contains(out, "\nretries:") != c.want {
+			t.Errorf("%v: a retries line with retries %t, want %t:\n%s", c.args, got, c.want, out)
+		}
+	}
+}
+
 // TestDefaultReportIsDeterministic: the single-run report prints only
 // what the run determines, so one command run twice in one process
 // prints the same text bar its wall-time line — the second run thaws

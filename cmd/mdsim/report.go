@@ -64,6 +64,10 @@ func writeSingle(w io.Writer, r *harness.PlanRun, start time.Time) {
 	fmt.Fprintf(w, "service queues: cpu max %d (mds%d), read disk max %d (mds%d), log disk max %d (mds%d)\n",
 		q[0], n[0], q[1], n[1], q[2], n[2])
 	fmt.Fprint(w, res.Net.Table())
+	if r.Cfg.Client.RetryTimeout > 0 && res.FaultSchedule == "" {
+		// A fault schedule's block prints them otherwise.
+		fmt.Fprintf(w, "retries: %d (%d timed out)\n", res.Retries, res.TimedOut)
+	}
 	fmt.Fprint(w, res.FaultSummary())
 	if r.Cfg.Faults != "" && r.Fsck == nil {
 		fmt.Fprintln(w, "simfsck: clean") // else the failure block follows
