@@ -149,3 +149,43 @@ func TestLeaseRecallNotResurrectedByStaleHint(t *testing.T) {
 		t.Fatal("post-recall grant not honoured")
 	}
 }
+
+// TestPopulationLeasedHitRecycledUnderRetries: a leased hit is never
+// sent, so nothing can hold its request struct and it is recycled even
+// while retries are armed. Each client reads one file and leases
+// outlive the run, so once every client holds its lease the pinned
+// window is all hits: no send, and no allocation.
+func TestPopulationLeasedHitRecycledUnderRetries(t *testing.T) {
+	cfg := PopulationConfig{
+		Clients: 20, Rate: 200,
+		Tenant:  workload.TenantConfig{Tenants: 1, WorkingSet: 1},
+		MixStat: 1,
+	}
+	const seed = 13
+	tr, homes := popTree(t, 4)
+	eng := sim.NewEngine()
+	plane := lease.NewPlane(100*sim.Second, cfg.Clients, tr.MaxID())
+	net := &grantNet{eng: eng, n: 4, delay: 200 * sim.Microsecond, plane: plane, duration: plane.Duration}
+	pop := NewPopulation(cfg, eng, net, partition.NewStaticSubtree(4, tr, seed),
+		workload.NewTenants(cfg.Tenant, cfg.Clients, homes, seed), 10*sim.Millisecond, seed)
+	pop.AttachLeasePlane(plane)
+	net.pop = pop
+	pop.Start()
+	eng.RunUntil(2 * sim.Second)
+	before, hits := pop.Counts(), pop.LeaseHits()
+	now := eng.Now()
+	allocs := testing.AllocsPerRun(20, func() {
+		now += 50 * sim.Millisecond
+		eng.RunUntil(now)
+	})
+	after := pop.Counts()
+	if pop.LeaseHits() == hits {
+		t.Fatal("no leased hits during the pinned window")
+	}
+	if sent := (after.Issued - before.Issued) - (pop.LeaseHits() - hits); sent != 0 {
+		t.Fatalf("%d requests sent during the pinned window, want only leased hits", sent)
+	}
+	if allocs != 0 {
+		t.Fatalf("leased hits allocate under retries: %v allocs per 50ms window", allocs)
+	}
+}

@@ -54,10 +54,10 @@ type owner interface {
 // request is retired (answered or abandoned), so a reply is accepted
 // only while the request it answers still carries the reply's ID: a
 // duplicate, or a late answer to an abandoned request, matches nothing.
-// A retired request is recycled only while retries are disarmed: with
-// them, a copy of it may still be in flight, or held by an MDS forward
-// watchdog that re-dispatches it, and a recycled struct would carry
-// another operation there.
+// A retired request that was sent is recycled only while retries are
+// disarmed: with them, a copy of it may still be in flight, or held by
+// an MDS forward watchdog that re-dispatches it, and a recycled struct
+// would carry another operation there.
 type Requests struct {
 	Counts
 
@@ -105,11 +105,13 @@ func (r *Requests) send(to int, req *msg.Request) {
 }
 
 // local counts req as issued and answered without a send (a lease hit)
-// and retires it.
+// and recycles it. It bypasses put: a request never sent has no copy in
+// flight and no watchdog holding it, so it is recycled even while
+// retries are armed.
 func (r *Requests) local(req *msg.Request) {
 	r.Issued++
 	r.Completed++
-	r.put(req)
+	r.pool = append(r.pool, req)
 }
 
 // put recycles a retired request unless retries are armed.

@@ -211,10 +211,18 @@ func TestLeasePlaneFootprint(t *testing.T) {
 		if bpc > tc.limit {
 			t.Errorf("%s: plane %.1f B/client exceeds the %.0f B gate", tc.name, bpc, tc.limit)
 		}
+		// Each reply answers a live request, or the lifecycle refuses it
+		// and claims no hint record.
 		for c := 0; c < clients; c++ {
-			cl.Pop.OnReply(&msg.Reply{Client: c, Hints: []msg.Hint{{Ino: 1}}})
+			req := &msg.Request{ID: 1, Client: c}
+			if !cl.Pop.OnReply(&msg.Reply{Req: req, ID: req.ID, Client: c, Hints: []msg.Hint{{Ino: 1}}}) {
+				t.Fatalf("%s: the reply to client %d was refused", tc.name, c)
+			}
 		}
 		all := float64(cl.Pop.FootprintBytes()) / clients
+		if all <= bpc {
+			t.Errorf("%s: answering every client left the plane at %.1f B/client, no more than the run's %.1f", tc.name, all, bpc)
+		}
 		if all > tc.spoken {
 			t.Errorf("%s: plane %.1f B/client with every client answered exceeds the %.0f B gate", tc.name, all, tc.spoken)
 		}
