@@ -606,3 +606,17 @@ func TestCheckpointDrainOutlastsTheWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestDrainOutlastsTheWindow: a loaded open-loop cell of the chaos
+// budget at rate=20, whose partition leaves replies queued past the
+// drain window, keeps draining until the fabric is empty, so simfsck
+// finds nothing in flight. With a fixed window it ended "simfsck:
+// fabric: 4 messages still in flight after drain".
+func TestDrainOutlastsTheWindow(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-seed", "1", "-set", "users=30", "-set", "cache=500", "-set", "faults=partition@752ms-908ms:{1.0.2|3}",
+		"-set", "rate=20", "-set", "warmup=1s", "-set", "duration=5s"}
+	if code := run(args, &stdout, &stderr); code != 0 || !strings.Contains(stdout.String(), "\nsimfsck: clean\n") {
+		t.Fatalf("exit status %d, want 0 and a clean simfsck:\n%s%s", code, stdout.String(), stderr.String())
+	}
+}

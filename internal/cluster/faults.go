@@ -123,7 +123,10 @@ func (c *Cluster) markDown(peer int) {
 // past the configured duration, so every bounded message chain
 // completes or times out (the longest — a retried, forwarded request
 // with a disk fetch — is well under a second) and only the perpetual
-// tickers (flushers, balancer) remain. Conservation checks and the
+// tickers (flushers, balancer) remain. Past that window, as QuiesceBy
+// does, it keeps draining in quiesceStep steps while a message is in
+// flight or a request outstanding — a loaded node's backlog outlasts
+// the window — for drainLimit at most. Conservation checks and the
 // chaos consistency checker (internal/chaos) are only meaningful on a
 // drained cluster; call after Run.
 func (c *Cluster) Drain() {
@@ -133,8 +136,16 @@ func (c *Cluster) Drain() {
 	if c.Pop != nil {
 		c.Pop.Stop()
 	}
-	c.Eng.RunUntil(c.Cfg.Duration + QuiesceDrain)
+	end := c.Cfg.Duration + QuiesceDrain
+	c.Eng.RunUntil(end)
+	for c.Eng.Now() < end+drainLimit && (c.Fab.InFlight() != 0 || c.Requests().Outstanding() != 0) {
+		c.Eng.RunUntil(c.Eng.Now() + quiesceStep)
+	}
 }
+
+// drainLimit bounds how far past its window Drain keeps draining: what
+// is still in flight then is left for the conservation checks to name.
+const drainLimit = 10 * QuiesceDrain
 
 // FaultSummary renders the human-readable fault block for a finished
 // run: the resilience counters, per-class drop counts, and the injected
