@@ -19,6 +19,14 @@ func (t *HintTable) Get(client int, ino namespace.InodeID) (authority int, repli
 // Put records a hint in client's record, handing it one on its first.
 func (t *HintTable) Put(client int, h msg.Hint) { t.put(t.claim(client), h) }
 
+// liveTable is a counted table whose every client holds a word, as after
+// a restore has read the counts.
+func liveTable(clients, ways int) *HintTable {
+	t := NewHintTable(clients, ways, true)
+	t.fill()
+	return t
+}
+
 func TestHintTableRoundTrip(t *testing.T) {
 	tab := NewHintTable(1, 8, false)
 	tab.Put(0, msg.Hint{Ino: 42, Authority: 3})
@@ -92,7 +100,7 @@ func TestHintTableDelClearsExactSlot(t *testing.T) {
 }
 
 func TestHintTablePerClientIsolation(t *testing.T) {
-	tab := NewHintTable(4, 4, true)
+	tab := liveTable(4, 4)
 	for c := 0; c < 4; c++ {
 		tab.Put(c, msg.Hint{Ino: 7, Authority: c})
 	}
@@ -114,7 +122,7 @@ func TestHintTablePerClientIsolation(t *testing.T) {
 }
 
 func TestHintTableGetAllocFree(t *testing.T) {
-	tab := NewHintTable(2, 8, true)
+	tab := liveTable(2, 8)
 	tab.Put(0, msg.Hint{Ino: 1, Authority: 1})
 	sink := 0
 	allocs := testing.AllocsPerRun(100, func() {
@@ -266,7 +274,12 @@ func TestHintTableDifferential(t *testing.T) {
 		for _, clients := range []int{1, 10_000} {
 			counted := clients > 1
 			rng := sim.NewStream(int64(ways*clients), "hint-differential")
-			tab, ref := NewHintTable(clients, ways, counted), newDenseHints(clients, ways)
+			newTable := func() *HintTable {
+				t := NewHintTable(clients, ways, counted)
+				t.fill()
+				return t
+			}
+			tab, ref := newTable(), newDenseHints(clients, ways)
 			// Few enough speakers and keys that probe windows fill and
 			// regions are revisited; most clients stay silent.
 			speakers, keys := min(clients, 300), 8*ways
@@ -303,7 +316,7 @@ func TestHintTableDifferential(t *testing.T) {
 					t.Fatalf("ways %d clients %d step %d: snapshot differs from the dense encoder's (%d vs %d bytes)",
 						ways, clients, step, len(got), len(want))
 				}
-				tab = NewHintTable(clients, ways, counted)
+				tab = newTable()
 				if err := tab.restore(got); err != nil {
 					t.Fatal(err)
 				}
@@ -317,7 +330,8 @@ func TestHintTableDifferential(t *testing.T) {
 
 // TestHintTableNoAliasingPast32Bits: with 2^33 slots the dense layout's
 // uint32 base (client*ways) wrapped, so clients 2^22 apart shared slots.
-// Only the 32 MB of client words exist until someone speaks.
+// Only the 32 MB of client words, their bitmap and ranks exist until
+// someone speaks.
 func TestHintTableNoAliasingPast32Bits(t *testing.T) {
 	tab := NewHintTable(1<<23, 1024, false)
 	tab.Put(0, msg.Hint{Ino: 7, Authority: 3})
@@ -328,8 +342,8 @@ func TestHintTableNoAliasingPast32Bits(t *testing.T) {
 	if auth, _, ok := tab.Get(0, 7); !ok || auth != 3 {
 		t.Fatalf("client 0's hint clobbered: %d,%v", auth, ok)
 	}
-	if got, want := tab.FootprintBytes(), int64(4<<23+6*hintChunkSlots); got != want {
-		t.Fatalf("footprint = %d, want words + one chunk = %d", got, want)
+	if got, want := tab.FootprintBytes(), int64(4<<23+1<<20+1<<19+6*hintChunkSlots); got != want {
+		t.Fatalf("footprint = %d, want words, bitmap, ranks + one chunk = %d", got, want)
 	}
 }
 
@@ -350,10 +364,14 @@ func TestHintTableRejectsWideInodeIDs(t *testing.T) {
 	}
 }
 
+// TestHintTableSilentClientsOwnNothing: a fresh counted table holds a
+// bit and a share of a rank per client and no words; words and records
+// come only to clients that are given them.
 func TestHintTableSilentClientsOwnNothing(t *testing.T) {
+	const blocks = (100_000 + 63) / 64
 	tab := NewHintTable(100_000, 2, true)
 	base := tab.FootprintBytes()
-	if want := int64(100_000*4 + 8*hintChunkSlots); base != want {
+	if want := int64(blocks*(8+4) + 8*hintChunkSlots); base != want {
 		t.Fatalf("fresh footprint = %d, want %d", base, want)
 	}
 	for c := 0; c < 100_000; c += 7 {
@@ -365,12 +383,14 @@ func TestHintTableSilentClientsOwnNothing(t *testing.T) {
 	if tab.FootprintBytes() != base {
 		t.Fatal("Get/Del on silent clients allocated records")
 	}
-	// Every client speaks: the total is a 16-byte record per client plus
-	// the words, the last chunk cut to the clients that remain.
+	// Every client holds a word and speaks: the total is a 16-byte
+	// record per client plus the words, bitmap and ranks, the last chunk
+	// cut to the clients that remain.
+	tab.fill()
 	for c := 0; c < 100_000; c++ {
 		tab.Put(c, msg.Hint{Ino: 1, Authority: c % 8})
 	}
-	if got, want := tab.FootprintBytes(), int64(100_000*(4+16)); got != want {
+	if got, want := tab.FootprintBytes(), int64(blocks*(8+4)+100_000*(4+16)); got != want {
 		t.Fatalf("full footprint = %d, want %d", got, want)
 	}
 }
@@ -394,21 +414,21 @@ func TestHintRecordLayout(t *testing.T) {
 		t.Errorf("2-way record = %d B, want 16", b)
 	}
 	closed := NewHintTable(1, 2048, false)
-	if b := closed.FootprintBytes() - 4; b != 12288 {
+	if b := closed.FootprintBytes() - 8 - 4 - 4; b != 12288 {
 		t.Errorf("2048-way closed-loop region = %d B, want 12288", b)
 	}
 	if c := cap(closed.chunks[0]) * 4; c != 12288 {
 		t.Errorf("2048-way closed-loop chunk capacity = %d B, want 12288", c)
 	}
 
-	tab := NewHintTable(3, 2, true)
+	tab := liveTable(3, 2)
 	tab.word[1] = 12345
 	tab.Put(1, msg.Hint{Ino: 7, Authority: 5, Replicated: true})
 	tab.Put(1, msg.Hint{Ino: 8, Authority: hintMDS - 1})
 	if rec := tab.record(1); rec == nil || rec[0] != 12345 || tab.word[1]&hintRecord == 0 {
 		t.Fatalf("claim left word %#x, record %v; want the count 12345 moved into the record", tab.word[1], rec)
 	}
-	again := NewHintTable(3, 2, true)
+	again := liveTable(3, 2)
 	if err := again.restore(tab.snapshot()); err != nil {
 		t.Fatal(err)
 	}
@@ -444,6 +464,66 @@ func TestHintSnapRefusesImpossibleSlots(t *testing.T) {
 		err := NewHintTable(1, ways, false).restore(ref.snapshot())
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: restore = %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestHintTableArmingMerges drives arming passes that give random
+// clients words — many at once, from an empty table with and without a
+// reservation, so the array also grows mid-pass — and holds every word
+// to a reference keyed by client: a word kept stays where slot finds
+// it, in ascending client order, and a client never loses its word.
+// After the last pass a settle drops the words that hold the shared
+// count and keeps the records.
+func TestHintTableArmingMerges(t *testing.T) {
+	const clients = 5000
+	for _, reserve := range []int{0, 700} {
+		rng := sim.NewStream(int64(reserve), "hint-arming")
+		tab := NewHintTable(clients, 2, true)
+		tab.reserve(reserve)
+		ref := map[int]uint32{}
+		for pass := range 6 {
+			a := tab.arm()
+			for c := range clients {
+				i := a.next(c)
+				if w, ok := ref[c]; ok != (i >= 0) || ok && tab.word[i] != w {
+					t.Fatalf("reserve %d pass %d client %d: word index %d, want the word %d (held %v)", reserve, pass, c, i, w, ok)
+				}
+				if i < 0 && rng.Pick(3<<pass) == 0 {
+					i = a.gain(c)
+					ref[c] = uint32(c)<<3 | uint32(pass)
+				}
+				if i >= 0 {
+					tab.word[i] = ref[c]
+				}
+			}
+			a.done()
+			if len(tab.word) != len(ref) || tab.shared != uint32(pass+1) {
+				t.Fatalf("reserve %d pass %d: %d words for %d clients, shared count %d", reserve, pass, len(tab.word), len(ref), tab.shared)
+			}
+			for c := range clients {
+				i := tab.slot(c)
+				if w, ok := ref[c]; ok != (i >= 0) || ok && tab.word[i] != w {
+					t.Fatalf("reserve %d pass %d client %d: slot %d, want the word %d (held %v)", reserve, pass, c, i, w, ok)
+				}
+			}
+		}
+		// A restore's settle: client 3 holds a record, so it keeps its
+		// word although its count is the least; the rest keep theirs
+		// unless their count is the least.
+		tab.fill()
+		for c := range clients {
+			tab.word[c] = uint32(4 + c%3)
+		}
+		tab.Put(3, msg.Hint{Ino: 9, Authority: 2})
+		tab.settle(reserve)
+		for c := range clients {
+			if held, want := tab.slot(c) >= 0, c == 3 || c%3 != 0; held != want {
+				t.Fatalf("reserve %d: after settle client %d holds a word: %v, want %v", reserve, c, held, want)
+			}
+		}
+		if auth, _, ok := tab.Get(3, 9); !ok || auth != 2 || tab.record(3)[0] != 4 || tab.shared != 4 || cap(tab.word) != max(reserve, len(tab.word)) {
+			t.Fatalf("reserve %d: settle left client 3's hint %d,%v, shared count %d, capacity %d", reserve, auth, ok, tab.shared, cap(tab.word))
 		}
 	}
 }

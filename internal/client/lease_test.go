@@ -111,6 +111,7 @@ func TestLeaseRecallNotResurrectedByStaleHint(t *testing.T) {
 	_, pop, plane := leaseFixture(t, cfg, 1, 0)
 	f := pop.tenants.File(0, 0, 0)
 	const g = 3 // client id
+	withWords(pop)
 
 	// Client g holds a live lease and a hint for the same record.
 	gen := plane.Reg.Gen(f.ID)

@@ -237,7 +237,8 @@ const gamma = 0x9E3779B97F4A7C15
 
 // origin is client li's splitmix64 state before its first draw. After n
 // draws the state is origin + n·gamma, so a client keeps only n: in its
-// hint-table word until it is first answered, then in its record.
+// hint-table word until it is first answered, then in its record; a
+// client without a word has the table's shared count.
 func (p *Population) origin(li int) uint64 {
 	return mix64(p.seed ^ mix64(uint64(li)+gamma))
 }
@@ -248,30 +249,36 @@ const maxDraws = hintRecord - 1
 
 // stream is a cursor over one client's RNG, with the client's word
 // resolved once: derived once per arrival, drawn from, and its count
-// stored back once (keep). rec is the client's hint record, nil until
-// the client is first answered; direct looks hints up in it.
+// stored back once (keep). i indexes the client's word, -1 if it holds
+// none; rec is the client's hint record, nil until the client is first
+// answered; direct looks hints up in it.
 type stream struct {
 	state uint64
 	n     uint32
+	i     int
 	rec   []uint32
 }
 
 func (p *Population) stream(li int32) stream {
-	rec := p.hints.record(int(li))
-	n := p.hints.word[li]
-	if rec != nil {
-		n = rec[0]
+	r := stream{n: p.hints.shared, i: p.hints.slot(int(li))}
+	if r.i >= 0 {
+		r.n, r.rec = p.hints.count(r.i)
 	}
-	return stream{state: p.origin(int(li)) + uint64(n)*gamma, n: n, rec: rec}
+	r.state = p.origin(int(li)) + uint64(r.n)*gamma
+	return r
 }
 
-// keep stores the stream's count back where client li keeps it. No
-// record may be claimed for li between stream and keep.
+// keep stores the stream's count back where client li keeps it, which
+// only a client holding a word may do. No record may be claimed for li
+// between stream and keep.
 func (p *Population) keep(li int32, r *stream) {
-	if r.rec != nil {
+	switch {
+	case r.rec != nil:
 		r.rec[0] = r.n
-	} else {
-		p.hints.word[li] = r.n
+	case r.i < 0:
+		panic(noWord(int(li), "keeps a draw count"))
+	default:
+		p.hints.word[r.i] = r.n
 	}
 }
 
@@ -304,11 +311,14 @@ func uniform(u uint64) float64 { return float64(u>>11) / (1 << 53) }
 // It reserves the wheel's nodes for the clients expected to arrive by h
 // from the armed instant (now) — pending timers never increase after
 // arming, since each firing re-arms at most its own client — plus six
-// standard deviations and 1024. Call before Start.
+// standard deviations and 1024, and as many hint-table words: a client
+// holds one once an arming pass stores its timer. Call before Start.
 func (p *Population) SetHorizon(h sim.Time) {
 	p.wheel.SetHorizon(h)
 	e := p.firstArrivals(h)
-	p.wheel.Reserve(min(p.cfg.Clients, int(e+float64(6*math.Sqrt(e)))+1024))
+	k := min(p.cfg.Clients, int(e+float64(6*math.Sqrt(e)))+1024)
+	p.wheel.Reserve(k)
+	p.hints.reserve(k)
 }
 
 // firstArrivals is the expected number of clients whose first arrival,
@@ -334,16 +344,33 @@ func (p *Population) firstArrivals(h sim.Time) float64 {
 func (p *Population) Start() { p.armAll() }
 
 // armAll starts the wheel and arms every client (Start, and Resume
-// after a checkpoint). Ids ascend, so the tenant is a cursor, not a
-// search per client.
+// after a checkpoint). It alone grows the set of clients holding a
+// hint-table word: a client keeps its word, and gains one when the
+// wheel stores its timer; every other client has drawn once, so its
+// count stays the shared one. Ids ascend, so the tenant is a cursor,
+// not a search per client.
 func (p *Population) armAll() {
 	p.wheel.Start()
+	a := p.hints.arm()
 	tn := 0
-	for li := range p.hints.word {
-		tn = p.tenants.TenantFrom(tn, li)
-		rng := p.stream(int32(li))
-		p.rearm(int32(li), tn, &rng)
+	for li := range int32(p.cfg.Clients) {
+		tn = p.tenants.TenantFrom(tn, int(li))
+		// stream's body, with the word's index from the pass, written
+		// out: through a call returning the stream, arming two million
+		// clients took twice as long (2-CPU Xeon, go test -bench).
+		rng := stream{n: p.hints.shared, i: a.next(int(li))}
+		if rng.i >= 0 {
+			rng.n, rng.rec = p.hints.count(rng.i)
+		}
+		rng.state = p.origin(int(li)) + uint64(rng.n)*gamma
+		if p.wheel.Schedule(li, p.interArrival(tn, &rng)) && rng.i < 0 {
+			rng.i = a.gain(int(li))
+		}
+		if rng.i >= 0 {
+			p.keep(li, &rng)
+		}
 	}
+	a.done()
 }
 
 // SetPhase retargets the arrival path: rateMul scales the per-client
@@ -408,13 +435,19 @@ func (p *Population) rate(tenant int, now sim.Time) float64 {
 	return r
 }
 
-// rearm schedules the client's next arrival: an exponential inter-
-// arrival at the rate frozen at draw time, capped at an hour, through
-// the wheel. It takes the last draw of an arrival from rng and stores
-// the count. tn is the client's tenant, which every caller already holds.
+// rearm schedules the client's next arrival through the wheel. It takes
+// the last draw of an arrival from rng and stores the count. tn is the
+// client's tenant, which every caller already holds.
 func (p *Population) rearm(li int32, tn int, rng *stream) {
-	u := uniform(rng.next())
+	d := p.interArrival(tn, rng)
 	p.keep(li, rng)
+	p.wheel.Schedule(li, d)
+}
+
+// interArrival draws an exponential inter-arrival from rng at the rate
+// frozen at draw time, capped at an hour.
+func (p *Population) interArrival(tn int, rng *stream) sim.Time {
+	u := uniform(rng.next())
 	if u <= 0 {
 		u = 1e-18
 	}
@@ -424,7 +457,7 @@ func (p *Population) rearm(li int32, tn int, rng *stream) {
 	if sec > maxInterArrival.Seconds() {
 		sec = maxInterArrival.Seconds()
 	}
-	p.wheel.Schedule(li, sim.FromSeconds(sec))
+	return sim.FromSeconds(sec)
 }
 
 // arrive is the wheel's fire callback: draw the op, direct it, arm the
@@ -436,8 +469,11 @@ func (p *Population) arrive(li int32) {
 		return
 	}
 	g := int(li)
-	tn := p.tenants.ClientTenant(g)
 	rng := p.stream(li)
+	if rng.i < 0 {
+		panic(noWord(g, "arrives"))
+	}
+	tn := p.tenants.ClientTenant(g)
 
 	req := p.reqs.get(g)
 
@@ -657,10 +693,11 @@ func (p *Population) HotspotOps() (local, remote uint64) { return p.hotLocal, p.
 
 // FootprintBytes returns the structural per-population memory: the
 // wheel's nodes (6 B/client, or 10 B per pooled node when few clients
-// can arrive before the horizon), the shared hint table (a 4 B/client word
-// holding the draw count or naming a record, plus the chunks of records
-// allocated so far, so it grows as clients are first answered), the
-// tenant model, and the lease slab when attached. Request pools and
+// can arrive before the horizon), the shared hint table (a bit and a
+// share of a rank per client, a 4-B word holding the draw count or
+// naming a record for each client that can arrive, plus the chunks of
+// records allocated so far, so it grows as clients are first answered),
+// the tenant model, and the lease slab when attached. Request pools and
 // engine state are excluded (they scale with outstanding requests, not
 // with the population size).
 func (p *Population) FootprintBytes() int64 {

@@ -1,9 +1,12 @@
 package client
 
 import (
+	"bytes"
 	"math"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"dynmds/internal/metrics"
@@ -11,6 +14,7 @@ import (
 	"dynmds/internal/namespace"
 	"dynmds/internal/partition"
 	"dynmds/internal/sim"
+	"dynmds/internal/snap"
 	"dynmds/internal/workload"
 )
 
@@ -72,6 +76,14 @@ func (e *echoNet) answer(req *msg.Request) {
 	if e.pop.OnReply(&e.rep) {
 		e.lat.Observe(e.rep.Latency())
 	}
+}
+
+// withWords gives every client of pop a word holding the shared count,
+// as a restore does before it reads the counts, so a test may draw, put
+// hints or arrive for any client without an arming pass.
+func withWords(pop *Population) *Population {
+	pop.hints.fill()
+	return pop
 }
 
 func popFixture(t *testing.T, cfg PopulationConfig, seed int64, delay sim.Time) (*sim.Engine, *Population, *echoNet) {
@@ -175,7 +187,7 @@ func TestPopulationHintsSteerDirection(t *testing.T) {
 	// Subtree strategy: clients are ignorant and follow hints.
 	tr := homes[0].Parent()
 	_ = tr
-	pop := NewPopulation(cfg, eng, net, partition.NewStaticSubtree(8, emptyTree(), 1), tn, 0, 1)
+	pop := withWords(NewPopulation(cfg, eng, net, partition.NewStaticSubtree(8, emptyTree(), 1), tn, 0, 1))
 	net.pop = pop
 	f := tn.File(0, 0, 0)
 	pop.hints.Put(3, msg.Hint{Ino: f.ID, Authority: 5})
@@ -224,7 +236,7 @@ func TestPopulationDrawsAreSplitmix(t *testing.T) {
 	_, homes := popTree(t, 2)
 	tn := workload.NewTenants(workload.TenantConfig{Tenants: 2, WorkingSet: 4}, clients, homes, seed)
 	newPop := func() *Population {
-		return NewPopulation(PopulationConfig{Clients: clients}, sim.NewEngine(), &echoNet{n: 4}, partition.FileHash{N: 4}, tn, 0, seed)
+		return withWords(NewPopulation(PopulationConfig{Clients: clients}, sim.NewEngine(), &echoNet{n: 4}, partition.FileHash{N: 4}, tn, 0, seed))
 	}
 	viaCursor, viaNext := newPop(), newPop()
 	for g := 0; g < clients; g++ {
@@ -253,7 +265,7 @@ func TestPopulationDrawsAreSplitmix(t *testing.T) {
 // the stream or turn the count into a record number.
 func TestPopulationDrawCountWraps(t *testing.T) {
 	_, pop, _ := popFixture(t, PopulationConfig{Clients: 2, Tenant: workload.TenantConfig{Tenants: 1}}, 3, 0)
-	pop.hints.word[1] = maxDraws - 1
+	withWords(pop).hints.word[1] = maxDraws - 1
 	pop.next(1)
 	if n := pop.stream(1).n; n != 1<<31-1 {
 		t.Fatalf("count %d, want 2^31-1", n)
@@ -276,7 +288,7 @@ func TestPopulationDrawCountWraps(t *testing.T) {
 // even from between two ticks, where the deadline rounds up.
 func TestRearmCapUnderWheelHorizon(t *testing.T) {
 	eng, pop, _ := popFixture(t, PopulationConfig{Clients: 1, Tenant: workload.TenantConfig{Tenants: 1}}, 3, 0)
-	pop.wheel.Start()
+	withWords(pop).wheel.Start()
 	eng.RunUntil(wheelTick / 2)
 	pop.rateMul = 1e-300
 	r := pop.stream(0)
@@ -287,13 +299,15 @@ func TestRearmCapUnderWheelHorizon(t *testing.T) {
 }
 
 // TestPopulationHeapBytesPerClient measures what a silent client costs
-// on the heap once its population has declared its horizon — its word
-// (the draw count until it is first answered) and its share of the
-// wheel's nodes — and holds FootprintBytes, which the bench's
-// bytes_per_client row and the clients plan's B/client column report, to
-// that measurement. Dense: every client can arrive by the horizon, so
-// the wheel keeps a node per client (10 B a client). Sparse: ~9 % can, so
-// it pools nodes for them (~5 B a client).
+// on the heap once its population has declared its horizon — its bit
+// and share of a rank, its word if it can arrive by the horizon (the
+// draw count until it is first answered) and its share of the wheel's
+// nodes — and holds FootprintBytes, which the bench's bytes_per_client
+// row and the clients plan's B/client column report, to that
+// measurement. Dense: every client can arrive by the horizon, so each
+// holds a word and the wheel keeps a node per client (10.26 B a client).
+// Sparse: ~9 % can, so only they are reserved a word and a pooled node
+// (1.63 B a client). Gates are the measured values plus ~10 %.
 func TestPopulationHeapBytesPerClient(t *testing.T) {
 	const clients = 1_000_000
 	_, homes := popTree(t, 4)
@@ -305,7 +319,7 @@ func TestPopulationHeapBytesPerClient(t *testing.T) {
 		gate    float64
 	}{
 		{"dense", 0, 10 * sim.Second, 11},
-		{"sparse", 0.0012, 80 * sim.Second, 5.5},
+		{"sparse", 0.0012, 80 * sim.Second, 1.8},
 	} {
 		eng := sim.NewEngine()
 		var before, after runtime.MemStats
@@ -350,7 +364,7 @@ func TestPopulationRecyclesOnlyOnceSentRequests(t *testing.T) {
 	_, homes := popTree(t, 1)
 	eng := sim.NewEngine()
 	net := &holdNet{}
-	pop := NewPopulation(cfg, eng, net, partition.FileHash{N: 4}, workload.NewTenants(cfg.Tenant, 1, homes, 3), 10*sim.Millisecond, 3)
+	pop := withWords(NewPopulation(cfg, eng, net, partition.FileHash{N: 4}, workload.NewTenants(cfg.Tenant, 1, homes, 3), 10*sim.Millisecond, 3))
 	reply := func(req *msg.Request) bool {
 		rep := msg.Reply{Req: req, Client: req.Client, ID: req.ID, Issued: req.Issued, Completed: eng.Now()}
 		return pop.OnReply(&rep)
@@ -397,13 +411,33 @@ func (l *logNet) Send(i int, req *msg.Request) {
 	l.echoNet.Send(i, req)
 }
 
+// storedNow says, for every client of pop, whether an arming pass now
+// would store its next arrival on a wheel that ends at the horizon h:
+// the inter-arrival its stream draws next, rounded up to a whole tick
+// (one at least), falls at or before h.
+func storedNow(pop *Population, h sim.Time) []bool {
+	out := make([]bool, pop.Clients())
+	last := (h - pop.eng.Now()) / wheelTick
+	tn := 0
+	for li := range out {
+		tn = pop.tenants.TenantFrom(tn, li)
+		r := pop.stream(int32(li))
+		d := pop.interArrival(tn, &r)
+		out[li] = max(1, (d+wheelTick-1)/wheelTick) <= last
+	}
+	return out
+}
+
 // TestPopulationHorizonIsInvisible: a population that declared its
 // horizon — its wheel pooled, the arrivals due after the horizon
 // dropped — sends what one without a horizon sends, from the same
 // clients at the same instants, across a Pause/Resume, and leaves every
 // client's draw count where it is: a dropped arrival's draw is taken.
 // Its reservation holds every timer, and stopped, it ticks past the
-// horizon without tripping the wheel's guard.
+// horizon without tripping the wheel's guard. Only a client whose
+// arrival an arming pass stored holds a hint-table word: after Start
+// exactly those, after the Resume those and the clients that held one
+// before, and the Resume gives words to clients that had none.
 func TestPopulationHorizonIsInvisible(t *testing.T) {
 	cfg := PopulationConfig{
 		Clients: 20000, Rate: 0.05,
@@ -422,11 +456,34 @@ func TestPopulationHorizonIsInvisible(t *testing.T) {
 			}
 		}
 		reserved := pop.wheel.FootprintBytes()
+		// held says whether each client holds a word as it should: one
+		// named by stored, or one that held it before.
+		held := make([]bool, cfg.Clients)
+		check := func(when string, stored []bool) {
+			gained := 0
+			for li, s := range stored {
+				want := !horizon || s || held[li]
+				if got := pop.hints.slot(li) >= 0; got != want {
+					t.Fatalf("horizon %v, after %s: client %d holds a word: %v, want %v", horizon, when, li, got, want)
+				}
+				if want && !held[li] {
+					gained++
+				}
+				held[li] = want
+			}
+			if horizon && gained == 0 {
+				t.Fatalf("after %s no client gained a word", when)
+			}
+		}
+		stored := storedNow(pop, h)
 		pop.Start()
+		check("Start", stored)
 		eng.RunUntil(h / 2)
 		pop.Pause()
 		eng.RunUntil(h/2 + 100*sim.Millisecond)
+		stored = storedNow(pop, h)
 		pop.Resume()
+		check("Resume", stored)
 		eng.RunUntil(h)
 		pop.Stop()
 		eng.RunUntil(h + 2*sim.Second)
@@ -448,5 +505,130 @@ func TestPopulationHorizonIsInvisible(t *testing.T) {
 		if a, b := plain.stream(int32(li)).n, bounded.stream(int32(li)).n; a != b {
 			t.Fatalf("client %d: %d draws without a horizon, %d with", li, a, b)
 		}
+	}
+	if words := len(bounded.hints.word); words*3 > cfg.Clients {
+		t.Fatalf("with a horizon %d of %d clients hold a word", words, cfg.Clients)
+	}
+}
+
+// TestArrivalWithoutAWordPanics: a client an arming pass gave no word
+// cannot arrive or keep a count; the panic names it.
+func TestArrivalWithoutAWordPanics(t *testing.T) {
+	cfg := PopulationConfig{Clients: 1000, Rate: 0.01, Tenant: workload.TenantConfig{Tenants: 2}}
+	_, pop, _ := popFixture(t, cfg, 3, 0)
+	pop.SetHorizon(sim.Second)
+	pop.Start()
+	li := -1
+	for c := range cfg.Clients {
+		if pop.hints.slot(c) < 0 {
+			li = c
+			break
+		}
+	}
+	if li < 0 {
+		t.Fatal("every client holds a word")
+	}
+	want := "client " + strconv.Itoa(li) + " "
+	for name, f := range map[string]func(){
+		"arrive": func() { pop.arrive(int32(li)) },
+		"keep": func() {
+			r := pop.stream(int32(li))
+			pop.keep(int32(li), &r)
+		},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, want) {
+					t.Errorf("%s: recovered %q, want a panic naming %q", name, msg, want)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// TestPopulationRestoreIsCanonical: a sparse population, paused after a
+// Resume whose re-arm gave words to clients that had none at Start, is
+// checkpointed and read into a fresh one. Every count reads back; the
+// restored table gives a word to exactly the clients whose count is not
+// the least or that hold a record, keeping the reservation; it writes
+// the bytes it was read from; and resumed, it sends what the original
+// sends.
+func TestPopulationRestoreIsCanonical(t *testing.T) {
+	cfg := PopulationConfig{
+		Clients: 20000, Rate: 0.05,
+		Tenant:  workload.TenantConfig{Tenants: 4, FileSkew: 1, WorkingSet: 16},
+		MixStat: 1,
+	}
+	const h = 4 * sim.Second
+	tree, _ := popTree(t, 1)
+	build := func() (*sim.Engine, *Population, *logNet) {
+		eng, pop, echo := popFixture(t, cfg, 5, 300*sim.Microsecond)
+		net := &logNet{echoNet: echo}
+		pop.reqs.net = net
+		pop.SetHorizon(h)
+		return eng, pop, net
+	}
+	encode := func(pop *Population) []byte {
+		w := snap.NewWriter()
+		snap.Encoder(w).Section("population", func(c *snap.Codec) { pop.Snap(c, tree) })
+		return w.Bytes()
+	}
+	pause := func(eng *sim.Engine, pop *Population, at sim.Time) {
+		eng.RunUntil(at)
+		pop.Pause()
+		eng.RunUntil(at + 100*sim.Millisecond)
+	}
+
+	eng, pop, net := build()
+	pop.Start()
+	atStart := len(pop.hints.word)
+	pause(eng, pop, h/4)
+	pop.Resume()
+	if len(pop.hints.word) <= atStart {
+		t.Fatalf("the Resume gave no client a word: %d words, %d at Start", len(pop.hints.word), atStart)
+	}
+	pause(eng, pop, h/2)
+	data := encode(pop)
+
+	eng2, pop2, net2 := build()
+	reserved := cap(pop2.hints.word)
+	eng2.RunUntil(eng.Now())
+	r, err := snap.NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := snap.Decoder(r)
+	dec.Section("population", func(c *snap.Codec) { pop2.Snap(c, tree) })
+	if err := dec.Err(); err != nil {
+		t.Fatal(err)
+	}
+	least := uint32(maxDraws)
+	for li := range int32(cfg.Clients) {
+		least = min(least, pop.stream(li).n)
+	}
+	for li := range int32(cfg.Clients) {
+		a, b := pop.stream(li), pop2.stream(li)
+		if a.n != b.n || (a.rec == nil) != (b.rec == nil) || pop.hints.Len(int(li)) != pop2.hints.Len(int(li)) {
+			t.Fatalf("client %d: count %d, record %v read back as count %d, record %v", li, a.n, a.rec != nil, b.n, b.rec != nil)
+		}
+		if held, want := b.i >= 0, a.n != least || a.rec != nil; held != want {
+			t.Fatalf("client %d (count %d, least %d, record %v): restored with a word %v", li, a.n, least, a.rec != nil, held)
+		}
+	}
+	if cap(pop2.hints.word) != max(reserved, len(pop2.hints.word)) {
+		t.Errorf("restored word capacity %d, want the reservation %d or the words held %d", cap(pop2.hints.word), reserved, len(pop2.hints.word))
+	}
+	if again := encode(pop2); !bytes.Equal(again, data) {
+		t.Fatalf("the restored population writes %d bytes, not the %d it was read from", len(again), len(data))
+	}
+
+	sent := len(net.log)
+	pop.Resume()
+	pop2.Resume()
+	eng.RunUntil(h)
+	eng2.RunUntil(h)
+	if !slices.Equal(net.log[sent:], net2.log) || len(net2.log) == 0 {
+		t.Fatalf("after the restore the population sends %d entries, the original %d, or others", len(net2.log), len(net.log)-sent)
 	}
 }

@@ -60,16 +60,25 @@ func (p *Population) Snap(c *snap.Codec, tree *namespace.Tree) {
 		}
 	}
 	p.reqs.stopped = true
-	c.Same(len(p.hints.word), "client: population clients")
-	for li := range p.hints.word {
-		r := p.stream(int32(li))
+	// Every client's count is written, the shared one for a client
+	// without a word. Reading gives every client a word, and settle
+	// keeps only those that differ from the least count or hold a record.
+	c.Same(p.cfg.Clients, "client: population clients")
+	reserved := cap(p.hints.word)
+	if c.Reading() {
+		p.hints.fill()
+	}
+	for li := range int32(p.cfg.Clients) {
+		r := p.stream(li)
 		if snap.U(c, &r.n); r.n > maxDraws {
 			c.Failf("client: client %d has drawn %d times, past the 31-bit count", li, r.n)
 		}
 		if c.Err() != nil {
 			break
 		}
-		p.keep(int32(li), &r)
+		if c.Reading() {
+			p.keep(li, &r)
+		}
 	}
 	snap.U(c, &p.reqs.seq)
 	snap.I(c, &p.nameSeq)
@@ -83,6 +92,9 @@ func (p *Population) Snap(c *snap.Codec, tree *namespace.Tree) {
 	queue(&p.churn, &p.churnHead, "client: churn ring")
 	queue(&p.baseVictims, &p.baseHead, "client: base victim")
 	p.hints.snap(c, p.reqs.net.NumMDS())
+	if c.Reading() && c.Err() == nil {
+		p.hints.settle(reserved)
+	}
 }
 
 // snap walks the table sparsely, in the dense layout's terms: the slot
@@ -97,10 +109,10 @@ func (p *Population) Snap(c *snap.Codec, tree *namespace.Tree) {
 // the cluster, a key outside its probe window.
 func (t *HintTable) snap(c *snap.Codec, mds int) {
 	ways := int(t.ways)
-	total := len(t.word) * ways
+	total := t.clients * ways
 	c.Same(total, "client: hint table slots")
 	occupied := 0
-	for client := range t.word {
+	for client := range t.clients {
 		occupied += t.Len(client)
 	}
 	c.Len(&occupied)
@@ -131,7 +143,7 @@ func (t *HintTable) snap(c *snap.Codec, mds int) {
 		}
 		return
 	}
-	for client := range t.word {
+	for client := range t.clients {
 		rec := t.record(client)
 		if rec == nil {
 			continue

@@ -133,6 +133,14 @@ func TestRestoreBitIdentity(t *testing.T) {
 			cfg.NumMDS = 1
 			leasesOnly(cfg)
 		}},
+		// Ten times the clients at a tenth of the rate: ~2 % of them can
+		// arrive by the horizon, so most hold no hint-table word, and a
+		// restore must give words back to exactly the clients whose count
+		// is not the shared one.
+		{"sparse-population", func(cfg *cluster.Config) {
+			cfg.OpenLoop.Clients *= 10
+			cfg.OpenLoop.Rate /= 10
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

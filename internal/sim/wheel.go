@@ -174,8 +174,9 @@ func (w *Wheel) FootprintBytes() int64 {
 
 // Schedule arms id's timer d after the current engine time, rounded up
 // to the next tick boundary (minimum one tick ahead), or drops it if
-// that is past the horizon. The id must not already be pending.
-func (w *Wheel) Schedule(id int32, d Time) {
+// that is past the horizon, and reports whether it stored the timer.
+// The id must not already be pending.
+func (w *Wheel) Schedule(id int32, d Time) bool {
 	if d < 0 {
 		panic("sim: negative wheel delay")
 	}
@@ -185,7 +186,7 @@ func (w *Wheel) Schedule(id int32, d Time) {
 		t = uint64(w.cur) + 1
 	}
 	if t > w.last {
-		return
+		return false
 	}
 	if t-uint64(w.cur) >= wheelRange {
 		panic("sim: wheel range exceeded")
@@ -198,6 +199,7 @@ func (w *Wheel) Schedule(id int32, d Time) {
 		node = w.take(id)
 	}
 	w.insert(node, uint32(t))
+	return true
 }
 
 // take returns a pooled node holding id: a returned one, else one never

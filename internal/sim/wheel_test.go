@@ -488,7 +488,7 @@ func TestWheelDifferential(t *testing.T) {
 				gotN[id]++
 				w.Schedule(id, diffDelay(seed, id, gotN[id]))
 			})
-			run(w.Schedule, w.Start, eng)
+			run(func(id int32, d Time) { w.Schedule(id, d) }, w.Start, eng)
 			if len(got) != len(want) {
 				t.Fatalf("seed %d, %s: wheel fired %d timers, reference %d", seed, layout.name, len(got), len(want))
 			}
@@ -516,7 +516,9 @@ func TestWheelHorizonDropsLateTimers(t *testing.T) {
 		// Due at 99 and 100 ms, then at 101 ms (100.5 rounds up), 101 ms,
 		// and in levels 1 and 2.
 		for i, d := range []Time{99 * Millisecond, h, h + 500*Microsecond, h + Millisecond, 5 * Second, 70 * Second} {
-			w.Schedule(int32(i), d)
+			if stored := w.Schedule(int32(i), d); stored != (d <= h) {
+				t.Fatalf("%s: Schedule(%d, %v) reports stored=%v", layout.name, i, d, stored)
+			}
 		}
 		if got := w.Pending(); got != 2 {
 			t.Fatalf("%s: %d timers stored, want the 2 due by the horizon", layout.name, got)
@@ -542,8 +544,10 @@ func TestWheelHorizonDropsLateTimers(t *testing.T) {
 		w.eng, rec.eng, rec.ids, rec.times = eng, eng, nil, nil
 		eng.RunUntil(40*Millisecond + 300*Microsecond)
 		w.Start()
-		w.Schedule(0, 59*Millisecond)                 // 99.3 ms
-		w.Schedule(1, 59*Millisecond+500*Microsecond) // rounds to 100.3 ms
+		if !w.Schedule(0, 59*Millisecond) || // 99.3 ms
+			w.Schedule(1, 59*Millisecond+500*Microsecond) { // rounds to 100.3 ms
+			t.Fatalf("%s: after a restart Schedule misreports what it stored", layout.name)
+		}
 		if got := w.Pending(); got != 1 {
 			t.Fatalf("%s: after a restart %d timers stored, want 1", layout.name, got)
 		}
