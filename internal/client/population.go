@@ -307,7 +307,7 @@ func uniform(u uint64) float64 { return float64(u>>11) / (1 << 53) }
 
 // SetHorizon declares h, the instant the run ends, as the wheel's
 // horizon: an arrival due after it is drawn and counted but never
-// stored, and the wheel panics if it ticks past h before Stop or Pause.
+// stored, and the wheel panics if it ticks past h before Stop.
 // It reserves the wheel's nodes for the clients expected to arrive by h
 // from the armed instant (now) — pending timers never increase after
 // arming, since each firing re-arms at most its own client — plus six
@@ -672,13 +672,14 @@ func (p *Population) OnReply(rep *msg.Reply) bool {
 // Call before Start.
 func (p *Population) AttachLeasePlane(l *lease.Plane) { p.lease = l }
 
-// Stop suppresses further arrivals (Drain): pending wheel timers fire
-// into a no-op, the wheel may tick past its horizon, and outstanding
-// retry chains retire at their next deadline, so a drained run leaves
-// no in-flight population state.
+// Stop ends arrivals, at the run's end and at a checkpoint: the wheel
+// stops ticking, so no pending timer fires and it may outlive its
+// horizon, and outstanding retry chains retire at their next deadline,
+// so a drained run leaves no in-flight population state. Resume
+// restarts a stopped population.
 func (p *Population) Stop() {
 	p.reqs.stopped = true
-	p.wheel.Retire()
+	p.wheel.Stop()
 }
 
 // Counts returns what the population's request lifecycle has done.

@@ -431,7 +431,7 @@ func storedNow(pop *Population, h sim.Time) []bool {
 // TestPopulationHorizonIsInvisible: a population that declared its
 // horizon — its wheel pooled, the arrivals due after the horizon
 // dropped — sends what one without a horizon sends, from the same
-// clients at the same instants, across a Pause/Resume, and leaves every
+// clients at the same instants, across a Stop/Resume, and leaves every
 // client's draw count where it is: a dropped arrival's draw is taken.
 // Its reservation holds every timer, and stopped, it ticks past the
 // horizon without tripping the wheel's guard. Only a client whose
@@ -479,7 +479,7 @@ func TestPopulationHorizonIsInvisible(t *testing.T) {
 		pop.Start()
 		check("Start", stored)
 		eng.RunUntil(h / 2)
-		pop.Pause()
+		pop.Stop()
 		eng.RunUntil(h/2 + 100*sim.Millisecond)
 		stored = storedNow(pop, h)
 		pop.Resume()
@@ -576,7 +576,7 @@ func TestPopulationRestoreIsCanonical(t *testing.T) {
 	}
 	pause := func(eng *sim.Engine, pop *Population, at sim.Time) {
 		eng.RunUntil(at)
-		pop.Pause()
+		pop.Stop()
 		eng.RunUntil(at + 100*sim.Millisecond)
 	}
 

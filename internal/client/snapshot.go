@@ -10,17 +10,10 @@ import (
 // The population's serialized state is its slabs and counters plus the
 // hint table. Pending wheel timers are deliberately NOT
 // serialized: a checkpoint happens at a quiesce point where both the
-// checkpointing run and a restored run execute the same Pause → drain →
+// checkpointing run and a restored run execute the same Stop → drain →
 // Resume protocol, and Resume re-arms every client from its own RNG
 // stream — so the post-resume arrival process is a pure function of the
 // serialized draw counts, identical in both runs.
-
-// Pause stops arrivals and wheels ahead of a checkpoint. The drain
-// window that follows lets in-flight requests and retry chains retire.
-func (p *Population) Pause() {
-	p.reqs.stopped = true
-	p.wheel.Stop()
-}
 
 // Resume re-arms every client and restarts the wheel. Executed
 // identically after an in-place checkpoint and after a restore.
@@ -31,7 +24,7 @@ func (p *Population) Resume() {
 }
 
 // Snap walks the population: its slabs and counters, then the hint
-// table. Call only at a quiesce point — paused, drained (no outstanding
+// table. Call only at a quiesce point — stopped, drained (no outstanding
 // retries), and outside any act — or, reading, on a freshly built
 // population with the same config, whose inode references resolve
 // against tree.

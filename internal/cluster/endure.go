@@ -14,7 +14,7 @@ import (
 // Endurance orchestration: segmented execution with checkpoints.
 //
 // A run is cut into segments by checkpoint instants T_1 < T_2 < ... At
-// each T_k the cluster executes the quiesce protocol — pause arrivals,
+// each T_k the cluster executes the quiesce protocol — stop arrivals,
 // stop the perpetual tickers, drain in-flight work, verify quiescence,
 // garbage-collect cached replicas of destroyed inodes — and then
 // either serializes itself (CheckpointTo) or simply resumes. Crucially
@@ -23,7 +23,7 @@ import (
 // any of its snapshots execute the same event sequence, so their final
 // digests match bit for bit.
 
-// QuiesceDrain is the drain window after pausing arrivals: long enough
+// QuiesceDrain is the drain window after arrivals stop: long enough
 // for every bounded message chain to retire (the worst — a retried,
 // forwarded request with a disk fetch — is well under a second; the
 // full retry ladder is ~1.2s with fault-mode defaults).
@@ -113,29 +113,27 @@ func (c *Cluster) Now() sim.Time { return c.Eng.Now() }
 func (c *Cluster) Quiesce() error { return c.QuiesceBy(c.Eng.Now() + QuiesceDrain) }
 
 // QuiesceBy executes the checkpoint protocol at the current instant:
-// pause arrivals and stop the tickers, drain QuiesceDrain of virtual
-// time so in-flight chains retire, and past that window (an overloaded
-// node's backlog outlasts it) keep draining until nothing is in flight
-// anywhere, failing with what is left at bound. Then it garbage-collects
+// stop the tickers and drain, failing with what is still in flight at
+// bound, or with a node's orphans once drained. Then it garbage-collects
 // cached replicas of destroyed inodes on every node (the deterministic
 // checkpoint GC — it runs whether or not a snapshot is written, keeping
 // checkpointing and restored runs in lockstep). On success the cluster
 // is serializable and resumes at the current instant; call Resume
 // (after optionally CheckpointTo) to continue.
 func (c *Cluster) QuiesceBy(bound sim.Time) error {
-	c.Pop.Pause()
 	if c.Balancer != nil {
 		c.Balancer.Stop()
 	}
 	for _, n := range c.Nodes {
 		n.StopFlusher()
 	}
-	c.RunTo(c.Eng.Now() + QuiesceDrain)
-	for err := c.drained(); err != nil; err = c.drained() {
-		if c.Eng.Now() >= bound {
-			return fmt.Errorf("cluster: quiesce: not drained by %s: %w", sim.FormatTime(bound), err)
+	if err := c.drain(bound); err != nil {
+		return fmt.Errorf("cluster: quiesce: not drained by %s: %w", sim.FormatTime(bound), err)
+	}
+	for _, n := range c.Nodes {
+		if err := n.CheckOrphans(); err != nil {
+			return fmt.Errorf("cluster: quiesce: %w", err)
 		}
-		c.RunTo(min(c.Eng.Now()+quiesceStep, bound))
 	}
 	// Dead means "no longer resolves": a tombstoned base inode, or one
 	// the run created and later unlinked. Restore resolves every
@@ -151,10 +149,35 @@ func (c *Cluster) QuiesceBy(bound sim.Time) error {
 	return nil
 }
 
-// drained says what is still in flight anywhere, nil when nothing is.
-func (c *Cluster) drained() error {
+// drain stops arrivals (unanswered requests retire at their next
+// deadline) and runs the engine QuiesceDrain past the current instant,
+// so every bounded message chain completes or times out; past that
+// window (an overloaded node's backlog outlasts it) it keeps running in
+// quiesceStep steps while anything is in flight, until bound at most.
+// It returns what is still in flight then.
+func (c *Cluster) drain(bound sim.Time) error {
+	for _, cl := range c.Clients {
+		cl.Stop()
+	}
+	if c.Pop != nil {
+		c.Pop.Stop()
+	}
+	c.RunTo(c.Eng.Now() + QuiesceDrain)
+	for err := c.InFlight(); err != nil; err = c.InFlight() {
+		if c.Eng.Now() >= bound {
+			return err
+		}
+		c.RunTo(min(c.Eng.Now()+quiesceStep, bound))
+	}
+	return nil
+}
+
+// InFlight names what is still in flight anywhere, nil when nothing is:
+// node work first, then fabric messages, live envelopes and outstanding
+// requests. A drain runs until it is nil; simfsck checks it after one.
+func (c *Cluster) InFlight() error {
 	for _, n := range c.Nodes {
-		if err := n.CheckQuiesced(); err != nil {
+		if err := n.InFlight(); err != nil {
 			return err
 		}
 	}

@@ -119,33 +119,17 @@ func (c *Cluster) markDown(peer int) {
 	}
 }
 
-// Drain stops every client and runs the engine a QuiesceDrain window
-// past the configured duration, so every bounded message chain
-// completes or times out (the longest — a retried, forwarded request
-// with a disk fetch — is well under a second) and only the perpetual
-// tickers (flushers, balancer) remain. Past that window, as QuiesceBy
-// does, it keeps draining in quiesceStep steps while a message is in
-// flight or a request outstanding — a loaded node's backlog outlasts
-// the window — for drainLimit at most. Conservation checks and the
-// chaos consistency checker (internal/chaos) are only meaningful on a
-// drained cluster; call after Run.
+// Drain ends the run: it drains for drainLimit past the window at most,
+// leaving what is still in flight then for simfsck and the conservation
+// checks to name, which are only meaningful on a drained cluster. The
+// perpetual tickers (flushers, balancer) keep running. Call after Run.
 func (c *Cluster) Drain() {
-	for _, cl := range c.Clients {
-		cl.Stop()
-	}
-	if c.Pop != nil {
-		c.Pop.Stop()
-	}
-	end := c.Cfg.Duration + QuiesceDrain
-	c.Eng.RunUntil(end)
-	for c.Eng.Now() < end+drainLimit && (c.Fab.InFlight() != 0 || c.Requests().Outstanding() != 0) {
-		c.Eng.RunUntil(c.Eng.Now() + quiesceStep)
-	}
+	c.drain(c.Eng.Now() + QuiesceDrain + drainLimit) //nolint:errcheck // simfsck names what is left
 }
 
-// drainLimit bounds how far past its window Drain keeps draining: what
-// is still in flight then is left for the conservation checks to name.
-const drainLimit = 10 * QuiesceDrain
+// drainLimit covers the slowest drain the repository runs: an overloaded
+// node's fetch backlog under a partition outlasts a third of it.
+const drainLimit = 30 * QuiesceDrain
 
 // FaultSummary renders the human-readable fault block for a finished
 // run: the resilience counters, per-class drop counts, and the injected

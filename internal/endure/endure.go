@@ -1,7 +1,7 @@
 // Package endure is the endurance plane: long-horizon namespace-aging
 // runs over the open-loop population, cut into segments by periodic
 // checkpoints. At each checkpoint the cluster quiesces (cluster.Quiesce
-// — pause, drain, verify, tombstone GC), the overlay-degradation curve
+// — stop, drain, verify, tombstone GC), the overlay-degradation curve
 // gains a row (ops/sec, tombstone density, name-index read-through
 // misses per lookup), simfsck validates every cross-structure
 // invariant, and the full simulation state is serialized to a versioned

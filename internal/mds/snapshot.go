@@ -1,6 +1,7 @@
 package mds
 
 import (
+	"errors"
 	"fmt"
 
 	"dynmds/internal/namespace"
@@ -12,7 +13,7 @@ import (
 // so the node's state is its cache, store, counters, and the small
 // bookkeeping maps. Orphans — inodes unlinked while open — cannot be
 // serialized (a destroyed inode is not resolvable by ID on restore);
-// the endurance workload issues no opens, so the quiesce check treats a
+// the endurance workload issues no opens, so a quiesce treats a
 // non-empty orphan table as a hard error.
 
 // statFields enumerates every Stats counter in serialization order.
@@ -27,10 +28,9 @@ func (s *Stats) statFields() []*uint64 {
 	}
 }
 
-// CheckQuiesced verifies the node holds no in-flight work: the pipeline
-// maps are empty and the CPU is idle. The endurance plane calls it on
-// every node after the drain window, before touching any state.
-func (m *MDS) CheckQuiesced() error {
+// InFlight names the node's in-flight work, nil when it holds none:
+// pending record and directory fetches, forwards awaiting an ack.
+func (m *MDS) InFlight() error {
 	if n := len(m.pending); n != 0 {
 		return fmt.Errorf("mds %d: %d pending record fetches", m.id, n)
 	}
@@ -40,6 +40,12 @@ func (m *MDS) CheckQuiesced() error {
 	if n := len(m.pendingFwd); n != 0 {
 		return fmt.Errorf("mds %d: %d forwards awaiting ack", m.id, n)
 	}
+	return nil
+}
+
+// CheckOrphans refuses a node holding orphans: state no drain retires,
+// so a quiesce checks it once, after its drain.
+func (m *MDS) CheckOrphans() error {
 	if n := len(m.orphans); n != 0 {
 		return fmt.Errorf("mds %d: %d orphaned inodes (opens in an endurance run?)", m.id, n)
 	}
@@ -50,7 +56,7 @@ func (m *MDS) CheckQuiesced() error {
 // config, whose inode references resolve against the restored
 // namespace.
 func (m *MDS) Snap(c *snap.Codec) {
-	if err := m.CheckQuiesced(); err != nil {
+	if err := errors.Join(m.InFlight(), m.CheckOrphans()); err != nil {
 		panic("mds: snapshot before quiesce: " + err.Error())
 	}
 	c.Bool(&m.failed)

@@ -38,11 +38,10 @@ type Wheel struct {
 
 	// horizon is the engine time after which no timer is stored, last
 	// the last tick at or before it (math.MaxUint64: none). Ticking past
-	// last panics until Retire: the owner would have lost the timers
-	// dropped there.
+	// last panics: the owner would have lost the timers dropped there.
+	// An owner that ignores fires from some instant on stops the wheel.
 	horizon Time
 	last    uint64
-	retired bool
 
 	// Intrusive node links, each holding a node plus one so that zero
 	// means none and an empty wheel is its zero value: next[node] chains
@@ -112,7 +111,7 @@ func (w *Wheel) Reserve(k int) {
 
 // SetHorizon declares that the owner ignores every fire after engine
 // time h: a timer due after h is dropped instead of stored, and the
-// wheel panics if it ticks past h before Retire. A timer due at h fires.
+// wheel panics if it ticks past h before Stop. A timer due at h fires.
 func (w *Wheel) SetHorizon(h Time) {
 	w.horizon = h
 	w.setLast()
@@ -129,10 +128,6 @@ func (w *Wheel) setLast() {
 		w.last = uint64((w.horizon - w.start) / w.tick)
 	}
 }
-
-// Retire declares that the owner ignores every fire from now on: the
-// wheel keeps ticking, and may tick past its horizon. Reset lifts it.
-func (w *Wheel) Retire() { w.retired = true }
 
 // Start anchors tick 0 at the current engine time and schedules the
 // recurring tick event. Timers may be scheduled before or after Start;
@@ -163,7 +158,6 @@ func (w *Wheel) Reset() {
 	w.head, w.tail = [wheelLevels][wheelSlots]int32{}, [wheelLevels][wheelSlots]int32{}
 	w.cur = 0
 	w.stopped = true
-	w.retired = false
 }
 
 // FootprintBytes returns the wheel's memory: its nodes (6 bytes per id,
@@ -252,7 +246,7 @@ func (w *Wheel) advance() {
 	}
 	w.cur++
 	c := w.cur
-	if uint64(c) > w.last && !w.retired {
+	if uint64(c) > w.last {
 		panic("sim: the wheel ticked past its horizon " + FormatTime(w.horizon) + " with its owner still live")
 	}
 	// Cascade a higher level each time the level below wraps: its due

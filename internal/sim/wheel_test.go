@@ -504,7 +504,7 @@ func TestWheelDifferential(t *testing.T) {
 // TestWheelHorizonDropsLateTimers: with a horizon, a timer due after it
 // is never stored and one due at it fires, from tick 0 and after a Reset
 // that restarts the wheel off the tick grid; ticking past the horizon
-// panics, naming it, until the owner retires the wheel.
+// panics, naming it, unless the owner stopped the wheel.
 func TestWheelHorizonDropsLateTimers(t *testing.T) {
 	for _, layout := range wheelLayouts {
 		eng := NewEngine()
@@ -551,10 +551,14 @@ func TestWheelHorizonDropsLateTimers(t *testing.T) {
 		if got := w.Pending(); got != 1 {
 			t.Fatalf("%s: after a restart %d timers stored, want 1", layout.name, got)
 		}
-		w.Retire()
+		eng.RunUntil(h - Millisecond + 300*Microsecond)
+		w.Stop()
 		eng.RunUntil(2 * Second)
 		if !slices.Equal(rec.ids, []int32{0}) || rec.times[0] != 99*Millisecond+300*Microsecond {
 			t.Fatalf("%s: after a restart fired %v at %v, want [0] at 99.3 ms", layout.name, rec.ids, rec.times)
+		}
+		if n := w.Pending(); n != 0 {
+			t.Fatalf("%s: a stopped wheel holds %d timers", layout.name, n)
 		}
 	}
 }
