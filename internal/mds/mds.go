@@ -529,8 +529,9 @@ func (m *MDS) forward(req *msg.Request, to int) {
 
 // armFwdTimeout starts the forward→ack watchdog: if no FwdAck retires
 // the record in time, the destination is reported suspect and the
-// request is re-dispatched through authority resolution — by then
-// suspicion may have re-delegated the subtree to a live node.
+// request, unless its client has retired it, is re-dispatched through
+// authority resolution — by then suspicion may have re-delegated the
+// subtree to a live node.
 func (m *MDS) armFwdTimeout(req *msg.Request, to int) {
 	if m.pendingFwd == nil {
 		m.pendingFwd = make(map[*msg.Request]fwdRec)
@@ -546,7 +547,9 @@ func (m *MDS) armFwdTimeout(req *msg.Request, to int) {
 		delete(m.pendingFwd, req)
 		m.Stats.FwdTimeouts++
 		m.cluster.Suspect(m.id, rec.to)
-		m.process(req)
+		if req.ID != 0 {
+			m.process(req)
+		}
 	})
 }
 

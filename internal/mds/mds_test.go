@@ -196,6 +196,45 @@ func TestForwardingToAuthority(t *testing.T) {
 	}
 }
 
+// TestFwdWatchdogSkipsRetiredRequests: a forward whose destination
+// never acks (it is down) times out; the watchdog counts the missed ack
+// either way, but re-dispatches the request only while its client still
+// waits for it. A request the client has retired (ID 0) goes nowhere.
+func TestFwdWatchdogSkipsRetiredRequests(t *testing.T) {
+	eng := sim.NewEngine()
+	cl, tree, strat := buildCluster(t, eng, 4, func(tr *namespace.Tree) partition.Strategy {
+		return partition.NewStaticSubtree(4, tr, 2)
+	}, false)
+	for _, n := range cl.nodes {
+		n.EnableFaults()
+	}
+	f := lookup(t, tree, "/home/u0/f0")
+	auth := strat.Authority(f)
+	cl.nodes[auth].Fail()
+	m := cl.nodes[(auth+1)%4]
+
+	retired := &msg.Request{ID: 1, Op: msg.Stat, Target: f, Via: -1}
+	m.Receive(retired)
+	eng.RunUntil(fwdTimeout / 2)
+	if m.Stats.Forwarded != 1 {
+		t.Fatalf("forwards = %d, want 1", m.Stats.Forwarded)
+	}
+	retired.ID = 0 // its client gave up on it
+	eng.RunUntil(5 * fwdTimeout)
+	if m.Stats.FwdTimeouts != 1 || m.Stats.Forwarded != 1 || len(m.pendingFwd) != 0 {
+		t.Fatalf("a retired request: %d fwd timeouts, %d forwards, %d awaiting ack; want 1, 1 and 0",
+			m.Stats.FwdTimeouts, m.Stats.Forwarded, len(m.pendingFwd))
+	}
+
+	live := &msg.Request{ID: 2, Op: msg.Stat, Target: f, Via: -1}
+	m.Receive(live)
+	eng.RunUntil(eng.Now() + fwdTimeout + fwdTimeout/2)
+	if m.Stats.FwdTimeouts != 2 || m.Stats.Forwarded != 3 {
+		t.Fatalf("a live request: %d fwd timeouts, %d forwards; want 2 and 3 (re-dispatched once)",
+			m.Stats.FwdTimeouts, m.Stats.Forwarded)
+	}
+}
+
 func TestTrafficControlReplicatesAndServesLocally(t *testing.T) {
 	eng := sim.NewEngine()
 	cl, tree, strat := buildCluster(t, eng, 3, func(tr *namespace.Tree) partition.Strategy {
