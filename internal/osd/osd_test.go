@@ -100,10 +100,11 @@ func TestPoolReadWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	var readAt, wroteAt sim.Time
-	p.Read(42, 5, func() { readAt = eng.Now() })
+	const readCost = 8 * sim.Millisecond
+	p.Read(42, readCost, func() { readAt = eng.Now() })
 	p.Write(42, func() { wroteAt = eng.Now() })
 	eng.Run()
-	if want := readLatency + 5*readPerRecord; readAt != want {
+	if want := sim.Time(readCost); readAt != want {
 		t.Fatalf("read completed at %v, want %v", readAt, want)
 	}
 	if wroteAt == 0 {

@@ -6,15 +6,9 @@ import (
 	"dynmds/internal/sim"
 )
 
-// The device service model: a modest pool of 2004-era disks.
-const (
-	// readLatency is the average positioning cost per object read.
-	readLatency = 8 * sim.Millisecond
-	// readPerRecord is the transfer cost per metadata record.
-	readPerRecord = 10 * sim.Microsecond
-	// writeLatency is the cost of a (log or tier) object write.
-	writeLatency = 500 * sim.Microsecond
-)
+// writeLatency is the device cost of a (log or tier) object write. A
+// read's cost is the caller's: the store charges its own disk model.
+const writeLatency = 500 * sim.Microsecond
 
 // Config sizes the pool.
 type Config struct {
@@ -59,13 +53,10 @@ func NewPool(eng *sim.Engine, cfg Config) (*Pool, error) {
 	return p, nil
 }
 
-// Read fetches an object of the given record count from its primary
-// device; done runs at completion.
-func (p *Pool) Read(obj ObjectID, records int, done func()) {
-	if records < 1 {
-		records = 1
-	}
-	p.devs[p.placement.Primary(obj)].Submit(readLatency+sim.Time(records)*readPerRecord, done)
+// Read fetches an object from its primary device, which is busy for
+// cost; done runs at completion.
+func (p *Pool) Read(obj ObjectID, cost sim.Time, done func()) {
+	p.devs[p.placement.Primary(obj)].Submit(cost, done)
 }
 
 // Write appends to an object at every replica; done runs when the

@@ -109,11 +109,7 @@ func (s *Store) scaled(t sim.Time) sim.Time {
 // shared-pool path closes over the arguments (it is an ablation
 // configuration, not the measured hot path).
 func (s *Store) ReadInodeCall(id namespace.InodeID, fn sim.EventFunc, a, b any) {
-	if s.cfg.Pool != nil {
-		s.cfg.Pool.Read(osd.DirObject(id), 1, func() { fn(a, b) })
-		return
-	}
-	s.readDisk.SubmitCall(s.scaled(ReadLatency+ReadPerRecord), fn, a, b)
+	s.read(osd.DirObject(id), ReadLatency+ReadPerRecord, fn, a, b)
 }
 
 // ReadDirCall fetches directory dir and its embedded inodes in one I/O:
@@ -122,11 +118,17 @@ func (s *Store) ReadDirCall(dir namespace.InodeID, records int, fn sim.EventFunc
 	if records < 1 {
 		records = 1
 	}
+	s.read(osd.DirObject(dir), ReadLatency+sim.Time(records)*ReadPerRecord, fn, a, b)
+}
+
+// read charges one read of cost to the node's disk, or unscaled to the
+// shared pool's device holding obj.
+func (s *Store) read(obj osd.ObjectID, cost sim.Time, fn sim.EventFunc, a, b any) {
 	if s.cfg.Pool != nil {
-		s.cfg.Pool.Read(osd.DirObject(dir), records, func() { fn(a, b) })
+		s.cfg.Pool.Read(obj, cost, func() { fn(a, b) })
 		return
 	}
-	s.readDisk.SubmitCall(s.scaled(ReadLatency+sim.Time(records)*ReadPerRecord), fn, a, b)
+	s.readDisk.SubmitCall(s.scaled(cost), fn, a, b)
 }
 
 // CommitCall appends an update for the inode to the bounded log. Records
