@@ -40,9 +40,10 @@ type owner interface {
 }
 
 // Requests is the one request lifecycle of both client models: the pool
-// of request structs, the id and issue stamp, the retry rule, the rule
-// for accepting a reply, and the counts. Each closed-loop Client keeps
-// one; the open-loop Population keeps one for all its clients.
+// of request structs (refilled from a slab), the id and issue stamp, the
+// retry rule, the rule for accepting a reply, and the counts. Each
+// closed-loop Client keeps one; the open-loop Population keeps one for
+// all its clients.
 //
 // With a retry timeout, a request unanswered after the timeout is resent,
 // the wait doubling per resend up to 8× the timeout, at most maxRetries
@@ -70,6 +71,7 @@ type Requests struct {
 	stopped bool
 	seq     uint64
 	pool    []*msg.Request
+	slab    sim.Slab[msg.Request]
 }
 
 // init sets the lifecycle up for its owner; poolCap presizes the pool.
@@ -88,7 +90,7 @@ func (r *Requests) get(client int) *msg.Request {
 		r.pool = r.pool[:n-1]
 		*req = msg.Request{}
 	} else {
-		req = &msg.Request{}
+		req = r.slab.New()
 	}
 	r.seq++
 	req.ID, req.Client, req.Issued, req.Via = r.seq, client, r.eng.Now(), -1

@@ -348,14 +348,15 @@ func TestGenerateAllocBudget(t *testing.T) {
 // kept by the tree only when set), its share of the child-pointer array
 // and of the directory records come to ~93 B, and the bumps add
 // nothing; the next field added to Inode has to pay for itself. A
-// create pays its inode, its moved-set slots, its 8-byte slot in a
-// 64-ID created page and its share of the grown child slices (~137 B).
-// The 144-B budget holds the file inode to the 80-byte size class, the
-// moved set to its table and the created set to its pages: a Go map in
-// place of the moved set costs ~46 B more, a sorted slice of 16-byte
-// created records regrown by append ~9 B more, and a per-directory name
-// index would add a map entry for every child of every directory a
-// create lands in.
+// create pays its inode, held by value in a 64-ID created page (84 B
+// with the page's share of its size class), its moved-set slots and its
+// share of the grown child slices (~118 B). The 122-B budget holds the
+// inode to its page slot, the moved set to its table and the created
+// set to its pages: an inode allocated alone and a pointer slot in its
+// page cost ~4 B more, a Go map in place of the moved set ~46 B, a
+// sorted slice of 16-byte created records regrown by append ~9 B, and
+// a per-directory name index would add a map entry for every child of
+// every directory a create lands in.
 func TestThawBytesPerInode(t *testing.T) {
 	cfg := Default()
 	cfg.Users = 200
@@ -397,8 +398,8 @@ func TestThawBytesPerInode(t *testing.T) {
 	perCreate := (float64(h3) - float64(h2)) / creates
 	t.Logf("%d inodes: base %.1f B/inode, touched overlay %.1f B/inode; %.0f creates, %.1f B/create",
 		fs.Base.NumInodes(), base, overlay, creates, perCreate)
-	if base > 48 || overlay > 96 || perCreate > 144 {
-		t.Fatalf("%d inodes: base %.1f B/inode (budget 48), touched overlay %.1f B/inode (budget 96), %.1f B/create (budget 144)",
+	if base > 48 || overlay > 96 || perCreate > 122 {
+		t.Fatalf("%d inodes: base %.1f B/inode (budget 48), touched overlay %.1f B/inode (budget 96), %.1f B/create (budget 122)",
 			fs.Base.NumInodes(), base, overlay, perCreate)
 	}
 	runtime.KeepAlive(snap)

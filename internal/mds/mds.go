@@ -219,9 +219,12 @@ type MDS struct {
 	// structs (with their hint slices), which the cluster consumes
 	// synchronously on Deliver. Pooled objects are released only by the
 	// dispatch that consumes them, never while an engine event still
-	// references them (see DESIGN.md, "Pooling rules").
+	// references them (see DESIGN.md, "Pooling rules"). An empty pool
+	// refills from its slab.
 	fetchPool []*fetch
 	replyPool []*msg.Reply
+	fetchSlab sim.Slab[fetch]
+	replySlab sim.Slab[msg.Reply]
 
 	// sizePending holds locally absorbed monotonic size updates not
 	// yet flushed to authorities (§4.2); writers is the cluster's
@@ -655,7 +658,9 @@ func (m *MDS) getFetch() *fetch {
 		m.fetchPool = m.fetchPool[:n-1]
 		return f
 	}
-	return &fetch{m: m}
+	f := m.fetchSlab.New()
+	f.m = m
+	return f
 }
 
 // putFetch releases a carrier back to its owning node's pool. Only the
@@ -1241,7 +1246,7 @@ func (m *MDS) getReply() *msg.Reply {
 		m.replyPool = m.replyPool[:n-1]
 		return rep
 	}
-	return &msg.Reply{}
+	return m.replySlab.New()
 }
 
 // mdsDeliver hands the reply to the client and recycles the struct:

@@ -176,7 +176,8 @@ func TestSnapParentMustBeDirectory(t *testing.T) {
 
 // TestSnapCreatedIDs: a delta's run-created inodes carry IDs past the
 // base, at most the watermark, ascending; any other ID is refused, 0
-// included.
+// included, before its inode takes a slot: the refused ID's page is not
+// laid out.
 func TestSnapCreatedIDs(t *testing.T) {
 	for _, tc := range []struct {
 		what string
@@ -191,8 +192,14 @@ func TestSnapCreatedIDs(t *testing.T) {
 		prev := mustCreate(t, ov, ov.Root, "prev")
 		last := mustCreate(t, ov, ov.Root, "last")
 		last.ID = tc.id(ov, prev.ID)
-		if _, err := restoreOf(t, ov, f); err == nil || !strings.Contains(err.Error(), "out of range or order") {
+		got, err := restoreOf(t, ov, f)
+		if err == nil || !strings.Contains(err.Error(), "out of range or order") {
 			t.Errorf("%s: restore: %v", tc.what, err)
+		}
+		for _, p := range got.created.pages {
+			if p.key == last.ID/pageIDs && p.key != prev.ID/pageIDs {
+				t.Errorf("%s: the refused ID %d laid out its page", tc.what, last.ID)
+			}
 		}
 	}
 }

@@ -239,8 +239,8 @@ func TestFnodeSize(t *testing.T) {
 // its own, its child position in what was padding, and the 32-byte tag
 // record the layers above keep in it, with no size word (Tree.Size);
 // a directory's extra state is one 48-byte record with no name index,
-// and a run-created directory's inode and record together fill one
-// 128-byte size class.
+// and a created page's 64 inodes are 5 120 bytes, which the 5 376-byte
+// size class holds with 4 B an inode to spare.
 func TestInodeLayout(t *testing.T) {
 	if size := unsafe.Sizeof(Inode{}); size != 80 {
 		t.Errorf("Inode is %d bytes, want 80", size)
@@ -251,8 +251,8 @@ func TestInodeLayout(t *testing.T) {
 	if size := unsafe.Sizeof(dirState{}); size > 48 {
 		t.Errorf("dirState is %d bytes, want <= 48", size)
 	}
-	if size := unsafe.Sizeof(dirInode{}); size > 128 {
-		t.Errorf("dirInode is %d bytes, want <= 128", size)
+	if size := unsafe.Sizeof([pageIDs]Inode{}); size != 5120 {
+		t.Errorf("a created page's inodes are %d bytes, want 5120", size)
 	}
 }
 

@@ -69,7 +69,7 @@ type Inode struct {
 // dirState is what a directory has and a file does not. Overlay
 // directories take theirs from one slab and share one backing array
 // for their initial child slices (see NewOverlay); a run-created one
-// shares its inode's allocation (see newInode).
+// takes its from the tree's dirs slab (see newInode).
 type dirState struct {
 	children []*Inode
 	// tree is the owning tree, whose moved set and frozen base resolve
@@ -85,21 +85,18 @@ type dirState struct {
 	mutated bool
 }
 
-// dirInode is a run-created directory: inode and directory record in one
-// allocation.
-type dirInode struct {
-	Inode
-	d dirState
-}
-
-// newInode allocates a run-created inode of the given kind.
+// newInode makes a run-created inode of the given kind in the created
+// slot of its ID, which must be above every ID created has held. It is
+// not live until created.add.
 func (t *Tree) newInode(id InodeID, kind Kind, name string) *Inode {
-	if kind != Dir {
-		return &Inode{ID: id, Kind: kind, Mode: 0o644, name: name}
+	n := t.created.slot(id)
+	n.ID, n.Kind, n.Mode, n.name = id, kind, 0o644, name
+	if kind == Dir {
+		n.Mode = 0o755
+		n.dir = t.dirs.New()
+		n.dir.tree, n.dir.sub = t, 1
 	}
-	x := &dirInode{Inode: Inode{ID: id, Kind: Dir, Mode: 0o755, name: name}, d: dirState{tree: t, sub: 1}}
-	x.dir = &x.d
-	return &x.Inode
+	return n
 }
 
 // Name returns the inode's entry name in its (primary) parent directory.
@@ -213,7 +210,14 @@ func (n *Inode) attach(child *Inode) error {
 	}
 	child.parent = n
 	child.pos = uint32(len(d.children))
-	d.children = append(d.children, child)
+	old := d.children
+	d.children = append(old, child)
+	if len(old) == cap(old) {
+		// The list moved to a new array. A base directory's old one is
+		// its segment of the overlay's shared backing array, which
+		// outlives it: cleared, it pins no inode that dies later.
+		clear(old)
+	}
 	if t.displaced(child) {
 		t.moved.insert(child)
 	}

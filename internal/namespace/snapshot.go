@@ -133,30 +133,29 @@ func (t *Tree) Snap(c *snap.Codec) {
 	}
 
 	// Run-created inodes, ascending ID; parents are resolved after all
-	// of them are registered.
+	// of them are registered. An ID is checked before its inode takes
+	// a slot, so a refused file lays out no page.
 	var created []*Inode
 	snap.Slice(c, &created)
 	parents := make([]InodeID, len(created))
+	prev := InodeID(len(t.base.nodes))
 	for i := range created {
-		if c.Err() != nil {
-			return
-		}
 		var id InodeID
 		var kind Kind
 		snap.U(c, &id)
 		snap.U(c, &kind)
-		n := t.newInode(id, kind, "")
-		created[i] = n
-		parent := t.snapFields(c, n)
 		if c.Err() != nil {
-			continue
-		}
-		if n.ID <= InodeID(len(t.base.nodes)) || n.ID > t.nextID || (i > 0 && n.ID <= created[i-1].ID) {
-			c.Failf("namespace: created inode %d out of range or order", n.ID)
 			return
 		}
+		if id <= prev || id > t.nextID {
+			c.Failf("namespace: created inode %d out of range or order", id)
+			return
+		}
+		prev = id
+		n := t.newInode(id, kind, "")
+		created[i] = n
+		parents[i] = t.snapFields(c, n)
 		t.created.add(n)
-		parents[i] = parent
 	}
 	for i, parent := range parents {
 		t.setParent(c, created[i], parent)

@@ -3,8 +3,11 @@ package namespace
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
+
+	"dynmds/internal/sim"
 )
 
 // Tree is a complete file-system namespace: a private overlay of a
@@ -18,12 +21,14 @@ type Tree struct {
 
 	// base is the shared immutable snapshot this tree overlays. slab
 	// holds the run-private copies of every base inode (indexed by
-	// id-1), created the live inodes made after the thaw, and moved
-	// every attached inode away from its frozen (parent, name) — see
-	// frozen.go and moved.go.
+	// id-1), created the inodes made after the thaw, dirs the directory
+	// records of the created directories, and moved every attached
+	// inode away from its frozen (parent, name) — see frozen.go and
+	// moved.go.
 	base    *Frozen
 	slab    []Inode
 	created createdSet
+	dirs    sim.Slab[dirState]
 	moved   movedSet
 	// dead tombstones base IDs destroyed in this overlay so ByID cannot
 	// resurrect their slab slots: one bit per base inode, allocated on
@@ -68,13 +73,18 @@ func (t *Tree) ByID(id InodeID) (*Inode, bool) {
 	return n, n != nil
 }
 
-// createdSet holds the live run-created inodes, paged by ID: a page
+// createdSet holds the run-created inodes by value, paged by ID: a page
 // covers one aligned run of pageIDs IDs, and the pages sit in ascending
 // ID order. IDs only grow, so a new page appends; a page leaves once
 // its last inode is destroyed, except the tail page, where the next IDs
 // land. The set costs memory in proportion to the pages its live inodes
 // span, not to the IDs spent since the thaw: refused creates spend IDs
 // too, and a checkpoint's watermark is only a number in the file.
+//
+// No page or slot is ever reused. An emptied tail page the next ID
+// falls past is replaced by a new page, not re-keyed, so a stale
+// *Inode a cache entry, a request or a generator still holds keeps
+// its page alive and reads its own fields, never a newer inode's.
 type createdSet struct {
 	pages []createdPage
 }
@@ -82,13 +92,13 @@ type createdSet struct {
 // pageIDs is the number of IDs a createdPage covers, a power of two.
 const pageIDs = 64
 
-// createdPage holds the live inodes with IDs key*pageIDs up to the
-// next page's first, inode id at n[id%pageIDs] and nil where none
-// lives; live counts the non-nil slots.
+// createdPage holds the inodes with IDs key*pageIDs up to the next
+// page's first, inode id at n[id%pageIDs]; bit id%pageIDs of live is
+// set while that inode lives.
 type createdPage struct {
 	key  InodeID
-	live int
-	n    *[pageIDs]*Inode
+	live uint64
+	n    *[pageIDs]Inode
 }
 
 func (s *createdSet) find(id InodeID) (int, bool) {
@@ -99,38 +109,43 @@ func (s *createdSet) find(id InodeID) (int, bool) {
 
 // get returns the live inode with ID id, or nil.
 func (s *createdSet) get(id InodeID) *Inode {
-	if i, ok := s.find(id); ok {
-		return s.pages[i].n[id%pageIDs]
+	if i, ok := s.find(id); ok && s.pages[i].live&(1<<(id%pageIDs)) != 0 {
+		return &s.pages[i].n[id%pageIDs]
 	}
 	return nil
 }
 
-// add inserts n, whose ID is above every ID the set has held.
-func (s *createdSet) add(n *Inode) {
-	key, last := n.ID/pageIDs, len(s.pages)-1
+// slot returns the zeroed slot of ID id, above every ID the set has
+// held, laying out the page it falls in if the tail page is another.
+func (s *createdSet) slot(id InodeID) *Inode {
+	key, last := id/pageIDs, len(s.pages)-1
 	switch {
 	case last >= 0 && s.pages[last].key == key:
 	case last >= 0 && s.pages[last].live == 0:
-		// The tail page emptied with IDs to spare: it moves on.
-		s.pages[last].key = key
+		// The tail page emptied with IDs to spare: a new page takes
+		// its place.
+		s.pages[last] = createdPage{key: key, n: new([pageIDs]Inode)}
 	default:
-		s.pages = append(s.pages, createdPage{key: key, n: new([pageIDs]*Inode)})
+		s.pages = append(s.pages, createdPage{key: key, n: new([pageIDs]Inode)})
 		last++
 	}
-	p := &s.pages[last]
-	p.n[n.ID%pageIDs] = n
-	p.live++
+	return &s.pages[last].n[id%pageIDs]
 }
 
-// drop removes the inode with ID id, if held.
+// add marks n live; n is the inode in the last slot taken.
+func (s *createdSet) add(n *Inode) {
+	s.pages[len(s.pages)-1].live |= 1 << (n.ID % pageIDs)
+}
+
+// drop marks the inode with ID id dead, if live, and leaves its fields
+// as they are.
 func (s *createdSet) drop(id InodeID) {
 	i, ok := s.find(id)
-	if !ok || s.pages[i].n[id%pageIDs] == nil {
+	if !ok {
 		return
 	}
 	p := &s.pages[i]
-	p.n[id%pageIDs] = nil
-	if p.live--; p.live == 0 && i < len(s.pages)-1 {
+	if p.live &^= 1 << (id % pageIDs); p.live == 0 && i < len(s.pages)-1 {
 		s.pages = slices.Delete(s.pages, i, i+1)
 	}
 }
@@ -139,7 +154,7 @@ func (s *createdSet) drop(id InodeID) {
 func (s *createdSet) len() int {
 	n := 0
 	for _, p := range s.pages {
-		n += p.live
+		n += bits.OnesCount64(p.live)
 	}
 	return n
 }
@@ -147,10 +162,8 @@ func (s *createdSet) len() int {
 // each calls f on every live inode in ascending ID.
 func (s *createdSet) each(f func(*Inode)) {
 	for _, p := range s.pages {
-		for _, n := range p.n {
-			if n != nil {
-				f(n)
-			}
+		for live := p.live; live != 0; live &= live - 1 {
+			f(&p.n[bits.TrailingZeros64(live)])
 		}
 	}
 }

@@ -32,7 +32,8 @@ type ClassStats struct {
 // (fn, a, b) rides in the envelope, and the envelope itself is the
 // single event payload, so a hop schedules without allocating once the
 // pool is warm. Envelopes are owned by the fabric and recycled by the
-// delivery dispatch, never while an engine event still references them.
+// delivery dispatch, never while an engine event still references them;
+// an empty pool refills from the fabric's slab.
 type envelope struct {
 	fab   *Fabric
 	link  *Link
@@ -50,6 +51,7 @@ type Fabric struct {
 	links []Link
 	class [NumClasses]ClassStats
 	pool  []*envelope
+	slab  sim.Slab[envelope]
 	live  int        // envelopes checked out of the pool (leak detector)
 	plane FaultPlane // nil unless fault injection is active
 }
@@ -124,7 +126,9 @@ func (f *Fabric) getEnv() *envelope {
 		f.pool = f.pool[:n-1]
 		return env
 	}
-	return &envelope{fab: f}
+	env := f.slab.New()
+	env.fab = f
+	return env
 }
 
 func (f *Fabric) putEnv(env *envelope) {

@@ -127,3 +127,34 @@ func TestSummaryAndTable(t *testing.T) {
 		t.Fatal("empty table")
 	}
 }
+
+// TestFabricInFlightAllocsBlocks: with the engine's queue and the pool
+// warm, a fabric whose pool is empty puts 10 000 messages in flight at
+// one malloc per block of envelopes from its slab, and delivering them
+// recycles every envelope.
+func TestFabricInFlightAllocsBlocks(t *testing.T) {
+	const msgs = 10000
+	eng := sim.NewEngine()
+	fab := NewFabric(eng, 2, testFixed())
+	delivered := 0
+	deliver := func(a, b any) { delivered++ }
+	burst := func() {
+		clear(fab.pool)
+		fab.pool, fab.slab = fab.pool[:0], sim.Slab[envelope]{}
+		for i := 0; i < msgs; i++ {
+			fab.Send(Coherence, 0, 1, Bytes(Coherence), deliver, nil, nil)
+		}
+		eng.Run()
+	}
+	// The runtime's own allocations only add: take the least of three.
+	allocs := testing.AllocsPerRun(1, burst)
+	for try := 0; try < 2; try++ {
+		allocs = min(allocs, testing.AllocsPerRun(1, burst))
+	}
+	if limit := msgs/64 + 7; allocs > float64(limit) {
+		t.Fatalf("%d messages in flight took %.0f mallocs, want at most %d", msgs, allocs, limit)
+	}
+	if delivered != 6*msgs || fab.LiveEnvelopes() != 0 || len(fab.pool) != msgs {
+		t.Fatalf("delivered %d of %d, %d envelopes live, %d pooled", delivered, 6*msgs, fab.LiveEnvelopes(), len(fab.pool))
+	}
+}

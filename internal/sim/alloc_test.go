@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+	"unsafe"
+)
 
 // counter is a pointer-shaped event receiver used by the allocation
 // tests: passing *counter through the event's `any` payload words must
@@ -142,4 +146,81 @@ func BenchmarkEngineRun(b *testing.B) {
 	}
 	e.Run()
 	b.ReportMetric(float64(e.Executed)/b.Elapsed().Seconds(), "events/sec")
+}
+
+// TestSlabNeverReuses: a slab's blocks double from 1 to slabMax objects
+// and then stay at slabMax, objects of one block are adjacent, and no
+// object is handed out twice or handed out dirty, however many are
+// taken.
+func TestSlabNeverReuses(t *testing.T) {
+	type obj struct {
+		n int
+		p *obj
+	}
+	var s Slab[obj]
+	seen := map[*obj]bool{}
+	var blocks []int
+	var prev *obj
+	for i := 0; i < 2000; i++ {
+		fresh := len(s.block) == 0
+		o := s.New()
+		switch {
+		case seen[o]:
+			t.Fatalf("object %d was handed out before", i)
+		case *o != obj{}:
+			t.Fatalf("object %d is not zeroed: %+v", i, *o)
+		case fresh:
+			blocks = append(blocks, s.size)
+		case o != &unsafe.Slice(prev, 2)[1]:
+			t.Fatalf("object %d does not follow object %d in its block", i, i-1)
+		}
+		seen[o] = true
+		o.n, o.p, prev = i+1, prev, o
+	}
+	want := []int{1, 2, 4, 8, 16, 32}
+	for len(want) < len(blocks) {
+		want = append(want, slabMax)
+	}
+	if !slices.Equal(blocks, want) {
+		t.Fatalf("block sizes %v, want %v", blocks, want)
+	}
+	// The objects keep what was written into them.
+	for o := prev; o != nil; o = o.p {
+		if !seen[o] || o.n == 0 {
+			t.Fatalf("object %d was overwritten", o.n)
+		}
+	}
+}
+
+// TestServerBacklogAllocsBlocks: with its ring and free list warm, a
+// server whose pool is empty builds a 10 000-job backlog from its slab,
+// one malloc per block of jobs: the six blocks of 1 to 32 jobs, then
+// blocks of 64.
+func TestServerBacklogAllocsBlocks(t *testing.T) {
+	const backlog = 10000
+	e := NewEngine()
+	s := NewServer(e, 1)
+	c := &counter{}
+	build := func() {
+		clear(s.free)
+		s.free, s.slab = s.free[:0], Slab[job]{}
+		for i := 0; i < backlog; i++ {
+			s.SubmitCall(Microsecond, bump, c, nil)
+		}
+		if s.MaxQueue != backlog-1 {
+			t.Fatalf("deepest line %d, want %d", s.MaxQueue, backlog-1)
+		}
+		e.Run()
+	}
+	// The runtime's own allocations only add: take the least of three.
+	allocs := testing.AllocsPerRun(1, build)
+	for try := 0; try < 2; try++ {
+		allocs = min(allocs, testing.AllocsPerRun(1, build))
+	}
+	if limit := backlog/slabMax + 7; allocs > float64(limit) {
+		t.Fatalf("a %d-job backlog took %.0f mallocs, want at most %d", backlog, allocs, limit)
+	}
+	if c.n != 6*backlog {
+		t.Fatalf("%d of %d jobs ran", c.n, 6*backlog)
+	}
 }

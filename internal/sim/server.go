@@ -12,7 +12,8 @@ import "dynmds/internal/snap"
 // callback runs at the completion instant.
 //
 // Jobs are pooled: a free-list of *job structs is recycled so a
-// steady-state submit/complete cycle allocates nothing. A job is
+// steady-state submit/complete cycle allocates nothing, and it refills
+// from a slab, so a backlog costs one malloc per block of jobs. A job is
 // returned to the free list only by the completion event that consumes
 // it — never while its completion is still queued in the engine — so
 // RunUntil leaving events queued cannot corrupt the pool (see
@@ -32,6 +33,7 @@ type Server struct {
 	head  int
 	qlen  int
 	free  []*job
+	slab  Slab[job]
 
 	// Stats
 	Completed  uint64
@@ -122,7 +124,9 @@ func (s *Server) getJob() *job {
 		s.free = s.free[:n-1]
 		return j
 	}
-	return &job{s: s}
+	j := s.slab.New()
+	j.s = s
+	return j
 }
 
 func (s *Server) start(j *job) {

@@ -7,8 +7,9 @@
 // panic on a negative length, a panic on an index past its table, and a
 // loop bound of 2^62 — a client draw count past 32 bits and one past 31,
 // a hint naming an MDS past the cluster (restored, it panicked at the
-// first arrival), and a tombstone list that repeats an ID or disagrees
-// with the base-delete count; Overcount makes a count too large for the
+// first arrival), a tombstone list that repeats an ID or disagrees
+// with the base-delete count, and run-created inodes listed in
+// descending ID; Overcount makes a count too large for the
 // structure it fills.
 package snaptest
 
@@ -122,6 +123,14 @@ var Damaged = []struct {
 		func(b []byte) []byte { // six counters, the tombstone count, the first ID, then the second's delta
 			from, to := After(b, 8), After(b, 9)
 			return append(binary.AppendUvarint(b[:from:from], 0), b[to:]...)
+		}},
+	{"created-ids-descending", "tree", "out of range or order",
+		func(b []byte) []byte { // six counters, the tombstone count and deltas, the created count, then the first created ID
+			maxID, _ := binary.Uvarint(b)
+			tombs, _ := binary.Varint(b[After(b, 6):])
+			from := After(b, 8+int(tombs))
+			to := from + After(b[from:], 1)
+			return append(binary.AppendUvarint(b[:from:from], maxID), b[to:]...)
 		}},
 	{"tombstones-short-of-base-deletes", "tree", "tombstones for",
 		func(b []byte) []byte { // MaxID, files, dirs, then the base-delete count
