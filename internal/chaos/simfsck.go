@@ -37,8 +37,8 @@ func Capture(cl *cluster.Cluster) Baseline {
 //
 //   - drained: nothing in flight (cluster.InFlight);
 //   - structural: namespace tree, per-node cache, and subtree-table
-//     invariants (authority is a partition: assign/mirror agreement,
-//     each root owned by exactly one in-range node);
+//     invariants (authority is a partition: each delegated root is a
+//     directory owned by one in-range node);
 //   - overlay aging: no tombstoned base inode resolves by ID, no live
 //     inode is reachable through a tombstoned entry (the parent's name
 //     index must still return it), the tombstone count matches the

@@ -40,10 +40,9 @@ type owner interface {
 }
 
 // Requests is the one request lifecycle of both client models: the pool
-// of request structs (refilled from a slab), the id and issue stamp, the
-// retry rule, the rule for accepting a reply, and the counts. Each
-// closed-loop Client keeps one; the open-loop Population keeps one for
-// all its clients.
+// of request structs, the id and issue stamp, the retry rule, the rule
+// for accepting a reply, and the counts. Each closed-loop Client keeps
+// one; the open-loop Population keeps one for all its clients.
 //
 // With a retry timeout, a request unanswered after the timeout is resent,
 // the wait doubling per resend up to 8× the timeout, at most maxRetries
@@ -70,28 +69,23 @@ type Requests struct {
 	// stopped abandons every unanswered request at its next deadline.
 	stopped bool
 	seq     uint64
-	pool    []*msg.Request
-	slab    sim.Slab[msg.Request]
+	pool    sim.Pool[msg.Request]
+	// retries lends the sent requests' retry records; a record goes back
+	// when its timer retires it.
+	retries sim.Pool[pending]
 }
 
 // init sets the lifecycle up for its owner; poolCap presizes the pool.
 func (r *Requests) init(eng *sim.Engine, net Network, o owner, timeout sim.Time, poolCap int) {
 	r.eng, r.net, r.owner, r.timeout = eng, net, o, timeout
-	r.pool = make([]*msg.Request, 0, poolCap)
+	r.pool.Reserve(poolCap)
 }
 
-// get returns a request for client, recycled or fresh, stamped with the
-// next id and the issue time.
+// get returns a request for client, zeroed, stamped with the next id and
+// the issue time.
 func (r *Requests) get(client int) *msg.Request {
-	var req *msg.Request
-	if n := len(r.pool); n > 0 {
-		req = r.pool[n-1]
-		r.pool[n-1] = nil
-		r.pool = r.pool[:n-1]
-		*req = msg.Request{}
-	} else {
-		req = r.slab.New()
-	}
+	req := r.pool.Get()
+	*req = msg.Request{}
 	r.seq++
 	req.ID, req.Client, req.Issued, req.Via = r.seq, client, r.eng.Now(), -1
 	return req
@@ -101,7 +95,9 @@ func (r *Requests) get(client int) *msg.Request {
 func (r *Requests) send(to int, req *msg.Request) {
 	r.Issued++
 	if r.timeout > 0 {
-		r.eng.AfterCall(r.timeout, retryFire, r, &pending{req: req, last: to})
+		p := r.retries.Get()
+		*p = pending{req: req, last: to}
+		r.eng.AfterCall(r.timeout, retryFire, r, p)
 	}
 	r.net.Send(to, req)
 }
@@ -113,13 +109,13 @@ func (r *Requests) send(to int, req *msg.Request) {
 func (r *Requests) local(req *msg.Request) {
 	r.Issued++
 	r.Completed++
-	r.pool = append(r.pool, req)
+	r.pool.Put(req)
 }
 
 // put recycles a retired request unless retries are armed.
 func (r *Requests) put(req *msg.Request) {
 	if r.timeout == 0 {
-		r.pool = append(r.pool, req)
+		r.pool.Put(req)
 	}
 }
 
@@ -148,14 +144,20 @@ func retryFire(a, b any) { a.(*Requests).retry(b.(*pending)) }
 
 // retry is a sent request's retry timer: resend it with the wait
 // doubled, or abandon it once the resends are exhausted or the
-// lifecycle is stopped.
+// lifecycle is stopped. The timer is the record's one holder, so it
+// returns the record wherever it ends.
 func (r *Requests) retry(p *pending) {
 	if p.req.ID == 0 {
-		return // answered or abandoned: the timer is stale
+		// Answered or abandoned: the timer is stale.
+		p.req = nil
+		r.retries.Put(p)
+		return
 	}
 	if r.stopped || p.attempts >= maxRetries {
 		r.TimedOut++
 		p.req.ID = 0
+		p.req = nil
+		r.retries.Put(p)
 		if !r.stopped {
 			r.owner.abandoned()
 		}

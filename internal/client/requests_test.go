@@ -102,3 +102,33 @@ func TestClosedLoopCycleAllocFree(t *testing.T) {
 		t.Fatal("no completions during the pinned window")
 	}
 }
+
+// TestRetryRecordAllocsBlocks: while retries are armed, a retry record
+// goes back to its lifecycle's pool when its timer finds the request
+// answered, so over a window where every reply beats the timeout the
+// lifecycle costs only the requests themselves — never recycled while
+// retries are armed, they come from the pool's blocks of 64.
+func TestRetryRecordAllocsBlocks(t *testing.T) {
+	_, f := testTree(t)
+	eng := sim.NewEngine()
+	net := &answerNet{eng: eng, n: 2, delay: 200 * sim.Microsecond}
+	c := New(0, eng, Config{ThinkMean: sim.Millisecond, RetryTimeout: 10 * sim.Millisecond}, sim.NewRNG(7), net,
+		partition.FileHash{N: 2}, fixedGen{workload.Op{Op: msg.Stat, Target: f}})
+	net.reply = c.OnReply
+	c.Start(0)
+	eng.RunUntil(100 * sim.Millisecond)
+	now := eng.Now()
+	var sends uint64
+	allocs := testing.AllocsPerRun(1, func() {
+		before := c.Counts().Issued
+		now += sim.Second
+		eng.RunUntil(now)
+		sends = c.Counts().Issued - before
+	})
+	if limit := sends/64 + 8; allocs > float64(limit) {
+		t.Fatalf("%d retry-armed sends took %.0f mallocs, want at most %d", sends, allocs, limit)
+	}
+	if cs := c.Counts(); sends < 500 || cs.Retries != 0 || cs.TimedOut != 0 {
+		t.Fatalf("%d sends in the window, %d retries, %d timed out: want many sends, every reply in time", sends, cs.Retries, cs.TimedOut)
+	}
+}

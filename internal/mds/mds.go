@@ -111,8 +111,8 @@ type Cluster interface {
 	// Suspect records one missed-timeout strike against peer, observed
 	// by reporter; Exonerate clears the strikes against a peer that
 	// proved alive; NodeDown reports whether peer has been confirmed
-	// down. Only a node in fault mode (EnableFaults) calls them; the
-	// cluster turns accumulated suspicion into failover reassignment.
+	// down. The cluster turns accumulated suspicion into failover
+	// reassignment.
 	Suspect(reporter, peer int)
 	Exonerate(peer int)
 	NodeDown(peer int) bool
@@ -154,22 +154,14 @@ type Stats struct {
 	ReplicaFanouts uint64
 }
 
-// pendingCall is one coalesced-fetch waiter in the engine's typed
-// callback form.
-type pendingCall struct {
-	fn   sim.EventFunc
-	a, b any
-}
-
 // fetch threads one record load through its asynchronous steps (disk
 // I/O or peer round trip) without per-step closures: the carrier is the
-// single event payload, and the continuation (fn, a, b) rides inside it.
+// single event payload, and the continuation rides inside it.
 type fetch struct {
 	m    *MDS
 	ino  *namespace.Inode
 	cl   cache.Class
-	fn   sim.EventFunc
-	a, b any
+	call sim.Call
 	// peer is the authority a remote fetch was sent to (-1 for local
 	// loads); done marks the fetch completed, so a timed-out fetch and
 	// its late remote response cannot both finish it. Both are only
@@ -201,30 +193,28 @@ type MDS struct {
 	// lh is non-nil for the Lazy Hybrid strategy.
 	lh *partition.LazyHybrid
 
-	opsRate  *metrics.DecayCounter
-	missRate *metrics.DecayCounter
+	// opsRate and missRate are read with rateHalfLife.
+	opsRate  metrics.Decay
+	missRate metrics.Decay
 
 	// pending coalesces concurrent fetches of the same record: one I/O
 	// (or peer fetch) serves every waiter. pendingDir does the same for
-	// whole-directory content loads. Waiters are stored as typed calls
-	// by value, so coalescing allocates no closures.
-	pending    map[namespace.InodeID][]pendingCall
-	pendingDir map[namespace.InodeID][]pendingCall
+	// whole-directory content loads. Waiters are stored as calls by
+	// value, so coalescing allocates no closures.
+	pending    map[namespace.InodeID][]sim.Call
+	pendingDir map[namespace.InodeID][]sim.Call
 	// waiterLists recycles both maps' waiter lists, emptied (addWaiter,
 	// wake), so coalescing in steady state allocates nothing.
-	waiterLists [][]pendingCall
+	waiterLists [][]sim.Call
 
-	// fetchPool recycles the fetch carriers that thread a record load
-	// through its disk or peer round trip; replyPool recycles reply
-	// structs (with their hint slices), which the cluster consumes
-	// synchronously on Deliver. Pooled objects are released only by the
-	// dispatch that consumes them, never while an engine event still
-	// references them (see DESIGN.md, "Pooling rules"). An empty pool
-	// refills from its slab.
-	fetchPool []*fetch
-	replyPool []*msg.Reply
-	fetchSlab sim.Slab[fetch]
-	replySlab sim.Slab[msg.Reply]
+	// fetchPool lends the fetch carriers that thread a record load
+	// through its disk or peer round trip; replyPool lends reply structs
+	// (with their hint slices), which the cluster consumes synchronously
+	// on Deliver. Pooled objects are released only by the dispatch that
+	// consumes them, never while an engine event still references them
+	// (see DESIGN.md, "Pooling rules").
+	fetchPool sim.Pool[fetch]
+	replyPool sim.Pool[msg.Reply]
 
 	// sizePending holds locally absorbed monotonic size updates not
 	// yet flushed to authorities (§4.2); writers is the cluster's
@@ -280,10 +270,8 @@ func New(id int, eng *sim.Engine, cfg Config, strat partition.Strategy, tc *core
 		cache:       cache.New(cfg.CacheCapacity),
 		store:       storage.New(eng, cfg.Storage),
 		tc:          tc,
-		opsRate:     metrics.NewDecayCounter(rateHalfLife),
-		missRate:    metrics.NewDecayCounter(rateHalfLife),
-		pending:     make(map[namespace.InodeID][]pendingCall),
-		pendingDir:  make(map[namespace.InodeID][]pendingCall),
+		pending:     make(map[namespace.InodeID][]sim.Call),
+		pendingDir:  make(map[namespace.InodeID][]sim.Call),
 		opens:       make(map[namespace.InodeID]int),
 		orphans:     make(map[namespace.InodeID]*namespace.Inode),
 		sizePending: make(map[namespace.InodeID]int64),
@@ -405,7 +393,7 @@ func (m *MDS) Store() *storage.Store { return m.store }
 // of node throughput and cache misses" (§5.1). Throughput is measured
 // as offered load (request arrivals) so saturation is visible.
 func (m *MDS) Load(now sim.Time) float64 {
-	return m.opsRate.Value(now) + float64(loadMissWeight*m.missRate.Value(now))
+	return m.opsRate.Value(now, rateHalfLife) + float64(loadMissWeight*m.missRate.Value(now, rateHalfLife))
 }
 
 // MaxQueues reports the deepest the node's three service-centre waiting
@@ -437,7 +425,7 @@ func (m *MDS) Receive(req *msg.Request) {
 	// Demand is counted on arrival: when a node saturates, its served
 	// throughput caps out, but its offered load keeps rising — the
 	// balancer must see the latter.
-	m.opsRate.Add(m.eng.Now(), 1)
+	m.opsRate.Add(m.eng.Now(), rateHalfLife, 1)
 	m.cpu.SubmitCall(m.svc(cpuService), mdsProcess, m, req)
 }
 
@@ -497,7 +485,7 @@ func (m *MDS) process(req *msg.Request) {
 			m.reply(req)
 			return
 		}
-		if m.faults && m.cluster.NodeDown(auth) {
+		if m.cluster.NodeDown(auth) {
 			// The authority is confirmed down and nothing here can serve
 			// the request; dead-letter it. The client's retry timeout
 			// covers the loss — and under the dynamic strategy the
@@ -606,15 +594,16 @@ func (m *MDS) servePath(req *msg.Request) {
 // fetches it.
 func (m *MDS) fetchRecord(ino *namespace.Inode, cl cache.Class, fn sim.EventFunc, a, b any) {
 	if waiters, inFlight := m.pending[ino.ID]; inFlight {
-		m.pending[ino.ID] = m.addWaiter(waiters, pendingCall{fn, a, b})
+		m.pending[ino.ID] = m.addWaiter(waiters, sim.Call{Fn: fn, A: a, B: b})
 		return
 	}
 	m.pending[ino.ID] = nil
 	m.noteMiss()
-	f := m.getFetch()
-	f.ino, f.cl, f.fn, f.a, f.b = ino, cl, fn, a, b
+	f := m.fetchPool.Get()
+	f.m, f.ino, f.cl = m, ino, cl
+	f.call.Set(fn, a, b)
 	auth := m.strat.Authority(ino)
-	if auth == m.id || !m.strat.NeedsPathTraversal() || m.faults && m.cluster.NodeDown(auth) {
+	if auth == m.id || !m.strat.NeedsPathTraversal() || m.cluster.NodeDown(auth) {
 		m.diskLoad(f)
 		return
 	}
@@ -651,18 +640,6 @@ func (m *MDS) armFetchTimeout(f *fetch) {
 	})
 }
 
-func (m *MDS) getFetch() *fetch {
-	if n := len(m.fetchPool); n > 0 {
-		f := m.fetchPool[n-1]
-		m.fetchPool[n-1] = nil
-		m.fetchPool = m.fetchPool[:n-1]
-		return f
-	}
-	f := m.fetchSlab.New()
-	f.m = m
-	return f
-}
-
 // putFetch releases a carrier back to its owning node's pool. Only the
 // dispatch that consumed the carrier may call it (see DESIGN.md). In
 // fault mode carriers are not recycled at all: a timed-out carrier may
@@ -672,20 +649,21 @@ func (m *MDS) putFetch(f *fetch) {
 	if m.faults {
 		return
 	}
-	f.ino, f.fn, f.a, f.b = nil, nil, nil, nil
+	f.ino = nil
+	f.call = sim.Call{}
 	f.peer, f.done = 0, false
-	m.fetchPool = append(m.fetchPool, f)
+	m.fetchPool.Put(f)
 }
 
 // finishFetch completes a coalesced fetch: it releases the carrier,
 // then runs the initiator's continuation and every waiter.
 func finishFetch(f *fetch) {
 	f.done = true
-	m, ino, fn, a, b := f.m, f.ino, f.fn, f.a, f.b
+	m, ino, call := f.m, f.ino, f.call
 	m.putFetch(f)
 	waiters := m.pending[ino.ID]
 	delete(m.pending, ino.ID)
-	fn(a, b)
+	call.Run()
 	m.wake(waiters)
 }
 
@@ -696,7 +674,7 @@ const maxPooledWaiters = 64
 
 // addWaiter appends call to a coalesced fetch's waiter list, starting
 // an absent list from a recycled one.
-func (m *MDS) addWaiter(waiters []pendingCall, call pendingCall) []pendingCall {
+func (m *MDS) addWaiter(waiters []sim.Call, call sim.Call) []sim.Call {
 	if n := len(m.waiterLists); waiters == nil && n > 0 {
 		waiters = m.waiterLists[n-1]
 		m.waiterLists[n-1] = nil
@@ -708,10 +686,10 @@ func (m *MDS) addWaiter(waiters []pendingCall, call pendingCall) []pendingCall {
 // wake runs a finished fetch's waiters in order, and only then recycles
 // the list — a waiter may start a fetch that takes a list from the pool
 // — unless it grew past maxPooledWaiters.
-func (m *MDS) wake(waiters []pendingCall) {
-	for i, w := range waiters {
-		waiters[i] = pendingCall{}
-		w.fn(w.a, w.b)
+func (m *MDS) wake(waiters []sim.Call) {
+	for i, call := range waiters {
+		waiters[i] = sim.Call{}
+		call.Run()
 	}
 	if waiters != nil && cap(waiters) <= maxPooledWaiters {
 		m.waiterLists = append(m.waiterLists, waiters[:0])
@@ -740,9 +718,7 @@ func remoteFetchInstall(x, _ any) {
 		// disk read: the late response must not finish the fetch again.
 		return
 	}
-	if m.faults {
-		m.cluster.Exonerate(f.peer)
-	}
+	m.cluster.Exonerate(f.peer)
 	// A remotely fetched ancestor: the ones above it are already cached
 	// (servePath works root-down), so only this record is added.
 	m.insert(f.ino, cache.Prefix, false)
@@ -778,8 +754,9 @@ func (m *MDS) handleFetch(ino *namespace.Inode, fn sim.EventFunc, a, b any) {
 	if m.failed {
 		return
 	}
-	pf := m.getFetch()
-	pf.ino, pf.fn, pf.a, pf.b = ino, fn, a, b
+	pf := m.fetchPool.Get()
+	pf.m, pf.ino = m, ino
+	pf.call.Set(fn, a, b)
 	m.cpu.SubmitCall(m.svc(peerService), peerFetchServe, pf, nil)
 }
 
@@ -788,9 +765,9 @@ func peerFetchServe(x, _ any) {
 	m := pf.m
 	if m.cache.Contains(pf.ino.ID) {
 		m.cache.Get(pf.ino.ID)
-		fn, a, b := pf.fn, pf.a, pf.b
+		call := pf.call
 		m.putFetch(pf)
-		fn(a, b)
+		call.Run()
 		return
 	}
 	// Load just this record; a single-record read regardless of
@@ -803,9 +780,9 @@ func peerFetchLoaded(x, _ any) {
 	pf := x.(*fetch)
 	m := pf.m
 	m.cache.InsertDetached(pf.ino, cache.Prefix, false)
-	fn, a, b := pf.fn, pf.a, pf.b
+	call := pf.call
 	m.putFetch(pf)
-	fn(a, b)
+	call.Run()
 }
 
 // fetchTarget ensures the operation's target record is cached, then
@@ -960,7 +937,7 @@ func mdsCompleteOp(a, b any) { a.(*MDS).completeOp(b.(*msg.Request)) }
 // not a continuation of its own, so it wakes nobody it should not.
 func (m *MDS) loadDirContents(dir *namespace.Inode, fn sim.EventFunc, a, b any) {
 	waiters, inFlight := m.pendingDir[dir.ID]
-	m.pendingDir[dir.ID] = m.addWaiter(waiters, pendingCall{fn, a, b})
+	m.pendingDir[dir.ID] = m.addWaiter(waiters, sim.Call{Fn: fn, A: a, B: b})
 	if inFlight {
 		return
 	}
@@ -1208,7 +1185,7 @@ func (m *MDS) reply(req *msg.Request) {
 	m.Stats.Served++
 	now := m.eng.Now()
 	m.cluster.NoteReply(m.id, now)
-	rep := m.getReply()
+	rep := m.replyPool.Get()
 	rep.Req = req
 	// Identity and issue time are copied by value: the client accepts a
 	// reply only while the request still carries its ID and computes
@@ -1239,16 +1216,6 @@ func (m *MDS) reply(req *msg.Request) {
 		net.ReplyBytes(len(rep.Hints)), mdsDeliver, m, rep)
 }
 
-func (m *MDS) getReply() *msg.Reply {
-	if n := len(m.replyPool); n > 0 {
-		rep := m.replyPool[n-1]
-		m.replyPool[n-1] = nil
-		m.replyPool = m.replyPool[:n-1]
-		return rep
-	}
-	return m.replySlab.New()
-}
-
 // mdsDeliver hands the reply to the client and recycles the struct:
 // Deliver consumes it synchronously and keeps no reference. The client
 // detaches rep.Req for its own pool inside Deliver, before the clear
@@ -1259,7 +1226,7 @@ func mdsDeliver(a, b any) {
 	m.cluster.Deliver(rep)
 	rep.Req = nil
 	rep.Hints = rep.Hints[:0]
-	m.replyPool = append(m.replyPool, rep)
+	m.replyPool.Put(rep)
 }
 
 // appendHints appends the distribution of the target and its prefix
@@ -1296,7 +1263,7 @@ func (m *MDS) appendHints(hs []msg.Hint, target *namespace.Inode) []msg.Hint {
 
 func (m *MDS) noteMiss() {
 	m.Stats.CacheMissLoads++
-	m.missRate.Add(m.eng.Now(), 1)
+	m.missRate.Add(m.eng.Now(), rateHalfLife, 1)
 }
 
 // ImportSubtree implements core.Node: install migrated cache state and
@@ -1373,8 +1340,8 @@ func (m *MDS) Fail() {
 		}
 	}
 	m.sizePending = make(map[namespace.InodeID]int64)
-	m.pending = make(map[namespace.InodeID][]pendingCall)
-	m.pendingDir = make(map[namespace.InodeID][]pendingCall)
+	m.pending = make(map[namespace.InodeID][]sim.Call)
+	m.pendingDir = make(map[namespace.InodeID][]sim.Call)
 	if m.pendingFwd != nil {
 		m.pendingFwd = make(map[*msg.Request]fwdRec)
 	}

@@ -64,30 +64,6 @@ func (d *Decay) Snap(sc *snap.Codec) {
 	snap.I(sc, &d.last)
 }
 
-// DecayCounter is a Decay that carries its own half-life, for the
-// counters that stand alone (a node's op and miss rates).
-type DecayCounter struct {
-	HalfLife sim.Time
-	d        Decay
-}
-
-// NewDecayCounter returns a counter with the given half-life.
-func NewDecayCounter(halfLife sim.Time) *DecayCounter {
-	if halfLife <= 0 {
-		panic("metrics: half-life must be positive")
-	}
-	return &DecayCounter{HalfLife: halfLife}
-}
-
-// Add decays to now and then adds x.
-func (c *DecayCounter) Add(now sim.Time, x float64) { c.d.Add(now, c.HalfLife, x) }
-
-// Value returns the decayed value at now.
-func (c *DecayCounter) Value(now sim.Time) float64 { return c.d.Value(now, c.HalfLife) }
-
-// Snap walks the raw (value, last-decay-time) pair for checkpoints.
-func (c *DecayCounter) Snap(sc *snap.Codec) { c.d.Snap(sc) }
-
 // Series accumulates observations into fixed-width time buckets, for the
 // "metric over time" figures (5, 6, 7).
 type Series struct {

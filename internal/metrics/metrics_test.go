@@ -10,30 +10,30 @@ import (
 )
 
 func TestDecayCounterHalfLife(t *testing.T) {
-	c := NewDecayCounter(sim.Second)
-	c.Add(0, 100)
-	if got := c.Value(sim.Second); math.Abs(got-50) > 0.001 {
+	var c Decay
+	c.Add(0, sim.Second, 100)
+	if got := c.Value(sim.Second, sim.Second); math.Abs(got-50) > 0.001 {
 		t.Fatalf("after one half-life: %v, want 50", got)
 	}
-	if got := c.Value(2 * sim.Second); math.Abs(got-25) > 0.001 {
+	if got := c.Value(2*sim.Second, sim.Second); math.Abs(got-25) > 0.001 {
 		t.Fatalf("after two half-lives: %v, want 25", got)
 	}
 }
 
 func TestDecayCounterAccumulates(t *testing.T) {
-	c := NewDecayCounter(sim.Second)
-	c.Add(0, 10)
-	c.Add(sim.Second, 10) // old 10 decayed to 5, +10 = 15
-	if got := c.Value(sim.Second); math.Abs(got-15) > 0.001 {
+	var c Decay
+	c.Add(0, sim.Second, 10)
+	c.Add(sim.Second, sim.Second, 10) // old 10 decayed to 5, +10 = 15
+	if got := c.Value(sim.Second, sim.Second); math.Abs(got-15) > 0.001 {
 		t.Fatalf("value = %v, want 15", got)
 	}
 }
 
 func TestDecayCounterMonotoneClock(t *testing.T) {
-	c := NewDecayCounter(sim.Second)
-	c.Add(10*sim.Second, 7)
+	var c Decay
+	c.Add(10*sim.Second, sim.Second, 7)
 	// Reading at an earlier time must not inflate the value.
-	if got := c.Value(5 * sim.Second); math.Abs(got-7) > 0.001 {
+	if got := c.Value(5*sim.Second, sim.Second); math.Abs(got-7) > 0.001 {
 		t.Fatalf("stale read = %v, want 7", got)
 	}
 }
@@ -42,13 +42,12 @@ func TestDecayCounterMonotoneClock(t *testing.T) {
 // over t1+t2 equals decay over t1 then t2.
 func TestDecayComposition(t *testing.T) {
 	f := func(a, b uint16, add uint16) bool {
-		c1 := NewDecayCounter(sim.Second)
-		c1.Add(0, float64(add))
-		v1 := c1.Value(sim.Time(a) + sim.Time(b))
-		c2 := NewDecayCounter(sim.Second)
-		c2.Add(0, float64(add))
-		_ = c2.Value(sim.Time(a))
-		v2 := c2.Value(sim.Time(a) + sim.Time(b))
+		var c1, c2 Decay
+		c1.Add(0, sim.Second, float64(add))
+		v1 := c1.Value(sim.Time(a)+sim.Time(b), sim.Second)
+		c2.Add(0, sim.Second, float64(add))
+		_ = c2.Value(sim.Time(a), sim.Second)
+		v2 := c2.Value(sim.Time(a)+sim.Time(b), sim.Second)
 		return v1 >= 0 && math.Abs(v1-v2) < 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {

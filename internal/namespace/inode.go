@@ -69,7 +69,7 @@ type Inode struct {
 // dirState is what a directory has and a file does not. Overlay
 // directories take theirs from one slab and share one backing array
 // for their initial child slices (see NewOverlay); a run-created one
-// takes its from the tree's dirs slab (see newInode).
+// takes its from the tree's dirs pool (see newInode).
 type dirState struct {
 	children []*Inode
 	// tree is the owning tree, whose moved set and frozen base resolve
@@ -93,7 +93,7 @@ func (t *Tree) newInode(id InodeID, kind Kind, name string) *Inode {
 	n.ID, n.Kind, n.Mode, n.name = id, kind, 0o644, name
 	if kind == Dir {
 		n.Mode = 0o755
-		n.dir = t.dirs.New()
+		n.dir = t.dirs.Get()
 		n.dir.tree, n.dir.sub = t, 1
 	}
 	return n

@@ -22,13 +22,13 @@ type Tree struct {
 	// base is the shared immutable snapshot this tree overlays. slab
 	// holds the run-private copies of every base inode (indexed by
 	// id-1), created the inodes made after the thaw, dirs the directory
-	// records of the created directories, and moved every attached
-	// inode away from its frozen (parent, name) — see frozen.go and
-	// moved.go.
+	// records of the created directories (never Put back, so never
+	// reused), and moved every attached inode away from its frozen
+	// (parent, name) — see frozen.go and moved.go.
 	base    *Frozen
 	slab    []Inode
 	created createdSet
-	dirs    sim.Slab[dirState]
+	dirs    sim.Pool[dirState]
 	moved   movedSet
 	// dead tombstones base IDs destroyed in this overlay so ByID cannot
 	// resurrect their slab slots: one bit per base inode, allocated on

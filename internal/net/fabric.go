@@ -29,17 +29,15 @@ type ClassStats struct {
 }
 
 // envelope carries one in-flight message: the delivery continuation
-// (fn, a, b) rides in the envelope, and the envelope itself is the
-// single event payload, so a hop schedules without allocating once the
-// pool is warm. Envelopes are owned by the fabric and recycled by the
-// delivery dispatch, never while an engine event still references them;
-// an empty pool refills from the fabric's slab.
+// rides in the envelope, and the envelope itself is the single event
+// payload, so a hop schedules without allocating once the pool is warm.
+// Envelopes are owned by the fabric and recycled by the delivery
+// dispatch, never while an engine event still references them.
 type envelope struct {
 	fab   *Fabric
 	link  *Link
 	class Class
-	fn    sim.EventFunc
-	a, b  any
+	call  sim.Call
 }
 
 // Fabric routes every simulated message. It is single-threaded, like
@@ -50,10 +48,8 @@ type Fabric struct {
 	n     int // MDS endpoints; endpoint n is the client edge
 	links []Link
 	class [NumClasses]ClassStats
-	pool  []*envelope
-	slab  sim.Slab[envelope]
-	live  int        // envelopes checked out of the pool (leak detector)
-	plane FaultPlane // nil unless fault injection is active
+	pool  sim.Pool[envelope] // its lent count is the leak detector
+	plane FaultPlane         // nil unless fault injection is active
 }
 
 // NewFabric creates a fabric over numMDS node endpoints plus the client
@@ -100,8 +96,9 @@ func (f *Fabric) Send(c Class, from, to, bytes int, fn sim.EventFunc, a, b any) 
 	}
 	cs.Sent++
 	cs.Bytes += uint64(bytes)
-	env := f.getEnv()
-	env.link, env.class, env.fn, env.a, env.b = l, c, fn, a, b
+	env := f.pool.Get()
+	env.fab, env.link, env.class = f, l, c
+	env.call.Set(fn, a, b)
 	f.eng.AfterCall(delay, deliverEnvelope, env, nil)
 	return now + delay
 }
@@ -113,28 +110,11 @@ func deliverEnvelope(x, _ any) {
 	f := env.fab
 	env.link.depth--
 	f.class[env.class].Delivered++
-	fn, a, b := env.fn, env.a, env.b
-	f.putEnv(env)
-	fn(a, b)
-}
-
-func (f *Fabric) getEnv() *envelope {
-	f.live++
-	if n := len(f.pool); n > 0 {
-		env := f.pool[n-1]
-		f.pool[n-1] = nil
-		f.pool = f.pool[:n-1]
-		return env
-	}
-	env := f.slab.New()
-	env.fab = f
-	return env
-}
-
-func (f *Fabric) putEnv(env *envelope) {
-	env.link, env.fn, env.a, env.b = nil, nil, nil, nil
-	f.live--
-	f.pool = append(f.pool, env)
+	call := env.call
+	env.link = nil
+	env.call = sim.Call{}
+	f.pool.Put(env)
+	call.Run()
 }
 
 // Class returns the fabric-wide counters for one message class.
@@ -153,7 +133,7 @@ func (f *Fabric) InFlight() int {
 
 // LiveEnvelopes returns the number of envelopes checked out of the
 // pool. At quiescence it equals InFlight unless an envelope leaked.
-func (f *Fabric) LiveEnvelopes() int { return f.live }
+func (f *Fabric) LiveEnvelopes() int { return f.pool.Lent() }
 
 // Stats is the run-level fabric summary surfaced in cluster.Result.
 type Stats struct {

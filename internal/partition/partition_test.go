@@ -12,6 +12,7 @@ import (
 	"dynmds/internal/fsgen"
 	"dynmds/internal/namespace"
 	"dynmds/internal/sim"
+	"dynmds/internal/snap"
 )
 
 func smallTree(t *testing.T) (*namespace.Tree, *namespace.Inode, *namespace.Inode) {
@@ -100,7 +101,7 @@ func TestRootsOfSortedAndTracked(t *testing.T) {
 	}
 	_ = tab.Delegate(usr, 0)
 	if len(tab.RootsOf(1)) != 1 || len(tab.RootsOf(0)) != 1 {
-		t.Fatal("byMDS tracking wrong after reassignment")
+		t.Fatal("roots wrong after reassignment")
 	}
 	_ = tr
 }
@@ -376,16 +377,16 @@ func TestSubtreeTableAccessors(t *testing.T) {
 	}
 }
 
-// TestSubtreeTableCheckConsistency: a healthy table passes; each way
-// the assign/mirror pair can diverge is caught.
+// TestSubtreeTableCheckConsistency: a healthy table passes; an
+// assignment to an out-of-range node or of a file is caught.
 func TestSubtreeTableCheckConsistency(t *testing.T) {
-	fresh := func() (*SubtreeTable, *namespace.Inode, *namespace.Inode) {
+	fresh := func() (*SubtreeTable, *namespace.Tree, *namespace.Inode) {
 		tr, usr, local := smallTree(t)
 		tab := NewSubtreeTable(3)
 		_ = tab.Delegate(tr.Root, 0)
 		_ = tab.Delegate(usr, 1)
 		_ = tab.Delegate(local, 2)
-		return tab, usr, local
+		return tab, tr, usr
 	}
 
 	tab, _, _ := fresh()
@@ -393,28 +394,44 @@ func TestSubtreeTableCheckConsistency(t *testing.T) {
 		t.Fatalf("healthy table flagged: %v", err)
 	}
 
-	tab, usr, _ := fresh()
+	tab, _, usr := fresh()
 	tab.assign[usr] = 7 // out of range behind the API's back
 	if err := tab.CheckConsistency(); err == nil {
 		t.Fatal("out-of-range assignment not caught")
 	}
 
-	tab, usr, _ = fresh()
-	delete(tab.byMDS[1], usr) // assigned but not mirrored
+	tab, tr, usr := fresh()
+	f, _ := tr.Create(usr, "f")
+	tab.assign[f] = 1 // a file delegated behind the API's back
 	if err := tab.CheckConsistency(); err == nil {
-		t.Fatal("missing mirror entry not caught")
+		t.Fatal("file delegation not caught")
 	}
+}
 
-	tab, usr, _ = fresh()
-	tab.byMDS[2][usr] = true // mirrored under two nodes at once
-	if err := tab.CheckConsistency(); err == nil {
-		t.Fatal("double-mirrored root not caught")
+// TestSubtreeTableSnapRefusesTwiceListedRoot: a checkpoint that lists
+// one delegation root twice, under two nodes, is refused rather than
+// restored with the first owner silently dropped.
+func TestSubtreeTableSnapRefusesTwiceListedRoot(t *testing.T) {
+	tr, usr, _ := smallTree(t)
+	w := snap.NewWriter()
+	snap.Encoder(w).Section("table", func(c *snap.Codec) {
+		epoch, count := uint32(3), 2
+		c.Same(3, "partition: table nodes")
+		snap.U(c, &epoch)
+		c.Len(&count)
+		for mds := 1; mds <= 2; mds++ {
+			tr.SnapRef(c, &usr, "partition: delegation")
+			snap.Index(c, &mds, 3, "partition: delegation")
+		}
+	})
+	r, err := snap.NewReader(w.Bytes())
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	tab, _, local := fresh()
-	delete(tab.assign, local) // mirror entry with no assignment
-	if err := tab.CheckConsistency(); err == nil {
-		t.Fatal("orphaned mirror entry not caught")
+	dec := snap.Decoder(r)
+	dec.Section("table", func(c *snap.Codec) { NewSubtreeTable(3).Snap(c, tr) })
+	if err := dec.Err(); err == nil || !strings.Contains(err.Error(), "listed twice") {
+		t.Fatalf("restore: %v, want the second listing refused", err)
 	}
 }
 

@@ -28,8 +28,11 @@ func (t *SubtreeTable) Snap(c *snap.Codec, tree *namespace.Tree) {
 		tree.SnapRef(c, &root, "partition: delegation")
 		snap.Index(c, &mds, t.n, "partition: delegation")
 		if c.Reading() && c.Err() == nil {
+			if _, dup := t.assign[root]; dup {
+				c.Failf("partition: delegation: %s listed twice", root)
+				return
+			}
 			t.assign[root] = mds
-			t.byMDS[mds][root] = true
 		}
 	}
 	if !c.Reading() {
@@ -41,9 +44,6 @@ func (t *SubtreeTable) Snap(c *snap.Codec, tree *namespace.Tree) {
 		return
 	}
 	t.assign = make(map[*namespace.Inode]int)
-	for i := range t.byMDS {
-		t.byMDS[i] = make(map[*namespace.Inode]bool)
-	}
 	for ; n > 0 && c.Err() == nil; n-- {
 		delegation(nil, 0)
 	}

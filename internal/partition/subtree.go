@@ -21,8 +21,6 @@ type SubtreeTable struct {
 	// never wraps: a wrapped epoch would revive every stale memo.
 	epoch  uint32
 	assign map[*namespace.Inode]int
-	// byMDS mirrors assign for per-node iteration.
-	byMDS []map[*namespace.Inode]bool
 }
 
 // NewSubtreeTable creates a table for a cluster of n nodes with the
@@ -32,16 +30,7 @@ func NewSubtreeTable(n int) *SubtreeTable {
 	if n < 1 || n > MaxNodes {
 		panic(fmt.Sprintf("partition: cluster size %d outside [1, %d]", n, MaxNodes))
 	}
-	t := &SubtreeTable{
-		n:      n,
-		epoch:  1,
-		assign: make(map[*namespace.Inode]int),
-		byMDS:  make([]map[*namespace.Inode]bool, n),
-	}
-	for i := range t.byMDS {
-		t.byMDS[i] = make(map[*namespace.Inode]bool)
-	}
-	return t
+	return &SubtreeTable{n: n, epoch: 1, assign: make(map[*namespace.Inode]int)}
 }
 
 // N returns the cluster size.
@@ -58,11 +47,7 @@ func (t *SubtreeTable) Delegate(root *namespace.Inode, mds int) error {
 	if t.epoch == math.MaxUint32 {
 		return fmt.Errorf("partition: delegation epoch %d would wrap", t.epoch)
 	}
-	if old, ok := t.assign[root]; ok {
-		delete(t.byMDS[old], root)
-	}
 	t.assign[root] = mds
-	t.byMDS[mds][root] = true
 	t.epoch++
 	return nil
 }
@@ -111,11 +96,21 @@ func (t *SubtreeTable) Authority(ino *namespace.Inode) int {
 }
 
 // RootsOf returns mds's explicitly delegated subtree roots, sorted by
-// inode ID for deterministic iteration.
+// inode ID for deterministic iteration. It scans every delegation (twice,
+// to size the result): its callers run at most once per balance round,
+// failover or checkpoint.
 func (t *SubtreeTable) RootsOf(mds int) []*namespace.Inode {
-	roots := make([]*namespace.Inode, 0, len(t.byMDS[mds]))
-	for r := range t.byMDS[mds] {
-		roots = append(roots, r)
+	n := 0
+	for _, m := range t.assign {
+		if m == mds {
+			n++
+		}
+	}
+	roots := make([]*namespace.Inode, 0, n)
+	for r, m := range t.assign {
+		if m == mds {
+			roots = append(roots, r)
+		}
 	}
 	sort.Slice(roots, func(i, j int) bool { return roots[i].ID < roots[j].ID })
 	return roots
@@ -126,12 +121,9 @@ func (t *SubtreeTable) RootsOf(mds int) []*namespace.Inode {
 func (t *SubtreeTable) NumDelegations() int { return len(t.assign) }
 
 // CheckConsistency verifies the table's structural invariants: every
-// assignment names an in-range node and a directory root, and the
-// per-node mirror (byMDS) agrees exactly with the assignment map — so
-// authority really is a partition, with every delegated root owned by
-// exactly one node. The chaos checker runs this after every fuzzed run.
+// assignment names an in-range node and a directory root. The chaos
+// checker runs this after every fuzzed run.
 func (t *SubtreeTable) CheckConsistency() error {
-	mirrored := 0
 	for root, mds := range t.assign {
 		if mds < 0 || mds >= t.n {
 			return fmt.Errorf("partition: root %s assigned to out-of-range mds %d", root, mds)
@@ -139,21 +131,6 @@ func (t *SubtreeTable) CheckConsistency() error {
 		if !root.IsDir() {
 			return fmt.Errorf("partition: delegated root %s is not a directory", root)
 		}
-		if !t.byMDS[mds][root] {
-			return fmt.Errorf("partition: root %s assigned to mds %d but missing from its mirror", root, mds)
-		}
-	}
-	for mds, roots := range t.byMDS {
-		for root := range roots {
-			mirrored++
-			if got, ok := t.assign[root]; !ok || got != mds {
-				return fmt.Errorf("partition: mirror lists root %s under mds %d, assign says %d (present=%v)",
-					root, mds, got, ok)
-			}
-		}
-	}
-	if mirrored != len(t.assign) {
-		return fmt.Errorf("partition: %d mirror entries for %d assignments", mirrored, len(t.assign))
 	}
 	return nil
 }

@@ -148,29 +148,30 @@ func BenchmarkEngineRun(b *testing.B) {
 	b.ReportMetric(float64(e.Executed)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// TestSlabNeverReuses: a slab's blocks double from 1 to slabMax objects
-// and then stay at slabMax, objects of one block are adjacent, and no
-// object is handed out twice or handed out dirty, however many are
-// taken.
-func TestSlabNeverReuses(t *testing.T) {
+// TestPoolAllocsBlocks: a pool's blocks double from 1 to poolBlockMax
+// objects and then stay at poolBlockMax, objects of one block are
+// adjacent, and a pool never Put to hands out no object twice and none
+// dirty, however many are taken. Once objects are Put back, Get returns
+// the most recently Put first, and the lent count follows both.
+func TestPoolAllocsBlocks(t *testing.T) {
 	type obj struct {
 		n int
 		p *obj
 	}
-	var s Slab[obj]
+	var p Pool[obj]
 	seen := map[*obj]bool{}
 	var blocks []int
 	var prev *obj
 	for i := 0; i < 2000; i++ {
-		fresh := len(s.block) == 0
-		o := s.New()
+		fresh := len(p.block) == 0
+		o := p.Get()
 		switch {
 		case seen[o]:
 			t.Fatalf("object %d was handed out before", i)
 		case *o != obj{}:
 			t.Fatalf("object %d is not zeroed: %+v", i, *o)
 		case fresh:
-			blocks = append(blocks, s.size)
+			blocks = append(blocks, p.size)
 		case o != &unsafe.Slice(prev, 2)[1]:
 			t.Fatalf("object %d does not follow object %d in its block", i, i-1)
 		}
@@ -179,7 +180,7 @@ func TestSlabNeverReuses(t *testing.T) {
 	}
 	want := []int{1, 2, 4, 8, 16, 32}
 	for len(want) < len(blocks) {
-		want = append(want, slabMax)
+		want = append(want, poolBlockMax)
 	}
 	if !slices.Equal(blocks, want) {
 		t.Fatalf("block sizes %v, want %v", blocks, want)
@@ -190,10 +191,33 @@ func TestSlabNeverReuses(t *testing.T) {
 			t.Fatalf("object %d was overwritten", o.n)
 		}
 	}
+	if p.Lent() != 2000 {
+		t.Fatalf("lent %d, want 2000", p.Lent())
+	}
+
+	// LIFO: the last object Put comes back first, as Put left it.
+	a, b := prev, prev.p
+	p.Put(b)
+	p.Put(a)
+	if p.Lent() != 1998 {
+		t.Fatalf("lent %d after two Puts, want 1998", p.Lent())
+	}
+	if got := p.Get(); got != a || got.n != 2000 {
+		t.Fatalf("Get after Put returned object %d, want the last Put (2000)", got.n)
+	}
+	if got := p.Get(); got != b {
+		t.Fatalf("second Get returned object %d, want %d", got.n, b.n)
+	}
+	if got := p.Get(); seen[got] {
+		t.Fatalf("Get with nothing Put handed out object %d again", got.n)
+	}
+	if p.Lent() != 2001 {
+		t.Fatalf("lent %d, want 2001", p.Lent())
+	}
 }
 
 // TestServerBacklogAllocsBlocks: with its ring and free list warm, a
-// server whose pool is empty builds a 10 000-job backlog from its slab,
+// server whose pool is empty builds a 10 000-job backlog from fresh blocks,
 // one malloc per block of jobs: the six blocks of 1 to 32 jobs, then
 // blocks of 64.
 func TestServerBacklogAllocsBlocks(t *testing.T) {
@@ -202,8 +226,8 @@ func TestServerBacklogAllocsBlocks(t *testing.T) {
 	s := NewServer(e, 1)
 	c := &counter{}
 	build := func() {
-		clear(s.free)
-		s.free, s.slab = s.free[:0], Slab[job]{}
+		clear(s.pool.free)
+		s.pool = Pool[job]{free: s.pool.free[:0]}
 		for i := 0; i < backlog; i++ {
 			s.SubmitCall(Microsecond, bump, c, nil)
 		}
@@ -217,7 +241,7 @@ func TestServerBacklogAllocsBlocks(t *testing.T) {
 	for try := 0; try < 2; try++ {
 		allocs = min(allocs, testing.AllocsPerRun(1, build))
 	}
-	if limit := backlog/slabMax + 7; allocs > float64(limit) {
+	if limit := backlog/poolBlockMax + 7; allocs > float64(limit) {
 		t.Fatalf("a %d-job backlog took %.0f mallocs, want at most %d", backlog, allocs, limit)
 	}
 	if c.n != 6*backlog {

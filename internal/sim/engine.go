@@ -11,6 +11,27 @@ import "math"
 // steady-state scheduling allocation-free.
 type EventFunc func(a, b any)
 
+// Call is one continuation in the engine's typed callback form: Run
+// calls Fn(A, B). Every holder of pending work — an event, a queued
+// job, a message in flight, a fetch and its waiters — holds one.
+//
+// At five words a Call is too big for the compiler to keep in
+// registers: a Call literal stored through a pointer, or a Call
+// returned and then copied, is staged on the stack and block-copied.
+// So holders are filled with Set, and the engine's pops hand back the
+// three words (BenchmarkServerPipeline on a 2-core Xeon: 46 ns a job
+// with both copies, 36 without).
+type Call struct {
+	Fn   EventFunc
+	A, B any
+}
+
+// Run runs the continuation.
+func (c Call) Run() { c.Fn(c.A, c.B) }
+
+// Set fills c in place with fn, a and b.
+func (c *Call) Set(fn EventFunc, a, b any) { c.Fn, c.A, c.B = fn, a, b }
+
 // callFunc0 adapts a bare func() to an EventFunc. Func values are
 // pointer-shaped, so the conversion to `any` does not allocate.
 func callFunc0(a, b any) { a.(func())() }
@@ -23,8 +44,7 @@ func callFunc0(a, b any) { a.(func())() }
 type event struct {
 	at   Time
 	seq  uint64
-	fn   EventFunc
-	a, b any
+	call Call
 }
 
 // Engine is a discrete-event simulation executive. The zero value is not
@@ -107,11 +127,11 @@ func (l *lane) push(ev event) {
 	l.n++
 }
 
-// pop removes the head event and returns its callback. The vacated slot
-// is zeroed so the payload words do not pin dead objects.
+// pop removes the head event and returns its call's words. The vacated
+// slot is zeroed so the payload words do not pin dead objects.
 func (l *lane) pop() (EventFunc, any, any) {
 	ev := &l.buf[l.head]
-	fn, a, b := ev.fn, ev.a, ev.b
+	fn, a, b := ev.call.Fn, ev.call.A, ev.call.B
 	*ev = event{}
 	l.head = (l.head + 1) & (len(l.buf) - 1)
 	l.n--
@@ -160,7 +180,7 @@ func (e *Engine) AtCall(t Time, fn EventFunc, a, b any) {
 		panic("sim: event scheduled in the past")
 	}
 	e.seq++
-	ev := event{at: t, seq: e.seq, fn: fn, a: a, b: b}
+	ev := event{at: t, seq: e.seq, call: Call{fn, a, b}}
 	if l := e.laneFor(t - e.now); l != nil {
 		l.push(ev)
 		return
@@ -276,8 +296,9 @@ func (e *Engine) siftUp(i int) {
 	q[i] = ev
 }
 
-// pop removes the heap's minimum event and returns its callback. The
-// vacated slot is zeroed so the payload words do not pin dead objects.
+// pop removes the heap's minimum event and returns its call's words.
+// The vacated slot is zeroed so the payload words do not pin dead
+// objects.
 func (e *Engine) pop() (EventFunc, any, any) {
 	q := e.q
 	top := q[0]
@@ -312,5 +333,5 @@ func (e *Engine) pop() (EventFunc, any, any) {
 		}
 		q[i] = last
 	}
-	return top.fn, top.a, top.b
+	return top.call.Fn, top.call.A, top.call.B
 }

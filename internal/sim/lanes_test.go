@@ -55,7 +55,7 @@ func (r *refQueue) AtCall(t Time, fn EventFunc, a, b any) {
 	i := sort.Search(len(r.q), func(i int) bool { return r.q[i].at > t })
 	r.q = append(r.q, event{})
 	copy(r.q[i+1:], r.q[i:])
-	r.q[i] = event{at: t, seq: r.seq, fn: fn, a: a, b: b}
+	r.q[i] = event{at: t, seq: r.seq, call: Call{fn, a, b}}
 }
 
 func (r *refQueue) AfterCall(d Time, fn EventFunc, a, b any) { r.AtCall(r.now+d, fn, a, b) }
@@ -65,7 +65,7 @@ func (r *refQueue) run(due func(Time) bool) {
 		ev := r.q[0]
 		r.q = r.q[1:]
 		r.now = ev.at
-		ev.fn(ev.a, ev.b)
+		ev.call.Run()
 	}
 }
 

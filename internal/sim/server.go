@@ -11,13 +11,12 @@ import "dynmds/internal/snap"
 // Jobs are served in submission order. When a job's service completes its
 // callback runs at the completion instant.
 //
-// Jobs are pooled: a free-list of *job structs is recycled so a
-// steady-state submit/complete cycle allocates nothing, and it refills
-// from a slab, so a backlog costs one malloc per block of jobs. A job is
-// returned to the free list only by the completion event that consumes
-// it — never while its completion is still queued in the engine — so
-// RunUntil leaving events queued cannot corrupt the pool (see
-// DESIGN.md, "Pooling rules").
+// Jobs come from a Pool, so a steady-state submit/complete cycle
+// allocates nothing and a backlog costs one malloc per block of jobs. A
+// job is returned to the pool only by the completion event that
+// consumes it — never while its completion is still queued in the
+// engine — so RunUntil leaving events queued cannot corrupt the pool
+// (see DESIGN.md, "Pooling rules").
 //
 // The waiting line is a ring: enqueue and dequeue are O(1) whatever the
 // backlog, so a node driven past capacity costs the same per job as an
@@ -32,8 +31,7 @@ type Server struct {
 	queue []*job
 	head  int
 	qlen  int
-	free  []*job
-	slab  Slab[job]
+	pool  Pool[job]
 
 	// Stats
 	Completed  uint64
@@ -48,13 +46,11 @@ type Server struct {
 	MaxQueue int
 }
 
-// job is one pooled unit of service. fn/a/b use the engine's typed
-// callback convention; the legacy done-func form rides in fn=callFunc0.
+// job is one pooled unit of service; call runs at its completion.
 type job struct {
 	s       *Server
 	service Time
-	fn      EventFunc
-	a, b    any
+	call    Call
 }
 
 // NewServer creates a service centre with the given parallel width.
@@ -101,8 +97,9 @@ func (s *Server) SubmitCall(service Time, fn EventFunc, a, b any) {
 	}
 	s.Submitted++
 	s.account(s.eng.Now())
-	j := s.getJob()
-	j.service, j.fn, j.a, j.b = service, fn, a, b
+	j := s.pool.Get()
+	j.s, j.service = s, service
+	j.call.Set(fn, a, b)
 	if s.busy < s.width {
 		s.start(j)
 		return
@@ -117,25 +114,13 @@ func (s *Server) SubmitCall(service Time, fn EventFunc, a, b any) {
 	}
 }
 
-func (s *Server) getJob() *job {
-	if n := len(s.free); n > 0 {
-		j := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		return j
-	}
-	j := s.slab.New()
-	j.s = s
-	return j
-}
-
 func (s *Server) start(j *job) {
 	s.busy++
 	s.eng.AfterCall(j.service, jobComplete, j, nil)
 }
 
 // jobComplete is the pooled completion dispatcher: it releases the job
-// back to the free list before invoking the callback, so the callback
+// back to the pool before invoking the callback, so the callback
 // may resubmit without growing the pool. The next waiting job starts
 // before the callback runs too: its completion event must take its seq
 // ahead of anything the callback schedules, or same-instant ties — and
@@ -146,9 +131,9 @@ func jobComplete(x, _ any) {
 	s.account(s.eng.Now())
 	s.busy--
 	s.Completed++
-	fn, a, b := j.fn, j.a, j.b
-	j.fn, j.a, j.b = nil, nil, nil
-	s.free = append(s.free, j)
+	call := j.call
+	j.call = Call{}
+	s.pool.Put(j)
 	if s.qlen > 0 {
 		next := s.queue[s.head]
 		s.queue[s.head] = nil
@@ -156,7 +141,7 @@ func jobComplete(x, _ any) {
 		s.qlen--
 		s.start(next)
 	}
-	if fn != nil {
-		fn(a, b)
+	if call.Fn != nil {
+		call.Run()
 	}
 }
