@@ -6,6 +6,7 @@ import (
 	"dynmds/internal/metrics"
 	"dynmds/internal/namespace"
 	"dynmds/internal/sim"
+	"dynmds/internal/workload"
 )
 
 // ActConfig is one scenario act on a run's timeline: during [From, To)
@@ -82,18 +83,22 @@ func (c *Cluster) setupActs() error {
 			c.Pop.KeepChurn()
 		}
 		if a.FileSkew >= 0 {
-			c.Eng.At(a.From, func() { c.tenants.SetFileSkew(a.FileSkew) })
+			c.Eng.AtCall(a.From, actSkew, c.tenants, a)
 		}
 	}
 	for i := range c.Cfg.Acts {
-		c.Eng.At(c.Cfg.Acts[i].From, func() { c.beginAct(i) })
-		c.Eng.At(c.Cfg.Acts[i].To, func() { c.endAct(i) })
+		c.Eng.AtCall(c.Cfg.Acts[i].From, beginAct, c, i)
+		c.Eng.AtCall(c.Cfg.Acts[i].To, endAct, c, i)
 	}
 	return nil
 }
 
+// actSkew retargets the tenants' file skew to act a's.
+func actSkew(t, a any) { t.(*workload.Tenants).SetFileSkew(a.(*ActConfig).FileSkew) }
+
 // beginAct counts act i's start and installs its phase.
-func (c *Cluster) beginAct(i int) {
+func beginAct(x, y any) {
+	c, i := x.(*Cluster), y.(int)
 	a, r := &c.Cfg.Acts[i], &c.acts[i]
 	n := c.Pop.Counts()
 	r.issued0, r.completed0 = n.Issued, n.Completed
@@ -103,8 +108,9 @@ func (c *Cluster) beginAct(i int) {
 
 // endAct counts act i's end and reverts the population to its base
 // phase.
-func (c *Cluster) endAct(i int) {
-	r := &c.acts[i]
+func endAct(x, i any) {
+	c := x.(*Cluster)
+	r := &c.acts[i.(int)]
 	n := c.Pop.Counts()
 	r.issued1, r.completed1 = n.Issued, n.Completed
 	r.open = false

@@ -711,7 +711,8 @@ func nodeReceive(a, b any) { a.(*mds.MDS).Receive(b.(*msg.Request)) }
 
 // snapshotWarmup records aggregate counters at the end of the warmup
 // window so Result reports steady-state numbers.
-func (c *Cluster) snapshotWarmup() {
+func snapshotWarmup(x, _ any) {
+	c := x.(*Cluster)
 	c.warmTaken = true
 	for _, n := range c.Nodes {
 		c.warmServed += n.Stats.Served

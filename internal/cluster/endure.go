@@ -78,7 +78,7 @@ func (c *Cluster) StartEndure() {
 		n.StartFlusher()
 	}
 	if c.Cfg.Warmup > 0 && c.Cfg.Warmup < c.Cfg.Duration {
-		c.Eng.At(c.Cfg.Warmup, c.snapshotWarmup)
+		c.Eng.AtCall(c.Cfg.Warmup, snapshotWarmup, c, nil)
 	}
 	c.scheduleFaults(-1)
 }
@@ -93,7 +93,7 @@ func (c *Cluster) StartEndure() {
 // does after an in-place checkpoint.
 func (c *Cluster) StartEndureRestored(t sim.Time) {
 	if c.Cfg.Warmup > t && c.Cfg.Warmup < c.Cfg.Duration {
-		c.Eng.At(c.Cfg.Warmup, c.snapshotWarmup)
+		c.Eng.AtCall(c.Cfg.Warmup, snapshotWarmup, c, nil)
 	}
 	c.scheduleFaults(t)
 }

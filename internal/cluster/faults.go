@@ -47,25 +47,31 @@ func (c *Cluster) scheduleFaults(after sim.Time) {
 	if c.sched == nil {
 		return
 	}
-	for _, r := range c.sched.Rules {
-		switch {
-		case r.Kind == fault.Crash && r.From > after:
-			c.Eng.At(r.From, func() {
-				c.Nodes[r.Node].Fail()
-				c.Failures = append(c.Failures, FaultEvent{At: r.From, Node: r.Node})
-			})
-		case r.Kind == fault.Recover && r.From > after:
-			c.Eng.At(r.From, func() {
-				c.RecoverNode(r.Node) //nolint:errcheck // node index validated at parse
-			})
-		case r.Kind == fault.Slow:
-			if r.From > after {
-				c.Eng.At(r.From, func() { c.Nodes[r.Node].SetSlow(r.Factor) })
-			}
-			if r.To > after {
-				c.Eng.At(r.To, func() { c.Nodes[r.Node].SetSlow(1) })
-			}
+	for i := range c.sched.Rules {
+		r := &c.sched.Rules[i]
+		if (r.Kind == fault.Crash || r.Kind == fault.Recover || r.Kind == fault.Slow) && r.From > after {
+			c.Eng.AtCall(r.From, ruleFires, c, r)
 		}
+		if r.Kind == fault.Slow && r.To > after {
+			c.Eng.AtCall(r.To, ruleFires, c, r)
+		}
+	}
+}
+
+// ruleFires applies rule r's node event due now: a crash, a recovery,
+// or a slow window's start or end (a window parses only with From < To).
+func ruleFires(x, y any) {
+	c, r := x.(*Cluster), y.(*fault.Rule)
+	switch {
+	case r.Kind == fault.Crash:
+		c.Nodes[r.Node].Fail()
+		c.Failures = append(c.Failures, FaultEvent{At: r.From, Node: r.Node})
+	case r.Kind == fault.Recover:
+		c.RecoverNode(r.Node) //nolint:errcheck // node index validated at parse
+	case c.Eng.Now() < r.To:
+		c.Nodes[r.Node].SetSlow(r.Factor)
+	default:
+		c.Nodes[r.Node].SetSlow(1)
 	}
 }
 

@@ -165,13 +165,22 @@ func (b *Balancer) Rebalance(now sim.Time) {
 	if mean < minMeanLoad {
 		return
 	}
-	b.eng.After(decisionDelay, func() { b.decide(loads, dead, mean) })
+	b.eng.AfterCall(decisionDelay, decide, b, &round{loads, dead, mean})
+}
+
+// round is one heartbeat round's exchanged load vector.
+type round struct {
+	loads []float64
+	dead  []bool
+	mean  float64
 }
 
 // decide applies one round's migration decisions to the exchanged
 // load vector. dead nodes (snapshotted with the loads, so the decision
 // acts on heartbeat-aged information) are excluded from both sides.
-func (b *Balancer) decide(loads []float64, dead []bool, mean float64) {
+func decide(x, y any) {
+	b, r := x.(*Balancer), y.(*round)
+	loads, dead, mean := r.loads, r.dead, r.mean
 	// Busy nodes descending, available nodes ascending by load.
 	var busy, avail []int
 	for i := range b.nodes {

@@ -319,13 +319,15 @@ type jobNode struct {
 }
 
 func (j *jobNode) ImportSubtree(root *namespace.Inode, entries []Migrated) {
-	j.cpu.Submit(sim.Millisecond, func() {
-		for _, e := range entries {
-			if _, err := j.c.InsertPath(e.Ino, e.Class, false); err != nil {
-				panic(err)
-			}
+	j.cpu.SubmitCall(sim.Millisecond, jobImport, j, &entries)
+}
+
+func jobImport(a, b any) {
+	for _, e := range *b.(*[]Migrated) {
+		if _, err := a.(*jobNode).c.InsertPath(e.Ino, e.Class, false); err != nil {
+			panic(err)
 		}
-	})
+	}
 }
 
 // TestTransferAllocs: a migration allocates the importer's entries,

@@ -335,14 +335,11 @@ func leaseRecallArrive(a, b any) {
 	m.cluster.LeaseRecallDeliver(m.id, b.(*namespace.Inode))
 }
 
-// call0 adapts a bare func() to a fabric delivery continuation, for the
-// rare cold paths (write flushes, stat callbacks) that keep closures.
-func call0(a, _ any) { a.(func())() }
-
-// fwdRec is one outstanding forward awaiting its ack: the destination
-// (for suspicion/exoneration) and a sequence number that invalidates
-// the timeout timer if the same request is forwarded again.
+// fwdRec is one outstanding forward awaiting its ack, and a copy is its
+// watchdog's payload: the request, the destination (for suspicion and
+// exoneration) and a seq that a later forward of the request outdates.
 type fwdRec struct {
+	req *msg.Request
 	to  int
 	seq uint64
 }
@@ -528,20 +525,23 @@ func (m *MDS) armFwdTimeout(req *msg.Request, to int) {
 		m.pendingFwd = make(map[*msg.Request]fwdRec)
 	}
 	m.fwdSeq++
-	seq := m.fwdSeq
-	m.pendingFwd[req] = fwdRec{to: to, seq: seq}
-	m.eng.After(fwdTimeout, func() {
-		rec, ok := m.pendingFwd[req]
-		if !ok || rec.seq != seq || m.failed {
-			return
-		}
-		delete(m.pendingFwd, req)
-		m.Stats.FwdTimeouts++
-		m.cluster.Suspect(m.id, rec.to)
-		if req.ID != 0 {
-			m.process(req)
-		}
-	})
+	rec := fwdRec{req: req, to: to, seq: m.fwdSeq}
+	m.pendingFwd[req] = rec
+	m.eng.AfterCall(fwdTimeout, fwdTimedOut, m, &rec)
+}
+
+func fwdTimedOut(a, b any) {
+	m, w := a.(*MDS), b.(*fwdRec)
+	rec, ok := m.pendingFwd[w.req]
+	if !ok || rec.seq != w.seq || m.failed {
+		return
+	}
+	delete(m.pendingFwd, w.req)
+	m.Stats.FwdTimeouts++
+	m.cluster.Suspect(m.id, rec.to)
+	if w.req.ID != 0 {
+		m.process(w.req)
+	}
 }
 
 // preemptiveInstalled records the pulled replica in the inode's tags
@@ -612,13 +612,13 @@ func (m *MDS) fetchRecord(ino *namespace.Inode, cl cache.Class, fn sim.EventFunc
 	m.Stats.RemoteFetches++
 	f.peer = auth
 	if m.faults {
-		m.armFetchTimeout(f)
+		m.eng.AfterCall(fetchTimeout, fetchTimedOut, f, nil)
 	}
 	peer := m.cluster.Node(auth)
 	m.fab.Send(net.FetchReq, m.id, auth, net.Bytes(net.FetchReq), remoteFetchAtPeer, peer, f)
 }
 
-// armFetchTimeout starts the remote-fetch watchdog: if the peer's
+// fetchTimedOut is the remote-fetch watchdog: if the peer's
 // response has not installed the record in time, the fetch falls back
 // to this node's own read of the shared store — the remote round trip
 // is an optimisation, not a dependency (§2.1.2). The done flag keeps a
@@ -630,14 +630,13 @@ func (m *MDS) fetchRecord(ino *namespace.Inode, cl cache.Class, fn sim.EventFunc
 // seconds, and striking here confirms healthy nodes dead cluster-wide.
 // Liveness suspicion comes only from the forward-ack path, whose ack is
 // sent before CPU/disk service and is therefore queue-independent.
-func (m *MDS) armFetchTimeout(f *fetch) {
-	m.eng.After(fetchTimeout, func() {
-		if f.done || m.failed {
-			return
-		}
-		m.Stats.FetchTimeouts++
-		m.diskLoad(f)
-	})
+func fetchTimedOut(a, _ any) {
+	f := a.(*fetch)
+	if f.done || f.m.failed {
+		return
+	}
+	f.m.Stats.FetchTimeouts++
+	f.m.diskLoad(f)
 }
 
 // putFetch releases a carrier back to its owning node's pool. Only the
@@ -1037,7 +1036,7 @@ func coherenceArrive(a, _ any) {
 	if peer.failed {
 		return
 	}
-	peer.cpu.Submit(peer.svc(peerService), nil)
+	peer.cpu.SubmitCall(peer.svc(peerService), nil, nil, nil)
 }
 
 func (m *MDS) finishReply(req *msg.Request) {
@@ -1273,37 +1272,44 @@ func (m *MDS) noteMiss() {
 // the exporter's live cache.
 func (m *MDS) ImportSubtree(root *namespace.Inode, entries []core.Migrated) {
 	cost := m.svc(sim.Time(len(entries)+1) * importPerRecord)
-	m.cpu.Submit(cost, func() {
-		// Anchor the subtree: the new authority "must cache the
-		// containing directory (prefix) inodes for each of its
-		// subtrees" (§4.3).
-		m.insert(root, cache.Auth, false)
-		// Insert parents before children so path insertion succeeds:
-		// depth by depth, each in the exporter's order. Depths are taken
-		// here, not at export: a rename in between can change them.
-		minD, maxD := math.MaxInt, -1
-		for _, e := range entries {
-			d := e.Ino.Depth()
-			minD, maxD = min(minD, d), max(maxD, d)
-		}
-		for d := minD; d <= maxD; d++ {
-			for _, e := range entries {
-				if e.Ino.Depth() != d {
-					continue
-				}
-				m.insert(e.Ino, e.Class, false)
-				// A migrated replica now lives here: record this node in
-				// the inode's replica set. The exporter's bit stays until
-				// its own eviction, matching the bulk-removal rule. (Found
-				// by chaos fuzzing: crash-driven re-delegations migrated
-				// Replica entries whose replica sets named only the old
-				// holders.)
-				if e.Class == cache.Replica {
-					partition.TagsOf(e.Ino).SetReplica(m.id)
-				}
+	m.cpu.SubmitCall(cost, importApply, m, &subtreeImport{root, entries})
+}
+
+// subtreeImport is an import's payload while its CPU charge runs.
+type subtreeImport struct {
+	root    *namespace.Inode
+	entries []core.Migrated
+}
+
+func importApply(a, b any) {
+	m, imp := a.(*MDS), b.(*subtreeImport)
+	// Anchor the subtree: the new authority "must cache the containing
+	// directory (prefix) inodes for each of its subtrees" (§4.3).
+	m.insert(imp.root, cache.Auth, false)
+	// Insert parents before children so path insertion succeeds: depth
+	// by depth, each in the exporter's order. Depths are taken here, not
+	// at export: a rename in between can change them.
+	minD, maxD := math.MaxInt, -1
+	for _, e := range imp.entries {
+		d := e.Ino.Depth()
+		minD, maxD = min(minD, d), max(maxD, d)
+	}
+	for d := minD; d <= maxD; d++ {
+		for _, e := range imp.entries {
+			if e.Ino.Depth() != d {
+				continue
+			}
+			m.insert(e.Ino, e.Class, false)
+			// A migrated replica now lives here: record this node in the
+			// inode's replica set. The exporter's bit stays until its own
+			// eviction, matching the bulk-removal rule. (Found by chaos
+			// fuzzing: crash-driven re-delegations migrated Replica
+			// entries whose replica sets named only the old holders.)
+			if e.Class == cache.Replica {
+				partition.TagsOf(e.Ino).SetReplica(m.id)
 			}
 		}
-	})
+	}
 }
 
 // EvictSubtree implements core.Node: the exporter discards state for a
@@ -1311,10 +1317,10 @@ func (m *MDS) ImportSubtree(root *namespace.Inode, entries []core.Migrated) {
 func (m *MDS) EvictSubtree(root *namespace.Inode) {
 	n := m.cache.CountUnder(root)
 	cost := m.svc(sim.Time(n+1) * importPerRecord)
-	m.cpu.Submit(cost, func() {
-		m.cache.RemoveSubtree(root)
-	})
+	m.cpu.SubmitCall(cost, evictApply, m, root)
 }
+
+func evictApply(a, b any) { a.(*MDS).cache.RemoveSubtree(b.(*namespace.Inode)) }
 
 // Fail marks the node down: it drops arrivals and abandons in-flight
 // work. Part of the failover extension. Coalesced-fetch waiter maps are

@@ -75,13 +75,7 @@ func (m *MDS) flushWrites(now sim.Time) {
 			continue // unlinked since
 		}
 		if auth := m.strat.Authority(ino); auth != m.id {
-			peer := m.cluster.Node(auth)
-			m.fab.Send(net.WriteFlush, m.id, auth, net.Bytes(net.WriteFlush), call0, func() {
-				if peer.failed {
-					return
-				}
-				peer.cpu.Submit(peer.svc(peerService), func() { peer.raiseSize(ino, size) })
-			}, nil)
+			m.fab.Send(net.WriteFlush, m.id, auth, net.Bytes(net.WriteFlush), flushArrive, m.cluster.Node(auth), &sizeFlush{ino, size})
 			m.clearUnflushed(ino)
 			continue
 		}
@@ -89,6 +83,23 @@ func (m *MDS) flushWrites(now sim.Time) {
 		m.clearUnflushed(ino)
 	}
 	clear(m.sizePending)
+}
+
+// sizeFlush is one flushed size maximum on its way to the authority.
+type sizeFlush struct {
+	ino  *namespace.Inode
+	size int64
+}
+
+func flushArrive(a, b any) {
+	if peer := a.(*MDS); !peer.failed {
+		peer.cpu.SubmitCall(peer.svc(peerService), flushApply, peer, b)
+	}
+}
+
+func flushApply(a, b any) {
+	f := b.(*sizeFlush)
+	a.(*MDS).raiseSize(f.ino, f.size)
 }
 
 func (m *MDS) clearUnflushed(ino *namespace.Inode) {
@@ -108,33 +119,48 @@ func (m *MDS) statCallbackMask(target *namespace.Inode) uint64 {
 }
 
 // statCallbackSlow collects outstanding write maxima from the unflushed
-// writers in mask, then replies. Callbacks are rare enough that the
-// per-round-trip closures here do not matter.
+// writers in mask, then replies. Callbacks are rare: the round's one
+// carrier rides every hop.
 func (m *MDS) statCallbackSlow(req *msg.Request, mask uint64) {
-	target := req.Target
-	done := func() { m.finishReply(req) }
-	outstanding := 0
+	round := &statRound{m: m, req: req}
 	for i := 0; i < m.cluster.NumMDS(); i++ {
 		if mask&(1<<uint(i)) == 0 {
 			continue
 		}
-		outstanding++
-		peer := m.cluster.Node(i)
-		m.fab.Send(net.StatCallback, m.id, i, net.Bytes(net.StatCallback), call0, func() {
-			peer.cpu.Submit(peer.svc(peerService), func() {
-				// Peer reports its local max and clears it.
-				if size, ok := peer.sizePending[target.ID]; ok {
-					peer.raiseSize(target, size)
-					delete(peer.sizePending, target.ID)
-				}
-				peer.clearUnflushed(target)
-				m.fab.Send(net.StatCallback, peer.id, m.id, net.Bytes(net.StatCallback), call0, func() {
-					outstanding--
-					if outstanding == 0 && !m.failed {
-						done()
-					}
-				}, nil)
-			})
-		}, nil)
+		round.outstanding++
+		m.fab.Send(net.StatCallback, m.id, i, net.Bytes(net.StatCallback), statCallbackArrive, m.cluster.Node(i), round)
+	}
+}
+
+// statRound is one stat's callback round: the authority m replies to
+// req once every called-back writer has answered.
+type statRound struct {
+	m           *MDS
+	req         *msg.Request
+	outstanding int
+}
+
+func statCallbackArrive(a, b any) {
+	peer := a.(*MDS)
+	peer.cpu.SubmitCall(peer.svc(peerService), statCallbackAtPeer, peer, b)
+}
+
+// statCallbackAtPeer reports the peer's local maximum, clears it, and
+// answers the authority.
+func statCallbackAtPeer(a, b any) {
+	peer, round := a.(*MDS), b.(*statRound)
+	target := round.req.Target
+	if size, ok := peer.sizePending[target.ID]; ok {
+		peer.raiseSize(target, size)
+		delete(peer.sizePending, target.ID)
+	}
+	peer.clearUnflushed(target)
+	peer.fab.Send(net.StatCallback, peer.id, round.m.id, net.Bytes(net.StatCallback), statCallbackAnswered, round, nil)
+}
+
+func statCallbackAnswered(a, _ any) {
+	round := a.(*statRound)
+	if round.outstanding--; round.outstanding == 0 && !round.m.failed {
+		round.m.finishReply(round.req)
 	}
 }

@@ -1,6 +1,8 @@
 package osd
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -67,8 +69,14 @@ func TestPlacementMinimalMovement(t *testing.T) {
 func TestReplicasDistinctAndStable(t *testing.T) {
 	p, _ := NewPlacement(8)
 	f := func(obj uint64) bool {
-		r := p.Replicas(ObjectID(obj), 3)
+		r := p.Replicas(nil, ObjectID(obj), 3)
 		if len(r) != 3 {
+			return false
+		}
+		// The top three of a full ranking by score.
+		all := []int{0, 1, 2, 3, 4, 5, 6, 7}
+		sort.Slice(all, func(i, j int) bool { return score(ObjectID(obj), all[i]) > score(ObjectID(obj), all[j]) })
+		if !slices.Equal(r, all[:3]) {
 			return false
 		}
 		if r[0] != p.Primary(ObjectID(obj)) {
@@ -88,7 +96,7 @@ func TestReplicasDistinctAndStable(t *testing.T) {
 	}
 	// Clamped when r exceeds the devices.
 	small, _ := NewPlacement(2)
-	if got := small.Replicas(7, 5); len(got) != 2 {
+	if got := small.Replicas(nil, 7, 5); len(got) != 2 {
 		t.Fatalf("replicas = %v", got)
 	}
 }
@@ -101,8 +109,8 @@ func TestPoolReadWrite(t *testing.T) {
 	}
 	var readAt, wroteAt sim.Time
 	const readCost = 8 * sim.Millisecond
-	p.Read(42, readCost, func() { readAt = eng.Now() })
-	p.Write(42, func() { wroteAt = eng.Now() })
+	p.Read(42, readCost, func(any, any) { readAt = eng.Now() }, nil, nil)
+	p.Write(42, func(any, any) { wroteAt = eng.Now() }, nil, nil)
 	eng.Run()
 	if want := sim.Time(readCost); readAt != want {
 		t.Fatalf("read completed at %v, want %v", readAt, want)
@@ -111,7 +119,7 @@ func TestPoolReadWrite(t *testing.T) {
 		t.Fatal("write never completed")
 	}
 	// The read went to the primary, the write to both replicas.
-	replicas := p.placement.Replicas(42, 2)
+	replicas := p.placement.Replicas(nil, 42, 2)
 	if replicas[0] != p.placement.Primary(42) {
 		t.Fatalf("replicas %v do not start at the primary %d", replicas, p.placement.Primary(42))
 	}
@@ -126,6 +134,39 @@ func TestPoolReadWrite(t *testing.T) {
 		if dev.Completed != want {
 			t.Fatalf("device %d served %d requests, want %d", d, dev.Completed, want)
 		}
+	}
+}
+
+// ioDone is a continuation for TestPoolIOAllocFree that allocates
+// nothing itself.
+func ioDone(a, _ any) { *a.(*int)++ }
+
+// TestPoolIOAllocFree pins a warm pool's reads and writes to zero
+// allocations: the continuation rides the device jobs, and a write's
+// replica countdown is a pooled carrier.
+func TestPoolIOAllocFree(t *testing.T) {
+	eng := sim.NewEngine()
+	p, err := NewPool(eng, DefaultConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := 0
+	io := func() {
+		for obj := ObjectID(0); obj < 16; obj++ {
+			p.Read(obj, sim.Millisecond, ioDone, &done, nil)
+			p.Write(LogObject(int(obj)), ioDone, &done, nil)
+		}
+		eng.Run()
+	}
+	io()
+	if allocs := testing.AllocsPerRun(20, io); allocs != 0 {
+		t.Fatalf("%.1f allocations per 16 reads and 16 writes, want 0", allocs)
+	}
+	if want := 32 * 22; done != want {
+		t.Fatalf("%d continuations ran, want %d", done, want)
+	}
+	if n := p.writes.Lent(); n != 0 {
+		t.Fatalf("%d write carriers still lent", n)
 	}
 }
 

@@ -17,6 +17,7 @@ package osd
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"dynmds/internal/namespace"
 )
@@ -77,31 +78,24 @@ func mix(a, b uint64) uint64 {
 	return x
 }
 
-// Replicas returns the object's r top-ranked devices (primary first),
-// clamped to the number of devices.
-func (p *Placement) Replicas(obj ObjectID, r int) []int {
-	type ds struct {
-		dev   int
-		score float64
-	}
-	all := make([]ds, p.n)
-	for d := range all {
-		all[d] = ds{d, score(obj, d)}
-	}
-	if r > len(all) {
-		r = len(all)
-	}
-	// Partial selection sort: r is small (2-3).
-	out := make([]int, 0, r)
-	for k := 0; k < r; k++ {
-		best := k
-		for i := k + 1; i < len(all); i++ {
-			if all[i].score > all[best].score {
-				best = i
-			}
+// Replicas appends to dst the object's r top-ranked devices (primary
+// first), clamped to the number of devices. Each device is inserted
+// into the best r so far (whose scores are recomputed: r is 2-3), so a
+// dst with room for them allocates nothing.
+func (p *Placement) Replicas(dst []int, obj ObjectID, r int) []int {
+	base, r := len(dst), min(r, p.n)
+	for d := 0; d < p.n; d++ {
+		i, s := len(dst), score(obj, d)
+		for i > base && score(obj, dst[i-1]) < s {
+			i--
 		}
-		all[k], all[best] = all[best], all[k]
-		out = append(out, all[k].dev)
+		if i-base == r {
+			continue
+		}
+		if len(dst)-base == r {
+			dst = dst[:len(dst)-1]
+		}
+		dst = slices.Insert(dst, i, d)
 	}
-	return out
+	return dst
 }

@@ -32,6 +32,14 @@ type Pool struct {
 	cfg       Config
 	placement *Placement
 	devs      []*sim.Server
+	replicas  []int // Write's placement scratch
+	writes    sim.Pool[replicaWrite]
+}
+
+// replicaWrite counts down one write's replica acknowledgements.
+type replicaWrite struct {
+	remaining int
+	done      sim.Call
 }
 
 // NewPool creates the pool on the engine.
@@ -54,22 +62,31 @@ func NewPool(eng *sim.Engine, cfg Config) (*Pool, error) {
 }
 
 // Read fetches an object from its primary device, which is busy for
-// cost; done runs at completion.
-func (p *Pool) Read(obj ObjectID, cost sim.Time, done func()) {
-	p.devs[p.placement.Primary(obj)].Submit(cost, done)
+// cost; fn(a, b) runs at completion.
+func (p *Pool) Read(obj ObjectID, cost sim.Time, fn sim.EventFunc, a, b any) {
+	p.devs[p.placement.Primary(obj)].SubmitCall(cost, fn, a, b)
 }
 
-// Write appends to an object at every replica; done runs when the
+// Write appends to an object at every replica; fn(a, b) runs when the
 // slowest replica acknowledges.
-func (p *Pool) Write(obj ObjectID, done func()) {
-	replicas := p.placement.Replicas(obj, p.cfg.Replicas)
-	remaining := len(replicas)
-	for _, dev := range replicas {
-		p.devs[dev].Submit(writeLatency, func() {
-			remaining--
-			if remaining == 0 && done != nil {
-				done()
-			}
-		})
+func (p *Pool) Write(obj ObjectID, fn sim.EventFunc, a, b any) {
+	p.replicas = p.placement.Replicas(p.replicas[:0], obj, p.cfg.Replicas)
+	w := p.writes.Get()
+	w.remaining = len(p.replicas)
+	w.done.Set(fn, a, b)
+	for _, dev := range p.replicas {
+		p.devs[dev].SubmitCall(writeLatency, replicaAcked, p, w)
+	}
+}
+
+// replicaAcked counts one replica's acknowledgement; the last one
+// releases the countdown, then runs the write's continuation.
+func replicaAcked(x, y any) {
+	p, w := x.(*Pool), y.(*replicaWrite)
+	if w.remaining--; w.remaining == 0 {
+		done := w.done
+		w.done = sim.Call{}
+		p.writes.Put(w)
+		done.Run()
 	}
 }

@@ -11,7 +11,7 @@ func BenchmarkEngineScheduleDispatch(b *testing.B) {
 	e := NewEngine()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.After(Time(i%1000), func() {})
+		e.AfterCall(Time(i%1000), callFunc0, func() {}, nil)
 		if i%1024 == 1023 {
 			e.Run()
 		}
@@ -25,7 +25,7 @@ func BenchmarkServerPipeline(b *testing.B) {
 	s := NewServer(e, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.Submit(10, nil)
+		s.SubmitCall(10, nil, nil, nil)
 		if i%1024 == 1023 {
 			e.Run()
 		}

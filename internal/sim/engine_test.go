@@ -45,10 +45,10 @@ func TestEngineNestedScheduling(t *testing.T) {
 	step = func() {
 		count++
 		if count < 10 {
-			e.After(1, step)
+			e.AfterCall(1, callFunc0, step, nil)
 		}
 	}
-	e.After(1, step)
+	e.AfterCall(1, callFunc0, step, nil)
 	e.Run()
 	if count != 10 {
 		t.Fatalf("count = %d, want 10", count)
@@ -109,7 +109,7 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 			t.Error("negative delay did not panic")
 		}
 	}()
-	e.After(-1, func() {})
+	e.AfterCall(-1, callFunc0, func() {}, nil)
 }
 
 // Property: dispatch order is globally sorted by (time, insertion seq) no

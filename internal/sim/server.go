@@ -79,18 +79,8 @@ func (s *Server) Snap(c *snap.Codec) {
 	snap.I(c, &s.lastChange)
 }
 
-// Submit enqueues a job with the given service time. done runs when the
-// job completes; it may be nil.
-func (s *Server) Submit(service Time, done func()) {
-	if done == nil {
-		s.SubmitCall(service, nil, nil, nil)
-		return
-	}
-	s.SubmitCall(service, callFunc0, done, nil)
-}
-
-// SubmitCall enqueues a job whose completion runs fn(a, b) — the
-// allocation-free form of Submit. fn may be nil.
+// SubmitCall enqueues a job with the given service time; its
+// completion runs fn(a, b), allocating nothing. fn may be nil.
 func (s *Server) SubmitCall(service Time, fn EventFunc, a, b any) {
 	if service < 0 {
 		panic("sim: negative service time")

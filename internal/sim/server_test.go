@@ -25,7 +25,7 @@ func TestServerSerializesWidthOne(t *testing.T) {
 	s := NewServer(e, 1)
 	var done []Time
 	for i := 0; i < 3; i++ {
-		s.Submit(10, func() { done = append(done, e.Now()) })
+		s.SubmitCall(10, callFunc0, func() { done = append(done, e.Now()) }, nil)
 	}
 	e.Run()
 	want := []Time{10, 20, 30}
@@ -44,7 +44,7 @@ func TestServerParallelWidth(t *testing.T) {
 	s := NewServer(e, 2)
 	var done []Time
 	for i := 0; i < 4; i++ {
-		s.Submit(10, func() { done = append(done, e.Now()) })
+		s.SubmitCall(10, callFunc0, func() { done = append(done, e.Now()) }, nil)
 	}
 	e.Run()
 	want := []Time{10, 10, 20, 20}
@@ -61,7 +61,7 @@ func TestServerFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.Submit(Time(1+i%3), func() { order = append(order, i) })
+		s.SubmitCall(Time(1+i%3), callFunc0, func() { order = append(order, i) }, nil)
 	}
 	e.Run()
 	for i := range order {
@@ -75,11 +75,11 @@ func TestServerInterleavedSubmission(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e, 1)
 	var done []Time
-	e.At(0, func() { s.Submit(100, func() { done = append(done, e.Now()) }) })
+	e.At(0, func() { s.SubmitCall(100, callFunc0, func() { done = append(done, e.Now()) }, nil) })
 	// Arrives while the first job is in service; must wait.
-	e.At(50, func() { s.Submit(10, func() { done = append(done, e.Now()) }) })
+	e.At(50, func() { s.SubmitCall(10, callFunc0, func() { done = append(done, e.Now()) }, nil) })
 	// Arrives after the server went idle.
-	e.At(200, func() { s.Submit(10, func() { done = append(done, e.Now()) }) })
+	e.At(200, func() { s.SubmitCall(10, callFunc0, func() { done = append(done, e.Now()) }, nil) })
 	e.Run()
 	want := []Time{100, 110, 210}
 	for i := range want {
@@ -92,7 +92,7 @@ func TestServerInterleavedSubmission(t *testing.T) {
 func TestServerUtilization(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e, 1)
-	s.Submit(50, nil)
+	s.SubmitCall(50, nil, nil, nil)
 	e.RunUntil(100)
 	u := s.Utilization(e.Now())
 	if u < 0.49 || u > 0.51 {
@@ -104,7 +104,7 @@ func TestServerZeroServiceTime(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e, 1)
 	ran := false
-	s.Submit(0, func() { ran = true })
+	s.SubmitCall(0, callFunc0, func() { ran = true }, nil)
 	e.Run()
 	if !ran {
 		t.Fatal("zero-service job did not complete")
@@ -114,9 +114,9 @@ func TestServerZeroServiceTime(t *testing.T) {
 func TestServerQueueLen(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e, 1)
-	s.Submit(10, nil)
-	s.Submit(10, nil)
-	s.Submit(10, nil)
+	s.SubmitCall(10, nil, nil, nil)
+	s.SubmitCall(10, nil, nil, nil)
+	s.SubmitCall(10, nil, nil, nil)
 	if s.QueueLen() != 2 || s.InService() != 1 {
 		t.Fatalf("queue=%d inservice=%d, want 2/1", s.QueueLen(), s.InService())
 	}

@@ -105,9 +105,7 @@ func (s *Store) scaled(t sim.Time) sim.Time {
 
 // ReadInodeCall fetches a single metadata record (scattered-inode
 // layout) for the given inode; fn(a, b) runs when the I/O completes,
-// the payload riding in the event so the read allocates nothing. The
-// shared-pool path closes over the arguments (it is an ablation
-// configuration, not the measured hot path).
+// the payload riding in the event so the read allocates nothing.
 func (s *Store) ReadInodeCall(id namespace.InodeID, fn sim.EventFunc, a, b any) {
 	s.read(osd.DirObject(id), ReadLatency+ReadPerRecord, fn, a, b)
 }
@@ -125,7 +123,7 @@ func (s *Store) ReadDirCall(dir namespace.InodeID, records int, fn sim.EventFunc
 // shared pool's device holding obj.
 func (s *Store) read(obj osd.ObjectID, cost sim.Time, fn sim.EventFunc, a, b any) {
 	if s.cfg.Pool != nil {
-		s.cfg.Pool.Read(obj, cost, func() { fn(a, b) })
+		s.cfg.Pool.Read(obj, cost, fn, a, b)
 		return
 	}
 	s.readDisk.SubmitCall(s.scaled(cost), fn, a, b)
@@ -142,7 +140,7 @@ func (s *Store) CommitCall(id namespace.InodeID, fn sim.EventFunc, a, b any) {
 		s.Stats.TierWrites++
 	}
 	if s.cfg.Pool != nil {
-		s.cfg.Pool.Write(osd.LogObject(s.cfg.PoolOwner), func() { fn(a, b) })
+		s.cfg.Pool.Write(osd.LogObject(s.cfg.PoolOwner), fn, a, b)
 		return
 	}
 	s.logDisk.SubmitCall(s.scaled(LogAppendLatency), fn, a, b)

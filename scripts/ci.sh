@@ -62,7 +62,7 @@ budget() {
     fi
 }
 budget README.md $((24 * 1024))
-budget DESIGN.md 56240
+budget DESIGN.md 56235
 
 # -race on the small CI box is ~6x slower than native; give packages
 # headroom past go test's 10m default so a busy host doesn't flake.
@@ -102,7 +102,8 @@ go test -run '^$' -fuzz '^FuzzOverlayNames$' -fuzztime 15s -fuzzminimizetime 10x
 # loosen under -race would otherwise never be enforced.
 go test -count=1 -run 'Alloc|ZeroAlloc|AllocBudget' ./internal/sim ./internal/cache ./internal/cluster ./internal/mds \
     ./internal/partition ./internal/workload ./internal/snap ./internal/client ./internal/metrics \
-    ./internal/fsgen ./internal/namespace ./internal/storage ./internal/chaos ./internal/core ./internal/net
+    ./internal/fsgen ./internal/namespace ./internal/storage ./internal/chaos ./internal/core ./internal/net \
+    ./internal/osd
 # One iteration of the cache and authority benchmarks the ledger's
 # kernels mirror (and of hits spread over a 300k-inode namespace, where
 # an index sized by the highest ID misses L2), of the service-centre

@@ -3,7 +3,7 @@ package dynmds
 // The surface gate: code stays only if non-test code uses it. The
 // module's package graph comes from `go list -deps -export -json`, every
 // non-test file of the module is type-checked (the standard library from
-// its export data), and five kinds of entry fail the test:
+// its export data), and six kinds of entry fail the test:
 //
 //  1. a package-level func, method, type, var or const in internal/ or
 //     cmd/, exported or not, that no non-test code references outside
@@ -19,7 +19,13 @@ package dynmds
 //     a constant;
 //  5. an exported field of an internal/ struct that non-test code writes
 //     but never reads — state no run looks at. Taking the field's address,
-//     as a checkpoint walk does, is neither a read nor a write.
+//     as a checkpoint walk does, is neither a read nor a write;
+//  6. outside internal/sim and bench/, a declaration that posts pending
+//     work as a closure: it converts a func literal, a method value or
+//     any other func that is not a package-level func to sim.EventFunc,
+//     passes a func value where an interface is expected, or calls
+//     (*sim.Engine).At. Every pending event is then a named EventFunc
+//     and its two operands, which a checkpoint can name.
 //
 // A method is used when its type implements an interface that has it and
 // that interface is either declared in a package the module imports
@@ -528,6 +534,7 @@ func (s *surface) findings() []finding {
 		}
 	}
 	out = append(out, s.knobs()...)
+	out = append(out, s.posts()...)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].pos, out[j].pos
 		if a.Filename != b.Filename {
@@ -773,6 +780,162 @@ func (s *surface) knobs() []finding {
 	return out
 }
 
+// posts applies rule 6 to every declaration outside internal/sim and
+// bench/, keyed by the declaration's name. A func value is judged where
+// a call argument, a conversion, an assignment, a typed var or a
+// composite-literal element gives it a sim.EventFunc or an interface
+// type; passing on a value that is already an EventFunc converts
+// nothing.
+func (s *surface) posts() []finding {
+	simPath := s.modPath + "/internal/sim"
+	eventFunc := func(t types.Type) bool {
+		n, ok := t.(*types.Named)
+		return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == simPath && n.Obj().Name() == "EventFunc"
+	}
+	var out []finding
+	for _, p := range s.pkgs {
+		exempt := p.ImportPath == simPath || p.ImportPath == s.modPath+"/bench" || strings.HasPrefix(p.ImportPath, s.modPath+"/bench/")
+		info := p.info
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				key := p.ImportPath + " " + declName(info, d)
+				s.considered[key] = true
+				if exempt {
+					continue
+				}
+				flag := func(n ast.Node, what string) {
+					out = append(out, finding{pos: s.position(n.Pos()), key: key, what: what})
+				}
+				// into judges e where a value of type t is expected.
+				into := func(e ast.Expr, t types.Type) {
+					if e == nil || t == nil {
+						return
+					}
+					e = ast.Unparen(e)
+					et := info.Types[e].Type
+					if et == nil || types.Identical(et, t) {
+						return
+					}
+					if _, ok := et.Underlying().(*types.Signature); !ok {
+						return
+					}
+					var fn *types.Func
+					switch x := e.(type) {
+					case *ast.Ident:
+						fn, _ = info.Uses[x].(*types.Func)
+					case *ast.SelectorExpr:
+						if info.Selections[x] == nil {
+							fn, _ = info.Uses[x.Sel].(*types.Func)
+						}
+					}
+					_, typeParam := t.(*types.TypeParam)
+					switch {
+					case eventFunc(t) && (fn == nil || recvType(fn) != nil):
+						flag(e, "a closure or method value posted as a sim.EventFunc: post a package-level func and its operands")
+					case types.IsInterface(t) && !typeParam:
+						flag(e, "a func value passed as an interface: post a package-level sim.EventFunc and its operands")
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.SelectorExpr:
+						if sel := info.Selections[n]; sel != nil && sel.Obj().Name() == "At" && sel.Obj().Pkg() != nil &&
+							sel.Obj().Pkg().Path() == simPath && recvType(sel.Obj().(*types.Func)) != nil {
+							flag(n, "calls (*sim.Engine).At: post with AtCall")
+						}
+					case *ast.CallExpr:
+						tv := info.Types[n.Fun]
+						if tv.IsType() && len(n.Args) == 1 {
+							into(n.Args[0], tv.Type)
+						}
+						sig, ok := tv.Type.(*types.Signature)
+						if !ok || tv.IsBuiltin() {
+							break
+						}
+						for i, arg := range n.Args {
+							into(arg, paramType(sig, i, n.Ellipsis.IsValid()))
+						}
+					case *ast.AssignStmt:
+						if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+							for i, l := range n.Lhs {
+								into(n.Rhs[i], info.Types[l].Type)
+							}
+						}
+					case *ast.ValueSpec:
+						if n.Type != nil {
+							for _, v := range n.Values {
+								into(v, info.Types[n.Type].Type)
+							}
+						}
+					case *ast.CompositeLit:
+						t := info.Types[n].Type
+						if t == nil {
+							break
+						}
+						for i, elt := range n.Elts {
+							val, key := elt, ast.Expr(nil)
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								val, key = kv.Value, kv.Key
+							}
+							switch u := t.Underlying().(type) {
+							case *types.Struct:
+								if key != nil {
+									if v, ok := info.Uses[key.(*ast.Ident)].(*types.Var); ok {
+										into(val, v.Type())
+									}
+								} else if i < u.NumFields() {
+									into(val, u.Field(i).Type())
+								}
+							case *types.Slice:
+								into(val, u.Elem())
+							case *types.Array:
+								into(val, u.Elem())
+							case *types.Map:
+								into(key, u.Key())
+								into(val, u.Elem())
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	return out
+}
+
+// paramType is the type a call's i-th argument is passed as.
+func paramType(sig *types.Signature, i int, spread bool) types.Type {
+	ps := sig.Params()
+	switch {
+	case sig.Variadic() && i >= ps.Len()-1 && !spread:
+		return ps.At(ps.Len() - 1).Type().(*types.Slice).Elem()
+	case i < ps.Len():
+		return ps.At(i).Type()
+	}
+	return nil
+}
+
+// declName names a top-level declaration: its func, Type.Method, or
+// the first name it declares.
+func declName(info *types.Info, d ast.Decl) string {
+	switch d := d.(type) {
+	case *ast.FuncDecl:
+		obj := info.Defs[d.Name].(*types.Func)
+		return name(recvType(obj), obj)
+	case *ast.GenDecl:
+		for _, spec := range d.Specs {
+			switch spec := spec.(type) {
+			case *ast.TypeSpec:
+				return spec.Name.Name
+			case *ast.ValueSpec:
+				return spec.Names[0].Name
+			}
+		}
+	}
+	return "import"
+}
+
 // configStructs returns rule 4's structs: every internal/ struct type
 // named …Config or …Options, and every internal/ struct one of those
 // holds in a field (by value, pointer, slice, array or map), transitively.
@@ -955,7 +1118,7 @@ func TestSurface(t *testing.T) {
 		for i, f := range bad {
 			lines[i] = f.String()
 		}
-		t.Errorf("%d entries that only tests use — delete them, or move them into the owning package's _test.go:\n%s",
+		t.Errorf("%d findings — delete what only tests use or move it into the owning package's _test.go, and rewrite the rest as each line says:\n%s",
 			len(bad), strings.Join(lines, "\n"))
 	}
 	for _, key := range stale {
@@ -995,7 +1158,7 @@ func TestSurfaceRules(t *testing.T) {
 	for _, f := range findings {
 		flagged[f.key] = true
 	}
-	const a = "surfacefix/internal/a "
+	const a, p = "surfacefix/internal/a ", "surfacefix/internal/post "
 	for _, c := range []struct {
 		name, key string
 		flagged   bool
@@ -1019,6 +1182,14 @@ func TestSurfaceRules(t *testing.T) {
 		{"field incremented and walked by &", a + "Counters.Walked", true},
 		{"field incremented and read once", a + "Counters.Seen", false},
 		{"test-support package", "surfacefix/internal/testsupport Helper", false},
+		{"package-level func posted as an EventFunc", p + "Named", false},
+		{"EventFunc passed on", p + "Forward", false},
+		{"func literal posted as an EventFunc", p + "Literal", true},
+		{"method value posted as an EventFunc", p + "MethodValue", true},
+		{"func passed where any is expected", p + "Payload", true},
+		{"call of Engine.At", p + "Bare", true},
+		{"Engine.At inside the engine", "surfacefix/internal/sim Engine.At", false},
+		{"Engine.At from bench/", "surfacefix/bench main", false},
 	} {
 		// A passing row must name an entry the gate looked at, or a
 		// typo in its key would pass it.
