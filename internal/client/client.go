@@ -182,6 +182,7 @@ func (c *Client) OnReply(rep *msg.Reply) bool {
 	if !c.reqs.accept(rep) {
 		return false
 	}
+	c.reqs.release(rep.Req)
 	if len(rep.Hints) > 0 {
 		rec := c.hints.claim(0)
 		for _, h := range rep.Hints {

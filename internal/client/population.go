@@ -136,10 +136,10 @@ func cumMix(stat, readdir, chmod, create, rename, unlink float64) [numMixOps]flo
 //
 // The hot paths (wheel fire → draw op → direct → send, and reply →
 // record → recycle) are allocation-free in steady state; only Create
-// and Rename ops allocate (the new entry's name and inode, inherent to
-// the op). A phase (SetPhase) retargets rate, mix and hotspot at an
-// exact virtual time without adding steady-state work: the arrival
-// path reads plain phase fields.
+// and Rename ops allocate: a block of names now and then (see newName),
+// and for a create, now and then a page of inodes. A phase (SetPhase)
+// retargets rate, mix and hotspot at an exact virtual time without
+// adding steady-state work: the arrival path reads plain phase fields.
 type Population struct {
 	cfg     PopulationConfig
 	strat   partition.Strategy
@@ -165,6 +165,8 @@ type Population struct {
 	// the most requests outstanding at once, then holds steady.
 	reqs    Requests
 	nameSeq int
+	// names holds the names the population issues (see newName).
+	names namespace.Names
 
 	// Phase state, written by SetPhase and read on every arrival: the
 	// effective rate multiplier, cumulative mix thresholds, hotspot
@@ -491,8 +493,7 @@ func (p *Population) arrive(li int32) {
 	case x < p.cum[3]:
 		req.Op = msg.Create
 		req.Target = p.tenants.Dir(tn, rng.next(), rng.next())
-		p.nameSeq++
-		req.NewName = popName(p.nameSeq)
+		req.NewName = p.newName()
 	case x < p.cum[4]:
 		// Rename: move a working-set entry into another tenant's
 		// directory — the cross-authority migration op. The inode
@@ -508,8 +509,7 @@ func (p *Population) arrive(li int32) {
 			}
 		}
 		req.DstDir = p.tenants.Dir(dst, rng.next(), rng.next())
-		p.nameSeq++
-		req.NewName = popName(p.nameSeq)
+		req.NewName = p.newName()
 	default:
 		// Unlink: remove a file this run created earlier, oldest first.
 		// Until a create has completed there is nothing to remove; the
@@ -521,8 +521,7 @@ func (p *Population) arrive(li int32) {
 		} else {
 			req.Op = msg.Create
 			req.Target = p.tenants.Dir(tn, rng.next(), rng.next())
-			p.nameSeq++
-			req.NewName = popName(p.nameSeq)
+			req.NewName = p.newName()
 		}
 	}
 	// A hotspot phase redirects a fraction of draws to one target. The
@@ -608,13 +607,15 @@ func (p *Population) resend(req *msg.Request, _ int) int {
 // abandoned: an open-loop client's arrivals do not wait on its requests.
 func (p *Population) abandoned() {}
 
-// popName formats p0_<seq> without fmt; the retained string is the new
-// entry's name (inherent allocation of the Create op). The prefix is
-// part of the name the hash strategies place and the digests cover.
-func popName(seq int) string {
+// newName formats the next name, p0_<seq>, without fmt into the
+// population's name blocks, so a name costs no malloc of its own: the
+// tree keeps a copy, and the block is held only by requests still
+// carrying one of its names. The prefix is part of the name the hash
+// strategies place and the digests cover.
+func (p *Population) newName() string {
+	p.nameSeq++
 	var buf [24]byte
-	b := strconv.AppendInt(append(buf[:0], "p0_"...), int64(seq), 10)
-	return string(b)
+	return p.names.Add(strconv.AppendInt(append(buf[:0], "p0_"...), int64(p.nameSeq), 10))
 }
 
 // direct steers req like the closed-loop client (steer), from the
@@ -665,6 +666,7 @@ func (p *Population) OnReply(rep *msg.Reply) bool {
 		p.lease.Tab.Install(rep.Client, req.Target.ID, rep.LeaseGen,
 			p.eng.Now()+p.lease.Duration)
 	}
+	p.reqs.release(req)
 	return true
 }
 

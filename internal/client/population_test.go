@@ -201,29 +201,48 @@ func TestPopulationHintsSteerDirection(t *testing.T) {
 	}
 }
 
+// TestPopulationArrivalAllocFree pins the open-loop hot path: with a
+// create-free mix an arrival allocates nothing. With creates or renames
+// each arrival of one carries a new name, written into the population's
+// block of names: at most one malloc per 16 names, not one each.
 func TestPopulationArrivalAllocFree(t *testing.T) {
-	cfg := PopulationConfig{
+	base := PopulationConfig{
 		Clients: 1000, Rate: 200,
-		Tenant: workload.TenantConfig{Tenants: 4, FileSkew: 1, WorkingSet: 16},
-		// Create-free mix: creates inherently allocate the new name/inode.
+		Tenant:  workload.TenantConfig{Tenants: 4, FileSkew: 1, WorkingSet: 16},
 		MixStat: 80, MixReaddir: 10, MixChmod: 10,
 		DiurnalAmp: 0.3, BurstProb: 0.1,
 	}
-	eng, pop, _ := popFixture(t, cfg, 11, 0)
-	pop.Start()
-	// Warm to steady state: pools filled, wheel slots and engine heap at
-	// their high-water marks.
-	eng.RunUntil(2 * sim.Second)
-	now := eng.Now()
-	allocs := testing.AllocsPerRun(20, func() {
-		now += 50 * sim.Millisecond
-		eng.RunUntil(now)
-	})
-	if allocs != 0 {
-		t.Fatalf("open-loop hot path allocates: %v allocs per 50ms window", allocs)
-	}
-	if pop.Counts().Issued == 0 || pop.Counts().Completed == 0 {
-		t.Fatal("no traffic during pin")
+	for _, v := range []struct {
+		name           string
+		create, rename float64
+	}{{"no names", 0, 0}, {"create", 10, 0}, {"rename", 0, 10}} {
+		t.Run(v.name, func(t *testing.T) {
+			cfg := base
+			cfg.MixCreate, cfg.MixRename = v.create, v.rename
+			eng, pop, _ := popFixture(t, cfg, 11, 0)
+			pop.Start()
+			// Warm to steady state: pools filled, wheel slots and engine
+			// heap at their high-water marks.
+			eng.RunUntil(2 * sim.Second)
+			now := eng.Now()
+			var names int
+			allocs := testing.AllocsPerRun(1, func() {
+				seq := pop.nameSeq
+				now += sim.Second
+				eng.RunUntil(now)
+				names = pop.nameSeq - seq
+			})
+			t.Logf("%d names, %.0f mallocs", names, allocs)
+			if allocs > float64(names/16) {
+				t.Fatalf("open-loop hot path allocates: %.0f mallocs per 1s window with %d names", allocs, names)
+			}
+			if pop.Counts().Issued == 0 || pop.Counts().Completed == 0 {
+				t.Fatal("no traffic during pin")
+			}
+			if v.create+v.rename > 0 && names < 1000 {
+				t.Fatalf("only %d names during the pin", names)
+			}
+		})
 	}
 }
 

@@ -112,16 +112,9 @@ func (r *Requests) local(req *msg.Request) {
 	r.pool.Put(req)
 }
 
-// put recycles a retired request unless retries are armed.
-func (r *Requests) put(req *msg.Request) {
-	if r.timeout == 0 {
-		r.pool.Put(req)
-	}
-}
-
 // accept retires the request rep answers and counts its completion; it
-// reports false for a reply to a request already retired. The caller may
-// read the request's fields until its next get.
+// reports false for a reply to a request already retired. The caller
+// reads what it needs of the request, then releases it.
 func (r *Requests) accept(rep *msg.Reply) bool {
 	req := rep.Req
 	if req == nil || rep.ID == 0 || req.ID != rep.ID {
@@ -129,8 +122,18 @@ func (r *Requests) accept(rep *msg.Reply) bool {
 	}
 	r.Completed++
 	req.ID = 0
-	r.put(req)
 	return true
+}
+
+// release recycles a request accept retired, its name cleared: a free
+// request must not hold its issuer's name block alive. With retries
+// armed it does neither: a copy may still be in flight, and the node it
+// reaches reads the name; the struct then dies with its last holder.
+func (r *Requests) release(req *msg.Request) {
+	if r.timeout == 0 {
+		req.NewName = ""
+		r.pool.Put(req)
+	}
 }
 
 // pending is a sent request's retry state, its timer's payload.

@@ -132,3 +132,45 @@ func TestRetryRecordAllocsBlocks(t *testing.T) {
 		t.Fatalf("%d sends in the window, %d retries, %d timed out: want many sends, every reply in time", sends, cs.Retries, cs.TimedOut)
 	}
 }
+
+// TestFreeRequestsHoldNoName: a request back in its lifecycle's pool
+// carries no name, in either model, so a free struct holds no issuer's
+// block of names alive. After a drained run of creates and renames
+// every struct the pool hands out has an empty NewName: the free ones
+// were cleared, and any past them are fresh.
+func TestFreeRequestsHoldNoName(t *testing.T) {
+	_, f := testTree(t)
+	eng := sim.NewEngine()
+	closed := &answerNet{eng: eng, n: 2, delay: 500 * sim.Microsecond}
+	c := New(0, eng, Config{ThinkMean: sim.Millisecond}, sim.NewRNG(3), closed,
+		partition.FileHash{N: 2}, fixedGen{workload.Op{Op: msg.Create, Target: f.Parent(), NewName: "n"}})
+	closed.reply = c.OnReply
+	c.Start(0)
+
+	cfg := PopulationConfig{Clients: 50, Rate: 200, Tenant: workload.TenantConfig{Tenants: 2, WorkingSet: 8},
+		MixStat: 1, MixCreate: 1, MixRename: 1}
+	_, homes := popTree(t, 4)
+	open := &answerNet{eng: eng, n: 4, delay: 30 * sim.Millisecond}
+	pop := NewPopulation(cfg, eng, open, partition.FileHash{N: 4}, workload.NewTenants(cfg.Tenant, cfg.Clients, homes, 5), 0, 5)
+	open.reply = pop.OnReply
+	pop.Start()
+
+	eng.RunUntil(sim.Second)
+	c.Stop()
+	pop.Stop()
+	eng.RunUntil(2 * sim.Second)
+	for _, m := range []struct {
+		name string
+		reqs *Requests
+	}{{"closed", &c.reqs}, {"open", &pop.reqs}} {
+		if m.reqs.Completed < 100 || m.reqs.Outstanding() != 0 || m.reqs.pool.Lent() != 0 {
+			t.Fatalf("%s loop: %d completed, %d outstanding, %d lent: want many completed and the run drained",
+				m.name, m.reqs.Completed, m.reqs.Outstanding(), m.reqs.pool.Lent())
+		}
+		for i := uint64(0); i < m.reqs.Issued; i++ {
+			if req := m.reqs.pool.Get(); req.NewName != "" {
+				t.Fatalf("%s loop: a free request still carries the name %q", m.name, req.NewName)
+			}
+		}
+	}
+}

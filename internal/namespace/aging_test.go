@@ -379,7 +379,7 @@ func inodeRecord(sub int) []byte {
 		snap.U(c, &mode)
 		snap.I(c, &size)
 		snap.I(c, &sub)
-		c.String(&name)
+		c.String(&name, nil) // writing only
 		snap.U(c, &parent)
 	})
 	return w.Bytes()

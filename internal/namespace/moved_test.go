@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"dynmds/internal/snap"
 )
@@ -88,7 +89,8 @@ func checkCreated(t *testing.T, tr *Tree, made map[InodeID]*Inode, what string) 
 // back to a base entry's frozen (parent, name), unlinks of base
 // entries, directory moves and refused duplicate names among them. After
 // every op the name index must agree with the child lists (checkNames)
-// and ByID with the run-created inodes (checkCreated), and a checkpoint
+// and ByID with the run-created inodes (checkCreated), an inode created
+// or renamed must keep a copy of its new name (checkKept), and a checkpoint
 // restored onto a fresh overlay must give the same child order, lookups
 // and ByID.
 func FuzzOverlayNames(f *testing.F) {
@@ -148,6 +150,12 @@ func FuzzOverlayNames(f *testing.F) {
 				made[c.ID] = c
 			}
 			what := "step " + strconv.Itoa(step)
+			switch {
+			case op <= 1 && err == nil:
+				checkKept(t, c, name, what)
+			case op >= 3 && err == nil:
+				checkKept(t, n, name, what)
+			}
 			if taken && err == nil {
 				t.Fatalf("%s: op %d put a second %q into %s", what, op, name, dir)
 			}
@@ -169,6 +177,20 @@ func FuzzOverlayNames(f *testing.F) {
 			checkCreated(t, got, made, what+", restored")
 		}
 	})
+}
+
+// checkKept holds the name a create, mkdir or rename gave n to the
+// string the caller passed: equal, and a copy sharing no byte with it,
+// since the caller's may sit in a block the tree must not hold.
+func checkKept(t *testing.T, n *Inode, name, what string) {
+	t.Helper()
+	if n.Name() != name {
+		t.Fatalf("%s: %s is named %q, want %q", what, n, n.Name(), name)
+	}
+	kept, given := uintptr(unsafe.Pointer(unsafe.StringData(n.name))), uintptr(unsafe.Pointer(unsafe.StringData(name)))
+	if kept < given+uintptr(len(name)) && given < kept+uintptr(len(n.name)) {
+		t.Fatalf("%s: %s keeps the caller's bytes of %q", what, n, name)
+	}
 }
 
 // TestMovedSetChurn: thousands of entries through one tree's moved set

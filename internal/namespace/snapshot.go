@@ -50,7 +50,12 @@ func (t *Tree) snapFields(c *snap.Codec, n *Inode) (parent InodeID) {
 	} else if sub != 1 {
 		c.Failf("namespace: file %d has subtree count %d, want 1", n.ID, sub)
 	}
-	c.String(&n.name)
+	c.String(&n.name, func(b []byte) string {
+		if string(b) == n.name {
+			return n.name // a drifted base inode under its frozen name
+		}
+		return t.keep(n, string(b), true)
+	})
 	if n.parent != nil {
 		parent = n.parent.ID
 	}

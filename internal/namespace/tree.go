@@ -21,15 +21,17 @@ type Tree struct {
 
 	// base is the shared immutable snapshot this tree overlays. slab
 	// holds the run-private copies of every base inode (indexed by
-	// id-1), created the inodes made after the thaw, dirs the directory
-	// records of the created directories (never Put back, so never
-	// reused), and moved every attached inode away from its frozen
-	// (parent, name) — see frozen.go and moved.go.
+	// id-1), created the inodes made after the thaw and their names,
+	// dirs the directory records of the created directories (never Put
+	// back, so never reused), and moved every attached inode away from
+	// its frozen (parent, name) — see frozen.go and moved.go.
 	base    *Frozen
 	slab    []Inode
 	created createdSet
 	dirs    sim.Pool[dirState]
 	moved   movedSet
+	// names keeps the names of renamed base inodes (see keep).
+	names Names
 	// dead tombstones base IDs destroyed in this overlay so ByID cannot
 	// resurrect their slab slots: one bit per base inode, allocated on
 	// the first removal. Pointer-free, so the GC never scans it.
@@ -98,7 +100,15 @@ const pageIDs = 64
 type createdPage struct {
 	key  InodeID
 	live uint64
-	n    *[pageIDs]Inode
+	*pageBody
+}
+
+// pageBody is a page's storage: its inodes, and the Names their names
+// are kept in (see Tree.keep), so a page and its names die
+// together. Pages move inside createdSet.pages; their bodies do not.
+type pageBody struct {
+	n     [pageIDs]Inode
+	names Names
 }
 
 func (s *createdSet) find(id InodeID) (int, bool) {
@@ -124,9 +134,9 @@ func (s *createdSet) slot(id InodeID) *Inode {
 	case last >= 0 && s.pages[last].live == 0:
 		// The tail page emptied with IDs to spare: a new page takes
 		// its place.
-		s.pages[last] = createdPage{key: key, n: new([pageIDs]Inode)}
+		s.pages[last] = createdPage{key: key, pageBody: new(pageBody)}
 	default:
-		s.pages = append(s.pages, createdPage{key: key, n: new([pageIDs]Inode)})
+		s.pages = append(s.pages, createdPage{key: key, pageBody: new(pageBody)})
 		last++
 	}
 	return &s.pages[last].n[id%pageIDs]
@@ -198,6 +208,7 @@ func (t *Tree) add(parent *Inode, name string, kind Kind) (*Inode, error) {
 	}
 	parent.adjustSubtreeCount(1)
 	t.created.add(n)
+	n.name = t.keep(n, name, true)
 	if kind == Dir {
 		t.NumDirs++
 	} else {
@@ -279,7 +290,28 @@ func (t *Tree) Rename(n *Inode, dstDir *Inode, newName string) error {
 		return err
 	}
 	dstDir.adjustSubtreeCount(sub)
+	n.name = t.keep(n, newName, false)
 	return nil
+}
+
+// keep returns a copy of name, n's new name, in storage that lives as
+// long as n: the Names of n's created page, or the tree's own for a
+// base inode. The caller's string is never kept: it may sit in an
+// issuer's block, otherwise held only by requests in flight. An inode
+// being created sits in the tail page, and a fresh block made for it
+// is sized for the IDs left in the page, each with a name as long; one
+// made for a rename, for the name.
+func (t *Tree) keep(n *Inode, name string, creating bool) string {
+	if t.base.contains(n.ID) {
+		return t.names.addString(name, nameBlock)
+	}
+	room, i := len(name), len(t.created.pages)-1
+	if creating {
+		room *= pageIDs - int(n.ID%pageIDs)
+	} else {
+		i, _ = t.created.find(n.ID)
+	}
+	return t.created.pages[i].names.addString(name, room)
 }
 
 // Chmod updates an inode's permission word.

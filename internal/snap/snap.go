@@ -349,15 +349,17 @@ func (c *Codec) F64(p *float64) {
 	*p = math.Float64frombits(v)
 }
 
-// String carries a length-prefixed string.
-func (c *Codec) String(p *string) {
+// String carries a length-prefixed string. Reading, it stores keep of
+// the bytes read, which are the file's and must be copied: the caller
+// decides where the copy lives.
+func (c *Codec) String(p *string, keep func([]byte) string) {
 	if c.w != nil {
 		c.w.String(*p)
 		return
 	}
 	if n, ok := c.uvarint(); ok {
 		if b, ok := c.r.bytes(n); ok {
-			*p = string(b)
+			*p = keep(b)
 		} else {
 			c.short()
 		}

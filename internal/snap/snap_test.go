@@ -6,13 +6,16 @@ import (
 	"testing"
 )
 
-// decoder returns a decoding Codec over what w holds.
 // Int appends an int as a signed varint.
 func (w *Writer) Int(v int) { w.I64(int64(v)) }
 
 // F64 appends a float64 bit-exactly.
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
+// copied is the keep of a test's String: a string of its own.
+func copied(b []byte) string { return string(b) }
+
+// decoder returns a decoding Codec over what w holds.
 func decoder(t *testing.T, w *Writer) *Codec {
 	t.Helper()
 	r, err := NewReader(w.Bytes())
@@ -51,8 +54,8 @@ func TestRoundTrip(t *testing.T) {
 			c.F64(&s.nz)
 			c.F64(&s.inf)
 			c.F64(&s.nan)
-			c.String(&s.empty)
-			c.String(&s.s)
+			c.String(&s.empty, copied)
+			c.String(&s.s, copied)
 		})
 		c.Section("beta", func(c *Codec) { U(c, &s.beta) })
 	}
@@ -199,7 +202,7 @@ func TestReadPastSectionEndPanics(t *testing.T) {
 	dec.Section("s", func(c *Codec) {
 		U(c, &a)
 		U(c, &b)
-		c.String(&s)
+		c.String(&s, copied)
 	})
 	if dec.Err() == nil || !strings.Contains(dec.Err().Error(), "past the end") {
 		t.Fatalf("read past section end: %v", dec.Err())
@@ -258,7 +261,7 @@ func TestCodecRefusals(t *testing.T) {
 		{"boolean", func(w *Writer) { w.U64(2) },
 			func(c *Codec) { var v bool; c.Bool(&v) }, "boolean 2"},
 		{"string past the bytes left", func(w *Writer) { w.U64(50); w.U64(0) },
-			func(c *Codec) { var s string; c.String(&s) }, "past the end"},
+			func(c *Codec) { var s string; c.String(&s, copied) }, "past the end"},
 		{"map count past the bytes left", func(w *Writer) { w.Int(5); w.U64(1) },
 			func(c *Codec) {
 				Map(c, map[uint64]int{}, func(*uint64, *int) { t.Error("entry visited") })

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strconv"
 	"testing"
 
 	"dynmds/internal/msg"
@@ -11,7 +12,9 @@ import (
 // oracleGeneral is the general-purpose generator as it stood before
 // descend and wander stopped building a list of sub-directories: Next,
 // wander and descend kept verbatim, the reference General is compared
-// against draw for draw.
+// against draw for draw. Its names are made as they were before they
+// went into name blocks (oracleName), so a drawn name must be the
+// same bytes too.
 type oracleGeneral struct{ General }
 
 func (g *oracleGeneral) Next(now sim.Time, r *sim.RNG) (Op, bool) {
@@ -61,7 +64,7 @@ func (g *oracleGeneral) Next(now sim.Time, r *sim.RNG) (Op, bool) {
 		return Op{Op: msg.Readdir, Target: dir}, true
 	case x < m.Stat+m.Open+m.Readdir+m.Create:
 		g.seq++
-		return Op{Op: msg.Create, Target: dir, NewName: newName('c', g.client, g.seq)}, true
+		return Op{Op: msg.Create, Target: dir, NewName: oracleName('c', g.client, g.seq)}, true
 	case x < m.Stat+m.Open+m.Readdir+m.Create+m.Unlink:
 		if f := pickFile(dir, r); f != nil {
 			return Op{Op: msg.Unlink, Target: f}, true
@@ -69,7 +72,7 @@ func (g *oracleGeneral) Next(now sim.Time, r *sim.RNG) (Op, bool) {
 		return Op{Op: msg.Stat, Target: dir}, true
 	case x < m.Stat+m.Open+m.Readdir+m.Create+m.Unlink+m.Mkdir:
 		g.seq++
-		return Op{Op: msg.Mkdir, Target: dir, NewName: newName('d', g.client, g.seq)}, true
+		return Op{Op: msg.Mkdir, Target: dir, NewName: oracleName('d', g.client, g.seq)}, true
 	case x < m.Stat+m.Open+m.Readdir+m.Create+m.Unlink+m.Mkdir+m.Chmod:
 		if r.Float64() < g.cfg.PDirChmod {
 			return Op{Op: msg.Chmod, Target: dir}, true
@@ -82,12 +85,12 @@ func (g *oracleGeneral) Next(now sim.Time, r *sim.RNG) (Op, bool) {
 		if r.Float64() < g.cfg.PDirRename {
 			if d := pickDir(dir, r); d != nil {
 				g.seq++
-				return Op{Op: msg.Rename, Target: d, DstDir: dir, NewName: newName('r', g.client, g.seq)}, true
+				return Op{Op: msg.Rename, Target: d, DstDir: dir, NewName: oracleName('r', g.client, g.seq)}, true
 			}
 		}
 		if f := pickFile(dir, r); f != nil {
 			g.seq++
-			return Op{Op: msg.Rename, Target: f, DstDir: dir, NewName: newName('r', g.client, g.seq)}, true
+			return Op{Op: msg.Rename, Target: f, DstDir: dir, NewName: oracleName('r', g.client, g.seq)}, true
 		}
 		return Op{Op: msg.Stat, Target: dir}, true
 	}
@@ -130,6 +133,17 @@ func (g *oracleGeneral) wander(r *sim.RNG) {
 	} else {
 		g.cur = dirs[i]
 	}
+}
+
+// oracleName is the name formatter as it stood before names went into
+// blocks: prefix<client>_<seq>, one string allocated per name.
+func oracleName(prefix byte, client, seq int) string {
+	var buf [24]byte
+	b := append(buf[:0], prefix)
+	b = strconv.AppendInt(b, int64(client), 10)
+	b = append(b, '_')
+	b = strconv.AppendInt(b, int64(seq), 10)
+	return string(b)
 }
 
 func oracleDescend(root *namespace.Inode, r *sim.RNG, maxSteps int) *namespace.Inode {
@@ -213,28 +227,65 @@ func TestGeneralMatchesOracle(t *testing.T) {
 // TestGeneralNextAllocFree pins the generator's steady state: an op that
 // carries no new name (everything but create, mkdir and rename) is drawn
 // without allocating, the wander and the shared-tree descent included.
+// One that does writes its name into the generator's block of names,
+// so in the create, mkdir and rename variants names cost at most one
+// malloc per 16 (a block holds ~25 of them), not one each.
 func TestGeneralNextAllocFree(t *testing.T) {
 	snap := genSnapshot(t)
-	cfg := DefaultGeneralConfig()
-	cfg.Mix.Create, cfg.Mix.Mkdir, cfg.Mix.Rename = 0, 0, 0
-	cfg.PMove, cfg.PJump, cfg.PShared = 0.3, 0.1, 0.2
-	g := NewGeneral(0, cfg, region(snap, 0))
-	r := sim.NewRNG(1)
-	kinds := make(map[msg.Op]int)
-	draw := func() {
-		if op, ok := g.Next(0, r); ok {
-			kinds[op.Op]++
+	newGen := func(kind msg.Op) (*General, *sim.RNG) {
+		cfg := DefaultGeneralConfig()
+		cfg.Mix.Create, cfg.Mix.Mkdir, cfg.Mix.Rename = 0, 0, 0
+		cfg.PMove, cfg.PJump, cfg.PShared = 0.3, 0.1, 0.2
+		switch kind {
+		case msg.Create:
+			cfg.Mix.Create = 10
+		case msg.Mkdir:
+			cfg.Mix.Mkdir = 10
+		case msg.Rename:
+			cfg.Mix.Rename = 10
 		}
-	}
-	for i := 0; i < 1000; i++ {
-		draw() // the follow-up queue reaches its working size
-	}
-	if allocs := testing.AllocsPerRun(20_000, draw); allocs != 0 {
-		t.Fatalf("Next allocated %v times per draw, want 0", allocs)
-	}
-	for _, k := range []msg.Op{msg.Stat, msg.Open, msg.Close, msg.Readdir, msg.Unlink, msg.Chmod} {
-		if kinds[k] == 0 {
-			t.Errorf("no %v drawn: %v", k, kinds)
+		g, r := NewGeneral(0, cfg, region(snap, 0)), sim.NewRNG(1)
+		for i := 0; i < 1000; i++ {
+			g.Next(0, r) // the follow-up queue reaches its working size
 		}
+		return g, r
+	}
+	t.Run("no names", func(t *testing.T) {
+		g, r := newGen(msg.Stat)
+		kinds := make(map[msg.Op]int)
+		draw := func() {
+			if op, ok := g.Next(0, r); ok {
+				kinds[op.Op]++
+			}
+		}
+		if allocs := testing.AllocsPerRun(20_000, draw); allocs != 0 {
+			t.Fatalf("Next allocated %v times per draw, want 0", allocs)
+		}
+		for _, k := range []msg.Op{msg.Stat, msg.Open, msg.Close, msg.Readdir, msg.Unlink, msg.Chmod} {
+			if kinds[k] == 0 {
+				t.Errorf("no %v drawn: %v", k, kinds)
+			}
+		}
+	})
+	for _, kind := range []msg.Op{msg.Create, msg.Mkdir, msg.Rename} {
+		t.Run(kind.String(), func(t *testing.T) {
+			g, r := newGen(kind)
+			var names int
+			allocs := testing.AllocsPerRun(1, func() {
+				names = 0
+				for i := 0; i < 20_000; i++ {
+					if op, ok := g.Next(0, r); ok && op.NewName != "" {
+						if op.Op != kind {
+							t.Fatalf("a %v carries a name", op.Op)
+						}
+						names++
+					}
+				}
+			})
+			t.Logf("%d names, %.0f mallocs", names, allocs)
+			if names < 1000 || allocs > float64(names/16) {
+				t.Errorf("%d names took %.0f mallocs, want many names and at most %d", names, allocs, names/16)
+			}
+		})
 	}
 }

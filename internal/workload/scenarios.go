@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"dynmds/internal/msg"
 	"dynmds/internal/namespace"
 	"dynmds/internal/sim"
@@ -49,7 +47,7 @@ func (s *Shift) Next(now sim.Time, r *sim.RNG) (Op, bool) {
 	// First establish a private directory in the new region.
 	if !s.madeDir {
 		s.madeDir = true
-		s.dirName = fmt.Sprintf("mig%d", s.client)
+		s.dirName = s.name("mig", s.client)
 		return Op{Op: msg.Mkdir, Target: s.myHome, NewName: s.dirName}, true
 	}
 	if s.myDir == nil {
@@ -76,12 +74,13 @@ func (s *Shift) Next(now sim.Time, r *sim.RNG) (Op, bool) {
 	}
 	if s.createSeq%4 == 0 && s.createSeq > 1 {
 		j := s.createSeq - 1 - r.Pick(min(s.createSeq-1, 32))
-		if f, ok := s.myDir.LookupChild(fmt.Sprintf("n%d", j)); ok {
+		var buf [24]byte
+		if f, ok := s.myDir.LookupChild(string(appendName(buf[:0], "n", j))); ok {
 			return Op{Op: msg.Stat, Target: f}, true
 		}
 		return Op{Op: msg.Stat, Target: s.myDir}, true
 	}
-	return Op{Op: msg.Create, Target: s.myDir, NewName: fmt.Sprintf("n%d", s.createSeq)}, true
+	return Op{Op: msg.Create, Target: s.myDir, NewName: s.name("n", s.createSeq)}, true
 }
 
 func min(a, b int) int {
@@ -183,5 +182,5 @@ func (s *Scientific) Next(now sim.Time, r *sim.RNG) (Op, bool) {
 	}
 	// N-to-N: everyone creates its own files in the shared directory.
 	s.seq++
-	return Op{Op: msg.Create, Target: s.Job, NewName: fmt.Sprintf("ckpt%d_%d_%d", s.client, idx, s.seq)}, true
+	return Op{Op: msg.Create, Target: s.Job, NewName: s.name("ckpt", s.client, idx, s.seq)}, true
 }

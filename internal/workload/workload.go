@@ -121,6 +121,9 @@ type General struct {
 	queue  []Op
 	seq    int
 	client int
+	// names holds the names the generator issues, its scenario's too
+	// (see name).
+	names namespace.Names
 }
 
 // NewGeneral creates a generator working in the given region.
@@ -185,7 +188,7 @@ func (g *General) Next(now sim.Time, r *sim.RNG) (Op, bool) {
 		return Op{Op: msg.Readdir, Target: dir}, true
 	case x < m.Stat+m.Open+m.Readdir+m.Create:
 		g.seq++
-		return Op{Op: msg.Create, Target: dir, NewName: newName('c', g.client, g.seq)}, true
+		return Op{Op: msg.Create, Target: dir, NewName: g.name("c", g.client, g.seq)}, true
 	case x < m.Stat+m.Open+m.Readdir+m.Create+m.Unlink:
 		if f := pickFile(dir, r); f != nil {
 			return Op{Op: msg.Unlink, Target: f}, true
@@ -193,7 +196,7 @@ func (g *General) Next(now sim.Time, r *sim.RNG) (Op, bool) {
 		return Op{Op: msg.Stat, Target: dir}, true
 	case x < m.Stat+m.Open+m.Readdir+m.Create+m.Unlink+m.Mkdir:
 		g.seq++
-		return Op{Op: msg.Mkdir, Target: dir, NewName: newName('d', g.client, g.seq)}, true
+		return Op{Op: msg.Mkdir, Target: dir, NewName: g.name("d", g.client, g.seq)}, true
 	case x < m.Stat+m.Open+m.Readdir+m.Create+m.Unlink+m.Mkdir+m.Chmod:
 		if r.Float64() < g.cfg.PDirChmod {
 			return Op{Op: msg.Chmod, Target: dir}, true
@@ -206,27 +209,38 @@ func (g *General) Next(now sim.Time, r *sim.RNG) (Op, bool) {
 		if r.Float64() < g.cfg.PDirRename {
 			if d := pickDir(dir, r); d != nil {
 				g.seq++
-				return Op{Op: msg.Rename, Target: d, DstDir: dir, NewName: newName('r', g.client, g.seq)}, true
+				return Op{Op: msg.Rename, Target: d, DstDir: dir, NewName: g.name("r", g.client, g.seq)}, true
 			}
 		}
 		if f := pickFile(dir, r); f != nil {
 			g.seq++
-			return Op{Op: msg.Rename, Target: f, DstDir: dir, NewName: newName('r', g.client, g.seq)}, true
+			return Op{Op: msg.Rename, Target: f, DstDir: dir, NewName: g.name("r", g.client, g.seq)}, true
 		}
 		return Op{Op: msg.Stat, Target: dir}, true
 	}
 }
 
-// newName formats prefix<client>_<seq> ("c12_345") with strconv instead
-// of fmt: the one retained string is the new entry's name; everything
-// else stays on the stack.
-func newName(prefix byte, client, seq int) string {
-	var buf [24]byte
-	b := append(buf[:0], prefix)
-	b = strconv.AppendInt(b, int64(client), 10)
-	b = append(b, '_')
-	b = strconv.AppendInt(b, int64(seq), 10)
-	return string(b)
+// name writes a new entry's name, the prefix then the numbers joined
+// by '_' ("c12_345"), into the generator's name blocks: a name costs
+// no malloc of its own, the tree keeps a copy, and a block is held only
+// by requests still carrying one of its names.
+func (g *General) name(prefix string, nums ...int) string {
+	var buf [40]byte
+	return g.names.Add(appendName(buf[:0], prefix, nums...))
+}
+
+// appendName appends prefix and the numbers joined by '_' to b, with
+// strconv instead of fmt: the one way a generator spells a name, for an
+// entry it creates and for one it looks up.
+func appendName(b []byte, prefix string, nums ...int) []byte {
+	b = append(b, prefix...)
+	for i, v := range nums {
+		if i > 0 {
+			b = append(b, '_')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return b
 }
 
 // wander implements the locality random walk within the region.

@@ -62,7 +62,7 @@ budget() {
     fi
 }
 budget README.md $((24 * 1024))
-budget DESIGN.md 56235
+budget DESIGN.md 56230
 
 # -race on the small CI box is ~6x slower than native; give packages
 # headroom past go test's 10m default so a busy host doesn't flake.
@@ -181,13 +181,20 @@ fi
 echo "ci: the aging run tombstoned $TOMBS base files"
 
 # Restore determinism assert: resuming from the first snapshot must
-# reproduce the uninterrupted run's digest bit for bit.
+# reproduce the uninterrupted run's digest bit for bit, and checkpoint
+# the same bytes: its ck-001.snap is the uninterrupted run's (a restored
+# tree keeps every name it read, in the pages of their inodes).
 FULL=$("$MDSIM" $AGING | sed -n 's/^digest: //p')
-REST=$("$MDSIM" $AGING -restore "$ENDTMP/ck-000.snap" | sed -n 's/^digest: //p')
+mkdir "$TMP/restored"
+REST=$("$MDSIM" $AGING -restore "$ENDTMP/ck-000.snap" -checkpoint-dir "$TMP/restored" | sed -n 's/^digest: //p')
 if [ -z "$FULL" ] || [ "$FULL" != "$REST" ]; then
     echo "ci: restored endurance run diverged from the uninterrupted run" >&2
     echo "ci:   full:     $FULL" >&2
     echo "ci:   restored: $REST" >&2
+    exit 1
+fi
+if ! cmp "$ENDTMP/ck-001.snap" "$TMP/restored/ck-001.snap"; then
+    echo "ci: the restored endurance run checkpointed other bytes than the uninterrupted run" >&2
     exit 1
 fi
 echo "ci: endurance restore determinism passed"
